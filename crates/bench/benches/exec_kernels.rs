@@ -8,12 +8,13 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::collections::HashMap;
 use std::time::Duration;
+use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::expr::compile;
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_engine::vector;
 use xdb_engine::{Engine, NoRemote};
-use xdb_sql::algebra::{Field, PlanSchema};
+use xdb_sql::algebra::{Field, LogicalPlan, PlanSchema};
 use xdb_sql::ast::{BinaryOp, Expr};
 use xdb_sql::value::{DataType, Value};
 
@@ -70,6 +71,50 @@ fn dim() -> Relation {
         ],
         rows,
     )
+}
+
+const PAIR_ROWS: usize = 30_000;
+
+fn pair_fields() -> Vec<(String, DataType)> {
+    ["a", "b", "v"]
+        .map(|n| (n.to_string(), DataType::Int))
+        .to_vec()
+}
+
+/// (a Int, b Int, v Int) holding `rows` of the `PAIR_ROWS` distinct (a, b)
+/// pairs, visited with `stride` — the shape of partsupp's (partkey,
+/// suppkey): neither column is a key, the pair is.
+fn pairs(rows: usize, stride: usize) -> Relation {
+    let data = (0..rows)
+        .map(|j| {
+            let i = (j * stride % PAIR_ROWS) as i64;
+            vec![
+                Value::Int(i / 4),
+                Value::Int(i % 4 * 25 + i / 4 % 25),
+                Value::Int(j as i64),
+            ]
+        })
+        .collect();
+    Relation::new(pair_fields(), data)
+}
+
+/// `probe ⋈ ps` on both key columns, `ps` on the build (right) side.
+fn composite_join(probe: &str) -> LogicalPlan {
+    let scan = |name: &str| {
+        Box::new(LogicalPlan::Scan {
+            relation: name.into(),
+            alias: name.into(),
+            fields: pair_fields(),
+        })
+    };
+    LogicalPlan::Join {
+        left: scan(probe),
+        right: scan("ps"),
+        on: ["a", "b"]
+            .map(|k| (Expr::qcol(probe, k), Expr::qcol("ps", k)))
+            .to_vec(),
+        residual: None,
+    }
 }
 
 fn fact_schema() -> PlanSchema {
@@ -181,6 +226,22 @@ fn bench(c: &mut Criterion) {
             out
         })
     });
+
+    // Two Int key columns, executor only: every build pair distinct, every
+    // probe row matching exactly one. 30 k × 30 k, and 30 k build × 200
+    // probe (TPC-H Q5's customer–supplier join at sf 0.005).
+    let mut pair_tables = MapResolver::new();
+    pair_tables.insert("ps", pairs(PAIR_ROWS, 1));
+    pair_tables.insert("li", pairs(PAIR_ROWS, 7919));
+    pair_tables.insert("few", pairs(200, 149));
+    for (name, probe) in [
+        ("hash_join_composite_key", "li"),
+        ("hash_join_composite_key_skewed", "few"),
+    ] {
+        let plan = composite_join(probe);
+        let mut exec = Execution::new(&pair_tables);
+        g.bench_function(name, |b| b.iter(|| exec.run(&plan).unwrap()));
+    }
 
     g.bench_function("aggregate_columnar", |b| {
         b.iter(|| {

@@ -293,6 +293,8 @@ mod tests {
         let m = parse_exec_snapshot(include_str!("../../../BENCH_exec.json")).unwrap();
         for series in [
             "filter_columnar",
+            "hash_join_composite_key",
+            "hash_join_composite_key_skewed",
             "aggregate_columnar",
             "aggregate_multikey_columnar",
             "wire_encode",

@@ -638,15 +638,13 @@ impl<'a> Xdb<'a> {
         // against the ledger records this query appended and its statement
         // work. Reads only final state, so it cannot perturb any
         // deterministic observable.
-        let ledger_records = self.cluster.ledger.snapshot();
         let statements = statements_from_trace(&trace);
         let cost = crate::observatory::build_cost_observation(
             self.cluster,
             &decisions,
-            &ledger_records[ledger_mark.min(ledger_records.len())..],
+            &self.cluster.ledger.since(ledger_mark),
             &statements,
         );
-        drop(ledger_records);
         // Feedback: fold this query's observation into the catalog's
         // learned profiles. The observation is bit-identical across
         // executors / reactor settings / chunk sizes, so feedback
@@ -769,8 +767,10 @@ impl<'a> Xdb<'a> {
         cost: &xdb_obs::CostObservation,
     ) -> HistoryRecord {
         let telemetry = self.cluster.telemetry();
-        let records = self.cluster.ledger.snapshot();
-        let edges = records[ledger_mark.min(records.len())..]
+        let edges = self
+            .cluster
+            .ledger
+            .since(ledger_mark)
             .iter()
             .map(|t| EdgeObs {
                 from: t.from.as_str().to_string(),
@@ -840,11 +840,10 @@ impl<'a> Xdb<'a> {
         exec_start_ms: f64,
         exec_ms: f64,
     ) {
-        let records = self.cluster.ledger.snapshot();
-        if ledger_mark >= records.len() {
+        let fresh = self.cluster.ledger.since(ledger_mark);
+        if fresh.is_empty() {
             return;
         }
-        let fresh = &records[ledger_mark..];
         let slot = exec_ms / fresh.len() as f64;
         for (i, t) in fresh.iter().enumerate() {
             let span = collector.span(

@@ -393,7 +393,7 @@ impl<'a> QueryServer<'a> {
         let cluster = self.xdb.cluster();
         let mark = cluster.ledger.len();
         let outcome = self.xdb.submit(&sub.sql)?;
-        let attributed = cluster.ledger.snapshot()[mark..].to_vec();
+        let attributed = cluster.ledger.since(mark);
         report.consult_probes +=
             outcome.breakdown.consult_cache_hits + outcome.breakdown.consult_cache_misses;
         report.ddl_statements += outcome.ddl_count as u64;
@@ -530,7 +530,7 @@ impl<'a> QueryServer<'a> {
             collector.set_dur(query_span, overhead_ms + cached.exec_ms);
             let mut attributed = cached.attributed_control.clone();
             attributed.extend(cached.attributed_data.iter().cloned());
-            attributed.extend(cluster.ledger.snapshot()[ledger_mark..].iter().cloned());
+            attributed.extend(cluster.ledger.since(ledger_mark));
             for key in fkeys.values() {
                 if let Some(f) = w.fragments.get_mut(key) {
                     f.refs -= 1;
@@ -721,7 +721,6 @@ impl<'a> QueryServer<'a> {
                 return Err(e);
             }
         };
-        let final_data = cluster.ledger.snapshot()[final_mark..].to_vec();
         let fr_mark = cluster.ledger.len();
         let enc = wire::measure(exec.relation.columns(), exec.relation.len());
         cluster.ledger.record_wire(
@@ -733,10 +732,12 @@ impl<'a> QueryServer<'a> {
             &enc.stats(self.options.xdb.stream_chunk_rows),
         );
         // Register the freshly deployed fragments for later waiters.
-        let snapshot = cluster.ledger.snapshot();
+        // Everything this query recorded, read once: every range below
+        // lies at or after `ledger_mark`.
+        let tail = cluster.ledger.since(ledger_mark);
         let slice = |r: Option<&(usize, usize)>| -> Vec<Transfer> {
             match r {
-                Some(&(a, b)) => snapshot[a..b].to_vec(),
+                Some(&(a, b)) => tail[a - ledger_mark..b - ledger_mark].to_vec(),
                 None => Vec::new(),
             }
         };
@@ -785,7 +786,11 @@ impl<'a> QueryServer<'a> {
             attributed_control.extend(f.control.iter().cloned());
             attributed_data.extend(f.data.iter().cloned());
         }
-        attributed_data.extend(final_data.iter().cloned());
+        attributed_data.extend(
+            tail[final_mark - ledger_mark..fr_mark - ledger_mark]
+                .iter()
+                .cloned(),
+        );
         w.results.insert(
             root_key,
             CachedResult {
@@ -800,7 +805,7 @@ impl<'a> QueryServer<'a> {
         );
         let mut attributed = attributed_control;
         attributed.extend(attributed_data);
-        attributed.extend(snapshot[fr_mark..].iter().cloned());
+        attributed.extend(tail[fr_mark - ledger_mark..].iter().cloned());
         release(w);
         w.cleanup.push(script.cleanup.clone());
 

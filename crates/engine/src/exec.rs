@@ -19,14 +19,15 @@ use crate::error::{EngineError, Result};
 use crate::expr::{compile, PhysExpr};
 use crate::relation::Relation;
 use crate::vector;
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{aggregate_schema, AggCall, AggFunc, LogicalPlan, PlanSchema};
-use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
+use xdb_sql::column::{Column, ColumnBuilder};
+use xdb_sql::hash::{FastMap, FastSet, Fnv};
 use xdb_sql::value::{DataType, Value};
 
 /// Per-operator work-unit weights (rows processed × weight). Values are
@@ -140,11 +141,39 @@ pub trait ScanResolver {
 /// through one engine stop re-growing the same tables from scratch.
 #[derive(Default)]
 pub struct Scratch {
-    int_heads: HashMap<i64, u32>,
-    date_heads: HashMap<i32, u32>,
-    str_heads: HashMap<Arc<str>, u32>,
-    gen_heads: HashMap<Vec<Value>, u32>,
+    w64: FastMap<u64, u32>,
+    w128: FastMap<u128, u32>,
+    strs: FastMap<Arc<str>, u32>,
+    vals: FastMap<Vec<Value>, u32>,
     next: Vec<u32>,
+}
+
+/// The one dispatch over key arms, shared by every hash-join consumer:
+/// binds `$b` / `$p` to the build and probe key slices and `$heads` to the
+/// arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
+/// `$body` (which may also borrow `$s.next`).
+macro_rules! with_key_arm {
+    ($bk:expr, $pk:expr, $s:expr, |$b:ident, $p:ident, $heads:ident| $body:expr) => {
+        match ($bk, $pk) {
+            (Keys::W64($b), Keys::W64($p)) => {
+                let $heads = &mut $s.w64;
+                $body
+            }
+            (Keys::W128($b), Keys::W128($p)) => {
+                let $heads = &mut $s.w128;
+                $body
+            }
+            (Keys::Str($b), Keys::Str($p)) => {
+                let $heads = &mut $s.strs;
+                $body
+            }
+            (Keys::Vals($b), Keys::Vals($p)) => {
+                let $heads = &mut $s.vals;
+                $body
+            }
+            _ => unreachable!("one KeyNorm normalises both sides of a join"),
+        }
+    };
 }
 
 /// One plan execution: collects work units and remote edges.
@@ -383,8 +412,8 @@ impl<'a> Execution<'a> {
                 let r = rel.as_ref();
                 // First-seen order is preserved (LIMIT without ORDER BY
                 // above a DISTINCT observes it).
-                let mut seen: std::collections::HashSet<Vec<Value>> =
-                    std::collections::HashSet::with_capacity(r.len());
+                let mut seen: FastSet<Vec<Value>> = FastSet::default();
+                seen.reserve(r.len());
                 let mut sel: Vec<u32> = Vec::new();
                 for i in 0..r.len() {
                     if seen.insert(r.row(i)) {
@@ -698,16 +727,13 @@ impl<'a> Execution<'a> {
             Some(p) => Some(compile(p, &leaf.schema())?),
             None => None,
         };
-        let rkeys: Vec<PhysExpr> = on
-            .iter()
-            .map(|(_, r)| compile(r, &rschema))
-            .collect::<Result<_>>()?;
-        let bcols: Vec<Column> = rkeys
-            .iter()
-            .map(|k| expr_column(k, rrel))
-            .collect::<Result<_>>()?;
+        let bcols = key_columns(on, false, &rschema, rrel)?;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut chain = ProbeChainKind::Unset;
+        // Normalisation and the chain table are decided and built on the
+        // first morsel, exactly as the materialized join decides on the
+        // full columns; the build side is complete by then, so packing
+        // against its ranges is as sound as in the materialized join.
+        let mut built: Option<(KeyNorm, Keys)> = None;
         let mut rows_filt = 0u64;
         let mut out_rows = 0u64;
         let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
@@ -728,73 +754,24 @@ impl<'a> Execution<'a> {
                     None => m,
                 };
                 let pcols: Vec<Column> = key_idx.iter().map(|&i| rel.column(i).clone()).collect();
-                if let ProbeChainKind::Unset = chain {
-                    // Dispatch on the first morsel's layouts exactly as the
-                    // materialized join dispatches on the full columns, and
-                    // build the chain table once.
-                    chain = match single_key(&bcols, &pcols) {
-                        Some((Column::Int(b), Column::Int(_))) => {
-                            build_chain(&typed_keys(b), &mut scratch.int_heads, &mut scratch.next);
-                            ProbeChainKind::Int
-                        }
-                        Some((Column::Date(b), Column::Date(_))) => {
-                            build_chain(&typed_keys(b), &mut scratch.date_heads, &mut scratch.next);
-                            ProbeChainKind::Date
-                        }
-                        Some((Column::Str(b), Column::Str(_))) => {
-                            build_chain(&typed_keys(b), &mut scratch.str_heads, &mut scratch.next);
-                            ProbeChainKind::Str
-                        }
-                        _ => {
-                            build_chain(
-                                &generic_keys(&bcols, rrel.len()),
-                                &mut scratch.gen_heads,
-                                &mut scratch.next,
-                            );
-                            ProbeChainKind::Gen
-                        }
-                    };
+                let fresh = built.is_none();
+                if fresh {
+                    let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
+                    let bkeys = norm.keys(&bcols, rrel.len())?;
+                    built = Some((norm, bkeys));
                 }
+                let (norm, bkeys) = built.as_ref().expect("built on the first morsel");
+                // Bare columns off a stream decoder keep one layout for the
+                // whole edge; `keys` errors if a typed arm's layout drifts.
+                let pkeys = norm.keys(&pcols, rel.len())?;
                 lsel.clear();
                 rsel.clear();
-                let n = rel.len();
-                match (&chain, pcols.as_slice()) {
-                    (ProbeChainKind::Int, [Column::Int(p)]) => probe_chain(
-                        (0..n).map(|i| p.get(i).copied()),
-                        &scratch.int_heads,
-                        &scratch.next,
-                        &mut lsel,
-                        &mut rsel,
-                    ),
-                    (ProbeChainKind::Date, [Column::Date(p)]) => probe_chain(
-                        (0..n).map(|i| p.get(i).copied()),
-                        &scratch.date_heads,
-                        &scratch.next,
-                        &mut lsel,
-                        &mut rsel,
-                    ),
-                    (ProbeChainKind::Str, [Column::Str(p)]) => probe_chain(
-                        (0..n).map(|i| p.get(i).cloned()),
-                        &scratch.str_heads,
-                        &scratch.next,
-                        &mut lsel,
-                        &mut rsel,
-                    ),
-                    (ProbeChainKind::Gen, _) => probe_chain(
-                        generic_keys(&pcols, n).into_iter(),
-                        &scratch.gen_heads,
-                        &scratch.next,
-                        &mut lsel,
-                        &mut rsel,
-                    ),
-                    // Bare columns off a stream decoder keep one layout for
-                    // the whole edge, so the typed arms cannot drift.
-                    _ => {
-                        return Err(EngineError::Execution(
-                            "streamed probe key layout drifted between morsels".into(),
-                        ))
+                with_key_arm!(bkeys, &pkeys, scratch, |b, p, heads| {
+                    if fresh {
+                        build_chain(b, heads, &mut scratch.next);
                     }
-                }
+                    probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
+                });
                 match &residual_c {
                     None => {
                         out_rows += lsel.len() as u64;
@@ -1075,52 +1052,16 @@ impl<'a> Execution<'a> {
         let hash = !on.is_empty();
         if hash {
             // Hash join: build on the right child, probe with the left.
-            let lkeys: Vec<PhysExpr> = on
-                .iter()
-                .map(|(l, _)| compile(l, &lschema))
-                .collect::<Result<_>>()?;
-            let rkeys: Vec<PhysExpr> = on
-                .iter()
-                .map(|(_, r)| compile(r, &rschema))
-                .collect::<Result<_>>()?;
-            let bcols: Vec<Column> = rkeys
-                .iter()
-                .map(|k| expr_column(k, rrel))
-                .collect::<Result<_>>()?;
-            let pcols: Vec<Column> = lkeys
-                .iter()
-                .map(|k| expr_column(k, lrel))
-                .collect::<Result<_>>()?;
+            let bcols = key_columns(on, false, &rschema, rrel)?;
+            let pcols = key_columns(on, true, &lschema, lrel)?;
             self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
-            let Scratch {
-                int_heads,
-                date_heads,
-                str_heads,
-                gen_heads,
-                next,
-            } = &mut self.scratch;
+            let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
+            let bkeys = norm.keys(&bcols, rrel.len())?;
+            let pkeys = norm.keys(&pcols, lrel.len())?;
             let parts = self.partitions;
-            // Typed single-key fast path when both sides share the layout;
-            // otherwise generic Value keys (which also give Int↔Float keys
-            // the cross-type equality the row-major executor had).
-            (rsel, lsel) = match single_key(&bcols, &pcols) {
-                Some((Column::Int(b), Column::Int(p))) => {
-                    join_pairs(&typed_keys(b), &typed_keys(p), parts, int_heads, next)
-                }
-                Some((Column::Date(b), Column::Date(p))) => {
-                    join_pairs(&typed_keys(b), &typed_keys(p), parts, date_heads, next)
-                }
-                Some((Column::Str(b), Column::Str(p))) => {
-                    join_pairs(&typed_keys(b), &typed_keys(p), parts, str_heads, next)
-                }
-                _ => join_pairs(
-                    &generic_keys(&bcols, rrel.len()),
-                    &generic_keys(&pcols, lrel.len()),
-                    parts,
-                    gen_heads,
-                    next,
-                ),
-            };
+            (rsel, lsel) = with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
+                join_pairs(b, p, parts, heads, &mut self.scratch.next)
+            });
         } else {
             // Nested-loop (cross) join with optional residual.
             self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
@@ -1179,22 +1120,8 @@ impl<'a> Execution<'a> {
             Some(r) => Some(compile(r, &lschema.join(&rschema))?),
             None => None,
         };
-        let lkeys: Vec<PhysExpr> = on
-            .iter()
-            .map(|(l, _)| compile(l, &lschema))
-            .collect::<Result<_>>()?;
-        let rkeys: Vec<PhysExpr> = on
-            .iter()
-            .map(|(_, r)| compile(r, &rschema))
-            .collect::<Result<_>>()?;
-        let bcols: Vec<Column> = rkeys
-            .iter()
-            .map(|k| expr_column(k, rrel))
-            .collect::<Result<_>>()?;
-        let pcols: Vec<Column> = lkeys
-            .iter()
-            .map(|k| expr_column(k, lrel))
-            .collect::<Result<_>>()?;
+        let bcols = key_columns(on, false, &rschema, rrel)?;
+        let pcols = key_columns(on, true, &lschema, lrel)?;
         self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
         // Candidate right rows are visited in ascending row order and the
         // residual short-circuits on the first match, exactly like the
@@ -1211,43 +1138,12 @@ impl<'a> Execution<'a> {
             } else {
                 None
             };
-        let Scratch {
-            int_heads,
-            date_heads,
-            str_heads,
-            gen_heads,
-            next,
-        } = &mut self.scratch;
-        let matched = match single_key(&bcols, &pcols) {
-            Some((Column::Int(b), Column::Int(p))) => semi_matches(
-                &typed_keys(b),
-                &typed_keys(p),
-                int_heads,
-                next,
-                residual_dyn,
-            )?,
-            Some((Column::Date(b), Column::Date(p))) => semi_matches(
-                &typed_keys(b),
-                &typed_keys(p),
-                date_heads,
-                next,
-                residual_dyn,
-            )?,
-            Some((Column::Str(b), Column::Str(p))) => semi_matches(
-                &typed_keys(b),
-                &typed_keys(p),
-                str_heads,
-                next,
-                residual_dyn,
-            )?,
-            _ => semi_matches(
-                &generic_keys(&bcols, rrel.len()),
-                &generic_keys(&pcols, lrel.len()),
-                gen_heads,
-                next,
-                residual_dyn,
-            )?,
-        };
+        let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
+        let bkeys = norm.keys(&bcols, rrel.len())?;
+        let pkeys = norm.keys(&pcols, lrel.len())?;
+        let matched = with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
+            semi_matches(b, p, heads, &mut self.scratch.next, residual_dyn)
+        })?;
         let sel: Vec<u32> = matched
             .iter()
             .enumerate()
@@ -1365,11 +1261,11 @@ impl<'a> Execution<'a> {
             // the row sequence the sequential pass would feed it, so float
             // accumulation order (and therefore every bit of the output) is
             // independent of the partition count.
-            let run_partition = |p: usize, nparts: usize, rs: &RandomState| -> Vec<GroupOut> {
-                let mut index: HashMap<&[Value], usize> = HashMap::new();
+            run_partitions(nparts, |p| {
+                let mut index: FastMap<&[Value], usize> = FastMap::default();
                 let mut out: Vec<GroupOut> = Vec::new();
                 for (i, key) in keys.iter().enumerate() {
-                    if nparts > 1 && rs.hash_one(&key[..]) as usize % nparts != p {
+                    if nparts > 1 && route(&key[..], nparts) != p {
                         continue;
                     }
                     let gi = match index.entry(&key[..]) {
@@ -1390,28 +1286,7 @@ impl<'a> Execution<'a> {
                     }
                 }
                 out
-            };
-            if parallel {
-                let rs = RandomState::new();
-                let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
-                    let rs = &rs;
-                    let run_partition = &run_partition;
-                    let handles: Vec<_> = (0..nparts)
-                        .map(|p| s.spawn(move || run_partition(p, nparts, rs)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("aggregate worker panicked"))
-                        .collect()
-                });
-                let mut all: Vec<GroupOut> = parts.into_iter().flatten().collect();
-                // First-seen group order, exactly as a sequential pass
-                // emits.
-                all.sort_unstable_by_key(|g| g.first_row);
-                all
-            } else {
-                run_partition(0, 1, &RandomState::new())
-            }
+            })
         };
         // Global aggregate over empty input still yields one row.
         if group_c.is_empty() && groups.is_empty() {
@@ -1556,9 +1431,9 @@ enum GroupIndex {
     Global,
     /// Key column layout not yet seen.
     Unset,
-    Int(HashMap<Option<i64>, usize>),
-    Str(HashMap<Option<Arc<str>>, usize>),
-    Gen(HashMap<Vec<Value>, usize>),
+    Int(FastMap<Option<i64>, usize>),
+    Str(FastMap<Option<Arc<str>>, usize>),
+    Gen(FastMap<Vec<Value>, usize>),
 }
 
 /// Streaming group-by state: groups stay in first-seen order across
@@ -1588,7 +1463,7 @@ impl StreamGrouper {
     /// materialize different layouts per chunk). Group identity is
     /// value-based, so existing groups carry over unchanged.
     fn degrade_to_gen(&mut self) {
-        let mut map = HashMap::new();
+        let mut map = FastMap::default();
         for (gi, g) in self.groups.iter().enumerate() {
             map.insert(g.key.clone(), gi);
         }
@@ -1607,9 +1482,9 @@ impl StreamGrouper {
     ) {
         if let GroupIndex::Unset = self.index {
             self.index = match key_col {
-                Some(Column::Int(_)) => GroupIndex::Int(HashMap::new()),
-                Some(Column::Str(_)) => GroupIndex::Str(HashMap::new()),
-                _ => GroupIndex::Gen(HashMap::new()),
+                Some(Column::Int(_)) => GroupIndex::Int(FastMap::default()),
+                Some(Column::Str(_)) => GroupIndex::Str(FastMap::default()),
+                _ => GroupIndex::Gen(FastMap::default()),
             };
         }
         let drift = !matches!(
@@ -1714,13 +1589,12 @@ fn group_single_typed<K: Hash + Eq>(
     key_at: &(impl Fn(usize) -> K + Sync),
     key_value: &(impl Fn(&K) -> Value + Sync),
 ) -> Vec<GroupOut> {
-    let rs = RandomState::new();
-    let run = |p: usize| -> Vec<GroupOut> {
-        let mut index: HashMap<K, usize> = HashMap::new();
+    run_partitions(nparts, |p| {
+        let mut index: FastMap<K, usize> = FastMap::default();
         let mut out: Vec<GroupOut> = Vec::new();
         for i in 0..n {
             let key = key_at(i);
-            if nparts > 1 && rs.hash_one(&key) as usize % nparts != p {
+            if nparts > 1 && route(&key, nparts) != p {
                 continue;
             }
             let gi = match index.entry(key) {
@@ -1742,22 +1616,35 @@ fn group_single_typed<K: Hash + Eq>(
             }
         }
         out
-    };
-    if nparts > 1 {
-        let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
-            let run = &run;
-            let handles: Vec<_> = (0..nparts).map(|p| s.spawn(move || run(p))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("aggregate worker panicked"))
-                .collect()
-        });
-        let mut all: Vec<GroupOut> = parts.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|g| g.first_row);
-        all
-    } else {
-        run(0)
+    })
+}
+
+/// Partition a key routes to. Taken from the upper half of the hash: the
+/// per-partition tables index buckets by the low bits of the same unkeyed
+/// hash, so routing on those would crowd each table into one bucket in
+/// `nparts`. Only routing depends on it, never an output.
+fn route<K: Hash + ?Sized>(key: &K, nparts: usize) -> usize {
+    (BuildHasherDefault::<Fnv>::default().hash_one(key) >> 32) as usize % nparts
+}
+
+/// Run one grouping pass per partition (on scoped threads when there is
+/// more than one) and merge the groups in first-seen order, exactly as a
+/// sequential pass emits them.
+fn run_partitions(nparts: usize, run: impl Fn(usize) -> Vec<GroupOut> + Sync) -> Vec<GroupOut> {
+    if nparts <= 1 {
+        return run(0);
     }
+    let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
+        let run = &run;
+        let handles: Vec<_> = (0..nparts).map(|p| s.spawn(move || run(p))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("aggregate worker panicked"))
+            .collect()
+    });
+    let mut all: Vec<GroupOut> = parts.into_iter().flatten().collect();
+    all.sort_unstable_by_key(|g| g.first_row);
+    all
 }
 
 /// Bits needed to represent codes `0..=max_code` (at least one, so every
@@ -1766,95 +1653,61 @@ fn bits_for(max_code: u128) -> u32 {
     (128 - max_code.leading_zeros()).max(1)
 }
 
-/// Pack multi-column group keys into one `u128` per row. Int and Date
-/// columns are frame-of-reference compressed against their column minimum,
-/// Bool takes two bits, and Str columns are interned through a
-/// first-appearance dictionary — each with code 0 reserved for NULL.
-/// Returns `None` when a column kind is unsupported (Float, Mixed) or the
-/// packed field widths exceed 128 bits; callers then fall back to the
-/// generic `Vec<Value>` keys.
+/// Pack multi-column group keys into one `u128` per row. Int, Date and Bool
+/// columns are frame-of-reference compressed against their column minimum
+/// and Str columns are interned through a first-appearance dictionary —
+/// each with code 0 reserved for NULL. Returns `None` when a column kind is
+/// unsupported (Float, Mixed) or the packed field widths exceed 128 bits;
+/// callers then fall back to the generic `Vec<Value>` keys.
 fn pack_group_keys(key_cols: &[Column], n: usize) -> Option<Vec<u128>> {
-    // Per-column packed field: bit width + the row-index → code function.
-    type PackedField<'a> = (u32, Box<dyn Fn(usize) -> u128 + 'a>);
-    // First pass per column: field width + a code function, writing
-    // nothing until the total width is known to fit.
-    let mut fields: Vec<PackedField<'_>> = Vec::new();
+    enum Codes<'a> {
+        Word { min: i64 },
+        Dict(FastMap<&'a str, u128>),
+    }
+    // First pass per column: field width + its code space, writing nothing
+    // until the total width is known to fit.
+    let mut fields: Vec<(u32, Codes<'_>)> = Vec::with_capacity(key_cols.len());
     for col in key_cols {
-        match col {
-            Column::Int(c) => {
-                let (mut min, mut max) = (i64::MAX, i64::MIN);
-                for i in 0..n {
-                    if let Some(&v) = c.get(i) {
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                }
-                let range: u128 = if min > max {
-                    0
-                } else {
-                    (max as i128 - min as i128) as u128 + 1
-                };
-                fields.push((
-                    bits_for(range),
-                    Box::new(move |i| {
-                        c.get(i)
-                            .map_or(0, |&v| 1 + (v as i128 - min as i128) as u128)
-                    }),
-                ));
-            }
-            Column::Date(c) => {
-                let (mut min, mut max) = (i32::MAX, i32::MIN);
-                for i in 0..n {
-                    if let Some(&v) = c.get(i) {
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                }
-                let range: u128 = if min > max {
-                    0
-                } else {
-                    (max as i64 - min as i64) as u128 + 1
-                };
-                fields.push((
-                    bits_for(range),
-                    Box::new(move |i| c.get(i).map_or(0, |&v| 1 + (v as i64 - min as i64) as u128)),
-                ));
-            }
-            Column::Bool(c) => {
-                fields.push((
-                    2,
-                    Box::new(|i| match c.get(i) {
-                        None => 0,
-                        Some(false) => 1,
-                        Some(true) => 2,
-                    }),
-                ));
-            }
+        fields.push(match col {
             Column::Str(c) => {
-                let mut dict: HashMap<&str, u128> = HashMap::new();
+                let mut dict: FastMap<&str, u128> = FastMap::default();
                 for i in 0..n {
                     if let Some(s) = c.get(i) {
                         let next = dict.len() as u128 + 1;
                         dict.entry(s.as_ref()).or_insert(next);
                     }
                 }
-                let width = bits_for(dict.len() as u128);
-                fields.push((
-                    width,
-                    Box::new(move |i| c.get(i).map_or(0, |s| dict[s.as_ref()])),
-                ));
+                (bits_for(dict.len() as u128), Codes::Dict(dict))
             }
-            Column::Float(_) | Column::Mixed(_) => return None,
-        }
+            _ => {
+                let (min, max) = word_range(col, n)?;
+                let range = if min > max {
+                    0
+                } else {
+                    u128::from(max.wrapping_sub(min) as u64) + 1
+                };
+                (bits_for(range), Codes::Word { min })
+            }
+        });
     }
     if fields.iter().map(|(w, _)| *w).sum::<u32>() > 128 {
         return None;
     }
     let mut out = vec![0u128; n];
     let mut shift = 0u32;
-    for (w, code) in &fields {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot |= code(i) << shift;
+    for ((w, codes), col) in fields.iter().zip(key_cols) {
+        match (codes, col) {
+            (Codes::Dict(dict), Column::Str(c)) => {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot |= c.get(i).map_or(0, |s| dict[s.as_ref()]) << shift;
+                }
+            }
+            (Codes::Word { min }, _) => {
+                each_word(col, n, |i, v| {
+                    out[i] |= v.map_or(0, |v| u128::from(v.wrapping_sub(*min) as u64) + 1) << shift;
+                });
+            }
+            (Codes::Dict(_), _) => unreachable!("dictionaries are built for Str columns only"),
         }
         shift += w;
     }
@@ -1874,12 +1727,11 @@ fn group_multi_packed(
     new_accs: &(impl Fn() -> Vec<Accumulator> + Sync),
     packed: &[u128],
 ) -> Vec<GroupOut> {
-    let rs = RandomState::new();
-    let run = |p: usize| -> Vec<GroupOut> {
-        let mut index: HashMap<u128, usize> = HashMap::new();
+    run_partitions(nparts, |p| {
+        let mut index: FastMap<u128, usize> = FastMap::default();
         let mut out: Vec<GroupOut> = Vec::new();
         for (i, &key) in packed.iter().enumerate().take(n) {
-            if nparts > 1 && rs.hash_one(key) as usize % nparts != p {
+            if nparts > 1 && route(&key, nparts) != p {
                 continue;
             }
             let gi = match index.entry(key) {
@@ -1900,22 +1752,7 @@ fn group_multi_packed(
             }
         }
         out
-    };
-    if nparts > 1 {
-        let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
-            let run = &run;
-            let handles: Vec<_> = (0..nparts).map(|p| s.spawn(move || run(p))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("aggregate worker panicked"))
-                .collect()
-        });
-        let mut all: Vec<GroupOut> = parts.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|g| g.first_row);
-        all
-    } else {
-        run(0)
-    }
+    })
 }
 
 /// Evaluate a filter predicate to a selection vector, vectorized when the
@@ -1994,24 +1831,158 @@ fn gather_pair(
     Relation::from_columns(fields, cols, lsel.len())
 }
 
-/// The typed single-key fast path applies only when both sides store the
-/// key in the same typed layout (cross-type numeric equality needs the
-/// generic `Value` path).
-fn single_key<'c>(b: &'c [Column], p: &'c [Column]) -> Option<(&'c Column, &'c Column)> {
-    if b.len() != 1 || p.len() != 1 {
-        return None;
+/// Evaluate one side of an equi-join's `on` pairs (`left` picks the probe
+/// expressions) to key columns.
+fn key_columns(
+    on: &[(xdb_sql::Expr, xdb_sql::Expr)],
+    left: bool,
+    schema: &PlanSchema,
+    rel: &Relation,
+) -> Result<Vec<Column>> {
+    on.iter()
+        .map(|(l, r)| expr_column(&compile(if left { l } else { r }, schema)?, rel))
+        .collect()
+}
+
+/// Visit rows `0..n` of an Int/Date/Bool column as `i64` words (`None` for
+/// NULL). Returns `false`, visiting nothing, for any other layout.
+fn each_word(col: &Column, n: usize, mut f: impl FnMut(usize, Option<i64>)) -> bool {
+    match col {
+        Column::Int(c) => (0..n).for_each(|i| f(i, c.get(i).copied())),
+        Column::Date(c) => (0..n).for_each(|i| f(i, c.get(i).map(|&v| i64::from(v)))),
+        Column::Bool(c) => (0..n).for_each(|i| f(i, c.get(i).map(|&v| i64::from(v)))),
+        _ => return false,
     }
-    match (&b[0], &p[0]) {
-        (Column::Int(_), Column::Int(_))
-        | (Column::Date(_), Column::Date(_))
-        | (Column::Str(_), Column::Str(_)) => Some((&b[0], &p[0])),
-        _ => None,
+    true
+}
+
+/// `(min, max)` over a column's non-NULL words (`min > max` when it has
+/// none); `None` unless the layout is Int/Date/Bool.
+fn word_range(col: &Column, n: usize) -> Option<(i64, i64)> {
+    let (mut min, mut max) = (i64::MAX, i64::MIN);
+    each_word(col, n, |_, v| {
+        if let Some(v) = v {
+            min = min.min(v);
+            max = max.max(v);
+        }
+    })
+    .then_some((min, max))
+}
+
+/// One side's normalised join keys, one per row. `None` is a key that can
+/// match nothing: a NULL component, or a probe value outside the build
+/// side's range.
+enum Keys {
+    W64(Vec<Option<u64>>),
+    W128(Vec<Option<u128>>),
+    Str(Vec<Option<Arc<str>>>),
+    Vals(Vec<Option<Vec<Value>>>),
+}
+
+/// One key column of a packed word key: its layout, the build side's value
+/// range, and where its bit field starts.
+struct WordField {
+    layout: Discriminant<Column>,
+    min: i64,
+    max: i64,
+    shift: u32,
+}
+
+/// How an equi-join's key columns normalise: decided once per join from the
+/// build columns and the probe side's layouts, then applied to both sides,
+/// so both always land in the same [`Keys`] arm.
+enum KeyNorm {
+    /// Every column is Int, Date or Bool with the same layout on both
+    /// sides. Each value packs as `value - build_min` into a bit field as
+    /// wide as the build side's range needs (`bits` in total: a `u64` key
+    /// up to 64, a `u128` key up to 128). A probe value outside the build
+    /// range equals no build value, so its key is `None`.
+    Words { fields: Vec<WordField>, bits: u32 },
+    /// One Str column on each side.
+    Str,
+    /// Everything else (Float, Mixed, layouts that differ between the
+    /// sides, Str inside a composite key, word fields beyond 128 bits):
+    /// `Value` tuples, whose equality also gives `1 = 1.0`.
+    Vals,
+}
+
+impl KeyNorm {
+    fn new(bcols: &[Column], pcols: &[Column], build_rows: usize) -> KeyNorm {
+        if let ([Column::Str(_)], [Column::Str(_)]) = (bcols, pcols) {
+            return KeyNorm::Str;
+        }
+        let mut fields = Vec::with_capacity(bcols.len());
+        let mut bits = 0u32;
+        for (b, p) in bcols.iter().zip(pcols) {
+            let layout = discriminant(b);
+            if layout != discriminant(p) {
+                return KeyNorm::Vals;
+            }
+            let Some((min, max)) = word_range(b, build_rows) else {
+                return KeyNorm::Vals;
+            };
+            fields.push(WordField {
+                layout,
+                min,
+                max,
+                shift: bits,
+            });
+            let span = if min > max {
+                0
+            } else {
+                max.wrapping_sub(min) as u64
+            };
+            bits += bits_for(u128::from(span));
+        }
+        if bits > 128 {
+            return KeyNorm::Vals;
+        }
+        KeyNorm::Words { fields, bits }
+    }
+
+    /// Normalise one side's key columns. Errors when a typed arm meets a
+    /// layout it was not planned for (a streamed probe whose morsels
+    /// changed layout mid-edge).
+    fn keys(&self, cols: &[Column], n: usize) -> Result<Keys> {
+        match (self, cols) {
+            (KeyNorm::Words { fields, bits }, _)
+                if fields
+                    .iter()
+                    .zip(cols)
+                    .all(|(f, c)| f.layout == discriminant(c)) =>
+            {
+                Ok(if *bits <= 64 {
+                    Keys::W64(pack_words(fields, cols, n))
+                } else {
+                    Keys::W128(pack_words(fields, cols, n))
+                })
+            }
+            (KeyNorm::Str, [Column::Str(c)]) => {
+                Ok(Keys::Str((0..n).map(|i| c.get(i).cloned()).collect()))
+            }
+            (KeyNorm::Vals, _) => Ok(Keys::Vals(generic_keys(cols, n))),
+            _ => Err(EngineError::Execution(
+                "streamed probe key layout drifted between morsels".into(),
+            )),
+        }
     }
 }
 
-/// Per-row typed key values; `None` marks a NULL key (never matches).
-fn typed_keys<T: Clone + Default>(c: &TypedCol<T>) -> Vec<Option<T>> {
-    (0..c.len()).map(|i| c.get(i).cloned()).collect()
+/// Pack word key columns into one `W` per row (see [`KeyNorm::Words`]).
+fn pack_words<W>(fields: &[WordField], cols: &[Column], n: usize) -> Vec<Option<W>>
+where
+    W: Copy + From<u64> + std::ops::Shl<u32, Output = W> + std::ops::BitOrAssign,
+{
+    let mut keys = vec![Some(W::from(0)); n];
+    for (f, col) in fields.iter().zip(cols) {
+        each_word(col, n, |i, v| match (v, &mut keys[i]) {
+            (Some(v), Some(k)) if (f.min..=f.max).contains(&v) => {
+                *k |= W::from(v.wrapping_sub(f.min) as u64) << f.shift;
+            }
+            (_, k) => *k = None,
+        });
+    }
+    keys
 }
 
 /// Per-row composite keys as `Value` tuples; any NULL component kills the
@@ -2047,33 +2018,23 @@ enum ProbeOut<'a> {
     Rows(&'a Relation),
 }
 
-/// Which scratch chain table a streamed probe committed to (decided on the
-/// first morsel's key layouts, like the materialized join's dispatch).
-enum ProbeChainKind {
-    Unset,
-    Int,
-    Date,
-    Str,
-    Gen,
-}
-
-/// Probe one morsel's keys against a chained build table, appending
-/// (probe, build) pairs in [`join_pairs`]' emission order: probe-major,
-/// build rows ascending within a probe row.
+/// Probe keys against a chained build table, appending (probe, build) row
+/// pairs probe-major with build rows ascending within a probe row — the
+/// exact emission order of the row-major hash join.
 fn probe_chain<K: Hash + Eq>(
-    keys: impl Iterator<Item = Option<K>>,
-    heads: &HashMap<K, u32>,
+    keys: &[Option<K>],
+    heads: &FastMap<K, u32>,
     next: &[u32],
-    lsel: &mut Vec<u32>,
-    rsel: &mut Vec<u32>,
+    psel: &mut Vec<u32>,
+    bsel: &mut Vec<u32>,
 ) {
-    for (i, k) in keys.enumerate() {
+    for (i, k) in keys.iter().enumerate() {
         let Some(k) = k else { continue };
-        let Some(&h) = heads.get(&k) else { continue };
+        let Some(&h) = heads.get(k) else { continue };
         let mut j = h;
         loop {
-            lsel.push(i as u32);
-            rsel.push(j);
+            psel.push(i as u32);
+            bsel.push(j);
             j = next[j as usize];
             if j == NO_NEXT {
                 break;
@@ -2088,7 +2049,7 @@ fn probe_chain<K: Hash + Eq>(
 /// match order of the row-major executor.
 fn build_chain<K: Hash + Eq + Clone>(
     build_keys: &[Option<K>],
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
 ) {
     heads.clear();
@@ -2108,35 +2069,21 @@ fn build_chain<K: Hash + Eq + Clone>(
     }
 }
 
-/// All matching (build, probe) row pairs, in probe-major order with build
-/// rows ascending within a probe row — the exact emission order of the
-/// row-major hash join. Large inputs hash-partition across threads.
+/// All matching (build, probe) row pairs in [`probe_chain`]'s order. Large
+/// inputs hash-partition across threads.
 fn join_pairs<K: Hash + Eq + Clone + Sync>(
     build_keys: &[Option<K>],
     probe_keys: &[Option<K>],
     partitions: usize,
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
 ) -> (Vec<u32>, Vec<u32>) {
     if partitions > 1 && (probe_keys.len() >= PAR_MIN_ROWS || build_keys.len() >= PAR_MIN_ROWS) {
         return join_pairs_parallel(build_keys, probe_keys, partitions);
     }
     build_chain(build_keys, heads, next);
-    let mut bsel = Vec::new();
-    let mut psel = Vec::new();
-    for (i, k) in probe_keys.iter().enumerate() {
-        let Some(k) = k else { continue };
-        let Some(&h) = heads.get(k) else { continue };
-        let mut j = h;
-        loop {
-            bsel.push(j);
-            psel.push(i as u32);
-            j = next[j as usize];
-            if j == NO_NEXT {
-                break;
-            }
-        }
-    }
+    let (mut bsel, mut psel) = (Vec::new(), Vec::new());
+    probe_chain(probe_keys, heads, next, &mut psel, &mut bsel);
     (bsel, psel)
 }
 
@@ -2150,17 +2097,15 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
     probe_keys: &[Option<K>],
     partitions: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let rs = RandomState::new();
     let nparts = partitions;
-    let parts: Vec<HashMap<&K, Vec<u32>>> = std::thread::scope(|s| {
+    let parts: Vec<FastMap<&K, Vec<u32>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nparts)
             .map(|p| {
-                let rs = &rs;
                 s.spawn(move || {
-                    let mut m: HashMap<&K, Vec<u32>> = HashMap::new();
+                    let mut m: FastMap<&K, Vec<u32>> = FastMap::default();
                     for (i, k) in build_keys.iter().enumerate() {
                         let Some(k) = k else { continue };
-                        if rs.hash_one(k) as usize % nparts == p {
+                        if route(k, nparts) == p {
                             m.entry(k).or_default().push(i as u32);
                         }
                     }
@@ -2178,7 +2123,6 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
     let outs: Vec<(Vec<u32>, Vec<u32>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nparts)
             .map(|c| {
-                let rs = &rs;
                 let parts = &parts;
                 s.spawn(move || {
                     let lo = (c * chunk).min(n);
@@ -2187,7 +2131,7 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
                     let mut psel = Vec::new();
                     for (i, k) in probe_keys[lo..hi].iter().enumerate() {
                         let Some(k) = k else { continue };
-                        let part = &parts[rs.hash_one(k) as usize % nparts];
+                        let part = &parts[route(k, nparts)];
                         if let Some(js) = part.get(k) {
                             for &j in js {
                                 bsel.push(j);
@@ -2221,7 +2165,7 @@ fn join_pairs_parallel<K: Hash + Eq + Sync>(
 fn semi_matches<K: Hash + Eq + Clone>(
     build_keys: &[Option<K>],
     probe_keys: &[Option<K>],
-    heads: &mut HashMap<K, u32>,
+    heads: &mut FastMap<K, u32>,
     next: &mut Vec<u32>,
     mut residual: Option<&mut dyn FnMut(usize, usize) -> Result<bool>>,
 ) -> Result<Vec<bool>> {
@@ -2261,17 +2205,17 @@ enum Accumulator {
         float: f64,
         any_float: bool,
         seen: bool,
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Count {
         n: i64,
         /// `None` arg = count(*).
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Avg {
         sum: f64,
         n: i64,
-        distinct: Option<std::collections::HashSet<Value>>,
+        distinct: Option<FastSet<Value>>,
     },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -2279,7 +2223,7 @@ enum Accumulator {
 
 impl Accumulator {
     fn new(func: AggFunc, distinct: bool) -> Accumulator {
-        let set = || distinct.then(std::collections::HashSet::new);
+        let set = || distinct.then(FastSet::default);
         match func {
             AggFunc::Sum => Accumulator::Sum {
                 int: 0,
@@ -2423,13 +2367,13 @@ impl Accumulator {
 /// mediator baselines' "localized tables" mode). Relations are `Arc`-shared
 /// so repeated scans never copy the stored rows.
 pub struct MapResolver {
-    pub relations: HashMap<String, Arc<Relation>>,
+    pub relations: FastMap<String, Arc<Relation>>,
 }
 
 impl MapResolver {
     pub fn new() -> MapResolver {
         MapResolver {
-            relations: HashMap::new(),
+            relations: FastMap::default(),
         }
     }
 
@@ -2519,6 +2463,7 @@ pub fn project_columns_owned(rel: Relation, wanted: &[(String, DataType)]) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use xdb_sql::bind::{bind_select, ResolvedRelation, SchemaProvider};
     use xdb_sql::parser::parse_select;
 

@@ -224,6 +224,14 @@ impl Ledger {
         self.inner.lock().clone()
     }
 
+    /// The transfers recorded at or after position `mark` (a value
+    /// [`Ledger::len`] returned earlier): clones only that tail, so a
+    /// per-query read costs the same however long the ledger has grown.
+    /// Empty when `mark` is at or past the end.
+    pub fn since(&self, mark: usize) -> Vec<Transfer> {
+        self.inner.lock().get(mark..).unwrap_or_default().to_vec()
+    }
+
     pub fn clear(&self) {
         self.inner.lock().clear();
     }
@@ -345,5 +353,9 @@ mod tests {
         assert_eq!(snap[2].bytes, 3);
         // The source ledger is left untouched.
         assert_eq!(scratch.len(), 2);
+        // A tail read clones exactly the records from the mark on.
+        let tail: Vec<u64> = l.since(1).iter().map(|t| t.bytes).collect();
+        assert_eq!(tail, [2, 3]);
+        assert!(l.since(3).is_empty() && l.since(9).is_empty());
     }
 }

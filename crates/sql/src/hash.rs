@@ -39,6 +39,13 @@ impl Hasher for Fnv {
     }
 
     #[inline]
+    fn write_u128(&mut self, v: u128) {
+        // Packed two-word keys: one round per half, not sixteen byte rounds.
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release
 cargo test -q
+# The benchmark package sits outside the workspace (own lock file, path
+# dependencies on crates/*): build and test it too, so that a renamed public
+# function breaks here and not in the benchmark gate.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON

@@ -3,6 +3,7 @@
 //! sequential executors, because every span timestamp is derived from the
 //! simulated clock and spans are emitted single-threaded in script order.
 
+use std::sync::{Mutex, MutexGuard};
 use xdb::core::{GlobalCatalog, PhaseBreakdown, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
@@ -11,6 +12,31 @@ use xdb::obs::{QueryTrace, SpanKind};
 use xdb::tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
+
+/// Query ids come from one process-wide counter and their decimal width
+/// leaks into control-message byte counts, so a submit from a concurrently
+/// running test can push the counter across a width boundary between two
+/// submits under comparison. Every submitting test in this file holds this
+/// lock (as `crates/core/tests/{streaming,history,props_learned}.rs` do).
+static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
+
+fn submit_lock() -> MutexGuard<'static, ()> {
+    // A failed test must not fail the others through poisoning.
+    SUBMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `arms` submissions back to back, again until all their query ids
+/// have the same decimal width (serialised ids are consecutive, so one
+/// retry clears a boundary). The caller holds [`SUBMIT_LOCK`].
+fn same_width<T>(arms: usize, mut run: impl FnMut(usize) -> (u64, T)) -> Vec<T> {
+    loop {
+        let (ids, outs): (Vec<u64>, Vec<T>) = (0..arms).map(&mut run).unzip();
+        let width = |id: &u64| id.to_string().len();
+        if ids.iter().all(|id| width(id) == width(&ids[0])) {
+            return outs;
+        }
+    }
+}
 
 fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     let cluster = build_cluster(
@@ -24,7 +50,7 @@ fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     (cluster, catalog)
 }
 
-fn traced_submit(td: TableDist, q: TpchQuery, parallel: bool) -> (QueryTrace, PhaseBreakdown, u64) {
+fn traced_submit(td: TableDist, q: TpchQuery, parallel: bool) -> (u64, QueryTrace, PhaseBreakdown) {
     let (cluster, catalog) = federation(td);
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
         parallel_execution: parallel,
@@ -32,12 +58,13 @@ fn traced_submit(td: TableDist, q: TpchQuery, parallel: bool) -> (QueryTrace, Ph
         ..Default::default()
     });
     let out = xdb.submit(q.sql()).unwrap();
-    (out.trace, out.breakdown, out.consult_roundtrips)
+    (out.query_id, out.trace, out.breakdown)
 }
 
 #[test]
 fn spans_are_properly_nested() {
-    let (trace, _, _) = traced_submit(TableDist::Td3, TpchQuery::Q8, true);
+    let _guard = submit_lock();
+    let (_, trace, _) = traced_submit(TableDist::Td3, TpchQuery::Q8, true);
     assert!(!trace.spans.is_empty());
     for s in &trace.spans {
         let Some(p) = s.parent else { continue };
@@ -70,7 +97,8 @@ fn spans_are_properly_nested() {
 
 #[test]
 fn every_task_span_is_parented_to_the_exec_phase() {
-    let (trace, _, _) = traced_submit(TableDist::Td2, TpchQuery::Q5, true);
+    let _guard = submit_lock();
+    let (_, trace, _) = traced_submit(TableDist::Td2, TpchQuery::Q5, true);
     let exec_phase = trace
         .spans
         .iter()
@@ -119,10 +147,16 @@ fn normalize_query_ids(s: &str) -> String {
 
 #[test]
 fn parallel_and_sequential_traces_are_bit_identical() {
+    let _guard = submit_lock();
     for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
-            let (par, par_b, _) = traced_submit(td, q, true);
-            let (seq, seq_b, _) = traced_submit(td, q, false);
+            let mut arms = same_width(2, |arm| {
+                let (id, trace, breakdown) = traced_submit(td, q, arm == 0);
+                (id, (trace, breakdown))
+            })
+            .into_iter();
+            let (par, par_b) = arms.next().unwrap();
+            let (seq, seq_b) = arms.next().unwrap();
             assert_eq!(
                 normalize_query_ids(&par.canonical()),
                 normalize_query_ids(&seq.canonical()),
@@ -162,6 +196,7 @@ fn partitioned_kernels_are_invisible_in_traces() {
     // and the result relation itself are bit-identical at any partition
     // count, because partitioning preserves row order and every simulated
     // cost is accounted identically.
+    let _guard = submit_lock();
     for (td, q) in [
         (TableDist::Td1, TpchQuery::Q3),
         (TableDist::Td3, TpchQuery::Q8),
@@ -175,11 +210,11 @@ fn partitioned_kernels_are_invisible_in_traces() {
                 ..Default::default()
             });
             let out = xdb.submit(q.sql()).unwrap();
-            (out.trace, out.breakdown, out.relation)
+            (out.query_id, (out.trace, out.breakdown, out.relation))
         };
-        let (t1, b1, r1) = run(1);
-        for parts in [2usize, 8] {
-            let (t, b, r) = run(parts);
+        let mut arms = same_width(3, |arm| run([1usize, 2, 8][arm])).into_iter();
+        let (t1, b1, r1) = arms.next().unwrap();
+        for (parts, (t, b, r)) in [2usize, 8].into_iter().zip(arms) {
             assert_eq!(
                 r1,
                 r,
@@ -208,6 +243,7 @@ fn partitioned_kernels_are_invisible_in_traces() {
 fn plan_and_submit_consult_accounting_agree() {
     // Two identically-seeded federations: planning alone must account the
     // same consult roundtrips and cache hits/misses as the full submit.
+    let _guard = submit_lock();
     let (c1, g1) = federation(TableDist::Td1);
     let (c2, g2) = federation(TableDist::Td1);
     for q in TpchQuery::ALL {
@@ -240,6 +276,7 @@ fn concurrent_queries_do_not_pollute_each_others_cache_counts() {
     // The regression this guards: hit/miss accounting used to be computed
     // as deltas of the process-wide cache counters, so concurrent queries
     // bled into each other's breakdowns. Per-query counting is stable.
+    let _guard = submit_lock();
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
     // Warm everything: after this, Q3 planning is all cache hits.
@@ -265,6 +302,7 @@ fn concurrent_queries_do_not_pollute_each_others_cache_counts() {
 
 #[test]
 fn breakdown_is_a_projection_of_the_trace() {
+    let _guard = submit_lock();
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
     let out = xdb.submit(TpchQuery::Q5.sql()).unwrap();

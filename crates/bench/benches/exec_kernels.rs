@@ -16,6 +16,7 @@ use xdb_engine::vector;
 use xdb_engine::{Engine, NoRemote};
 use xdb_sql::algebra::{Field, LogicalPlan, PlanSchema};
 use xdb_sql::ast::{BinaryOp, Expr};
+use xdb_sql::bind::intern_fields;
 use xdb_sql::value::{DataType, Value};
 
 const FACT_ROWS: usize = 65_536;
@@ -100,21 +101,14 @@ fn pairs(rows: usize, stride: usize) -> Relation {
 
 /// `probe ⋈ ps` on both key columns, `ps` on the build (right) side.
 fn composite_join(probe: &str) -> LogicalPlan {
-    let scan = |name: &str| {
-        Box::new(LogicalPlan::Scan {
-            relation: name.into(),
-            alias: name.into(),
-            fields: pair_fields(),
-        })
-    };
-    LogicalPlan::Join {
-        left: scan(probe),
-        right: scan("ps"),
-        on: ["a", "b"]
+    let scan =
+        |name: &str| LogicalPlan::scan(name, name, intern_fields(&pair_fields()).iter().cloned());
+    scan(probe).join(
+        scan("ps"),
+        ["a", "b"]
             .map(|k| (Expr::qcol(probe, k), Expr::qcol("ps", k)))
             .to_vec(),
-        residual: None,
-    }
+    )
 }
 
 fn fact_schema() -> PlanSchema {

@@ -16,14 +16,14 @@ use crate::global::GlobalCatalog;
 use crate::plan::{placeholder_alias, placeholder_name, DelegationPlan, Edge, Task};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::{Movement, NodeId};
-use xdb_sql::algebra::{plan_to_select, LogicalPlan, PlanSchema};
+use xdb_sql::algebra::{named_columns, plan_to_select, LogicalPlan, PlanSchema};
 use xdb_sql::ast::Expr;
 use xdb_sql::display::render_select_string;
 use xdb_sql::stats::Estimator;
-use xdb_sql::value::DataType;
 use xdb_sql::Dialect;
 
 /// Where cross-database operators are placed.
@@ -109,10 +109,6 @@ pub struct Annotation {
     /// One entry per cross-database operator, in annotation (bottom-up)
     /// order.
     pub decisions: Vec<PlacementDecision>,
-    /// Canonical sub-tree key of every task (see [`fragment_keys`]),
-    /// computed at annotation time so the session layer can fold in-flight
-    /// queries sharing sub-DAGs without re-deriving plan structure.
-    pub fragment_keys: HashMap<usize, String>,
 }
 
 /// FNV-1a over a canonical rendering — the repo-local stable hash (no
@@ -188,8 +184,9 @@ pub fn fragment_keys(plan: &DelegationPlan) -> HashMap<usize, String> {
             in_list.push(format!("{}<{child}>", edge.movement));
         }
         in_list.sort();
-        let body = crate::delegation::bind_placeholders(task.plan.clone(), &bindings)
-            .unwrap_or_else(|_| task.plan.clone());
+        let mut body = task.plan.clone();
+        // An unbound placeholder keeps its task-local name in the key.
+        let _ = crate::delegation::bind_placeholders(&mut body, &bindings);
         let rendered = match plan_to_select(&body) {
             Ok(stmt) => render_select_string(&stmt, Dialect::Generic),
             Err(_) => body.tree_string(),
@@ -207,8 +204,8 @@ pub fn fragment_keys(plan: &DelegationPlan) -> HashMap<usize, String> {
 #[derive(Debug, Clone)]
 pub struct Rename {
     pub cut_schema: PlanSchema,
-    pub ph_alias: String,
-    pub new_names: Vec<String>,
+    /// Schema of the placeholder left behind, field for field.
+    pub placeholder: PlanSchema,
 }
 
 /// A partially-annotated subtree: its (single) annotation, the fused plan
@@ -235,7 +232,7 @@ pub struct Annotator<'a> {
     /// same feedback state. `None` in static mode or when nothing has
     /// been learned — candidate costing is then bit-exactly the static
     /// model.
-    learned: Option<crate::profiles::CostProfiles>,
+    learned: Option<Arc<crate::profiles::CostProfiles>>,
 }
 
 impl<'a> Annotator<'a> {
@@ -269,19 +266,16 @@ impl<'a> Annotator<'a> {
         let root_partial = self.annotate(plan)?;
         let root = self.finalize_root(root_partial)?;
         let edges = self.collect_edges();
-        let plan = DelegationPlan {
-            tasks: self.tasks,
-            edges,
-            root,
-        };
-        let keys = fragment_keys(&plan);
         Ok(Annotation {
-            plan,
+            plan: DelegationPlan {
+                tasks: self.tasks,
+                edges,
+                root,
+            },
             consults: self.consults,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             decisions: self.decisions,
-            fragment_keys: keys,
         })
     }
 
@@ -325,7 +319,7 @@ impl<'a> Annotator<'a> {
                     renames: child.renames,
                 })
             }
-            LogicalPlan::Project { input, exprs } => {
+            LogicalPlan::Project { input, exprs, .. } => {
                 let child = self.annotate(input)?;
                 let exprs = exprs
                     .iter()
@@ -333,10 +327,7 @@ impl<'a> Annotator<'a> {
                     .collect();
                 Ok(Partial {
                     dbms: child.dbms,
-                    fragment: LogicalPlan::Project {
-                        input: Box::new(child.fragment),
-                        exprs,
-                    },
+                    fragment: child.fragment.project(exprs),
                     // A projection re-bases the name scope: ancestor
                     // references address its bare outputs, never the
                     // underlying scans, so pending renames end here.
@@ -347,6 +338,7 @@ impl<'a> Annotator<'a> {
                 input,
                 group_by,
                 aggregates,
+                ..
             } => {
                 let child = self.annotate(input)?;
                 let group_by = group_by
@@ -363,11 +355,7 @@ impl<'a> Annotator<'a> {
                     .collect();
                 Ok(Partial {
                     dbms: child.dbms,
-                    fragment: LogicalPlan::Aggregate {
-                        input: Box::new(child.fragment),
-                        group_by,
-                        aggregates,
-                    },
+                    fragment: child.fragment.aggregate(group_by, aggregates),
                     // Aggregates re-base the name scope (see Project).
                     renames: Vec::new(),
                 })
@@ -408,14 +396,11 @@ impl<'a> Annotator<'a> {
                     renames: child.renames,
                 })
             }
-            LogicalPlan::SubqueryAlias { input, alias } => {
+            LogicalPlan::SubqueryAlias { input, alias, .. } => {
                 let child = self.annotate(input)?;
                 Ok(Partial {
                     dbms: child.dbms,
-                    fragment: LogicalPlan::SubqueryAlias {
-                        input: Box::new(child.fragment),
-                        alias: alias.clone(),
-                    },
+                    fragment: child.fragment.alias(alias.clone()),
                     // Alias scopes re-base the name space as well.
                     renames: Vec::new(),
                 })
@@ -430,12 +415,10 @@ impl<'a> Annotator<'a> {
                 // Semi joins are binary cross-database operators like any
                 // join: Rule 3 fuses same-annotated inputs, Rule 4 decides
                 // placement + movement otherwise.
-                let join_like = LogicalPlan::Join {
-                    left: left.clone(),
-                    right: right.clone(),
-                    on: on.clone(),
-                    residual: residual.clone(),
-                };
+                let join_like =
+                    (**left)
+                        .clone()
+                        .join_on((**right).clone(), on.clone(), residual.clone());
                 let partial = self.annotate(&join_like)?;
                 // Re-shape the top Join node back into a SemiJoin,
                 // preserving the annotated/cut children and rewritten
@@ -446,6 +429,7 @@ impl<'a> Annotator<'a> {
                         right: ar,
                         on: aon,
                         residual: ares,
+                        ..
                     } => Ok(Partial {
                         dbms: partial.dbms,
                         fragment: LogicalPlan::SemiJoin {
@@ -468,6 +452,7 @@ impl<'a> Annotator<'a> {
                 right,
                 on,
                 residual,
+                ..
             } => {
                 let l = self.annotate(left)?;
                 let r = self.annotate(right)?;
@@ -500,12 +485,7 @@ impl<'a> Annotator<'a> {
                     renames.extend(r.renames);
                     return Ok(Partial {
                         dbms: l.dbms,
-                        fragment: LogicalPlan::Join {
-                            left: Box::new(l.fragment),
-                            right: Box::new(r.fragment),
-                            on,
-                            residual,
-                        },
+                        fragment: l.fragment.join_on(r.fragment, on, residual),
                         renames,
                     });
                 }
@@ -526,12 +506,11 @@ impl<'a> Annotator<'a> {
                             rows: est.rows(&r.fragment),
                             bytes: est.bytes(&r.fragment),
                         };
-                        let probe = LogicalPlan::Join {
-                            left: Box::new(l.fragment.clone()),
-                            right: Box::new(r.fragment.clone()),
-                            on: on.clone(),
-                            residual: residual.clone(),
-                        };
+                        let probe = l.fragment.clone().join_on(
+                            r.fragment.clone(),
+                            on.clone(),
+                            residual.clone(),
+                        );
                         let out_rows = est.rows(&probe);
                         let mut candidates: Vec<NodeId> = if self.options.no_pruning {
                             self.cluster
@@ -620,7 +599,7 @@ impl<'a> Annotator<'a> {
                             out_rows,
                             &candidates,
                             self.options.force_movement,
-                            self.learned.as_ref(),
+                            self.learned.as_deref(),
                         );
                         if !use_cache {
                             self.consults += placement.consults;
@@ -744,12 +723,7 @@ impl<'a> Annotator<'a> {
                 renames.extend(r_cut);
                 Ok(Partial {
                     dbms: placement.dbms,
-                    fragment: LogicalPlan::Join {
-                        left: Box::new(l_final),
-                        right: Box::new(r_final),
-                        on,
-                        residual,
-                    },
+                    fragment: l_final.join_on(r_final, on, residual),
                     renames,
                 })
             }
@@ -760,55 +734,37 @@ impl<'a> Annotator<'a> {
     /// replaces it and the rename rule for ancestor expressions.
     fn cut(&mut self, partial: Partial, movement: Movement) -> Result<(LogicalPlan, Rename)> {
         let id = self.tasks.len();
-        let schema = partial.fragment.schema();
+        let schema = partial.fragment.schema().clone();
         let new_names = unique_names(&schema)?;
         // Fix the task's output columns with an explicit rename projection.
-        let exprs: Vec<(Expr, String)> = schema
-            .fields
-            .iter()
-            .zip(new_names.iter())
-            .map(|(f, n)| {
-                let e = match &f.qualifier {
-                    Some(q) => Expr::qcol(q.clone(), f.name.clone()),
-                    None => Expr::col(f.name.clone()),
-                };
-                (e, n.clone())
-            })
-            .collect();
-        let task_plan = LogicalPlan::Project {
-            input: Box::new(partial.fragment),
-            exprs,
-        };
-        let out_schema = task_plan.schema();
-        let output_fields: Vec<(String, DataType)> = out_schema
-            .fields
-            .iter()
-            .map(|f| (f.name.clone(), f.data_type))
-            .collect();
+        let task_plan = partial
+            .fragment
+            .project(rename_projection(&schema, &new_names));
+        let placeholder = LogicalPlan::placeholder(
+            placeholder_name(id),
+            placeholder_alias(id),
+            task_plan
+                .schema()
+                .fields
+                .iter()
+                .map(|f| (f.name.clone(), f.data_type)),
+        );
         let est_rows = self.est().rows(&task_plan);
         self.catalog
             .register_placeholder(&placeholder_name(id), est_rows);
         self.tasks.push(Task {
             id,
             dbms: partial.dbms,
+            output_fields: named_columns(&task_plan.schema().fields),
             plan: task_plan,
-            output_fields: output_fields.clone(),
             est_rows,
         });
         self.movements.insert(id, movement);
-        let placeholder = LogicalPlan::Placeholder {
-            name: placeholder_name(id),
-            alias: placeholder_alias(id),
-            fields: output_fields,
+        let rename = Rename {
+            cut_schema: schema,
+            placeholder: placeholder.schema().clone(),
         };
-        Ok((
-            placeholder,
-            Rename {
-                cut_schema: schema,
-                ph_alias: placeholder_alias(id),
-                new_names,
-            },
-        ))
+        Ok((placeholder, rename))
     }
 
     /// Finalize the root task.
@@ -824,39 +780,18 @@ impl<'a> Annotator<'a> {
                 .iter()
                 .any(|f| !seen.insert(f.name.to_ascii_lowercase()))
         };
-        let (plan, out_schema) = if needs_wrap {
-            let new_names = unique_names(&schema)?;
-            let exprs: Vec<(Expr, String)> = schema
-                .fields
-                .iter()
-                .zip(new_names.iter())
-                .map(|(f, n)| {
-                    let e = match &f.qualifier {
-                        Some(q) => Expr::qcol(q.clone(), f.name.clone()),
-                        None => Expr::col(f.name.clone()),
-                    };
-                    (e, n.clone())
-                })
-                .collect();
-            let p = LogicalPlan::Project {
-                input: Box::new(partial.fragment),
-                exprs,
-            };
-            let s = p.schema();
-            (p, s)
+        let plan = if needs_wrap {
+            let exprs = rename_projection(schema, &unique_names(schema)?);
+            partial.fragment.project(exprs)
         } else {
-            (partial.fragment, schema)
+            partial.fragment
         };
         let est_rows = self.est().rows(&plan);
         self.tasks.push(Task {
             id,
             dbms: partial.dbms,
+            output_fields: named_columns(&plan.schema().fields),
             plan,
-            output_fields: out_schema
-                .fields
-                .iter()
-                .map(|f| (f.name.clone(), f.data_type))
-                .collect(),
             est_rows,
         });
         Ok(id)
@@ -885,6 +820,17 @@ impl<'a> Annotator<'a> {
     }
 }
 
+/// The projection that renames every field of `schema` to its entry in
+/// `new_names`.
+fn rename_projection(schema: &PlanSchema, new_names: &[String]) -> Vec<(Expr, String)> {
+    schema
+        .fields
+        .iter()
+        .zip(new_names)
+        .map(|(f, n)| (f.column(), n.clone()))
+        .collect()
+}
+
 /// Extract the task id from a placeholder name.
 fn parse_placeholder(name: &str) -> Option<usize> {
     name.strip_prefix("__task_")?.parse().ok()
@@ -895,8 +841,8 @@ fn parse_placeholder(name: &str) -> Option<usize> {
 pub fn unique_names(schema: &PlanSchema) -> Result<Vec<String>> {
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(schema.fields.len());
-    for f in &schema.fields {
-        let mut name = f.name.clone();
+    for f in &*schema.fields {
+        let mut name = f.name.to_string();
         if !used.insert(name.to_ascii_lowercase()) {
             name = match &f.qualifier {
                 Some(q) => format!("{q}_{}", f.name),
@@ -924,7 +870,7 @@ pub fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
         out = out.transform(&mut |x| match &x {
             Expr::Column { qualifier, name } => {
                 match r.cut_schema.resolve(qualifier.as_deref(), name) {
-                    Ok(idx) => Expr::qcol(r.ph_alias.clone(), r.new_names[idx].clone()),
+                    Ok(idx) => r.placeholder.fields[idx].column(),
                     Err(_) => x,
                 }
             }

@@ -487,7 +487,6 @@ impl<'a> Xdb<'a> {
             ],
         );
         Ok(Planned {
-            fragment_keys: annotation.fragment_keys,
             decisions: annotation.decisions,
             delegation: annotation.plan,
             script,
@@ -903,8 +902,6 @@ pub(crate) struct Planned {
     pub(crate) overhead_ms: f64,
     pub(crate) consults: u64,
     pub(crate) query_id: u64,
-    /// Canonical fragment key per task (annotation-time canonicalization).
-    pub(crate) fragment_keys: std::collections::HashMap<usize, String>,
     /// Placement decisions in annotation order — the predicted half of
     /// the cost-model observatory, joined post-execution by `submit`.
     pub(crate) decisions: Vec<crate::annotate::PlacementDecision>,

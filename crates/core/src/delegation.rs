@@ -173,7 +173,8 @@ pub(crate) fn build_script_with_reuse(
         }
         // Rewrite placeholders to their bound relation names and render
         // the task body as a view.
-        let body = bind_placeholders(task.plan.clone(), &bindings)?;
+        let mut body = task.plan.clone();
+        bind_placeholders(&mut body, &bindings)?;
         let select = plan_to_select(&body)?;
         let view = view_name(query_id, id);
         let create_view = Statement::CreateView {
@@ -206,85 +207,31 @@ pub(crate) fn build_script_with_reuse(
 }
 
 /// Replace placeholder relation names with their bound (foreign or
-/// materialized) relation names. Also used by the annotator's fragment-key
-/// canonicalization, which rebinds placeholders to child-key-derived names.
-pub(crate) fn bind_placeholders(
-    plan: LogicalPlan,
-    bindings: &HashMap<String, String>,
-) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Placeholder {
-            name,
-            alias,
-            fields,
-        } => {
+/// materialized) relation names, in place: a placeholder's name is not part
+/// of any schema. Also used by the fragment-key canonicalization, which
+/// rebinds placeholders to child-key-derived names.
+pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, String>) -> Result<()> {
+    match plan {
+        LogicalPlan::Placeholder { name, .. } => {
             let bound = bindings
-                .get(&name)
+                .get(name.as_str())
                 .ok_or_else(|| EngineError::Execution(format!("unbound placeholder {name:?}")))?;
-            LogicalPlan::Placeholder {
-                name: bound.clone(),
-                alias,
-                fields,
-            }
+            name.clone_from(bound);
+            Ok(())
         }
-        LogicalPlan::Scan { .. } | LogicalPlan::OneRow => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            on,
-            residual,
-        } => LogicalPlan::Join {
-            left: Box::new(bind_placeholders(*left, bindings)?),
-            right: Box::new(bind_placeholders(*right, bindings)?),
-            on,
-            residual,
-        },
-        LogicalPlan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-            negated,
-        } => LogicalPlan::SemiJoin {
-            left: Box::new(bind_placeholders(*left, bindings)?),
-            right: Box::new(bind_placeholders(*right, bindings)?),
-            on,
-            residual,
-            negated,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            group_by,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            fetch,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(bind_placeholders(*input, bindings)?),
-            alias,
-        },
-    })
+        LogicalPlan::Scan { .. } | LogicalPlan::OneRow => Ok(()),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::SubqueryAlias { input, .. } => bind_placeholders(input, bindings),
+        LogicalPlan::Join { left, right, .. } | LogicalPlan::SemiJoin { left, right, .. } => {
+            bind_placeholders(left, bindings)?;
+            bind_placeholders(right, bindings)
+        }
+    }
 }
 
 /// Deploy and execute a delegation script on the cluster.
@@ -741,11 +688,7 @@ pub fn run_script_parallel(
 
     let workers = groups
         .len()
-        .min(
-            std::thread::available_parallelism()
-                .map_or(1, usize::from)
-                .max(2),
-        )
+        .min(xdb_net::reactor::host_parallelism().max(2))
         .max(1);
     std::thread::scope(|s| {
         for _ in 0..workers {

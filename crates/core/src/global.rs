@@ -10,15 +10,15 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::NodeId;
 use xdb_obs::{MetricsSnapshot, Telemetry};
-use xdb_sql::bind::{ResolvedRelation, SchemaProvider};
+use xdb_sql::bind::{RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::stats::{ColumnStats, StatsProvider};
-use xdb_sql::value::DataType;
 
-/// Location and schema of one global table.
+/// Location and schema of one global table. The column list is the one
+/// the owning engine interned; every bind of the table shares it.
 #[derive(Debug, Clone)]
 pub struct GlobalTable {
     pub dbms: NodeId,
-    pub fields: Vec<(String, DataType)>,
+    pub fields: RelationFields,
 }
 
 /// Consulted statistics for one table.
@@ -49,8 +49,10 @@ pub struct GlobalCatalog {
     telemetry: Arc<Telemetry>,
     /// Learned cost profiles (feedback from the cost-model observatory),
     /// seeded from `XDB_PROFILE_DIR` / `repro --profiles` and grown by
-    /// [`GlobalCatalog::absorb_cost_observation`] after each query.
-    profiles: RwLock<crate::profiles::CostProfiles>,
+    /// [`GlobalCatalog::absorb_cost_observation`] after each query. An
+    /// annotation run prices against a shared snapshot; an absorb mutates
+    /// in place unless a snapshot is still out (`Arc::make_mut`).
+    profiles: RwLock<Arc<crate::profiles::CostProfiles>>,
 }
 
 impl GlobalCatalog {
@@ -62,7 +64,7 @@ impl GlobalCatalog {
             metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
             telemetry: Arc::clone(xdb_obs::telemetry::global()),
-            profiles: RwLock::new(crate::profiles::seed_profiles()),
+            profiles: RwLock::new(Arc::new(crate::profiles::seed_profiles())),
         }
     }
 
@@ -72,12 +74,7 @@ impl GlobalCatalog {
     }
 
     /// Register a table of the global schema as residing on `dbms`.
-    pub fn register(
-        &mut self,
-        name: &str,
-        dbms: impl Into<String>,
-        fields: Vec<(String, DataType)>,
-    ) {
+    pub fn register(&mut self, name: &str, dbms: impl Into<String>, fields: RelationFields) {
         self.tables.insert(
             name.to_ascii_lowercase(),
             GlobalTable {
@@ -202,26 +199,22 @@ impl GlobalCatalog {
         *self.metadata_fetches.write() = 0;
     }
 
-    /// Clone of the current learned cost profiles.
+    /// Copy of the current learned cost profiles.
     pub fn profiles_snapshot(&self) -> crate::profiles::CostProfiles {
-        self.profiles.read().clone()
+        crate::profiles::CostProfiles::clone(&self.profiles.read())
     }
 
-    /// The profiles the annotator should price against: `None` while
-    /// nothing has been learned, so candidate costing stays bit-exactly
-    /// on the static model until real feedback exists.
-    pub fn learned_profiles(&self) -> Option<crate::profiles::CostProfiles> {
+    /// The profiles the annotator should price against, shared: `None`
+    /// while nothing has been learned, so candidate costing stays
+    /// bit-exactly on the static model until real feedback exists.
+    pub fn learned_profiles(&self) -> Option<Arc<crate::profiles::CostProfiles>> {
         let p = self.profiles.read();
-        if p.is_empty() {
-            None
-        } else {
-            Some(p.clone())
-        }
+        (!p.is_empty()).then(|| Arc::clone(&p))
     }
 
     /// Replace the learned profiles wholesale (replay/calibration arms).
     pub fn set_profiles(&self, profiles: crate::profiles::CostProfiles) {
-        *self.profiles.write() = profiles;
+        *self.profiles.write() = Arc::new(profiles);
     }
 
     /// Fold one executed query's cost observation (plus per-engine
@@ -231,7 +224,7 @@ impl GlobalCatalog {
         cost: &xdb_obs::costmodel::CostObservation,
         statements: &[(String, f64)],
     ) {
-        self.profiles.write().absorb(cost, statements);
+        Arc::make_mut(&mut self.profiles.write()).absorb(cost, statements);
     }
 
     /// Register the estimated cardinality of a task-output placeholder so
@@ -256,7 +249,7 @@ impl Default for GlobalCatalog {
 impl SchemaProvider for GlobalCatalog {
     fn resolve_relation(&self, name: &str) -> Option<ResolvedRelation> {
         self.table(name).map(|t| ResolvedRelation::Base {
-            fields: t.fields.clone(),
+            fields: Arc::clone(&t.fields),
         })
     }
 }

@@ -143,11 +143,7 @@ mod tests {
     use super::*;
 
     fn scan(alias: &str) -> LogicalPlan {
-        LogicalPlan::Scan {
-            relation: alias.to_string(),
-            alias: alias.to_string(),
-            fields: vec![("x".to_string(), DataType::Int)],
-        }
+        LogicalPlan::scan(alias, alias, [("x".into(), DataType::Int)])
     }
 
     fn sample() -> DelegationPlan {
@@ -163,11 +159,11 @@ mod tests {
                 Task {
                     id: 1,
                     dbms: NodeId::new("cdb"),
-                    plan: LogicalPlan::Placeholder {
-                        name: placeholder_name(0),
-                        alias: placeholder_alias(0),
-                        fields: vec![("x".to_string(), DataType::Int)],
-                    },
+                    plan: LogicalPlan::placeholder(
+                        placeholder_name(0),
+                        placeholder_alias(0),
+                        [("x".into(), DataType::Int)],
+                    ),
                     output_fields: vec![("x".to_string(), DataType::Int)],
                     est_rows: 10.0,
                 },

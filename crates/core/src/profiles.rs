@@ -28,10 +28,12 @@
 //! or adversarial history cannot invert the cost order outright.
 //!
 //! **Determinism.** A store's state is a function of the *multiset* of
-//! absorbed samples, not their order: samples are kept sorted
-//! (`f64::total_cmp`) and every sum runs in sorted order, so merging
-//! history files in any order — or absorbing the same observations from
-//! concurrent sessions in any interleaving — yields bit-identical factors.
+//! absorbed samples, not their order: a factor keeps a sample count and
+//! the exact sum of the samples in 2⁻⁴⁰ fixed point. Integer addition is
+//! associative where `f64` addition is not, so merging history files in any
+//! order — or absorbing the same observations from concurrent sessions in
+//! any interleaving — yields bit-identical factors, and the store's size
+//! depends on the number of keys, not on how much was absorbed.
 //! Observations themselves are bit-identical across executors, reactor
 //! on/off, partition counts, and stream-chunk sizes (the observatory's
 //! contract), so feedback preserves the repo's cross-axis determinism.
@@ -49,15 +51,12 @@ use xdb_net::{edge_pair, edge_shape, Movement};
 use xdb_obs::costmodel::CostObservation;
 use xdb_obs::history::{load_history_dir, HistoryRecord};
 use xdb_obs::json;
-use xdb_obs::trace::{json_number, json_string};
+use xdb_obs::trace::json_string;
 
-/// Version of the on-disk profile layout. v1 → v2: added the `consult`
-/// factor samples.
-pub const PROFILES_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest profile layout the parser still accepts (v1 files simply lack
-/// the `consult` key).
-pub const PROFILES_MIN_SCHEMA_VERSION: u64 = 1;
+/// Version of the on-disk profile layout; the only one this build reads.
+/// v3: a factor is `"<count>:<fixed-point sum>"` in fixed-width hex (so a
+/// file's size depends on its keys alone), not a list of samples.
+pub const PROFILES_SCHEMA_VERSION: u64 = 3;
 
 /// File name of a persisted profile store inside a directory.
 pub const PROFILES_FILE: &str = "profiles.json";
@@ -80,12 +79,20 @@ pub const COMPUTE_FACTOR_CLAMP: (f64, f64) = (0.5, 2.0);
 /// Clamp range for the consult-latency factor.
 pub const CONSULT_FACTOR_CLAMP: (f64, f64) = (0.5, 2.0);
 
-/// One factor's observed samples, kept sorted (`total_cmp`) so sums —
-/// and therefore smoothed factors — are independent of absorb/merge
-/// order.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Fixed-point scale of [`FactorStat`]'s sum: a sample is stored as
+/// `round(ratio × 2⁴⁰)`.
+const FIXED_ONE: f64 = (1u64 << 40) as f64;
+
+/// Largest stored sample (a ratio of 2⁴⁸; every clamp ends at 2). With it
+/// the `u128` sum holds 2⁴⁰ samples before it saturates.
+const FIXED_SAMPLE_MAX: f64 = (1u128 << 88) as f64;
+
+/// One factor's observed samples as a count and their exact sum in
+/// fixed point (see the module docs on determinism).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FactorStat {
-    samples: Vec<f64>,
+    count: u64,
+    sum: u128,
 }
 
 impl FactorStat {
@@ -96,33 +103,19 @@ impl FactorStat {
         if !ratio.is_finite() || ratio <= 0.0 {
             return;
         }
-        let at = self
-            .samples
-            .partition_point(|s| s.total_cmp(&ratio).is_lt());
-        self.samples.insert(at, ratio);
+        let sample = (ratio * FIXED_ONE).round().min(FIXED_SAMPLE_MAX) as u128;
+        self.merge(&FactorStat {
+            count: 1,
+            sum: sample,
+        });
     }
 
     pub fn count(&self) -> u64 {
-        self.samples.len() as u64
+        self.count
     }
 
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Sum in ascending sample order — the order-independent sum the
-    /// smoothing is built on.
-    fn sum(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Unsmoothed sample mean (diagnostics); 1.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            1.0
-        } else {
-            self.sum() / self.samples.len() as f64
-        }
+        self.count == 0
     }
 
     /// Confidence-smoothed factor: `(Σ + K) / (n + K)` clamped to
@@ -130,46 +123,36 @@ impl FactorStat {
     /// falls through to the next granularity, ultimately to the static
     /// model).
     pub fn factor(&self, clamp: (f64, f64)) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        let n = self.samples.len() as f64;
-        let smoothed = (self.sum() + CONFIDENCE_PRIOR) / (n + CONFIDENCE_PRIOR);
+        let sum = self.sum as f64 / FIXED_ONE;
+        let smoothed = (sum + CONFIDENCE_PRIOR) / (self.count as f64 + CONFIDENCE_PRIOR);
         Some(smoothed.clamp(clamp.0, clamp.1))
     }
 
-    /// Union of both sample multisets (order-independent by
-    /// construction).
+    /// Union of both sample multisets.
     pub fn merge(&mut self, other: &FactorStat) {
-        for &s in &other.samples {
-            self.observe(s);
-        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
-    fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_number(*s));
-        }
-        out.push(']');
-        out
+    fn to_json(self) -> String {
+        format!("\"{:016x}:{:032x}\"", self.count, self.sum)
     }
 
     fn from_json(v: &json::Value) -> Result<FactorStat, String> {
-        let Some(items) = v.as_array() else {
-            return Err("factor samples are not an array".to_string());
-        };
-        let mut stat = FactorStat::default();
-        for item in items {
-            let Some(s) = item.as_f64() else {
-                return Err("factor sample is not a number".to_string());
-            };
-            stat.observe(s);
-        }
-        Ok(stat)
+        v.as_str()
+            .and_then(|s| s.split_once(':'))
+            .filter(|(count, sum)| count.len() == 16 && sum.len() == 32)
+            .and_then(|(count, sum)| {
+                Some(FactorStat {
+                    count: u64::from_str_radix(count, 16).ok()?,
+                    sum: u128::from_str_radix(sum, 16).ok()?,
+                })
+            })
+            .filter(|stat| stat.count > 0 || stat.sum == 0)
+            .ok_or_else(|| "factor is not \"<16 hex count>:<32 hex sum>\"".to_string())
     }
 }
 
@@ -191,13 +174,24 @@ pub struct CostProfiles {
 }
 
 impl CostProfiles {
+    /// The keyed factor tables, under their names in the file.
+    fn tables(&self) -> [(&'static str, &BTreeMap<String, FactorStat>); 4] {
+        [
+            ("wire_shape", &self.wire_by_shape),
+            ("wire_pair", &self.wire_by_pair),
+            ("wire_engine", &self.wire_by_engine),
+            ("compute_engine", &self.compute_by_engine),
+        ]
+    }
+
+    /// The unkeyed factors, under their names in the file.
+    fn scalars(&self) -> [(&'static str, FactorStat); 2] {
+        [("wire_global", self.wire_global), ("consult", self.consult)]
+    }
+
     pub fn is_empty(&self) -> bool {
-        self.wire_by_shape.is_empty()
-            && self.wire_by_pair.is_empty()
-            && self.wire_by_engine.is_empty()
-            && self.wire_global.is_empty()
-            && self.compute_by_engine.is_empty()
-            && self.consult.is_empty()
+        self.tables().iter().all(|(_, t)| t.is_empty())
+            && self.scalars().iter().all(|(_, s)| s.is_empty())
     }
 
     /// Total absorbed samples across every factor (wire samples counted
@@ -339,22 +333,18 @@ impl CostProfiles {
     /// B into A produce bit-identical factors, regardless of how the
     /// sample sets overlap.
     pub fn merge(&mut self, other: &CostProfiles) {
-        for (k, s) in &other.wire_by_shape {
-            self.wire_by_shape.entry(k.clone()).or_default().merge(s);
-        }
-        for (k, s) in &other.wire_by_pair {
-            self.wire_by_pair.entry(k.clone()).or_default().merge(s);
-        }
-        for (k, s) in &other.wire_by_engine {
-            self.wire_by_engine.entry(k.clone()).or_default().merge(s);
+        let mine = [
+            &mut self.wire_by_shape,
+            &mut self.wire_by_pair,
+            &mut self.wire_by_engine,
+            &mut self.compute_by_engine,
+        ];
+        for (mine, (_, theirs)) in mine.into_iter().zip(other.tables()) {
+            for (k, s) in theirs {
+                mine.entry(k.clone()).or_default().merge(s);
+            }
         }
         self.wire_global.merge(&other.wire_global);
-        for (k, s) in &other.compute_by_engine {
-            self.compute_by_engine
-                .entry(k.clone())
-                .or_default()
-                .merge(s);
-        }
         self.consult.merge(&other.consult);
     }
 
@@ -370,52 +360,35 @@ impl CostProfiles {
         )
     }
 
-    fn map_to_json(out: &mut String, key: &str, map: &BTreeMap<String, FactorStat>) {
-        let _ = write!(out, "\"{key}\":{{");
-        for (i, (k, s)) in map.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(k), s.to_json());
-        }
-        out.push('}');
-    }
-
     /// One JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(out, "{{\"schema_version\":{PROFILES_SCHEMA_VERSION},");
-        Self::map_to_json(&mut out, "wire_shape", &self.wire_by_shape);
-        out.push(',');
-        Self::map_to_json(&mut out, "wire_pair", &self.wire_by_pair);
-        out.push(',');
-        Self::map_to_json(&mut out, "wire_engine", &self.wire_by_engine);
-        let _ = write!(out, ",\"wire_global\":{}", self.wire_global.to_json());
-        out.push(',');
-        Self::map_to_json(&mut out, "compute_engine", &self.compute_by_engine);
-        let _ = write!(out, ",\"consult\":{}", self.consult.to_json());
+        let mut out = format!("{{\"schema_version\":{PROFILES_SCHEMA_VERSION}");
+        for (key, table) in self.tables() {
+            let _ = write!(out, ",\"{key}\":{{");
+            for (i, (k, s)) in table.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}{}:{}", json_string(k), s.to_json());
+            }
+            out.push('}');
+        }
+        for (key, stat) in self.scalars() {
+            let _ = write!(out, ",\"{key}\":{}", stat.to_json());
+        }
         out.push('}');
         out
     }
 
-    fn map_from_json(
-        v: &json::Value,
-        key: &str,
-        required: bool,
-    ) -> Result<BTreeMap<String, FactorStat>, String> {
-        match v.get(key) {
-            Some(json::Value::Object(items)) => {
-                let mut map = BTreeMap::new();
-                for (k, samples) in items {
-                    let stat = FactorStat::from_json(samples)
-                        .map_err(|e| format!("profiles {key:?} entry {k:?}: {e}"))?;
-                    map.insert(k.clone(), stat);
-                }
-                Ok(map)
-            }
-            None if !required => Ok(BTreeMap::new()),
-            _ => Err(format!("profiles missing object {key:?}")),
+    fn map_from_json(v: &json::Value, key: &str) -> Result<BTreeMap<String, FactorStat>, String> {
+        let Some(json::Value::Object(items)) = v.get(key) else {
+            return Err(format!("profiles missing object {key:?}"));
+        };
+        let mut map = BTreeMap::new();
+        for (k, stat) in items {
+            let stat = FactorStat::from_json(stat)
+                .map_err(|e| format!("profiles {key:?} entry {k:?}: {e}"))?;
+            map.insert(k.clone(), stat);
         }
+        Ok(map)
     }
 
     /// Parse a store back out of its JSON form. Rejects unsupported
@@ -426,31 +399,24 @@ impl CostProfiles {
             .and_then(json::Value::as_f64)
             .ok_or_else(|| "profiles missing numeric \"schema_version\"".to_string())?
             as u64;
-        if !(PROFILES_MIN_SCHEMA_VERSION..=PROFILES_SCHEMA_VERSION).contains(&version) {
+        if version != PROFILES_SCHEMA_VERSION {
             return Err(format!(
-                "profiles schema_version {version} (this build supports {}..={})",
-                PROFILES_MIN_SCHEMA_VERSION, PROFILES_SCHEMA_VERSION
+                "profiles schema_version {version} (this build reads {PROFILES_SCHEMA_VERSION})"
             ));
         }
-        let consult = match v.get("consult") {
-            // Absent in v1 files — parse to the empty factor.
-            None => FactorStat::default(),
-            Some(samples) => {
-                FactorStat::from_json(samples).map_err(|e| format!("profiles \"consult\": {e}"))?
-            }
-        };
-        let wire_global = match v.get("wire_global") {
-            None => FactorStat::default(),
-            Some(samples) => FactorStat::from_json(samples)
-                .map_err(|e| format!("profiles \"wire_global\": {e}"))?,
+        let stat = |key: &str| {
+            let field = v
+                .get(key)
+                .ok_or_else(|| format!("profiles missing {key:?}"))?;
+            FactorStat::from_json(field).map_err(|e| format!("profiles {key:?}: {e}"))
         };
         Ok(CostProfiles {
-            wire_by_shape: Self::map_from_json(v, "wire_shape", true)?,
-            wire_by_pair: Self::map_from_json(v, "wire_pair", false)?,
-            wire_by_engine: Self::map_from_json(v, "wire_engine", false)?,
-            wire_global,
-            compute_by_engine: Self::map_from_json(v, "compute_engine", true)?,
-            consult,
+            wire_by_shape: Self::map_from_json(v, "wire_shape")?,
+            wire_by_pair: Self::map_from_json(v, "wire_pair")?,
+            wire_by_engine: Self::map_from_json(v, "wire_engine")?,
+            wire_global: stat("wire_global")?,
+            compute_by_engine: Self::map_from_json(v, "compute_engine")?,
+            consult: stat("consult")?,
         })
     }
 
@@ -632,6 +598,40 @@ mod tests {
             abc.wire_ratio("cdb", "hdb", Movement::Implicit),
             cba.wire_ratio("cdb", "hdb", Movement::Implicit)
         );
+
+        // Any interleaving of the absorbs over any number of shards, merged
+        // in any order: ratios whose `f64` sum depends on the order of
+        // addition, bit-equal here.
+        let absorb_all = |order: &[u64], shards: usize| {
+            let mut stores = vec![CostProfiles::default(); shards];
+            for (k, i) in order.iter().enumerate() {
+                let (encoded, ms) = (1 + i * i * 7919 % 100_003, 10.0 + (i % 11) as f64 * 0.1);
+                stores[k % shards].absorb(&observation(encoded, 99_991), &[("hdb".into(), ms)]);
+            }
+            stores
+                .iter()
+                .rev()
+                .fold(CostProfiles::default(), |mut all, s| {
+                    all.merge(s);
+                    all
+                })
+        };
+        let mut order: Vec<u64> = (0..200).collect();
+        let reference = absorb_all(&order, 1);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for shards in 1..=5 {
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let shuffled = absorb_all(&order, shards);
+            assert_eq!(shuffled, reference);
+            assert_eq!(shuffled.to_json(), reference.to_json());
+            assert_eq!(
+                shuffled.compute_factor("hdb").map(f64::to_bits),
+                reference.compute_factor("hdb").map(f64::to_bits)
+            );
+        }
     }
 
     #[test]
@@ -649,35 +649,31 @@ mod tests {
 
     #[test]
     fn from_json_rejects_bad_versions_and_shapes() {
-        let newer = format!(
-            "{{\"schema_version\":{},\"wire_shape\":{{}},\"compute_engine\":{{}}}}",
-            PROFILES_SCHEMA_VERSION + 1
-        );
-        let err = CostProfiles::from_json(&json::parse(&newer).unwrap()).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
+        let current = CostProfiles::default().to_json();
+        let version = format!("\"schema_version\":{PROFILES_SCHEMA_VERSION}");
+        // Neither a later layout nor the sample lists of v1/v2 are read.
+        for other in [PROFILES_SCHEMA_VERSION + 1, 2, 1] {
+            let text = current.replace(&version, &format!("\"schema_version\":{other}"));
+            let err = CostProfiles::from_json(&json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
+        }
         let missing = "{\"wire_shape\":{}}";
         let err = CostProfiles::from_json(&json::parse(missing).unwrap()).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
-        let bad = "{\"schema_version\":2,\"wire_shape\":{\"a->b/implicit\":\"zap\"},\
-                   \"compute_engine\":{}}";
-        let err = CostProfiles::from_json(&json::parse(bad).unwrap()).unwrap_err();
-        assert!(err.contains("a->b/implicit"), "{err}");
-    }
-
-    #[test]
-    fn v1_files_read_by_v2_code() {
-        // A v1 file: no "consult", no "wire_pair"/"wire_engine"/
-        // "wire_global" fallbacks — just the shape and compute tables.
-        let v1 = "{\"schema_version\":1,\
-                  \"wire_shape\":{\"cdb->hdb/implicit\":[0.25,0.5]},\
-                  \"compute_engine\":{\"hdb\":[1.25]}}";
-        let p = CostProfiles::from_json(&json::parse(v1).unwrap()).unwrap();
-        let r = p.wire_ratio("cdb", "hdb", Movement::Implicit).unwrap();
-        // (0.25 + 0.5 + 2) / 4
-        assert!((r - 0.6875).abs() < 1e-12, "{r}");
-        // No fallback tables in v1: unknown shapes stay static.
-        assert_eq!(p.wire_ratio("vdb", "hdb", Movement::Implicit), None);
-        assert!(p.compute_factor("hdb").is_some());
-        assert_eq!(p.consult_factor(), None);
+        let (zero, one) = ("0".repeat(16), format!("{:032x}", 1));
+        for factor in [
+            "\"zap\"".to_string(),
+            "[0.25,0.5]".to_string(),
+            format!("\"{zero}:1\""),
+            format!("\"{zero}:{one}\""),
+            format!("\"{zero}:{}\"", one.replace('1', "g")),
+        ] {
+            let bad = current.replace(
+                "\"wire_shape\":{}",
+                &format!("\"wire_shape\":{{\"a->b/implicit\":{factor}}}"),
+            );
+            let err = CostProfiles::from_json(&json::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.contains("a->b/implicit"), "{factor}: {err}");
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! *scheduling windows* and **folds** in-flight queries that share
 //! sub-DAGs into a single delegation deployment:
 //!
-//! 1. every task sub-tree is canonicalized at annotation time
-//!    ([`crate::annotate::fragment_keys`] — the same dialect-neutral
-//!    rendering the consultation cache keys its probes by);
+//! 1. every task sub-tree of a freshly planned submission is
+//!    canonicalized ([`crate::annotate::fragment_keys`] — the same
+//!    dialect-neutral rendering the consultation cache keys its probes
+//!    by) and cached with the plan;
 //! 2. queries admitted in the same window whose root fragment matches an
 //!    already-executed one are answered straight from the window's result
 //!    cache and only pay their own final-result transfer (*full fold*);
@@ -39,6 +40,7 @@
 //! `session.fold_hits`) are labeled per tenant, and events carry the query
 //! id as correlation id.
 
+use crate::annotate::fragment_keys;
 use crate::client::{next_query_id, PhaseBreakdown, Xdb, XdbOptions, PREP_PARSE_MS};
 use crate::delegation::{build_script, build_script_with_reuse, finish_script, view_name};
 use crate::global::GlobalCatalog;
@@ -451,18 +453,18 @@ impl<'a> QueryServer<'a> {
         } else {
             let planned = self.xdb.plan_internal(&sub.sql)?;
             report.consult_probes += planned.prep_probes + planned.ann_probes;
+            fkeys = fragment_keys(&planned.delegation);
             w.plan_cache.insert(
                 sub.sql.clone(),
                 CachedPlan {
                     delegation: planned.delegation.clone(),
-                    fragment_keys: planned.fragment_keys.clone(),
+                    fragment_keys: fkeys.clone(),
                     lopt_ms: planned.lopt_ms,
                     prep_probes: planned.prep_probes,
                     ann_probes: planned.ann_probes,
                 },
             );
             delegation = planned.delegation;
-            fkeys = planned.fragment_keys;
             collector = planned.collector;
             query_span = planned.query_span;
             overhead_ms = planned.overhead_ms;

@@ -1,12 +1,14 @@
 //! Learned-cost-profile persistence: the on-disk schema contract.
 //!
-//! The profile store follows the same forward-compat discipline as the
-//! query-history store: v1 files written by earlier builds must load in
-//! this build, corrupt files must be a loud error naming the file (never
-//! a silently-empty store), and merging history shards must be
-//! order-independent so fleet-wide aggregation can proceed in any order.
+//! A saved store reads back bit-identically; files of any other schema
+//! version (no profile file is checked in, so there is nothing to migrate)
+//! and corrupt files are a loud error naming the file, never a
+//! silently-empty store; merging history shards is order-independent so
+//! fleet-wide aggregation can proceed in any order; and the file's size
+//! follows the number of keys, not the number of absorbed observations.
 
-use xdb_core::CostProfiles;
+use std::sync::Arc;
+use xdb_core::{CostProfiles, GlobalCatalog};
 use xdb_net::Movement;
 use xdb_obs::costmodel::{CandidateObs, CostObservation, DecisionObs, EdgeJoin};
 use xdb_obs::history::HistoryRecord;
@@ -60,41 +62,11 @@ fn saved_store_roundtrips_through_disk() {
 }
 
 #[test]
-fn v1_file_on_disk_is_read_by_v2_code() {
-    let scratch = Scratch::new("v1");
-    let path = scratch.path("profiles.json");
-    // A v1 file has only the per-shape wire table and the per-engine
-    // compute table — no consult factor, no coarser fallback tables.
-    std::fs::write(
-        &path,
-        "{\"schema_version\":1,\
-          \"wire_shape\":{\"db1->db2/implicit\":[0.25,0.5]},\
-          \"compute_engine\":{\"db1\":[1.5]}}\n",
-    )
-    .unwrap();
-    let p = CostProfiles::load(&path).unwrap();
-    // (0.25 + 0.5 + prior 2.0) / (2 + 2.0)
-    assert_eq!(p.wire_ratio("db1", "db2", Movement::Implicit), Some(0.6875));
-    assert_eq!(p.compute_factor("db1"), Some(3.5 / 3.0));
-    // v1 has no coarser tables: an unseen edge has nothing to fall
-    // back to.
-    assert_eq!(p.wire_ratio("db9", "db8", Movement::Explicit), None);
-    assert_eq!(p.consult_factor(), None);
-    // Re-saving upgrades the file to the current schema.
-    p.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(&format!(
-        "\"schema_version\":{}",
-        xdb_core::profiles::PROFILES_SCHEMA_VERSION
-    )));
-}
-
-#[test]
 fn corrupt_files_are_rejected_with_the_path() {
     let scratch = Scratch::new("corrupt");
     for (name, text) in [
         ("garbage.json", "not json at all"),
-        ("truncated.json", "{\"schema_version\":2,\"wire_shape\":{"),
+        ("truncated.json", "{\"schema_version\":3,\"wire_shape\":{"),
         (
             "noversion.json",
             "{\"wire_shape\":{},\"compute_engine\":{}}",
@@ -104,9 +76,14 @@ fn corrupt_files_are_rejected_with_the_path() {
             "{\"schema_version\":99,\"wire_shape\":{},\"compute_engine\":{}}",
         ),
         (
-            "badsample.json",
-            "{\"schema_version\":2,\"wire_shape\":{\"a->b/implicit\":[\"x\"]},\
+            "samples.json",
+            "{\"schema_version\":2,\"wire_shape\":{\"a->b/implicit\":[0.25,0.5]},\
               \"compute_engine\":{}}",
+        ),
+        (
+            "badfactor.json",
+            "{\"schema_version\":3,\"wire_shape\":{\"a->b/implicit\":[\"x\"]},\
+              \"wire_pair\":{},\"wire_engine\":{},\"compute_engine\":{}}",
         ),
     ] {
         let path = scratch.path(name);
@@ -210,4 +187,104 @@ fn history_shards_merge_order_independently() {
     merged_rev.merge(&a);
     assert_eq!(merged.to_json(), p_ab.to_json());
     assert_eq!(merged_rev.to_json(), p_ab.to_json());
+}
+
+#[test]
+fn the_file_does_not_grow_with_what_was_absorbed() {
+    // Forty observations over a handful of edge shapes, then the same
+    // workload a hundred times over: the 4 000-observation file is the
+    // size of the 40-observation one.
+    let workload: Vec<HistoryRecord> = (0..40u64)
+        .map(|i| {
+            let (from, to) = [("db1", "db2"), ("db2", "db1"), ("db3", "db2")][i as usize % 3];
+            record(
+                from,
+                to,
+                1000 + 37 * i,
+                200 + 11 * i,
+                2.0 + i as f64 * 0.125,
+            )
+        })
+        .collect();
+    let scratch = Scratch::new("size");
+    let size_after = |rounds: usize| {
+        let mut store = CostProfiles::default();
+        for _ in 0..rounds {
+            for r in &workload {
+                store.absorb_record(r);
+            }
+        }
+        assert_eq!(store.samples(), 3 * 40 * rounds as u64);
+        let path = scratch.path(&format!("profiles_{rounds}.json"));
+        store.save(&path).unwrap();
+        assert_eq!(CostProfiles::load(&path).unwrap(), store);
+        std::fs::metadata(&path).unwrap().len()
+    };
+    let (small, large) = (size_after(1), size_after(100));
+    assert!(
+        large.abs_diff(small) * 100 <= small,
+        "{small} bytes after 40 observations, {large} after 4000"
+    );
+}
+
+#[test]
+fn ten_thousand_absorbs_leave_a_store_the_size_of_one() {
+    // A factor is `Copy`: it owns nothing out of line, so the store's heap
+    // is its keys, and the fixed-width file shows when a key is added.
+    fn owns_no_heap<T: Copy>() {}
+    owns_no_heap::<xdb_core::profiles::FactorStat>();
+    // 375/1000 and 4.5/3 are exact in fixed point.
+    let r = record("db1", "db2", 1000, 375, 4.5);
+    let mut p = CostProfiles::default();
+    p.absorb_record(&r);
+    let json_after_one = p.to_json().len();
+    let n = 10_000u64;
+    for _ in 1..n {
+        p.absorb_record(&r);
+    }
+    assert_eq!(p.to_json().len(), json_after_one);
+    assert_eq!(p.samples(), 3 * n);
+    // The closed form `(n·r + K) / (n + K)`, to the last bit.
+    let k = xdb_core::profiles::CONFIDENCE_PRIOR;
+    let closed = |r: f64| Some((n as f64 * r + k) / (n as f64 + k));
+    assert_eq!(
+        p.wire_ratio("db1", "db2", Movement::Implicit),
+        closed(0.375)
+    );
+    assert_eq!(p.compute_factor("db2"), closed(1.5));
+    assert_eq!(p.consult_factor(), closed(1.0));
+    // And clamped: 10 000 samples of 1/1000 do not price a transfer at zero.
+    let mut tiny = CostProfiles::default();
+    for _ in 0..n {
+        tiny.observe_wire("db1", "db2", Movement::Implicit, 0.001);
+    }
+    assert_eq!(
+        tiny.wire_ratio("db1", "db2", Movement::Implicit),
+        Some(xdb_core::profiles::WIRE_RATIO_CLAMP.0)
+    );
+}
+
+#[test]
+fn annotators_share_one_snapshot_and_an_absorb_leaves_it_alone() {
+    let catalog = GlobalCatalog::new();
+    assert!(catalog.learned_profiles().is_none());
+    let absorb = |r: HistoryRecord| catalog.absorb_cost_observation(&r.cost, &r.statements);
+    absorb(record("db1", "db2", 1000, 250, 3.0));
+    // No absorb in between: the same allocation, not a copy.
+    let first = catalog.learned_profiles().unwrap();
+    let second = catalog.learned_profiles().unwrap();
+    assert!(Arc::ptr_eq(&first, &second));
+    // An absorb while the snapshot is out: the snapshot keeps its state,
+    // the catalog moves on to a new one.
+    let held = first.to_json();
+    absorb(record("db1", "db2", 4000, 3000, 2.4));
+    assert_eq!(first.to_json(), held);
+    let third = catalog.learned_profiles().unwrap();
+    assert!(!Arc::ptr_eq(&first, &third));
+    assert_ne!(third.to_json(), held);
+    // No snapshot out: the store is updated where it is.
+    let at = Arc::as_ptr(&third);
+    drop((first, second, third));
+    absorb(record("db2", "db1", 2000, 1000, 4.5));
+    assert_eq!(Arc::as_ptr(&catalog.learned_profiles().unwrap()), at);
 }

@@ -171,3 +171,61 @@ proptest! {
         );
     }
 }
+
+/// The feedback loop settles: replaying the workload against live profile
+/// feedback reaches, on every distribution, a set of plans that no later
+/// round changes — and from then on a store whose file no longer grows.
+#[test]
+fn replayed_workload_settles_on_a_fixed_plan_set() {
+    const ROUNDS: usize = 30;
+    const SETTLED_BY: usize = 10;
+    let _guard = SUBMIT_LOCK.lock();
+    for dist in TableDist::ALL {
+        let mut cluster = build_cluster(
+            dist,
+            0.002,
+            Scenario::OnPremise,
+            &ProfileAssignment::uniform(EngineProfile::postgres()),
+        )
+        .unwrap();
+        cluster.topology.add_cloud_node(NodeId::new(CLOUD));
+        let telemetry = Telemetry::new_handle();
+        cluster.set_telemetry(Arc::clone(&telemetry));
+        let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
+        catalog.set_telemetry(telemetry);
+        let xdb = Xdb::new(&cluster, &catalog).with_client_node(CLOUD);
+        let mut plans = std::collections::BTreeSet::new();
+        let mut last_new_plan = 0;
+        let mut settled_round = Vec::new();
+        let mut settled_json_len = 0;
+        for round in 0..ROUNDS {
+            let mut this_round = Vec::new();
+            for q in TpchQuery::ALL {
+                let outcome = xdb.submit(q.sql()).unwrap();
+                let plan = xdb_core::annotate::plan_fingerprint(&outcome.delegation);
+                if plans.insert((q.name(), plan.clone())) {
+                    last_new_plan = round;
+                }
+                this_round.push(plan);
+            }
+            if round == SETTLED_BY {
+                settled_json_len = catalog.profiles_snapshot().to_json().len();
+                settled_round = this_round;
+            } else if round > SETTLED_BY {
+                // Nor does a query alternate between two known plans.
+                assert_eq!(this_round, settled_round, "{} round {round}", dist.name());
+            }
+        }
+        assert!(
+            last_new_plan < SETTLED_BY,
+            "{}: a new plan in round {last_new_plan} of {ROUNDS}",
+            dist.name()
+        );
+        assert_eq!(
+            catalog.profiles_snapshot().to_json().len(),
+            settled_json_len,
+            "{}: the profile file grew after the plans settled",
+            dist.name()
+        );
+    }
+}

@@ -6,7 +6,7 @@ use crate::relation::Relation;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xdb_sql::ast::{ColumnDef, ObjectKind, SelectStmt};
-use xdb_sql::bind::{ResolvedRelation, SchemaProvider};
+use xdb_sql::bind::{intern_fields, RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::column::{Column, TypedCol};
 use xdb_sql::hash::FastSet;
 use xdb_sql::stats::{ColumnStats, StatsProvider};
@@ -20,17 +20,23 @@ pub struct TableStats {
 }
 
 /// A stored base table. The whole relation (schema + rows) is shared via
-/// `Arc`, so catalog snapshots are cheap and identity scans can hand out
-/// the stored relation without copying a single row.
+/// `Arc`, so identity scans can hand out the stored relation without
+/// copying a single row.
 #[derive(Debug, Clone)]
 pub struct TableData {
     pub data: Arc<Relation>,
     pub stats: TableStats,
+    /// `data.fields`, interned once for the binder.
+    fields: RelationFields,
 }
 
 impl TableData {
-    pub fn fields(&self) -> &[(String, DataType)] {
-        &self.data.fields
+    fn new(rel: Relation) -> TableData {
+        TableData {
+            stats: compute_stats(&rel),
+            fields: intern_fields(&rel.fields),
+            data: Arc::new(rel),
+        }
     }
 
     /// Deep copy for callers that need an owned relation.
@@ -45,12 +51,12 @@ pub enum CatalogEntry {
     Table(TableData),
     /// A view stores its defining query; binding expands it in place.
     View {
-        query: Box<SelectStmt>,
+        query: Arc<SelectStmt>,
     },
     /// A SQL/MED foreign table: schema + pointer to a relation on another
     /// server.
     ForeignTable {
-        fields: Vec<(String, DataType)>,
+        fields: RelationFields,
         server: String,
         remote_name: String,
     },
@@ -66,8 +72,10 @@ impl CatalogEntry {
     }
 }
 
-/// The catalog of one engine. Cloning snapshots the whole catalog (cheap:
-/// table rows are `Arc`-shared).
+/// The catalog of one engine. The engine keeps it behind an `Arc`: a
+/// statement's snapshot is a reference-count bump, and a mutation while a
+/// snapshot is out copies the entry map first (`Arc::make_mut`), which is
+/// cheap because rows, column lists and view bodies are `Arc`-shared.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     entries: HashMap<String, CatalogEntry>,
@@ -128,29 +136,16 @@ impl Catalog {
             .iter()
             .map(|c| (c.name.clone(), c.data_type))
             .collect();
-        self.insert_new(
-            name,
-            CatalogEntry::Table(TableData {
-                stats: TableStats {
-                    row_count: 0.0,
-                    columns: HashMap::new(),
-                },
-                data: Arc::new(Relation::new(fields, Vec::new())),
-            }),
-        )
+        let mut table = TableData::new(Relation::new(fields, Vec::new()));
+        // No per-column statistics until rows arrive.
+        table.stats = TableStats::default();
+        self.insert_new(name, CatalogEntry::Table(table))
     }
 
     /// Create (or replace the contents of) a table directly from a
     /// materialized relation — the loader path and CREATE TABLE AS.
     pub fn create_table_from(&mut self, name: &str, rel: Relation) -> Result<()> {
-        let stats = compute_stats(&rel);
-        self.insert_new(
-            name,
-            CatalogEntry::Table(TableData {
-                data: Arc::new(rel),
-                stats,
-            }),
-        )
+        self.insert_new(name, CatalogEntry::Table(TableData::new(rel)))
     }
 
     pub fn insert_rows(&mut self, name: &str, new_rows: Vec<Vec<Value>>) -> Result<()> {
@@ -192,7 +187,7 @@ impl Catalog {
         self.insert_new(
             name,
             CatalogEntry::View {
-                query: Box::new(query),
+                query: Arc::new(query),
             },
         )
     }
@@ -209,7 +204,7 @@ impl Catalog {
             CatalogEntry::ForeignTable {
                 fields: columns
                     .iter()
-                    .map(|c| (c.name.clone(), c.data_type))
+                    .map(|c| (c.name.as_str().into(), c.data_type))
                     .collect(),
                 server: server.to_string(),
                 remote_name: remote_name.unwrap_or(name).to_string(),
@@ -234,30 +229,19 @@ impl Catalog {
             None => Err(EngineError::Catalog(format!("unknown object {name:?}"))),
         }
     }
-
-    /// Fields of any relation kind, for metadata consultation.
-    pub fn relation_fields(&self, name: &str) -> Option<Vec<(String, DataType)>> {
-        match self.get(name)? {
-            CatalogEntry::Table(t) => Some(t.fields().to_vec()),
-            CatalogEntry::ForeignTable { fields, .. } => Some(fields.clone()),
-            CatalogEntry::View { .. } => None, // requires binding; engine handles it
-        }
-    }
 }
 
 impl SchemaProvider for Catalog {
     fn resolve_relation(&self, name: &str) -> Option<ResolvedRelation> {
-        match self.get(name)? {
-            CatalogEntry::Table(t) => Some(ResolvedRelation::Base {
-                fields: t.fields().to_vec(),
-            }),
-            CatalogEntry::ForeignTable { fields, .. } => Some(ResolvedRelation::Base {
-                fields: fields.clone(),
-            }),
-            CatalogEntry::View { query } => Some(ResolvedRelation::View {
-                query: query.clone(),
-            }),
-        }
+        Some(match self.get(name)? {
+            CatalogEntry::Table(TableData { fields, .. })
+            | CatalogEntry::ForeignTable { fields, .. } => ResolvedRelation::Base {
+                fields: Arc::clone(fields),
+            },
+            CatalogEntry::View { query } => ResolvedRelation::View {
+                query: Arc::clone(query),
+            },
+        })
     }
 }
 

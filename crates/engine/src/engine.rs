@@ -21,9 +21,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xdb_net::{compose_finish, EdgeTiming, Movement, NodeId, Purpose};
 use xdb_obs::{ExecProfile, Telemetry};
-use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::algebra::{Field, LogicalPlan};
 use xdb_sql::ast::Statement;
-use xdb_sql::bind::bind_select;
+use xdb_sql::bind::{bind_select, RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::optimize::{optimize, OptimizeOptions};
 use xdb_sql::stats::{ColumnStats, Estimator};
 use xdb_sql::value::{DataType, Value};
@@ -150,7 +150,10 @@ impl Remote for NoRemote {
 pub struct Engine {
     pub node: NodeId,
     pub profile: EngineProfile,
-    catalog: RwLock<Catalog>,
+    /// Statements run against a snapshot (`Arc::clone`); DDL and inserts
+    /// mutate through `Arc::make_mut`, which copies the entry map only
+    /// while a snapshot is still out.
+    catalog: RwLock<Arc<Catalog>>,
     /// Bumped on every catalog mutation except those against transient
     /// per-query objects (see [`is_transient_object`]); consultation caches
     /// key their entries to the generation they observed and treat a
@@ -202,7 +205,7 @@ impl Engine {
         let engine = Engine {
             node: NodeId::new(node),
             profile,
-            catalog: RwLock::new(Catalog::new()),
+            catalog: RwLock::new(Arc::new(Catalog::new())),
             ddl_generation: AtomicU64::new(0),
             trace_ops: AtomicBool::new(false),
             exec_partitions: AtomicUsize::new(default_exec_partitions()),
@@ -317,14 +320,23 @@ impl Engine {
         f(&self.catalog.read())
     }
 
+    /// The catalog as it is now, for one statement to bind and run against.
+    fn snapshot(&self) -> Arc<Catalog> {
+        Arc::clone(&self.catalog.read())
+    }
+
+    /// Mutate the catalog under the write lock and publish its gauges.
+    fn mutate_catalog<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
+        let mut guard = self.catalog.write();
+        let catalog = Arc::make_mut(&mut guard);
+        let out = f(catalog);
+        self.publish_catalog_gauges(catalog);
+        out
+    }
+
     /// Run catalog mutation.
     pub fn with_catalog_mut<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
-        let out = {
-            let mut catalog = self.catalog.write();
-            let out = f(&mut catalog);
-            self.publish_catalog_gauges(&catalog);
-            out
-        };
+        let out = self.mutate_catalog(f);
         self.ddl_generation.fetch_add(1, Ordering::Release);
         out
     }
@@ -336,10 +348,7 @@ impl Engine {
     /// probes against this node's base tables valid.
     pub fn with_catalog_mut_for<T>(&self, object: &str, f: impl FnOnce(&mut Catalog) -> T) -> T {
         if is_transient_object(object) {
-            let mut catalog = self.catalog.write();
-            let out = f(&mut catalog);
-            self.publish_catalog_gauges(&catalog);
-            out
+            self.mutate_catalog(f)
         } else {
             self.with_catalog_mut(f)
         }
@@ -442,8 +451,7 @@ impl Engine {
                 or_replace,
             } => {
                 // Validate the view binds against the current catalog.
-                let snapshot = self.catalog.read().clone();
-                bind_select(query, &snapshot)?;
+                bind_select(query, &*self.snapshot())?;
                 self.with_catalog_mut_for(name, |c| {
                     c.create_view(name, (**query).clone(), *or_replace)
                 })?;
@@ -515,9 +523,9 @@ impl Engine {
         depth: usize,
         purpose: Purpose,
     ) -> Result<(Relation, ExecReport)> {
-        let snapshot = self.catalog.read().clone();
-        let plan = bind_select(stmt, &snapshot)?;
-        let plan = optimize(plan, &snapshot, OptimizeOptions::default());
+        let snapshot = self.snapshot();
+        let plan = bind_select(stmt, &*snapshot)?;
+        let plan = optimize(plan, &*snapshot, OptimizeOptions::default());
         self.run_plan(&plan, &snapshot, remote, depth, purpose)
     }
 
@@ -596,9 +604,9 @@ impl Engine {
     /// Answer an EXPLAIN probe without executing: estimated rows, bytes,
     /// and cost in this engine's units.
     pub fn explain_select(&self, stmt: &xdb_sql::SelectStmt) -> Result<ExplainInfo> {
-        let snapshot = self.catalog.read().clone();
-        let plan = bind_select(stmt, &snapshot)?;
-        let plan = optimize(plan, &snapshot, OptimizeOptions::default());
+        let snapshot = self.snapshot();
+        let plan = bind_select(stmt, &*snapshot)?;
+        let plan = optimize(plan, &*snapshot, OptimizeOptions::default());
         Ok(self.explain_plan(&plan, &snapshot))
     }
 
@@ -626,21 +634,19 @@ impl Engine {
 
     /// Metadata consultation: fields of a relation (expanding views by
     /// binding their queries).
-    pub fn relation_fields(&self, name: &str) -> Result<Vec<(String, DataType)>> {
-        let snapshot = self.catalog.read().clone();
-        match snapshot.get(name) {
-            Some(CatalogEntry::View { query }) => {
-                let plan = bind_select(query, &snapshot)?;
+    pub fn relation_fields(&self, name: &str) -> Result<RelationFields> {
+        let snapshot = self.snapshot();
+        match snapshot.resolve_relation(name) {
+            Some(ResolvedRelation::View { query }) => {
+                let plan = bind_select(&query, &*snapshot)?;
                 Ok(plan
                     .schema()
                     .fields
-                    .into_iter()
-                    .map(|f| (f.name, f.data_type))
+                    .iter()
+                    .map(|f| (f.name.clone(), f.data_type))
                     .collect())
             }
-            Some(_) => snapshot
-                .relation_fields(name)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown relation {name:?}"))),
+            Some(ResolvedRelation::Base { fields }) => Ok(fields),
             None => Err(EngineError::Catalog(format!("unknown relation {name:?}"))),
         }
     }
@@ -663,7 +669,7 @@ fn default_exec_partitions() -> usize {
     if std::env::var_os("XDB_SEQUENTIAL").is_some() {
         return 1;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+    xdb_net::reactor::host_parallelism().min(8)
 }
 
 /// Default transport morsel size for streamed edges. `XDB_STREAM_CHUNK`
@@ -699,7 +705,7 @@ struct EngineResolver<'a> {
 }
 
 impl ScanResolver for EngineResolver<'_> {
-    fn scan(&self, relation: &str, wanted: &[(String, DataType)]) -> Result<ScanOutput> {
+    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
         match self.snapshot.get(relation) {
             Some(CatalogEntry::Table(t)) => {
                 let rel = project_columns_shared(&t.data, wanted)?;
@@ -760,7 +766,7 @@ impl ScanResolver for EngineResolver<'_> {
     fn scan_stream(
         &self,
         relation: &str,
-        wanted: &[(String, DataType)],
+        wanted: &[Field],
         on_morsel: &mut MorselSink<'_>,
     ) -> Result<Option<StreamedScan>> {
         let Some(CatalogEntry::ForeignTable {
@@ -959,7 +965,7 @@ mod tests {
         .unwrap();
         let fields = e.relation_fields("v").unwrap();
         assert_eq!(fields.len(), 2);
-        assert_eq!(fields[1].0, "double_pay");
+        assert_eq!(&*fields[1].0, "double_pay");
         assert_eq!(fields[1].1, DataType::Float);
     }
 }

@@ -25,7 +25,7 @@ use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
-use xdb_sql::algebra::{aggregate_schema, AggCall, AggFunc, LogicalPlan, PlanSchema};
+use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, PlanSchema};
 use xdb_sql::column::{Column, ColumnBuilder};
 use xdb_sql::hash::{FastMap, FastSet, Fnv};
 use xdb_sql::value::{DataType, Value};
@@ -111,7 +111,7 @@ pub struct StreamedScan {
 /// Resolves leaf relations (base tables, foreign tables, placeholders).
 pub trait ScanResolver {
     /// Fetch `relation` projected to `wanted` columns (order significant).
-    fn scan(&self, relation: &str, wanted: &[(String, DataType)]) -> Result<ScanOutput>;
+    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput>;
 
     /// Whether [`ScanResolver::scan_stream`] would stream this relation.
     /// Must be side-effect free: the executor consults it *before*
@@ -129,7 +129,7 @@ pub trait ScanResolver {
     fn scan_stream(
         &self,
         _relation: &str,
-        _wanted: &[(String, DataType)],
+        _wanted: &[Field],
         _on_morsel: &mut MorselSink<'_>,
     ) -> Result<Option<StreamedScan>> {
         Ok(None)
@@ -241,14 +241,14 @@ impl<'a> Execution<'a> {
     pub fn run_rel(&mut self, plan: &LogicalPlan) -> Result<ExecRel> {
         match plan {
             LogicalPlan::Scan {
-                relation, fields, ..
+                relation, schema, ..
             }
             | LogicalPlan::Placeholder {
                 name: relation,
-                fields,
+                schema,
                 ..
             } => {
-                let out = self.resolver.scan(relation, fields)?;
+                let out = self.resolver.scan(relation, &schema.fields)?;
                 if let Some(remote) = out.remote {
                     let wire_ms = out.edge.map_or(0.0, |e| e.transfer_ms);
                     self.remotes.push((*remote, wire_ms));
@@ -270,7 +270,7 @@ impl<'a> Execution<'a> {
                     return Ok(out);
                 }
                 let rel = self.run_rel(input)?;
-                let pred = compile(predicate, &input.schema())?;
+                let pred = compile(predicate, input.schema())?;
                 self.scan_units += rel.len() as f64 * weights::FILTER;
                 let rows_in = rel.len() as u64;
                 let sel = filter_selection(&pred, rel.as_ref())?;
@@ -288,17 +288,17 @@ impl<'a> Execution<'a> {
                 });
                 Ok(out)
             }
-            LogicalPlan::Project { input, exprs } => {
+            LogicalPlan::Project {
+                input,
+                exprs,
+                schema: out,
+            } => {
                 let rel = self.run_rel(input)?;
                 let schema = input.schema();
                 let compiled: Vec<(PhysExpr, String, DataType)> = exprs
                     .iter()
-                    .map(|(e, n)| {
-                        let c = compile(e, &schema)?;
-                        let ty =
-                            xdb_sql::algebra::infer_type(e, &schema).unwrap_or(DataType::Float);
-                        Ok((c, n.clone(), ty))
-                    })
+                    .zip(&*out.fields)
+                    .map(|((e, n), f)| Ok((compile(e, schema)?, n.clone(), f.data_type)))
                     .collect::<Result<_>>()?;
                 self.scan_units += rel.len() as f64 * weights::PROJECT;
                 self.op(OpStat {
@@ -338,6 +338,7 @@ impl<'a> Execution<'a> {
                 right,
                 on,
                 residual,
+                ..
             } => self.join(left, right, on, residual.as_ref()),
             LogicalPlan::SemiJoin {
                 left,
@@ -350,13 +351,14 @@ impl<'a> Execution<'a> {
                 input,
                 group_by,
                 aggregates,
-            } => self.aggregate(input, group_by, aggregates),
+                schema,
+            } => self.aggregate(input, group_by, aggregates, schema),
             LogicalPlan::Sort { input, keys } => {
                 let schema = input.schema();
                 let rel = self.run_rel(input)?;
                 let compiled: Vec<(PhysExpr, bool)> = keys
                     .iter()
-                    .map(|(e, desc)| Ok((compile(e, &schema)?, *desc)))
+                    .map(|(e, desc)| Ok((compile(e, schema)?, *desc)))
                     .collect::<Result<_>>()?;
                 let n = rel.len() as f64;
                 self.olap_units += n * (n.max(2.0)).log2() * weights::SORT;
@@ -480,8 +482,7 @@ impl<'a> Execution<'a> {
         let Some((_, fields)) = leaf_parts(input) else {
             return Ok(None);
         };
-        let fallback = fields.to_vec();
-        let pred = compile(predicate, &input.schema())?;
+        let pred = compile(predicate, input.schema())?;
         let mut acc = MorselConcat::new();
         let mut rows_out = 0u64;
         let nrows = {
@@ -507,7 +508,7 @@ impl<'a> Execution<'a> {
             rows_out,
             ..OpStat::default()
         });
-        Ok(Some(ExecRel::Owned(acc.finish(&fallback))))
+        Ok(Some(ExecRel::Owned(acc.finish(fields))))
     }
 
     /// Streamed aggregation over a (possibly filtered) foreign-table scan:
@@ -523,6 +524,7 @@ impl<'a> Execution<'a> {
         input: &LogicalPlan,
         group_by: &[(xdb_sql::Expr, String)],
         aggregates: &[(AggCall, String)],
+        out: &PlanSchema,
     ) -> Result<Option<ExecRel>> {
         let (leaf, filter_pred) = match input {
             LogicalPlan::Filter {
@@ -537,18 +539,18 @@ impl<'a> Execution<'a> {
         }
         let schema = input.schema();
         let pred = match filter_pred {
-            Some(p) => Some(compile(p, &leaf.schema())?),
+            Some(p) => Some(compile(p, leaf.schema())?),
             None => None,
         };
         let group_c: Vec<PhysExpr> = group_by
             .iter()
-            .map(|(e, _)| compile(e, &schema))
+            .map(|(e, _)| compile(e, schema))
             .collect::<Result<_>>()?;
         let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
             .iter()
             .map(|(a, _)| {
                 let arg = match &a.arg {
-                    Some(e) => Some(compile(e, &schema)?),
+                    Some(e) => Some(compile(e, schema)?),
                     None => None,
                 };
                 Ok((a.func, arg, a.distinct))
@@ -622,9 +624,7 @@ impl<'a> Execution<'a> {
                 accs: new_accs(),
             });
         }
-        Ok(Some(self.finish_aggregate(
-            &schema, group_by, aggregates, agg_rows, groups,
-        )))
+        Ok(Some(self.finish_aggregate(out, agg_rows, groups)))
     }
 
     /// Streamed materialization of a leaf scan: morsels concatenate as
@@ -640,7 +640,6 @@ impl<'a> Execution<'a> {
         let Some((_, fields)) = leaf_parts(plan) else {
             return Ok(None);
         };
-        let fallback = fields.to_vec();
         let mut acc = MorselConcat::new();
         let streamed = {
             let mut sink = |m: &Relation| {
@@ -652,7 +651,7 @@ impl<'a> Execution<'a> {
         if !streamed {
             return Ok(None);
         }
-        Ok(Some(ExecRel::Owned(acc.finish(&fallback))))
+        Ok(Some(ExecRel::Owned(acc.finish(fields))))
     }
 
     /// Probe-side shapes the streamed hash join can drive morsel-wise: a
@@ -706,7 +705,7 @@ impl<'a> Execution<'a> {
         let lschema = left.schema();
         let mut key_idx: Vec<usize> = Vec::with_capacity(on.len());
         for (l, _) in on {
-            match compile(l, &lschema)? {
+            match compile(l, lschema)? {
                 PhysExpr::Column(i) => key_idx.push(i),
                 _ => return Ok(None),
             }
@@ -720,14 +719,14 @@ impl<'a> Execution<'a> {
         let rrel = rrel_e.as_ref();
         let rschema = right.schema();
         let residual_c = match residual {
-            Some(r) => Some(compile(r, &lschema.join(&rschema))?),
+            Some(r) => Some(compile(r, &lschema.join(rschema))?),
             None => None,
         };
         let pred_c = match filter_pred {
-            Some(p) => Some(compile(p, &leaf.schema())?),
+            Some(p) => Some(compile(p, leaf.schema())?),
             None => None,
         };
-        let bcols = key_columns(on, false, &rschema, rrel)?;
+        let bcols = key_columns(on, false, rschema, rrel)?;
         let mut scratch = std::mem::take(&mut self.scratch);
         // Normalisation and the chain table are decided and built on the
         // first morsel, exactly as the materialized join decides on the
@@ -908,10 +907,12 @@ impl<'a> Execution<'a> {
                 };
                 let (_, lfields) = leaf_parts(leaf).expect("streamed probe engaged on a non-leaf");
                 let rrel = rrel_e.as_ref();
-                let mut f: Vec<(String, DataType)> = lfields.to_vec();
+                let mut f = named_columns(lfields);
                 f.extend(rrel.fields.iter().cloned());
-                let mut c: Vec<Column> =
-                    lfields.iter().map(|(_, t)| Column::empty_of(*t)).collect();
+                let mut c: Vec<Column> = lfields
+                    .iter()
+                    .map(|f| Column::empty_of(f.data_type))
+                    .collect();
                 c.extend(rrel.columns().iter().map(Column::empty_like));
                 Relation::from_columns(f, c, 0)
             }
@@ -930,12 +931,14 @@ impl<'a> Execution<'a> {
         input: &LogicalPlan,
         group_by: &[(xdb_sql::Expr, String)],
         aggregates: &[(AggCall, String)],
+        out: &PlanSchema,
     ) -> Result<Option<ExecRel>> {
         let LogicalPlan::Join {
             left,
             right,
             on,
             residual,
+            ..
         } = input
         else {
             return Ok(None);
@@ -946,13 +949,13 @@ impl<'a> Execution<'a> {
         let schema = input.schema();
         let group_c: Vec<PhysExpr> = group_by
             .iter()
-            .map(|(e, _)| compile(e, &schema))
+            .map(|(e, _)| compile(e, schema))
             .collect::<Result<_>>()?;
         let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
             .iter()
             .map(|(a, _)| {
                 let arg = match &a.arg {
-                    Some(e) => Some(compile(e, &schema)?),
+                    Some(e) => Some(compile(e, schema)?),
                     None => None,
                 };
                 Ok((a.func, arg, a.distinct))
@@ -1014,9 +1017,7 @@ impl<'a> Execution<'a> {
                 accs: new_accs(),
             });
         }
-        Ok(Some(self.finish_aggregate(
-            &schema, group_by, aggregates, out_rows, groups,
-        )))
+        Ok(Some(self.finish_aggregate(out, out_rows, groups)))
     }
 
     fn join(
@@ -1040,9 +1041,8 @@ impl<'a> Execution<'a> {
         let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
         let lschema = left.schema();
         let rschema = right.schema();
-        let joined_schema = lschema.join(&rschema);
         let residual_c = match residual {
-            Some(r) => Some(compile(r, &joined_schema)?),
+            Some(r) => Some(compile(r, &lschema.join(rschema))?),
             None => None,
         };
         let mut fields = Vec::with_capacity(lrel.width() + rrel.width());
@@ -1052,8 +1052,8 @@ impl<'a> Execution<'a> {
         let hash = !on.is_empty();
         if hash {
             // Hash join: build on the right child, probe with the left.
-            let bcols = key_columns(on, false, &rschema, rrel)?;
-            let pcols = key_columns(on, true, &lschema, lrel)?;
+            let bcols = key_columns(on, false, rschema, rrel)?;
+            let pcols = key_columns(on, true, lschema, lrel)?;
             self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
             let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
             let bkeys = norm.keys(&bcols, rrel.len())?;
@@ -1117,11 +1117,11 @@ impl<'a> Execution<'a> {
         let lschema = left.schema();
         let rschema = right.schema();
         let residual_c = match residual {
-            Some(r) => Some(compile(r, &lschema.join(&rschema))?),
+            Some(r) => Some(compile(r, &lschema.join(rschema))?),
             None => None,
         };
-        let bcols = key_columns(on, false, &rschema, rrel)?;
-        let pcols = key_columns(on, true, &lschema, lrel)?;
+        let bcols = key_columns(on, false, rschema, rrel)?;
+        let pcols = key_columns(on, true, lschema, lrel)?;
         self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
         // Candidate right rows are visited in ascending row order and the
         // residual short-circuits on the first match, exactly like the
@@ -1171,25 +1171,26 @@ impl<'a> Execution<'a> {
         input: &LogicalPlan,
         group_by: &[(xdb_sql::Expr, String)],
         aggregates: &[(AggCall, String)],
+        out: &PlanSchema,
     ) -> Result<ExecRel> {
-        if let Some(out) = self.aggregate_streamed(input, group_by, aggregates)? {
-            return Ok(out);
+        if let Some(rel) = self.aggregate_streamed(input, group_by, aggregates, out)? {
+            return Ok(rel);
         }
-        if let Some(out) = self.aggregate_join_streamed(input, group_by, aggregates)? {
-            return Ok(out);
+        if let Some(rel) = self.aggregate_join_streamed(input, group_by, aggregates, out)? {
+            return Ok(rel);
         }
         let rel_e = self.run_rel(input)?;
         let rel = rel_e.as_ref();
         let schema = input.schema();
         let group_c: Vec<PhysExpr> = group_by
             .iter()
-            .map(|(e, _)| compile(e, &schema))
+            .map(|(e, _)| compile(e, schema))
             .collect::<Result<_>>()?;
         let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
             .iter()
             .map(|(a, _)| {
                 let arg = match &a.arg {
-                    Some(e) => Some(compile(e, &schema)?),
+                    Some(e) => Some(compile(e, schema)?),
                     None => None,
                 };
                 Ok((a.func, arg, a.distinct))
@@ -1296,7 +1297,7 @@ impl<'a> Execution<'a> {
                 accs: new_accs(),
             });
         }
-        Ok(self.finish_aggregate(&schema, group_by, aggregates, rel.len() as u64, groups))
+        Ok(self.finish_aggregate(out, rel.len() as u64, groups))
     }
 
     /// Shared tail of the materialized and streamed aggregation paths:
@@ -1304,19 +1305,11 @@ impl<'a> Execution<'a> {
     /// the output relation and record the operator stat.
     fn finish_aggregate(
         &mut self,
-        schema: &PlanSchema,
-        group_by: &[(xdb_sql::Expr, String)],
-        aggregates: &[(AggCall, String)],
+        out: &PlanSchema,
         rows_in: u64,
         groups: Vec<GroupOut>,
     ) -> ExecRel {
-        // Output schema derived from the input schema — no need to
-        // reconstruct (and deep-clone) the plan node.
-        let fields: Vec<(String, DataType)> = aggregate_schema(schema, group_by, aggregates)
-            .fields
-            .into_iter()
-            .map(|f| (f.name, f.data_type))
-            .collect();
+        let fields = named_columns(&out.fields);
         let ngroups = groups.len();
         let mut builders: Vec<ColumnBuilder> = (0..fields.len())
             .map(|_| ColumnBuilder::with_capacity(ngroups))
@@ -1355,12 +1348,12 @@ struct GroupOut {
 }
 
 /// Leaf shapes a streamed edge can replace: a scan or placeholder node.
-fn leaf_parts(plan: &LogicalPlan) -> Option<(&str, &[(String, DataType)])> {
+fn leaf_parts(plan: &LogicalPlan) -> Option<(&str, &[Field])> {
     match plan {
         LogicalPlan::Scan {
-            relation, fields, ..
-        } => Some((relation, fields)),
-        LogicalPlan::Placeholder { name, fields, .. } => Some((name, fields)),
+            relation, schema, ..
+        } => Some((relation, &schema.fields)),
+        LogicalPlan::Placeholder { name, schema, .. } => Some((name, &schema.fields)),
         _ => None,
     }
 }
@@ -1409,12 +1402,15 @@ impl MorselConcat {
 
     /// Finish into a relation; `fallback` supplies the schema when the
     /// stream delivered no morsels at all.
-    fn finish(self, fallback: &[(String, DataType)]) -> Relation {
+    fn finish(self, fallback: &[Field]) -> Relation {
         match self.fields {
             Some(f) => Relation::from_columns(f, self.cols, self.rows),
             None => Relation::from_columns(
-                fallback.to_vec(),
-                fallback.iter().map(|(_, t)| Column::empty_of(*t)).collect(),
+                named_columns(fallback),
+                fallback
+                    .iter()
+                    .map(|f| Column::empty_of(f.data_type))
+                    .collect(),
                 0,
             ),
         }
@@ -2390,7 +2386,7 @@ impl Default for MapResolver {
 }
 
 impl ScanResolver for MapResolver {
-    fn scan(&self, relation: &str, wanted: &[(String, DataType)]) -> Result<ScanOutput> {
+    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
         let rel = self
             .relations
             .get(&relation.to_ascii_lowercase())
@@ -2404,12 +2400,12 @@ impl ScanResolver for MapResolver {
 }
 
 /// Resolve `wanted` column names to positions in `rel`.
-fn column_indexes(rel: &Relation, wanted: &[(String, DataType)]) -> Result<Vec<usize>> {
+fn column_indexes(rel: &Relation, wanted: &[Field]) -> Result<Vec<usize>> {
     wanted
         .iter()
-        .map(|(n, _)| {
-            rel.column_index(n)
-                .ok_or_else(|| EngineError::Catalog(format!("unknown column {n:?}")))
+        .map(|f| {
+            rel.column_index(&f.name)
+                .ok_or_else(|| EngineError::Catalog(format!("unknown column {:?}", f.name)))
         })
         .collect()
 }
@@ -2419,16 +2415,16 @@ fn is_identity(idx: &[usize], rel: &Relation) -> bool {
 }
 
 /// Column subsets are `Arc` pointer copies — no row data moves.
-fn subset(rel: &Relation, idx: &[usize], wanted: &[(String, DataType)]) -> Relation {
+fn subset(rel: &Relation, idx: &[usize], wanted: &[Field]) -> Relation {
     Relation::from_columns(
-        wanted.to_vec(),
+        named_columns(wanted),
         idx.iter().map(|&j| rel.column(j).clone()).collect(),
         rel.len(),
     )
 }
 
 /// Project a stored relation to the requested columns, by name.
-pub fn project_columns(rel: &Relation, wanted: &[(String, DataType)]) -> Result<Relation> {
+pub fn project_columns(rel: &Relation, wanted: &[Field]) -> Result<Relation> {
     let idx = column_indexes(rel, wanted)?;
     // Identity projection avoids rebuilding the schema.
     if is_identity(&idx, rel) {
@@ -2439,10 +2435,7 @@ pub fn project_columns(rel: &Relation, wanted: &[(String, DataType)]) -> Result<
 
 /// Project an `Arc`-shared relation: identity projections hand the `Arc`
 /// through without touching a single row; subsets share the column `Arc`s.
-pub fn project_columns_shared(
-    rel: &Arc<Relation>,
-    wanted: &[(String, DataType)],
-) -> Result<ExecRel> {
+pub fn project_columns_shared(rel: &Arc<Relation>, wanted: &[Field]) -> Result<ExecRel> {
     let idx = column_indexes(rel, wanted)?;
     if is_identity(&idx, rel) {
         return Ok(ExecRel::Shared(Arc::clone(rel)));
@@ -2452,7 +2445,7 @@ pub fn project_columns_shared(
 
 /// Project an owned relation, consuming it: identity projections return
 /// the input unchanged (no copy at all).
-pub fn project_columns_owned(rel: Relation, wanted: &[(String, DataType)]) -> Result<Relation> {
+pub fn project_columns_owned(rel: Relation, wanted: &[Field]) -> Result<Relation> {
     let idx = column_indexes(&rel, wanted)?;
     if is_identity(&idx, &rel) {
         return Ok(rel);
@@ -2464,7 +2457,7 @@ pub fn project_columns_owned(rel: Relation, wanted: &[(String, DataType)]) -> Re
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use xdb_sql::bind::{bind_select, ResolvedRelation, SchemaProvider};
+    use xdb_sql::bind::{bind_select, intern_fields, ResolvedRelation, SchemaProvider};
     use xdb_sql::parser::parse_select;
 
     struct Fixture {
@@ -2477,7 +2470,7 @@ mod tests {
             self.schemas
                 .get(&name.to_ascii_lowercase())
                 .map(|fields| ResolvedRelation::Base {
-                    fields: fields.clone(),
+                    fields: intern_fields(fields),
                 })
         }
     }
@@ -2654,7 +2647,7 @@ mod tests {
         impl SchemaProvider for Provider {
             fn resolve_relation(&self, name: &str) -> Option<ResolvedRelation> {
                 (name == "t").then(|| ResolvedRelation::Base {
-                    fields: self.0.clone(),
+                    fields: intern_fields(&self.0),
                 })
             }
         }
@@ -2792,10 +2785,11 @@ mod tests {
     fn project_columns_identity_and_subset() {
         let f = fixture();
         let rel = f.resolver.relations.get("dept").unwrap();
-        let sub = project_columns(rel, &[("budget".to_string(), DataType::Int)]).unwrap();
+        let sub = project_columns(rel, &[Field::bare("budget", DataType::Int)]).unwrap();
         assert_eq!(sub.width(), 1);
         assert_eq!(sub.value(0, 0), Value::Int(1000));
-        let idt = project_columns(rel, &rel.fields.clone()).unwrap();
+        let all: Vec<Field> = rel.fields.iter().map(|(n, t)| Field::bare(n, *t)).collect();
+        let idt = project_columns(rel, &all).unwrap();
         assert_eq!(&idt, rel.as_ref());
     }
 

@@ -18,8 +18,9 @@ use xdb_engine::exec::{
 };
 use xdb_engine::{Relation, Result};
 use xdb_obs::OpStat;
-use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::algebra::{Field, LogicalPlan};
 use xdb_sql::ast::{BinaryOp, Expr};
+use xdb_sql::bind::intern_fields;
 use xdb_sql::value::{DataType, Value};
 
 // ------------------------------------------------------- random relations
@@ -189,11 +190,7 @@ const SHAPES: [Shape; 6] = [
 
 fn plan(case: &Case, shape: Shape) -> LogicalPlan {
     let scan = |name: &str, rel: &Relation| {
-        Box::new(LogicalPlan::Scan {
-            relation: name.into(),
-            alias: name.into(),
-            fields: rel.fields.clone(),
-        })
+        LogicalPlan::scan(name, name, intern_fields(&rel.fields).iter().cloned())
     };
     let (left, right) = (scan("p", &case.probe), scan("b", &case.build));
     let on = (0..case.nkeys)
@@ -208,18 +205,13 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
         on.then(|| Expr::binary(BinaryOp::Lt, Expr::qcol("p", "x"), Expr::qcol("b", "x")))
     };
     match shape {
-        Shape::Inner { residual: r } => LogicalPlan::Join {
-            left,
-            right,
-            on,
-            residual: residual(r),
-        },
+        Shape::Inner { residual: r } => left.join_on(right, on, residual(r)),
         Shape::Semi {
             negated,
             residual: r,
         } => LogicalPlan::SemiJoin {
-            left,
-            right,
+            left: Box::new(left),
+            right: Box::new(right),
             on,
             residual: residual(r),
             negated,
@@ -236,7 +228,7 @@ struct Resolver<'a> {
 }
 
 impl ScanResolver for Resolver<'_> {
-    fn scan(&self, relation: &str, wanted: &[(String, DataType)]) -> Result<ScanOutput> {
+    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
         let rel = if relation == "b" {
             &self.case.build
         } else {
@@ -256,7 +248,7 @@ impl ScanResolver for Resolver<'_> {
     fn scan_stream(
         &self,
         relation: &str,
-        _wanted: &[(String, DataType)],
+        _wanted: &[Field],
         on_morsel: &mut MorselSink<'_>,
     ) -> Result<Option<StreamedScan>> {
         let (Some(chunk), "p") = (self.chunk, relation) else {

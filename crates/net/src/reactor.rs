@@ -37,6 +37,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// backpressure on the decoder after this many chunks.
 pub const EDGE_CHANNEL_CAPACITY: usize = 4;
 
+/// The host's available parallelism (1 when unknown), asked once per
+/// process: the standard library re-reads the scheduler affinity and the
+/// cgroup quota files on every call, and the executors ask per submit.
+pub fn host_parallelism() -> usize {
+    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// Resolve the reactor worker count from the environment.
 ///
 /// `XDB_REACTOR_THREADS` overrides (0 = off, everything runs inline on
@@ -54,7 +62,7 @@ pub fn default_threads() -> usize {
     if std::env::var_os("XDB_SEQUENTIAL").is_some() {
         return 0;
     }
-    std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(1).min(8))
+    host_parallelism().saturating_sub(1).min(8)
 }
 
 /// Error returned by channel operations after a panic poisoned the edge.

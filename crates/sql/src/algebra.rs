@@ -7,24 +7,28 @@
 //! (qualifier + column name), never positional indexes, so a sub-tree can be
 //! rendered as SQL for any DBMS without further context.
 
+pub use crate::ast::Name;
 use crate::ast::{BinaryOp, Expr, OrderByExpr, SelectItem, SelectStmt, TableRef};
 use crate::value::DataType;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// A named, typed output column of a plan node.
+/// A named, typed output column of a plan node. Cloning one bumps two
+/// reference counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Table alias this column is addressable by, if any.
-    pub qualifier: Option<String>,
-    pub name: String,
+    pub qualifier: Option<Name>,
+    pub name: Name,
     pub data_type: DataType,
 }
 
 impl Field {
     pub fn new(qualifier: Option<&str>, name: &str, data_type: DataType) -> Field {
         Field {
-            qualifier: qualifier.map(str::to_string),
-            name: name.to_string(),
+            qualifier: qualifier.map(Name::from),
+            name: name.into(),
             data_type,
         }
     }
@@ -32,12 +36,51 @@ impl Field {
     pub fn bare(name: &str, data_type: DataType) -> Field {
         Field::new(None, name, data_type)
     }
+
+    /// The column reference that addresses this field, sharing its names.
+    pub fn column(&self) -> Expr {
+        Expr::Column {
+            qualifier: self.qualifier.clone(),
+            name: self.name.clone(),
+        }
+    }
 }
 
-/// An ordered set of fields; the output schema of a plan node.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// `fields` as owned `(name, type)` pairs: the shape in which relations and
+/// DDL column lists carry them.
+pub fn named_columns(fields: &[Field]) -> Vec<(String, DataType)> {
+    fields
+        .iter()
+        .map(|f| (f.name.to_string(), f.data_type))
+        .collect()
+}
+
+/// An ordered set of fields; the output schema of a plan node. The field
+/// list is shared, so a clone is one reference-count bump.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanSchema {
-    pub fields: Vec<Field>,
+    pub fields: Arc<[Field]>,
+}
+
+impl Default for PlanSchema {
+    fn default() -> PlanSchema {
+        PlanSchema::new(Vec::new())
+    }
+}
+
+/// The output schema a plan node was built with. Only the constructors of
+/// [`LogicalPlan`] make one, from the node's own children, so a node cannot
+/// carry a schema that disagrees with its inputs: a rewrite that changes a
+/// child has to go through the constructor again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeSchema(PlanSchema);
+
+impl Deref for NodeSchema {
+    type Target = PlanSchema;
+
+    fn deref(&self) -> &PlanSchema {
+        &self.0
+    }
 }
 
 /// Schema resolution errors.
@@ -60,7 +103,9 @@ impl std::error::Error for SchemaError {}
 
 impl PlanSchema {
     pub fn new(fields: Vec<Field>) -> PlanSchema {
-        PlanSchema { fields }
+        PlanSchema {
+            fields: fields.into(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -97,9 +142,9 @@ impl PlanSchema {
 
     /// Concatenate two schemas (join output).
     pub fn join(&self, right: &PlanSchema) -> PlanSchema {
-        let mut fields = self.fields.clone();
-        fields.extend(right.fields.iter().cloned());
-        PlanSchema { fields }
+        PlanSchema {
+            fields: self.fields.iter().chain(&*right.fields).cloned().collect(),
+        }
     }
 }
 
@@ -179,23 +224,31 @@ impl AggCall {
 }
 
 /// A logical query plan.
+///
+/// The four operators that define an output schema (`Project`, `Join`,
+/// `Aggregate`, `SubqueryAlias`) and the two leaves carry it in a `schema`
+/// field that their constructors fill in ([`LogicalPlan::scan`],
+/// [`LogicalPlan::placeholder`], [`LogicalPlan::project`],
+/// [`LogicalPlan::join_on`], [`LogicalPlan::aggregate`],
+/// [`LogicalPlan::alias`]); the other operators pass their input's schema
+/// through. Build and rebuild those six through the constructors only.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Scan of a base relation / view / foreign table `relation`, addressed
-    /// in the plan by `alias`. `fields` is the scan's output schema, with
-    /// every field qualified by `alias`.
+    /// in the plan by `alias`: every field of `schema` is qualified by it.
     Scan {
         relation: String,
         alias: String,
-        fields: Vec<(String, DataType)>,
+        schema: NodeSchema,
     },
     /// The `?` dummy operator of a delegation plan: a stand-in for the
     /// output of another task (Section IV-B3). `name` is the relation the
-    /// delegation engine binds it to (foreign table or materialized table).
+    /// delegation engine binds it to (foreign table or materialized table);
+    /// it is not part of the schema and may be rebound in place.
     Placeholder {
         name: String,
         alias: String,
-        fields: Vec<(String, DataType)>,
+        schema: NodeSchema,
     },
     Filter {
         input: Box<LogicalPlan>,
@@ -205,6 +258,7 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// (expression, output name) pairs.
         exprs: Vec<(Expr, String)>,
+        schema: NodeSchema,
     },
     /// Semi (`EXISTS` / `IN subquery`) or anti (`NOT EXISTS`) join: emits
     /// each left row with at least one (resp. zero) matching right row.
@@ -229,6 +283,7 @@ pub enum LogicalPlan {
         on: Vec<(Expr, Expr)>,
         /// Extra condition evaluated against the joined row.
         residual: Option<Expr>,
+        schema: NodeSchema,
     },
     Aggregate {
         input: Box<LogicalPlan>,
@@ -236,6 +291,7 @@ pub enum LogicalPlan {
         group_by: Vec<(Expr, String)>,
         /// (aggregate call, output name) pairs.
         aggregates: Vec<(AggCall, String)>,
+        schema: NodeSchema,
     },
     Sort {
         input: Box<LogicalPlan>,
@@ -254,13 +310,55 @@ pub enum LogicalPlan {
     SubqueryAlias {
         input: Box<LogicalPlan>,
         alias: String,
+        schema: NodeSchema,
     },
     /// Produces exactly one empty row; the plan for `SELECT <consts>`
     /// without a FROM clause.
     OneRow,
 }
 
+/// Schema of a leaf: `fields`, each qualified by `alias`.
+fn leaf_schema(alias: &str, fields: impl IntoIterator<Item = (Name, DataType)>) -> NodeSchema {
+    let alias: Name = alias.into();
+    NodeSchema(PlanSchema {
+        fields: fields
+            .into_iter()
+            .map(|(name, data_type)| Field {
+                qualifier: Some(alias.clone()),
+                name,
+                data_type,
+            })
+            .collect(),
+    })
+}
+
 impl LogicalPlan {
+    pub fn scan(
+        relation: impl Into<String>,
+        alias: impl Into<String>,
+        fields: impl IntoIterator<Item = (Name, DataType)>,
+    ) -> LogicalPlan {
+        let alias = alias.into();
+        LogicalPlan::Scan {
+            relation: relation.into(),
+            schema: leaf_schema(&alias, fields),
+            alias,
+        }
+    }
+
+    pub fn placeholder(
+        name: impl Into<String>,
+        alias: impl Into<String>,
+        fields: impl IntoIterator<Item = (Name, DataType)>,
+    ) -> LogicalPlan {
+        let alias = alias.into();
+        LogicalPlan::Placeholder {
+            name: name.into(),
+            schema: leaf_schema(&alias, fields),
+            alias,
+        }
+    }
+
     pub fn filter(self, predicate: Expr) -> LogicalPlan {
         LogicalPlan::Filter {
             input: Box::new(self),
@@ -269,63 +367,89 @@ impl LogicalPlan {
     }
 
     pub fn project(self, exprs: Vec<(Expr, String)>) -> LogicalPlan {
+        let in_schema = self.schema();
+        let fields = exprs
+            .iter()
+            .map(|(e, name)| Field::bare(name, infer_type(e, in_schema).unwrap_or(DataType::Float)))
+            .collect();
         LogicalPlan::Project {
+            schema: NodeSchema(PlanSchema { fields }),
             input: Box::new(self),
             exprs,
         }
     }
 
     pub fn join(self, right: LogicalPlan, on: Vec<(Expr, Expr)>) -> LogicalPlan {
+        self.join_on(right, on, None)
+    }
+
+    pub fn join_on(
+        self,
+        right: LogicalPlan,
+        on: Vec<(Expr, Expr)>,
+        residual: Option<Expr>,
+    ) -> LogicalPlan {
         LogicalPlan::Join {
+            schema: NodeSchema(self.schema().join(right.schema())),
             left: Box::new(self),
             right: Box::new(right),
             on,
-            residual: None,
+            residual,
         }
     }
 
-    /// Output schema of this node.
-    pub fn schema(&self) -> PlanSchema {
+    pub fn aggregate(
+        self,
+        group_by: Vec<(Expr, String)>,
+        aggregates: Vec<(AggCall, String)>,
+    ) -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            schema: NodeSchema(aggregate_schema(self.schema(), &group_by, &aggregates)),
+            input: Box::new(self),
+            group_by,
+            aggregates,
+        }
+    }
+
+    /// Re-qualify the output of `self` with `alias` (a derived table or an
+    /// expanded view).
+    pub fn alias(self, alias: impl Into<String>) -> LogicalPlan {
+        let alias = alias.into();
+        let qualifier: Name = alias.as_str().into();
+        let fields = self
+            .schema()
+            .fields
+            .iter()
+            .map(|f| Field {
+                qualifier: Some(qualifier.clone()),
+                ..f.clone()
+            })
+            .collect();
+        LogicalPlan::SubqueryAlias {
+            schema: NodeSchema(PlanSchema { fields }),
+            input: Box::new(self),
+            alias,
+        }
+    }
+
+    /// Output schema of this node: the one it was built with, or its
+    /// input's for the operators that do not change it. Never computed
+    /// here and never allocated.
+    pub fn schema(&self) -> &PlanSchema {
+        static EMPTY: std::sync::OnceLock<PlanSchema> = std::sync::OnceLock::new();
         match self {
-            LogicalPlan::Scan { alias, fields, .. }
-            | LogicalPlan::Placeholder { alias, fields, .. } => PlanSchema::new(
-                fields
-                    .iter()
-                    .map(|(n, t)| Field::new(Some(alias), n, *t))
-                    .collect(),
-            ),
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Placeholder { schema, .. }
+            | LogicalPlan::Project { schema, .. }
+            | LogicalPlan::Join { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::SubqueryAlias { schema, .. } => schema,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
             | LogicalPlan::Distinct { input } => input.schema(),
-            LogicalPlan::SubqueryAlias { input, alias } => PlanSchema::new(
-                input
-                    .schema()
-                    .fields
-                    .into_iter()
-                    .map(|f| Field::new(Some(alias), &f.name, f.data_type))
-                    .collect(),
-            ),
-            LogicalPlan::OneRow => PlanSchema::default(),
-            LogicalPlan::Project { input, exprs } => {
-                let in_schema = input.schema();
-                PlanSchema::new(
-                    exprs
-                        .iter()
-                        .map(|(e, name)| {
-                            let ty = infer_type(e, &in_schema).unwrap_or(DataType::Float);
-                            Field::bare(name, ty)
-                        })
-                        .collect(),
-                )
-            }
-            LogicalPlan::Join { left, right, .. } => left.schema().join(&right.schema()),
             LogicalPlan::SemiJoin { left, .. } => left.schema(),
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => aggregate_schema(&input.schema(), group_by, aggregates),
+            LogicalPlan::OneRow => EMPTY.get_or_init(PlanSchema::default),
         }
     }
 
@@ -537,10 +661,8 @@ impl LogicalPlan {
     }
 }
 
-/// Output schema of an aggregation, given its *input* schema. Shared by
-/// [`LogicalPlan::schema`] and executors that already hold the input schema
-/// (so they need not reconstruct the plan node to learn its output shape).
-pub fn aggregate_schema(
+/// Output schema of an aggregation, given its *input* schema.
+fn aggregate_schema(
     in_schema: &PlanSchema,
     group_by: &[(Expr, String)],
     aggregates: &[(AggCall, String)],
@@ -682,7 +804,7 @@ impl SelectBuilder {
         let mut new_outputs = Vec::with_capacity(self.outputs.len());
         let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (field, expr) in &self.outputs {
-            let mut out_name = field.name.clone();
+            let mut out_name = field.name.to_string();
             if !used.insert(out_name.to_ascii_lowercase()) {
                 out_name = match &field.qualifier {
                     Some(q) => format!("{q}_{}", field.name),
@@ -698,10 +820,9 @@ impl SelectBuilder {
                 expr: expr.clone(),
                 alias: Some(out_name.clone()),
             });
-            new_outputs.push((
-                Field::new(Some(&alias), &out_name, field.data_type),
-                Expr::qcol(alias.clone(), out_name.clone()),
-            ));
+            let wrapped = Field::new(Some(&alias), &out_name, field.data_type);
+            let column = wrapped.column();
+            new_outputs.push((wrapped, column));
         }
         self.stmt.projection = items;
         let inner = std::mem::take(&mut self.stmt);
@@ -740,6 +861,17 @@ impl SelectBuilder {
         }
     }
 
+    /// The block's outputs as an explicit projection list.
+    fn output_items(&self) -> Vec<SelectItem> {
+        self.outputs
+            .iter()
+            .map(|(field, expr)| SelectItem::Expr {
+                expr: expr.clone(),
+                alias: Some(field.name.to_string()),
+            })
+            .collect()
+    }
+
     fn has_order_or_limit(&self) -> bool {
         !self.stmt.order_by.is_empty() || self.stmt.limit.is_some()
     }
@@ -755,14 +887,7 @@ pub fn plan_to_select(plan: &LogicalPlan) -> Result<SelectStmt, SchemaError> {
     // Materialize the final projection (replace `*` with explicit items so
     // output names are stable even for scans).
     if !b.outputs.is_empty() && matches!(b.stmt.projection.as_slice(), [SelectItem::Wildcard]) {
-        b.stmt.projection = b
-            .outputs
-            .iter()
-            .map(|(field, expr)| SelectItem::Expr {
-                expr: expr.clone(),
-                alias: Some(field.name.clone()),
-            })
-            .collect();
+        b.stmt.projection = b.output_items();
     }
     Ok(b.stmt)
 }
@@ -772,12 +897,12 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
         LogicalPlan::Scan {
             relation,
             alias,
-            fields,
+            schema,
         }
         | LogicalPlan::Placeholder {
             name: relation,
             alias,
-            fields,
+            schema,
         } => {
             let stmt = SelectStmt {
                 projection: vec![SelectItem::Wildcard],
@@ -791,14 +916,10 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 }],
                 ..Default::default()
             };
-            let outputs = fields
+            let outputs = schema
+                .fields
                 .iter()
-                .map(|(n, t)| {
-                    (
-                        Field::new(Some(alias), n, *t),
-                        Expr::qcol(alias.clone(), n.clone()),
-                    )
-                })
+                .map(|f| (f.clone(), f.column()))
                 .collect();
             Ok(SelectBuilder {
                 stmt,
@@ -812,34 +933,29 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             if b.grouped || b.has_order_or_limit() || b.stmt.distinct {
                 b.wrap();
             }
-            let pred = b.rewrite(predicate, &input.schema())?;
+            let pred = b.rewrite(predicate, input.schema())?;
             b.stmt.selection = Some(match b.stmt.selection.take() {
                 Some(existing) => Expr::and(existing, pred),
                 None => pred,
             });
             Ok(b)
         }
-        LogicalPlan::Project { input, exprs } => {
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => {
             let mut b = build(input)?;
             if b.has_order_or_limit() || b.stmt.distinct {
                 b.wrap();
             }
             let in_schema = input.schema();
             let mut new_outputs = Vec::with_capacity(exprs.len());
-            for (e, name) in exprs {
-                let rewritten = b.rewrite(e, &in_schema)?;
-                let ty = infer_type(e, &in_schema).unwrap_or(DataType::Float);
-                new_outputs.push((Field::bare(name, ty), rewritten));
+            for ((e, _), field) in exprs.iter().zip(&*schema.fields) {
+                new_outputs.push((field.clone(), b.rewrite(e, in_schema)?));
             }
             b.outputs = new_outputs;
-            b.stmt.projection = b
-                .outputs
-                .iter()
-                .map(|(f, e)| SelectItem::Expr {
-                    expr: e.clone(),
-                    alias: Some(f.name.clone()),
-                })
-                .collect();
+            b.stmt.projection = b.output_items();
             Ok(b)
         }
         LogicalPlan::SemiJoin {
@@ -864,14 +980,14 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             let rschema = right.schema();
             let mut inner_conds: Vec<Expr> = Vec::new();
             for (le, re) in on {
-                let l = lb.rewrite(le, &lschema)?;
-                let r = rb.rewrite(re, &rschema)?;
+                let l = lb.rewrite(le, lschema)?;
+                let r = rb.rewrite(re, rschema)?;
                 inner_conds.push(Expr::eq(l, r));
             }
             if let Some(res) = residual {
                 // Residual references the concatenated schema: left refs
                 // rewrite through lb, right refs through rb.
-                let joined = lschema.join(&rschema);
+                let joined = lschema.join(rschema);
                 let mut err = None;
                 let rewritten = res.clone().transform(&mut |x| match &x {
                     Expr::Column { qualifier, name } => {
@@ -915,6 +1031,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             right,
             on,
             residual,
+            schema,
         } => {
             let mut lb = build(left)?;
             let mut rb = build(right)?;
@@ -929,11 +1046,10 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             // Merge FROM lists and WHERE clauses.
             let mut conds = Vec::new();
             for (le, re) in on {
-                let l = lb.rewrite(le, &lschema)?;
-                let r = rb.rewrite(re, &rschema)?;
+                let l = lb.rewrite(le, lschema)?;
+                let r = rb.rewrite(re, rschema)?;
                 conds.push(Expr::eq(l, r));
             }
-            let joined_schema = lschema.join(&rschema);
             let mut outputs = lb.outputs.clone();
             // Offset sub-counter to keep generated aliases unique.
             let base = lb.next_sub.max(rb.next_sub);
@@ -949,7 +1065,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 next_sub: base,
             };
             let residual_rewritten = match residual {
-                Some(res) => Some(b.rewrite(res, &joined_schema)?),
+                Some(res) => Some(b.rewrite(res, schema)?),
                 None => None,
             };
             b.stmt.selection = Expr::conjoin(
@@ -965,44 +1081,35 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             input,
             group_by,
             aggregates,
+            schema,
         } => {
             let mut b = build(input)?;
             if b.grouped || b.has_order_or_limit() || b.stmt.distinct {
                 b.wrap();
             }
             let in_schema = input.schema();
-            let mut items = Vec::new();
-            let mut outputs = Vec::new();
-            let mut group_exprs = Vec::new();
-            for (e, name) in group_by {
-                let rewritten = b.rewrite(e, &in_schema)?;
-                let ty = infer_type(e, &in_schema).unwrap_or(DataType::Str);
-                items.push(SelectItem::Expr {
-                    expr: rewritten.clone(),
-                    alias: Some(name.clone()),
-                });
+            let mut fields = schema.fields.iter().cloned();
+            let mut outputs = Vec::with_capacity(schema.len());
+            let mut group_exprs = Vec::with_capacity(group_by.len());
+            for ((e, _), field) in group_by.iter().zip(&mut fields) {
+                let rewritten = b.rewrite(e, in_schema)?;
                 group_exprs.push(rewritten.clone());
-                outputs.push((Field::bare(name, ty), rewritten));
+                outputs.push((field, rewritten));
             }
-            for (agg, name) in aggregates {
+            for ((agg, _), field) in aggregates.iter().zip(fields) {
                 let call = AggCall {
                     func: agg.func,
                     arg: match &agg.arg {
-                        Some(a) => Some(b.rewrite(a, &in_schema)?),
+                        Some(a) => Some(b.rewrite(a, in_schema)?),
                         None => None,
                     },
                     distinct: agg.distinct,
                 };
-                let e = call.to_expr();
-                items.push(SelectItem::Expr {
-                    expr: e.clone(),
-                    alias: Some(name.clone()),
-                });
-                outputs.push((Field::bare(name, agg.output_type(&in_schema)), e));
+                outputs.push((field, call.to_expr()));
             }
-            b.stmt.projection = items;
-            b.stmt.group_by = group_exprs;
             b.outputs = outputs;
+            b.stmt.projection = b.output_items();
+            b.stmt.group_by = group_exprs;
             b.grouped = true;
             Ok(b)
         }
@@ -1014,7 +1121,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             let in_schema = input.schema();
             let mut order_by = Vec::new();
             for (e, desc) in keys {
-                let rewritten = b.rewrite(e, &in_schema)?;
+                let rewritten = b.rewrite(e, in_schema)?;
                 order_by.push(OrderByExpr {
                     expr: rewritten,
                     desc: *desc,
@@ -1031,28 +1138,24 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             b.stmt.limit = Some(*fetch);
             Ok(b)
         }
-        LogicalPlan::SubqueryAlias { input, alias } => {
+        LogicalPlan::SubqueryAlias { input, alias, .. } => {
             let mut b = build(input)?;
             // Render the input as a derived table under the given alias.
             if matches!(b.stmt.projection.as_slice(), [SelectItem::Wildcard]) {
-                b.stmt.projection = b
-                    .outputs
-                    .iter()
-                    .map(|(f, e)| SelectItem::Expr {
-                        expr: e.clone(),
-                        alias: Some(f.name.clone()),
-                    })
-                    .collect();
+                b.stmt.projection = b.output_items();
             }
             let inner = std::mem::take(&mut b.stmt);
+            let qualifier: Name = alias.as_str().into();
             let outputs = b
                 .outputs
                 .iter()
                 .map(|(f, _)| {
-                    (
-                        Field::new(Some(alias), &f.name, f.data_type),
-                        Expr::qcol(alias.clone(), f.name.clone()),
-                    )
+                    let field = Field {
+                        qualifier: Some(qualifier.clone()),
+                        ..f.clone()
+                    };
+                    let column = field.column();
+                    (field, column)
                 })
                 .collect();
             Ok(SelectBuilder {
@@ -1085,14 +1188,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             }
             // DISTINCT applies to the visible output columns.
             if matches!(b.stmt.projection.as_slice(), [SelectItem::Wildcard]) {
-                b.stmt.projection = b
-                    .outputs
-                    .iter()
-                    .map(|(f, e)| SelectItem::Expr {
-                        expr: e.clone(),
-                        alias: Some(f.name.clone()),
-                    })
-                    .collect();
+                b.stmt.projection = b.output_items();
             }
             b.stmt.distinct = true;
             Ok(b)
@@ -1117,11 +1213,7 @@ mod tests {
     use crate::value::Value;
 
     fn scan(rel: &str, alias: &str, cols: &[(&str, DataType)]) -> LogicalPlan {
-        LogicalPlan::Scan {
-            relation: rel.to_string(),
-            alias: alias.to_string(),
-            fields: cols.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
-        }
+        LogicalPlan::scan(rel, alias, cols.iter().map(|(n, t)| (Name::from(*n), *t)))
     }
 
     #[test]
@@ -1174,7 +1266,7 @@ mod tests {
         let schema = s.schema();
         let check = |sql: &str, ty: DataType| {
             let e = crate::parser::parse_expr(sql).unwrap();
-            assert_eq!(infer_type(&e, &schema).unwrap(), ty, "for {sql}");
+            assert_eq!(infer_type(&e, schema).unwrap(), ty, "for {sql}");
         };
         check("i + 1", DataType::Int);
         check("i + f", DataType::Float);
@@ -1217,14 +1309,9 @@ mod tests {
 
     #[test]
     fn lower_aggregate() {
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(scan(
-                "t",
-                "t",
-                &[("g", DataType::Str), ("v", DataType::Float)],
-            )),
-            group_by: vec![(Expr::qcol("t", "g"), "g".to_string())],
-            aggregates: vec![(
+        let plan = scan("t", "t", &[("g", DataType::Str), ("v", DataType::Float)]).aggregate(
+            vec![(Expr::qcol("t", "g"), "g".to_string())],
+            vec![(
                 AggCall {
                     func: AggFunc::Sum,
                     arg: Some(Expr::qcol("t", "v")),
@@ -1232,7 +1319,7 @@ mod tests {
                 },
                 "total".to_string(),
             )],
-        };
+        );
         let stmt = plan_to_select(&plan).unwrap();
         let sql = render_select_string(&stmt, Dialect::Generic);
         assert_eq!(
@@ -1243,14 +1330,9 @@ mod tests {
 
     #[test]
     fn lower_filter_after_aggregate_wraps() {
-        let agg = LogicalPlan::Aggregate {
-            input: Box::new(scan(
-                "t",
-                "t",
-                &[("g", DataType::Str), ("v", DataType::Float)],
-            )),
-            group_by: vec![(Expr::qcol("t", "g"), "g".to_string())],
-            aggregates: vec![(
+        let agg = scan("t", "t", &[("g", DataType::Str), ("v", DataType::Float)]).aggregate(
+            vec![(Expr::qcol("t", "g"), "g".to_string())],
+            vec![(
                 AggCall {
                     func: AggFunc::Sum,
                     arg: Some(Expr::qcol("t", "v")),
@@ -1258,7 +1340,7 @@ mod tests {
                 },
                 "total".to_string(),
             )],
-        };
+        );
         let filtered = agg.filter(Expr::binary(
             BinaryOp::Gt,
             Expr::col("total"),
@@ -1276,10 +1358,9 @@ mod tests {
     fn lower_post_agg_projection_inlines() {
         // Project(total / cnt) over Aggregate — references substitute to
         // the aggregate expressions inside the same block.
-        let agg = LogicalPlan::Aggregate {
-            input: Box::new(scan("t", "t", &[("v", DataType::Float)])),
-            group_by: vec![],
-            aggregates: vec![
+        let agg = scan("t", "t", &[("v", DataType::Float)]).aggregate(
+            vec![],
+            vec![
                 (
                     AggCall {
                         func: AggFunc::Sum,
@@ -1297,7 +1378,7 @@ mod tests {
                     "cnt".to_string(),
                 ),
             ],
-        };
+        );
         let proj = agg.project(vec![(
             Expr::binary(BinaryOp::Div, Expr::col("total"), Expr::col("cnt")),
             "mean".to_string(),
@@ -1322,11 +1403,7 @@ mod tests {
 
     #[test]
     fn lower_placeholder_as_table() {
-        let plan = LogicalPlan::Placeholder {
-            name: "xdb_vvn".to_string(),
-            alias: "vvn".to_string(),
-            fields: vec![("type".to_string(), DataType::Str)],
-        };
+        let plan = LogicalPlan::placeholder("xdb_vvn", "vvn", [("type".into(), DataType::Str)]);
         let sql = render_select_string(&plan_to_select(&plan).unwrap(), Dialect::Generic);
         assert_eq!(sql, "SELECT vvn.type AS type FROM xdb_vvn AS vvn");
     }
@@ -1335,13 +1412,13 @@ mod tests {
     fn compact_notation_matches_paper_style() {
         let v = scan("Vaccines", "V", &[("id", DataType::Int)]);
         let vn = scan("Vaccination", "VN", &[("v_id", DataType::Int)]);
-        let plan = LogicalPlan::Project {
-            input: Box::new(v.project(vec![(Expr::qcol("V", "id"), "id".into())]).join(
+        let plan = v
+            .project(vec![(Expr::qcol("V", "id"), "id".into())])
+            .join(
                 vn.project(vec![(Expr::qcol("VN", "v_id"), "v_id".into())]),
                 vec![],
-            )),
-            exprs: vec![(Expr::col("id"), "id".into())],
-        };
+            )
+            .project(vec![(Expr::col("id"), "id".into())]);
         assert_eq!(plan.compact_notation(), "π(⋈(π(V),π(VN)))");
     }
 

@@ -193,13 +193,18 @@ pub enum IntervalUnit {
     Day,
 }
 
+/// A relation or column name, interned: the catalogs allocate it once per
+/// relation, and every schema and column reference that mentions it shares
+/// that allocation.
+pub type Name = std::sync::Arc<str>;
+
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// `[qualifier.]name`
     Column {
-        qualifier: Option<String>,
-        name: String,
+        qualifier: Option<Name>,
+        name: Name,
     },
     Literal(Value),
     /// `INTERVAL '<n>' <unit>`; only meaningful added to / subtracted from
@@ -276,14 +281,14 @@ pub enum Expr {
 }
 
 impl Expr {
-    pub fn col(name: impl Into<String>) -> Expr {
+    pub fn col(name: impl Into<Name>) -> Expr {
         Expr::Column {
             qualifier: None,
             name: name.into(),
         }
     }
 
-    pub fn qcol(qualifier: impl Into<String>, name: impl Into<String>) -> Expr {
+    pub fn qcol(qualifier: impl Into<Name>, name: impl Into<Name>) -> Expr {
         Expr::Column {
             qualifier: Some(qualifier.into()),
             name: name.into(),
@@ -506,7 +511,7 @@ impl Expr {
         let mut out = Vec::new();
         self.walk(&mut |e| {
             if let Expr::Column { qualifier, name } = e {
-                out.push((qualifier.as_deref(), name.as_str()));
+                out.push((qualifier.as_deref(), &**name));
             }
         });
         out
@@ -608,7 +613,7 @@ mod tests {
     fn transform_rewrites_leaves() {
         let e = Expr::and(Expr::col("a"), Expr::col("b"));
         let rewritten = e.transform(&mut |x| match x {
-            Expr::Column { name, .. } if name == "a" => Expr::col("z"),
+            Expr::Column { name, .. } if &*name == "a" => Expr::col("z"),
             other => other,
         });
         assert_eq!(rewritten, Expr::and(Expr::col("z"), Expr::col("b")));

@@ -12,18 +12,33 @@
 //! `Filter` on top. Join-graph normalization and ordering happen later in
 //! [`crate::optimize`].
 
-use crate::algebra::{AggCall, AggFunc, LogicalPlan, PlanSchema, SchemaError};
+use crate::algebra::{AggCall, AggFunc, LogicalPlan, Name, PlanSchema, SchemaError};
 use crate::ast::{Expr, SelectItem, SelectStmt, TableRef};
 use crate::value::{DataType, Value};
 use std::fmt;
+use std::sync::Arc;
 
-/// What a relation name resolves to in a catalog.
+/// The column list of a base or foreign table, interned by the catalog that
+/// owns the relation.
+pub type RelationFields = Arc<[(Name, DataType)]>;
+
+/// Intern a column list: what a catalog does once, when it learns of the
+/// relation.
+pub fn intern_fields<S: AsRef<str>>(fields: &[(S, DataType)]) -> RelationFields {
+    fields
+        .iter()
+        .map(|(n, t)| (Name::from(n.as_ref()), *t))
+        .collect()
+}
+
+/// What a relation name resolves to in a catalog. Both arms share the
+/// catalog's own copy.
 #[derive(Debug, Clone)]
 pub enum ResolvedRelation {
     /// A base table or foreign table with a fixed schema.
-    Base { fields: Vec<(String, DataType)> },
+    Base { fields: RelationFields },
     /// A view; binding expands its definition in place.
-    View { query: Box<SelectStmt> },
+    View { query: Arc<SelectStmt> },
 }
 
 /// Source of relation schemas for binding.
@@ -105,7 +120,7 @@ impl<'a> Binder<'a> {
             }
         }
         if let Some(pred) = Expr::conjoin(scalar) {
-            validate_expr(&pred, &plan.schema())?;
+            validate_expr(&pred, plan.schema())?;
             plan = plan.filter(pred);
         }
         for sq in subqueries {
@@ -113,35 +128,23 @@ impl<'a> Binder<'a> {
         }
 
         // 2. Projection list with output names.
-        let input_schema = plan.schema();
+        let input_schema = plan.schema().clone();
         let mut proj: Vec<(Expr, String)> = Vec::new();
         for (i, item) in stmt.projection.iter().enumerate() {
             match item {
                 SelectItem::Wildcard => {
-                    for f in &input_schema.fields {
-                        proj.push((
-                            Expr::Column {
-                                qualifier: f.qualifier.clone(),
-                                name: f.name.clone(),
-                            },
-                            f.name.clone(),
-                        ));
+                    for f in &*input_schema.fields {
+                        proj.push((f.column(), f.name.to_string()));
                     }
                 }
                 SelectItem::QualifiedWildcard(q) => {
                     let mut any = false;
-                    for f in &input_schema.fields {
+                    for f in &*input_schema.fields {
                         if f.qualifier
                             .as_deref()
                             .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
                         {
-                            proj.push((
-                                Expr::Column {
-                                    qualifier: f.qualifier.clone(),
-                                    name: f.name.clone(),
-                                },
-                                f.name.clone(),
-                            ));
+                            proj.push((f.column(), f.name.to_string()));
                             any = true;
                         }
                     }
@@ -171,18 +174,21 @@ impl<'a> Binder<'a> {
             }
             // ORDER BY binds against the projection output, falling back to
             // pre-projection columns (SQL allows ordering by hidden columns).
-            let projected = plan.clone().project(proj.clone());
+            let projected = plan.project(proj);
+            let LogicalPlan::Project { exprs: proj, .. } = &projected else {
+                unreachable!("project() builds a Project");
+            };
             let out_schema = projected.schema();
             let mut out_keys: Vec<(Expr, bool)> = Vec::new();
             let mut pre_keys: Vec<(Expr, bool)> = Vec::new();
             for ob in &stmt.order_by {
-                let key = self.resolve_order_key(&ob.expr, &proj)?;
-                if validate_expr(&key, &out_schema).is_ok() {
+                let key = self.resolve_order_key(&ob.expr, proj)?;
+                if validate_expr(&key, out_schema).is_ok() {
                     out_keys.push((key, ob.desc));
                 } else if validate_expr(&ob.expr, &input_schema).is_ok() {
                     pre_keys.push((ob.expr.clone(), ob.desc));
                 } else {
-                    validate_expr(&key, &out_schema)?; // surfaces the error
+                    validate_expr(&key, out_schema)?; // surfaces the error
                 }
             }
             if !pre_keys.is_empty() && !out_keys.is_empty() {
@@ -191,11 +197,15 @@ impl<'a> Binder<'a> {
                 ));
             }
             plan = if !pre_keys.is_empty() {
+                // The sort goes below the projection: take it apart again.
+                let LogicalPlan::Project { input, exprs, .. } = projected else {
+                    unreachable!("project() builds a Project");
+                };
                 LogicalPlan::Sort {
-                    input: Box::new(plan),
+                    input,
                     keys: pre_keys,
                 }
-                .project(proj)
+                .project(exprs)
             } else if !out_keys.is_empty() {
                 LogicalPlan::Sort {
                     input: Box::new(projected),
@@ -229,7 +239,7 @@ impl<'a> Binder<'a> {
     /// TPC-H Q4's `l_orderkey = o_orderkey`). Correlation is not supported
     /// through inner aggregation.
     fn bind_subquery_predicate(&self, outer: LogicalPlan, pred: Expr) -> Result<LogicalPlan> {
-        let outer_schema = outer.schema();
+        let outer_schema = outer.schema().clone();
         let (query, negated, in_expr) = match pred {
             Expr::Exists { query, negated } => (query, negated, None),
             Expr::InSubquery {
@@ -298,7 +308,7 @@ impl<'a> Binder<'a> {
         let mut decorrelated = (*query).clone();
         decorrelated.selection = Expr::conjoin(inner_preds);
         let probe_plan = self.select(&decorrelated)?;
-        let probe_schema = probe_plan.schema();
+        let probe_schema = probe_plan.schema().clone();
         let mut corr_refs: Vec<Expr> = Vec::with_capacity(correlations.len());
         let mut appended = false;
         for (i, (_, inner_e)) in correlations.iter().enumerate() {
@@ -349,18 +359,11 @@ impl<'a> Binder<'a> {
                     "IN subquery must produce exactly one column, got {visible}"
                 )));
             }
-            let f = &inner_schema.fields[0];
-            on.push((
-                e,
-                Expr::Column {
-                    qualifier: f.qualifier.clone(),
-                    name: f.name.clone(),
-                },
-            ));
+            on.push((e, inner_schema.fields[0].column()));
         }
         for ((outer_e, _), corr_ref) in correlations.into_iter().zip(corr_refs) {
             validate_expr(&outer_e, &outer_schema)?;
-            validate_expr(&corr_ref, &inner_schema).map_err(|e| BindError::new(e.to_string()))?;
+            validate_expr(&corr_ref, inner_schema).map_err(|e| BindError::new(e.to_string()))?;
             on.push((outer_e, corr_ref));
         }
         Ok(LogicalPlan::SemiJoin {
@@ -385,7 +388,7 @@ impl<'a> Binder<'a> {
                 None => bound,
             });
         }
-        Ok(plan.map(|p| p.schema()).unwrap_or_default())
+        Ok(plan.map(|p| p.schema().clone()).unwrap_or_default())
     }
 
     fn table_ref(&self, t: &TableRef, predicates: &mut Vec<Expr>) -> Result<LogicalPlan> {
@@ -397,27 +400,15 @@ impl<'a> Binder<'a> {
                     .ok_or_else(|| BindError::new(format!("unknown relation {name:?}")))?;
                 let scope = alias.clone().unwrap_or_else(|| name.clone());
                 match resolved {
-                    ResolvedRelation::Base { fields } => Ok(LogicalPlan::Scan {
-                        relation: name.clone(),
-                        alias: scope,
-                        fields,
-                    }),
-                    ResolvedRelation::View { query } => {
-                        let bound = self.select(&query)?;
-                        Ok(LogicalPlan::SubqueryAlias {
-                            input: Box::new(bound),
-                            alias: scope,
-                        })
-                    }
+                    ResolvedRelation::Base { fields } => Ok(LogicalPlan::scan(
+                        name.clone(),
+                        scope,
+                        fields.iter().cloned(),
+                    )),
+                    ResolvedRelation::View { query } => Ok(self.select(&query)?.alias(scope)),
                 }
             }
-            TableRef::Derived { query, alias } => {
-                let bound = self.select(query)?;
-                Ok(LogicalPlan::SubqueryAlias {
-                    input: Box::new(bound),
-                    alias: alias.clone(),
-                })
-            }
+            TableRef::Derived { query, alias } => Ok(self.select(query)?.alias(alias.clone())),
             TableRef::Join { left, right, on } => {
                 let l = self.table_ref(left, predicates)?;
                 let r = self.table_ref(right, predicates)?;
@@ -460,7 +451,7 @@ impl<'a> Binder<'a> {
                         (e.clone(), n.clone())
                     } else {
                         validate_expr(g, input_schema)?;
-                        (g.clone(), name.clone())
+                        (g.clone(), name.to_string())
                     }
                 }
                 other => {
@@ -472,7 +463,7 @@ impl<'a> Binder<'a> {
                         (e.clone(), n.clone())
                     } else {
                         let name = match other {
-                            Expr::Column { name, .. } => name.clone(),
+                            Expr::Column { name, .. } => name.to_string(),
                             _ => format!("group_{gi}"),
                         };
                         (other.clone(), name)
@@ -524,12 +515,8 @@ impl<'a> Binder<'a> {
             }
         }
 
-        let agg_plan = LogicalPlan::Aggregate {
-            input: Box::new(input),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        };
-        let agg_schema = agg_plan.schema();
+        let agg_plan = input.aggregate(group_by.clone(), aggregates.clone());
+        let agg_schema = agg_plan.schema().clone();
 
         // Rewrite an expression over the aggregate output: aggregate calls
         // and grouping expressions become column references.
@@ -562,12 +549,12 @@ impl<'a> Binder<'a> {
                 // alone cannot see a bare `count(*)`); other keys try the
                 // projected output first and fall back to the rewrite
                 // (which maps grouping expressions to their outputs).
-                let key = if key.contains_aggregate() || validate_expr(&key, &out_schema).is_err() {
+                let key = if key.contains_aggregate() || validate_expr(&key, out_schema).is_err() {
                     rewrite(&key)?
                 } else {
                     key
                 };
-                validate_expr(&key, &out_schema).map_err(|e| BindError::new(e.to_string()))?;
+                validate_expr(&key, out_schema).map_err(|e| BindError::new(e.to_string()))?;
                 keys.push((key, ob.desc));
             }
             plan = LogicalPlan::Sort {
@@ -620,7 +607,7 @@ fn output_name(e: &Expr, alias: Option<&str>, index: usize) -> String {
         return a.to_string();
     }
     match e {
-        Expr::Column { name, .. } => name.clone(),
+        Expr::Column { name, .. } => name.to_string(),
         Expr::Function { name, .. } => name.clone(),
         Expr::CountStar => "count".to_string(),
         Expr::Extract { field, .. } => format!("{field:?}").to_lowercase(),
@@ -813,28 +800,28 @@ mod tests {
         relations.insert(
             "citizen".to_string(),
             ResolvedRelation::Base {
-                fields: vec![
-                    ("id".to_string(), DataType::Int),
-                    ("name".to_string(), DataType::Str),
-                    ("age".to_string(), DataType::Int),
-                    ("address".to_string(), DataType::Str),
-                ],
+                fields: intern_fields(&[
+                    ("id", DataType::Int),
+                    ("name", DataType::Str),
+                    ("age", DataType::Int),
+                    ("address", DataType::Str),
+                ]),
             },
         );
         relations.insert(
             "vaccination".to_string(),
             ResolvedRelation::Base {
-                fields: vec![
-                    ("c_id".to_string(), DataType::Int),
-                    ("v_id".to_string(), DataType::Int),
-                    ("vdate".to_string(), DataType::Date),
-                ],
+                fields: intern_fields(&[
+                    ("c_id", DataType::Int),
+                    ("v_id", DataType::Int),
+                    ("vdate", DataType::Date),
+                ]),
             },
         );
         relations.insert(
             "adults".to_string(),
             ResolvedRelation::View {
-                query: Box::new(
+                query: Arc::new(
                     parse_select("SELECT id, age FROM citizen WHERE age >= 18").unwrap(),
                 ),
             },
@@ -854,7 +841,7 @@ mod tests {
     fn simple_projection() {
         let plan = bind("SELECT name, age FROM citizen");
         let schema = plan.schema();
-        assert_eq!(schema.fields[0].name, "name");
+        assert_eq!(&*schema.fields[0].name, "name");
         assert_eq!(schema.fields[1].data_type, DataType::Int);
     }
 
@@ -934,7 +921,7 @@ mod tests {
         let plan = bind("SELECT sum(age) / count(*) AS mean FROM citizen");
         // Project(mean = agg_x / agg_y) over Aggregate.
         match &plan {
-            LogicalPlan::Project { exprs, input } => {
+            LogicalPlan::Project { exprs, input, .. } => {
                 assert_eq!(exprs[0].1, "mean");
                 assert!(matches!(**input, LogicalPlan::Aggregate { .. }));
                 // The projection references aggregate outputs by name.
@@ -1084,7 +1071,7 @@ mod tests {
     #[test]
     fn no_from_constant_select() {
         let plan = bind("SELECT 1 AS one");
-        assert_eq!(plan.schema().fields[0].name, "one");
+        assert_eq!(&*plan.schema().fields[0].name, "one");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 3. **column pruning**: projection pushdown to the leaves, which is what
 //!    keeps inter-DBMS transfers small.
 
-use crate::algebra::{LogicalPlan, PlanSchema};
+use crate::algebra::{LogicalPlan, Name, PlanSchema};
 use crate::ast::{BinaryOp, Expr};
 use crate::stats::{Estimator, StatsProvider};
 
@@ -79,19 +79,13 @@ impl<'a> Ctx<'a> {
     fn rewrite(&self, plan: LogicalPlan) -> LogicalPlan {
         match plan {
             LogicalPlan::Filter { .. } | LogicalPlan::Join { .. } => self.spj_region(plan),
-            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-                input: Box::new(self.rewrite(*input)),
-                exprs,
-            },
+            LogicalPlan::Project { input, exprs, .. } => self.rewrite(*input).project(exprs),
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggregates,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(self.rewrite(*input)),
-                group_by,
-                aggregates,
-            },
+                ..
+            } => self.rewrite(*input).aggregate(group_by, aggregates),
             LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
                 input: Box::new(self.rewrite(*input)),
                 keys,
@@ -103,10 +97,7 @@ impl<'a> Ctx<'a> {
             LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
                 input: Box::new(self.rewrite(*input)),
             },
-            LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-                input: Box::new(self.rewrite(*input)),
-                alias,
-            },
+            LogicalPlan::SubqueryAlias { input, alias, .. } => self.rewrite(*input).alias(alias),
             // Semi joins bound an optimization region: each side is
             // optimized independently (predicates must not cross them).
             LogicalPlan::SemiJoin {
@@ -132,7 +123,7 @@ impl<'a> Ctx<'a> {
         let mut predicates: Vec<Expr> = Vec::new();
         self.collect_region(root, &mut relations, &mut predicates);
 
-        let schemas: Vec<PlanSchema> = relations.iter().map(|r| r.schema()).collect();
+        let schemas: Vec<PlanSchema> = relations.iter().map(|r| r.schema().clone()).collect();
 
         // Classify predicates.
         let mut filters: Vec<Vec<Expr>> = vec![Vec::new(); relations.len()];
@@ -212,12 +203,7 @@ impl<'a> Ctx<'a> {
                     used_residuals[ri] = true;
                 }
             }
-            plan = LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(right),
-                on,
-                residual: Expr::conjoin(residual_here),
-            };
+            plan = plan.join_on(right, on, Expr::conjoin(residual_here));
         }
         // Anything left over (constants, or predicates that failed
         // classification) goes on top.
@@ -283,12 +269,9 @@ impl<'a> Ctx<'a> {
                 .map(|(_, p)| p.clone())
                 .collect();
             let connected = !on.is_empty();
-            let joined = LogicalPlan::Join {
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-                on,
-                residual: Expr::conjoin(residual_here),
-            };
+            let joined = l
+                .clone()
+                .join_on(r.clone(), on, Expr::conjoin(residual_here));
             (joined, connected)
         };
         for mask in 1u64..=full {
@@ -379,6 +362,7 @@ impl<'a> Ctx<'a> {
                 right,
                 on,
                 residual,
+                ..
             } => {
                 self.collect_region(*left, relations, predicates);
                 self.collect_region(*right, relations, predicates);
@@ -689,7 +673,7 @@ fn classify(pred: &Expr, schemas: &[PlanSchema]) -> Classified {
 // ---------------------------------------------------------------------------
 
 /// A column requirement: qualifier (if any) and name.
-type Need = (Option<String>, String);
+type Need = (Option<Name>, Name);
 
 fn needs_of(e: &Expr, out: &mut Vec<Need>) {
     e.walk(&mut |x| {
@@ -720,45 +704,35 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
         LogicalPlan::Scan {
             relation,
             alias,
-            fields,
+            schema,
         } => {
-            let fields = match required {
-                Some(req) => {
-                    let kept: Vec<(String, crate::value::DataType)> = fields
-                        .iter()
-                        .filter(|(n, _)| req.iter().any(|need| satisfies(Some(&alias), n, need)))
-                        .cloned()
-                        .collect();
-                    if kept.is_empty() {
-                        // Keep one column so the scan still produces rows
-                        // (e.g. `count(*)`).
-                        fields.into_iter().take(1).collect()
-                    } else {
-                        kept
-                    }
-                }
-                None => fields,
+            let Some(req) = required else {
+                return LogicalPlan::Scan {
+                    relation,
+                    alias,
+                    schema,
+                };
             };
-            LogicalPlan::Scan {
-                relation,
-                alias,
-                fields,
+            let column = |f: &crate::algebra::Field| (f.name.clone(), f.data_type);
+            let mut fields: Vec<_> = schema
+                .fields
+                .iter()
+                .filter(|f| {
+                    req.iter()
+                        .any(|need| satisfies(Some(&alias), &f.name, need))
+                })
+                .map(column)
+                .collect();
+            if fields.is_empty() {
+                // Keep one column so the scan still produces rows (e.g.
+                // `count(*)`).
+                fields.extend(schema.fields.first().map(column));
             }
+            LogicalPlan::scan(relation, alias, fields)
         }
-        LogicalPlan::Placeholder {
-            name,
-            alias,
-            fields,
-        } => {
-            // Placeholders stand in for another task's already-shaped
-            // output; never prune them here.
-            LogicalPlan::Placeholder {
-                name,
-                alias,
-                fields,
-            }
-        }
-        LogicalPlan::OneRow => LogicalPlan::OneRow,
+        // Placeholders stand in for another task's already-shaped output;
+        // never prune them here.
+        leaf @ (LogicalPlan::Placeholder { .. } | LogicalPlan::OneRow) => leaf,
         LogicalPlan::Filter { input, predicate } => {
             let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
             let all = required.is_none();
@@ -769,7 +743,7 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                 predicate,
             }
         }
-        LogicalPlan::Project { input, exprs } => {
+        LogicalPlan::Project { input, exprs, .. } => {
             let exprs: Vec<(Expr, String)> = match required {
                 Some(req) => {
                     let kept: Vec<(Expr, String)> = exprs
@@ -789,10 +763,7 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
             for (e, _) in &exprs {
                 needs_of(e, &mut needs);
             }
-            LogicalPlan::Project {
-                input: Box::new(prune(*input, Some(&needs))),
-                exprs,
-            }
+            prune(*input, Some(&needs)).project(exprs)
         }
         LogicalPlan::SemiJoin {
             left,
@@ -827,6 +798,7 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
             right,
             on,
             residual,
+            ..
         } => {
             let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
             let keep_all = required.is_none();
@@ -859,17 +831,13 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                 }
                 (prune(*left, Some(&lneeds)), prune(*right, Some(&rneeds)))
             };
-            LogicalPlan::Join {
-                left: Box::new(lp),
-                right: Box::new(rp),
-                on,
-                residual,
-            }
+            lp.join_on(rp, on, residual)
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggregates,
+            ..
         } => {
             let mut needs = Vec::new();
             for (e, _) in &group_by {
@@ -880,11 +848,7 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                     needs_of(arg, &mut needs);
                 }
             }
-            LogicalPlan::Aggregate {
-                input: Box::new(prune(*input, Some(&needs))),
-                group_by,
-                aggregates,
-            }
+            prune(*input, Some(&needs)).aggregate(group_by, aggregates)
         }
         LogicalPlan::Sort { input, keys } => {
             let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
@@ -905,17 +869,14 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
             // DISTINCT semantics depend on the full row; keep everything.
             input: Box::new(prune(*input, None)),
         },
-        LogicalPlan::SubqueryAlias { input, alias } => {
+        LogicalPlan::SubqueryAlias { input, alias, .. } => {
             let inner_required: Option<Vec<Need>> = required.map(|req| {
                 req.iter()
                     .filter(|(q, _)| q.as_deref().is_none_or(|q| q.eq_ignore_ascii_case(&alias)))
                     .map(|(_, n)| (None, n.clone()))
                     .collect()
             });
-            LogicalPlan::SubqueryAlias {
-                input: Box::new(prune(*input, inner_required.as_deref())),
-                alias,
-            }
+            prune(*input, inner_required.as_deref()).alias(alias)
         }
     }
 }
@@ -923,7 +884,7 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{bind_select, ResolvedRelation, SchemaProvider};
+    use crate::bind::{bind_select, intern_fields, ResolvedRelation, SchemaProvider};
     use crate::parser::parse_select;
     use crate::stats::{ColumnStats, NoStats};
     use crate::value::{DataType, Value};
@@ -1000,7 +961,7 @@ mod tests {
             relations.insert(
                 name.to_string(),
                 ResolvedRelation::Base {
-                    fields: cols.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
+                    fields: intern_fields(&cols),
                 },
             );
             rows.insert(name.to_string(), count);
@@ -1090,10 +1051,10 @@ mod tests {
         let plan = opt("SELECT c_name FROM customer, orders WHERE c_custkey = o_custkey");
         fn scan_widths(p: &LogicalPlan, out: &mut Vec<(String, usize)>) {
             if let LogicalPlan::Scan {
-                relation, fields, ..
+                relation, schema, ..
             } = p
             {
-                out.push((relation.clone(), fields.len()));
+                out.push((relation.clone(), schema.len()));
             }
             for c in p.children() {
                 scan_widths(c, out);
@@ -1186,13 +1147,18 @@ mod tests {
             relations.insert(
                 format!("dim{i}"),
                 ResolvedRelation::Base {
-                    fields: vec![(format!("d{i}_id"), DataType::Int)],
+                    fields: intern_fields(&[(format!("d{i}_id"), DataType::Int)]),
                 },
             );
             rows.insert(format!("dim{i}"), 10.0 * (i as f64 + 1.0));
             fields.push((format!("d{i}_ref"), DataType::Int));
         }
-        relations.insert("hub".to_string(), ResolvedRelation::Base { fields });
+        relations.insert(
+            "hub".to_string(),
+            ResolvedRelation::Base {
+                fields: intern_fields(&fields),
+            },
+        );
         rows.insert("hub".to_string(), 10000.0);
         let cat = TestCatalog {
             relations,
@@ -1228,10 +1194,7 @@ mod tests {
             relations.insert(
                 name.to_string(),
                 ResolvedRelation::Base {
-                    fields: vec![
-                        (key_a.to_string(), DataType::Int),
-                        (key_b.to_string(), DataType::Int),
-                    ],
+                    fields: intern_fields(&[(key_a, DataType::Int), (key_b, DataType::Int)]),
                 },
             );
             rows.insert(name.to_string(), count);
@@ -1317,8 +1280,8 @@ mod tests {
     fn prune_keeps_count_star_scans_nonempty() {
         let plan = opt("SELECT count(*) FROM customer");
         fn min_scan_width(p: &LogicalPlan) -> usize {
-            if let LogicalPlan::Scan { fields, .. } = p {
-                return fields.len();
+            if let LogicalPlan::Scan { schema, .. } = p {
+                return schema.len();
             }
             p.children()
                 .iter()

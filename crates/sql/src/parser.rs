@@ -866,10 +866,7 @@ impl Parser {
         // Qualified column.
         if self.eat(&Token::Dot) {
             let name = self.identifier()?;
-            return Ok(Expr::Column {
-                qualifier: Some(first),
-                name,
-            });
+            return Ok(Expr::qcol(first, name));
         }
         Ok(Expr::col(first))
     }

@@ -7,7 +7,7 @@
 //! cost estimates are comparable — the paper's "same cost unit" requirement
 //! (footnote 6) — leaving calibration to scale factors only.
 
-use crate::algebra::{LogicalPlan, PlanSchema};
+use crate::algebra::LogicalPlan;
 use crate::ast::{BinaryOp, Expr};
 use crate::value::Value;
 
@@ -91,6 +91,7 @@ impl<'a> Estimator<'a> {
                 right,
                 on,
                 residual,
+                ..
             } => {
                 let l = self.rows(left);
                 let r = self.rows(right);
@@ -106,7 +107,7 @@ impl<'a> Estimator<'a> {
                 }
                 if let Some(res) = residual {
                     // Rough: treat residual like a filter over the join.
-                    card *= self.selectivity_over(res, &left.schema().join(&right.schema()), None);
+                    card *= self.selectivity_over(res, None);
                 }
                 card.max(1.0)
             }
@@ -137,8 +138,7 @@ impl<'a> Estimator<'a> {
     /// Estimated average wire bytes per output row of a plan, derived from
     /// its schema (used for data-movement costing).
     pub fn row_bytes(&self, plan: &LogicalPlan) -> f64 {
-        let schema = plan.schema();
-        schema
+        plan.schema()
             .fields
             .iter()
             .map(|f| match f.data_type {
@@ -164,7 +164,7 @@ impl<'a> Estimator<'a> {
         if let Expr::Column { qualifier, name } = e {
             if let Some((relation, column)) = resolve_base_column(input, qualifier.as_deref(), name)
             {
-                if let Some(cs) = self.stats.column_stats(&relation, &column) {
+                if let Some(cs) = self.stats.column_stats(relation, column) {
                     return Some(cs.n_distinct.max(1.0));
                 }
             }
@@ -174,31 +174,23 @@ impl<'a> Estimator<'a> {
 
     /// Selectivity of a predicate against a plan.
     pub fn selectivity(&self, predicate: &Expr, input: &LogicalPlan) -> f64 {
-        self.selectivity_over(predicate, &input.schema(), Some(input))
+        self.selectivity_over(predicate, Some(input))
     }
 
-    fn selectivity_over(
-        &self,
-        predicate: &Expr,
-        _schema: &PlanSchema,
-        input: Option<&LogicalPlan>,
-    ) -> f64 {
+    fn selectivity_over(&self, predicate: &Expr, input: Option<&LogicalPlan>) -> f64 {
         match predicate {
             Expr::Binary {
                 op: BinaryOp::And,
                 left,
                 right,
-            } => {
-                self.selectivity_over(left, _schema, input)
-                    * self.selectivity_over(right, _schema, input)
-            }
+            } => self.selectivity_over(left, input) * self.selectivity_over(right, input),
             Expr::Binary {
                 op: BinaryOp::Or,
                 left,
                 right,
             } => {
-                let l = self.selectivity_over(left, _schema, input);
-                let r = self.selectivity_over(right, _schema, input);
+                let l = self.selectivity_over(left, input);
+                let r = self.selectivity_over(right, input);
                 (l + r - l * r).min(1.0)
             }
             Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -281,7 +273,7 @@ impl<'a> Estimator<'a> {
             Expr::Unary {
                 op: crate::ast::UnaryOp::Not,
                 expr,
-            } => 1.0 - self.selectivity_over(expr, _schema, input),
+            } => 1.0 - self.selectivity_over(expr, input),
             Expr::Literal(Value::Bool(true)) => 1.0,
             Expr::Literal(Value::Bool(false)) => 0.0,
             _ => DEFAULT_RANGE_SELECTIVITY,
@@ -300,7 +292,7 @@ impl<'a> Estimator<'a> {
         let stats = input.and_then(|p| {
             if let Expr::Column { qualifier, name } = col {
                 resolve_base_column(p, qualifier.as_deref(), name)
-                    .and_then(|(rel, c)| self.stats.column_stats(&rel, &c))
+                    .and_then(|(rel, c)| self.stats.column_stats(rel, c))
             } else {
                 None
             }
@@ -336,33 +328,34 @@ impl<'a> Estimator<'a> {
 
 /// Trace a column reference through pass-through operators down to the base
 /// relation it scans, for statistics lookup. Returns `(relation, column)`.
-pub fn resolve_base_column(
-    plan: &LogicalPlan,
+pub fn resolve_base_column<'a>(
+    plan: &'a LogicalPlan,
     qualifier: Option<&str>,
     name: &str,
-) -> Option<(String, String)> {
+) -> Option<(&'a str, &'a str)> {
     match plan {
         LogicalPlan::Scan {
             relation,
             alias,
-            fields,
+            schema,
         } => {
             if let Some(q) = qualifier {
                 if !q.eq_ignore_ascii_case(alias) {
                     return None;
                 }
             }
-            fields
+            schema
+                .fields
                 .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(name))
-                .map(|(n, _)| (relation.clone(), n.clone()))
+                .find(|f| f.name.eq_ignore_ascii_case(name))
+                .map(|f| (relation.as_str(), &*f.name))
         }
         LogicalPlan::Placeholder { .. } | LogicalPlan::OneRow => None,
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Limit { input, .. }
         | LogicalPlan::Distinct { input } => resolve_base_column(input, qualifier, name),
-        LogicalPlan::SubqueryAlias { input, alias } => {
+        LogicalPlan::SubqueryAlias { input, alias, .. } => {
             if let Some(q) = qualifier {
                 if !q.eq_ignore_ascii_case(alias) {
                     return None;
@@ -370,7 +363,7 @@ pub fn resolve_base_column(
             }
             resolve_base_column(input, None, name)
         }
-        LogicalPlan::Project { input, exprs } => {
+        LogicalPlan::Project { input, exprs, .. } => {
             let (e, _) = exprs.iter().find(|(_, n)| n.eq_ignore_ascii_case(name))?;
             if let Expr::Column {
                 qualifier: q,
@@ -429,11 +422,7 @@ mod tests {
     }
 
     fn scan(rel: &str, alias: &str, cols: &[(&str, DataType)]) -> LogicalPlan {
-        LogicalPlan::Scan {
-            relation: rel.to_string(),
-            alias: alias.to_string(),
-            fields: cols.iter().map(|(n, t)| (n.to_string(), *t)).collect(),
-        }
+        LogicalPlan::scan(rel, alias, cols.iter().map(|(n, t)| ((*n).into(), *t)))
     }
 
     fn stats() -> MapStats {
@@ -522,18 +511,13 @@ mod tests {
     fn aggregate_group_count() {
         let s = stats();
         let est = Estimator::new(&s);
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(scan("orders", "o", &[("o_custkey", DataType::Int)])),
-            group_by: vec![(Expr::qcol("o", "o_custkey"), "k".to_string())],
-            aggregates: vec![],
-        };
+        let plan = scan("orders", "o", &[("o_custkey", DataType::Int)]).aggregate(
+            vec![(Expr::qcol("o", "o_custkey"), "k".to_string())],
+            vec![],
+        );
         assert_eq!(est.rows(&plan), 1000.0);
         // No grouping → one row.
-        let total = LogicalPlan::Aggregate {
-            input: Box::new(scan("orders", "o", &[])),
-            group_by: vec![],
-            aggregates: vec![],
-        };
+        let total = scan("orders", "o", &[]).aggregate(vec![], vec![]);
         assert_eq!(est.rows(&total), 1.0);
     }
 
@@ -571,13 +555,10 @@ mod tests {
     fn resolve_through_alias_and_project() {
         let inner = scan("orders", "o", &[("o_custkey", DataType::Int)])
             .project(vec![(Expr::qcol("o", "o_custkey"), "k".to_string())]);
-        let aliased = LogicalPlan::SubqueryAlias {
-            input: Box::new(inner),
-            alias: "sub".to_string(),
-        };
+        let aliased = inner.alias("sub");
         assert_eq!(
             resolve_base_column(&aliased, Some("sub"), "k"),
-            Some(("orders".to_string(), "o_custkey".to_string()))
+            Some(("orders", "o_custkey"))
         );
         assert_eq!(resolve_base_column(&aliased, Some("other"), "k"), None);
     }

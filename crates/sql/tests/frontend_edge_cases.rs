@@ -2,7 +2,7 @@
 //! and error reporting across lexer → parser → binder.
 
 use xdb_sql::algebra::plan_to_select;
-use xdb_sql::bind::{bind_select, ResolvedRelation, SchemaProvider};
+use xdb_sql::bind::{bind_select, intern_fields, ResolvedRelation, SchemaProvider};
 use xdb_sql::display::{render_select_string, render_statement, Dialect};
 use xdb_sql::value::DataType;
 use xdb_sql::{parse_expr, parse_script, parse_select, parse_statement};
@@ -13,11 +13,11 @@ impl SchemaProvider for OneTable {
     fn resolve_relation(&self, name: &str) -> Option<ResolvedRelation> {
         name.eq_ignore_ascii_case("t")
             .then(|| ResolvedRelation::Base {
-                fields: vec![
-                    ("a".to_string(), DataType::Int),
-                    ("b".to_string(), DataType::Str),
-                    ("select".to_string(), DataType::Int), // reserved-word column
-                ],
+                fields: intern_fields(&[
+                    ("a", DataType::Int),
+                    ("b", DataType::Str),
+                    ("select", DataType::Int), // reserved-word column
+                ]),
             })
     }
 }
@@ -26,7 +26,7 @@ impl SchemaProvider for OneTable {
 fn quoted_keywords_as_identifiers() {
     let s = parse_select("SELECT \"select\" FROM t WHERE \"select\" > 1").unwrap();
     let plan = bind_select(&s, &OneTable).unwrap();
-    assert_eq!(plan.schema().fields[0].name, "select");
+    assert_eq!(&*plan.schema().fields[0].name, "select");
     // Round-trip keeps the quoting.
     let rendered = render_select_string(&s, Dialect::Generic);
     assert!(rendered.contains("\"select\""), "{rendered}");
@@ -130,7 +130,7 @@ fn ambiguous_column_reported() {
     impl SchemaProvider for TwoTables {
         fn resolve_relation(&self, name: &str) -> Option<ResolvedRelation> {
             matches!(name, "x" | "y").then(|| ResolvedRelation::Base {
-                fields: vec![("k".to_string(), DataType::Int)],
+                fields: intern_fields(&[("k", DataType::Int)]),
             })
         }
     }

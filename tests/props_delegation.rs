@@ -6,6 +6,9 @@
 //! random SPJA queries (filters, equi-join chains, optional aggregation,
 //! ordering, limits) are executed both ways and compared as bags.
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod staged;
+
 use proptest::prelude::*;
 use xdb::core::annotate::AnnotateOptions;
 use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
@@ -13,6 +16,7 @@ use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
 use xdb::engine::relation::Relation;
 use xdb::net::Movement;
+use xdb::sql::optimize::{JoinShape, OptimizeOptions};
 use xdb::sql::value::{DataType, Value};
 
 #[derive(Debug, Clone)]
@@ -223,6 +227,35 @@ proptest! {
         };
         let (got, expected) = run_case(&fed, &q, options);
         prop_assert!(got.same_bag(&expected), "query {:?}", q.sql());
+    }
+
+    #[test]
+    fn every_planning_stage_carries_the_oracle_schema(
+        fed in arb_federation(),
+        q in arb_query(),
+        reorder_joins in any::<bool>(),
+        prune_columns in any::<bool>(),
+        bushy in any::<bool>(),
+    ) {
+        let cluster = Cluster::lan(&["n0", "n1", "n2"], EngineProfile::postgres());
+        load(&cluster, "n0", &fed, "r0");
+        load(&cluster, "n1", &fed, "r1");
+        load(&cluster, "n2", &fed, "r2");
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
+        for t in catalog.table_names() {
+            catalog.consult(&cluster, &t).unwrap();
+        }
+        staged::assert_staged_schemas(
+            &cluster,
+            &catalog,
+            &q.sql(),
+            OptimizeOptions {
+                reorder_joins,
+                prune_columns,
+                join_shape: if bushy { JoinShape::Bushy } else { JoinShape::LeftDeep },
+            },
+            AnnotateOptions::default(),
+        );
     }
 
     #[test]

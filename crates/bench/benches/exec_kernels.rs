@@ -1,12 +1,8 @@
-//! Micro-benchmarks of the columnar executor kernels against a
-//! row-at-a-time reference implementation of the same operator. Each pair
-//! computes the identical result; the gap is the cost of materializing
-//! `Vec<Vec<Value>>` rows and dispatching on `Value` per cell instead of
-//! running a typed column loop. `scripts/bench_snapshot.sh` parses this
-//! output into `BENCH_exec.json` so later PRs inherit a perf trajectory.
+//! Micro-benchmarks of the columnar executor kernels: a diagnostic, not a
+//! gate. `scripts/bench_snapshot.sh` parses this output into
+//! `BENCH_exec.json` so later PRs inherit a perf trajectory.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::collections::HashMap;
 use std::time::Duration;
 use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::expr::compile;
@@ -129,7 +125,7 @@ fn bench(c: &mut Criterion) {
     let rel = fact();
     let schema = fact_schema();
 
-    // Filter: predicate → selection vector vs a row-materializing loop.
+    // Filter: predicate → selection vector.
     let pred = Expr::binary(
         BinaryOp::And,
         Expr::binary(
@@ -147,19 +143,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("filter_columnar", |b| {
         b.iter(|| vector::filter_sel(&pred, &rel).unwrap())
     });
-    g.bench_function("filter_row_baseline", |b| {
-        b.iter(|| {
-            let mut sel: Vec<u32> = Vec::new();
-            for i in 0..rel.len() {
-                if pred.eval_predicate(&rel.row(i)).unwrap() {
-                    sel.push(i as u32);
-                }
-            }
-            sel
-        })
-    });
-
-    // Projection arithmetic: v * 3 + k, typed column loop vs per-row eval.
+    // Projection arithmetic: v * 3 + k, a typed column loop.
     let proj = Expr::binary(
         BinaryOp::Plus,
         Expr::binary(BinaryOp::Mul, Expr::col("v"), Expr::Literal(Value::Int(3))),
@@ -169,19 +153,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("project_columnar", |b| {
         b.iter(|| vector::eval_to_column(&proj, &rel).unwrap())
     });
-    g.bench_function("project_row_baseline", |b| {
-        b.iter(|| {
-            (0..rel.len())
-                .map(|i| proj.eval(&rel.row(i)).unwrap())
-                .collect::<Vec<Value>>()
-        })
-    });
-
     // Hash join + grouped aggregation, end to end through the executor
-    // (typed key columns, partition count 1 — the production default on
-    // this host) vs hand-written row-at-a-time loops over `Relation::row`.
+    // (typed key columns).
     let e = Engine::new("bench", EngineProfile::postgres());
-    e.set_exec_partitions(1);
     e.load_table("fact", fact()).unwrap();
     e.load_table("dim", dim()).unwrap();
     g.bench_function("hash_join_columnar", |b| {
@@ -193,34 +167,6 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
-    let build = dim();
-    g.bench_function("hash_join_row_baseline", |b| {
-        b.iter(|| {
-            let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-            for i in 0..build.len() {
-                if let Value::Int(k) = build.value(i, 0) {
-                    table.entry(k).or_default().push(i);
-                }
-            }
-            let mut out: Vec<Vec<Value>> = Vec::new();
-            for i in 0..rel.len() {
-                let row = rel.row(i);
-                let (Value::Int(k), Value::Int(v)) = (&row[0], &row[1]) else {
-                    continue;
-                };
-                if *v >= 200 {
-                    continue;
-                }
-                if let Some(matches) = table.get(k) {
-                    for &m in matches {
-                        out.push(vec![Value::Int(*v), build.value(m, 1)]);
-                    }
-                }
-            }
-            out
-        })
-    });
-
     // Two Int key columns, executor only: every build pair distinct, every
     // probe row matching exactly one. 30 k × 30 k, and 30 k build × 200
     // probe (TPC-H Q5's customer–supplier join at sf 0.005).
@@ -246,9 +192,8 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
-    // Multi-column group keys: the u128-packed kernel (Int key
-    // range-compressed, Str key dictionary-interned) vs the same grouping
-    // through row-materialized `Vec<Value>` keys.
+    // Multi-column group keys: the u128-packed arm (Int key
+    // range-compressed, Str key dictionary-interned).
     g.bench_function("aggregate_multikey_columnar", |b| {
         b.iter(|| {
             e.execute_sql(
@@ -258,62 +203,6 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
-    g.bench_function("aggregate_multikey_row_baseline", |b| {
-        b.iter(|| {
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut groups: Vec<(Vec<Value>, i64, f64)> = Vec::new();
-            for i in 0..rel.len() {
-                let row = rel.row(i);
-                let key = vec![row[0].clone(), row[3].clone()];
-                let slot = *index.entry(key.clone()).or_insert_with(|| {
-                    groups.push((key, 0, 0.0));
-                    groups.len() - 1
-                });
-                groups[slot].1 += 1;
-                if let Value::Float(w) = row[2] {
-                    groups[slot].2 += w;
-                }
-            }
-            groups
-                .into_iter()
-                .map(|(mut key, n, sw)| {
-                    key.push(Value::Int(n));
-                    key.push(Value::Float(sw));
-                    key
-                })
-                .collect::<Vec<Vec<Value>>>()
-        })
-    });
-
-    g.bench_function("aggregate_row_baseline", |b| {
-        // Faithful to the pre-columnar engine: materialize each row as a
-        // `Vec<Value>`, key groups by `Vec<Value>`, accumulate `Value`s.
-        b.iter(|| {
-            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut groups: Vec<(Vec<Value>, i64, f64)> = Vec::new();
-            for i in 0..rel.len() {
-                let row = rel.row(i);
-                let key = vec![row[0].clone()];
-                let slot = *index.entry(key.clone()).or_insert_with(|| {
-                    groups.push((key, 0, 0.0));
-                    groups.len() - 1
-                });
-                groups[slot].1 += 1;
-                if let Value::Float(w) = row[2] {
-                    groups[slot].2 += w;
-                }
-            }
-            groups
-                .into_iter()
-                .map(|(mut key, n, sw)| {
-                    key.push(Value::Int(n));
-                    key.push(Value::Float(sw));
-                    key
-                })
-                .collect::<Vec<Vec<Value>>>()
-        })
-    });
-
     g.finish();
     black_box(());
 }

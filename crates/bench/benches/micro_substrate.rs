@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use xdb_core::annotate::{AnnotateOptions, Annotator};
-use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb_core::GlobalCatalog;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::profile::EngineProfile;
 use xdb_net::Scenario;
@@ -72,42 +72,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| TpchGen::new(0.01).table(TpchTable::Lineitem))
     });
 
-    g.finish();
-
-    // Parallel vs sequential decentralized execution (wall clock of the
-    // full submit pipeline; both arms share one warmed federation). Edges
-    // are forced explicit so every task materializes real work during the
-    // DDL phase — the waves the parallel scheduler overlaps; with implicit
-    // edges the work collapses into the (serial either way) root query.
-    let mut g = c.benchmark_group("exec_parallel_vs_sequential");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(3));
-    let exec_cluster = build_cluster(
-        TableDist::Td2,
-        0.1,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )
-    .unwrap();
-    let exec_catalog = GlobalCatalog::discover(&exec_cluster).unwrap();
-    for (label, parallel) in [("sequential_q8", false), ("parallel_q8", true)] {
-        let xdb = Xdb::new(&exec_cluster, &exec_catalog).with_options(XdbOptions {
-            parallel_execution: parallel,
-            annotate: AnnotateOptions {
-                force_movement: Some(xdb_net::Movement::Explicit),
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let out = xdb.submit(TpchQuery::Q8.sql()).unwrap();
-                exec_cluster.ledger.clear();
-                out
-            })
-        });
-    }
     g.finish();
 
     // Annotation with and without the consultation cache (probe

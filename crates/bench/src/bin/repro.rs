@@ -25,8 +25,7 @@
 //!                                # TD1 mix; --digest P writes per-tenant
 //!                                # result digests to P.folded.txt /
 //!                                # P.unfolded.txt (must compare equal)
-//! repro gate --monitor-baseline BENCH_monitor.json \
-//!            --exec-baseline BENCH_exec.json --exec-current cur.json
+//! repro gate --monitor-baseline BENCH_monitor.json
 //!                                # regression gate: exit 1 on threshold
 //!                                # breach (scripts/bench_gate.sh)
 //! repro profile                  # critical-path bottleneck table over
@@ -85,8 +84,6 @@ fn main() {
     let mut log_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut exec_baseline: Option<String> = None;
-    let mut exec_current: Option<String> = None;
     let mut monitor_baseline: Option<String> = None;
     let mut history_dir: Option<String> = None;
     let mut log_level: Option<String> = None;
@@ -126,12 +123,6 @@ fn main() {
             "--log" => log_path = Some(it.next().expect("--log takes a file path")),
             "--metrics" => metrics_path = Some(it.next().expect("--metrics takes a file path")),
             "--json" => json_path = Some(it.next().expect("--json takes a file path")),
-            "--exec-baseline" => {
-                exec_baseline = Some(it.next().expect("--exec-baseline takes a file path"));
-            }
-            "--exec-current" => {
-                exec_current = Some(it.next().expect("--exec-current takes a file path"));
-            }
             "--monitor-baseline" => {
                 monitor_baseline = Some(it.next().expect("--monitor-baseline takes a file path"));
             }
@@ -217,7 +208,7 @@ fn main() {
         return;
     }
     if targets.iter().any(|t| t == "gate") {
-        run_gate(exec_baseline, exec_current, monitor_baseline);
+        run_gate(monitor_baseline);
         return;
     }
     if targets.iter().any(|t| t == "drift") {
@@ -230,7 +221,7 @@ fn main() {
              <all|fig1|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table2|table3|table4|ablations>\n\
              \x20      repro [--sf X] [--runs N] [--metrics prom.txt] [--json monitor.json] monitor\n\
              \x20      repro [--sf X] [--runs R] [--tenants N] [--digest prefix] tenants\n\
-             \x20      repro gate [--exec-baseline B --exec-current C] [--monitor-baseline B]\n\
+             \x20      repro gate --monitor-baseline B\n\
              \x20      repro [--sf X] [--history dir] profile\n\
              \x20      repro [--sf X] [--runs N] [--td 1|2|3] calibrate\n\
              \x20      repro [--sf X] [--td 1|2|3] [--profiles dir] replay\n\
@@ -415,83 +406,49 @@ fn main() {
     eprintln!("(repro finished in {:.1?})", t0.elapsed());
 }
 
-/// `repro gate`: compare fresh measurements against checked-in baselines;
-/// exit 1 when any gated series regressed past its threshold. The exec
-/// gate compares two snapshot files (the current one is produced by
-/// `scripts/bench_gate.sh` re-running the criterion bench); the monitor
-/// gate re-runs the deterministic monitor workload at the baseline's own
-/// sf/runs and compares in-process.
-fn run_gate(
-    exec_baseline: Option<String>,
-    exec_current: Option<String>,
-    monitor_baseline: Option<String>,
-) {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("gate: cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let parse = |what: &str, r: Result<std::collections::BTreeMap<String, f64>, String>| {
-        r.unwrap_or_else(|e| {
-            eprintln!("gate: bad {what} snapshot: {e}");
-            std::process::exit(2);
-        })
-    };
-    let mut ran = false;
-    let mut passed = true;
-    if let Some(base_path) = exec_baseline {
-        let cur_path = exec_current.unwrap_or_else(|| {
-            eprintln!("gate: --exec-baseline requires --exec-current");
-            std::process::exit(2);
-        });
-        let base = parse(
-            "exec baseline",
-            gate::parse_exec_snapshot(&read(&base_path)),
-        );
-        let cur = parse("exec current", gate::parse_exec_snapshot(&read(&cur_path)));
-        let report = gate::compare("exec_kernels", &base, &cur, gate::EXEC_THRESHOLD_PCT);
-        print!("{}", report.render());
-        passed &= report.passed();
-        ran = true;
-    }
-    if let Some(base_path) = monitor_baseline {
-        let text = read(&base_path);
-        let base = parse("monitor baseline", gate::parse_monitor_snapshot(&text));
-        // Re-run at the baseline's own parameters so the series line up.
-        let doc = json::parse(&text).expect("monitor baseline re-parse");
-        let sf = doc.get("sf").and_then(json::Value::as_f64).unwrap_or(0.002);
-        let runs = doc.get("runs").and_then(json::Value::as_f64).unwrap_or(2.0) as usize;
-        let mut current = monitor::run_monitor(sf, runs)
-            .expect("monitor workload")
-            .flat_values();
-        // Baselines that carry multi-tenant admission series re-run the
-        // tenants workload at the baseline's own shape so they line up.
-        if base.keys().any(|k| k.starts_with("tenants/")) {
-            let tn = doc
-                .get("tenants")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(8.0) as usize;
-            let rounds = doc
-                .get("tenant_rounds")
-                .and_then(json::Value::as_f64)
-                .unwrap_or(2.0) as usize;
-            current.extend(
-                tenants::run_tenants(sf, tn, rounds)
-                    .expect("tenants workload")
-                    .flat_values(),
-            );
-        }
-        let report = gate::compare("monitor", &base, &current, gate::MONITOR_THRESHOLD_PCT);
-        print!("{}", report.render());
-        passed &= report.passed();
-        ran = true;
-    }
-    if !ran {
-        eprintln!("gate: nothing to compare — pass --exec-baseline/--exec-current and/or --monitor-baseline");
+/// `repro gate`: re-run the deterministic monitor workload at the
+/// baseline's own sf/runs and compare in-process; exit 1 when any gated
+/// series regressed past its threshold.
+fn run_gate(monitor_baseline: Option<String>) {
+    let Some(base_path) = monitor_baseline else {
+        eprintln!("gate: nothing to compare — pass --monitor-baseline");
         std::process::exit(2);
+    };
+    let text = std::fs::read_to_string(&base_path).unwrap_or_else(|e| {
+        eprintln!("gate: cannot read {base_path}: {e}");
+        std::process::exit(2);
+    });
+    let base = gate::parse_monitor_snapshot(&text).unwrap_or_else(|e| {
+        eprintln!("gate: bad monitor baseline snapshot: {e}");
+        std::process::exit(2);
+    });
+    // Re-run at the baseline's own parameters so the series line up.
+    let doc = json::parse(&text).expect("monitor baseline re-parse");
+    let sf = doc.get("sf").and_then(json::Value::as_f64).unwrap_or(0.002);
+    let runs = doc.get("runs").and_then(json::Value::as_f64).unwrap_or(2.0) as usize;
+    let mut current = monitor::run_monitor(sf, runs)
+        .expect("monitor workload")
+        .flat_values();
+    // Baselines that carry multi-tenant admission series re-run the
+    // tenants workload at the baseline's own shape so they line up.
+    if base.keys().any(|k| k.starts_with("tenants/")) {
+        let tn = doc
+            .get("tenants")
+            .and_then(json::Value::as_f64)
+            .unwrap_or(8.0) as usize;
+        let rounds = doc
+            .get("tenant_rounds")
+            .and_then(json::Value::as_f64)
+            .unwrap_or(2.0) as usize;
+        current.extend(
+            tenants::run_tenants(sf, tn, rounds)
+                .expect("tenants workload")
+                .flat_values(),
+        );
     }
-    if !passed {
+    let report = gate::compare("monitor", &base, &current, gate::MONITOR_THRESHOLD_PCT);
+    print!("{}", report.render());
+    if !report.passed() {
         std::process::exit(1);
     }
 }

@@ -17,7 +17,7 @@ use crate::experiments::{env, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use xdb_core::{Xdb, XdbOptions};
+use xdb_core::Xdb;
 use xdb_engine::error::Result;
 use xdb_engine::profile::EngineProfile;
 use xdb_net::Scenario;
@@ -53,10 +53,8 @@ pub struct CalibrateReport {
 }
 
 /// Run the six-query workload `runs` times on `td` and aggregate the
-/// cost-model observatory records. Honors `XDB_SEQUENTIAL=1`; the report
-/// is bit-identical either way.
+/// cost-model observatory records.
 pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateReport> {
-    let parallel = std::env::var_os("XDB_SEQUENTIAL").is_none();
     // Isolated telemetry with an in-memory history store: the observatory
     // bundle rides every history record, which is exactly the join this
     // report aggregates.
@@ -74,12 +72,7 @@ pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateRep
         telemetry.history.set_label(q.name());
         for _ in 0..runs {
             e.cluster.ledger.clear();
-            let xdb = Xdb::new(&e.cluster, &e.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    parallel_execution: parallel,
-                    ..Default::default()
-                });
+            let xdb = Xdb::new(&e.cluster, &e.catalog).with_client_node(CLOUD);
             xdb.submit(q.sql())?;
         }
     }

@@ -152,8 +152,7 @@ struct Group {
     /// Mean critical-path share per category, percent.
     shares: BTreeMap<String, f64>,
     /// Wire-time prediction error across every matched observatory edge
-    /// of the group. `count == 0` for schema-v1 records without cost
-    /// observations.
+    /// of the group.
     cal: ErrorStats,
 }
 
@@ -230,26 +229,19 @@ pub fn compare(
     compare_with(baseline, current, noise_pct, None)
 }
 
-/// [`compare`] with an optional plan-flip budget for learned-cost
-/// histories.
+/// [`compare`] with an optional plan-flip budget, for histories recorded
+/// with live cost feedback (where later runs legitimately re-plan).
 ///
-/// When `flip_tolerance_pct` is set *and both stores carry learned-cost
-/// records* (schema v3's `learned_costs` marker), individual plan flips
-/// are tolerated — reported informationally — up to that share of the
-/// compared query groups; beyond it a single [`DriftKind::FlipRate`]
-/// finding fails the report. When either side predates the marker (a v2
-/// or static-cost baseline), flips keep their original strict
-/// [`DriftKind::PlanFlip`] semantics, so existing baselines behave
-/// unchanged.
+/// When `flip_tolerance_pct` is set, individual plan flips are tolerated —
+/// reported informationally — up to that share of the compared query
+/// groups; beyond it a single [`DriftKind::FlipRate`] finding fails the
+/// report. Without it every flip is a strict [`DriftKind::PlanFlip`].
 pub fn compare_with(
     baseline: &[HistoryRecord],
     current: &[HistoryRecord],
     noise_pct: f64,
     flip_tolerance_pct: Option<f64>,
 ) -> DriftReport {
-    let learned_mode = flip_tolerance_pct.is_some()
-        && baseline.iter().any(|r| r.learned_costs)
-        && current.iter().any(|r| r.learned_costs);
     let base = group(baseline);
     let cur = group(current);
     let mut report = DriftReport {
@@ -282,7 +274,7 @@ pub fn compare_with(
                     b.fingerprints, c.fingerprints
                 ),
             };
-            if learned_mode {
+            if flip_tolerance_pct.is_some() {
                 flips.push(finding);
             } else {
                 report.findings.push(finding);
@@ -301,20 +293,16 @@ pub fn compare_with(
                 });
             }
         }
-        // Calibration drift needs observatory data on both sides: v1
-        // baselines (no cost observations) are simply not checked.
-        if b.cal.count > 0 && c.cal.count > 0 {
-            let (be, ce) = (b.cal.mean_abs_pct(), c.cal.mean_abs_pct());
-            if (ce - be).abs() > CALIBRATION_POINTS {
-                report.findings.push(DriftFinding {
-                    kind: DriftKind::Calibration,
-                    query: c.display.clone(),
-                    detail: format!(
-                        "mean |wire-time prediction error| moved {be:.1}% -> {ce:.1}% \
-                         (>{CALIBRATION_POINTS} points)"
-                    ),
-                });
-            }
+        let (be, ce) = (b.cal.mean_abs_pct(), c.cal.mean_abs_pct());
+        if (ce - be).abs() > CALIBRATION_POINTS {
+            report.findings.push(DriftFinding {
+                kind: DriftKind::Calibration,
+                query: c.display.clone(),
+                detail: format!(
+                    "mean |wire-time prediction error| moved {be:.1}% -> {ce:.1}% \
+                     (>{CALIBRATION_POINTS} points)"
+                ),
+            });
         }
         let bd = dominant(&b.shares);
         let cd = dominant(&c.shares);
@@ -349,15 +337,14 @@ pub fn compare_with(
             }
         }
     }
-    if learned_mode && !flips.is_empty() {
-        let tolerance = flip_tolerance_pct.unwrap_or(DEFAULT_FLIP_RATE_PCT);
+    if let Some(tolerance) = flip_tolerance_pct {
         let rate = 100.0 * flips.len() as f64 / report.compared.max(1) as f64;
         if rate > tolerance {
             report.findings.push(DriftFinding {
                 kind: DriftKind::FlipRate,
                 query: "(all groups)".to_string(),
                 detail: format!(
-                    "{} of {} learned-cost group(s) flipped plans ({rate:.0}%, \
+                    "{} of {} group(s) flipped plans ({rate:.0}%, \
                      tolerated {tolerance:.0}%)",
                     flips.len(),
                     report.compared
@@ -524,31 +511,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_without_cost_data_skip_the_calibration_check() {
-        // A schema-v1 baseline has no observatory bundle; even a current
-        // store with large prediction error must not be compared against
-        // nothing.
-        let base = vec![record("Q3", "aaaa", 100.0)];
-        let cur = vec![with_cal(record("Q3", "aaaa", 100.0), 10.0, 40.0)];
-        let report = compare(&base, &cur, DEFAULT_NOISE_PCT);
-        assert!(report.passed(), "{}", report.render());
-    }
-
-    fn learned(mut r: HistoryRecord, fingerprint: &str) -> HistoryRecord {
-        r.learned_costs = true;
-        r.fingerprint = fingerprint.to_string();
-        r
-    }
-
-    #[test]
     fn flip_rate_tolerates_learned_flips_within_budget() {
         // 4 groups, 1 flips = 25% — inside a 30% budget.
         let base: Vec<_> = ["Q1", "Q2", "Q3", "Q4"]
             .iter()
-            .map(|q| learned(record(q, "aaaa", 100.0), "aaaa"))
+            .map(|q| record(q, "aaaa", 100.0))
             .collect();
         let mut cur = base.clone();
-        cur[0] = learned(record("Q1", "ffff", 100.0), "ffff");
+        cur[0] = record("Q1", "ffff", 100.0);
         let report = compare_with(&base, &cur, DEFAULT_NOISE_PCT, Some(30.0));
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.tolerated.len(), 1);
@@ -560,11 +530,11 @@ mod tests {
     fn flip_rate_beyond_budget_is_a_finding() {
         let base: Vec<_> = ["Q1", "Q2", "Q3", "Q4"]
             .iter()
-            .map(|q| learned(record(q, "aaaa", 100.0), "aaaa"))
+            .map(|q| record(q, "aaaa", 100.0))
             .collect();
         let mut cur = base.clone();
-        cur[0] = learned(record("Q1", "ffff", 100.0), "ffff");
-        cur[1] = learned(record("Q2", "gggg", 100.0), "gggg");
+        cur[0] = record("Q1", "ffff", 100.0);
+        cur[1] = record("Q2", "gggg", 100.0);
         // 50% of groups flipped against a 25% budget.
         let report = compare_with(&base, &cur, DEFAULT_NOISE_PCT, Some(DEFAULT_FLIP_RATE_PCT));
         assert!(!report.passed());
@@ -576,18 +546,6 @@ mod tests {
         assert!(f.detail.contains("2 of 4"), "{}", f.detail);
         assert_eq!(report.tolerated.len(), 2);
         assert!(report.render().contains("flip-rate"), "{}", report.render());
-    }
-
-    #[test]
-    fn v2_baselines_without_learned_marker_keep_strict_flips() {
-        // Baseline predates the learned_costs marker: even with a flip
-        // budget requested, a flip is the original hard PlanFlip finding.
-        let base = vec![record("Q1", "aaaa", 100.0)];
-        let cur = vec![learned(record("Q1", "ffff", 100.0), "ffff")];
-        let report = compare_with(&base, &cur, DEFAULT_NOISE_PCT, Some(DEFAULT_FLIP_RATE_PCT));
-        assert!(!report.passed());
-        assert_eq!(report.findings[0].kind, DriftKind::PlanFlip);
-        assert!(report.tolerated.is_empty());
     }
 
     #[test]

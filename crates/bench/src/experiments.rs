@@ -59,18 +59,9 @@ pub fn localized_exec_ms(sf: f64, sql: &str) -> Result<f64> {
 }
 
 /// Run XDB on an env; returns (exec_ms, total_ms, moved_bytes).
-///
-/// Set `XDB_SEQUENTIAL=1` to fall back to the sequential task executor —
-/// simulated results are identical either way; only the reproduction's own
-/// wall clock changes.
 pub fn run_xdb(env: &Env, sql: &str) -> Result<(f64, f64, u64)> {
     env.cluster.ledger.clear();
-    let xdb = Xdb::new(&env.cluster, &env.catalog)
-        .with_client_node(CLOUD)
-        .with_options(XdbOptions {
-            parallel_execution: std::env::var_os("XDB_SEQUENTIAL").is_none(),
-            ..Default::default()
-        });
+    let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
     let out = xdb.submit(sql)?;
     let moved = env.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
         + env.cluster.ledger.bytes_for(Purpose::Materialization);
@@ -81,9 +72,8 @@ pub fn run_xdb(env: &Env, sql: &str) -> Result<(f64, f64, u64)> {
 
 /// Run all six TPC-H queries on TD1 with per-operator profiling enabled
 /// and concatenate their traces onto one timeline — the payload behind
-/// `repro --trace out.json`. Honors `XDB_SEQUENTIAL=1` like [`run_xdb`];
-/// the emitted trace is bit-identical either way because span timestamps
-/// come from the simulated clock, not the host.
+/// `repro --trace out.json`. Span timestamps come from the simulated
+/// clock, not the host, so the emitted trace is the same on every run.
 pub fn trace_workload(sf: f64) -> Result<xdb_obs::QueryTrace> {
     let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
     let mut merged = xdb_obs::QueryTrace::default();
@@ -93,7 +83,6 @@ pub fn trace_workload(sf: f64) -> Result<xdb_obs::QueryTrace> {
         let xdb = Xdb::new(&env.cluster, &env.catalog)
             .with_client_node(CLOUD)
             .with_options(XdbOptions {
-                parallel_execution: std::env::var_os("XDB_SEQUENTIAL").is_none(),
                 trace_operators: true,
                 ..Default::default()
             });

@@ -11,8 +11,8 @@
 //! baseline, see [`crate::gate`]).
 //!
 //! Every number is taken off the simulated clock and the deterministic
-//! telemetry registry, so the whole report is bit-identical between the
-//! sequential and parallel executors and across repeated invocations.
+//! telemetry registry, so the whole report is bit-identical across
+//! repeated invocations, whatever threads the host lends.
 
 use crate::experiments::{env, Env, CLOUD};
 use std::collections::BTreeMap;
@@ -109,7 +109,6 @@ pub fn run_monitor_with(
     runs: usize,
     telemetry: Option<Arc<Telemetry>>,
 ) -> Result<MonitorReport> {
-    let parallel = std::env::var_os("XDB_SEQUENTIAL").is_none();
     let registry = MetricRegistry::new();
     let mut envs = Vec::new();
     let mut fleet = None;
@@ -146,7 +145,7 @@ pub fn run_monitor_with(
                     // the per-run consultation delta, immune to everything
                     // the workload did before.
                     let before = e.catalog.metrics_snapshot();
-                    let sample = run_one(e, dep, q.sql(), parallel)?;
+                    let sample = run_one(e, dep, q.sql())?;
                     let delta = e.catalog.metrics_snapshot().diff(&before);
                     let labels = [
                         ("profile", *pname),
@@ -204,7 +203,6 @@ pub fn run_monitor_with(
                         let static_xdb = Xdb::new(&e.cluster, &e.catalog)
                             .with_client_node(CLOUD)
                             .with_options(XdbOptions {
-                                parallel_execution: parallel,
                                 learned_costs: false,
                                 ..Default::default()
                             });
@@ -334,16 +332,11 @@ fn codec_split(e: &Env) -> Vec<(&'static str, u64)> {
 /// Execute `sql` once under `deployment`. Latency is end-to-end simulated
 /// time including the middleware phases, matching what each system's user
 /// would observe.
-fn run_one(e: &Env, deployment: &str, sql: &str, parallel: bool) -> Result<RunSample> {
+fn run_one(e: &Env, deployment: &str, sql: &str) -> Result<RunSample> {
     e.cluster.ledger.clear();
     match deployment {
         "xdb" => {
-            let xdb = Xdb::new(&e.cluster, &e.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    parallel_execution: parallel,
-                    ..Default::default()
-                });
+            let xdb = Xdb::new(&e.cluster, &e.catalog).with_client_node(CLOUD);
             let out = xdb.submit(sql)?;
             let moved = e.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
                 + e.cluster.ledger.bytes_for(Purpose::Materialization);

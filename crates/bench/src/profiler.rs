@@ -10,7 +10,7 @@
 //! labeled with the TPC-H query name.
 
 use crate::experiments::{env, CLOUD};
-use xdb_core::{Xdb, XdbOptions};
+use xdb_core::Xdb;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::profile::EngineProfile;
 use xdb_net::Scenario;
@@ -25,8 +25,6 @@ pub struct QueryProfile {
 }
 
 /// Run the six TD1 queries and profile each one's critical path.
-/// Honors `XDB_SEQUENTIAL=1`; the profiles are bit-identical either way
-/// (simulated clock).
 pub fn profile_workload(sf: f64) -> Result<Vec<QueryProfile>> {
     let env = env(
         TableDist::Td1,
@@ -39,12 +37,7 @@ pub fn profile_workload(sf: f64) -> Result<Vec<QueryProfile>> {
         env.cluster.ledger.clear();
         let telemetry = env.cluster.telemetry();
         telemetry.history.set_label(q.name());
-        let xdb = Xdb::new(&env.cluster, &env.catalog)
-            .with_client_node(CLOUD)
-            .with_options(XdbOptions {
-                parallel_execution: std::env::var_os("XDB_SEQUENTIAL").is_none(),
-                ..Default::default()
-            });
+        let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
         let outcome = xdb.submit(q.sql())?;
         telemetry.history.set_label("");
         let crit = critical_path(&outcome.trace).ok_or_else(|| {

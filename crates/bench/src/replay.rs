@@ -129,7 +129,6 @@ type ArmOutcome = (Vec<(String, ReplayArm)>, f64, f64);
 /// Run the workload once under one cost-model arm. `profiles` is the
 /// frozen store the learned arm prices against (`None` → static model).
 fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<ArmOutcome> {
-    let parallel = std::env::var_os("XDB_SEQUENTIAL").is_none();
     let telemetry = Telemetry::new_handle();
     telemetry.history.enable_memory();
     let mut e = env(
@@ -150,7 +149,6 @@ fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Ar
         let xdb = Xdb::new(&e.cluster, &e.catalog)
             .with_client_node(CLOUD)
             .with_options(XdbOptions {
-                parallel_execution: parallel,
                 // Both arms pin the cost mode explicitly so ambient
                 // XDB_STATIC_COSTS cannot skew the comparison; the
                 // learned arm never absorbs (frozen snapshot).
@@ -313,7 +311,6 @@ impl ReplayReport {
 /// Learn a profile store by running the workload once with live feedback
 /// (the in-process equivalent of seeding from a `--history` directory).
 pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
-    let parallel = std::env::var_os("XDB_SEQUENTIAL").is_none();
     let telemetry = Telemetry::new_handle();
     let mut e = env(
         td,
@@ -327,7 +324,6 @@ pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
         let xdb = Xdb::new(&e.cluster, &e.catalog)
             .with_client_node(CLOUD)
             .with_options(XdbOptions {
-                parallel_execution: parallel,
                 learned_costs: true,
                 freeze_profiles: false,
                 ..Default::default()

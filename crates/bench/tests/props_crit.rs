@@ -1,6 +1,6 @@
 //! Property test over the critical-path profiler: for any TD1 query, at
-//! any executor partition count and any transport chunk size, the
-//! critical-path latency attribution must sum *exactly* to the query's
+//! any transport chunk size, the critical-path latency attribution must
+//! sum *exactly* to the query's
 //! end-to-end simulated time (integer-nanosecond telescoping — no
 //! epsilon), the steps must tile the window contiguously, and the whole
 //! analysis must be bit-identical across those settings.
@@ -14,7 +14,7 @@ use xdb_obs::critical::{critical_path, ns, CriticalPath};
 use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
 
 /// One TD1 run; returns (end-to-end simulated ms, critical path).
-fn run_td1(q: TpchQuery, chunk: usize, partitions: usize, parallel: bool) -> (f64, CriticalPath) {
+fn run_td1(q: TpchQuery, chunk: usize) -> (f64, CriticalPath) {
     let e = env(
         TableDist::Td1,
         0.002,
@@ -23,11 +23,9 @@ fn run_td1(q: TpchQuery, chunk: usize, partitions: usize, parallel: bool) -> (f6
     )
     .unwrap();
     e.cluster.ledger.clear();
-    e.cluster.set_exec_partitions(partitions);
     let xdb = Xdb::new(&e.cluster, &e.catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
-            parallel_execution: parallel,
             stream_chunk_rows: chunk,
             ..Default::default()
         });
@@ -41,14 +39,11 @@ proptest! {
     #[test]
     fn attribution_sums_exactly_to_end_to_end_time(
         qi in 0usize..TpchQuery::ALL.len(),
-        ppick in 0usize..3,
         cpick in 0usize..3,
-        parallel in any::<bool>(),
     ) {
         let q = TpchQuery::ALL[qi];
-        let partitions = [1usize, 2, 8][ppick];
         let chunk = [1usize, 4096, 0][cpick];
-        let (total_ms, crit) = run_td1(q, chunk, partitions, parallel);
+        let (total_ms, crit) = run_td1(q, chunk);
         // Exact integer equality: attribution tiles the window.
         prop_assert_eq!(crit.attributed_ns(), crit.total_ns);
         prop_assert_eq!(
@@ -64,9 +59,9 @@ proptest! {
             prop_assert_eq!(w[0].end_ns, w[1].start_ns);
         }
         // The analysis itself is setting-invariant: the reference run
-        // (sequential, 1 partition, unbounded chunks) produces the same
-        // steps and the same attribution.
-        let (_, reference) = run_td1(q, 0, 1, false);
+        // (unbounded chunks) produces the same steps and the same
+        // attribution.
+        let (_, reference) = run_td1(q, 0);
         prop_assert_eq!(&crit.steps, &reference.steps);
         prop_assert_eq!(
             format!("{:?}", crit.attribution),

@@ -13,7 +13,7 @@ use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
 
 /// One TD1 run at the given chunk size: (result, raw bytes, encoded
 /// bytes) over the pipelined + materialized edges.
-fn run_td1(q: TpchQuery, chunk: usize, parallel: bool) -> (Relation, u64, u64) {
+fn run_td1(q: TpchQuery, chunk: usize) -> (Relation, u64, u64) {
     let e = env(
         TableDist::Td1,
         0.002,
@@ -25,7 +25,6 @@ fn run_td1(q: TpchQuery, chunk: usize, parallel: bool) -> (Relation, u64, u64) {
     let xdb = Xdb::new(&e.cluster, &e.catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
-            parallel_execution: parallel,
             stream_chunk_rows: chunk,
             ..Default::default()
         });
@@ -46,12 +45,11 @@ proptest! {
     fn chunked_run_equals_unchunked(
         qi in 0usize..TpchQuery::ALL.len(),
         pick in 0usize..3,
-        parallel in any::<bool>(),
     ) {
         let q = TpchQuery::ALL[qi];
         let chunk = [1usize, 7, 4096][pick];
-        let (want, raw0, enc0) = run_td1(q, 0, parallel);
-        let (got, raw, enc) = run_td1(q, chunk, parallel);
+        let (want, raw0, enc0) = run_td1(q, 0);
+        let (got, raw, enc) = run_td1(q, chunk);
         // Bit-identical relation: same schema, same order, same values.
         prop_assert_eq!(&got.fields, &want.fields);
         prop_assert_eq!(got.columns(), want.columns());

@@ -12,9 +12,7 @@
 //! decentralized execution).
 
 use crate::annotate::{plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator};
-use crate::delegation::{
-    build_script, run_cleanup, run_script, run_script_parallel, DelegationScript,
-};
+use crate::delegation::{build_script, run_cleanup, run_script_parallel, DelegationScript};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,8 +91,8 @@ pub struct QueryOutcome {
     pub script: DelegationScript,
     /// The structured execution trace: hierarchical spans (query → phase →
     /// task → operator / DDL / transfer) on the simulated clock, plus
-    /// counters. Deterministic — parallel and sequential executors emit
-    /// bit-identical traces.
+    /// counters. Deterministic — the same bits on any number of executor
+    /// threads.
     pub trace: QueryTrace,
     /// Cost-model observatory bundle: every placement decision's predicted
     /// Eq. 1–3 components (chosen + rejected candidates) joined against
@@ -134,11 +132,6 @@ pub struct XdbOptions {
     /// Keep the short-lived relations after execution (debugging /
     /// plan-explorer).
     pub keep_objects: bool,
-    /// Execute independent delegation tasks concurrently across engine
-    /// nodes. Observationally equivalent to the sequential executor
-    /// (results, ledger, simulated timings); off switches back to the
-    /// strictly sequential step loop.
-    pub parallel_execution: bool,
     /// Collect per-operator statistics (rows in/out, hash-join build and
     /// probe sizes) inside every engine touched by this query and attach
     /// Operator spans to the trace. Off by default: operator profiling is
@@ -152,7 +145,7 @@ pub struct XdbOptions {
     pub stream_chunk_rows: usize,
     /// Morsel-reactor worker threads decoding streamed edges (0 disables
     /// the reactor; consumers then stream inline on the calling thread).
-    /// Defaults from `XDB_REACTOR_THREADS` / `XDB_SEQUENTIAL` (see
+    /// Defaults from `XDB_REACTOR_THREADS` (see
     /// [`xdb_net::reactor::default_threads`]). Any value yields
     /// bit-identical results, ledgers, simulated timings, traces, and
     /// deterministic metric snapshots — only the quarantined
@@ -184,11 +177,9 @@ pub fn default_learned_costs() -> bool {
 }
 
 /// The `XDB_SLOW_QUERY_MS` default for [`XdbOptions::slow_query_ms`]
-/// (unset or unparsable → disabled).
+/// (unset → disabled).
 pub fn default_slow_query_ms() -> Option<f64> {
-    std::env::var("XDB_SLOW_QUERY_MS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
+    xdb_net::env_number("XDB_SLOW_QUERY_MS")
 }
 
 impl Default for XdbOptions {
@@ -199,7 +190,6 @@ impl Default for XdbOptions {
             no_column_pruning: false,
             bushy_joins: false,
             keep_objects: false,
-            parallel_execution: true,
             trace_operators: false,
             stream_chunk_rows: xdb_engine::default_stream_chunk_rows(),
             reactor_threads: xdb_net::reactor::default_threads(),
@@ -579,11 +569,7 @@ impl<'a> Xdb<'a> {
             .set_stream_chunk_rows(self.options.stream_chunk_rows);
         self.cluster
             .set_reactor_threads(self.options.reactor_threads);
-        let exec = if self.options.parallel_execution {
-            run_script_parallel(self.cluster, &delegation, &script, &trace_ctx)
-        } else {
-            run_script(self.cluster, &delegation, &script, &trace_ctx)
-        };
+        let exec = run_script_parallel(self.cluster, &delegation, &script, &trace_ctx);
         if self.options.trace_operators {
             self.cluster.set_op_tracing(false);
         }

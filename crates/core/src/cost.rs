@@ -53,49 +53,10 @@ pub struct Placement {
 }
 
 /// Cost of moving `rows`/`bytes` from `src` into `a` and consuming them
-/// there via movement `x` (Equations 2–3).
-#[allow(clippy::too_many_arguments)] // mirrors Eq. 2–3's parameter list
-pub fn movement_cost(
-    topology: &Topology,
-    src: &NodeId,
-    a: &NodeId,
-    a_profile: &EngineProfile,
-    src_startup_ms: f64,
-    rows: f64,
-    bytes: f64,
-    x: Movement,
-) -> f64 {
-    movement_cost_split(topology, src, a, a_profile, src_startup_ms, rows, bytes, x).1
-}
-
-/// [`movement_cost`] with the pure wire time broken out: returns
-/// `(wire_ms, total_ms)`. The wire term is what the observatory re-prices
-/// with observed encoded bytes; the remainder is per-row engine overhead.
-#[allow(clippy::too_many_arguments)] // mirrors Eq. 2–3's parameter list
-pub fn movement_cost_split(
-    topology: &Topology,
-    src: &NodeId,
-    a: &NodeId,
-    a_profile: &EngineProfile,
-    src_startup_ms: f64,
-    rows: f64,
-    bytes: f64,
-    x: Movement,
-) -> (f64, f64) {
-    movement_cost_split_learned(
-        topology,
-        src,
-        a,
-        a_profile,
-        src_startup_ms,
-        rows,
-        bytes,
-        x,
-        None,
-    )
-}
-
-/// [`movement_cost_split`] re-priced through learned cost profiles.
+/// there via movement `x` (Equations 2–3), with the pure wire time broken
+/// out: returns `(wire_ms, total_ms)`. The wire term is what the
+/// observatory re-prices with observed encoded bytes; the remainder is
+/// per-row engine overhead.
 ///
 /// With `learned = None` — or when the store has no sample at any
 /// granularity for the edge — this is **bit-exactly** the static model:
@@ -107,7 +68,7 @@ pub fn movement_cost_split(
 /// - an explicit move's serialized producer start-up is scaled by the
 ///   producer engine's learned compute factor.
 #[allow(clippy::too_many_arguments)] // mirrors Eq. 2–3's parameter list
-pub fn movement_cost_split_learned(
+pub fn movement_cost_split(
     topology: &Topology,
     src: &NodeId,
     a: &NodeId,
@@ -272,7 +233,7 @@ pub fn decide_placement_detailed(
 /// the bit-exact contract behind the `XDB_STATIC_COSTS=1` kill switch.
 ///
 /// Learned re-pricing per candidate `a`:
-/// - movement terms via [`movement_cost_split_learned`] (encoded-byte
+/// - movement terms via [`movement_cost_split`] (encoded-byte
 ///   wire estimates, calibrated producer start-up);
 /// - Eq. 1 exec and consumer start-up scaled by `a`'s learned compute
 ///   factor (observed statement work per predicted compute unit).
@@ -315,7 +276,7 @@ pub fn decide_placement_with_profiles(
         for &xl in left_opts {
             for &xr in right_opts {
                 consults += 1;
-                let (wire_l, move_l) = movement_cost_split_learned(
+                let (wire_l, move_l) = movement_cost_split(
                     topology,
                     &left.dbms,
                     a,
@@ -326,7 +287,7 @@ pub fn decide_placement_with_profiles(
                     xl,
                     learned,
                 );
-                let (wire_r, move_r) = movement_cost_split_learned(
+                let (wire_r, move_r) = movement_cost_split(
                     topology,
                     &right.dbms,
                     a,
@@ -411,7 +372,7 @@ mod tests {
     #[test]
     fn local_input_costs_nothing_to_move() {
         let (topo, p) = setup();
-        let c = movement_cost(
+        let c = movement_cost_split(
             &topo,
             &NodeId::new("db1"),
             &NodeId::new("db1"),
@@ -420,7 +381,9 @@ mod tests {
             1e6,
             5e7,
             Movement::Implicit,
-        );
+            None,
+        )
+        .1;
         assert_eq!(c, 0.0);
     }
 
@@ -428,7 +391,7 @@ mod tests {
     fn explicit_costs_more_to_move_than_implicit_for_small_inputs() {
         let (topo, p) = setup();
         let (a, b) = (NodeId::new("db1"), NodeId::new("db2"));
-        let i = movement_cost(
+        let i = movement_cost_split(
             &topo,
             &a,
             &b,
@@ -437,8 +400,10 @@ mod tests {
             1_000.0,
             50_000.0,
             Movement::Implicit,
-        );
-        let e = movement_cost(
+            None,
+        )
+        .1;
+        let e = movement_cost_split(
             &topo,
             &a,
             &b,
@@ -447,7 +412,9 @@ mod tests {
             1_000.0,
             50_000.0,
             Movement::Explicit,
-        );
+            None,
+        )
+        .1;
         assert!(e > i);
     }
 
@@ -597,8 +564,9 @@ mod tests {
             l.rows,
             l.bytes,
             Movement::Implicit,
+            None,
         );
-        let (wire_learned, _) = movement_cost_split_learned(
+        let (wire_learned, _) = movement_cost_split(
             &topo,
             &l.dbms,
             &r.dbms,
@@ -616,7 +584,7 @@ mod tests {
         // An edge the store never saw by shape, link, or consuming engine
         // still falls back to the global ratio — learned compression is a
         // federation-wide signal until finer-grained samples arrive.
-        let (wire_other, _) = movement_cost_split_learned(
+        let (wire_other, _) = movement_cost_split(
             &topo,
             &r.dbms,
             &NodeId::new("db3"),
@@ -636,6 +604,7 @@ mod tests {
             r.rows,
             r.bytes,
             Movement::Implicit,
+            None,
         );
         assert!(wire_other < wire_other_static, "{wire_other}");
     }

@@ -234,34 +234,19 @@ pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, Stri
     }
 }
 
-/// Deploy and execute a delegation script on the cluster.
+/// Tail of a script's execution (the executor's, and `QueryServer`'s own
+/// step loop): replay the simulated timeline from the per-step reports (in
+/// script order), run the final XDB query, and emit the execution spans.
 ///
-/// DDLs run in script order (they are cheap control messages). Explicit
-/// materializations are *execution* work: each `CREATE TABLE AS` pulls its
-/// upstream pipeline; independent materializations overlap, dependent ones
-/// chain. The final `SELECT * FROM <root view>` then streams through the
-/// remaining implicit pipeline.
-pub fn run_script(
-    cluster: &Cluster,
-    plan: &DelegationPlan,
-    script: &DelegationScript,
-    trace: &TraceCtx<'_>,
-) -> Result<ExecutionOutcome> {
-    let mut reports: Vec<ExecReport> = Vec::with_capacity(script.steps.len());
-    for step in &script.steps {
-        let outcome = cluster.execute(step.node.as_str(), &step.sql)?;
-        reports.push(outcome.report);
-    }
-    finish_script(cluster, plan, script, &reports, trace)
-}
-
-/// Shared tail of both executors: replay the simulated timeline from the
-/// per-step reports (in script order), run the final XDB query, and emit
-/// the execution spans.
+/// DDLs are cheap control messages. Explicit materializations are
+/// *execution* work: each `CREATE TABLE AS` pulls its upstream pipeline;
+/// independent materializations overlap, dependent ones chain. The final
+/// `SELECT * FROM <root view>` then streams through the remaining implicit
+/// pipeline.
 ///
 /// Everything here is single-threaded and driven only by script order and
-/// the deterministic step reports, so sequential and parallel runs produce
-/// bit-identical timings *and traces* by construction.
+/// the deterministic step reports, so timings *and traces* do not depend
+/// on how many threads ran the steps.
 pub(crate) fn finish_script(
     cluster: &Cluster,
     plan: &DelegationPlan,
@@ -308,7 +293,7 @@ pub(crate) fn finish_script(
     }
     // Fleet telemetry. This tail is single-threaded and driven only by
     // script order + deterministic reports, so histogram observations and
-    // the Info event below are bit-identical across executors.
+    // the Info event below are the same on any number of threads.
     let telemetry = cluster.telemetry();
     for (step, report) in script.steps.iter().zip(step_reports) {
         telemetry.metrics.observe(
@@ -560,7 +545,7 @@ fn ready(
     t
 }
 
-/// What one parallel task group hands back: its scratch ledger plus the
+/// What one task group hands back: its scratch ledger plus the
 /// execution report of every step it ran, in step order.
 struct GroupRun {
     ledger: Ledger,
@@ -592,26 +577,52 @@ struct EventSched {
     remaining: usize,
 }
 
-/// Deploy and execute a delegation script with independent tasks running
-/// concurrently, driven by the dependency graph itself.
+/// Threads that run a script's groups, the caller's included. Only
+/// `Materialize` steps execute a query — views and foreign tables are
+/// microsecond catalog edits — so a script with fewer than two groups
+/// holding one runs on the caller's thread alone; otherwise one thread per
+/// such group, up to the host's parallelism.
+fn script_threads(materialize_groups: usize, host: usize) -> usize {
+    if materialize_groups < 2 {
+        1
+    } else {
+        materialize_groups.min(host)
+    }
+}
+
+/// Deploy and execute a delegation script, driven by the dependency graph
+/// of its task groups. Threads are a schedule of the one worker loop, not
+/// another implementation of it: see [`script_threads`] for how many run
+/// it (on most scripts, the calling thread alone).
+pub fn run_script_parallel(
+    cluster: &Cluster,
+    plan: &DelegationPlan,
+    script: &DelegationScript,
+    trace: &TraceCtx<'_>,
+) -> Result<ExecutionOutcome> {
+    run_script_on(None, cluster, plan, script, trace)
+}
+
+/// [`run_script_parallel`] on `threads` threads, the caller's included
+/// (tests force the count; `None` applies [`script_threads`]).
 ///
-/// Each contiguous script-order run of one task's steps is a *group*; a
-/// group fires the moment all its in-edges drain — every group of every
+/// A group fires the moment all its in-edges drain — every group of every
 /// producer task has finished, plus the task's own earlier groups — rather
 /// than waiting for a global wave barrier, so a deep chain on one branch
-/// no longer stalls independent shallow branches. Each group records
+/// does not stall independent shallow branches. Each group records
 /// transfers into a private scratch [`Ledger`] and reports the raw finish
 /// time of each materialization; after the graph drains the scratch
-/// ledgers are absorbed in *script order* and the simulated timeline is
-/// replayed with the same `ready()` composition the sequential executor
-/// uses — making results, ledger contents, and simulated timings
-/// bit-identical to [`run_script`].
+/// ledgers are absorbed in *script order* and [`finish_script`] replays the
+/// simulated timeline — so results, ledger contents, simulated timings and
+/// traces are those of running every step in script order on one thread,
+/// whatever `threads` is.
 ///
 /// On failure every group without a failed ancestor still runs (the set of
 /// executed groups is a function of the graph, not of thread timing), the
 /// error of the lowest failing group in script order is returned, and only
 /// scratch ledgers of groups strictly before it are absorbed.
-pub fn run_script_parallel(
+fn run_script_on(
+    threads: Option<usize>,
     cluster: &Cluster,
     plan: &DelegationPlan,
     script: &DelegationScript,
@@ -625,6 +636,13 @@ pub fn run_script_parallel(
             _ => groups.push((step.task, vec![step])),
         }
     }
+    let threads = threads.unwrap_or_else(|| {
+        let materializing = groups
+            .iter()
+            .filter(|(_, steps)| steps.iter().any(|s| s.kind == DdlKind::Materialize))
+            .count();
+        script_threads(materializing, xdb_net::reactor::host_parallelism())
+    });
 
     // Dependency edges between groups: a group waits for every group of
     // every producer task (any movement — even an implicit consumer's
@@ -686,48 +704,48 @@ pub fn run_script_parallel(
         }
     };
 
-    let workers = groups
-        .len()
-        .min(xdb_net::reactor::host_parallelism().max(2))
-        .max(1);
+    // The worker loop: take a ready group, run its steps, release its
+    // dependents; leave when the graph has drained. A lone worker never
+    // waits: whenever it is idle, some unfinished group is ready.
+    let worker = || loop {
+        let gi = {
+            let mut st = sched.lock().unwrap();
+            loop {
+                if let Some(gi) = st.ready.pop_front() {
+                    break gi;
+                }
+                if st.remaining == 0 {
+                    return;
+                }
+                st = wake.wait(st).unwrap();
+            }
+        };
+        let steps = &groups[gi].1;
+        let run = (|| {
+            let scoped = ScopedCluster::new(cluster);
+            let mut reports = Vec::with_capacity(steps.len());
+            for step in steps {
+                let outcome = cluster.with_step_lock(step.node.as_str(), || {
+                    scoped.execute(step.node.as_str(), &step.sql)
+                })?;
+                reports.push(outcome.report);
+            }
+            Ok(GroupRun {
+                ledger: scoped.ledger,
+                reports,
+            })
+        })();
+        let ok = run.is_ok();
+        *done[gi].lock().unwrap() = Some((if ok { GroupDone::Ok } else { GroupDone::Failed }, run));
+        let mut st = sched.lock().unwrap();
+        resolve(gi, ok, &mut st);
+        wake.notify_all();
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let gi = {
-                    let mut st = sched.lock().unwrap();
-                    loop {
-                        if let Some(gi) = st.ready.pop_front() {
-                            break gi;
-                        }
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        st = wake.wait(st).unwrap();
-                    }
-                };
-                let steps = &groups[gi].1;
-                let run = (|| {
-                    let scoped = ScopedCluster::new(cluster);
-                    let mut reports = Vec::with_capacity(steps.len());
-                    for step in steps {
-                        let outcome = cluster.with_step_lock(step.node.as_str(), || {
-                            scoped.execute(step.node.as_str(), &step.sql)
-                        })?;
-                        reports.push(outcome.report);
-                    }
-                    Ok(GroupRun {
-                        ledger: scoped.ledger,
-                        reports,
-                    })
-                })();
-                let ok = run.is_ok();
-                *done[gi].lock().unwrap() =
-                    Some((if ok { GroupDone::Ok } else { GroupDone::Failed }, run));
-                let mut st = sched.lock().unwrap();
-                resolve(gi, ok, &mut st);
-                wake.notify_all();
-            });
+        for _ in 1..threads {
+            s.spawn(worker);
         }
+        worker();
     });
 
     let mut runs: Vec<Option<GroupRun>> = Vec::new();
@@ -759,10 +777,8 @@ pub fn run_script_parallel(
         cluster.ledger.absorb(&run.ledger);
     }
 
-    // Post-barrier: flatten the per-group reports back into script order
-    // (groups are contiguous script-order step runs) and hand off to the
-    // shared, single-threaded tail — the same timeline replay and span
-    // emission the sequential executor uses.
+    // Flatten the per-group reports back into script order (groups are
+    // contiguous script-order step runs) for the single-threaded tail.
     let step_reports: Vec<ExecReport> = runs
         .into_iter()
         .flatten()
@@ -803,9 +819,11 @@ mod tests {
     use crate::global::GlobalCatalog;
     use crate::scenario;
     use xdb_net::Purpose;
+    use xdb_obs::TraceCollector;
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, OptimizeOptions};
     use xdb_sql::parse_select;
+    use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
     fn delegate(
         sql: &str,
@@ -842,6 +860,84 @@ mod tests {
         c.query("solo", sql).unwrap().0
     }
 
+    /// The reference the executor is held to: every step in script order
+    /// on the calling thread, straight onto the cluster's ledger.
+    fn run_script(
+        cluster: &Cluster,
+        plan: &DelegationPlan,
+        script: &DelegationScript,
+        trace: &TraceCtx<'_>,
+    ) -> Result<ExecutionOutcome> {
+        let mut reports = Vec::with_capacity(script.steps.len());
+        for step in &script.steps {
+            reports.push(cluster.execute(step.node.as_str(), &step.sql)?.report);
+        }
+        finish_script(cluster, plan, script, &reports, trace)
+    }
+
+    /// Everything one run of a script leaves behind: the outcome (or the
+    /// error), the ledger records it added, and the trace, as text. The
+    /// deployed objects are dropped again, so the next run of the same
+    /// script starts from the same cluster.
+    fn observe(
+        cluster: &Cluster,
+        script: &DelegationScript,
+        run: impl FnOnce(&TraceCtx<'_>) -> Result<ExecutionOutcome>,
+    ) -> (String, String, String) {
+        cluster.clear_codec_cache();
+        let mark = cluster.ledger.len();
+        let collector = TraceCollector::new();
+        let outcome = match run(&TraceCtx::new(&collector, 0.0, None)) {
+            Ok(o) => format!(
+                "exec_ms {:?} ddl_ms {:?} ddl_count {}\n{:?}",
+                o.exec_ms, o.ddl_ms, o.ddl_count, o.relation
+            ),
+            Err(e) => format!("error: {e}"),
+        };
+        let records = format!("{:#?}", cluster.ledger.since(mark));
+        run_cleanup(cluster, script);
+        for node in cluster.node_names() {
+            let names = cluster.engine(&node).unwrap().with_catalog(|c| c.names());
+            assert!(
+                names.iter().all(|n| !n.starts_with("xdb_q")),
+                "{node} kept {names:?}"
+            );
+        }
+        (outcome, records, collector.finish().to_chrome_json())
+    }
+
+    fn tpch_federation(td: TableDist) -> (Cluster, GlobalCatalog) {
+        let cluster = build_cluster(
+            td,
+            0.001,
+            xdb_net::Scenario::OnPremise,
+            &ProfileAssignment::uniform(xdb_engine::EngineProfile::postgres()),
+        )
+        .unwrap();
+        cluster.set_op_tracing(true);
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
+        (cluster, catalog)
+    }
+
+    fn tpch_script(
+        cluster: &Cluster,
+        catalog: &GlobalCatalog,
+        q: TpchQuery,
+        forced: Option<Movement>,
+    ) -> (DelegationPlan, DelegationScript) {
+        let plan = bind_select(&parse_select(q.sql()).unwrap(), catalog).unwrap();
+        let plan = optimize(plan, catalog, OptimizeOptions::default());
+        let options = AnnotateOptions {
+            force_movement: forced,
+            ..Default::default()
+        };
+        let ann = Annotator::new(catalog, cluster, options)
+            .run(&plan)
+            .unwrap();
+        let script = build_script(&ann.plan, 7, cluster).unwrap();
+        (ann.plan, script)
+    }
+
     #[test]
     fn script_has_views_foreign_tables_and_query() {
         let (_, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
@@ -865,7 +961,7 @@ mod tests {
     #[test]
     fn decentralized_execution_matches_single_engine() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(
             outcome.relation.same_bag(&expected),
@@ -887,7 +983,7 @@ mod tests {
             },
         );
         assert!(script.steps.iter().any(|s| s.kind == DdlKind::Materialize));
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(outcome.relation.same_bag(&expected));
         // Materialization traffic got recorded as such.
@@ -895,40 +991,85 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_matches_sequential_ledger_and_timing() {
-        // The parallel scheduler promises bit-identical observable
-        // behavior: same result bag, same simulated times, and the same
-        // ledger *records in the same order* (script-order absorption).
-        for forced in [None, Some(Movement::Explicit)] {
-            let options = AnnotateOptions {
-                force_movement: forced,
-                ..Default::default()
-            };
-            let (c_seq, _, p_seq, s_seq) = delegate(scenario::EXAMPLE_QUERY, options.clone());
-            let (c_par, _, p_par, s_par) = delegate(scenario::EXAMPLE_QUERY, options);
-            let seq = run_script(&c_seq, &p_seq, &s_seq, &TraceCtx::off()).unwrap();
-            let par = run_script_parallel(&c_par, &p_par, &s_par, &TraceCtx::off()).unwrap();
-            assert!(par.relation.same_bag(&seq.relation));
-            assert_eq!(par.exec_ms, seq.exec_ms);
-            assert_eq!(par.ddl_ms, seq.ddl_ms);
-            assert_eq!(par.ddl_count, seq.ddl_count);
-            let seq_snap = c_seq.ledger.snapshot();
-            let par_snap = c_par.ledger.snapshot();
-            assert_eq!(seq_snap.len(), par_snap.len());
-            for (a, b) in seq_snap.iter().zip(&par_snap) {
-                assert_eq!(a.from, b.from);
-                assert_eq!(a.to, b.to);
-                assert_eq!(a.bytes, b.bytes);
-                assert_eq!(a.rows, b.rows);
-                assert_eq!(a.purpose, b.purpose);
+    fn worker_count_rule() {
+        // No or one materializing group: the caller's thread, on any host.
+        for host in [1, 2, 64] {
+            assert_eq!(script_threads(0, host), 1);
+            assert_eq!(script_threads(1, host), 1);
+        }
+        // k >= 2: one thread per group, up to the host's parallelism.
+        assert_eq!(script_threads(2, 1), 1);
+        assert_eq!(script_threads(2, 2), 2);
+        assert_eq!(script_threads(2, 8), 2);
+        assert_eq!(script_threads(5, 4), 4);
+        assert_eq!(script_threads(5, 8), 5);
+    }
+
+    /// On any number of threads the executor leaves exactly what the step
+    /// loop leaves: relation, simulated times, ledger records in order,
+    /// and the trace, operator spans included.
+    #[test]
+    fn executor_matches_the_step_loop_at_every_worker_count() {
+        for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
+            let (cluster, catalog) = tpch_federation(td);
+            for q in TpchQuery::ALL {
+                for forced in [None, Some(Movement::Explicit)] {
+                    let (plan, script) = tpch_script(&cluster, &catalog, q, forced);
+                    let reference = observe(&cluster, &script, |trace| {
+                        run_script(&cluster, &plan, &script, trace)
+                    });
+                    assert!(reference.0.starts_with("exec_ms"), "{}", reference.0);
+                    for threads in [1, 2, 8] {
+                        let got = observe(&cluster, &script, |trace| {
+                            run_script_on(Some(threads), &cluster, &plan, &script, trace)
+                        });
+                        assert!(
+                            got == reference,
+                            "{} on {td:?}, forced {forced:?}: {threads} threads diverge",
+                            q.name()
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    /// A failing `CREATE TABLE AS` in the last materializing group: the
+    /// same error as the step loop's, the same ledger prefix, and nothing
+    /// left deployed after cleanup, on any number of threads.
+    #[test]
+    fn a_failing_materialization_fails_alike_at_every_worker_count() {
+        let (cluster, catalog) = tpch_federation(TableDist::Td2);
+        let (plan, mut script) =
+            tpch_script(&cluster, &catalog, TpchQuery::Q5, Some(Movement::Explicit));
+        let materializations: Vec<usize> = (0..script.steps.len())
+            .filter(|&k| script.steps[k].kind == DdlKind::Materialize)
+            .collect();
+        assert!(
+            materializations.len() >= 2,
+            "needs a prefix that moved data"
+        );
+        let broken = *materializations.last().unwrap();
+        script.steps[broken].sql =
+            "CREATE TABLE xdb_q7_broken AS SELECT * FROM xdb_q7_missing".into();
+        let reference = observe(&cluster, &script, |trace| {
+            run_script(&cluster, &plan, &script, trace)
+        });
+        assert!(reference.0.starts_with("error:"), "{}", reference.0);
+        assert!(reference.0.contains("xdb_q7_missing"), "{}", reference.0);
+        assert!(reference.1.contains("Materialization"), "{}", reference.1);
+        for threads in [1, 2, 8] {
+            let got = observe(&cluster, &script, |trace| {
+                run_script_on(Some(threads), &cluster, &plan, &script, trace)
+            });
+            assert!(got == reference, "{threads} threads diverge: {got:?}");
         }
     }
 
     #[test]
     fn cleanup_removes_all_objects() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
         let dropped = run_cleanup(&cluster, &script);
         assert_eq!(dropped, script.cleanup.len());
         // Re-running the XDB query must now fail: objects are gone.
@@ -957,7 +1098,7 @@ mod tests {
         );
         assert_eq!(plan.tasks.len(), 1);
         assert!(script.steps.iter().all(|s| s.kind == DdlKind::View));
-        let outcome = run_script(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
         assert!(!outcome.relation.is_empty());
         // Nothing crossed the network except nothing: it all ran on vdb.
         assert_eq!(cluster.ledger.total_bytes(), 0);

@@ -174,6 +174,7 @@ pub(crate) fn build_cost_observation(
                         t.rows as f64,
                         t.encoded_bytes as f64,
                         movement,
+                        None,
                     );
                     edge.obs_wire_ms = obs_wire;
                     edge.codec = dominant_codec(t);

@@ -34,8 +34,8 @@
 //! order — or absorbing the same observations from concurrent sessions in
 //! any interleaving — yields bit-identical factors, and the store's size
 //! depends on the number of keys, not on how much was absorbed.
-//! Observations themselves are bit-identical across executors, reactor
-//! on/off, partition counts, and stream-chunk sizes (the observatory's
+//! Observations themselves are bit-identical across executor threads,
+//! reactor on/off and stream-chunk sizes (the observatory's
 //! contract), so feedback preserves the repo's cross-axis determinism.
 //!
 //! Persistence is schema-versioned JSON (`profiles.json`); history

@@ -26,7 +26,7 @@
 //! submission order, so a concurrent front door ([`QueryServer::run_concurrent`])
 //! produces results, ledgers, traces and deterministic metric snapshots
 //! bit-identical to sequential admission of the same list — at any
-//! executor partition count and stream chunk size. Folding itself changes
+//! stream chunk size. Folding itself changes
 //! the *physical* ledger by design (a shared edge is charged once); each
 //! tenant's observable outcome — its result relation, its as-if-alone
 //! [`PhaseBreakdown`], and its *attributed* ledger view (shared records
@@ -641,8 +641,8 @@ impl<'a> QueryServer<'a> {
         }
         // Deploy sequentially, slicing the ledger per task group (groups
         // are contiguous in script order). Fragment deployment order and
-        // the simulated timeline replay are identical to the sequential
-        // executor — which is itself bit-identical to the parallel one.
+        // the simulated timeline replay (`finish_script`) are the script
+        // executor's.
         let mut step_reports: Vec<ExecReport> = Vec::with_capacity(script.steps.len());
         let mut data_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
         let mut exec_err = None;

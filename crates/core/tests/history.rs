@@ -1,8 +1,7 @@
 //! Query-history and critical-path determinism: the history records a
 //! submission appends and the critical path computed over its trace are
-//! simulated-clock state, so both must be bit-identical between the
-//! sequential and parallel executors, across executor kernel partition
-//! counts (1/2/8), and across transport chunk sizes (1/4096/unbounded).
+//! simulated-clock state, so both must be bit-identical across transport
+//! chunk sizes (1/4096/unbounded).
 //! The process-global query id is the one field comparisons normalize,
 //! exactly as the trace/telemetry tests do.
 
@@ -58,12 +57,10 @@ fn normalize_ids(s: &str) -> String {
 /// the full observable fingerprint: history records (JSON lines), the
 /// critical path (steps + rendered attribution), and the deterministic
 /// telemetry snapshot.
-fn run(chunk: usize, parallel: bool, partitions: usize) -> (u64, String) {
+fn run(chunk: usize) -> (u64, String) {
     let (cluster, catalog, telemetry) = setup();
-    cluster.set_exec_partitions(partitions);
     telemetry.history.enable_memory();
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        parallel_execution: parallel,
         stream_chunk_rows: chunk,
         ..Default::default()
     });
@@ -81,11 +78,11 @@ fn run(chunk: usize, parallel: bool, partitions: usize) -> (u64, String) {
     (outcome.query_id, normalize_ids(&fp))
 }
 
-fn run_comparable_pair(a: (usize, bool, usize), b: (usize, bool, usize)) -> (String, String) {
+fn run_comparable_pair(a: usize, b: usize) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(a.0, a.1, a.2);
-        let (idb, fb) = run(b.0, b.1, b.2);
+        let (ida, fa) = run(a);
+        let (idb, fb) = run(b);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -93,29 +90,13 @@ fn run_comparable_pair(a: (usize, bool, usize), b: (usize, bool, usize)) -> (Str
 }
 
 #[test]
-fn history_identical_sequential_vs_parallel() {
-    for chunk in [1usize, 4096, 0] {
-        let (seq, par) = run_comparable_pair((chunk, false, 1), (chunk, true, 1));
-        assert_eq!(seq, par, "chunk {chunk} diverges across executors");
+fn history_identical_across_chunks() {
+    // History records, critical path and deterministic metrics must not
+    // see the transport morsel size.
+    for chunk in [1usize, 4096] {
+        let (reference, other) = run_comparable_pair(0, chunk);
+        assert_eq!(reference, other, "chunk {chunk} observable");
     }
-}
-
-#[test]
-fn history_identical_across_partitions_and_chunks() {
-    // The `exec.partitions` gauge reports the *configured* partition
-    // count, so it legitimately differs across settings — everything
-    // else (history records, critical path, deterministic metrics) must
-    // not.
-    let strip_config = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("exec.partitions"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let (reference, other) = run_comparable_pair((0, true, 1), (1, true, 2));
-    assert_eq!(strip_config(&reference), strip_config(&other));
-    let (reference, other) = run_comparable_pair((4096, true, 1), (4096, true, 8));
-    assert_eq!(strip_config(&reference), strip_config(&other));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Cost-model observatory determinism properties: the predicted-vs-
 //! observed cost record of a query is part of the deterministic observable
-//! surface. For any TD1 query, turning the edge reactor on or off,
-//! switching executors, changing the partition count, or changing the
-//! transport morsel size must leave the serialized [`CostObservation`]
+//! surface. For any TD1 query, turning the edge reactor on or off or
+//! changing the transport morsel size must leave the serialized
+//! [`CostObservation`]
 //! bit-identical — the observatory reads only simulated-clock state
 //! (decisions, ledger, trace counters), never the wall clock or the
 //! scheduler.
@@ -32,13 +32,7 @@ static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 /// One full TD1 submission under the given executor knobs; returns the
 /// query id and the serialized cost observation, after checking the
 /// run's exact-accounting invariants.
-fn run(
-    q: TpchQuery,
-    reactor_threads: usize,
-    partitions: usize,
-    chunk: usize,
-    parallel: bool,
-) -> (u64, String) {
+fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -49,13 +43,11 @@ fn run(
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
     let telemetry = Telemetry::new_handle();
     cluster.set_telemetry(Arc::clone(&telemetry));
-    cluster.set_exec_partitions(partitions);
     let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
     catalog.set_telemetry(Arc::clone(&telemetry));
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
-            parallel_execution: parallel,
             stream_chunk_rows: chunk,
             reactor_threads,
             ..Default::default()
@@ -87,15 +79,11 @@ fn run(
 
 /// Run the reference configuration and the sampled one back-to-back,
 /// retrying until both query ids render at the same decimal width.
-fn comparable_pair(
-    q: TpchQuery,
-    a: (usize, usize, usize, bool),
-    b: (usize, usize, usize, bool),
-) -> (String, String) {
+fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(q, a.0, a.1, a.2, a.3);
-        let (idb, fb) = run(q, b.0, b.1, b.2, b.3);
+        let (ida, fa) = run(q, a.0, a.1);
+        let (idb, fb) = run(q, b.0, b.1);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -108,30 +96,20 @@ proptest! {
     fn cost_records_are_bit_identical_across_executor_knobs(
         qi in 0usize..TpchQuery::ALL.len(),
         rpick in 0usize..2,
-        ppick in 0usize..3,
         cpick in 0usize..3,
-        parallel in any::<bool>(),
     ) {
         let q = TpchQuery::ALL[qi];
         let reactor_threads = [0usize, 2][rpick];
-        let partitions = [1usize, 2, 8][ppick];
         let chunk = [1usize, 4096, 0][cpick];
-        // Reference: reactor off, single partition, unbounded edges, the
-        // sequential executor — the plainest possible run.
-        let (reference, sampled) = comparable_pair(
-            q,
-            (0, 1, 0, false),
-            (reactor_threads, partitions, chunk, parallel),
-        );
+        // Reference: reactor off, unbounded edges — the plainest run.
+        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
         prop_assert_eq!(
             reference,
             sampled,
-            "{} cost record diverges at reactor={} partitions={} chunk={} parallel={}",
+            "{} cost record diverges at reactor={} chunk={}",
             q.name(),
             reactor_threads,
-            partitions,
-            chunk,
-            parallel
+            chunk
         );
     }
 }

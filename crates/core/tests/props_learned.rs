@@ -1,8 +1,8 @@
 //! Learned-cost determinism property: with a FIXED profile store, the
 //! learned pricing path must be exactly as deterministic as the static
-//! one — for any TD1 query, turning the edge reactor on or off, changing
-//! the executor partition count, or changing the transport morsel size
-//! must leave every deterministic observable bit-identical (result rows,
+//! one — for any TD1 query, turning the edge reactor on or off or changing
+//! the transport morsel size must leave every deterministic observable
+//! bit-identical (result rows,
 //! simulated breakdown, transfer ledger, canonical trace, deterministic
 //! telemetry snapshot). Learned pricing may *flip plans* relative to
 //! static pricing, but never relative to itself.
@@ -68,13 +68,7 @@ fn normalize_ids(s: &str) -> String {
 /// One full TD1 submission priced through the fixed profile store under
 /// the given executor knobs; returns the query id and the complete
 /// observable fingerprint of the run.
-fn run(
-    q: TpchQuery,
-    reactor_threads: usize,
-    partitions: usize,
-    chunk: usize,
-    parallel: bool,
-) -> (u64, String) {
+fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -85,14 +79,12 @@ fn run(
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
     let telemetry = Telemetry::new_handle();
     cluster.set_telemetry(Arc::clone(&telemetry));
-    cluster.set_exec_partitions(partitions);
     let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
     catalog.set_telemetry(Arc::clone(&telemetry));
     catalog.set_profiles(fixed_profiles());
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
-            parallel_execution: parallel,
             stream_chunk_rows: chunk,
             reactor_threads,
             learned_costs: true,
@@ -114,26 +106,17 @@ fn run(
         fp.push_str(&format!("{t:?}\n"));
     }
     fp.push_str(&outcome.trace.canonical());
-    for line in telemetry.metrics.deterministic_snapshot().render().lines() {
-        if !line.starts_with("exec.partitions") {
-            fp.push_str(line);
-            fp.push('\n');
-        }
-    }
+    fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
     (outcome.query_id, normalize_ids(&fp))
 }
 
 /// Run the reference configuration and the sampled one back-to-back,
 /// retrying until both query ids render at the same decimal width.
-fn comparable_pair(
-    q: TpchQuery,
-    a: (usize, usize, usize, bool),
-    b: (usize, usize, usize, bool),
-) -> (String, String) {
+fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(q, a.0, a.1, a.2, a.3);
-        let (idb, fb) = run(q, b.0, b.1, b.2, b.3);
+        let (ida, fa) = run(q, a.0, a.1);
+        let (idb, fb) = run(q, b.0, b.1);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -146,28 +129,19 @@ proptest! {
     fn learned_pricing_is_unobservable_to_executor_knobs(
         qi in 0usize..TpchQuery::ALL.len(),
         rpick in 0usize..2,
-        ppick in 0usize..3,
         cpick in 0usize..3,
-        parallel in any::<bool>(),
     ) {
         let q = TpchQuery::ALL[qi];
         let reactor_threads = [0usize, 2][rpick];
-        let partitions = [1usize, 2, 8][ppick];
         let chunk = [1usize, 4096, 0][cpick];
-        let (reference, sampled) = comparable_pair(
-            q,
-            (0, 1, 0, false),
-            (reactor_threads, partitions, chunk, parallel),
-        );
+        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
         prop_assert_eq!(
             reference,
             sampled,
-            "{} (learned costs) diverges at reactor={} partitions={} chunk={} parallel={}",
+            "{} (learned costs) diverges at reactor={} chunk={}",
             q.name(),
             reactor_threads,
-            partitions,
-            chunk,
-            parallel
+            chunk
         );
     }
 }

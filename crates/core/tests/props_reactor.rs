@@ -1,6 +1,6 @@
 //! Morsel-reactor determinism properties: for any TD1 query, turning the
-//! edge reactor on or off, changing the executor partition count, or
-//! changing the transport morsel size must leave every deterministic
+//! edge reactor on or off or changing the transport morsel size must
+//! leave every deterministic
 //! observable bit-identical — result rows, simulated breakdown, transfer
 //! ledger (raw and encoded bytes), canonical trace, and the deterministic
 //! telemetry snapshot. Only the wall clock and the quarantined
@@ -53,15 +53,9 @@ fn normalize_ids(s: &str) -> String {
     out
 }
 
-/// One full TD1 submission under the given executor knobs; returns the
+/// One full TD1 submission under the given streaming knobs; returns the
 /// query id and the complete observable fingerprint of the run.
-fn run(
-    q: TpchQuery,
-    reactor_threads: usize,
-    partitions: usize,
-    chunk: usize,
-    parallel: bool,
-) -> (u64, String) {
+fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -72,13 +66,11 @@ fn run(
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
     let telemetry = Telemetry::new_handle();
     cluster.set_telemetry(Arc::clone(&telemetry));
-    cluster.set_exec_partitions(partitions);
     let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
     catalog.set_telemetry(Arc::clone(&telemetry));
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
-            parallel_execution: parallel,
             stream_chunk_rows: chunk,
             reactor_threads,
             ..Default::default()
@@ -98,31 +90,19 @@ fn run(
     for t in cluster.ledger.snapshot() {
         fp.push_str(&format!("{t:?}\n"));
     }
-    // Trace and deterministic telemetry. The `exec.partitions` gauge is
-    // the config knob echoed back, so it is the one series allowed to
-    // differ across partition counts (same carve-out as the telemetry
-    // integration tests).
+    // Trace and deterministic telemetry.
     fp.push_str(&outcome.trace.canonical());
-    for line in telemetry.metrics.deterministic_snapshot().render().lines() {
-        if !line.starts_with("exec.partitions") {
-            fp.push_str(line);
-            fp.push('\n');
-        }
-    }
+    fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
     (outcome.query_id, normalize_ids(&fp))
 }
 
 /// Run the reference configuration and the sampled one back-to-back,
 /// retrying until both query ids render at the same decimal width.
-fn comparable_pair(
-    q: TpchQuery,
-    a: (usize, usize, usize, bool),
-    b: (usize, usize, usize, bool),
-) -> (String, String) {
+fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(q, a.0, a.1, a.2, a.3);
-        let (idb, fb) = run(q, b.0, b.1, b.2, b.3);
+        let (ida, fa) = run(q, a.0, a.1);
+        let (idb, fb) = run(q, b.0, b.1);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -132,33 +112,23 @@ fn comparable_pair(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn reactor_partitions_and_chunking_are_unobservable(
+    fn reactor_and_chunking_are_unobservable(
         qi in 0usize..TpchQuery::ALL.len(),
         rpick in 0usize..2,
-        ppick in 0usize..3,
         cpick in 0usize..3,
-        parallel in any::<bool>(),
     ) {
         let q = TpchQuery::ALL[qi];
         let reactor_threads = [0usize, 2][rpick];
-        let partitions = [1usize, 2, 8][ppick];
         let chunk = [1usize, 4096, 0][cpick];
-        // Reference: reactor off, single partition, unbounded edges, the
-        // sequential executor — the plainest possible run.
-        let (reference, sampled) = comparable_pair(
-            q,
-            (0, 1, 0, false),
-            (reactor_threads, partitions, chunk, parallel),
-        );
+        // Reference: reactor off, unbounded edges — the plainest run.
+        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
         prop_assert_eq!(
             reference,
             sampled,
-            "{} diverges at reactor={} partitions={} chunk={} parallel={}",
+            "{} diverges at reactor={} chunk={}",
             q.name(),
             reactor_threads,
-            partitions,
-            chunk,
-            parallel
+            chunk
         );
     }
 }

@@ -2,7 +2,7 @@
 //! transport morsels is an implementation detail of the wire, so results,
 //! ledgers, simulated timings, traces, and the deterministic telemetry
 //! snapshot must be bit-identical across chunk sizes (1 row, the default
-//! 4096, unbounded) and across the sequential and parallel executors.
+//! 4096, unbounded).
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -52,10 +52,9 @@ fn normalize_ids(s: &str) -> String {
 
 /// One full submission at the given transport chunk size; returns the
 /// query id and the complete observable fingerprint of the run.
-fn run(chunk: usize, parallel: bool) -> (u64, String) {
+fn run(chunk: usize) -> (u64, String) {
     let (cluster, catalog, telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        parallel_execution: parallel,
         stream_chunk_rows: chunk,
         ..Default::default()
     });
@@ -80,11 +79,11 @@ fn run(chunk: usize, parallel: bool) -> (u64, String) {
     (outcome.query_id, normalize_ids(&fp))
 }
 
-fn run_comparable_pair(a: (usize, bool), b: (usize, bool)) -> (String, String) {
+fn run_comparable_pair(a: usize, b: usize) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(a.0, a.1);
-        let (idb, fb) = run(b.0, b.1);
+        let (ida, fa) = run(a);
+        let (idb, fb) = run(b);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -96,21 +95,8 @@ fn chunk_size_is_unobservable() {
     // Unbounded (0) is the reference; 1-row morsels and the 4096 default
     // must match it on every observable surface.
     for chunk in [1usize, 4096] {
-        for parallel in [false, true] {
-            let (reference, chunked) = run_comparable_pair((0, parallel), (chunk, parallel));
-            assert_eq!(
-                reference, chunked,
-                "chunk {chunk} (parallel={parallel}) observable"
-            );
-        }
-    }
-}
-
-#[test]
-fn streaming_identical_sequential_vs_parallel() {
-    for chunk in [1usize, 4096, 0] {
-        let (seq, par) = run_comparable_pair((chunk, false), (chunk, true));
-        assert_eq!(seq, par, "chunk {chunk} diverges across executors");
+        let (reference, chunked) = run_comparable_pair(0, chunk);
+        assert_eq!(reference, chunked, "chunk {chunk} observable");
     }
 }
 

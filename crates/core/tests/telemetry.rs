@@ -1,7 +1,7 @@
-//! Fleet-telemetry integration tests: deterministic metrics/events across
-//! the sequential and partition-parallel executors, delegation-artifact
-//! cleanup restoring the live-object gauges, consultation-cache soundness
-//! under transient DDL, and the per-run metrics-snapshot delta.
+//! Fleet-telemetry integration tests: deterministic metrics/events run to
+//! run, delegation-artifact cleanup restoring the live-object gauges,
+//! consultation-cache soundness under transient DDL, and the per-run
+//! metrics-snapshot delta.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -51,13 +51,9 @@ fn normalize_query_ids(jsonl: &str) -> String {
 /// One full submission with an isolated telemetry handle; returns the
 /// query id, the deterministic metrics rendering, and the normalized
 /// event JSONL.
-fn run_workload(parallel: bool, partitions: usize) -> (u64, String, String) {
+fn run_workload() -> (u64, String, String) {
     let (cluster, catalog, telemetry) = setup();
-    cluster.set_exec_partitions(partitions);
-    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        parallel_execution: parallel,
-        ..Default::default()
-    });
+    let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
     (
         outcome.query_id,
@@ -66,38 +62,27 @@ fn run_workload(parallel: bool, partitions: usize) -> (u64, String, String) {
     )
 }
 
-/// Run two workloads back to back with same-width query ids (a decimal
-/// boundary like 9→10 can split a pair at most once, so one retry
-/// suffices) so every byte of telemetry is comparable.
-fn run_comparable_pair(a: (bool, usize), b: (bool, usize)) -> ((String, String), (String, String)) {
+#[test]
+fn telemetry_repeats_run_to_run() {
+    // Whatever threads the host lends the executor and the reactor, two
+    // submissions of one query leave the same deterministic telemetry.
+    // Same-width query ids (a decimal boundary like 9→10 can split a pair
+    // at most once) make every byte comparable.
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, ma, ea) = run_workload(a.0, a.1);
-        let (idb, mb, eb) = run_workload(b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return ((ma, ea), (mb, eb));
+        let (ida, metrics_a, events_a) = run_workload();
+        let (idb, metrics_b, events_b) = run_workload();
+        if ida.to_string().len() != idb.to_string().len() {
+            continue;
         }
-    }
-}
-
-#[test]
-fn telemetry_identical_sequential_vs_parallel() {
-    for partitions in [1usize, 2, 8] {
-        let ((seq_metrics, seq_events), (par_metrics, par_events)) =
-            run_comparable_pair((false, partitions), (true, partitions));
-        assert_eq!(
-            seq_metrics, par_metrics,
-            "metrics diverge at {partitions} partitions"
-        );
-        assert_eq!(
-            seq_events, par_events,
-            "event log diverges at {partitions} partitions"
-        );
+        assert_eq!(metrics_a, metrics_b);
+        assert_eq!(events_a, events_b);
         assert!(
-            seq_metrics.contains("xdb.queries{status=\"ok\"}"),
-            "{seq_metrics}"
+            metrics_a.contains("xdb.queries{status=\"ok\"}"),
+            "{metrics_a}"
         );
-        assert!(!seq_metrics.contains("sched."), "{seq_metrics}");
+        assert!(!metrics_a.contains("sched."), "{metrics_a}");
+        break;
     }
 }
 
@@ -106,76 +91,32 @@ fn quarantine_audit_covers_every_metric_family() {
     // The metric quarantine is the determinism contract's enforcement
     // point: `deterministic_snapshot()` must drop *every* family under the
     // quarantined prefixes (`sched.*`, `net.chunks*`, `net.codec.*`) and
-    // nothing else — and everything it keeps must be bit-identical between
-    // the sequential and parallel executors.
+    // nothing else.
     use xdb_obs::metrics::{CHUNKS_PREFIX, CODEC_PREFIX, SCHED_PREFIX};
     let _guard = SUBMIT_LOCK.lock();
     let quarantined = |k: &&String| {
         k.starts_with(SCHED_PREFIX) || k.starts_with(CHUNKS_PREFIX) || k.starts_with(CODEC_PREFIX)
     };
-    let run = |parallel: bool| {
-        let (cluster, catalog, telemetry) = setup();
-        let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-            parallel_execution: parallel,
-            ..Default::default()
-        });
-        let out = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-        (
-            out.query_id,
-            telemetry.metrics.snapshot(),
-            telemetry.metrics.deterministic_snapshot(),
-        )
-    };
-    loop {
-        let (ida, full_seq, det_seq) = run(false);
-        let (idb, full_par, det_par) = run(true);
-        // Same-width query ids, like run_comparable_pair.
-        if ida.to_string().len() != idb.to_string().len() {
-            continue;
-        }
-        // The workload really exercises quarantined families — otherwise
-        // this audit would pass vacuously.
-        assert!(
-            full_par
-                .counters
-                .keys()
-                .any(|k| k.starts_with(SCHED_PREFIX)),
-            "workload emitted no sched.* series"
-        );
-        // No quarantined family leaks into the deterministic snapshot.
-        for snap in [&det_seq, &det_par] {
-            let leaked: Vec<&String> = snap.counters.keys().filter(quarantined).collect();
-            assert!(leaked.is_empty(), "quarantined series leaked: {leaked:?}");
-        }
-        // The deterministic snapshot is exactly the full snapshot minus
-        // the quarantined prefixes — no family is silently dropped.
-        for (full, det) in [(&full_seq, &det_seq), (&full_par, &det_par)] {
-            let expected: Vec<&String> = full.counters.keys().filter(|k| !quarantined(k)).collect();
-            let got: Vec<&String> = det.counters.keys().collect();
-            assert_eq!(expected, got);
-        }
-        // Every deterministic family survives the sequential-vs-parallel
-        // diff, value for value.
-        assert_eq!(det_seq.counters, det_par.counters);
-        break;
-    }
-}
-
-#[test]
-fn telemetry_independent_of_partition_count() {
-    // Simulated values must not depend on how many partitions the columnar
-    // executor fans out over; only the `exec.partitions` gauge itself (and
-    // the quarantined `sched.*` series) may differ.
-    let strip_partitions = |metrics: &str| -> String {
-        metrics
-            .lines()
-            .filter(|l| !l.starts_with("exec.partitions"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let ((m1, e1), (m8, e8)) = run_comparable_pair((true, 1), (true, 8));
-    assert_eq!(strip_partitions(&m1), strip_partitions(&m8));
-    assert_eq!(e1, e8);
+    let (cluster, catalog, telemetry) = setup();
+    Xdb::new(&cluster, &catalog)
+        .submit(scenario::EXAMPLE_QUERY)
+        .unwrap();
+    let full = telemetry.metrics.snapshot();
+    let det = telemetry.metrics.deterministic_snapshot();
+    // The workload really exercises quarantined families — otherwise
+    // this audit would pass vacuously.
+    assert!(
+        full.counters.keys().any(|k| k.starts_with(SCHED_PREFIX)),
+        "workload emitted no sched.* series"
+    );
+    // No quarantined family leaks into the deterministic snapshot.
+    let leaked: Vec<&String> = det.counters.keys().filter(quarantined).collect();
+    assert!(leaked.is_empty(), "quarantined series leaked: {leaked:?}");
+    // The deterministic snapshot is exactly the full snapshot minus the
+    // quarantined prefixes — no family is silently dropped.
+    let expected: Vec<&String> = full.counters.keys().filter(|k| !quarantined(k)).collect();
+    let got: Vec<&String> = det.counters.keys().collect();
+    assert_eq!(expected, got);
 }
 
 #[test]

@@ -185,8 +185,8 @@ impl Cluster {
         // relation's content, so reuse it instead of re-deriving per edge.
         // The DDL generation in the key invalidates entries the moment the
         // producer's catalog changes. The hit *count* is
-        // scheduling-dependent under the parallel executor (two threads can
-        // race to the first encode), so `net.codec.dict_reuse` lives in the
+        // scheduling-dependent when the script executor runs on several
+        // threads (two can race to the first encode), so `net.codec.dict_reuse` lives in the
         // quarantined `net.codec` metric namespace; the encoded bytes
         // themselves are deterministic either way.
         let cache_key = (
@@ -380,14 +380,6 @@ impl Cluster {
         }
     }
 
-    /// Set the executor kernel partition count on every engine (1 =
-    /// sequential). Results are bit-identical at any setting.
-    pub fn set_exec_partitions(&self, n: usize) {
-        for engine in self.engines.values() {
-            engine.set_exec_partitions(n);
-        }
-    }
-
     /// Set the streamed-edge transport morsel size on every engine
     /// (0 = unbounded). Results, ledgers and simulated timings are
     /// bit-identical at any setting.
@@ -439,11 +431,11 @@ impl Remote for Cluster {
 /// A view of a [`Cluster`] that records transfers into a private scratch
 /// ledger instead of the shared one.
 ///
-/// The parallel executor gives each concurrently-running task group its
-/// own `ScopedCluster`; after the barrier the scratch ledgers are
-/// [`Ledger::absorb`]ed into the cluster ledger in script order, so the
-/// merged record sequence is identical to a sequential run no matter how
-/// the groups interleaved in real time.
+/// The script executor gives each task group its own `ScopedCluster`;
+/// after the graph drains the scratch ledgers are [`Ledger::absorb`]ed
+/// into the cluster ledger in script order, so the merged record sequence
+/// is that of running every step in script order, no matter how the
+/// groups interleaved in real time.
 pub struct ScopedCluster<'a> {
     cluster: &'a Cluster,
     /// Scratch ledger; transfers triggered by this scope land here.

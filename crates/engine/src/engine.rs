@@ -164,10 +164,6 @@ pub struct Engine {
     /// [`ExecProfile`] in its report. Off by default: the executor then
     /// skips all per-operator bookkeeping.
     trace_ops: AtomicBool,
-    /// Hash partitions for parallel join/aggregation kernels. 1 means
-    /// fully sequential; any value yields bit-identical results (row
-    /// order included), so this only trades wall-clock for threads.
-    exec_partitions: AtomicUsize,
     /// Transport morsel size (rows) for streamed dataflow edges; 0 means
     /// unbounded (one chunk per edge). Codec state is computed per edge,
     /// never per chunk, so any value yields bit-identical results,
@@ -175,9 +171,9 @@ pub struct Engine {
     /// metric (and wall-clock overlap) changes.
     stream_chunk_rows: AtomicUsize,
     /// Reactor worker budget for streamed edges; 0 disables the reactor
-    /// (morsels decode inline on the consuming thread). Like the other
-    /// two knobs, any value yields bit-identical observables — the
-    /// reactor only moves wall-clock decode work onto pool threads.
+    /// (morsels decode inline on the consuming thread). Like the morsel
+    /// size, any value yields bit-identical observables — the reactor
+    /// only moves wall-clock decode work onto pool threads.
     reactor_threads: AtomicUsize,
     /// Reusable per-query executor scratch (hash tables, chain buffers).
     /// Executions pop one on entry and push it back after the run, so
@@ -208,13 +204,12 @@ impl Engine {
             catalog: RwLock::new(Arc::new(Catalog::new())),
             ddl_generation: AtomicU64::new(0),
             trace_ops: AtomicBool::new(false),
-            exec_partitions: AtomicUsize::new(default_exec_partitions()),
             stream_chunk_rows: AtomicUsize::new(default_stream_chunk_rows()),
             reactor_threads: AtomicUsize::new(xdb_net::reactor::default_threads()),
             scratch_pool: Mutex::new(Vec::new()),
             telemetry: RwLock::new(Arc::clone(xdb_obs::telemetry::global())),
         };
-        engine.publish_partitions_gauge();
+        engine.publish_sched_gauges();
         engine
     }
 
@@ -227,20 +222,15 @@ impl Engine {
     /// re-publish this engine's gauges under it.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         *self.telemetry.write() = telemetry;
-        self.publish_partitions_gauge();
+        self.publish_sched_gauges();
         let catalog = self.catalog.read();
         self.publish_catalog_gauges(&catalog);
     }
 
-    fn publish_partitions_gauge(&self) {
+    /// Publish the two streaming knobs, under `sched.` so chunk-size
+    /// bit-identity comparisons never see the knob itself.
+    fn publish_sched_gauges(&self) {
         let labels = [("engine", self.node.as_str())];
-        self.telemetry().metrics.gauge_set(
-            "exec.partitions",
-            &labels,
-            self.exec_partitions() as f64,
-        );
-        // Under `sched.` so chunk-size bit-identity comparisons never see
-        // the knob itself.
         self.telemetry().metrics.gauge_set(
             "sched.stream_chunk_rows",
             &labels,
@@ -277,25 +267,12 @@ impl Engine {
         self.trace_ops.load(Ordering::Acquire)
     }
 
-    /// Set the number of hash partitions used by the parallel join and
-    /// aggregation kernels (clamped to at least 1). Partitioning never
-    /// changes results — output row order is preserved exactly.
-    pub fn set_exec_partitions(&self, n: usize) {
-        self.exec_partitions.store(n.max(1), Ordering::Release);
-        self.publish_partitions_gauge();
-    }
-
-    /// Current executor partition count.
-    pub fn exec_partitions(&self) -> usize {
-        self.exec_partitions.load(Ordering::Acquire)
-    }
-
     /// Set the transport morsel size (rows) for streamed dataflow edges;
     /// 0 means unbounded. Never changes results or simulated timings —
     /// codec state is per edge, so only consumption granularity moves.
     pub fn set_stream_chunk_rows(&self, rows: usize) {
         self.stream_chunk_rows.store(rows, Ordering::Release);
-        self.publish_partitions_gauge();
+        self.publish_sched_gauges();
     }
 
     /// Current transport morsel size (rows); 0 = unbounded.
@@ -307,7 +284,7 @@ impl Engine {
     /// inline). Never changes results, ledgers, or simulated timings.
     pub fn set_reactor_threads(&self, n: usize) {
         self.reactor_threads.store(n, Ordering::Release);
-        self.publish_partitions_gauge();
+        self.publish_sched_gauges();
     }
 
     /// Current reactor worker budget; 0 = reactor off.
@@ -549,7 +526,6 @@ impl Engine {
         let telemetry = self.telemetry();
         let engine_label = [("engine", self.node.as_str())];
         let mut exec = Execution::new(&resolver);
-        exec.partitions = self.exec_partitions();
         exec.reactor_threads = self.reactor_threads();
         // Scratch reuse depends on how concurrent executions interleave on
         // the shared pool, so these counters live under the reserved
@@ -661,17 +637,6 @@ impl Engine {
     }
 }
 
-/// Default kernel parallelism: the machine's parallelism capped at 8
-/// partitions (hash-partition fan-out flattens quickly beyond that), or
-/// fully sequential when `XDB_SEQUENTIAL` is set — the same switch the
-/// bench harness uses for its sequential baselines.
-fn default_exec_partitions() -> usize {
-    if std::env::var_os("XDB_SEQUENTIAL").is_some() {
-        return 1;
-    }
-    xdb_net::reactor::host_parallelism().min(8)
-}
-
 /// Default transport morsel size for streamed edges. `XDB_STREAM_CHUNK`
 /// overrides it (`0` = unbounded, one chunk per edge); the CI smoke runs
 /// `repro fig9` under 1 / default / 0 and asserts byte-identical output.
@@ -680,10 +645,7 @@ pub const DEFAULT_STREAM_CHUNK_ROWS: usize = 4096;
 /// Resolve the morsel size from the environment, falling back to
 /// [`DEFAULT_STREAM_CHUNK_ROWS`].
 pub fn default_stream_chunk_rows() -> usize {
-    match std::env::var("XDB_STREAM_CHUNK") {
-        Ok(v) => v.trim().parse().unwrap_or(DEFAULT_STREAM_CHUNK_ROWS),
-        Err(_) => DEFAULT_STREAM_CHUNK_ROWS,
-    }
+    xdb_net::env_number("XDB_STREAM_CHUNK").unwrap_or(DEFAULT_STREAM_CHUNK_ROWS)
 }
 
 fn ddl_outcome() -> StatementOutcome {

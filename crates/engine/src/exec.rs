@@ -8,11 +8,8 @@
 //!
 //! The data plane is columnar: operators evaluate expressions one column at
 //! a time ([`crate::vector`]), carry row subsets as selection vectors, and
-//! materialize outputs by gathering typed column vectors. Hash joins and
-//! grouped aggregation optionally hash-partition their work across scoped
-//! threads ([`Execution::partitions`]); partitioning is routing-only, so
-//! output row order, float accumulation order, work units and traces are
-//! bit-identical to the sequential plan.
+//! materialize outputs by gathering typed column vectors. Every operator
+//! runs on the calling thread: this module starts none.
 
 use crate::engine::MorselSink;
 use crate::error::{EngineError, Result};
@@ -20,14 +17,14 @@ use crate::expr::{compile, PhysExpr};
 use crate::relation::Relation;
 use crate::vector;
 use std::collections::hash_map::Entry;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::hash::Hash;
 use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, PlanSchema};
 use xdb_sql::column::{Column, ColumnBuilder};
-use xdb_sql::hash::{FastMap, FastSet, Fnv};
+use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
 
 /// Per-operator work-unit weights (rows processed × weight). Values are
@@ -44,10 +41,6 @@ pub mod weights {
 
 /// Chain terminator in the chained hash tables below.
 const NO_NEXT: u32 = u32::MAX;
-
-/// Below this many probe/build rows a join (or aggregate input) is not
-/// worth fanning out to partition workers.
-const PAR_MIN_ROWS: usize = 4096;
 
 /// A relation flowing between operators: either uniquely owned (rows can be
 /// moved or mutated in place) or shared with the catalog / other readers.
@@ -191,10 +184,6 @@ pub struct Execution<'a> {
     /// Profiles of remote producers behind foreign-table scans, paired
     /// with the edge's wire time (operator tracing only).
     pub remotes: Vec<(ExecProfile, f64)>,
-    /// Worker threads for partition-parallel hash join / aggregation.
-    /// 1 (the default) keeps execution fully sequential; any value produces
-    /// bit-identical results.
-    pub partitions: usize,
     /// Reactor worker threads decoding streamed edges (0 = no reactor).
     /// Only gates paths whose observables are identical either way — e.g.
     /// the streamed join-build concat, which costs an extra copy unless
@@ -213,7 +202,6 @@ impl<'a> Execution<'a> {
             edges: Vec::new(),
             ops: None,
             remotes: Vec::new(),
-            partitions: 1,
             reactor_threads: 0,
             scratch: Scratch::default(),
         }
@@ -512,20 +500,16 @@ impl<'a> Execution<'a> {
     }
 
     /// Streamed aggregation over a (possibly filtered) foreign-table scan:
-    /// accumulators fold each morsel as it decodes, so grouping overlaps
-    /// the edge and the scan output is never materialized at all. Rows
-    /// feed each group's accumulators in arrival order — exactly the row
-    /// sequence the materialized kernels scan — so every output bit,
-    /// work unit and op stat matches the materialized path. Multi-column
-    /// group keys keep the packed materialized kernel (the streamed
-    /// filter above still fuses underneath them).
+    /// the grouper folds each morsel as it decodes, so grouping overlaps
+    /// the edge and the scan output is never materialized at all. Records
+    /// the scan's and the filter's accounting exactly as the materialized
+    /// operators would and returns the aggregate's input row count;
+    /// `Ok(None)`, with nothing run, unless the input is such a leaf.
     fn aggregate_streamed(
         &mut self,
         input: &LogicalPlan,
-        group_by: &[(xdb_sql::Expr, String)],
-        aggregates: &[(AggCall, String)],
-        out: &PlanSchema,
-    ) -> Result<Option<ExecRel>> {
+        grouper: &mut Grouper,
+    ) -> Result<Option<u64>> {
         let (leaf, filter_pred) = match input {
             LogicalPlan::Filter {
                 input: inner,
@@ -534,97 +518,32 @@ impl<'a> Execution<'a> {
             _ if leaf_parts(input).is_some() => (input, None),
             _ => return Ok(None),
         };
-        if group_by.len() > 1 {
-            return Ok(None);
-        }
-        let schema = input.schema();
         let pred = match filter_pred {
             Some(p) => Some(compile(p, leaf.schema())?),
             None => None,
         };
-        let group_c: Vec<PhysExpr> = group_by
-            .iter()
-            .map(|(e, _)| compile(e, schema))
-            .collect::<Result<_>>()?;
-        let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
-            .iter()
-            .map(|(a, _)| {
-                let arg = match &a.arg {
-                    Some(e) => Some(compile(e, schema)?),
-                    None => None,
-                };
-                Ok((a.func, arg, a.distinct))
-            })
-            .collect::<Result<_>>()?;
-        let new_accs = || -> Vec<Accumulator> {
-            agg_c
-                .iter()
-                .map(|(f, _, distinct)| Accumulator::new(*f, *distinct))
-                .collect()
-        };
-        let mut grouper = StreamGrouper::new(group_c.is_empty());
         let mut rows_filt = 0u64;
         let nrows = {
             let mut sink = |m: &Relation| -> Result<()> {
-                let filtered;
-                let rel = match &pred {
-                    Some(p) => {
-                        let sel = filter_selection(p, m)?;
-                        rows_filt += sel.len() as u64;
-                        if sel.len() == m.len() {
-                            m
-                        } else {
-                            filtered = gather_relation(m, &sel);
-                            &filtered
-                        }
-                    }
-                    None => m,
-                };
-                if rel.is_empty() {
-                    return Ok(());
-                }
-                let key_col = match group_c.first() {
-                    Some(g) => Some(expr_column(g, rel)?),
-                    None => None,
-                };
-                let arg_cols: Vec<Option<Column>> = agg_c
-                    .iter()
-                    .map(|(_, arg, _)| match arg {
-                        Some(a) => Ok(Some(expr_column(a, rel)?)),
-                        None => Ok(None),
-                    })
-                    .collect::<Result<_>>()?;
-                grouper.fold(rel.len(), key_col.as_ref(), &arg_cols, &new_accs);
-                Ok(())
+                let mut kept = None;
+                grouper.push(filter_morsel(pred.as_ref(), m, &mut rows_filt, &mut kept)?)
             };
             match self.stream_leaf(leaf, &mut sink)? {
                 Some(n) => n,
                 None => return Ok(None),
             }
         };
-        let agg_rows = if pred.is_some() {
-            self.scan_units += nrows as f64 * weights::FILTER;
-            self.op(OpStat {
-                op: "filter",
-                rows_in: nrows as u64,
-                rows_out: rows_filt,
-                ..OpStat::default()
-            });
-            rows_filt
-        } else {
-            nrows as u64
-        };
-        self.olap_units += agg_rows as f64 * weights::AGGREGATE;
-        let mut groups = grouper.into_groups();
-        // Global aggregate over empty input still yields one row.
-        if group_c.is_empty() && groups.is_empty() {
-            groups.push(GroupOut {
-                first_row: 0,
-                key: vec![],
-                accs: new_accs(),
-            });
+        if pred.is_none() {
+            return Ok(Some(nrows as u64));
         }
-        Ok(Some(self.finish_aggregate(out, agg_rows, groups)))
+        self.scan_units += nrows as f64 * weights::FILTER;
+        self.op(OpStat {
+            op: "filter",
+            rows_in: nrows as u64,
+            rows_out: rows_filt,
+            ..OpStat::default()
+        });
+        Ok(Some(rows_filt))
     }
 
     /// Streamed materialization of a leaf scan: morsels concatenate as
@@ -678,16 +597,16 @@ impl<'a> Execution<'a> {
     /// decoded chunk is still cache-hot — the probe relation itself is
     /// never materialized. Pairs are emitted probe-major with build rows
     /// ascending within a probe row (morsel-local probe indices, absolute
-    /// build indices), i.e. exactly [`join_pairs`]' order, and the
+    /// build indices), i.e. exactly the materialized join's order, and the
     /// accounting recorded after the drain matches the materialized join
-    /// value for value — so the path engages regardless of morsel size,
-    /// reactor threads or partition count and every observable stays
-    /// config-invariant. Returns `Ok(None)` before any side effects unless
-    /// the probe side is a streamable (optionally filtered) leaf and every
-    /// probe key is a bare column: computed keys would be re-evaluated per
-    /// morsel, and only bare columns are guaranteed the chunk-invariant
-    /// layouts the typed chain dispatch relies on. On success returns the
-    /// join's output row count and the build relation.
+    /// value for value — so the path engages regardless of morsel size or
+    /// reactor threads and every observable stays config-invariant.
+    /// Returns `Ok(None)` before any side effects unless the probe side is
+    /// a streamable (optionally filtered) leaf and every probe key is a
+    /// bare column: computed keys would be re-evaluated per morsel, and
+    /// only bare columns are guaranteed the chunk-invariant layouts the
+    /// typed chain dispatch relies on. On success returns the join's output
+    /// row count and the build relation.
     fn join_probe_streamed(
         &mut self,
         left: &LogicalPlan,
@@ -738,20 +657,8 @@ impl<'a> Execution<'a> {
         let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
         let streamed = {
             let mut sink = |m: &Relation| -> Result<()> {
-                let filtered;
-                let rel = match &pred_c {
-                    Some(p) => {
-                        let sel = filter_selection(p, m)?;
-                        rows_filt += sel.len() as u64;
-                        if sel.len() == m.len() {
-                            m
-                        } else {
-                            filtered = gather_relation(m, &sel);
-                            &filtered
-                        }
-                    }
-                    None => m,
-                };
+                let mut kept = None;
+                let rel = filter_morsel(pred_c.as_ref(), m, &mut rows_filt, &mut kept)?;
                 let pcols: Vec<Column> = key_idx.iter().map(|&i| rel.column(i).clone()).collect();
                 let fresh = built.is_none();
                 if fresh {
@@ -922,17 +829,15 @@ impl<'a> Execution<'a> {
 
     /// Fused streamed aggregation over a streamed-probe join: each probe
     /// morsel's matches gather into a small cache-hot joined morsel that
-    /// folds straight into the streaming grouper, so neither the probe
-    /// relation nor the join output is ever materialized. Single (or no)
-    /// group key only — the shapes [`StreamGrouper`] reproduces
-    /// bit-identically to the materialized kernels.
+    /// folds straight into the grouper, so neither the probe relation nor
+    /// the join output is ever materialized. Returns the join's output row
+    /// count; `Ok(None)`, with nothing run, unless the input is a join
+    /// whose probe side streams.
     fn aggregate_join_streamed(
         &mut self,
         input: &LogicalPlan,
-        group_by: &[(xdb_sql::Expr, String)],
-        aggregates: &[(AggCall, String)],
-        out: &PlanSchema,
-    ) -> Result<Option<ExecRel>> {
+        grouper: &mut Grouper,
+    ) -> Result<Option<u64>> {
         let LogicalPlan::Join {
             left,
             right,
@@ -943,34 +848,8 @@ impl<'a> Execution<'a> {
         else {
             return Ok(None);
         };
-        if group_by.len() > 1 {
-            return Ok(None);
-        }
-        let schema = input.schema();
-        let group_c: Vec<PhysExpr> = group_by
-            .iter()
-            .map(|(e, _)| compile(e, schema))
-            .collect::<Result<_>>()?;
-        let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
-            .iter()
-            .map(|(a, _)| {
-                let arg = match &a.arg {
-                    Some(e) => Some(compile(e, schema)?),
-                    None => None,
-                };
-                Ok((a.func, arg, a.distinct))
-            })
-            .collect::<Result<_>>()?;
-        let new_accs = || -> Vec<Accumulator> {
-            agg_c
-                .iter()
-                .map(|(f, _, distinct)| Accumulator::new(*f, *distinct))
-                .collect()
-        };
-        let mut grouper = StreamGrouper::new(group_c.is_empty());
         let mut consume = |out: ProbeOut<'_>| -> Result<()> {
-            let joined;
-            let rel: &Relation = match out {
+            match out {
                 ProbeOut::Sels {
                     morsel,
                     build,
@@ -980,44 +859,13 @@ impl<'a> Execution<'a> {
                     let mut jf = Vec::with_capacity(morsel.width() + build.width());
                     jf.extend(morsel.fields.iter().cloned());
                     jf.extend(build.fields.iter().cloned());
-                    joined = gather_pair(morsel, build, lsel, rsel, jf);
-                    &joined
+                    grouper.push(&gather_pair(morsel, build, lsel, rsel, jf))
                 }
-                ProbeOut::Rows(r) => r,
-            };
-            if rel.is_empty() {
-                return Ok(());
+                ProbeOut::Rows(r) => grouper.push(r),
             }
-            let key_col = match group_c.first() {
-                Some(g) => Some(expr_column(g, rel)?),
-                None => None,
-            };
-            let arg_cols: Vec<Option<Column>> = agg_c
-                .iter()
-                .map(|(_, arg, _)| match arg {
-                    Some(a) => Ok(Some(expr_column(a, rel)?)),
-                    None => Ok(None),
-                })
-                .collect::<Result<_>>()?;
-            grouper.fold(rel.len(), key_col.as_ref(), &arg_cols, &new_accs);
-            Ok(())
         };
-        let Some((out_rows, _)) =
-            self.join_probe_streamed(left, right, on, residual.as_ref(), &mut consume)?
-        else {
-            return Ok(None);
-        };
-        self.olap_units += out_rows as f64 * weights::AGGREGATE;
-        let mut groups = grouper.into_groups();
-        // Global aggregate over an empty join still yields one row.
-        if group_c.is_empty() && groups.is_empty() {
-            groups.push(GroupOut {
-                first_row: 0,
-                key: vec![],
-                accs: new_accs(),
-            });
-        }
-        Ok(Some(self.finish_aggregate(out, out_rows, groups)))
+        let joined = self.join_probe_streamed(left, right, on, residual.as_ref(), &mut consume)?;
+        Ok(joined.map(|(out_rows, _)| out_rows))
     }
 
     fn join(
@@ -1048,7 +896,7 @@ impl<'a> Execution<'a> {
         let mut fields = Vec::with_capacity(lrel.width() + rrel.width());
         fields.extend(lrel.fields.iter().cloned());
         fields.extend(rrel.fields.iter().cloned());
-        let (lsel, rsel);
+        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
         let hash = !on.is_empty();
         if hash {
             // Hash join: build on the right child, probe with the left.
@@ -1058,23 +906,21 @@ impl<'a> Execution<'a> {
             let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
             let bkeys = norm.keys(&bcols, rrel.len())?;
             let pkeys = norm.keys(&pcols, lrel.len())?;
-            let parts = self.partitions;
-            (rsel, lsel) = with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
-                join_pairs(b, p, parts, heads, &mut self.scratch.next)
+            with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
+                build_chain(b, heads, &mut self.scratch.next);
+                probe_chain(p, heads, &self.scratch.next, &mut lsel, &mut rsel)
             });
         } else {
             // Nested-loop (cross) join with optional residual.
             self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
-            let total = lrel.len() * rrel.len();
-            let mut ls = Vec::with_capacity(total);
-            let mut rs = Vec::with_capacity(total);
+            lsel.reserve(lrel.len() * rrel.len());
+            rsel.reserve(lrel.len() * rrel.len());
             for li in 0..lrel.len() as u32 {
                 for ri in 0..rrel.len() as u32 {
-                    ls.push(li);
-                    rs.push(ri);
+                    lsel.push(li);
+                    rsel.push(ri);
                 }
             }
-            (lsel, rsel) = (ls, rs);
         }
         let mut out = gather_pair(lrel, rrel, &lsel, &rsel, fields);
         if let Some(res) = &residual_c {
@@ -1101,8 +947,7 @@ impl<'a> Execution<'a> {
     }
 
     /// Semi/anti join: emit left rows with at least one (semi) or zero
-    /// (anti) matching right rows. Stays sequential: output size is bounded
-    /// by the left input and the probe is a single hash lookup per row.
+    /// (anti) matching right rows.
     fn semi_join(
         &mut self,
         left: &LogicalPlan,
@@ -1166,6 +1011,11 @@ impl<'a> Execution<'a> {
         Ok(ExecRel::Owned(out))
     }
 
+    /// Grouped aggregation. The input reaches the one [`Grouper`] as
+    /// morsels: many when a streamed leaf or a streamed-probe join feeds
+    /// it, one — the whole materialized relation — otherwise. Packing
+    /// several key columns into one word is decided over whole columns, so
+    /// only aggregates with at most one key fold a stream.
     fn aggregate(
         &mut self,
         input: &LogicalPlan,
@@ -1173,142 +1023,24 @@ impl<'a> Execution<'a> {
         aggregates: &[(AggCall, String)],
         out: &PlanSchema,
     ) -> Result<ExecRel> {
-        if let Some(rel) = self.aggregate_streamed(input, group_by, aggregates, out)? {
-            return Ok(rel);
-        }
-        if let Some(rel) = self.aggregate_join_streamed(input, group_by, aggregates, out)? {
-            return Ok(rel);
-        }
-        let rel_e = self.run_rel(input)?;
-        let rel = rel_e.as_ref();
-        let schema = input.schema();
-        let group_c: Vec<PhysExpr> = group_by
-            .iter()
-            .map(|(e, _)| compile(e, schema))
-            .collect::<Result<_>>()?;
-        let agg_c: Vec<(AggFunc, Option<PhysExpr>, bool)> = aggregates
-            .iter()
-            .map(|(a, _)| {
-                let arg = match &a.arg {
-                    Some(e) => Some(compile(e, schema)?),
-                    None => None,
-                };
-                Ok((a.func, arg, a.distinct))
-            })
-            .collect::<Result<_>>()?;
-        self.olap_units += rel.len() as f64 * weights::AGGREGATE;
-
-        let n = rel.len();
-        let key_cols: Vec<Column> = group_c
-            .iter()
-            .map(|g| expr_column(g, rel))
-            .collect::<Result<_>>()?;
-        let arg_cols: Vec<Option<Column>> = agg_c
-            .iter()
-            .map(|(_, arg, _)| match arg {
-                Some(a) => Ok(Some(expr_column(a, rel)?)),
-                None => Ok(None),
-            })
-            .collect::<Result<_>>()?;
-        let new_accs = || -> Vec<Accumulator> {
-            agg_c
-                .iter()
-                .map(|(f, _, distinct)| Accumulator::new(*f, *distinct))
-                .collect()
-        };
-        let parallel = self.partitions > 1 && n >= PAR_MIN_ROWS && !group_c.is_empty();
-        let nparts = if parallel { self.partitions } else { 1 };
-        // Single-column Int/Str group keys take a typed fast path: the hash
-        // table is keyed on the native values, skipping the per-row
-        // `Vec<Value>` key materialization of the generic path below.
-        let typed = if group_c.len() == 1 {
-            match &key_cols[0] {
-                Column::Int(c) => Some(group_single_typed(
-                    n,
-                    nparts,
-                    &arg_cols,
-                    &new_accs,
-                    &|i| c.get(i).copied(),
-                    &|k: &Option<i64>| k.map_or(Value::Null, Value::Int),
-                )),
-                Column::Str(c) => Some(group_single_typed(
-                    n,
-                    nparts,
-                    &arg_cols,
-                    &new_accs,
-                    &|i| c.get(i).map(|s| s.as_ref()),
-                    &|k: &Option<&str>| k.map_or(Value::Null, |s| Value::Str(s.into())),
-                )),
-                _ => None,
+        let mut grouper = Grouper::new(group_by, aggregates, input.schema())?;
+        let mut streamed = None;
+        if group_by.len() <= 1 {
+            streamed = self.aggregate_streamed(input, &mut grouper)?;
+            if streamed.is_none() {
+                streamed = self.aggregate_join_streamed(input, &mut grouper)?;
             }
-        } else if group_c.len() >= 2 {
-            // Multi-column keys pack into one u128 where the column kinds
-            // allow, keying the hash table on a single integer instead of
-            // a per-row `Vec<Value>`.
-            pack_group_keys(&key_cols, n).map(|packed| {
-                group_multi_packed(n, nparts, &key_cols, &arg_cols, &new_accs, &packed)
-            })
-        } else {
-            None
-        };
-        let mut groups: Vec<GroupOut> = if let Some(groups) = typed {
-            groups
-        } else {
-            let keys: Vec<Vec<Value>> = (0..n)
-                .map(|i| key_cols.iter().map(|c| c.value(i)).collect())
-                .collect();
-            // One partition accumulates the groups whose key hashes to it,
-            // scanning rows in ascending order — each group sees exactly
-            // the row sequence the sequential pass would feed it, so float
-            // accumulation order (and therefore every bit of the output) is
-            // independent of the partition count.
-            run_partitions(nparts, |p| {
-                let mut index: FastMap<&[Value], usize> = FastMap::default();
-                let mut out: Vec<GroupOut> = Vec::new();
-                for (i, key) in keys.iter().enumerate() {
-                    if nparts > 1 && route(&key[..], nparts) != p {
-                        continue;
-                    }
-                    let gi = match index.entry(&key[..]) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let gi = out.len();
-                            e.insert(gi);
-                            out.push(GroupOut {
-                                first_row: i as u32,
-                                key: key.clone(),
-                                accs: new_accs(),
-                            });
-                            gi
-                        }
-                    };
-                    for (acc, col) in out[gi].accs.iter_mut().zip(arg_cols.iter()) {
-                        acc.update(col.as_ref().map(|c| c.value(i)));
-                    }
-                }
-                out
-            })
-        };
-        // Global aggregate over empty input still yields one row.
-        if group_c.is_empty() && groups.is_empty() {
-            groups.push(GroupOut {
-                first_row: 0,
-                key: vec![],
-                accs: new_accs(),
-            });
         }
-        Ok(self.finish_aggregate(out, rel.len() as u64, groups))
-    }
-
-    /// Shared tail of the materialized and streamed aggregation paths:
-    /// materialize groups (key values, then finished accumulators) into
-    /// the output relation and record the operator stat.
-    fn finish_aggregate(
-        &mut self,
-        out: &PlanSchema,
-        rows_in: u64,
-        groups: Vec<GroupOut>,
-    ) -> ExecRel {
+        let rows_in = match streamed {
+            Some(n) => n,
+            None => {
+                let rel = self.run_rel(input)?;
+                grouper.push(rel.as_ref())?;
+                rel.len() as u64
+            }
+        };
+        self.olap_units += rows_in as f64 * weights::AGGREGATE;
+        let groups = grouper.finish();
         let fields = named_columns(&out.fields);
         let ngroups = groups.len();
         let mut builders: Vec<ColumnBuilder> = (0..fields.len())
@@ -1331,18 +1063,16 @@ impl<'a> Execution<'a> {
             rows_out: ngroups as u64,
             ..OpStat::default()
         });
-        ExecRel::Owned(Relation::from_columns(
+        Ok(ExecRel::Owned(Relation::from_columns(
             fields,
             builders.into_iter().map(ColumnBuilder::finish).collect(),
             ngroups,
-        ))
+        )))
     }
 }
 
-/// One output group: first input row that opened it (for deterministic
-/// ordering), its key values, and its accumulators.
+/// One output group: its key values and its accumulators.
 struct GroupOut {
-    first_row: u32,
     key: Vec<Value>,
     accs: Vec<Accumulator>,
 }
@@ -1417,230 +1147,209 @@ impl MorselConcat {
     }
 }
 
-/// Hash index over streamed group keys. Single-column Int/Str keys use
-/// native-value tables (the streaming analogue of `group_single_typed`);
-/// every other key shape falls back to owned `Value` keys. The layout
-/// only changes hashing — the emitted key `Value`s and the accumulator
-/// feed order match the materialized kernels exactly.
+/// Hash index from a group's key to its position in [`Grouper::groups`].
+/// The arm only decides how a key is hashed: the key `Value`s a group emits
+/// and the order in which rows reach its accumulators are the same in all.
 enum GroupIndex {
     /// No group keys: one global group.
     Global,
-    /// Key column layout not yet seen.
+    /// No morsel seen yet.
     Unset,
+    /// One Int column, keyed on the native value.
     Int(FastMap<Option<i64>, usize>),
-    Str(FastMap<Option<Arc<str>>, usize>),
-    Gen(FastMap<Vec<Value>, usize>),
+    /// One Str column. NULL's group sits beside the table so that a row
+    /// looks its group up by `&str`, never touching the `Arc`'s count.
+    Str {
+        null: Option<usize>,
+        map: FastMap<Arc<str>, usize>,
+    },
+    /// Several columns packed into one word per row ([`pack_group_keys`]).
+    /// The codes are relative to the morsel's own columns, so they mean
+    /// nothing in the next morsel.
+    Packed(FastMap<u128, usize>),
+    /// Every other key shape: owned `Value` tuples.
+    Vals(FastMap<Vec<Value>, usize>),
 }
 
-/// Streaming group-by state: groups stay in first-seen order across
-/// morsels, each seeing exactly the row sequence a sequential pass over
-/// the materialized input would feed it.
-struct StreamGrouper {
+/// Grouped aggregation over morsels. Groups stay in first-seen order and
+/// each sees its rows in arrival order, so the output does not depend on
+/// where the input was cut into morsels — a materialized input is one.
+struct Grouper {
+    keys: Vec<PhysExpr>,
+    aggs: Vec<(AggFunc, Option<PhysExpr>, bool)>,
     index: GroupIndex,
     groups: Vec<GroupOut>,
-    rows: u32,
 }
 
-impl StreamGrouper {
-    fn new(global: bool) -> StreamGrouper {
-        StreamGrouper {
-            index: if global {
+impl Grouper {
+    fn new(
+        group_by: &[(xdb_sql::Expr, String)],
+        aggregates: &[(AggCall, String)],
+        schema: &PlanSchema,
+    ) -> Result<Grouper> {
+        let keys: Vec<PhysExpr> = group_by
+            .iter()
+            .map(|(e, _)| compile(e, schema))
+            .collect::<Result<_>>()?;
+        let aggs = aggregates
+            .iter()
+            .map(|(a, _)| {
+                let arg = a.arg.as_ref().map(|e| compile(e, schema)).transpose()?;
+                Ok((a.func, arg, a.distinct))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Grouper {
+            index: if keys.is_empty() {
                 GroupIndex::Global
             } else {
                 GroupIndex::Unset
             },
+            keys,
+            aggs,
             groups: Vec::new(),
-            rows: 0,
-        }
+        })
     }
 
-    /// Rebuild the index with `Value` keys: taken when the key column's
-    /// layout drifts between morsels (a computed key expression may
-    /// materialize different layouts per chunk). Group identity is
-    /// value-based, so existing groups carry over unchanged.
-    fn degrade_to_gen(&mut self) {
-        let mut map = FastMap::default();
-        for (gi, g) in self.groups.iter().enumerate() {
-            map.insert(g.key.clone(), gi);
-        }
-        self.index = GroupIndex::Gen(map);
+    fn new_accs(aggs: &[(AggFunc, Option<PhysExpr>, bool)]) -> Vec<Accumulator> {
+        aggs.iter()
+            .map(|(f, _, distinct)| Accumulator::new(*f, *distinct))
+            .collect()
     }
 
-    /// Fold one morsel (already filtered): `n` rows, the single key
-    /// column (`None` for global aggregates), one materialized column per
-    /// accumulator argument.
-    fn fold(
-        &mut self,
-        n: usize,
-        key_col: Option<&Column>,
-        arg_cols: &[Option<Column>],
-        new_accs: &dyn Fn() -> Vec<Accumulator>,
-    ) {
-        if let GroupIndex::Unset = self.index {
-            self.index = match key_col {
-                Some(Column::Int(_)) => GroupIndex::Int(FastMap::default()),
-                Some(Column::Str(_)) => GroupIndex::Str(FastMap::default()),
-                _ => GroupIndex::Gen(FastMap::default()),
-            };
+    /// Fold one morsel into the groups.
+    fn push(&mut self, rel: &Relation) -> Result<()> {
+        if rel.is_empty() {
+            return Ok(());
         }
-        let drift = !matches!(
-            (&self.index, key_col),
-            (GroupIndex::Global, _)
-                | (GroupIndex::Gen(_), _)
-                | (GroupIndex::Int(_), Some(Column::Int(_)))
-                | (GroupIndex::Str(_), Some(Column::Str(_)))
+        let n = rel.len();
+        let key_cols: Vec<Column> = self
+            .keys
+            .iter()
+            .map(|k| expr_column(k, rel))
+            .collect::<Result<_>>()?;
+        let arg_cols: Vec<Option<Column>> = self
+            .aggs
+            .iter()
+            .map(|(_, arg, _)| arg.as_ref().map(|a| expr_column(a, rel)).transpose())
+            .collect::<Result<_>>()?;
+        // The arm is chosen on the first morsel and kept while the key
+        // layout holds. When it drifts (a computed key may materialize
+        // another layout per chunk), or packed codes meet a second morsel,
+        // the index is rebuilt over `Value` keys: group identity is
+        // value-based, so the groups opened so far carry over unchanged.
+        let keep = matches!(
+            (&self.index, &key_cols[..]),
+            (GroupIndex::Global | GroupIndex::Vals(_), _)
+                | (GroupIndex::Int(_), [Column::Int(_)])
+                | (GroupIndex::Str { .. }, [Column::Str(_)])
         );
-        if drift {
-            self.degrade_to_gen();
-        }
-        for i in 0..n {
-            let gi = match (&mut self.index, key_col) {
-                (GroupIndex::Global, _) => {
-                    if self.groups.is_empty() {
-                        self.groups.push(GroupOut {
-                            first_row: 0,
-                            key: vec![],
-                            accs: new_accs(),
-                        });
-                    }
-                    0
-                }
-                (GroupIndex::Int(map), Some(Column::Int(c))) => {
-                    match map.entry(c.get(i).copied()) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let gi = self.groups.len();
-                            let key = vec![e.key().map_or(Value::Null, Value::Int)];
-                            e.insert(gi);
-                            self.groups.push(GroupOut {
-                                first_row: self.rows,
-                                key,
-                                accs: new_accs(),
-                            });
-                            gi
-                        }
-                    }
-                }
-                (GroupIndex::Str(map), Some(Column::Str(c))) => {
-                    match map.entry(c.get(i).cloned()) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let gi = self.groups.len();
-                            let key = vec![e
-                                .key()
-                                .as_ref()
-                                .map_or(Value::Null, |s| Value::Str(s.clone()))];
-                            e.insert(gi);
-                            self.groups.push(GroupOut {
-                                first_row: self.rows,
-                                key,
-                                accs: new_accs(),
-                            });
-                            gi
-                        }
-                    }
-                }
-                (GroupIndex::Gen(map), Some(col)) => match map.entry(vec![col.value(i)]) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let gi = self.groups.len();
-                        let key = e.key().clone();
-                        e.insert(gi);
-                        self.groups.push(GroupOut {
-                            first_row: self.rows,
-                            key,
-                            accs: new_accs(),
-                        });
-                        gi
-                    }
+        let mut packed = Vec::new();
+        if !keep {
+            self.index = match &key_cols[..] {
+                [Column::Int(_)] if self.groups.is_empty() => GroupIndex::Int(FastMap::default()),
+                [Column::Str(_)] if self.groups.is_empty() => GroupIndex::Str {
+                    null: None,
+                    map: FastMap::default(),
                 },
-                // `drift` above routed every other combination to `Gen`,
-                // and `Unset` only exists before the first morsel.
-                _ => unreachable!("stream grouper index out of sync with key layout"),
+                [_, _, ..] if self.groups.is_empty() => match pack_group_keys(&key_cols, n) {
+                    Some(p) => {
+                        packed = p;
+                        GroupIndex::Packed(FastMap::default())
+                    }
+                    None => GroupIndex::Vals(FastMap::default()),
+                },
+                _ => GroupIndex::Vals(
+                    self.groups
+                        .iter()
+                        .enumerate()
+                        .map(|(gi, g)| (g.key.clone(), gi))
+                        .collect(),
+                ),
             };
-            for (acc, col) in self.groups[gi].accs.iter_mut().zip(arg_cols.iter()) {
-                acc.update(col.as_ref().map(|c| c.value(i)));
-            }
-            self.rows += 1;
         }
+        let Grouper {
+            aggs,
+            index,
+            groups,
+            ..
+        } = self;
+        let key_of = |i: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(i)).collect() };
+        let mut fold = Fold {
+            groups,
+            n,
+            arg_cols: &arg_cols,
+            key_of: &key_of,
+            new_accs: &|| Grouper::new_accs(aggs),
+        };
+        match (index, &key_cols[..]) {
+            (GroupIndex::Global, _) => fold.rows(|_, _| 0),
+            (GroupIndex::Int(map), [Column::Int(c)]) => {
+                fold.rows(|i, next| *map.entry(c.get(i).copied()).or_insert(next))
+            }
+            (GroupIndex::Str { null, map }, [Column::Str(c)]) => {
+                fold.rows(|i, next| match c.get(i) {
+                    None => *null.get_or_insert(next),
+                    Some(s) => match map.get(&**s) {
+                        Some(&gi) => gi,
+                        None => {
+                            map.insert(s.clone(), next);
+                            next
+                        }
+                    },
+                })
+            }
+            (GroupIndex::Packed(map), _) => {
+                fold.rows(|i, next| *map.entry(packed[i]).or_insert(next))
+            }
+            (GroupIndex::Vals(map), _) => {
+                fold.rows(|i, next| *map.entry(key_of(i)).or_insert(next))
+            }
+            _ => unreachable!("the index arm was re-chosen above for this key layout"),
+        }
+        Ok(())
     }
 
-    fn into_groups(self) -> Vec<GroupOut> {
+    /// The groups in first-seen order. A global aggregate over empty input
+    /// still yields its one group.
+    fn finish(mut self) -> Vec<GroupOut> {
+        if self.keys.is_empty() && self.groups.is_empty() {
+            self.groups.push(GroupOut {
+                key: vec![],
+                accs: Grouper::new_accs(&self.aggs),
+            });
+        }
         self.groups
     }
 }
 
-/// Single-column typed group-by kernel: the hash table is keyed on native
-/// column values, with `Value` keys materialized once per *group* instead
-/// of once per row. Partition protocol matches the generic path — each
-/// partition scans rows in ascending order and owns the keys that hash to
-/// it, then groups merge in first-seen order — so the output is
-/// bit-identical for any partition count (the partition hash itself may
-/// differ from the generic path; only routing depends on it).
-fn group_single_typed<K: Hash + Eq>(
+/// One morsel's fold, everything but how a row finds its group.
+struct Fold<'a> {
+    groups: &'a mut Vec<GroupOut>,
     n: usize,
-    nparts: usize,
-    arg_cols: &[Option<Column>],
-    new_accs: &(impl Fn() -> Vec<Accumulator> + Sync),
-    key_at: &(impl Fn(usize) -> K + Sync),
-    key_value: &(impl Fn(&K) -> Value + Sync),
-) -> Vec<GroupOut> {
-    run_partitions(nparts, |p| {
-        let mut index: FastMap<K, usize> = FastMap::default();
-        let mut out: Vec<GroupOut> = Vec::new();
-        for i in 0..n {
-            let key = key_at(i);
-            if nparts > 1 && route(&key, nparts) != p {
-                continue;
+    arg_cols: &'a [Option<Column>],
+    key_of: &'a dyn Fn(usize) -> Vec<Value>,
+    new_accs: &'a dyn Fn() -> Vec<Accumulator>,
+}
+
+impl Fold<'_> {
+    /// The one loop that folds rows into groups: find or open the row's
+    /// group, update its accumulators. `find(row, next)` returns the
+    /// row's group, claiming index `next` for a key it has not seen.
+    fn rows(&mut self, mut find: impl FnMut(usize, usize) -> usize) {
+        for i in 0..self.n {
+            let next = self.groups.len();
+            let gi = find(i, next);
+            if gi == next {
+                self.groups.push(GroupOut {
+                    key: (self.key_of)(i),
+                    accs: (self.new_accs)(),
+                });
             }
-            let gi = match index.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let gi = out.len();
-                    let kv = key_value(e.key());
-                    e.insert(gi);
-                    out.push(GroupOut {
-                        first_row: i as u32,
-                        key: vec![kv],
-                        accs: new_accs(),
-                    });
-                    gi
-                }
-            };
-            for (acc, col) in out[gi].accs.iter_mut().zip(arg_cols.iter()) {
+            for (acc, col) in self.groups[gi].accs.iter_mut().zip(self.arg_cols) {
                 acc.update(col.as_ref().map(|c| c.value(i)));
             }
         }
-        out
-    })
-}
-
-/// Partition a key routes to. Taken from the upper half of the hash: the
-/// per-partition tables index buckets by the low bits of the same unkeyed
-/// hash, so routing on those would crowd each table into one bucket in
-/// `nparts`. Only routing depends on it, never an output.
-fn route<K: Hash + ?Sized>(key: &K, nparts: usize) -> usize {
-    (BuildHasherDefault::<Fnv>::default().hash_one(key) >> 32) as usize % nparts
-}
-
-/// Run one grouping pass per partition (on scoped threads when there is
-/// more than one) and merge the groups in first-seen order, exactly as a
-/// sequential pass emits them.
-fn run_partitions(nparts: usize, run: impl Fn(usize) -> Vec<GroupOut> + Sync) -> Vec<GroupOut> {
-    if nparts <= 1 {
-        return run(0);
     }
-    let parts: Vec<Vec<GroupOut>> = std::thread::scope(|s| {
-        let run = &run;
-        let handles: Vec<_> = (0..nparts).map(|p| s.spawn(move || run(p))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("aggregate worker panicked"))
-            .collect()
-    });
-    let mut all: Vec<GroupOut> = parts.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|g| g.first_row);
-    all
 }
 
 /// Bits needed to represent codes `0..=max_code` (at least one, so every
@@ -1710,47 +1419,6 @@ fn pack_group_keys(key_cols: &[Column], n: usize) -> Option<Vec<u128>> {
     Some(out)
 }
 
-/// Multi-column packed group-by kernel: the hash table is keyed on the
-/// pre-packed `u128` keys, with `Value` keys materialized once per *group*
-/// straight from the key columns (no unpacking). Partition protocol and
-/// first-seen merge order match the generic path, so the output is
-/// bit-identical for any partition count.
-fn group_multi_packed(
-    n: usize,
-    nparts: usize,
-    key_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    new_accs: &(impl Fn() -> Vec<Accumulator> + Sync),
-    packed: &[u128],
-) -> Vec<GroupOut> {
-    run_partitions(nparts, |p| {
-        let mut index: FastMap<u128, usize> = FastMap::default();
-        let mut out: Vec<GroupOut> = Vec::new();
-        for (i, &key) in packed.iter().enumerate().take(n) {
-            if nparts > 1 && route(&key, nparts) != p {
-                continue;
-            }
-            let gi = match index.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let gi = out.len();
-                    e.insert(gi);
-                    out.push(GroupOut {
-                        first_row: i as u32,
-                        key: key_cols.iter().map(|c| c.value(i)).collect(),
-                        accs: new_accs(),
-                    });
-                    gi
-                }
-            };
-            for (acc, col) in out[gi].accs.iter_mut().zip(arg_cols.iter()) {
-                acc.update(col.as_ref().map(|c| c.value(i)));
-            }
-        }
-        out
-    })
-}
-
 /// Evaluate a filter predicate to a selection vector, vectorized when the
 /// kernels allow and row-by-row (sparse row buffer) otherwise.
 fn filter_selection(pred: &PhysExpr, rel: &Relation) -> Result<Vec<u32>> {
@@ -1772,6 +1440,24 @@ fn filter_selection(pred: &PhysExpr, rel: &Relation) -> Result<Vec<u32>> {
         }
     }
     Ok(sel)
+}
+
+/// One streamed morsel under an optional fused filter: the morsel itself
+/// when there is no predicate or every row passes, else its surviving rows
+/// gathered into `kept`. Adds the surviving row count to `rows_out`.
+fn filter_morsel<'m>(
+    pred: Option<&PhysExpr>,
+    m: &'m Relation,
+    rows_out: &mut u64,
+    kept: &'m mut Option<Relation>,
+) -> Result<&'m Relation> {
+    let Some(pred) = pred else { return Ok(m) };
+    let sel = filter_selection(pred, m)?;
+    *rows_out += sel.len() as u64;
+    if sel.len() == m.len() {
+        return Ok(m);
+    }
+    Ok(kept.insert(gather_relation(m, &sel)))
 }
 
 /// Evaluate an expression to a materialized column. Plain column references
@@ -2063,95 +1749,6 @@ fn build_chain<K: Hash + Eq + Clone>(
             }
         }
     }
-}
-
-/// All matching (build, probe) row pairs in [`probe_chain`]'s order. Large
-/// inputs hash-partition across threads.
-fn join_pairs<K: Hash + Eq + Clone + Sync>(
-    build_keys: &[Option<K>],
-    probe_keys: &[Option<K>],
-    partitions: usize,
-    heads: &mut FastMap<K, u32>,
-    next: &mut Vec<u32>,
-) -> (Vec<u32>, Vec<u32>) {
-    if partitions > 1 && (probe_keys.len() >= PAR_MIN_ROWS || build_keys.len() >= PAR_MIN_ROWS) {
-        return join_pairs_parallel(build_keys, probe_keys, partitions);
-    }
-    build_chain(build_keys, heads, next);
-    let (mut bsel, mut psel) = (Vec::new(), Vec::new());
-    probe_chain(probe_keys, heads, next, &mut psel, &mut bsel);
-    (bsel, psel)
-}
-
-/// Partition-parallel hash join. The build side is hash-partitioned across
-/// workers (each owns the keys routing to it; per-key row lists stay in
-/// ascending order). Probe workers take contiguous probe chunks; their
-/// outputs concatenated in chunk order reproduce the sequential emission
-/// order bit-for-bit.
-fn join_pairs_parallel<K: Hash + Eq + Sync>(
-    build_keys: &[Option<K>],
-    probe_keys: &[Option<K>],
-    partitions: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let nparts = partitions;
-    let parts: Vec<FastMap<&K, Vec<u32>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nparts)
-            .map(|p| {
-                s.spawn(move || {
-                    let mut m: FastMap<&K, Vec<u32>> = FastMap::default();
-                    for (i, k) in build_keys.iter().enumerate() {
-                        let Some(k) = k else { continue };
-                        if route(k, nparts) == p {
-                            m.entry(k).or_default().push(i as u32);
-                        }
-                    }
-                    m
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join build worker panicked"))
-            .collect()
-    });
-    let n = probe_keys.len();
-    let chunk = n.div_ceil(nparts).max(1);
-    let outs: Vec<(Vec<u32>, Vec<u32>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nparts)
-            .map(|c| {
-                let parts = &parts;
-                s.spawn(move || {
-                    let lo = (c * chunk).min(n);
-                    let hi = ((c + 1) * chunk).min(n);
-                    let mut bsel = Vec::new();
-                    let mut psel = Vec::new();
-                    for (i, k) in probe_keys[lo..hi].iter().enumerate() {
-                        let Some(k) = k else { continue };
-                        let part = &parts[route(k, nparts)];
-                        if let Some(js) = part.get(k) {
-                            for &j in js {
-                                bsel.push(j);
-                                psel.push((lo + i) as u32);
-                            }
-                        }
-                    }
-                    (bsel, psel)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join probe worker panicked"))
-            .collect()
-    });
-    let total: usize = outs.iter().map(|(b, _)| b.len()).sum();
-    let mut bsel = Vec::with_capacity(total);
-    let mut psel = Vec::with_capacity(total);
-    for (b, p) in outs {
-        bsel.extend(b);
-        psel.extend(p);
-    }
-    (bsel, psel)
 }
 
 /// Per-probe-row match flags for semi/anti joins. Without a residual a
@@ -2598,12 +2195,12 @@ mod tests {
         assert_eq!(r.value(0, 0), Value::Int(2));
     }
 
-    /// The u128-packed multi-key kernel must produce bit-identical output
-    /// to a first-seen-order reference grouping over `Vec<Value>` keys —
-    /// NULLs in every key column included — at any partition count.
+    /// The u128-packed multi-key arm must produce bit-identical output to
+    /// a first-seen-order reference grouping over `Vec<Value>` keys —
+    /// NULLs in every key column included.
     #[test]
     fn multikey_packed_groups_match_generic_reference() {
-        let n = 6000; // above PAR_MIN_ROWS so partitions > 1 really fan out
+        let n = 6000;
         let mut rows = Vec::with_capacity(n);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..n {
@@ -2655,21 +2252,7 @@ mod tests {
         let sql = "SELECT k1, k2, k3, k4, count(*) AS n, sum(x) AS s \
                    FROM t GROUP BY k1, k2, k3, k4";
         let plan = bind_select(&parse_select(sql).unwrap(), &provider).unwrap();
-        let run_with = |parts: usize| -> Relation {
-            let mut exec = Execution::new(&resolver);
-            exec.partitions = parts;
-            exec.run(&plan).unwrap()
-        };
-        let r1 = run_with(1);
-        for parts in [2usize, 8] {
-            let rp = run_with(parts);
-            assert_eq!(rp.len(), r1.len(), "{parts} partitions");
-            for i in 0..r1.len() {
-                for c in 0..r1.width() {
-                    assert_eq!(rp.value(i, c), r1.value(i, c), "row {i} col {c}");
-                }
-            }
-        }
+        let r1 = Execution::new(&resolver).run(&plan).unwrap();
         // First-seen-order reference over Vec<Value> keys.
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut keys: Vec<Vec<Value>> = Vec::new();
@@ -2809,31 +2392,6 @@ mod tests {
         }
         // into_owned on still-shared data copies; results are equal.
         assert_eq!(out.into_owned(), *stored);
-    }
-
-    /// Every partition count must produce the identical relation — not just
-    /// the same bag of rows: same order, same value variants.
-    #[test]
-    fn partition_parallel_is_bit_identical() {
-        let queries = [
-            "SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.dname ORDER BY e.name",
-            "SELECT dept, count(*) AS n, sum(salary) AS s FROM emp GROUP BY dept",
-            "SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE e.dept = d.dname)",
-        ];
-        let f = fixture();
-        for sql in queries {
-            let plan = bind_select(&parse_select(sql).unwrap(), &f).unwrap();
-            let mut base: Option<Relation> = None;
-            for partitions in [1usize, 2, 8] {
-                let mut exec = Execution::new(&f.resolver);
-                exec.partitions = partitions;
-                let r = exec.run(&plan).unwrap();
-                match &base {
-                    None => base = Some(r),
-                    Some(b) => assert_eq!(&r, b, "{sql} with {partitions} partitions"),
-                }
-            }
-        }
     }
 
     /// The scratch allocations survive across executions (capacity reuse);

@@ -5,8 +5,7 @@
 //! Bool, Str, Float, Int/Float mixes, NULLs), with layouts that sometimes
 //! differ between the sides. Inner, semi and anti joins (with and without
 //! a residual), materialized and with a streamed probe at chunk sizes
-//! 1/7/4096, at 1/2/8 partitions, must return exactly the rows, in exactly
-//! the order, of a `Vec<Value>`-keyed reference, with the same work units
+//! 1/7/4096, must return exactly the rows, in exactly the order, of a `Vec<Value>`-keyed reference, with the same work units
 //! and operator statistics.
 
 use proptest::prelude::*;
@@ -126,9 +125,9 @@ struct Case {
     probe: Arc<Relation>,
 }
 
-/// `large` cases put at least 4096 rows on one side (the partition-parallel
-/// kernel's threshold) and widen the first key's domain to keep the output
-/// near the input size.
+/// `large` cases put at least 4096 rows on one side (more than one morsel
+/// at the default chunk size) and widen the first key's domain to keep the
+/// output near the input size.
 fn case(seed: u64, large: bool) -> Case {
     let mut rng = TestRng::deterministic(seed);
     let nkeys = 1 + rng.below(4) as usize;
@@ -279,15 +278,9 @@ struct Observed {
     join: OpStat,
 }
 
-fn observe(
-    case: &Case,
-    plan: &LogicalPlan,
-    chunk: Option<usize>,
-    partitions: usize,
-) -> (Observed, Vec<OpStat>) {
+fn observe(case: &Case, plan: &LogicalPlan, chunk: Option<usize>) -> (Observed, Vec<OpStat>) {
     let resolver = Resolver { case, chunk };
     let mut exec = Execution::new(&resolver);
-    exec.partitions = partitions;
     exec.collect_ops();
     let out = exec.run(plan).expect("join executes");
     let ops = exec.ops.take().expect("operator stats were requested");
@@ -364,8 +357,8 @@ fn reference(case: &Case, shape: Shape) -> Observed {
 
 // ------------------------------------------------------------------ tests
 
-/// Every shape at every (chunk, partitions) setting equals the reference;
-/// within one probe mode the whole operator list is also the same at every
+/// Every shape at every chunk setting equals the reference; within one
+/// probe mode the whole operator list is also the same at every
 /// setting (a streamed probe records its scan after the build side's, so
 /// the two modes order their scans differently).
 fn check(seed: u64, large: bool) -> std::result::Result<(), TestCaseError> {
@@ -376,20 +369,17 @@ fn check(seed: u64, large: bool) -> std::result::Result<(), TestCaseError> {
         for chunks in [&[None][..], &[Some(1), Some(7), Some(4096)][..]] {
             let mut mode_ops: Option<Vec<OpStat>> = None;
             for &chunk in chunks {
-                for partitions in [1usize, 2, 8] {
-                    let (observed, ops) = observe(&case, &plan, chunk, partitions);
-                    prop_assert_eq!(
-                        &observed,
-                        &expected,
-                        "seed {} {:?} chunk {:?} partitions {}",
-                        seed,
-                        shape,
-                        chunk,
-                        partitions
-                    );
-                    let first = mode_ops.get_or_insert_with(|| ops.clone());
-                    prop_assert_eq!(first, &ops, "seed {} {:?}: operator lists", seed, shape);
-                }
+                let (observed, ops) = observe(&case, &plan, chunk);
+                prop_assert_eq!(
+                    &observed,
+                    &expected,
+                    "seed {} {:?} chunk {:?}",
+                    seed,
+                    shape,
+                    chunk
+                );
+                let first = mode_ops.get_or_insert_with(|| ops.clone());
+                prop_assert_eq!(first, &ops, "seed {} {:?}: operator lists", seed, shape);
             }
         }
     }
@@ -408,7 +398,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// At least 4096 rows on one side: the partition-parallel kernel runs.
+    /// At least 4096 rows on one side: more than one morsel at chunk 4096.
     #[test]
     fn large_joins_match_the_value_keyed_reference(seed in any::<u64>()) {
         check(seed, true)?;
@@ -442,7 +432,7 @@ fn pinned_key_semantics() {
             probe,
         };
         let shape = Shape::Inner { residual: false };
-        let (observed, _) = observe(&case, &plan(&case, shape), None, 1);
+        let (observed, _) = observe(&case, &plan(&case, shape), None);
         assert_eq!(observed, reference(&case, shape));
         observed.join.rows_out
     };

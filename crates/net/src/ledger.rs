@@ -154,10 +154,10 @@ impl Ledger {
 
     /// Append every transfer of `other` to this ledger, preserving order.
     ///
-    /// Used by the parallel executor: each task group records into a
+    /// Used by the script executor: each task group records into a
     /// private scratch ledger, and the groups are absorbed in script order
-    /// after the barrier so the merged ledger is bit-identical to a
-    /// sequential run.
+    /// after the graph drains, so the merged ledger does not depend on how
+    /// many threads ran them.
     pub fn absorb(&self, other: &Ledger) {
         let mut records = other.inner.lock().clone();
         self.inner.lock().append(&mut records);

@@ -48,21 +48,13 @@ pub fn host_parallelism() -> usize {
 /// Resolve the reactor worker count from the environment.
 ///
 /// `XDB_REACTOR_THREADS` overrides (0 = off, everything runs inline on
-/// the owning task's thread); `XDB_SEQUENTIAL` pins it to 0 exactly like
-/// it pins the executor partitions to 1. The default is the machine
-/// parallelism *minus one* (the consumer thread is busy too), capped at
-/// 8 — on a single-core host the reactor defaults to off, because
-/// thread-level overlap cannot pay for its own handoffs there.
+/// the owning task's thread). The default is the machine parallelism
+/// *minus one* (the consumer thread is busy too), capped at 8 — on a
+/// single-core host the reactor defaults to off, because thread-level
+/// overlap cannot pay for its own handoffs there.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("XDB_REACTOR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n;
-        }
-    }
-    if std::env::var_os("XDB_SEQUENTIAL").is_some() {
-        return 0;
-    }
-    host_parallelism().saturating_sub(1).min(8)
+    crate::env_number("XDB_REACTOR_THREADS")
+        .unwrap_or_else(|| host_parallelism().saturating_sub(1).min(8))
 }
 
 /// Error returned by channel operations after a panic poisoned the edge.

@@ -14,9 +14,9 @@
 //! Everything here is **purely observational**: records are derived from
 //! already-deterministic state (annotation decisions, the script-ordered
 //! transfer ledger, simulated-clock statement work), so they are
-//! bit-identical across the sequential and parallel executors, reactor
-//! on/off, partition counts, and stream-chunk sizes. Producing a record
-//! never feeds back into planning or execution.
+//! bit-identical across executor threads, reactor on/off and
+//! stream-chunk sizes. Producing a record never feeds back into planning
+//! or execution.
 //!
 //! **Placement regret** (per decision): the observed cost of the chosen
 //! plan minus the model-predicted cost of the best *rejected* candidate.

@@ -10,8 +10,8 @@
 //! Attribution arithmetic runs in integer **nanoseconds** quantized from
 //! the simulated-ms clock (`round(ms * 1e6)`). Integer telescoping sums
 //! are exact, so the category totals sum to the query's end-to-end time
-//! *bit-for-bit* — a property the bench harness tests across executors,
-//! partition counts, and stream-chunk sizes. Floating-point telescoping
+//! *bit-for-bit* — a property the bench harness tests across
+//! stream-chunk sizes. Floating-point telescoping
 //! cannot make that guarantee; one nanosecond is six orders of magnitude
 //! below anything the timing model resolves.
 //!

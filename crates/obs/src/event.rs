@@ -4,9 +4,9 @@
 //! Events carry the **simulated** timestamp of the moment they describe,
 //! never the host clock, and library crates only emit `Info`-and-above
 //! events from single-threaded deterministic code paths (the client's
-//! planning pipeline, the post-barrier executor tail, cleanup) — so the
-//! event log, like the trace, is bit-identical between the sequential and
-//! parallel executors. `Debug` events may come from concurrent contexts
+//! planning pipeline, the executor's single-threaded tail, cleanup) — so
+//! the event log, like the trace, is the same on any number of executor
+//! threads. `Debug` events may come from concurrent contexts
 //! and are dropped by the default `Info` filter.
 
 use crate::trace::{json_number, json_string};

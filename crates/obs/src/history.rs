@@ -8,7 +8,7 @@
 //! (raw vs encoded bytes and the per-codec split), per-engine statement
 //! work, and consultation-cache hit rates. Everything is taken off the
 //! simulated clock and script-order-deterministic state, so records are
-//! bit-identical between the sequential and parallel executors and across
+//! bit-identical on any number of executor threads and across
 //! stream-chunk sizes (the process-global query id is the one field
 //! comparison tests normalize, exactly as they do for traces).
 //!
@@ -24,23 +24,11 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Version of the record layout; the drift detector and bench gate reject
-/// *newer* baselines instead of mis-parsing them. Older versions down to
-/// [`HISTORY_MIN_SCHEMA_VERSION`] still parse: a v1 record is a v2 record
-/// with an empty cost observation.
-///
-/// v1 → v2: added the `cost` object (the cost-model observatory's
-/// predicted-vs-observed decision ledger, see [`crate::costmodel`]).
-///
-/// v2 → v3: added the `learned_costs` marker — whether the run was priced
-/// through the learned cost profiles (feedback-driven costing) or the
-/// static Eq. 1–3 model. Absent in v1/v2 records → `false`, so drift's
-/// plan-flip-rate tolerance only engages when *both* sides of a
-/// comparison are learned-cost histories.
+/// Version of the record layout, and the only one read: every baseline is
+/// checked in here (`BENCH_history/`) and re-recorded when the layout
+/// changes, so a record of any other version is an error naming its line,
+/// not a guess at what its missing fields meant.
 pub const HISTORY_SCHEMA_VERSION: u64 = 3;
-
-/// Oldest record layout the parser still accepts.
-pub const HISTORY_MIN_SCHEMA_VERSION: u64 = 1;
 
 /// File name of the JSON-lines store inside a history directory.
 pub const HISTORY_FILE: &str = "history.jsonl";
@@ -94,12 +82,12 @@ pub struct HistoryRecord {
     pub edges: Vec<EdgeObs>,
     /// Per-engine statement work (`engine -> simulated work ms`).
     pub statements: Vec<(String, f64)>,
-    /// Cost-model observatory bundle (schema v2): predicted-vs-observed
-    /// accounting per placement decision. Empty for v1 records and for
-    /// runs without cross-database decisions.
+    /// Cost-model observatory bundle: predicted-vs-observed accounting
+    /// per placement decision. Empty for runs without cross-database
+    /// decisions.
     pub cost: crate::costmodel::CostObservation,
-    /// Whether the run was priced through learned cost profiles (schema
-    /// v3); `false` for v1/v2 records and static-cost runs.
+    /// Whether the run was priced through learned cost profiles (`false`
+    /// for static-cost runs).
     pub learned_costs: bool,
 }
 
@@ -275,8 +263,14 @@ impl HistoryRecord {
                 });
             }
         }
+        let schema_version = num("schema_version")? as u64;
+        if schema_version != HISTORY_SCHEMA_VERSION {
+            return Err(format!(
+                "schema_version {schema_version} (this build reads {HISTORY_SCHEMA_VERSION})"
+            ));
+        }
         Ok(HistoryRecord {
-            schema_version: num("schema_version")? as u64,
+            schema_version,
             label: string("label")?,
             deployment: string("deployment")?,
             sql_fnv: string("sql_fnv")?,
@@ -290,22 +284,21 @@ impl HistoryRecord {
             critical,
             edges,
             statements: pairs("statements")?,
-            // Absent in v1 records — parse to the empty observation.
             cost: v
                 .get("cost")
                 .map(crate::costmodel::CostObservation::from_json)
-                .unwrap_or_default(),
-            // Absent in v1/v2 records — those predate learned costing.
-            learned_costs: matches!(v.get("learned_costs"), Some(json::Value::Bool(true))),
+                .ok_or_else(|| "history record missing object \"cost\"".to_string())?,
+            learned_costs: match v.get("learned_costs") {
+                Some(json::Value::Bool(b)) => *b,
+                _ => return Err("history record missing boolean \"learned_costs\"".into()),
+            },
         })
     }
 }
 
-/// Parse a JSON-lines history export. Records must carry a supported
-/// schema version ([`HISTORY_MIN_SCHEMA_VERSION`] ..=
-/// [`HISTORY_SCHEMA_VERSION`]) — anything newer or older is an error, not
-/// a silent mis-parse. v1 baselines stay readable so pre-observatory
-/// drift baselines keep working.
+/// Parse a JSON-lines history export. A record of any schema version but
+/// [`HISTORY_SCHEMA_VERSION`] is an error naming the line, not a silent
+/// mis-parse.
 pub fn parse_history_jsonl(text: &str) -> Result<Vec<HistoryRecord>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -313,20 +306,7 @@ pub fn parse_history_jsonl(text: &str) -> Result<Vec<HistoryRecord>, String> {
             continue;
         }
         let v = json::parse(line).map_err(|e| format!("history line {}: {e}", i + 1))?;
-        let record =
-            HistoryRecord::from_json(&v).map_err(|e| format!("history line {}: {e}", i + 1))?;
-        if record.schema_version < HISTORY_MIN_SCHEMA_VERSION
-            || record.schema_version > HISTORY_SCHEMA_VERSION
-        {
-            return Err(format!(
-                "history line {}: schema_version {} (this build supports {}..={})",
-                i + 1,
-                record.schema_version,
-                HISTORY_MIN_SCHEMA_VERSION,
-                HISTORY_SCHEMA_VERSION
-            ));
-        }
-        out.push(record);
+        out.push(HistoryRecord::from_json(&v).map_err(|e| format!("history line {}: {e}", i + 1))?);
     }
     Ok(out)
 }
@@ -535,55 +515,27 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_rejects_newer_schema_version() {
+    fn jsonl_reads_one_schema_version() {
         let mut r = sample();
         let ok = parse_history_jsonl(&format!("{}\n", r.to_json())).unwrap();
         assert_eq!(ok.len(), 1);
-        r.schema_version = HISTORY_SCHEMA_VERSION + 1;
-        let err = parse_history_jsonl(&r.to_json()).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
-        r.schema_version = HISTORY_MIN_SCHEMA_VERSION - 1;
-        let err = parse_history_jsonl(&r.to_json()).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
+        for other in [HISTORY_SCHEMA_VERSION + 1, HISTORY_SCHEMA_VERSION - 1, 1] {
+            r.schema_version = other;
+            let text = format!("{}\n{}\n", sample().to_json(), r.to_json());
+            let err = parse_history_jsonl(&text).unwrap_err();
+            assert!(err.contains("history line 2"), "{err}");
+            assert!(err.contains(&format!("schema_version {other}")), "{err}");
+        }
         assert!(parse_history_jsonl("not json").is_err());
     }
 
     #[test]
-    fn jsonl_accepts_v1_records_without_cost_object() {
-        // A pre-observatory record: schema_version 1, no "cost" key. It
-        // must parse (old drift baselines stay usable) with an empty cost
-        // observation.
-        let v1 = r#"{"schema_version":1,"label":"Q3","deployment":"xdb",
-            "sql_fnv":"00fe12ab34cd56ef","fingerprint":"0123456789abcdef",
-            "query_id":7,"total_ms":10.5,"phases":{"prep":1.0,"exec":9.5},
-            "consult_hits":0,"consult_misses":2,"crit_spans":3,
-            "critical":[{"category":"compute","location":"cdb","ms":9.0}],
-            "edges":[{"from":"cdb","to":"hdb","purpose":"inter_dbms_pipeline",
-            "bytes":100,"encoded_bytes":40,"rows":2,"codecs":{"raw":40}}],
-            "statements":{"cdb":9.0}}"#
-            .replace('\n', "");
-        let parsed = parse_history_jsonl(&v1).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].schema_version, 1);
-        assert!(parsed[0].cost.is_empty());
-        assert!(!parsed[0].learned_costs);
-        assert_eq!(parsed[0].edges.len(), 1);
-    }
-
-    #[test]
-    fn jsonl_accepts_v2_records_without_learned_marker() {
-        // A v2 (pre-learned-profiles) record: carries a cost object but no
-        // "learned_costs" key. It must parse with the marker false, which
-        // is what keeps drift's flip-rate tolerance off for old baselines.
-        let mut r = sample();
-        r.schema_version = 2;
-        let v2 = r.to_json().replace(",\"learned_costs\":true", "");
-        assert!(!v2.contains("learned_costs"));
-        let parsed = parse_history_jsonl(&v2).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].schema_version, 2);
-        assert!(!parsed[0].learned_costs);
-        assert!(!parsed[0].cost.is_empty());
+    fn jsonl_rejects_a_record_missing_a_field_of_its_version() {
+        let full = sample().to_json();
+        let no_marker = full.replace(",\"learned_costs\":true", "");
+        assert_ne!(no_marker, full);
+        let err = parse_history_jsonl(&no_marker).unwrap_err();
+        assert!(err.contains("learned_costs"), "{err}");
     }
 
     #[test]

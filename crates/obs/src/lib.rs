@@ -6,8 +6,8 @@
 //! [`Span`]s (query → phase → task → operator / DDL / transfer / consult)
 //! plus a flat counter map. Timestamps are **simulated milliseconds** — the
 //! same deterministic clock the timing model in `xdb-net` composes — so
-//! traces are bit-identical across the parallel and sequential executors
-//! and across repeated runs.
+//! traces are bit-identical on any number of executor threads and across
+//! repeated runs.
 //!
 //! Three sinks, no external dependencies:
 //!

@@ -19,10 +19,9 @@
 //!   `sched.` name prefix and are excluded from the bit-identical
 //!   guarantee; [`MetricRegistry::deterministic_snapshot`] filters them.
 //!   The `net.chunks` series is quarantined the same way: transport chunk
-//!   counts depend on the configured `stream_chunk_rows`, which — like the
-//!   executor partition count — must never leak into determinism
-//!   comparisons. `net.codec.*` (wire-codec state-cache hit counts) is
-//!   quarantined too: under the parallel executor two task groups can race
+//!   counts depend on the configured `stream_chunk_rows`, which must never
+//!   leak into determinism comparisons. `net.codec.*` (wire-codec state-cache hit counts) is
+//!   quarantined too: on several executor threads two task groups can race
 //!   to the first encode of a shared relation, so the *hit count* is
 //!   scheduling-dependent even though the encoded bytes are not.
 

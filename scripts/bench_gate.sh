@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Bench regression gate: re-measure the executor-kernel micro-benchmarks
-# and the deterministic monitor workload, then compare both against the
-# checked-in baselines (BENCH_exec.json / BENCH_monitor.json) via
-# `repro gate`. Exits non-zero when any gated series regressed past its
-# threshold (wall-clock kernels: +50%; simulated monitor values: +0.5%).
+# Bench regression gate: re-run the deterministic monitor workload and
+# compare it against the checked-in baseline (BENCH_monitor.json) via
+# `repro gate`, then the drift gate against BENCH_history/. Exits non-zero
+# when any gated series regressed past its threshold (simulated monitor
+# values: +0.5%). Host time is gated by BENCHMARK.json, not here;
+# scripts/bench_snapshot.sh + BENCH_exec.json are a diagnostic.
 #
 # Usage: scripts/bench_gate.sh
 # Opt into it from tier-1 with XDB_BENCH_GATE=1 scripts/tier1.sh.
 # After an intentional behaviour change, re-baseline with
-#   scripts/bench_snapshot.sh                                   # exec
-#   repro --sf 0.002 --runs 2 --json BENCH_monitor.json monitor # monitor
+#   repro --sf 0.002 --runs 2 --json BENCH_monitor.json monitor
 # The monitor baseline also carries the multi-tenant admission series
 # (tenants/folded/..., tenants/unfolded/..., tenants/mean_fold_hits);
 # `repro gate` re-runs that workload at the baseline's recorded
@@ -22,47 +22,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-current=$(mktemp /tmp/bench_gate_exec.XXXXXX.json)
-trap 'rm -f "$current"' EXIT
-
-echo "bench_gate: re-running exec_kernels micro-benchmarks..."
-raw=$(for b in exec_kernels annotate_learned_vs_static wire_codec exec_stream_overlap; do
-  cargo bench -q -p xdb-bench --bench "$b" 2>&1 | grep 'time:' || true
-done)
-if [ -z "$raw" ]; then
-  echo "bench_gate: no timings in bench output" >&2
-  exit 2
-fi
-{
-  echo '{'
-  echo '  "bench": "exec_kernels",'
-  echo '  "unit": "ms",'
-  echo '  "results": ['
-  echo "$raw" | awk '
-    function to_ms(v, u) {
-      if (u == "s")  return v * 1000
-      if (u == "ms") return v
-      if (u ~ /^(µs|us)$/) return v / 1000
-      return v / 1000000  # ns
-    }
-    {
-      name = $1
-      sub(/^[a-z0-9_]+\//, "", name)  # strip the criterion group prefix
-      match($0, /\[[^]]*\]/)
-      split(substr($0, RSTART + 1, RLENGTH - 2), t, " ")
-      printf "%s    {\"name\": \"%s\", \"min\": %.4f, \"median\": %.4f, \"max\": %.4f}", \
-        (NR > 1 ? ",\n" : ""), name, \
-        to_ms(t[1], t[2]), to_ms(t[3], t[4]), to_ms(t[5], t[6])
-    }
-    END { print "" }
-  '
-  echo '  ]'
-  echo '}'
-} > "$current"
-
 echo "bench_gate: re-running the monitor workload and comparing..."
 cargo run -q --release -p xdb-bench --bin repro -- gate \
-  --exec-baseline BENCH_exec.json --exec-current "$current" \
   --monitor-baseline BENCH_monitor.json
 
 # Drift gate: re-run the TD1 profile with the history store on and

@@ -12,6 +12,12 @@ cargo test -q
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Knob census: the XDB_* variables the code and these scripts read must be
+# exactly the ones README's environment table documents, so that neither a
+# new nor a dead knob gets in unnoticed.
+diff <(grep -rhoE 'XDB_[A-Z_]+' crates/*/src scripts | sort -u) \
+     <(grep -oE '^\| `XDB_[A-Z_]+`' README.md | grep -oE 'XDB_[A-Z_]+' | sort -u)
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target
@@ -20,13 +26,6 @@ cargo run --release -q -p xdb-bench --bin repro -- \
   --out target/tier1-smoke-report.txt
 cargo run --release -q -p xdb-bench --bin repro -- \
   --check-trace target/tier1-smoke.trace.json
-
-# Columnar smoke test: the partition-parallel columnar executor must be
-# byte-identical to the fully sequential engine (XDB_SEQUENTIAL pins both
-# the task scheduler and the engines to one partition).
-XDB_SEQUENTIAL=1 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-seq.txt
-cmp target/tier1-smoke-report.txt target/tier1-smoke-seq.txt
 
 # Streaming smoke test: the transport chunk size of the compressed wire
 # format is an implementation detail — single-row morsels and unbounded
@@ -40,10 +39,13 @@ cmp target/tier1-smoke-report.txt target/tier1-smoke-unchunked.txt
 
 # Reactor smoke test: the morsel-driven edge reactor moves decode and
 # consumer work onto a worker pool, but every deterministic observable
-# must stay byte-identical to the fully sequential engine.
+# must stay byte-identical to the run that decodes inline.
+XDB_REACTOR_THREADS=0 cargo run --release -q -p xdb-bench --bin repro -- \
+  --sf 0.002 fig9 --out target/tier1-smoke-inline.txt
 XDB_REACTOR_THREADS=2 cargo run --release -q -p xdb-bench --bin repro -- \
   --sf 0.002 fig9 --out target/tier1-smoke-reactor.txt
-cmp target/tier1-smoke-reactor.txt target/tier1-smoke-seq.txt
+cmp target/tier1-smoke-reactor.txt target/tier1-smoke-inline.txt
+cmp target/tier1-smoke-report.txt target/tier1-smoke-inline.txt
 
 # Telemetry smoke test: the workload monitor must render its dashboard
 # plus Prometheus/JSON exports, the exports must be non-empty, and the
@@ -125,10 +127,10 @@ cargo run --release -q -p xdb-bench --bin repro -- drift \
   --flip-rate 25 | tee target/tier1-drift-flip.txt
 grep -q 'no drift' target/tier1-drift-flip.txt
 
-# Bench regression gate (opt-in: wall-clock benches are too noisy for CI
-# defaults). XDB_BENCH_GATE=1 re-measures the exec kernels and the monitor
-# workload and fails on threshold regressions vs BENCH_exec.json /
-# BENCH_monitor.json.
+# Bench regression gate (opt-in: it re-runs two whole workloads).
+# XDB_BENCH_GATE=1 re-measures the deterministic monitor workload and the
+# TD1 profile and fails on threshold regressions vs BENCH_monitor.json /
+# drift vs BENCH_history.
 if [ "${XDB_BENCH_GATE:-0}" = "1" ]; then
   scripts/bench_gate.sh
 fi

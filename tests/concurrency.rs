@@ -4,9 +4,11 @@
 //! all hold up.
 
 use std::sync::Arc;
+use xdb::core::annotate::AnnotateOptions;
 use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
-use xdb::net::Scenario;
+use xdb::net::{Movement, Purpose, Scenario};
 use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
@@ -85,102 +87,71 @@ fn concurrent_submissions_share_one_federation() {
 }
 
 #[test]
-fn parallel_execution_is_observationally_equivalent_to_sequential() {
-    // The parallel task scheduler must be indistinguishable from the
-    // sequential executor: identical result multisets, identical transfer
-    // ledgers, and bit-identical simulated timings — across queries with
-    // genuinely independent tasks (Q3/Q5/Q8) and all three TPC-H table
-    // distributions.
+fn submit_is_observationally_equivalent_to_a_hand_deployed_script() {
+    // What `submit` executes — on as many threads as the script's
+    // materializations and the host allow — must be indistinguishable from
+    // deploying the same script by hand, one statement after the other on
+    // this thread: identical result relations and identical data-movement
+    // ledgers, across queries with genuinely independent tasks (Q3/Q5/Q8),
+    // all three TPC-H table distributions, and both cost-chosen and
+    // all-materialized movements (the latter is what runs on threads).
+    // Simulated timings and traces are held to the same reference at
+    // forced thread counts in `crates/core/src/delegation.rs`.
+    let moved = |cluster: &Cluster| -> Vec<_> {
+        cluster
+            .ledger
+            .snapshot()
+            .into_iter()
+            .filter(|t| {
+                matches!(
+                    t.purpose,
+                    Purpose::InterDbmsPipeline | Purpose::Materialization
+                )
+            })
+            .map(|t| (t.from, t.to, t.purpose, t.bytes, t.encoded_bytes, t.rows))
+            .collect()
+    };
     for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
-            let run = |parallel: bool| {
-                let cluster = build_cluster(
-                    td,
-                    SF,
-                    Scenario::OnPremise,
-                    &ProfileAssignment::uniform(EngineProfile::postgres()),
-                )
-                .unwrap();
-                let catalog = GlobalCatalog::discover(&cluster).unwrap();
-                let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-                    parallel_execution: parallel,
+            for force_movement in [None, Some(Movement::Explicit)] {
+                let federation = || {
+                    let cluster = build_cluster(
+                        td,
+                        SF,
+                        Scenario::OnPremise,
+                        &ProfileAssignment::uniform(EngineProfile::postgres()),
+                    )
+                    .unwrap();
+                    let catalog = GlobalCatalog::discover(&cluster).unwrap();
+                    (cluster, catalog)
+                };
+                let options = XdbOptions {
+                    annotate: AnnotateOptions {
+                        force_movement,
+                        ..Default::default()
+                    },
                     ..Default::default()
-                });
-                let outcome = xdb.submit(q.sql()).unwrap();
-                let bytes = cluster.ledger.total_bytes();
-                let rows = cluster.ledger.total_rows();
-                (outcome, bytes, rows)
-            };
-            let (seq, seq_bytes, seq_rows) = run(false);
-            let (par, par_bytes, par_rows) = run(true);
-            assert!(
-                par.relation.same_bag(&seq.relation),
-                "{} on {td:?}: parallel result diverged",
-                q.name()
-            );
-            assert_eq!(
-                par_bytes,
-                seq_bytes,
-                "{} on {td:?}: wire-byte ledgers diverged",
-                q.name()
-            );
-            assert_eq!(
-                par_rows,
-                seq_rows,
-                "{} on {td:?}: ledger row totals diverged",
-                q.name()
-            );
-            assert_eq!(
-                par.breakdown.exec_ms,
-                seq.breakdown.exec_ms,
-                "{} on {td:?}: simulated exec timings diverged",
-                q.name()
-            );
-            assert_eq!(par.breakdown.total_ms(), seq.breakdown.total_ms());
-        }
-    }
-}
+                };
 
-#[test]
-fn partitioned_kernels_match_sequential_under_the_parallel_scheduler() {
-    // Engine-level partition parallelism composes with the task-level
-    // parallel scheduler: at any partition count the decentralized results,
-    // transfer ledgers, and simulated timings are exactly those of the
-    // fully sequential kernels.
-    for td in [TableDist::Td1, TableDist::Td2] {
-        for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
-            let run = |partitions: usize| {
-                let cluster = build_cluster(
-                    td,
-                    SF,
-                    Scenario::OnPremise,
-                    &ProfileAssignment::uniform(EngineProfile::postgres()),
-                )
-                .unwrap();
-                cluster.set_exec_partitions(partitions);
-                let catalog = GlobalCatalog::discover(&cluster).unwrap();
-                let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-                    parallel_execution: true,
-                    ..Default::default()
-                });
-                let outcome = xdb.submit(q.sql()).unwrap();
-                let bytes = cluster.ledger.total_bytes();
-                let rows = cluster.ledger.total_rows();
-                (outcome, bytes, rows)
-            };
-            let (one, one_bytes, one_rows) = run(1);
-            for parts in [2usize, 8] {
-                let (par, par_bytes, par_rows) = run(parts);
-                assert_eq!(
-                    par.relation,
-                    one.relation,
-                    "{} on {td:?}: partitions={parts} changed the result",
-                    q.name()
-                );
-                assert_eq!(par_bytes, one_bytes);
-                assert_eq!(par_rows, one_rows);
-                assert_eq!(par.breakdown.exec_ms, one.breakdown.exec_ms);
-                assert_eq!(par.breakdown.total_ms(), one.breakdown.total_ms());
+                let (cluster, catalog) = federation();
+                let xdb = Xdb::new(&cluster, &catalog).with_options(options.clone());
+                let submitted = xdb.submit(q.sql()).unwrap().relation;
+                let submitted_moved = moved(&cluster);
+
+                let (cluster, catalog) = federation();
+                let xdb = Xdb::new(&cluster, &catalog).with_options(options);
+                let (_, script, _, _) = xdb.plan(q.sql()).unwrap();
+                cluster.ledger.clear();
+                for step in &script.steps {
+                    cluster.execute(step.node.as_str(), &step.sql).unwrap();
+                }
+                let (by_hand, _) = cluster
+                    .query(script.root_node.as_str(), &script.xdb_query)
+                    .unwrap();
+
+                let what = format!("{} on {td:?}, forced {force_movement:?}", q.name());
+                assert_eq!(submitted, by_hand, "{what}: results diverged");
+                assert_eq!(submitted_moved, moved(&cluster), "{what}: ledgers diverged");
             }
         }
     }

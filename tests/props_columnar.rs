@@ -1,13 +1,13 @@
-//! Property tests for the columnar data plane: the vectorized kernels and
-//! the partition-parallel operators must be *observationally identical* to
-//! row-at-a-time evaluation — same values, same Value variants, same row
-//! order — on randomly generated relations, expressions, and plans.
+//! Property tests for the columnar data plane: the vectorized kernels must
+//! be *observationally identical* to row-at-a-time evaluation — same
+//! values, same Value variants, same row order — on randomly generated
+//! relations and expressions. (The join and grouping operators have their
+//! own differential tests in `crates/engine/tests/`.)
 
 use proptest::prelude::*;
 use xdb::engine::expr::compile;
 use xdb::engine::relation::Relation;
 use xdb::engine::vector;
-use xdb::engine::{Engine, NoRemote};
 use xdb::sql::algebra::{Field, PlanSchema};
 use xdb::sql::ast::{BinaryOp, Expr, UnaryOp};
 use xdb::sql::value::{DataType, Value};
@@ -190,88 +190,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(sel, want);
-        }
-    }
-}
-
-// -------------------------------------------- partition-parallel equality
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Deterministic pseudo-random tables big enough to cross the
-    /// executor's parallel threshold, queried at partitions 1 / 2 / 8:
-    /// the three results must be `==` (same rows, same order, same
-    /// Value variants).
-    #[test]
-    fn partitioned_plans_match_sequential(seed in any::<u64>()) {
-        let n = 4600usize;
-        let mut x = seed | 1;
-        let mut next = || {
-            // xorshift64*
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let fact: Vec<Vec<Value>> = (0..n)
-            .map(|_| {
-                let k = (next() % 97) as i64;
-                let v = (next() % 1000) as i64;
-                vec![
-                    if v % 41 == 0 { Value::Null } else { Value::Int(k) },
-                    Value::Int(v),
-                    Value::Float((v % 13) as f64 * 0.5),
-                ]
-            })
-            .collect();
-        let dim: Vec<Vec<Value>> = (0..97)
-            .map(|k| vec![Value::Int(k), Value::str(format!("g{}", k % 7))])
-            .collect();
-        let queries = [
-            "SELECT g.tag, count(*) AS n, sum(f.v) AS sv \
-             FROM fact f, dim g WHERE f.k = g.k GROUP BY g.tag ORDER BY g.tag",
-            "SELECT f.k, sum(f.w) AS sw FROM fact f GROUP BY f.k ORDER BY f.k",
-            "SELECT g.tag, f.v FROM fact f, dim g \
-             WHERE f.k = g.k AND f.v < 50 ORDER BY f.v, g.tag LIMIT 40",
-        ];
-        let mut reference: Vec<Option<Relation>> = vec![None; queries.len()];
-        for parts in [1usize, 2, 8] {
-            let e = Engine::new("db", xdb::engine::profile::EngineProfile::postgres());
-            e.set_exec_partitions(parts);
-            e.load_table(
-                "fact",
-                Relation::new(
-                    vec![
-                        ("k".to_string(), DataType::Int),
-                        ("v".to_string(), DataType::Int),
-                        ("w".to_string(), DataType::Float),
-                    ],
-                    fact.clone(),
-                ),
-            )
-            .unwrap();
-            e.load_table(
-                "dim",
-                Relation::new(
-                    vec![
-                        ("k".to_string(), DataType::Int),
-                        ("tag".to_string(), DataType::Str),
-                    ],
-                    dim.clone(),
-                ),
-            )
-            .unwrap();
-            for (qi, sql) in queries.iter().enumerate() {
-                let rel = e.execute_sql(sql, &NoRemote).unwrap().relation.unwrap();
-                match &reference[qi] {
-                    None => reference[qi] = Some(rel),
-                    Some(want) => prop_assert_eq!(
-                        &rel, want,
-                        "partitions={} diverged on query {}", parts, qi
-                    ),
-                }
-            }
         }
     }
 }

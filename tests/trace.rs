@@ -1,7 +1,8 @@
-//! Trace invariants: span nesting, parenting, breakdown projection, and —
-//! the load-bearing property — bit-identical traces from the parallel and
-//! sequential executors, because every span timestamp is derived from the
-//! simulated clock and spans are emitted single-threaded in script order.
+//! Trace invariants: span nesting, parenting and breakdown projection.
+//! Every span timestamp is derived from the simulated clock and spans are
+//! emitted single-threaded in script order; that the trace is the same on
+//! any number of executor threads is checked where the thread count can be
+//! forced, in `crates/core/src/delegation.rs`.
 
 use std::sync::{Mutex, MutexGuard};
 use xdb::core::{GlobalCatalog, PhaseBreakdown, Xdb, XdbOptions};
@@ -25,19 +26,6 @@ fn submit_lock() -> MutexGuard<'static, ()> {
     SUBMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run `arms` submissions back to back, again until all their query ids
-/// have the same decimal width (serialised ids are consecutive, so one
-/// retry clears a boundary). The caller holds [`SUBMIT_LOCK`].
-fn same_width<T>(arms: usize, mut run: impl FnMut(usize) -> (u64, T)) -> Vec<T> {
-    loop {
-        let (ids, outs): (Vec<u64>, Vec<T>) = (0..arms).map(&mut run).unzip();
-        let width = |id: &u64| id.to_string().len();
-        if ids.iter().all(|id| width(id) == width(&ids[0])) {
-            return outs;
-        }
-    }
-}
-
 fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     let cluster = build_cluster(
         td,
@@ -50,21 +38,19 @@ fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     (cluster, catalog)
 }
 
-fn traced_submit(td: TableDist, q: TpchQuery, parallel: bool) -> (u64, QueryTrace, PhaseBreakdown) {
+fn traced_submit(td: TableDist, q: TpchQuery) -> QueryTrace {
     let (cluster, catalog) = federation(td);
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        parallel_execution: parallel,
         trace_operators: true,
         ..Default::default()
     });
-    let out = xdb.submit(q.sql()).unwrap();
-    (out.query_id, out.trace, out.breakdown)
+    xdb.submit(q.sql()).unwrap().trace
 }
 
 #[test]
 fn spans_are_properly_nested() {
     let _guard = submit_lock();
-    let (_, trace, _) = traced_submit(TableDist::Td3, TpchQuery::Q8, true);
+    let trace = traced_submit(TableDist::Td3, TpchQuery::Q8);
     assert!(!trace.spans.is_empty());
     for s in &trace.spans {
         let Some(p) = s.parent else { continue };
@@ -98,7 +84,7 @@ fn spans_are_properly_nested() {
 #[test]
 fn every_task_span_is_parented_to_the_exec_phase() {
     let _guard = submit_lock();
-    let (_, trace, _) = traced_submit(TableDist::Td2, TpchQuery::Q5, true);
+    let trace = traced_submit(TableDist::Td2, TpchQuery::Q5);
     let exec_phase = trace
         .spans
         .iter()
@@ -118,124 +104,6 @@ fn every_task_span_is_parented_to_the_exec_phase() {
     for d in trace.spans_of(SpanKind::Ddl) {
         let p = d.parent.expect("ddl span has a parent");
         assert_eq!(trace.spans[p as usize].kind, SpanKind::Task);
-    }
-}
-
-/// Rewrite every `xdb_q<digits>` object name to `xdb_qN`. Query ids come
-/// from one process-wide counter (names must be unique across concurrent
-/// clients), so two submissions in the same test process differ in exactly
-/// this id; across processes — as the `repro --trace` smoke test checks —
-/// the raw traces are bit-identical.
-fn normalize_query_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(pos) = rest.find("xdb_q") {
-        let after = pos + "xdb_q".len();
-        out.push_str(&rest[..after]);
-        let digits = rest[after..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .count();
-        if digits > 0 {
-            out.push('N');
-        }
-        rest = &rest[after + digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
-#[test]
-fn parallel_and_sequential_traces_are_bit_identical() {
-    let _guard = submit_lock();
-    for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
-        for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
-            let mut arms = same_width(2, |arm| {
-                let (id, trace, breakdown) = traced_submit(td, q, arm == 0);
-                (id, (trace, breakdown))
-            })
-            .into_iter();
-            let (par, par_b) = arms.next().unwrap();
-            let (seq, seq_b) = arms.next().unwrap();
-            assert_eq!(
-                normalize_query_ids(&par.canonical()),
-                normalize_query_ids(&seq.canonical()),
-                "{} {}: span trees diverge",
-                td.name(),
-                q.name()
-            );
-            assert_eq!(
-                par.metrics().counters,
-                seq.metrics().counters,
-                "{} {}: counter totals diverge",
-                td.name(),
-                q.name()
-            );
-            assert_eq!(
-                normalize_query_ids(&par.to_chrome_json()),
-                normalize_query_ids(&seq.to_chrome_json()),
-                "{} {}: chrome export diverges",
-                td.name(),
-                q.name()
-            );
-            assert_eq!(
-                par_b,
-                seq_b,
-                "{} {}: breakdowns diverge",
-                td.name(),
-                q.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn partitioned_kernels_are_invisible_in_traces() {
-    // The partition-parallel join/aggregation kernels must not leave any
-    // observable mark: span trees, counters, Chrome exports, breakdowns,
-    // and the result relation itself are bit-identical at any partition
-    // count, because partitioning preserves row order and every simulated
-    // cost is accounted identically.
-    let _guard = submit_lock();
-    for (td, q) in [
-        (TableDist::Td1, TpchQuery::Q3),
-        (TableDist::Td3, TpchQuery::Q8),
-    ] {
-        let run = |partitions: usize| {
-            let (cluster, catalog) = federation(td);
-            cluster.set_exec_partitions(partitions);
-            let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-                parallel_execution: true,
-                trace_operators: true,
-                ..Default::default()
-            });
-            let out = xdb.submit(q.sql()).unwrap();
-            (out.query_id, (out.trace, out.breakdown, out.relation))
-        };
-        let mut arms = same_width(3, |arm| run([1usize, 2, 8][arm])).into_iter();
-        let (t1, b1, r1) = arms.next().unwrap();
-        for (parts, (t, b, r)) in [2usize, 8].into_iter().zip(arms) {
-            assert_eq!(
-                r1,
-                r,
-                "{} {}: results diverge at partitions={parts}",
-                td.name(),
-                q.name()
-            );
-            assert_eq!(
-                normalize_query_ids(&t1.canonical()),
-                normalize_query_ids(&t.canonical()),
-                "{} {}: span trees diverge at partitions={parts}",
-                td.name(),
-                q.name()
-            );
-            assert_eq!(t1.metrics().counters, t.metrics().counters);
-            assert_eq!(
-                normalize_query_ids(&t1.to_chrome_json()),
-                normalize_query_ids(&t.to_chrome_json())
-            );
-            assert_eq!(b1, b);
-        }
     }
 }
 

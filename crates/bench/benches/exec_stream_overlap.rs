@@ -7,10 +7,11 @@
 //! Since the edge reactor landed, a chunked edge never materializes at
 //! the consumer: each decoded morsel probes the join hash table, gathers
 //! its matches and folds them into the streaming aggregate while the
-//! chunk is still cache-hot (`Execution::join_probe_streamed`). An
-//! unbounded edge runs the same fused operators over one edge-sized
-//! morsel, so every pass (decode, probe, gather, fold) re-walks a
-//! multi-hundred-megabyte working set through L3/DRAM instead of L2.
+//! chunk is still cache-hot (`Execution::feed` composing filter, the one
+//! `hash_join` and the `Grouper`). An unbounded edge runs the same
+//! operators over one edge-sized morsel, so every pass (decode, probe,
+//! gather, fold) re-walks a multi-hundred-megabyte working set through
+//! L3/DRAM instead of L2.
 //! The series land in `BENCH_exec.json` as a diagnostic: compare
 //! `edge_chunk_4096` with `edge_unbounded` there (nothing asserts it; a
 //! 4–8 % gap between minima is below what one run on a shared host shows).

@@ -259,6 +259,20 @@ impl<'a> Xdb<'a> {
         &self.client_node
     }
 
+    /// Publish what the engines read from these options while a script
+    /// runs: the transport morsel size, the reactor worker budget, and
+    /// operator tracing on. The caller turns tracing off again when the
+    /// script is done.
+    pub(crate) fn publish_execution_options(&self) {
+        self.cluster
+            .set_stream_chunk_rows(self.options.stream_chunk_rows);
+        self.cluster
+            .set_reactor_threads(self.options.reactor_threads);
+        if self.options.trace_operators {
+            self.cluster.set_op_tracing(true);
+        }
+    }
+
     /// Plan a query without executing it: returns the delegation plan, the
     /// DDL script, and the would-be breakdown of the optimization phases.
     pub fn plan(
@@ -560,15 +574,7 @@ impl<'a> Xdb<'a> {
             0.0,
         );
         let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
-        if self.options.trace_operators {
-            self.cluster.set_op_tracing(true);
-        }
-        // Publish the transport morsel size to every engine; edges encode
-        // per edge and stream at this granularity.
-        self.cluster
-            .set_stream_chunk_rows(self.options.stream_chunk_rows);
-        self.cluster
-            .set_reactor_threads(self.options.reactor_threads);
+        self.publish_execution_options();
         let exec = run_script_parallel(self.cluster, &delegation, &script, &trace_ctx);
         if self.options.trace_operators {
             self.cluster.set_op_tracing(false);

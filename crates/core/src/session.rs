@@ -437,6 +437,9 @@ impl<'a> QueryServer<'a> {
         // DDL generation); the synthesized planning trace reproduces the
         // warm-replan breakdown bit-exactly.
         let (delegation, fkeys, collector, query_span, overhead_ms, query_id);
+        // The full script of a plan made here was rendered by planning; a
+        // cached plan runs under a fresh query id and renders below.
+        let mut planned_script = None;
         if let Some(cp) = w.plan_cache.get(&sub.sql) {
             delegation = cp.delegation.clone();
             fkeys = cp.fragment_keys.clone();
@@ -465,6 +468,7 @@ impl<'a> QueryServer<'a> {
                 },
             );
             delegation = planned.delegation;
+            planned_script = Some(planned.script);
             collector = planned.collector;
             query_span = planned.query_span;
             overhead_ms = planned.overhead_ms;
@@ -585,25 +589,25 @@ impl<'a> QueryServer<'a> {
                 }
             }
         };
-        let script = match build_script_with_reuse(&delegation, query_id, cluster, &reuse) {
+        // The full (unpruned) script is what runs when nothing was folded
+        // away; otherwise the pruned one runs and the full one is the
+        // skeleton of the as-if-alone timeline replay below.
+        let scripts = (|| {
+            let full = match planned_script {
+                Some(s) => s,
+                None => build_script(&delegation, query_id, cluster)?,
+            };
+            if reuse.is_empty() {
+                return Ok((full, None));
+            }
+            let pruned = build_script_with_reuse(&delegation, query_id, cluster, &reuse)?;
+            Ok((pruned, Some(full)))
+        })();
+        let (script, solo_script) = match scripts {
             Ok(s) => s,
             Err(e) => {
                 release(w);
                 return Err(e);
-            }
-        };
-        // The full (unpruned) script of the same plan: the skeleton of the
-        // as-if-alone timeline replay below. Only needed when something
-        // was actually folded away.
-        let solo_script = if reuse.is_empty() {
-            None
-        } else {
-            match build_script(&delegation, query_id, cluster) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    release(w);
-                    return Err(e);
-                }
             }
         };
         report.ddl_statements += script.steps.len() as u64;
@@ -634,11 +638,8 @@ impl<'a> QueryServer<'a> {
             0.0,
         );
         let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
-        cluster.set_stream_chunk_rows(self.options.xdb.stream_chunk_rows);
+        self.xdb.publish_execution_options();
         cluster.clear_codec_cache();
-        if self.options.xdb.trace_operators {
-            cluster.set_op_tracing(true);
-        }
         // Deploy sequentially, slicing the ledger per task group (groups
         // are contiguous in script order). Fragment deployment order and
         // the simulated timeline replay (`finish_script`) are the script

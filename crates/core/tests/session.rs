@@ -284,6 +284,56 @@ fn partial_fold_reuses_shared_prefix() {
     });
 }
 
+/// Folded admission publishes every execution option `Xdb::submit` does:
+/// the reactor worker budget reaches the engines (their
+/// `sched.reactor_threads` gauge follows the option), and, the reactor
+/// being a schedule, nothing a tenant observes moves with it. The window
+/// folds fully, folds partially and deploys from scratch, over edges of
+/// several morsels each.
+#[test]
+fn folded_admission_publishes_the_reactor_budget() {
+    let _guard = SUBMIT_LOCK.lock();
+    let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
+    let mut subs = copies(scenario::EXAMPLE_QUERY, 2);
+    subs.push(Submission::new("tenant-v", variant));
+    let arm = |reactor_threads: usize| {
+        let xdb = XdbOptions {
+            reactor_threads,
+            stream_chunk_rows: 16,
+            ..Default::default()
+        };
+        let arm = run_arm(&subs, true, xdb);
+        for (node, _) in &arm.baseline_live {
+            assert_eq!(
+                arm.telemetry
+                    .metrics
+                    .value("sched.reactor_threads", &[("engine", node)]),
+                reactor_threads as f64,
+                "engine {node} never saw reactor_threads = {reactor_threads}"
+            );
+        }
+        arm.report.outcomes
+    };
+    for _ in 0..12 {
+        let (inline, reactor) = (arm(0), arm(2));
+        let ids: Vec<u64> = inline.iter().chain(&reactor).map(|o| o.query_id).collect();
+        if !same_width(&ids) {
+            continue;
+        }
+        for (i, r) in inline.iter().zip(&reactor) {
+            assert_eq!(fingerprint(i), fingerprint(r), "tenant {}", i.tenant);
+            assert_eq!(
+                normalize_ids(&i.trace.canonical()),
+                normalize_ids(&r.trace.canonical()),
+                "tenant {}",
+                i.tenant
+            );
+        }
+        return;
+    }
+    panic!("query-id widths never aligned");
+}
+
 #[test]
 fn windows_scope_folding_state() {
     let _guard = SUBMIT_LOCK.lock();

@@ -526,7 +526,6 @@ impl Engine {
         let telemetry = self.telemetry();
         let engine_label = [("engine", self.node.as_str())];
         let mut exec = Execution::new(&resolver);
-        exec.reactor_threads = self.reactor_threads();
         // Scratch reuse depends on how concurrent executions interleave on
         // the shared pool, so these counters live under the reserved
         // `sched.` prefix (excluded from determinism comparisons).

@@ -1,4 +1,10 @@
-//! Materializing executor for logical plans, with work accounting.
+//! Morsel-driven executor for logical plans, with work accounting.
+//!
+//! An operator reads a child through [`Execution::feed`]: the chunks of a
+//! streamed edge, a hash join's matches per probe morsel, or — the
+//! one-morsel case of the same code — a materialized relation. What each
+//! operator owes besides its rows (work units, op entries, timing edges) is
+//! therefore written once, whichever way the rows travel.
 //!
 //! Every operator really runs over real tuples — cardinalities and byte
 //! counts in the experiments are measured, not estimated. The executor also
@@ -107,18 +113,18 @@ pub trait ScanResolver {
     fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput>;
 
     /// Whether [`ScanResolver::scan_stream`] would stream this relation.
-    /// Must be side-effect free: the executor consults it *before*
-    /// committing to a streamed operator pipeline, so that plans without a
-    /// streamable leaf keep their exact materialized execution order.
+    /// Must be side-effect free: the executor consults it *before* it runs
+    /// anything, to decide whether an operator reads this leaf as a stream
+    /// and in which order a join runs its children.
     fn streams(&self, _relation: &str) -> bool {
         false
     }
 
     /// Stream `relation` (projected to `wanted`) into `on_morsel` one
     /// decoded chunk at a time, never materializing the full relation in
-    /// the resolver. Resolvers without a streaming path (local tables,
-    /// placeholders) return `Ok(None)` without touching the sink and the
-    /// executor falls back to [`ScanResolver::scan`].
+    /// the resolver. The executor calls it only where
+    /// [`ScanResolver::streams`] said yes; `Ok(None)`, with the sink
+    /// untouched, is the answer for every other relation.
     fn scan_stream(
         &self,
         _relation: &str,
@@ -141,30 +147,30 @@ pub struct Scratch {
     next: Vec<u32>,
 }
 
-/// The one dispatch over key arms, shared by every hash-join consumer:
-/// binds `$b` / `$p` to the build and probe key slices and `$heads` to the
-/// arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
-/// `$body` (which may also borrow `$s.next`).
+/// The one dispatch over key arms, shared by the build and every probe of a
+/// chained table: binds `$k` to the key slice of one side and `$heads` to
+/// the arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
+/// `$body` (which may also borrow `$s.next`). One [`KeyNorm`] normalises
+/// both sides of a join, so both reach the same table.
 macro_rules! with_key_arm {
-    ($bk:expr, $pk:expr, $s:expr, |$b:ident, $p:ident, $heads:ident| $body:expr) => {
-        match ($bk, $pk) {
-            (Keys::W64($b), Keys::W64($p)) => {
+    ($keys:expr, $s:expr, |$k:ident, $heads:ident| $body:expr) => {
+        match $keys {
+            Keys::W64($k) => {
                 let $heads = &mut $s.w64;
                 $body
             }
-            (Keys::W128($b), Keys::W128($p)) => {
+            Keys::W128($k) => {
                 let $heads = &mut $s.w128;
                 $body
             }
-            (Keys::Str($b), Keys::Str($p)) => {
+            Keys::Str($k) => {
                 let $heads = &mut $s.strs;
                 $body
             }
-            (Keys::Vals($b), Keys::Vals($p)) => {
+            Keys::Vals($k) => {
                 let $heads = &mut $s.vals;
                 $body
             }
-            _ => unreachable!("one KeyNorm normalises both sides of a join"),
         }
     };
 }
@@ -184,11 +190,6 @@ pub struct Execution<'a> {
     /// Profiles of remote producers behind foreign-table scans, paired
     /// with the edge's wire time (operator tracing only).
     pub remotes: Vec<(ExecProfile, f64)>,
-    /// Reactor worker threads decoding streamed edges (0 = no reactor).
-    /// Only gates paths whose observables are identical either way — e.g.
-    /// the streamed join-build concat, which costs an extra copy unless
-    /// decode genuinely runs on another thread.
-    pub reactor_threads: usize,
     /// Reusable hash tables and buffers (see [`Scratch`]).
     pub scratch: Scratch,
 }
@@ -202,7 +203,6 @@ impl<'a> Execution<'a> {
             edges: Vec::new(),
             ops: None,
             remotes: Vec::new(),
-            reactor_threads: 0,
             scratch: Scratch::default(),
         }
     }
@@ -237,44 +237,29 @@ impl<'a> Execution<'a> {
                 ..
             } => {
                 let out = self.resolver.scan(relation, &schema.fields)?;
-                if let Some(remote) = out.remote {
-                    let wire_ms = out.edge.map_or(0.0, |e| e.transfer_ms);
-                    self.remotes.push((*remote, wire_ms));
-                }
-                if let Some(edge) = out.edge {
-                    self.edges.push(edge);
-                }
-                self.scan_units += out.relation.len() as f64 * weights::SCAN;
-                self.op(OpStat {
-                    op: "scan",
-                    rows_out: out.relation.len() as u64,
-                    ..OpStat::default()
-                });
+                self.record_scan(out.relation.len(), out.edge, out.remote);
                 Ok(out.relation)
             }
             LogicalPlan::OneRow => Ok(ExecRel::Owned(Relation::new(vec![], vec![vec![]]))),
             LogicalPlan::Filter { input, predicate } => {
-                if let Some(out) = self.filter_streamed(input, predicate)? {
-                    return Ok(out);
+                if self.streamed_leaf(plan).is_some() {
+                    // Filtered as it decodes: only surviving rows are kept.
+                    let mut out = MorselConcat::new();
+                    self.feed(plan, &mut |m| {
+                        out.append(m);
+                        Ok(())
+                    })?;
+                    return Ok(ExecRel::Owned(out.finish(&input.schema().fields)));
                 }
                 let rel = self.run_rel(input)?;
                 let pred = compile(predicate, input.schema())?;
-                self.scan_units += rel.len() as f64 * weights::FILTER;
-                let rows_in = rel.len() as u64;
                 let sel = filter_selection(&pred, rel.as_ref())?;
-                let rows_out = sel.len() as u64;
-                let out = if sel.len() == rel.len() {
+                self.record_filter(rel.len() as u64, sel.len() as u64);
+                Ok(if sel.len() == rel.len() {
                     rel // nothing dropped — pass the input through
                 } else {
                     ExecRel::Owned(gather_relation(rel.as_ref(), &sel))
-                };
-                self.op(OpStat {
-                    op: "filter",
-                    rows_in,
-                    rows_out,
-                    ..OpStat::default()
-                });
-                Ok(out)
+                })
             }
             LogicalPlan::Project {
                 input,
@@ -326,8 +311,8 @@ impl<'a> Execution<'a> {
                 right,
                 on,
                 residual,
-                ..
-            } => self.join(left, right, on, residual.as_ref()),
+                schema,
+            } => self.join(left, right, on, residual.as_ref(), schema),
             LogicalPlan::SemiJoin {
                 left,
                 right,
@@ -423,311 +408,248 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Try to stream a leaf scan through `sink` one morsel at a time.
-    /// After the stream drains, records exactly the accounting the
-    /// materialized scan arm of [`Execution::run_rel`] records (remote
-    /// profile, timing edge, scan units, op entry) — streaming changes
-    /// wall clock only, never observables. `Ok(None)` means the leaf has
-    /// no streaming path (local table, non-leaf plan) and the caller must
-    /// materialize instead; the sink was not called.
-    fn stream_leaf(
+    /// What every leaf scan owes besides its rows, streamed or not: the
+    /// remote producer's profile, the timing edge, scan units, the op entry.
+    fn record_scan(
         &mut self,
-        plan: &LogicalPlan,
-        sink: &mut MorselSink<'_>,
-    ) -> Result<Option<usize>> {
-        let Some((relation, fields)) = leaf_parts(plan) else {
-            return Ok(None);
-        };
-        let Some(out) = self.resolver.scan_stream(relation, fields, sink)? else {
-            return Ok(None);
-        };
-        if let Some(remote) = out.remote {
-            let wire_ms = out.edge.map_or(0.0, |e| e.transfer_ms);
+        nrows: usize,
+        edge: Option<EdgeTiming>,
+        remote: Option<Box<ExecProfile>>,
+    ) {
+        if let Some(remote) = remote {
+            let wire_ms = edge.map_or(0.0, |e| e.transfer_ms);
             self.remotes.push((*remote, wire_ms));
         }
-        if let Some(edge) = out.edge {
+        if let Some(edge) = edge {
             self.edges.push(edge);
         }
-        self.scan_units += out.nrows as f64 * weights::SCAN;
+        self.scan_units += nrows as f64 * weights::SCAN;
         self.op(OpStat {
             op: "scan",
-            rows_out: out.nrows as u64,
+            rows_out: nrows as u64,
             ..OpStat::default()
         });
-        Ok(Some(out.nrows))
     }
 
-    /// Fused streamed filter over a foreign-table scan: each morsel is
-    /// filtered as it decodes and only surviving rows are kept, so
-    /// predicate evaluation overlaps the edge instead of waiting for the
-    /// full relation. Work units, op stats and output bits are identical
-    /// to the materialized path.
-    fn filter_streamed(
-        &mut self,
-        input: &LogicalPlan,
-        predicate: &xdb_sql::Expr,
-    ) -> Result<Option<ExecRel>> {
-        let Some((_, fields)) = leaf_parts(input) else {
-            return Ok(None);
-        };
-        let pred = compile(predicate, input.schema())?;
-        let mut acc = MorselConcat::new();
-        let mut rows_out = 0u64;
-        let nrows = {
-            let mut sink = |m: &Relation| -> Result<()> {
-                let sel = filter_selection(&pred, m)?;
-                rows_out += sel.len() as u64;
-                if sel.len() == m.len() {
-                    acc.append(m, None);
-                } else {
-                    acc.append(m, Some(&sel));
-                }
-                Ok(())
-            };
-            match self.stream_leaf(input, &mut sink)? {
-                Some(n) => n,
-                None => return Ok(None),
-            }
-        };
-        self.scan_units += nrows as f64 * weights::FILTER;
+    /// What every filter owes, over one relation or summed over a stream.
+    fn record_filter(&mut self, rows_in: u64, rows_out: u64) {
+        self.scan_units += rows_in as f64 * weights::FILTER;
         self.op(OpStat {
             op: "filter",
-            rows_in: nrows as u64,
+            rows_in,
             rows_out,
             ..OpStat::default()
         });
-        Ok(Some(ExecRel::Owned(acc.finish(fields))))
     }
 
-    /// Streamed aggregation over a (possibly filtered) foreign-table scan:
-    /// the grouper folds each morsel as it decodes, so grouping overlaps
-    /// the edge and the scan output is never materialized at all. Records
-    /// the scan's and the filter's accounting exactly as the materialized
-    /// operators would and returns the aggregate's input row count;
-    /// `Ok(None)`, with nothing run, unless the input is such a leaf.
-    fn aggregate_streamed(
-        &mut self,
-        input: &LogicalPlan,
-        grouper: &mut Grouper,
-    ) -> Result<Option<u64>> {
-        let (leaf, filter_pred) = match input {
-            LogicalPlan::Filter {
-                input: inner,
-                predicate,
-            } if leaf_parts(inner).is_some() => (&**inner, Some(predicate)),
-            _ if leaf_parts(input).is_some() => (input, None),
-            _ => return Ok(None),
-        };
-        let pred = match filter_pred {
-            Some(p) => Some(compile(p, leaf.schema())?),
-            None => None,
-        };
-        let mut rows_filt = 0u64;
-        let nrows = {
-            let mut sink = |m: &Relation| -> Result<()> {
-                let mut kept = None;
-                grouper.push(filter_morsel(pred.as_ref(), m, &mut rows_filt, &mut kept)?)
-            };
-            match self.stream_leaf(leaf, &mut sink)? {
-                Some(n) => n,
-                None => return Ok(None),
-            }
-        };
-        if pred.is_none() {
-            return Ok(Some(nrows as u64));
-        }
-        self.scan_units += nrows as f64 * weights::FILTER;
-        self.op(OpStat {
-            op: "filter",
-            rows_in: nrows as u64,
-            rows_out: rows_filt,
-            ..OpStat::default()
-        });
-        Ok(Some(rows_filt))
-    }
-
-    /// Streamed materialization of a leaf scan: morsels concatenate as
-    /// they decode. The consumer (hash-join build) still needs the whole
-    /// relation, but the copy overlaps the edge — which only pays off
-    /// when reactor workers actually decode on another thread, so the
-    /// path is gated on `reactor_threads` (output bits are identical
-    /// either way).
-    fn stream_concat(&mut self, plan: &LogicalPlan) -> Result<Option<ExecRel>> {
-        if self.reactor_threads == 0 {
-            return Ok(None);
-        }
-        let Some((_, fields)) = leaf_parts(plan) else {
-            return Ok(None);
-        };
-        let mut acc = MorselConcat::new();
-        let streamed = {
-            let mut sink = |m: &Relation| {
-                acc.append(m, None);
-                Ok(())
-            };
-            self.stream_leaf(plan, &mut sink)?.is_some()
-        };
-        if !streamed {
-            return Ok(None);
-        }
-        Ok(Some(ExecRel::Owned(acc.finish(fields))))
-    }
-
-    /// Probe-side shapes the streamed hash join can drive morsel-wise: a
-    /// streamable leaf, optionally under a filter. Side-effect free — used
-    /// to decide engagement before anything executes.
-    fn probe_stream_parts<'p>(
+    /// The one shape that streams: a leaf (scan or placeholder) the
+    /// resolver streams, optionally under a filter. Returns the leaf's
+    /// relation and schema and the filter's predicate. Side-effect free, so
+    /// an operator can decide from it in which order to run its children
+    /// before anything executes.
+    fn streamed_leaf<'p>(
         &self,
         plan: &'p LogicalPlan,
-    ) -> Option<(&'p LogicalPlan, Option<&'p xdb_sql::Expr>)> {
+    ) -> Option<(&'p str, &'p PlanSchema, Option<&'p xdb_sql::Expr>)> {
         let (leaf, pred) = match plan {
             LogicalPlan::Filter { input, predicate } => (&**input, Some(predicate)),
             _ => (plan, None),
         };
-        let (relation, _) = leaf_parts(leaf)?;
-        if !self.resolver.streams(relation) {
-            return None;
-        }
-        Some((leaf, pred))
+        let (relation, schema) = match leaf {
+            LogicalPlan::Scan {
+                relation, schema, ..
+            }
+            | LogicalPlan::Placeholder {
+                name: relation,
+                schema,
+                ..
+            } => (relation, schema),
+            _ => return None,
+        };
+        self.resolver
+            .streams(relation)
+            .then_some((relation, schema, pred))
     }
 
-    /// Hash join with a streamed probe side: the build (right) child
-    /// materializes and hashes first, then the probe leaf streams morsel by
-    /// morsel and each morsel's matches are emitted to `consume` while the
-    /// decoded chunk is still cache-hot — the probe relation itself is
-    /// never materialized. Pairs are emitted probe-major with build rows
-    /// ascending within a probe row (morsel-local probe indices, absolute
-    /// build indices), i.e. exactly the materialized join's order, and the
-    /// accounting recorded after the drain matches the materialized join
-    /// value for value — so the path engages regardless of morsel size or
-    /// reactor threads and every observable stays config-invariant.
-    /// Returns `Ok(None)` before any side effects unless the probe side is
-    /// a streamable (optionally filtered) leaf and every probe key is a
-    /// bare column: computed keys would be re-evaluated per morsel, and
-    /// only bare columns are guaranteed the chunk-invariant layouts the
-    /// typed chain dispatch relies on. On success returns the join's output
-    /// row count and the build relation.
-    fn join_probe_streamed(
+    /// How an operator reads a child: `sink` sees the child's rows as
+    /// morsels, in order, and `feed` returns how many rows it delivered.
+    /// - A [`Execution::streamed_leaf`] delivers the chunks of its edge,
+    ///   filtered one at a time, and is never materialized.
+    /// - A hash join delivers one joined morsel per probe morsel.
+    /// - Anything else runs to a relation, which is the one morsel.
+    ///
+    /// Whatever the child owes in work units, op entries and edges is
+    /// recorded exactly as [`Execution::run_rel`] would, whichever way the
+    /// rows travel.
+    fn feed(&mut self, plan: &LogicalPlan, sink: &mut MorselSink<'_>) -> Result<u64> {
+        if let Some((relation, schema, pred)) = self.streamed_leaf(plan) {
+            let pred = pred.map(|p| compile(p, schema)).transpose()?;
+            let mut kept = 0u64;
+            let mut filtered = |m: &Relation| -> Result<()> {
+                let Some(pred) = &pred else { return sink(m) };
+                let sel = filter_selection(pred, m)?;
+                kept += sel.len() as u64;
+                if sel.len() == m.len() {
+                    sink(m)
+                } else {
+                    sink(&gather_relation(m, &sel))
+                }
+            };
+            let out = self
+                .resolver
+                .scan_stream(relation, &schema.fields, &mut filtered)?
+                .ok_or_else(|| {
+                    EngineError::Execution(format!(
+                        "resolver advertised {relation:?} as streamed but did not stream it"
+                    ))
+                })?;
+            self.record_scan(out.nrows, out.edge, out.remote);
+            if pred.is_none() {
+                return Ok(out.nrows as u64);
+            }
+            self.record_filter(out.nrows as u64, kept);
+            return Ok(kept);
+        }
+        match plan {
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                residual,
+                schema,
+            } if !on.is_empty() => {
+                let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
+                    sink(&gather_pair(m, build, lsel, rsel))
+                };
+                self.hash_join(left, right, on, residual.as_ref(), schema, &mut emit)
+            }
+            _ => {
+                let rel = self.run_rel(plan)?;
+                sink(rel.as_ref())?;
+                Ok(rel.len() as u64)
+            }
+        }
+    }
+
+    /// Inner join to a relation: the hash join's pairs, or the nested
+    /// loop's, gathered by the one output builder.
+    fn join(
         &mut self,
         left: &LogicalPlan,
         right: &LogicalPlan,
         on: &[(xdb_sql::Expr, xdb_sql::Expr)],
         residual: Option<&xdb_sql::Expr>,
-        consume: &mut dyn FnMut(ProbeOut<'_>) -> Result<()>,
-    ) -> Result<Option<(u64, ExecRel)>> {
+        schema: &PlanSchema,
+    ) -> Result<ExecRel> {
+        let mut out = MorselConcat::new();
         if on.is_empty() {
-            return Ok(None); // nested-loop joins keep the materialized path
-        }
-        let Some((leaf, filter_pred)) = self.probe_stream_parts(left) else {
-            return Ok(None);
-        };
-        let lschema = left.schema();
-        let mut key_idx: Vec<usize> = Vec::with_capacity(on.len());
-        for (l, _) in on {
-            match compile(l, lschema)? {
-                PhysExpr::Column(i) => key_idx.push(i),
-                _ => return Ok(None),
+            // Nested-loop (cross) join with optional residual.
+            let lrel_e = self.run_rel(left)?;
+            let rrel_e = self.run_rel(right)?;
+            let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
+            self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
+            let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+            lsel.reserve(lrel.len() * rrel.len());
+            rsel.reserve(lrel.len() * rrel.len());
+            for li in 0..lrel.len() as u32 {
+                for ri in 0..rrel.len() as u32 {
+                    lsel.push(li);
+                    rsel.push(ri);
+                }
             }
+            if let Some(res) = residual {
+                keep_pairs(&compile(res, schema)?, lrel, rrel, &mut lsel, &mut rsel)?;
+            }
+            self.op(OpStat {
+                op: "nested loop join",
+                rows_in: (lrel.len() + rrel.len()) as u64,
+                rows_out: lsel.len() as u64,
+                build_rows: rrel.len() as u64,
+                probe_rows: lrel.len() as u64,
+            });
+            out.append_pair(lrel, rrel, &lsel, &rsel);
+        } else {
+            let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
+                out.append_pair(m, build, lsel, rsel);
+                Ok(())
+            };
+            self.hash_join(left, right, on, residual, schema, &mut emit)?;
         }
-        // Committed. Build side first (as in the materialized path), then
-        // stream the probe against the finished chain table.
-        let rrel_e = match self.stream_concat(right)? {
-            Some(r) => r,
-            None => self.run_rel(right)?,
-        };
-        let rrel = rrel_e.as_ref();
-        let rschema = right.schema();
-        let residual_c = match residual {
-            Some(r) => Some(compile(r, &lschema.join(rschema))?),
+        Ok(ExecRel::Owned(out.finish(&schema.fields)))
+    }
+
+    /// The one hash join: build on the right child, probe with the left one
+    /// morsel at a time, and hand each morsel's matches to `emit` as
+    /// (morsel, build relation, morsel-local probe rows, build rows) —
+    /// probe-major, build rows ascending within a probe row, residual
+    /// already applied. Returns the number of pairs.
+    ///
+    /// Child order is an observable (ledger records, op post-order, the
+    /// sequence of float additions into the work units): a probe side that
+    /// streams runs *after* the build side, against the finished table; one
+    /// that does not is run *before* it and probed as the one morsel. Only
+    /// bare-column keys probe a stream, because only those have the same
+    /// layout in every morsel ([`KeyNorm::keys`] errors on drift).
+    fn hash_join(
+        &mut self,
+        left: &LogicalPlan,
+        right: &LogicalPlan,
+        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
+        residual: Option<&xdb_sql::Expr>,
+        schema: &PlanSchema,
+        emit: &mut PairSink<'_>,
+    ) -> Result<u64> {
+        let pkeys: Vec<PhysExpr> = on
+            .iter()
+            .map(|(l, _)| compile(l, left.schema()))
+            .collect::<Result<_>>()?;
+        let residual = match residual {
+            Some(r) => Some(compile(r, schema)?),
             None => None,
         };
-        let pred_c = match filter_pred {
-            Some(p) => Some(compile(p, leaf.schema())?),
-            None => None,
+        let streams = self.streamed_leaf(left).is_some()
+            && pkeys.iter().all(|k| matches!(k, PhysExpr::Column(_)));
+        let lrel = if streams {
+            None
+        } else {
+            Some(self.run_rel(left)?)
         };
-        let bcols = key_columns(on, false, rschema, rrel)?;
+        let rrel = self.run_rel(right)?;
+        let build = rrel.as_ref();
+        let bcols = key_columns(on, false, right.schema(), build)?;
         let mut scratch = std::mem::take(&mut self.scratch);
-        // Normalisation and the chain table are decided and built on the
-        // first morsel, exactly as the materialized join decides on the
-        // full columns; the build side is complete by then, so packing
-        // against its ranges is as sound as in the materialized join.
-        let mut built: Option<(KeyNorm, Keys)> = None;
-        let mut rows_filt = 0u64;
+        // The normalisation needs the probe side's layouts, so it is decided,
+        // and the table built, when the first morsel arrives.
+        let mut norm: Option<KeyNorm> = None;
         let mut out_rows = 0u64;
         let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-        let streamed = {
-            let mut sink = |m: &Relation| -> Result<()> {
-                let mut kept = None;
-                let rel = filter_morsel(pred_c.as_ref(), m, &mut rows_filt, &mut kept)?;
-                let pcols: Vec<Column> = key_idx.iter().map(|&i| rel.column(i).clone()).collect();
-                let fresh = built.is_none();
-                if fresh {
-                    let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
-                    let bkeys = norm.keys(&bcols, rrel.len())?;
-                    built = Some((norm, bkeys));
-                }
-                let (norm, bkeys) = built.as_ref().expect("built on the first morsel");
-                // Bare columns off a stream decoder keep one layout for the
-                // whole edge; `keys` errors if a typed arm's layout drifts.
-                let pkeys = norm.keys(&pcols, rel.len())?;
-                lsel.clear();
-                rsel.clear();
-                with_key_arm!(bkeys, &pkeys, scratch, |b, p, heads| {
-                    if fresh {
-                        build_chain(b, heads, &mut scratch.next);
-                    }
-                    probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
-                });
-                match &residual_c {
-                    None => {
-                        out_rows += lsel.len() as u64;
-                        consume(ProbeOut::Sels {
-                            morsel: rel,
-                            build: rrel,
-                            lsel: &lsel,
-                            rsel: &rsel,
-                        })
-                    }
-                    Some(res) => {
-                        let mut jf = Vec::with_capacity(rel.width() + rrel.width());
-                        jf.extend(rel.fields.iter().cloned());
-                        jf.extend(rrel.fields.iter().cloned());
-                        let jm = gather_pair(rel, rrel, &lsel, &rsel, jf);
-                        let sel = filter_selection(res, &jm)?;
-                        let out = if sel.len() == jm.len() {
-                            jm
-                        } else {
-                            gather_relation(&jm, &sel)
-                        };
-                        out_rows += out.len() as u64;
-                        consume(ProbeOut::Rows(&out))
-                    }
-                }
+        let mut probe = |m: &Relation| -> Result<()> {
+            let pcols: Vec<Column> = pkeys
+                .iter()
+                .map(|k| expr_column(k, m))
+                .collect::<Result<_>>()?;
+            let norm = match &mut norm {
+                Some(n) => n,
+                None => norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch)?),
             };
-            self.stream_leaf(leaf, &mut sink)
+            let keys = norm.keys(&pcols, m.len())?;
+            lsel.clear();
+            rsel.clear();
+            with_key_arm!(&keys, scratch, |p, heads| {
+                probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
+            });
+            if let Some(res) = &residual {
+                keep_pairs(res, m, build, &mut lsel, &mut rsel)?;
+            }
+            out_rows += lsel.len() as u64;
+            emit(m, build, &lsel, &rsel)
+        };
+        let probed = match &lrel {
+            Some(l) => probe(l.as_ref()).map(|()| l.len() as u64),
+            None => self.feed(left, &mut probe),
         };
         self.scratch = scratch;
-        let nrows = match streamed? {
-            Some(n) => n,
-            None => {
-                return Err(EngineError::Execution(
-                    "resolver advertised a streamable probe leaf but did not stream it".into(),
-                ))
-            }
-        };
-        let build_rows = rrel_e.len() as u64;
-        let probe_rows = if pred_c.is_some() {
-            self.scan_units += nrows as f64 * weights::FILTER;
-            self.op(OpStat {
-                op: "filter",
-                rows_in: nrows as u64,
-                rows_out: rows_filt,
-                ..OpStat::default()
-            });
-            rows_filt
-        } else {
-            nrows as u64
-        };
+        let (probe_rows, build_rows) = (probed?, build.len() as u64);
         self.olap_units += (probe_rows as f64 + build_rows as f64) * weights::JOIN;
         self.olap_units += out_rows as f64 * weights::JOIN * 0.5;
         self.op(OpStat {
@@ -737,213 +659,7 @@ impl<'a> Execution<'a> {
             build_rows,
             probe_rows,
         });
-        Ok(Some((out_rows, rrel_e)))
-    }
-
-    /// Streamed-probe materializing join: matches append straight from
-    /// each cache-hot probe morsel (and the build relation) into the
-    /// output builders, so the join output is written exactly once and the
-    /// probe side never materializes. Output bits match the materialized
-    /// join: same pair order, same gather order, layouts from the first
-    /// morsel (which the decoder keeps chunk-invariant).
-    fn join_streamed(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
-        residual: Option<&xdb_sql::Expr>,
-    ) -> Result<Option<ExecRel>> {
-        let mut fields: Option<Vec<(String, DataType)>> = None;
-        let mut cols: Vec<Column> = Vec::new();
-        let mut rows = 0usize;
-        let mut consume = |out: ProbeOut<'_>| -> Result<()> {
-            match out {
-                ProbeOut::Sels {
-                    morsel,
-                    build,
-                    lsel,
-                    rsel,
-                } => {
-                    if fields.is_none() {
-                        let mut f = Vec::with_capacity(morsel.width() + build.width());
-                        f.extend(morsel.fields.iter().cloned());
-                        f.extend(build.fields.iter().cloned());
-                        fields = Some(f);
-                        cols = morsel
-                            .columns()
-                            .iter()
-                            .chain(build.columns())
-                            .map(Column::empty_like)
-                            .collect();
-                    }
-                    let lw = morsel.width();
-                    for (j, c) in morsel.columns().iter().enumerate() {
-                        cols[j].append_gather(c, lsel);
-                    }
-                    for (j, c) in build.columns().iter().enumerate() {
-                        cols[lw + j].append_gather(c, rsel);
-                    }
-                    rows += lsel.len();
-                }
-                ProbeOut::Rows(r) => {
-                    if fields.is_none() {
-                        fields = Some(r.fields.clone());
-                        cols = r.columns().iter().map(Column::empty_like).collect();
-                    }
-                    for (dst, src) in cols.iter_mut().zip(r.columns()) {
-                        dst.append_range(src, 0, r.len());
-                    }
-                    rows += r.len();
-                }
-            }
-            Ok(())
-        };
-        let Some((_, rrel_e)) =
-            self.join_probe_streamed(left, right, on, residual, &mut consume)?
-        else {
-            return Ok(None);
-        };
-        let out = match fields {
-            Some(f) => Relation::from_columns(f, cols, rows),
-            None => {
-                // Zero probe morsels: schema from the declared leaf fields
-                // plus the build relation (the `MorselConcat` fallback rule).
-                let leaf = match left {
-                    LogicalPlan::Filter { input, .. } => &**input,
-                    other => other,
-                };
-                let (_, lfields) = leaf_parts(leaf).expect("streamed probe engaged on a non-leaf");
-                let rrel = rrel_e.as_ref();
-                let mut f = named_columns(lfields);
-                f.extend(rrel.fields.iter().cloned());
-                let mut c: Vec<Column> = lfields
-                    .iter()
-                    .map(|f| Column::empty_of(f.data_type))
-                    .collect();
-                c.extend(rrel.columns().iter().map(Column::empty_like));
-                Relation::from_columns(f, c, 0)
-            }
-        };
-        Ok(Some(ExecRel::Owned(out)))
-    }
-
-    /// Fused streamed aggregation over a streamed-probe join: each probe
-    /// morsel's matches gather into a small cache-hot joined morsel that
-    /// folds straight into the grouper, so neither the probe relation nor
-    /// the join output is ever materialized. Returns the join's output row
-    /// count; `Ok(None)`, with nothing run, unless the input is a join
-    /// whose probe side streams.
-    fn aggregate_join_streamed(
-        &mut self,
-        input: &LogicalPlan,
-        grouper: &mut Grouper,
-    ) -> Result<Option<u64>> {
-        let LogicalPlan::Join {
-            left,
-            right,
-            on,
-            residual,
-            ..
-        } = input
-        else {
-            return Ok(None);
-        };
-        let mut consume = |out: ProbeOut<'_>| -> Result<()> {
-            match out {
-                ProbeOut::Sels {
-                    morsel,
-                    build,
-                    lsel,
-                    rsel,
-                } => {
-                    let mut jf = Vec::with_capacity(morsel.width() + build.width());
-                    jf.extend(morsel.fields.iter().cloned());
-                    jf.extend(build.fields.iter().cloned());
-                    grouper.push(&gather_pair(morsel, build, lsel, rsel, jf))
-                }
-                ProbeOut::Rows(r) => grouper.push(r),
-            }
-        };
-        let joined = self.join_probe_streamed(left, right, on, residual.as_ref(), &mut consume)?;
-        Ok(joined.map(|(out_rows, _)| out_rows))
-    }
-
-    fn join(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
-        residual: Option<&xdb_sql::Expr>,
-    ) -> Result<ExecRel> {
-        if let Some(out) = self.join_streamed(left, right, on, residual)? {
-            return Ok(out);
-        }
-        let lrel_e = self.run_rel(left)?;
-        // The build side must be fully materialized before probing, but
-        // when reactor workers decode the edge its morsels can concatenate
-        // while later chunks are still in flight.
-        let rrel_e = match self.stream_concat(right)? {
-            Some(r) => r,
-            None => self.run_rel(right)?,
-        };
-        let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
-        let lschema = left.schema();
-        let rschema = right.schema();
-        let residual_c = match residual {
-            Some(r) => Some(compile(r, &lschema.join(rschema))?),
-            None => None,
-        };
-        let mut fields = Vec::with_capacity(lrel.width() + rrel.width());
-        fields.extend(lrel.fields.iter().cloned());
-        fields.extend(rrel.fields.iter().cloned());
-        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-        let hash = !on.is_empty();
-        if hash {
-            // Hash join: build on the right child, probe with the left.
-            let bcols = key_columns(on, false, rschema, rrel)?;
-            let pcols = key_columns(on, true, lschema, lrel)?;
-            self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
-            let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
-            let bkeys = norm.keys(&bcols, rrel.len())?;
-            let pkeys = norm.keys(&pcols, lrel.len())?;
-            with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
-                build_chain(b, heads, &mut self.scratch.next);
-                probe_chain(p, heads, &self.scratch.next, &mut lsel, &mut rsel)
-            });
-        } else {
-            // Nested-loop (cross) join with optional residual.
-            self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
-            lsel.reserve(lrel.len() * rrel.len());
-            rsel.reserve(lrel.len() * rrel.len());
-            for li in 0..lrel.len() as u32 {
-                for ri in 0..rrel.len() as u32 {
-                    lsel.push(li);
-                    rsel.push(ri);
-                }
-            }
-        }
-        let mut out = gather_pair(lrel, rrel, &lsel, &rsel, fields);
-        if let Some(res) = &residual_c {
-            let sel = filter_selection(res, &out)?;
-            if sel.len() < out.len() {
-                out = gather_relation(&out, &sel);
-            }
-        }
-        if hash {
-            self.olap_units += out.len() as f64 * weights::JOIN * 0.5;
-        }
-        self.op(OpStat {
-            op: if hash {
-                "hash join"
-            } else {
-                "nested loop join"
-            },
-            rows_in: (lrel.len() + rrel.len()) as u64,
-            rows_out: out.len() as u64,
-            build_rows: rrel.len() as u64,
-            probe_rows: lrel.len() as u64,
-        });
-        Ok(ExecRel::Owned(out))
+        Ok(out_rows)
     }
 
     /// Semi/anti join: emit left rows with at least one (semi) or zero
@@ -983,11 +699,10 @@ impl<'a> Execution<'a> {
             } else {
                 None
             };
-        let norm = KeyNorm::new(&bcols, &pcols, rrel.len());
-        let bkeys = norm.keys(&bcols, rrel.len())?;
-        let pkeys = norm.keys(&pcols, lrel.len())?;
-        let matched = with_key_arm!(&bkeys, &pkeys, self.scratch, |b, p, heads| {
-            semi_matches(b, p, heads, &mut self.scratch.next, residual_dyn)
+        let norm = build_table(&bcols, &pcols, rrel.len(), &mut self.scratch)?;
+        let keys = norm.keys(&pcols, lrel.len())?;
+        let matched = with_key_arm!(&keys, self.scratch, |p, heads| {
+            semi_matches(p, heads, &self.scratch.next, residual_dyn)
         })?;
         let sel: Vec<u32> = matched
             .iter()
@@ -1011,11 +726,11 @@ impl<'a> Execution<'a> {
         Ok(ExecRel::Owned(out))
     }
 
-    /// Grouped aggregation. The input reaches the one [`Grouper`] as
-    /// morsels: many when a streamed leaf or a streamed-probe join feeds
-    /// it, one — the whole materialized relation — otherwise. Packing
-    /// several key columns into one word is decided over whole columns, so
-    /// only aggregates with at most one key fold a stream.
+    /// Grouped aggregation: [`Execution::feed`] folds the input into the
+    /// one [`Grouper`] morsel by morsel, so neither a streamed leaf nor a
+    /// join's output under it is materialized. Packing several key columns
+    /// into one word is decided over whole columns, so an aggregate with
+    /// more than one key takes its input as the one morsel.
     fn aggregate(
         &mut self,
         input: &LogicalPlan,
@@ -1024,20 +739,12 @@ impl<'a> Execution<'a> {
         out: &PlanSchema,
     ) -> Result<ExecRel> {
         let mut grouper = Grouper::new(group_by, aggregates, input.schema())?;
-        let mut streamed = None;
-        if group_by.len() <= 1 {
-            streamed = self.aggregate_streamed(input, &mut grouper)?;
-            if streamed.is_none() {
-                streamed = self.aggregate_join_streamed(input, &mut grouper)?;
-            }
-        }
-        let rows_in = match streamed {
-            Some(n) => n,
-            None => {
-                let rel = self.run_rel(input)?;
-                grouper.push(rel.as_ref())?;
-                rel.len() as u64
-            }
+        let rows_in = if group_by.len() <= 1 {
+            self.feed(input, &mut |m| grouper.push(m))?
+        } else {
+            let rel = self.run_rel(input)?;
+            grouper.push(rel.as_ref())?;
+            rel.len() as u64
         };
         self.olap_units += rows_in as f64 * weights::AGGREGATE;
         let groups = grouper.finish();
@@ -1077,21 +784,14 @@ struct GroupOut {
     accs: Vec<Accumulator>,
 }
 
-/// Leaf shapes a streamed edge can replace: a scan or placeholder node.
-fn leaf_parts(plan: &LogicalPlan) -> Option<(&str, &[Field])> {
-    match plan {
-        LogicalPlan::Scan {
-            relation, schema, ..
-        } => Some((relation, &schema.fields)),
-        LogicalPlan::Placeholder { name, schema, .. } => Some((name, &schema.fields)),
-        _ => None,
-    }
-}
+/// What a join hands its consumer per probe morsel: the morsel, the build
+/// relation, and the matching (morsel row, build row) pairs.
+type PairSink<'a> = dyn FnMut(&Relation, &Relation, &[u32], &[u32]) -> Result<()> + 'a;
 
-/// Incremental row-wise concatenation of morsels sharing one schema.
-/// Schema and column layouts come from the first morsel (the decoder
-/// keeps layouts chunk-invariant), so the result is bit-identical to
-/// decoding the whole edge at once.
+/// The one output builder: row-wise concatenation of morsels, or of join
+/// pairs, sharing one schema. Schema and column layouts come from the
+/// first morsel (the decoder keeps layouts chunk-invariant), so the result
+/// is bit-identical to building it from the whole input at once.
 struct MorselConcat {
     fields: Option<Vec<(String, DataType)>>,
     cols: Vec<Column>,
@@ -1107,31 +807,39 @@ impl MorselConcat {
         }
     }
 
-    /// Append `m`'s rows — all of them, or the subset selected by `sel`
-    /// (ascending), gathered and concatenated in one pass.
-    fn append(&mut self, m: &Relation, sel: Option<&[u32]>) {
+    /// Append `m`'s rows.
+    fn append(&mut self, m: &Relation) {
         if self.fields.is_none() {
             self.fields = Some(m.fields.clone());
             self.cols = m.columns().iter().map(Column::empty_like).collect();
         }
-        match sel {
-            None => {
-                for (dst, src) in self.cols.iter_mut().zip(m.columns()) {
-                    dst.append_range(src, 0, m.len());
-                }
-                self.rows += m.len();
-            }
-            Some(sel) => {
-                for (dst, src) in self.cols.iter_mut().zip(m.columns()) {
-                    dst.append_gather(src, sel);
-                }
-                self.rows += sel.len();
-            }
+        for (dst, src) in self.cols.iter_mut().zip(m.columns()) {
+            dst.append_range(src, 0, m.len());
         }
+        self.rows += m.len();
     }
 
-    /// Finish into a relation; `fallback` supplies the schema when the
-    /// stream delivered no morsels at all.
+    /// Append join pairs: row `lsel[i]` of `l` beside row `rsel[i]` of `r`,
+    /// gathered and concatenated in one pass.
+    fn append_pair(&mut self, l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) {
+        if self.fields.is_none() {
+            self.fields = Some(l.fields.iter().chain(&r.fields).cloned().collect());
+            let cols = l.columns().iter().chain(r.columns());
+            self.cols = cols.map(Column::empty_like).collect();
+        }
+        let (lcols, rcols) = self.cols.split_at_mut(l.width());
+        for (dst, src) in lcols.iter_mut().zip(l.columns()) {
+            dst.append_gather(src, lsel);
+        }
+        for (dst, src) in rcols.iter_mut().zip(r.columns()) {
+            dst.append_gather(src, rsel);
+        }
+        self.rows += lsel.len();
+    }
+
+    /// Finish into a relation. The one rule for a stream that delivered
+    /// nothing at all: `fallback`, the declared fields of the plan node
+    /// being built, supplies the schema.
     fn finish(self, fallback: &[Field]) -> Relation {
         match self.fields {
             Some(f) => Relation::from_columns(f, self.cols, self.rows),
@@ -1442,24 +1150,6 @@ fn filter_selection(pred: &PhysExpr, rel: &Relation) -> Result<Vec<u32>> {
     Ok(sel)
 }
 
-/// One streamed morsel under an optional fused filter: the morsel itself
-/// when there is no predicate or every row passes, else its surviving rows
-/// gathered into `kept`. Adds the surviving row count to `rows_out`.
-fn filter_morsel<'m>(
-    pred: Option<&PhysExpr>,
-    m: &'m Relation,
-    rows_out: &mut u64,
-    kept: &'m mut Option<Relation>,
-) -> Result<&'m Relation> {
-    let Some(pred) = pred else { return Ok(m) };
-    let sel = filter_selection(pred, m)?;
-    *rows_out += sel.len() as u64;
-    if sel.len() == m.len() {
-        return Ok(m);
-    }
-    Ok(kept.insert(gather_relation(m, &sel)))
-}
-
 /// Evaluate an expression to a materialized column. Plain column references
 /// are `Arc` pointer copies; vectorizable expressions run the kernels; the
 /// rest fall back to row-at-a-time evaluation with reference semantics.
@@ -1494,23 +1184,32 @@ fn gather_relation(rel: &Relation, sel: &[u32]) -> Relation {
     )
 }
 
-/// Materialize join output: left columns gathered by `lsel`, right columns
-/// by `rsel`, side by side.
-fn gather_pair(
+/// One morsel of join output: left columns gathered by `lsel`, right
+/// columns by `rsel`, side by side.
+fn gather_pair(l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) -> Relation {
+    let mut out = MorselConcat::new();
+    out.append_pair(l, r, lsel, rsel);
+    out.finish(&[]) // the pairs just appended brought the schema
+}
+
+/// The residual step of a join: keep the pairs whose joined row passes.
+fn keep_pairs(
+    residual: &PhysExpr,
     l: &Relation,
     r: &Relation,
-    lsel: &[u32],
-    rsel: &[u32],
-    fields: Vec<(String, DataType)>,
-) -> Relation {
-    let mut cols = Vec::with_capacity(l.width() + r.width());
-    for c in l.columns() {
-        cols.push(c.gather(lsel));
+    lsel: &mut Vec<u32>,
+    rsel: &mut Vec<u32>,
+) -> Result<()> {
+    let kept = filter_selection(residual, &gather_pair(l, r, lsel, rsel))?;
+    // `kept` ascends, so compacting in place never overwrites a pair
+    // before it moved.
+    for (to, &from) in kept.iter().enumerate() {
+        lsel[to] = lsel[from as usize];
+        rsel[to] = rsel[from as usize];
     }
-    for c in r.columns() {
-        cols.push(c.gather(rsel));
-    }
-    Relation::from_columns(fields, cols, lsel.len())
+    lsel.truncate(kept.len());
+    rsel.truncate(kept.len());
+    Ok(())
 }
 
 /// Evaluate one side of an equi-join's `on` pairs (`left` picks the probe
@@ -1685,21 +1384,6 @@ fn generic_keys(cols: &[Column], n: usize) -> Vec<Option<Vec<Value>>> {
         .collect()
 }
 
-/// One streamed probe morsel's join matches, before materialization.
-enum ProbeOut<'a> {
-    /// Match selections: morsel-local probe rows (`lsel`) against absolute
-    /// build rows (`rsel`) — the consumer gathers them itself, so the
-    /// plain join pays no intermediate copy.
-    Sels {
-        morsel: &'a Relation,
-        build: &'a Relation,
-        lsel: &'a [u32],
-        rsel: &'a [u32],
-    },
-    /// Residual-filtered joined rows, already gathered.
-    Rows(&'a Relation),
-}
-
 /// Probe keys against a chained build table, appending (probe, build) row
 /// pairs probe-major with build rows ascending within a probe row — the
 /// exact emission order of the row-major hash join.
@@ -1723,6 +1407,21 @@ fn probe_chain<K: Hash + Eq>(
             }
         }
     }
+}
+
+/// The build half of every hash join: decide how the keys normalise from
+/// both sides' columns, then chain the build side's keys into `scratch`.
+fn build_table(
+    bcols: &[Column],
+    pcols: &[Column],
+    build_rows: usize,
+    scratch: &mut Scratch,
+) -> Result<KeyNorm> {
+    let norm = KeyNorm::new(bcols, pcols, build_rows);
+    with_key_arm!(&norm.keys(bcols, build_rows)?, scratch, |b, heads| {
+        build_chain(b, heads, &mut scratch.next)
+    });
+    Ok(norm)
 }
 
 /// Build a chained hash table over the build keys: `heads[k]` is the first
@@ -1755,14 +1454,12 @@ fn build_chain<K: Hash + Eq + Clone>(
 /// single hash lookup decides; with one, candidates are visited in
 /// ascending build-row order and evaluation short-circuits on the first
 /// match (reference semantics — later candidates are never evaluated).
-fn semi_matches<K: Hash + Eq + Clone>(
-    build_keys: &[Option<K>],
+fn semi_matches<K: Hash + Eq>(
     probe_keys: &[Option<K>],
-    heads: &mut FastMap<K, u32>,
-    next: &mut Vec<u32>,
+    heads: &FastMap<K, u32>,
+    next: &[u32],
     mut residual: Option<&mut dyn FnMut(usize, usize) -> Result<bool>>,
 ) -> Result<Vec<bool>> {
-    build_chain(build_keys, heads, next);
     let mut out = Vec::with_capacity(probe_keys.len());
     for (i, k) in probe_keys.iter().enumerate() {
         let mut matched = false;

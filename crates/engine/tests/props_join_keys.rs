@@ -3,10 +3,13 @@
 //! Random build/probe relations with 1–4 key columns of every layout the
 //! executor distinguishes (Int with `i64::MIN`/`MAX` and duplicates, Date,
 //! Bool, Str, Float, Int/Float mixes, NULLs), with layouts that sometimes
-//! differ between the sides. Inner, semi and anti joins (with and without
-//! a residual), materialized and with a streamed probe at chunk sizes
-//! 1/7/4096, must return exactly the rows, in exactly the order, of a `Vec<Value>`-keyed reference, with the same work units
-//! and operator statistics.
+//! differ between the sides, and sometimes a side with no rows at all.
+//! Inner, semi and anti joins (with and without a residual), an inner join
+//! over a filtered probe, under a one-key aggregate and on a computed probe
+//! key, materialized and with a streamed probe at chunk sizes 1/7/4096,
+//! must return exactly the rows, in exactly the order, of a
+//! `Vec<Value>`-keyed reference, with the same work units and operator
+//! statistics.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -17,7 +20,7 @@ use xdb_engine::exec::{
 };
 use xdb_engine::{Relation, Result};
 use xdb_obs::OpStat;
-use xdb_sql::algebra::{Field, LogicalPlan};
+use xdb_sql::algebra::{AggCall, AggFunc, Field, LogicalPlan};
 use xdb_sql::ast::{BinaryOp, Expr};
 use xdb_sql::bind::intern_fields;
 use xdb_sql::value::{DataType, Value};
@@ -127,7 +130,8 @@ struct Case {
 
 /// `large` cases put at least 4096 rows on one side (more than one morsel
 /// at the default chunk size) and widen the first key's domain to keep the
-/// output near the input size.
+/// output near the input size. One case in eight has a probe side without
+/// rows (a stream of zero morsels), one in eight such a build side.
 fn case(seed: u64, large: bool) -> Case {
     let mut rng = TestRng::deterministic(seed);
     let nkeys = 1 + rng.below(4) as usize;
@@ -151,24 +155,50 @@ fn case(seed: u64, large: bool) -> Case {
     };
     let bkinds: Vec<Kind> = pairs.iter().map(|p| p.0).collect();
     let pkinds: Vec<Kind> = pairs.iter().map(|p| p.1).collect();
-    Case {
+    let mut case = Case {
         nkeys,
         build: relation(&mut rng, &bkinds, &domains, nb),
         probe: relation(&mut rng, &pkinds, &domains, np),
+    };
+    match rng.below(8) {
+        0 => case.probe = relation(&mut rng, &pkinds, &domains, 0),
+        1 => case.build = relation(&mut rng, &bkinds, &domains, 0),
+        _ => {}
     }
+    case
 }
 
 // ------------------------------------------------------------------ plans
 
 #[derive(Clone, Copy, Debug)]
 enum Shape {
-    Inner { residual: bool },
-    Semi { negated: bool, residual: bool },
+    Inner {
+        residual: bool,
+    },
+    Semi {
+        negated: bool,
+        residual: bool,
+    },
+    /// Inner join whose probe side is `p` under the filter `x < 2`: fused
+    /// into the stream, one morsel at a time, when the probe streams.
+    FilteredProbe,
+    /// `count(*)` and `sum(b.x)` grouped by `p.k0` over the inner join: the
+    /// grouper consumes the join's pairs.
+    Aggregate {
+        residual: bool,
+    },
+    /// Inner join on `p.k0 + 0` where `k0` is numeric: a computed key has
+    /// no one layout over a stream's morsels, so this probe never streams.
+    ComputedKey,
 }
 
-const SHAPES: [Shape; 6] = [
+const SHAPES: [Shape; 10] = [
     Shape::Inner { residual: false },
     Shape::Inner { residual: true },
+    Shape::FilteredProbe,
+    Shape::Aggregate { residual: false },
+    Shape::Aggregate { residual: true },
+    Shape::ComputedKey,
     Shape::Semi {
         negated: false,
         residual: false,
@@ -191,8 +221,8 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
     let scan = |name: &str, rel: &Relation| {
         LogicalPlan::scan(name, name, intern_fields(&rel.fields).iter().cloned())
     };
-    let (left, right) = (scan("p", &case.probe), scan("b", &case.build));
-    let on = (0..case.nkeys)
+    let (mut left, right) = (scan("p", &case.probe), scan("b", &case.build));
+    let mut on: Vec<(Expr, Expr)> = (0..case.nkeys)
         .map(|i| {
             (
                 Expr::qcol("p", format!("k{i}")),
@@ -204,7 +234,38 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
         on.then(|| Expr::binary(BinaryOp::Lt, Expr::qcol("p", "x"), Expr::qcol("b", "x")))
     };
     match shape {
+        Shape::FilteredProbe => {
+            left = LogicalPlan::Filter {
+                input: Box::new(left),
+                predicate: Expr::binary(
+                    BinaryOp::Lt,
+                    Expr::qcol("p", "x"),
+                    Expr::lit(Value::Int(2)),
+                ),
+            }
+        }
+        Shape::ComputedKey if computes_key(case) => {
+            on[0].0 = Expr::binary(BinaryOp::Plus, on[0].0.clone(), Expr::lit(Value::Int(0)));
+        }
+        _ => {}
+    }
+    match shape {
         Shape::Inner { residual: r } => left.join_on(right, on, residual(r)),
+        Shape::FilteredProbe | Shape::ComputedKey => left.join_on(right, on, None),
+        Shape::Aggregate { residual: r } => {
+            let call = |func, arg| AggCall {
+                func,
+                arg,
+                distinct: false,
+            };
+            left.join_on(right, on, residual(r)).aggregate(
+                vec![(Expr::qcol("p", "k0"), "k0".into())],
+                vec![
+                    (call(AggFunc::Count, None), "n".into()),
+                    (call(AggFunc::Sum, Some(Expr::qcol("b", "x"))), "s".into()),
+                ],
+            )
+        }
         Shape::Semi {
             negated,
             residual: r,
@@ -216,6 +277,12 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
             negated,
         },
     }
+}
+
+/// `p.k0 + 0` is defined (and equal to `p.k0`) for the numeric kinds; for
+/// the others [`Shape::ComputedKey`] keeps the bare key.
+fn computes_key(case: &Case) -> bool {
+    matches!(case.probe.fields[0].1, DataType::Int | DataType::Float)
 }
 
 /// Serves `b` and `p`; with `chunk` set, `p` streams in morsels of that many
@@ -274,23 +341,21 @@ struct Observed {
     rows: String,
     scan_units: f64,
     olap_units: f64,
-    /// The join's own statistic (the last operator).
-    join: OpStat,
+    /// Every operator's statistic, in the order the operators finished.
+    ops: Vec<OpStat>,
 }
 
-fn observe(case: &Case, plan: &LogicalPlan, chunk: Option<usize>) -> (Observed, Vec<OpStat>) {
+fn observe(case: &Case, plan: &LogicalPlan, chunk: Option<usize>) -> Observed {
     let resolver = Resolver { case, chunk };
     let mut exec = Execution::new(&resolver);
     exec.collect_ops();
     let out = exec.run(plan).expect("join executes");
-    let ops = exec.ops.take().expect("operator stats were requested");
-    let observed = Observed {
+    Observed {
         rows: format!("{:?}", out.rows().collect::<Vec<_>>()),
         scan_units: exec.scan_units,
         olap_units: exec.olap_units,
-        join: *ops.last().expect("a join records its statistic"),
-    };
-    (observed, ops)
+        ops: exec.ops.take().expect("operator stats were requested"),
+    }
 }
 
 // -------------------------------------------------------------- reference
@@ -302,7 +367,11 @@ fn key(rel: &Relation, nkeys: usize, row: usize) -> Option<Vec<Value>> {
     (!k.iter().any(Value::is_null)).then_some(k)
 }
 
-fn reference(case: &Case, shape: Shape) -> Observed {
+/// What `shape` must produce. `streamed` says whether the probe side
+/// streams: that decides the order in which the join runs its children, and
+/// with it the order of the scans' statistics and of the additions into
+/// `scan_units` (which a float sum of three terms can tell apart).
+fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
     let (build, probe, nkeys) = (&*case.build, &*case.probe, case.nkeys);
     // Build rows per key, ascending.
     let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
@@ -311,76 +380,146 @@ fn reference(case: &Case, shape: Shape) -> Observed {
             index.entry(k).or_default().push(j);
         }
     }
-    let x = |rel: &Relation, row: usize| rel.value(row, nkeys);
-    let passes = |residual: bool, i: usize, j: usize| {
-        !residual || matches!((x(probe, i), x(build, j)), (Value::Int(a), Value::Int(b)) if a < b)
+    let x = |rel: &Relation, row: usize| match rel.value(row, nkeys) {
+        Value::Int(x) => x,
+        other => panic!("x is a non-NULL Int, got {other:?}"),
     };
+    let (filtered, residual) = match shape {
+        Shape::Inner { residual }
+        | Shape::Semi { residual, .. }
+        | Shape::Aggregate { residual } => (false, residual),
+        Shape::FilteredProbe => (true, false),
+        Shape::ComputedKey => (false, false),
+    };
+    let passes = |i: usize, j: usize| !residual || x(probe, i) < x(build, j);
+    let kept: Vec<usize> = (0..probe.len())
+        .filter(|&i| !filtered || x(probe, i) < 2)
+        .collect();
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    for i in 0..probe.len() {
+    for &i in &kept {
         let matches = key(probe, nkeys, i).and_then(|k| index.get(&k));
         let candidates = matches.map_or(&[][..], Vec::as_slice);
         match shape {
-            Shape::Inner { residual } => {
-                for &j in candidates.iter().filter(|&&j| passes(residual, i, j)) {
+            Shape::Semi { negated, .. } => {
+                if candidates.iter().any(|&j| passes(i, j)) != negated {
+                    rows.push(probe.row(i));
+                }
+            }
+            _ => {
+                for &j in candidates.iter().filter(|&&j| passes(i, j)) {
                     let mut row = probe.row(i);
                     row.extend(build.row(j));
                     rows.push(row);
                 }
             }
-            Shape::Semi { negated, residual } => {
-                if candidates.iter().any(|&j| passes(residual, i, j)) != negated {
-                    rows.push(probe.row(i));
-                }
-            }
         }
     }
-    let (b, p, out) = (build.len() as u64, probe.len() as u64, rows.len() as u64);
+    let (b, p, k, out) = (
+        build.len() as u64,
+        probe.len() as u64,
+        kept.len() as u64,
+        rows.len() as u64,
+    );
+    let scan = |rows_out| OpStat {
+        op: "scan",
+        rows_out,
+        ..OpStat::default()
+    };
+    // One term per operator, added in the order the executor runs them.
+    let mut scan_units = 0.0;
+    let mut ops = Vec::new();
+    if streamed {
+        scan_units += b as f64 * weights::SCAN;
+        ops.push(scan(b));
+    }
+    scan_units += p as f64 * weights::SCAN;
+    ops.push(scan(p));
+    if filtered {
+        scan_units += p as f64 * weights::FILTER;
+        ops.push(OpStat {
+            op: "filter",
+            rows_in: p,
+            rows_out: k,
+            ..OpStat::default()
+        });
+    }
+    if !streamed {
+        scan_units += b as f64 * weights::SCAN;
+        ops.push(scan(b));
+    }
     let (op, out_units) = match shape {
-        Shape::Inner { .. } => ("hash join", out as f64 * weights::JOIN * 0.5),
         Shape::Semi { negated: false, .. } => ("semi join", 0.0),
         Shape::Semi { negated: true, .. } => ("anti join", 0.0),
+        _ => ("hash join", out as f64 * weights::JOIN * 0.5),
     };
+    let mut olap_units = (k as f64 + b as f64) * weights::JOIN + out_units;
+    ops.push(OpStat {
+        op,
+        rows_in: b + k,
+        rows_out: out,
+        build_rows: b,
+        probe_rows: k,
+    });
+    if let Shape::Aggregate { .. } = shape {
+        // Groups in first-seen order of `p.k0`; `Value` equality decides
+        // (`1 = 1.0`, and NULL is a group of its own).
+        let mut groups: Vec<(Value, i64, i64)> = Vec::new();
+        let mut index: HashMap<Value, usize> = HashMap::new();
+        for row in &rows {
+            let gi = *index.entry(row[0].clone()).or_insert(groups.len());
+            if gi == groups.len() {
+                groups.push((row[0].clone(), 0, 0));
+            }
+            let Value::Int(bx) = row[probe.width() + nkeys] else {
+                panic!("b.x is a non-NULL Int")
+            };
+            groups[gi].1 += 1;
+            groups[gi].2 += bx;
+        }
+        olap_units += out as f64 * weights::AGGREGATE;
+        ops.push(OpStat {
+            op: "aggregate",
+            rows_in: out,
+            rows_out: groups.len() as u64,
+            ..OpStat::default()
+        });
+        rows = groups
+            .into_iter()
+            .map(|(k0, n, s)| vec![k0, Value::Int(n), Value::Int(s)])
+            .collect();
+    }
     Observed {
         rows: format!("{rows:?}"),
-        // One term per scan, as the executor adds them (the sum commutes).
-        scan_units: p as f64 * weights::SCAN + b as f64 * weights::SCAN,
-        olap_units: (p as f64 + b as f64) * weights::JOIN + out_units,
-        join: OpStat {
-            op,
-            rows_in: b + p,
-            rows_out: out,
-            build_rows: b,
-            probe_rows: p,
-        },
+        scan_units,
+        olap_units,
+        ops,
     }
 }
 
 // ------------------------------------------------------------------ tests
 
-/// Every shape at every chunk setting equals the reference; within one
-/// probe mode the whole operator list is also the same at every
-/// setting (a streamed probe records its scan after the build side's, so
-/// the two modes order their scans differently).
-fn check(seed: u64, large: bool) -> std::result::Result<(), TestCaseError> {
-    let case = case(seed, large);
+/// Every shape at every chunk setting equals the reference, the whole
+/// operator list included. Whether the probe streams is the reference's
+/// only input besides the case: semi joins never stream, a computed probe
+/// key never does, everything else does whenever the resolver offers to.
+fn check(case: &Case, label: &str) -> std::result::Result<(), TestCaseError> {
     for shape in SHAPES {
-        let plan = plan(&case, shape);
-        let expected = reference(&case, shape);
-        for chunks in [&[None][..], &[Some(1), Some(7), Some(4096)][..]] {
-            let mut mode_ops: Option<Vec<OpStat>> = None;
-            for &chunk in chunks {
-                let (observed, ops) = observe(&case, &plan, chunk);
-                prop_assert_eq!(
-                    &observed,
-                    &expected,
-                    "seed {} {:?} chunk {:?}",
-                    seed,
-                    shape,
-                    chunk
-                );
-                let first = mode_ops.get_or_insert_with(|| ops.clone());
-                prop_assert_eq!(first, &ops, "seed {} {:?}: operator lists", seed, shape);
-            }
+        let plan = plan(case, shape);
+        for chunk in [None, Some(1), Some(7), Some(4096)] {
+            let streamed = chunk.is_some()
+                && match shape {
+                    Shape::Semi { .. } => false,
+                    Shape::ComputedKey => !computes_key(case),
+                    _ => true,
+                };
+            prop_assert_eq!(
+                &observe(case, &plan, chunk),
+                &reference(case, shape, streamed),
+                "{} {:?} chunk {:?}",
+                label,
+                shape,
+                chunk
+            );
         }
     }
     Ok(())
@@ -391,7 +530,7 @@ proptest! {
 
     #[test]
     fn small_joins_match_the_value_keyed_reference(seed in any::<u64>()) {
-        check(seed, false)?;
+        check(&case(seed, false), &format!("seed {seed}"))?;
     }
 }
 
@@ -401,7 +540,7 @@ proptest! {
     /// At least 4096 rows on one side: more than one morsel at chunk 4096.
     #[test]
     fn large_joins_match_the_value_keyed_reference(seed in any::<u64>()) {
-        check(seed, true)?;
+        check(&case(seed, true), &format!("seed {seed}"))?;
     }
 }
 
@@ -432,9 +571,9 @@ fn pinned_key_semantics() {
             probe,
         };
         let shape = Shape::Inner { residual: false };
-        let (observed, _) = observe(&case, &plan(&case, shape), None);
-        assert_eq!(observed, reference(&case, shape));
-        observed.join.rows_out
+        let observed = observe(&case, &plan(&case, shape), None);
+        assert_eq!(observed, reference(&case, shape, false));
+        observed.ops.last().expect("the join's statistic").rows_out
     };
     use Value::{Date, Float, Int, Null};
     let ints: &[&[Value]] = &[
@@ -473,4 +612,25 @@ fn pinned_key_semantics() {
         &[Int(0), Int(1)],
     ];
     assert_eq!(matches(rel(&two, build), rel(&two, probe)), 1);
+}
+
+/// A side without rows, pinned: a streamed probe of zero morsels leaves the
+/// join's consumer with nothing to take a schema from, and an empty build
+/// side still owes every probe row its accounting.
+#[test]
+fn empty_sides_match_the_reference() {
+    let full = case(7, false);
+    let empty = |rel: &Relation| Arc::new(Relation::new(rel.fields.clone(), vec![]));
+    for (build, probe) in [
+        (full.build.clone(), empty(&full.probe)),
+        (empty(&full.build), full.probe.clone()),
+        (empty(&full.build), empty(&full.probe)),
+    ] {
+        let case = Case {
+            nkeys: full.nkeys,
+            build,
+            probe,
+        };
+        check(&case, "empty side").expect("equals the reference");
+    }
 }

@@ -49,6 +49,18 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Make room for `n` more bits.
+    fn reserve(&mut self, n: usize) {
+        let words = (self.len + n).div_ceil(64);
+        self.words.reserve(words.saturating_sub(self.words.len()));
+    }
+
+    /// Append `n` clear bits.
+    fn push_zeros(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
     /// Append `n` set bits.
     pub fn push_ones(&mut self, n: usize) {
         for _ in 0..n {
@@ -178,12 +190,16 @@ impl<T: Clone + Default> TypedCol<T> {
     /// Append the rows of `other` selected by `sel`, in `sel` order,
     /// preserving nulls exactly.
     fn append_gather(&mut self, other: &TypedCol<T>, sel: &[u32]) {
+        // Either way room for `sel.len()` rows is made first, so that into
+        // an empty column this allocates as `gather` does.
         if other.nulls.none_set() {
-            for &i in sel {
-                self.data.push(other.data[i as usize].clone());
-                self.nulls.push(false);
-            }
+            let data = &other.data;
+            self.data
+                .extend(sel.iter().map(|&i| data[i as usize].clone()));
+            self.nulls.push_zeros(sel.len());
         } else {
+            self.data.reserve(sel.len());
+            self.nulls.reserve(sel.len());
             for &i in sel {
                 if other.nulls.get(i as usize) {
                     self.push_null();
@@ -730,6 +746,19 @@ mod tests {
             direct.iter().collect::<Vec<_>>(),
             via_gather.iter().collect::<Vec<_>>()
         );
+        // A NULL-free source is appended in bulk: several appends that
+        // straddle bitmap words equal one gather, bitmap included, and a
+        // NULL appended after them lands on its own row.
+        let ints = Column::from_values((0..150).map(Value::Int));
+        let sel: Vec<u32> = (0..150).rev().collect();
+        let mut bulk = ints.empty_like();
+        bulk.append_gather(&ints, &sel[..70]);
+        bulk.append_gather(&ints, &sel[70..]);
+        assert_eq!(bulk, ints.gather(&sel));
+        bulk.append_gather(&Column::from_values([Value::Null, Value::Int(7)]), &[0, 1]);
+        assert_eq!(bulk.value(149), Value::Int(0));
+        assert_eq!(bulk.value(150), Value::Null);
+        assert_eq!(bulk.value(151), Value::Int(7));
         // Mixed layout goes through the Value path.
         let mixed = Column::Mixed(Arc::new(vec![Value::Int(1), Value::Float(2.0)]));
         let mut out = mixed.empty_like();

@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use xdb_engine::exec::{Execution, MapResolver};
+use xdb_engine::engine::MorselSink;
+use xdb_engine::exec::{Execution, MapResolver, ScanOutput, ScanResolver, StreamedScan};
 use xdb_engine::expr::compile;
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
@@ -107,6 +108,48 @@ fn composite_join(probe: &str) -> LogicalPlan {
     )
 }
 
+/// Serves the pair tables, `few` as a stream of one morsel: the small
+/// remote intermediate that arrives over an edge and probes a big local
+/// table.
+struct OneChunk<'a>(&'a MapResolver);
+
+impl ScanResolver for OneChunk<'_> {
+    fn scan(&self, relation: &str, wanted: &[Field]) -> xdb_engine::Result<ScanOutput> {
+        self.0.scan(relation, wanted)
+    }
+
+    fn streams(&self, relation: &str) -> bool {
+        relation == "few"
+    }
+
+    fn scan_stream(
+        &self,
+        relation: &str,
+        wanted: &[Field],
+        on_morsel: &mut MorselSink<'_>,
+    ) -> xdb_engine::Result<Option<StreamedScan>> {
+        let rel = self.scan(relation, wanted)?.relation;
+        on_morsel(rel.as_ref())?;
+        Ok(Some(StreamedScan {
+            nrows: rel.len(),
+            edge: None,
+            remote: None,
+        }))
+    }
+}
+
+/// `rows` strings, each its own allocation (as `dbgen` makes them), cycling
+/// through `values`.
+fn strings(rows: usize, values: &[&str]) -> (Relation, PlanSchema) {
+    let data = (0..rows)
+        .map(|i| vec![Value::str(values[i % values.len()])])
+        .collect();
+    (
+        Relation::new(vec![("s".to_string(), DataType::Str)], data),
+        PlanSchema::new(vec![Field::new(None::<&str>, "s", DataType::Str)]),
+    )
+}
+
 fn fact_schema() -> PlanSchema {
     PlanSchema::new(vec![
         Field::new(None::<&str>, "k", DataType::Int),
@@ -142,6 +185,31 @@ fn bench(c: &mut Criterion) {
     let pred = compile(&pred, &schema).unwrap();
     g.bench_function("filter_columnar", |b| {
         b.iter(|| vector::filter_sel(&pred, &rel).unwrap())
+    });
+    // One string column against a constant: `l_returnflag = 'R'` over
+    // lineitem at sf 0.005, and Q9's `p_name LIKE '%green%'` over part.
+    let (flags, flag_schema) = strings(30_000, &["R", "A", "N"]);
+    let eq = Expr::eq(Expr::col("s"), Expr::Literal(Value::str("R")));
+    let eq = compile(&eq, &flag_schema).unwrap();
+    g.bench_function("filter_str_eq", |b| {
+        b.iter(|| vector::filter_sel(&eq, &flags).unwrap())
+    });
+    let names = [
+        "almond antique green lace",
+        "blush thistle blue yellow saddle",
+        "spring green yellow purple cornsilk",
+        "cornflower chocolate smoke dark pale",
+        "forest brown coral puff cream",
+    ];
+    let (names, name_schema) = strings(1000, &names);
+    let like = Expr::Like {
+        expr: Box::new(Expr::col("s")),
+        pattern: "%green%".into(),
+        negated: false,
+    };
+    let like = compile(&like, &name_schema).unwrap();
+    g.bench_function("filter_like_contains", |b| {
+        b.iter(|| vector::filter_sel(&like, &names).unwrap())
     });
     // Projection arithmetic: v * 3 + k, a typed column loop.
     let proj = Expr::binary(
@@ -182,6 +250,13 @@ fn bench(c: &mut Criterion) {
         let mut exec = Execution::new(&pair_tables);
         g.bench_function(name, |b| b.iter(|| exec.run(&plan).unwrap()));
     }
+    // The skewed join again, its 200-row probe side streamed in one chunk.
+    let streamed = OneChunk(&pair_tables);
+    let plan = composite_join("few");
+    let mut exec = Execution::new(&streamed);
+    g.bench_function("hash_join_streamed_small_probe", |b| {
+        b.iter(|| exec.run(&plan).unwrap())
+    });
 
     g.bench_function("aggregate_columnar", |b| {
         b.iter(|| {

@@ -13,9 +13,15 @@
 //! for every remote (foreign-table) scan it triggered.
 //!
 //! The data plane is columnar: operators evaluate expressions one column at
-//! a time ([`crate::vector`]), carry row subsets as selection vectors, and
+//! a time ([`crate::vector`]), carry row subsets as selection vectors
+//! (a predicate, a join's residual included, goes straight to one), and
 //! materialize outputs by gathering typed column vectors. Every operator
 //! runs on the calling thread: this module starts none.
+//!
+//! What the simulated clock and the reports see is the plan: a hash join
+//! is accounted as building on its right child. Which side this process
+//! hashes is the smaller one where it can know that
+//! ([`Execution::hash_join`]), and is not an observable.
 
 use crate::engine::MorselSink;
 use crate::error::{EngineError, Result};
@@ -47,6 +53,11 @@ pub mod weights {
 
 /// Chain terminator in the chained hash tables below.
 const NO_NEXT: u32 = u32::MAX;
+
+/// Candidate pairs a nested-loop join holds at once (a block of left rows
+/// against the whole right side; one left row when the right side alone is
+/// larger).
+const NESTED_LOOP_BLOCK_PAIRS: usize = 1 << 16;
 
 /// A relation flowing between operators: either uniquely owned (rows can be
 /// moved or mutated in place) or shared with the catalog / other readers.
@@ -543,31 +554,39 @@ impl<'a> Execution<'a> {
     ) -> Result<ExecRel> {
         let mut out = MorselConcat::new();
         if on.is_empty() {
-            // Nested-loop (cross) join with optional residual.
+            // Nested-loop (cross) join with optional residual, one block
+            // of left rows at a time: the candidate pairs held at once are
+            // bounded, whatever `l × r` is.
             let lrel_e = self.run_rel(left)?;
             let rrel_e = self.run_rel(right)?;
             let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
             self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
+            let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
+            let block = (NESTED_LOOP_BLOCK_PAIRS / rrel.len().max(1)).max(1);
             let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-            lsel.reserve(lrel.len() * rrel.len());
-            rsel.reserve(lrel.len() * rrel.len());
-            for li in 0..lrel.len() as u32 {
-                for ri in 0..rrel.len() as u32 {
-                    lsel.push(li);
-                    rsel.push(ri);
+            let mut rows_out = 0u64;
+            // At least one block, so that the output takes its schema and
+            // layouts from the inputs also when the left side is empty.
+            for lo in (0..lrel.len().max(1)).step_by(block) {
+                lsel.clear();
+                rsel.clear();
+                for li in lo..lrel.len().min(lo + block) {
+                    lsel.extend(std::iter::repeat_n(li as u32, rrel.len()));
+                    rsel.extend(0..rrel.len() as u32);
                 }
-            }
-            if let Some(res) = residual {
-                keep_pairs(&compile(res, schema)?, lrel, rrel, &mut lsel, &mut rsel)?;
+                if let Some(res) = &residual {
+                    res.keep_pairs(lrel, rrel, &mut lsel, &mut rsel)?;
+                }
+                rows_out += lsel.len() as u64;
+                out.append_pair(lrel, rrel, &lsel, &rsel);
             }
             self.op(OpStat {
                 op: "nested loop join",
                 rows_in: (lrel.len() + rrel.len()) as u64,
-                rows_out: lsel.len() as u64,
+                rows_out,
                 build_rows: rrel.len() as u64,
                 probe_rows: lrel.len() as u64,
             });
-            out.append_pair(lrel, rrel, &lsel, &rsel);
         } else {
             let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
                 out.append_pair(m, build, lsel, rsel);
@@ -578,18 +597,27 @@ impl<'a> Execution<'a> {
         Ok(ExecRel::Owned(out.finish(&schema.fields)))
     }
 
-    /// The one hash join: build on the right child, probe with the left one
-    /// morsel at a time, and hand each morsel's matches to `emit` as
-    /// (morsel, build relation, morsel-local probe rows, build rows) —
-    /// probe-major, build rows ascending within a probe row, residual
-    /// already applied. Returns the number of pairs.
+    /// The one hash join: hand each probe (left) morsel's matches with the
+    /// right relation to `emit` as (morsel, right relation, morsel-local
+    /// rows, right rows) — probe-major, right rows ascending within a probe
+    /// row, residual already applied. Returns the number of pairs.
+    ///
+    /// The hash table goes over the smaller input. A probe side that is one
+    /// morsel (a materialized child, or a stream that ends after its first
+    /// chunk, which is therefore held until the second one arrives or the
+    /// edge ends) with fewer rows than the right relation is chained
+    /// itself and probed with the right relation's keys; a stable counting
+    /// sort on the morsel row then restores the emission order. Everything
+    /// else (ties, longer streams) chains the right relation. Which side
+    /// is hashed is not an observable: work units and `OpStat` keep the
+    /// plan's sides, build = right and probe = left.
     ///
     /// Child order is an observable (ledger records, op post-order, the
     /// sequence of float additions into the work units): a probe side that
-    /// streams runs *after* the build side, against the finished table; one
-    /// that does not is run *before* it and probed as the one morsel. Only
-    /// bare-column keys probe a stream, because only those have the same
-    /// layout in every morsel ([`KeyNorm::keys`] errors on drift).
+    /// streams runs *after* the right side; one that does not is run
+    /// *before* it. Only bare-column keys probe a stream, because only
+    /// those have the same layout in every morsel ([`KeyNorm::keys`] errors
+    /// on drift).
     fn hash_join(
         &mut self,
         left: &LogicalPlan,
@@ -603,10 +631,7 @@ impl<'a> Execution<'a> {
             .iter()
             .map(|(l, _)| compile(l, left.schema()))
             .collect::<Result<_>>()?;
-        let residual = match residual {
-            Some(r) => Some(compile(r, schema)?),
-            None => None,
-        };
+        let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
         let streams = self.streamed_leaf(left).is_some()
             && pkeys.iter().all(|k| matches!(k, PhysExpr::Column(_)));
         let lrel = if streams {
@@ -619,34 +644,62 @@ impl<'a> Execution<'a> {
         let bcols = key_columns(on, false, right.schema(), build)?;
         let mut scratch = std::mem::take(&mut self.scratch);
         // The normalisation needs the probe side's layouts, so it is decided,
-        // and the table built, when the first morsel arrives.
+        // and the right side's table built, when the first morsel is probed.
         let mut norm: Option<KeyNorm> = None;
         let mut out_rows = 0u64;
         let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-        let mut probe = |m: &Relation| -> Result<()> {
+        // `whole`: `m` is the entire probe side, so the table may go over it.
+        let mut probe = |m: &Relation, whole: bool| -> Result<()> {
             let pcols: Vec<Column> = pkeys
                 .iter()
                 .map(|k| expr_column(k, m))
                 .collect::<Result<_>>()?;
-            let norm = match &mut norm {
-                Some(n) => n,
-                None => norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch)?),
-            };
-            let keys = norm.keys(&pcols, m.len())?;
             lsel.clear();
             rsel.clear();
-            with_key_arm!(&keys, scratch, |p, heads| {
-                probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
-            });
+            if whole && m.len() < build.len() {
+                // `KeyNorm` takes its value ranges from the table side.
+                let norm = build_table(&pcols, &bcols, m.len(), &mut scratch)?;
+                with_key_arm!(&norm.keys(&bcols, build.len())?, scratch, |b, heads| {
+                    probe_chain(b, heads, &scratch.next, &mut rsel, &mut lsel)
+                });
+                probe_major(&mut lsel, &mut rsel, m.len());
+            } else {
+                let norm = match &mut norm {
+                    Some(n) => n,
+                    None => norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch)?),
+                };
+                with_key_arm!(&norm.keys(&pcols, m.len())?, scratch, |p, heads| {
+                    probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
+                });
+            }
             if let Some(res) = &residual {
-                keep_pairs(res, m, build, &mut lsel, &mut rsel)?;
+                res.keep_pairs(m, build, &mut lsel, &mut rsel)?;
             }
             out_rows += lsel.len() as u64;
             emit(m, build, &lsel, &rsel)
         };
         let probed = match &lrel {
-            Some(l) => probe(l.as_ref()).map(|()| l.len() as u64),
-            None => self.feed(left, &mut probe),
+            Some(l) => probe(l.as_ref(), true).map(|()| l.len() as u64),
+            None => {
+                // The first morsel waits for the second, or for the end.
+                let mut held: Option<Relation> = None;
+                let mut morsels = 0usize;
+                let fed = self.feed(left, &mut |m| {
+                    morsels += 1;
+                    if morsels == 1 {
+                        held = Some(m.clone());
+                        return Ok(());
+                    }
+                    if let Some(first) = held.take() {
+                        probe(&first, false)?;
+                    }
+                    probe(m, false)
+                });
+                match (fed, held) {
+                    (Ok(n), Some(only)) => probe(&only, true).map(|()| n),
+                    (fed, _) => fed,
+                }
+            }
         };
         self.scratch = scratch;
         let (probe_rows, build_rows) = (probed?, build.len() as u64);
@@ -1193,23 +1246,54 @@ fn gather_pair(l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) -> Relati
 }
 
 /// The residual step of a join: keep the pairs whose joined row passes.
-fn keep_pairs(
-    residual: &PhysExpr,
-    l: &Relation,
-    r: &Relation,
-    lsel: &mut Vec<u32>,
-    rsel: &mut Vec<u32>,
-) -> Result<()> {
-    let kept = filter_selection(residual, &gather_pair(l, r, lsel, rsel))?;
-    // `kept` ascends, so compacting in place never overwrites a pair
-    // before it moved.
-    for (to, &from) in kept.iter().enumerate() {
-        lsel[to] = lsel[from as usize];
-        rsel[to] = rsel[from as usize];
+/// Only the columns the residual reads are gathered for the candidate
+/// pairs, into a narrow relation the predicate was compiled against.
+struct Residual {
+    /// The columns it reads, as ascending positions in the join's schema.
+    cols: Vec<usize>,
+    fields: Vec<(String, DataType)>,
+    pred: PhysExpr,
+}
+
+impl Residual {
+    fn new(residual: &xdb_sql::Expr, schema: &PlanSchema) -> Result<Residual> {
+        let mut cols = Vec::new();
+        vector::referenced_columns(&compile(residual, schema)?, &mut cols);
+        cols.sort_unstable();
+        cols.dedup();
+        // A subset of a schema resolves every name it still holds as the
+        // whole schema did.
+        let narrow: Vec<Field> = cols.iter().map(|&c| schema.fields[c].clone()).collect();
+        Ok(Residual {
+            fields: named_columns(&narrow),
+            pred: compile(residual, &PlanSchema::new(narrow))?,
+            cols,
+        })
     }
-    lsel.truncate(kept.len());
-    rsel.truncate(kept.len());
-    Ok(())
+
+    fn keep_pairs(
+        &self,
+        l: &Relation,
+        r: &Relation,
+        lsel: &mut Vec<u32>,
+        rsel: &mut Vec<u32>,
+    ) -> Result<()> {
+        let cols = self.cols.iter().map(|&c| match c.checked_sub(l.width()) {
+            None => l.column(c).gather(lsel),
+            Some(c) => r.column(c).gather(rsel),
+        });
+        let pairs = Relation::from_columns(self.fields.clone(), cols.collect(), lsel.len());
+        let kept = filter_selection(&self.pred, &pairs)?;
+        // `kept` ascends, so compacting in place never overwrites a pair
+        // before it moved.
+        for (to, &from) in kept.iter().enumerate() {
+            lsel[to] = lsel[from as usize];
+            rsel[to] = rsel[from as usize];
+        }
+        lsel.truncate(kept.len());
+        rsel.truncate(kept.len());
+        Ok(())
+    }
 }
 
 /// Evaluate one side of an equi-join's `on` pairs (`left` picks the probe
@@ -1271,7 +1355,8 @@ struct WordField {
 
 /// How an equi-join's key columns normalise: decided once per join from the
 /// build columns and the probe side's layouts, then applied to both sides,
-/// so both always land in the same [`Keys`] arm.
+/// so both always land in the same [`Keys`] arm. "Build" here is the side
+/// the table goes over, whichever child of the join that is.
 enum KeyNorm {
     /// Every column is Int, Date or Bool with the same layout on both
     /// sides. Each value packs as `value - build_min` into a bit field as
@@ -1407,6 +1492,27 @@ fn probe_chain<K: Hash + Eq>(
             }
         }
     }
+}
+
+/// Reorder pairs that came out of a table over the probe morsel (table-side
+/// row in `psel`, ascending within each `bsel` row, `bsel` ascending) into
+/// the one emission order: probe-major, build rows ascending within a probe
+/// row. A stable counting sort on the probe row, O(pairs + probe rows).
+fn probe_major(psel: &mut Vec<u32>, bsel: &mut Vec<u32>, probe_rows: usize) {
+    let mut at = vec![0usize; probe_rows + 1];
+    for &p in psel.iter() {
+        at[p as usize + 1] += 1;
+    }
+    for i in 1..at.len() {
+        at[i] += at[i - 1];
+    }
+    let (mut ps, mut bs) = (vec![0; psel.len()], vec![0; bsel.len()]);
+    for (&p, &b) in psel.iter().zip(bsel.iter()) {
+        let to = &mut at[p as usize];
+        (ps[*to], bs[*to]) = (p, b);
+        *to += 1;
+    }
+    (*psel, *bsel) = (ps, bs);
 }
 
 /// The build half of every hash join: decide how the keys normalise from
@@ -2105,5 +2211,33 @@ mod tests {
         let first = exec.run(&plan).unwrap();
         let second = exec.run(&plan).unwrap();
         assert_eq!(first, second);
+    }
+
+    /// The hash table goes over the smaller input: `build_chain` sizes
+    /// `next` to the side it hashed, here the 10-row left child and not the
+    /// 4 096-row right one. The statistic keeps the plan's sides.
+    #[test]
+    fn hash_table_goes_over_the_smaller_input() {
+        let mut resolver = MapResolver::new();
+        let mut scan = |name: &str, rows: i64| {
+            let fields = vec![("k".to_string(), DataType::Int)];
+            let data = (0..rows).map(|i| vec![Value::Int(i * 3 % 64)]).collect();
+            resolver.insert(name, Relation::new(fields.clone(), data));
+            LogicalPlan::scan(name, name, intern_fields(&fields).iter().cloned())
+        };
+        let (small, big) = (scan("small", 10), scan("big", 4096));
+        let on = vec![(
+            xdb_sql::Expr::qcol("small", "k"),
+            xdb_sql::Expr::qcol("big", "k"),
+        )];
+        let plan = small.join_on(big, on, None);
+        let mut exec = Execution::new(&resolver);
+        exec.collect_ops();
+        let out = exec.run(&plan).unwrap();
+        assert_eq!(out.len(), 10 * 64);
+        assert_eq!(exec.scratch.next.len(), 10);
+        let ops = exec.ops.take().unwrap();
+        let join = ops.iter().find(|o| o.op == "hash join").unwrap();
+        assert_eq!((join.probe_rows, join.build_rows), (10, 4096));
     }
 }

@@ -40,7 +40,7 @@ pub enum PhysExpr {
     },
     Like {
         expr: Box<PhysExpr>,
-        pattern: String,
+        pattern: LikePattern,
         negated: bool,
     },
     InList {
@@ -189,7 +189,7 @@ pub fn compile(e: &Expr, schema: &PlanSchema) -> Result<PhysExpr> {
             negated,
         } => PhysExpr::Like {
             expr: Box::new(compile(expr, schema)?),
-            pattern: pattern.clone(),
+            pattern: LikePattern::new(pattern),
             negated: *negated,
         },
         Expr::InList {
@@ -359,7 +359,7 @@ impl PhysExpr {
                 negated,
             } => match expr.eval(row)? {
                 Value::Null => Value::Null,
-                Value::Str(s) => Value::Bool(like_match(pattern, &s) != *negated),
+                Value::Str(s) => Value::Bool(pattern.matches(&s) != *negated),
                 other => {
                     return Err(EngineError::Execution(format!(
                         "LIKE on non-string {other}"
@@ -626,32 +626,74 @@ fn eval_scalar(func: ScalarFunc, args: &[Value]) -> Result<Value> {
     })
 }
 
-/// SQL LIKE pattern matching (`%` = any run, `_` = any single char),
-/// iterative backtracking over characters.
-pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
+/// A SQL LIKE pattern (`%` = any run, `_` = any single char), looked at
+/// once where the expression is compiled: the row-wise evaluator and the
+/// vectorized kernels share this one matcher.
+#[derive(Debug, Clone)]
+pub enum LikePattern {
+    /// `x`, `x%`, `%x`, `%x%` with no other wildcard: plain `&str` tests.
+    Exact(String),
+    Prefix(String),
+    Suffix(String),
+    Contains(String),
+    /// Every other pattern, as chars, for the backtracking matcher.
+    General(Vec<char>),
+}
+
+impl LikePattern {
+    pub fn new(pattern: &str) -> LikePattern {
+        let (head, body) = match pattern.strip_prefix('%') {
+            Some(b) => (true, b),
+            None => (false, pattern),
+        };
+        let (tail, body) = match body.strip_suffix('%') {
+            Some(b) => (true, b),
+            None => (false, body),
+        };
+        if body.contains(['%', '_']) {
+            return LikePattern::General(pattern.chars().collect());
+        }
+        let body = body.to_string();
+        match (head, tail) {
+            (false, false) => LikePattern::Exact(body),
+            (false, true) => LikePattern::Prefix(body),
+            (true, false) => LikePattern::Suffix(body),
+            (true, true) => LikePattern::Contains(body),
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+
+    pub fn matches(&self, text: &str) -> bool {
+        let p = match self {
+            LikePattern::Exact(x) => return text == x,
+            LikePattern::Prefix(x) => return text.starts_with(x.as_str()),
+            LikePattern::Suffix(x) => return text.ends_with(x.as_str()),
+            LikePattern::Contains(x) => return text.contains(x.as_str()),
+            LikePattern::General(p) => p,
+        };
+        // Iterative backtracking: `star` is the last `%` seen and the text
+        // position its run currently ends at.
+        let mut pi = 0usize;
+        let mut rest = text.chars();
+        let mut star: Option<(usize, std::str::Chars<'_>)> = None;
+        loop {
+            let mut ahead = rest.clone();
+            let Some(c) = ahead.next() else { break };
+            if pi < p.len() && p[pi] == '%' {
+                star = Some((pi, rest.clone()));
+                pi += 1;
+            } else if pi < p.len() && (p[pi] == '_' || p[pi] == c) {
+                pi += 1;
+                rest = ahead;
+            } else if let Some((sp, at)) = &mut star {
+                at.next();
+                pi = *sp + 1;
+                rest = at.clone();
+            } else {
+                return false;
+            }
+        }
+        p[pi..].iter().all(|&c| c == '%')
     }
-    pi == p.len()
 }
 
 #[cfg(test)]
@@ -764,6 +806,10 @@ mod tests {
             Value::str("ten")
         );
         assert_eq!(eval("case when i > 100 then 'big' end"), Value::Null);
+    }
+
+    fn like_match(pattern: &str, text: &str) -> bool {
+        LikePattern::new(pattern).matches(text)
     }
 
     #[test]

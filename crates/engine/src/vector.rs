@@ -8,6 +8,11 @@
 //! declines and the caller evaluates the *whole* expression row-wise
 //! (reproducing short-circuit evaluation and data-dependent errors).
 //!
+//! A filter predicate does not become a column of booleans where it need
+//! not: [`filter_sel`] turns `AND`/`OR` trees over tests of one typed column
+//! against constants straight into a selection vector (see `select`), under
+//! the same contract, and takes `eval_vec`'s `Bool` column for the rest.
+//!
 //! What stays out of the safe set, and why:
 //! - `Div`/`Mod`: division by zero is a data-dependent runtime error that
 //!   AND/OR short-circuiting may legitimately skip row-wise;
@@ -18,8 +23,9 @@
 //!   row-wise path errors with "cannot compare"): the kernel bails the
 //!   moment it sees one.
 
-use crate::expr::{like_match, PhysExpr};
+use crate::expr::{LikePattern, PhysExpr};
 use crate::relation::Relation;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use xdb_sql::ast::{BinaryOp, DateField};
@@ -120,35 +126,230 @@ pub fn const_column(v: &Value, n: usize) -> Column {
 /// surviving row indexes (`eval_predicate` semantics: NULL/non-bool →
 /// dropped). `None` = fall back to row-wise.
 pub fn filter_sel(e: &PhysExpr, rel: &Relation) -> Option<Vec<u32>> {
-    let n = rel.len();
+    select(e, rel, None)
+}
+
+/// The rows of `within` (every row when `None`), ascending, for which `e`
+/// is TRUE. A predicate becomes a selection, not a column of booleans:
+/// - `AND` narrows: the right conjunct looks only at the rows the left kept;
+/// - `OR` is the ordered union of both sides' selections (TRUE when either
+///   side is, which is Kleene OR once NULL drops the row);
+/// - a test of one typed column against constants goes [`direct`];
+/// - anything else is [`eval_vec`]'s `Bool` column, its true rows taken.
+///
+/// Whether a node declines never depends on `within`, so a `Some` here
+/// means the row-wise loop cannot err on any row, exactly as for `eval_vec`.
+fn select(e: &PhysExpr, rel: &Relation, within: Option<&[u32]>) -> Option<Vec<u32>> {
+    if let PhysExpr::Binary { op, left, right } = e {
+        match op {
+            BinaryOp::And => {
+                let kept = select(left, rel, within)?;
+                return select(right, rel, Some(&kept));
+            }
+            BinaryOp::Or => {
+                let (a, b) = (select(left, rel, within)?, select(right, rel, within)?);
+                return Some(union(&a, &b));
+            }
+            _ => {}
+        }
+    }
+    if let Some(sel) = direct(e, rel, within) {
+        return Some(sel);
+    }
     Some(match eval_vec(e, rel)? {
-        VecOut::Const(v) => {
-            if v.as_bool() == Some(true) {
-                (0..n as u32).collect()
-            } else {
-                Vec::new()
-            }
-        }
-        VecOut::Col(Column::Bool(c)) => {
-            let mut sel = Vec::with_capacity(n);
-            if c.nulls.none_set() {
-                for (i, &b) in c.data.iter().enumerate() {
-                    if b {
-                        sel.push(i as u32);
-                    }
-                }
-            } else {
-                for i in 0..n {
-                    if !c.is_null(i) && c.data[i] {
-                        sel.push(i as u32);
-                    }
-                }
-            }
-            sel
-        }
-        // Non-boolean predicate value: `as_bool()` is None for every row.
-        VecOut::Col(_) => Vec::new(),
+        VecOut::Const(v) if v.as_bool() == Some(true) => match within {
+            Some(w) => w.to_vec(),
+            None => (0..rel.len() as u32).collect(),
+        },
+        VecOut::Col(Column::Bool(c)) => rows_where(&c, within, |b| *b),
+        // A constant that is not TRUE, or a non-boolean column (`as_bool()`
+        // is None for every row): nothing passes.
+        _ => Vec::new(),
     })
+}
+
+/// Ordered union of two ascending selections.
+fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The non-NULL rows of `within` whose value passes, by one typed loop that
+/// writes row ids; the no-NULL case is hoisted out of the loop.
+fn rows_where<T>(c: &TypedCol<T>, within: Option<&[u32]>, pass: impl Fn(&T) -> bool) -> Vec<u32> {
+    fn collect(n: usize, within: Option<&[u32]>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        // Every candidate is written and the length advances only past a
+        // kept one: no branch to mispredict at middling selectivities.
+        let mut out = vec![0u32; within.map_or(n, <[u32]>::len)];
+        let mut len = 0;
+        let mut visit = |i: u32| {
+            out[len] = i;
+            len += usize::from(keep(i as usize));
+        };
+        match within {
+            Some(w) => w.iter().copied().for_each(&mut visit),
+            None => (0..n as u32).for_each(&mut visit),
+        }
+        out.truncate(len);
+        out
+    }
+    if c.nulls.none_set() {
+        collect(c.data.len(), within, |i| pass(&c.data[i]))
+    } else {
+        collect(c.data.len(), within, |i| {
+            !c.nulls.get(i) && pass(&c.data[i])
+        })
+    }
+}
+
+/// What a direct test compares a column's values with.
+enum Test<K> {
+    Cmp(BinaryOp, K),
+    Between(K, K, bool),
+}
+
+impl Test<Value> {
+    /// The operands in the column's own type, or `None` when one is not.
+    fn typed<'a, U: ?Sized>(
+        &'a self,
+        f: impl Fn(&'a Value) -> Option<&'a U>,
+    ) -> Option<Test<&'a U>> {
+        Some(match self {
+            Test::Cmp(op, k) => Test::Cmp(*op, f(k)?),
+            Test::Between(lo, hi, negated) => Test::Between(f(lo)?, f(hi)?, *negated),
+        })
+    }
+}
+
+/// `e` folded to a constant, when it reads no column.
+fn constant(e: &PhysExpr, rel: &Relation) -> Option<Value> {
+    let mut refs = Vec::new();
+    referenced_columns(e, &mut refs);
+    if !refs.is_empty() {
+        return None;
+    }
+    match eval_vec(e, rel)? {
+        VecOut::Const(v) => Some(v),
+        VecOut::Col(_) => None,
+    }
+}
+
+/// A comparison, `BETWEEN` or `LIKE` of one bare Int, Date, Float or Str
+/// column against constants of the same type, straight to a selection.
+/// `None` means "not that shape" and is decided before any row is looked
+/// at; the caller then takes the `eval_vec` route. Float declines when an
+/// operand or any value of the column is NaN, where a comparison errs
+/// row-wise (and the row-wise loop also visits rows an `AND` dropped as
+/// NULL, so the whole column counts, not only `within`).
+fn direct(e: &PhysExpr, rel: &Relation, within: Option<&[u32]>) -> Option<Vec<u32>> {
+    let (col, test) = match e {
+        PhysExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let PhysExpr::Column(c) = &**expr else {
+                return None;
+            };
+            let Column::Str(c) = rel.column(*c) else {
+                return None;
+            };
+            return Some(rows_where(c, within, |s| pattern.matches(s) != *negated));
+        }
+        PhysExpr::Binary { op, left, right } => match (&**left, &**right, flipped(*op)?) {
+            (PhysExpr::Column(c), k, _) => (*c, Test::Cmp(*op, constant(k, rel)?)),
+            (k, PhysExpr::Column(c), flipped) => (*c, Test::Cmp(flipped, constant(k, rel)?)),
+            _ => return None,
+        },
+        PhysExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => match &**expr {
+            PhysExpr::Column(c) => (
+                *c,
+                Test::Between(constant(low, rel)?, constant(high, rel)?, *negated),
+            ),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some(match rel.column(col) {
+        Column::Int(c) => {
+            let test = test.typed(|v| match v {
+                Value::Int(k) => Some(k),
+                _ => None,
+            })?;
+            test_rows(c, within, test)
+        }
+        Column::Date(c) => {
+            let test = test.typed(|v| match v {
+                Value::Date(k) => Some(k),
+                _ => None,
+            })?;
+            test_rows(c, within, test)
+        }
+        Column::Float(c) => {
+            let test = test.typed(|v| match v {
+                Value::Float(k) if !k.is_nan() => Some(k),
+                _ => None,
+            })?;
+            if c.data.iter().any(|v| v.is_nan()) {
+                return None;
+            }
+            test_rows(c, within, test)
+        }
+        Column::Str(c) => {
+            let test = test.typed(|v| match v {
+                Value::Str(k) => Some(&**k),
+                _ => None,
+            })?;
+            test_rows(c, within, test)
+        }
+        Column::Bool(_) | Column::Mixed(_) => return None,
+    })
+}
+
+/// `op` with its operands exchanged; `None` unless `op` is a comparison.
+fn flipped(op: BinaryOp) -> Option<BinaryOp> {
+    Some(match op {
+        BinaryOp::Eq | BinaryOp::NotEq => op,
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        _ => return None,
+    })
+}
+
+/// One loop per operator, so that no row pays for the dispatch.
+fn test_rows<T: Borrow<U>, U: PartialOrd + ?Sized>(
+    c: &TypedCol<T>,
+    within: Option<&[u32]>,
+    test: Test<&U>,
+) -> Vec<u32> {
+    match test {
+        Test::Cmp(BinaryOp::Eq, k) => rows_where(c, within, |v| v.borrow() == k),
+        Test::Cmp(BinaryOp::NotEq, k) => rows_where(c, within, |v| v.borrow() != k),
+        Test::Cmp(BinaryOp::Lt, k) => rows_where(c, within, |v| v.borrow() < k),
+        Test::Cmp(BinaryOp::LtEq, k) => rows_where(c, within, |v| v.borrow() <= k),
+        Test::Cmp(BinaryOp::Gt, k) => rows_where(c, within, |v| v.borrow() > k),
+        Test::Cmp(BinaryOp::GtEq, k) => rows_where(c, within, |v| v.borrow() >= k),
+        Test::Cmp(..) => unreachable!("not a comparison"),
+        Test::Between(lo, hi, negated) => rows_where(c, within, |v| {
+            (lo <= v.borrow() && v.borrow() <= hi) != negated
+        }),
+    }
 }
 
 /// Collect the column positions referenced by `e` (for sparse row buffers).
@@ -706,14 +907,14 @@ fn between_kernel(v: &VecOut, lo: &VecOut, hi: &VecOut, negated: bool, n: usize)
     None // mixed categories compare as NULL row-wise; rare enough to fall back
 }
 
-fn like_kernel(v: &VecOut, pattern: &str, negated: bool, n: usize) -> Option<VecOut> {
+fn like_kernel(v: &VecOut, pattern: &LikePattern, negated: bool, n: usize) -> Option<VecOut> {
     match v {
         VecOut::Const(Value::Null) => Some(VecOut::Const(Value::Null)),
-        VecOut::Const(Value::Str(s)) => Some(VecOut::Const(Value::Bool(
-            like_match(pattern, s) != negated,
-        ))),
+        VecOut::Const(Value::Str(s)) => {
+            Some(VecOut::Const(Value::Bool(pattern.matches(s) != negated)))
+        }
         VecOut::Col(Column::Str(c)) => Some(VecOut::Col(bool_col_from(n, |i| {
-            c.get(i).map(|s| like_match(pattern, s) != negated)
+            c.get(i).map(|s| pattern.matches(s) != negated)
         }))),
         _ => None, // LIKE on non-strings errors row-wise
     }

@@ -69,6 +69,56 @@ fn non_equi_join_falls_back_to_nested_loop() {
     assert_eq!(r.value(0, 0), Value::Int(6));
 }
 
+/// 3 000 × 3 000: nine million candidate pairs, of which the residual keeps
+/// under 1 %. The nested loop walks them a block of left rows at a time
+/// (it used to reserve, and fill, two `l × r` vectors before looking at one
+/// pair); the rows come out left-major, right ascending, as a row-wise loop
+/// over the same predicate yields them.
+#[test]
+fn large_cross_join_with_selective_residual() {
+    let c = cluster();
+    let n = 3000i64;
+    let table = |name: &str, col: &str, f: &dyn Fn(i64) -> Value| {
+        let fields = vec![
+            ("id".to_string(), xdb_sql::DataType::Int),
+            (col.to_string(), xdb_sql::DataType::Int),
+        ];
+        let rows = (0..n).map(|i| vec![Value::Int(i), f(i)]).collect();
+        let engine = c.engine("db").unwrap();
+        engine
+            .load_table(name, Relation::new(fields, rows))
+            .unwrap();
+    };
+    // NULL one row in eleven on either side: never a match.
+    let nullable = |i: i64, v: i64| {
+        if i % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Int(v)
+        }
+    };
+    table("lhs", "x", &|i| nullable(i, (i * 7919) % 1000));
+    table("rhs", "y", &|i| nullable(i, (i * 104_729) % 1000));
+    let r = q(
+        &c,
+        "SELECT a.id, b.id FROM lhs a, rhs b WHERE a.x > b.y + 990 OR (a.x = 3 AND b.y = 4)",
+    );
+    let x = |i: i64| (i % 11 != 0).then_some((i * 7919) % 1000);
+    let y = |i: i64| (i % 11 != 0).then_some((i * 104_729) % 1000);
+    let mut want = Vec::new();
+    for i in 0..n {
+        for j in 0..n {
+            if let (Some(x), Some(y)) = (x(i), y(j)) {
+                if x > y + 990 || (x == 3 && y == 4) {
+                    want.push(vec![Value::Int(i), Value::Int(j)]);
+                }
+            }
+        }
+    }
+    assert!(!want.is_empty() && want.len() < 90_000, "{}", want.len());
+    assert_eq!(r.rows().collect::<Vec<_>>(), want);
+}
+
 #[test]
 fn inequality_plus_equality_uses_residual() {
     let c = cluster();

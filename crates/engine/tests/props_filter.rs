@@ -1,0 +1,345 @@
+//! Differential property test for filter predicates.
+//!
+//! Random relations with one column of every layout the kernels
+//! distinguish (Int with `i64::MIN`/`MAX`, Date, Bool, Float with ±0.0 and
+//! sometimes NaN, Str with multi-byte text and the empty string, an
+//! Int/Float `Mixed` column, an all-NULL column; NULLs one in eight; one
+//! case in eight without rows) under random predicate trees: comparisons in
+//! both orientations against constants of matching and mismatching type,
+//! `[NOT] BETWEEN`, `[NOT] LIKE`, `IN`, `IS [NOT] NULL`, date ± interval
+//! constants, column-vs-column and arithmetic operands (division included,
+//! whose error is data dependent), nested under `AND`/`OR`/`NOT` to depth 3.
+//!
+//! A `Filter` over a scan must return exactly the rows, in order, for which
+//! the row-wise `eval_predicate` says `Ok(true)`, and must fail exactly when
+//! the row-wise loop fails on some row.
+
+use proptest::prelude::*;
+use xdb_engine::exec::{Execution, MapResolver};
+use xdb_engine::expr::compile;
+use xdb_engine::Relation;
+use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::ast::{BinaryOp, Expr, IntervalUnit, UnaryOp};
+use xdb_sql::bind::intern_fields;
+use xdb_sql::value::{DataType, Value};
+
+// ------------------------------------------------------- random relations
+
+const COLUMNS: [(&str, DataType); 8] = [
+    ("i", DataType::Int),
+    ("d", DataType::Date),
+    ("b", DataType::Bool),
+    ("f", DataType::Float),
+    ("s", DataType::Str),
+    ("m", DataType::Float), // Int and Float values: the `Mixed` layout
+    ("n", DataType::Int),   // NULL in every row
+    ("id", DataType::Int),
+];
+
+/// Text without `%` or `_` (a pinned case below holds those), so that the
+/// generated cases mean the same to any correct LIKE matcher.
+const WORDS: [&str; 7] = ["", "a", "b", "ab", "é", "日本", "green"];
+
+fn text(rng: &mut TestRng) -> String {
+    (0..rng.below(4))
+        .map(|_| WORDS[rng.below(7) as usize])
+        .collect()
+}
+
+/// A non-NULL value of column `col`'s kind from a small shared domain, so
+/// that constants hit stored values. `nan` allows NaN in Float values.
+fn value(rng: &mut TestRng, col: usize, nan: bool) -> Value {
+    let n = rng.below(7) as i64 - 3;
+    match COLUMNS[col].0 {
+        "i" | "id" | "n" => match rng.below(16) {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            _ => Value::Int(n),
+        },
+        "d" => Value::Date(9000 + 20 * n as i32),
+        "b" => Value::Bool(n % 2 == 0),
+        "f" => match rng.below(8) {
+            // Rare, so that some cases hold one NaN in a row that another
+            // conjunct drops.
+            0 if nan && rng.below(4) == 0 => Value::Float(f64::NAN),
+            1 => Value::Float(-0.0),
+            2 => Value::Float(0.0),
+            _ => Value::Float(n as f64 * 0.5),
+        },
+        "s" => Value::str(text(rng)),
+        _ if rng.bool() => Value::Int(n),
+        _ => Value::Float(n as f64),
+    }
+}
+
+fn relation(rng: &mut TestRng, nan: bool) -> Relation {
+    let nrows = if rng.below(8) == 0 { 0 } else { rng.below(40) };
+    let rows = (0..nrows)
+        .map(|r| {
+            (0..COLUMNS.len())
+                .map(|c| match COLUMNS[c].0 {
+                    "id" => Value::Int(r as i64),
+                    "n" => Value::Null,
+                    _ if rng.below(8) == 0 => Value::Null,
+                    _ => value(rng, c, nan),
+                })
+                .collect()
+        })
+        .collect();
+    let fields = COLUMNS.iter().map(|(n, t)| (n.to_string(), *t)).collect();
+    Relation::new(fields, rows)
+}
+
+// ------------------------------------------------------ random predicates
+
+/// A data column (never `id`).
+fn column(rng: &mut TestRng) -> usize {
+    rng.below(COLUMNS.len() as u64 - 1) as usize
+}
+
+/// A constant for a test of column `col`: its own kind three times in four,
+/// otherwise another column's kind, NULL, or a date ± interval.
+fn constant(rng: &mut TestRng, col: usize, nan: bool) -> Expr {
+    match rng.below(16) {
+        0 => Expr::lit(Value::Null),
+        1 | 2 => {
+            let other = column(rng);
+            Expr::lit(value(rng, other, nan))
+        }
+        3 => Expr::binary(
+            if rng.bool() {
+                BinaryOp::Plus
+            } else {
+                BinaryOp::Minus
+            },
+            Expr::lit(Value::Date(9000)),
+            Expr::Interval {
+                n: rng.below(3) as i64,
+                unit: [IntervalUnit::Day, IntervalUnit::Month, IntervalUnit::Year]
+                    [rng.below(3) as usize],
+            },
+        ),
+        _ => Expr::lit(value(rng, col, nan)),
+    }
+}
+
+fn col_expr(col: usize) -> Expr {
+    Expr::col(COLUMNS[col].0)
+}
+
+const COMPARISONS: [BinaryOp; 6] = [
+    BinaryOp::Eq,
+    BinaryOp::NotEq,
+    BinaryOp::Lt,
+    BinaryOp::LtEq,
+    BinaryOp::Gt,
+    BinaryOp::GtEq,
+];
+
+fn like_pattern(rng: &mut TestRng) -> String {
+    const PIECES: [&str; 8] = ["%", "%", "_", "a", "b", "é", "日", "green"];
+    (0..rng.below(5))
+        .map(|_| PIECES[rng.below(8) as usize])
+        .collect()
+}
+
+fn leaf(rng: &mut TestRng, nan: bool) -> Expr {
+    let col = column(rng);
+    let cmp = COMPARISONS[rng.below(6) as usize];
+    match rng.below(12) {
+        0 | 1 => Expr::binary(cmp, col_expr(col), constant(rng, col, nan)),
+        2 => Expr::binary(cmp, constant(rng, col, nan), col_expr(col)),
+        3 | 4 => Expr::Between {
+            expr: Box::new(col_expr(col)),
+            low: Box::new(constant(rng, col, nan)),
+            high: Box::new(constant(rng, col, nan)),
+            negated: rng.bool(),
+        },
+        5 | 6 => Expr::Like {
+            // One time in eight not the Str column: an error for every
+            // non-NULL row.
+            expr: Box::new(col_expr(if rng.below(8) == 0 { col } else { 4 })),
+            pattern: like_pattern(rng),
+            negated: rng.bool(),
+        },
+        7 => Expr::InList {
+            expr: Box::new(col_expr(col)),
+            list: (0..1 + rng.below(3))
+                .map(|_| constant(rng, col, nan))
+                .collect(),
+            negated: rng.bool(),
+        },
+        8 => Expr::IsNull {
+            expr: Box::new(col_expr(col)),
+            negated: rng.bool(),
+        },
+        // Column against column, some pairs incomparable.
+        9 => Expr::binary(cmp, col_expr(col), col_expr(column(rng))),
+        // Arithmetic operands; `i / (i - 1)` divides by zero where i = 1.
+        10 => {
+            let arith = [
+                BinaryOp::Plus,
+                BinaryOp::Minus,
+                BinaryOp::Mul,
+                BinaryOp::Div,
+            ][rng.below(4) as usize];
+            let one = Expr::lit(Value::Int(1));
+            let right = Expr::binary(BinaryOp::Minus, Expr::col("i"), one);
+            Expr::binary(
+                cmp,
+                Expr::binary(arith, Expr::col("i"), right),
+                constant(rng, 0, nan),
+            )
+        }
+        // A bare operand as the predicate: the Bool column, any column, a
+        // constant.
+        _ => match rng.below(3) {
+            0 => Expr::col("b"),
+            1 => col_expr(col),
+            _ => constant(rng, 2, nan),
+        },
+    }
+}
+
+fn predicate(rng: &mut TestRng, depth: u32, nan: bool) -> Expr {
+    if depth == 0 || rng.below(3) == 0 {
+        return leaf(rng, nan);
+    }
+    match rng.below(5) {
+        0 | 1 => Expr::binary(
+            BinaryOp::And,
+            predicate(rng, depth - 1, nan),
+            predicate(rng, depth - 1, nan),
+        ),
+        2 | 3 => Expr::binary(
+            BinaryOp::Or,
+            predicate(rng, depth - 1, nan),
+            predicate(rng, depth - 1, nan),
+        ),
+        _ => Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(predicate(rng, depth - 1, nan)),
+        },
+    }
+}
+
+// ------------------------------------------------------------------ check
+
+/// `Filter(pred)` over `rel` through the executor against the row-wise
+/// loop: the same rows in the same order, or an error from both.
+fn check(rel: Relation, pred: &Expr, label: &str) -> Result<(), TestCaseError> {
+    let scan = LogicalPlan::scan("t", "t", intern_fields(&rel.fields).iter().cloned());
+    let compiled = compile(pred, scan.schema()).expect("the generator's predicates compile");
+    let mut want = Vec::new();
+    let mut errs = false;
+    for row in rel.rows() {
+        match compiled.eval_predicate(&row) {
+            Ok(true) => want.push(row),
+            Ok(false) => {}
+            Err(_) => errs = true,
+        }
+    }
+    let mut resolver = MapResolver::new();
+    resolver.insert("t", rel);
+    let plan = LogicalPlan::Filter {
+        input: Box::new(scan),
+        predicate: pred.clone(),
+    };
+    let got = Execution::new(&resolver).run(&plan);
+    match got {
+        Err(_) => prop_assert!(errs, "{} failed but no row errs: {:?}", label, pred),
+        Ok(out) => {
+            prop_assert!(!errs, "{} passed but a row errs: {:?}", label, pred);
+            // `Debug`-rendered: `Int(1)` and `Float(1.0)` differ, NaN = NaN.
+            prop_assert_eq!(
+                format!("{:?}", out.rows().collect::<Vec<_>>()),
+                format!("{:?}", want),
+                "{} {:?}",
+                label,
+                pred
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn filters_match_the_rowwise_loop(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(seed);
+        // A NaN makes a Float comparison an error: allowed in one case in two.
+        let nan = rng.bool();
+        let rel = relation(&mut rng, nan);
+        let pred = predicate(&mut rng, 3, nan);
+        check(rel, &pred, &format!("seed {seed}"))?;
+    }
+}
+
+/// What the generator is meant to reach, pinned: a NaN behind a conjunct
+/// that is NULL (not FALSE) still fails the filter, behind a FALSE one it
+/// does not; `OR` keeps a row whose other side is NULL; `-0.0 = 0.0`.
+#[test]
+fn pinned_three_valued_logic() {
+    use Value::{Float, Int, Null};
+    let rel = |rows: &[[Value; 2]]| {
+        let fields = vec![("i".into(), DataType::Int), ("f".into(), DataType::Float)];
+        Relation::new(fields, rows.iter().map(|r| r.to_vec()).collect())
+    };
+    let pred = |sql: &str| xdb_sql::parser::parse_expr(sql).expect("parses");
+    let and = pred("i > 0 AND f > 1.0");
+    check(
+        rel(&[[Null, Float(f64::NAN)], [Int(1), Float(2.0)]]),
+        &and,
+        "NULL AND NaN",
+    )
+    .unwrap();
+    check(
+        rel(&[[Int(0), Float(f64::NAN)], [Int(1), Float(2.0)]]),
+        &and,
+        "FALSE AND NaN",
+    )
+    .unwrap();
+    let or = pred("i > 0 OR f = 0.0");
+    check(
+        rel(&[[Null, Float(-0.0)], [Int(1), Null], [Null, Null]]),
+        &or,
+        "OR",
+    )
+    .unwrap();
+}
+
+/// The compiled LIKE matcher, where it is more than the old one: `%` in the
+/// text is an ordinary character to every pattern.
+#[test]
+fn pinned_like_over_wildcard_characters_in_text() {
+    let fields = vec![("s".to_string(), DataType::Str)];
+    let rows: Vec<Vec<Value>> = ["a%xb", "a%b", "50%", "_", "日本語", ""]
+        .iter()
+        .map(|s| vec![Value::str(*s)])
+        .collect();
+    let rel = Relation::new(fields, rows);
+    let kept = |pattern: &str| -> Vec<Value> {
+        let scan = LogicalPlan::scan("t", "t", intern_fields(&rel.fields).iter().cloned());
+        let mut resolver = MapResolver::new();
+        resolver.insert("t", rel.clone());
+        let plan = LogicalPlan::Filter {
+            input: Box::new(scan),
+            predicate: Expr::Like {
+                expr: Box::new(Expr::col("s")),
+                pattern: pattern.into(),
+                negated: false,
+            },
+        };
+        let out = Execution::new(&resolver).run(&plan).expect("filters");
+        out.rows().map(|r| r[0].clone()).collect()
+    };
+    assert_eq!(kept("a%b"), [Value::str("a%xb"), Value::str("a%b")]);
+    assert_eq!(kept("a%_b"), [Value::str("a%xb"), Value::str("a%b")]);
+    assert_eq!(kept("50%"), [Value::str("50%")]);
+    assert_eq!(kept("_"), [Value::str("_")]);
+    assert_eq!(kept("日_語"), [Value::str("日本語")]);
+    assert_eq!(kept("%本%"), [Value::str("日本語")]);
+    assert_eq!(kept(""), [Value::str("")]);
+}

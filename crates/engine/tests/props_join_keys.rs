@@ -4,12 +4,16 @@
 //! executor distinguishes (Int with `i64::MIN`/`MAX` and duplicates, Date,
 //! Bool, Str, Float, Int/Float mixes, NULLs), with layouts that sometimes
 //! differ between the sides, and sometimes a side with no rows at all.
-//! Inner, semi and anti joins (with and without a residual), an inner join
-//! over a filtered probe, under a one-key aggregate and on a computed probe
-//! key, materialized and with a streamed probe at chunk sizes 1/7/4096,
-//! must return exactly the rows, in exactly the order, of a
-//! `Vec<Value>`-keyed reference, with the same work units and operator
-//! statistics.
+//! Inner, semi and anti joins (without a residual, with `p.x < b.x`, and
+//! with an `AND`/`OR` tree over constants and `IS NOT NULL`, `x` holding
+//! NULLs), an inner join over a filtered probe, under a one-key aggregate
+//! and on a computed probe key, materialized and with a streamed probe at
+//! chunk sizes 1/7/4096, must return exactly the rows, in exactly the order,
+//! of a `Vec<Value>`-keyed reference, with the same work units and operator
+//! statistics: `build_rows`/`probe_rows` are the plan's right and left
+//! sides, whichever side the executor hashed. Sizes sit on that decision's
+//! boundary (probe = build, build ± 1) and on the one-morsel boundary (a
+//! stream of exactly `chunk` rows, and of `chunk + 1`).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -97,8 +101,8 @@ fn kind_pair(rng: &mut TestRng) -> (Kind, Kind) {
     }
 }
 
-/// Key columns `k0..`, a small Int payload `x` (never NULL; the residual
-/// compares it) and the row number `id`.
+/// Key columns `k0..`, a small Int payload `x` (NULL one time in eight; the
+/// residuals read it) and the row number `id`.
 fn relation(rng: &mut TestRng, kinds: &[Kind], domains: &[u64], rows: usize) -> Arc<Relation> {
     let mut fields: Vec<(String, DataType)> = kinds
         .iter()
@@ -114,7 +118,10 @@ fn relation(rng: &mut TestRng, kinds: &[Kind], domains: &[u64], rows: usize) -> 
                 .zip(domains)
                 .map(|(k, d)| k.value(rng, *d))
                 .collect();
-            row.push(Value::Int(rng.below(4) as i64));
+            row.push(match rng.below(8) {
+                0 => Value::Null,
+                _ => Value::Int(rng.below(4) as i64),
+            });
             row.push(Value::Int(r as i64));
             row
         })
@@ -134,50 +141,111 @@ struct Case {
 /// rows (a stream of zero morsels), one in eight such a build side.
 fn case(seed: u64, large: bool) -> Case {
     let mut rng = TestRng::deterministic(seed);
-    let nkeys = 1 + rng.below(4) as usize;
-    let mut pairs: Vec<(Kind, Kind)> = (0..nkeys).map(|_| kind_pair(&mut rng)).collect();
-    let mut domains: Vec<u64> = (0..nkeys).map(|_| 2 + rng.below(5)).collect();
     let (nb, np) = if large {
-        if matches!(pairs[0].0, Kind::Bool) {
-            pairs[0] = (Kind::Int, Kind::Int);
-        }
-        domains[0] = 3000;
-        match rng.below(3) {
-            0 => (4096 + rng.below(600) as usize, rng.below(300) as usize),
-            1 => (rng.below(300) as usize, 4096 + rng.below(600) as usize),
-            _ => (
-                4096 + rng.below(600) as usize,
-                4096 + rng.below(600) as usize,
-            ),
+        let big = |rng: &mut TestRng| 4096 + rng.below(600) as usize;
+        match rng.below(4) {
+            // A small one-morsel probe of a big table: the table goes over
+            // the probe morsel.
+            0 => (big(&mut rng), rng.below(300) as usize),
+            1 => (rng.below(300) as usize, big(&mut rng)),
+            2 => (big(&mut rng), big(&mut rng)),
+            // Around probe = build and around one morsel of 4096 rows.
+            _ => (4096 + rng.below(3) as usize, 4095 + rng.below(3) as usize),
         }
     } else {
-        (rng.below(40) as usize, rng.below(40) as usize)
+        let nb = rng.below(40) as usize;
+        let np = match rng.below(8) {
+            0 => nb,
+            1 => nb + 1,
+            2 => nb.saturating_sub(1),
+            // One morsel of 7 rows, and two.
+            3 => 7,
+            4 => 8,
+            _ => rng.below(40) as usize,
+        };
+        (nb, np)
     };
-    let bkinds: Vec<Kind> = pairs.iter().map(|p| p.0).collect();
-    let pkinds: Vec<Kind> = pairs.iter().map(|p| p.1).collect();
-    let mut case = Case {
-        nkeys,
-        build: relation(&mut rng, &bkinds, &domains, nb),
-        probe: relation(&mut rng, &pkinds, &domains, np),
-    };
+    let mut case = sized_case(&mut rng, nb, np, large);
+    let empty = |rel: &Relation| Arc::new(Relation::new(rel.fields.clone(), vec![]));
     match rng.below(8) {
-        0 => case.probe = relation(&mut rng, &pkinds, &domains, 0),
-        1 => case.build = relation(&mut rng, &bkinds, &domains, 0),
+        0 => case.probe = empty(&case.probe),
+        1 => case.build = empty(&case.build),
         _ => {}
     }
     case
 }
 
+/// A case with `nb` build and `np` probe rows.
+fn sized_case(rng: &mut TestRng, nb: usize, np: usize, large: bool) -> Case {
+    let nkeys = 1 + rng.below(4) as usize;
+    let mut pairs: Vec<(Kind, Kind)> = (0..nkeys).map(|_| kind_pair(rng)).collect();
+    let mut domains: Vec<u64> = (0..nkeys).map(|_| 2 + rng.below(5)).collect();
+    if large {
+        if matches!(pairs[0].0, Kind::Bool) {
+            pairs[0] = (Kind::Int, Kind::Int);
+        }
+        domains[0] = 3000;
+    }
+    let bkinds: Vec<Kind> = pairs.iter().map(|p| p.0).collect();
+    let pkinds: Vec<Kind> = pairs.iter().map(|p| p.1).collect();
+    Case {
+        nkeys,
+        build: relation(rng, &bkinds, &domains, nb),
+        probe: relation(rng, &pkinds, &domains, np),
+    }
+}
+
 // ------------------------------------------------------------------ plans
+
+/// A join's residual predicate.
+#[derive(Clone, Copy, Debug)]
+enum Residual {
+    No,
+    /// `p.x < b.x`
+    Less,
+    /// `p.x < 2 OR (b.x = 1 AND p.x IS NOT NULL)`
+    Tree,
+}
+
+impl Residual {
+    fn expr(self) -> Option<Expr> {
+        let (px, bx) = (Expr::qcol("p", "x"), Expr::qcol("b", "x"));
+        let int = |n| Expr::lit(Value::Int(n));
+        match self {
+            Residual::No => None,
+            Residual::Less => Some(Expr::binary(BinaryOp::Lt, px, bx)),
+            Residual::Tree => Some(Expr::binary(
+                BinaryOp::Or,
+                Expr::binary(BinaryOp::Lt, px.clone(), int(2)),
+                Expr::and(
+                    Expr::eq(bx, int(1)),
+                    Expr::IsNull {
+                        expr: Box::new(px),
+                        negated: true,
+                    },
+                ),
+            )),
+        }
+    }
+
+    /// Whether the pair passes: TRUE under three-valued logic.
+    fn passes(self, px: Option<i64>, bx: Option<i64>) -> bool {
+        match self {
+            Residual::No => true,
+            Residual::Less => matches!((px, bx), (Some(p), Some(b)) if p < b),
+            Residual::Tree => px.is_some_and(|p| p < 2 || bx == Some(1)),
+        }
+    }
+}
 
 #[derive(Clone, Copy, Debug)]
 enum Shape {
     Inner {
-        residual: bool,
+        residual: Residual,
     },
     Semi {
         negated: bool,
-        residual: bool,
+        residual: Residual,
     },
     /// Inner join whose probe side is `p` under the filter `x < 2`: fused
     /// into the stream, one morsel at a time, when the probe streams.
@@ -185,37 +253,36 @@ enum Shape {
     /// `count(*)` and `sum(b.x)` grouped by `p.k0` over the inner join: the
     /// grouper consumes the join's pairs.
     Aggregate {
-        residual: bool,
+        residual: Residual,
     },
     /// Inner join on `p.k0 + 0` where `k0` is numeric: a computed key has
     /// no one layout over a stream's morsels, so this probe never streams.
     ComputedKey,
 }
 
-const SHAPES: [Shape; 10] = [
-    Shape::Inner { residual: false },
-    Shape::Inner { residual: true },
-    Shape::FilteredProbe,
-    Shape::Aggregate { residual: false },
-    Shape::Aggregate { residual: true },
-    Shape::ComputedKey,
-    Shape::Semi {
-        negated: false,
-        residual: false,
-    },
-    Shape::Semi {
-        negated: false,
-        residual: true,
-    },
-    Shape::Semi {
-        negated: true,
-        residual: false,
-    },
-    Shape::Semi {
-        negated: true,
-        residual: true,
-    },
-];
+const fn semi(negated: bool, residual: Residual) -> Shape {
+    Shape::Semi { negated, residual }
+}
+
+const SHAPES: [Shape; 14] = {
+    use Residual::{Less, No, Tree};
+    [
+        Shape::Inner { residual: No },
+        Shape::Inner { residual: Less },
+        Shape::Inner { residual: Tree },
+        Shape::FilteredProbe,
+        Shape::Aggregate { residual: No },
+        Shape::Aggregate { residual: Less },
+        Shape::Aggregate { residual: Tree },
+        Shape::ComputedKey,
+        semi(false, No),
+        semi(false, Less),
+        semi(false, Tree),
+        semi(true, No),
+        semi(true, Less),
+        semi(true, Tree),
+    ]
+};
 
 fn plan(case: &Case, shape: Shape) -> LogicalPlan {
     let scan = |name: &str, rel: &Relation| {
@@ -230,9 +297,6 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
             )
         })
         .collect();
-    let residual = |on: bool| {
-        on.then(|| Expr::binary(BinaryOp::Lt, Expr::qcol("p", "x"), Expr::qcol("b", "x")))
-    };
     match shape {
         Shape::FilteredProbe => {
             left = LogicalPlan::Filter {
@@ -250,7 +314,7 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
         _ => {}
     }
     match shape {
-        Shape::Inner { residual: r } => left.join_on(right, on, residual(r)),
+        Shape::Inner { residual: r } => left.join_on(right, on, r.expr()),
         Shape::FilteredProbe | Shape::ComputedKey => left.join_on(right, on, None),
         Shape::Aggregate { residual: r } => {
             let call = |func, arg| AggCall {
@@ -258,7 +322,7 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
                 arg,
                 distinct: false,
             };
-            left.join_on(right, on, residual(r)).aggregate(
+            left.join_on(right, on, r.expr()).aggregate(
                 vec![(Expr::qcol("p", "k0"), "k0".into())],
                 vec![
                     (call(AggFunc::Count, None), "n".into()),
@@ -273,7 +337,7 @@ fn plan(case: &Case, shape: Shape) -> LogicalPlan {
             left: Box::new(left),
             right: Box::new(right),
             on,
-            residual: residual(r),
+            residual: r.expr(),
             negated,
         },
     }
@@ -381,19 +445,20 @@ fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
         }
     }
     let x = |rel: &Relation, row: usize| match rel.value(row, nkeys) {
-        Value::Int(x) => x,
-        other => panic!("x is a non-NULL Int, got {other:?}"),
+        Value::Int(x) => Some(x),
+        Value::Null => None,
+        other => panic!("x is an Int or NULL, got {other:?}"),
     };
     let (filtered, residual) = match shape {
         Shape::Inner { residual }
         | Shape::Semi { residual, .. }
         | Shape::Aggregate { residual } => (false, residual),
-        Shape::FilteredProbe => (true, false),
-        Shape::ComputedKey => (false, false),
+        Shape::FilteredProbe => (true, Residual::No),
+        Shape::ComputedKey => (false, Residual::No),
     };
-    let passes = |i: usize, j: usize| !residual || x(probe, i) < x(build, j);
+    let passes = |i: usize, j: usize| residual.passes(x(probe, i), x(build, j));
     let kept: Vec<usize> = (0..probe.len())
-        .filter(|&i| !filtered || x(probe, i) < 2)
+        .filter(|&i| !filtered || x(probe, i).is_some_and(|x| x < 2))
         .collect();
     let mut rows: Vec<Vec<Value>> = Vec::new();
     for &i in &kept {
@@ -463,18 +528,18 @@ fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
     if let Shape::Aggregate { .. } = shape {
         // Groups in first-seen order of `p.k0`; `Value` equality decides
         // (`1 = 1.0`, and NULL is a group of its own).
-        let mut groups: Vec<(Value, i64, i64)> = Vec::new();
+        // (key, count(*), sum(b.x): NULL until a non-NULL `b.x` arrives).
+        let mut groups: Vec<(Value, i64, Option<i64>)> = Vec::new();
         let mut index: HashMap<Value, usize> = HashMap::new();
         for row in &rows {
             let gi = *index.entry(row[0].clone()).or_insert(groups.len());
             if gi == groups.len() {
-                groups.push((row[0].clone(), 0, 0));
+                groups.push((row[0].clone(), 0, None));
             }
-            let Value::Int(bx) = row[probe.width() + nkeys] else {
-                panic!("b.x is a non-NULL Int")
-            };
             groups[gi].1 += 1;
-            groups[gi].2 += bx;
+            if let Value::Int(bx) = row[probe.width() + nkeys] {
+                groups[gi].2 = Some(groups[gi].2.unwrap_or(0) + bx);
+            }
         }
         olap_units += out as f64 * weights::AGGREGATE;
         ops.push(OpStat {
@@ -485,7 +550,7 @@ fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
         });
         rows = groups
             .into_iter()
-            .map(|(k0, n, s)| vec![k0, Value::Int(n), Value::Int(s)])
+            .map(|(k0, n, s)| vec![k0, Value::Int(n), s.map_or(Value::Null, Value::Int)])
             .collect();
     }
     Observed {
@@ -535,7 +600,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// At least 4096 rows on one side: more than one morsel at chunk 4096.
     #[test]
@@ -570,7 +635,9 @@ fn pinned_key_semantics() {
             build,
             probe,
         };
-        let shape = Shape::Inner { residual: false };
+        let shape = Shape::Inner {
+            residual: Residual::No,
+        };
         let observed = observe(&case, &plan(&case, shape), None);
         assert_eq!(observed, reference(&case, shape, false));
         observed.ops.last().expect("the join's statistic").rows_out
@@ -632,5 +699,22 @@ fn empty_sides_match_the_reference() {
             probe,
         };
         check(&case, "empty side").expect("equals the reference");
+    }
+}
+
+/// The sizes the build-side decision and the held first morsel turn on,
+/// pinned: probe = build (a tie keeps the right side's table), build ± 1,
+/// a stream of exactly one chunk and of one row more, and a one-morsel
+/// streamed probe of a few hundred rows against a table of thousands.
+#[test]
+fn boundary_sizes_match_the_reference() {
+    let mut rng = TestRng::deterministic(21);
+    for (nb, np) in [(7, 7), (7, 6), (7, 8), (30, 7), (30, 8), (1, 0), (0, 1)] {
+        let case = sized_case(&mut rng, nb, np, false);
+        check(&case, &format!("{nb} x {np}")).expect("equals the reference");
+    }
+    for (nb, np) in [(4200, 250), (4097, 4096), (4096, 4096), (4098, 4097)] {
+        let case = sized_case(&mut rng, nb, np, true);
+        check(&case, &format!("{nb} x {np}")).expect("equals the reference");
     }
 }

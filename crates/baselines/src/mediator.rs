@@ -12,8 +12,8 @@
 
 use xdb_core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
 use xdb_core::global::GlobalCatalog;
-use xdb_core::plan::{placeholder_name, DelegationPlan};
-use xdb_engine::cluster::{Cluster, ScopedCluster};
+use xdb_core::plan::{placeholder_name, DelegationPlan, Task};
+use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
@@ -196,16 +196,44 @@ impl<'a> Mediator<'a> {
         Ok(annotation.plan)
     }
 
+    /// Run one task's sub-query on its DBMS and fetch the result into the
+    /// mediator: the relation, the sub-query's finish time, the transfer
+    /// time and the encoded bytes it was charged for.
+    fn fetch(&self, task: &Task) -> Result<(Relation, f64, f64, u64)> {
+        let engine = self.cluster.engine(task.dbms.as_str())?;
+        let stmt = plan_to_select(&task.plan)?;
+        let sql = render_select_string(&stmt, engine.profile.dialect);
+        let (rel, report) = self.cluster.query(task.dbms.as_str(), &sql)?;
+        // Fragment fetches ride the same wire codec as XDB's streamed
+        // edges: the transfer is charged for encoded bytes. The mediator
+        // keeps the relation it already holds (`decode(encode(x))` is
+        // exactly `x`), so a sizing-only pass prices the edge without
+        // materializing the payload.
+        let stats = wire::measure(rel.columns(), rel.len()).stats(engine.stream_chunk_rows());
+        self.cluster.ledger.record_wire(
+            &task.dbms,
+            &self.config.node,
+            rel.wire_bytes(),
+            rel.len() as u64,
+            Purpose::SubqueryResult,
+            &stats,
+        );
+        let transfer = self.cluster.topology.transfer_ms(
+            &task.dbms,
+            &self.config.node,
+            stats.encoded_bytes,
+            self.config.protocol_overhead,
+        );
+        Ok((rel, report.finish_ms, transfer, stats.encoded_bytes))
+    }
+
     /// Execute a query MW-style.
     pub fn submit(&self, sql: &str) -> Result<MwReport> {
         let plan = self.decompose(sql)?;
         let root = plan.task(plan.root);
 
-        // 1. Push the sub-queries down and fetch their results. The
-        // fetches are independent leaf queries, so they run concurrently —
-        // one thread per fragment, each recording into a scratch ledger —
-        // and are merged back in topographic order so the ledger and the
-        // simulated accounting are identical to a sequential pass.
+        // 1. Push the sub-queries down and fetch their results, one
+        // wrapper call after the other in topological order.
         let collector = TraceCollector::new();
         let query_span = collector.span(
             SpanKind::Query,
@@ -228,75 +256,17 @@ impl<'a> Mediator<'a> {
         let mut fetch_encoded_bytes = 0u64;
         let mut fetch_rows = 0u64;
         let mut subqueries = 0usize;
-        let leaf_ids: Vec<usize> = plan
-            .topo_order()
-            .into_iter()
-            .filter(|id| *id != plan.root)
-            .collect();
-        let cluster = self.cluster;
-        let fragments: Vec<Result<_>> = std::thread::scope(|s| {
-            let handles: Vec<_> = leaf_ids
-                .iter()
-                .map(|&id| {
-                    let task = plan.task(id);
-                    let config = &self.config;
-                    s.spawn(move || {
-                        let dialect = cluster.engine(task.dbms.as_str())?.profile.dialect;
-                        let stmt = plan_to_select(&task.plan)?;
-                        let task_sql = render_select_string(&stmt, dialect);
-                        let scoped = ScopedCluster::new(cluster);
-                        let outcome = cluster.with_step_lock(task.dbms.as_str(), || {
-                            scoped.execute(task.dbms.as_str(), &task_sql)
-                        })?;
-                        let rel = outcome.relation.ok_or_else(|| {
-                            EngineError::Execution("sub-query returned no relation".into())
-                        })?;
-                        let bytes = rel.wire_bytes();
-                        // Fragment fetches ride the same wire codec as
-                        // XDB's streamed edges: the transfer is charged
-                        // for encoded bytes. The mediator keeps the
-                        // relation it already holds (`decode(encode(x))`
-                        // is exactly `x`), so a sizing-only pass prices
-                        // the edge without materializing the payload.
-                        let chunk_rows = cluster.engine(task.dbms.as_str())?.stream_chunk_rows();
-                        let stats = wire::measure(rel.columns(), rel.len()).stats(chunk_rows);
-                        scoped.ledger.record_wire(
-                            &task.dbms,
-                            &config.node,
-                            bytes,
-                            rel.len() as u64,
-                            Purpose::SubqueryResult,
-                            &stats,
-                        );
-                        let transfer = cluster.topology.transfer_ms(
-                            &task.dbms,
-                            &config.node,
-                            stats.encoded_bytes,
-                            config.protocol_overhead,
-                        );
-                        Ok((
-                            rel,
-                            outcome.report.finish_ms,
-                            transfer,
-                            scoped.ledger,
-                            stats.encoded_bytes,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fragment fetch thread panicked"))
-                .collect()
-        });
-        for (id, fragment) in leaf_ids.into_iter().zip(fragments) {
-            let (rel, finish_ms, transfer, ledger, encoded) = fragment?;
-            self.cluster.ledger.absorb(&ledger);
+        for id in plan.topo_order() {
+            if id == plan.root {
+                continue;
+            }
+            let task = plan.task(id);
+            let (rel, finish_ms, transfer, encoded) = self.fetch(task)?;
             let bytes = rel.wire_bytes();
             fetches.push((finish_ms, transfer));
             fragment_stats.push((
                 id,
-                plan.task(id).dbms.clone(),
+                task.dbms.clone(),
                 finish_ms,
                 transfer,
                 bytes,
@@ -314,37 +284,16 @@ impl<'a> Mediator<'a> {
         // only relays the final result.
         if root.dbms != self.config.node {
             debug_assert!(plan.tasks.len() == 1);
-            let dialect = self.cluster.engine(root.dbms.as_str())?.profile.dialect;
-            let stmt = plan_to_select(&root.plan)?;
-            let (rel, report) = self
-                .cluster
-                .query(root.dbms.as_str(), &render_select_string(&stmt, dialect))?;
+            let (rel, finish_ms, transfer, encoded) = self.fetch(root)?;
             let bytes = rel.wire_bytes();
-            let chunk_rows = self.cluster.engine(root.dbms.as_str())?.stream_chunk_rows();
-            let stats = wire::measure(rel.columns(), rel.len()).stats(chunk_rows);
-            let encoded = stats.encoded_bytes;
-            self.cluster.ledger.record_wire(
-                &root.dbms,
-                &self.config.node,
-                bytes,
-                rel.len() as u64,
-                Purpose::SubqueryResult,
-                &stats,
-            );
-            let transfer = self.cluster.topology.transfer_ms(
-                &root.dbms,
-                &self.config.node,
-                encoded,
-                self.config.protocol_overhead,
-            );
-            let total_ms = params::DDL_ROUNDTRIP_MS + report.finish_ms + transfer;
+            let total_ms = params::DDL_ROUNDTRIP_MS + finish_ms + transfer;
             let task_span = collector.span(
                 SpanKind::Task,
                 format!("subquery t{}", plan.root),
                 root.dbms.as_str(),
                 Some(query_span),
                 params::DDL_ROUNDTRIP_MS,
-                report.finish_ms,
+                finish_ms,
             );
             collector.attr(task_span, "rows", rel.len().to_string());
             let wire = collector.span(
@@ -352,7 +301,7 @@ impl<'a> Mediator<'a> {
                 format!("{} -> {}", root.dbms, self.config.node),
                 "net",
                 Some(query_span),
-                params::DDL_ROUNDTRIP_MS + report.finish_ms,
+                params::DDL_ROUNDTRIP_MS + finish_ms,
                 transfer,
             );
             collector.attr(wire, "bytes", bytes.to_string());

@@ -12,11 +12,15 @@
 //! decentralized execution).
 
 use crate::annotate::{plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator};
-use crate::delegation::{build_script, run_cleanup, run_script_parallel, DelegationScript};
+use crate::delegation::{
+    build_script, deploy_script, finish_script, run_cleanup, DelegationScript, Deployed,
+    ExecutionOutcome,
+};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xdb_engine::cluster::Cluster;
+use xdb_engine::engine::ExecReport;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{params, wire, NodeId, Purpose};
@@ -91,8 +95,7 @@ pub struct QueryOutcome {
     pub script: DelegationScript,
     /// The structured execution trace: hierarchical spans (query → phase →
     /// task → operator / DDL / transfer) on the simulated clock, plus
-    /// counters. Deterministic — the same bits on any number of executor
-    /// threads.
+    /// counters. Deterministic: every timestamp is simulated.
     pub trace: QueryTrace,
     /// Cost-model observatory bundle: every placement decision's predicted
     /// Eq. 1–3 components (chosen + rejected candidates) joined against
@@ -255,24 +258,6 @@ impl<'a> Xdb<'a> {
         self.cluster
     }
 
-    pub(crate) fn client_node(&self) -> &NodeId {
-        &self.client_node
-    }
-
-    /// Publish what the engines read from these options while a script
-    /// runs: the transport morsel size, the reactor worker budget, and
-    /// operator tracing on. The caller turns tracing off again when the
-    /// script is done.
-    pub(crate) fn publish_execution_options(&self) {
-        self.cluster
-            .set_stream_chunk_rows(self.options.stream_chunk_rows);
-        self.cluster
-            .set_reactor_threads(self.options.reactor_threads);
-        if self.options.trace_operators {
-            self.cluster.set_op_tracing(true);
-        }
-    }
-
     /// Plan a query without executing it: returns the delegation plan, the
     /// DDL script, and the would-be breakdown of the optimization phases.
     pub fn plan(
@@ -280,7 +265,7 @@ impl<'a> Xdb<'a> {
         sql: &str,
     ) -> Result<(DelegationPlan, DelegationScript, PhaseBreakdown, u64)> {
         let planned = self.plan_internal(sql)?;
-        let trace = planned.collector.finish();
+        let trace = planned.trace.collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         Ok((
             planned.delegation,
@@ -494,9 +479,11 @@ impl<'a> Xdb<'a> {
             decisions: annotation.decisions,
             delegation: annotation.plan,
             script,
-            collector,
-            query_span,
-            overhead_ms,
+            trace: PlanTrace {
+                collector,
+                query_span,
+                overhead_ms,
+            },
             consults: annotation.consults,
             query_id,
             prep_probes: prep_hits + prep_fetches,
@@ -531,20 +518,23 @@ impl<'a> Xdb<'a> {
         Ok(out)
     }
 
-    /// Full pipeline: plan, delegate, execute, clean up.
-    pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
-        let planned = self.plan_internal(sql)?;
-        let Planned {
-            delegation,
-            script,
-            collector,
-            query_span,
-            overhead_ms,
-            consults,
-            query_id,
-            decisions,
-            ..
-        } = planned;
+    /// The one stage that runs a planned query, for [`Xdb::submit`] and the
+    /// session layer alike: record the control messages, deploy `script`
+    /// and run the XDB query inside a fresh exec span, and record the final
+    /// result. For a partially folded query `solo` replays the timeline as
+    /// if the query had deployed everything itself. On failure whatever
+    /// `script` created is torn down before the error is returned; on
+    /// success cleanup is the caller's (a session defers it to window
+    /// close).
+    pub(crate) fn run_planned(
+        &self,
+        trace: &PlanTrace,
+        delegation: &DelegationPlan,
+        script: &DelegationScript,
+        solo: Option<SoloTimeline<'_>>,
+    ) -> Result<Executed> {
+        let (collector, query_span, overhead_ms) =
+            (&trace.collector, trace.query_span, trace.overhead_ms);
         let telemetry = self.cluster.telemetry();
         // Wire-codec dictionary reuse is scoped to one query: edges that
         // stream the same relation within this submission share encode
@@ -573,17 +563,39 @@ impl<'a> Xdb<'a> {
             overhead_ms,
             0.0,
         );
-        let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
-        self.publish_execution_options();
-        let exec = run_script_parallel(self.cluster, &delegation, &script, &trace_ctx);
+        let trace_ctx = TraceCtx::new(collector, overhead_ms, Some(exec_span));
+        self.cluster
+            .set_stream_chunk_rows(self.options.stream_chunk_rows);
+        self.cluster
+            .set_reactor_threads(self.options.reactor_threads);
+        if self.options.trace_operators {
+            self.cluster.set_op_tracing(true);
+        }
+        let ran = deploy_script(self.cluster, script).and_then(|deployed| {
+            let query_mark = self.cluster.ledger.len();
+            // For a partial fold the physical work stays pruned; only the
+            // simulated-clock replay runs over the solo script (the XDB
+            // query it ends in is this query's own: its root view exists
+            // under its own name).
+            let spliced;
+            let (timeline, reports) = match solo {
+                None => (script, &deployed.step_reports),
+                Some((solo, splice)) => {
+                    spliced = splice(&deployed.step_reports);
+                    (solo, &spliced)
+                }
+            };
+            let outcome = finish_script(self.cluster, delegation, timeline, reports, &trace_ctx)?;
+            Ok((deployed, query_mark, outcome))
+        });
         if self.options.trace_operators {
             self.cluster.set_op_tracing(false);
         }
-        let outcome = match exec {
-            Ok(o) => o,
+        let (deployed, query_mark, outcome) = match ran {
+            Ok(ran) => ran,
             Err(e) => {
                 // Failure mid-execution: tear down whatever was created.
-                run_cleanup(self.cluster, &script);
+                run_cleanup(self.cluster, script);
                 telemetry
                     .metrics
                     .counter_add("xdb.queries", &[("status", "error")], 1.0);
@@ -591,7 +603,7 @@ impl<'a> Xdb<'a> {
                 telemetry.events.log(
                     xdb_obs::Level::Warn,
                     "core.client",
-                    Some(query_id),
+                    Some(script.query_id),
                     overhead_ms,
                     "execution failed; delegation artifacts torn down",
                     &[("error", &err)],
@@ -599,32 +611,41 @@ impl<'a> Xdb<'a> {
                 return Err(e);
             }
         };
-        // The final result travels from the root DBMS to the client —
-        // priced through the same wire codec as every other edge (sizing
-        // only: the client holds the relation already).
-        let final_enc = wire::measure(outcome.relation.columns(), outcome.relation.len());
-        self.cluster.ledger.record_wire(
-            &script.root_node,
-            &self.client_node,
-            outcome.relation.wire_bytes(),
-            outcome.relation.len() as u64,
-            Purpose::FinalResult,
-            &final_enc.stats(self.options.stream_chunk_rows),
-        );
+        let result_mark = self.cluster.ledger.len();
+        self.record_final_result(&script.root_node, &outcome.relation);
+        Ok(Executed {
+            outcome,
+            deployed,
+            exec_span,
+            ledger_mark,
+            query_mark,
+            result_mark,
+        })
+    }
+
+    /// Full pipeline: plan, delegate, execute, clean up.
+    pub fn submit(&self, sql: &str) -> Result<QueryOutcome> {
+        let Planned {
+            delegation,
+            script,
+            trace,
+            consults,
+            query_id,
+            decisions,
+            ..
+        } = self.plan_internal(sql)?;
+        let telemetry = self.cluster.telemetry();
+        let Executed {
+            outcome,
+            exec_span,
+            ledger_mark,
+            ..
+        } = self.run_planned(&trace, &delegation, &script, None)?;
         if !self.options.keep_objects {
             run_cleanup(self.cluster, &script);
         }
-        collector.set_dur(exec_span, outcome.exec_ms);
-        collector.set_dur(query_span, overhead_ms + outcome.exec_ms);
-        self.emit_transfer_spans(
-            &collector,
-            exec_span,
-            ledger_mark,
-            overhead_ms,
-            outcome.exec_ms,
-        );
-        let trace = collector.finish();
-        let breakdown = PhaseBreakdown::from_trace(&trace);
+        let (trace, breakdown) =
+            self.finish_trace(trace, exec_span, ledger_mark, outcome.exec_ms, true);
         // Cost-model observatory: join the predicted placement decisions
         // against the ledger records this query appended and its statement
         // work. Reads only final state, so it cannot perturb any
@@ -638,20 +659,11 @@ impl<'a> Xdb<'a> {
         );
         // Feedback: fold this query's observation into the catalog's
         // learned profiles. The observation is bit-identical across
-        // executors / reactor settings / chunk sizes, so feedback
-        // preserves the cross-axis determinism of every later plan.
+        // reactor settings / chunk sizes, so feedback preserves the
+        // cross-axis determinism of every later plan.
         if self.options.learned_costs && !self.options.freeze_profiles && !cost.is_empty() {
             self.catalog.absorb_cost_observation(&cost, &statements);
         }
-        telemetry
-            .metrics
-            .observe("xdb.phase_ms", &[("phase", "exec")], outcome.exec_ms);
-        telemetry
-            .metrics
-            .observe("xdb.total_ms", &[], breakdown.total_ms());
-        telemetry
-            .metrics
-            .counter_add("xdb.queries", &[("status", "ok")], 1.0);
         let rows = outcome.relation.len().to_string();
         let total = format!("{:.3}", breakdown.total_ms());
         telemetry.events.log(
@@ -665,7 +677,7 @@ impl<'a> Xdb<'a> {
         // Query history + slow-query log: both consume the critical path,
         // so compute it only when either consumer is active. Everything
         // recorded here is simulated-clock / script-order state — records
-        // are bit-identical across executors and stream-chunk sizes.
+        // are bit-identical across reactor settings and stream-chunk sizes.
         let slow = self
             .options
             .slow_query_ms
@@ -817,13 +829,59 @@ impl<'a> Xdb<'a> {
         }
     }
 
+    /// The final result travels from the root DBMS to the client, priced
+    /// through the same wire codec as every other edge (sizing only: the
+    /// client holds the relation already).
+    pub(crate) fn record_final_result(&self, root: &NodeId, relation: &Relation) {
+        let enc = wire::measure(relation.columns(), relation.len());
+        self.cluster.ledger.record_wire(
+            root,
+            &self.client_node,
+            relation.wire_bytes(),
+            relation.len() as u64,
+            Purpose::FinalResult,
+            &enc.stats(self.options.stream_chunk_rows),
+        );
+    }
+
+    /// The one trace tail of a query that ran (or was answered from a
+    /// session's result cache): close the exec and query spans at
+    /// `exec_ms`, emit the transfer spans, and project the breakdown out of
+    /// the finished trace. `executed` publishes the completion metrics; a
+    /// full fold executed nothing and publishes none.
+    pub(crate) fn finish_trace(
+        &self,
+        trace: PlanTrace,
+        exec_span: SpanId,
+        ledger_mark: usize,
+        exec_ms: f64,
+        executed: bool,
+    ) -> (QueryTrace, PhaseBreakdown) {
+        let PlanTrace {
+            collector,
+            query_span,
+            overhead_ms,
+        } = trace;
+        collector.set_dur(exec_span, exec_ms);
+        collector.set_dur(query_span, overhead_ms + exec_ms);
+        self.emit_transfer_spans(&collector, exec_span, ledger_mark, overhead_ms, exec_ms);
+        let trace = collector.finish();
+        let breakdown = PhaseBreakdown::from_trace(&trace);
+        if executed {
+            let metrics = &self.cluster.telemetry().metrics;
+            metrics.observe("xdb.phase_ms", &[("phase", "exec")], exec_ms);
+            metrics.observe("xdb.total_ms", &[], breakdown.total_ms());
+            metrics.counter_add("xdb.queries", &[("status", "ok")], 1.0);
+        }
+        (trace, breakdown)
+    }
+
     /// One Transfer span (lane `net`) per ledger record this query
-    /// appended, in ledger-merge order — the order is deterministic because
-    /// both executors absorb worker ledgers in script order. Each record
-    /// gets an equal slot of the exec window; the span sequence visualises
-    /// *what moved and in which order*, not independent wire timings (those
-    /// live on the Materialize / pipeline spans).
-    pub(crate) fn emit_transfer_spans(
+    /// appended, in ledger order. Each record gets an equal slot of the exec
+    /// window; the span sequence visualises *what moved and in which
+    /// order*, not independent wire timings (those live on the Materialize
+    /// / pipeline spans).
+    fn emit_transfer_spans(
         &self,
         collector: &TraceCollector,
         exec_span: SpanId,
@@ -883,15 +941,44 @@ impl<'a> Xdb<'a> {
     }
 }
 
-/// Output of the optimization front half: everything `submit` needs to go
-/// on and execute, plus the live trace collector with the prep/lopt/ann
-/// spans already recorded.
-pub(crate) struct Planned {
-    pub(crate) delegation: DelegationPlan,
-    pub(crate) script: DelegationScript,
+/// The live trace of a planned query: the collector with the prep/lopt/ann
+/// spans recorded, the query span they hang off, and the simulated planning
+/// time, which is where the exec phase starts.
+pub(crate) struct PlanTrace {
     pub(crate) collector: TraceCollector,
     pub(crate) query_span: SpanId,
     pub(crate) overhead_ms: f64,
+}
+
+/// What [`Xdb::run_planned`] hands back.
+pub(crate) struct Executed {
+    pub(crate) outcome: ExecutionOutcome,
+    pub(crate) deployed: Deployed,
+    pub(crate) exec_span: SpanId,
+    /// Ledger position of this query's first record. Its control messages
+    /// start here, one per step of the deployed script (the client is not
+    /// a DBMS node, so none is a loopback).
+    pub(crate) ledger_mark: usize,
+    /// Where the deployment's records end and the XDB query's pulls start.
+    pub(crate) query_mark: usize,
+    /// Position of the final-result record.
+    pub(crate) result_mark: usize,
+}
+
+/// For a partially folded query: its solo script, and the function that
+/// maps the deployed steps' reports onto that script's steps by splicing
+/// in the reports of the fragments it reused.
+pub(crate) type SoloTimeline<'s> = (
+    &'s DelegationScript,
+    &'s dyn Fn(&[ExecReport]) -> Vec<ExecReport>,
+);
+
+/// Output of the optimization front half: everything `submit` needs to go
+/// on and execute.
+pub(crate) struct Planned {
+    pub(crate) delegation: DelegationPlan,
+    pub(crate) script: DelegationScript,
+    pub(crate) trace: PlanTrace,
     pub(crate) consults: u64,
     pub(crate) query_id: u64,
     /// Placement decisions in annotation order — the predicted half of

@@ -17,11 +17,10 @@
 
 use crate::plan::{placeholder_name, DelegationPlan};
 use std::collections::HashMap;
-use xdb_engine::cluster::{Cluster, ScopedCluster};
+use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::ExecReport;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
-use xdb_net::Ledger;
 use xdb_net::{params, Movement, NodeId};
 use xdb_obs::{ExecProfile, SpanId, SpanKind, TraceCtx};
 use xdb_sql::algebra::{plan_to_select, LogicalPlan};
@@ -234,9 +233,11 @@ pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, Stri
     }
 }
 
-/// Tail of a script's execution (the executor's, and `QueryServer`'s own
-/// step loop): replay the simulated timeline from the per-step reports (in
-/// script order), run the final XDB query, and emit the execution spans.
+/// Tail of a script's execution: replay the simulated timeline from the
+/// per-step reports (in script order), run the final XDB query, and emit the
+/// execution spans. `script` is the one the reports belong to: the deployed
+/// script, or for a partially folded query its solo script with the
+/// fragment owners' reports spliced in.
 ///
 /// DDLs are cheap control messages. Explicit materializations are
 /// *execution* work: each `CREATE TABLE AS` pulls its upstream pipeline;
@@ -244,9 +245,8 @@ pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, Stri
 /// `SELECT * FROM <root view>` then streams through the remaining implicit
 /// pipeline.
 ///
-/// Everything here is single-threaded and driven only by script order and
-/// the deterministic step reports, so timings *and traces* do not depend
-/// on how many threads ran the steps.
+/// Everything here is driven only by script order and the step reports,
+/// which come off the simulated clock.
 pub(crate) fn finish_script(
     cluster: &Cluster,
     plan: &DelegationPlan,
@@ -291,9 +291,6 @@ pub(crate) fn finish_script(
             root_ready,
         );
     }
-    // Fleet telemetry. This tail is single-threaded and driven only by
-    // script order + deterministic reports, so histogram observations and
-    // the Info event below are the same on any number of threads.
     let telemetry = cluster.telemetry();
     for (step, report) in script.steps.iter().zip(step_reports) {
         telemetry.metrics.observe(
@@ -545,246 +542,71 @@ fn ready(
     t
 }
 
-/// What one task group hands back: its scratch ledger plus the
-/// execution report of every step it ran, in step order.
-struct GroupRun {
-    ledger: Ledger,
-    reports: Vec<ExecReport>,
+/// What [`deploy_script`] leaves behind.
+pub(crate) struct Deployed {
+    /// Execution report of every step, in script order.
+    pub(crate) step_reports: Vec<ExecReport>,
+    /// One entry per task, in script order. [`build_script`] emits each
+    /// task as one contiguous run of steps, so the ranges tile the script
+    /// and the ledger records this deployment appended.
+    pub(crate) tasks: Vec<TaskRun>,
 }
 
-/// Per-group result slot: outcome tag plus the run (or the error).
-type GroupSlot = std::sync::Mutex<Option<(GroupDone, Result<GroupRun>)>>;
-
-/// Outcome of one task group in the event-graph executor.
-enum GroupDone {
-    Ok,
-    Failed,
-    /// Not run because an ancestor failed.
-    Skipped,
+/// The steps of one task and what they moved.
+pub(crate) struct TaskRun {
+    pub(crate) task: usize,
+    /// Step-index range of the task in the script: also the range of its
+    /// reports in [`Deployed::step_reports`] and of its control messages,
+    /// which the client records one per step ahead of the deployment.
+    pub(crate) steps: std::ops::Range<usize>,
+    /// Ledger range its steps appended: the pulls of its
+    /// materializations (views and foreign tables move nothing).
+    pub(crate) ledger: std::ops::Range<usize>,
 }
 
-/// Shared scheduler state of the event-graph executor (guarded by one
-/// mutex; the condvar wakes idle workers when groups become ready or the
-/// graph drains).
-struct EventSched {
-    /// Groups whose every dependency finished successfully, ready to run.
-    ready: std::collections::VecDeque<usize>,
-    /// Unfinished-dependency count per group.
-    indeg: Vec<usize>,
-    /// Group has a failed (or transitively skipped) ancestor.
-    tainted: Vec<bool>,
-    /// Groups not yet finished or skipped.
-    remaining: usize,
-}
-
-/// Threads that run a script's groups, the caller's included. Only
-/// `Materialize` steps execute a query — views and foreign tables are
-/// microsecond catalog edits — so a script with fewer than two groups
-/// holding one runs on the caller's thread alone; otherwise one thread per
-/// such group, up to the host's parallelism.
-fn script_threads(materialize_groups: usize, host: usize) -> usize {
-    if materialize_groups < 2 {
-        1
-    } else {
-        materialize_groups.min(host)
+/// Execute every step of a delegation script, in script order, on the
+/// calling thread and straight onto the cluster's ledger: the client
+/// "sends the DDL statements" (Section III) and a DBMS runs one delegated
+/// statement after the other. The first failing step stops the script, so
+/// exactly the statements before it ran.
+pub(crate) fn deploy_script(cluster: &Cluster, script: &DelegationScript) -> Result<Deployed> {
+    let mut step_reports = Vec::with_capacity(script.steps.len());
+    let mut tasks: Vec<TaskRun> = Vec::with_capacity(script.steps.len());
+    let mut at = cluster.ledger.len();
+    for (k, step) in script.steps.iter().enumerate() {
+        let outcome = cluster.execute(step.node.as_str(), &step.sql)?;
+        step_reports.push(outcome.report);
+        let end = cluster.ledger.len();
+        match tasks.last_mut() {
+            Some(run) if run.task == step.task => {
+                run.steps.end = k + 1;
+                run.ledger.end = end;
+            }
+            _ => tasks.push(TaskRun {
+                task: step.task,
+                steps: k..k + 1,
+                ledger: at..end,
+            }),
+        }
+        at = end;
     }
+    Ok(Deployed {
+        step_reports,
+        tasks,
+    })
 }
 
-/// Deploy and execute a delegation script, driven by the dependency graph
-/// of its task groups. Threads are a schedule of the one worker loop, not
-/// another implementation of it: see [`script_threads`] for how many run
-/// it (on most scripts, the calling thread alone).
+/// Deploy and execute a delegation script: [`deploy_script`], then
+/// [`finish_script`] runs the XDB query and replays the simulated
+/// timeline.
 pub fn run_script_parallel(
     cluster: &Cluster,
     plan: &DelegationPlan,
     script: &DelegationScript,
     trace: &TraceCtx<'_>,
 ) -> Result<ExecutionOutcome> {
-    run_script_on(None, cluster, plan, script, trace)
-}
-
-/// [`run_script_parallel`] on `threads` threads, the caller's included
-/// (tests force the count; `None` applies [`script_threads`]).
-///
-/// A group fires the moment all its in-edges drain — every group of every
-/// producer task has finished, plus the task's own earlier groups — rather
-/// than waiting for a global wave barrier, so a deep chain on one branch
-/// does not stall independent shallow branches. Each group records
-/// transfers into a private scratch [`Ledger`] and reports the raw finish
-/// time of each materialization; after the graph drains the scratch
-/// ledgers are absorbed in *script order* and [`finish_script`] replays the
-/// simulated timeline — so results, ledger contents, simulated timings and
-/// traces are those of running every step in script order on one thread,
-/// whatever `threads` is.
-///
-/// On failure every group without a failed ancestor still runs (the set of
-/// executed groups is a function of the graph, not of thread timing), the
-/// error of the lowest failing group in script order is returned, and only
-/// scratch ledgers of groups strictly before it are absorbed.
-fn run_script_on(
-    threads: Option<usize>,
-    cluster: &Cluster,
-    plan: &DelegationPlan,
-    script: &DelegationScript,
-    trace: &TraceCtx<'_>,
-) -> Result<ExecutionOutcome> {
-    // Contiguous runs of steps belonging to one task, in script order.
-    let mut groups: Vec<(usize, Vec<&DdlStep>)> = Vec::new();
-    for step in &script.steps {
-        match groups.last_mut() {
-            Some((task, steps)) if *task == step.task => steps.push(step),
-            _ => groups.push((step.task, vec![step])),
-        }
-    }
-    let threads = threads.unwrap_or_else(|| {
-        let materializing = groups
-            .iter()
-            .filter(|(_, steps)| steps.iter().any(|s| s.kind == DdlKind::Materialize))
-            .count();
-        script_threads(materializing, xdb_net::reactor::host_parallelism())
-    });
-
-    // Dependency edges between groups: a group waits for every group of
-    // every producer task (any movement — even an implicit consumer's
-    // DDLs may pull through the producer's view when a downstream
-    // materialization drains the pipeline), and for earlier groups of its
-    // own task (DDL order within a task is significant).
-    let producers: Vec<std::collections::HashSet<usize>> = groups
-        .iter()
-        .map(|(t, _)| plan.in_edges(*t).map(|e| e.from).collect())
-        .collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-    let mut indeg = vec![0usize; groups.len()];
-    for (gi, (t, _)) in groups.iter().enumerate() {
-        for (gj, (u, _)) in groups.iter().enumerate() {
-            if gj != gi && (producers[gi].contains(u) || (gj < gi && u == t)) {
-                dependents[gj].push(gi);
-                indeg[gi] += 1;
-            }
-        }
-    }
-
-    let sched = std::sync::Mutex::new(EventSched {
-        ready: (0..groups.len()).filter(|&gi| indeg[gi] == 0).collect(),
-        indeg,
-        tainted: vec![false; groups.len()],
-        remaining: groups.len(),
-    });
-    let wake = std::sync::Condvar::new();
-    let done: Vec<GroupSlot> = (0..groups.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-
-    // One group finished (or was skipped): release its dependents,
-    // propagating taint — a skipped group resolves its dependents in the
-    // same pass, so the graph always drains.
-    let resolve = |gi: usize, ok: bool, s: &mut EventSched| {
-        let mut stack = vec![(gi, ok)];
-        while let Some((g, ok)) = stack.pop() {
-            s.remaining -= 1;
-            for &d in &dependents[g] {
-                if !ok {
-                    s.tainted[d] = true;
-                }
-                s.indeg[d] -= 1;
-                if s.indeg[d] == 0 {
-                    if s.tainted[d] {
-                        *done[d].lock().unwrap() = Some((
-                            GroupDone::Skipped,
-                            Err(EngineError::Execution(
-                                "task group skipped: upstream group failed".into(),
-                            )),
-                        ));
-                        stack.push((d, false));
-                    } else {
-                        s.ready.push_back(d);
-                    }
-                }
-            }
-        }
-    };
-
-    // The worker loop: take a ready group, run its steps, release its
-    // dependents; leave when the graph has drained. A lone worker never
-    // waits: whenever it is idle, some unfinished group is ready.
-    let worker = || loop {
-        let gi = {
-            let mut st = sched.lock().unwrap();
-            loop {
-                if let Some(gi) = st.ready.pop_front() {
-                    break gi;
-                }
-                if st.remaining == 0 {
-                    return;
-                }
-                st = wake.wait(st).unwrap();
-            }
-        };
-        let steps = &groups[gi].1;
-        let run = (|| {
-            let scoped = ScopedCluster::new(cluster);
-            let mut reports = Vec::with_capacity(steps.len());
-            for step in steps {
-                let outcome = cluster.with_step_lock(step.node.as_str(), || {
-                    scoped.execute(step.node.as_str(), &step.sql)
-                })?;
-                reports.push(outcome.report);
-            }
-            Ok(GroupRun {
-                ledger: scoped.ledger,
-                reports,
-            })
-        })();
-        let ok = run.is_ok();
-        *done[gi].lock().unwrap() = Some((if ok { GroupDone::Ok } else { GroupDone::Failed }, run));
-        let mut st = sched.lock().unwrap();
-        resolve(gi, ok, &mut st);
-        wake.notify_all();
-    };
-    std::thread::scope(|s| {
-        for _ in 1..threads {
-            s.spawn(worker);
-        }
-        worker();
-    });
-
-    let mut runs: Vec<Option<GroupRun>> = Vec::new();
-    runs.resize_with(groups.len(), || None);
-    let mut failure: Option<(usize, EngineError)> = None;
-    for (gi, slot) in done.iter().enumerate() {
-        let (state, run) = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("event executor left a group unresolved");
-        match (state, run) {
-            (GroupDone::Ok, Ok(run)) => runs[gi] = Some(run),
-            (GroupDone::Failed, Err(e)) if failure.is_none() => failure = Some((gi, e)),
-            _ => {} // later failure, or skipped descendant of one
-        }
-    }
-
-    if let Some((fail_gi, e)) = failure {
-        // Keep the ledger consistent with how far execution provably got:
-        // absorb only groups strictly before the failing one in script
-        // order, then let the caller clean up.
-        for run in runs[..fail_gi].iter().flatten() {
-            cluster.ledger.absorb(&run.ledger);
-        }
-        return Err(e);
-    }
-    for run in runs.iter().flatten() {
-        cluster.ledger.absorb(&run.ledger);
-    }
-
-    // Flatten the per-group reports back into script order (groups are
-    // contiguous script-order step runs) for the single-threaded tail.
-    let step_reports: Vec<ExecReport> = runs
-        .into_iter()
-        .flatten()
-        .flat_map(|run| run.reports)
-        .collect();
-    finish_script(cluster, plan, script, &step_reports, trace)
+    let deployed = deploy_script(cluster, script)?;
+    finish_script(cluster, plan, script, &deployed.step_reports, trace)
 }
 
 /// Best-effort cleanup of all short-lived relations (also used by failure
@@ -819,7 +641,6 @@ mod tests {
     use crate::global::GlobalCatalog;
     use crate::scenario;
     use xdb_net::Purpose;
-    use xdb_obs::TraceCollector;
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, OptimizeOptions};
     use xdb_sql::parse_select;
@@ -860,42 +681,7 @@ mod tests {
         c.query("solo", sql).unwrap().0
     }
 
-    /// The reference the executor is held to: every step in script order
-    /// on the calling thread, straight onto the cluster's ledger.
-    fn run_script(
-        cluster: &Cluster,
-        plan: &DelegationPlan,
-        script: &DelegationScript,
-        trace: &TraceCtx<'_>,
-    ) -> Result<ExecutionOutcome> {
-        let mut reports = Vec::with_capacity(script.steps.len());
-        for step in &script.steps {
-            reports.push(cluster.execute(step.node.as_str(), &step.sql)?.report);
-        }
-        finish_script(cluster, plan, script, &reports, trace)
-    }
-
-    /// Everything one run of a script leaves behind: the outcome (or the
-    /// error), the ledger records it added, and the trace, as text. The
-    /// deployed objects are dropped again, so the next run of the same
-    /// script starts from the same cluster.
-    fn observe(
-        cluster: &Cluster,
-        script: &DelegationScript,
-        run: impl FnOnce(&TraceCtx<'_>) -> Result<ExecutionOutcome>,
-    ) -> (String, String, String) {
-        cluster.clear_codec_cache();
-        let mark = cluster.ledger.len();
-        let collector = TraceCollector::new();
-        let outcome = match run(&TraceCtx::new(&collector, 0.0, None)) {
-            Ok(o) => format!(
-                "exec_ms {:?} ddl_ms {:?} ddl_count {}\n{:?}",
-                o.exec_ms, o.ddl_ms, o.ddl_count, o.relation
-            ),
-            Err(e) => format!("error: {e}"),
-        };
-        let records = format!("{:#?}", cluster.ledger.since(mark));
-        run_cleanup(cluster, script);
+    fn assert_nothing_deployed(cluster: &Cluster) {
         for node in cluster.node_names() {
             let names = cluster.engine(&node).unwrap().with_catalog(|c| c.names());
             assert!(
@@ -903,7 +689,6 @@ mod tests {
                 "{node} kept {names:?}"
             );
         }
-        (outcome, records, collector.finish().to_chrome_json())
     }
 
     fn tpch_federation(td: TableDist) -> (Cluster, GlobalCatalog) {
@@ -914,7 +699,6 @@ mod tests {
             &ProfileAssignment::uniform(xdb_engine::EngineProfile::postgres()),
         )
         .unwrap();
-        cluster.set_op_tracing(true);
         let catalog = GlobalCatalog::discover(&cluster).unwrap();
         (cluster, catalog)
     }
@@ -990,55 +774,71 @@ mod tests {
         assert!(cluster.ledger.bytes_for(Purpose::Materialization) > 0);
     }
 
+    /// What `deploy_script` reports is what it did: the per-task ranges
+    /// tile the script's steps and the ledger records the deployment
+    /// appended, in script order, and a task's range holds what its own
+    /// materializations pulled.
     #[test]
-    fn worker_count_rule() {
-        // No or one materializing group: the caller's thread, on any host.
-        for host in [1, 2, 64] {
-            assert_eq!(script_threads(0, host), 1);
-            assert_eq!(script_threads(1, host), 1);
-        }
-        // k >= 2: one thread per group, up to the host's parallelism.
-        assert_eq!(script_threads(2, 1), 1);
-        assert_eq!(script_threads(2, 2), 2);
-        assert_eq!(script_threads(2, 8), 2);
-        assert_eq!(script_threads(5, 4), 4);
-        assert_eq!(script_threads(5, 8), 5);
-    }
-
-    /// On any number of threads the executor leaves exactly what the step
-    /// loop leaves: relation, simulated times, ledger records in order,
-    /// and the trace, operator spans included.
-    #[test]
-    fn executor_matches_the_step_loop_at_every_worker_count() {
+    fn deployed_ranges_tile_the_script_and_the_ledger() {
         for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
             let (cluster, catalog) = tpch_federation(td);
             for q in TpchQuery::ALL {
                 for forced in [None, Some(Movement::Explicit)] {
+                    let what = format!("{} on {td:?}, forced {forced:?}", q.name());
                     let (plan, script) = tpch_script(&cluster, &catalog, q, forced);
-                    let reference = observe(&cluster, &script, |trace| {
-                        run_script(&cluster, &plan, &script, trace)
-                    });
-                    assert!(reference.0.starts_with("exec_ms"), "{}", reference.0);
-                    for threads in [1, 2, 8] {
-                        let got = observe(&cluster, &script, |trace| {
-                            run_script_on(Some(threads), &cluster, &plan, &script, trace)
-                        });
-                        assert!(
-                            got == reference,
-                            "{} on {td:?}, forced {forced:?}: {threads} threads diverge",
-                            q.name()
+                    let mark = cluster.ledger.len();
+                    let deployed = deploy_script(&cluster, &script).unwrap();
+                    let appended = cluster.ledger.since(mark);
+                    assert_eq!(deployed.step_reports.len(), script.steps.len(), "{what}");
+                    let (mut step, mut record) = (0, mark);
+                    for run in &deployed.tasks {
+                        assert_eq!(
+                            (run.steps.start, run.ledger.start),
+                            (step, record),
+                            "{what}"
                         );
+                        assert!(!run.steps.is_empty(), "{what}");
+                        let steps = &script.steps[run.steps.clone()];
+                        assert!(steps.iter().all(|s| s.task == run.task), "{what}");
+                        let node = &plan.task(run.task).dbms;
+                        let pulls = steps
+                            .iter()
+                            .filter(|s| s.kind == DdlKind::Materialize)
+                            .count();
+                        // Each materialization ends in one record into the
+                        // task's node; what precedes it are the pipeline
+                        // pulls of the producer's own implicit inputs.
+                        let moved = &appended[run.ledger.start - mark..run.ledger.end - mark];
+                        let (mats, fed): (Vec<_>, Vec<_>) = moved
+                            .iter()
+                            .partition(|t| t.purpose == Purpose::Materialization);
+                        assert_eq!(mats.len(), pulls, "{what}: t{}", run.task);
+                        assert!(mats.iter().all(|t| &t.to == node), "{what}: {mats:?}");
+                        assert!(
+                            fed.iter().all(|t| t.purpose == Purpose::InterDbmsPipeline),
+                            "{what}: {fed:?}"
+                        );
+                        assert!(
+                            moved.last().map_or(pulls == 0, |t| &t.to == node),
+                            "{what}: {moved:?}"
+                        );
+                        (step, record) = (run.steps.end, run.ledger.end);
                     }
+                    assert_eq!(step, script.steps.len(), "{what}");
+                    assert_eq!(record, cluster.ledger.len(), "{what}");
+                    run_cleanup(&cluster, &script);
+                    assert_nothing_deployed(&cluster);
                 }
             }
         }
     }
 
-    /// A failing `CREATE TABLE AS` in the last materializing group: the
-    /// same error as the step loop's, the same ledger prefix, and nothing
-    /// left deployed after cleanup, on any number of threads.
+    /// A failing `CREATE TABLE AS`, the last one of the script: the error
+    /// names the missing relation, the script stops there (the ledger keeps
+    /// the pulls of the materializations before it and nothing after it was
+    /// created), and cleanup leaves nothing deployed.
     #[test]
-    fn a_failing_materialization_fails_alike_at_every_worker_count() {
+    fn a_failing_materialization_stops_the_script() {
         let (cluster, catalog) = tpch_federation(TableDist::Td2);
         let (plan, mut script) =
             tpch_script(&cluster, &catalog, TpchQuery::Q5, Some(Movement::Explicit));
@@ -1049,21 +849,31 @@ mod tests {
             materializations.len() >= 2,
             "needs a prefix that moved data"
         );
+        let records = |mark: usize| -> Vec<String> {
+            let since = cluster.ledger.since(mark);
+            since.iter().map(|t| format!("{t:?}")).collect()
+        };
+        let mark = cluster.ledger.len();
+        deploy_script(&cluster, &script).unwrap();
+        let intact = records(mark);
+        run_cleanup(&cluster, &script);
+
         let broken = *materializations.last().unwrap();
         script.steps[broken].sql =
             "CREATE TABLE xdb_q7_broken AS SELECT * FROM xdb_q7_missing".into();
-        let reference = observe(&cluster, &script, |trace| {
-            run_script(&cluster, &plan, &script, trace)
-        });
-        assert!(reference.0.starts_with("error:"), "{}", reference.0);
-        assert!(reference.0.contains("xdb_q7_missing"), "{}", reference.0);
-        assert!(reference.1.contains("Materialization"), "{}", reference.1);
-        for threads in [1, 2, 8] {
-            let got = observe(&cluster, &script, |trace| {
-                run_script_on(Some(threads), &cluster, &plan, &script, trace)
-            });
-            assert!(got == reference, "{threads} threads diverge: {got:?}");
-        }
+        let mark = cluster.ledger.len();
+        let err = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap_err();
+        assert!(err.to_string().contains("xdb_q7_missing"), "{err}");
+        let moved = records(mark);
+        assert_eq!(moved.len(), materializations.len() - 1);
+        assert_eq!(moved, intact[..moved.len()]);
+        // The step after the broken one is its task's view.
+        let view = view_name(7, script.steps[broken].task);
+        let node = script.steps[broken].node.as_str();
+        let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
+        assert!(!names.contains(&view), "{node} has {view}");
+        run_cleanup(&cluster, &script);
+        assert_nothing_deployed(&cluster);
     }
 
     #[test]

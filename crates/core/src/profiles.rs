@@ -14,10 +14,6 @@
 //! - **compute factor** per engine: observed statement work per predicted
 //!   cross-database compute unit (`exec + startup` of chosen candidates).
 //!   Applied to Eq. 1's exec/startup terms.
-//! - **consult factor**: observed consult latency per modeled
-//!   `CONSULT_ROUNDTRIP_MS`. In the simulated federation the two coincide
-//!   (factor 1); the store keeps the slot so a real deployment's probe
-//!   latencies calibrate the same way. It is reported, not applied.
 //!
 //! **Smoothing and confidence.** Every factor is the sample mean blended
 //! toward the static model's implicit 1.0 with a pseudo-count prior:
@@ -34,9 +30,9 @@
 //! order — or absorbing the same observations from concurrent sessions in
 //! any interleaving — yields bit-identical factors, and the store's size
 //! depends on the number of keys, not on how much was absorbed.
-//! Observations themselves are bit-identical across executor threads,
-//! reactor on/off and stream-chunk sizes (the observatory's
-//! contract), so feedback preserves the repo's cross-axis determinism.
+//! Observations themselves are bit-identical across reactor on/off and
+//! stream-chunk sizes (the observatory's contract), so feedback preserves
+//! the repo's cross-axis determinism.
 //!
 //! Persistence is schema-versioned JSON (`profiles.json`); history
 //! directories (`history.jsonl`) are also accepted as a profile source via
@@ -56,7 +52,8 @@ use xdb_obs::trace::json_string;
 /// Version of the on-disk profile layout; the only one this build reads.
 /// v3: a factor is `"<count>:<fixed-point sum>"` in fixed-width hex (so a
 /// file's size depends on its keys alone), not a list of samples.
-pub const PROFILES_SCHEMA_VERSION: u64 = 3;
+/// v4: no `consult` factor.
+pub const PROFILES_SCHEMA_VERSION: u64 = 4;
 
 /// File name of a persisted profile store inside a directory.
 pub const PROFILES_FILE: &str = "profiles.json";
@@ -75,9 +72,6 @@ pub const WIRE_RATIO_CLAMP: (f64, f64) = (0.05, 2.0);
 /// modeled, so the raw ratio runs high; the clamp bounds how far learned
 /// compute units may drift from the static profile.
 pub const COMPUTE_FACTOR_CLAMP: (f64, f64) = (0.5, 2.0);
-
-/// Clamp range for the consult-latency factor.
-pub const CONSULT_FACTOR_CLAMP: (f64, f64) = (0.5, 2.0);
 
 /// Fixed-point scale of [`FactorStat`]'s sum: a sample is stored as
 /// `round(ratio × 2⁴⁰)`.
@@ -169,8 +163,6 @@ pub struct CostProfiles {
     wire_global: FactorStat,
     /// Observed-vs-predicted compute units per engine node.
     compute_by_engine: BTreeMap<String, FactorStat>,
-    /// Observed-vs-modeled consult latency.
-    consult: FactorStat,
 }
 
 impl CostProfiles {
@@ -184,14 +176,8 @@ impl CostProfiles {
         ]
     }
 
-    /// The unkeyed factors, under their names in the file.
-    fn scalars(&self) -> [(&'static str, FactorStat); 2] {
-        [("wire_global", self.wire_global), ("consult", self.consult)]
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.tables().iter().all(|(_, t)| t.is_empty())
-            && self.scalars().iter().all(|(_, s)| s.is_empty())
+        self.tables().iter().all(|(_, t)| t.is_empty()) && self.wire_global.is_empty()
     }
 
     /// Total absorbed samples across every factor (wire samples counted
@@ -203,7 +189,6 @@ impl CostProfiles {
                 .values()
                 .map(FactorStat::count)
                 .sum::<u64>()
-            + self.consult.count()
     }
 
     /// Learned encoded-per-raw byte ratio for moving data `from → to` via
@@ -236,12 +221,6 @@ impl CostProfiles {
             .and_then(|s| s.factor(COMPUTE_FACTOR_CLAMP))
     }
 
-    /// Learned consult-latency factor (reported, not applied — see module
-    /// docs).
-    pub fn consult_factor(&self) -> Option<f64> {
-        self.consult.factor(CONSULT_FACTOR_CLAMP)
-    }
-
     /// Record one wire encoded-per-raw ratio for an edge, at every
     /// granularity (shape, link, consuming engine, global).
     pub fn observe_wire(&mut self, from: &str, to: &str, movement: Movement, ratio: f64) {
@@ -272,12 +251,10 @@ impl CostProfiles {
     /// work) into the store.
     pub fn absorb(&mut self, cost: &CostObservation, statements: &[(String, f64)]) {
         let mut pred_compute: BTreeMap<&str, f64> = BTreeMap::new();
-        let mut modeled_consult = 0.0;
         for d in &cost.decisions {
             if let Some(c) = d.candidates.iter().find(|c| c.chosen) {
                 *pred_compute.entry(d.dbms.as_str()).or_default() += c.exec_ms + c.startup_ms;
             }
-            modeled_consult += d.consult_ms;
             for e in d.edges.iter().filter(|e| e.matched) {
                 if e.pred_bytes == 0 {
                     continue;
@@ -300,12 +277,6 @@ impl CostProfiles {
                         .observe(obs_ms / pred);
                 }
             }
-        }
-        // In the simulated federation the observed consult charge equals
-        // the modeled one exactly; a real deployment's probe latencies
-        // would land here as a ≠1 factor.
-        if modeled_consult > 0.0 {
-            self.consult.observe(cost.consult_ms / modeled_consult);
         }
     }
 
@@ -345,18 +316,15 @@ impl CostProfiles {
             }
         }
         self.wire_global.merge(&other.wire_global);
-        self.consult.merge(&other.consult);
     }
 
     /// One-line description for reports.
     pub fn describe(&self) -> String {
         format!(
-            "{} wire sample(s) across {} edge shape(s), {} engine compute factor(s), \
-             {} consult sample(s)",
+            "{} wire sample(s) across {} edge shape(s), {} engine compute factor(s)",
             self.wire_global.count(),
             self.wire_by_shape.len(),
-            self.compute_by_engine.len(),
-            self.consult.count()
+            self.compute_by_engine.len()
         )
     }
 
@@ -371,10 +339,7 @@ impl CostProfiles {
             }
             out.push('}');
         }
-        for (key, stat) in self.scalars() {
-            let _ = write!(out, ",\"{key}\":{}", stat.to_json());
-        }
-        out.push('}');
+        let _ = write!(out, ",\"wire_global\":{}}}", self.wire_global.to_json());
         out
     }
 
@@ -404,19 +369,18 @@ impl CostProfiles {
                 "profiles schema_version {version} (this build reads {PROFILES_SCHEMA_VERSION})"
             ));
         }
-        let stat = |key: &str| {
-            let field = v
-                .get(key)
-                .ok_or_else(|| format!("profiles missing {key:?}"))?;
-            FactorStat::from_json(field).map_err(|e| format!("profiles {key:?}: {e}"))
-        };
+        let wire_global = v
+            .get("wire_global")
+            .ok_or_else(|| "profiles missing \"wire_global\"".to_string())
+            .and_then(|f| {
+                FactorStat::from_json(f).map_err(|e| format!("profiles \"wire_global\": {e}"))
+            })?;
         Ok(CostProfiles {
             wire_by_shape: Self::map_from_json(v, "wire_shape")?,
             wire_by_pair: Self::map_from_json(v, "wire_pair")?,
             wire_by_engine: Self::map_from_json(v, "wire_engine")?,
-            wire_global: stat("wire_global")?,
+            wire_global,
             compute_by_engine: Self::map_from_json(v, "compute_engine")?,
-            consult: stat("consult")?,
         })
     }
 
@@ -511,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_learns_wire_compute_and_consult_factors() {
+    fn absorb_learns_wire_and_compute_factors() {
         let mut p = CostProfiles::default();
         assert!(p.is_empty());
         assert_eq!(p.wire_ratio("cdb", "hdb", Movement::Implicit), None);
@@ -528,10 +492,8 @@ mod tests {
         let f = p.compute_factor("hdb").unwrap();
         assert!((f - (1.5 + 2.0) / 3.0).abs() < 1e-12, "{f}");
         assert_eq!(p.compute_factor("cdb"), None);
-        // Consult: observed equals modeled → factor 1.
-        assert_eq!(p.consult_factor(), Some(1.0));
         assert!(!p.is_empty());
-        assert_eq!(p.samples(), 3);
+        assert_eq!(p.samples(), 2);
     }
 
     #[test]
@@ -651,8 +613,8 @@ mod tests {
     fn from_json_rejects_bad_versions_and_shapes() {
         let current = CostProfiles::default().to_json();
         let version = format!("\"schema_version\":{PROFILES_SCHEMA_VERSION}");
-        // Neither a later layout nor the sample lists of v1/v2 are read.
-        for other in [PROFILES_SCHEMA_VERSION + 1, 2, 1] {
+        // Neither a later layout nor an earlier one is read.
+        for other in [PROFILES_SCHEMA_VERSION + 1, 3, 2, 1] {
             let text = current.replace(&version, &format!("\"schema_version\":{other}"));
             let err = CostProfiles::from_json(&json::parse(&text).unwrap()).unwrap_err();
             assert!(err.contains("schema_version"), "{err}");

@@ -41,8 +41,11 @@
 //! id as correlation id.
 
 use crate::annotate::fragment_keys;
-use crate::client::{next_query_id, PhaseBreakdown, Xdb, XdbOptions, PREP_PARSE_MS};
-use crate::delegation::{build_script, build_script_with_reuse, finish_script, view_name};
+use crate::client::{
+    next_query_id, Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions,
+    PREP_PARSE_MS,
+};
+use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
 use parking_lot::Mutex;
@@ -51,8 +54,8 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::ExecReport;
 use xdb_engine::error::Result;
 use xdb_engine::relation::Relation;
-use xdb_net::{wire, NodeId, Purpose, Transfer};
-use xdb_obs::{QueryTrace, SpanId, SpanKind, TraceCollector, TraceCtx};
+use xdb_net::{NodeId, Transfer};
+use xdb_obs::{QueryTrace, SpanKind, TraceCollector};
 
 /// One tenant query handed to the admission queue.
 #[derive(Debug, Clone)]
@@ -231,6 +234,19 @@ struct WindowState {
     cleanup: Vec<Vec<(NodeId, String)>>,
 }
 
+/// What admitting one query yields; the window turns it into the
+/// [`TenantOutcome`] once the session clock has advanced.
+struct Admitted {
+    query_id: u64,
+    relation: Relation,
+    breakdown: PhaseBreakdown,
+    trace: QueryTrace,
+    /// `"none"`, `"partial"` or `"full"`.
+    fold: &'static str,
+    fold_hits: u64,
+    attributed: Vec<Transfer>,
+}
+
 /// The multi-tenant query server: an admission queue over one [`Xdb`]
 /// middleware instance.
 pub struct QueryServer<'a> {
@@ -329,22 +345,54 @@ impl<'a> QueryServer<'a> {
         let mut w = WindowState::default();
         let mut failure = None;
         for (k, sub) in subs.iter().enumerate() {
-            let index = base_index + k;
             telemetry
                 .metrics
                 .counter_add("session.submissions", &[("tenant", &sub.tenant)], 1.0);
-            let outcome = if self.options.fold {
-                self.admit_folded(sub, index, window_open, clock, &mut w, report)
+            let admitted = if self.options.fold {
+                self.admit_folded(sub, clock, &mut w, report)
             } else {
-                self.admit_unfolded(sub, index, window_open, clock, report)
+                self.admit_unfolded(sub, clock, report)
             };
-            match outcome {
-                Ok(o) => report.outcomes.push(o),
+            let a = match admitted {
+                Ok(a) => a,
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
-            }
+            };
+            // Per-query completion telemetry: a tenant-correlated event
+            // plus the fleet latency histogram.
+            let latency_ms = *clock - window_open;
+            telemetry
+                .metrics
+                .observe("session.latency_ms", &[], latency_ms);
+            let lat = format!("{latency_ms:.3}");
+            telemetry.events.log(
+                xdb_obs::Level::Info,
+                "core.session",
+                Some(a.query_id),
+                latency_ms,
+                "session query completed",
+                &[
+                    ("tenant", &sub.tenant),
+                    ("fold", a.fold),
+                    ("latency_ms", &lat),
+                ],
+            );
+            report.outcomes.push(TenantOutcome {
+                tenant: sub.tenant.clone(),
+                index: base_index + k,
+                query_id: a.query_id,
+                relation: a.relation,
+                breakdown: a.breakdown,
+                trace: a.trace,
+                full_fold: a.fold == "full",
+                fold_hits: a.fold_hits,
+                admitted_ms: window_open,
+                completed_ms: *clock,
+                latency_ms,
+                attributed: a.attributed,
+            });
         }
         // Window close: all waiters have drained, so every fragment's
         // refcount is back to zero; drop shared objects in reverse
@@ -387,11 +435,9 @@ impl<'a> QueryServer<'a> {
     fn admit_unfolded(
         &self,
         sub: &Submission,
-        index: usize,
-        window_open: f64,
         clock: &mut f64,
         report: &mut SessionReport,
-    ) -> Result<TenantOutcome> {
+    ) -> Result<Admitted> {
         let cluster = self.xdb.cluster();
         let mark = cluster.ledger.len();
         let outcome = self.xdb.submit(&sub.sql)?;
@@ -400,20 +446,13 @@ impl<'a> QueryServer<'a> {
             outcome.breakdown.consult_cache_hits + outcome.breakdown.consult_cache_misses;
         report.ddl_statements += outcome.ddl_count as u64;
         *clock += outcome.breakdown.total_ms();
-        let latency = *clock - window_open;
-        self.note_completion(&sub.tenant, outcome.query_id, latency, "none");
-        Ok(TenantOutcome {
-            tenant: sub.tenant.clone(),
-            index,
+        Ok(Admitted {
             query_id: outcome.query_id,
             relation: outcome.relation,
             breakdown: outcome.breakdown,
             trace: outcome.trace,
-            full_fold: false,
+            fold: "none",
             fold_hits: 0,
-            admitted_ms: window_open,
-            completed_ms: *clock,
-            latency_ms: latency,
             attributed,
         })
     }
@@ -422,12 +461,10 @@ impl<'a> QueryServer<'a> {
     fn admit_folded(
         &self,
         sub: &Submission,
-        index: usize,
-        window_open: f64,
         clock: &mut f64,
         w: &mut WindowState,
         report: &mut SessionReport,
-    ) -> Result<TenantOutcome> {
+    ) -> Result<Admitted> {
         let cluster = self.xdb.cluster();
         let telemetry = cluster.telemetry().clone();
 
@@ -436,7 +473,7 @@ impl<'a> QueryServer<'a> {
         // would all hit anyway — transient objects never bump a node's
         // DDL generation); the synthesized planning trace reproduces the
         // warm-replan breakdown bit-exactly.
-        let (delegation, fkeys, collector, query_span, overhead_ms, query_id);
+        let (delegation, fkeys, trace, query_id);
         // The full script of a plan made here was rendered by planning; a
         // cached plan runs under a fresh query id and renders below.
         let mut planned_script = None;
@@ -444,11 +481,7 @@ impl<'a> QueryServer<'a> {
             delegation = cp.delegation.clone();
             fkeys = cp.fragment_keys.clone();
             query_id = next_query_id();
-            let (c, qs, oh) =
-                synthetic_planning_trace(&sub.sql, cp.prep_probes, cp.ann_probes, cp.lopt_ms);
-            collector = c;
-            query_span = qs;
-            overhead_ms = oh;
+            trace = synthetic_planning_trace(&sub.sql, cp.prep_probes, cp.ann_probes, cp.lopt_ms);
             report.plan_cache_hits += 1;
             telemetry
                 .metrics
@@ -469,54 +502,44 @@ impl<'a> QueryServer<'a> {
             );
             delegation = planned.delegation;
             planned_script = Some(planned.script);
-            collector = planned.collector;
-            query_span = planned.query_span;
-            overhead_ms = planned.overhead_ms;
+            trace = planned.trace;
             query_id = planned.query_id;
         }
+        let (collector, query_span, overhead_ms) =
+            (&trace.collector, trace.query_span, trace.overhead_ms);
         *clock += overhead_ms;
         collector.attr(query_span, "tenant", &sub.tenant);
         let root_key = fkeys[&delegation.root].clone();
 
-        // ---- Full fold: the whole plan is already materialized; fan the
-        // cached result out. The only fresh physical traffic is this
-        // waiter's own final-result transfer.
+        let (fold, fold_hits, relation, exec_ms, exec_span, ledger_mark, attributed);
         if let Some(cached) = w.results.get(&root_key) {
+            // ---- Full fold: the whole plan is already materialized; fan
+            // the cached result out. The only fresh physical traffic is
+            // this waiter's own final-result transfer.
+            fold = "full";
+            fold_hits = delegation.tasks.len() as u64;
             for key in fkeys.values() {
                 if let Some(f) = w.fragments.get_mut(key) {
                     f.refs += 1;
                 }
             }
-            let fold_hits = delegation.tasks.len() as u64;
-            report.fold_hits += fold_hits;
             report.full_folds += 1;
-            telemetry.metrics.counter_add(
-                "session.fold_hits",
-                &[("tenant", &sub.tenant)],
-                fold_hits as f64,
-            );
             telemetry
                 .metrics
                 .counter_add("session.full_folds", &[], 1.0);
-            let ledger_mark = cluster.ledger.len();
-            let enc = wire::measure(cached.relation.columns(), cached.relation.len());
-            cluster.ledger.record_wire(
-                &cached.root_node,
-                self.xdb.client_node(),
-                cached.relation.wire_bytes(),
-                cached.relation.len() as u64,
-                Purpose::FinalResult,
-                &enc.stats(self.options.xdb.stream_chunk_rows),
-            );
-            let exec_span = collector.span(
+            ledger_mark = cluster.ledger.len();
+            self.xdb
+                .record_final_result(&cached.root_node, &cached.relation);
+            exec_ms = cached.exec_ms;
+            exec_span = collector.span(
                 SpanKind::Phase,
                 "exec",
                 "client",
                 Some(query_span),
                 overhead_ms,
-                cached.exec_ms,
+                exec_ms,
             );
-            let fold = collector.span(
+            let fan_out = collector.span(
                 SpanKind::Exec,
                 "fold fan-out",
                 cached.root_node.as_str(),
@@ -524,56 +547,168 @@ impl<'a> QueryServer<'a> {
                 overhead_ms,
                 0.0,
             );
-            collector.attr(fold, "fragments", fold_hits.to_string());
-            collector.attr(query_span, "fold", "full");
-            self.xdb.emit_transfer_spans(
-                &collector,
-                exec_span,
-                ledger_mark,
-                overhead_ms,
-                cached.exec_ms,
-            );
-            collector.set_dur(query_span, overhead_ms + cached.exec_ms);
-            let mut attributed = cached.attributed_control.clone();
-            attributed.extend(cached.attributed_data.iter().cloned());
-            attributed.extend(cluster.ledger.since(ledger_mark));
+            collector.attr(fan_out, "fragments", fold_hits.to_string());
+            let mut view = cached.attributed_control.clone();
+            view.extend(cached.attributed_data.iter().cloned());
+            view.extend(cluster.ledger.since(ledger_mark));
+            attributed = view;
+            relation = cached.relation.clone();
             for key in fkeys.values() {
                 if let Some(f) = w.fragments.get_mut(key) {
                     f.refs -= 1;
                 }
             }
-            let relation = cached.relation.clone();
-            let trace = collector.finish();
-            let breakdown = PhaseBreakdown::from_trace(&trace);
-            let latency = *clock - window_open;
-            self.note_completion(&sub.tenant, query_id, latency, "full");
-            return Ok(TenantOutcome {
-                tenant: sub.tenant.clone(),
-                index,
-                query_id,
-                relation,
-                breakdown,
-                trace,
-                full_fold: true,
-                fold_hits,
-                admitted_ms: window_open,
-                completed_ms: *clock,
-                latency_ms: latency,
-                attributed,
-            });
-        }
-
-        // ---- Partial (or no) fold: claim live shared fragments, deploy
-        // and execute only the rest.
-        let mut reuse: HashMap<usize, String> = HashMap::new();
-        for id in delegation.topo_order() {
-            let key = &fkeys[&id];
-            if let Some(f) = w.fragments.get_mut(key) {
-                f.refs += 1;
-                reuse.insert(id, f.view.clone());
+        } else {
+            // ---- Partial (or no) fold: claim live shared fragments,
+            // deploy and execute only the rest.
+            let mut reuse: HashMap<usize, String> = HashMap::new();
+            for id in delegation.topo_order() {
+                if let Some(f) = w.fragments.get_mut(&fkeys[&id]) {
+                    f.refs += 1;
+                    reuse.insert(id, f.view.clone());
+                }
             }
+            fold_hits = reuse.len() as u64;
+            fold = if reuse.is_empty() { "none" } else { "partial" };
+            let release = |w: &mut WindowState| {
+                for id in reuse.keys() {
+                    if let Some(f) = w.fragments.get_mut(&fkeys[id]) {
+                        f.refs -= 1;
+                    }
+                }
+            };
+            // The full (unpruned) script is what runs when nothing was
+            // folded away; otherwise the pruned one runs and the full one
+            // is the skeleton of the as-if-alone timeline replay.
+            let scripts = (|| {
+                let full = match planned_script {
+                    Some(s) => s,
+                    None => build_script(&delegation, query_id, cluster)?,
+                };
+                if reuse.is_empty() {
+                    return Ok((full, None));
+                }
+                let pruned = build_script_with_reuse(&delegation, query_id, cluster, &reuse)?;
+                Ok((pruned, Some(full)))
+            })();
+            let (script, solo_script) = match scripts {
+                Ok(s) => s,
+                Err(e) => {
+                    release(w);
+                    return Err(e);
+                }
+            };
+            report.ddl_statements += script.steps.len() as u64;
+            // The owners' step reports stand in for the steps of reused
+            // fragments, so a partially folded query reports the exact
+            // breakdown and trace it would have had running alone (a task's
+            // steps are one contiguous run, of the same length in either
+            // script).
+            let fragments = &w.fragments;
+            let splice = |own: &[ExecReport]| -> Vec<ExecReport> {
+                let mut own = own.iter();
+                let (mut task, mut seen) = (usize::MAX, 0);
+                let solo = solo_script.iter().flat_map(|solo| &solo.steps);
+                solo.map(|step| {
+                    if step.task != task {
+                        (task, seen) = (step.task, 0);
+                    }
+                    seen += 1;
+                    let report = match reuse.contains_key(&task) {
+                        true => fragments[&fkeys[&task]].reports.get(seen - 1),
+                        false => own.next(),
+                    };
+                    report.cloned().unwrap_or_default()
+                })
+                .collect()
+            };
+            let solo: Option<SoloTimeline<'_>> = match &solo_script {
+                Some(solo) => Some((solo, &splice)),
+                None => None,
+            };
+            let ran = self.xdb.run_planned(&trace, &delegation, &script, solo);
+            let Executed {
+                outcome,
+                deployed,
+                exec_span: span,
+                ledger_mark: mark,
+                query_mark,
+                result_mark,
+            } = match ran {
+                Ok(ran) => ran,
+                Err(e) => {
+                    // The stage tore down this query's own objects; shared
+                    // fragments stay for their other waiters.
+                    release(w);
+                    return Err(e);
+                }
+            };
+            // Register the freshly deployed fragments for later waiters.
+            // Everything this query recorded, read once: its control
+            // messages (one per step, from `mark`), then what each task's
+            // steps moved, the XDB query's pulls and the final result.
+            let tail = cluster.ledger.since(mark);
+            for run in &deployed.tasks {
+                w.fragments.insert(
+                    fkeys[&run.task].clone(),
+                    Fragment {
+                        view: view_name(query_id, run.task),
+                        control: tail[run.steps.clone()].to_vec(),
+                        data: tail[run.ledger.start - mark..run.ledger.end - mark].to_vec(),
+                        reports: deployed.step_reports[run.steps.clone()].to_vec(),
+                        refs: 0,
+                    },
+                );
+            }
+            let fresh = deployed.tasks.len() as u64;
+            report.fragments_deployed += fresh;
+            telemetry
+                .metrics
+                .counter_add("session.fragments_deployed", &[], fresh as f64);
+            // Assemble this tenant's attributed ledger view in its own script
+            // order: all control messages (shared fragments' included), then
+            // all deployment data, then the final pipelined query's pulls and
+            // the final-result transfer.
+            let mut attributed_control: Vec<Transfer> = Vec::new();
+            let mut attributed_data: Vec<Transfer> = Vec::new();
+            for id in delegation.topo_order() {
+                let f = &w.fragments[&fkeys[&id]];
+                attributed_control.extend(f.control.iter().cloned());
+                attributed_data.extend(f.data.iter().cloned());
+            }
+            attributed_data.extend(tail[query_mark - mark..result_mark - mark].iter().cloned());
+            let mut view = attributed_control.clone();
+            view.extend(attributed_data.iter().cloned());
+            view.extend(tail[result_mark - mark..].iter().cloned());
+            w.results.insert(
+                root_key,
+                CachedResult {
+                    relation: outcome.relation.clone(),
+                    exec_ms: outcome.exec_ms,
+                    root_node: script.root_node,
+                    attributed_control,
+                    // Excludes this owner's final-result transfer: every
+                    // fan-out waiter records (and is attributed) its own.
+                    attributed_data,
+                },
+            );
+            release(w);
+            w.cleanup.push(script.cleanup);
+            *clock += outcome.exec_ms;
+            if fold_hits > 0 {
+                let reused = collector.span(
+                    SpanKind::Exec,
+                    "fold reuse",
+                    "client",
+                    Some(span),
+                    overhead_ms,
+                    0.0,
+                );
+                collector.attr(reused, "fragments", fold_hits.to_string());
+            }
+            (relation, exec_ms) = (outcome.relation, outcome.exec_ms);
+            (exec_span, ledger_mark, attributed) = (span, mark, view);
         }
-        let fold_hits = reuse.len() as u64;
         if fold_hits > 0 {
             report.fold_hits += fold_hits;
             telemetry.metrics.counter_add(
@@ -581,309 +716,20 @@ impl<'a> QueryServer<'a> {
                 &[("tenant", &sub.tenant)],
                 fold_hits as f64,
             );
+            collector.attr(query_span, "fold", fold);
         }
-        let release = |w: &mut WindowState| {
-            for id in reuse.keys() {
-                if let Some(f) = w.fragments.get_mut(&fkeys[id]) {
-                    f.refs -= 1;
-                }
-            }
-        };
-        // The full (unpruned) script is what runs when nothing was folded
-        // away; otherwise the pruned one runs and the full one is the
-        // skeleton of the as-if-alone timeline replay below.
-        let scripts = (|| {
-            let full = match planned_script {
-                Some(s) => s,
-                None => build_script(&delegation, query_id, cluster)?,
-            };
-            if reuse.is_empty() {
-                return Ok((full, None));
-            }
-            let pruned = build_script_with_reuse(&delegation, query_id, cluster, &reuse)?;
-            Ok((pruned, Some(full)))
-        })();
-        let (script, solo_script) = match scripts {
-            Ok(s) => s,
-            Err(e) => {
-                release(w);
-                return Err(e);
-            }
-        };
-        report.ddl_statements += script.steps.len() as u64;
-        let ledger_mark = cluster.ledger.len();
-        // Control traffic first, exactly like Xdb::submit, sliced per task
-        // so each fragment's control cost can be attributed to its waiters.
-        let mut control_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        for step in &script.steps {
-            let at = cluster.ledger.len();
-            cluster.ledger.record(
-                self.xdb.client_node(),
-                &step.node,
-                step.sql.len() as u64,
-                0,
-                Purpose::ControlMessage,
-            );
-            control_ranges
-                .entry(step.task)
-                .and_modify(|r| r.1 = at + 1)
-                .or_insert((at, at + 1));
-        }
-        let exec_span = collector.span(
-            SpanKind::Phase,
-            "exec",
-            "client",
-            Some(query_span),
-            overhead_ms,
-            0.0,
-        );
-        let trace_ctx = TraceCtx::new(&collector, overhead_ms, Some(exec_span));
-        self.xdb.publish_execution_options();
-        cluster.clear_codec_cache();
-        // Deploy sequentially, slicing the ledger per task group (groups
-        // are contiguous in script order). Fragment deployment order and
-        // the simulated timeline replay (`finish_script`) are the script
-        // executor's.
-        let mut step_reports: Vec<ExecReport> = Vec::with_capacity(script.steps.len());
-        let mut data_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut exec_err = None;
-        for step in &script.steps {
-            let at = cluster.ledger.len();
-            match cluster.execute(step.node.as_str(), &step.sql) {
-                Ok(out) => step_reports.push(out.report),
-                Err(e) => {
-                    exec_err = Some(e);
-                    break;
-                }
-            }
-            let end = cluster.ledger.len();
-            if end > at {
-                data_ranges
-                    .entry(step.task)
-                    .and_modify(|r| r.1 = end)
-                    .or_insert((at, end));
-            }
-        }
-        let final_mark = cluster.ledger.len();
-        // As-if-alone timeline: replay the finish over the full solo
-        // script, splicing the owners' step reports in for reused
-        // fragments, so a partially folded query reports the exact
-        // breakdown and trace it would have had running alone. The
-        // physical work above stays pruned — only the simulated-clock
-        // replay is reconstructed (and the final XDB query it runs is the
-        // waiter's own: its root view exists under its own name).
-        let merged: Vec<ExecReport>;
-        let (timeline_script, timeline_reports) = match &solo_script {
-            None => (&script, &step_reports),
-            Some(solo) => {
-                let mut own = step_reports.iter();
-                let mut cursors: HashMap<usize, usize> = HashMap::new();
-                merged = solo
-                    .steps
-                    .iter()
-                    .map(|step| {
-                        if reuse.contains_key(&step.task) {
-                            let cur = cursors.entry(step.task).or_insert(0);
-                            let f = &w.fragments[&fkeys[&step.task]];
-                            let r = f.reports.get(*cur).cloned().unwrap_or_default();
-                            *cur += 1;
-                            r
-                        } else {
-                            own.next().cloned().unwrap_or_default()
-                        }
-                    })
-                    .collect();
-                (solo, &merged)
-            }
-        };
-        let exec = match exec_err {
-            Some(e) => Err(e),
-            None => finish_script(
-                cluster,
-                &delegation,
-                timeline_script,
-                timeline_reports,
-                &trace_ctx,
-            ),
-        };
-        if self.options.xdb.trace_operators {
-            cluster.set_op_tracing(false);
-        }
-        let exec = match exec {
-            Ok(o) => o,
-            Err(e) => {
-                // Tear down this query's own objects; shared fragments
-                // stay for their other waiters.
-                for (node, sql) in &script.cleanup {
-                    let _ = cluster.execute(node.as_str(), sql);
-                }
-                release(w);
-                telemetry
-                    .metrics
-                    .counter_add("xdb.queries", &[("status", "error")], 1.0);
-                return Err(e);
-            }
-        };
-        let fr_mark = cluster.ledger.len();
-        let enc = wire::measure(exec.relation.columns(), exec.relation.len());
-        cluster.ledger.record_wire(
-            &script.root_node,
-            self.xdb.client_node(),
-            exec.relation.wire_bytes(),
-            exec.relation.len() as u64,
-            Purpose::FinalResult,
-            &enc.stats(self.options.xdb.stream_chunk_rows),
-        );
-        // Register the freshly deployed fragments for later waiters.
-        // Everything this query recorded, read once: every range below
-        // lies at or after `ledger_mark`.
-        let tail = cluster.ledger.since(ledger_mark);
-        let slice = |r: Option<&(usize, usize)>| -> Vec<Transfer> {
-            match r {
-                Some(&(a, b)) => tail[a - ledger_mark..b - ledger_mark].to_vec(),
-                None => Vec::new(),
-            }
-        };
-        // Per-task slices of the pruned execution's reports (steps of one
-        // task group are contiguous in script order).
-        let mut rep_ranges: HashMap<usize, (usize, usize)> = HashMap::new();
-        for (i, step) in script.steps.iter().enumerate() {
-            rep_ranges
-                .entry(step.task)
-                .and_modify(|r| r.1 = i + 1)
-                .or_insert((i, i + 1));
-        }
-        let mut fresh = 0u64;
-        for id in delegation.topo_order() {
-            if reuse.contains_key(&id) {
-                continue;
-            }
-            let reports = match rep_ranges.get(&id) {
-                Some(&(a, b)) => step_reports[a..b].to_vec(),
-                None => Vec::new(),
-            };
-            w.fragments.insert(
-                fkeys[&id].clone(),
-                Fragment {
-                    view: view_name(query_id, id),
-                    control: slice(control_ranges.get(&id)),
-                    data: slice(data_ranges.get(&id)),
-                    reports,
-                    refs: 0,
-                },
-            );
-            fresh += 1;
-        }
-        report.fragments_deployed += fresh;
-        telemetry
-            .metrics
-            .counter_add("session.fragments_deployed", &[], fresh as f64);
-        // Assemble this tenant's attributed ledger view in its own script
-        // order: all control messages (shared fragments' included), then
-        // all deployment data, then the final pipelined query's pulls and
-        // the final-result transfer.
-        let mut attributed_control: Vec<Transfer> = Vec::new();
-        let mut attributed_data: Vec<Transfer> = Vec::new();
-        for id in delegation.topo_order() {
-            let f = &w.fragments[&fkeys[&id]];
-            attributed_control.extend(f.control.iter().cloned());
-            attributed_data.extend(f.data.iter().cloned());
-        }
-        attributed_data.extend(
-            tail[final_mark - ledger_mark..fr_mark - ledger_mark]
-                .iter()
-                .cloned(),
-        );
-        w.results.insert(
-            root_key,
-            CachedResult {
-                relation: exec.relation.clone(),
-                exec_ms: exec.exec_ms,
-                root_node: script.root_node.clone(),
-                attributed_control: attributed_control.clone(),
-                // Excludes this owner's final-result transfer: every
-                // fan-out waiter records (and is attributed) its own.
-                attributed_data: attributed_data.clone(),
-            },
-        );
-        let mut attributed = attributed_control;
-        attributed.extend(attributed_data);
-        attributed.extend(tail[fr_mark - ledger_mark..].iter().cloned());
-        release(w);
-        w.cleanup.push(script.cleanup.clone());
-
-        *clock += exec.exec_ms;
-        if fold_hits > 0 {
-            collector.attr(query_span, "fold", "partial");
-            let fold = collector.span(
-                SpanKind::Exec,
-                "fold reuse",
-                "client",
-                Some(exec_span),
-                overhead_ms,
-                0.0,
-            );
-            collector.attr(fold, "fragments", fold_hits.to_string());
-        }
-        collector.set_dur(exec_span, exec.exec_ms);
-        collector.set_dur(query_span, overhead_ms + exec.exec_ms);
-        self.xdb.emit_transfer_spans(
-            &collector,
-            exec_span,
-            ledger_mark,
-            overhead_ms,
-            exec.exec_ms,
-        );
-        let trace = collector.finish();
-        let breakdown = PhaseBreakdown::from_trace(&trace);
-        telemetry
-            .metrics
-            .observe("xdb.phase_ms", &[("phase", "exec")], exec.exec_ms);
-        telemetry
-            .metrics
-            .observe("xdb.total_ms", &[], breakdown.total_ms());
-        telemetry
-            .metrics
-            .counter_add("xdb.queries", &[("status", "ok")], 1.0);
-        let latency = *clock - window_open;
-        self.note_completion(
-            &sub.tenant,
+        let (trace, breakdown) =
+            self.xdb
+                .finish_trace(trace, exec_span, ledger_mark, exec_ms, fold != "full");
+        Ok(Admitted {
             query_id,
-            latency,
-            if fold_hits > 0 { "partial" } else { "none" },
-        );
-        Ok(TenantOutcome {
-            tenant: sub.tenant.clone(),
-            index,
-            query_id,
-            relation: exec.relation,
+            relation,
             breakdown,
             trace,
-            full_fold: false,
+            fold,
             fold_hits,
-            admitted_ms: window_open,
-            completed_ms: *clock,
-            latency_ms: latency,
             attributed,
         })
-    }
-
-    /// Per-query completion telemetry: a tenant-correlated event plus the
-    /// fleet latency histogram.
-    fn note_completion(&self, tenant: &str, query_id: u64, latency_ms: f64, fold: &str) {
-        let telemetry = self.xdb.cluster().telemetry();
-        telemetry
-            .metrics
-            .observe("session.latency_ms", &[], latency_ms);
-        let lat = format!("{latency_ms:.3}");
-        telemetry.events.log(
-            xdb_obs::Level::Info,
-            "core.session",
-            Some(query_id),
-            latency_ms,
-            "session query completed",
-            &[("tenant", tenant), ("fold", fold), ("latency_ms", &lat)],
-        );
     }
 }
 
@@ -895,7 +741,7 @@ fn synthetic_planning_trace(
     prep_probes: u64,
     ann_probes: u64,
     lopt_ms: f64,
-) -> (TraceCollector, SpanId, f64) {
+) -> PlanTrace {
     let collector = TraceCollector::new();
     let query_span = collector.span(SpanKind::Query, "query", "client", None, 0.0, 0.0);
     collector.attr(query_span, "sql", sql);
@@ -927,7 +773,11 @@ fn synthetic_planning_trace(
     collector.add("consults", 0.0);
     collector.add("consult.cache_hits", (prep_probes + ann_probes) as f64);
     collector.add("consult.cache_misses", 0.0);
-    let overhead = PREP_PARSE_MS + lopt_ms;
-    collector.set_dur(query_span, overhead);
-    (collector, query_span, overhead)
+    let overhead_ms = PREP_PARSE_MS + lopt_ms;
+    collector.set_dur(query_span, overhead_ms);
+    PlanTrace {
+        collector,
+        query_span,
+        overhead_ms,
+    }
 }

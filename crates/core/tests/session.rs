@@ -355,3 +355,98 @@ fn windows_scope_folding_state() {
     assert_eq!(report.fragments_deployed, 6);
     assert_eq!(report.plan_cache_hits, 2);
 }
+
+/// A folded admission that fails mid-script is torn down like a failed
+/// `Xdb::submit`: its own objects are dropped through `run_cleanup`
+/// (counted, and a Warn event says so), the shared fragments it claimed
+/// are released (window close debug-asserts that every refcount is zero)
+/// and stay deployed for nobody, and the server is fit for the next window.
+#[test]
+fn failed_partial_fold_releases_its_fragments() {
+    let _guard = SUBMIT_LOCK.lock();
+    let (cluster, catalog, telemetry) = setup();
+    let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
+    let subs = vec![
+        Submission::new("tenant-a", scenario::EXAMPLE_QUERY),
+        Submission::new("tenant-b", variant.clone()),
+    ];
+    // Plan the variant once to learn its root view's name, then squat on
+    // that name for the ids after the next one: in the window the first
+    // query deploys under the next id and the variant under a later one.
+    let (plan, script, _, _) = xdb_core::Xdb::new(&cluster, &catalog)
+        .plan(&variant)
+        .unwrap();
+    let root_node = plan.task(plan.root).dbms.clone();
+    let observed = script.xdb_query.rsplit(' ').next().unwrap().to_string();
+    let qid = script.query_id;
+    let squatters: Vec<String> = (2..=8)
+        .map(|d| observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + d)))
+        .collect();
+    for name in &squatters {
+        cluster
+            .execute(
+                root_node.as_str(),
+                &format!("CREATE TABLE {name} (x BIGINT)"),
+            )
+            .unwrap();
+    }
+    let live = || -> Vec<f64> {
+        let nodes = cluster.node_names();
+        nodes
+            .iter()
+            .map(|n| {
+                telemetry
+                    .metrics
+                    .value("ddl.objects_live", &[("engine", n)])
+            })
+            .collect()
+    };
+    let baseline = live();
+    let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
+
+    let err = server.run(&subs).unwrap_err();
+    assert!(err.to_string().contains(&squatters[0]), "{err}");
+    assert_eq!(live(), baseline);
+    for node in cluster.node_names() {
+        let names = cluster.engine(&node).unwrap().with_catalog(|c| c.names());
+        let leaked: Vec<&String> = names
+            .iter()
+            .filter(|n| n.starts_with("xdb_q") && !squatters.contains(n))
+            .collect();
+        assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
+    }
+    // The first query claimed nothing and deployed three fragments; the
+    // variant claimed two of them and failed on its own root view.
+    let events = telemetry.events.snapshot();
+    let torn_down: Vec<_> = events
+        .iter()
+        .filter(|e| e.level == xdb_obs::Level::Warn && e.message.contains("torn down"))
+        .collect();
+    assert_eq!(torn_down.len(), 1, "{torn_down:?}");
+    assert_eq!(torn_down[0].query, Some(qid + 2));
+    assert_eq!(
+        telemetry
+            .metrics
+            .value("xdb.queries", &[("status", "error")]),
+        1.0
+    );
+    let dropped_by_window = events
+        .iter()
+        .find(|e| e.message == "scheduling window closed")
+        .and_then(|e| e.fields.iter().find(|(k, _)| k == "dropped"))
+        .map(|(_, v)| v.parse::<f64>().unwrap())
+        .unwrap();
+    assert!(
+        telemetry.metrics.value("ddl.objects_dropped", &[]) > dropped_by_window,
+        "the failed query's drops were not counted"
+    );
+
+    for name in &squatters {
+        cluster
+            .execute(root_node.as_str(), &format!("DROP TABLE {name}"))
+            .unwrap();
+    }
+    let report = server.run(&subs).unwrap();
+    assert_eq!(report.outcomes.len(), 2);
+    assert!(report.fold_hits > 0, "the prefix was not shared");
+}

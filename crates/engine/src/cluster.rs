@@ -22,16 +22,11 @@ use xdb_obs::{ExecProfile, Telemetry};
 /// A set of named engines plus network fabric and transfer accounting.
 pub struct Cluster {
     engines: HashMap<String, Arc<Engine>>,
-    /// Per-node step locks for parallel delegation: a DBMS executes one
-    /// delegated *top-level* statement at a time (nested foreign-table
-    /// fetches triggered by that statement are not re-locked, so a thread
-    /// never holds more than one node lock and cannot deadlock).
-    step_locks: HashMap<String, Mutex<()>>,
     pub topology: Topology,
     pub ledger: Ledger,
-    /// Fleet telemetry shared by this cluster's engines, its ledger, and
-    /// any [`ScopedCluster`] scratch ledgers. Defaults to the
-    /// process-global handle so binaries can export without plumbing;
+    /// Fleet telemetry shared by this cluster's engines and its ledger.
+    /// Defaults to the process-global handle so binaries can export
+    /// without plumbing;
     /// tests that assert on absolute values attach an isolated handle via
     /// [`Cluster::set_telemetry`].
     telemetry: Arc<Telemetry>,
@@ -54,7 +49,6 @@ impl Cluster {
         let telemetry = Arc::clone(xdb_obs::telemetry::global());
         Cluster {
             engines: HashMap::new(),
-            step_locks: HashMap::new(),
             topology,
             ledger: Ledger::new().with_telemetry(Arc::clone(&telemetry)),
             telemetry,
@@ -98,21 +92,7 @@ impl Cluster {
         let engine = Arc::new(Engine::new(node, profile));
         engine.set_telemetry(Arc::clone(&self.telemetry));
         self.engines.insert(node.to_string(), Arc::clone(&engine));
-        self.step_locks.insert(node.to_string(), Mutex::new(()));
         engine
-    }
-
-    /// Serialize top-level delegated statements per node: runs `f` while
-    /// holding the node's step lock. Unknown nodes fall through unlocked
-    /// (they will error when the engine is looked up).
-    pub fn with_step_lock<T>(&self, node: &str, f: impl FnOnce() -> T) -> T {
-        match self.step_locks.get(node) {
-            Some(lock) => {
-                let _guard = lock.lock();
-                f()
-            }
-            None => f(),
-        }
     }
 
     pub fn engine(&self, node: &str) -> Result<&Arc<Engine>> {
@@ -157,7 +137,7 @@ impl Cluster {
     /// [`Cluster::fetch_stream_with`]: execute the producer-side scan and
     /// derive (or reuse) the edge's codec state. Everything past this
     /// point differs only in *how* the decoded rows reach the consumer.
-    fn produce_edge(&self, request: &FetchRequest<'_>, remote: &dyn Remote) -> Result<EdgeSource> {
+    fn produce_edge(&self, request: &FetchRequest<'_>) -> Result<EdgeSource> {
         if request.depth > MAX_FETCH_DEPTH {
             return Err(EngineError::Remote(
                 "maximum cross-engine recursion depth exceeded".into(),
@@ -168,7 +148,7 @@ impl Cluster {
             "SELECT * FROM {}",
             producer.profile.dialect.ident(request.relation)
         );
-        let outcome = producer.execute_sql_at(&sql, remote, request.depth)?;
+        let outcome = producer.execute_sql_at(&sql, self, request.depth)?;
         let relation = outcome
             .relation
             .ok_or_else(|| EngineError::Remote("fetch produced no relation".into()))?;
@@ -184,11 +164,12 @@ impl Cluster {
         // string dictionaries included — is a pure function of the
         // relation's content, so reuse it instead of re-deriving per edge.
         // The DDL generation in the key invalidates entries the moment the
-        // producer's catalog changes. The hit *count* is
-        // scheduling-dependent when the script executor runs on several
-        // threads (two can race to the first encode), so `net.codec.dict_reuse` lives in the
-        // quarantined `net.codec` metric namespace; the encoded bytes
-        // themselves are deterministic either way.
+        // producer's catalog changes. Clients submitting concurrently
+        // to one federation share (and clear) this cache, so the hit
+        // *count* depends on how they interleave and
+        // `net.codec.dict_reuse` lives in the quarantined `net.codec`
+        // metric namespace; the encoded bytes themselves are deterministic
+        // either way.
         let cache_key = (
             producer.node.as_str().to_string(),
             request.relation.to_string(),
@@ -222,7 +203,7 @@ impl Cluster {
     }
 
     /// Consumer half shared by both fetch flavors: record the transfer
-    /// into `ledger` and price it on the simulated clock. Call order
+    /// and price it on the simulated clock. Call order
     /// relative to the producer scan is identical in both flavors, so the
     /// ledger record sequence never depends on how the edge streamed.
     fn account_edge(
@@ -230,9 +211,8 @@ impl Cluster {
         request: &FetchRequest<'_>,
         src: &EdgeSource,
         stats: &wire::WireStats,
-        ledger: &Ledger,
     ) -> f64 {
-        ledger.record_wire(
+        self.ledger.record_wire(
             &src.producer.node,
             &request.consumer,
             src.bytes,
@@ -250,20 +230,15 @@ impl Cluster {
         )
     }
 
-    /// Shared fetch body: execute the producer-side scan, record the
-    /// transfer into `ledger`, and pass `remote` down so nested
-    /// foreign-table scans recurse through the same accounting context.
-    fn fetch_with(
-        &self,
-        request: FetchRequest<'_>,
-        remote: &dyn Remote,
-        ledger: &Ledger,
-    ) -> Result<FetchReply> {
-        let src = self.produce_edge(&request, remote)?;
+    /// Whole-edge fetch: execute the producer-side scan (nested
+    /// foreign-table scans recurse through this cluster), decode the edge
+    /// in one piece and record the transfer.
+    fn fetch_with(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
+        let src = self.produce_edge(&request)?;
         let stats = src.encoded.stats(src.chunk_rows);
         let columns = wire::decode_chunked(&src.encoded, src.chunk_rows);
         let relation = Relation::from_columns(src.fields.clone(), columns, src.nrows);
-        let transfer_ms = self.account_edge(&request, &src, &stats, ledger);
+        let transfer_ms = self.account_edge(&request, &src, &stats);
         Ok(FetchReply {
             relation,
             producer_finish_ms: src.producer_finish_ms,
@@ -282,11 +257,9 @@ impl Cluster {
     fn fetch_stream_with(
         &self,
         request: FetchRequest<'_>,
-        remote: &dyn Remote,
-        ledger: &Ledger,
         on_morsel: &mut MorselSink<'_>,
     ) -> Result<FetchStreamReply> {
-        let src = self.produce_edge(&request, remote)?;
+        let src = self.produce_edge(&request)?;
         let stats = src.encoded.stats(src.chunk_rows);
         let step = if src.chunk_rows == 0 {
             src.nrows
@@ -363,7 +336,7 @@ impl Cluster {
                 on_morsel(&Relation::from_columns(src.fields.clone(), cols, k))?;
             }
         }
-        let transfer_ms = self.account_edge(&request, &src, &stats, ledger);
+        let transfer_ms = self.account_edge(&request, &src, &stats);
         Ok(FetchStreamReply {
             fields: src.fields,
             nrows: src.nrows,
@@ -416,7 +389,7 @@ struct EdgeSource {
 
 impl Remote for Cluster {
     fn fetch(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
-        self.fetch_with(request, self, &self.ledger)
+        self.fetch_with(request)
     }
 
     fn fetch_stream(
@@ -424,56 +397,7 @@ impl Remote for Cluster {
         request: FetchRequest<'_>,
         on_morsel: &mut MorselSink<'_>,
     ) -> Result<FetchStreamReply> {
-        self.fetch_stream_with(request, self, &self.ledger, on_morsel)
-    }
-}
-
-/// A view of a [`Cluster`] that records transfers into a private scratch
-/// ledger instead of the shared one.
-///
-/// The script executor gives each task group its own `ScopedCluster`;
-/// after the graph drains the scratch ledgers are [`Ledger::absorb`]ed
-/// into the cluster ledger in script order, so the merged record sequence
-/// is that of running every step in script order, no matter how the
-/// groups interleaved in real time.
-pub struct ScopedCluster<'a> {
-    cluster: &'a Cluster,
-    /// Scratch ledger; transfers triggered by this scope land here.
-    pub ledger: Ledger,
-}
-
-impl<'a> ScopedCluster<'a> {
-    pub fn new(cluster: &'a Cluster) -> ScopedCluster<'a> {
-        ScopedCluster {
-            cluster,
-            // The scratch ledger shares the cluster's telemetry handle:
-            // counters bump at record time (never on absorb), so totals
-            // match a sequential run exactly.
-            ledger: Ledger::new().with_telemetry(Arc::clone(&cluster.telemetry)),
-        }
-    }
-
-    /// Execute one SQL statement on a node, recording any triggered
-    /// transfers into this scope's ledger.
-    pub fn execute(&self, node: &str, sql: &str) -> Result<StatementOutcome> {
-        self.cluster.engine(node)?.execute_sql_at(sql, self, 0)
-    }
-}
-
-impl Remote for ScopedCluster<'_> {
-    fn fetch(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
-        // Pass `self` down, not the cluster: nested fetches triggered by
-        // this scope's statements must also record into the scratch ledger.
-        self.cluster.fetch_with(request, self, &self.ledger)
-    }
-
-    fn fetch_stream(
-        &self,
-        request: FetchRequest<'_>,
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<FetchStreamReply> {
-        self.cluster
-            .fetch_stream_with(request, self, &self.ledger, on_morsel)
+        self.fetch_stream_with(request, on_morsel)
     }
 }
 

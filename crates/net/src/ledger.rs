@@ -70,9 +70,7 @@ pub struct Ledger {
     /// When attached, every kept record bumps the per-purpose
     /// `net.transfers` / `net.bytes` / `net.rows` counters. Counter adds
     /// are commutative, so totals are identical no matter how concurrent
-    /// recorders interleave; [`Ledger::absorb`] deliberately does *not*
-    /// re-count, so scratch ledgers that already carry the same telemetry
-    /// handle contribute exactly once.
+    /// recorders interleave.
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -150,17 +148,6 @@ impl Ledger {
             purpose,
             codec_bytes: stats.codec_bytes.clone(),
         });
-    }
-
-    /// Append every transfer of `other` to this ledger, preserving order.
-    ///
-    /// Used by the script executor: each task group records into a
-    /// private scratch ledger, and the groups are absorbed in script order
-    /// after the graph drains, so the merged ledger does not depend on how
-    /// many threads ran them.
-    pub fn absorb(&self, other: &Ledger) {
-        let mut records = other.inner.lock().clone();
-        self.inner.lock().append(&mut records);
     }
 
     /// Total bytes across all recorded transfers.
@@ -280,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_records_but_not_absorbs() {
+    fn telemetry_counts_kept_records_only() {
         let t = Telemetry::new_handle();
         let l = Ledger::new().with_telemetry(Arc::clone(&t));
         l.record(&"a".into(), &"b".into(), 100, 10, Purpose::Materialization);
@@ -288,14 +275,7 @@ mod tests {
         let labels = [("purpose", "materialization")];
         assert_eq!(t.metrics.value("net.transfers", &labels), 1.0);
         assert_eq!(t.metrics.value("net.bytes", &labels), 100.0);
-        // A scratch ledger sharing the handle counts at record time…
-        let scratch = Ledger::new().with_telemetry(Arc::clone(&t));
-        scratch.record(&"b".into(), &"c".into(), 50, 5, Purpose::Materialization);
-        assert_eq!(t.metrics.value("net.bytes", &labels), 150.0);
-        // …and absorbing it does not double-count.
-        l.absorb(&scratch);
-        assert_eq!(t.metrics.value("net.bytes", &labels), 150.0);
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.len(), 1);
     }
 
     #[test]
@@ -340,19 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_appends_in_order() {
+    fn since_reads_the_tail_from_a_mark() {
         let l = Ledger::new();
         l.record(&"a".into(), &"b".into(), 1, 1, Purpose::ControlMessage);
-        let scratch = Ledger::new();
-        scratch.record(&"b".into(), &"c".into(), 2, 1, Purpose::Materialization);
-        scratch.record(&"c".into(), &"d".into(), 3, 1, Purpose::InterDbmsPipeline);
-        l.absorb(&scratch);
-        let snap = l.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[1].bytes, 2);
-        assert_eq!(snap[2].bytes, 3);
-        // The source ledger is left untouched.
-        assert_eq!(scratch.len(), 2);
+        l.record(&"b".into(), &"c".into(), 2, 1, Purpose::Materialization);
+        l.record(&"c".into(), &"d".into(), 3, 1, Purpose::InterDbmsPipeline);
         // A tail read clones exactly the records from the mark on.
         let tail: Vec<u64> = l.since(1).iter().map(|t| t.bytes).collect();
         assert_eq!(tail, [2, 3]);

@@ -39,7 +39,7 @@ pub const EDGE_CHANNEL_CAPACITY: usize = 4;
 
 /// The host's available parallelism (1 when unknown), asked once per
 /// process: the standard library re-reads the scheduler affinity and the
-/// cgroup quota files on every call, and the executors ask per submit.
+/// cgroup quota files on every call, and every `XdbOptions::default()` asks.
 pub fn host_parallelism() -> usize {
     static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))

@@ -88,15 +88,11 @@ fn concurrent_submissions_share_one_federation() {
 
 #[test]
 fn submit_is_observationally_equivalent_to_a_hand_deployed_script() {
-    // What `submit` executes — on as many threads as the script's
-    // materializations and the host allow — must be indistinguishable from
-    // deploying the same script by hand, one statement after the other on
-    // this thread: identical result relations and identical data-movement
-    // ledgers, across queries with genuinely independent tasks (Q3/Q5/Q8),
-    // all three TPC-H table distributions, and both cost-chosen and
-    // all-materialized movements (the latter is what runs on threads).
-    // Simulated timings and traces are held to the same reference at
-    // forced thread counts in `crates/core/src/delegation.rs`.
+    // What `submit` executes must be indistinguishable from deploying the
+    // same script by hand, one statement after the other: identical result
+    // relations and identical data-movement ledgers, across queries with
+    // genuinely independent tasks (Q3/Q5/Q8), all three TPC-H table
+    // distributions, and both cost-chosen and all-materialized movements.
     let moved = |cluster: &Cluster| -> Vec<_> {
         cluster
             .ledger

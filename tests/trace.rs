@@ -1,8 +1,6 @@
 //! Trace invariants: span nesting, parenting and breakdown projection.
 //! Every span timestamp is derived from the simulated clock and spans are
-//! emitted single-threaded in script order; that the trace is the same on
-//! any number of executor threads is checked where the thread count can be
-//! forced, in `crates/core/src/delegation.rs`.
+//! emitted in script order.
 
 use std::sync::{Mutex, MutexGuard};
 use xdb::core::{GlobalCatalog, PhaseBreakdown, Xdb, XdbOptions};

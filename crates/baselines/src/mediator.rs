@@ -19,7 +19,6 @@ use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_net::{mediator_finish, params, wire, NodeId, Purpose};
-use xdb_obs::{QueryTrace, SpanKind, TraceCollector};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
@@ -101,10 +100,6 @@ pub struct MwReport {
     pub fetch_encoded_bytes: u64,
     pub fetch_rows: u64,
     pub subqueries: usize,
-    /// Coarse span timeline of the MW execution (sub-query pushes, fetches
-    /// into the mediator, residual work) for side-by-side comparison with
-    /// XDB traces.
-    pub trace: QueryTrace,
 }
 
 /// A mediator-wrapper federation frontend.
@@ -234,24 +229,8 @@ impl<'a> Mediator<'a> {
 
         // 1. Push the sub-queries down and fetch their results, one
         // wrapper call after the other in topological order.
-        let collector = TraceCollector::new();
-        let query_span = collector.span(
-            SpanKind::Query,
-            "mw query",
-            self.config.name,
-            None,
-            0.0,
-            0.0,
-        );
-        collector.attr(query_span, "sql", sql);
-        collector.attr(query_span, "mediator", self.config.node.as_str());
         let mut fetched = MapResolver::new();
         let mut fetches: Vec<(f64, f64)> = Vec::new();
-        // Per-fragment (task id, dbms, finish_ms, transfer_ms, bytes,
-        // encoded bytes, rows) kept aside for span emission once the
-        // totals are known.
-        #[allow(clippy::type_complexity)]
-        let mut fragment_stats: Vec<(usize, NodeId, f64, f64, u64, u64, u64)> = Vec::new();
         let mut fetch_bytes = 0u64;
         let mut fetch_encoded_bytes = 0u64;
         let mut fetch_rows = 0u64;
@@ -262,18 +241,8 @@ impl<'a> Mediator<'a> {
             }
             let task = plan.task(id);
             let (rel, finish_ms, transfer, encoded) = self.fetch(task)?;
-            let bytes = rel.wire_bytes();
             fetches.push((finish_ms, transfer));
-            fragment_stats.push((
-                id,
-                task.dbms.clone(),
-                finish_ms,
-                transfer,
-                bytes,
-                encoded,
-                rel.len() as u64,
-            ));
-            fetch_bytes += bytes;
+            fetch_bytes += rel.wire_bytes();
             fetch_encoded_bytes += encoded;
             fetch_rows += rel.len() as u64;
             subqueries += 1;
@@ -287,30 +256,6 @@ impl<'a> Mediator<'a> {
             let (rel, finish_ms, transfer, encoded) = self.fetch(root)?;
             let bytes = rel.wire_bytes();
             let total_ms = params::DDL_ROUNDTRIP_MS + finish_ms + transfer;
-            let task_span = collector.span(
-                SpanKind::Task,
-                format!("subquery t{}", plan.root),
-                root.dbms.as_str(),
-                Some(query_span),
-                params::DDL_ROUNDTRIP_MS,
-                finish_ms,
-            );
-            collector.attr(task_span, "rows", rel.len().to_string());
-            let wire = collector.span(
-                SpanKind::Transfer,
-                format!("{} -> {}", root.dbms, self.config.node),
-                "net",
-                Some(query_span),
-                params::DDL_ROUNDTRIP_MS + finish_ms,
-                transfer,
-            );
-            collector.attr(wire, "bytes", bytes.to_string());
-            collector.attr(wire, "encoded_bytes", encoded.to_string());
-            collector.set_dur(query_span, total_ms);
-            collector.add("fetch.bytes", bytes as f64);
-            collector.add("fetch.encoded_bytes", encoded as f64);
-            collector.add("fetch.rows", rel.len() as f64);
-            collector.add("subqueries", 1.0);
             self.note_submit(total_ms, bytes, encoded, 1);
             return Ok(MwReport {
                 total_ms,
@@ -321,7 +266,6 @@ impl<'a> Mediator<'a> {
                 fetch_rows: rel.len() as u64,
                 subqueries: 1,
                 relation: rel,
-                trace: collector.finish(),
             });
         }
 
@@ -361,56 +305,6 @@ impl<'a> Mediator<'a> {
         let free: Vec<(f64, f64)> = fetches.iter().map(|(f, _)| (*f, 0.0)).collect();
         let transfer_ms = total_ms - mediator_finish(startup, mediator_work_ms, &free);
 
-        // Coarse timeline: wrapper submissions first, then per-fragment
-        // sub-query + fetch lanes, then the mediator's residual work
-        // finishing at `total_ms`.
-        for (k, (id, dbms, finish_ms, transfer, bytes, encoded, rows)) in
-            fragment_stats.iter().enumerate()
-        {
-            let push = collector.span(
-                SpanKind::Ddl,
-                format!("push subquery t{id}"),
-                self.config.name,
-                Some(query_span),
-                k as f64 * params::DDL_ROUNDTRIP_MS,
-                params::DDL_ROUNDTRIP_MS,
-            );
-            collector.attr(push, "dbms", dbms.as_str());
-            let task_span = collector.span(
-                SpanKind::Task,
-                format!("subquery t{id}"),
-                dbms.as_str(),
-                Some(query_span),
-                submission_ms,
-                *finish_ms,
-            );
-            collector.attr(task_span, "rows", rows.to_string());
-            let wire = collector.span(
-                SpanKind::Transfer,
-                format!("{} -> {}", dbms, self.config.node),
-                "net",
-                Some(query_span),
-                submission_ms + finish_ms,
-                *transfer,
-            );
-            collector.attr(wire, "bytes", bytes.to_string());
-            collector.attr(wire, "encoded_bytes", encoded.to_string());
-            collector.attr(wire, "rows", rows.to_string());
-        }
-        let work_span = collector.span(
-            SpanKind::Exec,
-            "mediator residual",
-            self.config.name,
-            Some(query_span),
-            total_ms - mediator_work_ms,
-            mediator_work_ms,
-        );
-        collector.attr(work_span, "workers", self.config.workers.to_string());
-        collector.set_dur(query_span, total_ms);
-        collector.add("fetch.bytes", fetch_bytes as f64);
-        collector.add("fetch.encoded_bytes", fetch_encoded_bytes as f64);
-        collector.add("fetch.rows", fetch_rows as f64);
-        collector.add("subqueries", subqueries as f64);
         self.note_submit(total_ms, fetch_bytes, fetch_encoded_bytes, subqueries);
         Ok(MwReport {
             relation,
@@ -421,7 +315,6 @@ impl<'a> Mediator<'a> {
             fetch_encoded_bytes,
             fetch_rows,
             subqueries,
-            trace: collector.finish(),
         })
     }
 }

@@ -14,7 +14,6 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{wire, Movement, NodeId, Purpose};
-use xdb_obs::{QueryTrace, SpanKind, TraceCollector};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
@@ -35,9 +34,6 @@ pub struct ScleraReport {
     /// — the size the simulated transfers actually paid for.
     pub moved_encoded_bytes: u64,
     pub tasks: usize,
-    /// Coarse span timeline of the serial export/import/execute loop for
-    /// side-by-side comparison with XDB traces.
-    pub trace: QueryTrace,
 }
 
 /// The Sclera-like frontend.
@@ -100,10 +96,6 @@ impl<'a> Sclera<'a> {
         // Strictly serial task execution; every inter-task relation takes
         // two hops (producer → mediator → consumer) and is materialized at
         // the consumer.
-        let collector = TraceCollector::new();
-        let query_span = collector.span(SpanKind::Query, "sclera query", "sclera", None, 0.0, 0.0);
-        collector.attr(query_span, "sql", sql);
-        collector.attr(query_span, "mediator", self.mediator.as_str());
         let mut outputs: HashMap<usize, Relation> = HashMap::new();
         let mut total_ms = 0.0f64;
         let mut transfer_ms = 0.0f64;
@@ -162,27 +154,6 @@ impl<'a> Sclera<'a> {
                 let import = rel.len() as f64 * engine.profile.write_cost_ms;
                 // Two serial hops through the mediator, then the
                 // client-driven re-import at the consumer.
-                let wire = collector.span(
-                    SpanKind::Transfer,
-                    format!("{} -> {} -> {}", producer, self.mediator, task.dbms),
-                    "net",
-                    Some(query_span),
-                    total_ms,
-                    hop1 + hop2,
-                );
-                collector.attr(wire, "bytes", (bytes * 2).to_string());
-                collector.attr(wire, "encoded_bytes", (stats.encoded_bytes * 2).to_string());
-                collector.attr(wire, "rows", rel.len().to_string());
-                collector.attr(wire, "movement", "explicit");
-                let mat = collector.span(
-                    SpanKind::Exec,
-                    format!("import t{}", edge.from),
-                    task.dbms.as_str(),
-                    Some(query_span),
-                    total_ms + hop1 + hop2,
-                    import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS,
-                );
-                collector.attr(mat, "rows", rel.len().to_string());
                 transfer_ms += hop1 + hop2;
                 // Export + import are separate client-driven statements.
                 total_ms += hop1 + hop2 + import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS;
@@ -197,15 +168,6 @@ impl<'a> Sclera<'a> {
             let stmt = plan_to_select(&task.plan)?;
             let task_sql = render_select_string(&stmt, engine.profile.dialect);
             let (rel, report) = self.cluster.query(task.dbms.as_str(), &task_sql)?;
-            let task_span = collector.span(
-                SpanKind::Task,
-                format!("task t{id}"),
-                task.dbms.as_str(),
-                Some(query_span),
-                total_ms + xdb_net::params::DDL_ROUNDTRIP_MS,
-                report.finish_ms,
-            );
-            collector.attr(task_span, "rows", rel.len().to_string());
             total_ms += report.finish_ms + xdb_net::params::DDL_ROUNDTRIP_MS;
             if id == plan.root {
                 result = Some(rel);
@@ -219,10 +181,6 @@ impl<'a> Sclera<'a> {
                 .cluster
                 .execute(node.as_str(), &format!("DROP TABLE IF EXISTS {name}"));
         }
-        collector.set_dur(query_span, total_ms);
-        collector.add("moved.bytes", moved_bytes as f64);
-        collector.add("moved.encoded_bytes", moved_encoded_bytes as f64);
-        collector.add("tasks", plan.tasks.len() as f64);
         // Coarse fleet telemetry (serial executor: deterministic by
         // construction).
         let telemetry = self.cluster.telemetry();
@@ -254,7 +212,6 @@ impl<'a> Sclera<'a> {
             moved_bytes,
             moved_encoded_bytes,
             tasks: plan.tasks.len(),
-            trace: collector.finish(),
         })
     }
 }

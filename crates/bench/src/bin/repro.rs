@@ -50,14 +50,12 @@
 //!                                # with predicted + measured deltas
 //! repro --profiles dir/ fig9     # seed the learned cost profiles of any
 //!                                # target from dir/history.jsonl
-//!                                # (XDB_PROFILE_DIR works too;
-//!                                # XDB_STATIC_COSTS=1 disables learned
+//!                                # (XDB_STATIC_COSTS=1 disables learned
 //!                                # pricing entirely)
 //! repro --history dir/ profile   # record query history (JSON lines) to
-//!                                # dir/history.jsonl (XDB_HISTORY_DIR
-//!                                # works for any target)
+//!                                # dir/history.jsonl (works for any
+//!                                # target)
 //! repro --log-level warn fig9    # event-log record-time filter
-//!                                # (XDB_LOG_LEVEL)
 //! ```
 
 use std::io::Write;
@@ -163,9 +161,8 @@ fn main() {
         }
     }
     // Record-time event filter: events below the level are never retained
-    // (they are dropped in `EventLog::log`, not at export). The CLI flag
-    // wins over `XDB_LOG_LEVEL`.
-    if let Some(s) = log_level.or_else(|| std::env::var("XDB_LOG_LEVEL").ok()) {
+    // (they are dropped in `EventLog::log`, not at export).
+    if let Some(s) = log_level {
         match xdb_obs::Level::parse(&s) {
             Some(level) => xdb_obs::telemetry::global().events.set_min_level(level),
             None => {
@@ -176,7 +173,7 @@ fn main() {
     }
     // Query-history store: every submission appends one JSON-lines record
     // to <dir>/history.jsonl.
-    if let Some(dir) = history_dir.or_else(|| std::env::var("XDB_HISTORY_DIR").ok()) {
+    if let Some(dir) = history_dir {
         if let Err(e) = xdb_obs::telemetry::global().history.enable_dir(&dir) {
             eprintln!("repro: cannot open history dir {dir}: {e}");
             std::process::exit(2);

@@ -380,11 +380,7 @@ mod tests {
 
     /// (query ids, per-admission observables, deterministic snapshot,
     /// makespan) for one admission run over `subs`.
-    fn admit(
-        subs: &[Submission],
-        window: usize,
-        threads: Option<usize>,
-    ) -> (Vec<u64>, Vec<String>, String, f64) {
+    fn admit(subs: &[Submission], window: usize) -> (Vec<u64>, Vec<String>, String, f64) {
         let mut e = env(
             TableDist::Td1,
             TEST_SF,
@@ -405,11 +401,7 @@ mod tests {
             },
         )
         .with_client_node(CLOUD);
-        let report = match threads {
-            Some(k) => server.run_concurrent(subs, k),
-            None => server.run(subs),
-        }
-        .unwrap();
+        let report = server.run(subs).unwrap();
         let ids = report.outcomes.iter().map(|o| o.query_id).collect();
         let fps = report
             .outcomes
@@ -421,30 +413,30 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_admission_is_deterministic_at_1_8_64_tenants() {
-        // Satellite of ISSUE 6: the interleaved TD1 mix must produce a
-        // bit-identical deterministic_snapshot() whether the submissions
-        // arrive concurrently or sequentially, at 1, 8, and 64 tenants.
-        // Query-id decimal widths leak into control-message byte counts,
-        // so retry until both runs drew same-width ids.
+    fn admission_repeats_bit_identically_at_1_8_64_tenants() {
+        // Admission is serial, so the interleaved TD1 mix admitted on two
+        // fresh federations must produce the same fingerprints, the same
+        // deterministic_snapshot() and the same makespan, at 1, 8, and 64
+        // tenants. Query-id decimal widths leak into control-message byte
+        // counts, so retry until both runs drew same-width ids.
         for &n in &[1usize, 8, 64] {
             let subs = submissions(n, 1);
             let mut done = false;
             for _ in 0..12 {
-                let seq = admit(&subs, n, None);
-                let conc = admit(&subs, n, Some(4));
-                let mut ids = seq.0.clone();
-                ids.extend(&conc.0);
+                let first = admit(&subs, n);
+                let again = admit(&subs, n);
+                let mut ids = first.0.clone();
+                ids.extend(&again.0);
                 if !same_width(&ids) {
                     continue;
                 }
-                assert_eq!(seq.1, conc.1, "observables diverged at {n} tenants");
+                assert_eq!(first.1, again.1, "observables diverged at {n} tenants");
                 assert_eq!(
-                    normalize_ids(&seq.2),
-                    normalize_ids(&conc.2),
+                    normalize_ids(&first.2),
+                    normalize_ids(&again.2),
                     "snapshots diverged at {n} tenants"
                 );
-                assert_eq!(seq.3, conc.3, "makespans diverged at {n} tenants");
+                assert_eq!(first.3, again.3, "makespans diverged at {n} tenants");
                 done = true;
                 break;
             }

@@ -23,7 +23,7 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::ExecReport;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
-use xdb_net::{params, wire, NodeId, Purpose};
+use xdb_net::{params, wire, NodeId, Purpose, Transfer};
 use xdb_obs::history::EdgeObs;
 use xdb_obs::{
     critical_path, CriticalPath, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector,
@@ -156,8 +156,7 @@ pub struct XdbOptions {
     pub reactor_threads: usize,
     /// Slow-query threshold in simulated ms: a query whose total time
     /// exceeds it gets a `Warn` event carrying its critical-path
-    /// attribution. `None` disables the slow-query log. Defaults from
-    /// `XDB_SLOW_QUERY_MS`.
+    /// attribution. `None` (the default) disables the slow-query log.
     pub slow_query_ms: Option<f64>,
     /// Price placement/movement candidates through the catalog's learned
     /// cost profiles and feed each executed query's cost observation back
@@ -167,9 +166,8 @@ pub struct XdbOptions {
     /// build.
     pub learned_costs: bool,
     /// Keep pricing through the learned profiles but stop absorbing new
-    /// observations. Used wherever absorption order would otherwise be
-    /// scheduling-dependent (concurrent session admission) and by the
-    /// fixed-profile arms of `repro replay`.
+    /// observations. Used by the session layer (its gated series were
+    /// recorded that way) and by the fixed-profile arms of `repro replay`.
     pub freeze_profiles: bool,
 }
 
@@ -177,12 +175,6 @@ pub struct XdbOptions {
 /// non-empty value other than `0` disables learned pricing.
 pub fn default_learned_costs() -> bool {
     !matches!(std::env::var("XDB_STATIC_COSTS"), Ok(v) if !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// The `XDB_SLOW_QUERY_MS` default for [`XdbOptions::slow_query_ms`]
-/// (unset → disabled).
-pub fn default_slow_query_ms() -> Option<f64> {
-    xdb_net::env_number("XDB_SLOW_QUERY_MS")
 }
 
 impl Default for XdbOptions {
@@ -196,7 +188,7 @@ impl Default for XdbOptions {
             trace_operators: false,
             stream_chunk_rows: xdb_engine::default_stream_chunk_rows(),
             reactor_threads: xdb_net::reactor::default_threads(),
-            slow_query_ms: default_slow_query_ms(),
+            slow_query_ms: None,
             learned_costs: default_learned_costs(),
             freeze_profiles: false,
         }
@@ -644,8 +636,10 @@ impl<'a> Xdb<'a> {
         if !self.options.keep_objects {
             run_cleanup(self.cluster, &script);
         }
-        let (trace, breakdown) =
-            self.finish_trace(trace, exec_span, ledger_mark, outcome.exec_ms, true);
+        // Everything this query recorded, read once for the transfer
+        // spans, the observatory and the history record.
+        let fresh = self.cluster.ledger.since(ledger_mark);
+        let (trace, breakdown) = self.finish_trace(trace, exec_span, &fresh, outcome.exec_ms, true);
         // Cost-model observatory: join the predicted placement decisions
         // against the ledger records this query appended and its statement
         // work. Reads only final state, so it cannot perturb any
@@ -654,7 +648,7 @@ impl<'a> Xdb<'a> {
         let cost = crate::observatory::build_cost_observation(
             self.cluster,
             &decisions,
-            &self.cluster.ledger.since(ledger_mark),
+            &fresh,
             &statements,
         );
         // Feedback: fold this query's observation into the catalog's
@@ -691,8 +685,8 @@ impl<'a> Xdb<'a> {
                     &breakdown,
                     crit.as_ref(),
                     query_id,
-                    ledger_mark,
-                    &trace,
+                    &fresh,
+                    &statements,
                     &cost,
                 );
                 telemetry.history.append(record);
@@ -755,8 +749,8 @@ impl<'a> Xdb<'a> {
 
     /// Assemble the [`HistoryRecord`] of one finished submission: plan
     /// fingerprint, phase timings, critical-path attribution, per-edge
-    /// wire observations (from the ledger records this query appended),
-    /// and per-engine statement work (from the trace counters).
+    /// wire observations (from `fresh`, the ledger records this query
+    /// appended), and per-engine statement work.
     #[allow(clippy::too_many_arguments)]
     fn history_record(
         &self,
@@ -765,15 +759,12 @@ impl<'a> Xdb<'a> {
         breakdown: &PhaseBreakdown,
         crit: Option<&CriticalPath>,
         query_id: u64,
-        ledger_mark: usize,
-        trace: &QueryTrace,
+        fresh: &[Transfer],
+        statements: &[(String, f64)],
         cost: &xdb_obs::CostObservation,
     ) -> HistoryRecord {
         let telemetry = self.cluster.telemetry();
-        let edges = self
-            .cluster
-            .ledger
-            .since(ledger_mark)
+        let edges = fresh
             .iter()
             .map(|t| EdgeObs {
                 from: t.from.as_str().to_string(),
@@ -789,7 +780,6 @@ impl<'a> Xdb<'a> {
                     .collect(),
             })
             .collect();
-        let statements = statements_from_trace(trace);
         let critical = crit
             .map(|c| {
                 c.attribution
@@ -823,7 +813,7 @@ impl<'a> Xdb<'a> {
             crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
             critical,
             edges,
-            statements,
+            statements: statements.to_vec(),
             cost: cost.clone(),
             learned_costs: self.options.learned_costs,
         }
@@ -846,14 +836,15 @@ impl<'a> Xdb<'a> {
 
     /// The one trace tail of a query that ran (or was answered from a
     /// session's result cache): close the exec and query spans at
-    /// `exec_ms`, emit the transfer spans, and project the breakdown out of
-    /// the finished trace. `executed` publishes the completion metrics; a
+    /// `exec_ms`, emit one transfer span per record of `fresh` (what the
+    /// query appended to the ledger), and project the breakdown out of the
+    /// finished trace. `executed` publishes the completion metrics; a
     /// full fold executed nothing and publishes none.
     pub(crate) fn finish_trace(
         &self,
         trace: PlanTrace,
         exec_span: SpanId,
-        ledger_mark: usize,
+        fresh: &[Transfer],
         exec_ms: f64,
         executed: bool,
     ) -> (QueryTrace, PhaseBreakdown) {
@@ -864,7 +855,7 @@ impl<'a> Xdb<'a> {
         } = trace;
         collector.set_dur(exec_span, exec_ms);
         collector.set_dur(query_span, overhead_ms + exec_ms);
-        self.emit_transfer_spans(&collector, exec_span, ledger_mark, overhead_ms, exec_ms);
+        self.emit_transfer_spans(&collector, exec_span, fresh, overhead_ms, exec_ms);
         let trace = collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         if executed {
@@ -877,19 +868,18 @@ impl<'a> Xdb<'a> {
     }
 
     /// One Transfer span (lane `net`) per ledger record this query
-    /// appended, in ledger order. Each record gets an equal slot of the exec
-    /// window; the span sequence visualises *what moved and in which
+    /// appended (`fresh`), in ledger order. Each record gets an equal slot
+    /// of the exec window; the span sequence visualises *what moved and in which
     /// order*, not independent wire timings (those live on the Materialize
     /// / pipeline spans).
     fn emit_transfer_spans(
         &self,
         collector: &TraceCollector,
         exec_span: SpanId,
-        ledger_mark: usize,
+        fresh: &[Transfer],
         exec_start_ms: f64,
         exec_ms: f64,
     ) {
-        let fresh = self.cluster.ledger.since(ledger_mark);
         if fresh.is_empty() {
             return;
         }

@@ -161,8 +161,8 @@ impl CostComponents {
 }
 
 /// One fully-costed `(a, x_l, x_r)` option considered by
-/// [`decide_placement`] — kept for observability: the trace records what
-/// the optimizer weighed, not just what it chose.
+/// [`decide_placement_with_profiles`] — kept for observability: the trace
+/// records what the optimizer weighed, not just what it chose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateCost {
     pub dbms: NodeId,
@@ -176,61 +176,20 @@ pub struct CandidateCost {
     pub components: CostComponents,
 }
 
-/// Solve Equation 1 for one cross-database binary operator.
+/// Solve Equation 1 for one cross-database binary operator: the chosen
+/// placement and every costed option in evaluation order, for
+/// trace/EXPLAIN output.
 ///
 /// `candidates` is the annotation search space: the two input annotations
 /// under the paper's pruning, or every DBMS when pruning is disabled.
 /// `profiles` resolves a node to its engine profile (the "consulting"
 /// interface); every `(a, x_l, x_r)` option evaluated counts as one
 /// consulting round-trip.
-pub fn decide_placement(
-    topology: &Topology,
-    profiles: &dyn Fn(&NodeId) -> EngineProfile,
-    left: &InputSide,
-    right: &InputSide,
-    out_rows: f64,
-    candidates: &[NodeId],
-    force_movement: Option<Movement>,
-) -> Placement {
-    decide_placement_detailed(
-        topology,
-        profiles,
-        left,
-        right,
-        out_rows,
-        candidates,
-        force_movement,
-    )
-    .0
-}
-
-/// Like [`decide_placement`], but also returns every costed option in
-/// evaluation order, for trace/EXPLAIN output.
-pub fn decide_placement_detailed(
-    topology: &Topology,
-    profiles: &dyn Fn(&NodeId) -> EngineProfile,
-    left: &InputSide,
-    right: &InputSide,
-    out_rows: f64,
-    candidates: &[NodeId],
-    force_movement: Option<Movement>,
-) -> (Placement, Vec<CandidateCost>) {
-    decide_placement_with_profiles(
-        topology,
-        profiles,
-        left,
-        right,
-        out_rows,
-        candidates,
-        force_movement,
-        None,
-    )
-}
-
-/// [`decide_placement_detailed`] with every candidate re-priced through
-/// learned cost profiles. With `learned = None` (or an empty/irrelevant
-/// store) every arithmetic operation is identical to the static path —
-/// the bit-exact contract behind the `XDB_STATIC_COSTS=1` kill switch.
+///
+/// Every candidate is re-priced through the `learned` cost profiles. With
+/// `learned = None` (or an empty/irrelevant store) every arithmetic
+/// operation is identical to the static path — the bit-exact contract
+/// behind the `XDB_STATIC_COSTS=1` kill switch.
 ///
 /// Learned re-pricing per candidate `a`:
 /// - movement terms via [`movement_cost_split`] (encoded-byte
@@ -240,7 +199,7 @@ pub fn decide_placement_detailed(
 ///
 /// The `CostComponents` breakdown stores the *scaled* values, so the
 /// `total() == cost` invariant holds bit-exactly in both modes.
-#[allow(clippy::too_many_arguments)] // mirrors decide_placement_detailed + profile store
+#[allow(clippy::too_many_arguments)]
 pub fn decide_placement_with_profiles(
     topology: &Topology,
     profiles: &dyn Fn(&NodeId) -> EngineProfile,
@@ -369,6 +328,28 @@ mod tests {
         }
     }
 
+    /// The static arm: no learned profiles.
+    fn decide_static(
+        topology: &Topology,
+        profiles: &dyn Fn(&NodeId) -> EngineProfile,
+        left: &InputSide,
+        right: &InputSide,
+        out_rows: f64,
+        candidates: &[NodeId],
+        force_movement: Option<Movement>,
+    ) -> (Placement, Vec<CandidateCost>) {
+        decide_placement_with_profiles(
+            topology,
+            profiles,
+            left,
+            right,
+            out_rows,
+            candidates,
+            force_movement,
+            None,
+        )
+    }
+
     #[test]
     fn local_input_costs_nothing_to_move() {
         let (topo, p) = setup();
@@ -425,7 +406,7 @@ mod tests {
         let _ = pg;
         let small = side("db1", 1_000.0);
         let big = side("db2", 1_000_000.0);
-        let placement = decide_placement(
+        let placement = decide_static(
             &topo,
             &profiles,
             &small,
@@ -433,7 +414,8 @@ mod tests {
             1_000_000.0,
             &[small.dbms.clone(), big.dbms.clone()],
             None,
-        );
+        )
+        .0;
         // Moving the small side to db2 is cheaper than moving the big one.
         assert_eq!(placement.dbms.as_str(), "db2");
         assert_eq!(placement.right_move, Movement::Implicit); // local side
@@ -450,7 +432,7 @@ mod tests {
         let profiles = |_: &NodeId| EngineProfile::postgres();
         let moved = side("db1", 10_000.0);
         let kept = side("db2", 10_000_000.0);
-        let placement = decide_placement(
+        let placement = decide_static(
             &topo,
             &profiles,
             &moved,
@@ -458,7 +440,8 @@ mod tests {
             10_000_000.0,
             &[moved.dbms.clone(), kept.dbms.clone()],
             None,
-        );
+        )
+        .0;
         assert_eq!(placement.dbms.as_str(), "db2");
         assert_eq!(
             placement.left_move,
@@ -473,7 +456,7 @@ mod tests {
         let profiles = |_: &NodeId| EngineProfile::postgres();
         let l = side("db1", 10_000.0);
         let r = side("db2", 10_000_000.0);
-        let forced = decide_placement(
+        let forced = decide_static(
             &topo,
             &profiles,
             &l,
@@ -481,7 +464,8 @@ mod tests {
             1e7,
             &[l.dbms.clone(), r.dbms.clone()],
             Some(Movement::Implicit),
-        );
+        )
+        .0;
         assert_eq!(forced.left_move, Movement::Implicit);
         assert_eq!(forced.right_move, Movement::Implicit);
     }
@@ -492,7 +476,7 @@ mod tests {
         let profiles = |_: &NodeId| EngineProfile::postgres();
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
-        let (_, costed) = decide_placement_detailed(
+        let (_, costed) = decide_static(
             &topo,
             &profiles,
             &l,
@@ -527,8 +511,7 @@ mod tests {
         let r = side("db2", 200_000.0);
         let cands = [l.dbms.clone(), r.dbms.clone()];
         let empty = CostProfiles::default();
-        let (p_static, c_static) =
-            decide_placement_detailed(&topo, &profiles, &l, &r, 2e5, &cands, None);
+        let (p_static, c_static) = decide_static(&topo, &profiles, &l, &r, 2e5, &cands, None);
         let (p_learned, c_learned) = decide_placement_with_profiles(
             &topo,
             &profiles,
@@ -618,8 +601,7 @@ mod tests {
         let l = side("db1", 90_000.0);
         let r = side("db2", 100_000.0);
         let cands = [l.dbms.clone(), r.dbms.clone()];
-        let (static_placement, _) =
-            decide_placement_detailed(&topo, &profiles, &l, &r, 1e5, &cands, None);
+        let (static_placement, _) = decide_static(&topo, &profiles, &l, &r, 1e5, &cands, None);
         assert_eq!(static_placement.dbms.as_str(), "db2");
         // Learned: db1→db2 traffic barely compresses while db2→db1
         // compresses 10x (e.g. dictionary-coded strings), so moving the
@@ -660,7 +642,7 @@ mod tests {
         for _ in 0..1000 {
             learned.observe_compute("db2", 1.8);
         }
-        let (_, c_static) = decide_placement_detailed(&topo, &profiles, &l, &r, 2e5, &cands, None);
+        let (_, c_static) = decide_static(&topo, &profiles, &l, &r, 2e5, &cands, None);
         let (_, c_learned) = decide_placement_with_profiles(
             &topo,
             &profiles,
@@ -695,7 +677,7 @@ mod tests {
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
         let all = [NodeId::new("db1"), NodeId::new("db2"), NodeId::new("db3")];
-        let placement = decide_placement(&topo, &profiles, &l, &r, 200_000.0, &all, None);
+        let placement = decide_static(&topo, &profiles, &l, &r, 200_000.0, &all, None).0;
         assert_ne!(placement.dbms.as_str(), "db3");
     }
 }

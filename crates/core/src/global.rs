@@ -48,7 +48,7 @@ pub struct GlobalCatalog {
     /// and network metrics of the same federation.
     telemetry: Arc<Telemetry>,
     /// Learned cost profiles (feedback from the cost-model observatory),
-    /// seeded from `XDB_PROFILE_DIR` / `repro --profiles` and grown by
+    /// seeded by `set_seed_profiles` (`repro --profiles`) and grown by
     /// [`GlobalCatalog::absorb_cost_observation`] after each query. An
     /// annotation run prices against a shared snapshot; an absorb mutates
     /// in place unless a snapshot is still out (`Arc::make_mut`).
@@ -193,10 +193,6 @@ impl GlobalCatalog {
     /// Number of metadata fetches so far.
     pub fn metadata_fetches(&self) -> u64 {
         *self.metadata_fetches.read()
-    }
-
-    pub fn reset_metadata_counter(&self) {
-        *self.metadata_fetches.write() = 0;
     }
 
     /// Copy of the current learned cost profiles.

@@ -36,13 +36,11 @@
 //!
 //! Persistence is schema-versioned JSON (`profiles.json`); history
 //! directories (`history.jsonl`) are also accepted as a profile source via
-//! [`CostProfiles::from_history_dir`] / `XDB_PROFILE_DIR` /
-//! `repro --profiles dir/`.
+//! [`CostProfiles::from_history_dir`] / `repro --profiles dir/`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::OnceLock;
 use xdb_net::{edge_pair, edge_shape, Movement};
 use xdb_obs::costmodel::CostObservation;
 use xdb_obs::history::{load_history_dir, HistoryRecord};
@@ -294,8 +292,8 @@ impl CostProfiles {
         p
     }
 
-    /// Build a store from `<dir>/history.jsonl` (the `repro --history` /
-    /// `XDB_HISTORY_DIR` output format).
+    /// Build a store from `<dir>/history.jsonl` (the `repro --history`
+    /// output format).
     pub fn from_history_dir(dir: impl AsRef<Path>) -> Result<CostProfiles, String> {
         Ok(Self::from_history(&load_history_dir(dir)?))
     }
@@ -402,41 +400,22 @@ impl CostProfiles {
     }
 }
 
-/// Process-wide seed override (takes precedence over `XDB_PROFILE_DIR`),
-/// set by `repro --profiles dir/` before any catalog is built.
-static SEED_OVERRIDE: parking_lot::Mutex<Option<CostProfiles>> = parking_lot::Mutex::new(None);
-
-/// Lazily-loaded `XDB_PROFILE_DIR` seed (read once per process).
-static ENV_SEED: OnceLock<Option<CostProfiles>> = OnceLock::new();
+/// Process-wide profile seed, set by `repro --profiles dir/` before any
+/// catalog is built.
+static SEED: parking_lot::Mutex<Option<CostProfiles>> = parking_lot::Mutex::new(None);
 
 /// Install a process-wide profile seed: every [`crate::GlobalCatalog`]
 /// built afterwards starts from a clone of `profiles` (pass `None` to
 /// clear). This is how `repro --profiles dir/` threads a history-derived
 /// store into experiment harnesses that build their own catalogs.
 pub fn set_seed_profiles(profiles: Option<CostProfiles>) {
-    *SEED_OVERRIDE.lock() = profiles;
+    *SEED.lock() = profiles;
 }
 
-/// The seed a fresh catalog starts from: the explicit override if set,
-/// else `XDB_PROFILE_DIR` (loaded once; a load failure warns and seeds
-/// empty), else the empty store.
+/// The seed a fresh catalog starts from: what [`set_seed_profiles`]
+/// installed, else the empty store.
 pub(crate) fn seed_profiles() -> CostProfiles {
-    if let Some(p) = SEED_OVERRIDE.lock().clone() {
-        return p;
-    }
-    ENV_SEED
-        .get_or_init(|| {
-            let dir = std::env::var_os("XDB_PROFILE_DIR")?;
-            match CostProfiles::from_history_dir(&dir) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("profiles: cannot load XDB_PROFILE_DIR: {e}");
-                    None
-                }
-            }
-        })
-        .clone()
-        .unwrap_or_default()
+    SEED.lock().clone().unwrap_or_default()
 }
 
 #[cfg(test)]

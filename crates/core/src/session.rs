@@ -17,22 +17,21 @@
 //! 3. queries sharing a strict sub-DAG prefix skip the DDLs of the shared
 //!    fragments — their foreign tables point at the live shared views
 //!    (*partial fold*) — and only deploy + execute what is new;
-//! 4. shared fragments are deployed exactly once, reference-counted while
-//!    waiters drain, and dropped at window close in reverse creation
-//!    order, so every engine's `ddl.objects_live` gauge returns to its
-//!    pre-window baseline.
+//! 4. shared fragments are deployed exactly once, live until their window
+//!    closes and are dropped there in reverse creation order, so every
+//!    engine's `ddl.objects_live` gauge returns to its pre-window
+//!    baseline.
 //!
-//! **Determinism contract.** Admission processes the queue strictly in
-//! submission order, so a concurrent front door ([`QueryServer::run_concurrent`])
-//! produces results, ledgers, traces and deterministic metric snapshots
-//! bit-identical to sequential admission of the same list — at any
-//! stream chunk size. Folding itself changes
-//! the *physical* ledger by design (a shared edge is charged once); each
-//! tenant's observable outcome — its result relation, its as-if-alone
-//! [`PhaseBreakdown`], and its *attributed* ledger view (shared records
-//! attributed to every waiter) — is bit-identical to running the same
-//! query unfolded, modulo the width of process-global query ids that leak
-//! into control-message byte counts.
+//! **Determinism contract.** Admission is serial: [`QueryServer::run`]
+//! processes the queue strictly in submission order on the calling thread,
+//! so two runs of the same list produce bit-identical results, ledgers,
+//! traces and deterministic metric snapshots — at any stream chunk size.
+//! Folding itself changes the *physical* ledger by design (a shared edge
+//! is charged once); each tenant's observable outcome — its result
+//! relation, its as-if-alone [`PhaseBreakdown`], and its *attributed*
+//! ledger view (shared records attributed to every waiter) — is
+//! bit-identical to running the same query unfolded, modulo the width of
+//! process-global query ids that leak into control-message byte counts.
 //!
 //! **Tenant awareness.** Every outcome carries the tenant and a fresh
 //! query id; traces get a `tenant` attribute on the query span (and a
@@ -48,7 +47,6 @@ use crate::client::{
 use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::ExecReport;
@@ -192,9 +190,6 @@ struct Fragment {
     /// partially folded query still reports its exact as-if-alone
     /// breakdown and trace.
     reports: Vec<ExecReport>,
-    /// Waiters currently claiming this fragment; must drain to zero before
-    /// window close drops the backing objects.
-    refs: u64,
 }
 
 /// Window result cache entry, keyed by the root fragment key.
@@ -261,9 +256,9 @@ impl<'a> QueryServer<'a> {
         options: SessionOptions,
     ) -> QueryServer<'a> {
         let mut xdb_options = options.xdb.clone();
-        // Concurrent admission would absorb cost observations in
-        // scheduling order; freeze the profiles so tenant plans — and the
-        // gated latency series derived from them — stay deterministic.
+        // The gated `tenants/*` series were recorded with frozen profiles:
+        // tenant plans price through what the catalog has learned but do
+        // not feed it.
         xdb_options.freeze_profiles = true;
         let xdb = Xdb::new(cluster, catalog).with_options(xdb_options);
         QueryServer { xdb, options }
@@ -296,38 +291,6 @@ impl<'a> QueryServer<'a> {
             .metrics
             .counter_add("session.windows", &[], report.windows as f64);
         Ok(report)
-    }
-
-    /// The concurrent front door: `threads` tenant clients push their
-    /// submissions into a shared admission queue in whatever real-time
-    /// interleaving the scheduler produces; admission then orders the
-    /// queue by the client-assigned submission index before processing.
-    /// The downstream schedule — and with it every result, ledger, trace
-    /// and deterministic snapshot — is therefore bit-identical to
-    /// [`QueryServer::run`] on the same list.
-    pub fn run_concurrent(
-        &self,
-        submissions: &[Submission],
-        threads: usize,
-    ) -> Result<SessionReport> {
-        let threads = threads.max(1);
-        let queue: Mutex<Vec<(usize, Submission)>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let queue = &queue;
-                s.spawn(move || {
-                    for (i, sub) in submissions.iter().enumerate() {
-                        if i % threads == t {
-                            queue.lock().push((i, sub.clone()));
-                        }
-                    }
-                });
-            }
-        });
-        let mut admitted = queue.into_inner();
-        admitted.sort_by_key(|(i, _)| *i);
-        let ordered: Vec<Submission> = admitted.into_iter().map(|(_, sub)| sub).collect();
-        self.run(&ordered)
     }
 
     /// Process one scheduling window. On error the window's shared
@@ -394,14 +357,10 @@ impl<'a> QueryServer<'a> {
                 attributed: a.attributed,
             });
         }
-        // Window close: all waiters have drained, so every fragment's
-        // refcount is back to zero; drop shared objects in reverse
-        // creation order (mirroring run_cleanup's reverse-dependency
-        // discipline across queries).
-        debug_assert!(
-            w.fragments.values().all(|f| f.refs == 0),
-            "window closed with live fragment references"
-        );
+        // Window close: admission is serial, so nothing reads a fragment
+        // any more; drop shared objects in reverse creation order
+        // (mirroring run_cleanup's reverse-dependency discipline across
+        // queries).
         let mut dropped = 0usize;
         for cleanup in w.cleanup.iter().rev() {
             for (node, sql) in cleanup {
@@ -511,25 +470,22 @@ impl<'a> QueryServer<'a> {
         collector.attr(query_span, "tenant", &sub.tenant);
         let root_key = fkeys[&delegation.root].clone();
 
-        let (fold, fold_hits, relation, exec_ms, exec_span, ledger_mark, attributed);
+        // `own` is what this query itself appended to the ledger.
+        let (fold, fold_hits, relation, exec_ms, exec_span, own, attributed);
         if let Some(cached) = w.results.get(&root_key) {
             // ---- Full fold: the whole plan is already materialized; fan
             // the cached result out. The only fresh physical traffic is
             // this waiter's own final-result transfer.
             fold = "full";
             fold_hits = delegation.tasks.len() as u64;
-            for key in fkeys.values() {
-                if let Some(f) = w.fragments.get_mut(key) {
-                    f.refs += 1;
-                }
-            }
             report.full_folds += 1;
             telemetry
                 .metrics
                 .counter_add("session.full_folds", &[], 1.0);
-            ledger_mark = cluster.ledger.len();
+            let mark = cluster.ledger.len();
             self.xdb
                 .record_final_result(&cached.root_node, &cached.relation);
+            own = cluster.ledger.since(mark);
             exec_ms = cached.exec_ms;
             exec_span = collector.span(
                 SpanKind::Phase,
@@ -550,53 +506,32 @@ impl<'a> QueryServer<'a> {
             collector.attr(fan_out, "fragments", fold_hits.to_string());
             let mut view = cached.attributed_control.clone();
             view.extend(cached.attributed_data.iter().cloned());
-            view.extend(cluster.ledger.since(ledger_mark));
+            view.extend(own.iter().cloned());
             attributed = view;
             relation = cached.relation.clone();
-            for key in fkeys.values() {
-                if let Some(f) = w.fragments.get_mut(key) {
-                    f.refs -= 1;
-                }
-            }
         } else {
-            // ---- Partial (or no) fold: claim live shared fragments,
-            // deploy and execute only the rest.
+            // ---- Partial (or no) fold: read from the live shared
+            // fragments, deploy and execute only the rest.
             let mut reuse: HashMap<usize, String> = HashMap::new();
             for id in delegation.topo_order() {
-                if let Some(f) = w.fragments.get_mut(&fkeys[&id]) {
-                    f.refs += 1;
+                if let Some(f) = w.fragments.get(&fkeys[&id]) {
                     reuse.insert(id, f.view.clone());
                 }
             }
             fold_hits = reuse.len() as u64;
             fold = if reuse.is_empty() { "none" } else { "partial" };
-            let release = |w: &mut WindowState| {
-                for id in reuse.keys() {
-                    if let Some(f) = w.fragments.get_mut(&fkeys[id]) {
-                        f.refs -= 1;
-                    }
-                }
-            };
             // The full (unpruned) script is what runs when nothing was
             // folded away; otherwise the pruned one runs and the full one
             // is the skeleton of the as-if-alone timeline replay.
-            let scripts = (|| {
-                let full = match planned_script {
-                    Some(s) => s,
-                    None => build_script(&delegation, query_id, cluster)?,
-                };
-                if reuse.is_empty() {
-                    return Ok((full, None));
-                }
+            let full = match planned_script {
+                Some(s) => s,
+                None => build_script(&delegation, query_id, cluster)?,
+            };
+            let (script, solo_script) = if reuse.is_empty() {
+                (full, None)
+            } else {
                 let pruned = build_script_with_reuse(&delegation, query_id, cluster, &reuse)?;
-                Ok((pruned, Some(full)))
-            })();
-            let (script, solo_script) = match scripts {
-                Ok(s) => s,
-                Err(e) => {
-                    release(w);
-                    return Err(e);
-                }
+                (pruned, Some(full))
             };
             report.ddl_statements += script.steps.len() as u64;
             // The owners' step reports stand in for the steps of reused
@@ -626,7 +561,8 @@ impl<'a> QueryServer<'a> {
                 Some(solo) => Some((solo, &splice)),
                 None => None,
             };
-            let ran = self.xdb.run_planned(&trace, &delegation, &script, solo);
+            // On failure the stage has torn down this query's own objects;
+            // shared fragments stay for the rest of the window.
             let Executed {
                 outcome,
                 deployed,
@@ -634,15 +570,7 @@ impl<'a> QueryServer<'a> {
                 ledger_mark: mark,
                 query_mark,
                 result_mark,
-            } = match ran {
-                Ok(ran) => ran,
-                Err(e) => {
-                    // The stage tore down this query's own objects; shared
-                    // fragments stay for their other waiters.
-                    release(w);
-                    return Err(e);
-                }
-            };
+            } = self.xdb.run_planned(&trace, &delegation, &script, solo)?;
             // Register the freshly deployed fragments for later waiters.
             // Everything this query recorded, read once: its control
             // messages (one per step, from `mark`), then what each task's
@@ -656,7 +584,6 @@ impl<'a> QueryServer<'a> {
                         control: tail[run.steps.clone()].to_vec(),
                         data: tail[run.ledger.start - mark..run.ledger.end - mark].to_vec(),
                         reports: deployed.step_reports[run.steps.clone()].to_vec(),
-                        refs: 0,
                     },
                 );
             }
@@ -692,7 +619,6 @@ impl<'a> QueryServer<'a> {
                     attributed_data,
                 },
             );
-            release(w);
             w.cleanup.push(script.cleanup);
             *clock += outcome.exec_ms;
             if fold_hits > 0 {
@@ -707,7 +633,7 @@ impl<'a> QueryServer<'a> {
                 collector.attr(reused, "fragments", fold_hits.to_string());
             }
             (relation, exec_ms) = (outcome.relation, outcome.exec_ms);
-            (exec_span, ledger_mark, attributed) = (span, mark, view);
+            (exec_span, own, attributed) = (span, tail, view);
         }
         if fold_hits > 0 {
             report.fold_hits += fold_hits;
@@ -720,7 +646,7 @@ impl<'a> QueryServer<'a> {
         }
         let (trace, breakdown) =
             self.xdb
-                .finish_trace(trace, exec_span, ledger_mark, exec_ms, fold != "full");
+                .finish_trace(trace, exec_span, &own, exec_ms, fold != "full");
         Ok(Admitted {
             query_id,
             relation,

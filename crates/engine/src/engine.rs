@@ -456,9 +456,7 @@ impl Engine {
                 report.work_ms += import_ms;
                 report.finish_ms += import_ms;
                 // The result already arrived morsel-wise over the streamed
-                // edge; store it as-is. (A simulated per-chunk re-copy via
-                // `rechunk` produced bit-identical tables at every chunk
-                // size — and therefore only cost wall clock.)
+                // edge; store it as-is.
                 self.with_catalog_mut_for(name, |c| c.create_table_from(name, rel))?;
                 self.note_ddl("create_table_as");
                 Ok(StatementOutcome {

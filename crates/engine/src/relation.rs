@@ -134,27 +134,6 @@ impl Relation {
         self.schema_index().get(name)
     }
 
-    /// Rebuild this relation by ingesting it in `chunk_rows`-row morsels
-    /// (`0` = unbounded, a cheap clone) — the materialization-side half of
-    /// a streamed explicit edge. Column variants, null bitmaps, and
-    /// therefore values and wire bytes are preserved exactly, so the
-    /// result is bit-identical to the input at every chunk size.
-    pub fn rechunk(&self, chunk_rows: usize) -> Relation {
-        if chunk_rows == 0 || self.nrows <= chunk_rows {
-            return self.clone();
-        }
-        let mut columns: Vec<Column> = self.columns.iter().map(Column::empty_like).collect();
-        let mut off = 0;
-        while off < self.nrows {
-            let take = chunk_rows.min(self.nrows - off);
-            for (acc, src) in columns.iter_mut().zip(self.columns.iter()) {
-                acc.append_range(src, off, take);
-            }
-            off += take;
-        }
-        Relation::from_columns(self.fields.clone(), columns, self.nrows)
-    }
-
     /// Append row-major tuples (INSERT path — small batches).
     pub fn append_rows(&mut self, new_rows: Vec<Vec<Value>>) {
         if new_rows.is_empty() {

@@ -75,11 +75,6 @@ mod tests {
             malformed,
             Err("XDB_STREAM_CHUNK=\"4k\" is not a number".to_string())
         );
-        assert_eq!(
-            parse_env_number::<f64>("XDB_SLOW_QUERY_MS", Some(OsStr::new("250.5"))),
-            Ok(Some(250.5))
-        );
-        assert!(parse_env_number::<f64>("XDB_SLOW_QUERY_MS", Some(OsStr::new("1s"))).is_err());
         assert!(parse_env_number::<usize>("XDB_REACTOR_THREADS", Some(OsStr::new("-1"))).is_err());
     }
 

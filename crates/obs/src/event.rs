@@ -34,7 +34,7 @@ impl Level {
         }
     }
 
-    /// Parse a level name (`XDB_LOG_LEVEL`, `repro --log-level`).
+    /// Parse a level name (`repro --log-level`).
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "debug" => Some(Level::Debug),

@@ -13,9 +13,9 @@
 //! comparison tests normalize, exactly as they do for traces).
 //!
 //! The [`HistorySink`] lives on [`crate::Telemetry`] and is **disabled by
-//! default** — recording costs nothing until `repro --history dir/` (or
-//! `XDB_HISTORY_DIR`) turns it on, after which every record is kept in
-//! memory and appended to `<dir>/history.jsonl`.
+//! default** — recording costs nothing until `repro --history dir/`
+//! turns it on, after which every record is kept in memory and appended
+//! to `<dir>/history.jsonl`.
 
 use crate::json;
 use crate::trace::{json_number, json_string};

@@ -472,25 +472,6 @@ impl LogicalPlan {
         }
     }
 
-    /// All scan/placeholder aliases in this sub-tree, in plan order.
-    pub fn leaf_aliases(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        fn walk<'a>(p: &'a LogicalPlan, out: &mut Vec<&'a str>) {
-            match p {
-                LogicalPlan::Scan { alias, .. } | LogicalPlan::Placeholder { alias, .. } => {
-                    out.push(alias)
-                }
-                other => {
-                    for c in other.children() {
-                        walk(c, out);
-                    }
-                }
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
-
     /// Count of operator nodes in this sub-tree.
     pub fn node_count(&self) -> usize {
         1 + self

@@ -61,13 +61,6 @@ impl Bitmap {
         self.words.resize(self.len.div_ceil(64), 0);
     }
 
-    /// Append `n` set bits.
-    pub fn push_ones(&mut self, n: usize) {
-        for _ in 0..n {
-            self.push(true);
-        }
-    }
-
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
@@ -435,13 +428,6 @@ impl Column {
         }
     }
 
-    pub fn as_float(&self) -> Option<&TypedCol<f64>> {
-        match self {
-            Column::Float(c) => Some(c),
-            _ => None,
-        }
-    }
-
     pub fn as_str_col(&self) -> Option<&TypedCol<Arc<str>>> {
         match self {
             Column::Str(c) => Some(c),
@@ -452,13 +438,6 @@ impl Column {
     pub fn as_date(&self) -> Option<&TypedCol<i32>> {
         match self {
             Column::Date(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool_col(&self) -> Option<&TypedCol<bool>> {
-        match self {
-            Column::Bool(c) => Some(c),
             _ => None,
         }
     }

@@ -18,13 +18,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 diff <(grep -rhoE 'XDB_[A-Z_]+' crates/*/src scripts | sort -u) \
      <(grep -oE '^\| `XDB_[A-Z_]+`' README.md | grep -oE 'XDB_[A-Z_]+' | sort -u)
 
-# Thread census: the only files of the library crates that start a thread
-# are the edge reactor's pool and the session's concurrent front door
-# (DESIGN.md §6 "Threads"). The shim crates stand in for dependencies and
-# are not counted.
+# Thread census: the only file of the library crates that starts a thread
+# is the edge reactor's pool (DESIGN.md §6 "Threads"). The shim crates
+# stand in for dependencies and are not counted.
 diff <(grep -rlE 'thread::(scope|spawn)' crates/*/src \
          | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort) \
-     <(printf '%s\n' crates/core/src/session.rs crates/net/src/reactor.rs)
+     <(printf '%s\n' crates/net/src/reactor.rs)
 
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).

@@ -10,6 +10,7 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::NodeId;
 use xdb_obs::{MetricsSnapshot, Telemetry};
+use xdb_sql::ast::lower_name;
 use xdb_sql::bind::{RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::stats::{ColumnStats, StatsProvider};
 
@@ -106,7 +107,7 @@ impl GlobalCatalog {
     }
 
     pub fn table(&self, name: &str) -> Option<&GlobalTable> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables.get(&*lower_name(name))
     }
 
     /// Home DBMS of a table.
@@ -127,7 +128,7 @@ impl GlobalCatalog {
     /// generation and thereby invalidates the cached probe, so the next
     /// consultation re-fetches fresh statistics.
     pub fn consult(&self, cluster: &Cluster, table: &str) -> Result<bool> {
-        let key = table.to_ascii_lowercase();
+        let key = lower_name(table);
         let Some(gt) = self.table(&key) else {
             return Err(EngineError::Catalog(format!("unknown table {table:?}")));
         };
@@ -149,7 +150,7 @@ impl GlobalCatalog {
             None => ConsultedStats::default(),
         };
         *self.metadata_fetches.write() += 1;
-        self.stats.write().insert(key, consulted);
+        self.stats.write().insert(key.into_owned(), consulted);
         self.consult_cache
             .store(&gt.dbms, &probe, generation, ConsultReply::Stats);
         self.telemetry
@@ -252,19 +253,19 @@ impl SchemaProvider for GlobalCatalog {
 
 impl StatsProvider for GlobalCatalog {
     fn table_rows(&self, relation: &str) -> Option<f64> {
-        let key = relation.to_ascii_lowercase();
-        if let Some(rows) = self.placeholders.read().get(&key) {
+        let key = lower_name(relation);
+        if let Some(rows) = self.placeholders.read().get(&*key) {
             return Some(*rows);
         }
-        self.stats.read().get(&key).map(|s| s.rows)
+        self.stats.read().get(&*key).map(|s| s.rows)
     }
 
     fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
         self.stats
             .read()
-            .get(&relation.to_ascii_lowercase())?
+            .get(&*lower_name(relation))?
             .columns
-            .get(&column.to_ascii_lowercase())
+            .get(&*lower_name(column))
             .cloned()
     }
 }

@@ -5,7 +5,7 @@ use crate::error::{EngineError, Result};
 use crate::relation::Relation;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xdb_sql::ast::{ColumnDef, ObjectKind, SelectStmt};
+use xdb_sql::ast::{lower_name, ColumnDef, ObjectKind, SelectStmt};
 use xdb_sql::bind::{intern_fields, RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::column::{Column, TypedCol};
 use xdb_sql::hash::FastSet;
@@ -86,12 +86,8 @@ impl Catalog {
         Catalog::default()
     }
 
-    fn key(name: &str) -> String {
-        name.to_ascii_lowercase()
-    }
-
     pub fn get(&self, name: &str) -> Option<&CatalogEntry> {
-        self.entries.get(&Self::key(name))
+        self.entries.get(&*lower_name(name))
     }
 
     pub fn names(&self) -> Vec<String> {
@@ -121,13 +117,13 @@ impl Catalog {
     }
 
     fn insert_new(&mut self, name: &str, entry: CatalogEntry) -> Result<()> {
-        let key = Self::key(name);
-        if self.entries.contains_key(&key) {
+        let key = lower_name(name);
+        if self.entries.contains_key(&*key) {
             return Err(EngineError::Catalog(format!(
                 "relation {name:?} already exists"
             )));
         }
-        self.entries.insert(key, entry);
+        self.entries.insert(key.into_owned(), entry);
         Ok(())
     }
 
@@ -151,7 +147,7 @@ impl Catalog {
     pub fn insert_rows(&mut self, name: &str, new_rows: Vec<Vec<Value>>) -> Result<()> {
         let entry = self
             .entries
-            .get_mut(&Self::key(name))
+            .get_mut(&*lower_name(name))
             .ok_or_else(|| EngineError::Catalog(format!("unknown table {name:?}")))?;
         let CatalogEntry::Table(t) = entry else {
             return Err(EngineError::Catalog(format!(
@@ -173,15 +169,15 @@ impl Catalog {
     }
 
     pub fn create_view(&mut self, name: &str, query: SelectStmt, or_replace: bool) -> Result<()> {
-        let key = Self::key(name);
+        let key = lower_name(name);
         if or_replace {
-            if let Some(existing) = self.entries.get(&key) {
+            if let Some(existing) = self.entries.get(&*key) {
                 if existing.kind() != ObjectKind::View {
                     return Err(EngineError::Catalog(format!(
                         "{name:?} exists and is not a view"
                     )));
                 }
-                self.entries.remove(&key);
+                self.entries.remove(&*key);
             }
         }
         self.insert_new(
@@ -213,8 +209,8 @@ impl Catalog {
     }
 
     pub fn drop(&mut self, kind: ObjectKind, name: &str, if_exists: bool) -> Result<()> {
-        let key = Self::key(name);
-        match self.entries.get(&key) {
+        let key = lower_name(name);
+        match self.entries.get(&*key) {
             Some(entry) => {
                 if entry.kind() != kind {
                     return Err(EngineError::Catalog(format!(
@@ -222,7 +218,7 @@ impl Catalog {
                         entry.kind()
                     )));
                 }
-                self.entries.remove(&key);
+                self.entries.remove(&*key);
                 Ok(())
             }
             None if if_exists => Ok(()),
@@ -255,7 +251,7 @@ impl StatsProvider for Catalog {
 
     fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
         match self.get(relation)? {
-            CatalogEntry::Table(t) => t.stats.columns.get(&column.to_ascii_lowercase()).cloned(),
+            CatalogEntry::Table(t) => t.stats.columns.get(&*lower_name(column)).cloned(),
             _ => None,
         }
     }

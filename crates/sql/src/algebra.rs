@@ -122,15 +122,15 @@ impl PlanSchema {
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, SchemaError> {
         let mut found: Option<usize> = None;
         for (i, f) in self.fields.iter().enumerate() {
-            let name_matches = f.name.eq_ignore_ascii_case(name);
-            let qual_matches = match qualifier {
-                Some(q) => f
-                    .qualifier
-                    .as_deref()
-                    .is_some_and(|fq| fq.eq_ignore_ascii_case(q)),
-                None => true,
-            };
-            if name_matches && qual_matches {
+            // The name first (its length settles most fields), the
+            // qualifier only for a field whose name matched.
+            let matches = f.name.eq_ignore_ascii_case(name)
+                && qualifier.is_none_or(|q| {
+                    f.qualifier
+                        .as_deref()
+                        .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
+                });
+            if matches {
                 if found.is_some() {
                     return Err(SchemaError::Ambiguous(display_col(qualifier, name)));
                 }
@@ -177,14 +177,15 @@ impl AggFunc {
     }
 
     pub fn parse(name: &str) -> Option<AggFunc> {
-        match name.to_ascii_uppercase().as_str() {
-            "SUM" => Some(AggFunc::Sum),
-            "AVG" => Some(AggFunc::Avg),
-            "COUNT" => Some(AggFunc::Count),
-            "MIN" => Some(AggFunc::Min),
-            "MAX" => Some(AggFunc::Max),
-            _ => None,
-        }
+        [
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+        ]
+        .into_iter()
+        .find(|f| f.name().eq_ignore_ascii_case(name))
     }
 }
 

@@ -6,6 +6,7 @@
 //! rewriting* possible (Section V of the paper).
 
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 
 /// A top-level SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,6 +198,17 @@ pub enum IntervalUnit {
 /// relation, and every schema and column reference that mentions it shares
 /// that allocation.
 pub type Name = std::sync::Arc<str>;
+
+/// `name` in the lower case the catalogs key relations and columns by.
+/// Only a name that holds an upper-case ASCII letter is copied; the TPC-H
+/// names and every generated `xdb_q*` name are handed back as they are.
+pub fn lower_name(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,6 +9,7 @@
 //! so a column that mixes variants (possible for expression outputs) falls
 //! back to the `Mixed` layout instead of coercing.
 
+use crate::ast::lower_name;
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -635,11 +636,7 @@ impl SchemaIndex {
     }
 
     pub fn get(&self, name: &str) -> Option<usize> {
-        if name.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.map.get(&name.to_ascii_lowercase()).copied()
-        } else {
-            self.map.get(name).copied()
-        }
+        self.map.get(&*lower_name(name)).copied()
     }
 
     pub fn len(&self) -> usize {

@@ -6,6 +6,7 @@
 //! same translation layer a real deployment would need.
 
 use crate::ast::*;
+use crate::keywords::keyword;
 use crate::value::Value;
 use std::fmt::Write;
 
@@ -23,45 +24,61 @@ pub enum Dialect {
 }
 
 impl Dialect {
-    fn quote_chars(self) -> (char, char) {
+    fn quote_char(self) -> char {
         match self {
-            Dialect::Generic | Dialect::PostgresLike => ('"', '"'),
-            Dialect::MariaDbLike | Dialect::HiveLike => ('`', '`'),
+            Dialect::Generic | Dialect::PostgresLike => '"',
+            Dialect::MariaDbLike | Dialect::HiveLike => '`',
         }
     }
 
-    /// Quote an identifier if it is not a plain lowercase-safe name.
-    pub fn ident(self, name: &str) -> String {
-        let plain = !name.is_empty()
-            && name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c == '_' || c.is_ascii_alphabetic())
-            && !is_reserved(name);
+    /// Append `name` to `out`, quoted unless it is a plain name: letters,
+    /// digits and `_`, not starting with a digit, and not a word of the
+    /// parser's keyword table. A quote character inside a quoted name is
+    /// doubled.
+    pub fn write_ident(self, name: &str, out: &mut String) {
+        let bytes = name.as_bytes();
+        let plain = bytes
+            .first()
+            .is_some_and(|&b| b == b'_' || b.is_ascii_alphabetic())
+            && bytes
+                .iter()
+                .all(|&b| b == b'_' || b.is_ascii_alphanumeric())
+            && keyword(name).is_none();
         if plain {
-            name.to_string()
+            out.push_str(name);
         } else {
-            let (open, close) = self.quote_chars();
-            let escaped = name.replace(close, &format!("{close}{close}"));
-            format!("{open}{escaped}{close}")
+            push_quoted(out, name, self.quote_char());
         }
+    }
+
+    /// [`Dialect::write_ident`] into a string of its own.
+    pub fn ident(self, name: &str) -> String {
+        let mut out = String::with_capacity(name.len() + 2);
+        self.write_ident(name, &mut out);
+        out
     }
 }
 
-fn is_reserved(name: &str) -> bool {
-    const RESERVED: &[&str] = &[
-        "SELECT", "FROM", "WHERE", "GROUP", "ORDER", "BY", "HAVING", "LIMIT", "AND", "OR", "NOT",
-        "AS", "JOIN", "ON", "CASE", "WHEN", "THEN", "ELSE", "END", "NULL", "TRUE", "FALSE", "IN",
-        "BETWEEN", "LIKE", "IS", "CREATE", "TABLE", "VIEW", "DROP", "INSERT", "VALUES", "DISTINCT",
-        "UNION",
-    ];
-    RESERVED.contains(&name.to_ascii_uppercase().as_str())
+/// Append `text` between two `quote`s, doubling every `quote` inside it.
+fn push_quoted(out: &mut String, text: &str, quote: char) {
+    out.push(quote);
+    for (i, part) in text.split(quote).enumerate() {
+        if i > 0 {
+            out.push(quote);
+            out.push(quote);
+        }
+        out.push_str(part);
+    }
+    out.push(quote);
 }
+
+/// Where a statement's output buffer starts: the shortest statements fit,
+/// and the longest get there in two or three doublings instead of seven.
+const STATEMENT_CAPACITY: usize = 128;
 
 /// Render a statement in the given dialect.
 pub fn render_statement(stmt: &Statement, dialect: Dialect) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(STATEMENT_CAPACITY);
     match stmt {
         Statement::Select(s) => render_select(s, dialect, &mut out),
         Statement::Explain(s) => {
@@ -77,7 +94,7 @@ pub fn render_statement(stmt: &Statement, dialect: Dialect) -> String {
             if *if_not_exists {
                 out.push_str("IF NOT EXISTS ");
             }
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, &mut out);
             render_column_defs(columns, dialect, &mut out);
         }
         Statement::CreateView {
@@ -90,7 +107,7 @@ pub fn render_statement(stmt: &Statement, dialect: Dialect) -> String {
                 out.push_str("OR REPLACE ");
             }
             out.push_str("VIEW ");
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, &mut out);
             out.push_str(" AS ");
             render_select(query, dialect, &mut out);
         }
@@ -101,23 +118,25 @@ pub fn render_statement(stmt: &Statement, dialect: Dialect) -> String {
             remote_name,
         } => {
             out.push_str("CREATE FOREIGN TABLE ");
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, &mut out);
             render_column_defs(columns, dialect, &mut out);
             out.push_str(" SERVER ");
-            out.push_str(&dialect.ident(server));
+            dialect.write_ident(server, &mut out);
             if let Some(remote) = remote_name {
-                let _ = write!(out, " OPTIONS (remote '{}')", remote.replace('\'', "''"));
+                out.push_str(" OPTIONS (remote ");
+                push_quoted(&mut out, remote, '\'');
+                out.push(')');
             }
         }
         Statement::CreateTableAs { name, query } => {
             out.push_str("CREATE TABLE ");
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, &mut out);
             out.push_str(" AS ");
             render_select(query, dialect, &mut out);
         }
         Statement::Insert { table, rows } => {
             out.push_str("INSERT INTO ");
-            out.push_str(&dialect.ident(table));
+            dialect.write_ident(table, &mut out);
             out.push_str(" VALUES ");
             for (i, row) in rows.iter().enumerate() {
                 if i > 0 {
@@ -147,7 +166,7 @@ pub fn render_statement(stmt: &Statement, dialect: Dialect) -> String {
             if *if_exists {
                 out.push_str("IF EXISTS ");
             }
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, &mut out);
         }
     }
     out
@@ -159,7 +178,7 @@ fn render_column_defs(columns: &[ColumnDef], dialect: Dialect, out: &mut String)
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&dialect.ident(&c.name));
+        dialect.write_ident(&c.name, out);
         out.push(' ');
         let _ = write!(out, "{}", c.data_type);
     }
@@ -168,7 +187,7 @@ fn render_column_defs(columns: &[ColumnDef], dialect: Dialect, out: &mut String)
 
 /// Render a SELECT statement.
 pub fn render_select_string(s: &SelectStmt, dialect: Dialect) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(STATEMENT_CAPACITY);
     render_select(s, dialect, &mut out);
     out
 }
@@ -185,14 +204,14 @@ fn render_select(s: &SelectStmt, dialect: Dialect, out: &mut String) {
         match item {
             SelectItem::Wildcard => out.push('*'),
             SelectItem::QualifiedWildcard(q) => {
-                out.push_str(&dialect.ident(q));
+                dialect.write_ident(q, out);
                 out.push_str(".*");
             }
             SelectItem::Expr { expr, alias } => {
                 render_expr(expr, dialect, out);
                 if let Some(a) = alias {
                     out.push_str(" AS ");
-                    out.push_str(&dialect.ident(a));
+                    dialect.write_ident(a, out);
                 }
             }
         }
@@ -243,17 +262,17 @@ fn render_select(s: &SelectStmt, dialect: Dialect, out: &mut String) {
 fn render_table_ref(t: &TableRef, dialect: Dialect, out: &mut String) {
     match t {
         TableRef::Table { name, alias } => {
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, out);
             if let Some(a) = alias {
                 out.push_str(" AS ");
-                out.push_str(&dialect.ident(a));
+                dialect.write_ident(a, out);
             }
         }
         TableRef::Derived { query, alias } => {
             out.push('(');
             render_select(query, dialect, out);
             out.push_str(") AS ");
-            out.push_str(&dialect.ident(alias));
+            dialect.write_ident(alias, out);
         }
         TableRef::Join { left, right, on } => {
             render_table_ref(left, dialect, out);
@@ -315,10 +334,10 @@ fn render_expr(e: &Expr, dialect: Dialect, out: &mut String) {
     match e {
         Expr::Column { qualifier, name } => {
             if let Some(q) = qualifier {
-                out.push_str(&dialect.ident(q));
+                dialect.write_ident(q, out);
                 out.push('.');
             }
-            out.push_str(&dialect.ident(name));
+            dialect.write_ident(name, out);
         }
         Expr::Literal(v) => render_literal(v, out),
         Expr::Interval { n, unit } => {
@@ -428,7 +447,8 @@ fn render_expr(e: &Expr, dialect: Dialect, out: &mut String) {
             if *negated {
                 out.push_str(" NOT");
             }
-            let _ = write!(out, " LIKE '{}'", pattern.replace('\'', "''"));
+            out.push_str(" LIKE ");
+            push_quoted(out, pattern, '\'');
         }
         Expr::InList {
             expr,
@@ -505,9 +525,7 @@ fn render_literal(v: &Value, out: &mut String) {
                 let _ = write!(out, "{f}");
             }
         }
-        Value::Str(s) => {
-            let _ = write!(out, "'{}'", s.replace('\'', "''"));
-        }
+        Value::Str(s) => push_quoted(out, s, '\''),
         Value::Date(d) => {
             let _ = write!(out, "DATE '{}'", crate::value::date::format_days(*d));
         }

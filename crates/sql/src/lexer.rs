@@ -2,17 +2,22 @@
 //!
 //! Keywords are recognized case-insensitively at the parser level; the lexer
 //! only distinguishes token *shapes* (identifier, number, string, symbol).
+//!
+//! Tokens borrow the statement: a word is a slice of it, and so is a quoted
+//! region unless it holds a doubled quote that has to be undone. A name
+//! becomes an owned string once, in the AST node that keeps it.
 
+use std::borrow::Cow;
 use std::fmt;
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+#[derive(Debug, PartialEq)]
+pub enum Token<'a> {
     /// Bare identifier or keyword (original spelling preserved).
-    Ident(String),
+    Ident(&'a str),
     /// `"quoted"` or `` `quoted` `` identifier.
-    QuotedIdent(String),
+    QuotedIdent(Cow<'a, str>),
     /// `'string literal'` with `''` escaping.
-    StringLit(String),
+    StringLit(Cow<'a, str>),
     /// Integer literal.
     IntLit(i64),
     /// Floating-point literal.
@@ -41,17 +46,14 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
-    /// The keyword spelling if this token is a bare identifier, uppercased.
-    pub fn keyword(&self) -> Option<String> {
-        match self {
-            Token::Ident(s) => Some(s.to_ascii_uppercase()),
-            _ => None,
-        }
+impl Token<'_> {
+    /// Is this the bare word `kw`, in any case?
+    pub fn is_kw(&self, kw: &str) -> bool {
+        matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -83,9 +85,9 @@ impl fmt::Display for Token {
 }
 
 /// A token plus its byte offset in the source (for error messages).
-#[derive(Debug, Clone)]
-pub struct Spanned {
-    pub token: Token,
+#[derive(Debug)]
+pub struct Spanned<'a> {
+    pub token: Token<'a>,
     pub offset: usize,
 }
 
@@ -105,7 +107,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize `input` into a vector of spanned tokens terminated by `Eof`.
-pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
+pub fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::with_capacity(input.len() / 4 + 4);
     let mut i = 0;
@@ -142,23 +144,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
                 }
             }
             b'\'' => {
-                let (s, next) = lex_quoted(input, i, '\'')?;
+                let (s, next) = lex_quoted(input, i, b'\'')?;
                 tokens.push(Spanned {
                     token: Token::StringLit(s),
                     offset: start,
                 });
                 i = next;
             }
-            b'"' => {
-                let (s, next) = lex_quoted(input, i, '"')?;
-                tokens.push(Spanned {
-                    token: Token::QuotedIdent(s),
-                    offset: start,
-                });
-                i = next;
-            }
-            b'`' => {
-                let (s, next) = lex_quoted(input, i, '`')?;
+            b'"' | b'`' => {
+                let (s, next) = lex_quoted(input, i, c)?;
                 tokens.push(Spanned {
                     token: Token::QuotedIdent(s),
                     offset: start,
@@ -179,7 +173,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
                     j += 1;
                 }
                 tokens.push(Spanned {
-                    token: Token::Ident(input[i..j].to_string()),
+                    token: Token::Ident(&input[i..j]),
                     offset: start,
                 });
                 i = j;
@@ -204,32 +198,43 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
     Ok(tokens)
 }
 
-/// Lex a quoted region starting at `start` (which holds the quote char).
-/// Doubled quote chars escape themselves, SQL-style.
-fn lex_quoted(input: &str, start: usize, quote: char) -> Result<(String, usize), LexError> {
-    let mut out = String::new();
-    let mut chars = input[start + 1..].char_indices();
-    while let Some((off, c)) = chars.next() {
-        if c == quote {
-            // Peek for doubled quote.
-            let abs = start + 1 + off + c.len_utf8();
-            if input[abs..].starts_with(quote) {
-                out.push(quote);
-                chars.next();
-            } else {
-                return Ok((out, abs));
-            }
+/// Lex a quoted region starting at `start` (which holds the quote byte).
+/// Doubled quote bytes escape themselves, SQL-style; only a region that
+/// holds one is copied.
+fn lex_quoted(input: &str, start: usize, quote: u8) -> Result<(Cow<'_, str>, usize), LexError> {
+    let bytes = input.as_bytes();
+    let mut unescaped: Option<String> = None;
+    // `input[from..i]` is the part of the region not yet in `unescaped`.
+    // The quote is ASCII, so every index below is a character boundary.
+    let mut from = start + 1;
+    let mut i = from;
+    while i < bytes.len() {
+        if bytes[i] != quote {
+            i += 1;
+        } else if bytes.get(i + 1) == Some(&quote) {
+            unescaped
+                .get_or_insert_with(String::new)
+                .push_str(&input[from..=i]);
+            i += 2;
+            from = i;
         } else {
-            out.push(c);
+            let text = match unescaped {
+                Some(mut s) => {
+                    s.push_str(&input[from..i]);
+                    Cow::Owned(s)
+                }
+                None => Cow::Borrowed(&input[from..i]),
+            };
+            return Ok((text, i + 1));
         }
     }
     Err(LexError {
-        message: format!("unterminated {quote}-quoted token"),
+        message: format!("unterminated {}-quoted token", quote as char),
         offset: start,
     })
 }
 
-fn lex_number(input: &str, start: usize) -> Result<(Token, usize), LexError> {
+fn lex_number(input: &str, start: usize) -> Result<(Token<'static>, usize), LexError> {
     let bytes = input.as_bytes();
     let mut i = start;
     while i < bytes.len() && bytes[i].is_ascii_digit() {
@@ -275,7 +280,7 @@ fn lex_number(input: &str, start: usize) -> Result<(Token, usize), LexError> {
     Ok((tok, i))
 }
 
-fn lex_symbol(bytes: &[u8], i: usize) -> Option<(Token, usize)> {
+fn lex_symbol(bytes: &[u8], i: usize) -> Option<(Token<'static>, usize)> {
     let two = |a: u8, b: u8| i + 1 < bytes.len() && bytes[i] == a && bytes[i + 1] == b;
     if two(b'<', b'=') {
         return Some((Token::LtEq, 2));
@@ -316,7 +321,7 @@ fn lex_symbol(bytes: &[u8], i: usize) -> Option<(Token, usize)> {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         tokenize(s).unwrap().into_iter().map(|t| t.token).collect()
     }
 
@@ -325,14 +330,14 @@ mod tests {
         assert_eq!(
             toks("SELECT a, b FROM t WHERE a >= 10"),
             vec![
-                Token::Ident("SELECT".into()),
-                Token::Ident("a".into()),
+                Token::Ident("SELECT"),
+                Token::Ident("a"),
                 Token::Comma,
-                Token::Ident("b".into()),
-                Token::Ident("FROM".into()),
-                Token::Ident("t".into()),
-                Token::Ident("WHERE".into()),
-                Token::Ident("a".into()),
+                Token::Ident("b"),
+                Token::Ident("FROM"),
+                Token::Ident("t"),
+                Token::Ident("WHERE"),
+                Token::Ident("a"),
                 Token::GtEq,
                 Token::IntLit(10),
                 Token::Eof,
@@ -351,6 +356,25 @@ mod tests {
                 Token::Eof,
             ]
         );
+    }
+
+    #[test]
+    fn quoted_regions_borrow_unless_a_quote_is_doubled() {
+        let sql = "'plain' 'it''s' \"a\"\"\"\"b\" `héllo`";
+        let tokens = toks(sql);
+        assert!(matches!(
+            &tokens[0],
+            Token::StringLit(Cow::Borrowed("plain"))
+        ));
+        assert!(matches!(&tokens[1], Token::StringLit(Cow::Owned(s)) if s == "it's"));
+        assert!(matches!(&tokens[2], Token::QuotedIdent(Cow::Owned(s)) if s == "a\"\"b"));
+        assert!(matches!(
+            &tokens[3],
+            Token::QuotedIdent(Cow::Borrowed("héllo"))
+        ));
+        // Display is what the error messages print.
+        assert_eq!(tokens[1].to_string(), "'it's'");
+        assert_eq!(tokens[3].to_string(), "\"héllo\"");
     }
 
     #[test]
@@ -381,9 +405,9 @@ mod tests {
         assert_eq!(
             toks("a -- comment\n b /* block /* not nested */ c"),
             vec![
-                Token::Ident("a".into()),
-                Token::Ident("b".into()),
-                Token::Ident("c".into()),
+                Token::Ident("a"),
+                Token::Ident("b"),
+                Token::Ident("c"),
                 Token::Eof,
             ]
         );
@@ -418,10 +442,10 @@ mod tests {
         assert_eq!(
             toks("t.a t.* ?"),
             vec![
-                Token::Ident("t".into()),
+                Token::Ident("t"),
                 Token::Dot,
-                Token::Ident("a".into()),
-                Token::Ident("t".into()),
+                Token::Ident("a"),
+                Token::Ident("t"),
                 Token::Dot,
                 Token::Star,
                 Token::Question,

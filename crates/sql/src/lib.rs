@@ -17,6 +17,7 @@ pub mod bind;
 pub mod column;
 pub mod display;
 pub mod hash;
+pub mod keywords;
 pub mod lexer;
 pub mod optimize;
 pub mod parser;

@@ -6,6 +6,7 @@
 //! TABLE / CREATE TABLE AS / DROP).
 
 use crate::ast::*;
+use crate::keywords::{keyword, lookup, InExpr, Keyword};
 use crate::lexer::{tokenize, LexError, Spanned, Token};
 use crate::value::{date, DataType, Value};
 use std::fmt;
@@ -61,7 +62,8 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 }
 
 fn parse_statement_inner(sql: &str) -> Result<Statement> {
-    let mut p = Parser::new(sql)?;
+    let tokens = tokenize(sql)?;
+    let mut p = Parser::new(&tokens);
     let stmt = p.statement()?;
     p.eat(&Token::Semicolon);
     p.expect_eof()?;
@@ -74,7 +76,8 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
 }
 
 fn parse_script_inner(sql: &str) -> Result<Vec<Statement>> {
-    let mut p = Parser::new(sql)?;
+    let tokens = tokenize(sql)?;
+    let mut p = Parser::new(&tokens);
     let mut out = Vec::new();
     loop {
         while p.eat(&Token::Semicolon) {}
@@ -103,30 +106,45 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
 
 /// Parse a scalar expression (used by tests and plan rewriting).
 pub fn parse_expr(sql: &str) -> Result<Expr> {
-    let mut p = Parser::new(sql)?;
+    let tokens = tokenize(sql)?;
+    let mut p = Parser::new(&tokens);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// How deep expressions, sub-queries and parenthesized joins may nest. The
+/// TPC-H statements and their scripts nest a handful of levels. One level
+/// of the recursive descent takes up to 18 KB of stack in an unoptimized
+/// build (a `CASE` inside a `WHEN`; 3 KB optimized), so this bound keeps
+/// the deepest statement accepted within 1.2 MB of a 2 MB thread stack,
+/// and every recursive walk of the AST after it shallower still.
+const MAX_DEPTH: usize = 64;
+
+/// A cursor over the statement's tokens. The tokens are read in place:
+/// what `peek` and `advance` hand out borrows the token slice, not the
+/// parser, and stepping only moves `pos`.
+struct Parser<'t, 'a> {
+    tokens: &'t [Spanned<'a>],
     pos: usize,
+    depth: usize,
 }
 
-impl Parser {
-    fn new(sql: &str) -> Result<Parser> {
-        Ok(Parser {
-            tokens: tokenize(sql)?,
+impl<'t, 'a> Parser<'t, 'a> {
+    /// `tokens` ends with `Eof` (as [`tokenize`] guarantees).
+    fn new(tokens: &'t [Spanned<'a>]) -> Parser<'t, 'a> {
+        Parser {
+            tokens,
             pos: 0,
-        })
+            depth: 0,
+        }
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &'t Token<'a> {
         &self.tokens[self.pos].token
     }
 
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> &'t Token<'a> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
     }
 
@@ -134,8 +152,9 @@ impl Parser {
         self.tokens[self.pos].offset
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
+    /// Step over the current token (`Eof` stays current) and hand it out.
+    fn advance(&mut self) -> &'t Token<'a> {
+        let t = self.peek();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -166,13 +185,24 @@ impl Parser {
         }
     }
 
+    /// Run `f` one nesting level down, refusing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("expression nested too deeply".into()));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
     /// Is the current token the given keyword (case-insensitive)?
     fn peek_kw(&self, kw: &str) -> bool {
-        self.peek().keyword().is_some_and(|k| k == kw)
+        self.peek().is_kw(kw)
     }
 
     fn peek2_kw(&self, kw: &str) -> bool {
-        self.peek2().keyword().is_some_and(|k| k == kw)
+        self.peek2().is_kw(kw)
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -200,9 +230,10 @@ impl Parser {
         }
     }
 
-    /// Accept an identifier (bare or quoted).
-    fn identifier(&mut self) -> Result<String> {
-        match self.peek().clone() {
+    /// Accept an identifier (bare or quoted). The caller copies it into the
+    /// AST node that keeps it.
+    fn identifier(&mut self) -> Result<&'t str> {
+        match self.peek() {
             Token::Ident(s) => {
                 self.advance();
                 Ok(s)
@@ -213,6 +244,30 @@ impl Parser {
             }
             other => Err(self.error(format!("expected identifier, found {other}"))),
         }
+    }
+
+    /// The keyword-table entry of the current token, if it is a bare word
+    /// the table lists.
+    fn peek_keyword(&self) -> Option<&'static Keyword> {
+        match self.peek() {
+            Token::Ident(word) => keyword(word),
+            _ => None,
+        }
+    }
+
+    fn name(&mut self) -> Result<String> {
+        self.identifier().map(str::to_string)
+    }
+
+    /// Swallow an optional length/precision like the `(25)` of `VARCHAR(25)`.
+    fn skip_type_modifier(&mut self) -> Result<()> {
+        if self.eat(&Token::LParen) {
+            while !matches!(self.peek(), Token::RParen | Token::Eof) {
+                self.advance();
+            }
+            self.expect(&Token::RParen)?;
+        }
+        Ok(())
     }
 
     // ---------------------------------------------------------- statements
@@ -245,7 +300,7 @@ impl Parser {
             false
         };
         if self.eat_kw("VIEW") {
-            let name = self.identifier()?;
+            let name = self.name()?;
             self.expect_kw("AS")?;
             let query = self.select()?;
             return Ok(Statement::CreateView {
@@ -256,10 +311,10 @@ impl Parser {
         }
         if self.eat_kw("FOREIGN") {
             self.expect_kw("TABLE")?;
-            let name = self.identifier()?;
+            let name = self.name()?;
             let columns = self.column_defs()?;
             self.expect_kw("SERVER")?;
-            let server = self.identifier()?;
+            let server = self.name()?;
             let mut remote_name = None;
             if self.eat_kw("OPTIONS") {
                 self.expect(&Token::LParen)?;
@@ -275,7 +330,7 @@ impl Parser {
                     };
                     if key.eq_ignore_ascii_case("remote") || key.eq_ignore_ascii_case("table_name")
                     {
-                        remote_name = Some(val);
+                        remote_name = Some(val.to_string());
                     }
                     if !self.eat(&Token::Comma) {
                         break;
@@ -298,7 +353,7 @@ impl Parser {
         } else {
             false
         };
-        let name = self.identifier()?;
+        let name = self.name()?;
         if self.eat_kw("AS") {
             let query = self.select()?;
             return Ok(Statement::CreateTableAs {
@@ -318,15 +373,10 @@ impl Parser {
         self.expect(&Token::LParen)?;
         let mut cols = Vec::new();
         loop {
-            let name = self.identifier()?;
+            let name = self.name()?;
             let ty_name = self.identifier()?;
-            // Swallow an optional length/precision like VARCHAR(25).
-            if self.eat(&Token::LParen) {
-                while !self.eat(&Token::RParen) {
-                    self.advance();
-                }
-            }
-            let data_type = DataType::parse(&ty_name)
+            self.skip_type_modifier()?;
+            let data_type = DataType::parse(ty_name)
                 .ok_or_else(|| self.error(format!("unknown type {ty_name:?}")))?;
             cols.push(ColumnDef { name, data_type });
             if !self.eat(&Token::Comma) {
@@ -340,7 +390,7 @@ impl Parser {
     fn insert(&mut self) -> Result<Statement> {
         self.expect_kw("INSERT")?;
         self.expect_kw("INTO")?;
-        let table = self.identifier()?;
+        let table = self.name()?;
         self.expect_kw("VALUES")?;
         let mut rows = Vec::new();
         loop {
@@ -378,7 +428,7 @@ impl Parser {
         } else {
             false
         };
-        let name = self.identifier()?;
+        let name = self.name()?;
         Ok(Statement::Drop {
             kind,
             name,
@@ -446,7 +496,7 @@ impl Parser {
         }
         let limit = if self.eat_kw("LIMIT") {
             match self.advance() {
-                Token::IntLit(n) if n >= 0 => Some(n as u64),
+                Token::IntLit(n) if *n >= 0 => Some(*n as u64),
                 other => return Err(self.error(format!("expected LIMIT count, found {other}"))),
             }
         } else {
@@ -476,39 +526,28 @@ impl Parser {
             let q = self.identifier()?;
             self.expect(&Token::Dot)?;
             if self.eat(&Token::Star) {
-                return Ok(SelectItem::QualifiedWildcard(q));
+                return Ok(SelectItem::QualifiedWildcard(q.to_string()));
             }
             self.pos = save;
         }
         let expr = self.expr()?;
-        let alias = self.optional_alias(&["FROM"])?;
+        let alias = self.optional_alias()?;
         Ok(SelectItem::Expr { expr, alias })
     }
 
-    /// `[AS] alias`, where a bare identifier is only taken as an alias if it
-    /// is not one of the clause keywords in `stop`.
-    fn optional_alias(&mut self, extra_stop: &[&str]) -> Result<Option<String>> {
+    /// `[AS] alias`, where a bare identifier is only taken as an alias if
+    /// the keyword table does not say it stops one.
+    fn optional_alias(&mut self) -> Result<Option<String>> {
         if self.eat_kw("AS") {
-            return Ok(Some(self.identifier()?));
+            return Ok(Some(self.name()?));
         }
-        if let Token::Ident(s) = self.peek() {
-            let upper = s.to_ascii_uppercase();
-            const STOP: &[&str] = &[
-                "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "ON", "JOIN", "INNER",
-                "LEFT", "RIGHT", "CROSS", "UNION", "AND", "OR", "AS", "SELECT",
-            ];
-            if !STOP.contains(&upper.as_str()) && !extra_stop.contains(&upper.as_str()) {
-                let alias = s.clone();
-                self.advance();
-                return Ok(Some(alias));
-            }
-        }
-        if let Token::QuotedIdent(s) = self.peek() {
-            let alias = s.clone();
-            self.advance();
-            return Ok(Some(alias));
-        }
-        Ok(None)
+        let alias = match self.peek() {
+            Token::Ident(s) if !keyword(s).is_some_and(|k| k.stops_alias) => s,
+            Token::QuotedIdent(s) => &**s,
+            _ => return Ok(None),
+        };
+        self.advance();
+        Ok(Some(alias.to_string()))
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
@@ -534,30 +573,32 @@ impl Parser {
 
     fn table_primary(&mut self) -> Result<TableRef> {
         if self.eat(&Token::LParen) {
-            if self.peek_kw("SELECT") {
-                let query = self.select()?;
-                self.expect(&Token::RParen)?;
-                let alias = self
-                    .optional_alias(&[])?
-                    .ok_or_else(|| self.error("derived table requires an alias".into()))?;
-                return Ok(TableRef::Derived {
-                    query: Box::new(query),
-                    alias,
-                });
-            }
-            let inner = self.table_ref()?;
-            self.expect(&Token::RParen)?;
-            return Ok(inner);
+            return self.nested(|p| {
+                if p.peek_kw("SELECT") {
+                    let query = p.select()?;
+                    p.expect(&Token::RParen)?;
+                    let alias = p
+                        .optional_alias()?
+                        .ok_or_else(|| p.error("derived table requires an alias".into()))?;
+                    return Ok(TableRef::Derived {
+                        query: Box::new(query),
+                        alias,
+                    });
+                }
+                let inner = p.table_ref()?;
+                p.expect(&Token::RParen)?;
+                Ok(inner)
+            });
         }
-        let name = self.identifier()?;
-        let alias = self.optional_alias(&[])?;
+        let name = self.name()?;
+        let alias = self.optional_alias()?;
         Ok(TableRef::Table { name, alias })
     }
 
     // --------------------------------------------------------- expressions
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -580,7 +621,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             // Fold NOT over subquery predicates into their negated forms.
             return Ok(match inner {
                 Expr::Exists { query, negated } => Expr::Exists {
@@ -637,7 +678,7 @@ impl Parser {
         }
         if self.eat_kw("LIKE") {
             let pattern = match self.advance() {
-                Token::StringLit(s) => s,
+                Token::StringLit(s) => s.to_string(),
                 other => {
                     return Err(self.error(format!("expected LIKE pattern string, found {other}")))
                 }
@@ -721,7 +762,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             // Fold negation of numeric literals for cleaner ASTs.
             return Ok(match inner {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
@@ -733,20 +774,20 @@ impl Parser {
             });
         }
         if self.eat(&Token::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::IntLit(i) => {
                 self.advance();
-                Ok(Expr::lit(Value::Int(i)))
+                Ok(Expr::lit(Value::Int(*i)))
             }
             Token::FloatLit(f) => {
                 self.advance();
-                Ok(Expr::lit(Value::Float(f)))
+                Ok(Expr::lit(Value::Float(*f)))
             }
             Token::StringLit(s) => {
                 self.advance();
@@ -768,19 +809,16 @@ impl Parser {
     /// calls, and column references.
     fn ident_led_expr(&mut self) -> Result<Expr> {
         // Keyword-led constructs only trigger on bare identifiers.
-        if let Some(kw) = self.peek().keyword() {
-            // Reserved clause keywords cannot start an expression; quoting
-            // them is required to use them as column names.
-            const RESERVED_IN_EXPR: &[&str] = &[
-                "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "BY", "ON", "JOIN", "SELECT",
-                "AND", "OR", "WHEN", "THEN", "ELSE", "END", "AS",
-            ];
-            if RESERVED_IN_EXPR.contains(&kw.as_str()) {
-                return Err(self.error(format!("unexpected keyword {kw} in expression")));
-            }
-            match kw.as_str() {
-                "CASE" => return self.case_expr(),
-                "EXISTS" if self.peek2() == &Token::LParen => {
+        if let Some(kw) = self.peek_keyword() {
+            match kw.in_expr {
+                // Reserved clause keywords cannot start an expression;
+                // quoting them is required to use them as column names.
+                InExpr::Reserved => {
+                    let word = kw.word;
+                    return Err(self.error(format!("unexpected keyword {word} in expression")));
+                }
+                InExpr::Case => return self.case_expr(),
+                InExpr::Exists if self.peek2() == &Token::LParen => {
                     self.advance();
                     self.expect(&Token::LParen)?;
                     let query = self.select()?;
@@ -790,52 +828,57 @@ impl Parser {
                         negated: false,
                     });
                 }
-                "EXTRACT" => return self.extract_expr(),
-                "CAST" => return self.cast_expr(),
-                "TRUE" => {
+                InExpr::Extract => return self.extract_expr(),
+                InExpr::Cast => return self.cast_expr(),
+                InExpr::True => {
                     self.advance();
                     return Ok(Expr::lit(Value::Bool(true)));
                 }
-                "FALSE" => {
+                InExpr::False => {
                     self.advance();
                     return Ok(Expr::lit(Value::Bool(false)));
                 }
-                "NULL" => {
+                InExpr::Null => {
                     self.advance();
                     return Ok(Expr::lit(Value::Null));
                 }
-                "DATE" => {
-                    if let Token::StringLit(s) = self.peek2().clone() {
+                InExpr::Date => {
+                    if let Token::StringLit(s) = self.peek2() {
                         self.advance();
                         self.advance();
-                        let days = date::parse(&s)
+                        let days = date::parse(s)
                             .ok_or_else(|| self.error(format!("invalid date literal {s:?}")))?;
                         return Ok(Expr::lit(Value::Date(days)));
                     }
                 }
-                "INTERVAL" => {
-                    if matches!(self.peek2(), Token::StringLit(_) | Token::IntLit(_)) {
+                InExpr::Interval => {
+                    let quantity = match self.peek2() {
+                        Token::IntLit(i) => Some(Ok(*i)),
+                        Token::StringLit(s) => Some(s.trim().parse::<i64>().map_err(|_| s)),
+                        _ => None,
+                    };
+                    if let Some(quantity) = quantity {
                         self.advance();
-                        let n: i64 = match self.advance() {
-                            Token::StringLit(s) => s.trim().parse().map_err(|_| {
-                                self.error(format!("invalid interval quantity {s:?}"))
-                            })?,
-                            Token::IntLit(i) => i,
-                            _ => unreachable!(),
-                        };
-                        let unit_name = self.identifier()?;
-                        let unit = match unit_name.to_ascii_uppercase().as_str() {
-                            "YEAR" | "YEARS" => IntervalUnit::Year,
-                            "MONTH" | "MONTHS" => IntervalUnit::Month,
-                            "DAY" | "DAYS" => IntervalUnit::Day,
-                            other => {
-                                return Err(self.error(format!("unknown interval unit {other:?}")))
-                            }
-                        };
+                        self.advance();
+                        let n = quantity
+                            .map_err(|s| self.error(format!("invalid interval quantity {s:?}")))?;
+                        let unit = self.identifier()?;
+                        const UNITS: &[(&str, IntervalUnit)] = &[
+                            ("YEAR", IntervalUnit::Year),
+                            ("YEARS", IntervalUnit::Year),
+                            ("MONTH", IntervalUnit::Month),
+                            ("MONTHS", IntervalUnit::Month),
+                            ("DAY", IntervalUnit::Day),
+                            ("DAYS", IntervalUnit::Day),
+                        ];
+                        let unit = lookup(UNITS, unit).ok_or_else(|| {
+                            let shown = upper_for_message(unit);
+                            self.error(format!("unknown interval unit {shown:?}"))
+                        })?;
                         return Ok(Expr::Interval { n, unit });
                     }
                 }
-                _ => {}
+                InExpr::Exists | InExpr::Name => {}
             }
         }
         let first = self.identifier()?;
@@ -904,13 +947,16 @@ impl Parser {
     fn extract_expr(&mut self) -> Result<Expr> {
         self.expect_kw("EXTRACT")?;
         self.expect(&Token::LParen)?;
-        let field_name = self.identifier()?;
-        let field = match field_name.to_ascii_uppercase().as_str() {
-            "YEAR" => DateField::Year,
-            "MONTH" => DateField::Month,
-            "DAY" => DateField::Day,
-            other => return Err(self.error(format!("unknown EXTRACT field {other:?}"))),
-        };
+        let field = self.identifier()?;
+        const FIELDS: &[(&str, DateField)] = &[
+            ("YEAR", DateField::Year),
+            ("MONTH", DateField::Month),
+            ("DAY", DateField::Day),
+        ];
+        let field = lookup(FIELDS, field).ok_or_else(|| {
+            let shown = upper_for_message(field);
+            self.error(format!("unknown EXTRACT field {shown:?}"))
+        })?;
         self.expect_kw("FROM")?;
         let expr = self.expr()?;
         self.expect(&Token::RParen)?;
@@ -926,12 +972,8 @@ impl Parser {
         let expr = self.expr()?;
         self.expect_kw("AS")?;
         let ty_name = self.identifier()?;
-        if self.eat(&Token::LParen) {
-            while !self.eat(&Token::RParen) {
-                self.advance();
-            }
-        }
-        let data_type = DataType::parse(&ty_name)
+        self.skip_type_modifier()?;
+        let data_type = DataType::parse(ty_name)
             .ok_or_else(|| self.error(format!("unknown type {ty_name:?}")))?;
         self.expect(&Token::RParen)?;
         Ok(Expr::Cast {
@@ -939,6 +981,14 @@ impl Parser {
             data_type,
         })
     }
+}
+
+/// A rejected unit or field name as the error messages have always shown
+/// it: in upper case.
+fn upper_for_message(word: &str) -> String {
+    let mut shown = word.to_string();
+    shown.make_ascii_uppercase();
+    shown
 }
 
 #[cfg(test)]

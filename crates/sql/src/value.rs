@@ -40,14 +40,25 @@ impl fmt::Display for DataType {
 impl DataType {
     /// Parse a SQL type name (as accepted in DDL) into a `DataType`.
     pub fn parse(name: &str) -> Option<DataType> {
-        match name.to_ascii_uppercase().as_str() {
-            "BIGINT" | "INT" | "INTEGER" | "SMALLINT" => Some(DataType::Int),
-            "DOUBLE" | "FLOAT" | "REAL" | "DECIMAL" | "NUMERIC" => Some(DataType::Float),
-            "VARCHAR" | "CHAR" | "TEXT" | "STRING" => Some(DataType::Str),
-            "DATE" => Some(DataType::Date),
-            "BOOLEAN" | "BOOL" => Some(DataType::Bool),
-            _ => None,
-        }
+        const NAMES: &[(&str, DataType)] = &[
+            ("BIGINT", DataType::Int),
+            ("INT", DataType::Int),
+            ("INTEGER", DataType::Int),
+            ("SMALLINT", DataType::Int),
+            ("DOUBLE", DataType::Float),
+            ("FLOAT", DataType::Float),
+            ("REAL", DataType::Float),
+            ("DECIMAL", DataType::Float),
+            ("NUMERIC", DataType::Float),
+            ("VARCHAR", DataType::Str),
+            ("CHAR", DataType::Str),
+            ("TEXT", DataType::Str),
+            ("STRING", DataType::Str),
+            ("DATE", DataType::Date),
+            ("BOOLEAN", DataType::Bool),
+            ("BOOL", DataType::Bool),
+        ];
+        crate::keywords::lookup(NAMES, name)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Production code reads the schema a node was built with; tests compare
 //! it with this at every node. Shared with `crates/core/tests` by path.
 
-use xdb_sql::algebra::{infer_type, AggCall, Field, LogicalPlan, PlanSchema};
+use xdb_sql::algebra::{infer_type, AggCall, Field, LogicalPlan, PlanSchema, SchemaError};
 use xdb_sql::ast::Expr;
 use xdb_sql::value::DataType;
 
@@ -94,4 +94,37 @@ pub fn assert_schemas(plan: &LogicalPlan, what: &str) {
     for child in plan.children() {
         assert_schemas(child, what);
     }
+}
+
+/// Test oracle for [`PlanSchema::resolve`]: the loop it was before it
+/// asked for the name first, comparing name and qualifier of every field.
+/// Only `props_schema.rs` of the binaries that include this module uses it.
+#[allow(dead_code)]
+pub fn resolve_comparing_every_field(
+    schema: &PlanSchema,
+    qualifier: Option<&str>,
+    name: &str,
+) -> Result<usize, SchemaError> {
+    let shown = || match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_string(),
+    };
+    let mut found: Option<usize> = None;
+    for (i, f) in schema.fields.iter().enumerate() {
+        let name_matches = f.name.eq_ignore_ascii_case(name);
+        let qual_matches = match qualifier {
+            Some(q) => f
+                .qualifier
+                .as_deref()
+                .is_some_and(|fq| fq.eq_ignore_ascii_case(q)),
+            None => true,
+        };
+        if name_matches && qual_matches {
+            if found.is_some() {
+                return Err(SchemaError::Ambiguous(shown()));
+            }
+            found = Some(i);
+        }
+    }
+    found.ok_or_else(|| SchemaError::Unknown(shown()))
 }

@@ -54,6 +54,12 @@ fn deeply_nested_parentheses() {
         sql = format!("({sql} + 1)");
     }
     parse_expr(&sql).unwrap();
+    // Far past the nesting bound the answer is an error, not a dead process.
+    let hopeless = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    let err = parse_expr(&hopeless).unwrap_err();
+    assert_eq!(err.message, "expression nested too deeply");
+    let err = parse_select(&format!("SELECT {hopeless} FROM t")).unwrap_err();
+    assert_eq!(err.message, "expression nested too deeply");
 }
 
 #[test]

@@ -8,10 +8,10 @@
 
 mod common;
 
-use common::{assert_schemas, recomputed_schema};
+use common::{assert_schemas, recomputed_schema, resolve_comparing_every_field};
 use proptest::prelude::*;
 use std::sync::Arc;
-use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::algebra::{Field, LogicalPlan, PlanSchema};
 use xdb_sql::ast::Expr;
 use xdb_sql::bind::{bind_select, intern_fields, ResolvedRelation, SchemaProvider};
 use xdb_sql::optimize::{optimize, JoinShape, OptimizeOptions};
@@ -167,6 +167,47 @@ proptest! {
         let optimized = optimize(bound, &NoStats, options);
         assert_schemas(&optimized, "optimized");
         prop_assert_eq!(optimized.schema(), &output, "query {:?}", q.sql());
+    }
+}
+
+/// Names and qualifiers from a pool small enough that random schemas hold
+/// case variants of one name, one name under several qualifiers, and bare
+/// duplicates; `x`/`zz` and `q9` are never in a schema.
+fn arb_name() -> impl Strategy<Value = &'static str> {
+    (0usize..8).prop_map(|i| ["a", "A", "ab", "Ab", "b", "a_b", "x", "zz"][i])
+}
+
+fn arb_qualifier() -> impl Strategy<Value = Option<&'static str>> {
+    prop::option::of((0usize..5).prop_map(|i| ["t", "T", "u", "tu", "q9"][i]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `resolve` answers what the loop that compared every field answered:
+    /// the same index, the same `Unknown`, the same `Ambiguous`, with the
+    /// same text.
+    #[test]
+    fn resolve_agrees_with_comparing_every_field(
+        fields in prop::collection::vec((arb_qualifier(), arb_name()), 0..9),
+        lookups in prop::collection::vec((arb_qualifier(), arb_name()), 1..12),
+    ) {
+        let schema = PlanSchema::new(
+            fields
+                .iter()
+                .filter(|(q, n)| *q != Some("q9") && !matches!(*n, "x" | "zz"))
+                .map(|(q, n)| Field::new(*q, n, DataType::Int))
+                .collect(),
+        );
+        // Every reference drawn, and every field addressed as it is named.
+        let own = schema.fields.iter().map(|f| (f.qualifier.as_deref(), &*f.name));
+        for (q, n) in lookups.iter().copied().chain(own) {
+            prop_assert_eq!(
+                schema.resolve(q, n),
+                resolve_comparing_every_field(&schema, q, n),
+                "{:?}.{} in {:?}", q, n, schema
+            );
+        }
     }
 }
 

@@ -25,6 +25,17 @@ diff <(grep -rlE 'thread::(scope|spawn)' crates/*/src \
          | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort) \
      <(printf '%s\n' crates/net/src/reactor.rs)
 
+# Copy census: the lexer and the parser compare a word where it lies in
+# the statement and copy it once, into the AST node that keeps it (DESIGN.md
+# §18 "What is interned, and by whom"). No upper-cased copy to compare
+# against and no cloned token may come back into their non-test code.
+for f in crates/sql/src/lexer.rs crates/sql/src/parser.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'to_ascii_uppercase|\.clone\(\)'; then
+    echo "$f: a name is copied in order to be compared" >&2
+    exit 1
+  fi
+done
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target

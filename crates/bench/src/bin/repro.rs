@@ -366,10 +366,10 @@ fn main() {
         write!(out, "{}", report.render()).unwrap();
     }
     // `profile` is likewise not part of `all`: it re-runs the six-query
-    // workload with critical-path analysis and has its own table format.
+    // workload and renders the critical paths its records carry.
     if targets.iter().any(|t| t == "profile") {
-        let profiles = profiler::profile_workload(sf).expect("profile workload");
-        write!(out, "{}", profiler::render_table(sf, &profiles)).unwrap();
+        let records = profiler::profile_workload(sf).expect("profile workload");
+        write!(out, "{}", profiler::render_table(sf, &records)).unwrap();
     }
     // `tenants` is likewise not part of `all`: it runs the whole skewed
     // mix twice (folded + unfolded) and has its own digest export.

@@ -13,20 +13,17 @@
 //! ledger, so the whole report is bit-identical across invocations and
 //! executor modes.
 
-use crate::experiments::{env, CLOUD};
+use crate::experiments::{isolated_env, run_workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
-use xdb_core::Xdb;
+use xdb_core::XdbOptions;
 use xdb_engine::error::Result;
-use xdb_engine::profile::EngineProfile;
-use xdb_net::Scenario;
 use xdb_obs::costmodel::ErrorStats;
-use xdb_obs::{summarize, CalibrationSummary, Telemetry};
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_obs::{summarize, CalibrationSummary, HistoryRecord};
+use xdb_tpch::TableDist;
 
 /// Per-query regret/error aggregation (means per run).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryCalibration {
     pub query: String,
     pub runs: u64,
@@ -55,64 +52,34 @@ pub struct CalibrateReport {
 /// Run the six-query workload `runs` times on `td` and aggregate the
 /// cost-model observatory records.
 pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateReport> {
-    // Isolated telemetry with an in-memory history store: the observatory
-    // bundle rides every history record, which is exactly the join this
-    // report aggregates.
-    let telemetry = Telemetry::new_handle();
-    telemetry.history.enable_memory();
-    let mut e = env(
-        td,
-        sf,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )?;
-    e.catalog.set_telemetry(Arc::clone(&telemetry));
-    e.cluster.set_telemetry(Arc::clone(&telemetry));
-    for q in TpchQuery::ALL {
-        telemetry.history.set_label(q.name());
-        for _ in 0..runs {
-            e.cluster.ledger.clear();
-            let xdb = Xdb::new(&e.cluster, &e.catalog).with_client_node(CLOUD);
-            xdb.submit(q.sql())?;
-        }
-    }
-    telemetry.history.set_label("");
-    let records = telemetry.history.records();
-    let summary = summarize(&records);
-
-    let mut per: BTreeMap<String, QueryCalibration> = BTreeMap::new();
-    for r in &records {
-        let qc = per
-            .entry(r.label.clone())
-            .or_insert_with(|| QueryCalibration {
-                query: r.label.clone(),
-                ..Default::default()
-            });
-        qc.runs += 1;
-        qc.decisions += r.cost.decisions.len() as f64;
-        qc.predicted_ms += r.cost.decisions.iter().map(|d| d.predicted_ms).sum::<f64>();
-        qc.observed_ms += r.cost.decisions.iter().map(|d| d.observed_ms).sum::<f64>();
-        qc.regret_ms += r.cost.regret_ms();
-        qc.wire_abs_err_pct += r.cost.wire_abs_err_pct();
-    }
-    let per_query = TpchQuery::ALL
-        .iter()
-        .filter_map(|q| per.remove(q.name()))
-        .map(|mut qc| {
-            let n = qc.runs.max(1) as f64;
-            qc.decisions /= n;
-            qc.predicted_ms /= n;
-            qc.observed_ms /= n;
-            qc.regret_ms /= n;
-            qc.wire_abs_err_pct /= n;
-            qc
+    // The observatory bundle rides every history record, which is exactly
+    // the join this report aggregates.
+    let e = isolated_env(td, sf)?;
+    let (records, _) = run_workload(&e, &XdbOptions::default(), runs)?;
+    // The runner submits each query `runs` times in a row: one chunk of
+    // records per query, in workload order.
+    let per_query = records
+        .chunks(runs.max(1))
+        .map(|rs| {
+            let mean = |f: fn(&HistoryRecord) -> f64| {
+                rs.iter().fold(0.0, |sum, r| sum + f(r)) / rs.len() as f64
+            };
+            QueryCalibration {
+                query: rs[0].label.clone(),
+                runs: rs.len() as u64,
+                decisions: mean(|r| r.cost.decisions.len() as f64),
+                predicted_ms: mean(|r| r.cost.decisions.iter().map(|d| d.predicted_ms).sum()),
+                observed_ms: mean(|r| r.cost.decisions.iter().map(|d| d.observed_ms).sum()),
+                regret_ms: mean(|r| r.cost.regret_ms()),
+                wire_abs_err_pct: mean(|r| r.cost.wire_abs_err_pct()),
+            }
         })
         .collect();
     Ok(CalibrateReport {
         sf,
         runs,
         td,
-        summary,
+        summary: summarize(&records),
         per_query,
     })
 }
@@ -215,6 +182,7 @@ impl CalibrateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdb_tpch::TpchQuery;
 
     const TEST_SF: f64 = 0.002;
 

@@ -26,7 +26,7 @@
 //! `XDB_BENCH_GATE=1`.
 
 use std::collections::BTreeMap;
-use xdb_obs::costmodel::{error_pct, ErrorStats};
+use xdb_obs::costmodel::ErrorStats;
 use xdb_obs::history::{load_history_dir, HistoryRecord};
 
 /// Default latency noise band, percent.
@@ -190,14 +190,7 @@ fn group(records: &[HistoryRecord]) -> BTreeMap<(String, String), Group> {
             for v in shares.values_mut() {
                 *v /= rs.len() as f64;
             }
-            let mut cal = ErrorStats::default();
-            for r in rs.iter() {
-                for d in &r.cost.decisions {
-                    for e in d.edges.iter().filter(|e| e.matched) {
-                        cal.push(error_pct(e.pred_wire_ms, e.obs_wire_ms));
-                    }
-                }
-            }
+            let cal = rs.iter().flat_map(|r| r.cost.wire_errors()).collect();
             (
                 key,
                 Group {
@@ -212,10 +205,12 @@ fn group(records: &[HistoryRecord]) -> BTreeMap<(String, String), Group> {
         .collect()
 }
 
+/// The category with the largest share. A share that is NaN (a critical
+/// path time that overflowed to `inf` in a damaged line) still orders.
 fn dominant(shares: &BTreeMap<String, f64>) -> Option<(&str, f64)> {
     shares
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
+        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
         .map(|(k, v)| (k.as_str(), *v))
 }
 
@@ -356,12 +351,8 @@ pub fn compare_with(
     report
 }
 
-/// Load two history directories and compare them.
-pub fn compare_dirs(baseline: &str, current: &str, noise_pct: f64) -> Result<DriftReport, String> {
-    compare_dirs_with(baseline, current, noise_pct, None)
-}
-
-/// [`compare_dirs`] with a plan-flip budget (see [`compare_with`]).
+/// Load two history directories and compare them, with an optional
+/// plan-flip budget (see [`compare_with`]).
 pub fn compare_dirs_with(
     baseline: &str,
     current: &str,
@@ -382,7 +373,6 @@ mod tests {
 
     fn record(label: &str, fingerprint: &str, total_ms: f64) -> HistoryRecord {
         HistoryRecord {
-            schema_version: xdb_obs::HISTORY_SCHEMA_VERSION,
             label: label.to_string(),
             deployment: "xdb".to_string(),
             sql_fnv: format!("fnv-{label}"),
@@ -546,6 +536,25 @@ mod tests {
         assert!(f.detail.contains("2 of 4"), "{}", f.detail);
         assert_eq!(report.tolerated.len(), 2);
         assert!(report.render().contains("flip-rate"), "{}", report.render());
+    }
+
+    #[test]
+    fn overflowed_critical_path_time_is_a_report_not_a_panic() {
+        // `1e999` reads as `inf`: the category share is then `inf/inf`.
+        let mut r = record("Q3", "aaaa", 100.0);
+        r.critical = vec![
+            ("compute".to_string(), "hdb".to_string(), 60.0),
+            ("transfer".to_string(), "cdb->hdb".to_string(), 40.0),
+        ];
+        let line = r.to_json().replacen("\"ms\":60", "\"ms\":1e999", 1);
+        let records = xdb_obs::history::parse_history_jsonl(&line).unwrap();
+        assert_eq!(records[0].critical[0].2, f64::INFINITY);
+        assert_eq!(records[0].critical_by_category()[0].1, f64::INFINITY);
+        let report = compare(&records, &records, DEFAULT_NOISE_PCT);
+        assert_eq!(report.compared, 1);
+        assert!(report
+            .render()
+            .starts_with("drift: 1 query group(s) compared"));
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! seconds.
 
 use crate::report::Figure;
+use std::fmt::Write as _;
+use std::sync::Arc;
 use xdb_baselines::{Mediator, MediatorConfig, Sclera};
-use xdb_core::annotate::AnnotateOptions;
-use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb_core::annotate::{stable_hash_hex, AnnotateOptions};
+use xdb_core::{GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::Result;
 use xdb_engine::profile::EngineProfile;
+use xdb_engine::relation::Relation;
 use xdb_net::{Movement, NodeId, Purpose, Scenario};
+use xdb_obs::{HistoryRecord, Telemetry};
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// Name of the managed-cloud node hosting the middleware/mediator.
@@ -46,6 +50,71 @@ pub fn env(
 
 fn pg() -> ProfileAssignment {
     ProfileAssignment::uniform(EngineProfile::postgres())
+}
+
+/// An on-premise, all-PostgreSQL [`env`] with a telemetry handle of its
+/// own: its metrics, events and history are this experiment's alone.
+pub fn isolated_env(td: TableDist, sf: f64) -> Result<Env> {
+    let mut e = env(td, sf, Scenario::OnPremise, &pg())?;
+    let telemetry = Telemetry::new_handle();
+    e.catalog.set_telemetry(Arc::clone(&telemetry));
+    e.cluster.set_telemetry(telemetry);
+    Ok(e)
+}
+
+/// The six-query workload, each query submitted `runs` times in a row on
+/// `env` with `options`: the history records those submits wrote, each
+/// labelled with its query, and their outcomes, in submit order.
+///
+/// The records come from the env's history sink, which is left as it was
+/// found: one already recording (`repro --history dir/`) keeps every
+/// record, one that was off records in memory for the run only.
+pub fn run_workload(
+    env: &Env,
+    options: &XdbOptions,
+    runs: usize,
+) -> Result<(Vec<HistoryRecord>, Vec<QueryOutcome>)> {
+    let history = &env.cluster.telemetry().history;
+    let recording = history.is_enabled();
+    if !recording {
+        history.enable_memory();
+    }
+    let mark = history.len();
+    let xdb = Xdb::new(&env.cluster, &env.catalog)
+        .with_client_node(CLOUD)
+        .with_options(options.clone());
+    let submit_all = || -> Result<Vec<QueryOutcome>> {
+        let mut outcomes = Vec::new();
+        for q in TpchQuery::ALL {
+            history.set_label(q.name());
+            for _ in 0..runs {
+                env.cluster.ledger.clear();
+                outcomes.push(xdb.submit(q.sql())?);
+            }
+        }
+        Ok(outcomes)
+    };
+    let outcomes = submit_all();
+    history.set_label("");
+    let records = history.records().split_off(mark);
+    if !recording {
+        history.disable();
+        history.clear();
+    }
+    Ok((records, outcomes?))
+}
+
+/// Stable digest of a relation's ordered result cells (`{:?}|` per value,
+/// `\n` per row): how two runs show they returned the same answer.
+pub fn result_digest(relation: &Relation) -> String {
+    let mut cells = String::new();
+    for i in 0..relation.len() {
+        for c in 0..relation.width() {
+            let _ = write!(cells, "{:?}|", relation.value(i, c));
+        }
+        cells.push('\n');
+    }
+    stable_hash_hex(cells.as_bytes())
 }
 
 /// "Actual" execution time of a query with localized tables: one engine

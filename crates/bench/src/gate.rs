@@ -144,30 +144,22 @@ pub fn compare(
 /// `key -> value` map.
 pub fn parse_monitor_snapshot(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let value = json::parse(text)?;
-    let version = value
-        .get("schema_version")
-        .and_then(json::Value::as_f64)
-        .ok_or_else(|| {
-            format!(
-                "snapshot has no schema_version (this build expects {MONITOR_SCHEMA_VERSION}); \
-                 re-baseline with `repro monitor --json`"
-            )
-        })? as u64;
+    let version = value.u64("schema_version").map_err(|e| {
+        format!(
+            "snapshot: {e} (this build expects {MONITOR_SCHEMA_VERSION}); \
+             re-baseline with `repro monitor --json`"
+        )
+    })?;
     if version != MONITOR_SCHEMA_VERSION {
         return Err(format!(
             "snapshot schema_version {version} (this build supports {MONITOR_SCHEMA_VERSION})"
         ));
     }
-    let Some(json::Value::Object(pairs)) = value.get("values") else {
-        return Err("snapshot has no values object".to_string());
-    };
-    let mut out = BTreeMap::new();
-    for (k, v) in pairs {
-        let n = v
-            .as_f64()
-            .ok_or_else(|| format!("value {k:?} is not a number"))?;
-        out.insert(k.clone(), n);
-    }
+    let out: BTreeMap<String, f64> = value
+        .members("values", "a number", json::Value::as_f64)
+        .map_err(|e| format!("snapshot: {e}"))?
+        .into_iter()
+        .collect();
     if out.is_empty() {
         return Err("snapshot has an empty values object".to_string());
     }

@@ -16,15 +16,13 @@
 //! flips — the tier-1 self-compare that pins the learned path's
 //! bit-exact-fallback contract in CI.
 
-use crate::experiments::{env, CLOUD};
+use crate::experiments::{isolated_env, result_digest, run_workload};
 use std::fmt::Write as _;
-use std::sync::Arc;
-use xdb_core::{CostProfiles, Xdb, XdbOptions};
+use xdb_core::{CostProfiles, QueryOutcome, XdbOptions};
 use xdb_engine::error::Result;
-use xdb_engine::profile::EngineProfile;
-use xdb_net::Scenario;
-use xdb_obs::{summarize, Telemetry};
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_obs::costmodel::ErrorStats;
+use xdb_obs::{summarize, HistoryRecord};
+use xdb_tpch::TableDist;
 
 /// One query's measurements under one cost-model arm.
 #[derive(Debug, Clone, Default)]
@@ -33,14 +31,28 @@ pub struct ReplayArm {
     pub fingerprint: String,
     /// End-to-end simulated time.
     pub total_ms: f64,
-    /// Encoded bytes this query put on the wire (ledger total).
+    /// Encoded bytes this query put on the wire (every edge it recorded).
     pub encoded_bytes: u64,
     /// Positive placement regret (observed chosen vs best rejected).
     pub regret_ms: f64,
     /// Predicted Eq. 1 cost of the chosen candidates.
     pub predicted_ms: f64,
-    /// FNV digest of the ordered result cells.
-    pub digest: u64,
+    /// Digest of the ordered result cells.
+    pub digest: String,
+}
+
+impl ReplayArm {
+    /// Everything but the result digest is read off the query's record.
+    fn new(record: &HistoryRecord, outcome: &QueryOutcome) -> ReplayArm {
+        ReplayArm {
+            fingerprint: record.fingerprint.clone(),
+            total_ms: record.total_ms,
+            encoded_bytes: record.edges.iter().map(|e| e.encoded_bytes).sum(),
+            regret_ms: record.cost.regret_ms(),
+            predicted_ms: record.cost.decisions.iter().map(|d| d.predicted_ms).sum(),
+            digest: result_digest(&outcome.relation),
+        }
+    }
 }
 
 /// Static-vs-learned comparison of one workload query.
@@ -106,91 +118,33 @@ impl ReplayReport {
     }
 }
 
-fn digest_relation(rel: &xdb_engine::relation::Relation) -> u64 {
-    let mut cells = String::new();
-    for i in 0..rel.len() {
-        for c in 0..rel.width() {
-            let _ = write!(cells, "{:?}|", rel.value(i, c));
-        }
-        cells.push('\n');
-    }
-    let mut h = 0xcbf29ce484222325u64;
-    for b in cells.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Per-query outcomes labelled by query name, plus the arm's total wall
-/// time (ms) and its mean absolute wire-prediction error (percent).
+/// Per-query outcomes labelled by query name, plus the arm's mean absolute
+/// wire-prediction error (percent) and its net placement regret (ms).
 type ArmOutcome = (Vec<(String, ReplayArm)>, f64, f64);
 
 /// Run the workload once under one cost-model arm. `profiles` is the
 /// frozen store the learned arm prices against (`None` → static model).
 fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<ArmOutcome> {
-    let telemetry = Telemetry::new_handle();
-    telemetry.history.enable_memory();
-    let mut e = env(
-        td,
-        sf,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )?;
-    e.catalog.set_telemetry(Arc::clone(&telemetry));
-    e.cluster.set_telemetry(Arc::clone(&telemetry));
+    let e = isolated_env(td, sf)?;
     if let Some(p) = profiles {
         e.catalog.set_profiles(p.clone());
     }
-    let mut arms = Vec::new();
-    for q in TpchQuery::ALL {
-        telemetry.history.set_label(q.name());
-        e.cluster.ledger.clear();
-        let xdb = Xdb::new(&e.cluster, &e.catalog)
-            .with_client_node(CLOUD)
-            .with_options(XdbOptions {
-                // Both arms pin the cost mode explicitly so ambient
-                // XDB_STATIC_COSTS cannot skew the comparison; the
-                // learned arm never absorbs (frozen snapshot).
-                learned_costs: profiles.is_some(),
-                freeze_profiles: true,
-                ..Default::default()
-            });
-        let outcome = xdb.submit(q.sql())?;
-        let encoded_bytes = e
-            .cluster
-            .ledger
-            .snapshot()
-            .iter()
-            .map(|t| t.encoded_bytes)
-            .sum();
-        arms.push((
-            q.name().to_string(),
-            ReplayArm {
-                fingerprint: xdb_core::annotate::plan_fingerprint(&outcome.delegation),
-                total_ms: outcome.breakdown.total_ms(),
-                encoded_bytes,
-                regret_ms: outcome.cost.regret_ms(),
-                predicted_ms: outcome.cost.decisions.iter().map(|d| d.predicted_ms).sum(),
-                digest: digest_relation(&outcome.relation),
-            },
-        ));
-    }
-    telemetry.history.set_label("");
-    let records = telemetry.history.records();
-    let summary = summarize(&records);
-    let wire_abs = summary
-        .wire_by_shape
-        .values()
-        .fold((0.0f64, 0u64), |(s, n), e| {
-            (s + e.mean_abs_pct() * e.count as f64, n + e.count)
-        });
-    let wire_abs_err = if wire_abs.1 > 0 {
-        wire_abs.0 / wire_abs.1 as f64
-    } else {
-        0.0
+    let options = XdbOptions {
+        // Both arms pin the cost mode explicitly so ambient
+        // XDB_STATIC_COSTS cannot skew the comparison; the learned arm
+        // never absorbs (frozen snapshot).
+        learned_costs: profiles.is_some(),
+        freeze_profiles: true,
+        ..Default::default()
     };
-    Ok((arms, wire_abs_err, summary.net_regret_ms))
+    let (records, outcomes) = run_workload(&e, &options, 1)?;
+    let arms = records
+        .iter()
+        .zip(&outcomes)
+        .map(|(r, o)| (r.label.clone(), ReplayArm::new(r, o)))
+        .collect();
+    let wire: ErrorStats = records.iter().flat_map(|r| r.cost.wire_errors()).collect();
+    Ok((arms, wire.mean_abs_pct(), summarize(&records).net_regret_ms))
 }
 
 /// Replay the workload under static and learned pricing and join the two
@@ -308,29 +262,17 @@ impl ReplayReport {
     }
 }
 
-/// Learn a profile store by running the workload once with live feedback
-/// (the in-process equivalent of seeding from a `--history` directory).
+/// Learn a profile store from the history of one pass of the workload with
+/// live feedback: the in-process equivalent of `--profiles dir/`, and the
+/// store that pass left in its catalog.
 pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
-    let telemetry = Telemetry::new_handle();
-    let mut e = env(
-        td,
-        sf,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )?;
-    e.catalog.set_telemetry(Arc::clone(&telemetry));
-    e.cluster.set_telemetry(Arc::clone(&telemetry));
-    for q in TpchQuery::ALL {
-        let xdb = Xdb::new(&e.cluster, &e.catalog)
-            .with_client_node(CLOUD)
-            .with_options(XdbOptions {
-                learned_costs: true,
-                freeze_profiles: false,
-                ..Default::default()
-            });
-        xdb.submit(q.sql())?;
-    }
-    Ok(e.catalog.profiles_snapshot())
+    let options = XdbOptions {
+        learned_costs: true,
+        freeze_profiles: false,
+        ..Default::default()
+    };
+    let (records, _) = run_workload(&isolated_env(td, sf)?, &options, 1)?;
+    Ok(CostProfiles::from_history(&records))
 }
 
 #[cfg(test)]

@@ -21,16 +21,12 @@
 //! series. Latency series deliberately exclude control-message byte
 //! counts, which depend on the decimal width of process-global query ids.
 
-use crate::experiments::{env, CLOUD};
+use crate::experiments::{isolated_env, result_digest, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use xdb_core::{QueryServer, SessionOptions, SessionReport, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::error::Result;
-use xdb_engine::profile::EngineProfile;
-use xdb_net::Scenario;
-use xdb_obs::Telemetry;
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_tpch::{TableDist, TpchQuery};
 
 /// One admission arm (folded or unfolded) aggregated over the whole run.
 #[derive(Debug, Clone)]
@@ -104,32 +100,16 @@ fn next(x: &mut u64) -> u64 {
     x.wrapping_mul(0x2545F4914F6CDD1D)
 }
 
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// One admission's observable result, independent of query ids: ordered
 /// result cells hashed, plus the tenant and result shape in clear.
 pub fn digest_line(o: &TenantOutcome) -> String {
-    let mut cells = String::new();
-    for i in 0..o.relation.len() {
-        for c in 0..o.relation.width() {
-            let _ = write!(cells, "{:?}|", o.relation.value(i, c));
-        }
-        cells.push('\n');
-    }
     format!(
-        "{:04} {} {}x{} {:016x}",
+        "{:04} {} {}x{} {}",
         o.index,
         o.tenant,
         o.relation.len(),
         o.relation.width(),
-        fnv1a64(&cells)
+        result_digest(&o.relation)
     )
 }
 
@@ -174,15 +154,7 @@ pub fn run_tenants(sf: f64, tenants: usize, rounds: usize) -> Result<TenantsRepo
 }
 
 fn run_arm(sf: f64, subs: &[Submission], window: usize, fold: bool) -> Result<TenantsArm> {
-    let mut e = env(
-        TableDist::Td1,
-        sf,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )?;
-    let telemetry = Telemetry::new_handle();
-    e.catalog.set_telemetry(Arc::clone(&telemetry));
-    e.cluster.set_telemetry(telemetry);
+    let e = isolated_env(TableDist::Td1, sf)?;
     let server = QueryServer::new(
         &e.cluster,
         &e.catalog,
@@ -381,16 +353,7 @@ mod tests {
     /// (query ids, per-admission observables, deterministic snapshot,
     /// makespan) for one admission run over `subs`.
     fn admit(subs: &[Submission], window: usize) -> (Vec<u64>, Vec<String>, String, f64) {
-        let mut e = env(
-            TableDist::Td1,
-            TEST_SF,
-            Scenario::OnPremise,
-            &ProfileAssignment::uniform(EngineProfile::postgres()),
-        )
-        .unwrap();
-        let telemetry = Telemetry::new_handle();
-        e.catalog.set_telemetry(Arc::clone(&telemetry));
-        e.cluster.set_telemetry(Arc::clone(&telemetry));
+        let e = isolated_env(TableDist::Td1, TEST_SF).unwrap();
         let server = QueryServer::new(
             &e.cluster,
             &e.catalog,
@@ -408,7 +371,12 @@ mod tests {
             .iter()
             .map(|o| format!("{} {:?}", digest_line(o), o.breakdown))
             .collect();
-        let snap = telemetry.metrics.deterministic_snapshot().render();
+        let snap = e
+            .cluster
+            .telemetry()
+            .metrics
+            .deterministic_snapshot()
+            .render();
         (ids, fps, snap, report.makespan_ms)
     }
 

@@ -27,7 +27,7 @@ use xdb_net::{params, wire, NodeId, Purpose, Transfer};
 use xdb_obs::history::EdgeObs;
 use xdb_obs::{
     critical_path, CriticalPath, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector,
-    TraceCtx, HISTORY_SCHEMA_VERSION,
+    TraceCtx,
 };
 use xdb_sql::ast::{Statement, TableRef};
 use xdb_sql::bind::bind_select;
@@ -795,7 +795,6 @@ impl<'a> Xdb<'a> {
             })
             .unwrap_or_default();
         HistoryRecord {
-            schema_version: HISTORY_SCHEMA_VERSION,
             label: telemetry.history.label(),
             deployment: "xdb".to_string(),
             sql_fnv: stable_hash_hex(sql.as_bytes()),

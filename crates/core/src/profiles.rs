@@ -26,7 +26,7 @@
 //! **Determinism.** A store's state is a function of the *multiset* of
 //! absorbed samples, not their order: a factor keeps a sample count and
 //! the exact sum of the samples in 2⁻⁴⁰ fixed point. Integer addition is
-//! associative where `f64` addition is not, so merging history files in any
+//! associative where `f64` addition is not, so reading history files in any
 //! order — or absorbing the same observations from concurrent sessions in
 //! any interleaving — yields bit-identical factors, and the store's size
 //! depends on the number of keys, not on how much was absorbed.
@@ -34,27 +34,18 @@
 //! stream-chunk sizes (the observatory's contract), so feedback preserves
 //! the repo's cross-axis determinism.
 //!
-//! Persistence is schema-versioned JSON (`profiles.json`); history
-//! directories (`history.jsonl`) are also accepted as a profile source via
-//! [`CostProfiles::from_history_dir`] / `repro --profiles dir/`.
+//! **No file of its own.** A store is built by absorbing observations
+//! (`Xdb::submit`) or history records ([`CostProfiles::from_history`],
+//! [`CostProfiles::from_history_dir`], `repro --profiles dir/`), and in no
+//! other way. A submit absorbs exactly its record's `cost` and
+//! `statements`, so the history a workload wrote rebuilds the store it
+//! learned: the record is the one persisted form of both.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 use xdb_net::{edge_pair, edge_shape, Movement};
 use xdb_obs::costmodel::CostObservation;
 use xdb_obs::history::{load_history_dir, HistoryRecord};
-use xdb_obs::json;
-use xdb_obs::trace::json_string;
-
-/// Version of the on-disk profile layout; the only one this build reads.
-/// v3: a factor is `"<count>:<fixed-point sum>"` in fixed-width hex (so a
-/// file's size depends on its keys alone), not a list of samples.
-/// v4: no `consult` factor.
-pub const PROFILES_SCHEMA_VERSION: u64 = 4;
-
-/// File name of a persisted profile store inside a directory.
-pub const PROFILES_FILE: &str = "profiles.json";
 
 /// Pseudo-count prior pulling every learned factor toward the static
 /// model's 1.0 (see module docs).
@@ -128,24 +119,6 @@ impl FactorStat {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
-
-    fn to_json(self) -> String {
-        format!("\"{:016x}:{:032x}\"", self.count, self.sum)
-    }
-
-    fn from_json(v: &json::Value) -> Result<FactorStat, String> {
-        v.as_str()
-            .and_then(|s| s.split_once(':'))
-            .filter(|(count, sum)| count.len() == 16 && sum.len() == 32)
-            .and_then(|(count, sum)| {
-                Some(FactorStat {
-                    count: u64::from_str_radix(count, 16).ok()?,
-                    sum: u128::from_str_radix(sum, 16).ok()?,
-                })
-            })
-            .filter(|stat| stat.count > 0 || stat.sum == 0)
-            .ok_or_else(|| "factor is not \"<16 hex count>:<32 hex sum>\"".to_string())
-    }
 }
 
 /// The learned-profile store (see module docs).
@@ -164,18 +137,24 @@ pub struct CostProfiles {
 }
 
 impl CostProfiles {
-    /// The keyed factor tables, under their names in the file.
-    fn tables(&self) -> [(&'static str, &BTreeMap<String, FactorStat>); 4] {
+    /// The keyed factor tables.
+    fn tables(&self) -> [&BTreeMap<String, FactorStat>; 4] {
         [
-            ("wire_shape", &self.wire_by_shape),
-            ("wire_pair", &self.wire_by_pair),
-            ("wire_engine", &self.wire_by_engine),
-            ("compute_engine", &self.compute_by_engine),
+            &self.wire_by_shape,
+            &self.wire_by_pair,
+            &self.wire_by_engine,
+            &self.compute_by_engine,
         ]
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tables().iter().all(|(_, t)| t.is_empty()) && self.wire_global.is_empty()
+        self.keys() == 0 && self.wire_global.is_empty()
+    }
+
+    /// Keyed factors across every table: what the store's size follows
+    /// (a factor is `Copy` and fixed-width, whatever it absorbed).
+    pub fn keys(&self) -> usize {
+        self.tables().iter().map(|t| t.len()).sum()
     }
 
     /// Total absorbed samples across every factor (wire samples counted
@@ -298,24 +277,6 @@ impl CostProfiles {
         Ok(Self::from_history(&load_history_dir(dir)?))
     }
 
-    /// Union with another store. Order-independent: merging A into B and
-    /// B into A produce bit-identical factors, regardless of how the
-    /// sample sets overlap.
-    pub fn merge(&mut self, other: &CostProfiles) {
-        let mine = [
-            &mut self.wire_by_shape,
-            &mut self.wire_by_pair,
-            &mut self.wire_by_engine,
-            &mut self.compute_by_engine,
-        ];
-        for (mine, (_, theirs)) in mine.into_iter().zip(other.tables()) {
-            for (k, s) in theirs {
-                mine.entry(k.clone()).or_default().merge(s);
-            }
-        }
-        self.wire_global.merge(&other.wire_global);
-    }
-
     /// One-line description for reports.
     pub fn describe(&self) -> String {
         format!(
@@ -324,79 +285,6 @@ impl CostProfiles {
             self.wire_by_shape.len(),
             self.compute_by_engine.len()
         )
-    }
-
-    /// One JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"schema_version\":{PROFILES_SCHEMA_VERSION}");
-        for (key, table) in self.tables() {
-            let _ = write!(out, ",\"{key}\":{{");
-            for (i, (k, s)) in table.iter().enumerate() {
-                let sep = if i > 0 { "," } else { "" };
-                let _ = write!(out, "{sep}{}:{}", json_string(k), s.to_json());
-            }
-            out.push('}');
-        }
-        let _ = write!(out, ",\"wire_global\":{}}}", self.wire_global.to_json());
-        out
-    }
-
-    fn map_from_json(v: &json::Value, key: &str) -> Result<BTreeMap<String, FactorStat>, String> {
-        let Some(json::Value::Object(items)) = v.get(key) else {
-            return Err(format!("profiles missing object {key:?}"));
-        };
-        let mut map = BTreeMap::new();
-        for (k, stat) in items {
-            let stat = FactorStat::from_json(stat)
-                .map_err(|e| format!("profiles {key:?} entry {k:?}: {e}"))?;
-            map.insert(k.clone(), stat);
-        }
-        Ok(map)
-    }
-
-    /// Parse a store back out of its JSON form. Rejects unsupported
-    /// schema versions and malformed factor tables with a clear error.
-    pub fn from_json(v: &json::Value) -> Result<CostProfiles, String> {
-        let version = v
-            .get("schema_version")
-            .and_then(json::Value::as_f64)
-            .ok_or_else(|| "profiles missing numeric \"schema_version\"".to_string())?
-            as u64;
-        if version != PROFILES_SCHEMA_VERSION {
-            return Err(format!(
-                "profiles schema_version {version} (this build reads {PROFILES_SCHEMA_VERSION})"
-            ));
-        }
-        let wire_global = v
-            .get("wire_global")
-            .ok_or_else(|| "profiles missing \"wire_global\"".to_string())
-            .and_then(|f| {
-                FactorStat::from_json(f).map_err(|e| format!("profiles \"wire_global\": {e}"))
-            })?;
-        Ok(CostProfiles {
-            wire_by_shape: Self::map_from_json(v, "wire_shape")?,
-            wire_by_pair: Self::map_from_json(v, "wire_pair")?,
-            wire_by_engine: Self::map_from_json(v, "wire_engine")?,
-            wire_global,
-            compute_by_engine: Self::map_from_json(v, "compute_engine")?,
-        })
-    }
-
-    /// Write the store to `path` as schema-versioned JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
-        let path = path.as_ref();
-        std::fs::write(path, format!("{}\n", self.to_json()))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-
-    /// Read a store back from `path`; corrupt or unsupported files are a
-    /// clear error, never a silently-empty store.
-    pub fn load(path: impl AsRef<Path>) -> Result<CostProfiles, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::from_json(&v).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -517,104 +405,34 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent() {
-        let mut a = CostProfiles::default();
-        a.absorb(&observation(400, 1000), &[("hdb".to_string(), 90.0)]);
-        a.absorb(&observation(300, 1000), &[("hdb".to_string(), 70.0)]);
-        let mut b = CostProfiles::default();
-        b.absorb(&observation(900, 1000), &[("hdb".to_string(), 120.0)]);
-        // Overlapping sample sets: c shares b's observations.
-        let mut c = CostProfiles::default();
-        c.absorb(&observation(900, 1000), &[("hdb".to_string(), 120.0)]);
-        c.absorb(&observation(500, 1000), &[]);
-
-        let mut abc = a.clone();
-        abc.merge(&b);
-        abc.merge(&c);
-        let mut cba = c.clone();
-        cba.merge(&b);
-        cba.merge(&a);
-        assert_eq!(abc, cba);
-        assert_eq!(abc.to_json(), cba.to_json());
-        assert_eq!(
-            abc.wire_ratio("cdb", "hdb", Movement::Implicit),
-            cba.wire_ratio("cdb", "hdb", Movement::Implicit)
-        );
-
-        // Any interleaving of the absorbs over any number of shards, merged
-        // in any order: ratios whose `f64` sum depends on the order of
-        // addition, bit-equal here.
-        let absorb_all = |order: &[u64], shards: usize| {
-            let mut stores = vec![CostProfiles::default(); shards];
-            for (k, i) in order.iter().enumerate() {
+        // Any order of the absorbs into one store: ratios whose `f64` sum
+        // depends on the order of addition, bit-equal here.
+        let absorb_all = |order: &[u64]| {
+            let mut store = CostProfiles::default();
+            for i in order {
                 let (encoded, ms) = (1 + i * i * 7919 % 100_003, 10.0 + (i % 11) as f64 * 0.1);
-                stores[k % shards].absorb(&observation(encoded, 99_991), &[("hdb".into(), ms)]);
+                store.absorb(&observation(encoded, 99_991), &[("hdb".into(), ms)]);
             }
-            stores
-                .iter()
-                .rev()
-                .fold(CostProfiles::default(), |mut all, s| {
-                    all.merge(s);
-                    all
-                })
+            store
         };
         let mut order: Vec<u64> = (0..200).collect();
-        let reference = absorb_all(&order, 1);
+        let reference = absorb_all(&order);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for shards in 1..=5 {
+        for _ in 0..5 {
             for i in (1..order.len()).rev() {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 order.swap(i, (state >> 33) as usize % (i + 1));
             }
-            let shuffled = absorb_all(&order, shards);
+            let shuffled = absorb_all(&order);
             assert_eq!(shuffled, reference);
-            assert_eq!(shuffled.to_json(), reference.to_json());
             assert_eq!(
                 shuffled.compute_factor("hdb").map(f64::to_bits),
                 reference.compute_factor("hdb").map(f64::to_bits)
             );
-        }
-    }
-
-    #[test]
-    fn json_roundtrip_is_lossless() {
-        let mut p = CostProfiles::default();
-        p.absorb(&observation(400, 1000), &[("hdb".to_string(), 90.0)]);
-        p.absorb(&observation(123, 777), &[("hdb".to_string(), 55.5)]);
-        let v = json::parse(&p.to_json()).unwrap();
-        let back = CostProfiles::from_json(&v).unwrap();
-        assert_eq!(back, p);
-        let empty = CostProfiles::default();
-        let v = json::parse(&empty.to_json()).unwrap();
-        assert_eq!(CostProfiles::from_json(&v).unwrap(), empty);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_versions_and_shapes() {
-        let current = CostProfiles::default().to_json();
-        let version = format!("\"schema_version\":{PROFILES_SCHEMA_VERSION}");
-        // Neither a later layout nor an earlier one is read.
-        for other in [PROFILES_SCHEMA_VERSION + 1, 3, 2, 1] {
-            let text = current.replace(&version, &format!("\"schema_version\":{other}"));
-            let err = CostProfiles::from_json(&json::parse(&text).unwrap()).unwrap_err();
-            assert!(err.contains("schema_version"), "{err}");
-        }
-        let missing = "{\"wire_shape\":{}}";
-        let err = CostProfiles::from_json(&json::parse(missing).unwrap()).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
-        let (zero, one) = ("0".repeat(16), format!("{:032x}", 1));
-        for factor in [
-            "\"zap\"".to_string(),
-            "[0.25,0.5]".to_string(),
-            format!("\"{zero}:1\""),
-            format!("\"{zero}:{one}\""),
-            format!("\"{zero}:{}\"", one.replace('1', "g")),
-        ] {
-            let bad = current.replace(
-                "\"wire_shape\":{}",
-                &format!("\"wire_shape\":{{\"a->b/implicit\":{factor}}}"),
+            assert_eq!(
+                shuffled.wire_ratio("cdb", "hdb", Movement::Implicit),
+                reference.wire_ratio("cdb", "hdb", Movement::Implicit)
             );
-            let err = CostProfiles::from_json(&json::parse(&bad).unwrap()).unwrap_err();
-            assert!(err.contains("a->b/implicit"), "{factor}: {err}");
         }
     }
 }

@@ -110,7 +110,8 @@ fn history_record_carries_fingerprint_and_edges() {
     let records = telemetry.history.records();
     assert_eq!(records.len(), 1);
     let r = &records[0];
-    assert_eq!(r.schema_version, xdb_obs::HISTORY_SCHEMA_VERSION);
+    let version = format!("\"schema_version\":{}", xdb_obs::HISTORY_SCHEMA_VERSION);
+    assert!(r.to_json().starts_with(&format!("{{{version},")));
     assert_eq!(r.label, "example");
     assert_eq!(r.query_id, outcome.query_id);
     assert_eq!(r.fingerprint.len(), 16);

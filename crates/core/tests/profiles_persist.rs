@@ -1,17 +1,20 @@
-//! Learned-cost-profile persistence: the on-disk schema contract.
+//! Learned-cost-profile persistence: the store has no file of its own, the
+//! query history is its persisted form.
 //!
-//! A saved store reads back bit-identically; files of any other schema
-//! version (no profile file is checked in, so there is nothing to migrate)
-//! and corrupt files are a loud error naming the file, never a
-//! silently-empty store; merging history shards is order-independent so
-//! fleet-wide aggregation can proceed in any order; and the file's size
-//! follows the number of keys, not the number of absorbed observations.
+//! The history a workload wrote rebuilds, bit for bit, the store the
+//! catalog learned while it ran; reading history shards is
+//! order-independent, so fleet-wide aggregation can proceed in any order;
+//! and the store's size follows the number of keys, not the number of
+//! absorbed observations.
 
 use std::sync::Arc;
-use xdb_core::{CostProfiles, GlobalCatalog};
-use xdb_net::Movement;
+use xdb_core::{CostProfiles, GlobalCatalog, Xdb, XdbOptions};
+use xdb_engine::profile::EngineProfile;
+use xdb_net::{Movement, NodeId, Scenario};
 use xdb_obs::costmodel::{CandidateObs, CostObservation, DecisionObs, EdgeJoin};
-use xdb_obs::history::HistoryRecord;
+use xdb_obs::history::{parse_history_jsonl, HistoryRecord};
+use xdb_obs::Telemetry;
+use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// A scratch directory unique to this test, cleaned up on drop.
 struct Scratch(std::path::PathBuf);
@@ -35,75 +38,52 @@ impl Drop for Scratch {
     }
 }
 
-/// A store with every factor table populated.
-fn sample_store() -> CostProfiles {
-    let mut p = CostProfiles::default();
-    p.observe_wire("db1", "db2", Movement::Implicit, 0.25);
-    p.observe_wire("db1", "db2", Movement::Explicit, 0.5);
-    p.observe_wire("db2", "db1", Movement::Implicit, 1.25);
-    p.observe_compute("db1", 1.5);
-    p.observe_compute("db2", 0.75);
-    p
-}
-
 #[test]
-fn saved_store_roundtrips_through_disk() {
-    let scratch = Scratch::new("roundtrip");
-    let path = scratch.path(xdb_core::profiles::PROFILES_FILE);
-    let store = sample_store();
-    store.save(&path).unwrap();
-    let back = CostProfiles::load(&path).unwrap();
-    assert_eq!(store.to_json(), back.to_json());
-    assert_eq!(
-        store.wire_ratio("db1", "db2", Movement::Implicit),
-        back.wire_ratio("db1", "db2", Movement::Implicit)
-    );
-    assert_eq!(store.compute_factor("db1"), back.compute_factor("db1"));
-}
-
-#[test]
-fn corrupt_files_are_rejected_with_the_path() {
-    let scratch = Scratch::new("corrupt");
-    for (name, text) in [
-        ("garbage.json", "not json at all"),
-        ("truncated.json", "{\"schema_version\":4,\"wire_shape\":{"),
-        (
-            "noversion.json",
-            "{\"wire_shape\":{},\"compute_engine\":{}}",
-        ),
-        (
-            "future.json",
-            "{\"schema_version\":99,\"wire_shape\":{},\"compute_engine\":{}}",
-        ),
-        (
-            "samples.json",
-            "{\"schema_version\":2,\"wire_shape\":{\"a->b/implicit\":[0.25,0.5]},\
-              \"compute_engine\":{}}",
-        ),
-        (
-            "badfactor.json",
-            "{\"schema_version\":4,\"wire_shape\":{\"a->b/implicit\":[\"x\"]},\
-              \"wire_pair\":{},\"wire_engine\":{},\"compute_engine\":{}}",
-        ),
-    ] {
-        let path = scratch.path(name);
-        std::fs::write(&path, text).unwrap();
-        let err = CostProfiles::load(&path).expect_err(name);
-        assert!(
-            err.contains(name),
-            "error for {name} should name the file: {err}"
+fn history_is_a_sufficient_record_of_what_was_learned() {
+    // A submit absorbs exactly its record's `cost` and `statements` (an
+    // empty observation absorbs nothing), so the lines a live-feedback
+    // pass wrote rebuild the catalog's store: no second file is needed.
+    for dist in TableDist::ALL {
+        let mut cluster = build_cluster(
+            dist,
+            0.002,
+            Scenario::OnPremise,
+            &ProfileAssignment::uniform(EngineProfile::postgres()),
+        )
+        .unwrap();
+        cluster.topology.add_cloud_node(NodeId::new("cloud"));
+        let telemetry = Telemetry::new_handle();
+        telemetry.history.enable_memory();
+        cluster.set_telemetry(Arc::clone(&telemetry));
+        let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
+        catalog.set_telemetry(Arc::clone(&telemetry));
+        let xdb = Xdb::new(&cluster, &catalog)
+            .with_client_node("cloud")
+            .with_options(XdbOptions {
+                learned_costs: true,
+                freeze_profiles: false,
+                ..Default::default()
+            });
+        for q in TpchQuery::ALL {
+            xdb.submit(q.sql()).unwrap();
+        }
+        let records = parse_history_jsonl(&telemetry.history.to_jsonl()).unwrap();
+        assert_eq!(records.len(), TpchQuery::ALL.len(), "{}", dist.name());
+        let learned = catalog.profiles_snapshot();
+        assert!(!learned.is_empty(), "{}", dist.name());
+        assert_eq!(
+            CostProfiles::from_history(&records),
+            learned,
+            "{}",
+            dist.name()
         );
     }
-    // A missing file is equally loud.
-    let err = CostProfiles::load(scratch.path("absent.json")).unwrap_err();
-    assert!(err.contains("absent.json"), "{err}");
 }
 
 /// One history record carrying a single matched edge and one engine's
 /// statement work, enough for `absorb` to learn from.
 fn record(from: &str, to: &str, pred_bytes: u64, obs_encoded: u64, obs_ms: f64) -> HistoryRecord {
     HistoryRecord {
-        schema_version: 3,
         label: "Qx".into(),
         deployment: "xdb".into(),
         sql_fnv: format!("{pred_bytes:x}"),
@@ -169,31 +149,29 @@ fn history_shards_merge_order_independently() {
     let p_ab = CostProfiles::from_history_dir(&ab.0).unwrap();
     let p_ba = CostProfiles::from_history_dir(&ba.0).unwrap();
     assert!(!p_ab.is_empty());
-    // Bit-identical factors AND bit-identical serialized form, whichever
-    // order the shards arrived in.
-    assert_eq!(p_ab.to_json(), p_ba.to_json());
+    // Bit-identical factors whichever order the shards arrived in.
+    assert_eq!(p_ab, p_ba);
     assert_eq!(
         p_ab.wire_ratio("db1", "db2", Movement::Implicit),
         p_ba.wire_ratio("db1", "db2", Movement::Implicit)
     );
 
-    // And explicit merge of separately-built stores agrees with the
-    // concatenated load.
-    let a = CostProfiles::from_history(&shard_a);
-    let b = CostProfiles::from_history(&shard_b);
-    let mut merged = a.clone();
-    merged.merge(&b);
-    let mut merged_rev = b;
-    merged_rev.merge(&a);
-    assert_eq!(merged.to_json(), p_ab.to_json());
-    assert_eq!(merged_rev.to_json(), p_ab.to_json());
+    // A truncated line is the reader's error, not a store trained on zeros.
+    let line = shard_a[0]
+        .to_json()
+        .replacen(",\"obs_encoded_bytes\":250", "", 1);
+    let cut = Scratch::new("truncated");
+    std::fs::write(cut.path("history.jsonl"), line).unwrap();
+    let err = CostProfiles::from_history_dir(&cut.0).unwrap_err();
+    assert!(err.starts_with("history line 1: "), "{err}");
+    assert!(err.contains("\"obs_encoded_bytes\""), "{err}");
 }
 
 #[test]
 fn the_file_does_not_grow_with_what_was_absorbed() {
     // Forty observations over a handful of edge shapes, then the same
-    // workload a hundred times over: the 4 000-observation file is the
-    // size of the 40-observation one.
+    // workload a hundred times over: the 4 000-observation store holds the
+    // keys of the 40-observation one, and no more.
     let workload: Vec<HistoryRecord> = (0..40u64)
         .map(|i| {
             let (from, to) = [("db1", "db2"), ("db2", "db1"), ("db3", "db2")][i as usize % 3];
@@ -206,8 +184,7 @@ fn the_file_does_not_grow_with_what_was_absorbed() {
             )
         })
         .collect();
-    let scratch = Scratch::new("size");
-    let size_after = |rounds: usize| {
+    let keys_after = |rounds: usize| {
         let mut store = CostProfiles::default();
         for _ in 0..rounds {
             for r in &workload {
@@ -215,34 +192,32 @@ fn the_file_does_not_grow_with_what_was_absorbed() {
             }
         }
         assert_eq!(store.samples(), 2 * 40 * rounds as u64);
-        let path = scratch.path(&format!("profiles_{rounds}.json"));
-        store.save(&path).unwrap();
-        assert_eq!(CostProfiles::load(&path).unwrap(), store);
-        std::fs::metadata(&path).unwrap().len()
+        store.keys()
     };
-    let (small, large) = (size_after(1), size_after(100));
-    assert!(
-        large.abs_diff(small) * 100 <= small,
-        "{small} bytes after 40 observations, {large} after 4000"
+    let (small, large) = (keys_after(1), keys_after(100));
+    assert!(small > 0);
+    assert_eq!(
+        small, large,
+        "{small} keys after 40 observations, {large} after 4000"
     );
 }
 
 #[test]
 fn ten_thousand_absorbs_leave_a_store_the_size_of_one() {
     // A factor is `Copy`: it owns nothing out of line, so the store's heap
-    // is its keys, and the fixed-width file shows when a key is added.
+    // is its keys.
     fn owns_no_heap<T: Copy>() {}
     owns_no_heap::<xdb_core::profiles::FactorStat>();
     // 375/1000 and 4.5/3 are exact in fixed point.
     let r = record("db1", "db2", 1000, 375, 4.5);
     let mut p = CostProfiles::default();
     p.absorb_record(&r);
-    let json_after_one = p.to_json().len();
+    let keys_after_one = p.keys();
     let n = 10_000u64;
     for _ in 1..n {
         p.absorb_record(&r);
     }
-    assert_eq!(p.to_json().len(), json_after_one);
+    assert_eq!(p.keys(), keys_after_one);
     assert_eq!(p.samples(), 2 * n);
     // The closed form `(n·r + K) / (n + K)`, to the last bit.
     let k = xdb_core::profiles::CONFIDENCE_PRIOR;
@@ -275,12 +250,12 @@ fn annotators_share_one_snapshot_and_an_absorb_leaves_it_alone() {
     assert!(Arc::ptr_eq(&first, &second));
     // An absorb while the snapshot is out: the snapshot keeps its state,
     // the catalog moves on to a new one.
-    let held = first.to_json();
+    let held = CostProfiles::clone(&first);
     absorb(record("db1", "db2", 4000, 3000, 2.4));
-    assert_eq!(first.to_json(), held);
+    assert_eq!(*first, held);
     let third = catalog.learned_profiles().unwrap();
     assert!(!Arc::ptr_eq(&first, &third));
-    assert_ne!(third.to_json(), held);
+    assert_ne!(*third, held);
     // No snapshot out: the store is updated where it is.
     let at = Arc::as_ptr(&third);
     drop((first, second, third));

@@ -74,7 +74,7 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     assert_eq!(consult_total, outcome.cost.consult_ms, "{}", q.name());
     assert_eq!(consult_total, outcome.breakdown.ann_ms, "{}", q.name());
 
-    (outcome.query_id, outcome.cost.to_json())
+    (outcome.query_id, outcome.cost.to_value().to_json())
 }
 
 /// Run the reference configuration and the sampled one back-to-back,

@@ -148,7 +148,7 @@ proptest! {
 
 /// The feedback loop settles: replaying the workload against live profile
 /// feedback reaches, on every distribution, a set of plans that no later
-/// round changes — and from then on a store whose file no longer grows.
+/// round changes — and from then on a store that gains no key.
 #[test]
 fn replayed_workload_settles_on_a_fixed_plan_set() {
     const ROUNDS: usize = 30;
@@ -171,7 +171,7 @@ fn replayed_workload_settles_on_a_fixed_plan_set() {
         let mut plans = std::collections::BTreeSet::new();
         let mut last_new_plan = 0;
         let mut settled_round = Vec::new();
-        let mut settled_json_len = 0;
+        let mut settled_keys = 0;
         for round in 0..ROUNDS {
             let mut this_round = Vec::new();
             for q in TpchQuery::ALL {
@@ -183,7 +183,7 @@ fn replayed_workload_settles_on_a_fixed_plan_set() {
                 this_round.push(plan);
             }
             if round == SETTLED_BY {
-                settled_json_len = catalog.profiles_snapshot().to_json().len();
+                settled_keys = catalog.profiles_snapshot().keys();
                 settled_round = this_round;
             } else if round > SETTLED_BY {
                 // Nor does a query alternate between two known plans.
@@ -196,9 +196,9 @@ fn replayed_workload_settles_on_a_fixed_plan_set() {
             dist.name()
         );
         assert_eq!(
-            catalog.profiles_snapshot().to_json().len(),
-            settled_json_len,
-            "{}: the profile file grew after the plans settled",
+            catalog.profiles_snapshot().keys(),
+            settled_keys,
+            "{}: the profile store grew a key after the plans settled",
             dist.name()
         );
     }

@@ -30,9 +30,7 @@
 
 use crate::history::HistoryRecord;
 use crate::json;
-use crate::trace::{json_number, json_string};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One costed `(a, x_l, x_r)` alternative, with its Eq. 1–3 component
 /// split (all in simulated ms; `predicted_ms` is the exact total the
@@ -154,177 +152,139 @@ impl CostObservation {
         self.decisions.iter().map(|d| d.regret_ms.max(0.0)).sum()
     }
 
+    /// Wire-time prediction error (percent) of every matched edge, in
+    /// decision order: the one sample every wire-error mean folds.
+    pub fn wire_errors(&self) -> impl Iterator<Item = f64> + '_ {
+        self.decisions
+            .iter()
+            .flat_map(|d| &d.edges)
+            .filter(|e| e.matched)
+            .map(|e| error_pct(e.pred_wire_ms, e.obs_wire_ms))
+    }
+
     /// Mean |wire-time prediction error| in percent over matched edges;
     /// zero when nothing matched.
     pub fn wire_abs_err_pct(&self) -> f64 {
-        let mut stats = ErrorStats::default();
-        for d in &self.decisions {
-            for e in d.edges.iter().filter(|e| e.matched) {
-                stats.push(error_pct(e.pred_wire_ms, e.obs_wire_ms));
-            }
-        }
-        stats.mean_abs_pct()
+        self.wire_errors().collect::<ErrorStats>().mean_abs_pct()
     }
 
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"pred_compute_ms\":{},\"obs_compute_ms\":{},\"pred_transfer_ms\":{},\
-             \"obs_transfer_ms\":{},\"consult_ms\":{},\"decisions\":[",
-            json_number(self.pred_compute_ms),
-            json_number(self.obs_compute_ms),
-            json_number(self.pred_transfer_ms),
-            json_number(self.obs_transfer_ms),
-            json_number(self.consult_ms),
-        );
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"dbms\":{},\"consult_ms\":{},\"predicted_ms\":{},\
-                 \"observed_ms\":{},\"best_rejected_ms\":{},\"regret_ms\":{},\"candidates\":[",
-                d.index,
-                json_string(&d.dbms),
-                json_number(d.consult_ms),
-                json_number(d.predicted_ms),
-                json_number(d.observed_ms),
-                json_number(d.best_rejected_ms),
-                json_number(d.regret_ms),
-            );
-            for (j, c) in d.candidates.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"dbms\":{},\"left_move\":{},\"right_move\":{},\"predicted_ms\":{},\
-                     \"wire_left_ms\":{},\"wire_right_ms\":{},\"move_left_ms\":{},\
-                     \"move_right_ms\":{},\"exec_ms\":{},\"startup_ms\":{},\
-                     \"calib_factor\":{},\"chosen\":{}}}",
-                    json_string(&c.dbms),
-                    json_string(&c.left_move),
-                    json_string(&c.right_move),
-                    json_number(c.predicted_ms),
-                    json_number(c.wire_left_ms),
-                    json_number(c.wire_right_ms),
-                    json_number(c.move_left_ms),
-                    json_number(c.move_right_ms),
-                    json_number(c.exec_ms),
-                    json_number(c.startup_ms),
-                    json_number(c.calib_factor),
-                    c.chosen,
-                );
-            }
-            out.push_str("],\"edges\":[");
-            for (j, e) in d.edges.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"from\":{},\"to\":{},\"movement\":{},\"engine\":{},\"codec\":{},\
-                     \"pred_rows\":{},\"pred_bytes\":{},\"pred_wire_ms\":{},\"obs_rows\":{},\
-                     \"obs_bytes\":{},\"obs_encoded_bytes\":{},\"obs_wire_ms\":{},\
-                     \"matched\":{}}}",
-                    json_string(&e.from),
-                    json_string(&e.to),
-                    json_string(&e.movement),
-                    json_string(&e.engine),
-                    json_string(&e.codec),
-                    e.pred_rows,
-                    e.pred_bytes,
-                    json_number(e.pred_wire_ms),
-                    e.obs_rows,
-                    e.obs_bytes,
-                    e.obs_encoded_bytes,
-                    json_number(e.obs_wire_ms),
-                    e.matched,
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+    /// The bundle as the `cost` member of a history line.
+    pub fn to_value(&self) -> json::Value {
+        let text = |s: &String| json::Value::from(s.as_str());
+        let decisions = self.decisions.iter().map(|d| {
+            let candidates = d.candidates.iter().map(|c| {
+                json::object([
+                    ("dbms", text(&c.dbms)),
+                    ("left_move", text(&c.left_move)),
+                    ("right_move", text(&c.right_move)),
+                    ("predicted_ms", c.predicted_ms.into()),
+                    ("wire_left_ms", c.wire_left_ms.into()),
+                    ("wire_right_ms", c.wire_right_ms.into()),
+                    ("move_left_ms", c.move_left_ms.into()),
+                    ("move_right_ms", c.move_right_ms.into()),
+                    ("exec_ms", c.exec_ms.into()),
+                    ("startup_ms", c.startup_ms.into()),
+                    ("calib_factor", c.calib_factor.into()),
+                    ("chosen", c.chosen.into()),
+                ])
+            });
+            let edges = d.edges.iter().map(|e| {
+                json::object([
+                    ("from", text(&e.from)),
+                    ("to", text(&e.to)),
+                    ("movement", text(&e.movement)),
+                    ("engine", text(&e.engine)),
+                    ("codec", text(&e.codec)),
+                    ("pred_rows", e.pred_rows.into()),
+                    ("pred_bytes", e.pred_bytes.into()),
+                    ("pred_wire_ms", e.pred_wire_ms.into()),
+                    ("obs_rows", e.obs_rows.into()),
+                    ("obs_bytes", e.obs_bytes.into()),
+                    ("obs_encoded_bytes", e.obs_encoded_bytes.into()),
+                    ("obs_wire_ms", e.obs_wire_ms.into()),
+                    ("matched", e.matched.into()),
+                ])
+            });
+            json::object([
+                ("index", d.index.into()),
+                ("dbms", text(&d.dbms)),
+                ("consult_ms", d.consult_ms.into()),
+                ("predicted_ms", d.predicted_ms.into()),
+                ("observed_ms", d.observed_ms.into()),
+                ("best_rejected_ms", d.best_rejected_ms.into()),
+                ("regret_ms", d.regret_ms.into()),
+                ("candidates", json::Value::Array(candidates.collect())),
+                ("edges", json::Value::Array(edges.collect())),
+            ])
+        });
+        json::object([
+            ("pred_compute_ms", self.pred_compute_ms.into()),
+            ("obs_compute_ms", self.obs_compute_ms.into()),
+            ("pred_transfer_ms", self.pred_transfer_ms.into()),
+            ("obs_transfer_ms", self.obs_transfer_ms.into()),
+            ("consult_ms", self.consult_ms.into()),
+            ("decisions", json::Value::Array(decisions.collect())),
+        ])
     }
 
-    pub fn from_json(v: &json::Value) -> CostObservation {
-        let num = |o: &json::Value, key: &str| o.get(key).and_then(json::Value::as_f64);
-        let string = |o: &json::Value, key: &str| {
-            o.get(key)
-                .and_then(json::Value::as_str)
-                .unwrap_or("")
-                .to_string()
+    /// Read the bundle back; every field is required (see
+    /// [`HistoryRecord::from_json`]).
+    pub fn from_json(v: &json::Value) -> Result<CostObservation, String> {
+        let text = |v: &json::Value, key: &str| v.str(key).map(str::to_string);
+        let candidate = |c: &json::Value| {
+            Ok(CandidateObs {
+                dbms: text(c, "dbms")?,
+                left_move: text(c, "left_move")?,
+                right_move: text(c, "right_move")?,
+                predicted_ms: c.f64("predicted_ms")?,
+                wire_left_ms: c.f64("wire_left_ms")?,
+                wire_right_ms: c.f64("wire_right_ms")?,
+                move_left_ms: c.f64("move_left_ms")?,
+                move_right_ms: c.f64("move_right_ms")?,
+                exec_ms: c.f64("exec_ms")?,
+                startup_ms: c.f64("startup_ms")?,
+                calib_factor: c.f64("calib_factor")?,
+                chosen: c.bool("chosen")?,
+            })
         };
-        let boolean = |o: &json::Value, key: &str| match o.get(key) {
-            Some(json::Value::Bool(b)) => *b,
-            _ => false,
+        let edge = |e: &json::Value| {
+            Ok(EdgeJoin {
+                from: text(e, "from")?,
+                to: text(e, "to")?,
+                movement: text(e, "movement")?,
+                engine: text(e, "engine")?,
+                codec: text(e, "codec")?,
+                pred_rows: e.u64("pred_rows")?,
+                pred_bytes: e.u64("pred_bytes")?,
+                pred_wire_ms: e.f64("pred_wire_ms")?,
+                obs_rows: e.u64("obs_rows")?,
+                obs_bytes: e.u64("obs_bytes")?,
+                obs_encoded_bytes: e.u64("obs_encoded_bytes")?,
+                obs_wire_ms: e.f64("obs_wire_ms")?,
+                matched: e.bool("matched")?,
+            })
         };
-        let mut decisions = Vec::new();
-        if let Some(items) = v.get("decisions").and_then(json::Value::as_array) {
-            for d in items {
-                let mut candidates = Vec::new();
-                if let Some(cands) = d.get("candidates").and_then(json::Value::as_array) {
-                    for c in cands {
-                        candidates.push(CandidateObs {
-                            dbms: string(c, "dbms"),
-                            left_move: string(c, "left_move"),
-                            right_move: string(c, "right_move"),
-                            predicted_ms: num(c, "predicted_ms").unwrap_or(0.0),
-                            wire_left_ms: num(c, "wire_left_ms").unwrap_or(0.0),
-                            wire_right_ms: num(c, "wire_right_ms").unwrap_or(0.0),
-                            move_left_ms: num(c, "move_left_ms").unwrap_or(0.0),
-                            move_right_ms: num(c, "move_right_ms").unwrap_or(0.0),
-                            exec_ms: num(c, "exec_ms").unwrap_or(0.0),
-                            startup_ms: num(c, "startup_ms").unwrap_or(0.0),
-                            calib_factor: num(c, "calib_factor").unwrap_or(1.0),
-                            chosen: boolean(c, "chosen"),
-                        });
-                    }
-                }
-                let mut edges = Vec::new();
-                if let Some(es) = d.get("edges").and_then(json::Value::as_array) {
-                    for e in es {
-                        edges.push(EdgeJoin {
-                            from: string(e, "from"),
-                            to: string(e, "to"),
-                            movement: string(e, "movement"),
-                            engine: string(e, "engine"),
-                            codec: string(e, "codec"),
-                            pred_rows: num(e, "pred_rows").unwrap_or(0.0) as u64,
-                            pred_bytes: num(e, "pred_bytes").unwrap_or(0.0) as u64,
-                            pred_wire_ms: num(e, "pred_wire_ms").unwrap_or(0.0),
-                            obs_rows: num(e, "obs_rows").unwrap_or(0.0) as u64,
-                            obs_bytes: num(e, "obs_bytes").unwrap_or(0.0) as u64,
-                            obs_encoded_bytes: num(e, "obs_encoded_bytes").unwrap_or(0.0) as u64,
-                            obs_wire_ms: num(e, "obs_wire_ms").unwrap_or(0.0),
-                            matched: boolean(e, "matched"),
-                        });
-                    }
-                }
-                decisions.push(DecisionObs {
-                    index: num(d, "index").unwrap_or(0.0) as u64,
-                    dbms: string(d, "dbms"),
-                    consult_ms: num(d, "consult_ms").unwrap_or(0.0),
-                    predicted_ms: num(d, "predicted_ms").unwrap_or(0.0),
-                    observed_ms: num(d, "observed_ms").unwrap_or(0.0),
-                    best_rejected_ms: num(d, "best_rejected_ms").unwrap_or(0.0),
-                    regret_ms: num(d, "regret_ms").unwrap_or(0.0),
-                    candidates,
-                    edges,
-                });
-            }
-        }
-        CostObservation {
-            decisions,
-            pred_compute_ms: num(v, "pred_compute_ms").unwrap_or(0.0),
-            obs_compute_ms: num(v, "obs_compute_ms").unwrap_or(0.0),
-            pred_transfer_ms: num(v, "pred_transfer_ms").unwrap_or(0.0),
-            obs_transfer_ms: num(v, "obs_transfer_ms").unwrap_or(0.0),
-            consult_ms: num(v, "consult_ms").unwrap_or(0.0),
-        }
+        let decision = |d: &json::Value| {
+            Ok(DecisionObs {
+                index: d.u64("index")?,
+                dbms: text(d, "dbms")?,
+                consult_ms: d.f64("consult_ms")?,
+                predicted_ms: d.f64("predicted_ms")?,
+                observed_ms: d.f64("observed_ms")?,
+                best_rejected_ms: d.f64("best_rejected_ms")?,
+                regret_ms: d.f64("regret_ms")?,
+                candidates: d.each("candidates", candidate)?,
+                edges: d.each("edges", edge)?,
+            })
+        };
+        Ok(CostObservation {
+            decisions: v.each("decisions", decision)?,
+            pred_compute_ms: v.f64("pred_compute_ms")?,
+            obs_compute_ms: v.f64("obs_compute_ms")?,
+            pred_transfer_ms: v.f64("pred_transfer_ms")?,
+            obs_transfer_ms: v.f64("obs_transfer_ms")?,
+            consult_ms: v.f64("consult_ms")?,
+        })
     }
 }
 
@@ -403,6 +363,14 @@ impl ErrorStats {
         } else {
             self.sum_abs_pct / self.count as f64
         }
+    }
+}
+
+impl FromIterator<f64> for ErrorStats {
+    fn from_iter<I: IntoIterator<Item = f64>>(samples: I) -> ErrorStats {
+        let mut stats = ErrorStats::default();
+        samples.into_iter().for_each(|pct| stats.push(pct));
+        stats
     }
 }
 
@@ -533,11 +501,11 @@ mod tests {
     #[test]
     fn json_roundtrip_is_lossless() {
         let c = sample_cost();
-        let v = json::parse(&c.to_json()).unwrap();
-        assert_eq!(CostObservation::from_json(&v), c);
+        let v = json::parse(&c.to_value().to_json()).unwrap();
+        assert_eq!(CostObservation::from_json(&v), Ok(c));
         let empty = CostObservation::default();
-        let v = json::parse(&empty.to_json()).unwrap();
-        assert_eq!(CostObservation::from_json(&v), empty);
+        let v = json::parse(&empty.to_value().to_json()).unwrap();
+        assert_eq!(CostObservation::from_json(&v), Ok(empty));
     }
 
     #[test]

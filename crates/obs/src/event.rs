@@ -9,10 +9,9 @@
 //! threads. `Debug` events may come from concurrent contexts
 //! and are dropped by the default `Info` filter.
 
-use crate::trace::{json_number, json_string};
+use crate::json;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Event severity. Ordering: `Debug < Info < Warn < Error`.
@@ -76,24 +75,22 @@ pub struct Event {
 impl Event {
     /// One JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"ts_ms\":{},\"level\":{},\"target\":{}",
-            self.seq,
-            json_number(self.ts_ms),
-            json_string(self.level.label()),
-            json_string(&self.target)
-        );
+        let mut members: Vec<(&str, json::Value)> = vec![
+            ("seq", self.seq.into()),
+            ("ts_ms", self.ts_ms.into()),
+            ("level", self.level.label().into()),
+            ("target", self.target.as_str().into()),
+        ];
         if let Some(q) = self.query {
-            let _ = write!(out, ",\"query\":{q}");
+            members.push(("query", q.into()));
         }
-        let _ = write!(out, ",\"message\":{}", json_string(&self.message));
-        for (k, v) in &self.fields {
-            let _ = write!(out, ",{}:{}", json_string(k), json_string(v));
-        }
-        out.push('}');
-        out
+        members.push(("message", self.message.as_str().into()));
+        members.extend(
+            self.fields
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str().into())),
+        );
+        json::object(members).to_json()
     }
 }
 

@@ -17,10 +17,9 @@
 //! turns it on, after which every record is kept in memory and appended
 //! to `<dir>/history.jsonl`.
 
+use crate::costmodel::CostObservation;
 use crate::json;
-use crate::trace::{json_number, json_string};
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -54,7 +53,6 @@ pub struct EdgeObs {
 /// One query run, as persisted to the history store.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistoryRecord {
-    pub schema_version: u64,
     /// Workload label active at record time (e.g. `Q3`); empty for ad-hoc
     /// submissions. Display only — drift groups by `sql_fnv`.
     pub label: String,
@@ -85,7 +83,7 @@ pub struct HistoryRecord {
     /// Cost-model observatory bundle: predicted-vs-observed accounting
     /// per placement decision. Empty for runs without cross-database
     /// decisions.
-    pub cost: crate::costmodel::CostObservation,
+    pub cost: CostObservation,
     /// Whether the run was priced through learned cost profiles (`false`
     /// for static-cost runs).
     pub learned_costs: bool,
@@ -102,7 +100,8 @@ impl HistoryRecord {
         }
     }
 
-    /// Per-category critical-path totals, in ms.
+    /// Per-category critical-path totals, in ms, largest first. A total
+    /// that overflowed to `inf` (a damaged line) sorts first, not a panic.
     pub fn critical_by_category(&self) -> Vec<(String, f64)> {
         let mut out: Vec<(String, f64)> = Vec::new();
         for (cat, _, ms) in &self.critical {
@@ -111,187 +110,98 @@ impl HistoryRecord {
                 None => out.push((cat.clone(), *ms)),
             }
         }
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
 
-    /// One JSON object (no trailing newline).
+    /// One JSON object (no trailing newline): the only way a record is
+    /// written.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"schema_version\":{},\"label\":{},\"deployment\":{},\"sql_fnv\":{},\
-             \"fingerprint\":{},\"query_id\":{},\"total_ms\":{}",
-            self.schema_version,
-            json_string(&self.label),
-            json_string(&self.deployment),
-            json_string(&self.sql_fnv),
-            json_string(&self.fingerprint),
-            self.query_id,
-            json_number(self.total_ms),
-        );
-        out.push_str(",\"phases\":{");
-        for (i, (name, ms)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), json_number(*ms));
-        }
-        let _ = write!(
-            out,
-            "}},\"consult_hits\":{},\"consult_misses\":{},\"crit_spans\":{}",
-            self.consult_hits, self.consult_misses, self.crit_spans
-        );
-        out.push_str(",\"critical\":[");
-        for (i, (cat, loc, ms)) in self.critical.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"category\":{},\"location\":{},\"ms\":{}}}",
-                json_string(cat),
-                json_string(loc),
-                json_number(*ms)
-            );
-        }
-        out.push_str("],\"edges\":[");
-        for (i, e) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from\":{},\"to\":{},\"purpose\":{},\"bytes\":{},\
-                 \"encoded_bytes\":{},\"rows\":{},\"codecs\":{{",
-                json_string(&e.from),
-                json_string(&e.to),
-                json_string(&e.purpose),
-                e.bytes,
-                e.encoded_bytes,
-                e.rows
-            );
-            for (j, (codec, bytes)) in e.codecs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", json_string(codec), bytes);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"statements\":{");
-        for (i, (engine, ms)) in self.statements.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(engine), json_number(*ms));
-        }
-        out.push_str("},\"cost\":");
-        out.push_str(&self.cost.to_json());
-        let _ = write!(out, ",\"learned_costs\":{}", self.learned_costs);
-        out.push('}');
-        out
+        let named = |items: &[(String, f64)]| {
+            json::object(items.iter().map(|(k, ms)| (k.as_str(), (*ms).into())))
+        };
+        let critical = self.critical.iter().map(|(cat, loc, ms)| {
+            json::object([
+                ("category", cat.as_str().into()),
+                ("location", loc.as_str().into()),
+                ("ms", (*ms).into()),
+            ])
+        });
+        let edges = self.edges.iter().map(|e| {
+            json::object([
+                ("from", e.from.as_str().into()),
+                ("to", e.to.as_str().into()),
+                ("purpose", e.purpose.as_str().into()),
+                ("bytes", e.bytes.into()),
+                ("encoded_bytes", e.encoded_bytes.into()),
+                ("rows", e.rows.into()),
+                (
+                    "codecs",
+                    json::object(e.codecs.iter().map(|(c, b)| (c.as_str(), (*b).into()))),
+                ),
+            ])
+        });
+        json::object([
+            ("schema_version", HISTORY_SCHEMA_VERSION.into()),
+            ("label", self.label.as_str().into()),
+            ("deployment", self.deployment.as_str().into()),
+            ("sql_fnv", self.sql_fnv.as_str().into()),
+            ("fingerprint", self.fingerprint.as_str().into()),
+            ("query_id", self.query_id.into()),
+            ("total_ms", self.total_ms.into()),
+            ("phases", named(&self.phases)),
+            ("consult_hits", self.consult_hits.into()),
+            ("consult_misses", self.consult_misses.into()),
+            ("crit_spans", self.crit_spans.into()),
+            ("critical", json::Value::Array(critical.collect())),
+            ("edges", json::Value::Array(edges.collect())),
+            ("statements", named(&self.statements)),
+            ("cost", self.cost.to_value()),
+            ("learned_costs", self.learned_costs.into()),
+        ])
+        .to_json()
     }
 
-    /// Parse one record back out of its JSON form.
+    /// Read one record back. Every field is required: a missing or
+    /// mistyped one is an error naming it, and a record of any schema
+    /// version but [`HISTORY_SCHEMA_VERSION`] is refused.
     pub fn from_json(v: &json::Value) -> Result<HistoryRecord, String> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| format!("history record missing numeric {key:?}"))
-        };
-        let string = |key: &str| {
-            v.get(key)
-                .and_then(json::Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("history record missing string {key:?}"))
-        };
-        let pairs = |key: &str| -> Result<Vec<(String, f64)>, String> {
-            match v.get(key) {
-                Some(json::Value::Object(items)) => items
-                    .iter()
-                    .map(|(k, val)| {
-                        val.as_f64()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("{key:?} entry {k:?} is not a number"))
-                    })
-                    .collect(),
-                _ => Err(format!("history record missing object {key:?}")),
-            }
-        };
-        let mut critical = Vec::new();
-        if let Some(items) = v.get("critical").and_then(json::Value::as_array) {
-            for c in items {
-                critical.push((
-                    c.get("category")
-                        .and_then(json::Value::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    c.get("location")
-                        .and_then(json::Value::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    c.get("ms").and_then(json::Value::as_f64).unwrap_or(0.0),
-                ));
-            }
-        }
-        let mut edges = Vec::new();
-        if let Some(items) = v.get("edges").and_then(json::Value::as_array) {
-            for e in items {
-                let field = |key: &str| {
-                    e.get(key)
-                        .and_then(json::Value::as_str)
-                        .unwrap_or("")
-                        .to_string()
-                };
-                let n = |key: &str| e.get(key).and_then(json::Value::as_f64).unwrap_or(0.0) as u64;
-                let codecs = match e.get("codecs") {
-                    Some(json::Value::Object(items)) => items
-                        .iter()
-                        .filter_map(|(k, val)| val.as_f64().map(|b| (k.clone(), b as u64)))
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                edges.push(EdgeObs {
-                    from: field("from"),
-                    to: field("to"),
-                    purpose: field("purpose"),
-                    bytes: n("bytes"),
-                    encoded_bytes: n("encoded_bytes"),
-                    rows: n("rows"),
-                    codecs,
-                });
-            }
-        }
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != HISTORY_SCHEMA_VERSION {
+        let version = v.u64("schema_version")?;
+        if version != HISTORY_SCHEMA_VERSION {
             return Err(format!(
-                "schema_version {schema_version} (this build reads {HISTORY_SCHEMA_VERSION})"
+                "schema_version {version} (this build reads {HISTORY_SCHEMA_VERSION})"
             ));
         }
+        let text = |v: &json::Value, key: &str| v.str(key).map(str::to_string);
         Ok(HistoryRecord {
-            schema_version,
-            label: string("label")?,
-            deployment: string("deployment")?,
-            sql_fnv: string("sql_fnv")?,
-            fingerprint: string("fingerprint")?,
-            query_id: num("query_id")? as u64,
-            total_ms: num("total_ms")?,
-            phases: pairs("phases")?,
-            consult_hits: num("consult_hits")? as u64,
-            consult_misses: num("consult_misses")? as u64,
-            crit_spans: num("crit_spans")? as u64,
-            critical,
-            edges,
-            statements: pairs("statements")?,
-            cost: v
-                .get("cost")
-                .map(crate::costmodel::CostObservation::from_json)
-                .ok_or_else(|| "history record missing object \"cost\"".to_string())?,
-            learned_costs: match v.get("learned_costs") {
-                Some(json::Value::Bool(b)) => *b,
-                _ => return Err("history record missing boolean \"learned_costs\"".into()),
-            },
+            label: text(v, "label")?,
+            deployment: text(v, "deployment")?,
+            sql_fnv: text(v, "sql_fnv")?,
+            fingerprint: text(v, "fingerprint")?,
+            query_id: v.u64("query_id")?,
+            total_ms: v.f64("total_ms")?,
+            phases: v.members("phases", "a number", json::Value::as_f64)?,
+            consult_hits: v.u64("consult_hits")?,
+            consult_misses: v.u64("consult_misses")?,
+            crit_spans: v.u64("crit_spans")?,
+            critical: v.each("critical", |c| {
+                Ok((text(c, "category")?, text(c, "location")?, c.f64("ms")?))
+            })?,
+            edges: v.each("edges", |e| {
+                Ok(EdgeObs {
+                    from: text(e, "from")?,
+                    to: text(e, "to")?,
+                    purpose: text(e, "purpose")?,
+                    bytes: e.u64("bytes")?,
+                    encoded_bytes: e.u64("encoded_bytes")?,
+                    rows: e.u64("rows")?,
+                    codecs: e.members("codecs", "a count", json::Value::as_u64)?,
+                })
+            })?,
+            statements: v.members("statements", "a number", json::Value::as_f64)?,
+            cost: CostObservation::from_json(v.object("cost")?)
+                .map_err(|e| format!("cost: {e}"))?,
+            learned_costs: v.bool("learned_costs")?,
         })
     }
 }
@@ -428,7 +338,6 @@ mod tests {
 
     fn sample() -> HistoryRecord {
         HistoryRecord {
-            schema_version: HISTORY_SCHEMA_VERSION,
             label: "Q3".to_string(),
             deployment: "xdb".to_string(),
             sql_fnv: "00fe12ab34cd56ef".to_string(),
@@ -515,14 +424,31 @@ mod tests {
     }
 
     #[test]
+    fn checked_in_baseline_rewrites_byte_identically() {
+        // The one writer reproduces every line of `BENCH_history/` from
+        // what the strict reader made of it.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_history/",
+            "history.jsonl"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let records = parse_history_jsonl(&text).unwrap();
+        assert!(!records.is_empty());
+        for (line, r) in text.lines().zip(&records) {
+            assert_eq!(r.to_json(), line);
+        }
+    }
+
+    #[test]
     fn jsonl_reads_one_schema_version() {
-        let mut r = sample();
-        let ok = parse_history_jsonl(&format!("{}\n", r.to_json())).unwrap();
+        let line = sample().to_json();
+        let ok = parse_history_jsonl(&format!("{line}\n")).unwrap();
         assert_eq!(ok.len(), 1);
+        let version = format!("\"schema_version\":{HISTORY_SCHEMA_VERSION}");
         for other in [HISTORY_SCHEMA_VERSION + 1, HISTORY_SCHEMA_VERSION - 1, 1] {
-            r.schema_version = other;
-            let text = format!("{}\n{}\n", sample().to_json(), r.to_json());
-            let err = parse_history_jsonl(&text).unwrap_err();
+            let stale = line.replace(&version, &format!("\"schema_version\":{other}"));
+            let err = parse_history_jsonl(&format!("{line}\n{stale}\n")).unwrap_err();
             assert!(err.contains("history line 2"), "{err}");
             assert!(err.contains(&format!("schema_version {other}")), "{err}");
         }
@@ -532,10 +458,23 @@ mod tests {
     #[test]
     fn jsonl_rejects_a_record_missing_a_field_of_its_version() {
         let full = sample().to_json();
-        let no_marker = full.replace(",\"learned_costs\":true", "");
-        assert_ne!(no_marker, full);
-        let err = parse_history_jsonl(&no_marker).unwrap_err();
-        assert!(err.contains("learned_costs"), "{err}");
+        for (damage, field) in [
+            (",\"learned_costs\":true", "learned_costs"),
+            (",\"exec_ms\":0", "exec_ms"),
+            (",\"obs_encoded_bytes\":400", "obs_encoded_bytes"),
+            (",\"ms\":40", "ms"),
+        ] {
+            let damaged = full.replacen(damage, "", 1);
+            assert_ne!(damaged, full, "{damage}");
+            let err = parse_history_jsonl(&damaged).unwrap_err();
+            assert!(err.starts_with("history line 1: "), "{err}");
+            assert!(err.contains(&format!("{field:?}")), "{err}");
+        }
+        let mistyped = full.replacen("\"bytes\":1000", "\"bytes\":\"12\"", 1);
+        assert_ne!(mistyped, full);
+        let err = parse_history_jsonl(&mistyped).unwrap_err();
+        assert!(err.starts_with("history line 1: edges[0]: "), "{err}");
+        assert!(err.contains("\"bytes\" is not a count"), "{err}");
     }
 
     #[test]

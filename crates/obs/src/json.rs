@@ -1,10 +1,15 @@
-//! A minimal recursive-descent JSON reader.
+//! A minimal JSON value: a recursive-descent reader, a compact writer, and
+//! required-field accessors.
 //!
 //! The package registry is unreachable from the build environment, so the
-//! repository hand-rolls the few dozen lines needed to *validate* emitted
-//! Chrome-trace files (tests and `repro --check-trace`) instead of pulling
-//! in serde. This is a reader for trusted, machine-generated input; it
-//! favours clarity over speed.
+//! repository hand-rolls what serde would give it. The reader validates
+//! emitted Chrome-trace files (tests and `repro --check-trace`) and reads
+//! history lines back; the writer is the one way a history record or an
+//! event becomes a line of text. The accessors ([`Value::f64`],
+//! [`Value::str`], …) are how a record reads itself: a missing or mistyped
+//! field is an error that names it, never a default.
+
+use crate::trace::{json_number, json_string};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,6 +21,40 @@ pub enum Value {
     Array(Vec<Value>),
     /// Key/value pairs in document order (duplicates kept).
     Object(Vec<(String, Value)>),
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Number(n)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::String(s.to_string())
+    }
+}
+
+/// An object with its members in the given order.
+pub fn object<'k>(members: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    Value::Object(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 impl Value {
@@ -33,6 +72,13 @@ impl Value {
         }
     }
 
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
@@ -44,6 +90,127 @@ impl Value {
         match self {
             Value::Number(n) => Some(*n),
             _ => None,
+        }
+    }
+
+    /// A number that is a whole, non-negative count.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64)
+            .map(|n| n as u64)
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Member `key` read with `read`; an error names the member when it is
+    /// missing or not `kind`.
+    fn field<'a, T>(
+        &'a self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("missing {kind} {key:?}"))?;
+        read(v).ok_or_else(|| format!("{key:?} is not {kind}"))
+    }
+
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "a number", Value::as_f64)
+    }
+
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "a count", Value::as_u64)
+    }
+
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.field(key, "a string", Value::as_str)
+    }
+
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.field(key, "a boolean", Value::as_bool)
+    }
+
+    pub fn array(&self, key: &str) -> Result<&[Value], String> {
+        self.field(key, "an array", Value::as_array)
+    }
+
+    /// Member `key`, which must be an object (a nested record).
+    pub fn object(&self, key: &str) -> Result<&Value, String> {
+        self.field(key, "an object", |v| v.as_object().map(|_| v))
+    }
+
+    /// Every element of array `key` read with `read`; an error names the
+    /// element (`edges[2]: missing a count "bytes"`).
+    pub fn each<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.array(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| read(v).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect()
+    }
+
+    /// Every member of object `key` as `(name, value)`, each value read
+    /// with `read`; an error names the member.
+    pub fn members<'a, T>(
+        &'a self,
+        key: &str,
+        kind: &str,
+        read: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<Vec<(String, T)>, String> {
+        self.field(key, "an object", Value::as_object)?
+            .iter()
+            .map(|(k, v)| {
+                read(v)
+                    .map(|t| (k.clone(), t))
+                    .ok_or_else(|| format!("{key:?} member {k:?} is not {kind}"))
+            })
+            .collect()
+    }
+
+    /// Compact JSON text: no whitespace, members in insertion order
+    /// (duplicates kept), numbers by [`json_number`], strings by
+    /// [`json_string`].
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(256);
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => out.push_str(&json_number(*n)),
+            Value::String(s) => out.push_str(&json_string(s)),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    v.write(out);
+                }
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(&json_string(k));
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
@@ -273,6 +440,30 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn writer_is_compact_ordered_and_read_back_strictly() {
+        let v = object([
+            ("b", 2u64.into()),
+            ("a", 0.25.into()),
+            ("a", "x\"y".into()),
+            ("t", true.into()),
+            ("l", Value::Array(vec![Value::Null, 1e15.into()])),
+        ]);
+        let text = v.to_json();
+        assert_eq!(
+            text,
+            r#"{"b":2,"a":0.25,"a":"x\"y","t":true,"l":[null,1000000000000000]}"#
+        );
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(v.u64("b"), Ok(2));
+        assert_eq!(v.f64("a"), Ok(0.25));
+        assert_eq!(v.bool("t"), Ok(true));
+        assert_eq!(v.u64("a"), Err("\"a\" is not a count".to_string()));
+        assert_eq!(v.str("z"), Err("missing a string \"z\"".to_string()));
+        let err = v.each("l", |x| x.as_f64().ok_or("not a number".to_string()));
+        assert_eq!(err, Err("l[0]: not a number".to_string()));
     }
 
     #[test]

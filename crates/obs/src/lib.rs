@@ -17,8 +17,9 @@
 //! 3. [`QueryTrace::metrics`] — a diffable [`MetricsSnapshot`] for the
 //!    bench harness.
 //!
-//! The [`json`] module is a minimal JSON reader used to validate emitted
-//! trace files in tests and in the `repro --check-trace` smoke mode.
+//! The [`json`] module is a minimal JSON value: the reader that validates
+//! emitted trace files (tests, `repro --check-trace`), and the one writer
+//! and strict required-field reader of history and event lines.
 //!
 //! Beyond per-query traces, the crate hosts the **fleet telemetry** layer:
 //! a [`MetricRegistry`] (counters, gauges with high-water marks, and
@@ -31,7 +32,8 @@
 //!
 //! Two analysis layers sit on top: the [`history`] module persists one
 //! [`HistoryRecord`] per query run (plan fingerprint, timings, wire
-//! ratios — the learned-cost-model feed), and the [`critical`] module
+//! ratios, the cost-model observation — the one persisted form of what
+//! the learned cost model knows), and the [`critical`] module
 //! computes the critical path through a finished trace, attributing
 //! end-to-end latency to compute / transfer / consult / DDL per engine
 //! node.

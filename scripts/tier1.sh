@@ -106,6 +106,13 @@ cargo run --release -q -p xdb-bench --bin repro -- drift \
   --baseline target/tier1-history-a --current target/tier1-history-b \
   | tee target/tier1-drift.txt
 grep -q 'no drift' target/tier1-drift.txt
+# The checked-in drift baseline must stay readable: a stricter reader or a
+# schema change that strands BENCH_history/ fails here, not only in the
+# opt-in bench gate.
+cargo run --release -q -p xdb-bench --bin repro -- drift \
+  --baseline BENCH_history --current BENCH_history \
+  | tee target/tier1-drift-baseline.txt
+grep -q 'no drift' target/tier1-drift-baseline.txt
 
 # Cost-model observatory smoke test: `repro calibrate` must render a
 # non-empty report with the predicted-vs-observed error distributions per

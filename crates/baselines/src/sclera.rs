@@ -96,91 +96,97 @@ impl<'a> Sclera<'a> {
         // Strictly serial task execution; every inter-task relation takes
         // two hops (producer → mediator → consumer) and is materialized at
         // the consumer.
-        let mut outputs: HashMap<usize, Relation> = HashMap::new();
         let mut total_ms = 0.0f64;
         let mut transfer_ms = 0.0f64;
         let mut moved_bytes = 0u64;
         let mut moved_encoded_bytes = 0u64;
         let mut temp_tables: Vec<(NodeId, String)> = Vec::new();
-        let mut result = None;
-        for id in plan.topo_order() {
-            let task = plan.task(id);
-            let engine = self.cluster.engine(task.dbms.as_str())?;
-            // Import dependencies.
-            for edge in plan.in_edges(id) {
-                let rel = outputs
-                    .get(&edge.from)
-                    .cloned()
-                    .ok_or_else(|| EngineError::Execution("missing task output".into()))?;
-                let bytes = rel.wire_bytes();
-                let producer = &plan.task(edge.from).dbms;
-                // Both hops ride the shared wire codec; the exported
-                // relation is re-encoded for each hop (Sclera's mediator
-                // decodes and re-encodes, it does not relay frames). Both
-                // hops carry the same relation, so one sizing pass prices
-                // them both — and since `decode(encode(x))` rebuilds `x`
-                // exactly, the consumer loads the relation this process
-                // already holds instead of round-tripping the codec.
-                let chunk_rows = engine.stream_chunk_rows();
-                let stats = wire::measure(rel.columns(), rel.len()).stats(chunk_rows);
-                self.cluster.ledger.record_wire(
-                    producer,
-                    &self.mediator,
-                    bytes,
-                    rel.len() as u64,
-                    Purpose::Materialization,
-                    &stats,
-                );
-                self.cluster.ledger.record_wire(
-                    &self.mediator,
-                    &task.dbms,
-                    bytes,
-                    rel.len() as u64,
-                    Purpose::Materialization,
-                    &stats,
-                );
-                let hop1 = self.cluster.topology.transfer_ms(
-                    producer,
-                    &self.mediator,
-                    stats.encoded_bytes,
-                    xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
-                );
-                let hop2 = self.cluster.topology.transfer_ms(
-                    &self.mediator,
-                    &task.dbms,
-                    stats.encoded_bytes,
-                    xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
-                );
-                let import = rel.len() as f64 * engine.profile.write_cost_ms;
-                // Two serial hops through the mediator, then the
-                // client-driven re-import at the consumer.
-                transfer_ms += hop1 + hop2;
-                // Export + import are separate client-driven statements.
-                total_ms += hop1 + hop2 + import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS;
-                moved_bytes += bytes * 2;
-                moved_encoded_bytes += stats.encoded_bytes * 2;
-                let temp = placeholder_name(edge.from);
-                engine.load_table(&temp, rel)?;
-                temp_tables.push((task.dbms.clone(), temp));
+        let mut run_tasks = || -> Result<Relation> {
+            let mut outputs: HashMap<usize, Relation> = HashMap::new();
+            let mut result = None;
+            for id in plan.topo_order() {
+                let task = plan.task(id);
+                let engine = self.cluster.engine(task.dbms.as_str())?;
+                // Import dependencies.
+                for edge in plan.in_edges(id) {
+                    let rel = outputs
+                        .get(&edge.from)
+                        .cloned()
+                        .ok_or_else(|| EngineError::Execution("missing task output".into()))?;
+                    let bytes = rel.wire_bytes();
+                    let producer = &plan.task(edge.from).dbms;
+                    // Both hops ride the shared wire codec; the exported
+                    // relation is re-encoded for each hop (Sclera's mediator
+                    // decodes and re-encodes, it does not relay frames). Both
+                    // hops carry the same relation, so one sizing pass prices
+                    // them both — and since `decode(encode(x))` rebuilds `x`
+                    // exactly, the consumer loads the relation this process
+                    // already holds instead of round-tripping the codec.
+                    let chunk_rows = engine.stream_chunk_rows();
+                    let stats = wire::measure(rel.columns(), rel.len()).stats(chunk_rows);
+                    self.cluster.ledger.record_wire(
+                        producer,
+                        &self.mediator,
+                        bytes,
+                        rel.len() as u64,
+                        Purpose::Materialization,
+                        &stats,
+                    );
+                    self.cluster.ledger.record_wire(
+                        &self.mediator,
+                        &task.dbms,
+                        bytes,
+                        rel.len() as u64,
+                        Purpose::Materialization,
+                        &stats,
+                    );
+                    let hop1 = self.cluster.topology.transfer_ms(
+                        producer,
+                        &self.mediator,
+                        stats.encoded_bytes,
+                        xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
+                    );
+                    let hop2 = self.cluster.topology.transfer_ms(
+                        &self.mediator,
+                        &task.dbms,
+                        stats.encoded_bytes,
+                        xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
+                    );
+                    let import = rel.len() as f64 * engine.profile.write_cost_ms;
+                    // Two serial hops through the mediator, then the
+                    // client-driven re-import at the consumer.
+                    transfer_ms += hop1 + hop2;
+                    // Export + import are separate client-driven statements.
+                    total_ms += hop1 + hop2 + import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS;
+                    moved_bytes += bytes * 2;
+                    moved_encoded_bytes += stats.encoded_bytes * 2;
+                    let temp = placeholder_name(edge.from);
+                    engine.load_table(&temp, rel)?;
+                    temp_tables.push((task.dbms.clone(), temp));
+                }
+                // The task body references `__task_k` placeholders by exactly
+                // the temp-table names just loaded.
+                let stmt = plan_to_select(&task.plan)?;
+                let task_sql = render_select_string(&stmt, engine.profile.dialect);
+                let (rel, report) = self.cluster.query(task.dbms.as_str(), &task_sql)?;
+                total_ms += report.finish_ms + xdb_net::params::DDL_ROUNDTRIP_MS;
+                if id == plan.root {
+                    result = Some(rel);
+                } else {
+                    outputs.insert(id, rel);
+                }
             }
-            // The task body references `__task_k` placeholders by exactly
-            // the temp-table names just loaded.
-            let stmt = plan_to_select(&task.plan)?;
-            let task_sql = render_select_string(&stmt, engine.profile.dialect);
-            let (rel, report) = self.cluster.query(task.dbms.as_str(), &task_sql)?;
-            total_ms += report.finish_ms + xdb_net::params::DDL_ROUNDTRIP_MS;
-            if id == plan.root {
-                result = Some(rel);
-            } else {
-                outputs.insert(id, rel);
-            }
-        }
-        // Drop all temp tables.
+            result.ok_or_else(|| EngineError::Execution("no root output".into()))
+        };
+        let result = run_tasks();
+        // Drop all temp tables, also when a task failed: only the ones
+        // this query loaded are listed.
         for (node, name) in temp_tables {
             let _ = self
                 .cluster
                 .execute(node.as_str(), &format!("DROP TABLE IF EXISTS {name}"));
         }
+        let relation = result?;
         // Coarse fleet telemetry (serial executor: deterministic by
         // construction).
         let telemetry = self.cluster.telemetry();
@@ -206,7 +212,7 @@ impl<'a> Sclera<'a> {
             &[("moved_bytes", &bytes), ("tasks", &tasks)],
         );
         Ok(ScleraReport {
-            relation: result.ok_or_else(|| EngineError::Execution("no root output".into()))?,
+            relation,
             total_ms,
             transfer_ms,
             moved_bytes,
@@ -325,6 +331,33 @@ mod tests {
             ),
             per_hop_encoded as f64
         );
+    }
+
+    /// A task that fails (here: a squatter already holds the name of the
+    /// second temp table) must not strand the temp tables loaded before it.
+    #[test]
+    fn failed_task_drops_its_temp_tables() {
+        let (cluster, catalog) = setup();
+        let squatter = Relation::new(vec![("x".into(), xdb_sql::DataType::Int)], vec![]);
+        cluster
+            .engine("vdb")
+            .unwrap()
+            .load_table("__task_1", squatter)
+            .unwrap();
+        let err = Sclera::new(&cluster, &catalog, "mediator").submit(scenario::EXAMPLE_QUERY);
+        assert!(err.is_err(), "the squatted temp table must fail the query");
+        for node in ["cdb", "vdb", "hdb"] {
+            let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
+            let leaked: Vec<&String> = names
+                .iter()
+                .filter(|n| n.starts_with("__task_") && !(node == "vdb" && *n == "__task_1"))
+                .collect();
+            assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
+        }
+        let vdb = cluster.engine("vdb").unwrap();
+        assert!(vdb
+            .with_catalog(|c| c.names())
+            .contains(&"__task_1".to_string()));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use xdb_engine::engine::MorselSink;
-use xdb_engine::exec::{Execution, MapResolver, ScanOutput, ScanResolver, StreamedScan};
+use xdb_engine::exec::{Execution, MapResolver, MorselSink, ReadShape, ScanOutput, ScanResolver};
 use xdb_engine::expr::compile;
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
@@ -114,27 +113,19 @@ fn composite_join(probe: &str) -> LogicalPlan {
 struct OneChunk<'a>(&'a MapResolver);
 
 impl ScanResolver for OneChunk<'_> {
-    fn scan(&self, relation: &str, wanted: &[Field]) -> xdb_engine::Result<ScanOutput> {
-        self.0.scan(relation, wanted)
-    }
-
     fn streams(&self, relation: &str) -> bool {
         relation == "few"
     }
 
-    fn scan_stream(
+    /// A map relation is one morsel however it is read.
+    fn scan(
         &self,
         relation: &str,
         wanted: &[Field],
-        on_morsel: &mut MorselSink<'_>,
-    ) -> xdb_engine::Result<Option<StreamedScan>> {
-        let rel = self.scan(relation, wanted)?.relation;
-        on_morsel(rel.as_ref())?;
-        Ok(Some(StreamedScan {
-            nrows: rel.len(),
-            edge: None,
-            remote: None,
-        }))
+        read: ReadShape,
+        sink: &mut MorselSink<'_>,
+    ) -> xdb_engine::Result<ScanOutput> {
+        self.0.scan(relation, wanted, read, sink)
     }
 }
 

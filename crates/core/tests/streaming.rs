@@ -9,7 +9,9 @@ use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
+use xdb_engine::profile::EngineProfile;
 use xdb_obs::Telemetry;
+use xdb_sql::value::DataType;
 
 /// Query ids come from a process-global counter and their decimal width
 /// leaks into control-message byte counts; pairs under comparison are
@@ -79,6 +81,63 @@ fn run(chunk: usize) -> (u64, String) {
     (outcome.query_id, normalize_ids(&fp))
 }
 
+/// A foreign relation with no rows, read whole (`SELECT *`, the build side
+/// of a hash join, a CTAS) and in chunks (under a filter): every read gives
+/// 0 rows with the declared fields. Returns the relations (column layouts
+/// included), reports, ledger and simulated times at the given chunk size.
+fn zero_row_edge(chunk: usize) -> String {
+    let c = Cluster::lan(&["db_r", "db_s"], EngineProfile::postgres());
+    c.set_stream_chunk_rows(chunk);
+    c.set_op_tracing(true);
+    c.execute("db_r", "CREATE TABLE e (x BIGINT, y VARCHAR)")
+        .unwrap();
+    c.execute_script(
+        "db_s",
+        "CREATE TABLE s (x BIGINT, z VARCHAR);
+         INSERT INTO s VALUES (2, 'beta'), (3, 'gamma');
+         CREATE FOREIGN TABLE e_ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'e');",
+    )
+    .unwrap();
+    let declared = |names: [&str; 2], types: [DataType; 2]| -> Vec<(String, DataType)> {
+        names.iter().map(|n| n.to_string()).zip(types).collect()
+    };
+    let xy = declared(["x", "y"], [DataType::Int, DataType::Str]);
+    let join = "SELECT s.z, e_ft.y FROM s, e_ft WHERE s.x = e_ft.x";
+    let mut fp = String::new();
+    for (sql, fields) in [
+        ("SELECT * FROM e_ft", Some(xy.clone())),
+        (
+            join,
+            Some(declared(["z", "y"], [DataType::Str, DataType::Str])),
+        ),
+        ("SELECT * FROM e_ft WHERE x > 1", Some(xy.clone())),
+        ("CREATE TABLE e_copy AS SELECT * FROM e_ft", None),
+        ("SELECT * FROM e_copy", Some(xy)),
+    ] {
+        let out = c.execute("db_s", sql).unwrap();
+        if let Some(rel) = &out.relation {
+            assert_eq!(
+                (rel.len(), Some(&rel.fields)),
+                (0, fields.as_ref()),
+                "{sql}"
+            );
+            fp.push_str(&format!("{:?}\n", rel.columns()));
+        }
+        if sql == join {
+            // The join builds on the empty edge and probes the local table.
+            let ops = &out.report.profile.as_ref().expect("tracing is on").ops;
+            assert!(ops
+                .iter()
+                .any(|o| o.op == "hash join" && (o.build_rows, o.probe_rows) == (0, 2)));
+        }
+        fp.push_str(&format!("{sql}\n{:?}\n", out.report));
+    }
+    for t in c.ledger.snapshot() {
+        fp.push_str(&format!("{t:?}\n"));
+    }
+    fp
+}
+
 fn run_comparable_pair(a: usize, b: usize) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
@@ -97,6 +156,11 @@ fn chunk_size_is_unobservable() {
     for chunk in [1usize, 4096] {
         let (reference, chunked) = run_comparable_pair(0, chunk);
         assert_eq!(reference, chunked, "chunk {chunk} observable");
+        let (reference, chunked) = (zero_row_edge(0), zero_row_edge(chunk));
+        assert_eq!(
+            reference, chunked,
+            "chunk {chunk} observable on a zero-row edge"
+        );
     }
 }
 

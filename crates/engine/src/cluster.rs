@@ -7,17 +7,17 @@
 //! Section V, including the recursive trickle-down execution of Figure 8.
 
 use crate::engine::{
-    Engine, ExecReport, FetchReply, FetchRequest, FetchStreamReply, MorselSink, Remote,
-    StatementOutcome, MAX_FETCH_DEPTH,
+    Engine, ExecReport, FetchReply, FetchRequest, Remote, StatementOutcome, MAX_FETCH_DEPTH,
 };
 use crate::error::{EngineError, Result};
+use crate::exec::{ExecRel, MorselSink, ReadShape};
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xdb_net::{reactor, wire, Ledger, NodeId, Topology};
-use xdb_obs::{ExecProfile, Telemetry};
+use xdb_obs::Telemetry;
 
 /// A set of named engines plus network fabric and transfer accounting.
 pub struct Cluster {
@@ -133,11 +133,45 @@ impl Cluster {
         Ok(last)
     }
 
-    /// Producer half shared by [`Cluster::fetch_with`] and
-    /// [`Cluster::fetch_stream_with`]: execute the producer-side scan and
-    /// derive (or reuse) the edge's codec state. Everything past this
-    /// point differs only in *how* the decoded rows reach the consumer.
-    fn produce_edge(&self, request: &FetchRequest<'_>) -> Result<EdgeSource> {
+    /// Enable or disable per-operator execution profiles on every engine.
+    pub fn set_op_tracing(&self, on: bool) {
+        for engine in self.engines.values() {
+            engine.set_op_tracing(on);
+        }
+    }
+
+    /// Set the streamed-edge transport morsel size on every engine
+    /// (0 = unbounded). Results, ledgers and simulated timings are
+    /// bit-identical at any setting.
+    pub fn set_stream_chunk_rows(&self, rows: usize) {
+        for engine in self.engines.values() {
+            engine.set_stream_chunk_rows(rows);
+        }
+    }
+
+    /// Set the edge-reactor worker budget on every engine (0 = off,
+    /// morsels decode inline). Results, ledgers and simulated timings are
+    /// bit-identical at any setting.
+    pub fn set_reactor_threads(&self, n: usize) {
+        for engine in self.engines.values() {
+            engine.set_reactor_threads(n);
+        }
+    }
+}
+
+impl Remote for Cluster {
+    /// The one read of an edge: execute the producer-side scan (nested
+    /// foreign-table scans recurse through this cluster), decode the edge
+    /// into `sink` in the shape the consumer asked for, and record the
+    /// transfer once the morsels are delivered.
+    ///
+    /// A one-morsel read drives the decoder sized for the whole edge and
+    /// takes a single morsel. A chunked read takes one per transport chunk:
+    /// with reactor workers available and more than one chunk, the decode
+    /// runs ahead on the pool behind a bounded channel, overlapping with
+    /// the consumer's compute; otherwise it runs inline. Both paths deliver
+    /// the exact same morsel sequence.
+    fn fetch(&self, request: FetchRequest<'_>, sink: &mut MorselSink<'_>) -> Result<FetchReply> {
         if request.depth > MAX_FETCH_DEPTH {
             return Err(EngineError::Remote(
                 "maximum cross-engine recursion depth exceeded".into(),
@@ -149,7 +183,7 @@ impl Cluster {
             producer.profile.dialect.ident(request.relation)
         );
         let outcome = producer.execute_sql_at(&sql, self, request.depth)?;
-        let relation = outcome
+        let mut relation = outcome
             .relation
             .ok_or_else(|| EngineError::Remote("fetch produced no relation".into()))?;
         // Every edge really goes through the wire codec: encode once at
@@ -190,87 +224,22 @@ impl Cluster {
                 enc
             }
         };
-        Ok(EdgeSource {
-            producer: Arc::clone(producer),
-            bytes: relation.wire_bytes(),
-            fields: relation.fields.clone(),
-            nrows: relation.len(),
-            encoded,
-            chunk_rows: producer.stream_chunk_rows(),
-            producer_finish_ms: outcome.report.finish_ms,
-            producer_profile: outcome.report.profile,
-        })
-    }
-
-    /// Consumer half shared by both fetch flavors: record the transfer
-    /// and price it on the simulated clock. Call order
-    /// relative to the producer scan is identical in both flavors, so the
-    /// ledger record sequence never depends on how the edge streamed.
-    fn account_edge(
-        &self,
-        request: &FetchRequest<'_>,
-        src: &EdgeSource,
-        stats: &wire::WireStats,
-    ) -> f64 {
-        self.ledger.record_wire(
-            &src.producer.node,
-            &request.consumer,
-            src.bytes,
-            src.nrows as u64,
-            request.purpose,
-            stats,
-        );
-        // The simulated transfer pays for encoded bytes — compression is
-        // what the streaming plane buys.
-        self.topology.transfer_ms(
-            &src.producer.node,
-            &request.consumer,
-            stats.encoded_bytes,
-            request.protocol_overhead,
-        )
-    }
-
-    /// Whole-edge fetch: execute the producer-side scan (nested
-    /// foreign-table scans recurse through this cluster), decode the edge
-    /// in one piece and record the transfer.
-    fn fetch_with(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
-        let src = self.produce_edge(&request)?;
-        let stats = src.encoded.stats(src.chunk_rows);
-        let columns = wire::decode_chunked(&src.encoded, src.chunk_rows);
-        let relation = Relation::from_columns(src.fields.clone(), columns, src.nrows);
-        let transfer_ms = self.account_edge(&request, &src, &stats);
-        Ok(FetchReply {
-            relation,
-            producer_finish_ms: src.producer_finish_ms,
-            transfer_ms,
-            producer_profile: src.producer_profile,
-        })
-    }
-
-    /// Streamed fetch body: identical producer scan, codec state, ledger
-    /// record, and simulated timing as [`Cluster::fetch_with`], but the
-    /// decoded rows reach `on_morsel` one transport chunk at a time. With
-    /// reactor workers available the decode runs ahead on the pool behind
-    /// a bounded channel, overlapping with the consumer's compute; with
-    /// none (or a single-chunk edge) it runs inline. Both paths deliver
-    /// the exact same morsel sequence.
-    fn fetch_stream_with(
-        &self,
-        request: FetchRequest<'_>,
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<FetchStreamReply> {
-        let src = self.produce_edge(&request)?;
-        let stats = src.encoded.stats(src.chunk_rows);
-        let step = if src.chunk_rows == 0 {
-            src.nrows
-        } else {
-            src.chunk_rows
+        let (bytes, nrows) = (relation.wire_bytes(), relation.len());
+        let fields = std::mem::take(&mut relation.fields);
+        // Only the encoded edge flows on: the producer's rows are freed
+        // before the consumer decodes its own.
+        drop(relation);
+        let chunk_rows = producer.stream_chunk_rows();
+        let stats = encoded.stats(chunk_rows);
+        let step = match request.read {
+            ReadShape::Chunks if chunk_rows > 0 => chunk_rows,
+            _ => nrows,
         };
-        let threads = src.producer.reactor_threads();
-        if src.nrows == 0 {
-            // Zero-row edges ship no morsels; the consumer builds its
-            // empty relation from the reply's schema.
-        } else if threads > 0 && src.nrows > step {
+        let threads = producer.reactor_threads();
+        if request.read == ReadShape::Chunks && nrows == 0 {
+            // A chunked read of a zero-row edge ships no morsels; the
+            // consumer builds its empty relation from the declared fields.
+        } else if threads > 0 && nrows > step {
             // Reactor path: a pool worker decodes morsels ahead of the
             // consumer through a bounded channel. Wall-clock only — the
             // morsel sequence is the inline one by construction.
@@ -281,8 +250,8 @@ impl Cluster {
                 reactor::EDGE_CHANNEL_CAPACITY,
             ));
             let tx = Arc::clone(&chan);
-            let enc = Arc::clone(&src.encoded);
-            let fields = src.fields.clone();
+            let enc = Arc::clone(&encoded);
+            let fields = fields.clone();
             reactor::spawn(threads, move || {
                 let guard = reactor::PoisonGuard::new(Arc::clone(&tx));
                 let mut dec = wire::StreamDecoder::with_morsel_capacity(&enc, step);
@@ -306,12 +275,12 @@ impl Cluster {
             let mut morsels = 0u64;
             loop {
                 match chan.recv() {
-                    // An `on_morsel` error returns here with the guard
-                    // still armed, poisoning the channel so the decode
-                    // worker unblocks instead of waiting on a full ring.
+                    // A `sink` error returns here with the guard still
+                    // armed, poisoning the channel so the decode worker
+                    // unblocks instead of waiting on a full ring.
                     Ok(Some(rel)) => {
                         morsels += 1;
-                        on_morsel(&rel)?;
+                        sink(ExecRel::Owned(rel))?;
                     }
                     Ok(None) => break,
                     Err(reactor::Poisoned) => {
@@ -328,76 +297,45 @@ impl Cluster {
                 .counter_add("sched.reactor_morsels", &[], morsels as f64);
         } else {
             // Inline path: decode each morsel on the consuming thread,
-            // still fused with consumption (no whole-edge intermediate).
-            let mut dec = wire::StreamDecoder::with_morsel_capacity(&src.encoded, step);
-            while dec.remaining() > 0 {
+            // fused with consumption. A one-morsel read takes exactly one,
+            // also of a zero-row edge, so that its relation has the
+            // decoder's column layouts.
+            let mut dec = wire::StreamDecoder::with_morsel_capacity(&encoded, step);
+            loop {
                 let k = step.min(dec.remaining());
                 let cols = dec.take_columns(step);
-                on_morsel(&Relation::from_columns(src.fields.clone(), cols, k))?;
+                sink(ExecRel::Owned(Relation::from_columns(
+                    fields.clone(),
+                    cols,
+                    k,
+                )))?;
+                if dec.remaining() == 0 {
+                    break;
+                }
             }
         }
-        let transfer_ms = self.account_edge(&request, &src, &stats);
-        Ok(FetchStreamReply {
-            fields: src.fields,
-            nrows: src.nrows,
-            producer_finish_ms: src.producer_finish_ms,
+        self.ledger.record_wire(
+            &producer.node,
+            &request.consumer,
+            bytes,
+            nrows as u64,
+            request.purpose,
+            &stats,
+        );
+        // The simulated transfer pays for encoded bytes — compression is
+        // what the streaming plane buys.
+        let transfer_ms = self.topology.transfer_ms(
+            &producer.node,
+            &request.consumer,
+            stats.encoded_bytes,
+            request.protocol_overhead,
+        );
+        Ok(FetchReply {
+            nrows,
+            producer_finish_ms: outcome.report.finish_ms,
             transfer_ms,
-            producer_profile: src.producer_profile,
+            producer_profile: outcome.report.profile,
         })
-    }
-
-    /// Enable or disable per-operator execution profiles on every engine.
-    pub fn set_op_tracing(&self, on: bool) {
-        for engine in self.engines.values() {
-            engine.set_op_tracing(on);
-        }
-    }
-
-    /// Set the streamed-edge transport morsel size on every engine
-    /// (0 = unbounded). Results, ledgers and simulated timings are
-    /// bit-identical at any setting.
-    pub fn set_stream_chunk_rows(&self, rows: usize) {
-        for engine in self.engines.values() {
-            engine.set_stream_chunk_rows(rows);
-        }
-    }
-
-    /// Set the edge-reactor worker budget on every engine (0 = off,
-    /// morsels decode inline). Results, ledgers and simulated timings are
-    /// bit-identical at any setting.
-    pub fn set_reactor_threads(&self, n: usize) {
-        for engine in self.engines.values() {
-            engine.set_reactor_threads(n);
-        }
-    }
-}
-
-/// Producer-side state of one edge, shared by the materializing and the
-/// streaming fetch paths.
-struct EdgeSource {
-    producer: Arc<Engine>,
-    /// Uncompressed wire bytes of the producer relation (ledger's raw
-    /// byte model).
-    bytes: u64,
-    fields: Vec<(String, xdb_sql::value::DataType)>,
-    nrows: usize,
-    encoded: Arc<wire::Encoded>,
-    chunk_rows: usize,
-    producer_finish_ms: f64,
-    producer_profile: Option<Box<ExecProfile>>,
-}
-
-impl Remote for Cluster {
-    fn fetch(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
-        self.fetch_with(request)
-    }
-
-    fn fetch_stream(
-        &self,
-        request: FetchRequest<'_>,
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<FetchStreamReply> {
-        self.fetch_stream_with(request, on_morsel)
     }
 }
 

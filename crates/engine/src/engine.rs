@@ -6,12 +6,17 @@
 //! operations *within* a task — exactly the autonomy the paper grants
 //! underlying DBMSes), executes plans over real tuples, and reports both
 //! measured cardinalities and simulated timing.
+//!
+//! A foreign table reaches the executor through one read at each layer:
+//! [`Remote::fetch`] delivers an edge's morsels to a sink, and the engine's
+//! resolver projects each one on the way to the operator. A materializing
+//! read (a CTAS, a hash join's build side) is the one-morsel case of that
+//! read, a streamed leaf the chunked one ([`ReadShape`]).
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    project_columns, project_columns_owned, project_columns_shared, ExecRel, Execution, ScanOutput,
-    ScanResolver, Scratch, StreamedScan,
+    project_columns, ExecRel, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver, Scratch,
 };
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
@@ -73,24 +78,13 @@ pub struct FetchRequest<'a> {
     pub protocol_overhead: f64,
     pub purpose: Purpose,
     pub depth: usize,
+    /// How the consumer reads the edge, as its plan decided.
+    pub read: ReadShape,
 }
 
-/// Reply to a fetch: the data plus timing of producer and wire.
+/// What a fetch reports besides the rows it delivered: their count and
+/// the timing of producer and wire.
 pub struct FetchReply {
-    pub relation: Relation,
-    pub producer_finish_ms: f64,
-    pub transfer_ms: f64,
-    /// Execution profile of the producer side, when operator tracing is on.
-    pub producer_profile: Option<Box<ExecProfile>>,
-}
-
-/// Reply metadata of a streamed fetch: everything [`FetchReply`] carries
-/// except the relation itself, which was already delivered morsel by
-/// morsel to the consumer's callback.
-pub struct FetchStreamReply {
-    /// Schema of the streamed edge (every morsel shares it).
-    pub fields: Vec<(String, DataType)>,
-    /// Total rows delivered across all morsels.
     pub nrows: usize,
     pub producer_finish_ms: f64,
     pub transfer_ms: f64,
@@ -98,47 +92,24 @@ pub struct FetchStreamReply {
     pub producer_profile: Option<Box<ExecProfile>>,
 }
 
-/// Consumer-side morsel sink for a streamed fetch. Returning an error
-/// cancels the edge (the producer side unblocks and abandons the stream).
-pub type MorselSink<'a> = dyn FnMut(&Relation) -> Result<()> + 'a;
-
 /// Something that can execute remote fetches on behalf of an engine — in
 /// practice the [`crate::cluster::Cluster`]. Kept as a trait so engines can
 /// run standalone and so tests can inject failures.
+///
+/// A foreign-table read is this one method. `sink` sees the edge's rows as
+/// morsels, in edge order and shaped as `request.read` asks: the whole
+/// edge as one morsel (even when it has no rows), or its transport chunks
+/// (none for an edge without rows). Byte accounting and simulated timings
+/// do not depend on the shape. An error from `sink` cancels the edge.
 pub trait Remote {
-    fn fetch(&self, request: FetchRequest<'_>) -> Result<FetchReply>;
-
-    /// Fetch a relation as a morsel stream: `on_morsel` observes every
-    /// transport chunk in edge order, and the reply carries only
-    /// metadata. Byte accounting, simulated timings, and the
-    /// concatenation of the morsels are bit-identical to [`Remote::fetch`];
-    /// what changes is wall-clock shape (decode and consumer compute can
-    /// overlap under the reactor). The default delivers the whole
-    /// relation as a single morsel.
-    fn fetch_stream(
-        &self,
-        request: FetchRequest<'_>,
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<FetchStreamReply> {
-        let reply = self.fetch(request)?;
-        if !reply.relation.is_empty() {
-            on_morsel(&reply.relation)?;
-        }
-        Ok(FetchStreamReply {
-            fields: reply.relation.fields.clone(),
-            nrows: reply.relation.len(),
-            producer_finish_ms: reply.producer_finish_ms,
-            transfer_ms: reply.transfer_ms,
-            producer_profile: reply.producer_profile,
-        })
-    }
+    fn fetch(&self, request: FetchRequest<'_>, sink: &mut MorselSink<'_>) -> Result<FetchReply>;
 }
 
 /// A `Remote` that refuses all fetches (standalone engines).
 pub struct NoRemote;
 
 impl Remote for NoRemote {
-    fn fetch(&self, request: FetchRequest<'_>) -> Result<FetchReply> {
+    fn fetch(&self, request: FetchRequest<'_>, _sink: &mut MorselSink<'_>) -> Result<FetchReply> {
         Err(EngineError::Remote(format!(
             "no remote connectivity (fetch of {:?} from {:?})",
             request.relation, request.server
@@ -652,8 +623,9 @@ fn ddl_outcome() -> StatementOutcome {
     }
 }
 
-/// Scan resolver over a catalog snapshot: local tables are projected in
-/// place; foreign tables trigger a remote fetch through the wrapper.
+/// Scan resolver over a catalog snapshot: a local table is its one shared
+/// morsel, projected in place; a foreign table is read through the
+/// wrapper's one [`Remote::fetch`], in the shape the executor asked for.
 struct EngineResolver<'a> {
     engine: &'a Engine,
     snapshot: &'a Catalog,
@@ -664,12 +636,31 @@ struct EngineResolver<'a> {
 }
 
 impl ScanResolver for EngineResolver<'_> {
-    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
+    /// Only foreign tables stream: their rows arrive over a decoded wire
+    /// edge with natural chunk boundaries. The executor uses this to commit
+    /// to a streamed pipeline before running anything.
+    fn streams(&self, relation: &str) -> bool {
+        matches!(
+            self.snapshot.get(relation),
+            Some(CatalogEntry::ForeignTable { .. })
+        )
+    }
+
+    fn scan(
+        &self,
+        relation: &str,
+        wanted: &[Field],
+        read: ReadShape,
+        sink: &mut MorselSink<'_>,
+    ) -> Result<ScanOutput> {
         match self.snapshot.get(relation) {
             Some(CatalogEntry::Table(t)) => {
-                let rel = project_columns_shared(&t.data, wanted)?;
+                sink(project_columns(
+                    ExecRel::Shared(Arc::clone(&t.data)),
+                    wanted,
+                )?)?;
                 Ok(ScanOutput {
-                    relation: rel,
+                    nrows: t.data.len(),
                     edge: None,
                     remote: None,
                 })
@@ -679,19 +670,22 @@ impl ScanResolver for EngineResolver<'_> {
                 remote_name,
                 ..
             }) => {
-                let reply = self.remote.fetch(FetchRequest {
+                let request = FetchRequest {
                     server,
                     relation: remote_name,
                     consumer: self.engine.node.clone(),
                     protocol_overhead: self.engine.profile.protocol_overhead,
                     purpose: self.purpose,
                     depth: self.depth + 1,
-                })?;
+                    read,
+                };
+                let reply = self
+                    .remote
+                    .fetch(request, &mut |m| sink(project_columns(m, wanted)?))?;
                 self.foreign_rows
-                    .set(self.foreign_rows.get() + reply.relation.len() as u64);
-                let rel = ExecRel::Owned(project_columns_owned(reply.relation, wanted)?);
+                    .set(self.foreign_rows.get() + reply.nrows as u64);
                 Ok(ScanOutput {
-                    relation: rel,
+                    nrows: reply.nrows,
                     edge: Some(EdgeTiming {
                         producer_finish_ms: reply.producer_finish_ms,
                         transfer_ms: reply.transfer_ms,
@@ -708,61 +702,6 @@ impl ScanResolver for EngineResolver<'_> {
                 "unknown relation {relation:?}"
             ))),
         }
-    }
-
-    /// Only foreign tables stream (see `scan_stream`); the executor uses
-    /// this to commit to a streamed pipeline before running anything.
-    fn streams(&self, relation: &str) -> bool {
-        matches!(
-            self.snapshot.get(relation),
-            Some(CatalogEntry::ForeignTable { .. })
-        )
-    }
-
-    /// Only foreign tables stream: their rows arrive over a decoded wire
-    /// edge with natural chunk boundaries. Local tables stay on the
-    /// materialized path, which hands out `Arc`s without copying a row.
-    fn scan_stream(
-        &self,
-        relation: &str,
-        wanted: &[Field],
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<Option<StreamedScan>> {
-        let Some(CatalogEntry::ForeignTable {
-            server,
-            remote_name,
-            ..
-        }) = self.snapshot.get(relation)
-        else {
-            return Ok(None);
-        };
-        let mut sink = |m: &Relation| -> Result<()> {
-            let projected = project_columns(m, wanted)?;
-            on_morsel(&projected)
-        };
-        let reply = self.remote.fetch_stream(
-            FetchRequest {
-                server,
-                relation: remote_name,
-                consumer: self.engine.node.clone(),
-                protocol_overhead: self.engine.profile.protocol_overhead,
-                purpose: self.purpose,
-                depth: self.depth + 1,
-            },
-            &mut sink,
-        )?;
-        self.foreign_rows
-            .set(self.foreign_rows.get() + reply.nrows as u64);
-        Ok(Some(StreamedScan {
-            nrows: reply.nrows,
-            edge: Some(EdgeTiming {
-                producer_finish_ms: reply.producer_finish_ms,
-                transfer_ms: reply.transfer_ms,
-                import_ms: 0.0,
-                movement: Movement::Implicit,
-            }),
-            remote: reply.producer_profile,
-        }))
     }
 }
 

@@ -6,6 +6,12 @@
 //! operator owes besides its rows (work units, op entries, timing edges) is
 //! therefore written once, whichever way the rows travel.
 //!
+//! The same rule holds one layer down: a leaf has one read,
+//! [`ScanResolver::scan`], which hands morsels to a sink by value. A
+//! streamed leaf asks it for its edge's chunks, and every other scan for
+//! one morsel ([`ReadShape`]); a local table's one morsel is its shared
+//! `Arc`, so no row is copied.
+//!
 //! Every operator really runs over real tuples — cardinalities and byte
 //! counts in the experiments are measured, not estimated. The executor also
 //! accumulates *work units* (rows × per-operator weight) which the engine
@@ -23,7 +29,6 @@
 //! hashes is the smaller one where it can know that
 //! ([`Execution::hash_join`]), and is not an observable.
 
-use crate::engine::MorselSink;
 use crate::error::{EngineError, Result};
 use crate::expr::{compile, PhysExpr};
 use crate::relation::Relation;
@@ -96,9 +101,25 @@ impl ExecRel {
     }
 }
 
-/// Output of resolving a leaf scan.
+/// Where a read's morsels go, by value and in order. Returning an error
+/// cancels the read.
+pub type MorselSink<'a> = dyn FnMut(ExecRel) -> Result<()> + 'a;
+
+/// How a reader takes a leaf's rows. The plan decides it, not a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadShape {
+    /// The whole relation as exactly one morsel, even when it has no rows:
+    /// a materializing read (anything [`Execution::run_rel`] reads).
+    OneMorsel,
+    /// The edge's transport chunks, none when it has no rows: a streamed
+    /// leaf ([`ScanResolver::streams`]).
+    Chunks,
+}
+
+/// What a leaf scan reports besides the morsels it delivered.
 pub struct ScanOutput {
-    pub relation: ExecRel,
+    /// Rows delivered across all morsels.
+    pub nrows: usize,
     /// Present when the scan pulled data from another engine (foreign
     /// table): the timing edge to compose into this engine's finish time.
     pub edge: Option<EdgeTiming>,
@@ -107,43 +128,28 @@ pub struct ScanOutput {
     pub remote: Option<Box<ExecProfile>>,
 }
 
-/// Metadata for a scan whose rows were delivered morsel-by-morsel through
-/// a [`MorselSink`] instead of as one materialized relation.
-pub struct StreamedScan {
-    /// Total rows delivered across all morsels.
-    pub nrows: usize,
-    /// Timing edge of the remote producer (see [`ScanOutput::edge`]).
-    pub edge: Option<EdgeTiming>,
-    /// Remote producer profile (see [`ScanOutput::remote`]).
-    pub remote: Option<Box<ExecProfile>>,
-}
-
 /// Resolves leaf relations (base tables, foreign tables, placeholders).
+/// A leaf has one read, [`ScanResolver::scan`]; a materialized leaf is its
+/// one-morsel case.
 pub trait ScanResolver {
-    /// Fetch `relation` projected to `wanted` columns (order significant).
-    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput>;
-
-    /// Whether [`ScanResolver::scan_stream`] would stream this relation.
-    /// Must be side-effect free: the executor consults it *before* it runs
-    /// anything, to decide whether an operator reads this leaf as a stream
-    /// and in which order a join runs its children.
+    /// Whether this relation is read in chunks where an operator can take
+    /// a stream. Must be side-effect free: the executor consults it
+    /// *before* it runs anything, to decide whether an operator reads this
+    /// leaf as a stream and in which order a join runs its children.
     fn streams(&self, _relation: &str) -> bool {
         false
     }
 
-    /// Stream `relation` (projected to `wanted`) into `on_morsel` one
-    /// decoded chunk at a time, never materializing the full relation in
-    /// the resolver. The executor calls it only where
-    /// [`ScanResolver::streams`] said yes; `Ok(None)`, with the sink
-    /// untouched, is the answer for every other relation.
-    fn scan_stream(
+    /// Deliver `relation` projected to `wanted` columns (order significant)
+    /// to `sink`, shaped as `read` asks. A leaf that does not stream is one
+    /// morsel whatever `read` says.
+    fn scan(
         &self,
-        _relation: &str,
-        _wanted: &[Field],
-        _on_morsel: &mut MorselSink<'_>,
-    ) -> Result<Option<StreamedScan>> {
-        Ok(None)
-    }
+        relation: &str,
+        wanted: &[Field],
+        read: ReadShape,
+        sink: &mut MorselSink<'_>,
+    ) -> Result<ScanOutput>;
 }
 
 /// Reusable per-query allocations: join hash tables and chain buffers keep
@@ -247,9 +253,19 @@ impl<'a> Execution<'a> {
                 schema,
                 ..
             } => {
-                let out = self.resolver.scan(relation, &schema.fields)?;
-                self.record_scan(out.relation.len(), out.edge, out.remote);
-                Ok(out.relation)
+                let mut one = None;
+                let out = self.resolver.scan(
+                    relation,
+                    &schema.fields,
+                    ReadShape::OneMorsel,
+                    &mut |m| {
+                        one = Some(m);
+                        Ok(())
+                    },
+                )?;
+                self.record_scan(out.nrows, out.edge, out.remote);
+                Ok(one
+                    .unwrap_or_else(|| ExecRel::Owned(MorselConcat::new().finish(&schema.fields))))
             }
             LogicalPlan::OneRow => Ok(ExecRel::Owned(Relation::new(vec![], vec![vec![]]))),
             LogicalPlan::Filter { input, predicate } => {
@@ -257,7 +273,7 @@ impl<'a> Execution<'a> {
                     // Filtered as it decodes: only surviving rows are kept.
                     let mut out = MorselConcat::new();
                     self.feed(plan, &mut |m| {
-                        out.append(m);
+                        out.append(m.as_ref());
                         Ok(())
                     })?;
                     return Ok(ExecRel::Owned(out.finish(&input.schema().fields)));
@@ -496,24 +512,19 @@ impl<'a> Execution<'a> {
         if let Some((relation, schema, pred)) = self.streamed_leaf(plan) {
             let pred = pred.map(|p| compile(p, schema)).transpose()?;
             let mut kept = 0u64;
-            let mut filtered = |m: &Relation| -> Result<()> {
+            let mut filtered = |m: ExecRel| -> Result<()> {
                 let Some(pred) = &pred else { return sink(m) };
-                let sel = filter_selection(pred, m)?;
+                let sel = filter_selection(pred, m.as_ref())?;
                 kept += sel.len() as u64;
                 if sel.len() == m.len() {
                     sink(m)
                 } else {
-                    sink(&gather_relation(m, &sel))
+                    sink(ExecRel::Owned(gather_relation(m.as_ref(), &sel)))
                 }
             };
-            let out = self
-                .resolver
-                .scan_stream(relation, &schema.fields, &mut filtered)?
-                .ok_or_else(|| {
-                    EngineError::Execution(format!(
-                        "resolver advertised {relation:?} as streamed but did not stream it"
-                    ))
-                })?;
+            let out =
+                self.resolver
+                    .scan(relation, &schema.fields, ReadShape::Chunks, &mut filtered)?;
             self.record_scan(out.nrows, out.edge, out.remote);
             if pred.is_none() {
                 return Ok(out.nrows as u64);
@@ -530,14 +541,15 @@ impl<'a> Execution<'a> {
                 schema,
             } if !on.is_empty() => {
                 let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
-                    sink(&gather_pair(m, build, lsel, rsel))
+                    sink(ExecRel::Owned(gather_pair(m, build, lsel, rsel)))
                 };
                 self.hash_join(left, right, on, residual.as_ref(), schema, &mut emit)
             }
             _ => {
                 let rel = self.run_rel(plan)?;
-                sink(rel.as_ref())?;
-                Ok(rel.len() as u64)
+                let n = rel.len() as u64;
+                sink(rel)?;
+                Ok(n)
             }
         }
     }
@@ -682,21 +694,21 @@ impl<'a> Execution<'a> {
             Some(l) => probe(l.as_ref(), true).map(|()| l.len() as u64),
             None => {
                 // The first morsel waits for the second, or for the end.
-                let mut held: Option<Relation> = None;
+                let mut held: Option<ExecRel> = None;
                 let mut morsels = 0usize;
                 let fed = self.feed(left, &mut |m| {
                     morsels += 1;
                     if morsels == 1 {
-                        held = Some(m.clone());
+                        held = Some(m);
                         return Ok(());
                     }
                     if let Some(first) = held.take() {
-                        probe(&first, false)?;
+                        probe(first.as_ref(), false)?;
                     }
-                    probe(m, false)
+                    probe(m.as_ref(), false)
                 });
                 match (fed, held) {
-                    (Ok(n), Some(only)) => probe(&only, true).map(|()| n),
+                    (Ok(n), Some(only)) => probe(only.as_ref(), true).map(|()| n),
                     (fed, _) => fed,
                 }
             }
@@ -793,7 +805,7 @@ impl<'a> Execution<'a> {
     ) -> Result<ExecRel> {
         let mut grouper = Grouper::new(group_by, aggregates, input.schema())?;
         let rows_in = if group_by.len() <= 1 {
-            self.feed(input, &mut |m| grouper.push(m))?
+            self.feed(input, &mut |m| grouper.push(m.as_ref()))?
         } else {
             let rel = self.run_rel(input)?;
             grouper.push(rel.as_ref())?;
@@ -1786,71 +1798,46 @@ impl Default for MapResolver {
 }
 
 impl ScanResolver for MapResolver {
-    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
+    fn scan(
+        &self,
+        relation: &str,
+        wanted: &[Field],
+        _read: ReadShape,
+        sink: &mut MorselSink<'_>,
+    ) -> Result<ScanOutput> {
         let rel = self
             .relations
             .get(&relation.to_ascii_lowercase())
             .ok_or_else(|| EngineError::Catalog(format!("unknown relation {relation:?}")))?;
+        sink(project_columns(ExecRel::Shared(Arc::clone(rel)), wanted)?)?;
         Ok(ScanOutput {
-            relation: project_columns_shared(rel, wanted)?,
+            nrows: rel.len(),
             edge: None,
             remote: None,
         })
     }
 }
 
-/// Resolve `wanted` column names to positions in `rel`.
-fn column_indexes(rel: &Relation, wanted: &[Field]) -> Result<Vec<usize>> {
-    wanted
+/// Project a morsel to the requested columns, by name. An identity
+/// projection hands the morsel through, shared or owned, without touching
+/// its schema or a row; a subset shares the column `Arc`s.
+pub fn project_columns(rel: ExecRel, wanted: &[Field]) -> Result<ExecRel> {
+    let r = rel.as_ref();
+    let idx = wanted
         .iter()
         .map(|f| {
-            rel.column_index(&f.name)
+            r.column_index(&f.name)
                 .ok_or_else(|| EngineError::Catalog(format!("unknown column {:?}", f.name)))
         })
-        .collect()
-}
-
-fn is_identity(idx: &[usize], rel: &Relation) -> bool {
-    idx.len() == rel.width() && idx.iter().enumerate().all(|(i, &j)| i == j)
-}
-
-/// Column subsets are `Arc` pointer copies — no row data moves.
-fn subset(rel: &Relation, idx: &[usize], wanted: &[Field]) -> Relation {
-    Relation::from_columns(
-        named_columns(wanted),
-        idx.iter().map(|&j| rel.column(j).clone()).collect(),
-        rel.len(),
-    )
-}
-
-/// Project a stored relation to the requested columns, by name.
-pub fn project_columns(rel: &Relation, wanted: &[Field]) -> Result<Relation> {
-    let idx = column_indexes(rel, wanted)?;
-    // Identity projection avoids rebuilding the schema.
-    if is_identity(&idx, rel) {
-        return Ok(rel.clone());
-    }
-    Ok(subset(rel, &idx, wanted))
-}
-
-/// Project an `Arc`-shared relation: identity projections hand the `Arc`
-/// through without touching a single row; subsets share the column `Arc`s.
-pub fn project_columns_shared(rel: &Arc<Relation>, wanted: &[Field]) -> Result<ExecRel> {
-    let idx = column_indexes(rel, wanted)?;
-    if is_identity(&idx, rel) {
-        return Ok(ExecRel::Shared(Arc::clone(rel)));
-    }
-    Ok(ExecRel::Owned(subset(rel, &idx, wanted)))
-}
-
-/// Project an owned relation, consuming it: identity projections return
-/// the input unchanged (no copy at all).
-pub fn project_columns_owned(rel: Relation, wanted: &[Field]) -> Result<Relation> {
-    let idx = column_indexes(&rel, wanted)?;
-    if is_identity(&idx, &rel) {
+        .collect::<Result<Vec<usize>>>()?;
+    if idx.len() == r.width() && idx.iter().enumerate().all(|(i, &j)| i == j) {
         return Ok(rel);
     }
-    Ok(subset(&rel, &idx, wanted))
+    Ok(ExecRel::Owned(Relation::from_columns(
+        named_columns(wanted),
+        idx.iter().map(|&j| r.column(j).clone()).collect(),
+        r.len(),
+    )))
 }
 
 #[cfg(test)]
@@ -2171,12 +2158,19 @@ mod tests {
     fn project_columns_identity_and_subset() {
         let f = fixture();
         let rel = f.resolver.relations.get("dept").unwrap();
-        let sub = project_columns(rel, &[Field::bare("budget", DataType::Int)]).unwrap();
-        assert_eq!(sub.width(), 1);
-        assert_eq!(sub.value(0, 0), Value::Int(1000));
+        let shared = || ExecRel::Shared(Arc::clone(rel));
+        let sub = project_columns(shared(), &[Field::bare("budget", DataType::Int)]).unwrap();
+        assert_eq!(sub.as_ref().width(), 1);
+        assert_eq!(sub.as_ref().value(0, 0), Value::Int(1000));
+        // An identity projection hands the morsel through as it came.
         let all: Vec<Field> = rel.fields.iter().map(|(n, t)| Field::bare(n, *t)).collect();
-        let idt = project_columns(rel, &all).unwrap();
-        assert_eq!(&idt, rel.as_ref());
+        match project_columns(shared(), &all).unwrap() {
+            ExecRel::Shared(arc) => assert!(Arc::ptr_eq(&arc, rel)),
+            ExecRel::Owned(_) => panic!("identity projection copied a shared morsel"),
+        }
+        let owned = ExecRel::Owned(rel.as_ref().clone());
+        let idt = project_columns(owned, &all).unwrap();
+        assert!(matches!(&idt, ExecRel::Owned(r) if r == rel.as_ref()));
     }
 
     #[test]

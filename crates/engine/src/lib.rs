@@ -9,12 +9,13 @@
 //!   foreign tables ([`catalog`]);
 //! - local binding + optimization (the engine reorders operations within a
 //!   task, as the paper's execution-autonomy assumption demands);
-//! - a materializing executor over real tuples with work accounting
+//! - a morsel-driven executor over real tuples with work accounting
 //!   ([`exec`], [`expr`]);
 //! - EXPLAIN-style cost probes answering the XDB optimizer's "consulting"
 //!   requests;
 //! - a [`cluster::Cluster`] that wires engines over the simulated network
-//!   and implements the foreign-data-wrapper fetch path.
+//!   and implements the foreign-data wrapper's one read,
+//!   [`engine::Remote::fetch`].
 
 pub mod catalog;
 pub mod cluster;

@@ -3,9 +3,11 @@
 //! every operator, and DDL lifecycle corners.
 
 use xdb_engine::cluster::Cluster;
+use xdb_engine::engine::{FetchReply, FetchRequest};
+use xdb_engine::exec::MorselSink;
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
-use xdb_engine::{EngineError, NoRemote};
+use xdb_engine::{EngineError, NoRemote, Remote};
 use xdb_sql::value::{date, Value};
 
 fn cluster() -> Cluster {
@@ -306,4 +308,81 @@ fn no_remote_is_rejected_for_foreign_scan() {
         .execute_sql("SELECT * FROM ft", &NoRemote)
         .unwrap_err();
     assert!(matches!(err, EngineError::Remote(_)));
+}
+
+/// Reads through a real cluster, but the consumer's side of every edge
+/// breaks when morsel `fail_at` arrives (0 = the first).
+struct CutEdge<'a> {
+    cluster: &'a Cluster,
+    fail_at: usize,
+}
+
+impl Remote for CutEdge<'_> {
+    fn fetch(
+        &self,
+        request: FetchRequest<'_>,
+        sink: &mut MorselSink<'_>,
+    ) -> xdb_engine::Result<FetchReply> {
+        let mut seen = 0;
+        self.cluster.fetch(request, &mut |m| {
+            seen += 1;
+            if seen > self.fail_at {
+                return Err(EngineError::Remote("edge cut mid-stream".into()));
+            }
+            sink(m)
+        })
+    }
+}
+
+/// A fetch that fails mid-edge is an error of the statement that read it,
+/// whether the edge was read whole (a scan, a CTAS) or streamed (a join's
+/// probe side, cut after its first chunk). The failed edge leaves no
+/// ledger record and the CTAS no table.
+#[test]
+fn fetch_failing_mid_edge_is_an_error_and_leaves_no_trace() {
+    let c = Cluster::lan(&["db_r", "db_s"], EngineProfile::postgres());
+    c.execute_script(
+        "db_r",
+        "CREATE TABLE r (x BIGINT, y VARCHAR);
+         INSERT INTO r VALUES (1, 'a'), (2, 'b'), (3, 'c');",
+    )
+    .unwrap();
+    c.execute_script(
+        "db_s",
+        "CREATE TABLE s (x BIGINT, z VARCHAR);
+         INSERT INTO s VALUES (2, 'beta'), (3, 'gamma'), (4, 'delta');
+         CREATE FOREIGN TABLE ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'r');",
+    )
+    .unwrap();
+    let consumer = c.engine("db_s").unwrap();
+    let fails = |sql: &str, remote: &CutEdge| {
+        let records = c.ledger.len();
+        let err = consumer.execute_sql(sql, remote).unwrap_err();
+        assert!(matches!(err, EngineError::Remote(_)), "{sql}: {err}");
+        assert_eq!(
+            c.ledger.len(),
+            records,
+            "{sql}: the failed edge was recorded"
+        );
+    };
+    let first = CutEdge {
+        cluster: &c,
+        fail_at: 0,
+    };
+    fails("SELECT * FROM ft", &first);
+    fails("CREATE TABLE t AS SELECT * FROM ft", &first);
+    assert!(!consumer
+        .with_catalog(|cat| cat.names())
+        .contains(&"t".to_string()));
+
+    c.set_stream_chunk_rows(1);
+    let second = CutEdge {
+        cluster: &c,
+        fail_at: 1,
+    };
+    let join = "SELECT ft.y, s.z FROM ft, s WHERE ft.x = s.x";
+    fails(join, &second);
+    // Uncut, the same streamed edge delivers all three of its morsels.
+    let (rel, _) = c.query("db_s", join).unwrap();
+    assert_eq!(rel.len(), 2);
 }

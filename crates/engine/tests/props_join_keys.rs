@@ -18,9 +18,8 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xdb_engine::engine::MorselSink;
 use xdb_engine::exec::{
-    project_columns_shared, weights, Execution, ScanOutput, ScanResolver, StreamedScan,
+    project_columns, weights, ExecRel, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver,
 };
 use xdb_engine::{Relation, Result};
 use xdb_obs::OpStat;
@@ -358,43 +357,38 @@ struct Resolver<'a> {
 }
 
 impl ScanResolver for Resolver<'_> {
-    fn scan(&self, relation: &str, wanted: &[Field]) -> Result<ScanOutput> {
+    fn streams(&self, relation: &str) -> bool {
+        self.chunk.is_some() && relation == "p"
+    }
+
+    fn scan(
+        &self,
+        relation: &str,
+        wanted: &[Field],
+        read: ReadShape,
+        sink: &mut MorselSink<'_>,
+    ) -> Result<ScanOutput> {
         let rel = if relation == "b" {
             &self.case.build
         } else {
             &self.case.probe
         };
-        Ok(ScanOutput {
-            relation: project_columns_shared(rel, wanted)?,
-            edge: None,
-            remote: None,
-        })
-    }
-
-    fn streams(&self, relation: &str) -> bool {
-        self.chunk.is_some() && relation == "p"
-    }
-
-    fn scan_stream(
-        &self,
-        relation: &str,
-        _wanted: &[Field],
-        on_morsel: &mut MorselSink<'_>,
-    ) -> Result<Option<StreamedScan>> {
-        let (Some(chunk), "p") = (self.chunk, relation) else {
-            return Ok(None);
-        };
-        let rel = &self.case.probe;
-        for lo in (0..rel.len()).step_by(chunk) {
-            let sel: Vec<u32> = (lo..rel.len().min(lo + chunk)).map(|i| i as u32).collect();
-            let cols = rel.columns().iter().map(|c| c.gather(&sel)).collect();
-            on_morsel(&Relation::from_columns(rel.fields.clone(), cols, sel.len()))?;
+        match (read, self.chunk) {
+            (ReadShape::Chunks, Some(chunk)) => {
+                for lo in (0..rel.len()).step_by(chunk) {
+                    let sel: Vec<u32> = (lo..rel.len().min(lo + chunk)).map(|i| i as u32).collect();
+                    let cols = rel.columns().iter().map(|c| c.gather(&sel)).collect();
+                    let m = Relation::from_columns(rel.fields.clone(), cols, sel.len());
+                    sink(project_columns(ExecRel::Owned(m), wanted)?)?;
+                }
+            }
+            _ => sink(project_columns(ExecRel::Shared(Arc::clone(rel)), wanted)?)?,
         }
-        Ok(Some(StreamedScan {
+        Ok(ScanOutput {
             nrows: rel.len(),
             edge: None,
             remote: None,
-        }))
+        })
     }
 }
 

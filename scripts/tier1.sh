@@ -36,6 +36,17 @@ for f in crates/sql/src/lexer.rs crates/sql/src/parser.rs; do
   fi
 done
 
+# Read-path census: an edge reaches its consumer through the one
+# `Cluster::fetch`, which decodes it morsel by morsel; a whole read is its
+# one-morsel case (DESIGN.md §10 "One input protocol"). Outside the codec
+# itself, no non-test library code may decode a frame in one piece.
+for f in $(grep -rlE 'wire::decode|decode_chunked' crates/*/src | grep -vx crates/net/src/wire.rs || true); do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'wire::decode|decode_chunked'; then
+    echo "$f: an edge is decoded outside Cluster::fetch" >&2
+    exit 1
+  fi
+done
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::{Movement, NodeId};
-use xdb_sql::algebra::{named_columns, plan_to_select, LogicalPlan, PlanSchema};
+use xdb_sql::algebra::{named_columns, plan_to_select, LogicalPlan, Name, PlanSchema};
 use xdb_sql::ast::Expr;
 use xdb_sql::display::render_select_string;
 use xdb_sql::stats::Estimator;
@@ -739,7 +739,7 @@ impl<'a> Annotator<'a> {
         // Fix the task's output columns with an explicit rename projection.
         let task_plan = partial
             .fragment
-            .project(rename_projection(&schema, &new_names));
+            .project(rename_projection(&schema, new_names));
         let placeholder = LogicalPlan::placeholder(
             placeholder_name(id),
             placeholder_alias(id),
@@ -781,7 +781,7 @@ impl<'a> Annotator<'a> {
                 .any(|f| !seen.insert(f.name.to_ascii_lowercase()))
         };
         let plan = if needs_wrap {
-            let exprs = rename_projection(schema, &unique_names(schema)?);
+            let exprs = rename_projection(schema, unique_names(schema)?);
             partial.fragment.project(exprs)
         } else {
             partial.fragment
@@ -822,12 +822,12 @@ impl<'a> Annotator<'a> {
 
 /// The projection that renames every field of `schema` to its entry in
 /// `new_names`.
-fn rename_projection(schema: &PlanSchema, new_names: &[String]) -> Vec<(Expr, String)> {
+fn rename_projection(schema: &PlanSchema, new_names: Vec<Name>) -> Vec<(Expr, Name)> {
     schema
         .fields
         .iter()
         .zip(new_names)
-        .map(|(f, n)| (f.column(), n.clone()))
+        .map(|(f, n)| (f.column(), n))
         .collect()
 }
 
@@ -836,29 +836,31 @@ fn parse_placeholder(name: &str) -> Option<usize> {
     name.strip_prefix("__task_")?.parse().ok()
 }
 
-/// Unique bare output names for a schema: field name, disambiguated with
-/// its qualifier when duplicated.
-pub fn unique_names(schema: &PlanSchema) -> Result<Vec<String>> {
+/// Unique bare output names for a schema: field name (shared),
+/// disambiguated with its qualifier when duplicated.
+pub fn unique_names(schema: &PlanSchema) -> Result<Vec<Name>> {
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(schema.fields.len());
     for f in &*schema.fields {
-        let mut name = f.name.to_string();
-        if !used.insert(name.to_ascii_lowercase()) {
-            name = match &f.qualifier {
-                Some(q) => format!("{q}_{}", f.name),
-                None => {
-                    return Err(EngineError::Unsupported(format!(
-                        "duplicate unqualified column {name:?} at a task boundary"
-                    )))
-                }
-            };
-            let mut i = 0;
-            while !used.insert(name.to_ascii_lowercase()) {
-                i += 1;
-                name = format!("{}_{}_{i}", f.qualifier.as_deref().unwrap_or(""), f.name);
-            }
+        if used.insert(f.name.to_ascii_lowercase()) {
+            out.push(f.name.clone());
+            continue;
         }
-        out.push(name);
+        let mut name = match &f.qualifier {
+            Some(q) => format!("{q}_{}", f.name),
+            None => {
+                return Err(EngineError::Unsupported(format!(
+                    "duplicate unqualified column {:?} at a task boundary",
+                    &*f.name
+                )))
+            }
+        };
+        let mut i = 0;
+        while !used.insert(name.to_ascii_lowercase()) {
+            i += 1;
+            name = format!("{}_{}_{i}", f.qualifier.as_deref().unwrap_or(""), f.name);
+        }
+        out.push(name.into());
     }
     Ok(out)
 }
@@ -869,7 +871,7 @@ pub fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
     for r in renames {
         out = out.transform(&mut |x| match &x {
             Expr::Column { qualifier, name } => {
-                match r.cut_schema.resolve(qualifier.as_deref(), name) {
+                match r.cut_schema.lookup(qualifier.as_deref(), name) {
                     Ok(idx) => r.placeholder.fields[idx].column(),
                     Err(_) => x,
                 }

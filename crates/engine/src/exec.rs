@@ -39,7 +39,7 @@ use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
-use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, PlanSchema};
+use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, Name, PlanSchema};
 use xdb_sql::column::{Column, ColumnBuilder};
 use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
@@ -295,10 +295,9 @@ impl<'a> Execution<'a> {
             } => {
                 let rel = self.run_rel(input)?;
                 let schema = input.schema();
-                let compiled: Vec<(PhysExpr, String, DataType)> = exprs
+                let compiled: Vec<PhysExpr> = exprs
                     .iter()
-                    .zip(&*out.fields)
-                    .map(|((e, n), f)| Ok((compile(e, schema)?, n.clone(), f.data_type)))
+                    .map(|(e, _)| compile(e, schema))
                     .collect::<Result<_>>()?;
                 self.scan_units += rel.len() as f64 * weights::PROJECT;
                 self.op(OpStat {
@@ -312,10 +311,14 @@ impl<'a> Execution<'a> {
                 // through (the work units above are still charged; the
                 // simulated engine would have run the projection).
                 let identity = compiled.len() == rel.as_ref().width()
-                    && compiled.iter().enumerate().all(|(i, (c, n, _))| {
-                        matches!(c, PhysExpr::Column(j) if *j == i)
-                            && rel.as_ref().fields[i].0 == *n
-                    });
+                    && compiled
+                        .iter()
+                        .zip(&*out.fields)
+                        .enumerate()
+                        .all(|(i, (c, f))| {
+                            matches!(c, PhysExpr::Column(j) if *j == i)
+                                && *rel.as_ref().fields[i].0 == *f.name
+                        });
                 if identity {
                     return Ok(rel);
                 }
@@ -324,11 +327,11 @@ impl<'a> Execution<'a> {
                 let r = rel.as_ref();
                 let nrows = r.len();
                 let mut cols = Vec::with_capacity(compiled.len());
-                for (c, _, _) in &compiled {
+                for c in &compiled {
                     cols.push(expr_column(c, r)?);
                 }
                 Ok(ExecRel::Owned(Relation::from_columns(
-                    compiled.into_iter().map(|(_, n, t)| (n, t)).collect(),
+                    named_columns(&out.fields),
                     cols,
                     nrows,
                 )))
@@ -799,8 +802,8 @@ impl<'a> Execution<'a> {
     fn aggregate(
         &mut self,
         input: &LogicalPlan,
-        group_by: &[(xdb_sql::Expr, String)],
-        aggregates: &[(AggCall, String)],
+        group_by: &[(xdb_sql::Expr, Name)],
+        aggregates: &[(AggCall, Name)],
         out: &PlanSchema,
     ) -> Result<ExecRel> {
         let mut grouper = Grouper::new(group_by, aggregates, input.schema())?;
@@ -956,8 +959,8 @@ struct Grouper {
 
 impl Grouper {
     fn new(
-        group_by: &[(xdb_sql::Expr, String)],
-        aggregates: &[(AggCall, String)],
+        group_by: &[(xdb_sql::Expr, Name)],
+        aggregates: &[(AggCall, Name)],
         schema: &PlanSchema,
     ) -> Result<Grouper> {
         let keys: Vec<PhysExpr> = group_by

@@ -164,7 +164,9 @@ fn plan(case: &Case, filtered: bool) -> LogicalPlan {
     }
     let key = |c: usize| Expr::qcol("t", format!("k{c}"));
     let group_by = match case.group_by {
-        GroupBy::Columns => (0..case.nkeys).map(|c| (key(c), format!("k{c}"))).collect(),
+        GroupBy::Columns => (0..case.nkeys)
+            .map(|c| (key(c), format!("k{c}").into()))
+            .collect(),
         GroupBy::Pick => {
             let pick = Expr::Case {
                 operand: None,
@@ -178,7 +180,7 @@ fn plan(case: &Case, filtered: bool) -> LogicalPlan {
                 )],
                 else_expr: Some(Box::new(key(1))),
             };
-            vec![(pick, "k".to_string())]
+            vec![(pick, "k".into())]
         }
     };
     let call = |func, arg: Option<&str>, distinct| AggCall {
@@ -198,7 +200,7 @@ fn plan(case: &Case, filtered: bool) -> LogicalPlan {
     ]
     .into_iter()
     .enumerate()
-    .map(|(n, a)| (a, format!("a{n}")))
+    .map(|(n, a)| (a, format!("a{n}").into()))
     .collect();
     input.aggregate(group_by, aggregates)
 }

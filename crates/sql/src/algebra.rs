@@ -90,6 +90,30 @@ pub enum SchemaError {
     Ambiguous(String),
 }
 
+/// Why a name did not resolve to one field: what [`PlanSchema::lookup`]
+/// returns. It holds no text, so a caller that only asks whether a name
+/// resolves builds nothing; [`Miss::error`] names the column for a caller
+/// that returns the miss as an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Miss {
+    Unknown,
+    Ambiguous,
+}
+
+impl Miss {
+    /// The error that reports this miss of `qualifier.name`.
+    pub fn error(self, qualifier: Option<&str>, name: &str) -> SchemaError {
+        let shown = match qualifier {
+            Some(q) => format!("{q}.{name}"),
+            None => name.to_string(),
+        };
+        match self {
+            Miss::Unknown => SchemaError::Unknown(shown),
+            Miss::Ambiguous => SchemaError::Ambiguous(shown),
+        }
+    }
+}
+
 impl fmt::Display for SchemaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -116,10 +140,11 @@ impl PlanSchema {
         self.fields.is_empty()
     }
 
-    /// Resolve a column reference to a field index. A qualified reference
-    /// `q.name` matches only fields with that qualifier; a bare reference
-    /// matches any field with that name and must be unambiguous.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, SchemaError> {
+    /// Look a column reference up: the index of the one field it names. A
+    /// qualified reference `q.name` matches only fields with that
+    /// qualifier; a bare reference matches any field with that name and
+    /// must be unambiguous. Allocates nothing, hit or miss.
+    pub fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<usize, Miss> {
         let mut found: Option<usize> = None;
         for (i, f) in self.fields.iter().enumerate() {
             // The name first (its length settles most fields), the
@@ -132,12 +157,19 @@ impl PlanSchema {
                 });
             if matches {
                 if found.is_some() {
-                    return Err(SchemaError::Ambiguous(display_col(qualifier, name)));
+                    return Err(Miss::Ambiguous);
                 }
                 found = Some(i);
             }
         }
-        found.ok_or_else(|| SchemaError::Unknown(display_col(qualifier, name)))
+        found.ok_or(Miss::Unknown)
+    }
+
+    /// [`PlanSchema::lookup`] for a caller that returns the miss: the
+    /// error names the column.
+    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, SchemaError> {
+        self.lookup(qualifier, name)
+            .map_err(|miss| miss.error(qualifier, name))
     }
 
     /// Concatenate two schemas (join output).
@@ -145,13 +177,6 @@ impl PlanSchema {
         PlanSchema {
             fields: self.fields.iter().chain(&*right.fields).cloned().collect(),
         }
-    }
-}
-
-fn display_col(qualifier: Option<&str>, name: &str) -> String {
-    match qualifier {
-        Some(q) => format!("{q}.{name}"),
-        None => name.to_string(),
     }
 }
 
@@ -219,7 +244,9 @@ impl AggCall {
                 args: vec![arg.clone()],
                 distinct: self.distinct,
             },
-            (None, f) => panic!("aggregate {f:?} requires an argument"),
+            (None, f) => unreachable!(
+                "aggregate {f:?} without an argument: the binder gives each but count(*) one"
+            ),
         }
     }
 }
@@ -239,7 +266,7 @@ pub enum LogicalPlan {
     /// in the plan by `alias`: every field of `schema` is qualified by it.
     Scan {
         relation: String,
-        alias: String,
+        alias: Name,
         schema: NodeSchema,
     },
     /// The `?` dummy operator of a delegation plan: a stand-in for the
@@ -248,7 +275,7 @@ pub enum LogicalPlan {
     /// it is not part of the schema and may be rebound in place.
     Placeholder {
         name: String,
-        alias: String,
+        alias: Name,
         schema: NodeSchema,
     },
     Filter {
@@ -258,7 +285,7 @@ pub enum LogicalPlan {
     Project {
         input: Box<LogicalPlan>,
         /// (expression, output name) pairs.
-        exprs: Vec<(Expr, String)>,
+        exprs: Vec<(Expr, Name)>,
         schema: NodeSchema,
     },
     /// Semi (`EXISTS` / `IN subquery`) or anti (`NOT EXISTS`) join: emits
@@ -289,9 +316,9 @@ pub enum LogicalPlan {
     Aggregate {
         input: Box<LogicalPlan>,
         /// (grouping expression, output name) pairs.
-        group_by: Vec<(Expr, String)>,
+        group_by: Vec<(Expr, Name)>,
         /// (aggregate call, output name) pairs.
-        aggregates: Vec<(AggCall, String)>,
+        aggregates: Vec<(AggCall, Name)>,
         schema: NodeSchema,
     },
     Sort {
@@ -310,7 +337,7 @@ pub enum LogicalPlan {
     /// introduced by a derived table or an expanded view.
     SubqueryAlias {
         input: Box<LogicalPlan>,
-        alias: String,
+        alias: Name,
         schema: NodeSchema,
     },
     /// Produces exactly one empty row; the plan for `SELECT <consts>`
@@ -318,9 +345,8 @@ pub enum LogicalPlan {
     OneRow,
 }
 
-/// Schema of a leaf: `fields`, each qualified by `alias`.
-fn leaf_schema(alias: &str, fields: impl IntoIterator<Item = (Name, DataType)>) -> NodeSchema {
-    let alias: Name = alias.into();
+/// Schema of a leaf: `fields`, each qualified by `alias` (shared).
+fn leaf_schema(alias: &Name, fields: impl IntoIterator<Item = (Name, DataType)>) -> NodeSchema {
     NodeSchema(PlanSchema {
         fields: fields
             .into_iter()
@@ -336,7 +362,7 @@ fn leaf_schema(alias: &str, fields: impl IntoIterator<Item = (Name, DataType)>) 
 impl LogicalPlan {
     pub fn scan(
         relation: impl Into<String>,
-        alias: impl Into<String>,
+        alias: impl Into<Name>,
         fields: impl IntoIterator<Item = (Name, DataType)>,
     ) -> LogicalPlan {
         let alias = alias.into();
@@ -349,7 +375,7 @@ impl LogicalPlan {
 
     pub fn placeholder(
         name: impl Into<String>,
-        alias: impl Into<String>,
+        alias: impl Into<Name>,
         fields: impl IntoIterator<Item = (Name, DataType)>,
     ) -> LogicalPlan {
         let alias = alias.into();
@@ -367,11 +393,13 @@ impl LogicalPlan {
         }
     }
 
-    pub fn project(self, exprs: Vec<(Expr, String)>) -> LogicalPlan {
+    pub fn project(self, exprs: Vec<(Expr, Name)>) -> LogicalPlan {
         let in_schema = self.schema();
         let fields = exprs
             .iter()
-            .map(|(e, name)| Field::bare(name, infer_type(e, in_schema).unwrap_or(DataType::Float)))
+            .map(|(e, name)| {
+                output_field(name, infer_type(e, in_schema).unwrap_or(DataType::Float))
+            })
             .collect();
         LogicalPlan::Project {
             schema: NodeSchema(PlanSchema { fields }),
@@ -401,8 +429,8 @@ impl LogicalPlan {
 
     pub fn aggregate(
         self,
-        group_by: Vec<(Expr, String)>,
-        aggregates: Vec<(AggCall, String)>,
+        group_by: Vec<(Expr, Name)>,
+        aggregates: Vec<(AggCall, Name)>,
     ) -> LogicalPlan {
         LogicalPlan::Aggregate {
             schema: NodeSchema(aggregate_schema(self.schema(), &group_by, &aggregates)),
@@ -414,16 +442,16 @@ impl LogicalPlan {
 
     /// Re-qualify the output of `self` with `alias` (a derived table or an
     /// expanded view).
-    pub fn alias(self, alias: impl Into<String>) -> LogicalPlan {
+    pub fn alias(self, alias: impl Into<Name>) -> LogicalPlan {
         let alias = alias.into();
-        let qualifier: Name = alias.as_str().into();
         let fields = self
             .schema()
             .fields
             .iter()
             .map(|f| Field {
-                qualifier: Some(qualifier.clone()),
-                ..f.clone()
+                qualifier: Some(alias.clone()),
+                name: f.name.clone(),
+                data_type: f.data_type,
             })
             .collect();
         LogicalPlan::SubqueryAlias {
@@ -486,7 +514,7 @@ impl LogicalPlan {
     /// plans, e.g. `⋈(π(σ(C)), ?)` (Figure 5, Table IV).
     pub fn compact_notation(&self) -> String {
         match self {
-            LogicalPlan::Scan { alias, .. } => alias.clone(),
+            LogicalPlan::Scan { alias, .. } => alias.to_string(),
             LogicalPlan::Placeholder { .. } => "?".to_string(),
             LogicalPlan::Filter { input, .. } => format!("σ({})", input.compact_notation()),
             LogicalPlan::Project { input, .. } => format!("π({})", input.compact_notation()),
@@ -600,7 +628,7 @@ impl LogicalPlan {
                 aggregates,
                 ..
             } => {
-                let groups: Vec<String> = group_by.iter().map(|(_, n)| n.clone()).collect();
+                let groups: Vec<&str> = group_by.iter().map(|(_, n)| &**n).collect();
                 let aggs: Vec<String> = aggregates
                     .iter()
                     .map(|(a, n)| format!("{}(..) AS {n}", a.func.name()))
@@ -643,29 +671,41 @@ impl LogicalPlan {
     }
 }
 
+/// The bare output field `name` of a `Project` or `Aggregate`, sharing the
+/// name.
+fn output_field(name: &Name, data_type: DataType) -> Field {
+    Field {
+        qualifier: None,
+        name: name.clone(),
+        data_type,
+    }
+}
+
 /// Output schema of an aggregation, given its *input* schema.
 fn aggregate_schema(
     in_schema: &PlanSchema,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggCall, String)],
+    group_by: &[(Expr, Name)],
+    aggregates: &[(AggCall, Name)],
 ) -> PlanSchema {
-    let mut fields = Vec::with_capacity(group_by.len() + aggregates.len());
-    for (e, name) in group_by {
-        let ty = infer_type(e, in_schema).unwrap_or(DataType::Str);
-        fields.push(Field::bare(name, ty));
+    let keys = group_by
+        .iter()
+        .map(|(e, name)| output_field(name, infer_type(e, in_schema).unwrap_or(DataType::Str)));
+    let aggs = aggregates
+        .iter()
+        .map(|(agg, name)| output_field(name, agg.output_type(in_schema)));
+    PlanSchema {
+        fields: keys.chain(aggs).collect(),
     }
-    for (agg, name) in aggregates {
-        fields.push(Field::bare(name, agg.output_type(in_schema)));
-    }
-    PlanSchema::new(fields)
 }
 
-/// Infer the output type of an expression against a schema.
-pub fn infer_type(e: &Expr, schema: &PlanSchema) -> Result<DataType, SchemaError> {
+/// Infer the output type of an expression against a schema. A column that
+/// does not resolve is a [`Miss`], which the callers that type a node's
+/// outputs replace by a default.
+pub fn infer_type(e: &Expr, schema: &PlanSchema) -> Result<DataType, Miss> {
     use crate::ast::{DateField, UnaryOp};
     Ok(match e {
         Expr::Column { qualifier, name } => {
-            let idx = schema.resolve(qualifier.as_deref(), name)?;
+            let idx = schema.lookup(qualifier.as_deref(), name)?;
             schema.fields[idx].data_type
         }
         Expr::Literal(v) => v.data_type().unwrap_or(DataType::Str),
@@ -827,10 +867,12 @@ impl SelectBuilder {
         let mut err = None;
         let rewritten = e.clone().transform(&mut |x| match &x {
             Expr::Column { qualifier, name } => {
-                match input_schema.resolve(qualifier.as_deref(), name) {
+                match input_schema.lookup(qualifier.as_deref(), name) {
                     Ok(idx) => outputs[idx].1.clone(),
-                    Err(e2) => {
-                        err.get_or_insert(e2);
+                    Err(miss) => {
+                        if err.is_none() {
+                            err = Some(miss.error(qualifier.as_deref(), name));
+                        }
                         x
                     }
                 }
@@ -890,11 +932,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 projection: vec![SelectItem::Wildcard],
                 from: vec![TableRef::Table {
                     name: relation.clone(),
-                    alias: if alias == relation {
-                        None
-                    } else {
-                        Some(alias.clone())
-                    },
+                    alias: (**alias != **relation).then(|| alias.to_string()),
                 }],
                 ..Default::default()
             };
@@ -973,12 +1011,12 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 let mut err = None;
                 let rewritten = res.clone().transform(&mut |x| match &x {
                     Expr::Column { qualifier, name } => {
-                        match lschema.resolve(qualifier.as_deref(), name) {
+                        match lschema.lookup(qualifier.as_deref(), name) {
                             Ok(idx) => lb.outputs[idx].1.clone(),
-                            Err(_) => match rschema.resolve(qualifier.as_deref(), name) {
+                            Err(_) => match rschema.lookup(qualifier.as_deref(), name) {
                                 Ok(idx) => rb.outputs[idx].1.clone(),
                                 Err(_) => {
-                                    if joined.resolve(qualifier.as_deref(), name).is_err() {
+                                    if joined.lookup(qualifier.as_deref(), name).is_err() {
                                         err = Some(SchemaError::Unknown(format!(
                                             "{qualifier:?}.{name}"
                                         )));
@@ -1127,14 +1165,13 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 b.stmt.projection = b.output_items();
             }
             let inner = std::mem::take(&mut b.stmt);
-            let qualifier: Name = alias.as_str().into();
             let outputs = b
                 .outputs
-                .iter()
+                .into_iter()
                 .map(|(f, _)| {
                     let field = Field {
-                        qualifier: Some(qualifier.clone()),
-                        ..f.clone()
+                        qualifier: Some(alias.clone()),
+                        ..f
                     };
                     let column = field.column();
                     (field, column)
@@ -1145,7 +1182,7 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                     projection: vec![SelectItem::Wildcard],
                     from: vec![TableRef::Derived {
                         query: Box::new(inner),
-                        alias: alias.clone(),
+                        alias: alias.to_string(),
                     }],
                     ..Default::default()
                 },
@@ -1273,7 +1310,7 @@ mod tests {
                 Expr::qcol("t", "a"),
                 Expr::lit(Value::Int(5)),
             ))
-            .project(vec![(Expr::qcol("t", "b"), "b".to_string())]);
+            .project(vec![(Expr::qcol("t", "b"), "b".into())]);
         let stmt = plan_to_select(&plan).unwrap();
         let sql = render_select_string(&stmt, Dialect::Generic);
         assert_eq!(sql, "SELECT t.b AS b FROM t WHERE t.a > 5");
@@ -1292,14 +1329,14 @@ mod tests {
     #[test]
     fn lower_aggregate() {
         let plan = scan("t", "t", &[("g", DataType::Str), ("v", DataType::Float)]).aggregate(
-            vec![(Expr::qcol("t", "g"), "g".to_string())],
+            vec![(Expr::qcol("t", "g"), "g".into())],
             vec![(
                 AggCall {
                     func: AggFunc::Sum,
                     arg: Some(Expr::qcol("t", "v")),
                     distinct: false,
                 },
-                "total".to_string(),
+                "total".into(),
             )],
         );
         let stmt = plan_to_select(&plan).unwrap();
@@ -1313,14 +1350,14 @@ mod tests {
     #[test]
     fn lower_filter_after_aggregate_wraps() {
         let agg = scan("t", "t", &[("g", DataType::Str), ("v", DataType::Float)]).aggregate(
-            vec![(Expr::qcol("t", "g"), "g".to_string())],
+            vec![(Expr::qcol("t", "g"), "g".into())],
             vec![(
                 AggCall {
                     func: AggFunc::Sum,
                     arg: Some(Expr::qcol("t", "v")),
                     distinct: false,
                 },
-                "total".to_string(),
+                "total".into(),
             )],
         );
         let filtered = agg.filter(Expr::binary(
@@ -1349,7 +1386,7 @@ mod tests {
                         arg: Some(Expr::qcol("t", "v")),
                         distinct: false,
                     },
-                    "total".to_string(),
+                    "total".into(),
                 ),
                 (
                     AggCall {
@@ -1357,13 +1394,13 @@ mod tests {
                         arg: None,
                         distinct: false,
                     },
-                    "cnt".to_string(),
+                    "cnt".into(),
                 ),
             ],
         );
         let proj = agg.project(vec![(
             Expr::binary(BinaryOp::Div, Expr::col("total"), Expr::col("cnt")),
-            "mean".to_string(),
+            "mean".into(),
         )]);
         let stmt = plan_to_select(&proj).unwrap();
         let sql = render_select_string(&stmt, Dialect::Generic);

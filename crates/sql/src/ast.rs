@@ -543,10 +543,9 @@ impl Expr {
 
 /// Whether a function name denotes one of the supported aggregates.
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "SUM" | "AVG" | "COUNT" | "MIN" | "MAX"
-    )
+    ["sum", "avg", "count", "min", "max"]
+        .iter()
+        .any(|agg| agg.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]

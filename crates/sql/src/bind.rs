@@ -12,8 +12,9 @@
 //! `Filter` on top. Join-graph normalization and ordering happen later in
 //! [`crate::optimize`].
 
-use crate::algebra::{AggCall, AggFunc, LogicalPlan, Name, PlanSchema, SchemaError};
+use crate::algebra::{AggCall, AggFunc, LogicalPlan, Miss, Name, PlanSchema, SchemaError};
 use crate::ast::{Expr, SelectItem, SelectStmt, TableRef};
+use crate::optimize::MAX_REGION_RELATIONS;
 use crate::value::{DataType, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -87,6 +88,14 @@ struct Binder<'a> {
 
 impl<'a> Binder<'a> {
     fn select(&self, stmt: &SelectStmt) -> Result<LogicalPlan> {
+        // The FROM items are the relations of one optimisation region.
+        let relations: usize = stmt.from.iter().map(relation_count).sum();
+        if relations > MAX_REGION_RELATIONS {
+            return Err(BindError::new(format!(
+                "a FROM clause of {relations} relations exceeds the limit of \
+                 {MAX_REGION_RELATIONS}"
+            )));
+        }
         // 1. FROM: cross-product chain; ON conditions join the WHERE pool.
         let mut predicates: Vec<Expr> = Vec::new();
         let mut plan: Option<LogicalPlan> = None;
@@ -129,12 +138,12 @@ impl<'a> Binder<'a> {
 
         // 2. Projection list with output names.
         let input_schema = plan.schema().clone();
-        let mut proj: Vec<(Expr, String)> = Vec::new();
+        let mut proj: Vec<(Expr, Name)> = Vec::new();
         for (i, item) in stmt.projection.iter().enumerate() {
             match item {
                 SelectItem::Wildcard => {
                     for f in &*input_schema.fields {
-                        proj.push((f.column(), f.name.to_string()));
+                        proj.push((f.column(), f.name.clone()));
                     }
                 }
                 SelectItem::QualifiedWildcard(q) => {
@@ -144,7 +153,7 @@ impl<'a> Binder<'a> {
                             .as_deref()
                             .is_some_and(|fq| fq.eq_ignore_ascii_case(q))
                         {
-                            proj.push((f.column(), f.name.to_string()));
+                            proj.push((f.column(), f.name.clone()));
                             any = true;
                         }
                     }
@@ -183,9 +192,9 @@ impl<'a> Binder<'a> {
             let mut pre_keys: Vec<(Expr, bool)> = Vec::new();
             for ob in &stmt.order_by {
                 let key = self.resolve_order_key(&ob.expr, proj)?;
-                if validate_expr(&key, out_schema).is_ok() {
+                if resolves(&key, out_schema) {
                     out_keys.push((key, ob.desc));
-                } else if validate_expr(&ob.expr, &input_schema).is_ok() {
+                } else if resolves(&ob.expr, &input_schema) {
                     pre_keys.push((ob.expr.clone(), ob.desc));
                 } else {
                     validate_expr(&key, out_schema)?; // surfaces the error
@@ -260,7 +269,7 @@ impl<'a> Binder<'a> {
             .map(Expr::into_conjuncts)
             .unwrap_or_default()
         {
-            if validate_expr(&conjunct, &inner_from_schema).is_ok() {
+            if resolves(&conjunct, &inner_from_schema) {
                 inner_preds.push(conjunct);
                 continue;
             }
@@ -270,10 +279,10 @@ impl<'a> Binder<'a> {
                 right,
             } = &conjunct
             {
-                let l_inner = validate_expr(left, &inner_from_schema).is_ok();
-                let r_inner = validate_expr(right, &inner_from_schema).is_ok();
-                let l_outer = validate_expr(left, &outer_schema).is_ok();
-                let r_outer = validate_expr(right, &outer_schema).is_ok();
+                let l_inner = resolves(left, &inner_from_schema);
+                let r_inner = resolves(right, &inner_from_schema);
+                let l_outer = resolves(left, &outer_schema);
+                let r_outer = resolves(right, &outer_schema);
                 if l_inner && r_outer {
                     correlations.push(((**right).clone(), (**left).clone()));
                     continue;
@@ -312,7 +321,7 @@ impl<'a> Binder<'a> {
         let mut corr_refs: Vec<Expr> = Vec::with_capacity(correlations.len());
         let mut appended = false;
         for (i, (_, inner_e)) in correlations.iter().enumerate() {
-            if validate_expr(inner_e, &probe_schema).is_ok() {
+            if resolves(inner_e, &probe_schema) {
                 corr_refs.push(inner_e.clone());
             } else {
                 // Choose an alias that cannot collide with existing output
@@ -398,7 +407,7 @@ impl<'a> Binder<'a> {
                     .provider
                     .resolve_relation(name)
                     .ok_or_else(|| BindError::new(format!("unknown relation {name:?}")))?;
-                let scope = alias.clone().unwrap_or_else(|| name.clone());
+                let scope = alias.as_deref().unwrap_or(name);
                 match resolved {
                     ResolvedRelation::Base { fields } => Ok(LogicalPlan::scan(
                         name.clone(),
@@ -408,7 +417,7 @@ impl<'a> Binder<'a> {
                     ResolvedRelation::View { query } => Ok(self.select(&query)?.alias(scope)),
                 }
             }
-            TableRef::Derived { query, alias } => Ok(self.select(query)?.alias(alias.clone())),
+            TableRef::Derived { query, alias } => Ok(self.select(query)?.alias(alias.as_str())),
             TableRef::Join { left, right, on } => {
                 let l = self.table_ref(left, predicates)?;
                 let r = self.table_ref(right, predicates)?;
@@ -424,12 +433,12 @@ impl<'a> Binder<'a> {
         &self,
         input: LogicalPlan,
         input_schema: &PlanSchema,
-        proj: Vec<(Expr, String)>,
+        proj: Vec<(Expr, Name)>,
         stmt: &SelectStmt,
     ) -> Result<LogicalPlan> {
         // Resolve grouping items: ordinals and projection aliases map to
         // the projection expressions; anything else is used verbatim.
-        let mut group_by: Vec<(Expr, String)> = Vec::new();
+        let mut group_by: Vec<(Expr, Name)> = Vec::new();
         for (gi, g) in stmt.group_by.iter().enumerate() {
             let (expr, name) = match g {
                 Expr::Literal(Value::Int(n)) => {
@@ -451,7 +460,7 @@ impl<'a> Binder<'a> {
                         (e.clone(), n.clone())
                     } else {
                         validate_expr(g, input_schema)?;
-                        (g.clone(), name.to_string())
+                        (g.clone(), name.clone())
                     }
                 }
                 other => {
@@ -463,8 +472,8 @@ impl<'a> Binder<'a> {
                         (e.clone(), n.clone())
                     } else {
                         let name = match other {
-                            Expr::Column { name, .. } => name.to_string(),
-                            _ => format!("group_{gi}"),
+                            Expr::Column { name, .. } => name.clone(),
+                            _ => format!("group_{gi}").into(),
                         };
                         (other.clone(), name)
                     }
@@ -481,18 +490,16 @@ impl<'a> Binder<'a> {
         }
 
         // Collect aggregate calls from projection, HAVING and ORDER BY.
-        let mut aggregates: Vec<(AggCall, String)> = Vec::new();
-        let mut collect = |e: &Expr, preferred: Option<&str>| -> Result<()> {
+        let mut aggregates: Vec<(AggCall, Name)> = Vec::new();
+        let mut collect = |e: &Expr, preferred: Option<&Name>| -> Result<()> {
             let calls = extract_agg_calls(e)?;
             for c in calls {
                 if !aggregates.iter().any(|(a, _)| a == &c) {
                     let name = match preferred {
                         // A projection item that *is* a single aggregate
                         // keeps its output name.
-                        Some(n) if matches!(agg_of(e), Some(ref only) if *only == c) => {
-                            n.to_string()
-                        }
-                        _ => format!("agg_{}", aggregates.len()),
+                        Some(n) if matches!(agg_of(e), Some(ref only) if *only == c) => n.clone(),
+                        _ => format!("agg_{}", aggregates.len()).into(),
                     };
                     aggregates.push((c, name));
                 }
@@ -534,22 +541,29 @@ impl<'a> Binder<'a> {
         if let Some(h) = &stmt.having {
             plan = plan.filter(rewrite(h)?);
         }
-        let rewritten_proj: Vec<(Expr, String)> = proj
-            .iter()
-            .map(|(e, n)| Ok((rewrite(e)?, n.clone())))
+        let rewritten_proj: Vec<(Expr, Name)> = proj
+            .into_iter()
+            .map(|(e, n)| Ok((rewrite(&e)?, n)))
             .collect::<Result<_>>()?;
-        plan = plan.project(rewritten_proj.clone());
+        plan = plan.project(rewritten_proj);
         if !stmt.order_by.is_empty() {
-            let out_schema = plan.schema();
+            let LogicalPlan::Project {
+                exprs: rewritten_proj,
+                schema: out_schema,
+                ..
+            } = &plan
+            else {
+                unreachable!("project() builds a Project");
+            };
             let mut keys = Vec::new();
             for ob in &stmt.order_by {
-                let key = self.resolve_order_key(&ob.expr, &rewritten_proj)?;
+                let key = self.resolve_order_key(&ob.expr, rewritten_proj)?;
                 // Keys containing aggregate calls are always rewritten
                 // onto the aggregate's output columns (column validation
                 // alone cannot see a bare `count(*)`); other keys try the
                 // projected output first and fall back to the rewrite
                 // (which maps grouping expressions to their outputs).
-                let key = if key.contains_aggregate() || validate_expr(&key, out_schema).is_err() {
+                let key = if key.contains_aggregate() || !resolves(&key, out_schema) {
                     rewrite(&key)?
                 } else {
                     key
@@ -566,7 +580,7 @@ impl<'a> Binder<'a> {
     }
 
     /// ORDER BY keys may be ordinals or projection aliases.
-    fn resolve_order_key(&self, e: &Expr, proj: &[(Expr, String)]) -> Result<Expr> {
+    fn resolve_order_key(&self, e: &Expr, proj: &[(Expr, Name)]) -> Result<Expr> {
         match e {
             Expr::Literal(Value::Int(n)) => {
                 let idx = (*n as usize)
@@ -601,35 +615,56 @@ fn contains_subquery(e: &Expr) -> bool {
     found
 }
 
-/// Derive the output column name for an unaliased projection item.
-fn output_name(e: &Expr, alias: Option<&str>, index: usize) -> String {
-    if let Some(a) = alias {
-        return a.to_string();
-    }
-    match e {
-        Expr::Column { name, .. } => name.to_string(),
-        Expr::Function { name, .. } => name.clone(),
-        Expr::CountStar => "count".to_string(),
-        Expr::Extract { field, .. } => format!("{field:?}").to_lowercase(),
-        _ => format!("col_{index}"),
+/// How many relations a FROM item contributes to its block's region.
+fn relation_count(t: &TableRef) -> usize {
+    match t {
+        TableRef::Table { .. } | TableRef::Derived { .. } => 1,
+        TableRef::Join { left, right, .. } => relation_count(left) + relation_count(right),
     }
 }
 
-/// Every column reference in `e` must resolve against `schema`.
-fn validate_expr(e: &Expr, schema: &PlanSchema) -> std::result::Result<(), SchemaError> {
-    let mut err: Option<SchemaError> = None;
+/// Derive the output column name for an unaliased projection item. A
+/// column keeps the name it already has.
+fn output_name(e: &Expr, alias: Option<&str>, index: usize) -> Name {
+    if let Some(a) = alias {
+        return a.into();
+    }
+    match e {
+        Expr::Column { name, .. } => name.clone(),
+        Expr::Function { name, .. } => name.as_str().into(),
+        Expr::CountStar => "count".into(),
+        Expr::Extract { field, .. } => format!("{field:?}").to_lowercase().into(),
+        _ => format!("col_{index}").into(),
+    }
+}
+
+/// The first column reference in `e` that does not resolve against
+/// `schema`, and why.
+fn first_miss<'e>(e: &'e Expr, schema: &PlanSchema) -> Option<(Option<&'e str>, &'e str, Miss)> {
+    let mut miss = None;
     e.walk(&mut |x| {
-        if err.is_some() {
+        if miss.is_some() {
             return;
         }
         if let Expr::Column { qualifier, name } = x {
-            if let Err(e2) = schema.resolve(qualifier.as_deref(), name) {
-                err = Some(e2);
+            if let Err(why) = schema.lookup(qualifier.as_deref(), name) {
+                miss = Some((qualifier.as_deref(), &**name, why));
             }
         }
     });
-    match err {
-        Some(e2) => Err(e2),
+    miss
+}
+
+/// Does every column reference in `e` resolve against `schema`?
+fn resolves(e: &Expr, schema: &PlanSchema) -> bool {
+    first_miss(e, schema).is_none()
+}
+
+/// Every column reference in `e` must resolve against `schema`; the error
+/// names the first that does not.
+fn validate_expr(e: &Expr, schema: &PlanSchema) -> std::result::Result<(), SchemaError> {
+    match first_miss(e, schema) {
+        Some((qualifier, name, why)) => Err(why.error(qualifier, name)),
         None => Ok(()),
     }
 }
@@ -659,11 +694,19 @@ fn agg_of(e: &Expr) -> Option<AggCall> {
 }
 
 /// Collect all aggregate calls appearing anywhere in `e`. Errors on nested
-/// aggregates.
+/// aggregates and on an aggregate call without exactly one argument
+/// (`count(*)` is its own expression).
 fn extract_agg_calls(e: &Expr) -> Result<Vec<AggCall>> {
     let mut out: Vec<AggCall> = Vec::new();
     let mut nested = false;
+    let mut arity: Option<(&str, usize)> = None;
     e.walk(&mut |x| {
+        if let Expr::Function { name, args, .. } = x {
+            if args.len() != 1 && AggFunc::parse(name).is_some() {
+                arity.get_or_insert((name, args.len()));
+                return;
+            }
+        }
         if let Some(call) = agg_of(x) {
             if let Some(arg) = &call.arg {
                 if arg.contains_aggregate() {
@@ -675,6 +718,11 @@ fn extract_agg_calls(e: &Expr) -> Result<Vec<AggCall>> {
             }
         }
     });
+    if let Some((name, n)) = arity {
+        return Err(BindError::new(format!(
+            "aggregate {name} takes exactly one argument, got {n}"
+        )));
+    }
     if nested {
         return Err(BindError::new("nested aggregate calls are not allowed"));
     }
@@ -683,11 +731,7 @@ fn extract_agg_calls(e: &Expr) -> Result<Vec<AggCall>> {
 
 /// Replace aggregate calls and grouping expressions inside `e` with column
 /// references into the aggregate's output schema.
-fn rewrite_over_agg(
-    e: &Expr,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggCall, String)],
-) -> Expr {
+fn rewrite_over_agg(e: &Expr, group_by: &[(Expr, Name)], aggregates: &[(AggCall, Name)]) -> Expr {
     // Grouping expressions first (they may syntactically contain what looks
     // like other columns).
     if let Some((_, name)) = group_by.iter().find(|(g, _)| g == e) {
@@ -900,10 +944,10 @@ mod tests {
         match find_agg(&plan) {
             Some((group_by, aggregates)) => {
                 assert_eq!(group_by.len(), 1);
-                assert_eq!(group_by[0].1, "age_group");
+                assert_eq!(&*group_by[0].1, "age_group");
                 assert!(matches!(group_by[0].0, Expr::Case { .. }));
                 assert_eq!(aggregates.len(), 1);
-                assert_eq!(aggregates[0].1, "cnt");
+                assert_eq!(&*aggregates[0].1, "cnt");
             }
             None => panic!("no aggregate node: {}", plan.tree_string()),
         }
@@ -913,7 +957,7 @@ mod tests {
     fn group_by_ordinal() {
         let plan = bind("SELECT age, count(*) FROM citizen GROUP BY 1");
         let (group_by, _) = find_agg(&plan).unwrap();
-        assert_eq!(group_by[0].1, "age");
+        assert_eq!(&*group_by[0].1, "age");
     }
 
     #[test]
@@ -922,7 +966,7 @@ mod tests {
         // Project(mean = agg_x / agg_y) over Aggregate.
         match &plan {
             LogicalPlan::Project { exprs, input, .. } => {
-                assert_eq!(exprs[0].1, "mean");
+                assert_eq!(&*exprs[0].1, "mean");
                 assert!(matches!(**input, LogicalPlan::Aggregate { .. }));
                 // The projection references aggregate outputs by name.
                 let refs = exprs[0].0.referenced_columns();
@@ -1075,13 +1119,63 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_call_takes_exactly_one_argument() {
+        for (sql, shown) in [
+            (
+                "SELECT sum() FROM citizen",
+                "sum takes exactly one argument, got 0",
+            ),
+            (
+                "SELECT max() FROM citizen",
+                "max takes exactly one argument, got 0",
+            ),
+            (
+                "SELECT sum(id, age) FROM citizen",
+                "sum takes exactly one argument, got 2",
+            ),
+            (
+                "SELECT age FROM citizen GROUP BY age HAVING min() > 1",
+                "min takes exactly one argument, got 0",
+            ),
+        ] {
+            let err = bind_err(sql);
+            assert_eq!(err.message, format!("aggregate {shown}"), "{sql}");
+        }
+        bind("SELECT count(*) FROM citizen");
+    }
+
+    #[test]
+    fn from_clause_holds_at_most_one_region_of_relations() {
+        // `n` relations as a comma list or as a chain of JOINs.
+        let select = |n: usize, joined: bool| {
+            let mut from = String::from("citizen c0");
+            for i in 1..n {
+                from.push_str(&if joined {
+                    format!(" JOIN citizen c{i} ON c0.id = c{i}.id")
+                } else {
+                    format!(", citizen c{i}")
+                });
+            }
+            format!("SELECT count(*) FROM {from}")
+        };
+        bind(&select(MAX_REGION_RELATIONS, false));
+        for joined in [false, true] {
+            let err = bind_err(&select(MAX_REGION_RELATIONS + 1, joined));
+            assert_eq!(
+                err.message,
+                "a FROM clause of 65 relations exceeds the limit of 64"
+            );
+        }
+    }
+
+    #[test]
     fn count_distinct() {
         let plan = bind("SELECT count(DISTINCT age) AS n FROM citizen");
         let (_, aggs) = find_agg(&plan).unwrap();
         assert!(aggs[0].0.distinct);
     }
 
-    type AggParts = (Vec<(Expr, String)>, Vec<(AggCall, String)>);
+    type AggParts = (Vec<(Expr, Name)>, Vec<(AggCall, Name)>);
 
     /// Find the first Aggregate node in a plan tree.
     fn find_agg(plan: &LogicalPlan) -> Option<AggParts> {

@@ -12,12 +12,16 @@
 //! 3. **column pruning**: projection pushdown to the leaves, which is what
 //!    keeps inter-DBMS transfers small.
 
-use crate::algebra::{LogicalPlan, Name, PlanSchema};
+use crate::algebra::{Field, LogicalPlan, PlanSchema};
 use crate::ast::{BinaryOp, Expr};
 use crate::stats::{Estimator, StatsProvider};
 
 /// Maximum region size for exhaustive left-deep DP enumeration.
 pub const DP_RELATION_LIMIT: usize = 10;
+
+/// Most relations one select-project-join region may hold: a set of them
+/// is a `u64` mask. The binder rejects a FROM clause with more.
+pub const MAX_REGION_RELATIONS: usize = u64::BITS as usize;
 
 /// Join-tree shape the enumerator may produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,7 +127,7 @@ impl<'a> Ctx<'a> {
         let mut predicates: Vec<Expr> = Vec::new();
         self.collect_region(root, &mut relations, &mut predicates);
 
-        let schemas: Vec<PlanSchema> = relations.iter().map(|r| r.schema().clone()).collect();
+        let schemas: Vec<&PlanSchema> = relations.iter().map(LogicalPlan::schema).collect();
 
         // Classify predicates.
         let mut filters: Vec<Vec<Expr>> = vec![Vec::new(); relations.len()];
@@ -173,55 +177,41 @@ impl<'a> Ctx<'a> {
             (0..leaves.len()).collect()
         };
 
-        // Assemble the left-deep tree, attaching edges and residuals as
-        // soon as all their relations are present.
-        let mut in_tree: u64 = 0;
-        let mut used_edges = vec![false; edges.len()];
-        let mut used_residuals = vec![false; residuals.len()];
-        let mut iter = order.into_iter();
-        let first = iter.next().unwrap();
-        in_tree |= 1 << first;
-        let mut leaves_opt: Vec<Option<LogicalPlan>> = leaves.into_iter().map(Some).collect();
-        let mut plan = leaves_opt[first].take().unwrap();
-        for idx in iter {
-            let right = leaves_opt[idx].take().unwrap();
-            let mut on = Vec::new();
-            for (ei, e) in edges.iter().enumerate() {
-                if used_edges[ei] {
-                    continue;
-                }
-                if let Some((l, r)) = e.orient(in_tree, idx) {
-                    on.push((l, r));
-                    used_edges[ei] = true;
-                }
-            }
+        // Assemble the left-deep tree, moving each edge and residual into
+        // the join where all its relations are first present.
+        let mut edges: Vec<Option<JoinEdge>> = edges.into_iter().map(Some).collect();
+        let mut residuals: Vec<Option<(u64, Expr)>> = residuals.into_iter().map(Some).collect();
+        let mut leaves: Vec<Option<LogicalPlan>> = leaves.into_iter().map(Some).collect();
+        let mut order = order.into_iter();
+        let first = order
+            .next()
+            .expect("a region of two or more leaves has an order");
+        let mut plan = leaves[first].take().expect("an order names each leaf once");
+        let mut in_tree: u64 = 1 << first;
+        for idx in order {
+            let right = leaves[idx].take().expect("an order names each leaf once");
+            let on = edges
+                .iter_mut()
+                .filter_map(|slot| slot.take_if(|e| e.connects(in_tree, idx)))
+                .map(|e| e.oriented(in_tree))
+                .collect();
             in_tree |= 1 << idx;
-            let mut residual_here: Vec<Expr> = Vec::new();
-            for (ri, (mask, pred)) in residuals.iter().enumerate() {
-                if !used_residuals[ri] && *mask != 0 && mask & !in_tree == 0 {
-                    residual_here.push(pred.clone());
-                    used_residuals[ri] = true;
-                }
-            }
+            let residual_here = residuals
+                .iter_mut()
+                .filter_map(|slot| slot.take_if(|(mask, _)| *mask != 0 && *mask & !in_tree == 0))
+                .map(|(_, pred)| pred);
             plan = plan.join_on(right, on, Expr::conjoin(residual_here));
         }
         // Anything left over (constants, or predicates that failed
-        // classification) goes on top.
-        let leftover: Vec<Expr> = residuals
+        // classification) goes on top, and so do unused edges, as
+        // equality filters (only disconnected self-referencing predicates
+        // leave one).
+        let leftover = residuals.into_iter().flatten().map(|(_, p)| p);
+        let unused_edge_preds = edges
             .into_iter()
-            .zip(used_residuals)
-            .filter(|(_, used)| !used)
-            .map(|((_, p), _)| p)
-            .collect();
-        // Unused edges become residual equality filters on top (can happen
-        // only with disconnected self-referencing predicates).
-        let unused_edge_preds: Vec<Expr> = edges
-            .into_iter()
-            .zip(used_edges)
-            .filter(|(_, used)| !used)
-            .map(|(e, _)| Expr::eq(e.left, e.right))
-            .collect();
-        match Expr::conjoin(leftover.into_iter().chain(unused_edge_preds)) {
+            .flatten()
+            .map(|e| Expr::eq(e.left, e.right));
+        match Expr::conjoin(leftover.chain(unused_edge_preds)) {
             Some(p) => plan.filter(p),
             None => plan,
         }
@@ -380,60 +370,70 @@ impl<'a> Ctx<'a> {
     /// Left-deep join ordering minimizing the sum of intermediate result
     /// cardinalities. Exhaustive DP for small regions, greedy otherwise.
     fn order_joins(&self, leaves: &[LogicalPlan], edges: &[JoinEdge]) -> Vec<usize> {
-        let n = leaves.len();
-        if n <= DP_RELATION_LIMIT {
-            self.order_joins_dp(leaves, edges)
+        let graph = self.join_graph(leaves, edges);
+        if leaves.len() <= DP_RELATION_LIMIT {
+            graph.order_dp()
         } else {
-            self.order_joins_greedy(leaves, edges)
+            graph.order_greedy()
         }
     }
 
-    /// Pre-computed per-leaf cardinalities and per-edge distinct counts so
-    /// enumeration costs are pure arithmetic (no plan cloning, no repeated
-    /// estimator recursion — this is what keeps Q8's 8-relation DP in the
-    /// hundreds of microseconds).
-    fn enumeration_stats(
-        &self,
-        leaves: &[LogicalPlan],
-        edges: &[JoinEdge],
-    ) -> (Vec<f64>, Vec<f64>) {
+    /// The region's join graph with pre-computed per-leaf cardinalities and
+    /// per-edge distinct counts, so enumeration costs are pure arithmetic
+    /// (no plan cloning, no repeated estimator recursion — this is what
+    /// keeps Q8's 8-relation DP in the hundreds of microseconds).
+    fn join_graph(&self, leaves: &[LogicalPlan], edges: &[JoinEdge]) -> JoinGraph {
         let leaf_rows: Vec<f64> = leaves.iter().map(|l| self.est.rows(l)).collect();
-        let edge_distinct: Vec<f64> = edges
+        let distinct = |side: &Expr, rel: usize| {
+            self.est
+                .expr_distinct(side, &leaves[rel])
+                .unwrap_or(leaf_rows[rel] * crate::stats::DEFAULT_EQ_SELECTIVITY)
+        };
+        let edges: Vec<(usize, usize, f64)> = edges
             .iter()
             .map(|e| {
-                let dl = self
-                    .est
-                    .expr_distinct(&e.left, &leaves[e.left_rel])
-                    .unwrap_or(leaf_rows[e.left_rel] * crate::stats::DEFAULT_EQ_SELECTIVITY);
-                let dr = self
-                    .est
-                    .expr_distinct(&e.right, &leaves[e.right_rel])
-                    .unwrap_or(leaf_rows[e.right_rel] * crate::stats::DEFAULT_EQ_SELECTIVITY);
-                dl.max(dr).max(1.0)
+                let d = distinct(&e.left, e.left_rel).max(distinct(&e.right, e.right_rel));
+                (e.left_rel, e.right_rel, d.max(1.0))
             })
             .collect();
-        (leaf_rows, edge_distinct)
+        JoinGraph::new(leaf_rows, &edges)
+    }
+}
+
+/// A region's join graph as the orderings read it: each leaf's estimated
+/// rows and, per leaf, its incident edges in edge order as (other end's
+/// bit, distinct count) pairs.
+struct JoinGraph {
+    leaf_rows: Vec<f64>,
+    incident: Vec<Vec<(u64, f64)>>,
+}
+
+impl JoinGraph {
+    /// `edges` are (left leaf, right leaf, distinct count), in edge order.
+    fn new(leaf_rows: Vec<f64>, edges: &[(usize, usize, f64)]) -> JoinGraph {
+        let mut incident = vec![Vec::new(); leaf_rows.len()];
+        for &(l, r, d) in edges {
+            incident[l].push((1u64 << r, d));
+            incident[r].push((1u64 << l, d));
+        }
+        JoinGraph {
+            leaf_rows,
+            incident,
+        }
     }
 
-    /// Cardinality of joining two disjoint subsets, from the
-    /// pre-computed enumeration statistics. Mirrors the estimator's join
-    /// formula: cross product divided by max-distinct per crossing edge.
-    fn subset_join_rows(
-        lmask: u64,
-        rmask: u64,
-        lrows: f64,
-        rrows: f64,
-        edges: &[JoinEdge],
-        edge_distinct: &[f64],
-    ) -> (f64, bool) {
-        let mut card = lrows * rrows;
+    /// Cardinality of joining `rows` rows over the relations in `mask` with
+    /// leaf `idx`, and whether an edge connects the two. Mirrors the
+    /// estimator's join formula: cross product divided by max-distinct per
+    /// crossing edge. The crossing edges are those of `idx`'s list whose
+    /// other end is in `mask`, met in edge order: the divisions, in the
+    /// order, of a pass over every edge of the region, so the result is the
+    /// same to the last bit.
+    fn join_rows(&self, mask: u64, rows: f64, idx: usize) -> (f64, bool) {
+        let mut card = rows * self.leaf_rows[idx];
         let mut connected = false;
-        for (e, d) in edges.iter().zip(edge_distinct) {
-            let lbit = 1u64 << e.left_rel;
-            let rbit = 1u64 << e.right_rel;
-            let crosses = (lmask & lbit != 0 && rmask & rbit != 0)
-                || (lmask & rbit != 0 && rmask & lbit != 0);
-            if crosses {
+        for &(other, d) in &self.incident[idx] {
+            if mask & other != 0 {
                 card /= d;
                 connected = true;
             }
@@ -441,9 +441,8 @@ impl<'a> Ctx<'a> {
         (card.max(1.0), connected)
     }
 
-    fn order_joins_dp(&self, leaves: &[LogicalPlan], edges: &[JoinEdge]) -> Vec<usize> {
-        let n = leaves.len();
-        let (leaf_rows, edge_distinct) = self.enumeration_stats(leaves, edges);
+    fn order_dp(&self) -> Vec<usize> {
+        let n = self.leaf_rows.len();
         #[derive(Clone, Copy)]
         struct Entry {
             cost: f64,
@@ -453,7 +452,7 @@ impl<'a> Ctx<'a> {
         }
         let full: u64 = (1 << n) - 1;
         let mut best: Vec<Option<Entry>> = vec![None; 1 << n];
-        for (i, rows) in leaf_rows.iter().enumerate() {
+        for (i, rows) in self.leaf_rows.iter().enumerate() {
             best[1 << i] = Some(Entry {
                 cost: 0.0,
                 rows: *rows,
@@ -468,18 +467,11 @@ impl<'a> Ctx<'a> {
                 let Some(entry) = best[mask as usize] else {
                     continue;
                 };
-                for (idx, idx_rows) in leaf_rows.iter().enumerate() {
+                for idx in 0..n {
                     if mask & (1 << idx) != 0 {
                         continue;
                     }
-                    let (rows, connected) = Self::subset_join_rows(
-                        mask,
-                        1 << idx,
-                        entry.rows,
-                        *idx_rows,
-                        edges,
-                        &edge_distinct,
-                    );
+                    let (rows, connected) = self.join_rows(mask, entry.rows, idx);
                     // Penalize cross joins heavily but keep them feasible.
                     let step_cost = if connected { rows } else { rows * 1e6 };
                     let cost = entry.cost + step_cost;
@@ -512,13 +504,12 @@ impl<'a> Ctx<'a> {
         order
     }
 
-    fn order_joins_greedy(&self, leaves: &[LogicalPlan], edges: &[JoinEdge]) -> Vec<usize> {
-        let n = leaves.len();
-        let (leaf_rows, edge_distinct) = self.enumeration_stats(leaves, edges);
+    fn order_greedy(&self) -> Vec<usize> {
+        let n = self.leaf_rows.len();
         // Start from the smallest relation.
         let mut start = 0;
         let mut start_rows = f64::INFINITY;
-        for (i, r) in leaf_rows.iter().enumerate() {
+        for (i, r) in self.leaf_rows.iter().enumerate() {
             if *r < start_rows {
                 start_rows = *r;
                 start = i;
@@ -529,18 +520,11 @@ impl<'a> Ctx<'a> {
         let mut current_rows = start_rows;
         while order.len() < n {
             let mut pick: Option<(usize, f64, f64)> = None;
-            for (idx, idx_rows) in leaf_rows.iter().enumerate() {
+            for idx in 0..n {
                 if mask & (1 << idx) != 0 {
                     continue;
                 }
-                let (rows, connected) = Self::subset_join_rows(
-                    mask,
-                    1 << idx,
-                    current_rows,
-                    *idx_rows,
-                    edges,
-                    &edge_distinct,
-                );
+                let (rows, connected) = self.join_rows(mask, current_rows, idx);
                 let cost = if connected { rows } else { rows * 1e6 };
                 let better = match &pick {
                     Some((_, c, _)) => cost < *c,
@@ -550,7 +534,7 @@ impl<'a> Ctx<'a> {
                     pick = Some((idx, cost, rows));
                 }
             }
-            let (idx, _, rows) = pick.expect("there is always an unused relation");
+            let (idx, _, rows) = pick.expect("a relation outside the order is left");
             order.push(idx);
             mask |= 1 << idx;
             current_rows = rows;
@@ -583,17 +567,19 @@ impl JoinEdge {
         }
     }
 
-    /// If this edge connects the partial tree `mask` with leaf `idx`,
-    /// return `(tree_side_expr, leaf_side_expr)`.
-    fn orient(&self, mask: u64, idx: usize) -> Option<(Expr, Expr)> {
-        let lbit = 1u64 << self.left_rel;
-        let rbit = 1u64 << self.right_rel;
-        if mask & lbit != 0 && idx == self.right_rel {
-            Some((self.left.clone(), self.right.clone()))
-        } else if mask & rbit != 0 && idx == self.left_rel {
-            Some((self.right.clone(), self.left.clone()))
+    /// Does this edge connect the partial tree `mask` with leaf `idx`?
+    fn connects(&self, mask: u64, idx: usize) -> bool {
+        (mask & (1 << self.left_rel) != 0 && idx == self.right_rel)
+            || (mask & (1 << self.right_rel) != 0 && idx == self.left_rel)
+    }
+
+    /// The edge as `(tree_side_expr, leaf_side_expr)` for a partial tree
+    /// `mask` it [connects](JoinEdge::connects) with a leaf.
+    fn oriented(self, mask: u64) -> (Expr, Expr) {
+        if mask & (1 << self.left_rel) != 0 {
+            (self.left, self.right)
         } else {
-            None
+            (self.right, self.left)
         }
     }
 }
@@ -607,14 +593,14 @@ enum Classified {
 
 /// Relation bitmask referenced by an expression, resolved against the
 /// per-relation schemas. `None` if some column resolves nowhere.
-fn relations_of(e: &Expr, schemas: &[PlanSchema]) -> Option<u64> {
+fn relations_of(e: &Expr, schemas: &[&PlanSchema]) -> Option<u64> {
     let mut mask = 0u64;
     let mut ok = true;
     e.walk(&mut |x| {
         if let Expr::Column { qualifier, name } = x {
             let mut found = None;
             for (i, s) in schemas.iter().enumerate() {
-                if s.resolve(qualifier.as_deref(), name).is_ok() {
+                if s.lookup(qualifier.as_deref(), name).is_ok() {
                     if found.is_some() {
                         // Ambiguous across relations — binder would have
                         // rejected this; treat conservatively.
@@ -632,10 +618,10 @@ fn relations_of(e: &Expr, schemas: &[PlanSchema]) -> Option<u64> {
     ok.then_some(mask)
 }
 
-fn classify(pred: &Expr, schemas: &[PlanSchema]) -> Classified {
+fn classify(pred: &Expr, schemas: &[&PlanSchema]) -> Classified {
     let Some(mask) = relations_of(pred, schemas) else {
         // Unresolvable: keep as a top-level residual over everything.
-        return Classified::Multi((1 << schemas.len()) - 1);
+        return Classified::Multi(u64::MAX >> (u64::BITS as usize - schemas.len()));
     };
     match mask.count_ones() {
         0 => Classified::Constant,
@@ -672,13 +658,14 @@ fn classify(pred: &Expr, schemas: &[PlanSchema]) -> Classified {
 // Column pruning (projection pushdown).
 // ---------------------------------------------------------------------------
 
-/// A column requirement: qualifier (if any) and name.
-type Need = (Option<Name>, Name);
+/// A column requirement: qualifier (if any) and name, borrowed from the
+/// expression that needs the column.
+type Need<'a> = (Option<&'a str>, &'a str);
 
-fn needs_of(e: &Expr, out: &mut Vec<Need>) {
+fn needs_of<'a>(e: &'a Expr, out: &mut Vec<Need<'a>>) {
     e.walk(&mut |x| {
         if let Expr::Column { qualifier, name } = x {
-            let need = (qualifier.clone(), name.clone());
+            let need = (qualifier.as_deref(), &**name);
             if !out.contains(&need) {
                 out.push(need);
             }
@@ -691,11 +678,24 @@ fn satisfies(field_qualifier: Option<&str>, field_name: &str, need: &Need) -> bo
     if !need.1.eq_ignore_ascii_case(field_name) {
         return false;
     }
-    match (&need.0, field_qualifier) {
+    match (need.0, field_qualifier) {
         (None, _) => true,
         (Some(q), Some(fq)) => q.eq_ignore_ascii_case(fq),
         (Some(_), None) => false,
     }
+}
+
+/// `required` plus what `exprs` need, or `None` (keep everything) when
+/// `required` is.
+fn with_needs_of<'a>(
+    required: Option<&[Need<'a>]>,
+    exprs: impl IntoIterator<Item = &'a Expr>,
+) -> Option<Vec<Need<'a>>> {
+    let mut needs = required?.to_vec();
+    for e in exprs {
+        needs_of(e, &mut needs);
+    }
+    Some(needs)
 }
 
 /// Prune unused columns. `required == None` keeps everything (the root).
@@ -713,14 +713,22 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                     schema,
                 };
             };
-            let column = |f: &crate::algebra::Field| (f.name.clone(), f.data_type);
+            let needed = |f: &Field| {
+                req.iter()
+                    .any(|need| satisfies(Some(&alias), &f.name, need))
+            };
+            if schema.fields.iter().all(needed) {
+                return LogicalPlan::Scan {
+                    relation,
+                    alias,
+                    schema,
+                };
+            }
+            let column = |f: &Field| (f.name.clone(), f.data_type);
             let mut fields: Vec<_> = schema
                 .fields
                 .iter()
-                .filter(|f| {
-                    req.iter()
-                        .any(|need| satisfies(Some(&alias), &f.name, need))
-                })
+                .filter(|f| needed(f))
                 .map(column)
                 .collect();
             if fields.is_empty() {
@@ -734,36 +742,30 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
         // never prune them here.
         leaf @ (LogicalPlan::Placeholder { .. } | LogicalPlan::OneRow) => leaf,
         LogicalPlan::Filter { input, predicate } => {
-            let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
-            let all = required.is_none();
-            needs_of(&predicate, &mut needs);
-            let input = prune(*input, if all { None } else { Some(&needs) });
+            let needs = with_needs_of(required, [&predicate]);
+            let input = prune(*input, needs.as_deref());
             LogicalPlan::Filter {
                 input: Box::new(input),
                 predicate,
             }
         }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let exprs: Vec<(Expr, String)> = match required {
-                Some(req) => {
-                    let kept: Vec<(Expr, String)> = exprs
-                        .iter()
-                        .filter(|(_, n)| req.iter().any(|need| satisfies(None, n, need)))
-                        .cloned()
-                        .collect();
-                    if kept.is_empty() {
-                        exprs.into_iter().take(1).collect()
-                    } else {
-                        kept
-                    }
+        LogicalPlan::Project {
+            input, mut exprs, ..
+        } => {
+            if let Some(req) = required {
+                let wanted = |n: &str| req.iter().any(|need| satisfies(None, n, need));
+                if exprs.iter().any(|(_, n)| wanted(n)) {
+                    exprs.retain(|(_, n)| wanted(n));
+                } else {
+                    exprs.truncate(1);
                 }
-                None => exprs,
-            };
+            }
             let mut needs = Vec::new();
             for (e, _) in &exprs {
                 needs_of(e, &mut needs);
             }
-            prune(*input, Some(&needs)).project(exprs)
+            let input = prune(*input, Some(&needs));
+            input.project(exprs)
         }
         LogicalPlan::SemiJoin {
             left,
@@ -785,9 +787,11 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                 needs_of(res, &mut lneeds);
                 needs_of(res, &mut rneeds);
             }
+            let left = prune(*left, if keep_all { None } else { Some(&lneeds) });
+            let right = prune(*right, Some(&rneeds));
             LogicalPlan::SemiJoin {
-                left: Box::new(prune(*left, if keep_all { None } else { Some(&lneeds) })),
-                right: Box::new(prune(*right, Some(&rneeds))),
+                left: Box::new(left),
+                right: Box::new(right),
                 on,
                 residual,
                 negated,
@@ -800,36 +804,36 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
             residual,
             ..
         } => {
-            let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
-            let keep_all = required.is_none();
-            for (l, r) in &on {
-                needs_of(l, &mut needs);
-                needs_of(r, &mut needs);
-            }
-            if let Some(res) = &residual {
-                needs_of(res, &mut needs);
-            }
-            let (lp, rp) = if keep_all {
-                (prune(*left, None), prune(*right, None))
-            } else {
-                // Split needs by which side can satisfy them; pass
-                // ambiguous bare names to both sides (over-keeping is
-                // safe).
-                let ls = left.schema();
-                let rs = right.schema();
-                let mut lneeds = Vec::new();
-                let mut rneeds = Vec::new();
-                for need in needs {
-                    let in_l = ls.resolve(need.0.as_deref(), &need.1).is_ok();
-                    let in_r = rs.resolve(need.0.as_deref(), &need.1).is_ok();
-                    if in_l {
-                        lneeds.push(need.clone());
+            let (lp, rp) = match required {
+                None => (prune(*left, None), prune(*right, None)),
+                Some(req) => {
+                    let mut needs = req.to_vec();
+                    for (l, r) in &on {
+                        needs_of(l, &mut needs);
+                        needs_of(r, &mut needs);
                     }
-                    if in_r || !in_l {
-                        rneeds.push(need);
+                    if let Some(res) = &residual {
+                        needs_of(res, &mut needs);
                     }
+                    // Split needs by which side can satisfy them; pass
+                    // ambiguous bare names to both sides (over-keeping is
+                    // safe).
+                    let ls = left.schema();
+                    let rs = right.schema();
+                    let mut lneeds = Vec::new();
+                    let mut rneeds = Vec::new();
+                    for need in needs {
+                        let in_l = ls.lookup(need.0, need.1).is_ok();
+                        let in_r = rs.lookup(need.0, need.1).is_ok();
+                        if in_l {
+                            lneeds.push(need);
+                        }
+                        if in_r || !in_l {
+                            rneeds.push(need);
+                        }
+                    }
+                    (prune(*left, Some(&lneeds)), prune(*right, Some(&rneeds)))
                 }
-                (prune(*left, Some(&lneeds)), prune(*right, Some(&rneeds)))
             };
             lp.join_on(rp, on, residual)
         }
@@ -848,16 +852,14 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
                     needs_of(arg, &mut needs);
                 }
             }
-            prune(*input, Some(&needs)).aggregate(group_by, aggregates)
+            let input = prune(*input, Some(&needs));
+            input.aggregate(group_by, aggregates)
         }
         LogicalPlan::Sort { input, keys } => {
-            let mut needs: Vec<Need> = required.map(<[Need]>::to_vec).unwrap_or_default();
-            let all = required.is_none();
-            for (e, _) in &keys {
-                needs_of(e, &mut needs);
-            }
+            let needs = with_needs_of(required, keys.iter().map(|(e, _)| e));
+            let input = prune(*input, needs.as_deref());
             LogicalPlan::Sort {
-                input: Box::new(prune(*input, if all { None } else { Some(&needs) })),
+                input: Box::new(input),
                 keys,
             }
         }
@@ -872,11 +874,12 @@ fn prune(plan: LogicalPlan, required: Option<&[Need]>) -> LogicalPlan {
         LogicalPlan::SubqueryAlias { input, alias, .. } => {
             let inner_required: Option<Vec<Need>> = required.map(|req| {
                 req.iter()
-                    .filter(|(q, _)| q.as_deref().is_none_or(|q| q.eq_ignore_ascii_case(&alias)))
-                    .map(|(_, n)| (None, n.clone()))
+                    .filter(|(q, _)| q.is_none_or(|q| q.eq_ignore_ascii_case(&alias)))
+                    .map(|&(_, n)| (None, n))
                     .collect()
             });
-            prune(*input, inner_required.as_deref()).alias(alias)
+            let input = prune(*input, inner_required.as_deref());
+            input.alias(alias)
         }
     }
 }
@@ -1306,5 +1309,166 @@ mod tests {
         // Still resolvable end-to-end.
         let _ = crate::algebra::plan_to_select(&optimized).unwrap();
         let _ = Value::Int(0); // silence unused import lint paths
+    }
+
+    /// Cardinality of joining two disjoint subsets by a pass over every
+    /// edge of the region: what the orderings computed before each leaf
+    /// kept its incidence list, and the oracle of [`JoinGraph::join_rows`].
+    fn all_edges_join_rows(
+        lmask: u64,
+        rmask: u64,
+        lrows: f64,
+        rrows: f64,
+        edges: &[(usize, usize, f64)],
+    ) -> (f64, bool) {
+        let mut card = lrows * rrows;
+        let mut connected = false;
+        for &(l, r, d) in edges {
+            let lbit = 1u64 << l;
+            let rbit = 1u64 << r;
+            let crosses = (lmask & lbit != 0 && rmask & rbit != 0)
+                || (lmask & rbit != 0 && rmask & lbit != 0);
+            if crosses {
+                card /= d;
+                connected = true;
+            }
+        }
+        (card.max(1.0), connected)
+    }
+
+    /// [`JoinGraph::order_dp`] over [`all_edges_join_rows`].
+    fn all_edges_dp(leaf_rows: &[f64], edges: &[(usize, usize, f64)]) -> Vec<usize> {
+        let n = leaf_rows.len();
+        let full: u64 = (1 << n) - 1;
+        // (cost, rows, last relation added)
+        let mut best: Vec<Option<(f64, f64, usize)>> = vec![None; 1 << n];
+        for (i, rows) in leaf_rows.iter().enumerate() {
+            best[1 << i] = Some((0.0, *rows, i));
+        }
+        for size in 1..n {
+            for mask in 1u64..=full {
+                if mask.count_ones() as usize != size {
+                    continue;
+                }
+                let Some((cost, rows, _)) = best[mask as usize] else {
+                    continue;
+                };
+                for (idx, idx_rows) in leaf_rows.iter().enumerate() {
+                    if mask & (1 << idx) != 0 {
+                        continue;
+                    }
+                    let (joined, connected) =
+                        all_edges_join_rows(mask, 1 << idx, rows, *idx_rows, edges);
+                    let cost = cost + if connected { joined } else { joined * 1e6 };
+                    let next = (mask | (1 << idx)) as usize;
+                    if best[next].is_none_or(|(c, _, _)| cost < c) {
+                        best[next] = Some((cost, joined, idx));
+                    }
+                }
+            }
+        }
+        let mut order = Vec::new();
+        let mut mask = full;
+        while mask != 0 {
+            let Some((_, _, last)) = best[mask as usize] else {
+                return (0..n).collect();
+            };
+            order.push(last);
+            mask &= !(1 << last);
+        }
+        order.reverse();
+        order
+    }
+
+    /// [`JoinGraph::order_greedy`] over [`all_edges_join_rows`].
+    fn all_edges_greedy(leaf_rows: &[f64], edges: &[(usize, usize, f64)]) -> Vec<usize> {
+        let n = leaf_rows.len();
+        let mut start = 0;
+        let mut start_rows = f64::INFINITY;
+        for (i, r) in leaf_rows.iter().enumerate() {
+            if *r < start_rows {
+                start_rows = *r;
+                start = i;
+            }
+        }
+        let mut order = vec![start];
+        let mut mask: u64 = 1 << start;
+        let mut current_rows = start_rows;
+        while order.len() < n {
+            let mut pick: Option<(usize, f64, f64)> = None;
+            for (idx, idx_rows) in leaf_rows.iter().enumerate() {
+                if mask & (1 << idx) != 0 {
+                    continue;
+                }
+                let (rows, connected) =
+                    all_edges_join_rows(mask, 1 << idx, current_rows, *idx_rows, edges);
+                let cost = if connected { rows } else { rows * 1e6 };
+                if pick.is_none_or(|(_, c, _)| cost < c) {
+                    pick = Some((idx, cost, rows));
+                }
+            }
+            let (idx, _, rows) = pick.unwrap();
+            order.push(idx);
+            mask |= 1 << idx;
+            current_rows = rows;
+        }
+        order
+    }
+
+    /// (left leaf, right leaf, distinct count), in edge order.
+    type Edges = Vec<(usize, usize, f64)>;
+
+    /// A random join graph: 2–14 leaves whose rows come from a small set
+    /// (so costs tie), and up to 2n edges between distinct leaves, a
+    /// quarter of them doubled by a parallel edge the other way round; with
+    /// few edges the graph falls apart into components.
+    fn random_join_graph() -> BoxedStrategy<(Vec<f64>, Edges)> {
+        const ROWS: [f64; 6] = [1.0, 5.0, 25.0, 150.0, 1500.0, 60000.0];
+        // Not powers of two, so dividing in another order moves bits.
+        const DISTINCT: [f64; 5] = [1.0, 3.0, 7.0, 25.0, 1000.0];
+        BoxedStrategy::new(|rng| {
+            let n = 2 + rng.below(13) as usize;
+            let rows = (0..n).map(|_| ROWS[rng.below(6) as usize]).collect();
+            let mut edges = Vec::new();
+            for _ in 0..rng.below(2 * n as u64 + 1) {
+                let l = rng.below(n as u64) as usize;
+                let r = (l + 1 + rng.below(n as u64 - 1) as usize) % n;
+                edges.push((l, r, DISTINCT[rng.below(5) as usize]));
+                if rng.below(4) == 0 {
+                    edges.push((r, l, DISTINCT[rng.below(5) as usize]));
+                }
+            }
+            (rows, edges)
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Reading incidence lists divides by the same distinct counts in
+        /// the same order as a pass over every edge: a step's cardinality
+        /// is the same to the last bit, and both orderings choose what
+        /// they chose before, ties included.
+        #[test]
+        fn incidence_lists_order_joins_like_the_all_edges_pass(graph in random_join_graph()) {
+            let (rows, edges) = graph;
+            let n = rows.len();
+            let incident = JoinGraph::new(rows.clone(), &edges);
+            // Every subset of up to ten leaves, an even spread beyond.
+            let stride = (1usize << n).div_ceil(1 << 10);
+            for mask in (0..1u64 << n).step_by(stride) {
+                for idx in (0..n).filter(|idx| mask & (1 << idx) == 0) {
+                    let (card, connected) = incident.join_rows(mask, 1234.5, idx);
+                    let (all_card, all_connected) =
+                        all_edges_join_rows(mask, 1 << idx, 1234.5, rows[idx], &edges);
+                    prop_assert_eq!(card.to_bits(), all_card.to_bits());
+                    prop_assert_eq!(connected, all_connected);
+                }
+            }
+            prop_assert_eq!(incident.order_dp(), all_edges_dp(&rows, &edges));
+            prop_assert_eq!(incident.order_greedy(), all_edges_greedy(&rows, &edges));
+        }
     }
 }

@@ -511,10 +511,8 @@ mod tests {
     fn aggregate_group_count() {
         let s = stats();
         let est = Estimator::new(&s);
-        let plan = scan("orders", "o", &[("o_custkey", DataType::Int)]).aggregate(
-            vec![(Expr::qcol("o", "o_custkey"), "k".to_string())],
-            vec![],
-        );
+        let plan = scan("orders", "o", &[("o_custkey", DataType::Int)])
+            .aggregate(vec![(Expr::qcol("o", "o_custkey"), "k".into())], vec![]);
         assert_eq!(est.rows(&plan), 1000.0);
         // No grouping → one row.
         let total = scan("orders", "o", &[]).aggregate(vec![], vec![]);
@@ -554,7 +552,7 @@ mod tests {
     #[test]
     fn resolve_through_alias_and_project() {
         let inner = scan("orders", "o", &[("o_custkey", DataType::Int)])
-            .project(vec![(Expr::qcol("o", "o_custkey"), "k".to_string())]);
+            .project(vec![(Expr::qcol("o", "o_custkey"), "k".into())]);
         let aliased = inner.alias("sub");
         assert_eq!(
             resolve_base_column(&aliased, Some("sub"), "k"),

@@ -3,7 +3,7 @@
 //! Production code reads the schema a node was built with; tests compare
 //! it with this at every node. Shared with `crates/core/tests` by path.
 
-use xdb_sql::algebra::{infer_type, AggCall, Field, LogicalPlan, PlanSchema, SchemaError};
+use xdb_sql::algebra::{infer_type, AggCall, Field, LogicalPlan, Name, PlanSchema, SchemaError};
 use xdb_sql::ast::Expr;
 use xdb_sql::value::DataType;
 
@@ -16,7 +16,7 @@ pub fn recomputed_schema(plan: &LogicalPlan) -> PlanSchema {
             schema
                 .fields
                 .iter()
-                .map(|f| Field::new(Some(alias), &f.name, f.data_type))
+                .map(|f| Field::new(Some(&**alias), &f.name, f.data_type))
                 .collect(),
         ),
         LogicalPlan::Filter { input, .. }
@@ -27,7 +27,7 @@ pub fn recomputed_schema(plan: &LogicalPlan) -> PlanSchema {
             recomputed_schema(input)
                 .fields
                 .iter()
-                .map(|f| Field::new(Some(alias), &f.name, f.data_type))
+                .map(|f| Field::new(Some(&**alias), &f.name, f.data_type))
                 .collect(),
         ),
         LogicalPlan::OneRow => PlanSchema::default(),
@@ -59,8 +59,8 @@ pub fn recomputed_schema(plan: &LogicalPlan) -> PlanSchema {
 
 fn aggregate_schema(
     in_schema: &PlanSchema,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggCall, String)],
+    group_by: &[(Expr, Name)],
+    aggregates: &[(AggCall, Name)],
 ) -> PlanSchema {
     let mut fields = Vec::new();
     for (e, name) in group_by {

@@ -47,6 +47,19 @@ for f in $(grep -rlE 'wire::decode|decode_chunked' crates/*/src | grep -vx crate
   fi
 done
 
+# Miss census: a test for a name asks `PlanSchema::lookup` (or the binder's
+# `resolves`), which builds no text; `resolve` and `validate_expr` name the
+# column in an error and are for callers that return it (DESIGN.md §18 "What
+# is interned, and by whom"). No non-test library code may build an error
+# message only to throw it away.
+miss='\.resolve\([^;]*\)\.is_(ok|err)\(\)|validate_expr\([^;]*\)\.is_(ok|err)\(\)'
+for f in $(grep -rlE "$miss" crates/*/src || true); do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$miss"; then
+    echo "$f: a lookup builds an error message it throws away" >&2
+    exit 1
+  fi
+done
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target

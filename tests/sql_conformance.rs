@@ -5,9 +5,12 @@
 
 use xdb::core::{GlobalCatalog, Xdb};
 use xdb::engine::cluster::Cluster;
+use xdb::engine::error::EngineError;
 use xdb::engine::profile::EngineProfile;
 use xdb::engine::relation::Relation;
+use xdb::net::Scenario;
 use xdb::sql::value::{date, DataType, Value};
+use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist};
 
 fn i(v: i64) -> Value {
     Value::Int(v)
@@ -373,4 +376,64 @@ fn conformance_through_federation() {
             exp.to_table_string(10)
         );
     }
+}
+
+/// `SELECT count(*) FROM region r0, …, region r{n-1}` with the relations
+/// chained by key equalities: five rows, one per region.
+fn region_chain(n: usize) -> String {
+    let from: Vec<String> = (0..n).map(|i| format!("region r{i}")).collect();
+    let on: Vec<String> = (1..n)
+        .map(|i| format!("r{}.r_regionkey = r{i}.r_regionkey", i - 1))
+        .collect();
+    format!(
+        "SELECT count(*) AS n FROM {} WHERE {}",
+        from.join(", "),
+        on.join(" AND ")
+    )
+}
+
+/// What the binder rejects reaches the caller as a bind error, from a
+/// single engine and through TD1, and nothing panics: an aggregate call
+/// without exactly one argument, and a FROM clause of more relations than a
+/// relation set (a `u64` mask) holds. A FROM clause of 64 still answers.
+#[test]
+fn rejected_inputs_are_bind_errors() {
+    let solo = Cluster::lan(&["solo"], EngineProfile::postgres());
+    distributions::load_all_on(&solo, "solo", 0.001).unwrap();
+    let td1 = build_cluster(
+        TableDist::Td1,
+        0.001,
+        Scenario::OnPremise,
+        &ProfileAssignment::uniform(EngineProfile::postgres()),
+    )
+    .unwrap();
+    let catalog = GlobalCatalog::discover(&td1).unwrap();
+    let xdb = Xdb::new(&td1, &catalog);
+    for (sql, message) in [
+        (
+            "SELECT sum() FROM nation".to_string(),
+            "aggregate sum takes exactly one argument, got 0",
+        ),
+        (
+            "SELECT max() FROM nation".to_string(),
+            "aggregate max takes exactly one argument, got 0",
+        ),
+        (
+            "SELECT sum(n_nationkey, n_regionkey) FROM nation".to_string(),
+            "aggregate sum takes exactly one argument, got 2",
+        ),
+        (
+            region_chain(65),
+            "a FROM clause of 65 relations exceeds the limit of 64",
+        ),
+    ] {
+        let expected = EngineError::Bind(message.to_string());
+        let short = &sql[..sql.len().min(48)];
+        assert_eq!(solo.query("solo", &sql).unwrap_err(), expected, "{short}");
+        assert_eq!(xdb.submit(&sql).unwrap_err(), expected, "{short}");
+    }
+    let five = Relation::new(vec![("n".to_string(), DataType::Int)], vec![vec![i(5)]]);
+    let sql = region_chain(64);
+    assert!(solo.query("solo", &sql).unwrap().0.same_bag(&five));
+    assert!(xdb.submit(&sql).unwrap().relation.same_bag(&five));
 }

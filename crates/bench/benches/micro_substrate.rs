@@ -73,31 +73,6 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
-
-    // Annotation with and without the consultation cache (probe
-    // memoization); the cached arm re-annotates a warmed federation.
-    let mut g = c.benchmark_group("annotate_cache_on_off");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for (label, no_cache) in [("cache_on_q8", false), ("cache_off_q8", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                catalog.clear_placeholders();
-                Annotator::new(
-                    &catalog,
-                    &cluster,
-                    AnnotateOptions {
-                        no_consult_cache: no_cache,
-                        ..Default::default()
-                    },
-                )
-                .run(&optimized)
-                .unwrap()
-            })
-        });
-    }
-    g.finish();
 }
 
 criterion_group!(benches, bench);

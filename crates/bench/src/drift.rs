@@ -22,8 +22,7 @@
 //! Everything compares simulated-clock state, so a self-compare of two
 //! runs of the same build is *exactly* zero findings — any finding is a
 //! real behavior change, not noise. Process-varying fields (`query_id`)
-//! are ignored. The bench gate runs this as part of tier-1 when
-//! `XDB_BENCH_GATE=1`.
+//! are ignored. The bench gate runs this as part of tier-1.
 
 use std::collections::BTreeMap;
 use xdb_obs::costmodel::ErrorStats;

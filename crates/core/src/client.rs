@@ -365,11 +365,18 @@ impl<'a> Xdb<'a> {
 
         // ann (+ finalization).
         self.catalog.clear_placeholders();
-        let mut aopts = self.options.annotate.clone();
-        if !self.options.learned_costs {
-            aopts.static_costs = true;
-        }
-        let annotation = Annotator::new(self.catalog, self.cluster, aopts).run(&optimized)?;
+        let learned = if self.options.learned_costs {
+            self.catalog.learned_profiles()
+        } else {
+            None
+        };
+        let annotation = Annotator::pricing_with(
+            self.catalog,
+            self.cluster,
+            self.options.annotate.clone(),
+            learned,
+        )
+        .run(&optimized)?;
         let ann_ms = annotation.consults as f64 * params::CONSULT_ROUNDTRIP_MS;
         let ann_span = collector.span(
             SpanKind::Phase,
@@ -427,7 +434,7 @@ impl<'a> Xdb<'a> {
         );
         collector.add(
             "consult.cache_misses",
-            (prep_fetches + annotation.cache_misses) as f64,
+            (prep_fetches + annotation.consults) as f64,
         );
         collector.add("prep.metadata_fetches", prep_fetches as f64);
 
@@ -479,7 +486,7 @@ impl<'a> Xdb<'a> {
             consults: annotation.consults,
             query_id,
             prep_probes: prep_hits + prep_fetches,
-            ann_probes: annotation.cache_hits + annotation.cache_misses,
+            ann_probes: annotation.cache_hits + annotation.consults,
             lopt_ms,
         })
     }

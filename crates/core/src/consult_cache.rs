@@ -4,30 +4,25 @@
 //! an EXPLAIN-style probe while costing candidate placements — is a
 //! network round-trip ([`xdb_net::params::CONSULT_ROUNDTRIP_MS`]). The
 //! answers only change when that DBMS's catalog changes, so the middleware
-//! caches them keyed by `(node, canonical rendered sub-query)` and
-//! validates every entry against the node's DDL generation: *any* DDL
-//! executed against a node invalidates every probe cached for it.
+//! remembers, per `(node, canonical rendered sub-query)`, the node's DDL
+//! generation at the time it last paid for the probe: *any* DDL executed
+//! against a node invalidates every probe cached for it.
+//!
+//! No reply is stored. A metadata probe's answer lives in the catalog's
+//! statistics, and an EXPLAIN probe's answer is the engine's profile, which
+//! never changes once the engine is in the cluster — so the cache only has
+//! to know whether a round-trip is still paid for.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xdb_engine::profile::EngineProfile;
 use xdb_net::NodeId;
 
-/// What a cached consultation round-trip carried back.
-#[derive(Debug, Clone)]
-pub enum ConsultReply {
-    /// Metadata/statistics probe (schema validation + optimizer stats).
-    Stats,
-    /// EXPLAIN-style probe of a candidate sub-query placement: the
-    /// engine's execution profile as observed at probe time.
-    Explain(EngineProfile),
-}
-
-/// Thread-safe consultation cache with hit/miss accounting.
+/// Thread-safe consultation cache with hit/miss accounting: the DDL
+/// generation of each `(node, probe)` at its last round-trip.
 #[derive(Debug, Default)]
 pub struct ConsultCache {
-    entries: Mutex<HashMap<(NodeId, String), (u64, ConsultReply)>>,
+    entries: Mutex<HashMap<String, HashMap<String, u64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -37,38 +32,31 @@ impl ConsultCache {
         ConsultCache::default()
     }
 
-    /// Look up a probe against `node`. A hit requires the stored entry to
-    /// carry the node's *current* DDL generation; a stale entry counts as
-    /// a miss (and will be overwritten by the following [`store`]).
+    /// Whether a probe against `node` is answered without a round-trip. A
+    /// hit requires the stored entry to carry the node's *current* DDL
+    /// generation; a stale entry counts as a miss (and will be overwritten
+    /// by the following [`store`]).
     ///
     /// [`store`]: ConsultCache::store
-    pub fn lookup(&self, node: &NodeId, probe: &str, generation: u64) -> Option<ConsultReply> {
-        let entries = self.entries.lock();
-        match entries.get(&(node.clone(), probe.to_string())) {
-            Some((stored, reply)) if *stored == generation => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(reply.clone())
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    pub fn lookup(&self, node: &NodeId, probe: &str, generation: u64) -> bool {
+        let hit = self
+            .entries
+            .lock()
+            .get(node.as_str())
+            .and_then(|probes| probes.get(probe))
+            == Some(&generation);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Record the answer of a consultation performed at `generation`.
-    pub fn store(&self, node: &NodeId, probe: &str, generation: u64, reply: ConsultReply) {
+    /// Record a consultation performed at `generation`.
+    pub fn store(&self, node: &NodeId, probe: &str, generation: u64) {
         self.entries
             .lock()
-            .insert((node.clone(), probe.to_string()), (generation, reply));
-    }
-
-    /// Whether a *valid* entry exists, without touching the counters.
-    pub fn contains(&self, node: &NodeId, probe: &str, generation: u64) -> bool {
-        matches!(
-            self.entries.lock().get(&(node.clone(), probe.to_string())),
-            Some((stored, _)) if *stored == generation
-        )
+            .entry(node.as_str().to_string())
+            .or_default()
+            .insert(probe.to_string(), generation);
     }
 
     pub fn hits(&self) -> u64 {
@@ -80,11 +68,11 @@ impl ConsultCache {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().values().map(HashMap::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.len() == 0
     }
 
     pub fn clear(&self) {
@@ -102,11 +90,11 @@ mod tests {
     fn hit_requires_matching_generation() {
         let cache = ConsultCache::new();
         let node = NodeId::new("db1");
-        assert!(cache.lookup(&node, "SELECT 1", 0).is_none());
-        cache.store(&node, "SELECT 1", 0, ConsultReply::Stats);
-        assert!(cache.lookup(&node, "SELECT 1", 0).is_some());
+        assert!(!cache.lookup(&node, "SELECT 1", 0));
+        cache.store(&node, "SELECT 1", 0);
+        assert!(cache.lookup(&node, "SELECT 1", 0));
         // A DDL bumped the node's generation: the entry is stale.
-        assert!(cache.lookup(&node, "SELECT 1", 1).is_none());
+        assert!(!cache.lookup(&node, "SELECT 1", 1));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
     }
@@ -114,17 +102,17 @@ mod tests {
     #[test]
     fn entries_are_per_node_and_per_probe() {
         let cache = ConsultCache::new();
-        cache.store(&NodeId::new("db1"), "q", 0, ConsultReply::Stats);
-        assert!(cache.lookup(&NodeId::new("db2"), "q", 0).is_none());
-        assert!(cache.lookup(&NodeId::new("db1"), "other", 0).is_none());
-        assert!(cache.lookup(&NodeId::new("db1"), "q", 0).is_some());
+        cache.store(&NodeId::new("db1"), "q", 0);
+        assert!(!cache.lookup(&NodeId::new("db2"), "q", 0));
+        assert!(!cache.lookup(&NodeId::new("db1"), "other", 0));
+        assert!(cache.lookup(&NodeId::new("db1"), "q", 0));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn clear_resets_counters() {
         let cache = ConsultCache::new();
-        cache.store(&NodeId::new("db1"), "q", 0, ConsultReply::Stats);
+        cache.store(&NodeId::new("db1"), "q", 0);
         cache.lookup(&NodeId::new("db1"), "q", 0);
         cache.clear();
         assert!(cache.is_empty());

@@ -22,6 +22,7 @@
 //! contradicting the paper's own optimal plans (Fig 5a).
 
 use crate::profiles::CostProfiles;
+use xdb_engine::error::{EngineError, Result};
 use xdb_engine::profile::EngineProfile;
 use xdb_net::{Movement, NodeId, Topology};
 
@@ -47,9 +48,6 @@ pub struct Placement {
     /// Movement for the right input.
     pub right_move: Movement,
     pub cost: f64,
-    /// Number of EXPLAIN-style consulting round-trips spent evaluating
-    /// alternatives.
-    pub consults: u64,
 }
 
 /// Cost of moving `rows`/`bytes` from `src` into `a` and consuming them
@@ -169,9 +167,6 @@ pub struct CandidateCost {
     pub left_move: Movement,
     pub right_move: Movement,
     pub cost: f64,
-    /// Consulting round-trips paid evaluating this option (always 1: one
-    /// EXPLAIN-style probe per `(a, x_l, x_r)` combination).
-    pub consults: u64,
     /// Per-component split of `cost`, for the cost-model observatory.
     pub components: CostComponents,
 }
@@ -182,9 +177,9 @@ pub struct CandidateCost {
 ///
 /// `candidates` is the annotation search space: the two input annotations
 /// under the paper's pruning, or every DBMS when pruning is disabled.
-/// `profiles` resolves a node to its engine profile (the "consulting"
-/// interface); every `(a, x_l, x_r)` option evaluated counts as one
-/// consulting round-trip.
+/// `profiles` resolves a node to its engine's profile. Consulting is the
+/// caller's: one probe per candidate engine, memoised by the consultation
+/// cache, however many `(a, x_l, x_r)` options that candidate offers.
 ///
 /// Every candidate is re-priced through the `learned` cost profiles. With
 /// `learned = None` (or an empty/irrelevant store) every arithmetic
@@ -200,26 +195,29 @@ pub struct CandidateCost {
 /// The `CostComponents` breakdown stores the *scaled* values, so the
 /// `total() == cost` invariant holds bit-exactly in both modes.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_placement_with_profiles(
+pub fn decide_placement_with_profiles<'p>(
     topology: &Topology,
-    profiles: &dyn Fn(&NodeId) -> EngineProfile,
+    profiles: &dyn Fn(&NodeId) -> Result<&'p EngineProfile>,
     left: &InputSide,
     right: &InputSide,
     out_rows: f64,
     candidates: &[NodeId],
     force_movement: Option<Movement>,
     learned: Option<&CostProfiles>,
-) -> (Placement, Vec<CandidateCost>) {
+) -> Result<(Placement, Vec<CandidateCost>)> {
     let movements: &[Movement] = match force_movement {
         Some(Movement::Implicit) => &[Movement::Implicit],
         Some(Movement::Explicit) => &[Movement::Explicit],
         None => &[Movement::Implicit, Movement::Explicit],
     };
+    let (left_startup_ms, right_startup_ms) = (
+        profiles(&left.dbms)?.startup_ms,
+        profiles(&right.dbms)?.startup_ms,
+    );
     let mut best: Option<Placement> = None;
-    let mut consults = 0u64;
     let mut costed: Vec<CandidateCost> = Vec::new();
     for a in candidates {
-        let a_profile = &profiles(a);
+        let a_profile = profiles(a)?;
         // Per input: if it is already local to `a`, it neither moves nor
         // offers a movement choice.
         let left_opts: &[Movement] = if &left.dbms == a {
@@ -234,13 +232,12 @@ pub fn decide_placement_with_profiles(
         };
         for &xl in left_opts {
             for &xr in right_opts {
-                consults += 1;
                 let (wire_l, move_l) = movement_cost_split(
                     topology,
                     &left.dbms,
                     a,
                     a_profile,
-                    profiles(&left.dbms).startup_ms,
+                    left_startup_ms,
                     left.rows,
                     left.bytes,
                     xl,
@@ -251,7 +248,7 @@ pub fn decide_placement_with_profiles(
                     &right.dbms,
                     a,
                     a_profile,
-                    profiles(&right.dbms).startup_ms,
+                    right_startup_ms,
                     right.rows,
                     right.bytes,
                     xr,
@@ -277,7 +274,6 @@ pub fn decide_placement_with_profiles(
                     left_move: xl,
                     right_move: xr,
                     cost,
-                    consults: 1,
                     components: CostComponents {
                         wire_left_ms: wire_l,
                         wire_right_ms: wire_r,
@@ -297,21 +293,28 @@ pub fn decide_placement_with_profiles(
                         left_move: xl,
                         right_move: xr,
                         cost,
-                        consults: 0,
                     });
                 }
             }
         }
     }
-    let mut placement = best.expect("at least one candidate");
-    placement.consults = consults;
-    (placement, costed)
+    let placement =
+        best.ok_or_else(|| EngineError::Catalog("no placement candidate to price".into()))?;
+    Ok((placement, costed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
     use xdb_net::Topology;
+
+    static POSTGRES: LazyLock<EngineProfile> = LazyLock::new(EngineProfile::postgres);
+
+    /// Every node is a PostgreSQL engine.
+    fn postgres(_: &NodeId) -> Result<&'static EngineProfile> {
+        Ok(&POSTGRES)
+    }
 
     fn setup() -> (Topology, EngineProfile) {
         (
@@ -331,7 +334,7 @@ mod tests {
     /// The static arm: no learned profiles.
     fn decide_static(
         topology: &Topology,
-        profiles: &dyn Fn(&NodeId) -> EngineProfile,
+        profiles: &dyn Fn(&NodeId) -> Result<&'static EngineProfile>,
         left: &InputSide,
         right: &InputSide,
         out_rows: f64,
@@ -348,6 +351,7 @@ mod tests {
             force_movement,
             None,
         )
+        .unwrap()
     }
 
     #[test]
@@ -401,12 +405,11 @@ mod tests {
 
     #[test]
     fn placement_moves_small_side_to_big_side() {
-        let (topo, pg) = setup();
-        let profiles = move |_: &NodeId| EngineProfile::postgres();
-        let _ = pg;
+        let (topo, _) = setup();
+        let profiles = postgres;
         let small = side("db1", 1_000.0);
         let big = side("db2", 1_000_000.0);
-        let placement = decide_static(
+        let (placement, costed) = decide_static(
             &topo,
             &profiles,
             &small,
@@ -414,14 +417,13 @@ mod tests {
             1_000_000.0,
             &[small.dbms.clone(), big.dbms.clone()],
             None,
-        )
-        .0;
+        );
         // Moving the small side to db2 is cheaper than moving the big one.
         assert_eq!(placement.dbms.as_str(), "db2");
         assert_eq!(placement.right_move, Movement::Implicit); // local side
                                                               // a=db1: right moves (2 options); a=db2: left moves (2 options) —
                                                               // the paper's four options per cross-database operation (Sec VI-E).
-        assert_eq!(placement.consults, 4);
+        assert_eq!(costed.len(), 4);
     }
 
     #[test]
@@ -429,7 +431,7 @@ mod tests {
         // Materialization discount on a huge join outweighs the write cost
         // of a tiny moved input.
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let moved = side("db1", 10_000.0);
         let kept = side("db2", 10_000_000.0);
         let placement = decide_static(
@@ -453,7 +455,7 @@ mod tests {
     #[test]
     fn force_movement_restricts_options() {
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let l = side("db1", 10_000.0);
         let r = side("db2", 10_000_000.0);
         let forced = decide_static(
@@ -473,7 +475,7 @@ mod tests {
     #[test]
     fn candidate_components_sum_to_cost_exactly() {
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
         let (_, costed) = decide_static(
@@ -495,7 +497,7 @@ mod tests {
             // The moved side's wire term is exactly the topology's price
             // for the estimated raw bytes.
             if c.dbms != l.dbms {
-                let p = profiles(&c.dbms);
+                let p = profiles(&c.dbms).unwrap();
                 let expect =
                     topo.transfer_ms(&l.dbms, &c.dbms, l.bytes as u64, p.protocol_overhead);
                 assert_eq!(c.components.wire_left_ms, expect);
@@ -506,7 +508,7 @@ mod tests {
     #[test]
     fn empty_profiles_match_static_costs_bit_exactly() {
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
         let cands = [l.dbms.clone(), r.dbms.clone()];
@@ -521,7 +523,8 @@ mod tests {
             &cands,
             None,
             Some(&empty),
-        );
+        )
+        .unwrap();
         assert_eq!(p_static, p_learned);
         assert_eq!(c_static, c_learned);
     }
@@ -595,7 +598,7 @@ mod tests {
     #[test]
     fn asymmetric_wire_ratios_flip_the_placement_side() {
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         // Statically the tie goes to moving the (slightly) smaller left
         // side into db2.
         let l = side("db1", 90_000.0);
@@ -622,10 +625,10 @@ mod tests {
             &cands,
             None,
             Some(&learned),
-        );
+        )
+        .unwrap();
         assert_eq!(learned_placement.dbms.as_str(), "db1");
-        // Same search space, same consult accounting, exact breakdowns.
-        assert_eq!(learned_placement.consults, static_placement.consults);
+        // Exact breakdowns.
         for c in &costed {
             assert_eq!(c.components.total(), c.cost);
         }
@@ -634,7 +637,7 @@ mod tests {
     #[test]
     fn learned_compute_factor_scales_exec_and_startup() {
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
         let cands = [l.dbms.clone(), r.dbms.clone()];
@@ -652,7 +655,8 @@ mod tests {
             &cands,
             None,
             Some(&learned),
-        );
+        )
+        .unwrap();
         let f = learned.compute_factor("db2").unwrap();
         assert!(f > 1.7, "{f}");
         for (s, c) in c_static.iter().zip(&c_learned) {
@@ -669,11 +673,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_candidate_set_is_an_error() {
+        // `allowed_placements: Some(vec![])` leaves nothing to place on.
+        let (topo, _) = setup();
+        let (l, r) = (side("db1", 10.0), side("db2", 10.0));
+        let decided =
+            decide_placement_with_profiles(&topo, &postgres, &l, &r, 10.0, &[], None, None);
+        assert_eq!(
+            decided.unwrap_err(),
+            EngineError::Catalog("no placement candidate to price".into())
+        );
+    }
+
+    #[test]
     fn third_party_candidate_is_worse_than_input_annotations() {
         // The pruning argument: moving both R and S to a third DBMS always
         // transfers more than moving one into the other (uniform network).
         let (topo, _) = setup();
-        let profiles = |_: &NodeId| EngineProfile::postgres();
+        let profiles = postgres;
         let l = side("db1", 100_000.0);
         let r = side("db2", 200_000.0);
         let all = [NodeId::new("db1"), NodeId::new("db2"), NodeId::new("db3")];

@@ -2,7 +2,7 @@
 //! (Section III), plus the statistics XDB gathers by *consulting* the
 //! underlying DBMSes during query preparation.
 
-use crate::consult_cache::{ConsultCache, ConsultReply};
+use crate::consult_cache::ConsultCache;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -135,11 +135,7 @@ impl GlobalCatalog {
         let engine = cluster.engine(gt.dbms.as_str())?;
         let generation = engine.ddl_generation();
         let probe = format!("METADATA {key}");
-        if self
-            .consult_cache
-            .lookup(&gt.dbms, &probe, generation)
-            .is_some()
-        {
+        if self.consult_cache.lookup(&gt.dbms, &probe, generation) {
             self.telemetry
                 .metrics
                 .counter_add("consult.probes", &[("result", "hit")], 1.0);
@@ -151,8 +147,7 @@ impl GlobalCatalog {
         };
         *self.metadata_fetches.write() += 1;
         self.stats.write().insert(key.into_owned(), consulted);
-        self.consult_cache
-            .store(&gt.dbms, &probe, generation, ConsultReply::Stats);
+        self.consult_cache.store(&gt.dbms, &probe, generation);
         self.telemetry
             .metrics
             .counter_add("consult.probes", &[("result", "miss")], 1.0);

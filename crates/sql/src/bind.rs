@@ -242,6 +242,11 @@ impl<'a> Binder<'a> {
     /// Turn an `EXISTS` / `IN (subquery)` predicate into a semi/anti join
     /// over `outer`.
     ///
+    /// `x NOT IN (subquery)` is rejected: it rejects every row once the
+    /// subquery yields a NULL, and `x` NULL never qualifies, which an anti
+    /// join on `x = y` does not do. `NOT EXISTS` says what an anti join
+    /// means.
+    ///
     /// Supported correlation: top-level equality conjuncts in the inner
     /// WHERE clause with one side resolving in the inner scope and the
     /// other in the outer scope (the classic decorrelatable form, e.g.
@@ -251,11 +256,13 @@ impl<'a> Binder<'a> {
         let outer_schema = outer.schema().clone();
         let (query, negated, in_expr) = match pred {
             Expr::Exists { query, negated } => (query, negated, None),
-            Expr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => (query, negated, Some(*expr)),
+            Expr::InSubquery { negated: true, .. } => {
+                return Err(BindError::new(
+                    "NOT IN over a subquery is not supported: a NULL on either side \
+                     is not an anti join; write NOT EXISTS instead",
+                ))
+            }
+            Expr::InSubquery { expr, query, .. } => (query, false, Some(*expr)),
             _ => unreachable!("caller filters for subquery predicates"),
         };
 

@@ -6,8 +6,7 @@
 # values: +0.5%). Host time is gated by BENCHMARK.json, not here;
 # scripts/bench_snapshot.sh + BENCH_exec.json are a diagnostic.
 #
-# Usage: scripts/bench_gate.sh
-# Opt into it from tier-1 with XDB_BENCH_GATE=1 scripts/tier1.sh.
+# Usage: scripts/bench_gate.sh (scripts/tier1.sh runs it on every pass).
 # After an intentional behaviour change, re-baseline with
 #   repro --sf 0.002 --runs 2 --json BENCH_monitor.json monitor
 # The monitor baseline also carries the multi-tenant admission series

@@ -176,10 +176,8 @@ cargo run --release -q -p xdb-bench --bin repro -- drift \
   --flip-rate 25 | tee target/tier1-drift-flip.txt
 grep -q 'no drift' target/tier1-drift-flip.txt
 
-# Bench regression gate (opt-in: it re-runs two whole workloads).
-# XDB_BENCH_GATE=1 re-measures the deterministic monitor workload and the
-# TD1 profile and fails on threshold regressions vs BENCH_monitor.json /
-# drift vs BENCH_history.
-if [ "${XDB_BENCH_GATE:-0}" = "1" ]; then
-  scripts/bench_gate.sh
-fi
+# Bench regression gate: re-measure the deterministic monitor workload and
+# the TD1 profile, and fail on threshold regressions against
+# BENCH_monitor.json or on drift against BENCH_history/. Both re-runs take
+# about a second each with the release build above.
+scripts/bench_gate.sh

@@ -2,12 +2,15 @@
 //! for the delegation engine, across all evaluated queries and table
 //! distributions.
 
+use std::sync::Arc;
 use xdb::core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
 use xdb::core::plan::DelegationPlan;
-use xdb::core::{GlobalCatalog, Xdb};
+use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
-use xdb::net::Scenario;
+use xdb::engine::EngineError;
+use xdb::net::{NodeId, Scenario};
+use xdb::obs::Telemetry;
 use xdb::sql::algebra::LogicalPlan;
 use xdb::sql::bind::bind_select;
 use xdb::sql::optimize::{optimize, OptimizeOptions};
@@ -155,6 +158,46 @@ fn mediator_policy_produces_mw_shape() {
         assert_eq!(plan.task(plan.root).dbms.as_str(), "mediator");
         xdb::baselines::mediator::assert_subqueries_pure(&plan);
     }
+}
+
+/// A placement candidate that is not an engine — here a cloud node of the
+/// topology, admitted by `allowed_placements` — fails the query at
+/// annotation with an error naming the node and the allowed set. Nothing
+/// was deployed: every engine holds as many live objects as before.
+#[test]
+fn non_engine_candidate_is_an_annotation_error() {
+    let (mut cluster, catalog) = federation(TableDist::Td1);
+    let telemetry = Telemetry::new_handle();
+    cluster.set_telemetry(Arc::clone(&telemetry));
+    cluster.topology.add_cloud_node(NodeId::new("cloud"));
+    let live = || -> Vec<f64> {
+        xdb::tpch::NODES
+            .iter()
+            .map(|n| {
+                telemetry
+                    .metrics
+                    .value("ddl.objects_live", &[("engine", n)])
+            })
+            .collect()
+    };
+    let baseline = live();
+    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
+        annotate: AnnotateOptions {
+            allowed_placements: Some(vec![NodeId::new("cloud"), NodeId::new("db3")]),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let err = xdb.submit(TpchQuery::Q3.sql()).unwrap_err();
+    assert_eq!(
+        err,
+        EngineError::Catalog(
+            "placement candidate \"cloud\" is not an engine of the cluster \
+             (allowed_placements: [\"cloud\", \"db3\"])"
+                .to_string()
+        )
+    );
+    assert_eq!(live(), baseline);
 }
 
 /// Failure injection: a name collision makes a delegation DDL fail

@@ -5,12 +5,18 @@
 //! their TD1–TD3 delegation scripts, cost-chosen and with every edge forced
 //! explicit. A rewrite of `sql::bind` or `sql::optimize` that changes any
 //! node, name, type, predicate or join order moves the hash.
+//!
+//! The annotator's decisions are held the same way: every placement, every
+//! costed candidate with its Eq. 1–3 parts, and the consult accounting,
+//! under every placement policy.
 
+use std::fmt::Write as _;
 use std::hash::Hasher;
-use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb::core::annotate::{plan_fingerprint, AnnotateOptions, Annotation, PlacementPolicy};
+use xdb::core::{Annotator, CostProfiles, GlobalCatalog, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
-use xdb::net::{Movement, Scenario};
+use xdb::net::{Movement, NodeId, Scenario};
 use xdb::sql::ast::SelectStmt;
 use xdb::sql::bind::bind_select;
 use xdb::sql::hash::Fnv;
@@ -115,5 +121,153 @@ fn plans_are_pinned() {
         (plans, hash.finish()),
         (537, 9_784_866_353_328_299_410),
         "a plan the middleware or an engine builds changed"
+    );
+}
+
+/// A learned store with wire and compute samples on several edges and
+/// engines, so that learned pricing moves candidates on every TD.
+fn fixed_profiles() -> CostProfiles {
+    let mut profiles = CostProfiles::default();
+    for _ in 0..40 {
+        profiles.observe_wire("db1", "db2", Movement::Implicit, 0.35);
+        profiles.observe_wire("db2", "db1", Movement::Explicit, 0.8);
+        profiles.observe_wire("db3", "db1", Movement::Implicit, 0.5);
+        profiles.observe_compute("db2", 1.6);
+        profiles.observe_compute("db5", 0.7);
+    }
+    profiles
+}
+
+/// Every field of an annotation the rest of the system reads, by name, with
+/// floats as bits.
+fn write_annotation(out: &mut String, ann: &Annotation) {
+    let _ = writeln!(
+        out,
+        "fingerprint={} consults={} cache_hits={}",
+        plan_fingerprint(&ann.plan),
+        ann.consults,
+        ann.cache_hits
+    );
+    out.push_str(&ann.plan.describe());
+    for t in &ann.plan.tasks {
+        let _ = writeln!(out, "task t{} est_rows={:x}", t.id, t.est_rows.to_bits());
+    }
+    for d in &ann.decisions {
+        let c = &d.chosen;
+        let _ = writeln!(
+            out,
+            "chosen={}/{}/{} cost={:x} paid_consults={} out_rows={:x}",
+            c.dbms,
+            c.left_move,
+            c.right_move,
+            c.cost.to_bits(),
+            d.paid_consults,
+            d.out_rows.to_bits()
+        );
+        for side in [&d.left, &d.right] {
+            let _ = writeln!(
+                out,
+                "side={} rows={:x} bytes={:x}",
+                side.dbms,
+                side.rows.to_bits(),
+                side.bytes.to_bits()
+            );
+        }
+        for cand in &d.candidates {
+            let p = &cand.components;
+            let _ = writeln!(
+                out,
+                "candidate={}/{}/{} cost={:x} wire={:x},{:x} move={:x},{:x} exec={:x} startup={:x}",
+                cand.dbms,
+                cand.left_move,
+                cand.right_move,
+                cand.cost.to_bits(),
+                p.wire_left_ms.to_bits(),
+                p.wire_right_ms.to_bits(),
+                p.move_left_ms.to_bits(),
+                p.move_right_ms.to_bits(),
+                p.exec_ms.to_bits(),
+                p.startup_ms.to_bits()
+            );
+        }
+    }
+}
+
+#[test]
+fn annotations_are_pinned() {
+    let mediator = || PlacementPolicy::Mediator("mediator".into());
+    let policies: Vec<AnnotateOptions> = vec![
+        AnnotateOptions::default(),
+        AnnotateOptions {
+            no_pruning: true,
+            ..Default::default()
+        },
+        AnnotateOptions {
+            allowed_placements: Some(vec![NodeId::new("db1"), NodeId::new("db2")]),
+            ..Default::default()
+        },
+        AnnotateOptions {
+            placement: PlacementPolicy::LeftInput,
+            ..Default::default()
+        },
+        AnnotateOptions {
+            placement: mediator(),
+            ..Default::default()
+        },
+        AnnotateOptions {
+            placement: mediator(),
+            no_colocated_fusion: true,
+            ..Default::default()
+        },
+    ];
+    let mut hash = Fnv::default();
+    let mut annotations = 0usize;
+    for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
+        let cluster = build_cluster(
+            td,
+            0.001,
+            Scenario::OnPremise,
+            &ProfileAssignment::heterogeneous(),
+        )
+        .unwrap();
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
+        for table in catalog.table_names() {
+            catalog.consult(&cluster, &table).unwrap();
+        }
+        for learned in [CostProfiles::default(), fixed_profiles()] {
+            catalog.set_profiles(learned);
+            for q in queries() {
+                let select = parse_select(q.sql()).unwrap();
+                for join_shape in [JoinShape::LeftDeep, JoinShape::Bushy] {
+                    let options = OptimizeOptions {
+                        join_shape,
+                        ..Default::default()
+                    };
+                    let bound = bind_select(&select, &catalog).unwrap();
+                    let plan = optimize(bound, &catalog, options);
+                    for policy in &policies {
+                        for force_movement in [None, Some(Movement::Explicit)] {
+                            let options = AnnotateOptions {
+                                force_movement,
+                                ..policy.clone()
+                            };
+                            catalog.clear_placeholders();
+                            let ann = Annotator::new(&catalog, &cluster, options)
+                                .run(&plan)
+                                .unwrap();
+                            let mut text = String::new();
+                            write_annotation(&mut text, &ann);
+                            hash.write(text.as_bytes());
+                            annotations += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (annotations, hash.finish()),
+        (1728, 4_463_122_215_918_796_971),
+        "a placement decision or its accounting changed"
     );
 }

@@ -4,7 +4,9 @@
 //!
 //! Random federations (3 DBMSes, 3 tables with random small contents) and
 //! random SPJA queries (filters, equi-join chains, optional aggregation,
-//! ordering, limits) are executed both ways and compared as bags.
+//! ordering, limits, correlated `EXISTS` / `NOT EXISTS`) are executed both
+//! ways and compared as bags. Some join keys are NULL, so joins, semi joins
+//! and anti joins meet SQL's three-valued logic on both sides.
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod staged;
@@ -21,20 +23,22 @@ use xdb::sql::value::{DataType, Value};
 
 #[derive(Debug, Clone)]
 struct Federation {
-    /// rows for r0(a, g, s) on node n0.
-    r0: Vec<(i64, i64, String)>,
+    /// rows for r0(a, g, s) on node n0; `a` is NULL in some rows.
+    r0: Vec<(Option<i64>, i64, String)>,
     /// rows for r1(a, b) on node n1.
     r1: Vec<(i64, i64)>,
-    /// rows for r2(b, h) on node n2.
-    r2: Vec<(i64, String)>,
+    /// rows for r2(b, h) on node n2; `b` is NULL in some rows.
+    r2: Vec<(Option<i64>, String)>,
 }
 
 fn arb_federation() -> impl Strategy<Value = Federation> {
     let key = 0i64..8;
+    // One key in five is NULL.
+    let nullable_key = || (0i64..10).prop_map(|k| (k < 8).then_some(k));
     (
-        prop::collection::vec((key.clone(), -5i64..5, "[a-c]{1,3}"), 0..24),
-        prop::collection::vec((key.clone(), key.clone()), 0..24),
-        prop::collection::vec((key, "[a-c]{1,3}"), 0..16),
+        prop::collection::vec((nullable_key(), -5i64..5, "[a-c]{1,3}"), 0..24),
+        prop::collection::vec((key.clone(), key), 0..24),
+        prop::collection::vec((nullable_key(), "[a-c]{1,3}"), 0..16),
     )
         .prop_map(|(r0, r1, r2)| Federation { r0, r1, r2 })
 }
@@ -121,6 +125,10 @@ impl Query {
     }
 }
 
+fn int_or_null(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
 fn load(cluster: &Cluster, node: &str, fed: &Federation, table: &str) {
     let rel = match table {
         "r0" => Relation::new(
@@ -131,7 +139,7 @@ fn load(cluster: &Cluster, node: &str, fed: &Federation, table: &str) {
             ],
             fed.r0
                 .iter()
-                .map(|(a, g, s)| vec![Value::Int(*a), Value::Int(*g), Value::str(s)])
+                .map(|(a, g, s)| vec![int_or_null(*a), Value::Int(*g), Value::str(s)])
                 .collect(),
         ),
         "r1" => Relation::new(
@@ -145,7 +153,7 @@ fn load(cluster: &Cluster, node: &str, fed: &Federation, table: &str) {
             vec![("b".into(), DataType::Int), ("h".into(), DataType::Str)],
             fed.r2
                 .iter()
-                .map(|(b, h)| vec![Value::Int(*b), Value::str(h)])
+                .map(|(b, h)| vec![int_or_null(*b), Value::str(h)])
                 .collect(),
         ),
         _ => unreachable!(),

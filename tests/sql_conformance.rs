@@ -394,8 +394,10 @@ fn region_chain(n: usize) -> String {
 
 /// What the binder rejects reaches the caller as a bind error, from a
 /// single engine and through TD1, and nothing panics: an aggregate call
-/// without exactly one argument, and a FROM clause of more relations than a
-/// relation set (a `u64` mask) holds. A FROM clause of 64 still answers.
+/// without exactly one argument, a FROM clause of more relations than a
+/// relation set (a `u64` mask) holds, and `NOT IN` over a subquery, whose
+/// NULL semantics an anti join does not have. A FROM clause of 64 still
+/// answers.
 #[test]
 fn rejected_inputs_are_bind_errors() {
     let solo = Cluster::lan(&["solo"], EngineProfile::postgres());
@@ -425,6 +427,13 @@ fn rejected_inputs_are_bind_errors() {
         (
             region_chain(65),
             "a FROM clause of 65 relations exceeds the limit of 64",
+        ),
+        (
+            "SELECT n_name FROM nation WHERE n_regionkey NOT IN \
+             (SELECT r_regionkey FROM region WHERE r_name = 'ASIA')"
+                .to_string(),
+            "NOT IN over a subquery is not supported: a NULL on either side \
+             is not an anti join; write NOT EXISTS instead",
         ),
     ] {
         let expected = EngineError::Bind(message.to_string());

@@ -10,20 +10,18 @@
 //! degenerates into exactly the MW shape — leaf tasks are the pushed-down
 //! sub-queries and the root task is the mediator's residual plan.
 
-use xdb_core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
+use xdb_core::annotate::{AnnotateOptions, PlacementPolicy};
 use xdb_core::global::GlobalCatalog;
 use xdb_core::plan::{placeholder_name, DelegationPlan, Task};
 use xdb_engine::cluster::Cluster;
-use xdb_engine::error::{EngineError, Result};
+use xdb_engine::error::Result;
 use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_net::{mediator_finish, params, wire, NodeId, Purpose};
 use xdb_sql::algebra::plan_to_select;
-use xdb_sql::ast::Statement;
-use xdb_sql::bind::bind_select;
 use xdb_sql::display::render_select_string;
-use xdb_sql::optimize::{optimize, OptimizeOptions};
+use xdb_sql::optimize::OptimizeOptions;
 
 /// Configuration of one MW system.
 #[derive(Debug, Clone)]
@@ -126,69 +124,21 @@ impl<'a> Mediator<'a> {
         &self.config
     }
 
-    /// Coarse fleet telemetry for one MW submission — emitted once from
-    /// the (single-threaded) tail of `submit`, so it is deterministic.
-    fn note_submit(
-        &self,
-        total_ms: f64,
-        fetch_bytes: u64,
-        fetch_encoded_bytes: u64,
-        subqueries: usize,
-    ) {
-        let telemetry = self.cluster.telemetry();
-        let labels = [("system", self.config.name)];
-        telemetry.metrics.observe("mw.total_ms", &labels, total_ms);
-        telemetry.metrics.counter_add("mw.queries", &labels, 1.0);
-        telemetry
-            .metrics
-            .counter_add("mw.fetch_bytes", &labels, fetch_bytes as f64);
-        telemetry.metrics.counter_add(
-            "mw.fetch_encoded_bytes",
-            &labels,
-            fetch_encoded_bytes as f64,
-        );
-        let bytes = fetch_bytes.to_string();
-        let subs = subqueries.to_string();
-        telemetry.events.log(
-            xdb_obs::Level::Info,
-            "baselines.mediator",
-            None,
-            total_ms,
-            "mediator query completed",
-            &[
-                ("system", self.config.name),
-                ("fetch_bytes", &bytes),
-                ("subqueries", &subs),
-            ],
-        );
-    }
-
     /// Decompose a query into the MW plan: sub-query tasks + mediator
     /// residual.
     pub fn decompose(&self, sql: &str) -> Result<DelegationPlan> {
-        let stmt = xdb_sql::parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(EngineError::Unsupported(
-                "mediator accepts SELECT queries only".into(),
-            ));
-        };
-        for t in self.catalog.table_names() {
-            self.catalog.consult(self.cluster, &t)?;
-        }
-        let bound = bind_select(&select, self.catalog)?;
-        let optimized = optimize(bound, self.catalog, OptimizeOptions::default());
-        self.catalog.clear_placeholders();
-        let annotation = Annotator::new(
-            self.catalog,
+        crate::plan_query(
             self.cluster,
+            self.catalog,
+            "mediator",
+            sql,
+            OptimizeOptions::default(),
             AnnotateOptions {
                 placement: PlacementPolicy::Mediator(self.config.node.clone()),
                 no_colocated_fusion: !self.config.pushdown_joins,
                 ..Default::default()
             },
         )
-        .run(&optimized)?;
-        Ok(annotation.plan)
     }
 
     /// Run one task's sub-query on its DBMS and fetch the result into the
@@ -224,7 +174,27 @@ impl<'a> Mediator<'a> {
 
     /// Execute a query MW-style.
     pub fn submit(&self, sql: &str) -> Result<MwReport> {
-        let plan = self.decompose(sql)?;
+        let report = self.run(&self.decompose(sql)?)?;
+        let bytes = report.fetch_bytes.to_string();
+        let subs = report.subqueries.to_string();
+        crate::note_submit(
+            self.cluster,
+            self.config.name,
+            report.total_ms,
+            (report.fetch_bytes, report.fetch_encoded_bytes),
+            ("baselines.mediator", "mediator query completed"),
+            &[
+                ("system", self.config.name),
+                ("fetch_bytes", &bytes),
+                ("subqueries", &subs),
+            ],
+        );
+        Ok(report)
+    }
+
+    /// Push the sub-queries of `plan` down, fetch their results, and finish
+    /// the residual plan in the mediator.
+    fn run(&self, plan: &DelegationPlan) -> Result<MwReport> {
         let root = plan.task(plan.root);
 
         // 1. Push the sub-queries down and fetch their results, one
@@ -254,14 +224,11 @@ impl<'a> Mediator<'a> {
         if root.dbms != self.config.node {
             debug_assert!(plan.tasks.len() == 1);
             let (rel, finish_ms, transfer, encoded) = self.fetch(root)?;
-            let bytes = rel.wire_bytes();
-            let total_ms = params::DDL_ROUNDTRIP_MS + finish_ms + transfer;
-            self.note_submit(total_ms, bytes, encoded, 1);
             return Ok(MwReport {
-                total_ms,
+                total_ms: params::DDL_ROUNDTRIP_MS + finish_ms + transfer,
                 transfer_ms: transfer,
                 mediator_work_ms: 0.0,
-                fetch_bytes: bytes,
+                fetch_bytes: rel.wire_bytes(),
                 fetch_encoded_bytes: encoded,
                 fetch_rows: rel.len() as u64,
                 subqueries: 1,
@@ -304,8 +271,6 @@ impl<'a> Mediator<'a> {
         // methodology of Section VI-A.
         let free: Vec<(f64, f64)> = fetches.iter().map(|(f, _)| (*f, 0.0)).collect();
         let transfer_ms = total_ms - mediator_finish(startup, mediator_work_ms, &free);
-
-        self.note_submit(total_ms, fetch_bytes, fetch_encoded_bytes, subqueries);
         Ok(MwReport {
             relation,
             total_ms,

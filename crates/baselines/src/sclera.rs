@@ -7,7 +7,7 @@
 //! than XDB.
 
 use std::collections::HashMap;
-use xdb_core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
+use xdb_core::annotate::{AnnotateOptions, PlacementPolicy};
 use xdb_core::global::GlobalCatalog;
 use xdb_core::plan::placeholder_name;
 use xdb_engine::cluster::Cluster;
@@ -15,10 +15,8 @@ use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{wire, Movement, NodeId, Purpose};
 use xdb_sql::algebra::plan_to_select;
-use xdb_sql::ast::Statement;
-use xdb_sql::bind::bind_select;
 use xdb_sql::display::render_select_string;
-use xdb_sql::optimize::{optimize, OptimizeOptions};
+use xdb_sql::optimize::OptimizeOptions;
 
 /// Report of one Sclera-style execution.
 #[derive(Debug, Clone)]
@@ -57,41 +55,26 @@ impl<'a> Sclera<'a> {
     }
 
     pub fn submit(&self, sql: &str) -> Result<ScleraReport> {
-        let stmt = xdb_sql::parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(EngineError::Unsupported(
-                "sclera accepts SELECT queries only".into(),
-            ));
-        };
-        for t in self.catalog.table_names() {
-            self.catalog.consult(self.cluster, &t)?;
-        }
-        let bound = bind_select(&select, self.catalog)?;
-        // ScleraDB-style rule-based optimization: joins are ordered but
-        // intermediate relations keep their full width (no projection
-        // pushdown across the federation) — every exported table carries
-        // all columns through the mediator.
-        let optimized = optimize(
-            bound,
+        let plan = crate::plan_query(
+            self.cluster,
             self.catalog,
+            "sclera",
+            sql,
+            // ScleraDB-style rule-based optimization: joins are ordered but
+            // intermediate relations keep their full width (no projection
+            // pushdown across the federation) — every exported table
+            // carries all columns through the mediator.
             OptimizeOptions {
                 reorder_joins: true,
                 prune_columns: false,
                 ..Default::default()
             },
-        );
-        self.catalog.clear_placeholders();
-        let annotation = Annotator::new(
-            self.catalog,
-            self.cluster,
             AnnotateOptions {
                 placement: PlacementPolicy::LeftInput,
                 force_movement: Some(Movement::Explicit),
                 ..Default::default()
             },
-        )
-        .run(&optimized)?;
-        let plan = annotation.plan;
+        )?;
 
         // Strictly serial task execution; every inter-task relation takes
         // two hops (producer → mediator → consumer) and is materialized at
@@ -187,28 +170,14 @@ impl<'a> Sclera<'a> {
                 .execute(node.as_str(), &format!("DROP TABLE IF EXISTS {name}"));
         }
         let relation = result?;
-        // Coarse fleet telemetry (serial executor: deterministic by
-        // construction).
-        let telemetry = self.cluster.telemetry();
-        let labels = [("system", "sclera")];
-        telemetry.metrics.observe("mw.total_ms", &labels, total_ms);
-        telemetry.metrics.counter_add("mw.queries", &labels, 1.0);
-        telemetry
-            .metrics
-            .counter_add("mw.fetch_bytes", &labels, moved_bytes as f64);
-        telemetry.metrics.counter_add(
-            "mw.fetch_encoded_bytes",
-            &labels,
-            moved_encoded_bytes as f64,
-        );
         let bytes = moved_bytes.to_string();
         let tasks = plan.tasks.len().to_string();
-        telemetry.events.log(
-            xdb_obs::Level::Info,
-            "baselines.sclera",
-            None,
+        crate::note_submit(
+            self.cluster,
+            "sclera",
             total_ms,
-            "sclera query completed",
+            (moved_bytes, moved_encoded_bytes),
+            ("baselines.sclera", "sclera query completed"),
             &[("moved_bytes", &bytes), ("tasks", &tasks)],
         );
         Ok(ScleraReport {

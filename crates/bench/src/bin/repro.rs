@@ -47,11 +47,10 @@
 //!                                # learned-vs-static cost-model replay:
 //!                                # re-annotate the workload under both
 //!                                # pricing modes, report every plan flip
-//!                                # with predicted + measured deltas
-//! repro --profiles dir/ fig9     # seed the learned cost profiles of any
-//!                                # target from dir/history.jsonl
-//!                                # (XDB_STATIC_COSTS=1 disables learned
-//!                                # pricing entirely)
+//!                                # with predicted + measured deltas; the
+//!                                # learned arm prices against the store
+//!                                # rebuilt from dir/history.jsonl (no
+//!                                # other target takes --profiles)
 //! repro --history dir/ profile   # record query history (JSON lines) to
 //!                                # dir/history.jsonl (works for any
 //!                                # target)
@@ -93,111 +92,75 @@ fn main() {
     let mut calibrate_td = TableDist::Td1;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .unwrap_or_else(|| usage(format!("{a} takes {what}")))
+        };
         match a.as_str() {
-            "--sf" => {
-                sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sf takes a number");
-            }
-            "--runs" => {
-                runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs takes a count");
-            }
-            "--tenants" => {
-                tenant_count = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tenants takes a count");
-            }
-            "--digest" => digest_path = Some(it.next().expect("--digest takes a path prefix")),
-            "--trace" => trace_path = Some(it.next().expect("--trace takes a file path")),
-            "--out" => out_path = Some(it.next().expect("--out takes a file path")),
-            "--check-trace" => {
-                check_path = Some(it.next().expect("--check-trace takes a file path"));
-            }
-            "--log" => log_path = Some(it.next().expect("--log takes a file path")),
-            "--metrics" => metrics_path = Some(it.next().expect("--metrics takes a file path")),
-            "--json" => json_path = Some(it.next().expect("--json takes a file path")),
-            "--monitor-baseline" => {
-                monitor_baseline = Some(it.next().expect("--monitor-baseline takes a file path"));
-            }
-            "--history" => history_dir = Some(it.next().expect("--history takes a directory")),
-            "--log-level" => {
-                log_level = Some(it.next().expect("--log-level takes debug|info|warn|error"));
-            }
+            "--sf" => sf = number(&a, value("a number")),
+            "--runs" => runs = number(&a, value("a number")),
+            "--tenants" => tenant_count = number(&a, value("a number")),
+            "--digest" => digest_path = Some(value("a path prefix")),
+            "--trace" => trace_path = Some(value("a file path")),
+            "--out" => out_path = Some(value("a file path")),
+            "--check-trace" => check_path = Some(value("a file path")),
+            "--log" => log_path = Some(value("a file path")),
+            "--metrics" => metrics_path = Some(value("a file path")),
+            "--json" => json_path = Some(value("a file path")),
+            "--monitor-baseline" => monitor_baseline = Some(value("a file path")),
+            "--history" => history_dir = Some(value("a directory")),
+            "--log-level" => log_level = Some(value("debug|info|warn|error")),
             "--td" => {
-                calibrate_td = match it.next().as_deref() {
-                    Some("1") | Some("td1") => TableDist::Td1,
-                    Some("2") | Some("td2") => TableDist::Td2,
-                    Some("3") | Some("td3") => TableDist::Td3,
-                    other => {
-                        eprintln!("repro: --td takes 1|2|3, got {other:?}");
-                        std::process::exit(2);
-                    }
+                calibrate_td = match value("1|2|3").as_str() {
+                    "1" | "td1" => TableDist::Td1,
+                    "2" | "td2" => TableDist::Td2,
+                    "3" | "td3" => TableDist::Td3,
+                    other => usage(format!("--td takes 1|2|3, got {other:?}")),
                 };
             }
-            "--baseline" => drift_baseline = Some(it.next().expect("--baseline takes a directory")),
-            "--current" => drift_current = Some(it.next().expect("--current takes a directory")),
-            "--band" => {
-                drift_band = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--band takes a percentage");
-            }
-            "--flip-rate" => {
-                flip_rate = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--flip-rate takes a percentage"),
-                );
-            }
-            "--profiles" => {
-                profiles_dir = Some(it.next().expect("--profiles takes a history directory"));
-            }
+            "--baseline" => drift_baseline = Some(value("a directory")),
+            "--current" => drift_current = Some(value("a directory")),
+            "--band" => drift_band = number(&a, value("a number")),
+            "--flip-rate" => flip_rate = Some(number(&a, value("a number"))),
+            "--profiles" => profiles_dir = Some(value("a history directory")),
             _ => targets.push(a.to_ascii_lowercase()),
         }
+    }
+    // A learned store is the input of `replay`'s learned arm; every other
+    // target builds its catalogs with an empty store.
+    if profiles_dir.is_some()
+        && (trace_path.is_some() || targets.is_empty() || targets.iter().any(|t| t != "replay"))
+    {
+        usage("--profiles feeds `replay` only (repro --profiles dir replay)");
     }
     // Record-time event filter: events below the level are never retained
     // (they are dropped in `EventLog::log`, not at export).
     if let Some(s) = log_level {
         match xdb_obs::Level::parse(&s) {
             Some(level) => xdb_obs::telemetry::global().events.set_min_level(level),
-            None => {
-                eprintln!("repro: unknown log level {s:?} (debug|info|warn|error)");
-                std::process::exit(2);
-            }
+            None => usage(format!("unknown log level {s:?} (debug|info|warn|error)")),
         }
     }
     // Query-history store: every submission appends one JSON-lines record
     // to <dir>/history.jsonl.
     if let Some(dir) = history_dir {
         if let Err(e) = xdb_obs::telemetry::global().history.enable_dir(&dir) {
-            eprintln!("repro: cannot open history dir {dir}: {e}");
-            std::process::exit(2);
+            usage(format!("cannot open history dir {dir}: {e}"));
         }
         eprintln!("(history: recording to {dir}/history.jsonl)");
     }
     // Learned cost profiles: aggregate a recorded workload's history into
-    // per-(engine, edge-shape) pricing factors and seed every catalog this
-    // process builds with them.  The store is also handed to `replay` as
-    // its learned arm.
+    // per-(engine, edge-shape) pricing factors for `replay`'s learned arm.
     let mut loaded_profiles: Option<xdb_core::CostProfiles> = None;
     let mut profile_source = String::from("(workload self-calibration)");
     if let Some(dir) = &profiles_dir {
         match xdb_core::CostProfiles::from_history_dir(dir) {
             Ok(p) => {
                 eprintln!("(profiles: {} from {dir})", p.describe());
-                xdb_core::set_seed_profiles(Some(p.clone()));
                 profile_source = dir.clone();
                 loaded_profiles = Some(p);
             }
-            Err(e) => {
-                eprintln!("repro: cannot load cost profiles from {dir}: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => usage(format!("cannot load cost profiles from {dir}: {e}")),
         }
     }
     if let Some(path) = check_path {
@@ -228,7 +191,10 @@ fn main() {
         std::process::exit(2);
     }
     let mut out: Box<dyn Write> = match &out_path {
-        Some(path) => Box::new(std::fs::File::create(path).expect("create --out file")),
+        Some(path) => Box::new(
+            std::fs::File::create(path)
+                .unwrap_or_else(|e| usage(format!("cannot create --out file {path}: {e}"))),
+        ),
         None => Box::new(std::io::stdout()),
     };
     let all = targets.iter().any(|t| t == "all");
@@ -322,7 +288,7 @@ fn main() {
         let report = monitor::run_monitor(sf, runs).expect("monitor workload");
         write!(out, "{}", report.render_dashboard()).unwrap();
         if let Some(path) = &metrics_path {
-            std::fs::write(path, report.render_prometheus()).expect("write --metrics file");
+            write_file("--metrics", path, report.render_prometheus());
             eprintln!("(metrics: Prometheus exposition -> {path})");
         }
         if let Some(path) = &json_path {
@@ -337,7 +303,7 @@ fn main() {
                 ],
                 &tr.flat_values(),
             );
-            std::fs::write(path, json).expect("write --json file");
+            write_file("--json", path, json);
             eprintln!("(monitor JSON incl. tenant series -> {path})");
         }
     }
@@ -379,14 +345,14 @@ fn main() {
         if let Some(prefix) = &digest_path {
             let fp = format!("{prefix}.folded.txt");
             let up = format!("{prefix}.unfolded.txt");
-            std::fs::write(&fp, report.folded.digest()).expect("write folded digest");
-            std::fs::write(&up, report.unfolded.digest()).expect("write unfolded digest");
+            write_file("--digest", &fp, report.folded.digest());
+            write_file("--digest", &up, report.unfolded.digest());
             eprintln!("(digests: {fp} / {up})");
         }
     }
     if let Some(path) = trace_path {
         let trace = exp::trace_workload(sf).expect("trace workload");
-        std::fs::write(&path, trace.to_chrome_json()).expect("write --trace file");
+        write_file("--trace", &path, trace.to_chrome_json());
         eprintln!(
             "(trace: {} spans across {} lanes -> {path})",
             trace.spans.len(),
@@ -396,11 +362,30 @@ fn main() {
     if let Some(path) = log_path {
         let events = xdb_obs::telemetry::global().events.to_jsonl();
         let n = events.lines().count();
-        std::fs::write(&path, events).expect("write --log file");
+        write_file("--log", &path, events);
         eprintln!("(log: {n} structured events -> {path})");
     }
     out.flush().unwrap();
     eprintln!("(repro finished in {:.1?})", t0.elapsed());
+}
+
+/// Bad input on the command line: say what was wrong and exit 2.
+fn usage(message: impl std::fmt::Display) -> ! {
+    eprintln!("repro: {message}");
+    std::process::exit(2);
+}
+
+/// The number `flag` was given, or a usage error naming both.
+fn number<T: std::str::FromStr>(flag: &str, raw: String) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| usage(format!("{flag} takes a number, got {raw:?}")))
+}
+
+/// Write the file `flag` names, or exit 2 naming the flag and the path.
+fn write_file(flag: &str, path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        usage(format!("cannot write {flag} file {path}: {e}"));
+    }
 }
 
 /// `repro gate`: re-run the deterministic monitor workload at the

@@ -1,8 +1,8 @@
 //! `repro replay` — learned-vs-static calibration replay.
 //!
 //! Re-annotates the recorded six-query workload twice over identical
-//! data: once with the static Eq. 1–3 cost model (`XDB_STATIC_COSTS`
-//! semantics) and once priced through a fixed learned profile store
+//! data: once with the static Eq. 1–3 cost model (`learned_costs: false`)
+//! and once priced through a fixed learned profile store
 //! (`--profiles dir/`, typically the history a previous `repro … profile`
 //! run wrote). Both arms execute for real, so every plan flip is reported
 //! with its *predicted* delta (chosen-candidate Eq. 1 cost) and its
@@ -130,9 +130,8 @@ fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Ar
         e.catalog.set_profiles(p.clone());
     }
     let options = XdbOptions {
-        // Both arms pin the cost mode explicitly so ambient
-        // XDB_STATIC_COSTS cannot skew the comparison; the learned arm
-        // never absorbs (frozen snapshot).
+        // The static arm prices with the Eq. 1–3 model alone; the learned
+        // arm never absorbs (frozen snapshot).
         learned_costs: profiles.is_some(),
         freeze_profiles: true,
         ..Default::default()

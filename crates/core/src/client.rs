@@ -29,7 +29,7 @@ use xdb_obs::{
     critical_path, CriticalPath, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector,
     TraceCtx,
 };
-use xdb_sql::ast::{Statement, TableRef};
+use xdb_sql::ast::{Expr, SelectStmt, Statement, TableRef};
 use xdb_sql::bind::bind_select;
 use xdb_sql::optimize::{optimize, OptimizeOptions};
 
@@ -90,9 +90,6 @@ pub struct QueryOutcome {
     /// Correlation id of this query: names its `xdb_q<id>_*` objects and
     /// tags its telemetry events.
     pub query_id: u64,
-    /// The deployed DDL script, kept so delegation artifacts left behind
-    /// by `keep_objects` runs can be torn down later via [`Xdb::cleanup`].
-    pub script: DelegationScript,
     /// The structured execution trace: hierarchical spans (query → phase →
     /// task → operator / DDL / transfer) on the simulated clock, plus
     /// counters. Deterministic: every timestamp is simulated.
@@ -132,49 +129,35 @@ pub struct XdbOptions {
     /// future-work extension; decentralized execution pipelines the
     /// independent subtrees in parallel).
     pub bushy_joins: bool,
-    /// Keep the short-lived relations after execution (debugging /
-    /// plan-explorer).
-    pub keep_objects: bool,
     /// Collect per-operator statistics (rows in/out, hash-join build and
     /// probe sizes) inside every engine touched by this query and attach
     /// Operator spans to the trace. Off by default: operator profiling is
     /// the only instrumentation with a per-row bookkeeping footprint.
     pub trace_operators: bool,
     /// Transport morsel size (rows) for streamed dataflow edges; 0 means
-    /// unbounded (one chunk per edge). Defaults to 4096, overridable via
-    /// `XDB_STREAM_CHUNK`. Any value yields bit-identical results,
-    /// ledgers, simulated timings, traces, and deterministic metric
-    /// snapshots — only the quarantined `net.chunks` series moves.
+    /// unbounded (one chunk per edge). Defaults to
+    /// [`xdb_engine::DEFAULT_STREAM_CHUNK_ROWS`]. Any value yields
+    /// bit-identical results, ledgers, simulated timings, traces, and
+    /// deterministic metric snapshots — only the quarantined `net.chunks`
+    /// series moves.
     pub stream_chunk_rows: usize,
     /// Morsel-reactor worker threads decoding streamed edges (0 disables
     /// the reactor; consumers then stream inline on the calling thread).
-    /// Defaults from `XDB_REACTOR_THREADS` (see
-    /// [`xdb_net::reactor::default_threads`]). Any value yields
+    /// Defaults to [`xdb_net::reactor::default_threads`]. Any value yields
     /// bit-identical results, ledgers, simulated timings, traces, and
     /// deterministic metric snapshots — only the quarantined
     /// `sched.reactor_*` series moves, and with it the wall clock.
     pub reactor_threads: usize,
-    /// Slow-query threshold in simulated ms: a query whose total time
-    /// exceeds it gets a `Warn` event carrying its critical-path
-    /// attribution. `None` (the default) disables the slow-query log.
-    pub slow_query_ms: Option<f64>,
     /// Price placement/movement candidates through the catalog's learned
     /// cost profiles and feed each executed query's cost observation back
-    /// into them. On by default; `XDB_STATIC_COSTS=1` (or setting this to
-    /// false) reproduces the static Eq. 1–3 model bit-exactly — plans,
-    /// traces, and every deterministic snapshot match the pre-feedback
-    /// build.
+    /// into them. On by default; `false` reproduces the static Eq. 1–3
+    /// model bit-exactly — plans, traces, and every deterministic snapshot
+    /// match the pre-feedback build.
     pub learned_costs: bool,
     /// Keep pricing through the learned profiles but stop absorbing new
     /// observations. Used by the session layer (its gated series were
     /// recorded that way) and by the fixed-profile arms of `repro replay`.
     pub freeze_profiles: bool,
-}
-
-/// The `XDB_STATIC_COSTS` default for [`XdbOptions::learned_costs`]: any
-/// non-empty value other than `0` disables learned pricing.
-pub fn default_learned_costs() -> bool {
-    !matches!(std::env::var("XDB_STATIC_COSTS"), Ok(v) if !v.trim().is_empty() && v.trim() != "0")
 }
 
 impl Default for XdbOptions {
@@ -184,12 +167,10 @@ impl Default for XdbOptions {
             no_join_reorder: false,
             no_column_pruning: false,
             bushy_joins: false,
-            keep_objects: false,
             trace_operators: false,
-            stream_chunk_rows: xdb_engine::default_stream_chunk_rows(),
+            stream_chunk_rows: xdb_engine::DEFAULT_STREAM_CHUNK_ROWS,
             reactor_threads: xdb_net::reactor::default_threads(),
-            slow_query_ms: None,
-            learned_costs: default_learned_costs(),
+            learned_costs: true,
             freeze_profiles: false,
         }
     }
@@ -305,7 +286,7 @@ impl<'a> Xdb<'a> {
             0.0,
         );
         let mut tables = Vec::new();
-        collect_tables(&select.from, &mut tables);
+        collect_tables(&select, &mut tables);
         let mut cursor = PREP_PARSE_MS;
         let mut prep_hits = 0u64;
         let mut prep_fetches = 0u64;
@@ -640,9 +621,11 @@ impl<'a> Xdb<'a> {
             ledger_mark,
             ..
         } = self.run_planned(&trace, &delegation, &script, None)?;
-        if !self.options.keep_objects {
-            run_cleanup(self.cluster, &script);
-        }
+        run_cleanup(self.cluster, &script);
+        // Free the script's statements before the tail below allocates, so
+        // the tail reuses their memory: dropped at the end of `submit`
+        // instead, `td3_overhead` rounds ran 3% slower (2-vCPU Xeon).
+        drop(script);
         // Everything this query recorded, read once for the transfer
         // spans, the observatory and the history record.
         let fresh = self.cluster.ledger.since(ledger_mark);
@@ -675,62 +658,23 @@ impl<'a> Xdb<'a> {
             "query completed",
             &[("rows", &rows), ("total_ms", &total)],
         );
-        // Query history + slow-query log: both consume the critical path,
-        // so compute it only when either consumer is active. Everything
-        // recorded here is simulated-clock / script-order state — records
-        // are bit-identical across reactor settings and stream-chunk sizes.
-        let slow = self
-            .options
-            .slow_query_ms
-            .is_some_and(|t| breakdown.total_ms() > t);
-        if telemetry.history.is_enabled() || slow {
+        // Query history: the record carries the critical path, so compute
+        // it only when the history is on. Everything recorded here is
+        // simulated-clock / script-order state — records are bit-identical
+        // across reactor settings and stream-chunk sizes.
+        if telemetry.history.is_enabled() {
             let crit = critical_path(&trace);
-            if telemetry.history.is_enabled() {
-                let record = self.history_record(
-                    sql,
-                    &delegation,
-                    &breakdown,
-                    crit.as_ref(),
-                    query_id,
-                    &fresh,
-                    &statements,
-                    &cost,
-                );
-                telemetry.history.append(record);
-            }
-            if slow {
-                let threshold = format!("{}", self.options.slow_query_ms.unwrap_or(0.0));
-                let mut fields: Vec<(String, String)> = vec![
-                    ("total_ms".to_string(), total.clone()),
-                    ("threshold_ms".to_string(), threshold),
-                ];
-                if let Some(crit) = &crit {
-                    fields.push(("crit_spans".to_string(), crit.steps.len().to_string()));
-                    if let Some(top) = crit.dominant() {
-                        fields.push((
-                            "dominant".to_string(),
-                            format!(
-                                "{:.0}% {} on {}",
-                                crit.share_pct(top.ns),
-                                top.category.label(),
-                                top.location
-                            ),
-                        ));
-                    }
-                }
-                let borrowed: Vec<(&str, &str)> = fields
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                telemetry.events.log(
-                    xdb_obs::Level::Warn,
-                    "core.client",
-                    Some(query_id),
-                    breakdown.total_ms(),
-                    "slow query",
-                    &borrowed,
-                );
-            }
+            let record = self.history_record(
+                sql,
+                &delegation,
+                &breakdown,
+                crit.as_ref(),
+                query_id,
+                &fresh,
+                &statements,
+                &cost,
+            );
+            telemetry.history.append(record);
         }
         Ok(QueryOutcome {
             relation: outcome.relation,
@@ -739,19 +683,9 @@ impl<'a> Xdb<'a> {
             consult_roundtrips: consults,
             ddl_count: outcome.ddl_count,
             query_id,
-            script,
             trace,
             cost,
         })
-    }
-
-    /// Tear down the delegation artifacts (`xdb_q<id>_*` views, foreign
-    /// tables, and materialized copies) a `keep_objects` run left behind,
-    /// in reverse-dependency order. Idempotent (`DROP … IF EXISTS`);
-    /// returns the number of successful drops. After this, every engine's
-    /// `ddl.objects_live` gauge is back to its pre-query value.
-    pub fn cleanup(&self, outcome: &QueryOutcome) -> usize {
-        run_cleanup(self.cluster, &outcome.script)
     }
 
     /// Assemble the [`HistoryRecord`] of one finished submission: plan
@@ -1002,9 +936,19 @@ fn statements_from_trace(trace: &QueryTrace) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn collect_tables(from: &[TableRef], out: &mut Vec<String>) {
-    for t in from {
+/// Every table a query block reads, each once, in order of first mention:
+/// its FROM items (derived tables included), then the tables of the
+/// `EXISTS` / `IN (SELECT …)` subqueries in its WHERE and HAVING.
+fn collect_tables(select: &SelectStmt, out: &mut Vec<String>) {
+    for t in &select.from {
         collect_tables_ref(t, out);
+    }
+    for pred in select.selection.iter().chain(&select.having) {
+        pred.walk(&mut |e| {
+            if let Expr::Exists { query, .. } | Expr::InSubquery { query, .. } = e {
+                collect_tables(query, out);
+            }
+        });
     }
 }
 
@@ -1016,7 +960,7 @@ fn collect_tables_ref(t: &TableRef, out: &mut Vec<String>) {
                 out.push(key);
             }
         }
-        TableRef::Derived { query, .. } => collect_tables(&query.from, out),
+        TableRef::Derived { query, .. } => collect_tables(query, out),
         TableRef::Join { left, right, .. } => {
             collect_tables_ref(left, out);
             collect_tables_ref(right, out);
@@ -1081,24 +1025,37 @@ mod tests {
         assert_eq!(into_cloud, cluster.ledger.bytes_for(Purpose::FinalResult));
     }
 
+    /// Prep consults every table a query reads, also one that only a WHERE
+    /// subquery reads: on a fresh catalog TPC-H Q4 (`EXISTS` over
+    /// `lineitem`) is priced with `lineitem`'s statistics, so it plans as
+    /// it does once every table has been consulted.
     #[test]
-    fn keep_objects_leaves_views_in_place() {
-        let (cluster, catalog) = setup();
-        let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-            keep_objects: true,
-            ..Default::default()
-        });
-        let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-        let root_node = outcome
-            .delegation
-            .task(outcome.delegation.root)
-            .dbms
-            .clone();
-        let names = cluster
-            .engine(root_node.as_str())
-            .unwrap()
-            .with_catalog(|c| c.names());
-        assert!(names.iter().any(|n| n.starts_with("xdb_q")));
+    fn prep_consults_the_tables_of_where_subqueries() {
+        use xdb_engine::profile::EngineProfile;
+        use xdb_net::Scenario;
+        use xdb_sql::stats::StatsProvider;
+        use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+        let plan_q4 = |warm: bool| {
+            let cluster = build_cluster(
+                TableDist::Td1,
+                0.001,
+                Scenario::OnPremise,
+                &ProfileAssignment::uniform(EngineProfile::postgres()),
+            )
+            .unwrap();
+            let catalog = GlobalCatalog::discover(&cluster).unwrap();
+            if warm {
+                for t in catalog.table_names() {
+                    catalog.consult(&cluster, &t).unwrap();
+                }
+            }
+            let (plan, _, _, _) = Xdb::new(&cluster, &catalog)
+                .plan(TpchQuery::Q4.sql())
+                .unwrap();
+            assert!(catalog.table_rows("lineitem").is_some(), "warm={warm}");
+            plan_fingerprint(&plan)
+        };
+        assert_eq!(plan_q4(false), plan_q4(true));
     }
 
     #[test]

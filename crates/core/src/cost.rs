@@ -184,7 +184,7 @@ pub struct CandidateCost {
 /// Every candidate is re-priced through the `learned` cost profiles. With
 /// `learned = None` (or an empty/irrelevant store) every arithmetic
 /// operation is identical to the static path — the bit-exact contract
-/// behind the `XDB_STATIC_COSTS=1` kill switch.
+/// behind `XdbOptions::learned_costs = false`.
 ///
 /// Learned re-pricing per candidate `a`:
 /// - movement terms via [`movement_cost_split`] (encoded-byte

@@ -48,8 +48,9 @@ pub struct GlobalCatalog {
     /// cluster's handle so consultation counters land next to the engine
     /// and network metrics of the same federation.
     telemetry: Arc<Telemetry>,
-    /// Learned cost profiles (feedback from the cost-model observatory),
-    /// seeded by `set_seed_profiles` (`repro --profiles`) and grown by
+    /// Learned cost profiles (feedback from the cost-model observatory):
+    /// empty in a new catalog, installed whole by
+    /// [`GlobalCatalog::set_profiles`] and grown by
     /// [`GlobalCatalog::absorb_cost_observation`] after each query. An
     /// annotation run prices against a shared snapshot; an absorb mutates
     /// in place unless a snapshot is still out (`Arc::make_mut`).
@@ -65,7 +66,7 @@ impl GlobalCatalog {
             metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
             telemetry: Arc::clone(xdb_obs::telemetry::global()),
-            profiles: RwLock::new(Arc::new(crate::profiles::seed_profiles())),
+            profiles: RwLock::new(Arc::default()),
         }
     }
 

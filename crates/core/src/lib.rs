@@ -39,5 +39,5 @@ pub use consult_cache::ConsultCache;
 pub use delegation::{build_script, run_cleanup, run_script_parallel, DelegationScript};
 pub use global::GlobalCatalog;
 pub use plan::{DelegationPlan, Edge, Task};
-pub use profiles::{set_seed_profiles, CostProfiles};
+pub use profiles::CostProfiles;
 pub use session::{QueryServer, SessionOptions, SessionReport, Submission, TenantOutcome};

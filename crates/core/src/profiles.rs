@@ -288,24 +288,6 @@ impl CostProfiles {
     }
 }
 
-/// Process-wide profile seed, set by `repro --profiles dir/` before any
-/// catalog is built.
-static SEED: parking_lot::Mutex<Option<CostProfiles>> = parking_lot::Mutex::new(None);
-
-/// Install a process-wide profile seed: every [`crate::GlobalCatalog`]
-/// built afterwards starts from a clone of `profiles` (pass `None` to
-/// clear). This is how `repro --profiles dir/` threads a history-derived
-/// store into experiment harnesses that build their own catalogs.
-pub fn set_seed_profiles(profiles: Option<CostProfiles>) {
-    *SEED.lock() = profiles;
-}
-
-/// The seed a fresh catalog starts from: what [`set_seed_profiles`]
-/// installed, else the empty store.
-pub(crate) fn seed_profiles() -> CostProfiles {
-    SEED.lock().clone().unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,43 +150,6 @@ fn report_appends_critical_path() {
 }
 
 #[test]
-fn slow_query_log_carries_attribution() {
-    let _guard = SUBMIT_LOCK.lock();
-    let (cluster, catalog, telemetry) = setup();
-    // Threshold 0: everything is slow.
-    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        slow_query_ms: Some(0.0),
-        ..Default::default()
-    });
-    xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    let events = telemetry.events.snapshot();
-    let slow = events
-        .iter()
-        .find(|e| e.message == "slow query")
-        .expect("slow-query event");
-    assert_eq!(slow.level, xdb_obs::Level::Warn);
-    assert!(slow.fields.iter().any(|(k, _)| k == "crit_spans"));
-    let dominant = slow
-        .fields
-        .iter()
-        .find(|(k, _)| k == "dominant")
-        .expect("dominant attribution");
-    assert!(dominant.1.contains('%'), "{dominant:?}");
-    // Above-threshold queries stay quiet.
-    let (cluster, catalog, telemetry) = setup();
-    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        slow_query_ms: Some(1e12),
-        ..Default::default()
-    });
-    xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    assert!(telemetry
-        .events
-        .snapshot()
-        .iter()
-        .all(|e| e.message != "slow query"));
-}
-
-#[test]
 fn log_level_filter_does_not_perturb_deterministic_snapshot() {
     let _guard = SUBMIT_LOCK.lock();
     loop {

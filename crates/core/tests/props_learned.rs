@@ -5,11 +5,13 @@
 //! bit-identical (result rows,
 //! simulated breakdown, transfer ledger, canonical trace, deterministic
 //! telemetry snapshot). Learned pricing may *flip plans* relative to
-//! static pricing, but never relative to itself.
+//! static pricing, but never relative to itself. Static pricing repeats
+//! itself on a fresh federation, and the feedback loop settles.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use xdb_core::{CostProfiles, GlobalCatalog, Xdb, XdbOptions};
+use xdb_core::{CostProfiles, GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
+use xdb_engine::cluster::Cluster;
 use xdb_engine::profile::EngineProfile;
 use xdb_net::{Movement, NodeId, Scenario};
 use xdb_obs::Telemetry;
@@ -65,12 +67,10 @@ fn normalize_ids(s: &str) -> String {
     out
 }
 
-/// One full TD1 submission priced through the fixed profile store under
-/// the given executor knobs; returns the query id and the complete
-/// observable fingerprint of the run.
-fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
+/// A fresh federation on `dist` with an isolated telemetry handle.
+fn federation(dist: TableDist) -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     let mut cluster = build_cluster(
-        TableDist::Td1,
+        dist,
         0.002,
         Scenario::OnPremise,
         &ProfileAssignment::uniform(EngineProfile::postgres()),
@@ -81,6 +81,29 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     cluster.set_telemetry(Arc::clone(&telemetry));
     let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
     catalog.set_telemetry(Arc::clone(&telemetry));
+    (cluster, catalog, telemetry)
+}
+
+/// Result rows (every value bit-rendered), simulated breakdown and
+/// canonical trace of one submission.
+fn outcome_fingerprint(outcome: &QueryOutcome) -> String {
+    let mut fp = String::new();
+    for i in 0..outcome.relation.len() {
+        for c in 0..outcome.relation.width() {
+            fp.push_str(&format!("{:?}|", outcome.relation.value(i, c)));
+        }
+        fp.push('\n');
+    }
+    fp.push_str(&format!("{:?}\n", outcome.breakdown));
+    fp.push_str(&outcome.trace.canonical());
+    fp
+}
+
+/// One full TD1 submission priced through the fixed profile store under
+/// the given executor knobs; returns the query id and the complete
+/// observable fingerprint of the run.
+fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
+    let (cluster, catalog, telemetry) = federation(TableDist::Td1);
     catalog.set_profiles(fixed_profiles());
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
@@ -94,18 +117,10 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
             ..Default::default()
         });
     let outcome = xdb.submit(q.sql()).unwrap();
-    let mut fp = String::new();
-    for i in 0..outcome.relation.len() {
-        for c in 0..outcome.relation.width() {
-            fp.push_str(&format!("{:?}|", outcome.relation.value(i, c)));
-        }
-        fp.push('\n');
-    }
-    fp.push_str(&format!("{:?}\n", outcome.breakdown));
+    let mut fp = outcome_fingerprint(&outcome);
     for t in cluster.ledger.snapshot() {
         fp.push_str(&format!("{t:?}\n"));
     }
-    fp.push_str(&outcome.trace.canonical());
     fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
     (outcome.query_id, normalize_ids(&fp))
 }
@@ -146,6 +161,47 @@ proptest! {
     }
 }
 
+/// Static pricing repeats itself: two rounds of the workload on a fresh
+/// federation with `learned_costs: false` give the same results,
+/// breakdowns and canonical traces as on another fresh federation, on
+/// every distribution — and the second round plans as the first did,
+/// since static pricing learns nothing.
+#[test]
+fn static_pricing_repeats_on_a_fresh_federation() {
+    let workload = |dist: TableDist| {
+        let (cluster, catalog, _telemetry) = federation(dist);
+        let xdb = Xdb::new(&cluster, &catalog)
+            .with_client_node(CLOUD)
+            .with_options(XdbOptions {
+                learned_costs: false,
+                ..Default::default()
+            });
+        let (mut widths, mut plans, mut fp) = (Vec::new(), Vec::new(), String::new());
+        for _round in 0..2 {
+            for q in TpchQuery::ALL {
+                let outcome = xdb.submit(q.sql()).unwrap();
+                widths.push(outcome.query_id.to_string().len());
+                plans.push(xdb_core::annotate::plan_fingerprint(&outcome.delegation));
+                fp.push_str(&outcome_fingerprint(&outcome));
+            }
+        }
+        let (first, second) = plans.split_at(TpchQuery::ALL.len());
+        assert_eq!(first, second, "{}: static plans moved", dist.name());
+        (widths, normalize_ids(&fp))
+    };
+    let _guard = SUBMIT_LOCK.lock();
+    for dist in TableDist::ALL {
+        loop {
+            let (widths_a, a) = workload(dist);
+            let (widths_b, b) = workload(dist);
+            if widths_a == widths_b {
+                assert_eq!(a, b, "{}: static pricing diverged", dist.name());
+                break;
+            }
+        }
+    }
+}
+
 /// The feedback loop settles: replaying the workload against live profile
 /// feedback reaches, on every distribution, a set of plans that no later
 /// round changes — and from then on a store that gains no key.
@@ -155,18 +211,7 @@ fn replayed_workload_settles_on_a_fixed_plan_set() {
     const SETTLED_BY: usize = 10;
     let _guard = SUBMIT_LOCK.lock();
     for dist in TableDist::ALL {
-        let mut cluster = build_cluster(
-            dist,
-            0.002,
-            Scenario::OnPremise,
-            &ProfileAssignment::uniform(EngineProfile::postgres()),
-        )
-        .unwrap();
-        cluster.topology.add_cloud_node(NodeId::new(CLOUD));
-        let telemetry = Telemetry::new_handle();
-        cluster.set_telemetry(Arc::clone(&telemetry));
-        let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
-        catalog.set_telemetry(telemetry);
+        let (cluster, catalog, _telemetry) = federation(dist);
         let xdb = Xdb::new(&cluster, &catalog).with_client_node(CLOUD);
         let mut plans = std::collections::BTreeSet::new();
         let mut last_new_plan = 0;

@@ -1,6 +1,6 @@
-//! Morsel-reactor determinism properties: for any TD1 query, turning the
-//! edge reactor on or off or changing the transport morsel size must
-//! leave every deterministic
+//! Morsel-reactor determinism properties: for any query on any table
+//! distribution (TD1–TD3), turning the edge reactor on or off or changing
+//! the transport morsel size must leave every deterministic
 //! observable bit-identical — result rows, simulated breakdown, transfer
 //! ledger (raw and encoded bytes), canonical trace, and the deterministic
 //! telemetry snapshot. Only the wall clock and the quarantined
@@ -53,11 +53,11 @@ fn normalize_ids(s: &str) -> String {
     out
 }
 
-/// One full TD1 submission under the given streaming knobs; returns the
+/// One full submission under the given streaming knobs; returns the
 /// query id and the complete observable fingerprint of the run.
-fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
+fn run(q: TpchQuery, td: TableDist, reactor_threads: usize, chunk: usize) -> (u64, String) {
     let mut cluster = build_cluster(
-        TableDist::Td1,
+        td,
         0.002,
         Scenario::OnPremise,
         &ProfileAssignment::uniform(EngineProfile::postgres()),
@@ -98,11 +98,16 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
 
 /// Run the reference configuration and the sampled one back-to-back,
 /// retrying until both query ids render at the same decimal width.
-fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
+fn comparable_pair(
+    q: TpchQuery,
+    td: TableDist,
+    a: (usize, usize),
+    b: (usize, usize),
+) -> (String, String) {
     let _guard = SUBMIT_LOCK.lock();
     loop {
-        let (ida, fa) = run(q, a.0, a.1);
-        let (idb, fb) = run(q, b.0, b.1);
+        let (ida, fa) = run(q, td, a.0, a.1);
+        let (idb, fb) = run(q, td, b.0, b.1);
         if ida.to_string().len() == idb.to_string().len() {
             return (fa, fb);
         }
@@ -110,23 +115,26 @@ fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (Strin
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
     fn reactor_and_chunking_are_unobservable(
         qi in 0usize..TpchQuery::ALL.len(),
+        ti in 0usize..TableDist::ALL.len(),
         rpick in 0usize..2,
         cpick in 0usize..3,
     ) {
         let q = TpchQuery::ALL[qi];
+        let td = TableDist::ALL[ti];
         let reactor_threads = [0usize, 2][rpick];
         let chunk = [1usize, 4096, 0][cpick];
         // Reference: reactor off, unbounded edges — the plainest run.
-        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
+        let (reference, sampled) = comparable_pair(q, td, (0, 0), (reactor_threads, chunk));
         prop_assert_eq!(
             reference,
             sampled,
-            "{} diverges at reactor={} chunk={}",
+            "{} on {} diverges at reactor={} chunk={}",
             q.name(),
+            td.name(),
             reactor_threads,
             chunk
         );

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::annotate::AnnotateOptions;
 use xdb_core::scenario::{self, ScenarioConfig};
-use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
+use xdb_core::{run_cleanup, GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_net::Movement;
 use xdb_obs::{json, Telemetry};
@@ -155,13 +155,14 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
                 .value("ddl.objects_live", &[("engine", n)])
         })
         .collect();
-    let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
-        keep_objects: true,
-        ..Default::default()
-    });
-    let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    // keep_objects left the delegation chain deployed: some engine holds
-    // more live objects than before.
+    // Deploy the delegation chain statement by statement and leave it
+    // standing: some engine holds more live objects than before.
+    let (_, script, _, _) = Xdb::new(&cluster, &catalog)
+        .plan(scenario::EXAMPLE_QUERY)
+        .unwrap();
+    for step in &script.steps {
+        cluster.execute(step.node.as_str(), &step.sql).unwrap();
+    }
     let live: Vec<f64> = nodes
         .iter()
         .map(|n| {
@@ -174,7 +175,7 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
         live.iter().zip(&baseline).any(|(l, b)| l > b),
         "no engine gained live objects: {live:?} vs {baseline:?}"
     );
-    let dropped = xdb.cleanup(&outcome);
+    let dropped = run_cleanup(&cluster, &script);
     assert!(dropped > 0);
     for (i, n) in nodes.iter().enumerate() {
         let after = telemetry
@@ -190,7 +191,7 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
         );
     }
     // Cleanup is idempotent (DROP IF EXISTS) and logged.
-    assert_eq!(xdb.cleanup(&outcome), dropped);
+    assert_eq!(run_cleanup(&cluster, &script), dropped);
     assert!(telemetry
         .events
         .snapshot()

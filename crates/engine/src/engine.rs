@@ -175,7 +175,7 @@ impl Engine {
             catalog: RwLock::new(Arc::new(Catalog::new())),
             ddl_generation: AtomicU64::new(0),
             trace_ops: AtomicBool::new(false),
-            stream_chunk_rows: AtomicUsize::new(default_stream_chunk_rows()),
+            stream_chunk_rows: AtomicUsize::new(DEFAULT_STREAM_CHUNK_ROWS),
             reactor_threads: AtomicUsize::new(xdb_net::reactor::default_threads()),
             scratch_pool: Mutex::new(Vec::new()),
             telemetry: RwLock::new(Arc::clone(xdb_obs::telemetry::global())),
@@ -605,16 +605,11 @@ impl Engine {
     }
 }
 
-/// Default transport morsel size for streamed edges. `XDB_STREAM_CHUNK`
-/// overrides it (`0` = unbounded, one chunk per edge); the CI smoke runs
-/// `repro fig9` under 1 / default / 0 and asserts byte-identical output.
+/// Default transport morsel size for streamed edges (`0` = unbounded, one
+/// chunk per edge). Any size is unobservable: `crates/core/tests/streaming.rs`
+/// and `props_reactor.rs` hold results, ledgers and traces identical at 1,
+/// 4096 and 0.
 pub const DEFAULT_STREAM_CHUNK_ROWS: usize = 4096;
-
-/// Resolve the morsel size from the environment, falling back to
-/// [`DEFAULT_STREAM_CHUNK_ROWS`].
-pub fn default_stream_chunk_rows() -> usize {
-    xdb_net::env_number("XDB_STREAM_CHUNK").unwrap_or(DEFAULT_STREAM_CHUNK_ROWS)
-}
 
 fn ddl_outcome() -> StatementOutcome {
     StatementOutcome {

@@ -29,8 +29,7 @@ pub mod vector;
 
 pub use cluster::Cluster;
 pub use engine::{
-    default_stream_chunk_rows, Engine, ExecReport, ExplainInfo, NoRemote, Remote, StatementOutcome,
-    DEFAULT_STREAM_CHUNK_ROWS,
+    Engine, ExecReport, ExplainInfo, NoRemote, Remote, StatementOutcome, DEFAULT_STREAM_CHUNK_ROWS,
 };
 pub use error::{EngineError, Result};
 pub use profile::EngineProfile;

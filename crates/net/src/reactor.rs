@@ -45,16 +45,14 @@ pub fn host_parallelism() -> usize {
     *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Resolve the reactor worker count from the environment.
-///
-/// `XDB_REACTOR_THREADS` overrides (0 = off, everything runs inline on
-/// the owning task's thread). The default is the machine parallelism
-/// *minus one* (the consumer thread is busy too), capped at 8 — on a
-/// single-core host the reactor defaults to off, because thread-level
-/// overlap cannot pay for its own handoffs there.
+/// The default reactor worker count: the machine parallelism *minus one*
+/// (the consumer thread is busy too), capped at 8 — on a single-core host
+/// the reactor is off (everything runs inline on the owning task's
+/// thread), because thread-level overlap cannot pay for its own handoffs
+/// there. `XdbOptions::reactor_threads` / `Cluster::set_reactor_threads`
+/// choose another count.
 pub fn default_threads() -> usize {
-    crate::env_number("XDB_REACTOR_THREADS")
-        .unwrap_or_else(|| host_parallelism().saturating_sub(1).min(8))
+    host_parallelism().saturating_sub(1).min(8)
 }
 
 /// Error returned by channel operations after a panic poisoned the edge.

@@ -12,11 +12,21 @@ cargo test -q
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Knob census: the XDB_* variables the code and these scripts read must be
-# exactly the ones README's environment table documents, so that neither a
-# new nor a dead knob gets in unnoticed.
-diff <(grep -rhoE 'XDB_[A-Z_]+' crates/*/src scripts | sort -u) \
-     <(grep -oE '^\| `XDB_[A-Z_]+`' README.md | grep -oE 'XDB_[A-Z_]+' | sort -u)
+# Knob census: the one XDB_* variable is repro's telemetry off switch. The
+# code, these scripts and README's environment table name it and no other,
+# so that neither a new nor a dead knob gets in unnoticed.
+diff <(grep -rhoE 'XDB_[A-Z_]+' crates/*/src scripts | sort -u) <(echo XDB_TELEMETRY_OFF)
+diff <(grep -oE '^\| `XDB_[A-Z_]+`' README.md | grep -oE 'XDB_[A-Z_]+') <(echo XDB_TELEMETRY_OFF)
+
+# Environment census: the library is configured through its options alone
+# (README "Environment"). No non-test code of the library crates reads the
+# environment, directly or through a helper.
+for f in $(grep -rlE 'std::env|env_number\(' crates/{sql,engine,net,obs,core,baselines,tpch}/src || true); do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'std::env|env_number\('; then
+    echo "$f: library code reads the environment" >&2
+    exit 1
+  fi
+done
 
 # Thread census: the only file of the library crates that starts a thread
 # is the edge reactor's pool (DESIGN.md §6 "Threads"). The shim crates
@@ -68,26 +78,6 @@ cargo run --release -q -p xdb-bench --bin repro -- \
   --out target/tier1-smoke-report.txt
 cargo run --release -q -p xdb-bench --bin repro -- \
   --check-trace target/tier1-smoke.trace.json
-
-# Streaming smoke test: the transport chunk size of the compressed wire
-# format is an implementation detail — single-row morsels and unbounded
-# frames must both be byte-identical to the default (4096-row) run.
-XDB_STREAM_CHUNK=1 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-chunk1.txt
-cmp target/tier1-smoke-report.txt target/tier1-smoke-chunk1.txt
-XDB_STREAM_CHUNK=0 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-unchunked.txt
-cmp target/tier1-smoke-report.txt target/tier1-smoke-unchunked.txt
-
-# Reactor smoke test: the morsel-driven edge reactor moves decode and
-# consumer work onto a worker pool, but every deterministic observable
-# must stay byte-identical to the run that decodes inline.
-XDB_REACTOR_THREADS=0 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-inline.txt
-XDB_REACTOR_THREADS=2 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-reactor.txt
-cmp target/tier1-smoke-reactor.txt target/tier1-smoke-inline.txt
-cmp target/tier1-smoke-report.txt target/tier1-smoke-inline.txt
 
 # Telemetry smoke test: the workload monitor must render its dashboard
 # plus Prometheus/JSON exports, the exports must be non-empty, and the
@@ -150,11 +140,10 @@ grep -q 'by edge shape' target/tier1-calibrate.txt
 grep -q 'per-query placement regret' target/tier1-calibrate.txt
 
 # Learned cost-model smoke test: the feedback loop must keep result rows
-# bit-identical while it re-prices plans, the XDB_STATIC_COSTS kill
-# switch must be fully deterministic (it reproduces the pre-learned
-# plans bit-exactly — covered by the replay arms and the core unit
-# tests), profiles must seed from a recorded history via --profiles, and
-# a history compared against itself under a flip budget must stay clean.
+# bit-identical while it re-prices plans, `replay`'s learned arm must
+# price against a recorded history via --profiles, and a history compared
+# against itself under a flip budget must stay clean. (That static pricing
+# repeats itself is held in process: props_learned.rs.)
 rm -rf target/tier1-profiles
 cargo run --release -q -p xdb-bench --bin repro -- \
   --sf 0.002 --history target/tier1-profiles fig9 --out /dev/null
@@ -166,11 +155,6 @@ grep -q 'result rows: bit-identical across arms' target/tier1-replay.txt
 cargo run --release -q -p xdb-bench --bin repro -- \
   --sf 0.002 replay --out target/tier1-replay-self.txt
 grep -q 'result rows: bit-identical across arms' target/tier1-replay-self.txt
-XDB_STATIC_COSTS=1 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-static.txt
-XDB_STATIC_COSTS=1 cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 fig9 --out target/tier1-smoke-static-again.txt
-cmp target/tier1-smoke-static.txt target/tier1-smoke-static-again.txt
 cargo run --release -q -p xdb-bench --bin repro -- drift \
   --baseline target/tier1-profiles --current target/tier1-profiles \
   --flip-rate 25 | tee target/tier1-drift-flip.txt

@@ -12,6 +12,7 @@
 //! is *cut* into its own task, leaving a `?` placeholder (dummy operator)
 //! behind.
 
+use crate::consult_cache::Probe;
 use crate::cost::{decide_placement_with_profiles, CandidateCost, InputSide, Placement};
 use crate::global::GlobalCatalog;
 use crate::plan::{placeholder_alias, placeholder_name, DelegationPlan, Edge, Task};
@@ -149,9 +150,9 @@ pub fn plan_fingerprint(plan: &DelegationPlan) -> String {
 /// Canonical fragment key of every task in a delegation plan.
 ///
 /// A task's key covers its *entire upstream sub-DAG*: the task body is
-/// rendered with the same dialect-neutral canonical text the consultation
-/// cache keys its EXPLAIN probes by (`plan_to_select` →
-/// `render_select_string(Generic)`, falling back to `tree_string`), with
+/// rendered as dialect-neutral canonical text (`plan_to_select` →
+/// `render_select_string(Generic)`, falling back to `tree_string`; the
+/// text feeds `plan_fingerprint`, so it stays text), with
 /// each placeholder rebound to a name derived from the producing
 /// fragment's own key, combined with the assigned DBMS and the sorted
 /// `(movement, child-key)` list of its in-edges. Two tasks with equal keys
@@ -574,23 +575,22 @@ impl<'a> Annotator<'a> {
     ) -> Result<(Placement, Vec<CandidateCost>)> {
         let cluster = self.cluster;
         let candidates = self.candidates(&left.dbms, &right.dbms)?;
-        // Canonical probe text: the sub-query this EXPLAIN-style probe
-        // ships to each candidate, rendered dialect-neutrally so equal
-        // sub-plans share one cache entry.
-        let probe_sql = match plan_to_select(probe) {
-            Ok(stmt) => render_select_string(&stmt, Dialect::Generic),
-            Err(_) => probe.tree_string(),
-        };
+        #[cfg(test)]
+        tests::PROBES.with(|probes| probes.borrow_mut().push(probe.clone()));
+        // The sub-query this EXPLAIN-style probe ships to each candidate,
+        // keyed by its structure: equal sub-plans share one cache entry,
+        // and a hit neither lowers nor renders it.
+        let key = Probe::plan(probe);
         let cache = self.catalog.consult_cache();
         for cand in &candidates {
             let generation = cluster.engine(cand.as_str())?.ddl_generation();
-            if cache.lookup(cand, &probe_sql, generation) {
+            if cache.lookup(cand, &key, generation) {
                 self.cache_hits += 1;
             } else {
                 // One real round-trip per candidate; the memoized answer
                 // serves every later evaluation of this probe.
                 self.consults += 1;
-                cache.store(cand, &probe_sql, generation);
+                cache.store(cand, &key, generation);
             }
         }
         let profile = |n: &NodeId| cluster.engine(n.as_str()).map(|e| &e.profile);
@@ -812,9 +812,109 @@ pub fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use xdb_sql::bind::bind_select;
-    use xdb_sql::optimize::{optimize, OptimizeOptions};
+    use xdb_sql::optimize::{optimize, JoinShape, OptimizeOptions};
     use xdb_sql::parse_select;
+    use xdb_sql::structural::encode_plan;
+
+    thread_local! {
+        /// Every probe `Annotator::price` built on this thread.
+        pub(super) static PROBES: RefCell<Vec<LogicalPlan>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The learned store of `tests/plans_pinned.rs::annotations_are_pinned`.
+    fn fixed_profiles() -> CostProfiles {
+        let mut profiles = CostProfiles::default();
+        for _ in 0..40 {
+            profiles.observe_wire("db1", "db2", Movement::Implicit, 0.35);
+            profiles.observe_wire("db2", "db1", Movement::Explicit, 0.8);
+            profiles.observe_wire("db3", "db1", Movement::Implicit, 0.5);
+            profiles.observe_compute("db2", 1.6);
+            profiles.observe_compute("db5", 0.7);
+        }
+        profiles
+    }
+
+    /// Over the sweep `annotations_are_pinned` holds to a constant, the
+    /// structural key partitions the probes exactly as their rendered text
+    /// did: two probes have equal texts if and only if they have equal
+    /// keys, so the consult accounting cannot move. Only the cost-based
+    /// policies of that sweep build probes.
+    #[test]
+    fn probe_keys_partition_probes_as_their_text_did() {
+        use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+        let policies = [
+            AnnotateOptions::default(),
+            AnnotateOptions {
+                no_pruning: true,
+                ..Default::default()
+            },
+            AnnotateOptions {
+                allowed_placements: Some(vec![NodeId::new("db1"), NodeId::new("db2")]),
+                ..Default::default()
+            },
+        ];
+        PROBES.with(|probes| probes.borrow_mut().clear());
+        for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
+            let cluster = build_cluster(
+                td,
+                0.001,
+                xdb_net::Scenario::OnPremise,
+                &ProfileAssignment::heterogeneous(),
+            )
+            .unwrap();
+            let catalog = GlobalCatalog::discover(&cluster).unwrap();
+            for table in catalog.table_names() {
+                catalog.consult(&cluster, &table).unwrap();
+            }
+            for learned in [CostProfiles::default(), fixed_profiles()] {
+                catalog.set_profiles(learned);
+                for q in TpchQuery::ALL.into_iter().chain(TpchQuery::EXTENDED) {
+                    let select = parse_select(q.sql()).unwrap();
+                    for join_shape in [JoinShape::LeftDeep, JoinShape::Bushy] {
+                        let options = OptimizeOptions {
+                            join_shape,
+                            ..Default::default()
+                        };
+                        let plan =
+                            optimize(bind_select(&select, &catalog).unwrap(), &catalog, options);
+                        for policy in &policies {
+                            for force_movement in [None, Some(Movement::Explicit)] {
+                                let options = AnnotateOptions {
+                                    force_movement,
+                                    ..policy.clone()
+                                };
+                                catalog.clear_placeholders();
+                                Annotator::new(&catalog, &cluster, options)
+                                    .run(&plan)
+                                    .unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let probes = PROBES.with(|probes| std::mem::take(&mut *probes.borrow_mut()));
+        let mut key_of_text: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut text_of_key: HashMap<Vec<u8>, String> = HashMap::new();
+        for probe in &probes {
+            let text = match plan_to_select(probe) {
+                Ok(stmt) => render_select_string(&stmt, Dialect::Generic),
+                Err(_) => probe.tree_string(),
+            };
+            let mut key = Vec::new();
+            encode_plan(probe, &mut key);
+            let known_key = key_of_text
+                .entry(text.clone())
+                .or_insert_with(|| key.clone());
+            assert!(*known_key == key, "one text, two keys: {text}");
+            let known_text = text_of_key.entry(key).or_insert_with(|| text.clone());
+            assert_eq!(*known_text, text, "one key, two texts");
+        }
+        // The sweep repeats probes: the partition has something to hold.
+        assert!(probes.len() > 2 * key_of_text.len(), "{}", probes.len());
+    }
 
     /// The motivating scenario of Table I, generated at a size where the
     /// optimizer's plan matches the paper's Figure 5a shape.

@@ -2,7 +2,7 @@
 //! (Section III), plus the statistics XDB gathers by *consulting* the
 //! underlying DBMSes during query preparation.
 
-use crate::consult_cache::ConsultCache;
+use crate::consult_cache::{ConsultCache, Probe};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -135,7 +135,7 @@ impl GlobalCatalog {
         };
         let engine = cluster.engine(gt.dbms.as_str())?;
         let generation = engine.ddl_generation();
-        let probe = format!("METADATA {key}");
+        let probe = Probe::metadata(&key);
         if self.consult_cache.lookup(&gt.dbms, &probe, generation) {
             self.telemetry
                 .metrics
@@ -147,8 +147,8 @@ impl GlobalCatalog {
             None => ConsultedStats::default(),
         };
         *self.metadata_fetches.write() += 1;
-        self.stats.write().insert(key.into_owned(), consulted);
         self.consult_cache.store(&gt.dbms, &probe, generation);
+        self.stats.write().insert(key.into_owned(), consulted);
         self.telemetry
             .metrics
             .counter_add("consult.probes", &[("result", "miss")], 1.0);

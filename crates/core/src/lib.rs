@@ -35,7 +35,7 @@ pub mod session;
 
 pub use annotate::{AnnotateOptions, Annotation, Annotator};
 pub use client::{PhaseBreakdown, QueryOutcome, Xdb, XdbOptions};
-pub use consult_cache::ConsultCache;
+pub use consult_cache::{ConsultCache, Probe};
 pub use delegation::{build_script, run_cleanup, run_script_parallel, DelegationScript};
 pub use global::GlobalCatalog;
 pub use plan::{DelegationPlan, Edge, Task};

@@ -1,0 +1,142 @@
+//! Allocation budgets of the middleware's per-query questions, counted by
+//! an allocator of this test binary's own (as `crates/sql/tests/alloc_budget.rs`
+//! counts the frontend's): a consultation-cache hit lowers, renders and
+//! allocates nothing, and lowering a delegation plan's task bodies to SQL
+//! moves what it no longer needs instead of cloning it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use xdb_core::{ConsultCache, GlobalCatalog, Probe, Xdb};
+use xdb_engine::cluster::Cluster;
+use xdb_net::{NodeId, Scenario};
+use xdb_sql::algebra::plan_to_select;
+use xdb_sql::bind::bind_select;
+use xdb_sql::optimize::{optimize, OptimizeOptions};
+use xdb_sql::parse_select;
+use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+
+thread_local! {
+    // Const-initialised and without a destructor, so reading it from
+    // inside the allocator neither allocates nor outlives the thread.
+    // Per thread: the harness runs the tests of this binary side by side.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` was returned by this allocator, i.e. by `System`,
+        // with `layout`; the caller guarantees `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (alloc, alloc_zeroed, realloc) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// TD3 at sf 0.001 with every table consulted once, as preparation leaves
+/// it.
+fn td3() -> (Cluster, GlobalCatalog) {
+    let cluster = build_cluster(
+        TableDist::Td3,
+        0.001,
+        Scenario::OnPremise,
+        &ProfileAssignment::heterogeneous(),
+    )
+    .unwrap();
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
+    for table in catalog.table_names() {
+        catalog.consult(&cluster, &table).unwrap();
+    }
+    (cluster, catalog)
+}
+
+/// Before probes were keyed by structure, a plan probe's hit lowered and
+/// rendered the probe first (191 allocations for Q8's optimised plan), a
+/// metadata probe formatted its text (1), and the catalog's metadata hit
+/// formatted that text and its metric's key (2).
+#[test]
+fn a_consult_cache_hit_allocates_nothing() {
+    let (cluster, catalog) = td3();
+    let select = parse_select(TpchQuery::Q8.sql()).unwrap();
+    let plan = optimize(
+        bind_select(&select, &catalog).unwrap(),
+        &catalog,
+        OptimizeOptions::default(),
+    );
+    let cache = ConsultCache::new();
+    let node = NodeId::new("db1");
+    cache.store(&node, &Probe::plan(&plan), 3);
+    cache.store(&node, &Probe::metadata("lineitem"), 3);
+    let (hits, count) = allocations(|| {
+        [
+            cache.lookup(&node, &Probe::plan(&plan), 3),
+            cache.lookup(&node, &Probe::metadata("lineitem"), 3),
+        ]
+    });
+    assert_eq!(hits, [true, true]);
+    assert_eq!(count, 0, "a plan probe and a metadata probe that hit");
+
+    // The catalog's own metadata consult, metric included: the first hit
+    // creates the `consult.probes{result="hit"}` series.
+    assert!(catalog.consult(&cluster, "lineitem").unwrap());
+    let (hit, count) = allocations(|| catalog.consult(&cluster, "lineitem").unwrap());
+    assert!(hit);
+    assert_eq!(count, 0, "GlobalCatalog::consult that hits");
+}
+
+/// 249 when the join arm cloned both sides' output lists, and a derived
+/// table and the final projection cloned the expressions of the outputs
+/// they replace.
+#[test]
+fn lowering_q8s_td3_task_bodies_stays_in_budget() {
+    let (cluster, catalog) = td3();
+    let (plan, ..) = Xdb::new(&cluster, &catalog)
+        .plan(TpchQuery::Q8.sql())
+        .unwrap();
+    assert!(plan.tasks.len() >= 5, "{}", plan.describe());
+    let (lowered, count) = allocations(|| {
+        plan.tasks
+            .iter()
+            .map(|t| plan_to_select(&t.plan).unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(lowered.len(), plan.tasks.len());
+    assert!(
+        count <= 238,
+        "lowering Q8's TD3 task bodies made {count} allocations"
+    );
+}

@@ -27,8 +27,9 @@
 
 use crate::trace::{json_number, json_string, MetricsSnapshot};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Name prefix for scheduling-dependent metrics, excluded from the
@@ -177,44 +178,80 @@ pub enum Metric {
     Histogram(Histogram),
 }
 
-/// A metric name plus rendered labels, e.g. `ddl.objects_live{engine="db1"}`.
-/// Label order is the caller's order and is part of the key, so call sites
-/// must be consistent (they are: every site spells its labels once).
+/// A metric name plus rendered labels, e.g. `ddl.objects_live{engine="db1"}`:
+/// how a series is spelled in snapshots and exports. Label values are
+/// JSON-escaped, so two label lists never render alike. Label order is the
+/// caller's order and is part of the key, so call sites must be consistent
+/// (they are: every site spells its labels once).
 pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
+    format!("{name}{}", brace(labels.iter().copied()))
+}
+
+/// One series: a metric name, its labels in the caller's order, and its
+/// value.
+#[derive(Debug)]
+struct Series {
+    name: Box<str>,
+    labels: Box<[(Box<str>, Box<str>)]>,
+    metric: Metric,
+}
+
+impl Series {
+    fn is(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        *self.name == *name
+            && self.labels.len() == labels.len()
+            && self
+                .labels
+                .iter()
+                .zip(labels)
+                .all(|((k, v), (lk, lv))| **k == **lk && **v == **lv)
     }
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
+
+    fn labels(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+        self.labels.iter().map(|(k, v)| (&**k, &**v))
     }
-    out.push('}');
-    out
+
+    /// The series' [`metric_key`].
+    fn key(&self) -> String {
+        format!("{}{}", self.name, brace(self.labels()))
+    }
+}
+
+/// Series filed by a hash of their name and labels; a bucket holds the
+/// series whose hashes collide.
+type SeriesMap = HashMap<u64, Vec<Series>>;
+
+/// The hash `map` files the series `name{labels}` under, from the map's own
+/// `RandomState` (std's keyed SipHash). Label values can be caller-supplied
+/// text, a `QueryServer` tenant for one, so the registry keeps std's
+/// protection against keys crafted to collide; exports sort by key, so the
+/// random keys reach no output. (`xdb_sql::hash` is out of reach anyway:
+/// that crate depends on this one.)
+fn series_hash(map: &SeriesMap, name: &str, labels: &[(&str, &str)]) -> u64 {
+    map.hasher().hash_one((name, labels))
 }
 
 /// The process- or cluster-wide metric registry.
 ///
-/// One mutex around a `BTreeMap` keyed by rendered name+labels: every
-/// update is a few string hashes and a map probe — cheap enough to stay
+/// One mutex around the series, filed by the hash of name and labels. An
+/// update hashes its arguments, probes the map and compares the few series
+/// in that bucket field by field: no key is built and nothing is allocated
+/// unless the series is new, so the registry stays cheap enough to be
 /// always-on (the `fig9` overhead budget is bounded in EXPERIMENTS.md).
+/// Snapshots and exports render keys and sort by them.
 /// `set_enabled(false)` turns every operation into a branch, for overhead
 /// measurement.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
     enabled: AtomicBool,
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    series: Mutex<SeriesMap>,
 }
 
 impl MetricRegistry {
     pub fn new() -> MetricRegistry {
         MetricRegistry {
             enabled: AtomicBool::new(true),
-            metrics: Mutex::new(BTreeMap::new()),
+            series: Mutex::default(),
         }
     }
 
@@ -226,68 +263,115 @@ impl MetricRegistry {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Add to a counter (creating it at zero).
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], amount: f64) {
+    /// Apply `update` to the series `name{labels}`, made by `new` first if
+    /// there is none. Nothing is allocated or formatted for a series that
+    /// exists.
+    fn update(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        new: impl FnOnce() -> Metric,
+        update: impl FnOnce(&mut Metric),
+    ) {
         if !self.is_enabled() {
             return;
         }
-        let key = metric_key(name, labels);
-        let mut m = self.metrics.lock();
-        if let Metric::Counter(v) = m.entry(key).or_insert(Metric::Counter(0.0)) {
-            *v += amount
-        }
+        let mut series = self.series.lock();
+        let hash = series_hash(&series, name, labels);
+        let bucket = series.entry(hash).or_default();
+        let at = match bucket.iter().position(|s| s.is(name, labels)) {
+            Some(at) => at,
+            None => {
+                bucket.push(Series {
+                    name: name.into(),
+                    labels: labels
+                        .iter()
+                        .map(|(k, v)| ((*k).into(), (*v).into()))
+                        .collect(),
+                    metric: new(),
+                });
+                bucket.len() - 1
+            }
+        };
+        update(&mut bucket[at].metric);
+    }
+
+    /// Add to a counter (creating it at zero).
+    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], amount: f64) {
+        self.update(
+            name,
+            labels,
+            || Metric::Counter(0.0),
+            |m| {
+                if let Metric::Counter(v) = m {
+                    *v += amount
+                }
+            },
+        );
     }
 
     /// Set a gauge, tracking its high-water mark.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key = metric_key(name, labels);
-        let mut m = self.metrics.lock();
-        if let Metric::Gauge {
-            value: v,
-            high_water,
-        } = m.entry(key).or_insert(Metric::Gauge {
-            value,
-            high_water: value,
-        }) {
-            *v = value;
-            *high_water = high_water.max(value);
-        }
+        self.update(
+            name,
+            labels,
+            || Metric::Gauge {
+                value,
+                high_water: value,
+            },
+            |m| {
+                if let Metric::Gauge {
+                    value: v,
+                    high_water,
+                } = m
+                {
+                    *v = value;
+                    *high_water = high_water.max(value);
+                }
+            },
+        );
     }
 
     /// Adjust a gauge by a delta (creating it at zero first).
     pub fn gauge_add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key = metric_key(name, labels);
-        let mut m = self.metrics.lock();
-        if let Metric::Gauge { value, high_water } = m.entry(key).or_insert(Metric::Gauge {
-            value: 0.0,
-            high_water: 0.0,
-        }) {
-            *value += delta;
-            *high_water = high_water.max(*value);
-        }
+        self.update(
+            name,
+            labels,
+            || Metric::Gauge {
+                value: 0.0,
+                high_water: 0.0,
+            },
+            |m| {
+                if let Metric::Gauge { value, high_water } = m {
+                    *value += delta;
+                    *high_water = high_water.max(*value);
+                }
+            },
+        );
     }
 
     /// Observe a value into a histogram.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key = metric_key(name, labels);
-        let mut m = self.metrics.lock();
-        if let Metric::Histogram(h) = m.entry(key).or_insert(Metric::Histogram(Histogram::new())) {
-            h.observe(value)
-        }
+        self.update(
+            name,
+            labels,
+            || Metric::Histogram(Histogram::new()),
+            |m| {
+                if let Metric::Histogram(h) = m {
+                    h.observe(value)
+                }
+            },
+        );
     }
 
-    /// Read one metric by exact key.
+    /// Read one metric by name and labels.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<Metric> {
-        self.metrics.lock().get(&metric_key(name, labels)).cloned()
+        let series = self.series.lock();
+        series
+            .get(&series_hash(&series, name, labels))?
+            .iter()
+            .find(|s| s.is(name, labels))
+            .map(|s| s.metric.clone())
     }
 
     /// Current counter / gauge value (0 when absent).
@@ -313,12 +397,13 @@ impl MetricRegistry {
     /// a histogram exports `.count`, `.sum`, `.min`, `.max`, `.p50`,
     /// `.p95`, `.p99`.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = self.metrics.lock();
+        let series = self.series.lock();
         let mut counters = BTreeMap::new();
-        for (k, metric) in m.iter() {
-            match metric {
+        for s in series.values().flatten() {
+            let k = s.key();
+            match &s.metric {
                 Metric::Counter(v) => {
-                    counters.insert(k.clone(), *v);
+                    counters.insert(k, *v);
                 }
                 Metric::Gauge { value, high_water } => {
                     counters.insert(k.clone(), *value);
@@ -356,55 +441,57 @@ impl MetricRegistry {
     /// Prometheus text exposition (metric names sanitized `.`/`-` → `_`;
     /// histograms emit `_bucket{le=...}`, `_sum` and `_count` series).
     pub fn render_prometheus(&self) -> String {
-        let m = self.metrics.lock();
+        let series = self.series.lock();
+        let mut sorted: Vec<(String, &Series)> =
+            series.values().flatten().map(|s| (s.key(), s)).collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::new();
-        for (key, metric) in m.iter() {
-            let (name, labels) = split_key(key);
-            let pname = sanitize(name);
-            match metric {
+        for (_, s) in sorted {
+            let pname = sanitize(&s.name);
+            let labels = brace(s.labels());
+            match &s.metric {
                 Metric::Counter(v) => {
                     let _ = writeln!(out, "# TYPE {pname} counter");
-                    let _ = writeln!(out, "{pname}{} {}", brace(&labels), json_number(*v));
+                    let _ = writeln!(out, "{pname}{labels} {}", json_number(*v));
                 }
                 Metric::Gauge { value, high_water } => {
                     let _ = writeln!(out, "# TYPE {pname} gauge");
-                    let _ = writeln!(out, "{pname}{} {}", brace(&labels), json_number(*value));
+                    let _ = writeln!(out, "{pname}{labels} {}", json_number(*value));
                     let _ = writeln!(
                         out,
-                        "{pname}_high_water{} {}",
-                        brace(&labels),
+                        "{pname}_high_water{labels} {}",
                         json_number(*high_water)
                     );
                 }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# TYPE {pname} histogram");
+                    // `le` bounds are numbers rendered as label strings.
+                    let with_le = |le: &str| brace(s.labels().chain([("le", le)]));
                     for (bound, cum) in h.cumulative_buckets() {
-                        let mut ls = labels.clone();
-                        ls.push(("le".to_string(), json_number(bound)));
-                        let _ = writeln!(out, "{pname}_bucket{} {cum}", brace(&ls));
+                        let le = with_le(&json_number(bound));
+                        let _ = writeln!(out, "{pname}_bucket{le} {cum}");
                     }
-                    let mut ls = labels.clone();
-                    ls.push(("le".to_string(), "+Inf".to_string()));
-                    let _ = writeln!(out, "{pname}_bucket{} {}", brace(&ls), h.count);
-                    let _ = writeln!(out, "{pname}_sum{} {}", brace(&labels), json_number(h.sum));
-                    let _ = writeln!(out, "{pname}_count{} {}", brace(&labels), h.count);
+                    let le = with_le("+Inf");
+                    let _ = writeln!(out, "{pname}_bucket{le} {}", h.count);
+                    let _ = writeln!(out, "{pname}_sum{labels} {}", json_number(h.sum));
+                    let _ = writeln!(out, "{pname}_count{labels} {}", h.count);
                 }
             }
         }
         out
     }
 
-    /// Number of distinct metric keys.
+    /// Number of distinct series.
     pub fn len(&self) -> usize {
-        self.metrics.lock().len()
+        self.series.lock().values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.metrics.lock().is_empty()
+        self.len() == 0
     }
 
     pub fn clear(&self) {
-        self.metrics.lock().clear();
+        self.series.lock().clear();
     }
 }
 
@@ -414,35 +501,16 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Split a rendered key back into `(name, labels)`.
-fn split_key(key: &str) -> (&str, Vec<(String, String)>) {
-    let Some(open) = key.find('{') else {
-        return (key, Vec::new());
-    };
-    let name = &key[..open];
-    let body = key[open + 1..].trim_end_matches('}');
-    let mut labels = Vec::new();
-    for part in body.split(',') {
-        if let Some((k, v)) = part.split_once('=') {
-            labels.push((k.to_string(), v.trim_matches('"').to_string()));
-        }
-    }
-    (name, labels)
-}
-
-fn brace(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // `le` bounds are numbers rendered as label strings.
+/// `{k="v",…}` with every value JSON-escaped, or nothing for no labels.
+fn brace<'a>(labels: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut out = String::new();
+    for (k, v) in labels {
+        out.push(if out.is_empty() { '{' } else { ',' });
         let _ = write!(out, "{k}={}", json_string(v));
     }
-    out.push('}');
+    if !out.is_empty() {
+        out.push('}');
+    }
     out
 }
 
@@ -577,6 +645,62 @@ mod tests {
         assert_eq!(
             metric_key("a", &[("x", "1"), ("y", "2")]),
             "a{x=\"1\",y=\"2\"}"
+        );
+        assert_eq!(metric_key("a", &[("x", "q\"")]), "a{x=\"q\\\"\"}");
+    }
+
+    /// Label values are caller-supplied text (a `QueryServer` tenant, for
+    /// one): a value that spells other labels is still one label.
+    #[test]
+    fn label_values_neither_collide_nor_split() {
+        let r = MetricRegistry::new();
+        let forged = [("t", "a\",u=\"b")];
+        let honest = [("t", "a"), ("u", "b")];
+        r.counter_add("c", &forged, 1.0);
+        r.counter_add("c", &honest, 2.0);
+        r.counter_add("c", &[("t", "x,y")], 4.0);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.value("c", &forged), 1.0);
+        assert_eq!(r.value("c", &honest), 2.0);
+        let s = r.snapshot();
+        assert_eq!(s.counters.len(), 3);
+        assert_eq!(s.get("c{t=\"a\\\",u=\\\"b\"}"), 1.0);
+        assert_eq!(s.get("c{t=\"a\",u=\"b\"}"), 2.0);
+        let p = r.render_prometheus();
+        assert!(p.contains("c{t=\"a\\\",u=\\\"b\"} 1\n"), "{p}");
+        assert!(p.contains("c{t=\"a\",u=\"b\"} 2\n"), "{p}");
+        assert!(p.contains("c{t=\"x,y\"} 4\n"), "{p}");
+    }
+
+    #[test]
+    fn exports_are_sorted_by_key() {
+        let r = MetricRegistry::new();
+        for (name, engine) in [("b", "db2"), ("a", "db9"), ("b", "db1"), ("a", "")] {
+            r.counter_add(name, &[("engine", engine)], 1.0);
+        }
+        r.counter_add("a", &[], 1.0);
+        let keys: Vec<String> = r.snapshot().counters.into_keys().collect();
+        assert_eq!(
+            keys,
+            [
+                "a",
+                "a{engine=\"\"}",
+                "a{engine=\"db9\"}",
+                "b{engine=\"db1\"}",
+                "b{engine=\"db2\"}"
+            ]
+        );
+        let p = r.render_prometheus();
+        let series: Vec<&str> = p.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            series,
+            [
+                "a 1",
+                "a{engine=\"\"} 1",
+                "a{engine=\"db9\"} 1",
+                "b{engine=\"db1\"} 1",
+                "b{engine=\"db2\"} 1"
+            ]
         );
     }
 }

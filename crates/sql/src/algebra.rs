@@ -820,12 +820,15 @@ impl SelectBuilder {
     /// the returned mapping.
     fn wrap(&mut self) {
         let alias = format!("xdb_sub{}", self.next_sub);
+        let qualifier = Name::from(alias.as_str());
         self.next_sub += 1;
-        // Give every output an explicit, unique alias.
-        let mut items = Vec::with_capacity(self.outputs.len());
-        let mut new_outputs = Vec::with_capacity(self.outputs.len());
+        // Give every output an explicit, unique alias. The old outputs are
+        // replaced, so their expressions move into the inner projection.
+        let outputs = std::mem::take(&mut self.outputs);
+        let mut items = Vec::with_capacity(outputs.len());
+        let mut new_outputs = Vec::with_capacity(outputs.len());
         let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for (field, expr) in &self.outputs {
+        for (field, expr) in outputs {
             let mut out_name = field.name.to_string();
             if !used.insert(out_name.to_ascii_lowercase()) {
                 out_name = match &field.qualifier {
@@ -838,12 +841,16 @@ impl SelectBuilder {
                     out_name = format!("{}_{}", field.name, n);
                 }
             }
-            items.push(SelectItem::Expr {
-                expr: expr.clone(),
-                alias: Some(out_name.clone()),
-            });
-            let wrapped = Field::new(Some(&alias), &out_name, field.data_type);
+            let wrapped = Field {
+                qualifier: Some(qualifier.clone()),
+                name: Name::from(out_name.as_str()),
+                data_type: field.data_type,
+            };
             let column = wrapped.column();
+            items.push(SelectItem::Expr {
+                expr,
+                alias: Some(out_name),
+            });
             new_outputs.push((wrapped, column));
         }
         self.stmt.projection = items;
@@ -907,13 +914,22 @@ impl SelectBuilder {
 /// the federation; this is the mechanism by which tasks are shipped to
 /// DBMSes as plain declarative queries.
 pub fn plan_to_select(plan: &LogicalPlan) -> Result<SelectStmt, SchemaError> {
-    let mut b = build(plan)?;
+    let b = build(plan)?;
+    let mut stmt = b.stmt;
     // Materialize the final projection (replace `*` with explicit items so
-    // output names are stable even for scans).
-    if !b.outputs.is_empty() && matches!(b.stmt.projection.as_slice(), [SelectItem::Wildcard]) {
-        b.stmt.projection = b.output_items();
+    // output names are stable even for scans). Nothing reads the outputs
+    // after this, so their expressions move into the items.
+    if !b.outputs.is_empty() && matches!(stmt.projection.as_slice(), [SelectItem::Wildcard]) {
+        stmt.projection = b
+            .outputs
+            .into_iter()
+            .map(|(field, expr)| SelectItem::Expr {
+                expr,
+                alias: Some(field.name.to_string()),
+            })
+            .collect();
     }
-    Ok(b.stmt)
+    Ok(stmt)
 }
 
 fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
@@ -1007,20 +1023,24 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
             if let Some(res) = residual {
                 // Residual references the concatenated schema: left refs
                 // rewrite through lb, right refs through rb.
-                let joined = lschema.join(rschema);
                 let mut err = None;
                 let rewritten = res.clone().transform(&mut |x| match &x {
                     Expr::Column { qualifier, name } => {
-                        match lschema.lookup(qualifier.as_deref(), name) {
+                        let qualifier = qualifier.as_deref();
+                        match lschema.lookup(qualifier, name) {
                             Ok(idx) => lb.outputs[idx].1.clone(),
-                            Err(_) => match rschema.lookup(qualifier.as_deref(), name) {
+                            Err(left) => match rschema.lookup(qualifier, name) {
                                 Ok(idx) => rb.outputs[idx].1.clone(),
-                                Err(_) => {
-                                    if joined.lookup(qualifier.as_deref(), name).is_err() {
-                                        err = Some(SchemaError::Unknown(format!(
-                                            "{qualifier:?}.{name}"
-                                        )));
-                                    }
+                                Err(right) => {
+                                    // What the concatenated schema says: a
+                                    // name unknown on both sides is unknown,
+                                    // one a side holds twice is ambiguous.
+                                    let miss = if (left, right) == (Miss::Unknown, Miss::Unknown) {
+                                        Miss::Unknown
+                                    } else {
+                                        Miss::Ambiguous
+                                    };
+                                    err.get_or_insert_with(|| miss.error(qualifier, name));
                                     x
                                 }
                             },
@@ -1070,10 +1090,10 @@ fn build(plan: &LogicalPlan) -> Result<SelectBuilder, SchemaError> {
                 let r = rb.rewrite(re, rschema)?;
                 conds.push(Expr::eq(l, r));
             }
-            let mut outputs = lb.outputs.clone();
             // Offset sub-counter to keep generated aliases unique.
             let base = lb.next_sub.max(rb.next_sub);
-            outputs.extend(rb.outputs.iter().cloned());
+            let mut outputs = lb.outputs;
+            outputs.extend(rb.outputs);
             let mut stmt = lb.stmt;
             stmt.from.extend(rb.stmt.from);
             let left_sel = stmt.selection.take();
@@ -1448,6 +1468,32 @@ mod tests {
         };
         let sql = render_select_string(&plan_to_select(&plan).unwrap(), Dialect::Generic);
         assert_eq!(sql, "SELECT DISTINCT t.a AS a FROM t");
+    }
+
+    /// A semi join's residual that names no column of either side reports
+    /// the column as every other lowering error does, and a name one side
+    /// holds twice is ambiguous, not unknown.
+    #[test]
+    fn semi_join_residual_misses_name_the_column() {
+        let pair = scan("t", "l", &[("x", DataType::Int)])
+            .join(scan("t", "m", &[("x", DataType::Int)]), vec![]);
+        let semi = |residual: Expr| LogicalPlan::SemiJoin {
+            left: Box::new(pair.clone()),
+            right: Box::new(scan("r", "r", &[("y", DataType::Int)])),
+            on: vec![],
+            residual: Some(residual),
+            negated: false,
+        };
+        let gt = |column: Expr| Expr::binary(BinaryOp::Gt, column, Expr::qcol("r", "y"));
+        assert_eq!(
+            plan_to_select(&semi(gt(Expr::qcol("l", "zz")))),
+            Err(SchemaError::Unknown("l.zz".into()))
+        );
+        assert_eq!(
+            plan_to_select(&semi(gt(Expr::col("x")))),
+            Err(SchemaError::Ambiguous("x".into()))
+        );
+        assert!(plan_to_select(&semi(gt(Expr::qcol("m", "x")))).is_ok());
     }
 
     #[test]

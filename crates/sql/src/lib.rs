@@ -22,6 +22,7 @@ pub mod lexer;
 pub mod optimize;
 pub mod parser;
 pub mod stats;
+pub mod structural;
 pub mod value;
 
 pub use ast::{Expr, SelectStmt, Statement};

@@ -70,6 +70,29 @@ for f in $(grep -rlE "$miss" crates/*/src || true); do
   fi
 done
 
+# Probe census: the consultation cache keys an EXPLAIN probe by its
+# structure, so a cache hit lowers and renders nothing (DESIGN.md §9). No
+# non-test line of `Annotator::price` may lower or render the probe.
+price=$(sed '/^#\[cfg(test)\]$/,$d' crates/core/src/annotate.rs \
+  | awk '/ fn price\(/ {on=1} on {print} on && /^    }$/ {on=0}')
+[ -n "$price" ]
+if grep -nE 'plan_to_select|render_select_string' <<<"$price"; then
+  echo "crates/core/src/annotate.rs: price renders its probe" >&2
+  exit 1
+fi
+
+# Metric census: an update finds an existing series without building its
+# key (DESIGN.md §11). No update method of `MetricRegistry` may call
+# `metric_key(`.
+updates=$(awk '/^impl MetricRegistry \{/ {impl=1} /^}/ {impl=0}
+  impl && / fn (update|counter_add|gauge_set|gauge_add|observe)\(/ {on=1}
+  on {print} on && /^    }$/ {on=0}' crates/obs/src/metrics.rs)
+[ -n "$updates" ]
+if grep -n 'metric_key(' <<<"$updates"; then
+  echo "crates/obs/src/metrics.rs: a metric update builds its key" >&2
+  exit 1
+fi
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target

@@ -23,6 +23,7 @@ use xdb_core::annotate::{AnnotateOptions, Annotator};
 use xdb_core::global::GlobalCatalog;
 use xdb_core::plan::DelegationPlan;
 use xdb_engine::cluster::Cluster;
+use xdb_engine::engine::log_parse_error;
 use xdb_engine::error::{EngineError, Result};
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
@@ -40,7 +41,9 @@ fn plan_query(
     optimize_options: OptimizeOptions,
     annotate: AnnotateOptions,
 ) -> Result<DelegationPlan> {
-    let Statement::Select(select) = xdb_sql::parse_statement(sql)? else {
+    let stmt =
+        xdb_sql::parse_statement(sql).map_err(|e| log_parse_error(cluster.telemetry(), sql, e))?;
+    let Statement::Select(select) = stmt else {
         return Err(EngineError::Unsupported(format!(
             "{who} accepts SELECT queries only"
         )));

@@ -260,9 +260,8 @@ mod tests {
         // the same relation, hence the same encoded size; the
         // `net.encoded_bytes` series must equal the per-hop ledger sum —
         // no hop double-charged, none coalesced.
-        let (mut cluster, catalog) = setup();
-        let telemetry = xdb_obs::Telemetry::new_handle();
-        cluster.set_telemetry(std::sync::Arc::clone(&telemetry));
+        let (cluster, catalog) = setup();
+        let telemetry = cluster.telemetry();
         cluster.ledger.clear();
         let report = Sclera::new(&cluster, &catalog, "mediator")
             .submit(scenario::EXAMPLE_QUERY)

@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use xdb_bench::experiments as exp;
 use xdb_core::{Xdb, XdbOptions};
+use xdb_obs::Telemetry;
 use xdb_tpch::{TableDist, TpchQuery};
 
 fn bench(c: &mut Criterion) {
@@ -18,25 +19,24 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     // Baseline: the fig9 wall clock (coarse spans on — the default path).
+    let telemetry = Telemetry::new_handle();
     g.bench_function("fig9_td1_default_tracing", |b| {
-        b.iter(|| exp::fig09(TableDist::Td1, 0.002).unwrap())
+        b.iter(|| exp::fig09(TableDist::Td1, 0.002, &telemetry).unwrap())
     });
 
     // The six-query workload with per-operator profiling and Chrome-JSON
     // rendering on top — the full `repro --trace` cost.
     g.bench_function("fig9_td1_operator_tracing_and_export", |b| {
-        b.iter(|| exp::trace_workload(0.002).unwrap().to_chrome_json())
+        b.iter(|| {
+            exp::trace_workload(0.002, &telemetry)
+                .unwrap()
+                .to_chrome_json()
+        })
     });
 
     // Submit-level comparison on one warmed federation: coarse spans vs
     // operator profiling, isolating the per-row bookkeeping.
-    let env = exp::env(
-        TableDist::Td1,
-        0.002,
-        xdb_net::Scenario::OnPremise,
-        &xdb_tpch::ProfileAssignment::uniform(xdb_engine::profile::EngineProfile::postgres()),
-    )
-    .unwrap();
+    let env = exp::onprem(TableDist::Td1, 0.002, &telemetry).unwrap();
     for (label, trace_operators) in [
         ("submit_q8_coarse_spans", false),
         ("submit_q8_operator_spans", true),

@@ -58,16 +58,21 @@
 //! ```
 
 use std::io::Write;
+use std::sync::Arc;
 use xdb_bench::experiments as exp;
 use xdb_bench::{calibrate, drift, gate, monitor, profiler, replay, tenants};
-use xdb_obs::json;
+use xdb_obs::{json, Telemetry};
 use xdb_tpch::{TableDist, TpchQuery};
 
 fn main() {
+    // The one telemetry handle every federation of this run reports into
+    // (the tenants, calibrate and replay runners keep their own): what
+    // `--log`, `--history` and `--log-level` act on.
+    let telemetry = Telemetry::new_handle();
     // Escape hatch for overhead measurement: disable the always-on fleet
     // telemetry (metrics registry + event log) entirely.
     if std::env::var_os("XDB_TELEMETRY_OFF").is_some() {
-        xdb_obs::telemetry::global().set_enabled(false);
+        telemetry.set_enabled(false);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sf = 0.05f64;
@@ -137,14 +142,14 @@ fn main() {
     // (they are dropped in `EventLog::log`, not at export).
     if let Some(s) = log_level {
         match xdb_obs::Level::parse(&s) {
-            Some(level) => xdb_obs::telemetry::global().events.set_min_level(level),
+            Some(level) => telemetry.events.set_min_level(level),
             None => usage(format!("unknown log level {s:?} (debug|info|warn|error)")),
         }
     }
     // Query-history store: every submission appends one JSON-lines record
     // to <dir>/history.jsonl.
     if let Some(dir) = history_dir {
-        if let Err(e) = xdb_obs::telemetry::global().history.enable_dir(&dir) {
+        if let Err(e) = telemetry.history.enable_dir(&dir) {
             usage(format!("cannot open history dir {dir}: {e}"));
         }
         eprintln!("(history: recording to {dir}/history.jsonl)");
@@ -168,7 +173,7 @@ fn main() {
         return;
     }
     if targets.iter().any(|t| t == "gate") {
-        run_gate(monitor_baseline);
+        run_gate(monitor_baseline, &telemetry);
         return;
     }
     if targets.iter().any(|t| t == "drift") {
@@ -212,80 +217,64 @@ fn main() {
         writeln!(out).unwrap();
     }
     if want("fig1") {
-        write!(out, "{}", exp::fig01(sf / 5.0, sf).expect("fig1").render()).unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::fig01(sf / 5.0, sf, &telemetry).expect("fig1");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     if want("fig9") {
         for td in TableDist::ALL {
-            write!(out, "{}", exp::fig09(td, sf).expect("fig9").render()).unwrap();
-            writeln!(out).unwrap();
+            let fig = exp::fig09(td, sf, &telemetry).expect("fig9");
+            writeln!(out, "{}", fig.render()).unwrap();
         }
     }
     if want("fig10") {
-        write!(out, "{}", exp::fig10(sf).expect("fig10").render()).unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::fig10(sf, &telemetry).expect("fig10");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     if want("fig11") {
-        write!(out, "{}", exp::fig11(sf).expect("fig11").render()).unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::fig11(sf, &telemetry).expect("fig11");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     if want("table4") {
-        write!(out, "{}", exp::table4(sf).expect("table4")).unwrap();
-        writeln!(out).unwrap();
+        writeln!(out, "{}", exp::table4(sf, &telemetry).expect("table4")).unwrap();
     }
     if want("fig12") {
         let sfs = [sf / 10.0, sf / 2.0, sf, sf * 2.0];
-        for fig in exp::fig12(&sfs).expect("fig12") {
-            write!(out, "{}", fig.render()).unwrap();
-            writeln!(out).unwrap();
+        for fig in exp::fig12(&sfs, &telemetry).expect("fig12") {
+            writeln!(out, "{}", fig.render()).unwrap();
         }
     }
     if want("fig13") {
         let sfs = [sf / 10.0, sf / 2.0, sf, sf * 2.0];
-        write!(out, "{}", exp::fig13(&sfs).expect("fig13").render()).unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::fig13(&sfs, &telemetry).expect("fig13");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     if want("fig14") {
         for td in [TableDist::Td1, TableDist::Td2] {
-            write!(out, "{}", exp::fig14(td, sf).expect("fig14").render()).unwrap();
-            writeln!(out).unwrap();
+            let fig = exp::fig14(td, sf, &telemetry).expect("fig14");
+            writeln!(out, "{}", fig.render()).unwrap();
         }
     }
     if want("fig15") {
         let sfs = [sf / 10.0, sf / 2.0, sf, sf * 2.0];
-        write!(
-            out,
-            "{}",
-            exp::fig15(TpchQuery::Q3, TableDist::Td1, &sfs)
-                .expect("fig15a")
-                .render()
-        )
-        .unwrap();
-        writeln!(out).unwrap();
-        write!(
-            out,
-            "{}",
-            exp::fig15(TpchQuery::Q8, TableDist::Td3, &sfs)
-                .expect("fig15b")
-                .render()
-        )
-        .unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::fig15(TpchQuery::Q3, TableDist::Td1, &sfs, &telemetry).expect("fig15a");
+        writeln!(out, "{}", fig.render()).unwrap();
+        let fig = exp::fig15(TpchQuery::Q8, TableDist::Td3, &sfs, &telemetry).expect("fig15b");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     if want("ablations") {
-        write!(out, "{}", exp::ablation_movement(sf).expect("a1").render()).unwrap();
-        writeln!(out).unwrap();
-        write!(out, "{}", exp::ablation_pruning(sf).expect("a2").render()).unwrap();
-        writeln!(out).unwrap();
-        write!(out, "{}", exp::ablation_logical(sf).expect("a3").render()).unwrap();
-        writeln!(out).unwrap();
-        write!(out, "{}", exp::ablation_bushy(sf).expect("a4").render()).unwrap();
-        writeln!(out).unwrap();
+        let fig = exp::ablation_movement(sf, &telemetry).expect("a1");
+        writeln!(out, "{}", fig.render()).unwrap();
+        let fig = exp::ablation_pruning(sf, &telemetry).expect("a2");
+        writeln!(out, "{}", fig.render()).unwrap();
+        let fig = exp::ablation_logical(sf, &telemetry).expect("a3");
+        writeln!(out, "{}", fig.render()).unwrap();
+        let fig = exp::ablation_bushy(sf, &telemetry).expect("a4");
+        writeln!(out, "{}", fig.render()).unwrap();
     }
     // `monitor` is deliberately not part of `all`: it re-runs the whole
     // workload N times and has its own output formats.
     if targets.iter().any(|t| t == "monitor") {
-        let report = monitor::run_monitor(sf, runs).expect("monitor workload");
+        let report = monitor::run_monitor(sf, runs, &telemetry).expect("monitor workload");
         write!(out, "{}", report.render_dashboard()).unwrap();
         if let Some(path) = &metrics_path {
             write_file("--metrics", path, report.render_prometheus());
@@ -334,7 +323,7 @@ fn main() {
     // `profile` is likewise not part of `all`: it re-runs the six-query
     // workload and renders the critical paths its records carry.
     if targets.iter().any(|t| t == "profile") {
-        let records = profiler::profile_workload(sf).expect("profile workload");
+        let records = profiler::profile_workload(sf, &telemetry).expect("profile workload");
         write!(out, "{}", profiler::render_table(sf, &records)).unwrap();
     }
     // `tenants` is likewise not part of `all`: it runs the whole skewed
@@ -351,7 +340,7 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        let trace = exp::trace_workload(sf).expect("trace workload");
+        let trace = exp::trace_workload(sf, &telemetry).expect("trace workload");
         write_file("--trace", &path, trace.to_chrome_json());
         eprintln!(
             "(trace: {} spans across {} lanes -> {path})",
@@ -360,7 +349,7 @@ fn main() {
         );
     }
     if let Some(path) = log_path {
-        let events = xdb_obs::telemetry::global().events.to_jsonl();
+        let events = telemetry.events.to_jsonl();
         let n = events.lines().count();
         write_file("--log", &path, events);
         eprintln!("(log: {n} structured events -> {path})");
@@ -391,7 +380,7 @@ fn write_file(flag: &str, path: &str, contents: impl AsRef<[u8]>) {
 /// `repro gate`: re-run the deterministic monitor workload at the
 /// baseline's own sf/runs and compare in-process; exit 1 when any gated
 /// series regressed past its threshold.
-fn run_gate(monitor_baseline: Option<String>) {
+fn run_gate(monitor_baseline: Option<String>, telemetry: &Arc<Telemetry>) {
     let Some(base_path) = monitor_baseline else {
         eprintln!("gate: nothing to compare — pass --monitor-baseline");
         std::process::exit(2);
@@ -408,7 +397,7 @@ fn run_gate(monitor_baseline: Option<String>) {
     let doc = json::parse(&text).expect("monitor baseline re-parse");
     let sf = doc.get("sf").and_then(json::Value::as_f64).unwrap_or(0.002);
     let runs = doc.get("runs").and_then(json::Value::as_f64).unwrap_or(2.0) as usize;
-    let mut current = monitor::run_monitor(sf, runs)
+    let mut current = monitor::run_monitor(sf, runs, telemetry)
         .expect("monitor workload")
         .flat_values();
     // Baselines that carry multi-tenant admission series re-run the

@@ -13,13 +13,13 @@
 //! ledger, so the whole report is bit-identical across invocations and
 //! executor modes.
 
-use crate::experiments::{isolated_env, run_workload};
+use crate::experiments::{onprem, run_workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xdb_core::XdbOptions;
 use xdb_engine::error::Result;
 use xdb_obs::costmodel::ErrorStats;
-use xdb_obs::{summarize, CalibrationSummary, HistoryRecord};
+use xdb_obs::{summarize, CalibrationSummary, HistoryRecord, Telemetry};
 use xdb_tpch::TableDist;
 
 /// Per-query regret/error aggregation (means per run).
@@ -54,7 +54,7 @@ pub struct CalibrateReport {
 pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateReport> {
     // The observatory bundle rides every history record, which is exactly
     // the join this report aggregates.
-    let e = isolated_env(td, sf)?;
+    let e = onprem(td, sf, &Telemetry::new_handle())?;
     let (records, _) = run_workload(&e, &XdbOptions::default(), runs)?;
     // The runner submits each query `runs` times in a row: one chunk of
     // records per query, in workload order.

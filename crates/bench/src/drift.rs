@@ -21,8 +21,9 @@
 //!
 //! Everything compares simulated-clock state, so a self-compare of two
 //! runs of the same build is *exactly* zero findings — any finding is a
-//! real behavior change, not noise. Process-varying fields (`query_id`)
-//! are ignored. The bench gate runs this as part of tier-1.
+//! real behavior change, not noise. `query_id` is ignored: two histories
+//! of one workload number their queries alike only when each was recorded
+//! on fresh federations. The bench gate runs this as part of tier-1.
 
 use std::collections::BTreeMap;
 use xdb_obs::costmodel::ErrorStats;

@@ -31,14 +31,16 @@ pub struct Env {
 }
 
 /// Build a TPC-H federation with the middleware/mediator on a metered
-/// cloud node.
+/// cloud node, reporting into `telemetry`.
 pub fn env(
     td: TableDist,
     sf: f64,
     scenario: Scenario,
     profiles: &ProfileAssignment,
+    telemetry: &Arc<Telemetry>,
 ) -> Result<Env> {
     let mut cluster = build_cluster(td, sf, scenario, profiles)?;
+    cluster.set_telemetry(Arc::clone(telemetry));
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
     let catalog = GlobalCatalog::discover(&cluster)?;
     Ok(Env {
@@ -48,18 +50,14 @@ pub fn env(
     })
 }
 
-fn pg() -> ProfileAssignment {
+/// Every engine a PostgreSQL.
+pub fn pg() -> ProfileAssignment {
     ProfileAssignment::uniform(EngineProfile::postgres())
 }
 
-/// An on-premise, all-PostgreSQL [`env`] with a telemetry handle of its
-/// own: its metrics, events and history are this experiment's alone.
-pub fn isolated_env(td: TableDist, sf: f64) -> Result<Env> {
-    let mut e = env(td, sf, Scenario::OnPremise, &pg())?;
-    let telemetry = Telemetry::new_handle();
-    e.catalog.set_telemetry(Arc::clone(&telemetry));
-    e.cluster.set_telemetry(telemetry);
-    Ok(e)
+/// An on-premise, all-PostgreSQL [`env`]: the federation most runners use.
+pub fn onprem(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Env> {
+    env(td, sf, Scenario::OnPremise, &pg(), telemetry)
 }
 
 /// The six-query workload, each query submitted `runs` times in a row on
@@ -143,8 +141,8 @@ pub fn run_xdb(env: &Env, sql: &str) -> Result<(f64, f64, u64)> {
 /// and concatenate their traces onto one timeline — the payload behind
 /// `repro --trace out.json`. Span timestamps come from the simulated
 /// clock, not the host, so the emitted trace is the same on every run.
-pub fn trace_workload(sf: f64) -> Result<xdb_obs::QueryTrace> {
-    let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+pub fn trace_workload(sf: f64, telemetry: &Arc<Telemetry>) -> Result<xdb_obs::QueryTrace> {
+    let env = onprem(TableDist::Td1, sf, telemetry)?;
     let mut merged = xdb_obs::QueryTrace::default();
     let mut offset = 0.0f64;
     for q in TpchQuery::ALL {
@@ -173,14 +171,14 @@ pub fn trace_workload(sf: f64) -> Result<xdb_obs::QueryTrace> {
 
 /// Fig 1: the introduction experiment — total vs actual execution time of
 /// TPC-H Q3 for Garlic and Presto (and XDB) at two scale factors.
-pub fn fig01(sf_small: f64, sf_large: f64) -> Result<Figure> {
+pub fn fig01(sf_small: f64, sf_large: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
     let mut fig = Figure::new(
         "Fig 1",
         "MW overhead on Q3: total vs actual execution",
         "sim seconds",
     );
     for sf in [sf_small, sf_large] {
-        let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+        let env = onprem(TableDist::Td1, sf, telemetry)?;
         let q3 = TpchQuery::Q3.sql();
         let actual = localized_exec_ms(sf, q3)? / 1000.0;
         let garlic =
@@ -208,8 +206,8 @@ pub fn fig01(sf_small: f64, sf_large: f64) -> Result<Figure> {
 
 /// Fig 9a–c: overall runtime of the six queries for XDB / Garlic /
 /// Presto-4 / Sclera under one table distribution.
-pub fn fig09(td: TableDist, sf: f64) -> Result<Figure> {
-    let env = env(td, sf, Scenario::OnPremise, &pg())?;
+pub fn fig09(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(td, sf, telemetry)?;
     let mut fig = Figure::new(
         format!("Fig 9 ({})", td.name()),
         format!("overall runtime, {} sf {sf}", td.name()),
@@ -241,12 +239,13 @@ pub fn fig09(td: TableDist, sf: f64) -> Result<Figure> {
 // ----------------------------------------------------------------- Fig 10
 
 /// Fig 10: heterogeneous engines (MariaDB@db2, Hive@db3), XDB vs Presto-4.
-pub fn fig10(sf: f64) -> Result<Figure> {
+pub fn fig10(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
     let env = env(
         TableDist::Td1,
         sf,
         Scenario::OnPremise,
         &ProfileAssignment::heterogeneous(),
+        telemetry,
     )?;
     let mut fig = Figure::new(
         "Fig 10",
@@ -270,8 +269,8 @@ pub fn fig10(sf: f64) -> Result<Figure> {
 // ----------------------------------------------------------------- Fig 11
 
 /// Fig 11: scaling Presto's workers (2/4/10) vs XDB, TD1.
-pub fn fig11(sf: f64) -> Result<Figure> {
-    let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+pub fn fig11(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(TableDist::Td1, sf, telemetry)?;
     let mut fig = Figure::new(
         "Fig 11",
         format!("scaled-out mediator vs decentralized execution (TD1, sf {sf})"),
@@ -301,11 +300,11 @@ pub fn fig11(sf: f64) -> Result<Figure> {
 
 /// Table IV: delegation plan analysis — the `t_i --x--> t_j` edges of
 /// Q3/Q5/Q8 under TD1/TD2 with *measured* moved row counts.
-pub fn table4(sf: f64) -> Result<String> {
+pub fn table4(sf: f64, telemetry: &Arc<Telemetry>) -> Result<String> {
     let mut out =
         String::from("== Table IV: delegation plans with measured inter-DBMS movements ==\n");
     for td in [TableDist::Td1, TableDist::Td2] {
-        let env = env(td, sf, Scenario::OnPremise, &pg())?;
+        let env = onprem(td, sf, telemetry)?;
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
             env.cluster.ledger.clear();
             let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
@@ -357,7 +356,7 @@ pub fn table4(sf: f64) -> Result<String> {
 // -------------------------------------------------------------- Fig 12/13
 
 /// Fig 12: runtime scaling over data size for Q3 / Q9 / Q8 (TD1).
-pub fn fig12(sfs: &[f64]) -> Result<Vec<Figure>> {
+pub fn fig12(sfs: &[f64], telemetry: &Arc<Telemetry>) -> Result<Vec<Figure>> {
     let mut figures = Vec::new();
     for q in [TpchQuery::Q3, TpchQuery::Q9, TpchQuery::Q8] {
         let mut fig = Figure::new(
@@ -366,7 +365,7 @@ pub fn fig12(sfs: &[f64]) -> Result<Vec<Figure>> {
             "sim seconds",
         );
         for &sf in sfs {
-            let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+            let env = onprem(TableDist::Td1, sf, telemetry)?;
             let x = format!("sf {sf}");
             let (xdb_exec, _, _) = run_xdb(&env, q.sql())?;
             let garlic = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::garlic(CLOUD))
@@ -385,14 +384,14 @@ pub fn fig12(sfs: &[f64]) -> Result<Vec<Figure>> {
 }
 
 /// Fig 13: average runtime over all six queries vs scale factor (TD1).
-pub fn fig13(sfs: &[f64]) -> Result<Figure> {
+pub fn fig13(sfs: &[f64], telemetry: &Arc<Telemetry>) -> Result<Figure> {
     let mut fig = Figure::new(
         "Fig 13",
         "average runtime over all queries (TD1)",
         "sim seconds",
     );
     for &sf in sfs {
-        let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+        let env = onprem(TableDist::Td1, sf, telemetry)?;
         let x = format!("sf {sf}");
         let (mut sx, mut sg, mut sp, mut bytes) = (0.0, 0.0, 0.0, 0u64);
         for q in TpchQuery::ALL {
@@ -421,7 +420,7 @@ pub fn fig13(sfs: &[f64]) -> Result<Figure> {
 
 /// Fig 14: data transferred during execution — XDB on-premise, XDB
 /// geo-distributed, Garlic, Presto (mediator in the cloud).
-pub fn fig14(td: TableDist, sf: f64) -> Result<Figure> {
+pub fn fig14(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
     let mut fig = Figure::new(
         format!("Fig 14 ({})", td.name()),
         format!("bytes moved over metered links ({}, sf {sf})", td.name()),
@@ -429,9 +428,9 @@ pub fn fig14(td: TableDist, sf: f64) -> Result<Figure> {
     );
     // On-premise: DBMSes on a LAN, middleware in the cloud. Metered
     // traffic = anything touching the cloud node.
-    let onp = env(td, sf, Scenario::OnPremise, &pg())?;
+    let onp = onprem(td, sf, telemetry)?;
     // Geo-distributed: every DBMS in its own DC; every link is metered.
-    let geo = env(td, sf, Scenario::GeoDistributed, &pg())?;
+    let geo = env(td, sf, Scenario::GeoDistributed, &pg(), telemetry)?;
     for q in TpchQuery::ALL {
         onp.cluster.ledger.clear();
         let xdb = Xdb::new(&onp.cluster, &onp.catalog).with_client_node(CLOUD);
@@ -465,14 +464,19 @@ pub fn fig14(td: TableDist, sf: f64) -> Result<Figure> {
 
 /// Fig 15: XDB query-processing phase breakdown (prep / lopt / ann / exec)
 /// across scale factors.
-pub fn fig15(q: TpchQuery, td: TableDist, sfs: &[f64]) -> Result<Figure> {
+pub fn fig15(
+    q: TpchQuery,
+    td: TableDist,
+    sfs: &[f64],
+    telemetry: &Arc<Telemetry>,
+) -> Result<Figure> {
     let mut fig = Figure::new(
         format!("Fig 15 ({} {})", q.name(), td.name()),
         format!("phase breakdown of {} on {}", q.name(), td.name()),
         "sim seconds",
     );
     for &sf in sfs {
-        let env = env(td, sf, Scenario::OnPremise, &pg())?;
+        let env = onprem(td, sf, telemetry)?;
         let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
         let out = xdb.submit(q.sql())?;
         let x = format!("sf {sf}");
@@ -492,8 +496,8 @@ pub fn fig15(q: TpchQuery, td: TableDist, sfs: &[f64]) -> Result<Figure> {
 
 /// Ablation: movement-type choice — cost-based vs all-implicit vs
 /// all-explicit (design-choice study beyond the paper's figures).
-pub fn ablation_movement(sf: f64) -> Result<Figure> {
-    let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+pub fn ablation_movement(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(TableDist::Td1, sf, telemetry)?;
     let mut fig = Figure::new(
         "Ablation A1",
         format!("movement-type policy (TD1, sf {sf})"),
@@ -525,8 +529,8 @@ pub fn ablation_movement(sf: f64) -> Result<Figure> {
 
 /// Ablation: annotation search-space pruning on/off — consulting
 /// round-trips and resulting runtime.
-pub fn ablation_pruning(sf: f64) -> Result<Figure> {
-    let env = env(TableDist::Td3, sf, Scenario::OnPremise, &pg())?;
+pub fn ablation_pruning(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(TableDist::Td3, sf, telemetry)?;
     let mut fig = Figure::new(
         "Ablation A2",
         format!("annotation candidate pruning (TD3, sf {sf})"),
@@ -556,8 +560,8 @@ pub fn ablation_pruning(sf: f64) -> Result<Figure> {
 
 /// Ablation: logical-optimizer contributions (join reordering and
 /// projection pushdown) measured by data moved and runtime.
-pub fn ablation_logical(sf: f64) -> Result<Figure> {
-    let env = env(TableDist::Td1, sf, Scenario::OnPremise, &pg())?;
+pub fn ablation_logical(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(TableDist::Td1, sf, telemetry)?;
     let mut fig = Figure::new(
         "Ablation A3",
         format!("logical optimizations (TD1, sf {sf})"),
@@ -593,8 +597,8 @@ pub fn ablation_logical(sf: f64) -> Result<Figure> {
 /// Ablation: left-deep vs bushy join trees (the paper's future-work
 /// extension, footnote 5: bushy plans expose pipeline parallelism that
 /// decentralized execution exploits).
-pub fn ablation_bushy(sf: f64) -> Result<Figure> {
-    let env = env(TableDist::Td3, sf, Scenario::OnPremise, &pg())?;
+pub fn ablation_bushy(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
+    let env = onprem(TableDist::Td3, sf, telemetry)?;
     let mut fig = Figure::new(
         "Ablation A4",
         format!("left-deep vs bushy join trees (TD3, sf {sf})"),
@@ -629,7 +633,7 @@ mod tests {
 
     #[test]
     fn fig01_runs_and_orders_correctly() {
-        let fig = fig01(TEST_SF, TEST_SF * 2.0).unwrap();
+        let fig = fig01(TEST_SF, TEST_SF * 2.0, &Telemetry::new_handle()).unwrap();
         let r = fig.render();
         assert!(r.contains("garlic total"), "{r}");
         // Actual ≤ total for both MW systems.
@@ -656,7 +660,7 @@ mod tests {
 
     #[test]
     fn fig09_has_all_queries_and_systems() {
-        let fig = fig09(TableDist::Td1, TEST_SF).unwrap();
+        let fig = fig09(TableDist::Td1, TEST_SF, &Telemetry::new_handle()).unwrap();
         assert_eq!(fig.series.len(), 6);
         for s in &fig.series {
             assert_eq!(s.points.len(), 6, "{} missing queries", s.name);
@@ -665,7 +669,7 @@ mod tests {
 
     #[test]
     fn table4_reports_rows() {
-        let t = table4(TEST_SF).unwrap();
+        let t = table4(TEST_SF, &Telemetry::new_handle()).unwrap();
         assert!(t.contains("TD1 Q3"), "{t}");
         assert!(t.contains("rows"), "{t}");
         assert!(t.contains("--i-->") || t.contains("--e-->"), "{t}");
@@ -673,7 +677,7 @@ mod tests {
 
     #[test]
     fn fig14_xdb_onp_is_smallest() {
-        let fig = fig14(TableDist::Td1, TEST_SF).unwrap();
+        let fig = fig14(TableDist::Td1, TEST_SF, &Telemetry::new_handle()).unwrap();
         for q in TpchQuery::ALL {
             let onp = fig.series[0].get(q.name()).unwrap();
             let garlic = fig
@@ -693,13 +697,13 @@ mod tests {
 
     #[test]
     fn ablation_bushy_runs_and_matches() {
-        let fig = ablation_bushy(TEST_SF).unwrap();
+        let fig = ablation_bushy(TEST_SF, &Telemetry::new_handle()).unwrap();
         assert!(fig.series.len() >= 2, "{}", fig.render());
     }
 
     #[test]
     fn trace_workload_concatenates_all_queries() {
-        let trace = trace_workload(TEST_SF).unwrap();
+        let trace = trace_workload(TEST_SF, &Telemetry::new_handle()).unwrap();
         let roots = trace.spans.iter().filter(|s| s.parent.is_none()).count();
         assert_eq!(roots, TpchQuery::ALL.len());
         // One lane per engine node plus client and net.
@@ -716,7 +720,13 @@ mod tests {
 
     #[test]
     fn fig15_overhead_sf_independent() {
-        let fig = fig15(TpchQuery::Q3, TableDist::Td1, &[TEST_SF, TEST_SF * 4.0]).unwrap();
+        let fig = fig15(
+            TpchQuery::Q3,
+            TableDist::Td1,
+            &[TEST_SF, TEST_SF * 4.0],
+            &Telemetry::new_handle(),
+        )
+        .unwrap();
         let ann = fig.series.iter().find(|s| s.name == "ann").unwrap();
         let a = ann.points[0].1;
         let b = ann.points[1].1;

@@ -230,8 +230,7 @@ mod tests {
     #[test]
     fn monitor_roundtrips_through_gate() {
         let report =
-            crate::monitor::run_monitor_with(0.002, 1, Some(xdb_obs::Telemetry::new_handle()))
-                .unwrap();
+            crate::monitor::run_monitor(0.002, 1, &xdb_obs::Telemetry::new_handle()).unwrap();
         let baseline = parse_monitor_snapshot(&report.to_json()).unwrap();
         let gate = compare("monitor", &baseline, &report.flat_values(), 0.5);
         assert!(gate.passed(), "{}", gate.render());

@@ -14,18 +14,17 @@
 //! telemetry registry, so the whole report is bit-identical across
 //! repeated invocations, whatever threads the host lends.
 
-use crate::experiments::{env, Env, CLOUD};
+use crate::experiments::{env, pg, Env, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use xdb_baselines::{Mediator, MediatorConfig, Sclera};
 use xdb_core::{Xdb, XdbOptions};
 use xdb_engine::error::{EngineError, Result};
-use xdb_engine::profile::EngineProfile;
 use xdb_net::{Purpose, Scenario};
 use xdb_obs::trace::{json_number, json_string};
 use xdb_obs::{Metric, MetricRegistry, Telemetry};
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_tpch::{TableDist, TpchQuery};
 
 /// Deployment names, in dashboard order.
 pub const DEPLOYMENTS: [&str; 4] = ["xdb", "garlic", "presto4", "sclera"];
@@ -97,40 +96,16 @@ pub struct MonitorReport {
     fleet_prometheus: String,
 }
 
-/// Run the monitor workload against the process-global telemetry handle.
-pub fn run_monitor(sf: f64, runs: usize) -> Result<MonitorReport> {
-    run_monitor_with(sf, runs, None)
-}
-
-/// Like [`run_monitor`], but with an isolated [`Telemetry`] handle so
-/// tests do not observe unrelated traffic on the global registry.
-pub fn run_monitor_with(
-    sf: f64,
-    runs: usize,
-    telemetry: Option<Arc<Telemetry>>,
-) -> Result<MonitorReport> {
+/// Run the monitor workload. Every profile's federation reports into
+/// `fleet`, so the fleet rendering and the live-object high-water marks
+/// cover the whole workload.
+pub fn run_monitor(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Result<MonitorReport> {
     let registry = MetricRegistry::new();
     let mut envs = Vec::new();
-    let mut fleet = None;
     for (pname, scenario) in PROFILES {
-        let mut e = env(
-            TableDist::Td1,
-            sf,
-            scenario,
-            &ProfileAssignment::uniform(EngineProfile::postgres()),
-        )?;
-        // All profile federations share one telemetry handle so the fleet
-        // rendering and the live-object high-water marks cover the whole
-        // workload (when no handle is passed in, every cluster already
-        // shares the process-global one).
-        if let Some(t) = &telemetry {
-            e.catalog.set_telemetry(Arc::clone(t));
-            e.cluster.set_telemetry(Arc::clone(t));
-        }
-        fleet.get_or_insert_with(|| Arc::clone(e.cluster.telemetry()));
+        let e = env(TableDist::Td1, sf, scenario, &pg(), fleet)?;
         envs.push((pname, e));
     }
-    let fleet = fleet.expect("at least one monitor profile");
     // Per-cell accumulators the registry does not model: the per-codec
     // byte split (variable key set) and the observatory error/regret sums.
     type Cell = (String, String, String);
@@ -640,7 +615,7 @@ mod tests {
 
     #[test]
     fn monitor_covers_all_cells() {
-        let report = run_monitor_with(TEST_SF, 2, Some(Telemetry::new_handle())).unwrap();
+        let report = run_monitor(TEST_SF, 2, &Telemetry::new_handle()).unwrap();
         assert_eq!(
             report.rows.len(),
             PROFILES.len() * TpchQuery::ALL.len() * DEPLOYMENTS.len()
@@ -706,7 +681,7 @@ mod tests {
 
     #[test]
     fn renders_are_complete_and_valid() {
-        let report = run_monitor_with(TEST_SF, 1, Some(Telemetry::new_handle())).unwrap();
+        let report = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         let dash = report.render_dashboard();
         for dep in DEPLOYMENTS {
             assert!(dash.contains(dep), "{dash}");
@@ -730,7 +705,7 @@ mod tests {
 
     #[test]
     fn observatory_columns_and_codec_split_populated() {
-        let report = run_monitor_with(TEST_SF, 1, Some(Telemetry::new_handle())).unwrap();
+        let report = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         for r in &report.rows {
             // Every cell moved compressed data, so the per-codec split the
             // history store records must surface here too.
@@ -794,7 +769,7 @@ mod tests {
         // The ISSUE 5 acceptance bar: on the TD1 workload the columnar
         // codec moves at least 2x fewer bytes over XDB's streamed edges
         // than the raw wire size.
-        let report = run_monitor_with(TEST_SF, 1, Some(Telemetry::new_handle())).unwrap();
+        let report = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         let (mut raw, mut enc) = (0.0f64, 0.0f64);
         for r in report.rows.iter().filter(|r| r.deployment == "xdb") {
             raw += r.mean_bytes;
@@ -808,8 +783,8 @@ mod tests {
 
     #[test]
     fn monitor_is_deterministic_across_invocations() {
-        let a = run_monitor_with(TEST_SF, 1, Some(Telemetry::new_handle())).unwrap();
-        let b = run_monitor_with(TEST_SF, 1, Some(Telemetry::new_handle())).unwrap();
+        let a = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
+        let b = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         assert_eq!(a.flat_values(), b.flat_values());
         assert_eq!(a.objects_live_hwm, b.objects_live_hwm);
     }

@@ -5,26 +5,21 @@
 //! the critical path each history record carries as a top-bottleneck table
 //! — which query is slowest, how many spans its critical path has, and how
 //! its end-to-end simulated latency splits into compute / transfer /
-//! consult / DDL. The workload runs on the process's telemetry, so with
-//! `repro --history dir/` every run is also recorded there, labeled with
-//! the TPC-H query name.
+//! consult / DDL. The workload reports into the telemetry handle it is
+//! given, so with `repro --history dir/` every run is also recorded there,
+//! labeled with the TPC-H query name.
 
-use crate::experiments::{env, run_workload};
+use crate::experiments::{onprem, run_workload};
+use std::sync::Arc;
 use xdb_core::XdbOptions;
 use xdb_engine::error::Result;
-use xdb_engine::profile::EngineProfile;
-use xdb_net::Scenario;
-use xdb_obs::HistoryRecord;
-use xdb_tpch::{ProfileAssignment, TableDist};
+use xdb_obs::{HistoryRecord, Telemetry};
+use xdb_tpch::TableDist;
 
-/// Run the six TD1 queries once; one history record per query.
-pub fn profile_workload(sf: f64) -> Result<Vec<HistoryRecord>> {
-    let env = env(
-        TableDist::Td1,
-        sf,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )?;
+/// Run the six TD1 queries once on a federation reporting into
+/// `telemetry`; one history record per query.
+pub fn profile_workload(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Vec<HistoryRecord>> {
+    let env = onprem(TableDist::Td1, sf, telemetry)?;
     Ok(run_workload(&env, &XdbOptions::default(), 1)?.0)
 }
 
@@ -73,12 +68,11 @@ pub fn render_table(sf: f64, records: &[HistoryRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::isolated_env;
     use xdb_tpch::TpchQuery;
 
     #[test]
     fn profile_covers_workload_and_attributes_latency() {
-        let env = isolated_env(TableDist::Td1, 0.002).unwrap();
+        let env = onprem(TableDist::Td1, 0.002, &Telemetry::new_handle()).unwrap();
         let (records, _) = run_workload(&env, &XdbOptions::default(), 1).unwrap();
         assert_eq!(records.len(), TpchQuery::ALL.len());
         for r in &records {

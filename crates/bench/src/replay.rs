@@ -16,12 +16,12 @@
 //! flips — the tier-1 self-compare that pins the learned path's
 //! bit-exact-fallback contract in CI.
 
-use crate::experiments::{isolated_env, result_digest, run_workload};
+use crate::experiments::{onprem, result_digest, run_workload};
 use std::fmt::Write as _;
 use xdb_core::{CostProfiles, QueryOutcome, XdbOptions};
 use xdb_engine::error::Result;
 use xdb_obs::costmodel::ErrorStats;
-use xdb_obs::{summarize, HistoryRecord};
+use xdb_obs::{summarize, HistoryRecord, Telemetry};
 use xdb_tpch::TableDist;
 
 /// One query's measurements under one cost-model arm.
@@ -125,7 +125,7 @@ type ArmOutcome = (Vec<(String, ReplayArm)>, f64, f64);
 /// Run the workload once under one cost-model arm. `profiles` is the
 /// frozen store the learned arm prices against (`None` → static model).
 fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<ArmOutcome> {
-    let e = isolated_env(td, sf)?;
+    let e = onprem(td, sf, &Telemetry::new_handle())?;
     if let Some(p) = profiles {
         e.catalog.set_profiles(p.clone());
     }
@@ -270,7 +270,7 @@ pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
         freeze_profiles: false,
         ..Default::default()
     };
-    let (records, _) = run_workload(&isolated_env(td, sf)?, &options, 1)?;
+    let (records, _) = run_workload(&onprem(td, sf, &Telemetry::new_handle())?, &options, 1)?;
     Ok(CostProfiles::from_history(&records))
 }
 

@@ -18,14 +18,15 @@
 //! Every number is taken off the simulated clock, so the whole report is
 //! deterministic across invocations and rides the monitor regression-gate
 //! baseline (`BENCH_monitor.json`, see [`crate::gate`]) as `tenants/...`
-//! series. Latency series deliberately exclude control-message byte
-//! counts, which depend on the decimal width of process-global query ids.
+//! series. Each arm runs on a fresh federation with a telemetry handle of
+//! its own, and a fresh federation numbers its queries from 1.
 
-use crate::experiments::{isolated_env, result_digest, CLOUD};
+use crate::experiments::{onprem, result_digest, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xdb_core::{QueryServer, SessionOptions, SessionReport, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::error::Result;
+use xdb_obs::Telemetry;
 use xdb_tpch::{TableDist, TpchQuery};
 
 /// One admission arm (folded or unfolded) aggregated over the whole run.
@@ -45,8 +46,8 @@ pub struct TenantsArm {
     pub consult_probes: u64,
     pub ddl_statements: u64,
     /// One line per admission: tenant, result shape, and an FNV-1a hash
-    /// of every result cell. Deliberately independent of query ids, so
-    /// digests compare byte-for-byte across arms and across processes.
+    /// of every result cell, so digests compare byte-for-byte across arms
+    /// and across processes.
     pub digests: Vec<String>,
 }
 
@@ -154,7 +155,7 @@ pub fn run_tenants(sf: f64, tenants: usize, rounds: usize) -> Result<TenantsRepo
 }
 
 fn run_arm(sf: f64, subs: &[Submission], window: usize, fold: bool) -> Result<TenantsArm> {
-    let e = isolated_env(TableDist::Td1, sf)?;
+    let e = onprem(TableDist::Td1, sf, &Telemetry::new_handle())?;
     let server = QueryServer::new(
         &e.cluster,
         &e.catalog,
@@ -310,8 +311,8 @@ mod tests {
 
     #[test]
     fn values_are_deterministic_across_invocations() {
-        // The gate depends on it: two fresh runs (different global query
-        // ids) must produce identical latency series and digests.
+        // The gate depends on it: two fresh runs must produce identical
+        // latency series and digests.
         let a = run_tenants(TEST_SF, 4, 2).unwrap();
         let b = run_tenants(TEST_SF, 4, 2).unwrap();
         assert_eq!(a.flat_values(), b.flat_values());
@@ -320,40 +321,10 @@ mod tests {
         assert!(gate.passed(), "{}", gate.render());
     }
 
-    fn same_width(ids: &[u64]) -> bool {
-        let w = ids[0].to_string().len();
-        ids.iter().all(|i| i.to_string().len() == w)
-    }
-
-    /// Replace every decimal run after `xdb_q` / `"query":` with `N` so
-    /// runs with different global query ids compare equal.
-    fn normalize_ids(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        let bytes = s.as_bytes();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            out.push(bytes[i] as char);
-            let here = &s[..=i];
-            if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-                let mut j = i + 1;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j > i + 1 {
-                    out.push('N');
-                    i = j;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
     /// (query ids, per-admission observables, deterministic snapshot,
     /// makespan) for one admission run over `subs`.
     fn admit(subs: &[Submission], window: usize) -> (Vec<u64>, Vec<String>, String, f64) {
-        let e = isolated_env(TableDist::Td1, TEST_SF).unwrap();
+        let e = onprem(TableDist::Td1, TEST_SF, &Telemetry::new_handle()).unwrap();
         let server = QueryServer::new(
             &e.cluster,
             &e.catalog,
@@ -383,32 +354,15 @@ mod tests {
     #[test]
     fn admission_repeats_bit_identically_at_1_8_64_tenants() {
         // Admission is serial, so the interleaved TD1 mix admitted on two
-        // fresh federations must produce the same fingerprints, the same
-        // deterministic_snapshot() and the same makespan, at 1, 8, and 64
-        // tenants. Query-id decimal widths leak into control-message byte
-        // counts, so retry until both runs drew same-width ids.
+        // fresh federations must produce the same query ids, fingerprints,
+        // deterministic_snapshot() and makespan, at 1, 8, and 64 tenants.
         for &n in &[1usize, 8, 64] {
             let subs = submissions(n, 1);
-            let mut done = false;
-            for _ in 0..12 {
-                let first = admit(&subs, n);
-                let again = admit(&subs, n);
-                let mut ids = first.0.clone();
-                ids.extend(&again.0);
-                if !same_width(&ids) {
-                    continue;
-                }
-                assert_eq!(first.1, again.1, "observables diverged at {n} tenants");
-                assert_eq!(
-                    normalize_ids(&first.2),
-                    normalize_ids(&again.2),
-                    "snapshots diverged at {n} tenants"
-                );
-                assert_eq!(first.3, again.3, "makespans diverged at {n} tenants");
-                done = true;
-                break;
-            }
-            assert!(done, "query-id widths never aligned at {n} tenants");
+            let (first, again) = (admit(&subs, n), admit(&subs, n));
+            assert_eq!(first.0, again.0, "query ids diverged at {n} tenants");
+            assert_eq!(first.1, again.1, "observables diverged at {n} tenants");
+            assert_eq!(first.2, again.2, "snapshots diverged at {n} tenants");
+            assert_eq!(first.3, again.3, "makespans diverged at {n} tenants");
         }
     }
 }

@@ -6,22 +6,15 @@
 //! analysis must be bit-identical across those settings.
 
 use proptest::prelude::*;
-use xdb_bench::experiments::{env, CLOUD};
+use xdb_bench::experiments::{onprem, CLOUD};
 use xdb_core::{Xdb, XdbOptions};
-use xdb_engine::profile::EngineProfile;
-use xdb_net::Scenario;
 use xdb_obs::critical::{critical_path, ns, CriticalPath};
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_obs::Telemetry;
+use xdb_tpch::{TableDist, TpchQuery};
 
 /// One TD1 run; returns (end-to-end simulated ms, critical path).
 fn run_td1(q: TpchQuery, chunk: usize) -> (f64, CriticalPath) {
-    let e = env(
-        TableDist::Td1,
-        0.002,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )
-    .unwrap();
+    let e = onprem(TableDist::Td1, 0.002, &Telemetry::new_handle()).unwrap();
     e.cluster.ledger.clear();
     let xdb = Xdb::new(&e.cluster, &e.catalog)
         .with_client_node(CLOUD)

@@ -4,23 +4,17 @@
 //! morsels are unobservable end to end, not just codec-locally.
 
 use proptest::prelude::*;
-use xdb_bench::experiments::{env, CLOUD};
+use xdb_bench::experiments::{onprem, CLOUD};
 use xdb_core::{Xdb, XdbOptions};
-use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
-use xdb_net::{Purpose, Scenario};
-use xdb_tpch::{ProfileAssignment, TableDist, TpchQuery};
+use xdb_net::Purpose;
+use xdb_obs::Telemetry;
+use xdb_tpch::{TableDist, TpchQuery};
 
 /// One TD1 run at the given chunk size: (result, raw bytes, encoded
 /// bytes) over the pipelined + materialized edges.
 fn run_td1(q: TpchQuery, chunk: usize) -> (Relation, u64, u64) {
-    let e = env(
-        TableDist::Td1,
-        0.002,
-        Scenario::OnPremise,
-        &ProfileAssignment::uniform(EngineProfile::postgres()),
-    )
-    .unwrap();
+    let e = onprem(TableDist::Td1, 0.002, &Telemetry::new_handle()).unwrap();
     e.cluster.ledger.clear();
     let xdb = Xdb::new(&e.cluster, &e.catalog)
         .with_client_node(CLOUD)

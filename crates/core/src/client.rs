@@ -18,9 +18,8 @@ use crate::delegation::{
 };
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::ExecReport;
+use xdb_engine::engine::{log_parse_error, ExecReport};
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{params, wire, NodeId, Purpose, Transfer};
@@ -131,8 +130,10 @@ pub struct XdbOptions {
     pub bushy_joins: bool,
     /// Collect per-operator statistics (rows in/out, hash-join build and
     /// probe sizes) inside every engine touched by this query and attach
-    /// Operator spans to the trace. Off by default: operator profiling is
-    /// the only instrumentation with a per-row bookkeeping footprint.
+    /// Operator spans to the trace. The flag travels with the query's own
+    /// statements, so clients sharing a federation trace independently.
+    /// Off by default: operator profiling is the only instrumentation with
+    /// a per-row bookkeeping footprint.
     pub trace_operators: bool,
     /// Transport morsel size (rows) for streamed dataflow edges; 0 means
     /// unbounded (one chunk per edge). Defaults to
@@ -182,18 +183,6 @@ impl Default for XdbOptions {
 const LOPT_MS_PER_NODE: f64 = 2.5;
 /// Parse/analysis baseline of the prep phase.
 pub(crate) const PREP_PARSE_MS: f64 = 15.0;
-
-/// Process-wide query-id source: short-lived relation names must be
-/// unique across *every* concurrently-active client of the federation,
-/// not just within one.
-static NEXT_QUERY_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Draw a fresh process-wide query id (used by the session layer for
-/// fan-out waiters, which never deploy objects of their own but still need
-/// a correlation id on their traces and telemetry events).
-pub(crate) fn next_query_id() -> u64 {
-    NEXT_QUERY_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// The XDB middleware.
 pub struct Xdb<'a> {
@@ -253,7 +242,8 @@ impl<'a> Xdb<'a> {
     /// prep/lopt/ann phase spans and per-probe Consult spans into a fresh
     /// collector.
     pub(crate) fn plan_internal(&self, sql: &str) -> Result<Planned> {
-        let stmt = xdb_sql::parse_statement(sql)?;
+        let stmt = xdb_sql::parse_statement(sql)
+            .map_err(|e| log_parse_error(self.cluster.telemetry(), sql, e))?;
         let select = match stmt {
             Statement::Select(s) => s,
             // `EXPLAIN <select>` against the middleware plans the inner
@@ -422,7 +412,9 @@ impl<'a> Xdb<'a> {
         let overhead_ms = prep_ms + lopt_ms + ann_ms;
         collector.set_dur(query_span, overhead_ms);
 
-        let query_id = next_query_id();
+        // Query ids come from the federation: short-lived relation names
+        // must be unique across every client submitting to it.
+        let query_id = self.cluster.next_query_id();
         let script = build_script(&annotation.plan, query_id, self.cluster)?;
 
         // Fleet telemetry: the whole planning pipeline is single-threaded,
@@ -548,10 +540,8 @@ impl<'a> Xdb<'a> {
             .set_stream_chunk_rows(self.options.stream_chunk_rows);
         self.cluster
             .set_reactor_threads(self.options.reactor_threads);
-        if self.options.trace_operators {
-            self.cluster.set_op_tracing(true);
-        }
-        let ran = deploy_script(self.cluster, script).and_then(|deployed| {
+        let trace_ops = self.options.trace_operators;
+        let ran = deploy_script(self.cluster, script, trace_ops).and_then(|deployed| {
             let query_mark = self.cluster.ledger.len();
             // For a partial fold the physical work stays pruned; only the
             // simulated-clock replay runs over the solo script (the XDB
@@ -565,12 +555,16 @@ impl<'a> Xdb<'a> {
                     (solo, &spliced)
                 }
             };
-            let outcome = finish_script(self.cluster, delegation, timeline, reports, &trace_ctx)?;
+            let outcome = finish_script(
+                self.cluster,
+                delegation,
+                timeline,
+                reports,
+                &trace_ctx,
+                trace_ops,
+            )?;
             Ok((deployed, query_mark, outcome))
         });
-        if self.options.trace_operators {
-            self.cluster.set_op_tracing(false);
-        }
         let (deployed, query_mark, outcome) = match ran {
             Ok(ran) => ran,
             Err(e) => {

@@ -246,13 +246,15 @@ pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, Stri
 /// pipeline.
 ///
 /// Everything here is driven only by script order and the step reports,
-/// which come off the simulated clock.
+/// which come off the simulated clock. With `trace_ops` the XDB query
+/// collects operator profiles, as the deployment's steps did.
 pub(crate) fn finish_script(
     cluster: &Cluster,
     plan: &DelegationPlan,
     script: &DelegationScript,
     step_reports: &[ExecReport],
     trace: &TraceCtx<'_>,
+    trace_ops: bool,
 ) -> Result<ExecutionOutcome> {
     debug_assert_eq!(step_reports.len(), script.steps.len());
     // (from, to) -> producer ready-time / absolute finish time of each
@@ -274,7 +276,9 @@ pub(crate) fn finish_script(
     let ddl_ms = ddl_count as f64 * params::DDL_ROUNDTRIP_MS;
 
     // The XDB query triggers the in-situ pipeline.
-    let (relation, report) = cluster.query(script.root_node.as_str(), &script.xdb_query)?;
+    let (relation, report) = cluster
+        .execute_traced(script.root_node.as_str(), &script.xdb_query, trace_ops)?
+        .into_rows()?;
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
     let exec_ms = ddl_ms + root_ready + report.finish_ms;
@@ -568,13 +572,18 @@ pub(crate) struct TaskRun {
 /// calling thread and straight onto the cluster's ledger: the client
 /// "sends the DDL statements" (Section III) and a DBMS runs one delegated
 /// statement after the other. The first failing step stops the script, so
-/// exactly the statements before it ran.
-pub(crate) fn deploy_script(cluster: &Cluster, script: &DelegationScript) -> Result<Deployed> {
+/// exactly the statements before it ran. With `trace_ops` every step
+/// reports its operator profile.
+pub(crate) fn deploy_script(
+    cluster: &Cluster,
+    script: &DelegationScript,
+    trace_ops: bool,
+) -> Result<Deployed> {
     let mut step_reports = Vec::with_capacity(script.steps.len());
     let mut tasks: Vec<TaskRun> = Vec::with_capacity(script.steps.len());
     let mut at = cluster.ledger.len();
     for (k, step) in script.steps.iter().enumerate() {
-        let outcome = cluster.execute(step.node.as_str(), &step.sql)?;
+        let outcome = cluster.execute_traced(step.node.as_str(), &step.sql, trace_ops)?;
         step_reports.push(outcome.report);
         let end = cluster.ledger.len();
         match tasks.last_mut() {
@@ -596,8 +605,8 @@ pub(crate) fn deploy_script(cluster: &Cluster, script: &DelegationScript) -> Res
     })
 }
 
-/// Deploy and execute a delegation script: [`deploy_script`], then
-/// [`finish_script`] runs the XDB query and replays the simulated
+/// Deploy and execute a delegation script, untraced: [`deploy_script`],
+/// then [`finish_script`] runs the XDB query and replays the simulated
 /// timeline.
 pub fn run_script_parallel(
     cluster: &Cluster,
@@ -605,8 +614,8 @@ pub fn run_script_parallel(
     script: &DelegationScript,
     trace: &TraceCtx<'_>,
 ) -> Result<ExecutionOutcome> {
-    let deployed = deploy_script(cluster, script)?;
-    finish_script(cluster, plan, script, &deployed.step_reports, trace)
+    let deployed = deploy_script(cluster, script, false)?;
+    finish_script(cluster, plan, script, &deployed.step_reports, trace, false)
 }
 
 /// Best-effort cleanup of all short-lived relations (also used by failure
@@ -787,7 +796,7 @@ mod tests {
                     let what = format!("{} on {td:?}, forced {forced:?}", q.name());
                     let (plan, script) = tpch_script(&cluster, &catalog, q, forced);
                     let mark = cluster.ledger.len();
-                    let deployed = deploy_script(&cluster, &script).unwrap();
+                    let deployed = deploy_script(&cluster, &script, false).unwrap();
                     let appended = cluster.ledger.since(mark);
                     assert_eq!(deployed.step_reports.len(), script.steps.len(), "{what}");
                     let (mut step, mut record) = (0, mark);
@@ -854,7 +863,7 @@ mod tests {
             since.iter().map(|t| format!("{t:?}")).collect()
         };
         let mark = cluster.ledger.len();
-        deploy_script(&cluster, &script).unwrap();
+        deploy_script(&cluster, &script, false).unwrap();
         let intact = records(mark);
         run_cleanup(&cluster, &script);
 

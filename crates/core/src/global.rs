@@ -9,7 +9,7 @@ use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::NodeId;
-use xdb_obs::{MetricsSnapshot, Telemetry};
+use xdb_obs::MetricsSnapshot;
 use xdb_sql::ast::lower_name;
 use xdb_sql::bind::{RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::stats::{ColumnStats, StatsProvider};
@@ -44,10 +44,6 @@ pub struct GlobalCatalog {
     /// Memoized consulting round-trips, validated against each node's DDL
     /// generation.
     consult_cache: ConsultCache,
-    /// Fleet telemetry sink; [`GlobalCatalog::discover`] adopts the
-    /// cluster's handle so consultation counters land next to the engine
-    /// and network metrics of the same federation.
-    telemetry: Arc<Telemetry>,
     /// Learned cost profiles (feedback from the cost-model observatory):
     /// empty in a new catalog, installed whole by
     /// [`GlobalCatalog::set_profiles`] and grown by
@@ -65,14 +61,8 @@ impl GlobalCatalog {
             placeholders: RwLock::new(HashMap::new()),
             metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
-            telemetry: Arc::clone(xdb_obs::telemetry::global()),
             profiles: RwLock::new(Arc::default()),
         }
-    }
-
-    /// Attach a (typically isolated) telemetry handle.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = telemetry;
     }
 
     /// Register a table of the global schema as residing on `dbms`.
@@ -90,7 +80,6 @@ impl GlobalCatalog {
     /// union-of-local-schemas bootstrap.
     pub fn discover(cluster: &Cluster) -> Result<GlobalCatalog> {
         let mut catalog = GlobalCatalog::new();
-        catalog.telemetry = Arc::clone(cluster.telemetry());
         for node in cluster.node_names() {
             let engine = cluster.engine(&node)?;
             let names = engine.with_catalog(|c| c.names());
@@ -127,7 +116,8 @@ impl GlobalCatalog {
     /// the probe was answered from cache; each miss counts as one metadata
     /// fetch. Any DDL executed against the owning node bumps its DDL
     /// generation and thereby invalidates the cached probe, so the next
-    /// consultation re-fetches fresh statistics.
+    /// consultation re-fetches fresh statistics. The probe is counted on
+    /// the cluster's telemetry (`consult.probes`).
     pub fn consult(&self, cluster: &Cluster, table: &str) -> Result<bool> {
         let key = lower_name(table);
         let Some(gt) = self.table(&key) else {
@@ -136,10 +126,9 @@ impl GlobalCatalog {
         let engine = cluster.engine(gt.dbms.as_str())?;
         let generation = engine.ddl_generation();
         let probe = Probe::metadata(&key);
+        let metrics = &cluster.telemetry().metrics;
         if self.consult_cache.lookup(&gt.dbms, &probe, generation) {
-            self.telemetry
-                .metrics
-                .counter_add("consult.probes", &[("result", "hit")], 1.0);
+            metrics.counter_add("consult.probes", &[("result", "hit")], 1.0);
             return Ok(true);
         }
         let consulted = match engine.consult_stats(&key) {
@@ -149,9 +138,7 @@ impl GlobalCatalog {
         *self.metadata_fetches.write() += 1;
         self.consult_cache.store(&gt.dbms, &probe, generation);
         self.stats.write().insert(key.into_owned(), consulted);
-        self.telemetry
-            .metrics
-            .counter_add("consult.probes", &[("result", "miss")], 1.0);
+        metrics.counter_add("consult.probes", &[("result", "miss")], 1.0);
         Ok(false)
     }
 

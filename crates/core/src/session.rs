@@ -30,8 +30,9 @@
 //! is charged once); each tenant's observable outcome — its result
 //! relation, its as-if-alone [`PhaseBreakdown`], and its *attributed*
 //! ledger view (shared records attributed to every waiter) — is
-//! bit-identical to running the same query unfolded, modulo the width of
-//! process-global query ids that leak into control-message byte counts.
+//! bit-identical to running the same query unfolded, modulo the decimal
+//! width of query ids in control-message byte counts: a waiter is
+//! attributed the DDL of fragments deployed under another query's id.
 //!
 //! **Tenant awareness.** Every outcome carries the tenant and a fresh
 //! query id; traces get a `tenant` attribute on the query span (and a
@@ -41,8 +42,7 @@
 
 use crate::annotate::fragment_keys;
 use crate::client::{
-    next_query_id, Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions,
-    PREP_PARSE_MS,
+    Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions, PREP_PARSE_MS,
 };
 use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
@@ -439,7 +439,7 @@ impl<'a> QueryServer<'a> {
         if let Some(cp) = w.plan_cache.get(&sub.sql) {
             delegation = cp.delegation.clone();
             fkeys = cp.fragment_keys.clone();
-            query_id = next_query_id();
+            query_id = cluster.next_query_id();
             trace = synthetic_planning_trace(&sub.sql, cp.prep_probes, cp.ann_probes, cp.lopt_ms);
             report.plan_cache_hits += 1;
             telemetry

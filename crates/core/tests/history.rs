@@ -1,56 +1,19 @@
 //! Query-history and critical-path determinism: the history records a
 //! submission appends and the critical path computed over its trace are
 //! simulated-clock state, so both must be bit-identical across transport
-//! chunk sizes (1/4096/unbounded).
-//! The process-global query id is the one field comparisons normalize,
-//! exactly as the trace/telemetry tests do.
+//! chunk sizes (1/4096/unbounded). Fresh federations number their queries
+//! alike, so the comparisons include the query ids.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_obs::{critical_path, Telemetry};
 
-/// Query-id decimal width leaks into control-message byte counts; pairs
-/// under comparison are serialized and retried until both ids have the
-/// same width (see the streaming/telemetry tests for the same pattern).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
-
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
-    let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    catalog.set_telemetry(Arc::clone(&telemetry));
+    let (cluster, catalog) = scenario::build(ScenarioConfig::default()).unwrap();
+    let telemetry = Arc::clone(cluster.telemetry());
     (cluster, catalog, telemetry)
-}
-
-/// Replace every decimal run after `xdb_q` / `"query":` / `"query_id":`
-/// with `N` so runs with different global query ids compare equal.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q")
-            || here.ends_with("\"query\":")
-            || here.ends_with("\"query_id\":")
-        {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// One submission with the history sink on; returns the query id plus
@@ -75,18 +38,7 @@ fn run(chunk: usize) -> (u64, String) {
     }
     fp.push_str(&crit.render());
     fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
-}
-
-fn run_comparable_pair(a: usize, b: usize) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(a);
-        let (idb, fb) = run(b);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    (outcome.query_id, fp)
 }
 
 #[test]
@@ -94,14 +46,12 @@ fn history_identical_across_chunks() {
     // History records, critical path and deterministic metrics must not
     // see the transport morsel size.
     for chunk in [1usize, 4096] {
-        let (reference, other) = run_comparable_pair(0, chunk);
-        assert_eq!(reference, other, "chunk {chunk} observable");
+        assert_eq!(run(0), run(chunk), "chunk {chunk} observable");
     }
 }
 
 #[test]
 fn history_record_carries_fingerprint_and_edges() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     telemetry.history.enable_memory();
     telemetry.history.set_label("example");
@@ -140,7 +90,6 @@ fn history_record_carries_fingerprint_and_edges() {
 
 #[test]
 fn report_appends_critical_path() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
@@ -151,29 +100,21 @@ fn report_appends_critical_path() {
 
 #[test]
 fn log_level_filter_does_not_perturb_deterministic_snapshot() {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let run_at = |level: xdb_obs::Level| {
-            let (cluster, catalog, telemetry) = setup();
-            telemetry.events.set_min_level(level);
-            let xdb = Xdb::new(&cluster, &catalog);
-            let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-            (
-                outcome.query_id,
-                normalize_ids(&telemetry.metrics.deterministic_snapshot().render()),
-                telemetry.events.len(),
-            )
-        };
-        let (id_info, snap_info, events_info) = run_at(xdb_obs::Level::Info);
-        let (id_err, snap_err, events_err) = run_at(xdb_obs::Level::Error);
-        if id_info.to_string().len() != id_err.to_string().len() {
-            continue;
-        }
-        // Filtering drops events at record time…
-        assert!(events_info > 0);
-        assert_eq!(events_err, 0);
-        // …without moving any deterministic metric.
-        assert_eq!(snap_info, snap_err);
-        break;
-    }
+    let run_at = |level: xdb_obs::Level| {
+        let (cluster, catalog, telemetry) = setup();
+        telemetry.events.set_min_level(level);
+        let xdb = Xdb::new(&cluster, &catalog);
+        xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+        (
+            telemetry.metrics.deterministic_snapshot().render(),
+            telemetry.events.len(),
+        )
+    };
+    let (snap_info, events_info) = run_at(xdb_obs::Level::Info);
+    let (snap_err, events_err) = run_at(xdb_obs::Level::Error);
+    // Filtering drops events at record time…
+    assert!(events_info > 0);
+    assert_eq!(events_err, 0);
+    // …without moving any deterministic metric.
+    assert_eq!(snap_info, snap_err);
 }

@@ -13,7 +13,6 @@ use xdb_engine::profile::EngineProfile;
 use xdb_net::{Movement, NodeId, Scenario};
 use xdb_obs::costmodel::{CandidateObs, CostObservation, DecisionObs, EdgeJoin};
 use xdb_obs::history::{parse_history_jsonl, HistoryRecord};
-use xdb_obs::Telemetry;
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// A scratch directory unique to this test, cleaned up on drop.
@@ -52,11 +51,9 @@ fn history_is_a_sufficient_record_of_what_was_learned() {
         )
         .unwrap();
         cluster.topology.add_cloud_node(NodeId::new("cloud"));
-        let telemetry = Telemetry::new_handle();
+        let telemetry = cluster.telemetry();
         telemetry.history.enable_memory();
-        cluster.set_telemetry(Arc::clone(&telemetry));
-        let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
-        catalog.set_telemetry(Arc::clone(&telemetry));
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
         let xdb = Xdb::new(&cluster, &catalog)
             .with_client_node("cloud")
             .with_options(XdbOptions {

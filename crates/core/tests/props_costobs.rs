@@ -13,21 +13,13 @@
 //! charges sum to the annotation phase of the `PhaseBreakdown` exactly.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::profile::EngineProfile;
 use xdb_net::{NodeId, Scenario};
-use xdb_obs::Telemetry;
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
-
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; pairs under comparison are
-/// serialized and retried until both ids have the same width (same
-/// pattern as the reactor and telemetry tests).
-static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// One full TD1 submission under the given executor knobs; returns the
 /// query id and the serialized cost observation, after checking the
@@ -41,10 +33,7 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     )
     .unwrap();
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
-    catalog.set_telemetry(Arc::clone(&telemetry));
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
@@ -77,17 +66,13 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     (outcome.query_id, outcome.cost.to_value().to_json())
 }
 
-/// Run the reference configuration and the sampled one back-to-back,
-/// retrying until both query ids render at the same decimal width.
+/// Run the reference configuration and the sampled one, each on a fresh
+/// federation, which numbers its queries alike.
 fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(q, a.0, a.1);
-        let (idb, fb) = run(q, b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    let (ida, fa) = run(q, a.0, a.1);
+    let (idb, fb) = run(q, b.0, b.1);
+    assert_eq!(ida, idb);
+    (fa, fb)
 }
 
 proptest! {

@@ -9,20 +9,14 @@
 //! itself on a fresh federation, and the feedback loop settles.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use xdb_core::{CostProfiles, GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::profile::EngineProfile;
 use xdb_net::{Movement, NodeId, Scenario};
-use xdb_obs::Telemetry;
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
-
-/// Serialize submissions so the process-global query-id width matches
-/// within each compared pair (same pattern as the reactor tests).
-static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// A fixed, hand-built profile store with strong per-direction asymmetry
 /// so the learned path actually reprices movement (and flips plans for
@@ -42,33 +36,8 @@ fn fixed_profiles() -> CostProfiles {
     p
 }
 
-/// Replace every decimal run after `xdb_q` / `"query":` with `N` so two
-/// runs with different global query ids compare equal byte-for-byte.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// A fresh federation on `dist` with an isolated telemetry handle.
-fn federation(dist: TableDist) -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
+/// A fresh federation on `dist`.
+fn federation(dist: TableDist) -> (Cluster, GlobalCatalog) {
     let mut cluster = build_cluster(
         dist,
         0.002,
@@ -77,11 +46,8 @@ fn federation(dist: TableDist) -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     )
     .unwrap();
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
-    catalog.set_telemetry(Arc::clone(&telemetry));
-    (cluster, catalog, telemetry)
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
+    (cluster, catalog)
 }
 
 /// Result rows (every value bit-rendered), simulated breakdown and
@@ -103,7 +69,7 @@ fn outcome_fingerprint(outcome: &QueryOutcome) -> String {
 /// the given executor knobs; returns the query id and the complete
 /// observable fingerprint of the run.
 fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
-    let (cluster, catalog, telemetry) = federation(TableDist::Td1);
+    let (cluster, catalog) = federation(TableDist::Td1);
     catalog.set_profiles(fixed_profiles());
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
@@ -121,21 +87,18 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
     for t in cluster.ledger.snapshot() {
         fp.push_str(&format!("{t:?}\n"));
     }
-    fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
+    let metrics = &cluster.telemetry().metrics;
+    fp.push_str(&metrics.deterministic_snapshot().render());
+    (outcome.query_id, fp)
 }
 
-/// Run the reference configuration and the sampled one back-to-back,
-/// retrying until both query ids render at the same decimal width.
+/// Run the reference configuration and the sampled one, each on a fresh
+/// federation, which numbers its queries alike.
 fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(q, a.0, a.1);
-        let (idb, fb) = run(q, b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    let (ida, fa) = run(q, a.0, a.1);
+    let (idb, fb) = run(q, b.0, b.1);
+    assert_eq!(ida, idb);
+    (fa, fb)
 }
 
 proptest! {
@@ -169,36 +132,29 @@ proptest! {
 #[test]
 fn static_pricing_repeats_on_a_fresh_federation() {
     let workload = |dist: TableDist| {
-        let (cluster, catalog, _telemetry) = federation(dist);
+        let (cluster, catalog) = federation(dist);
         let xdb = Xdb::new(&cluster, &catalog)
             .with_client_node(CLOUD)
             .with_options(XdbOptions {
                 learned_costs: false,
                 ..Default::default()
             });
-        let (mut widths, mut plans, mut fp) = (Vec::new(), Vec::new(), String::new());
+        let (mut plans, mut fp) = (Vec::new(), String::new());
         for _round in 0..2 {
             for q in TpchQuery::ALL {
                 let outcome = xdb.submit(q.sql()).unwrap();
-                widths.push(outcome.query_id.to_string().len());
+                fp.push_str(&format!("query {}\n", outcome.query_id));
                 plans.push(xdb_core::annotate::plan_fingerprint(&outcome.delegation));
                 fp.push_str(&outcome_fingerprint(&outcome));
             }
         }
         let (first, second) = plans.split_at(TpchQuery::ALL.len());
         assert_eq!(first, second, "{}: static plans moved", dist.name());
-        (widths, normalize_ids(&fp))
+        fp
     };
-    let _guard = SUBMIT_LOCK.lock();
     for dist in TableDist::ALL {
-        loop {
-            let (widths_a, a) = workload(dist);
-            let (widths_b, b) = workload(dist);
-            if widths_a == widths_b {
-                assert_eq!(a, b, "{}: static pricing diverged", dist.name());
-                break;
-            }
-        }
+        let (a, b) = (workload(dist), workload(dist));
+        assert_eq!(a, b, "{}: static pricing diverged", dist.name());
     }
 }
 
@@ -209,9 +165,8 @@ fn static_pricing_repeats_on_a_fresh_federation() {
 fn replayed_workload_settles_on_a_fixed_plan_set() {
     const ROUNDS: usize = 30;
     const SETTLED_BY: usize = 10;
-    let _guard = SUBMIT_LOCK.lock();
     for dist in TableDist::ALL {
-        let (cluster, catalog, _telemetry) = federation(dist);
+        let (cluster, catalog) = federation(dist);
         let xdb = Xdb::new(&cluster, &catalog).with_client_node(CLOUD);
         let mut plans = std::collections::BTreeSet::new();
         let mut last_new_plan = 0;

@@ -16,42 +16,10 @@ use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::profile::EngineProfile;
 use xdb_net::reactor::{EdgeChannel, PoisonGuard, Poisoned};
 use xdb_net::{reactor, NodeId, Scenario};
-use xdb_obs::Telemetry;
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
-
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; pairs under comparison are
-/// serialized and retried until both ids have the same width (same
-/// pattern as the streaming and telemetry tests).
-static SUBMIT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-/// Replace every decimal run after `xdb_q` / `"query":` with `N` so two
-/// runs with different global query ids compare equal byte-for-byte.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
 
 /// One full submission under the given streaming knobs; returns the
 /// query id and the complete observable fingerprint of the run.
@@ -64,10 +32,7 @@ fn run(q: TpchQuery, td: TableDist, reactor_threads: usize, chunk: usize) -> (u6
     )
     .unwrap();
     cluster.topology.add_cloud_node(NodeId::new(CLOUD));
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    let mut catalog = GlobalCatalog::discover(&cluster).unwrap();
-    catalog.set_telemetry(Arc::clone(&telemetry));
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
@@ -92,26 +57,23 @@ fn run(q: TpchQuery, td: TableDist, reactor_threads: usize, chunk: usize) -> (u6
     }
     // Trace and deterministic telemetry.
     fp.push_str(&outcome.trace.canonical());
-    fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
+    let metrics = &cluster.telemetry().metrics;
+    fp.push_str(&metrics.deterministic_snapshot().render());
+    (outcome.query_id, fp)
 }
 
-/// Run the reference configuration and the sampled one back-to-back,
-/// retrying until both query ids render at the same decimal width.
+/// Run the reference configuration and the sampled one, each on a fresh
+/// federation, which numbers its queries alike.
 fn comparable_pair(
     q: TpchQuery,
     td: TableDist,
     a: (usize, usize),
     b: (usize, usize),
 ) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(q, td, a.0, a.1);
-        let (idb, fb) = run(q, td, b.0, b.1);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
+    let (ida, fa) = run(q, td, a.0, a.1);
+    let (idb, fb) = run(q, td, b.0, b.1);
+    assert_eq!(ida, idb);
+    (fa, fb)
 }
 
 proptest! {

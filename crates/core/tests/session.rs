@@ -7,7 +7,6 @@
 //! admitting the same list on two fresh federations must repeat
 //! bit-identically.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
@@ -15,23 +14,10 @@ use xdb_core::{GlobalCatalog, QueryServer, SessionOptions, Submission, TenantOut
 use xdb_engine::cluster::Cluster;
 use xdb_obs::Telemetry;
 
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; arms under comparison are
-/// serialized and retried until every id has the same width (same pattern
-/// as the streaming and telemetry suites).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
-
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
-    let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    catalog.set_telemetry(Arc::clone(&telemetry));
+    let (cluster, catalog) = scenario::build(ScenarioConfig::default()).unwrap();
+    let telemetry = Arc::clone(cluster.telemetry());
     (cluster, catalog, telemetry)
-}
-
-fn same_width(ids: &[u64]) -> bool {
-    let w = ids[0].to_string().len();
-    ids.iter().all(|i| i.to_string().len() == w)
 }
 
 /// The per-tenant observable: result rows (bit-rendered, in order), the
@@ -102,22 +88,14 @@ fn run_arm(subs: &[Submission], fold: bool, xdb: XdbOptions) -> Arm {
     }
 }
 
-/// Run both arms until every query id across them has the same decimal
-/// width, then hand them to the assertion body.
-fn with_width_matched_arms(subs: &[Submission], xdb: XdbOptions, check: impl Fn(&Arm, &Arm)) {
-    let _guard = SUBMIT_LOCK.lock();
-    for _ in 0..12 {
-        let folded = run_arm(subs, true, xdb.clone());
-        let unfolded = run_arm(subs, false, xdb.clone());
-        let mut ids: Vec<u64> = folded.report.outcomes.iter().map(|o| o.query_id).collect();
-        ids.extend(unfolded.report.outcomes.iter().map(|o| o.query_id));
-        if !same_width(&ids) {
-            continue;
-        }
-        check(&folded, &unfolded);
-        return;
-    }
-    panic!("query-id widths never aligned");
+/// Run both arms, each on a fresh federation, and hand them to the
+/// assertion body. Both draw the same query ids, one per admission.
+fn with_arms(subs: &[Submission], xdb: XdbOptions, check: impl Fn(&Arm, &Arm)) {
+    let folded = run_arm(subs, true, xdb.clone());
+    let unfolded = run_arm(subs, false, xdb);
+    let ids = |arm: &Arm| -> Vec<u64> { arm.report.outcomes.iter().map(|o| o.query_id).collect() };
+    assert_eq!(ids(&folded), ids(&unfolded));
+    check(&folded, &unfolded);
 }
 
 proptest! {
@@ -132,7 +110,7 @@ proptest! {
         let chunk = [0usize, 256, 4096][pick];
         let subs = copies(scenario::EXAMPLE_QUERY, n);
         let xdb = XdbOptions { stream_chunk_rows: chunk, ..Default::default() };
-        with_width_matched_arms(&subs, xdb, |folded, unfolded| {
+        with_arms(&subs, xdb, |folded, unfolded| {
             assert_eq!(folded.report.outcomes.len(), n);
             for (f, u) in folded.report.outcomes.iter().zip(&unfolded.report.outcomes) {
                 assert_eq!(f.tenant, u.tenant);
@@ -154,7 +132,7 @@ proptest! {
 #[test]
 fn fold_deploys_fragments_once_and_consult_and_ddl_traffic_drop() {
     let subs = copies(scenario::EXAMPLE_QUERY, 5);
-    with_width_matched_arms(&subs, XdbOptions::default(), |folded, unfolded| {
+    with_arms(&subs, XdbOptions::default(), |folded, unfolded| {
         let fr = &folded.report;
         let ur = &unfolded.report;
         // Every copy after the first folds completely.
@@ -198,7 +176,6 @@ fn fold_deploys_fragments_once_and_consult_and_ddl_traffic_drop() {
 
 #[test]
 fn admission_repeats_bit_identically_on_fresh_federations() {
-    let _guard = SUBMIT_LOCK.lock();
     let subs = copies(scenario::EXAMPLE_QUERY, 6);
     let admit = || {
         let (cluster, catalog, telemetry) = setup();
@@ -209,48 +186,11 @@ fn admission_repeats_bit_identically_on_fresh_federations() {
         let ids: Vec<u64> = report.outcomes.iter().map(|o| o.query_id).collect();
         (ids, fps, snap, report.makespan_ms)
     };
-    for _ in 0..12 {
-        let (first, again) = (admit(), admit());
-        let mut ids = first.0.clone();
-        ids.extend(&again.0);
-        if !same_width(&ids) {
-            continue;
-        }
-        assert_eq!(first.1, again.1, "per-tenant observables diverged");
-        assert_eq!(
-            normalize_ids(&first.2),
-            normalize_ids(&again.2),
-            "deterministic snapshots diverged"
-        );
-        assert_eq!(first.3, again.3, "makespans diverged");
-        return;
-    }
-    panic!("query-id widths never aligned");
-}
-
-/// Replace every decimal run after `xdb_q` / `"query":` with `N` so runs
-/// with different global query ids compare equal byte-for-byte.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
+    let (first, again) = (admit(), admit());
+    assert_eq!(first.0, again.0, "query ids diverged");
+    assert_eq!(first.1, again.1, "per-tenant observables diverged");
+    assert_eq!(first.2, again.2, "deterministic snapshots diverged");
+    assert_eq!(first.3, again.3, "makespans diverged");
 }
 
 #[test]
@@ -262,7 +202,7 @@ fn partial_fold_reuses_shared_prefix() {
         Submission::new("tenant-a", scenario::EXAMPLE_QUERY),
         Submission::new("tenant-b", variant),
     ];
-    with_width_matched_arms(&subs, XdbOptions::default(), |folded, unfolded| {
+    with_arms(&subs, XdbOptions::default(), |folded, unfolded| {
         let fr = &folded.report;
         assert_eq!(fr.full_folds, 0, "distinct roots must not fully fold");
         assert!(
@@ -284,7 +224,6 @@ fn partial_fold_reuses_shared_prefix() {
 /// several morsels each.
 #[test]
 fn folded_admission_publishes_the_reactor_budget() {
-    let _guard = SUBMIT_LOCK.lock();
     let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
     let mut subs = copies(scenario::EXAMPLE_QUERY, 2);
     subs.push(Submission::new("tenant-v", variant));
@@ -306,29 +245,21 @@ fn folded_admission_publishes_the_reactor_budget() {
         }
         arm.report.outcomes
     };
-    for _ in 0..12 {
-        let (inline, reactor) = (arm(0), arm(2));
-        let ids: Vec<u64> = inline.iter().chain(&reactor).map(|o| o.query_id).collect();
-        if !same_width(&ids) {
-            continue;
-        }
-        for (i, r) in inline.iter().zip(&reactor) {
-            assert_eq!(fingerprint(i), fingerprint(r), "tenant {}", i.tenant);
-            assert_eq!(
-                normalize_ids(&i.trace.canonical()),
-                normalize_ids(&r.trace.canonical()),
-                "tenant {}",
-                i.tenant
-            );
-        }
-        return;
+    let (inline, reactor) = (arm(0), arm(2));
+    for (i, r) in inline.iter().zip(&reactor) {
+        assert_eq!(i.query_id, r.query_id);
+        assert_eq!(fingerprint(i), fingerprint(r), "tenant {}", i.tenant);
+        assert_eq!(
+            i.trace.canonical(),
+            r.trace.canonical(),
+            "tenant {}",
+            i.tenant
+        );
     }
-    panic!("query-id widths never aligned");
 }
 
 #[test]
 fn windows_scope_folding_state() {
-    let _guard = SUBMIT_LOCK.lock();
     let subs = copies(scenario::EXAMPLE_QUERY, 4);
     let (cluster, catalog, _telemetry) = setup();
     let server = QueryServer::new(
@@ -355,7 +286,6 @@ fn windows_scope_folding_state() {
 /// server is fit for the next window.
 #[test]
 fn failed_partial_fold_releases_its_fragments() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
     let subs = vec![
@@ -363,25 +293,21 @@ fn failed_partial_fold_releases_its_fragments() {
         Submission::new("tenant-b", variant.clone()),
     ];
     // Plan the variant once to learn its root view's name, then squat on
-    // that name for the ids after the next one: in the window the first
-    // query deploys under the next id and the variant under a later one.
+    // that name under the id it will run with: in the window the first
+    // query deploys under the next id and the variant under the one after.
     let (plan, script, _, _) = xdb_core::Xdb::new(&cluster, &catalog)
         .plan(&variant)
         .unwrap();
     let root_node = plan.task(plan.root).dbms.clone();
     let observed = script.xdb_query.rsplit(' ').next().unwrap().to_string();
     let qid = script.query_id;
-    let squatters: Vec<String> = (2..=8)
-        .map(|d| observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + d)))
-        .collect();
-    for name in &squatters {
-        cluster
-            .execute(
-                root_node.as_str(),
-                &format!("CREATE TABLE {name} (x BIGINT)"),
-            )
-            .unwrap();
-    }
+    let squatter = observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + 2));
+    cluster
+        .execute(
+            root_node.as_str(),
+            &format!("CREATE TABLE {squatter} (x BIGINT)"),
+        )
+        .unwrap();
     let live = || -> Vec<f64> {
         let nodes = cluster.node_names();
         nodes
@@ -397,13 +323,13 @@ fn failed_partial_fold_releases_its_fragments() {
     let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
 
     let err = server.run(&subs).unwrap_err();
-    assert!(err.to_string().contains(&squatters[0]), "{err}");
+    assert!(err.to_string().contains(&squatter), "{err}");
     assert_eq!(live(), baseline);
     for node in cluster.node_names() {
         let names = cluster.engine(&node).unwrap().with_catalog(|c| c.names());
         let leaked: Vec<&String> = names
             .iter()
-            .filter(|n| n.starts_with("xdb_q") && !squatters.contains(n))
+            .filter(|n| n.starts_with("xdb_q") && **n != squatter)
             .collect();
         assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
     }
@@ -433,11 +359,9 @@ fn failed_partial_fold_releases_its_fragments() {
         "the failed query's drops were not counted"
     );
 
-    for name in &squatters {
-        cluster
-            .execute(root_node.as_str(), &format!("DROP TABLE {name}"))
-            .unwrap();
-    }
+    cluster
+        .execute(root_node.as_str(), &format!("DROP TABLE {squatter}"))
+        .unwrap();
     let report = server.run(&subs).unwrap();
     assert_eq!(report.outcomes.len(), 2);
     assert!(report.fold_hits > 0, "the prefix was not shared");

@@ -4,58 +4,20 @@
 //! snapshot must be bit-identical across chunk sizes (1 row, the default
 //! 4096, unbounded).
 
-use parking_lot::Mutex;
-use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::profile::EngineProfile;
-use xdb_obs::Telemetry;
 use xdb_sql::value::DataType;
 
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts; pairs under comparison are
-/// serialized and retried until both ids have the same width (see the
-/// telemetry tests for the same pattern).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
-
-fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
-    let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    catalog.set_telemetry(Arc::clone(&telemetry));
-    (cluster, catalog, telemetry)
-}
-
-/// Replace every decimal run after `xdb_q` / `"query":` with `N` so two
-/// runs with different global query ids compare equal byte-for-byte.
-fn normalize_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        out.push(bytes[i] as char);
-        let here = &s[..=i];
-        if here.ends_with("xdb_q") || here.ends_with("\"query\":") {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push('N');
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
+fn setup() -> (Cluster, GlobalCatalog) {
+    scenario::build(ScenarioConfig::default()).unwrap()
 }
 
 /// One full submission at the given transport chunk size; returns the
 /// query id and the complete observable fingerprint of the run.
 fn run(chunk: usize) -> (u64, String) {
-    let (cluster, catalog, telemetry) = setup();
+    let (cluster, catalog) = setup();
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
         stream_chunk_rows: chunk,
         ..Default::default()
@@ -77,8 +39,9 @@ fn run(chunk: usize) -> (u64, String) {
     }
     // Trace and deterministic telemetry.
     fp.push_str(&outcome.trace.canonical());
-    fp.push_str(&telemetry.metrics.deterministic_snapshot().render());
-    (outcome.query_id, normalize_ids(&fp))
+    let metrics = &cluster.telemetry().metrics;
+    fp.push_str(&metrics.deterministic_snapshot().render());
+    (outcome.query_id, fp)
 }
 
 /// A foreign relation with no rows, read whole (`SELECT *`, the build side
@@ -88,7 +51,6 @@ fn run(chunk: usize) -> (u64, String) {
 fn zero_row_edge(chunk: usize) -> String {
     let c = Cluster::lan(&["db_r", "db_s"], EngineProfile::postgres());
     c.set_stream_chunk_rows(chunk);
-    c.set_op_tracing(true);
     c.execute("db_r", "CREATE TABLE e (x BIGINT, y VARCHAR)")
         .unwrap();
     c.execute_script(
@@ -114,7 +76,7 @@ fn zero_row_edge(chunk: usize) -> String {
         ("CREATE TABLE e_copy AS SELECT * FROM e_ft", None),
         ("SELECT * FROM e_copy", Some(xy)),
     ] {
-        let out = c.execute("db_s", sql).unwrap();
+        let out = c.execute_traced("db_s", sql, true).unwrap();
         if let Some(rel) = &out.relation {
             assert_eq!(
                 (rel.len(), Some(&rel.fields)),
@@ -138,24 +100,12 @@ fn zero_row_edge(chunk: usize) -> String {
     fp
 }
 
-fn run_comparable_pair(a: usize, b: usize) -> (String, String) {
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, fa) = run(a);
-        let (idb, fb) = run(b);
-        if ida.to_string().len() == idb.to_string().len() {
-            return (fa, fb);
-        }
-    }
-}
-
 #[test]
 fn chunk_size_is_unobservable() {
     // Unbounded (0) is the reference; 1-row morsels and the 4096 default
     // must match it on every observable surface.
     for chunk in [1usize, 4096] {
-        let (reference, chunked) = run_comparable_pair(0, chunk);
-        assert_eq!(reference, chunked, "chunk {chunk} observable");
+        assert_eq!(run(0), run(chunk), "chunk {chunk} observable");
         let (reference, chunked) = (zero_row_edge(0), zero_row_edge(chunk));
         assert_eq!(
             reference, chunked,
@@ -166,8 +116,7 @@ fn chunk_size_is_unobservable() {
 
 #[test]
 fn encoded_bytes_never_exceed_raw() {
-    let _guard = SUBMIT_LOCK.lock();
-    let (cluster, catalog, _telemetry) = setup();
+    let (cluster, catalog) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
     let transfers = cluster.ledger.snapshot();

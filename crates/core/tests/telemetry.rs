@@ -3,7 +3,6 @@
 //! consultation-cache soundness under transient DDL, and the per-run
 //! metrics-snapshot delta.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 use xdb_core::annotate::AnnotateOptions;
 use xdb_core::scenario::{self, ScenarioConfig};
@@ -12,45 +11,14 @@ use xdb_engine::cluster::Cluster;
 use xdb_net::Movement;
 use xdb_obs::{json, Telemetry};
 
-/// Query ids come from a process-global counter and their decimal width
-/// leaks into control-message byte counts (the literal `xdb_q<id>_*`
-/// names travel in DDL statements). Tests that compare two submissions
-/// serialize on this lock so the pair gets adjacent ids.
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
-
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
-    let (mut cluster, mut catalog) = scenario::build(ScenarioConfig::default()).unwrap();
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
-    catalog.set_telemetry(Arc::clone(&telemetry));
+    let (cluster, catalog) = scenario::build(ScenarioConfig::default()).unwrap();
+    let telemetry = Arc::clone(cluster.telemetry());
     (cluster, catalog, telemetry)
 }
 
-/// Query ids come from a process-global counter, so runs are normalized
-/// by rewriting `"query":<digits>` before comparison.
-fn normalize_query_ids(jsonl: &str) -> String {
-    let mut out = String::new();
-    for line in jsonl.lines() {
-        let mut l = line.to_string();
-        if let Some(i) = l.find("\"query\":") {
-            let start = i + "\"query\":".len();
-            let end = l[start..]
-                .find(|c: char| !c.is_ascii_digit())
-                .map(|e| start + e)
-                .unwrap_or(l.len());
-            if end > start {
-                l.replace_range(start..end, "N");
-            }
-        }
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
-}
-
-/// One full submission with an isolated telemetry handle; returns the
-/// query id, the deterministic metrics rendering, and the normalized
-/// event JSONL.
+/// One full submission on a fresh federation; returns the query id, the
+/// deterministic metrics rendering, and the event JSONL.
 fn run_workload() -> (u64, String, String) {
     let (cluster, catalog, telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
@@ -58,32 +26,25 @@ fn run_workload() -> (u64, String, String) {
     (
         outcome.query_id,
         telemetry.metrics.deterministic_snapshot().render(),
-        normalize_query_ids(&telemetry.events.to_jsonl()),
+        telemetry.events.to_jsonl(),
     )
 }
 
 #[test]
 fn telemetry_repeats_run_to_run() {
     // Whatever threads the host lends the executor and the reactor, two
-    // submissions of one query leave the same deterministic telemetry.
-    // Same-width query ids (a decimal boundary like 9→10 can split a pair
-    // at most once) make every byte comparable.
-    let _guard = SUBMIT_LOCK.lock();
-    loop {
-        let (ida, metrics_a, events_a) = run_workload();
-        let (idb, metrics_b, events_b) = run_workload();
-        if ida.to_string().len() != idb.to_string().len() {
-            continue;
-        }
-        assert_eq!(metrics_a, metrics_b);
-        assert_eq!(events_a, events_b);
-        assert!(
-            metrics_a.contains("xdb.queries{status=\"ok\"}"),
-            "{metrics_a}"
-        );
-        assert!(!metrics_a.contains("sched."), "{metrics_a}");
-        break;
-    }
+    // fresh federations submitting one query leave the same deterministic
+    // telemetry, query ids included, byte for byte.
+    let (ida, metrics_a, events_a) = run_workload();
+    let (idb, metrics_b, events_b) = run_workload();
+    assert_eq!(ida, idb);
+    assert_eq!(metrics_a, metrics_b);
+    assert_eq!(events_a, events_b);
+    assert!(
+        metrics_a.contains("xdb.queries{status=\"ok\"}"),
+        "{metrics_a}"
+    );
+    assert!(!metrics_a.contains("sched."), "{metrics_a}");
 }
 
 #[test]
@@ -93,7 +54,6 @@ fn quarantine_audit_covers_every_metric_family() {
     // quarantined prefixes (`sched.*`, `net.chunks*`, `net.codec.*`) and
     // nothing else.
     use xdb_obs::metrics::{CHUNKS_PREFIX, CODEC_PREFIX, SCHED_PREFIX};
-    let _guard = SUBMIT_LOCK.lock();
     let quarantined = |k: &&String| {
         k.starts_with(SCHED_PREFIX) || k.starts_with(CHUNKS_PREFIX) || k.starts_with(CODEC_PREFIX)
     };
@@ -121,7 +81,6 @@ fn quarantine_audit_covers_every_metric_family() {
 
 #[test]
 fn events_are_valid_query_correlated_json_lines() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
@@ -144,7 +103,6 @@ fn events_are_valid_query_correlated_json_lines() {
 
 #[test]
 fn cleanup_returns_objects_live_gauge_to_baseline() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, telemetry) = setup();
     let nodes = cluster.node_names();
     let baseline: Vec<f64> = nodes
@@ -201,7 +159,6 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
 
 #[test]
 fn transient_ddl_keeps_consultation_cache_valid() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     for t in catalog.table_names() {
         catalog.consult(&cluster, &t).unwrap();
@@ -241,7 +198,6 @@ fn transient_ddl_keeps_consultation_cache_valid() {
 
 #[test]
 fn metrics_snapshot_diff_isolates_one_run() {
-    let _guard = SUBMIT_LOCK.lock();
     let (cluster, catalog, _telemetry) = setup();
     // First run pays the consultation misses.
     let xdb = Xdb::new(&cluster, &catalog);

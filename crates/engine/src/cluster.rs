@@ -15,6 +15,7 @@ use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xdb_net::{reactor, wire, Ledger, NodeId, Topology};
 use xdb_obs::Telemetry;
@@ -25,11 +26,11 @@ pub struct Cluster {
     pub topology: Topology,
     pub ledger: Ledger,
     /// Fleet telemetry shared by this cluster's engines and its ledger.
-    /// Defaults to the process-global handle so binaries can export
-    /// without plumbing;
-    /// tests that assert on absolute values attach an isolated handle via
-    /// [`Cluster::set_telemetry`].
+    /// Every cluster makes its own; federations that report together share
+    /// one through [`Cluster::set_telemetry`].
     telemetry: Arc<Telemetry>,
+    /// Source of [`Cluster::next_query_id`].
+    next_query_id: AtomicU64,
     /// Per-query wire-codec state cache: when one query streams the same
     /// relation over multiple edges, the producer-side encode (including
     /// the string-dictionary build) is derived once and reused. Keyed by
@@ -46,12 +47,13 @@ type CodecCacheKey = (String, String, u64, usize);
 
 impl Cluster {
     pub fn new(topology: Topology) -> Cluster {
-        let telemetry = Arc::clone(xdb_obs::telemetry::global());
+        let telemetry = Telemetry::new_handle();
         Cluster {
             engines: HashMap::new(),
             topology,
             ledger: Ledger::new().with_telemetry(Arc::clone(&telemetry)),
             telemetry,
+            next_query_id: AtomicU64::new(1),
             codec_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -68,8 +70,9 @@ impl Cluster {
         &self.telemetry
     }
 
-    /// Attach a (typically isolated) telemetry handle: repoints the
-    /// ledger and every engine, re-publishing their gauges under it.
+    /// Report into `telemetry` from now on, typically a handle several
+    /// federations share: repoints the ledger and every engine,
+    /// re-publishing their gauges under it.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.ledger = self.ledger.clone().with_telemetry(Arc::clone(&telemetry));
         for engine in self.engines.values() {
@@ -85,6 +88,13 @@ impl Cluster {
             c.add_engine(n, profile.clone());
         }
         c
+    }
+
+    /// A fresh query id, unique on this federation: it names the query's
+    /// short-lived `xdb_q<id>_*` objects on the engines and correlates its
+    /// telemetry. A new cluster numbers its queries from 1.
+    pub fn next_query_id(&self) -> u64 {
+        self.next_query_id.fetch_add(1, Ordering::Relaxed)
     }
 
     pub fn add_engine(&mut self, node: &str, profile: EngineProfile) -> Arc<Engine> {
@@ -107,37 +117,39 @@ impl Cluster {
         v
     }
 
-    /// Execute one SQL statement on a node.
+    /// Execute one SQL statement on a node, untraced.
     pub fn execute(&self, node: &str, sql: &str) -> Result<StatementOutcome> {
-        self.engine(node)?.execute_sql_at(sql, self, 0)
+        self.execute_traced(node, sql, false)
+    }
+
+    /// Execute one SQL statement on a node; with `trace_ops` its report
+    /// carries the operator profiles of the statement and of every producer
+    /// behind its foreign tables.
+    pub fn execute_traced(
+        &self,
+        node: &str,
+        sql: &str,
+        trace_ops: bool,
+    ) -> Result<StatementOutcome> {
+        self.engine(node)?.execute_sql_at(sql, self, 0, trace_ops)
     }
 
     /// Execute a SELECT and return its rows + report.
     pub fn query(&self, node: &str, sql: &str) -> Result<(Relation, ExecReport)> {
-        let out = self.execute(node, sql)?;
-        let rel = out
-            .relation
-            .ok_or_else(|| EngineError::Execution("statement returned no rows".into()))?;
-        Ok((rel, out.report))
+        self.execute(node, sql)?.into_rows()
     }
 
     /// Execute a script of `;`-separated statements on a node, returning
     /// the last statement's outcome.
     pub fn execute_script(&self, node: &str, sql: &str) -> Result<Option<StatementOutcome>> {
-        let stmts = xdb_sql::parse_script(sql)?;
+        let stmts = xdb_sql::parse_script(sql)
+            .map_err(|e| crate::engine::log_parse_error(&self.telemetry, sql, e))?;
         let engine = self.engine(node)?;
         let mut last = None;
         for stmt in &stmts {
-            last = Some(engine.execute_statement(stmt, self, 0)?);
+            last = Some(engine.execute_statement(stmt, self, 0, false)?);
         }
         Ok(last)
-    }
-
-    /// Enable or disable per-operator execution profiles on every engine.
-    pub fn set_op_tracing(&self, on: bool) {
-        for engine in self.engines.values() {
-            engine.set_op_tracing(on);
-        }
     }
 
     /// Set the streamed-edge transport morsel size on every engine
@@ -182,7 +194,7 @@ impl Remote for Cluster {
             "SELECT * FROM {}",
             producer.profile.dialect.ident(request.relation)
         );
-        let outcome = producer.execute_sql_at(&sql, self, request.depth)?;
+        let outcome = producer.execute_sql_at(&sql, self, request.depth, request.trace_ops)?;
         let mut relation = outcome
             .relation
             .ok_or_else(|| EngineError::Remote("fetch produced no relation".into()))?;
@@ -465,9 +477,8 @@ mod tests {
         // the memoized encode (dictionaries included) and say so on the
         // `net.codec.dict_reuse` counter; a producer-side catalog change
         // or an explicit cache clear must invalidate the entry.
-        let mut c = two_node();
-        let telemetry = Telemetry::new_handle();
-        c.set_telemetry(Arc::clone(&telemetry));
+        let c = two_node();
+        let telemetry = Arc::clone(c.telemetry());
         c.execute(
             "db_s",
             "CREATE FOREIGN TABLE r_ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'r')",

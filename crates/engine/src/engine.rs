@@ -22,16 +22,17 @@ use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xdb_net::{compose_finish, EdgeTiming, Movement, NodeId, Purpose};
-use xdb_obs::{ExecProfile, Telemetry};
+use xdb_obs::{ExecProfile, Level, Telemetry};
 use xdb_sql::algebra::{Field, LogicalPlan};
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::{bind_select, RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::optimize::{optimize, OptimizeOptions};
 use xdb_sql::stats::{ColumnStats, Estimator};
 use xdb_sql::value::{DataType, Value};
+use xdb_sql::ParseError;
 
 /// Maximum depth of cross-engine recursion (cycle guard for view chains).
 pub const MAX_FETCH_DEPTH: usize = 32;
@@ -46,8 +47,9 @@ pub struct ExecReport {
     /// Finish time including upstream (remote) dependencies, simulated ms
     /// from query start.
     pub finish_ms: f64,
-    /// Per-operator execution profile, present only when the engine has
-    /// operator tracing enabled (see [`Engine::set_op_tracing`]).
+    /// Per-operator execution profile, present only when the statement ran
+    /// with operator tracing (the `trace_ops` argument of
+    /// [`Engine::execute_statement`]).
     pub profile: Option<Box<ExecProfile>>,
 }
 
@@ -57,6 +59,17 @@ pub struct StatementOutcome {
     /// Present for SELECT and EXPLAIN.
     pub relation: Option<Relation>,
     pub report: ExecReport,
+}
+
+impl StatementOutcome {
+    /// The rows of a query and its report; an error for a statement that
+    /// returned no rows.
+    pub fn into_rows(self) -> Result<(Relation, ExecReport)> {
+        let rel = self
+            .relation
+            .ok_or_else(|| EngineError::Execution("statement returned no rows".into()))?;
+        Ok((rel, self.report))
+    }
 }
 
 /// EXPLAIN-style estimate, the engine's answer to a "consulting" probe
@@ -78,6 +91,9 @@ pub struct FetchRequest<'a> {
     pub protocol_overhead: f64,
     pub purpose: Purpose,
     pub depth: usize,
+    /// Whether the consumer's statement collects operator profiles; the
+    /// producer's statement then does too.
+    pub trace_ops: bool,
     /// How the consumer reads the edge, as its plan decided.
     pub read: ReadShape,
 }
@@ -131,10 +147,6 @@ pub struct Engine {
     /// mismatch as a stale entry (any DDL against base objects invalidates
     /// all cached probes for this node).
     ddl_generation: AtomicU64,
-    /// When set, every executed plan carries a per-operator
-    /// [`ExecProfile`] in its report. Off by default: the executor then
-    /// skips all per-operator bookkeeping.
-    trace_ops: AtomicBool,
     /// Transport morsel size (rows) for streamed dataflow edges; 0 means
     /// unbounded (one chunk per edge). Codec state is computed per edge,
     /// never per chunk, so any value yields bit-identical results,
@@ -150,7 +162,9 @@ pub struct Engine {
     /// Executions pop one on entry and push it back after the run, so
     /// steady-state queries stop reallocating their largest structures.
     scratch_pool: Mutex<Vec<Scratch>>,
-    /// Fleet telemetry sink. Per-engine gauges (`ddl.objects_live`,
+    /// Fleet telemetry sink: the engine's own until its cluster hands it
+    /// the federation's ([`crate::cluster::Cluster::add_engine`]).
+    /// Per-engine gauges (`ddl.objects_live`,
     /// `catalog.rows`) are published while holding the catalog write lock,
     /// so their value sequence is exactly the catalog mutation order;
     /// scheduling-dependent counts (scratch-pool reuse) go under the
@@ -174,11 +188,10 @@ impl Engine {
             profile,
             catalog: RwLock::new(Arc::new(Catalog::new())),
             ddl_generation: AtomicU64::new(0),
-            trace_ops: AtomicBool::new(false),
             stream_chunk_rows: AtomicUsize::new(DEFAULT_STREAM_CHUNK_ROWS),
             reactor_threads: AtomicUsize::new(xdb_net::reactor::default_threads()),
             scratch_pool: Mutex::new(Vec::new()),
-            telemetry: RwLock::new(Arc::clone(xdb_obs::telemetry::global())),
+            telemetry: RwLock::new(Telemetry::new_handle()),
         };
         engine.publish_sched_gauges();
         engine
@@ -189,8 +202,9 @@ impl Engine {
         Arc::clone(&self.telemetry.read())
     }
 
-    /// Swap the telemetry sink (tests attach an isolated handle) and
-    /// re-publish this engine's gauges under it.
+    /// Swap the telemetry sink (for the handle of the cluster the engine
+    /// joins, or one several federations share) and re-publish this
+    /// engine's gauges under it.
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         *self.telemetry.write() = telemetry;
         self.publish_sched_gauges();
@@ -226,16 +240,6 @@ impl Engine {
             .gauge_set("ddl.objects_live", &labels, catalog.len() as f64);
         t.metrics
             .gauge_set("catalog.rows", &labels, catalog.total_rows() as f64);
-    }
-
-    /// Enable or disable per-operator execution profiles on this engine.
-    pub fn set_op_tracing(&self, on: bool) {
-        self.trace_ops.store(on, Ordering::Release);
-    }
-
-    /// Whether per-operator execution profiles are being collected.
-    pub fn op_tracing(&self) -> bool {
-        self.trace_ops.load(Ordering::Acquire)
     }
 
     /// Set the transport morsel size (rows) for streamed dataflow edges;
@@ -323,9 +327,9 @@ impl Engine {
         self.with_catalog_mut(|c| c.create_table_from(name, rel))
     }
 
-    /// Parse and execute one statement.
+    /// Parse and execute one statement, untraced.
     pub fn execute_sql(&self, sql: &str, remote: &dyn Remote) -> Result<StatementOutcome> {
-        self.execute_sql_at(sql, remote, 0)
+        self.execute_sql_at(sql, remote, 0, false)
     }
 
     pub(crate) fn execute_sql_at(
@@ -333,17 +337,23 @@ impl Engine {
         sql: &str,
         remote: &dyn Remote,
         depth: usize,
+        trace_ops: bool,
     ) -> Result<StatementOutcome> {
-        let stmt = xdb_sql::parse_statement(sql)?;
-        self.execute_statement(&stmt, remote, depth)
+        let stmt = xdb_sql::parse_statement(sql)
+            .map_err(|e| log_parse_error(&self.telemetry(), sql, e))?;
+        self.execute_statement(&stmt, remote, depth, trace_ops)
     }
 
-    /// Execute a parsed statement.
+    /// Execute a parsed statement. With `trace_ops` its report carries a
+    /// per-operator [`ExecProfile`], and so does every producer it reads
+    /// through a foreign table; without, the executor skips all
+    /// per-operator bookkeeping.
     pub fn execute_statement(
         &self,
         stmt: &Statement,
         remote: &dyn Remote,
         depth: usize,
+        trace_ops: bool,
     ) -> Result<StatementOutcome> {
         if depth > MAX_FETCH_DEPTH {
             return Err(EngineError::Remote(
@@ -353,7 +363,7 @@ impl Engine {
         match stmt {
             Statement::Select(s) => {
                 let (rel, report) =
-                    self.run_select(s, remote, depth, Purpose::InterDbmsPipeline)?;
+                    self.run_select(s, remote, depth, trace_ops, Purpose::InterDbmsPipeline)?;
                 Ok(StatementOutcome {
                     relation: Some(rel),
                     report,
@@ -422,7 +432,7 @@ impl Engine {
                 // Execute (pulling remote data through the wrapper), then
                 // materialize locally: the paper's explicit data movement.
                 let (rel, mut report) =
-                    self.run_select(query, remote, depth, Purpose::Materialization)?;
+                    self.run_select(query, remote, depth, trace_ops, Purpose::Materialization)?;
                 let import_ms = rel.len() as f64 * self.profile.write_cost_ms;
                 report.work_ms += import_ms;
                 report.finish_ms += import_ms;
@@ -467,12 +477,13 @@ impl Engine {
         stmt: &xdb_sql::SelectStmt,
         remote: &dyn Remote,
         depth: usize,
+        trace_ops: bool,
         purpose: Purpose,
     ) -> Result<(Relation, ExecReport)> {
         let snapshot = self.snapshot();
         let plan = bind_select(stmt, &*snapshot)?;
         let plan = optimize(plan, &*snapshot, OptimizeOptions::default());
-        self.run_plan(&plan, &snapshot, remote, depth, purpose)
+        self.run_plan(&plan, &snapshot, remote, depth, trace_ops, purpose)
     }
 
     /// Execute an already-optimized plan against a catalog snapshot.
@@ -482,6 +493,7 @@ impl Engine {
         snapshot: &Catalog,
         remote: &dyn Remote,
         depth: usize,
+        trace_ops: bool,
         purpose: Purpose,
     ) -> Result<(Relation, ExecReport)> {
         let resolver = EngineResolver {
@@ -489,6 +501,7 @@ impl Engine {
             snapshot,
             remote,
             depth,
+            trace_ops,
             purpose,
             foreign_rows: std::cell::Cell::new(0),
         };
@@ -508,7 +521,7 @@ impl Engine {
                 .metrics
                 .counter_add("sched.scratch_alloc", &engine_label, 1.0);
         }
-        if self.op_tracing() {
+        if trace_ops {
             exec.collect_ops();
         }
         let rel = exec.run(plan)?;
@@ -611,6 +624,19 @@ impl Engine {
 /// 4096 and 0.
 pub const DEFAULT_STREAM_CHUNK_ROWS: usize = 4096;
 
+/// Log a failure to parse caller text as one `sql.parse` Warn event on the
+/// federation's `telemetry`, and hand the error back. Every entry point that
+/// parses text it was given logs through here; generated DDL always parses,
+/// so the events only fire on malformed input.
+pub fn log_parse_error(telemetry: &Telemetry, sql: &str, e: ParseError) -> EngineError {
+    let (message, offset) = (format!("parse error: {}", e.message), e.offset.to_string());
+    let fields = [("offset", offset.as_str()), ("sql", sql)];
+    telemetry
+        .events
+        .log(Level::Warn, "sql.parse", None, 0.0, message, &fields);
+    e.into()
+}
+
 fn ddl_outcome() -> StatementOutcome {
     StatementOutcome {
         relation: None,
@@ -626,6 +652,7 @@ struct EngineResolver<'a> {
     snapshot: &'a Catalog,
     remote: &'a dyn Remote,
     depth: usize,
+    trace_ops: bool,
     purpose: Purpose,
     foreign_rows: std::cell::Cell<u64>,
 }
@@ -672,6 +699,7 @@ impl ScanResolver for EngineResolver<'_> {
                     protocol_overhead: self.engine.profile.protocol_overhead,
                     purpose: self.purpose,
                     depth: self.depth + 1,
+                    trace_ops: self.trace_ops,
                     read,
                 };
                 let reply = self

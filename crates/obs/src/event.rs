@@ -122,7 +122,7 @@ impl EventLog {
             min_level: AtomicU8::new(Level::Info as u8),
             next_seq: AtomicU64::new(0),
             inner: Mutex::new(Ring {
-                events: VecDeque::with_capacity(capacity.min(1024)),
+                events: VecDeque::new(),
                 capacity: capacity.max(1),
                 dropped: 0,
             }),
@@ -173,6 +173,12 @@ impl EventLog {
         if ring.events.len() == ring.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
+        } else if ring.events.capacity() == 0 {
+            // Every federation owns a log: a log that records anything
+            // allocates its whole ring once, here, and never grows it under
+            // load; one that records nothing allocates nothing.
+            let capacity = ring.capacity;
+            ring.events.reserve_exact(capacity);
         }
         ring.events.push_back(event);
     }

@@ -8,9 +8,8 @@
 //! (raw vs encoded bytes and the per-codec split), per-engine statement
 //! work, and consultation-cache hit rates. Everything is taken off the
 //! simulated clock and script-order-deterministic state, so records are
-//! bit-identical on any number of executor threads and across
-//! stream-chunk sizes (the process-global query id is the one field
-//! comparison tests normalize, exactly as they do for traces).
+//! bit-identical on any number of executor threads, across stream-chunk
+//! sizes, and across fresh federations, which number their queries alike.
 //!
 //! The [`HistorySink`] lives on [`crate::Telemetry`] and is **disabled by
 //! default** — recording costs nothing until `repro --history dir/`
@@ -64,8 +63,9 @@ pub struct HistoryRecord {
     /// (placements, movement choices, fragment keys). A changed
     /// fingerprint for the same `sql_fnv` is a plan flip.
     pub fingerprint: String,
-    /// Process-global correlation id. Informational only: it varies
-    /// between processes, so drift comparison ignores it.
+    /// The federation's correlation id (`Cluster::next_query_id`).
+    /// Informational only: it counts every query the federation ran
+    /// before this one, so drift comparison ignores it.
     pub query_id: u64,
     pub total_ms: f64,
     /// `(phase name, simulated ms)` in pipeline order.

@@ -25,8 +25,8 @@
 //! a [`MetricRegistry`] (counters, gauges with high-water marks, and
 //! log-bucketed [`Histogram`]s, all labeled), a structured [`EventLog`]
 //! (leveled, query-correlated, ring-buffered, JSON-lines export), and the
-//! [`Telemetry`] handle that bundles both — attached per cluster, with a
-//! process-global default in [`telemetry::global`]. Everything is recorded
+//! [`Telemetry`] handle that bundles both — one per cluster, and no
+//! process-wide one. Everything is recorded
 //! on the simulated clock, so telemetry is deterministic too (see
 //! `metrics` module docs for the exact rules).
 //!

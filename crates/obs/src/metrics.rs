@@ -225,13 +225,12 @@ type SeriesMap = HashMap<u64, Vec<Series>>;
 /// `RandomState` (std's keyed SipHash). Label values can be caller-supplied
 /// text, a `QueryServer` tenant for one, so the registry keeps std's
 /// protection against keys crafted to collide; exports sort by key, so the
-/// random keys reach no output. (`xdb_sql::hash` is out of reach anyway:
-/// that crate depends on this one.)
+/// random keys reach no output.
 fn series_hash(map: &SeriesMap, name: &str, labels: &[(&str, &str)]) -> u64 {
     map.hasher().hash_one((name, labels))
 }
 
-/// The process- or cluster-wide metric registry.
+/// A federation's metric registry.
 ///
 /// One mutex around the series, filed by the hash of name and labels. An
 /// update hashes its arguments, probes the map and compares the few series

@@ -1,21 +1,20 @@
 //! The fleet telemetry handle: one [`MetricRegistry`] plus one
 //! [`EventLog`], shared as an `Arc` by everything observing one federation.
 //!
-//! Ownership model: every [`Cluster`](../../xdb_engine) carries an
-//! `Arc<Telemetry>` and hands it to its engines, its ledger, and the
-//! `GlobalCatalog` discovered over it. By default that handle is the
-//! **process-global** telemetry (so the `repro` binary can export one
-//! merged event log / registry without plumbing), but tests that assert on
-//! absolute metric values attach a fresh `Telemetry` per cluster so
-//! concurrently-running tests cannot pollute each other — the same lesson
-//! the consult-cache accounting learned in an earlier PR.
+//! Ownership model: every [`Cluster`](../../xdb_engine) makes its own
+//! `Arc<Telemetry>` and hands it to its engines and its ledger; the
+//! middleware reads it off the cluster. There is no process-wide handle: a
+//! federation's metrics, events and history are its own, so tests running
+//! side by side cannot pollute each other. Federations that should report
+//! together (the `repro` binary's runs) are handed one shared handle with
+//! `Cluster::set_telemetry`.
 
 use crate::event::EventLog;
 use crate::history::HistorySink;
 use crate::metrics::MetricRegistry;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Metrics + events for one federation (or the whole process).
+/// Metrics + events for one federation (or several that share a handle).
 #[derive(Debug, Default)]
 pub struct Telemetry {
     pub metrics: MetricRegistry,
@@ -53,13 +52,6 @@ impl Telemetry {
     }
 }
 
-/// The process-global telemetry: the default handle every cluster starts
-/// with, and the one `repro --log` / `--metrics` export.
-pub fn global() -> &'static Arc<Telemetry> {
-    static GLOBAL: OnceLock<Arc<Telemetry>> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::new_handle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +64,6 @@ mod tests {
         a.metrics.counter_add("x", &[], 1.0);
         assert_eq!(b.metrics.value("x", &[]), 0.0);
         assert_eq!(a.metrics.value("x", &[]), 1.0);
-    }
-
-    #[test]
-    fn global_is_shared() {
-        let g1 = global();
-        let g2 = global();
-        assert!(Arc::ptr_eq(g1, g2));
     }
 
     #[test]

@@ -37,31 +37,8 @@ impl From<LexError> for ParseError {
 
 type Result<T> = std::result::Result<T, ParseError>;
 
-/// Report a parse failure to the process-global event log (`Warn`) before
-/// handing the error back. Generated DDL always parses, so these events
-/// only fire on malformed user input — rare, and identical no matter which
-/// executor the query would have used.
-fn note_parse_failure<T>(sql: &str, result: Result<T>) -> Result<T> {
-    if let Err(e) = &result {
-        let offset = e.offset.to_string();
-        xdb_obs::telemetry::global().events.log(
-            xdb_obs::Level::Warn,
-            "sql.parse",
-            None,
-            0.0,
-            format!("parse error: {}", e.message),
-            &[("offset", &offset), ("sql", sql)],
-        );
-    }
-    result
-}
-
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    note_parse_failure(sql, parse_statement_inner(sql))
-}
-
-fn parse_statement_inner(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
     let mut p = Parser::new(&tokens);
     let stmt = p.statement()?;
@@ -72,10 +49,6 @@ fn parse_statement_inner(sql: &str) -> Result<Statement> {
 
 /// Parse a semicolon-separated script into statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    note_parse_failure(sql, parse_script_inner(sql))
-}
-
-fn parse_script_inner(sql: &str) -> Result<Vec<Statement>> {
     let tokens = tokenize(sql)?;
     let mut p = Parser::new(&tokens);
     let mut out = Vec::new();

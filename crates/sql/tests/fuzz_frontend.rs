@@ -1,10 +1,6 @@
 //! Seeded mutation fuzz of the text round trip: small edits of valid
 //! statements must never panic the lexer or parser, and whatever still
 //! parses must render and re-parse to an equal AST in every dialect.
-//!
-//! Kept in a test binary of its own: every rejected input logs one
-//! `sql.parse` event to the process-global ring, which would evict the
-//! events `frontend_pinned` counts.
 
 use proptest::test_runner::TestRng;
 use xdb_sql::display::{render_statement, Dialect};

@@ -35,6 +35,27 @@ diff <(grep -rlE 'thread::(scope|spawn)' crates/*/src \
          | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort) \
      <(printf '%s\n' crates/net/src/reactor.rs)
 
+# Static census: a federation owns its telemetry, its query ids and its
+# tracing (DESIGN.md §11 "Telemetry handle"), so no process-wide state may
+# stand in for them. The `static` items of non-test code (shim crates
+# excepted, `repro`'s crate included) are exactly these: the disabled
+# trace collector, `PlanSchema`'s empty schema, and the edge reactor's
+# parallelism, pool and spawn counter.
+diff <(for f in $(grep -rlE '\bstatic [A-Z_]' crates/*/src \
+                    | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort); do
+         sed '/^#\[cfg(test)\]/,$d' "$f" \
+           | grep -oE '^\s*(pub(\([a-z]+\))? )?static [A-Z_][A-Z0-9_]*' \
+           | sed -E "s/.*static /$(sed 's|/|\\/|g' <<<"$f") /" || true
+       done) \
+     <(printf '%s\n' 'crates/net/src/reactor.rs PARALLELISM' 'crates/net/src/reactor.rs POOL' \
+         'crates/net/src/reactor.rs JOBS_SPAWNED' 'crates/obs/src/collect.rs DISABLED' \
+         'crates/sql/src/algebra.rs EMPTY')
+# The parser logs nothing: the SQL crate depends on no telemetry.
+if grep -n 'xdb-obs' crates/sql/Cargo.toml; then
+  echo "crates/sql/Cargo.toml: the parser depends on the telemetry crate" >&2
+  exit 1
+fi
+
 # Copy census: the lexer and the parser compare a word where it lies in
 # the statement and copy it once, into the AST node that keeps it (DESIGN.md
 # §18 "What is interned, and by whom"). No upper-cased copy to compare

@@ -2,7 +2,6 @@
 //! for the delegation engine, across all evaluated queries and table
 //! distributions.
 
-use std::sync::Arc;
 use xdb::core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
 use xdb::core::plan::DelegationPlan;
 use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
@@ -10,7 +9,6 @@ use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
 use xdb::engine::EngineError;
 use xdb::net::{NodeId, Scenario};
-use xdb::obs::Telemetry;
 use xdb::sql::algebra::LogicalPlan;
 use xdb::sql::bind::bind_select;
 use xdb::sql::optimize::{optimize, OptimizeOptions};
@@ -167,9 +165,8 @@ fn mediator_policy_produces_mw_shape() {
 #[test]
 fn non_engine_candidate_is_an_annotation_error() {
     let (mut cluster, catalog) = federation(TableDist::Td1);
-    let telemetry = Telemetry::new_handle();
-    cluster.set_telemetry(Arc::clone(&telemetry));
     cluster.topology.add_cloud_node(NodeId::new("cloud"));
+    let telemetry = cluster.telemetry();
     let live = || -> Vec<f64> {
         xdb::tpch::NODES
             .iter()
@@ -207,8 +204,8 @@ fn non_engine_candidate_is_an_annotation_error() {
 fn failed_delegation_cleans_up() {
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
-    // Plan once to learn the names the next query will use (query ids are
-    // sequential), then squat on the root view name.
+    // Plan once to learn the names the next query will use (the cluster
+    // numbers its queries sequentially), then squat on the root view name.
     let (plan, script, _, _) = xdb.plan(TpchQuery::Q3.sql()).unwrap();
     let root_node = plan.task(plan.root).dbms.clone();
     let squatted = script
@@ -220,44 +217,31 @@ fn failed_delegation_cleans_up() {
         .sql
         .clone();
     // Extract the view name from "CREATE VIEW <name> AS ...", then squat
-    // on the *next* query id's name (ids are process-global, so parse the
-    // observed one rather than assuming it).
+    // on the *next* query id's name.
     let observed = squatted.split_whitespace().nth(2).unwrap().to_string();
-    let qid: u64 = observed
-        .strip_prefix("xdb_q")
-        .and_then(|rest| rest.split('_').next())
-        .and_then(|n| n.parse().ok())
+    let qid = script.query_id;
+    let squatter = observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + 1));
+    cluster
+        .execute(
+            root_node.as_str(),
+            &format!("CREATE TABLE {squatter} (x BIGINT)"),
+        )
         .unwrap();
-    // Other tests in this binary also draw from the process-global id
-    // counter, so squat a whole range of upcoming ids.
-    let squatters: Vec<String> = (1..=8)
-        .map(|d| observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + d)))
-        .collect();
-    for name in &squatters {
-        cluster
-            .execute(
-                root_node.as_str(),
-                &format!("CREATE TABLE {name} (x BIGINT)"),
-            )
-            .unwrap();
-    }
     let err = xdb.submit(TpchQuery::Q3.sql());
     assert!(err.is_err(), "expected delegation failure");
-    // Everything else was rolled back: only the squatters remain.
+    // Everything else was rolled back: only the squatter remains.
     for node in xdb::tpch::NODES {
         let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
         let leaked: Vec<&String> = names
             .iter()
-            .filter(|n| n.starts_with("xdb_q") && !squatters.contains(n))
+            .filter(|n| n.starts_with("xdb_q") && **n != squatter)
             .collect();
         assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
     }
-    // After removing the obstructions, the same query succeeds again.
-    for name in &squatters {
-        cluster
-            .execute(root_node.as_str(), &format!("DROP TABLE {name}"))
-            .unwrap();
-    }
+    // After removing the obstruction, the same query succeeds again.
+    cluster
+        .execute(root_node.as_str(), &format!("DROP TABLE {squatter}"))
+        .unwrap();
     xdb.submit(TpchQuery::Q3.sql()).unwrap();
 }
 

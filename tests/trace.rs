@@ -2,7 +2,6 @@
 //! Every span timestamp is derived from the simulated clock and spans are
 //! emitted in script order.
 
-use std::sync::{Mutex, MutexGuard};
 use xdb::core::{GlobalCatalog, PhaseBreakdown, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
@@ -11,18 +10,6 @@ use xdb::obs::{QueryTrace, SpanKind};
 use xdb::tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
-
-/// Query ids come from one process-wide counter and their decimal width
-/// leaks into control-message byte counts, so a submit from a concurrently
-/// running test can push the counter across a width boundary between two
-/// submits under comparison. Every submitting test in this file holds this
-/// lock (as `crates/core/tests/{streaming,history,props_learned}.rs` do).
-static SUBMIT_LOCK: Mutex<()> = Mutex::new(());
-
-fn submit_lock() -> MutexGuard<'static, ()> {
-    // A failed test must not fail the others through poisoning.
-    SUBMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     let cluster = build_cluster(
@@ -47,7 +34,6 @@ fn traced_submit(td: TableDist, q: TpchQuery) -> QueryTrace {
 
 #[test]
 fn spans_are_properly_nested() {
-    let _guard = submit_lock();
     let trace = traced_submit(TableDist::Td3, TpchQuery::Q8);
     assert!(!trace.spans.is_empty());
     for s in &trace.spans {
@@ -81,7 +67,6 @@ fn spans_are_properly_nested() {
 
 #[test]
 fn every_task_span_is_parented_to_the_exec_phase() {
-    let _guard = submit_lock();
     let trace = traced_submit(TableDist::Td2, TpchQuery::Q5);
     let exec_phase = trace
         .spans
@@ -109,7 +94,6 @@ fn every_task_span_is_parented_to_the_exec_phase() {
 fn plan_and_submit_consult_accounting_agree() {
     // Two identically-seeded federations: planning alone must account the
     // same consult roundtrips and cache hits/misses as the full submit.
-    let _guard = submit_lock();
     let (c1, g1) = federation(TableDist::Td1);
     let (c2, g2) = federation(TableDist::Td1);
     for q in TpchQuery::ALL {
@@ -142,7 +126,6 @@ fn concurrent_queries_do_not_pollute_each_others_cache_counts() {
     // The regression this guards: hit/miss accounting used to be computed
     // as deltas of the process-wide cache counters, so concurrent queries
     // bled into each other's breakdowns. Per-query counting is stable.
-    let _guard = submit_lock();
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
     // Warm everything: after this, Q3 planning is all cache hits.
@@ -168,7 +151,6 @@ fn concurrent_queries_do_not_pollute_each_others_cache_counts() {
 
 #[test]
 fn breakdown_is_a_projection_of_the_trace() {
-    let _guard = submit_lock();
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
     let out = xdb.submit(TpchQuery::Q5.sql()).unwrap();

@@ -384,7 +384,7 @@ impl<'a> Xdb<'a> {
                     && cand.right_move == c.right_move;
                 collector.attr(
                     probe,
-                    &format!("cand.{j}"),
+                    format!("cand.{j}"),
                     format!(
                         "{} ({}l,{}r) cost={:.1} [{}]",
                         cand.dbms,

@@ -48,6 +48,7 @@ use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::ExecReport;
 use xdb_engine::error::Result;
@@ -205,10 +206,11 @@ struct CachedResult {
     attributed_data: Vec<Transfer>,
 }
 
-/// Window plan cache entry, keyed by the submitted SQL text.
+/// Window plan cache entry, keyed by the submitted SQL text. A hit shares
+/// the plan and its fragment keys instead of copying them.
 struct CachedPlan {
-    delegation: DelegationPlan,
-    fragment_keys: HashMap<usize, String>,
+    delegation: Arc<DelegationPlan>,
+    fragment_keys: Arc<HashMap<usize, String>>,
     lopt_ms: f64,
     /// Probe counts of the cold plan; a warm replan answers all of them
     /// from the consultation cache (transient `xdb_q*` objects never bump
@@ -437,8 +439,8 @@ impl<'a> QueryServer<'a> {
         // cached plan runs under a fresh query id and renders below.
         let mut planned_script = None;
         if let Some(cp) = w.plan_cache.get(&sub.sql) {
-            delegation = cp.delegation.clone();
-            fkeys = cp.fragment_keys.clone();
+            delegation = Arc::clone(&cp.delegation);
+            fkeys = Arc::clone(&cp.fragment_keys);
             query_id = cluster.next_query_id();
             trace = synthetic_planning_trace(&sub.sql, cp.prep_probes, cp.ann_probes, cp.lopt_ms);
             report.plan_cache_hits += 1;
@@ -448,18 +450,18 @@ impl<'a> QueryServer<'a> {
         } else {
             let planned = self.xdb.plan_internal(&sub.sql)?;
             report.consult_probes += planned.prep_probes + planned.ann_probes;
-            fkeys = fragment_keys(&planned.delegation);
+            fkeys = Arc::new(fragment_keys(&planned.delegation));
+            delegation = Arc::new(planned.delegation);
             w.plan_cache.insert(
                 sub.sql.clone(),
                 CachedPlan {
-                    delegation: planned.delegation.clone(),
-                    fragment_keys: fkeys.clone(),
+                    delegation: Arc::clone(&delegation),
+                    fragment_keys: Arc::clone(&fkeys),
                     lopt_ms: planned.lopt_ms,
                     prep_probes: planned.prep_probes,
                     ann_probes: planned.ann_probes,
                 },
             );
-            delegation = planned.delegation;
             planned_script = Some(planned.script);
             trace = planned.trace;
             query_id = planned.query_id;

@@ -1,12 +1,15 @@
 //! Allocation budgets of the middleware's per-query questions, counted by
 //! an allocator of this test binary's own (as `crates/sql/tests/alloc_budget.rs`
 //! counts the frontend's): a consultation-cache hit lowers, renders and
-//! allocates nothing, and lowering a delegation plan's task bodies to SQL
-//! moves what it no longer needs instead of cloning it.
+//! allocates nothing, lowering a delegation plan's task bodies to SQL
+//! moves what it no longer needs instead of cloning it, and a folding
+//! window's plan-cache hit shares the cached plan instead of copying it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xdb_core::{ConsultCache, GlobalCatalog, Probe, Xdb};
+use xdb_core::{
+    ConsultCache, GlobalCatalog, Probe, QueryServer, SessionOptions, Submission, Xdb, XdbOptions,
+};
 use xdb_engine::cluster::Cluster;
 use xdb_net::{NodeId, Scenario};
 use xdb_sql::algebra::plan_to_select;
@@ -138,5 +141,40 @@ fn lowering_q8s_td3_task_bodies_stays_in_budget() {
     assert!(
         count <= 238,
         "lowering Q8's TD3 task bodies made {count} allocations"
+    );
+}
+
+/// 255 when a plan-cache hit deep-copied the cached delegation plan and
+/// its fragment keys, a node name was a `String` of its own, and a trace
+/// copied every attribute key and every counter name it bumped.
+#[test]
+fn a_plan_cache_hit_stays_in_budget() {
+    let (cluster, catalog) = td3();
+    // Every edge on this thread, so that the counter sees all of a submit.
+    let options = SessionOptions {
+        xdb: XdbOptions {
+            reactor_threads: 0,
+            ..XdbOptions::default()
+        },
+        ..SessionOptions::default()
+    };
+    let server = QueryServer::new(&cluster, &catalog, options);
+    let q8 = Submission::new("t", TpchQuery::Q8.sql());
+    let once = [q8.clone()];
+    let twice = [q8.clone(), q8];
+    // Warm-up: the first windows create the metric series.
+    server.run(&twice).unwrap();
+    server.run(&once).unwrap();
+
+    // The second submission of a window plans through the cache and folds
+    // fully onto the first one's result.
+    let (report, alone) = allocations(|| server.run(&once).unwrap());
+    assert_eq!(report.plan_cache_hits, 0);
+    let (report, both) = allocations(|| server.run(&twice).unwrap());
+    assert_eq!(report.plan_cache_hits, 1);
+    let hit = both - alone;
+    assert!(
+        hit <= 62,
+        "a plan-cache hit and its fan-out made {hit} allocations"
     );
 }

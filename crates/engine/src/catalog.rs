@@ -4,7 +4,7 @@
 use crate::error::{EngineError, Result};
 use crate::relation::Relation;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xdb_sql::ast::{lower_name, ColumnDef, ObjectKind, SelectStmt};
 use xdb_sql::bind::{intern_fields, RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::column::{Column, TypedCol};
@@ -12,11 +12,31 @@ use xdb_sql::hash::FastSet;
 use xdb_sql::stats::{ColumnStats, StatsProvider};
 use xdb_sql::value::{DataType, Value};
 
-/// Statistics of one base table, recomputed on load.
+/// Statistics of one base table. The row count is known when the data is
+/// set; a column's statistics are computed the first time somebody reads
+/// them and kept. The cells belong to the stored data, like its `Arc`: every
+/// catalog copy shares them, and setting new data replaces data and cells
+/// together.
 #[derive(Debug, Clone, Default)]
 pub struct TableStats {
     pub row_count: f64,
-    pub columns: HashMap<String, ColumnStats>,
+    /// One cell per column of the data; none for a table created empty,
+    /// which reports no column statistics until rows arrive.
+    columns: Arc<[OnceLock<ColumnStats>]>,
+}
+
+impl TableStats {
+    fn unread(rel: &Relation) -> TableStats {
+        TableStats {
+            row_count: rel.len() as f64,
+            columns: (0..rel.width()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// How many columns have had their statistics computed so far.
+    pub fn computed_columns(&self) -> usize {
+        self.columns.iter().filter(|c| c.get().is_some()).count()
+    }
 }
 
 /// A stored base table. The whole relation (schema + rows) is shared via
@@ -33,7 +53,7 @@ pub struct TableData {
 impl TableData {
     fn new(rel: Relation) -> TableData {
         TableData {
-            stats: compute_stats(&rel),
+            stats: TableStats::unread(&rel),
             fields: intern_fields(&rel.fields),
             data: Arc::new(rel),
         }
@@ -42,6 +62,40 @@ impl TableData {
     /// Deep copy for callers that need an owned relation.
     pub fn to_relation(&self) -> Relation {
         (*self.data).clone()
+    }
+
+    /// Statistics of the column at `index`, computed on first read; `None`
+    /// for a table created empty.
+    fn stats_at(&self, index: usize) -> Option<&ColumnStats> {
+        let cell = self.stats.columns.get(index)?;
+        Some(cell.get_or_init(|| column_stats(&self.data.columns()[index])))
+    }
+
+    /// Statistics of the column `name` (case-insensitive; of duplicate
+    /// names, the last field answers).
+    fn column_stats(&self, name: &str) -> Option<&ColumnStats> {
+        let index = self
+            .data
+            .fields
+            .iter()
+            .rposition(|(f, _)| f.eq_ignore_ascii_case(name))?;
+        self.stats_at(index)
+    }
+
+    /// Every column's statistics, keyed by lower-cased name (of duplicate
+    /// names, the last field's). Computes whatever was not read yet.
+    pub fn all_column_stats(&self) -> HashMap<String, ColumnStats> {
+        let mut columns = HashMap::with_capacity(self.stats.columns.len());
+        for (index, (name, _)) in self.data.fields.iter().enumerate().rev() {
+            let key = name.to_ascii_lowercase();
+            if columns.contains_key(&key) {
+                continue;
+            }
+            if let Some(stats) = self.stats_at(index) {
+                columns.insert(key, stats.clone());
+            }
+        }
+        columns
     }
 }
 
@@ -132,9 +186,11 @@ impl Catalog {
             .iter()
             .map(|c| (c.name.clone(), c.data_type))
             .collect();
-        let mut table = TableData::new(Relation::new(fields, Vec::new()));
         // No per-column statistics until rows arrive.
-        table.stats = TableStats::default();
+        let table = TableData {
+            stats: TableStats::default(),
+            ..TableData::new(Relation::new(fields, Vec::new()))
+        };
         self.insert_new(name, CatalogEntry::Table(table))
     }
 
@@ -164,7 +220,7 @@ impl Catalog {
             }
         }
         Arc::make_mut(&mut t.data).append_rows(new_rows);
-        t.stats = compute_stats(&t.data);
+        t.stats = TableStats::unread(&t.data);
         Ok(())
     }
 
@@ -251,15 +307,12 @@ impl StatsProvider for Catalog {
 
     fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
         match self.get(relation)? {
-            CatalogEntry::Table(t) => t.stats.columns.get(&*lower_name(column)).cloned(),
+            CatalogEntry::Table(t) => t.column_stats(column).cloned(),
             _ => None,
         }
     }
 }
 
-/// Compute row count, per-column distinct counts, and min/max. One pass
-/// per column over the typed vectors (values are cheap to clone: strings
-/// are `Arc`-shared).
 /// min / max / n_distinct of one typed column, entirely on the native
 /// representation. `cmp` must match `Value::total_cmp` restricted to two
 /// non-null values of this type; `key` must map equal-by-`Value::eq` values
@@ -296,6 +349,9 @@ fn typed_stats<T, K: std::hash::Hash + Eq>(
     }
 }
 
+/// Distinct count and min/max of one column: one pass over its typed vector
+/// (values are cheap to clone: strings are `Arc`-shared). Only a table's
+/// per-column cell calls it, on first read (`TableData::stats_at`).
 fn column_stats(col: &Column) -> ColumnStats {
     match col {
         Column::Int(c) => typed_stats(c, |a, b| a.cmp(b), |v| *v, |v| Value::Int(*v)),
@@ -342,17 +398,6 @@ fn column_stats(col: &Column) -> ColumnStats {
                 max,
             }
         }
-    }
-}
-
-pub fn compute_stats(rel: &Relation) -> TableStats {
-    let mut columns = HashMap::with_capacity(rel.width());
-    for ((name, _), col) in rel.fields.iter().zip(rel.columns()) {
-        columns.insert(name.to_ascii_lowercase(), column_stats(col));
-    }
-    TableStats {
-        row_count: rel.len() as f64,
-        columns,
     }
 }
 

@@ -608,11 +608,12 @@ impl Engine {
         }
     }
 
-    /// Statistics consultation for the cross-database optimizer.
+    /// Statistics consultation for the cross-database optimizer: the row
+    /// count and every column's statistics. Columns nobody read yet are
+    /// computed here, on a snapshot, outside the catalog lock.
     pub fn consult_stats(&self, relation: &str) -> Option<(f64, HashMap<String, ColumnStats>)> {
-        let catalog = self.catalog.read();
-        match catalog.get(relation) {
-            Some(CatalogEntry::Table(t)) => Some((t.stats.row_count, t.stats.columns.clone())),
+        match self.snapshot().get(relation) {
+            Some(CatalogEntry::Table(t)) => Some((t.stats.row_count, t.all_column_stats())),
             _ => None,
         }
     }

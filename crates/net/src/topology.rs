@@ -8,15 +8,17 @@
 
 use crate::params;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A node in the fabric, identified by name (e.g. `db1`, `mediator`,
-/// `client`, `cloud`).
+/// `client`, `cloud`). The name is shared: a clone is a reference-count
+/// bump. Hashes, orders and prints as the name's `String` would.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub String);
+pub struct NodeId(Arc<str>);
 
 impl NodeId {
     pub fn new(name: impl Into<String>) -> NodeId {
-        NodeId(name.into())
+        NodeId(name.into().into())
     }
 
     pub fn as_str(&self) -> &str {
@@ -32,7 +34,7 @@ impl std::fmt::Display for NodeId {
 
 impl From<&str> for NodeId {
     fn from(s: &str) -> NodeId {
-        NodeId(s.to_string())
+        NodeId(s.into())
     }
 }
 
@@ -92,8 +94,9 @@ pub enum Scenario {
 pub struct Topology {
     default_link: Link,
     /// Overrides for specific (from, to) pairs (symmetric unless both
-    /// directions are registered).
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// directions are registered), by `from`, then `to`: a lookup borrows
+    /// both names.
+    links: HashMap<NodeId, HashMap<NodeId, Link>>,
     nodes: Vec<NodeId>,
 }
 
@@ -151,7 +154,7 @@ impl Topology {
     pub fn set_link(&mut self, from: NodeId, to: NodeId, link: Link) {
         self.add_node(from.clone());
         self.add_node(to.clone());
-        self.links.insert((from, to), link);
+        self.links.entry(from).or_default().insert(to, link);
     }
 
     /// Link between two nodes. Same node → loopback; otherwise a registered
@@ -160,13 +163,10 @@ impl Topology {
         if from == to {
             return Link::LOCAL;
         }
-        if let Some(l) = self.links.get(&(from.clone(), to.clone())) {
-            return *l;
-        }
-        if let Some(l) = self.links.get(&(to.clone(), from.clone())) {
-            return *l;
-        }
-        self.default_link
+        let registered = |a: &NodeId, b: &NodeId| self.links.get(a)?.get(b).copied();
+        registered(from, to)
+            .or_else(|| registered(to, from))
+            .unwrap_or(self.default_link)
     }
 
     /// Transfer time between two nodes.

@@ -8,6 +8,7 @@
 use crate::span::{Span, SpanId, SpanKind};
 use crate::trace::QueryTrace;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -79,13 +80,14 @@ impl TraceCollector {
         id
     }
 
-    /// Attach a key/value annotation to an existing span.
-    pub fn attr(&self, id: SpanId, key: &str, value: impl Into<String>) {
+    /// Attach a key/value annotation to an existing span. A literal key is
+    /// stored as it is, without a copy.
+    pub fn attr(&self, id: SpanId, key: impl Into<Cow<'static, str>>, value: impl Into<String>) {
         if !self.enabled {
             return;
         }
         if let Some(span) = self.inner.lock().spans.get_mut(id as usize) {
-            span.attrs.push((key.to_string(), value.into()));
+            span.attrs.push((key.into(), value.into()));
         }
     }
 
@@ -99,17 +101,19 @@ impl TraceCollector {
         }
     }
 
-    /// Bump a named counter.
+    /// Bump a named counter. Only a new counter copies its name.
     pub fn add(&self, counter: &str, amount: f64) {
         if !self.enabled {
             return;
         }
-        *self
-            .inner
-            .lock()
-            .counters
-            .entry(counter.to_string())
-            .or_insert(0.0) += amount;
+        let counters = &mut self.inner.lock().counters;
+        match counters.get_mut(counter) {
+            Some(total) => *total += amount,
+            // `0.0 + amount`, not `amount`: a first `-0.0` is stored as `+0.0`.
+            None => {
+                counters.insert(counter.to_string(), 0.0 + amount);
+            }
+        }
     }
 
     /// Consume the collector into its trace.
@@ -245,12 +249,15 @@ mod tests {
         c.set_dur(root, 10.0);
         c.add("consults", 2.0);
         c.add("consults", 1.0);
+        // A counter starts at `+0.0`: a first `-0.0` leaves it positive.
+        c.add("zero", -0.0);
         let t = c.finish();
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.spans[0].dur_ms, 10.0);
         assert_eq!(t.spans[1].parent, Some(root));
         assert_eq!(t.spans[1].attr("k"), Some("v"));
         assert_eq!(t.counter("consults"), 3.0);
+        assert_eq!(t.counters.get("zero").map(|v| v.to_bits()), Some(0));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The span model: one interval of simulated time, attributed to a lane
 //! (an engine node, the client, or the network) and linked to a parent.
 
+use std::borrow::Cow;
+
 /// Index of a span inside its trace (== push order in the collector).
 pub type SpanId = u32;
 
@@ -61,8 +63,9 @@ pub struct Span {
     /// Start, in simulated ms since the trace origin.
     pub start_ms: f64,
     pub dur_ms: f64,
-    /// Sorted-insertion-order key/value annotations.
-    pub attrs: Vec<(String, String)>,
+    /// Sorted-insertion-order key/value annotations; a key is mostly a
+    /// literal, kept without a copy.
+    pub attrs: Vec<(Cow<'static, str>, String)>,
 }
 
 impl Span {

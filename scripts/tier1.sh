@@ -114,6 +114,21 @@ if grep -n 'metric_key(' <<<"$updates"; then
   exit 1
 fi
 
+# Statistics census: a stored column's statistics are computed on first
+# read and kept (DESIGN.md §18 "Engine catalogs"), so storing data computes
+# none. In non-test `catalog.rs` code the free function `column_stats(` is
+# called from one line, the per-column cell's initializer, so that
+# `TableData::new`, `create_table_from` and `insert_rows` do not call it;
+# `crates/engine/tests/props_stats.rs` counts the cells a `CREATE TABLE AS`
+# fills (none).
+stats=$(sed '/^#\[cfg(test)\]/,$d' crates/engine/src/catalog.rs \
+  | grep -nE '(^|[^.:_[:alnum:]])column_stats\(' | grep -v 'fn column_stats(' || true)
+if [ "$(grep -c . <<<"$stats")" -ne 1 ] || ! grep -q 'get_or_init(' <<<"$stats"; then
+  echo "$stats"
+  echo "crates/engine/src/catalog.rs: column statistics are computed outside their cell" >&2
+  exit 1
+fi
+
 # Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
 # with at least one span on every lane (each engine node, client, net).
 mkdir -p target

@@ -107,6 +107,29 @@ fn composite_join(probe: &str) -> LogicalPlan {
     )
 }
 
+/// Distance between neighbouring keys of the sparse-key join: 997 keys
+/// span 26 bits, beyond the direct chain-head table's size rule.
+const SPARSE_STRIDE: i64 = 40_009;
+
+/// (k Int, v Int) with `rows` rows whose keys are `0..DIM_ROWS` (in order
+/// when `rows == DIM_ROWS`, else drawn at random) times `SPARSE_STRIDE`.
+fn sparse(rows: usize) -> Relation {
+    let mut x = 0x2545F4914F6CDD1Du64;
+    let data = (0..rows)
+        .map(|j| {
+            let k = match rows == DIM_ROWS as usize {
+                true => j as i64,
+                false => (next(&mut x) % DIM_ROWS as u64) as i64,
+            };
+            vec![Value::Int(k * SPARSE_STRIDE), Value::Int(j as i64)]
+        })
+        .collect();
+    Relation::new(
+        ["k", "v"].map(|n| (n.to_string(), DataType::Int)).to_vec(),
+        data,
+    )
+}
+
 /// Serves the pair tables, `few` as a stream of one morsel: the small
 /// remote intermediate that arrives over an edge and probes a big local
 /// table.
@@ -246,6 +269,25 @@ fn bench(c: &mut Criterion) {
     let plan = composite_join("few");
     let mut exec = Execution::new(&streamed);
     g.bench_function("hash_join_streamed_small_probe", |b| {
+        b.iter(|| exec.run(&plan).unwrap())
+    });
+
+    // One Int key whose values lie `SPARSE_STRIDE` apart: the key packs
+    // into 26 bits, so the table stays the hashed `u64` arm, 30 k probe
+    // rows against 997 build rows, every probe row matching one.
+    let mut sparse_tables = MapResolver::new();
+    sparse_tables.insert("sd", sparse(DIM_ROWS as usize));
+    sparse_tables.insert("sf", sparse(PAIR_ROWS));
+    let scan = |name: &str| {
+        let fields = ["k", "v"].map(|n| (n.to_string(), DataType::Int));
+        LogicalPlan::scan(name, name, intern_fields(&fields).iter().cloned())
+    };
+    let plan = scan("sf").join(
+        scan("sd"),
+        vec![(Expr::qcol("sf", "k"), Expr::qcol("sd", "k"))],
+    );
+    let mut exec = Execution::new(&sparse_tables);
+    g.bench_function("hash_join_sparse_key", |b| {
         b.iter(|| exec.run(&plan).unwrap())
     });
 

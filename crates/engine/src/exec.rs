@@ -40,7 +40,7 @@ use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, Name, PlanSchema};
-use xdb_sql::column::{Column, ColumnBuilder};
+use xdb_sql::column::{Bitmap, Column, ColumnBuilder, TypedCol};
 use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
 
@@ -152,11 +152,12 @@ pub trait ScanResolver {
     ) -> Result<ScanOutput>;
 }
 
-/// Reusable per-query allocations: join hash tables and chain buffers keep
-/// their capacity between executions, so workloads that submit many queries
-/// through one engine stop re-growing the same tables from scratch.
+/// Reusable per-query allocations: join chain-head tables and chain buffers
+/// keep their capacity between executions, so workloads that submit many
+/// queries through one engine stop re-growing the same tables from scratch.
 #[derive(Default)]
 pub struct Scratch {
+    direct: DirectHeads,
     w64: FastMap<u64, u32>,
     w128: FastMap<u128, u32>,
     strs: FastMap<Arc<str>, u32>,
@@ -165,13 +166,17 @@ pub struct Scratch {
 }
 
 /// The one dispatch over key arms, shared by the build and every probe of a
-/// chained table: binds `$k` to the key slice of one side and `$heads` to
-/// the arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
+/// chained table: binds `$k` to the keys of one side and `$heads` to the
+/// arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
 /// `$body` (which may also borrow `$s.next`). One [`KeyNorm`] normalises
 /// both sides of a join, so both reach the same table.
 macro_rules! with_key_arm {
     ($keys:expr, $s:expr, |$k:ident, $heads:ident| $body:expr) => {
         match $keys {
+            Keys::Direct($k) => {
+                let $heads = &mut $s.direct;
+                $body
+            }
             Keys::W64($k) => {
                 let $heads = &mut $s.w64;
                 $body
@@ -1349,14 +1354,125 @@ fn word_range(col: &Column, n: usize) -> Option<(i64, i64)> {
     .then_some((min, max))
 }
 
-/// One side's normalised join keys, one per row. `None` is a key that can
-/// match nothing: a NULL component, or a probe value outside the build
-/// side's range.
-enum Keys {
-    W64(Vec<Option<u64>>),
-    W128(Vec<Option<u128>>),
-    Str(Vec<Option<Arc<str>>>),
-    Vals(Vec<Option<Vec<Value>>>),
+/// One side's join keys in the arm one [`KeyNorm`] chose for both sides,
+/// read from the key columns row by row where they lie: no side builds a
+/// key vector. A row without a key matches nothing: a NULL component, or a
+/// probe value outside the build side's range.
+enum Keys<'a> {
+    /// A packed word narrow enough to index [`DirectHeads`] itself.
+    Direct(Side<WordKeys<'a>>),
+    W64(Side<WordKeys<'a>>),
+    W128(Side<WordKeys<'a>>),
+    /// One Str column.
+    Str(Side<&'a TypedCol<Arc<str>>>),
+    /// Key columns compared as `Value` tuples.
+    Vals(Side<&'a [Column]>),
+}
+
+/// One side of a join: its key columns, as its arm reads them, and its
+/// row count.
+struct Side<K> {
+    keys: K,
+    rows: usize,
+}
+
+/// Key columns a packed word key may have, so that one side's resolved
+/// columns sit inline and reading a morsel's keys allocates nothing. A key
+/// over more columns takes the `Vals` arm.
+const WORD_KEY_COLS: usize = 4;
+
+/// One side's word key columns, packed per row as [`KeyNorm::Words`]
+/// describes: the first `None` ends them.
+struct WordKeys<'a> {
+    cols: [Option<WordCol<'a>>; WORD_KEY_COLS],
+    /// Width of the packed key: a direct table has `2^bits` slots.
+    bits: u32,
+}
+
+/// One word key column of one side, resolved once per morsel so that a
+/// row's key reads typed values and no `Column` match: its values, its
+/// NULL bitmap when it has NULLs, and its bit field.
+#[derive(Clone, Copy)]
+struct WordCol<'a> {
+    values: WordValues<'a>,
+    nulls: Option<&'a Bitmap>,
+    field: &'a WordField,
+}
+
+#[derive(Clone, Copy)]
+enum WordValues<'a> {
+    Int(&'a [i64]),
+    Date(&'a [i32]),
+    Bool(&'a [bool]),
+}
+
+impl<'a> WordCol<'a> {
+    /// `col` as `field` reads it; `None` unless `col` has the layout the
+    /// field was planned for.
+    fn new(field: &'a WordField, col: &'a Column) -> Option<WordCol<'a>> {
+        let (values, nulls) = match col {
+            _ if discriminant(col) != field.layout => return None,
+            Column::Int(c) => (WordValues::Int(&c.data), &c.nulls),
+            Column::Date(c) => (WordValues::Date(&c.data), &c.nulls),
+            Column::Bool(c) => (WordValues::Bool(&c.data), &c.nulls),
+            _ => return None,
+        };
+        Some(WordCol {
+            values,
+            nulls: (!nulls.none_set()).then_some(nulls),
+            field,
+        })
+    }
+}
+
+/// The word types a packed key is built in.
+trait PackWord:
+    Copy + Hash + Eq + From<u64> + std::ops::Shl<u32, Output = Self> + std::ops::BitOrAssign
+{
+}
+
+impl PackWord for u64 {}
+impl PackWord for u128 {}
+
+impl WordKeys<'_> {
+    /// Row `i`'s packed key: each value less its field's build minimum,
+    /// shifted into its bit field. `None` for a NULL component or a value
+    /// outside the field's build range, which must not spill into the next
+    /// field.
+    #[inline]
+    fn key<W: PackWord>(&self, i: usize) -> Option<W> {
+        let mut k = W::from(0);
+        for c in self.cols.iter().map_while(Option::as_ref) {
+            if c.nulls.is_some_and(|n| n.get(i)) {
+                return None;
+            }
+            let v = match c.values {
+                WordValues::Int(v) => v[i],
+                WordValues::Date(v) => i64::from(v[i]),
+                WordValues::Bool(v) => i64::from(v[i]),
+            };
+            let f = c.field;
+            if v < f.min || v > f.max {
+                return None;
+            }
+            k |= W::from(v.wrapping_sub(f.min) as u64) << f.shift;
+        }
+        Some(k)
+    }
+}
+
+/// Row `i`'s key as a `Value` tuple; any NULL component kills the whole
+/// key.
+fn value_key(cols: &[Column], i: usize) -> Option<Vec<Value>> {
+    let mut k = Vec::with_capacity(cols.len());
+    for c in cols {
+        let v = c.value(i);
+        if v.is_null() {
+            return None;
+        }
+        k.push(v);
+    }
+    Some(k)
 }
 
 /// One key column of a packed word key: its layout, the build side's value
@@ -1368,6 +1484,29 @@ struct WordField {
     shift: u32,
 }
 
+/// Widest packed word key a [`DirectHeads`] table is indexed by: at most
+/// 2^16 slots (256 KB) per pooled [`Scratch`].
+const DIRECT_MAX_BITS: u32 = 16;
+
+/// Slots a direct table may have for a build of `build_rows` rows: a
+/// table sized to need, never a fixed 2^16, because every pooled
+/// [`Scratch`] of every engine keeps the largest one it grew.
+fn direct_slot_budget(build_rows: usize) -> usize {
+    build_rows.saturating_mul(16).max(4096)
+}
+
+/// Which chain-head table a packed word key goes to, by its width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WordTable {
+    /// `bits <= DIRECT_MAX_BITS` and `2^bits` within
+    /// [`direct_slot_budget`]: an array indexed by the key.
+    Direct,
+    /// Up to 64 bits.
+    W64,
+    /// Up to 128 bits.
+    W128,
+}
+
 /// How an equi-join's key columns normalise: decided once per join from the
 /// build columns and the probe side's layouts, then applied to both sides,
 /// so both always land in the same [`Keys`] arm. "Build" here is the side
@@ -1375,14 +1514,19 @@ struct WordField {
 enum KeyNorm {
     /// Every column is Int, Date or Bool with the same layout on both
     /// sides. Each value packs as `value - build_min` into a bit field as
-    /// wide as the build side's range needs (`bits` in total: a `u64` key
-    /// up to 64, a `u128` key up to 128). A probe value outside the build
-    /// range equals no build value, so its key is `None`.
-    Words { fields: Vec<WordField>, bits: u32 },
+    /// wide as the build side's range needs (`bits` in total, which decide
+    /// the `table`). A probe value outside the build range equals no build
+    /// value, so it has no key.
+    Words {
+        fields: Vec<WordField>,
+        bits: u32,
+        table: WordTable,
+    },
     /// One Str column on each side.
     Str,
     /// Everything else (Float, Mixed, layouts that differ between the
-    /// sides, Str inside a composite key, word fields beyond 128 bits):
+    /// sides, Str inside a composite key, more than [`WORD_KEY_COLS`]
+    /// columns, word fields beyond 128 bits):
     /// `Value` tuples, whose equality also gives `1 = 1.0`.
     Vals,
 }
@@ -1391,6 +1535,9 @@ impl KeyNorm {
     fn new(bcols: &[Column], pcols: &[Column], build_rows: usize) -> KeyNorm {
         if let ([Column::Str(_)], [Column::Str(_)]) = (bcols, pcols) {
             return KeyNorm::Str;
+        }
+        if bcols.len() > WORD_KEY_COLS {
+            return KeyNorm::Vals;
         }
         let mut fields = Vec::with_capacity(bcols.len());
         let mut bits = 0u32;
@@ -1415,89 +1562,181 @@ impl KeyNorm {
             };
             bits += bits_for(u128::from(span));
         }
-        if bits > 128 {
+        let table = if bits <= DIRECT_MAX_BITS && 1 << bits <= direct_slot_budget(build_rows) {
+            WordTable::Direct
+        } else if bits <= 64 {
+            WordTable::W64
+        } else if bits <= 128 {
+            WordTable::W128
+        } else {
             return KeyNorm::Vals;
+        };
+        KeyNorm::Words {
+            fields,
+            bits,
+            table,
         }
-        KeyNorm::Words { fields, bits }
     }
 
-    /// Normalise one side's key columns. Errors when a typed arm meets a
-    /// layout it was not planned for (a streamed probe whose morsels
+    /// One side's keys over its key columns. Errors when a typed arm meets
+    /// a layout it was not planned for (a streamed probe whose morsels
     /// changed layout mid-edge).
-    fn keys(&self, cols: &[Column], n: usize) -> Result<Keys> {
-        match (self, cols) {
-            (KeyNorm::Words { fields, bits }, _)
-                if fields
-                    .iter()
-                    .zip(cols)
-                    .all(|(f, c)| f.layout == discriminant(c)) =>
-            {
-                Ok(if *bits <= 64 {
-                    Keys::W64(pack_words(fields, cols, n))
-                } else {
-                    Keys::W128(pack_words(fields, cols, n))
-                })
+    fn keys<'a>(&'a self, cols: &'a [Column], rows: usize) -> Result<Keys<'a>> {
+        let drift =
+            || EngineError::Execution("streamed probe key layout drifted between morsels".into());
+        Ok(match (self, cols) {
+            (
+                KeyNorm::Words {
+                    fields,
+                    bits,
+                    table,
+                },
+                _,
+            ) => {
+                let mut keys = WordKeys {
+                    cols: [None; WORD_KEY_COLS],
+                    bits: *bits,
+                };
+                for ((to, f), c) in keys.cols.iter_mut().zip(fields).zip(cols) {
+                    *to = Some(WordCol::new(f, c).ok_or_else(drift)?);
+                }
+                let side = Side { keys, rows };
+                match table {
+                    WordTable::Direct => Keys::Direct(side),
+                    WordTable::W64 => Keys::W64(side),
+                    WordTable::W128 => Keys::W128(side),
+                }
             }
-            (KeyNorm::Str, [Column::Str(c)]) => {
-                Ok(Keys::Str((0..n).map(|i| c.get(i).cloned()).collect()))
-            }
-            (KeyNorm::Vals, _) => Ok(Keys::Vals(generic_keys(cols, n))),
-            _ => Err(EngineError::Execution(
-                "streamed probe key layout drifted between morsels".into(),
-            )),
+            (KeyNorm::Str, [Column::Str(col)]) => Keys::Str(Side { keys: col, rows }),
+            (KeyNorm::Vals, _) => Keys::Vals(Side { keys: cols, rows }),
+            _ => return Err(drift()),
+        })
+    }
+}
+
+/// A chain-head table read through one side's keys `K`: the first build
+/// row of every key, the rest of its chain in [`Scratch`]'s `next`. One
+/// impl per [`Keys`] arm, so the build and every probe of an arm read one
+/// table.
+trait ChainHeads<K> {
+    /// Forget the previous build's heads and make room for `build`'s keys.
+    fn reset(&mut self, build: &K);
+    /// The first build row whose key equals row `i`'s of `keys`.
+    fn head(&self, keys: &K, i: usize) -> Option<u32>;
+    /// Make build row `i` the head of its key's chain and return the row it
+    /// displaced: `NO_NEXT` when there was none, or when row `i` has no key.
+    fn push_front(&mut self, build: &K, i: usize) -> u32;
+}
+
+/// Chain heads indexed by the packed key itself: `slots[k]` is the first
+/// build row with key `k`, or `NO_NEXT`. The table grows to the `2^bits`
+/// slots a build needs and keeps them; between builds only the slots the
+/// last build wrote (`touched`) are cleared, never the whole table.
+#[derive(Default)]
+struct DirectHeads {
+    slots: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl ChainHeads<WordKeys<'_>> for DirectHeads {
+    fn reset(&mut self, build: &WordKeys<'_>) {
+        for &k in &self.touched {
+            self.slots[k as usize] = NO_NEXT;
+        }
+        self.touched.clear();
+        let need = 1 << build.bits;
+        if self.slots.len() < need {
+            self.slots.resize(need, NO_NEXT);
+        }
+    }
+
+    #[inline]
+    fn head(&self, keys: &WordKeys<'_>, i: usize) -> Option<u32> {
+        let h = self.slots[keys.key::<u64>(i)? as usize];
+        (h != NO_NEXT).then_some(h)
+    }
+
+    fn push_front(&mut self, build: &WordKeys<'_>, i: usize) -> u32 {
+        let Some(k) = build.key::<u64>(i) else {
+            return NO_NEXT;
+        };
+        let displaced = std::mem::replace(&mut self.slots[k as usize], i as u32);
+        if displaced == NO_NEXT {
+            self.touched.push(k as u32);
+        }
+        displaced
+    }
+}
+
+impl<W: PackWord> ChainHeads<WordKeys<'_>> for FastMap<W, u32> {
+    fn reset(&mut self, _: &WordKeys<'_>) {
+        self.clear();
+    }
+
+    #[inline]
+    fn head(&self, keys: &WordKeys<'_>, i: usize) -> Option<u32> {
+        self.get(&keys.key::<W>(i)?).copied()
+    }
+
+    fn push_front(&mut self, build: &WordKeys<'_>, i: usize) -> u32 {
+        map_push_front(self, build.key(i), i)
+    }
+}
+
+impl ChainHeads<&TypedCol<Arc<str>>> for FastMap<Arc<str>, u32> {
+    fn reset(&mut self, _: &&TypedCol<Arc<str>>) {
+        self.clear();
+    }
+
+    fn head(&self, col: &&TypedCol<Arc<str>>, i: usize) -> Option<u32> {
+        self.get(&**col.get(i)?).copied()
+    }
+
+    fn push_front(&mut self, build: &&TypedCol<Arc<str>>, i: usize) -> u32 {
+        map_push_front(self, build.get(i).cloned(), i)
+    }
+}
+
+impl ChainHeads<&[Column]> for FastMap<Vec<Value>, u32> {
+    fn reset(&mut self, _: &&[Column]) {
+        self.clear();
+    }
+
+    fn head(&self, cols: &&[Column], i: usize) -> Option<u32> {
+        self.get(&value_key(cols, i)?).copied()
+    }
+
+    fn push_front(&mut self, build: &&[Column], i: usize) -> u32 {
+        map_push_front(self, value_key(build, i), i)
+    }
+}
+
+/// [`ChainHeads::push_front`] for the hashed arms.
+fn map_push_front<K: Hash + Eq>(heads: &mut FastMap<K, u32>, key: Option<K>, i: usize) -> u32 {
+    let Some(k) = key else { return NO_NEXT };
+    match heads.entry(k) {
+        Entry::Occupied(mut e) => std::mem::replace(e.get_mut(), i as u32),
+        Entry::Vacant(e) => {
+            e.insert(i as u32);
+            NO_NEXT
         }
     }
 }
 
-/// Pack word key columns into one `W` per row (see [`KeyNorm::Words`]).
-fn pack_words<W>(fields: &[WordField], cols: &[Column], n: usize) -> Vec<Option<W>>
-where
-    W: Copy + From<u64> + std::ops::Shl<u32, Output = W> + std::ops::BitOrAssign,
-{
-    let mut keys = vec![Some(W::from(0)); n];
-    for (f, col) in fields.iter().zip(cols) {
-        each_word(col, n, |i, v| match (v, &mut keys[i]) {
-            (Some(v), Some(k)) if (f.min..=f.max).contains(&v) => {
-                *k |= W::from(v.wrapping_sub(f.min) as u64) << f.shift;
-            }
-            (_, k) => *k = None,
-        });
-    }
-    keys
-}
-
-/// Per-row composite keys as `Value` tuples; any NULL component kills the
-/// whole key.
-fn generic_keys(cols: &[Column], n: usize) -> Vec<Option<Vec<Value>>> {
-    (0..n)
-        .map(|i| {
-            let mut k = Vec::with_capacity(cols.len());
-            for c in cols {
-                let v = c.value(i);
-                if v.is_null() {
-                    return None;
-                }
-                k.push(v);
-            }
-            Some(k)
-        })
-        .collect()
-}
-
-/// Probe keys against a chained build table, appending (probe, build) row
-/// pairs probe-major with build rows ascending within a probe row — the
-/// exact emission order of the row-major hash join.
-fn probe_chain<K: Hash + Eq>(
-    keys: &[Option<K>],
-    heads: &FastMap<K, u32>,
+/// Probe a side's keys against a chained build table, appending (probe,
+/// build) row pairs probe-major with build rows ascending within a probe
+/// row — the exact emission order of the row-major hash join.
+fn probe_chain<K, H: ChainHeads<K>>(
+    probe: &Side<K>,
+    heads: &H,
     next: &[u32],
     psel: &mut Vec<u32>,
     bsel: &mut Vec<u32>,
 ) {
-    for (i, k) in keys.iter().enumerate() {
-        let Some(k) = k else { continue };
-        let Some(&h) = heads.get(k) else { continue };
-        let mut j = h;
+    for i in 0..probe.rows {
+        let Some(mut j) = heads.head(&probe.keys, i) else {
+            continue;
+        };
         loop {
             psel.push(i as u32);
             bsel.push(j);
@@ -1545,60 +1784,45 @@ fn build_table(
     Ok(norm)
 }
 
-/// Build a chained hash table over the build keys: `heads[k]` is the first
-/// build row with key `k`, `next[i]` the following one. Rows are inserted
-/// in reverse so every chain iterates in ascending build-row order — the
-/// match order of the row-major executor.
-fn build_chain<K: Hash + Eq + Clone>(
-    build_keys: &[Option<K>],
-    heads: &mut FastMap<K, u32>,
-    next: &mut Vec<u32>,
-) {
-    heads.clear();
+/// Chain the build keys: the table's head of key `k` is the first build row
+/// with key `k`, `next[i]` the one after row `i`. Rows are inserted in
+/// reverse so every chain iterates in ascending build-row order — the match
+/// order of the row-major executor.
+fn build_chain<K, H: ChainHeads<K>>(build: &Side<K>, heads: &mut H, next: &mut Vec<u32>) {
+    heads.reset(&build.keys);
     next.clear();
-    next.resize(build_keys.len(), NO_NEXT);
-    for i in (0..build_keys.len()).rev() {
-        let Some(k) = &build_keys[i] else { continue };
-        match heads.entry(k.clone()) {
-            Entry::Occupied(mut e) => {
-                next[i] = *e.get();
-                *e.get_mut() = i as u32;
-            }
-            Entry::Vacant(e) => {
-                e.insert(i as u32);
-            }
-        }
+    next.resize(build.rows, NO_NEXT);
+    for i in (0..build.rows).rev() {
+        next[i] = heads.push_front(&build.keys, i);
     }
 }
 
 /// Per-probe-row match flags for semi/anti joins. Without a residual a
-/// single hash lookup decides; with one, candidates are visited in
-/// ascending build-row order and evaluation short-circuits on the first
-/// match (reference semantics — later candidates are never evaluated).
-fn semi_matches<K: Hash + Eq>(
-    probe_keys: &[Option<K>],
-    heads: &FastMap<K, u32>,
+/// single lookup decides; with one, candidates are visited in ascending
+/// build-row order and evaluation short-circuits on the first match
+/// (reference semantics — later candidates are never evaluated).
+fn semi_matches<K, H: ChainHeads<K>>(
+    probe: &Side<K>,
+    heads: &H,
     next: &[u32],
     mut residual: Option<&mut dyn FnMut(usize, usize) -> Result<bool>>,
 ) -> Result<Vec<bool>> {
-    let mut out = Vec::with_capacity(probe_keys.len());
-    for (i, k) in probe_keys.iter().enumerate() {
+    let mut out = Vec::with_capacity(probe.rows);
+    for i in 0..probe.rows {
         let mut matched = false;
-        if let Some(k) = k {
-            if let Some(&h) = heads.get(k) {
-                match residual.as_mut() {
-                    None => matched = true,
-                    Some(f) => {
-                        let mut j = h;
-                        loop {
-                            if f(i, j as usize)? {
-                                matched = true;
-                                break;
-                            }
-                            j = next[j as usize];
-                            if j == NO_NEXT {
-                                break;
-                            }
+        if let Some(h) = heads.head(&probe.keys, i) {
+            match residual.as_mut() {
+                None => matched = true,
+                Some(f) => {
+                    let mut j = h;
+                    loop {
+                        if f(i, j as usize)? {
+                            matched = true;
+                            break;
+                        }
+                        j = next[j as usize];
+                        if j == NO_NEXT {
+                            break;
                         }
                     }
                 }
@@ -2236,5 +2460,94 @@ mod tests {
         let ops = exec.ops.take().unwrap();
         let join = ops.iter().find(|o| o.op == "hash join").unwrap();
         assert_eq!((join.probe_rows, join.build_rows), (10, 4096));
+    }
+
+    /// The word arm a key goes to: the direct table when `2^bits <=
+    /// max(4096, 16 × build rows)` and `bits <= 16`, the hashed arms
+    /// otherwise (the sides the `props_join_keys` size-rule test runs),
+    /// and no word arm beyond `WORD_KEY_COLS` columns.
+    #[test]
+    fn word_keys_choose_their_table_by_the_size_rule() {
+        // One Int key over `rows` build rows whose values span `codes`.
+        let table = |codes: i64, rows: usize| {
+            let col = Column::from_values((0..rows as i64).map(|i| Value::Int(i % codes)));
+            let col = match col {
+                Column::Int(mut c) => {
+                    Arc::make_mut(&mut c).data[rows - 1] = codes - 1;
+                    Column::Int(c)
+                }
+                _ => unreachable!("an Int column"),
+            };
+            match KeyNorm::new(std::slice::from_ref(&col), std::slice::from_ref(&col), rows) {
+                KeyNorm::Words { table, .. } => table,
+                _ => panic!("an Int key packs into words"),
+            }
+        };
+        use WordTable::{Direct, W64};
+        for (codes, rows, want) in [
+            (4095, 40, Direct),
+            (4096, 40, Direct),
+            (4097, 40, W64),
+            (8192, 511, W64),
+            (8192, 512, Direct),
+            (8192, 513, Direct),
+            (65_536, 4095, W64),
+            (65_536, 4096, Direct),
+            (65_537, 1 << 20, W64),
+        ] {
+            assert_eq!(table(codes, rows), want, "{codes} codes over {rows} rows");
+        }
+        let wide = Column::from_values([Value::Int(0), Value::Int(i64::MAX)]);
+        match KeyNorm::new(std::slice::from_ref(&wide), std::slice::from_ref(&wide), 2) {
+            KeyNorm::Words { table, bits, .. } => assert_eq!((table, bits), (W64, 63)),
+            _ => panic!("an Int key packs into words"),
+        }
+        // More columns than a side holds inline compare as `Value` tuples.
+        let five = vec![wide; WORD_KEY_COLS + 1];
+        assert!(matches!(KeyNorm::new(&five, &five, 2), KeyNorm::Vals));
+    }
+
+    /// A direct table keeps the slots it grew and clears only the ones
+    /// the last build wrote: a narrower join after a wide one reads no
+    /// stale head.
+    #[test]
+    fn direct_table_clears_only_touched_slots() {
+        let col = |vals: &[i64]| Column::from_values(vals.iter().map(|&v| Value::Int(v)));
+        let mut scratch = Scratch::default();
+        let wide = col(&[0, 4000, 4000, 17]);
+        build_table(
+            std::slice::from_ref(&wide),
+            std::slice::from_ref(&wide),
+            4,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(scratch.direct.slots.len(), 4096);
+        assert_eq!(scratch.direct.touched, [17, 4000, 0]);
+        assert_eq!(scratch.next, [NO_NEXT, 2, NO_NEXT, NO_NEXT]);
+        let narrow = col(&[3, 3]);
+        let norm = build_table(
+            std::slice::from_ref(&narrow),
+            std::slice::from_ref(&narrow),
+            2,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(scratch.direct.slots.len(), 4096);
+        assert_eq!(scratch.direct.touched, [0]);
+        let live = scratch
+            .direct
+            .slots
+            .iter()
+            .filter(|&&h| h != NO_NEXT)
+            .count();
+        assert_eq!(live, 1);
+        let (mut psel, mut bsel) = (Vec::new(), Vec::new());
+        let probe = col(&[3, 4, 0]);
+        let keys = norm.keys(std::slice::from_ref(&probe), 3).unwrap();
+        with_key_arm!(&keys, scratch, |p, heads| {
+            probe_chain(p, heads, &scratch.next, &mut psel, &mut bsel)
+        });
+        assert_eq!((psel, bsel), (vec![0, 0], vec![0, 1]));
     }
 }

@@ -1,7 +1,8 @@
-//! Allocation budget of a materialization, counted by an allocator of this
-//! test binary's own (as `crates/core/tests/alloc_budget.rs` counts the
-//! middleware's): a `CREATE TABLE AS` stores its relation and computes no
-//! column statistics, which are filled on first read.
+//! Allocation budgets of an engine's statements, counted by an allocator
+//! of this test binary's own (as `crates/core/tests/alloc_budget.rs` counts
+//! the middleware's): a `CREATE TABLE AS` stores its relation and computes
+//! no column statistics, which are filled on first read; a hash join reads
+//! its key columns where they lie and builds no per-row key vector.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,16 +10,19 @@ use xdb_engine::{Engine, EngineProfile, NoRemote};
 use xdb_tpch::{TpchGen, TpchTable};
 
 thread_local! {
-    // Const-initialised and without a destructor, so reading it from
+    // Const-initialised and without a destructor, so reading them from
     // inside the allocator neither allocates nor outlives the thread.
     // Per thread: the harness runs the tests of this binary side by side.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn note() {
+/// One allocation of `bytes` (a realloc counts its new size).
+fn note(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -26,19 +30,19 @@ fn note() {
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` was returned by this allocator, i.e. by `System`,
         // with `layout`; the caller guarantees `new_size` is valid.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -53,11 +57,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations (alloc, alloc_zeroed, realloc) `f` makes on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
+/// Heap allocations (alloc, alloc_zeroed, realloc) `f` makes on this
+/// thread, and the bytes they request (a realloc's new size).
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    (out, allocs - before.0, bytes - before.1)
 }
 
 /// All sixteen columns of half of TPC-H's `lineitem` at sf 0.001,
@@ -77,8 +83,35 @@ fn a_create_table_as_stays_in_budget() {
         .execute_sql("DROP TABLE xdb_q1_m", &NoRemote)
         .unwrap();
 
-    let (_, count) = allocations(|| engine.execute_sql(CTAS, &NoRemote).unwrap());
+    let (_, count, _) = allocations(|| engine.execute_sql(CTAS, &NoRemote).unwrap());
     let rows = engine.consult_stats("xdb_q1_m").unwrap().0;
     assert!(rows > 2000.0, "{rows} rows materialized");
     assert!(count <= 143, "a CREATE TABLE AS made {count} allocations");
+}
+
+/// `lineitem ⋈ orders` at sf 0.001: 6 000-odd probe rows against 1 500
+/// build rows on a key that spans 13 bits, with four output columns.
+const JOIN: &str = "SELECT l_orderkey, l_quantity, o_orderdate, o_totalprice \
+                    FROM lineitem, orders WHERE l_orderkey = o_orderkey";
+
+/// 484 469 bytes when each side of a word-keyed join first packed a
+/// `Vec<Option<u64>>` of its keys and chained them into a hashed table,
+/// and a gather pushed one null bit per row; 364 501 since the keys are
+/// read where they lie. The direct chain-head table lives in the engine's
+/// pooled scratch, grown by the first run.
+#[test]
+fn a_hash_join_stays_in_its_byte_budget() {
+    let engine = Engine::new("db1", EngineProfile::postgres());
+    let tpch = TpchGen::new(0.001);
+    for table in [TpchTable::Lineitem, TpchTable::Orders] {
+        engine.load_table(table.name(), tpch.table(table)).unwrap();
+    }
+    // The first run creates the engine's metric series and grows the
+    // pooled scratch.
+    engine.execute_sql(JOIN, &NoRemote).unwrap();
+
+    let (out, _, bytes) = allocations(|| engine.execute_sql(JOIN, &NoRemote).unwrap());
+    let rows = out.relation.map_or(0, |r| r.len());
+    assert!(rows > 5000, "{rows} rows joined");
+    assert!(bytes <= 375_000, "a hash join allocated {bytes} bytes");
 }

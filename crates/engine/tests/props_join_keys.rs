@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xdb_engine::exec::{
     project_columns, weights, ExecRel, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver,
+    Scratch,
 };
 use xdb_engine::{Relation, Result};
 use xdb_obs::OpStat;
@@ -103,6 +104,22 @@ fn kind_pair(rng: &mut TestRng) -> (Kind, Kind) {
 /// Key columns `k0..`, a small Int payload `x` (NULL one time in eight; the
 /// residuals read it) and the row number `id`.
 fn relation(rng: &mut TestRng, kinds: &[Kind], domains: &[u64], rows: usize) -> Arc<Relation> {
+    keyed_relation(rng, kinds, rows, |rng, _| {
+        kinds
+            .iter()
+            .zip(domains)
+            .map(|(k, d)| k.value(rng, *d))
+            .collect()
+    })
+}
+
+/// [`relation`] with row `r`'s key values drawn by `keys(rng, r)`.
+fn keyed_relation(
+    rng: &mut TestRng,
+    kinds: &[Kind],
+    rows: usize,
+    mut keys: impl FnMut(&mut TestRng, usize) -> Vec<Value>,
+) -> Arc<Relation> {
     let mut fields: Vec<(String, DataType)> = kinds
         .iter()
         .enumerate()
@@ -112,11 +129,7 @@ fn relation(rng: &mut TestRng, kinds: &[Kind], domains: &[u64], rows: usize) -> 
     fields.push(("id".into(), DataType::Int));
     let data = (0..rows)
         .map(|r| {
-            let mut row: Vec<Value> = kinds
-                .iter()
-                .zip(domains)
-                .map(|(k, d)| k.value(rng, *d))
-                .collect();
+            let mut row = keys(rng, r);
             row.push(match rng.below(8) {
                 0 => Value::Null,
                 _ => Value::Int(rng.below(4) as i64),
@@ -191,6 +204,72 @@ fn sized_case(rng: &mut TestRng, nb: usize, np: usize, large: bool) -> Case {
         nkeys,
         build: relation(rng, &bkinds, &domains, nb),
         probe: relation(rng, &pkinds, &domains, np),
+    }
+}
+
+/// The direct chain-head table's size rule: a packed word key of `bits`
+/// bits indexes an array when `2^bits <= max(4096, 16 × build rows)` and
+/// `bits <= 16`. Each entry is (key codes, build rows) on one side of it:
+/// 4096 ± 1 codes over a build side too small to matter, then 2^13 and
+/// 2^16 codes over 16 × build rows ± 1 rows, and 2^16 + 1 codes, which
+/// never index an array.
+const SIZE_RULE_SIDES: [(u64, usize); 10] = [
+    (4095, 40),
+    (4096, 40),
+    (4097, 40),
+    (8192, 511),
+    (8192, 512),
+    (8192, 513),
+    (65_536, 4095),
+    (65_536, 4096),
+    (65_536, 4097),
+    (65_537, 4097),
+];
+
+/// A case whose word key packs into exactly as many codes as `codes` needs:
+/// one Int or Date key spanning `codes` values over `nb` build rows, or
+/// two whose first spans 8 values (3 bits) and whose second spans
+/// `codes / 8`, so that the packed key crosses the size rule in its second
+/// bit field. The first two build rows hold every key's minimum and
+/// maximum; probe values reach three below and three above the build
+/// range. The probe side has at least as many rows as the build side, so
+/// the table goes over the build side however the probe is read.
+fn spanned_case(rng: &mut TestRng, codes: u64, nb: usize) -> Case {
+    let np = nb + rng.below(nb as u64 / 8 + 8) as usize;
+    let kind = if rng.bool() { Kind::Int } else { Kind::Date };
+    let spans = if rng.bool() {
+        vec![codes]
+    } else {
+        vec![8, codes.div_ceil(8)]
+    };
+    let lo = rng.below(1000) as i64 - 500;
+    let word = move |v: i64| match kind {
+        Kind::Date => Value::Date(v as i32),
+        _ => Value::Int(v),
+    };
+    let kinds = vec![kind; spans.len()];
+    let build = keyed_relation(rng, &kinds, nb, |rng, r| {
+        let mut span = |s: u64| match r {
+            0 => 0,
+            1 => s as i64 - 1,
+            _ => rng.below(s) as i64,
+        };
+        spans.iter().map(|&s| word(lo + span(s))).collect()
+    });
+    let probe = keyed_relation(rng, &kinds, np, |rng, _| {
+        let null = |rng: &mut TestRng| rng.below(16) == 0;
+        spans
+            .iter()
+            .map(|&s| match null(rng) {
+                true => Value::Null,
+                false => word(lo - 3 + rng.below(s + 6) as i64),
+            })
+            .collect()
+    });
+    Case {
+        nkeys: spans.len(),
+        build,
+        probe,
     }
 }
 
@@ -403,11 +482,20 @@ struct Observed {
     ops: Vec<OpStat>,
 }
 
-fn observe(case: &Case, plan: &LogicalPlan, chunk: Option<usize>) -> Observed {
+/// One execution on `scratch`, the tables and buffers an engine pools
+/// across executions: what an earlier join left in it must not show.
+fn observe(
+    scratch: &mut Scratch,
+    case: &Case,
+    plan: &LogicalPlan,
+    chunk: Option<usize>,
+) -> Observed {
     let resolver = Resolver { case, chunk };
     let mut exec = Execution::new(&resolver);
+    exec.scratch = std::mem::take(scratch);
     exec.collect_ops();
     let out = exec.run(plan).expect("join executes");
+    *scratch = std::mem::take(&mut exec.scratch);
     Observed {
         rows: format!("{:?}", out.rows().collect::<Vec<_>>()),
         scan_units: exec.scan_units,
@@ -558,10 +646,21 @@ fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
 // ------------------------------------------------------------------ tests
 
 /// Every shape at every chunk setting equals the reference, the whole
-/// operator list included. Whether the probe streams is the reference's
-/// only input besides the case: semi joins never stream, a computed probe
-/// key never does, everything else does whenever the resolver offers to.
+/// operator list included, each on a fresh [`Scratch`]. Whether the probe
+/// streams is the reference's only input besides the case: semi joins
+/// never stream, a computed probe key never does, everything else does
+/// whenever the resolver offers to.
 fn check(case: &Case, label: &str) -> std::result::Result<(), TestCaseError> {
+    check_on(None, case, label)
+}
+
+/// [`check`], every execution on `reused` when given (back to back, in
+/// the order the loops run them), else each on a fresh [`Scratch`].
+fn check_on(
+    mut reused: Option<&mut Scratch>,
+    case: &Case,
+    label: &str,
+) -> std::result::Result<(), TestCaseError> {
     for shape in SHAPES {
         let plan = plan(case, shape);
         for chunk in [None, Some(1), Some(7), Some(4096)] {
@@ -571,8 +670,10 @@ fn check(case: &Case, label: &str) -> std::result::Result<(), TestCaseError> {
                     Shape::ComputedKey => !computes_key(case),
                     _ => true,
                 };
+            let mut fresh = Scratch::default();
+            let scratch = reused.as_deref_mut().unwrap_or(&mut fresh);
             prop_assert_eq!(
-                &observe(case, &plan, chunk),
+                &observe(scratch, case, &plan, chunk),
                 &reference(case, shape, streamed),
                 "{} {:?} chunk {:?}",
                 label,
@@ -600,6 +701,45 @@ proptest! {
     #[test]
     fn large_joins_match_the_value_keyed_reference(seed in any::<u64>()) {
         check(&case(seed, true), &format!("seed {seed}"))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Joins back to back on one [`Scratch`], as an engine's pooled
+    /// scratch runs them: small cases of every layout and word keys on
+    /// either side of the 4096-slot floor. A chain head an earlier build
+    /// left behind would chain into, or match, rows of a later one.
+    #[test]
+    fn joins_back_to_back_on_one_scratch_match_the_reference(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(seed);
+        let mut scratch = Scratch::default();
+        for step in 0..4 {
+            let case = match rng.below(3) {
+                0 => case(rng.next_u64(), false),
+                _ => {
+                    let (codes, nb) = (4095 + rng.below(3), 8 + rng.below(40) as usize);
+                    spanned_case(&mut rng, codes, nb)
+                }
+            };
+            check_on(Some(&mut scratch), &case, &format!("seed {seed} step {step}"))?;
+        }
+    }
+}
+
+/// Word keys on both sides of the direct table's size rule, pinned
+/// ([`SIZE_RULE_SIDES`]), all run back to back on one [`Scratch`]: the
+/// table grows to 2^16 slots, and the narrow joins run again after that
+/// reuse it.
+#[test]
+fn size_rule_sides_match_the_reference() {
+    let mut rng = TestRng::deterministic(34);
+    let mut scratch = Scratch::default();
+    for &(codes, nb) in SIZE_RULE_SIDES.iter().chain(&SIZE_RULE_SIDES[..3]) {
+        let case = spanned_case(&mut rng, codes, nb);
+        check_on(Some(&mut scratch), &case, &format!("{codes} codes x {nb}"))
+            .expect("equals the reference");
     }
 }
 
@@ -632,7 +772,7 @@ fn pinned_key_semantics() {
         let shape = Shape::Inner {
             residual: Residual::No,
         };
-        let observed = observe(&case, &plan(&case, shape), None);
+        let observed = observe(&mut Scratch::default(), &case, &plan(&case, shape), None);
         assert_eq!(observed, reference(&case, shape, false));
         observed.ops.last().expect("the join's statistic").rows_out
     };

@@ -140,43 +140,33 @@ impl<T: Clone + Default> TypedCol<T> {
 
     fn gather(&self, sel: &[u32]) -> TypedCol<T> {
         let mut out = TypedCol::with_capacity(sel.len());
-        if self.nulls.none_set() {
-            for &i in sel {
-                out.push(self.data[i as usize].clone());
-            }
-        } else {
-            for &i in sel {
-                if self.nulls.get(i as usize) {
-                    out.push_null();
-                } else {
-                    out.push(self.data[i as usize].clone());
-                }
-            }
-        }
+        out.append_gather(self, sel);
         out
     }
 
     fn head(&self, n: usize) -> TypedCol<T> {
+        let n = n.min(self.len());
         let mut out = TypedCol::with_capacity(n);
-        for i in 0..n.min(self.len()) {
-            if self.nulls.get(i) {
-                out.push_null();
-            } else {
-                out.push(self.data[i].clone());
-            }
-        }
+        out.append_range(self, 0, n);
         out
     }
 
     /// Append rows `start..start + len` of `other`, preserving nulls and
     /// placeholder values exactly.
     fn append_range(&mut self, other: &TypedCol<T>, start: usize, len: usize) {
-        for i in start..start + len {
-            if other.nulls.get(i) {
-                self.push_null();
-            } else {
-                self.data.push(other.data[i].clone());
-                self.nulls.push(false);
+        if other.nulls.none_set() {
+            self.data.extend_from_slice(&other.data[start..start + len]);
+            self.nulls.push_zeros(len);
+        } else {
+            self.data.reserve(len);
+            self.nulls.reserve(len);
+            for i in start..start + len {
+                if other.nulls.get(i) {
+                    self.push_null();
+                } else {
+                    self.data.push(other.data[i].clone());
+                    self.nulls.push(false);
+                }
             }
         }
     }

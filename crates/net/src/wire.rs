@@ -226,9 +226,7 @@ fn encode_column(col: &Column) -> EncodedColumn {
         Column::Float(c) => {
             let (codec, body) = plan_float(c);
             let mut payload = typed_payload(&c.nulls, body);
-            for v in present_values(c) {
-                payload.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            each_present(c, |v| payload.extend_from_slice(&v.to_bits().to_le_bytes()));
             EncodedColumn {
                 tag: TAG_FLOAT,
                 codec,
@@ -295,11 +293,8 @@ pub fn measure(columns: &[Column], nrows: usize) -> Measured {
 }
 
 fn measure_column(col: &Column) -> (Codec, u64) {
-    let typed = |nulls: &Bitmap, (codec, body): Choice| {
-        let mut prefix = Vec::new();
-        put_null_runs(&mut prefix, nulls);
-        (codec, (prefix.len() + body) as u64)
-    };
+    let typed =
+        |nulls: &Bitmap, (codec, body): Choice| (codec, (null_runs_plan(nulls).1 + body) as u64);
     match col {
         Column::Int(c) => typed(&c.nulls, plan_for(c).0),
         Column::Date(c) => typed(&c.nulls, plan_for(c).0),
@@ -332,12 +327,14 @@ fn choose(candidate: Codec, candidate_len: usize, raw_len: usize) -> Choice {
     }
 }
 
-/// The payload of a typed column up to its body: the null-run prefix,
-/// with room for exactly the `body` bytes the plan promised.
+/// The payload of a typed column up to its body: the null-run prefix, in
+/// one allocation sized for exactly that prefix and the `body` bytes the
+/// plan promised.
 fn typed_payload(nulls: &Bitmap, body: usize) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_null_runs(&mut payload, nulls);
-    payload.reserve_exact(body);
+    let (runs, prefix) = null_runs_plan(nulls);
+    let mut payload = Vec::with_capacity(prefix + body);
+    put_varint(&mut payload, runs);
+    each_null_run(nulls, |run| put_varint(&mut payload, run));
     payload
 }
 
@@ -391,11 +388,11 @@ impl Packed for i32 {
 /// the bit width of the deltas.
 fn plan_for<T: Packed>(c: &TypedCol<T>) -> (Choice, i64, u8) {
     let (mut count, mut vmin, mut vmax) = (0u64, i64::MAX, i64::MIN);
-    for v in present_values(c) {
+    each_present(c, |v| {
         count += 1;
         vmin = vmin.min(v.widen());
         vmax = vmax.max(v.widen());
-    }
+    });
     // The per-value deltas `v.wrapping_sub(min) as u64` are exactly the
     // true differences (they fit u64 by construction), so the largest is
     // the delta of the maximum value.
@@ -413,17 +410,13 @@ fn encode_for<T: Packed>(c: &TypedCol<T>) -> EncodedColumn {
     let ((codec, body), min, width) = plan_for(c);
     let mut payload = typed_payload(&c.nulls, body);
     if codec == Codec::Raw {
-        for v in present_values(c) {
-            v.put_le(&mut payload);
-        }
+        each_present(c, |v| v.put_le(&mut payload));
     } else {
         put_varint(&mut payload, zigzag(min));
         payload.push(width);
-        let mut bw = BitWriter::new();
-        for v in present_values(c) {
-            bw.put(v.widen().wrapping_sub(min) as u64, width);
-        }
-        payload.extend_from_slice(&bw.finish());
+        let mut bw = BitWriter::new(&mut payload);
+        each_present(c, |v| bw.put(v.widen().wrapping_sub(min) as u64, width));
+        bw.finish();
     }
     EncodedColumn {
         tag: T::TAG,
@@ -449,7 +442,7 @@ fn plan_dict<const KEEP: bool>(c: &TypedCol<Arc<str>>) -> (Choice, Vec<&Arc<str>
     let mut dict: Vec<&Arc<str>> = Vec::new();
     let mut ids: Vec<u64> = Vec::with_capacity(if KEEP { c.len() } else { 0 });
     let (mut raw, mut entries, mut present) = (0usize, 0usize, 0u64);
-    for v in present_values(c) {
+    each_present(c, |v| {
         raw += str_len(v);
         present += 1;
         let next = index.len() as u64;
@@ -463,7 +456,7 @@ fn plan_dict<const KEEP: bool>(c: &TypedCol<Arc<str>>) -> (Choice, Vec<&Arc<str>
         if KEEP {
             ids.push(id);
         }
-    }
+    });
     let n = index.len() as u64;
     let dict_len = varint_len(n) + entries + packed_bytes(present, dict_width(n));
     (choose(Codec::Dict, dict_len, raw), dict, ids)
@@ -473,20 +466,18 @@ fn encode_str(c: &TypedCol<Arc<str>>) -> EncodedColumn {
     let ((codec, body), dict, ids) = plan_dict::<true>(c);
     let mut payload = typed_payload(&c.nulls, body);
     if codec == Codec::Raw {
-        for v in present_values(c) {
-            put_str(&mut payload, v);
-        }
+        each_present(c, |v| put_str(&mut payload, v));
     } else {
         put_varint(&mut payload, dict.len() as u64);
         for entry in &dict {
             put_str(&mut payload, entry);
         }
         let width = dict_width(dict.len() as u64);
-        let mut bw = BitWriter::new();
+        let mut bw = BitWriter::new(&mut payload);
         for id in &ids {
             bw.put(*id, width);
         }
-        payload.extend_from_slice(&bw.finish());
+        bw.finish();
     }
     EncodedColumn {
         tag: TAG_STR,
@@ -509,7 +500,7 @@ fn plan_rle<const KEEP: bool>(c: &TypedCol<bool>) -> (Choice, Vec<(bool, u64)>) 
         }
     };
     let mut open: Option<(bool, u64)> = None;
-    for v in present_values(c) {
+    each_present(c, |v| {
         present += 1;
         match &mut open {
             Some((val, len)) if *val == *v => *len += 1,
@@ -519,7 +510,7 @@ fn plan_rle<const KEEP: bool>(c: &TypedCol<bool>) -> (Choice, Vec<(bool, u64)>) 
                 }
             }
         }
-    }
+    });
     if let Some(run) = open {
         close(run);
     }
@@ -531,9 +522,7 @@ fn encode_bool(c: &TypedCol<bool>) -> EncodedColumn {
     let ((codec, body), runs) = plan_rle::<true>(c);
     let mut payload = typed_payload(&c.nulls, body);
     if codec == Codec::Raw {
-        for v in present_values(c) {
-            payload.push(u8::from(*v));
-        }
+        each_present(c, |v| payload.push(u8::from(*v)));
     } else {
         put_varint(&mut payload, runs.len() as u64);
         for (v, len) in &runs {
@@ -593,12 +582,19 @@ fn mixed_len(v: &Value) -> usize {
     }
 }
 
-fn present_values<T>(c: &TypedCol<T>) -> impl Iterator<Item = &T> {
-    c.data
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !c.nulls.get(*i))
-        .map(|(_, v)| v)
+/// Calls `f` on every present value of `c`, in row order. The NULL test
+/// is made once per column: a column without NULLs (every column the TPC-H
+/// generator emits) is walked as its slice, with no bit read per row.
+fn each_present<'a, T>(c: &'a TypedCol<T>, mut f: impl FnMut(&'a T)) {
+    if c.nulls.none_set() {
+        c.data.iter().for_each(f);
+    } else {
+        for (i, v) in c.data.iter().enumerate() {
+            if !c.nulls.get(i) {
+                f(v);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -698,8 +694,8 @@ pub fn decode_chunked(enc: &Encoded, chunk_rows: usize) -> Vec<Column> {
 /// One typed column in flight: its null runs, its codec body positioned
 /// at the next present value, and the rows decoded since the last morsel
 /// was handed out.
-struct TypedDecoder<T, B> {
-    nulls: NullCursor,
+struct TypedDecoder<'a, T, B> {
+    nulls: NullCursor<'a>,
     body: B,
     acc: TypedCol<T>,
 }
@@ -710,7 +706,7 @@ trait Body<'a, T> {
     fn next(&mut self) -> T;
 }
 
-impl<'a, T: Clone + Default, B: Body<'a, T>> TypedDecoder<T, B> {
+impl<'a, T: Clone + Default, B: Body<'a, T>> TypedDecoder<'a, T, B> {
     fn new(col: &'a EncodedColumn, nrows: usize) -> Self {
         let mut cur = Cursor::new(&col.payload);
         let nulls = NullCursor::parse(&mut cur);
@@ -721,13 +717,19 @@ impl<'a, T: Clone + Default, B: Body<'a, T>> TypedDecoder<T, B> {
         }
     }
 
-    fn take(&mut self, k: usize) {
-        for _ in 0..k {
-            if self.nulls.next_is_null() {
-                self.acc.push_null();
+    /// Decodes the next `k` rows run by run: a present run's values in one
+    /// loop, then its clear NULL bits at once.
+    fn take(&mut self, mut k: usize) {
+        while k > 0 {
+            let (is_null, run) = self.nulls.run(k);
+            if is_null {
+                (0..run).for_each(|_| self.acc.push_null());
             } else {
-                self.acc.push(self.body.next());
+                let body = &mut self.body;
+                self.acc.data.extend((0..run).map(|_| body.next()));
+                self.acc.nulls.push_zeros(run);
             }
+            k -= run;
         }
     }
 
@@ -742,11 +744,11 @@ impl<'a, T: Clone + Default, B: Body<'a, T>> TypedDecoder<T, B> {
 }
 
 enum ColDecoder<'a> {
-    Int(TypedDecoder<i64, PackOrRaw<'a>>),
-    Date(TypedDecoder<i32, PackOrRaw<'a>>),
-    Float(TypedDecoder<f64, Cursor<'a>>),
-    Str(TypedDecoder<Arc<str>, StrBody<'a>>),
-    Bool(TypedDecoder<bool, BoolBody<'a>>),
+    Int(TypedDecoder<'a, i64, PackOrRaw<'a>>),
+    Date(TypedDecoder<'a, i32, PackOrRaw<'a>>),
+    Float(TypedDecoder<'a, f64, Cursor<'a>>),
+    Str(TypedDecoder<'a, Arc<str>, StrBody<'a>>),
+    Bool(TypedDecoder<'a, bool, BoolBody<'a>>),
     /// Row-major tagged values: no null runs, no codec body.
     Mixed {
         cur: Cursor<'a>,
@@ -936,12 +938,19 @@ impl<'a> Body<'a, bool> for BoolBody<'a> {
 // Null-run, varint, and bit-level primitives
 // ---------------------------------------------------------------------------
 
-/// Run-length encode a null bitmap: varint run count, then alternating run
+/// The run-length form of a null bitmap, run by run: alternating run
 /// lengths starting with a PRESENT run (which may be zero-length when the
-/// column opens with a null).
-fn put_null_runs(out: &mut Vec<u8>, nulls: &Bitmap) {
+/// column opens with a null). On the wire the runs follow their varint
+/// count. A column without NULLs is one run of all its rows (none for
+/// zero rows), with no walk of the bitmap.
+fn each_null_run(nulls: &Bitmap, mut f: impl FnMut(u64)) {
     let n = nulls.len();
-    let mut runs: Vec<u64> = Vec::new();
+    if nulls.none_set() {
+        if n > 0 {
+            f(n as u64);
+        }
+        return;
+    }
     let mut expect_null = false;
     let mut i = 0;
     while i < n {
@@ -950,41 +959,62 @@ fn put_null_runs(out: &mut Vec<u8>, nulls: &Bitmap) {
             len += 1;
             i += 1;
         }
-        runs.push(len);
+        f(len);
         expect_null = !expect_null;
-    }
-    put_varint(out, runs.len() as u64);
-    for r in &runs {
-        put_varint(out, *r);
     }
 }
 
-/// Streaming cursor over null runs: `next_is_null()` per row, in order.
-struct NullCursor {
-    runs: Vec<u64>,
-    idx: usize,
+/// The null-run prefix's run count and exact byte length: what
+/// [`typed_payload`] writes and [`measure`] charges, from one walk.
+fn null_runs_plan(nulls: &Bitmap) -> (u64, usize) {
+    let (mut runs, mut bytes) = (0u64, 0usize);
+    each_null_run(nulls, |run| {
+        runs += 1;
+        bytes += varint_len(run);
+    });
+    (runs, varint_len(runs) + bytes)
+}
+
+/// Streaming cursor over the null-run prefix, read in place: [`run`]
+/// hands out the rows ahead as `(is_null, length)` runs.
+///
+/// [`run`]: NullCursor::run
+struct NullCursor<'a> {
+    /// The run lengths not yet started.
+    runs: Cursor<'a>,
+    /// Whether the current run is a null run (runs alternate, the first
+    /// one present).
+    is_null: bool,
+    /// Rows left in the current run.
     left: u64,
 }
 
-impl NullCursor {
-    fn parse(cur: &mut Cursor<'_>) -> NullCursor {
-        let nruns = cur.get_varint() as usize;
-        let mut runs = Vec::with_capacity(nruns);
+impl<'a> NullCursor<'a> {
+    /// Reads the prefix at `cur` and leaves `cur` at the body behind it.
+    fn parse(cur: &mut Cursor<'a>) -> NullCursor<'a> {
+        let nruns = cur.get_varint();
+        let start = cur.pos;
         for _ in 0..nruns {
-            runs.push(cur.get_varint());
+            cur.get_varint();
         }
-        let left = runs.first().copied().unwrap_or(0);
-        NullCursor { runs, idx: 0, left }
+        NullCursor {
+            runs: Cursor::new(&cur.buf[start..cur.pos]),
+            // Flipped as the first run starts, which is a present run.
+            is_null: true,
+            left: 0,
+        }
     }
 
-    fn next_is_null(&mut self) -> bool {
+    /// The next `(is_null, length)` run of at most `limit` rows; `limit`
+    /// must be positive and no more than the rows left.
+    fn run(&mut self, limit: usize) -> (bool, usize) {
         while self.left == 0 {
-            self.idx += 1;
-            self.left = self.runs[self.idx];
+            self.left = self.runs.get_varint();
+            self.is_null = !self.is_null;
         }
-        self.left -= 1;
-        // Even runs (0, 2, …) are present; odd runs are null.
-        self.idx % 2 == 1
+        let len = self.left.min(limit as u64);
+        self.left -= len;
+        (self.is_null, len as usize)
     }
 }
 
@@ -1097,48 +1127,56 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// LSB-first bit packer for fixed-width values.
-struct BitWriter {
-    buf: Vec<u8>,
-    acc: u128,
+/// LSB-first bit packer for fixed-width values, appending to a payload
+/// (sized beforehand by the plan, so it never grows here). Bits gather in
+/// a 64-bit word that is written as 8 little-endian bytes each time it
+/// fills; [`BitWriter::finish`] writes the bytes the tail occupies.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// The pending bits, the oldest lowest; only the low `nbits` are set.
+    acc: u64,
+    /// Always below 64: a full word is flushed at once.
     nbits: u32,
 }
 
-impl BitWriter {
-    fn new() -> BitWriter {
+impl<'a> BitWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> BitWriter<'a> {
         BitWriter {
-            buf: Vec::new(),
+            out,
             acc: 0,
             nbits: 0,
         }
     }
 
+    /// Appends the low `width` bits of `v` (`v < 2^width`).
     fn put(&mut self, v: u64, width: u8) {
-        if width == 0 {
-            return;
-        }
-        self.acc |= u128::from(v) << self.nbits;
-        self.nbits += u32::from(width);
-        while self.nbits >= 8 {
-            self.buf.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        self.acc |= v << self.nbits;
+        let total = self.nbits + u32::from(width);
+        if total < 64 {
+            self.nbits = total;
+        } else {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            // The bits of `v` that did not fit (none when the word was
+            // empty, a shift by 64).
+            self.acc = v.checked_shr(64 - self.nbits).unwrap_or(0);
+            self.nbits = total - 64;
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.buf.push((self.acc & 0xff) as u8);
-        }
-        self.buf
+    fn finish(self) {
+        let tail = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
     }
 }
 
-/// LSB-first bit reader matching [`BitWriter`].
+/// LSB-first bit reader matching [`BitWriter`]: it refills 64 bits with
+/// one load while 8 bytes remain and reads the last few bytes one by one.
 struct BitReader<'a> {
     buf: &'a [u8],
-    pos: usize,
-    acc: u128,
+    /// Bits read ahead and not yet handed out, the next lowest; only the
+    /// low `nbits` are set.
+    acc: u64,
+    /// Always below 64.
     nbits: u32,
 }
 
@@ -1146,25 +1184,42 @@ impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8]) -> BitReader<'a> {
         BitReader {
             buf,
-            pos: 0,
             acc: 0,
             nbits: 0,
         }
     }
 
+    /// The next `width`-bit value.
     fn get(&mut self, width: u8) -> u64 {
+        let width = u32::from(width);
         if width == 0 {
             return 0;
         }
-        while self.nbits < u32::from(width) {
-            self.acc |= u128::from(self.buf[self.pos]) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+        let mask = u64::MAX >> (64 - width);
+        if width <= self.nbits {
+            let v = self.acc & mask;
+            self.acc >>= width;
+            self.nbits -= width;
+            return v;
         }
-        let mask = (1u128 << width) - 1;
-        let v = (self.acc & mask) as u64;
-        self.acc >>= width;
-        self.nbits -= u32::from(width);
+        // The value straddles the refill: its low `nbits` bits are in
+        // `acc`, the rest open the next word.
+        let (word, bits) = match self.buf.split_first_chunk::<8>() {
+            Some((word, rest)) => {
+                self.buf = rest;
+                (u64::from_le_bytes(*word), 64)
+            }
+            None => {
+                let tail = self.buf.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+                let bits = 8 * self.buf.len() as u32;
+                self.buf = &[];
+                (tail, bits)
+            }
+        };
+        let v = (self.acc | word << self.nbits) & mask;
+        let used = width - self.nbits;
+        self.acc = word.checked_shr(used).unwrap_or(0);
+        self.nbits = bits - used;
         v
     }
 }

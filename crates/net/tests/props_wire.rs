@@ -3,84 +3,166 @@
 //! all-NULL shapes included), chunked streaming must reassemble the exact
 //! same columns as a whole-frame decode, and the encoded size must be
 //! independent of the transport chunking.
+//!
+//! The draws reach every path of the codec's word-wise loops: `Int` spans
+//! of every bit width 0–64 and `Date` spans of 0–32 (so `forpack` bodies
+//! of any width, many 64-bit words long), columns of up to 300 rows, NULL
+//! patterns that are none, all, scattered or long runs, and chunk sizes
+//! from one row to the whole edge, so chunk boundaries fall inside runs.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use xdb_net::wire::{self, chunk_count};
-use xdb_sql::column::{Column, ColumnBuilder};
+use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
 use xdb_sql::value::Value;
 
-/// One cell of column kind `kind` (0 Int, 1 Float, 2 Str, 3 Date, 4 Bool,
-/// 5 mixed), NULLs included. Small Int/Str domains exercise FOR-packing
-/// and the dictionary; `any` draws exercise the raw fallback.
-fn cell(kind: u8) -> BoxedStrategy<Value> {
-    match kind {
-        0 => prop_oneof![
-            Just(Value::Null),
-            (0i64..50).prop_map(Value::Int),
-            any::<i64>().prop_map(Value::Int),
-        ]
-        .boxed(),
-        1 => prop_oneof![Just(Value::Null), any::<f64>().prop_map(Value::Float),].boxed(),
-        2 => prop_oneof![
-            Just(Value::Null),
-            (0u32..8).prop_map(|i| Value::str(format!("tag-{i}"))),
-            "[a-z]{0,12}".prop_map(Value::str),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            Just(Value::Null),
-            (-40000i64..40000).prop_map(|d| Value::Date(d as i32)),
-            any::<i32>().prop_map(Value::Date),
-        ]
-        .boxed(),
-        4 => prop_oneof![Just(Value::Null), any::<bool>().prop_map(Value::Bool),].boxed(),
-        _ => prop_oneof![
-            Just(Value::Null),
-            any::<i64>().prop_map(Value::Int),
-            any::<f64>().prop_map(Value::Float),
-            "[a-z]{0,6}".prop_map(Value::str),
-            (-40000i64..40000).prop_map(|d| Value::Date(d as i32)),
-            any::<bool>().prop_map(Value::Bool),
-        ]
-        .boxed(),
+/// Which rows of an `n`-row column are NULL: none, all, a scattering at
+/// a drawn rate, or alternating runs of up to `n` rows that open with
+/// either kind.
+fn null_mask(rng: &mut TestRng, n: usize) -> Vec<bool> {
+    match rng.below(4) {
+        0 => vec![false; n],
+        1 => vec![true; n],
+        2 => {
+            let per_16 = 1 + rng.below(15);
+            (0..n).map(|_| rng.below(16) < per_16).collect()
+        }
+        _ => {
+            let mut mask = Vec::with_capacity(n);
+            let mut null = rng.bool();
+            while mask.len() < n {
+                let run = 1 + rng.below(n as u64) as usize;
+                mask.extend(std::iter::repeat_n(null, run.min(n - mask.len())));
+                null = !null;
+            }
+            mask
+        }
     }
 }
 
-fn build(values: &[Value]) -> Column {
-    let mut b = ColumnBuilder::with_capacity(values.len());
-    for v in values {
-        b.push(v.clone());
+/// A typed column of `n` rows whose present values `value` draws; it is
+/// typed even when every row is NULL.
+fn typed<T: Clone + Default>(
+    rng: &mut TestRng,
+    n: usize,
+    mut value: impl FnMut(&mut TestRng) -> T,
+) -> Arc<TypedCol<T>> {
+    let mut col = TypedCol::with_capacity(n);
+    for null in null_mask(rng, n) {
+        if null {
+            col.push_null();
+        } else {
+            col.push(value(rng));
+        }
     }
-    b.finish()
+    Arc::new(col)
 }
 
-/// A small relation: 1–3 columns of independent kinds over a shared row
-/// count (0 rows included — the empty-frame edge case).
-fn relation() -> BoxedStrategy<Vec<Column>> {
+/// The low `width` bits of a draw (`width ≤ 63`).
+fn below_bits(rng: &mut TestRng, width: u32) -> u64 {
+    rng.next_u64() & ((1u64 << width) - 1)
+}
+
+/// One column of `n` rows of a drawn kind. `Int` values span a drawn bit
+/// width from a drawn base (64: any `i64`), `Date` likewise up to 32 bits;
+/// strings come from a dictionary of a drawn size or are free text;
+/// `Bool` values come in runs or scattered.
+fn column(rng: &mut TestRng, n: usize) -> Column {
+    match rng.below(6) {
+        0 => {
+            let width = rng.below(65) as u32;
+            let base = i64::arbitrary(rng);
+            Column::Int(typed(rng, n, |rng| match width {
+                64 => i64::arbitrary(rng),
+                w => base.saturating_add(below_bits(rng, w) as i64),
+            }))
+        }
+        1 => Column::Float(typed(rng, n, |rng| match rng.below(8) {
+            0 => f64::from_bits(rng.next_u64()),
+            _ => f64::arbitrary(rng),
+        })),
+        2 => {
+            let distinct = match rng.below(3) {
+                0 => None,
+                _ => Some(1 + rng.below(n as u64 + 1)),
+            };
+            Column::Str(typed(rng, n, |rng| match distinct {
+                Some(d) => Arc::from(format!("tag-{}", rng.below(d))),
+                None => Arc::from("[a-z]{0,12}".new_value(rng)),
+            }))
+        }
+        3 => {
+            let width = rng.below(33) as u32;
+            let base = i32::arbitrary(rng);
+            Column::Date(typed(rng, n, |rng| match width {
+                32 => i32::arbitrary(rng),
+                w => base.saturating_add(below_bits(rng, w) as i32),
+            }))
+        }
+        4 => {
+            let flip_per_16 = rng.below(17);
+            let mut v = rng.bool();
+            Column::Bool(typed(rng, n, |rng| {
+                v ^= rng.below(16) < flip_per_16;
+                v
+            }))
+        }
+        _ => {
+            let mut b = ColumnBuilder::with_capacity(n);
+            for null in null_mask(rng, n) {
+                b.push(match (null, rng.below(5)) {
+                    (true, _) => Value::Null,
+                    (_, 0) => Value::Int(i64::arbitrary(rng)),
+                    (_, 1) => Value::Float(f64::arbitrary(rng)),
+                    (_, 2) => Value::str("[a-z]{0,6}".new_value(rng)),
+                    (_, 3) => Value::Date(i32::arbitrary(rng)),
+                    _ => Value::Bool(rng.bool()),
+                });
+            }
+            b.finish()
+        }
+    }
+}
+
+/// An edge: 1–3 columns of independent kinds over a shared row count of
+/// 0–300 (0 is the empty-frame case), and a transport chunk of 1 to
+/// `n + 1` rows.
+fn edge() -> BoxedStrategy<(Vec<Column>, usize)> {
     BoxedStrategy::new(|rng| {
-        let n = (0usize..97).new_value(rng);
-        let width = (1usize..4).new_value(rng);
-        (0..width)
-            .map(|_| {
-                let kind = (0u8..6).new_value(rng);
-                let values: Vec<Value> = (0..n).map(|_| cell(kind).new_value(rng)).collect();
-                build(&values)
-            })
-            .collect()
+        let n = rng.below(301) as usize;
+        let width = 1 + rng.below(3) as usize;
+        let cols = (0..width).map(|_| column(rng, n)).collect();
+        (cols, 1 + rng.below(n as u64 + 1) as usize)
     })
+}
+
+/// Bitwise column equality: `Float` payloads compare by bit pattern (a
+/// drawn NaN is not equal to itself as a value).
+fn assert_same(a: &Column, b: &Column) -> Result<(), TestCaseError> {
+    match (a, b) {
+        (Column::Float(x), Column::Float(y)) => {
+            prop_assert_eq!(&x.nulls, &y.nulls);
+            let bits = |c: &TypedCol<f64>| c.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(x), bits(y));
+        }
+        _ => prop_assert_eq!(a, b),
+    }
+    Ok(())
 }
 
 proptest! {
     /// encode → decode is the identity: every value (bitwise for floats)
     /// and every layout variant survives the wire.
     #[test]
-    fn roundtrip_is_identity(cols in relation()) {
+    fn roundtrip_is_identity(edge in edge()) {
+        let (cols, _) = edge;
         let n = cols[0].len();
         let enc = wire::encode(&cols, n);
         let back = wire::decode(&enc);
         prop_assert_eq!(back.len(), cols.len());
         for (b, c) in back.iter().zip(cols.iter()) {
-            prop_assert_eq!(b, c);
+            assert_same(b, c)?;
             // Variant preservation keeps downstream raw-byte accounting
             // invariant under the codec.
             prop_assert_eq!(b.wire_bytes(), c.wire_bytes());
@@ -88,28 +170,50 @@ proptest! {
     }
 
     /// Streaming the frame in chunks of any size reassembles exactly the
-    /// whole-frame decode, and the encoded size never depends on the
-    /// transport chunking.
+    /// whole-frame decode, whether the chunks accumulate or are handed out
+    /// as morsels, and the encoded size never depends on the transport
+    /// chunking.
     #[test]
-    fn chunked_decode_matches_whole(cols in relation(), pick in 0usize..6) {
-        let chunk = [1usize, 3, 7, 64, 4096, 0][pick];
+    fn chunked_decode_matches_whole(edge in edge()) {
+        let (cols, chunk) = edge;
         let n = cols[0].len();
         let enc = wire::encode(&cols, n);
         let whole = wire::decode(&enc);
         let chunked = wire::decode_chunked(&enc, chunk);
-        prop_assert_eq!(&chunked, &whole);
-        let stats = enc.stats(chunk);
-        prop_assert_eq!(stats.encoded_bytes, enc.encoded_bytes());
-        prop_assert_eq!(stats.chunks, chunk_count(n as u64, chunk));
-        // Empty frames report no codec series at all (encoded_bytes 0).
-        if n > 0 {
-            let total: u64 = stats.codec_bytes.iter().map(|(_, b)| *b).sum();
-            prop_assert_eq!(
-                total,
-                enc.columns().iter().map(|c| c.encoded_bytes()).sum::<u64>()
-            );
-        } else {
-            prop_assert!(stats.codec_bytes.is_empty());
+        prop_assert_eq!(chunked.len(), whole.len());
+        for (c, w) in chunked.iter().zip(&whole) {
+            assert_same(c, w)?;
+        }
+        let mut joined: Vec<Column> = whole.iter().map(Column::empty_like).collect();
+        let mut dec = wire::StreamDecoder::with_morsel_capacity(&enc, chunk);
+        while dec.remaining() > 0 {
+            let before = dec.remaining();
+            let morsel = dec.take_columns(chunk);
+            prop_assert_eq!(before - dec.remaining(), chunk.min(before));
+            for (j, m) in joined.iter_mut().zip(&morsel) {
+                prop_assert_eq!(std::mem::discriminant(j), std::mem::discriminant(m));
+                prop_assert_eq!(m.len(), chunk.min(before));
+                j.append_range(m, 0, m.len());
+            }
+        }
+        for (j, w) in joined.iter().zip(&whole) {
+            assert_same(j, w)?;
+        }
+        // `0` is an unbounded edge: one frame.
+        for chunk in [chunk, 0] {
+            let stats = enc.stats(chunk);
+            prop_assert_eq!(stats.encoded_bytes, enc.encoded_bytes());
+            prop_assert_eq!(stats.chunks, chunk_count(n as u64, chunk));
+            // Empty frames report no codec series at all (encoded_bytes 0).
+            if n > 0 {
+                let total: u64 = stats.codec_bytes.iter().map(|(_, b)| *b).sum();
+                prop_assert_eq!(
+                    total,
+                    enc.columns().iter().map(|c| c.encoded_bytes()).sum::<u64>()
+                );
+            } else {
+                prop_assert!(stats.codec_bytes.is_empty());
+            }
         }
     }
 
@@ -118,19 +222,21 @@ proptest! {
     /// is the contract that lets stats-only edges (mediator re-loads, the
     /// final-result hop) skip payload materialization entirely.
     #[test]
-    fn measure_matches_encode(cols in relation(), pick in 0usize..6) {
-        let chunk = [1usize, 3, 7, 64, 4096, 0][pick];
+    fn measure_matches_encode(edge in edge()) {
+        let (cols, chunk) = edge;
         let n = cols[0].len();
         let enc = wire::encode(&cols, n);
         let measured = wire::measure(&cols, n);
         prop_assert_eq!(measured.encoded_bytes(), enc.encoded_bytes());
         prop_assert_eq!(measured.codec_bytes(), enc.codec_bytes());
-        let es = enc.stats(chunk);
-        let ms = measured.stats(chunk);
-        prop_assert_eq!(ms.encoded_bytes, es.encoded_bytes);
-        prop_assert_eq!(ms.chunks, es.chunks);
-        prop_assert_eq!(ms.codec_bytes, es.codec_bytes);
-        for (col, (codec, len)) in enc.columns().iter().zip(wire::measure(&cols, n).columns()) {
+        for chunk in [chunk, 0] {
+            let es = enc.stats(chunk);
+            let ms = measured.stats(chunk);
+            prop_assert_eq!(ms.encoded_bytes, es.encoded_bytes);
+            prop_assert_eq!(ms.chunks, es.chunks);
+            prop_assert_eq!(ms.codec_bytes, es.codec_bytes);
+        }
+        for (col, (codec, len)) in enc.columns().iter().zip(measured.columns()) {
             prop_assert_eq!(*codec, col.codec());
             prop_assert_eq!(wire::COLUMN_HEADER_BYTES + len, col.encoded_bytes());
         }

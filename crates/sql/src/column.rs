@@ -57,7 +57,7 @@ impl Bitmap {
     }
 
     /// Append `n` clear bits.
-    fn push_zeros(&mut self, n: usize) {
+    pub fn push_zeros(&mut self, n: usize) {
         self.len += n;
         self.words.resize(self.len.div_ceil(64), 0);
     }

@@ -19,15 +19,27 @@ pub mod sclera;
 pub use mediator::{Mediator, MediatorConfig, MwReport};
 pub use sclera::{Sclera, ScleraReport};
 
-use xdb_core::annotate::{AnnotateOptions, Annotator};
+use xdb_core::annotate::{plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator};
+use xdb_core::client::edge_observations;
 use xdb_core::global::GlobalCatalog;
 use xdb_core::plan::DelegationPlan;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::log_parse_error;
 use xdb_engine::error::{EngineError, Result};
+use xdb_obs::HistoryRecord;
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
 use xdb_sql::optimize::{optimize, OptimizeOptions};
+
+/// A baseline's decomposed query, with what its history record needs
+/// from before execution: where the ledger stood and what planning cost
+/// the consultation cache.
+struct Planned {
+    plan: DelegationPlan,
+    ledger_mark: usize,
+    consult_hits: u64,
+    consult_misses: u64,
+}
 
 /// The planning front half every baseline shares: parse, accept a SELECT
 /// only (`who` names the system in the error), consult every table of the
@@ -40,7 +52,10 @@ fn plan_query(
     sql: &str,
     optimize_options: OptimizeOptions,
     annotate: AnnotateOptions,
-) -> Result<DelegationPlan> {
+) -> Result<Planned> {
+    let ledger_mark = cluster.ledger.len();
+    let cache = catalog.consult_cache();
+    let (hits, misses) = (cache.hits(), cache.misses());
     let stmt =
         xdb_sql::parse_statement(sql).map_err(|e| log_parse_error(cluster.telemetry(), sql, e))?;
     let Statement::Select(select) = stmt else {
@@ -54,24 +69,45 @@ fn plan_query(
     let bound = bind_select(&select, catalog)?;
     let optimized = optimize(bound, catalog, optimize_options);
     catalog.clear_placeholders();
-    Ok(Annotator::new(catalog, cluster, annotate)
+    let plan = Annotator::new(catalog, cluster, annotate)
         .run(&optimized)?
-        .plan)
+        .plan;
+    Ok(Planned {
+        plan,
+        ledger_mark,
+        consult_hits: cache.hits() - hits,
+        consult_misses: cache.misses() - misses,
+    })
 }
 
-/// The fleet telemetry of one finished baseline submission, emitted once
-/// from its single-threaded tail so it is deterministic: the `mw.*` series
-/// under `system`, and the completion `event` (target, message) with its
-/// `fields`.
+/// The tail of one finished baseline submission, run once on its single
+/// thread so it is deterministic. It builds the run's [`HistoryRecord`]
+/// under `deployment`, with the edges the run appended to the ledger, and
+/// emits the `mw.*` series under `system` — moved bytes by the record's
+/// one rule — and the completion `event` (target, message, fields). The
+/// record is kept while the history sink is on.
 fn note_submit(
     cluster: &Cluster,
-    system: &str,
-    total_ms: f64,
-    (bytes, encoded_bytes): (u64, u64),
-    (target, message): (&str, &str),
-    fields: &[(&str, &str)],
+    sql: &str,
+    planned: &Planned,
+    (system, deployment): (&str, &str),
+    (total_ms, transfer_ms): (f64, f64),
+    (target, message, fields): (&str, &str, &[(&str, &str)]),
 ) {
     let telemetry = cluster.telemetry();
+    let record = HistoryRecord {
+        label: telemetry.history.label(),
+        deployment: deployment.to_string(),
+        sql_fnv: stable_hash_hex(sql.as_bytes()),
+        fingerprint: plan_fingerprint(&planned.plan),
+        total_ms,
+        phases: vec![("transfer".to_string(), transfer_ms)],
+        consult_hits: planned.consult_hits,
+        consult_misses: planned.consult_misses,
+        edges: edge_observations(&cluster.ledger.since(planned.ledger_mark)),
+        ..HistoryRecord::default()
+    };
+    let (bytes, encoded_bytes) = record.moved_bytes();
     let labels = [("system", system)];
     telemetry.metrics.observe("mw.total_ms", &labels, total_ms);
     telemetry.metrics.counter_add("mw.queries", &labels, 1.0);
@@ -89,4 +125,5 @@ fn note_submit(
         message,
         fields,
     );
+    telemetry.history.append(record);
 }

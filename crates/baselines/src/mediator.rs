@@ -69,6 +69,15 @@ impl MediatorConfig {
             protocol_overhead: params::JDBC_PROTOCOL_OVERHEAD,
         }
     }
+
+    /// The deployment its history records carry: the system name, with
+    /// Presto's worker count (`presto4`) so that scale-outs stay apart.
+    pub fn deployment(&self) -> String {
+        match self.name {
+            "presto" => format!("presto{}", self.workers),
+            name => name.to_string(),
+        }
+    }
 }
 
 /// Parallel-speedup model for the mediator's residual work: near-linear
@@ -126,7 +135,7 @@ impl<'a> Mediator<'a> {
 
     /// Decompose a query into the MW plan: sub-query tasks + mediator
     /// residual.
-    pub fn decompose(&self, sql: &str) -> Result<DelegationPlan> {
+    fn decompose(&self, sql: &str) -> Result<crate::Planned> {
         crate::plan_query(
             self.cluster,
             self.catalog,
@@ -174,20 +183,25 @@ impl<'a> Mediator<'a> {
 
     /// Execute a query MW-style.
     pub fn submit(&self, sql: &str) -> Result<MwReport> {
-        let report = self.run(&self.decompose(sql)?)?;
+        let planned = self.decompose(sql)?;
+        let report = self.run(&planned.plan)?;
         let bytes = report.fetch_bytes.to_string();
         let subs = report.subqueries.to_string();
         crate::note_submit(
             self.cluster,
-            self.config.name,
-            report.total_ms,
-            (report.fetch_bytes, report.fetch_encoded_bytes),
-            ("baselines.mediator", "mediator query completed"),
-            &[
-                ("system", self.config.name),
-                ("fetch_bytes", &bytes),
-                ("subqueries", &subs),
-            ],
+            sql,
+            &planned,
+            (self.config.name, &self.config.deployment()),
+            (report.total_ms, report.transfer_ms),
+            (
+                "baselines.mediator",
+                "mediator query completed",
+                &[
+                    ("system", self.config.name),
+                    ("fetch_bytes", &bytes),
+                    ("subqueries", &subs),
+                ],
+            ),
         );
         Ok(report)
     }
@@ -316,7 +330,7 @@ mod tests {
     fn garlic_decomposition_pushes_colocated_joins() {
         let (cluster, catalog) = setup();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::garlic("mediator"));
-        let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap();
+        let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap().plan;
         assert_subqueries_pure(&plan);
         // Root is the mediator; sub-queries are one per DBMS (vaccines +
         // vaccination fused on vdb).
@@ -328,7 +342,7 @@ mod tests {
     fn presto_decomposition_does_not_fuse_joins() {
         let (cluster, catalog) = setup();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::presto("mediator", 4));
-        let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap();
+        let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap().plan;
         assert_subqueries_pure(&plan);
         // One sub-query per base table + the mediator root.
         assert_eq!(plan.tasks.len(), 5, "{}", plan.describe());
@@ -350,6 +364,42 @@ mod tests {
                 "{} diverged from XDB",
                 m.config().name
             );
+        }
+    }
+
+    #[test]
+    fn submit_records_what_it_reports() {
+        let (cluster, catalog) = setup();
+        let history = &cluster.telemetry().history;
+        history.enable_memory();
+        let single = "SELECT count(*) AS n FROM citizen WHERE age > 50";
+        for (config, deployment) in [
+            (MediatorConfig::garlic("mediator"), "garlic"),
+            (MediatorConfig::presto("mediator", 4), "presto4"),
+            (MediatorConfig::presto("mediator", 10), "presto10"),
+        ] {
+            let m = Mediator::new(&cluster, &catalog, config);
+            for sql in [scenario::EXAMPLE_QUERY, single] {
+                history.clear();
+                let report = m.submit(sql).unwrap();
+                let [r] = &history.records()[..] else {
+                    panic!("one record per submit");
+                };
+                assert_eq!(r.deployment, deployment);
+                assert_eq!(
+                    r.sql_fnv,
+                    xdb_core::annotate::stable_hash_hex(sql.as_bytes())
+                );
+                let plan = m.decompose(sql).unwrap().plan;
+                assert_eq!(r.fingerprint, xdb_core::annotate::plan_fingerprint(&plan));
+                assert_eq!(r.total_ms, report.total_ms);
+                assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
+                assert_eq!(
+                    r.moved_bytes(),
+                    (report.fetch_bytes, report.fetch_encoded_bytes)
+                );
+                assert_eq!(r.query_id, 0);
+            }
         }
     }
 

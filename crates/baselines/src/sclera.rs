@@ -55,7 +55,7 @@ impl<'a> Sclera<'a> {
     }
 
     pub fn submit(&self, sql: &str) -> Result<ScleraReport> {
-        let plan = crate::plan_query(
+        let planned = crate::plan_query(
             self.cluster,
             self.catalog,
             "sclera",
@@ -75,6 +75,7 @@ impl<'a> Sclera<'a> {
                 ..Default::default()
             },
         )?;
+        let plan = &planned.plan;
 
         // Strictly serial task execution; every inter-task relation takes
         // two hops (producer → mediator → consumer) and is materialized at
@@ -174,11 +175,15 @@ impl<'a> Sclera<'a> {
         let tasks = plan.tasks.len().to_string();
         crate::note_submit(
             self.cluster,
-            "sclera",
-            total_ms,
-            (moved_bytes, moved_encoded_bytes),
-            ("baselines.sclera", "sclera query completed"),
-            &[("moved_bytes", &bytes), ("tasks", &tasks)],
+            sql,
+            &planned,
+            ("sclera", "sclera"),
+            (total_ms, transfer_ms),
+            (
+                "baselines.sclera",
+                "sclera query completed",
+                &[("moved_bytes", &bytes), ("tasks", &tasks)],
+            ),
         );
         Ok(ScleraReport {
             relation,
@@ -236,6 +241,29 @@ mod tests {
             report.total_ms,
             xdb_exec
         );
+    }
+
+    #[test]
+    fn submit_records_what_it_reports() {
+        let (cluster, catalog) = setup();
+        let history = &cluster.telemetry().history;
+        let sclera = Sclera::new(&cluster, &catalog, "mediator");
+        sclera.submit(scenario::EXAMPLE_QUERY).unwrap();
+        assert!(history.is_empty(), "a sink that is off records nothing");
+        history.enable_memory();
+        let report = sclera.submit(scenario::EXAMPLE_QUERY).unwrap();
+        let [r] = &history.records()[..] else {
+            panic!("one record per submit");
+        };
+        assert_eq!(r.deployment, "sclera");
+        assert_eq!(r.total_ms, report.total_ms);
+        assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
+        assert_eq!(
+            r.moved_bytes(),
+            (report.moved_bytes, report.moved_encoded_bytes)
+        );
+        assert!(r.consult_hits > 0, "the second submit's consults hit");
+        assert!(r.critical.is_empty() && r.statements.is_empty() && !r.learned_costs);
     }
 
     #[test]

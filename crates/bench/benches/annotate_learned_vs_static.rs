@@ -3,8 +3,8 @@
 //! static pricing vs a populated profile store. The learned path adds a
 //! handful of BTreeMap lookups per candidate — this group keeps that
 //! delta visible so profile-store growth can't silently tax every
-//! planning cycle. `scripts/bench_snapshot.sh` folds the timings into
-//! `BENCH_exec.json`, and `scripts/bench_gate.sh` gates regressions.
+//! planning cycle. Compare two builds by running both in one session;
+//! nothing records or gates these timings.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the columnar executor kernels: a diagnostic, not a
-//! gate. `scripts/bench_snapshot.sh` parses this output into
-//! `BENCH_exec.json` so later PRs inherit a perf trajectory.
+//! gate. Compare two builds by running both in one session; nothing
+//! records or gates these timings.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;

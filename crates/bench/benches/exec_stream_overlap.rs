@@ -12,9 +12,9 @@
 //! operators over one edge-sized morsel, so every pass (decode, probe,
 //! gather, fold) re-walks a multi-hundred-megabyte working set through
 //! L3/DRAM instead of L2.
-//! The series land in `BENCH_exec.json` as a diagnostic: compare
-//! `edge_chunk_4096` with `edge_unbounded` there (nothing asserts it; a
-//! 4–8 % gap between minima is below what one run on a shared host shows).
+//! A diagnostic: compare `edge_chunk_4096` with `edge_unbounded` within
+//! one run (nothing asserts it; a 4–8 % gap between minima is below what
+//! one run on a shared host shows).
 //!
 //! The query ships the wide 2M-row `measurements` relation to `vdb`
 //! (placement pinned there so the big side is the foreign probe), joins

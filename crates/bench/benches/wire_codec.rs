@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the columnar wire codec (`xdb_net::wire`):
 //! encoding a TD-flavoured relation into the compressed frame, decoding it
-//! whole, and stream-decoding it in default-size transport morsels. Run
-//! through `scripts/bench_snapshot.sh` these feed `BENCH_exec.json`, so
-//! codec throughput rides the same regression gate as the executor
-//! kernels.
+//! whole, and stream-decoding it in default-size transport morsels. Compare
+//! two builds by running both in one session; nothing records or gates
+//! these timings.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;

@@ -69,11 +69,6 @@ fn main() {
     // (the tenants, calibrate and replay runners keep their own): what
     // `--log`, `--history` and `--log-level` act on.
     let telemetry = Telemetry::new_handle();
-    // Escape hatch for overhead measurement: disable the always-on fleet
-    // telemetry (metrics registry + event log) entirely.
-    if std::env::var_os("XDB_TELEMETRY_OFF").is_some() {
-        telemetry.set_enabled(false);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sf = 0.05f64;
     let mut runs = 3usize;
@@ -393,31 +388,24 @@ fn run_gate(monitor_baseline: Option<String>, telemetry: &Arc<Telemetry>) {
         eprintln!("gate: bad monitor baseline snapshot: {e}");
         std::process::exit(2);
     });
-    // Re-run at the baseline's own parameters so the series line up.
-    let doc = json::parse(&text).expect("monitor baseline re-parse");
-    let sf = doc.get("sf").and_then(json::Value::as_f64).unwrap_or(0.002);
-    let runs = doc.get("runs").and_then(json::Value::as_f64).unwrap_or(2.0) as usize;
-    let mut current = monitor::run_monitor(sf, runs, telemetry)
+    // Re-run at the baseline's own shape so the series line up; one that
+    // carries multi-tenant admission series re-runs that workload too.
+    let mut current = monitor::run_monitor(base.sf, base.runs, telemetry)
         .expect("monitor workload")
         .flat_values();
-    // Baselines that carry multi-tenant admission series re-run the
-    // tenants workload at the baseline's own shape so they line up.
-    if base.keys().any(|k| k.starts_with("tenants/")) {
-        let tn = doc
-            .get("tenants")
-            .and_then(json::Value::as_f64)
-            .unwrap_or(8.0) as usize;
-        let rounds = doc
-            .get("tenant_rounds")
-            .and_then(json::Value::as_f64)
-            .unwrap_or(2.0) as usize;
+    if let Some((tn, rounds)) = base.tenants {
         current.extend(
-            tenants::run_tenants(sf, tn, rounds)
+            tenants::run_tenants(base.sf, tn, rounds)
                 .expect("tenants workload")
                 .flat_values(),
         );
     }
-    let report = gate::compare("monitor", &base, &current, gate::MONITOR_THRESHOLD_PCT);
+    let report = gate::compare(
+        "monitor",
+        &base.values,
+        &current,
+        gate::MONITOR_THRESHOLD_PCT,
+    );
     print!("{}", report.render());
     if !report.passed() {
         std::process::exit(1);

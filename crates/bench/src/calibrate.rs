@@ -13,7 +13,7 @@
 //! ledger, so the whole report is bit-identical across invocations and
 //! executor modes.
 
-use crate::experiments::{onprem, run_workload};
+use crate::experiments::{onprem, run_workload, six_queries, Deployment};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xdb_core::XdbOptions;
@@ -55,7 +55,12 @@ pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateRep
     // The observatory bundle rides every history record, which is exactly
     // the join this report aggregates.
     let e = onprem(td, sf, &Telemetry::new_handle())?;
-    let (records, _) = run_workload(&e, &XdbOptions::default(), runs)?;
+    let (records, _) = run_workload(
+        &e,
+        &XdbOptions::default(),
+        &six_queries(Deployment::Xdb, runs),
+        true,
+    )?;
     // The runner submits each query `runs` times in a row: one chunk of
     // records per query, in workload order.
     let per_query = records

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use xdb_baselines::{Mediator, MediatorConfig, Sclera};
 use xdb_core::annotate::{stable_hash_hex, AnnotateOptions};
-use xdb_core::{GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
+use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::Result;
 use xdb_engine::profile::EngineProfile;
@@ -50,6 +50,15 @@ pub fn env(
     })
 }
 
+impl Env {
+    /// XDB on this federation under `options`, the middleware on [`CLOUD`].
+    pub(crate) fn xdb(&self, options: XdbOptions) -> Xdb<'_> {
+        Xdb::new(&self.cluster, &self.catalog)
+            .with_client_node(CLOUD)
+            .with_options(options)
+    }
+}
+
 /// Every engine a PostgreSQL.
 pub fn pg() -> ProfileAssignment {
     ProfileAssignment::uniform(EngineProfile::postgres())
@@ -60,9 +69,42 @@ pub fn onprem(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Env>
     env(td, sf, Scenario::OnPremise, &pg(), telemetry)
 }
 
-/// The six-query workload, each query submitted `runs` times in a row on
-/// `env` with `options`: the history records those submits wrote, each
-/// labelled with its query, and their outcomes, in submit order.
+/// A system a workload submit runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deployment {
+    Xdb,
+    Garlic,
+    /// Presto with this many workers.
+    Presto(usize),
+    Sclera,
+}
+
+impl Deployment {
+    /// The name its history records carry (`presto4` for four workers).
+    pub fn name(self) -> String {
+        match self {
+            Deployment::Xdb => "xdb".to_string(),
+            Deployment::Garlic => MediatorConfig::garlic(CLOUD).deployment(),
+            Deployment::Presto(workers) => MediatorConfig::presto(CLOUD, workers).deployment(),
+            Deployment::Sclera => "sclera".to_string(),
+        }
+    }
+}
+
+/// Every query of the six-query workload under `deployment`, each
+/// submitted `runs` times in a row.
+pub(crate) fn six_queries(deployment: Deployment, runs: usize) -> Vec<(TpchQuery, Deployment)> {
+    TpchQuery::ALL
+        .into_iter()
+        .flat_map(|q| std::iter::repeat_n((q, deployment), runs))
+        .collect()
+}
+
+/// Submit `submits` on `env` in order, XDB under `options`, the
+/// middleware or mediator on [`CLOUD`]: the history record each submit
+/// wrote and the relation it returned, in submit order. With `labelled`
+/// each record carries its query's name; otherwise the sink's label
+/// stays empty.
 ///
 /// The records come from the env's history sink, which is left as it was
 /// found: one already recording (`repro --history dir/`) keeps every
@@ -70,36 +112,62 @@ pub fn onprem(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Env>
 pub fn run_workload(
     env: &Env,
     options: &XdbOptions,
-    runs: usize,
-) -> Result<(Vec<HistoryRecord>, Vec<QueryOutcome>)> {
+    submits: &[(TpchQuery, Deployment)],
+    labelled: bool,
+) -> Result<(Vec<HistoryRecord>, Vec<Relation>)> {
     let history = &env.cluster.telemetry().history;
     let recording = history.is_enabled();
     if !recording {
         history.enable_memory();
     }
     let mark = history.len();
-    let xdb = Xdb::new(&env.cluster, &env.catalog)
-        .with_client_node(CLOUD)
-        .with_options(options.clone());
-    let submit_all = || -> Result<Vec<QueryOutcome>> {
-        let mut outcomes = Vec::new();
-        for q in TpchQuery::ALL {
-            history.set_label(q.name());
-            for _ in 0..runs {
-                env.cluster.ledger.clear();
-                outcomes.push(xdb.submit(q.sql())?);
+    let xdb = env.xdb(options.clone());
+    let results: Result<Vec<Relation>> = submits
+        .iter()
+        .map(|&(q, deployment)| {
+            if labelled {
+                history.set_label(q.name());
             }
-        }
-        Ok(outcomes)
-    };
-    let outcomes = submit_all();
+            env.cluster.ledger.clear();
+            let (cluster, catalog, sql) = (&env.cluster, &env.catalog, q.sql());
+            let mediator = |config| Mediator::new(cluster, catalog, config).submit(sql);
+            Ok(match deployment {
+                Deployment::Xdb => xdb.submit(sql)?.relation,
+                Deployment::Garlic => mediator(MediatorConfig::garlic(CLOUD))?.relation,
+                Deployment::Presto(n) => mediator(MediatorConfig::presto(CLOUD, n))?.relation,
+                Deployment::Sclera => Sclera::new(cluster, catalog, CLOUD).submit(sql)?.relation,
+            })
+        })
+        .collect();
     history.set_label("");
     let records = history.records().split_off(mark);
     if !recording {
         history.disable();
         history.clear();
     }
-    Ok((records, outcomes?))
+    Ok((records, results?))
+}
+
+/// The record of each of `submits` ([`run_workload`] with default options
+/// and no labels), for a figure runner to project.
+fn records<const N: usize>(
+    env: &Env,
+    submits: [(TpchQuery, Deployment); N],
+) -> Result<[HistoryRecord; N]> {
+    let (records, _) = run_workload(env, &XdbOptions::default(), &submits, false)?;
+    Ok(records.try_into().expect("one record per submit"))
+}
+
+/// [`records`] of the six queries in workload order, each under every one
+/// of `deployments` in turn.
+fn per_query<const N: usize>(
+    env: &Env,
+    deployments: [Deployment; N],
+) -> Result<Vec<(TpchQuery, [HistoryRecord; N])>> {
+    TpchQuery::ALL
+        .into_iter()
+        .map(|q| Ok((q, records(env, deployments.map(|d| (q, d)))?)))
+        .collect()
 }
 
 /// Stable digest of a relation's ordered result cells (`{:?}|` per value,
@@ -125,16 +193,6 @@ pub fn localized_exec_ms(sf: f64, sql: &str) -> Result<f64> {
     Ok(report.finish_ms)
 }
 
-/// Run XDB on an env; returns (exec_ms, total_ms, moved_bytes).
-pub fn run_xdb(env: &Env, sql: &str) -> Result<(f64, f64, u64)> {
-    env.cluster.ledger.clear();
-    let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
-    let out = xdb.submit(sql)?;
-    let moved = env.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
-        + env.cluster.ledger.bytes_for(Purpose::Materialization);
-    Ok((out.breakdown.exec_ms, out.breakdown.total_ms(), moved))
-}
-
 // ------------------------------------------------------------- trace sink
 
 /// Run all six TPC-H queries on TD1 with per-operator profiling enabled
@@ -147,12 +205,10 @@ pub fn trace_workload(sf: f64, telemetry: &Arc<Telemetry>) -> Result<xdb_obs::Qu
     let mut offset = 0.0f64;
     for q in TpchQuery::ALL {
         env.cluster.ledger.clear();
-        let xdb = Xdb::new(&env.cluster, &env.catalog)
-            .with_client_node(CLOUD)
-            .with_options(XdbOptions {
-                trace_operators: true,
-                ..Default::default()
-            });
+        let xdb = env.xdb(XdbOptions {
+            trace_operators: true,
+            ..Default::default()
+        });
         let out = xdb.submit(q.sql())?;
         let mut trace = out.trace;
         // The root span of every submission is named "query"; label it
@@ -179,23 +235,27 @@ pub fn fig01(sf_small: f64, sf_large: f64, telemetry: &Arc<Telemetry>) -> Result
     );
     for sf in [sf_small, sf_large] {
         let env = onprem(TableDist::Td1, sf, telemetry)?;
-        let q3 = TpchQuery::Q3.sql();
-        let actual = localized_exec_ms(sf, q3)? / 1000.0;
-        let garlic =
-            Mediator::new(&env.cluster, &env.catalog, MediatorConfig::garlic(CLOUD)).submit(q3)?;
-        let presto = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::presto(CLOUD, 4))
-            .submit(q3)?;
-        let (xdb_exec, _, _) = run_xdb(&env, q3)?;
+        let q3 = TpchQuery::Q3;
+        let actual = localized_exec_ms(sf, q3.sql())? / 1000.0;
+        let [garlic, presto, xdb] = records(
+            &env,
+            [
+                (q3, Deployment::Garlic),
+                (q3, Deployment::Presto(4)),
+                (q3, Deployment::Xdb),
+            ],
+        )?;
         let x = format!("sf {sf}");
         fig.series_mut("garlic total")
             .push(&x, garlic.total_ms / 1000.0);
         fig.series_mut("garlic actual")
-            .push(&x, (garlic.total_ms - garlic.transfer_ms) / 1000.0);
+            .push(&x, (garlic.total_ms - garlic.phase_ms("transfer")) / 1000.0);
         fig.series_mut("presto total")
             .push(&x, presto.total_ms / 1000.0);
         fig.series_mut("presto actual")
-            .push(&x, (presto.total_ms - presto.transfer_ms) / 1000.0);
-        fig.series_mut("xdb total").push(&x, xdb_exec / 1000.0);
+            .push(&x, (presto.total_ms - presto.phase_ms("transfer")) / 1000.0);
+        fig.series_mut("xdb total")
+            .push(&x, xdb.phase_ms("exec") / 1000.0);
         fig.series_mut("localized").push(&x, actual);
     }
     fig.note("paper: actual ≈ 15% of Garlic's and ≈ 3% of Presto's total; XDB ≈ actual");
@@ -213,14 +273,15 @@ pub fn fig09(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figur
         format!("overall runtime, {} sf {sf}", td.name()),
         "sim seconds",
     );
-    for q in TpchQuery::ALL {
-        let (xdb_exec, _, _) = run_xdb(&env, q.sql())?;
-        let garlic = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::garlic(CLOUD))
-            .submit(q.sql())?;
-        let presto = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::presto(CLOUD, 4))
-            .submit(q.sql())?;
-        let sclera = Sclera::new(&env.cluster, &env.catalog, CLOUD).submit(q.sql())?;
-        fig.series_mut("xdb").push(q.name(), xdb_exec / 1000.0);
+    let deployments = [
+        Deployment::Xdb,
+        Deployment::Garlic,
+        Deployment::Presto(4),
+        Deployment::Sclera,
+    ];
+    for (q, [xdb, garlic, presto, sclera]) in per_query(&env, deployments)? {
+        fig.series_mut("xdb")
+            .push(q.name(), xdb.phase_ms("exec") / 1000.0);
         fig.series_mut("garlic")
             .push(q.name(), garlic.total_ms / 1000.0);
         fig.series_mut("presto4")
@@ -228,9 +289,9 @@ pub fn fig09(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figur
         fig.series_mut("sclera")
             .push(q.name(), sclera.total_ms / 1000.0);
         fig.series_mut("garlic µ")
-            .push(q.name(), garlic.transfer_ms / 1000.0);
+            .push(q.name(), garlic.phase_ms("transfer") / 1000.0);
         fig.series_mut("presto µ")
-            .push(q.name(), presto.transfer_ms / 1000.0);
+            .push(q.name(), presto.phase_ms("transfer") / 1000.0);
     }
     fig.note("paper: XDB up to 4x vs Garlic, 6x vs Presto, 30x vs Sclera");
     Ok(fig)
@@ -252,10 +313,8 @@ pub fn fig10(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         format!("heterogeneous DBMSes (TD1, sf {sf})"),
         "sim seconds",
     );
-    for q in TpchQuery::ALL {
-        let (xdb_exec, _, _) = run_xdb(&env, q.sql())?;
-        let presto = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::presto(CLOUD, 4))
-            .submit(q.sql())?;
+    for (q, [xdb, presto]) in per_query(&env, [Deployment::Xdb, Deployment::Presto(4)])? {
+        let xdb_exec = xdb.phase_ms("exec");
         fig.series_mut("xdb").push(q.name(), xdb_exec / 1000.0);
         fig.series_mut("presto4")
             .push(q.name(), presto.total_ms / 1000.0);
@@ -276,20 +335,23 @@ pub fn fig11(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         format!("scaled-out mediator vs decentralized execution (TD1, sf {sf})"),
         "sim seconds",
     );
-    for q in TpchQuery::ALL {
-        let (xdb_exec, _, _) = run_xdb(&env, q.sql())?;
-        fig.series_mut("xdb").push(q.name(), xdb_exec / 1000.0);
-        for workers in [2usize, 4, 10] {
-            let presto = Mediator::new(
-                &env.cluster,
-                &env.catalog,
-                MediatorConfig::presto(CLOUD, workers),
-            )
-            .submit(q.sql())?;
-            fig.series_mut(&format!("presto{workers}"))
+    let deployments = [
+        Deployment::Xdb,
+        Deployment::Presto(2),
+        Deployment::Presto(4),
+        Deployment::Presto(10),
+    ];
+    for (q, [xdb, prestos @ ..]) in per_query(&env, deployments)? {
+        fig.series_mut("xdb")
+            .push(q.name(), xdb.phase_ms("exec") / 1000.0);
+        for presto in prestos {
+            let name = &presto.deployment;
+            fig.series_mut(name)
                 .push(q.name(), presto.total_ms / 1000.0);
-            fig.series_mut(&format!("presto{workers} actual"))
-                .push(q.name(), (presto.total_ms - presto.transfer_ms) / 1000.0);
+            fig.series_mut(&format!("{name} actual")).push(
+                q.name(),
+                (presto.total_ms - presto.phase_ms("transfer")) / 1000.0,
+            );
         }
     }
     fig.note("paper: adding workers shrinks the actual processing, not the total");
@@ -307,7 +369,7 @@ pub fn table4(sf: f64, telemetry: &Arc<Telemetry>) -> Result<String> {
         let env = onprem(td, sf, telemetry)?;
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
             env.cluster.ledger.clear();
-            let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
+            let xdb = env.xdb(XdbOptions::default());
             let outcome = xdb.submit(q.sql())?;
             let transfers = env.cluster.ledger.snapshot();
             out.push_str(&format!("\n{} {} (sf {sf}):\n", td.name(), q.name()));
@@ -367,13 +429,16 @@ pub fn fig12(sfs: &[f64], telemetry: &Arc<Telemetry>) -> Result<Vec<Figure>> {
         for &sf in sfs {
             let env = onprem(TableDist::Td1, sf, telemetry)?;
             let x = format!("sf {sf}");
-            let (xdb_exec, _, _) = run_xdb(&env, q.sql())?;
-            let garlic = Mediator::new(&env.cluster, &env.catalog, MediatorConfig::garlic(CLOUD))
-                .submit(q.sql())?;
-            let presto =
-                Mediator::new(&env.cluster, &env.catalog, MediatorConfig::presto(CLOUD, 4))
-                    .submit(q.sql())?;
-            fig.series_mut("xdb").push(&x, xdb_exec / 1000.0);
+            let [xdb, garlic, presto] = records(
+                &env,
+                [
+                    (q, Deployment::Xdb),
+                    (q, Deployment::Garlic),
+                    (q, Deployment::Presto(4)),
+                ],
+            )?;
+            fig.series_mut("xdb")
+                .push(&x, xdb.phase_ms("exec") / 1000.0);
             fig.series_mut("garlic").push(&x, garlic.total_ms / 1000.0);
             fig.series_mut("presto4").push(&x, presto.total_ms / 1000.0);
         }
@@ -393,17 +458,13 @@ pub fn fig13(sfs: &[f64], telemetry: &Arc<Telemetry>) -> Result<Figure> {
     for &sf in sfs {
         let env = onprem(TableDist::Td1, sf, telemetry)?;
         let x = format!("sf {sf}");
+        let deployments = [Deployment::Xdb, Deployment::Garlic, Deployment::Presto(4)];
         let (mut sx, mut sg, mut sp, mut bytes) = (0.0, 0.0, 0.0, 0u64);
-        for q in TpchQuery::ALL {
-            let (xdb_exec, _, moved) = run_xdb(&env, q.sql())?;
-            sx += xdb_exec;
-            bytes += moved;
-            sg += Mediator::new(&env.cluster, &env.catalog, MediatorConfig::garlic(CLOUD))
-                .submit(q.sql())?
-                .total_ms;
-            sp += Mediator::new(&env.cluster, &env.catalog, MediatorConfig::presto(CLOUD, 4))
-                .submit(q.sql())?
-                .total_ms;
+        for (_, [xdb, garlic, presto]) in per_query(&env, deployments)? {
+            sx += xdb.phase_ms("exec");
+            bytes += xdb.moved_bytes().0;
+            sg += garlic.total_ms;
+            sp += presto.total_ms;
         }
         let n = TpchQuery::ALL.len() as f64;
         fig.series_mut("xdb").push(&x, sx / n / 1000.0);
@@ -433,12 +494,12 @@ pub fn fig14(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figur
     let geo = env(td, sf, Scenario::GeoDistributed, &pg(), telemetry)?;
     for q in TpchQuery::ALL {
         onp.cluster.ledger.clear();
-        let xdb = Xdb::new(&onp.cluster, &onp.catalog).with_client_node(CLOUD);
+        let xdb = onp.xdb(XdbOptions::default());
         xdb.submit(q.sql())?;
         let xdb_onp = onp.cluster.ledger.bytes_touching(&NodeId::new(CLOUD));
 
         geo.cluster.ledger.clear();
-        let xdb = Xdb::new(&geo.cluster, &geo.catalog).with_client_node(CLOUD);
+        let xdb = geo.xdb(XdbOptions::default());
         xdb.submit(q.sql())?;
         let xdb_geo = geo.cluster.ledger.total_bytes();
 
@@ -477,16 +538,15 @@ pub fn fig15(
     );
     for &sf in sfs {
         let env = onprem(td, sf, telemetry)?;
-        let xdb = Xdb::new(&env.cluster, &env.catalog).with_client_node(CLOUD);
-        let out = xdb.submit(q.sql())?;
+        let [xdb] = records(&env, [(q, Deployment::Xdb)])?;
         let x = format!("sf {sf}");
-        let b = out.breakdown;
-        fig.series_mut("prep").push(&x, b.prep_ms / 1000.0);
-        fig.series_mut("lopt").push(&x, b.lopt_ms / 1000.0);
-        fig.series_mut("ann").push(&x, b.ann_ms / 1000.0);
-        fig.series_mut("exec").push(&x, b.exec_ms / 1000.0);
+        let [prep, lopt, ann, exec] = ["prep", "lopt", "ann", "exec"].map(|p| xdb.phase_ms(p));
+        fig.series_mut("prep").push(&x, prep / 1000.0);
+        fig.series_mut("lopt").push(&x, lopt / 1000.0);
+        fig.series_mut("ann").push(&x, ann / 1000.0);
+        fig.series_mut("exec").push(&x, exec / 1000.0);
         fig.series_mut("overhead %")
-            .push(&x, 100.0 * b.overhead_ms() / b.total_ms());
+            .push(&x, 100.0 * (prep + lopt + ann) / xdb.total_ms);
     }
     fig.note("paper: prep+lopt+ann stay <10s and sf-independent; exec dominates at scale");
     Ok(fig)
@@ -509,15 +569,13 @@ pub fn ablation_movement(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> 
         ("all-explicit", Some(Movement::Explicit)),
     ] {
         for q in TpchQuery::ALL {
-            let xdb = Xdb::new(&env.cluster, &env.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    annotate: AnnotateOptions {
-                        force_movement: force,
-                        ..Default::default()
-                    },
+            let xdb = env.xdb(XdbOptions {
+                annotate: AnnotateOptions {
+                    force_movement: force,
                     ..Default::default()
-                });
+                },
+                ..Default::default()
+            });
             let out = xdb.submit(q.sql())?;
             fig.series_mut(name)
                 .push(q.name(), out.breakdown.exec_ms / 1000.0);
@@ -538,15 +596,13 @@ pub fn ablation_pruning(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
     );
     for (name, no_pruning) in [("pruned", false), ("exhaustive", true)] {
         for q in TpchQuery::ALL {
-            let xdb = Xdb::new(&env.cluster, &env.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    annotate: AnnotateOptions {
-                        no_pruning,
-                        ..Default::default()
-                    },
+            let xdb = env.xdb(XdbOptions {
+                annotate: AnnotateOptions {
+                    no_pruning,
                     ..Default::default()
-                });
+                },
+                ..Default::default()
+            });
             let out = xdb.submit(q.sql())?;
             fig.series_mut(&format!("{name} consults"))
                 .push(q.name(), out.consult_roundtrips as f64);
@@ -573,13 +629,11 @@ pub fn ablation_logical(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         ("no-pruning", false, true),
     ] {
         for q in TpchQuery::ALL {
-            let xdb = Xdb::new(&env.cluster, &env.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    no_join_reorder: no_reorder,
-                    no_column_pruning: no_prune,
-                    ..Default::default()
-                });
+            let xdb = env.xdb(XdbOptions {
+                no_join_reorder: no_reorder,
+                no_column_pruning: no_prune,
+                ..Default::default()
+            });
             env.cluster.ledger.clear();
             let out = xdb.submit(q.sql())?;
             let moved = env.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
@@ -606,12 +660,10 @@ pub fn ablation_bushy(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
     );
     for (name, bushy) in [("left-deep", false), ("bushy", true)] {
         for q in TpchQuery::ALL {
-            let xdb = Xdb::new(&env.cluster, &env.catalog)
-                .with_client_node(CLOUD)
-                .with_options(XdbOptions {
-                    bushy_joins: bushy,
-                    ..Default::default()
-                });
+            let xdb = env.xdb(XdbOptions {
+                bushy_joins: bushy,
+                ..Default::default()
+            });
             let out = xdb.submit(q.sql())?;
             fig.series_mut(name)
                 .push(q.name(), out.breakdown.exec_ms / 1000.0);
@@ -628,6 +680,7 @@ pub fn ablation_bushy(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdb_core::CostProfiles;
 
     const TEST_SF: f64 = 0.002;
 
@@ -665,6 +718,55 @@ mod tests {
         for s in &fig.series {
             assert_eq!(s.points.len(), 6, "{} missing queries", s.name);
         }
+    }
+
+    #[test]
+    fn baseline_records_leave_learned_state_and_drift_alone() {
+        let telemetry = Telemetry::new_handle();
+        telemetry.history.enable_memory();
+        for td in TableDist::ALL {
+            fig09(td, TEST_SF, &telemetry).unwrap();
+        }
+        let all = telemetry.history.records();
+        let xdb: Vec<HistoryRecord> = all
+            .iter()
+            .filter(|r| r.deployment == "xdb")
+            .cloned()
+            .collect();
+        assert_eq!(all.len(), 4 * xdb.len(), "four deployments per query");
+        // The baselines' records carry no cost bundle and no statements:
+        // the store the whole history builds is the one XDB's records do,
+        // and so is what it prices.
+        let learned = CostProfiles::from_history(&all);
+        assert!(!learned.is_empty());
+        assert_eq!(learned, CostProfiles::from_history(&xdb));
+        assert_eq!(
+            learned.describe(),
+            CostProfiles::from_history(&xdb).describe()
+        );
+        let env = onprem(TableDist::Td1, TEST_SF, &Telemetry::new_handle()).unwrap();
+        env.catalog.set_profiles(learned);
+        let xdb_only = onprem(TableDist::Td1, TEST_SF, &Telemetry::new_handle()).unwrap();
+        xdb_only
+            .catalog
+            .set_profiles(CostProfiles::from_history(&xdb));
+        let options = XdbOptions {
+            learned_costs: true,
+            freeze_profiles: true,
+            ..Default::default()
+        };
+        for q in TpchQuery::ALL {
+            let fingerprint = |e: &Env| {
+                let xdb = e.xdb(options.clone());
+                xdb_core::annotate::plan_fingerprint(&xdb.plan(q.sql()).unwrap().0)
+            };
+            assert_eq!(fingerprint(&env), fingerprint(&xdb_only), "{}", q.name());
+        }
+        // Drift groups by (sql_fnv, deployment): the history against
+        // itself finds nothing.
+        let report = crate::drift::compare(&all, &all, crate::drift::DEFAULT_NOISE_PCT);
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.compared, 4 * TpchQuery::ALL.len());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! threshold. Simulated monitor values are bit-deterministic, so the gate
 //! defaults to 0.5% slack: any behavioural change that moves latency or
 //! bytes must re-baseline explicitly. (Host time is gated elsewhere, by
-//! `BENCHMARK.json`; `BENCH_exec.json` is a diagnostic snapshot of the
-//! criterion kernels, not a gate.)
+//! `BENCHMARK.json`.)
 //!
 //! Driven by `repro gate` (see `scripts/bench_gate.sh`); all comparisons
 //! treat *higher is worse* — every gated series is a latency or a byte
@@ -139,10 +138,25 @@ pub fn compare(
     }
 }
 
-/// Parse a `BENCH_monitor.json`-shaped snapshot (`{"values": {...}}`,
-/// as emitted by [`crate::monitor::MonitorReport::to_json`]) into a flat
-/// `key -> value` map.
-pub fn parse_monitor_snapshot(text: &str) -> Result<BTreeMap<String, f64>, String> {
+/// A monitor snapshot (`BENCH_monitor.json`): the workload shape it was
+/// measured at and its gated series.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorSnapshot {
+    pub sf: f64,
+    pub runs: usize,
+    /// `(tenants, tenant_rounds)` of the multi-tenant workload, present
+    /// when the snapshot gates `tenants/…` series.
+    pub tenants: Option<(usize, usize)>,
+    /// The gated series, `key -> value`.
+    pub values: BTreeMap<String, f64>,
+}
+
+/// Parse a `BENCH_monitor.json`-shaped snapshot (as emitted by
+/// [`crate::monitor::MonitorReport::to_json`]). Its shape is read
+/// strictly: `sf` and `runs` are required, and so are `tenants` and
+/// `tenant_rounds` when any `tenants/…` series is present; an error names
+/// the missing or mistyped field.
+pub fn parse_monitor_snapshot(text: &str) -> Result<MonitorSnapshot, String> {
     let value = json::parse(text)?;
     let version = value.u64("schema_version").map_err(|e| {
         format!(
@@ -155,15 +169,27 @@ pub fn parse_monitor_snapshot(text: &str) -> Result<BTreeMap<String, f64>, Strin
             "snapshot schema_version {version} (this build supports {MONITOR_SCHEMA_VERSION})"
         ));
     }
-    let out: BTreeMap<String, f64> = value
+    let field = |e: String| format!("snapshot: {e}");
+    let values: BTreeMap<String, f64> = value
         .members("values", "a number", json::Value::as_f64)
-        .map_err(|e| format!("snapshot: {e}"))?
+        .map_err(field)?
         .into_iter()
         .collect();
-    if out.is_empty() {
+    if values.is_empty() {
         return Err("snapshot has an empty values object".to_string());
     }
-    Ok(out)
+    let count = |key: &str| value.u64(key).map(|n| n as usize).map_err(field);
+    let tenants = if values.keys().any(|k| k.starts_with("tenants/")) {
+        Some((count("tenants")?, count("tenant_rounds")?))
+    } else {
+        None
+    };
+    Ok(MonitorSnapshot {
+        sf: value.f64("sf").map_err(field)?,
+        runs: count("runs")?,
+        tenants,
+        values,
+    })
 }
 
 #[cfg(test)]
@@ -208,11 +234,13 @@ mod tests {
 
     #[test]
     fn parses_monitor_snapshot_format() {
-        let text = r#"{"bench": "monitor", "schema_version": 4,
+        let text = r#"{"bench": "monitor", "schema_version": 4, "sf": 0.002, "runs": 2,
             "values": {"onprem/Q3/xdb/p50_ms": 12.5, "onprem/Q3/xdb/plan_flip_rate": 0.0}}"#;
         let m = parse_monitor_snapshot(text).unwrap();
-        assert_eq!(m["onprem/Q3/xdb/p50_ms"], 12.5);
-        assert!(parse_monitor_snapshot(r#"{"schema_version": 4, "values": {}}"#).is_err());
+        assert_eq!(m.values["onprem/Q3/xdb/p50_ms"], 12.5);
+        assert_eq!((m.sf, m.runs, m.tenants), (0.002, 2, None));
+        let empty = r#"{"schema_version": 4, "sf": 0.002, "runs": 2, "values": {}}"#;
+        assert!(parse_monitor_snapshot(empty).is_err());
     }
 
     #[test]
@@ -228,10 +256,33 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_shape_is_required() {
+        let full = r#"{"schema_version": 4, "sf": 0.002, "runs": 2, "tenants": 8,
+            "tenant_rounds": 2, "values": {"tenants/folded/p50_ms": 1.5}}"#;
+        let m = parse_monitor_snapshot(full).unwrap();
+        assert_eq!(m.tenants, Some((8, 2)));
+        for (field, damaged) in [
+            ("sf", full.replace("\"sf\": 0.002, ", "")),
+            ("runs", full.replace("\"runs\": 2, ", "")),
+            ("tenants", full.replace("\"tenants\": 8,", "")),
+            ("tenant_rounds", full.replace("\"tenant_rounds\": 2, ", "")),
+            ("sf", full.replace("0.002", "\"0.002\"")),
+        ] {
+            assert_ne!(damaged, full);
+            let err = parse_monitor_snapshot(&damaged).unwrap_err();
+            assert!(err.contains(&format!("{field:?}")), "{field}: {err}");
+        }
+        // Without tenant series the tenant shape is not needed.
+        let monitor_only = r#"{"schema_version": 4, "sf": 0.002, "runs": 2,
+            "values": {"onprem/Q3/xdb/p50_ms": 12.5}}"#;
+        assert_eq!(parse_monitor_snapshot(monitor_only).unwrap().tenants, None);
+    }
+
+    #[test]
     fn monitor_roundtrips_through_gate() {
         let report =
             crate::monitor::run_monitor(0.002, 1, &xdb_obs::Telemetry::new_handle()).unwrap();
-        let baseline = parse_monitor_snapshot(&report.to_json()).unwrap();
+        let baseline = parse_monitor_snapshot(&report.to_json()).unwrap().values;
         let gate = compare("monitor", &baseline, &report.flat_values(), 0.5);
         assert!(gate.passed(), "{}", gate.render());
         assert_eq!(gate.checks.len(), baseline.len());

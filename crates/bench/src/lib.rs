@@ -11,8 +11,8 @@
 //! - `repro tenants --tenants N --runs R` — the multi-tenant admission
 //!   benchmark ([`tenants`]): folded vs unfolded arms over a skewed TD1
 //!   mix, with per-tenant result digests;
-//! - `repro gate` — the bench regression gate ([`gate`]), comparing fresh
-//!   measurements against `BENCH_exec.json` / `BENCH_monitor.json`;
+//! - `repro gate` — the bench regression gate ([`gate`]), comparing a
+//!   fresh monitor run against `BENCH_monitor.json`;
 //! - `repro profile` — critical-path bottleneck attribution for the TD1
 //!   workload ([`profiler`]);
 //! - `repro drift --baseline dir/ --current dir/` — performance-drift

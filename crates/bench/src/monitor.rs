@@ -3,31 +3,39 @@
 //! Runs the six-query TPC-H workload N times under every deployment
 //! (XDB, Garlic, Presto-4, Sclera) against a TD1 federation per
 //! engine-link profile (on-premise LAN and geo-distributed WAN) and
-//! aggregates the fleet telemetry into profile × query × deployment cells:
-//! latency quantiles (p50/p95/p99), bytes moved over the wire,
-//! consultation-cache hit rate, and the live-delegation-object high-water
-//! mark per engine. Three renderings: a text dashboard, a Prometheus text
-//! exposition, and a JSON export (the latter doubles as the regression-gate
-//! baseline, see [`crate::gate`]).
+//! aggregates the runs into profile × query × deployment cells: latency
+//! quantiles (p50/p95/p99), bytes moved over the wire, consultation-cache
+//! hit rate, and the live-delegation-object high-water mark per engine.
+//! Three renderings: a text dashboard, a Prometheus text exposition, and a
+//! JSON export (the latter doubles as the regression-gate baseline, see
+//! [`crate::gate`]).
 //!
+//! The report is a projection ([`MonitorReport::project`]) of the history
+//! records the runs wrote, plus three inputs a record does not hold: the
+//! static-cost plan fingerprint of each (profile, query), the engines'
+//! live-object high-water marks, and the fleet's Prometheus exposition.
 //! Every number is taken off the simulated clock and the deterministic
 //! telemetry registry, so the whole report is bit-identical across
 //! repeated invocations, whatever threads the host lends.
 
-use crate::experiments::{env, pg, Env, CLOUD};
+use crate::experiments::{env, pg, run_workload, Deployment};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use xdb_baselines::{Mediator, MediatorConfig, Sclera};
-use xdb_core::{Xdb, XdbOptions};
-use xdb_engine::error::{EngineError, Result};
-use xdb_net::{Purpose, Scenario};
-use xdb_obs::trace::{json_number, json_string};
-use xdb_obs::{Metric, MetricRegistry, Telemetry};
+use xdb_core::annotate::{plan_fingerprint, stable_hash_hex};
+use xdb_core::XdbOptions;
+use xdb_engine::error::Result;
+use xdb_net::Scenario;
+use xdb_obs::{json, Histogram, HistoryRecord, Metric, MetricRegistry, Telemetry};
 use xdb_tpch::{TableDist, TpchQuery};
 
-/// Deployment names, in dashboard order.
-pub const DEPLOYMENTS: [&str; 4] = ["xdb", "garlic", "presto4", "sclera"];
+/// Deployments, in dashboard order.
+pub const DEPLOYMENTS: [Deployment; 4] = [
+    Deployment::Xdb,
+    Deployment::Garlic,
+    Deployment::Presto(4),
+    Deployment::Sclera,
+];
 
 /// Engine-link profiles the monitor covers, in dashboard order. The
 /// on-premise LAN is the regime most of the reproduction runs in; the
@@ -42,27 +50,26 @@ pub const PROFILES: [(&str, Scenario); 2] = [
 
 /// One dashboard cell: a (profile, query, deployment) triple aggregated
 /// over N runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorRow {
     pub profile: &'static str,
     pub query: &'static str,
-    pub deployment: &'static str,
+    pub deployment: String,
     pub runs: u64,
     pub p50_ms: f64,
     pub p95_ms: f64,
     pub p99_ms: f64,
-    /// Mean raw (uncompressed) bytes moved between DBMSes (XDB) or into
-    /// the mediator (Garlic/Presto/Sclera) per run.
+    /// Mean raw (uncompressed) bytes moved per run, by the record's one
+    /// rule ([`HistoryRecord::moved_bytes`]): between DBMSes (XDB) or
+    /// into and through the mediator (Garlic/Presto/Sclera).
     pub mean_bytes: f64,
     /// Mean encoded bytes actually sent over the wire after the
     /// `net::wire` columnar codec — what the transfer-time model charged.
     pub mean_encoded_bytes: f64,
     /// Consultation-cache hit rate over the probes this cell issued.
     pub cache_hit_rate: f64,
-    /// Mean encoded bytes per run split by wire codec, over every ledger
-    /// edge of the run (codec name → bytes). This is the per-codec split
-    /// the history store already records per edge
-    /// (`Transfer::codec_bytes`), surfaced per dashboard cell.
+    /// Mean encoded bytes per run split by wire codec, over every edge of
+    /// the run's record (codec name → bytes).
     pub codec_bytes: Vec<(String, f64)>,
     /// Mean |predicted vs observed wire-time error| in percent over the
     /// cost-model observatory's matched edges (XDB cells only; mediators
@@ -73,7 +80,7 @@ pub struct MonitorRow {
     /// rejected candidate.
     pub regret_ms: f64,
     /// Share of this cell's runs whose learned-cost plan differs from the
-    /// static-cost plan for the same SQL (XDB cells only; schema v4).
+    /// static-cost plan for the same SQL (XDB cells only).
     /// Flips are expected as profiles accrue — the gate's job is to catch
     /// the *rate* moving, which means pricing or feedback changed.
     pub plan_flip_rate: f64,
@@ -88,176 +95,63 @@ pub struct MonitorReport {
     /// whole workload — how many delegation artifacts were ever live at
     /// once on each node.
     pub objects_live_hwm: Vec<(String, f64)>,
-    /// The monitor's own aggregation registry
-    /// (`monitor.latency_ms{query,deployment}`, …).
-    registry: MetricRegistry,
-    /// Prometheus rendering of the fleet-wide telemetry captured during
-    /// the workload (engine/net/consult/xdb series).
-    fleet_prometheus: String,
+    /// Prometheus exposition of the monitor's own series
+    /// (`monitor.latency_ms{profile,query,deployment}`, …) followed by the
+    /// fleet-wide telemetry captured during the workload.
+    prometheus: String,
+}
+
+/// What one monitor workload observed: the input of
+/// [`MonitorReport::project`].
+pub struct MonitorRuns {
+    pub sf: f64,
+    pub runs: usize,
+    /// Each profile's history records, in submit order.
+    pub records: Vec<(&'static str, Vec<HistoryRecord>)>,
+    /// The static-cost plan fingerprint of each (profile, query name).
+    pub static_fingerprints: BTreeMap<(&'static str, &'static str), String>,
+    pub objects_live_hwm: Vec<(String, f64)>,
+    pub fleet_prometheus: String,
 }
 
 /// Run the monitor workload. Every profile's federation reports into
 /// `fleet`, so the fleet rendering and the live-object high-water marks
 /// cover the whole workload.
-pub fn run_monitor(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Result<MonitorReport> {
-    let registry = MetricRegistry::new();
+pub(crate) fn run_workloads(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Result<MonitorRuns> {
     let mut envs = Vec::new();
     for (pname, scenario) in PROFILES {
-        let e = env(TableDist::Td1, sf, scenario, &pg(), fleet)?;
-        envs.push((pname, e));
+        envs.push((pname, env(TableDist::Td1, sf, scenario, &pg(), fleet)?));
     }
-    // Per-cell accumulators the registry does not model: the per-codec
-    // byte split (variable key set) and the observatory error/regret sums.
-    type Cell = (String, String, String);
-    let mut codec_cells: BTreeMap<Cell, BTreeMap<String, f64>> = BTreeMap::new();
-    let mut cal_cells: BTreeMap<Cell, (f64, f64)> = BTreeMap::new();
-    let mut flip_cells: BTreeMap<Cell, f64> = BTreeMap::new();
+    let mut records = Vec::new();
+    let mut static_fingerprints = BTreeMap::new();
     for (pname, e) in &envs {
+        let mut profile = Vec::new();
         for q in TpchQuery::ALL {
             for dep in DEPLOYMENTS {
                 for _ in 0..runs {
-                    // Bracket each run with catalog snapshots: the diff is
-                    // the per-run consultation delta, immune to everything
-                    // the workload did before.
-                    let before = e.catalog.metrics_snapshot();
-                    let sample = run_one(e, dep, q.sql())?;
-                    let delta = e.catalog.metrics_snapshot().diff(&before);
-                    let labels = [
-                        ("profile", *pname),
-                        ("query", q.name()),
-                        ("deployment", dep),
-                    ];
-                    registry.observe("monitor.latency_ms", &labels, sample.latency_ms);
-                    registry.observe("monitor.bytes_moved", &labels, sample.moved as f64);
-                    registry.observe(
-                        "monitor.encoded_bytes_moved",
-                        &labels,
-                        sample.encoded as f64,
-                    );
-                    registry.counter_add("monitor.runs", &labels, 1.0);
-                    registry.counter_add(
-                        "monitor.cache_hits",
-                        &labels,
-                        delta.get("consult.cache_hits"),
-                    );
-                    registry.counter_add(
-                        "monitor.cache_misses",
-                        &labels,
-                        delta.get("consult.cache_misses"),
-                    );
-                    let cell = (pname.to_string(), q.name().to_string(), dep.to_string());
-                    let codecs = codec_cells.entry(cell.clone()).or_default();
-                    for (codec, bytes) in sample.codec_bytes {
-                        registry.counter_add(
-                            "monitor.codec_bytes",
-                            &[
-                                ("profile", pname),
-                                ("query", q.name()),
-                                ("deployment", dep),
-                                ("codec", codec),
-                            ],
-                            bytes as f64,
-                        );
-                        *codecs.entry(codec.to_string()).or_insert(0.0) += bytes as f64;
+                    let submit = [(q, dep)];
+                    profile.extend(run_workload(e, &XdbOptions::default(), &submit, false)?.0);
+                    if dep != Deployment::Xdb {
+                        continue;
                     }
-                    if dep == "xdb" {
-                        registry.observe(
-                            "monitor.cal_abs_err_pct",
-                            &labels,
-                            sample.cal_abs_err_pct,
-                        );
-                        registry.observe("monitor.regret_ms", &labels, sample.regret_ms);
-                        let cal = cal_cells.entry(cell.clone()).or_insert((0.0, 0.0));
-                        cal.0 += sample.cal_abs_err_pct;
-                        cal.1 += sample.regret_ms;
-                        // Did learned pricing change the plan? Re-plan the
-                        // same SQL with the kill switch thrown and compare
-                        // fingerprints. Planning is side-effect-free (no
-                        // DDL), so later cells only see the extra consult
-                        // traffic this probe shares with every other run.
-                        let static_xdb = Xdb::new(&e.cluster, &e.catalog)
-                            .with_client_node(CLOUD)
-                            .with_options(XdbOptions {
-                                learned_costs: false,
-                                ..Default::default()
-                            });
-                        let (static_plan, _, _, _) = static_xdb.plan(q.sql())?;
-                        let static_fp = xdb_core::annotate::plan_fingerprint(&static_plan);
-                        let flipped = match &sample.fingerprint {
-                            Some(fp) => (*fp != static_fp) as u64 as f64,
-                            None => 0.0,
-                        };
-                        registry.observe("monitor.plan_flip", &labels, flipped);
-                        *flip_cells.entry(cell).or_insert(0.0) += flipped;
-                    }
+                    // Did learned pricing change the plan? Re-plan the same
+                    // SQL with the kill switch thrown. Planning runs no DDL,
+                    // but its consults fill the cache the next runs read, so
+                    // it stays here, after each XDB run.
+                    let static_xdb = e.xdb(XdbOptions {
+                        learned_costs: false,
+                        ..Default::default()
+                    });
+                    let (static_plan, _, _, _) = static_xdb.plan(q.sql())?;
+                    static_fingerprints.insert((*pname, q.name()), plan_fingerprint(&static_plan));
                 }
             }
         }
+        records.push((*pname, profile));
     }
-
-    let mut rows = Vec::new();
-    for (pname, _) in &envs {
-        for q in TpchQuery::ALL {
-            for dep in DEPLOYMENTS {
-                let labels = [
-                    ("profile", *pname),
-                    ("query", q.name()),
-                    ("deployment", dep),
-                ];
-                let (p50, p95, p99, n) = match registry.get("monitor.latency_ms", &labels) {
-                    Some(Metric::Histogram(h)) => (
-                        h.quantile(0.50),
-                        h.quantile(0.95),
-                        h.quantile(0.99),
-                        h.count,
-                    ),
-                    _ => (0.0, 0.0, 0.0, 0),
-                };
-                let mean_bytes = match registry.get("monitor.bytes_moved", &labels) {
-                    Some(Metric::Histogram(h)) => h.mean(),
-                    _ => 0.0,
-                };
-                let mean_encoded_bytes = match registry.get("monitor.encoded_bytes_moved", &labels)
-                {
-                    Some(Metric::Histogram(h)) => h.mean(),
-                    _ => 0.0,
-                };
-                let hits = registry.value("monitor.cache_hits", &labels);
-                let probes = hits + registry.value("monitor.cache_misses", &labels);
-                let cell = (pname.to_string(), q.name().to_string(), dep.to_string());
-                let per_run = |sum: f64| if n > 0 { sum / n as f64 } else { 0.0 };
-                let codec_bytes: Vec<(String, f64)> = codec_cells
-                    .get(&cell)
-                    .map(|m| m.iter().map(|(k, v)| (k.clone(), per_run(*v))).collect())
-                    .unwrap_or_default();
-                let (cal_abs_err_pct, regret_ms) = cal_cells
-                    .get(&cell)
-                    .map(|(err, regret)| (per_run(*err), per_run(*regret)))
-                    .unwrap_or((0.0, 0.0));
-                let plan_flip_rate = flip_cells.get(&cell).map(|f| per_run(*f)).unwrap_or(0.0);
-                rows.push(MonitorRow {
-                    profile: pname,
-                    query: q.name(),
-                    deployment: dep,
-                    runs: n,
-                    p50_ms: p50,
-                    p95_ms: p95,
-                    p99_ms: p99,
-                    mean_bytes,
-                    mean_encoded_bytes,
-                    cache_hit_rate: if probes > 0.0 { hits / probes } else { 0.0 },
-                    codec_bytes,
-                    cal_abs_err_pct,
-                    regret_ms,
-                    plan_flip_rate,
-                });
-            }
-        }
-    }
-    let mut objects_live_hwm: Vec<(String, f64)> = envs[0]
-        .1
-        .cluster
-        .node_names()
+    let mut nodes = envs[0].1.cluster.node_names();
+    nodes.sort();
+    let objects_live_hwm = nodes
         .into_iter()
         .map(|n| {
             let hwm = fleet
@@ -266,115 +160,139 @@ pub fn run_monitor(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Result<Monit
             (n, hwm)
         })
         .collect();
-    objects_live_hwm.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(MonitorReport {
+    Ok(MonitorRuns {
         sf,
         runs,
-        rows,
+        records,
+        static_fingerprints,
         objects_live_hwm,
-        registry,
         fleet_prometheus: fleet.metrics.render_prometheus(),
     })
 }
 
-/// One run's observations, taken off the per-run ledger and (for XDB)
-/// the query's cost-model observatory record.
-struct RunSample {
-    latency_ms: f64,
-    moved: u64,
-    encoded: u64,
-    /// Encoded bytes per wire codec over every ledger edge of the run.
-    codec_bytes: Vec<(&'static str, u64)>,
-    cal_abs_err_pct: f64,
-    regret_ms: f64,
-    /// Canonical fingerprint of the executed plan (XDB only) — compared
-    /// against a static-cost re-plan to detect learned-pricing flips.
-    fingerprint: Option<String>,
-}
-
-/// Sum the per-codec byte split across every edge the run appended to the
-/// (cleared-per-run) ledger.
-fn codec_split(e: &Env) -> Vec<(&'static str, u64)> {
-    let mut split: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for t in e.cluster.ledger.snapshot() {
-        for (codec, bytes) in t.codec_bytes {
-            *split.entry(codec).or_insert(0) += bytes;
-        }
-    }
-    split.into_iter().collect()
-}
-
-/// Execute `sql` once under `deployment`. Latency is end-to-end simulated
-/// time including the middleware phases, matching what each system's user
-/// would observe.
-fn run_one(e: &Env, deployment: &str, sql: &str) -> Result<RunSample> {
-    e.cluster.ledger.clear();
-    match deployment {
-        "xdb" => {
-            let xdb = Xdb::new(&e.cluster, &e.catalog).with_client_node(CLOUD);
-            let out = xdb.submit(sql)?;
-            let moved = e.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
-                + e.cluster.ledger.bytes_for(Purpose::Materialization);
-            let encoded = e
-                .cluster
-                .ledger
-                .encoded_bytes_for(Purpose::InterDbmsPipeline)
-                + e.cluster.ledger.encoded_bytes_for(Purpose::Materialization);
-            Ok(RunSample {
-                latency_ms: out.breakdown.total_ms(),
-                moved,
-                encoded,
-                codec_bytes: codec_split(e),
-                cal_abs_err_pct: out.cost.wire_abs_err_pct(),
-                regret_ms: out.cost.regret_ms(),
-                fingerprint: Some(xdb_core::annotate::plan_fingerprint(&out.delegation)),
-            })
-        }
-        "garlic" => {
-            let r =
-                Mediator::new(&e.cluster, &e.catalog, MediatorConfig::garlic(CLOUD)).submit(sql)?;
-            Ok(RunSample {
-                latency_ms: r.total_ms,
-                moved: r.fetch_bytes,
-                encoded: r.fetch_encoded_bytes,
-                codec_bytes: codec_split(e),
-                cal_abs_err_pct: 0.0,
-                regret_ms: 0.0,
-                fingerprint: None,
-            })
-        }
-        "presto4" => {
-            let r = Mediator::new(&e.cluster, &e.catalog, MediatorConfig::presto(CLOUD, 4))
-                .submit(sql)?;
-            Ok(RunSample {
-                latency_ms: r.total_ms,
-                moved: r.fetch_bytes,
-                encoded: r.fetch_encoded_bytes,
-                codec_bytes: codec_split(e),
-                cal_abs_err_pct: 0.0,
-                regret_ms: 0.0,
-                fingerprint: None,
-            })
-        }
-        "sclera" => {
-            let r = Sclera::new(&e.cluster, &e.catalog, CLOUD).submit(sql)?;
-            Ok(RunSample {
-                latency_ms: r.total_ms,
-                moved: r.moved_bytes,
-                encoded: r.moved_encoded_bytes,
-                codec_bytes: codec_split(e),
-                cal_abs_err_pct: 0.0,
-                regret_ms: 0.0,
-                fingerprint: None,
-            })
-        }
-        other => Err(EngineError::Unsupported(format!(
-            "unknown deployment {other:?}"
-        ))),
-    }
+/// Run the monitor workload and project its report.
+pub fn run_monitor(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Result<MonitorReport> {
+    Ok(MonitorReport::project(&run_workloads(sf, runs, fleet)?))
 }
 
 impl MonitorReport {
+    /// The report of a monitor workload, a function of its records and
+    /// the other observations in `runs`. The `monitor.*` series are filled
+    /// record by record in submit order, so the registry holds what
+    /// recording each run as it finished would have. A record is placed
+    /// in its cell by the query its `sql_fnv` hashes and by its
+    /// `deployment`.
+    pub fn project(runs: &MonitorRuns) -> MonitorReport {
+        let queries: Vec<(String, TpchQuery)> = TpchQuery::ALL
+            .into_iter()
+            .map(|q| (stable_hash_hex(q.sql().as_bytes()), q))
+            .collect();
+        let query_of = |r: &HistoryRecord| {
+            queries
+                .iter()
+                .find(|(fnv, _)| *fnv == r.sql_fnv)
+                .map(|(_, q)| q.name())
+        };
+        let registry = MetricRegistry::new();
+        for (pname, records) in &runs.records {
+            for r in records {
+                let Some(query) = query_of(r) else { continue };
+                let labels = [
+                    ("profile", *pname),
+                    ("query", query),
+                    ("deployment", r.deployment.as_str()),
+                ];
+                let (moved, encoded) = r.moved_bytes();
+                registry.observe("monitor.latency_ms", &labels, r.total_ms);
+                registry.observe("monitor.bytes_moved", &labels, moved as f64);
+                registry.observe("monitor.encoded_bytes_moved", &labels, encoded as f64);
+                registry.counter_add("monitor.runs", &labels, 1.0);
+                registry.counter_add("monitor.cache_hits", &labels, r.consult_hits as f64);
+                registry.counter_add("monitor.cache_misses", &labels, r.consult_misses as f64);
+                for (codec, bytes) in r.codec_bytes() {
+                    let labels = [
+                        ("profile", *pname),
+                        ("query", query),
+                        ("deployment", r.deployment.as_str()),
+                        ("codec", codec),
+                    ];
+                    registry.counter_add("monitor.codec_bytes", &labels, bytes as f64);
+                }
+                if r.deployment == "xdb" {
+                    registry.observe(
+                        "monitor.cal_abs_err_pct",
+                        &labels,
+                        r.cost.wire_abs_err_pct(),
+                    );
+                    registry.observe("monitor.regret_ms", &labels, r.cost.regret_ms());
+                    // 1 when learned pricing moved the plan off the
+                    // static-cost one, else 0 (also with no static plan).
+                    let flipped = runs
+                        .static_fingerprints
+                        .get(&(*pname, query))
+                        .is_some_and(|fp| *fp != r.fingerprint);
+                    registry.observe("monitor.plan_flip", &labels, flipped as u64 as f64);
+                }
+            }
+        }
+
+        let mut rows = Vec::new();
+        for (pname, records) in &runs.records {
+            for q in TpchQuery::ALL {
+                for dep in DEPLOYMENTS {
+                    let deployment = dep.name();
+                    let labels = [
+                        ("profile", *pname),
+                        ("query", q.name()),
+                        ("deployment", deployment.as_str()),
+                    ];
+                    let histogram = |name: &str| match registry.get(name, &labels) {
+                        Some(Metric::Histogram(h)) => h,
+                        _ => Histogram::default(),
+                    };
+                    let latency = histogram("monitor.latency_ms");
+                    let mean = |name: &str| histogram(name).mean();
+                    let hits = registry.value("monitor.cache_hits", &labels);
+                    let probes = hits + registry.value("monitor.cache_misses", &labels);
+                    // Which codecs a cell used is in its records alone.
+                    let mut codec_sums: BTreeMap<&str, f64> = BTreeMap::new();
+                    let cell = records
+                        .iter()
+                        .filter(|r| query_of(r) == Some(q.name()) && r.deployment == deployment);
+                    for (codec, bytes) in cell.flat_map(HistoryRecord::codec_bytes) {
+                        *codec_sums.entry(codec).or_insert(0.0) += bytes as f64;
+                    }
+                    rows.push(MonitorRow {
+                        profile: pname,
+                        query: q.name(),
+                        deployment: deployment.clone(),
+                        runs: latency.count,
+                        p50_ms: latency.quantile(0.50),
+                        p95_ms: latency.quantile(0.95),
+                        p99_ms: latency.quantile(0.99),
+                        mean_bytes: mean("monitor.bytes_moved"),
+                        mean_encoded_bytes: mean("monitor.encoded_bytes_moved"),
+                        cache_hit_rate: if probes > 0.0 { hits / probes } else { 0.0 },
+                        codec_bytes: codec_sums
+                            .into_iter()
+                            .map(|(codec, sum)| (codec.to_string(), sum / latency.count as f64))
+                            .collect(),
+                        cal_abs_err_pct: mean("monitor.cal_abs_err_pct"),
+                        regret_ms: mean("monitor.regret_ms"),
+                        plan_flip_rate: mean("monitor.plan_flip"),
+                    });
+                }
+            }
+        }
+        MonitorReport {
+            sf: runs.sf,
+            runs: runs.runs,
+            rows,
+            objects_live_hwm: runs.objects_live_hwm.clone(),
+            prometheus: registry.render_prometheus() + &runs.fleet_prometheus,
+        }
+    }
+
     /// The text dashboard.
     pub fn render_dashboard(&self) -> String {
         let mut out = String::new();
@@ -461,9 +379,7 @@ impl MonitorReport {
     /// Prometheus text exposition: the monitor's aggregation series
     /// followed by the fleet-wide telemetry captured during the workload.
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.registry.render_prometheus();
-        out.push_str(&self.fleet_prometheus);
-        out
+        self.prometheus.clone()
     }
 
     /// Deterministic scalar values for the regression gate, keyed
@@ -472,40 +388,22 @@ impl MonitorReport {
     pub fn flat_values(&self) -> BTreeMap<String, f64> {
         let mut v = BTreeMap::new();
         for r in &self.rows {
-            v.insert(
-                format!("{}/{}/{}/p50_ms", r.profile, r.query, r.deployment),
-                r.p50_ms,
-            );
-            v.insert(
-                format!("{}/{}/{}/mean_bytes", r.profile, r.query, r.deployment),
-                r.mean_bytes,
-            );
-            v.insert(
-                format!("{}/{}/{}/mean_enc_bytes", r.profile, r.query, r.deployment),
-                r.mean_encoded_bytes,
-            );
+            let cell = format!("{}/{}/{}", r.profile, r.query, r.deployment);
+            let mut gated = vec![
+                ("p50_ms".to_string(), r.p50_ms),
+                ("mean_bytes".to_string(), r.mean_bytes),
+                ("mean_enc_bytes".to_string(), r.mean_encoded_bytes),
+            ];
             for (codec, bytes) in &r.codec_bytes {
-                v.insert(
-                    format!(
-                        "{}/{}/{}/codec_bytes/{}",
-                        r.profile, r.query, r.deployment, codec
-                    ),
-                    *bytes,
-                );
+                gated.push((format!("codec_bytes/{codec}"), *bytes));
             }
             if r.deployment == "xdb" {
-                v.insert(
-                    format!("{}/{}/{}/cal_abs_err_pct", r.profile, r.query, r.deployment),
-                    r.cal_abs_err_pct,
-                );
-                v.insert(
-                    format!("{}/{}/{}/regret_ms", r.profile, r.query, r.deployment),
-                    r.regret_ms,
-                );
-                v.insert(
-                    format!("{}/{}/{}/plan_flip_rate", r.profile, r.query, r.deployment),
-                    r.plan_flip_rate,
-                );
+                gated.push(("cal_abs_err_pct".to_string(), r.cal_abs_err_pct));
+                gated.push(("regret_ms".to_string(), r.regret_ms));
+                gated.push(("plan_flip_rate".to_string(), r.plan_flip_rate));
+            }
+            for (metric, value) in gated {
+                v.insert(format!("{cell}/{metric}"), value);
             }
         }
         v
@@ -525,91 +423,55 @@ impl MonitorReport {
         extra_fields: &[(&str, f64)],
         extra_values: &BTreeMap<String, f64>,
     ) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"bench\": \"monitor\",");
-        let _ = writeln!(
-            out,
-            "  \"schema_version\": {},",
-            crate::gate::MONITOR_SCHEMA_VERSION
-        );
-        let _ = writeln!(out, "  \"workload\": \"TD1\",");
-        let _ = writeln!(out, "  \"sf\": {},", json_number(self.sf));
-        let _ = writeln!(out, "  \"runs\": {},", self.runs);
-        for (k, v) in extra_fields {
-            let _ = writeln!(out, "  {}: {},", json_string(k), json_number(*v));
-        }
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let mut codecs = String::from("{");
-            for (j, (codec, bytes)) in r.codec_bytes.iter().enumerate() {
-                let _ = write!(
-                    codecs,
-                    "{}{}: {}",
-                    if j > 0 { ", " } else { "" },
-                    json_string(codec),
-                    json_number(*bytes)
-                );
-            }
-            codecs.push('}');
-            let _ = writeln!(
-                out,
-                "    {{\"profile\": {}, \"query\": {}, \"deployment\": {}, \"runs\": {}, \
-                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
-                 \"mean_bytes\": {}, \"mean_enc_bytes\": {}, \"cache_hit_rate\": {}, \
-                 \"codec_bytes\": {}, \"cal_abs_err_pct\": {}, \"regret_ms\": {}, \
-                 \"plan_flip_rate\": {}}}{}",
-                json_string(r.profile),
-                json_string(r.query),
-                json_string(r.deployment),
-                r.runs,
-                json_number(r.p50_ms),
-                json_number(r.p95_ms),
-                json_number(r.p99_ms),
-                json_number(r.mean_bytes),
-                json_number(r.mean_encoded_bytes),
-                json_number(r.cache_hit_rate),
-                codecs,
-                json_number(r.cal_abs_err_pct),
-                json_number(r.regret_ms),
-                json_number(r.plan_flip_rate),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"objects_live_hwm\": {");
-        for (i, (node, hwm)) in self.objects_live_hwm.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{}: {}",
-                if i > 0 { ", " } else { "" },
-                json_string(node),
-                json_number(*hwm)
-            );
-        }
-        out.push_str("},\n");
-        out.push_str("  \"values\": {\n");
+        let rows = self.rows.iter().map(|r| {
+            json::object([
+                ("profile", r.profile.into()),
+                ("query", r.query.into()),
+                ("deployment", r.deployment.as_str().into()),
+                ("runs", r.runs.into()),
+                ("p50_ms", r.p50_ms.into()),
+                ("p95_ms", r.p95_ms.into()),
+                ("p99_ms", r.p99_ms.into()),
+                ("mean_bytes", r.mean_bytes.into()),
+                ("mean_enc_bytes", r.mean_encoded_bytes.into()),
+                ("cache_hit_rate", r.cache_hit_rate.into()),
+                ("codec_bytes", numbers(&r.codec_bytes)),
+                ("cal_abs_err_pct", r.cal_abs_err_pct.into()),
+                ("regret_ms", r.regret_ms.into()),
+                ("plan_flip_rate", r.plan_flip_rate.into()),
+            ])
+        });
         let mut values = self.flat_values();
-        for (k, v) in extra_values {
-            values.insert(k.clone(), *v);
-        }
-        for (i, (k, v)) in values.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {}: {}{}",
-                json_string(k),
-                json_number(*v),
-                if i + 1 < values.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  }\n}\n");
+        values.extend(extra_values.iter().map(|(k, v)| (k.clone(), *v)));
+        let mut doc = vec![
+            ("bench", "monitor".into()),
+            ("schema_version", crate::gate::MONITOR_SCHEMA_VERSION.into()),
+            ("workload", "TD1".into()),
+            ("sf", self.sf.into()),
+            ("runs", (self.runs as u64).into()),
+        ];
+        doc.extend(extra_fields.iter().map(|(k, v)| (*k, (*v).into())));
+        doc.push(("rows", json::Value::Array(rows.collect())));
+        doc.push(("objects_live_hwm", numbers(&self.objects_live_hwm)));
+        doc.push((
+            "values",
+            json::object(values.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
+        ));
+        let mut out = json::object(doc).to_json();
+        out.push('\n');
         out
     }
+}
+
+/// A JSON object of named numbers, in order.
+fn numbers(members: &[(String, f64)]) -> json::Value {
+    json::object(members.iter().map(|(k, v)| (k.as_str(), (*v).into())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdb_obs::json;
+    use xdb_obs::history::parse_history_jsonl;
 
     const TEST_SF: f64 = 0.002;
 
@@ -684,7 +546,7 @@ mod tests {
         let report = run_monitor(TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         let dash = report.render_dashboard();
         for dep in DEPLOYMENTS {
-            assert!(dash.contains(dep), "{dash}");
+            assert!(dash.contains(&dep.name()), "{dash}");
         }
         for (pname, _) in PROFILES {
             assert!(dash.contains(pname), "{dash}");
@@ -779,6 +641,29 @@ mod tests {
             raw >= 2.0 * enc,
             "xdb TD1 compression below 2x: raw {raw} encoded {enc}"
         );
+    }
+
+    #[test]
+    fn report_is_a_projection_of_its_records() {
+        let runs = run_workloads(TEST_SF, 2, &Telemetry::new_handle()).unwrap();
+        let live = MonitorReport::project(&runs);
+        for (_, records) in &runs.records {
+            assert_eq!(records.len(), TpchQuery::ALL.len() * DEPLOYMENTS.len() * 2);
+        }
+        // What the records say once written and read back is all the
+        // report needs.
+        let records = runs
+            .records
+            .iter()
+            .map(|(profile, rs)| {
+                let text: String = rs.iter().map(|r| r.to_json() + "\n").collect();
+                (*profile, parse_history_jsonl(&text).unwrap())
+            })
+            .collect();
+        let replayed = MonitorReport::project(&MonitorRuns { records, ..runs });
+        assert_eq!(replayed.rows, live.rows);
+        assert_eq!(replayed.flat_values(), live.flat_values());
+        assert_eq!(replayed.render_prometheus(), live.render_prometheus());
     }
 
     #[test]

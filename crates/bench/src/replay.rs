@@ -16,10 +16,11 @@
 //! flips — the tier-1 self-compare that pins the learned path's
 //! bit-exact-fallback contract in CI.
 
-use crate::experiments::{onprem, result_digest, run_workload};
+use crate::experiments::{onprem, result_digest, run_workload, six_queries, Deployment};
 use std::fmt::Write as _;
-use xdb_core::{CostProfiles, QueryOutcome, XdbOptions};
+use xdb_core::{CostProfiles, XdbOptions};
 use xdb_engine::error::Result;
+use xdb_engine::relation::Relation;
 use xdb_obs::costmodel::ErrorStats;
 use xdb_obs::{summarize, HistoryRecord, Telemetry};
 use xdb_tpch::TableDist;
@@ -43,14 +44,14 @@ pub struct ReplayArm {
 
 impl ReplayArm {
     /// Everything but the result digest is read off the query's record.
-    fn new(record: &HistoryRecord, outcome: &QueryOutcome) -> ReplayArm {
+    fn new(record: &HistoryRecord, result: &Relation) -> ReplayArm {
         ReplayArm {
             fingerprint: record.fingerprint.clone(),
             total_ms: record.total_ms,
             encoded_bytes: record.edges.iter().map(|e| e.encoded_bytes).sum(),
             regret_ms: record.cost.regret_ms(),
             predicted_ms: record.cost.decisions.iter().map(|d| d.predicted_ms).sum(),
-            digest: result_digest(&outcome.relation),
+            digest: result_digest(result),
         }
     }
 }
@@ -136,10 +137,10 @@ fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Ar
         freeze_profiles: true,
         ..Default::default()
     };
-    let (records, outcomes) = run_workload(&e, &options, 1)?;
+    let (records, results) = run_workload(&e, &options, &six_queries(Deployment::Xdb, 1), true)?;
     let arms = records
         .iter()
-        .zip(&outcomes)
+        .zip(&results)
         .map(|(r, o)| (r.label.clone(), ReplayArm::new(r, o)))
         .collect();
     let wire: ErrorStats = records.iter().flat_map(|r| r.cost.wire_errors()).collect();
@@ -270,7 +271,8 @@ pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
         freeze_profiles: false,
         ..Default::default()
     };
-    let (records, _) = run_workload(&onprem(td, sf, &Telemetry::new_handle())?, &options, 1)?;
+    let env = onprem(td, sf, &Telemetry::new_handle())?;
+    let (records, _) = run_workload(&env, &options, &six_queries(Deployment::Xdb, 1), true)?;
     Ok(CostProfiles::from_history(&records))
 }
 

@@ -699,22 +699,6 @@ impl<'a> Xdb<'a> {
         cost: &xdb_obs::CostObservation,
     ) -> HistoryRecord {
         let telemetry = self.cluster.telemetry();
-        let edges = fresh
-            .iter()
-            .map(|t| EdgeObs {
-                from: t.from.as_str().to_string(),
-                to: t.to.as_str().to_string(),
-                purpose: format!("{:?}", t.purpose),
-                bytes: t.bytes,
-                encoded_bytes: t.encoded_bytes,
-                rows: t.rows,
-                codecs: t
-                    .codec_bytes
-                    .iter()
-                    .map(|(c, b)| (c.to_string(), *b))
-                    .collect(),
-            })
-            .collect();
         let critical = crit
             .map(|c| {
                 c.attribution
@@ -746,7 +730,7 @@ impl<'a> Xdb<'a> {
             consult_misses: breakdown.consult_cache_misses,
             crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
             critical,
-            edges,
+            edges: edge_observations(fresh),
             statements: statements.to_vec(),
             cost: cost.clone(),
             learned_costs: self.options.learned_costs,
@@ -960,6 +944,29 @@ fn collect_tables_ref(t: &TableRef, out: &mut Vec<String>) {
             collect_tables_ref(right, out);
         }
     }
+}
+
+/// A run's ledger transfers as its history record keeps them: one
+/// [`EdgeObs`] per transfer, in ledger order, the purpose by its variant
+/// name (`InterDbmsPipeline`). XDB's records and the baselines' are built
+/// by this one conversion.
+pub fn edge_observations(transfers: &[Transfer]) -> Vec<EdgeObs> {
+    transfers
+        .iter()
+        .map(|t| EdgeObs {
+            from: t.from.as_str().to_string(),
+            to: t.to.as_str().to_string(),
+            purpose: format!("{:?}", t.purpose),
+            bytes: t.bytes,
+            encoded_bytes: t.encoded_bytes,
+            rows: t.rows,
+            codecs: t
+                .codec_bytes
+                .iter()
+                .map(|(c, b)| (c.to_string(), *b))
+                .collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

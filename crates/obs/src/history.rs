@@ -11,14 +11,23 @@
 //! bit-identical on any number of executor threads, across stream-chunk
 //! sizes, and across fresh federations, which number their queries alike.
 //!
+//! Every deployment writes this one record: XDB from `Xdb::submit`, and
+//! the Garlic, Presto and Sclera baselines from their shared submit tail
+//! (fingerprint of the decomposed plan, total and transfer time, consult
+//! counts and edges; no critical path, statements or cost bundle). The
+//! reports that compare deployments — `repro monitor` and the figure
+//! runners — are projections of these records.
+//!
 //! The [`HistorySink`] lives on [`crate::Telemetry`] and is **disabled by
 //! default** — recording costs nothing until `repro --history dir/`
 //! turns it on, after which every record is kept in memory and appended
-//! to `<dir>/history.jsonl`.
+//! to `<dir>/history.jsonl`. A runner that reads records from a sink it
+//! found off turns it on in memory for its run only.
 
 use crate::costmodel::CostObservation;
 use crate::json;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -36,7 +45,8 @@ pub const HISTORY_FILE: &str = "history.jsonl";
 pub struct EdgeObs {
     pub from: String,
     pub to: String,
-    /// [`Purpose::label`](../../xdb_net) of the transfer.
+    /// Variant name of the transfer's `xdb_net::Purpose`
+    /// (`InterDbmsPipeline`, `SubqueryResult`, …).
     pub purpose: String,
     /// Raw (pre-codec) payload bytes.
     pub bytes: u64,
@@ -55,7 +65,10 @@ pub struct HistoryRecord {
     /// Workload label active at record time (e.g. `Q3`); empty for ad-hoc
     /// submissions. Display only — drift groups by `sql_fnv`.
     pub label: String,
-    /// Deployment that produced the run (currently always `xdb`).
+    /// Deployment that produced the run: `xdb`, `garlic`,
+    /// `presto{workers}` (`presto4`) or `sclera`. Drift groups by it with
+    /// `sql_fnv`; `repro monitor` and the figure runners read it to place a
+    /// run in its column.
     pub deployment: String,
     /// Stable FNV-1a hash of the SQL text (hex) — the grouping key.
     pub sql_fnv: String,
@@ -63,12 +76,15 @@ pub struct HistoryRecord {
     /// (placements, movement choices, fragment keys). A changed
     /// fingerprint for the same `sql_fnv` is a plan flip.
     pub fingerprint: String,
-    /// The federation's correlation id (`Cluster::next_query_id`).
-    /// Informational only: it counts every query the federation ran
-    /// before this one, so drift comparison ignores it.
+    /// The federation's correlation id (`Cluster::next_query_id`); 0 for
+    /// a baseline, which takes none. Informational only: it counts every
+    /// query the federation ran before this one, so drift comparison
+    /// ignores it.
     pub query_id: u64,
     pub total_ms: f64,
-    /// `(phase name, simulated ms)` in pipeline order.
+    /// `(phase name, simulated ms)` in pipeline order: `prep`, `lopt`,
+    /// `ann`, `exec` for XDB; `transfer` (the μ of Fig 1 and Fig 9) for a
+    /// baseline.
     pub phases: Vec<(String, f64)>,
     pub consult_hits: u64,
     pub consult_misses: u64,
@@ -98,6 +114,42 @@ impl HistoryRecord {
         } else {
             self.consult_hits as f64 / total as f64
         }
+    }
+
+    /// Simulated ms of phase `name`; 0 when the run has no such phase.
+    pub fn phase_ms(&self, name: &str) -> f64 {
+        self.phases
+            .iter()
+            .find(|(phase, _)| phase == name)
+            .map_or(0.0, |(_, ms)| *ms)
+    }
+
+    /// Raw and encoded bytes the run moved between systems: its
+    /// `InterDbmsPipeline`, `Materialization` and `SubqueryResult` edges.
+    /// That is XDB's streamed and materialized edges, a mediator's
+    /// fetches, and both of Sclera's hops; control messages, final
+    /// results and worker exchange are left out.
+    pub fn moved_bytes(&self) -> (u64, u64) {
+        self.edges
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.purpose.as_str(),
+                    "InterDbmsPipeline" | "Materialization" | "SubqueryResult"
+                )
+            })
+            .fold((0, 0), |(raw, enc), e| {
+                (raw + e.bytes, enc + e.encoded_bytes)
+            })
+    }
+
+    /// Encoded bytes per wire codec, summed over every edge of the run.
+    pub fn codec_bytes(&self) -> BTreeMap<&str, u64> {
+        let mut split = BTreeMap::new();
+        for (codec, bytes) in self.edges.iter().flat_map(|e| &e.codecs) {
+            *split.entry(codec.as_str()).or_insert(0) += bytes;
+        }
+        split
     }
 
     /// Per-category critical-path totals, in ms, largest first. A total
@@ -421,6 +473,34 @@ mod tests {
         assert!((r.cache_hit_rate() - 0.75).abs() < 1e-12);
         let cats = r.critical_by_category();
         assert_eq!(cats[0], ("transfer".to_string(), 73.5));
+    }
+
+    #[test]
+    fn projections_read_phases_moved_bytes_and_codecs() {
+        let edge = |purpose: &str, bytes, codec: &str| EdgeObs {
+            purpose: purpose.to_string(),
+            bytes,
+            encoded_bytes: bytes / 2,
+            codecs: vec![(codec.to_string(), bytes / 2)],
+            ..EdgeObs::default()
+        };
+        let r = HistoryRecord {
+            phases: vec![("transfer".to_string(), 12.5)],
+            edges: vec![
+                edge("InterDbmsPipeline", 1000, "dict"),
+                edge("Materialization", 100, "raw"),
+                edge("SubqueryResult", 10, "dict"),
+                edge("ControlMessage", 4000, "raw"),
+                edge("FinalResult", 2000, "raw"),
+                edge("WorkerExchange", 6000, "raw"),
+            ],
+            ..HistoryRecord::default()
+        };
+        assert_eq!(r.phase_ms("transfer"), 12.5);
+        assert_eq!(r.phase_ms("exec"), 0.0);
+        assert_eq!(r.moved_bytes(), (1110, 555));
+        let codecs: Vec<_> = r.codec_bytes().into_iter().collect();
+        assert_eq!(codecs, [("dict", 505), ("raw", 6050)]);
     }
 
     #[test]

@@ -3,16 +3,16 @@
 # compare it against the checked-in baseline (BENCH_monitor.json) via
 # `repro gate`, then the drift gate against BENCH_history/. Exits non-zero
 # when any gated series regressed past its threshold (simulated monitor
-# values: +0.5%). Host time is gated by BENCHMARK.json, not here;
-# scripts/bench_snapshot.sh + BENCH_exec.json are a diagnostic.
+# values: +0.5%). Host time is gated by BENCHMARK.json, not here.
 #
 # Usage: scripts/bench_gate.sh (scripts/tier1.sh runs it on every pass).
 # After an intentional behaviour change, re-baseline with
 #   repro --sf 0.002 --runs 2 --json BENCH_monitor.json monitor
 # The monitor baseline also carries the multi-tenant admission series
 # (tenants/folded/..., tenants/unfolded/..., tenants/mean_fold_hits);
-# `repro gate` re-runs that workload at the baseline's recorded
-# tenants/tenant_rounds shape whenever those keys are present. Since
+# `repro gate` re-runs both workloads at the shape the baseline records
+# (sf, runs, and tenants/tenant_rounds whenever those keys are present)
+# and exits 2 naming a field the baseline lacks. Since
 # monitor schema v3 it additionally gates the cost-model observatory
 # series — per-cell calibration error (.../cal_abs_err_pct), placement
 # regret (.../regret_ms), and the per-codec byte split

@@ -19,26 +19,29 @@ pub mod sclera;
 pub use mediator::{Mediator, MediatorConfig, MwReport};
 pub use sclera::{Sclera, ScleraReport};
 
-use xdb_core::annotate::{plan_fingerprint, stable_hash_hex, AnnotateOptions, Annotator};
+use xdb_core::annotate::{plan_fingerprint, result_digest, stable_hash_hex};
+use xdb_core::annotate::{AnnotateOptions, Annotator};
 use xdb_core::client::edge_observations;
 use xdb_core::global::GlobalCatalog;
 use xdb_core::plan::DelegationPlan;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::log_parse_error;
 use xdb_engine::error::{EngineError, Result};
+use xdb_engine::relation::Relation;
 use xdb_obs::HistoryRecord;
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
 use xdb_sql::optimize::{optimize, OptimizeOptions};
 
 /// A baseline's decomposed query, with what its history record needs
-/// from before execution: where the ledger stood and what planning cost
-/// the consultation cache.
+/// from before execution: where the ledger stood, what planning cost the
+/// consultation cache, and the annotator's round trips.
 struct Planned {
     plan: DelegationPlan,
     ledger_mark: usize,
     consult_hits: u64,
     consult_misses: u64,
+    consult_roundtrips: u64,
 }
 
 /// The planning front half every baseline shares: parse, accept a SELECT
@@ -69,14 +72,13 @@ fn plan_query(
     let bound = bind_select(&select, catalog)?;
     let optimized = optimize(bound, catalog, optimize_options);
     catalog.clear_placeholders();
-    let plan = Annotator::new(catalog, cluster, annotate)
-        .run(&optimized)?
-        .plan;
+    let annotation = Annotator::new(catalog, cluster, annotate).run(&optimized)?;
     Ok(Planned {
-        plan,
+        plan: annotation.plan,
         ledger_mark,
         consult_hits: cache.hits() - hits,
         consult_misses: cache.misses() - misses,
+        consult_roundtrips: annotation.consults,
     })
 }
 
@@ -85,25 +87,28 @@ fn plan_query(
 /// under `deployment`, with the edges the run appended to the ledger, and
 /// emits the `mw.*` series under `system` — moved bytes by the record's
 /// one rule — and the completion `event` (target, message, fields). The
-/// record is kept while the history sink is on.
+/// record is kept, with the digest of `result`, while the history sink is
+/// on.
 fn note_submit(
     cluster: &Cluster,
-    sql: &str,
+    (sql, result): (&str, &Relation),
     planned: &Planned,
     (system, deployment): (&str, &str),
     (total_ms, transfer_ms): (f64, f64),
     (target, message, fields): (&str, &str, &[(&str, &str)]),
 ) {
     let telemetry = cluster.telemetry();
-    let record = HistoryRecord {
+    let mut record = HistoryRecord {
         label: telemetry.history.label(),
         deployment: deployment.to_string(),
         sql_fnv: stable_hash_hex(sql.as_bytes()),
         fingerprint: plan_fingerprint(&planned.plan),
+        tasks: planned.plan.tasks.len() as u64,
         total_ms,
         phases: vec![("transfer".to_string(), transfer_ms)],
         consult_hits: planned.consult_hits,
         consult_misses: planned.consult_misses,
+        consult_roundtrips: planned.consult_roundtrips,
         edges: edge_observations(&cluster.ledger.since(planned.ledger_mark)),
         ..HistoryRecord::default()
     };
@@ -125,5 +130,8 @@ fn note_submit(
         message,
         fields,
     );
+    if telemetry.history.is_enabled() {
+        record.result_digest = result_digest(result);
+    }
     telemetry.history.append(record);
 }

@@ -189,7 +189,7 @@ impl<'a> Mediator<'a> {
         let subs = report.subqueries.to_string();
         crate::note_submit(
             self.cluster,
-            sql,
+            (sql, &report.relation),
             &planned,
             (self.config.name, &self.config.deployment()),
             (report.total_ms, report.transfer_ms),
@@ -392,6 +392,10 @@ mod tests {
                 );
                 let plan = m.decompose(sql).unwrap().plan;
                 assert_eq!(r.fingerprint, xdb_core::annotate::plan_fingerprint(&plan));
+                assert_eq!(r.tasks, plan.tasks.len() as u64);
+                let digest = xdb_core::annotate::result_digest(&report.relation);
+                assert_eq!(r.result_digest, digest);
+                assert!(r.consult_roundtrips <= r.consult_misses);
                 assert_eq!(r.total_ms, report.total_ms);
                 assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
                 assert_eq!(

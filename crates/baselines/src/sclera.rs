@@ -175,7 +175,7 @@ impl<'a> Sclera<'a> {
         let tasks = plan.tasks.len().to_string();
         crate::note_submit(
             self.cluster,
-            sql,
+            (sql, &relation),
             &planned,
             ("sclera", "sclera"),
             (total_ms, transfer_ms),
@@ -256,6 +256,9 @@ mod tests {
             panic!("one record per submit");
         };
         assert_eq!(r.deployment, "sclera");
+        assert_eq!(r.tasks, report.tasks as u64);
+        let digest = xdb_core::annotate::result_digest(&report.relation);
+        assert_eq!(r.result_digest, digest);
         assert_eq!(r.total_ms, report.total_ms);
         assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
         assert_eq!(

@@ -38,9 +38,9 @@
 //! repro drift --baseline dir/ --current dir/ [--band PCT] [--flip-rate PCT]
 //!                                # performance-drift detection between
 //!                                # two history stores: exit 1 on plan
-//!                                # flips, latency drift, critical-path
-//!                                # composition shifts, or cost-model
-//!                                # calibration drift; --flip-rate
+//!                                # flips, changed answers, latency drift,
+//!                                # critical-path composition shifts, or
+//!                                # cost-model calibration drift; --flip-rate
 //!                                # tolerates that share of plan flips
 //!                                # between learned-cost histories
 //! repro replay [--profiles dir/] [--td 1|2|3]
@@ -176,7 +176,7 @@ fn main() {
         return;
     }
     if targets.is_empty() && trace_path.is_none() {
-        eprintln!(
+        fail(
             "usage: repro [--sf X] [--out report.txt] [--trace out.json] [--log events.jsonl] \
              <all|fig1|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table2|table3|table4|ablations>\n\
              \x20      repro [--sf X] [--runs N] [--metrics prom.txt] [--json monitor.json] monitor\n\
@@ -186,9 +186,8 @@ fn main() {
              \x20      repro [--sf X] [--runs N] [--td 1|2|3] calibrate\n\
              \x20      repro [--sf X] [--td 1|2|3] [--profiles dir] replay\n\
              \x20      repro drift --baseline dir --current dir [--band PCT] [--flip-rate PCT]\n\
-             \x20      repro --check-trace out.json"
+             \x20      repro --check-trace out.json",
         );
-        std::process::exit(2);
     }
     let mut out: Box<dyn Write> = match &out_path {
         Some(path) => Box::new(
@@ -355,7 +354,12 @@ fn main() {
 
 /// Bad input on the command line: say what was wrong and exit 2.
 fn usage(message: impl std::fmt::Display) -> ! {
-    eprintln!("repro: {message}");
+    fail(format!("repro: {message}"))
+}
+
+/// Print `message` to stderr and exit 2.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
     std::process::exit(2);
 }
 
@@ -377,17 +381,12 @@ fn write_file(flag: &str, path: &str, contents: impl AsRef<[u8]>) {
 /// series regressed past its threshold.
 fn run_gate(monitor_baseline: Option<String>, telemetry: &Arc<Telemetry>) {
     let Some(base_path) = monitor_baseline else {
-        eprintln!("gate: nothing to compare — pass --monitor-baseline");
-        std::process::exit(2);
+        fail("gate: nothing to compare — pass --monitor-baseline")
     };
-    let text = std::fs::read_to_string(&base_path).unwrap_or_else(|e| {
-        eprintln!("gate: cannot read {base_path}: {e}");
-        std::process::exit(2);
-    });
-    let base = gate::parse_monitor_snapshot(&text).unwrap_or_else(|e| {
-        eprintln!("gate: bad monitor baseline snapshot: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(&base_path)
+        .unwrap_or_else(|e| fail(format!("gate: cannot read {base_path}: {e}")));
+    let base = gate::parse_monitor_snapshot(&text)
+        .unwrap_or_else(|e| fail(format!("gate: bad monitor baseline snapshot: {e}")));
     // Re-run at the baseline's own shape so the series line up; one that
     // carries multi-tenant admission series re-runs that workload too.
     let mut current = monitor::run_monitor(base.sf, base.runs, telemetry)
@@ -413,9 +412,9 @@ fn run_gate(monitor_baseline: Option<String>, telemetry: &Arc<Telemetry>) {
 }
 
 /// `repro drift`: compare two history directories; exit 1 when any drift
-/// was found (plan flip, latency beyond the band, composition shift,
-/// cost-model calibration drift, or a baseline query missing from the
-/// current store), 2 on usage or load errors (including schema-version
+/// was found (plan flip, changed answer, latency beyond the band,
+/// composition shift, cost-model calibration drift, or a baseline query
+/// missing from the current store), 2 on usage or load errors (including schema-version
 /// mismatches).  With `--flip-rate PCT`, plan flips between learned-cost
 /// histories are tolerated up to that share of compared plan groups —
 /// learned pricing is *expected* to move plans as profiles accrue.
@@ -426,13 +425,10 @@ fn run_drift(
     flip_rate: Option<f64>,
 ) {
     let (Some(base), Some(cur)) = (baseline, current) else {
-        eprintln!("drift: pass --baseline dir/ and --current dir/");
-        std::process::exit(2);
+        fail("drift: pass --baseline dir/ and --current dir/")
     };
-    let report = drift::compare_dirs_with(&base, &cur, band_pct, flip_rate).unwrap_or_else(|e| {
-        eprintln!("drift: {e}");
-        std::process::exit(2);
-    });
+    let report = drift::compare_dirs_with(&base, &cur, band_pct, flip_rate)
+        .unwrap_or_else(|e| fail(format!("drift: {e}")));
     print!("{}", report.render());
     if !report.passed() {
         std::process::exit(1);
@@ -443,17 +439,12 @@ fn run_drift(
 /// and every named lane must carry at least one complete ("X") event.
 /// Exits 2 on any violation.
 fn check_trace(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("check-trace: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let value = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("check-trace: {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("check-trace: cannot read {path}: {e}")));
+    let value = json::parse(&text)
+        .unwrap_or_else(|e| fail(format!("check-trace: {path} is not valid JSON: {e}")));
     let Some(events) = value.get("traceEvents").and_then(json::Value::as_array) else {
-        eprintln!("check-trace: {path} has no traceEvents array");
-        std::process::exit(2);
+        fail(format!("check-trace: {path} has no traceEvents array"))
     };
     let mut lanes: Vec<(f64, String)> = Vec::new(); // (tid, name)
     let mut x_tids: Vec<f64> = Vec::new();
@@ -475,12 +466,11 @@ fn check_trace(path: &str) {
         }
     }
     if lanes.is_empty() || x_tids.is_empty() {
-        eprintln!(
+        fail(format!(
             "check-trace: {path} has {} lanes and {} X events",
             lanes.len(),
             x_tids.len()
-        );
-        std::process::exit(2);
+        ));
     }
     let mut bad = false;
     for (tid, name) in &lanes {

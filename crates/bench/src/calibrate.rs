@@ -1,19 +1,19 @@
 //! `repro calibrate` — the cost-model observatory report.
 //!
 //! Runs the six-query TPC-H workload against a TDx on-premise federation
-//! with an in-memory history store, then folds every run's
-//! predicted-vs-observed cost observation (see `xdb_core::observatory`)
-//! into calibration-error distributions — wire-time error per consuming
-//! engine, byte error per wire codec, wire-time error per edge shape,
-//! compute-unit calibration per engine — plus a per-query
-//! placement-regret table (observed cost of the chosen plan vs the
-//! model's best rejected candidate).
+//! with an in-memory history store, then projects the records
+//! ([`CalibrateReport::project`]): every run's predicted-vs-observed cost
+//! observation (see `xdb_core::observatory`) folds into calibration-error
+//! distributions — wire-time error per consuming engine, byte error per
+//! wire codec, wire-time error per edge shape, compute-unit calibration
+//! per engine — plus a per-query placement-regret table (observed cost of
+//! the chosen plan vs the model's best rejected candidate).
 //!
 //! Everything is taken off the simulated clock and the deterministic
 //! ledger, so the whole report is bit-identical across invocations and
 //! executor modes.
 
-use crate::experiments::{onprem, run_workload, six_queries, Deployment};
+use crate::experiments::{onprem, xdb_workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xdb_core::XdbOptions;
@@ -39,7 +39,7 @@ pub struct QueryCalibration {
     pub wire_abs_err_pct: f64,
 }
 
-/// Output of [`run_calibrate`].
+/// Output of [`run_calibrate`]: a projection of the workload's records.
 pub struct CalibrateReport {
     pub sf: f64,
     pub runs: usize,
@@ -49,44 +49,44 @@ pub struct CalibrateReport {
     pub per_query: Vec<QueryCalibration>,
 }
 
-/// Run the six-query workload `runs` times on `td` and aggregate the
-/// cost-model observatory records.
+/// Run the six-query workload `runs` times on `td` and project the
+/// cost-model observatory bundles its records carry.
 pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateReport> {
-    // The observatory bundle rides every history record, which is exactly
-    // the join this report aggregates.
     let e = onprem(td, sf, &Telemetry::new_handle())?;
-    let (records, _) = run_workload(
-        &e,
-        &XdbOptions::default(),
-        &six_queries(Deployment::Xdb, runs),
-        true,
-    )?;
-    // The runner submits each query `runs` times in a row: one chunk of
-    // records per query, in workload order.
-    let per_query = records
-        .chunks(runs.max(1))
-        .map(|rs| {
-            let mean = |f: fn(&HistoryRecord) -> f64| {
-                rs.iter().fold(0.0, |sum, r| sum + f(r)) / rs.len() as f64
-            };
-            QueryCalibration {
-                query: rs[0].label.clone(),
-                runs: rs.len() as u64,
-                decisions: mean(|r| r.cost.decisions.len() as f64),
-                predicted_ms: mean(|r| r.cost.decisions.iter().map(|d| d.predicted_ms).sum()),
-                observed_ms: mean(|r| r.cost.decisions.iter().map(|d| d.observed_ms).sum()),
-                regret_ms: mean(|r| r.cost.regret_ms()),
-                wire_abs_err_pct: mean(|r| r.cost.wire_abs_err_pct()),
-            }
-        })
-        .collect();
-    Ok(CalibrateReport {
-        sf,
-        runs,
-        td,
-        summary: summarize(&records),
-        per_query,
-    })
+    let records = xdb_workload(&e, &XdbOptions::default(), runs, true)?;
+    Ok(CalibrateReport::project(td, sf, runs, &records))
+}
+
+impl CalibrateReport {
+    /// The report of `records`: labelled XDB runs, each query `runs` times
+    /// in a row, in workload order — what [`run_calibrate`] submits, and
+    /// with `runs` = 1 what `repro --history dir/ profile` writes.
+    pub fn project(td: TableDist, sf: f64, runs: usize, records: &[HistoryRecord]) -> Self {
+        let per_query = records
+            .chunks(runs.max(1))
+            .map(|rs| {
+                let mean = |f: fn(&HistoryRecord) -> f64| {
+                    rs.iter().fold(0.0, |sum, r| sum + f(r)) / rs.len() as f64
+                };
+                QueryCalibration {
+                    query: rs[0].label.clone(),
+                    runs: rs.len() as u64,
+                    decisions: mean(|r| r.cost.decisions.len() as f64),
+                    predicted_ms: mean(|r| r.cost.decisions.iter().map(|d| d.predicted_ms).sum()),
+                    observed_ms: mean(|r| r.cost.decisions.iter().map(|d| d.observed_ms).sum()),
+                    regret_ms: mean(|r| r.cost.regret_ms()),
+                    wire_abs_err_pct: mean(|r| r.cost.wire_abs_err_pct()),
+                }
+            })
+            .collect();
+        CalibrateReport {
+            sf,
+            runs,
+            td,
+            summary: summarize(records),
+            per_query,
+        }
+    }
 }
 
 fn stats_table(out: &mut String, header: &str, rows: &BTreeMap<String, ErrorStats>) {

@@ -2,23 +2,25 @@
 //!
 //! `repro drift --baseline dir/ --current dir/` loads two history
 //! directories (see `xdb_obs::history`), groups records by
-//! `(sql_fnv, deployment)`, and flags three kinds of drift:
+//! `(sql_fnv, deployment)`, and flags five kinds of drift:
 //!
 //! 1. **Plan flips** — the canonical plan fingerprint changed for the
 //!    same SQL and deployment (the annotator placed tasks or chose
 //!    movements differently);
-//! 2. **Latency drift** — mean end-to-end simulated time moved beyond a
+//! 2. **Changed answers** — the group's records, on both sides, carry
+//!    more than one result digest (exact: a plan that rounds a float
+//!    differently counts); no flip budget excuses one;
+//! 3. **Latency drift** — mean end-to-end simulated time moved beyond a
 //!    noise band (default ±5%);
-//! 3. **Composition shifts** — the critical-path category mix changed:
+//! 4. **Composition shifts** — the critical-path category mix changed:
 //!    a different dominant category (e.g. compute-bound → transfer-
 //!    bound) or any category's share moving by more than 15 points;
-//! 4. **Calibration drift** — the cost-model observatory's mean
+//! 5. **Calibration drift** — the cost-model observatory's mean
 //!    |wire-time prediction error| moved by more than 10 points: the
 //!    Eq. 1–3 model got systematically better or worse at pricing the
-//!    wire (e.g. a cost-profile or codec skew). Skipped when either side
-//!    carries no observatory data (schema-v1 baselines), so old baselines
-//!    keep working.
+//!    wire (e.g. a cost-profile or codec skew).
 //!
+//! A baseline group missing from the current store is a coverage finding.
 //! Everything compares simulated-clock state, so a self-compare of two
 //! runs of the same build is *exactly* zero findings — any finding is a
 //! real behavior change, not noise. `query_id` is ignored: two histories
@@ -48,6 +50,8 @@ pub const CALIBRATION_POINTS: f64 = 10.0;
 pub enum DriftKind {
     /// Plan fingerprint changed for the same SQL + deployment.
     PlanFlip,
+    /// The same SQL + deployment returned different result rows.
+    Answer,
     /// Mean latency moved beyond the noise band.
     Latency,
     /// Critical-path composition changed.
@@ -65,6 +69,7 @@ impl DriftKind {
     pub fn label(self) -> &'static str {
         match self {
             DriftKind::PlanFlip => "plan-flip",
+            DriftKind::Answer => "answer",
             DriftKind::Latency => "latency",
             DriftKind::Composition => "composition",
             DriftKind::Calibration => "calibration",
@@ -147,7 +152,10 @@ impl DriftReport {
 /// Aggregate view of one `(sql_fnv, deployment)` group.
 struct Group {
     display: String,
+    runs: usize,
     fingerprints: Vec<String>,
+    /// The distinct result digests of the group's records, sorted.
+    digests: Vec<String>,
     mean_total_ms: f64,
     /// Mean critical-path share per category, percent.
     shares: BTreeMap<String, f64>,
@@ -172,9 +180,14 @@ fn group(records: &[HistoryRecord]) -> BTreeMap<(String, String), Group> {
                 .find(|r| !r.label.is_empty())
                 .map(|r| r.label.clone())
                 .unwrap_or_else(|| format!("sql:{}", key.0));
-            let mut fingerprints: Vec<String> = rs.iter().map(|r| r.fingerprint.clone()).collect();
-            fingerprints.sort();
-            fingerprints.dedup();
+            let distinct = |field: fn(&HistoryRecord) -> &String| {
+                let mut values: Vec<String> = rs.iter().map(|r| field(r).clone()).collect();
+                values.sort();
+                values.dedup();
+                values
+            };
+            let fingerprints = distinct(|r| &r.fingerprint);
+            let digests = distinct(|r| &r.result_digest);
             let mean_total_ms = rs.iter().map(|r| r.total_ms).sum::<f64>() / rs.len() as f64;
             // Mean per-category share of the critical path across runs.
             let mut shares: BTreeMap<String, f64> = BTreeMap::new();
@@ -195,7 +208,9 @@ fn group(records: &[HistoryRecord]) -> BTreeMap<(String, String), Group> {
                 key,
                 Group {
                     display,
+                    runs: rs.len(),
                     fingerprints,
+                    digests,
                     mean_total_ms,
                     shares,
                     cal,
@@ -215,23 +230,15 @@ fn dominant(shares: &BTreeMap<String, f64>) -> Option<(&str, f64)> {
 }
 
 /// Compare two history-record sets. `noise_pct` is the latency band in
-/// percent (see [`DEFAULT_NOISE_PCT`]).
-pub fn compare(
-    baseline: &[HistoryRecord],
-    current: &[HistoryRecord],
-    noise_pct: f64,
-) -> DriftReport {
-    compare_with(baseline, current, noise_pct, None)
-}
-
-/// [`compare`] with an optional plan-flip budget, for histories recorded
-/// with live cost feedback (where later runs legitimately re-plan).
+/// percent (see [`DEFAULT_NOISE_PCT`]); `flip_tolerance_pct` is a plan-flip
+/// budget, for histories recorded with live cost feedback (where later
+/// runs legitimately re-plan).
 ///
 /// When `flip_tolerance_pct` is set, individual plan flips are tolerated —
 /// reported informationally — up to that share of the compared query
 /// groups; beyond it a single [`DriftKind::FlipRate`] finding fails the
 /// report. Without it every flip is a strict [`DriftKind::PlanFlip`].
-pub fn compare_with(
+pub fn compare(
     baseline: &[HistoryRecord],
     current: &[HistoryRecord],
     noise_pct: f64,
@@ -251,85 +258,84 @@ pub fn compare_with(
                 query: b.display.clone(),
                 detail: format!(
                     "present in baseline ({} run(s)) but missing from current store",
-                    baseline
-                        .iter()
-                        .filter(|r| r.sql_fnv == key.0 && r.deployment == key.1)
-                        .count()
+                    b.runs
                 ),
             });
             continue;
         };
         report.compared += 1;
+        let finding = |kind, detail| DriftFinding {
+            kind,
+            query: c.display.clone(),
+            detail,
+        };
         if b.fingerprints != c.fingerprints {
-            let finding = DriftFinding {
-                kind: DriftKind::PlanFlip,
-                query: c.display.clone(),
-                detail: format!(
-                    "plan fingerprint changed: baseline {:?} -> current {:?}",
-                    b.fingerprints, c.fingerprints
-                ),
+            let detail = format!(
+                "plan fingerprint changed: baseline {:?} -> current {:?}",
+                b.fingerprints, c.fingerprints
+            );
+            let list = match flip_tolerance_pct {
+                Some(_) => &mut flips,
+                None => &mut report.findings,
             };
-            if flip_tolerance_pct.is_some() {
-                flips.push(finding);
-            } else {
-                report.findings.push(finding);
-            }
+            list.push(finding(DriftKind::PlanFlip, detail));
+        }
+        if b.digests
+            .iter()
+            .chain(&c.digests)
+            .any(|d| *d != b.digests[0])
+        {
+            let detail = format!(
+                "result digest differs: baseline {:?} -> current {:?}",
+                b.digests, c.digests
+            );
+            report.findings.push(finding(DriftKind::Answer, detail));
         }
         if b.mean_total_ms > 0.0 {
             let delta_pct = 100.0 * (c.mean_total_ms - b.mean_total_ms) / b.mean_total_ms;
             if delta_pct.abs() > noise_pct {
-                report.findings.push(DriftFinding {
-                    kind: DriftKind::Latency,
-                    query: c.display.clone(),
-                    detail: format!(
-                        "mean total {:.3} ms -> {:.3} ms ({:+.1}%, band ±{}%)",
-                        b.mean_total_ms, c.mean_total_ms, delta_pct, noise_pct
-                    ),
-                });
+                let detail = format!(
+                    "mean total {:.3} ms -> {:.3} ms ({:+.1}%, band ±{}%)",
+                    b.mean_total_ms, c.mean_total_ms, delta_pct, noise_pct
+                );
+                report.findings.push(finding(DriftKind::Latency, detail));
             }
         }
         let (be, ce) = (b.cal.mean_abs_pct(), c.cal.mean_abs_pct());
         if (ce - be).abs() > CALIBRATION_POINTS {
-            report.findings.push(DriftFinding {
-                kind: DriftKind::Calibration,
-                query: c.display.clone(),
-                detail: format!(
-                    "mean |wire-time prediction error| moved {be:.1}% -> {ce:.1}% \
-                     (>{CALIBRATION_POINTS} points)"
-                ),
-            });
+            let detail = format!(
+                "mean |wire-time prediction error| moved {be:.1}% -> {ce:.1}% \
+                 (>{CALIBRATION_POINTS} points)"
+            );
+            report
+                .findings
+                .push(finding(DriftKind::Calibration, detail));
         }
-        let bd = dominant(&b.shares);
-        let cd = dominant(&c.shares);
-        if let (Some((bcat, bshare)), Some((ccat, cshare))) = (bd, cd) {
-            if bcat != ccat {
-                report.findings.push(DriftFinding {
-                    kind: DriftKind::Composition,
-                    query: c.display.clone(),
-                    detail: format!(
-                        "critical path went {bcat}-bound ({bshare:.0}%) -> \
-                         {ccat}-bound ({cshare:.0}%)"
-                    ),
-                });
+        if let (Some((bcat, bshare)), Some((ccat, cshare))) =
+            (dominant(&b.shares), dominant(&c.shares))
+        {
+            let shifted = if bcat != ccat {
+                Some(format!(
+                    "critical path went {bcat}-bound ({bshare:.0}%) -> \
+                     {ccat}-bound ({cshare:.0}%)"
+                ))
             } else {
-                // Same dominant category: still flag any category whose
-                // share moved by more than the threshold.
-                for cat in b.shares.keys().chain(c.shares.keys()) {
+                // Same dominant category: still flag the first category
+                // whose share moved by more than the threshold.
+                b.shares.keys().chain(c.shares.keys()).find_map(|cat| {
                     let bs = b.shares.get(cat).copied().unwrap_or(0.0);
                     let cs = c.shares.get(cat).copied().unwrap_or(0.0);
-                    if (cs - bs).abs() > COMPOSITION_POINTS {
-                        report.findings.push(DriftFinding {
-                            kind: DriftKind::Composition,
-                            query: c.display.clone(),
-                            detail: format!(
-                                "{cat} share of the critical path moved \
-                                 {bs:.1}% -> {cs:.1}% (>{COMPOSITION_POINTS} points)"
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
+                    ((cs - bs).abs() > COMPOSITION_POINTS).then(|| {
+                        format!(
+                            "{cat} share of the critical path moved \
+                             {bs:.1}% -> {cs:.1}% (>{COMPOSITION_POINTS} points)"
+                        )
+                    })
+                })
+            };
+            report
+                .findings
+                .extend(shifted.map(|d| finding(DriftKind::Composition, d)));
         }
     }
     if let Some(tolerance) = flip_tolerance_pct {
@@ -352,7 +358,7 @@ pub fn compare_with(
 }
 
 /// Load two history directories and compare them, with an optional
-/// plan-flip budget (see [`compare_with`]).
+/// plan-flip budget (see [`compare`]).
 pub fn compare_dirs_with(
     baseline: &str,
     current: &str,
@@ -364,7 +370,7 @@ pub fn compare_dirs_with(
     if base.is_empty() {
         return Err(format!("baseline {baseline} holds no history records"));
     }
-    Ok(compare_with(&base, &cur, noise_pct, flip_tolerance_pct))
+    Ok(compare(&base, &cur, noise_pct, flip_tolerance_pct))
 }
 
 #[cfg(test)]
@@ -377,11 +383,14 @@ mod tests {
             deployment: "xdb".to_string(),
             sql_fnv: format!("fnv-{label}"),
             fingerprint: fingerprint.to_string(),
+            tasks: 2,
+            result_digest: format!("rows-{label}"),
             query_id: 1,
             total_ms,
             phases: vec![("exec".to_string(), total_ms)],
             consult_hits: 0,
             consult_misses: 0,
+            consult_roundtrips: 0,
             crit_spans: 3,
             critical: vec![
                 ("compute".to_string(), "hdb".to_string(), 0.7 * total_ms),
@@ -425,7 +434,7 @@ mod tests {
     #[test]
     fn self_compare_is_clean() {
         let records = vec![record("Q3", "aaaa", 100.0), record("Q5", "bbbb", 250.0)];
-        let report = compare(&records, &records, DEFAULT_NOISE_PCT);
+        let report = compare(&records, &records, DEFAULT_NOISE_PCT, None);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.compared, 2);
         assert!(report.render().contains("no drift"));
@@ -435,23 +444,43 @@ mod tests {
     fn plan_flip_is_flagged() {
         let base = vec![record("Q3", "aaaa", 100.0)];
         let cur = vec![record("Q3", "cccc", 100.0)];
-        let report = compare(&base, &cur, DEFAULT_NOISE_PCT);
+        let report = compare(&base, &cur, DEFAULT_NOISE_PCT, None);
         assert!(!report.passed());
         assert_eq!(report.findings[0].kind, DriftKind::PlanFlip);
         assert!(report.render().contains("plan-flip"), "{}", report.render());
     }
 
     #[test]
+    fn changed_answer_is_flagged_even_under_a_flip_budget() {
+        let base = vec![record("Q3", "aaaa", 100.0), record("Q5", "bbbb", 250.0)];
+        let mut cur = base.clone();
+        cur[1].result_digest = "rows-altered".to_string();
+        for budget in [None, Some(100.0)] {
+            let report = compare(&base, &cur, DEFAULT_NOISE_PCT, budget);
+            assert_eq!(report.findings.len(), 1, "{}", report.render());
+            let f = &report.findings[0];
+            assert_eq!((f.kind, f.query.as_str()), (DriftKind::Answer, "Q5"));
+            assert!(f.detail.contains("rows-altered"), "{}", f.detail);
+            assert!(report.render().contains("[answer"), "{}", report.render());
+        }
+        // Two answers inside one store are flagged against itself.
+        let split = [base.clone(), cur.clone()].concat();
+        let report = compare(&split, &split, DEFAULT_NOISE_PCT, None);
+        assert_eq!(report.findings.len(), 1, "{}", report.render());
+        assert_eq!(report.findings[0].kind, DriftKind::Answer);
+    }
+
+    #[test]
     fn latency_regression_beyond_band_is_flagged() {
         let base = vec![record("Q3", "aaaa", 100.0)];
         let cur = vec![record("Q3", "aaaa", 125.0)];
-        let report = compare(&base, &cur, DEFAULT_NOISE_PCT);
+        let report = compare(&base, &cur, DEFAULT_NOISE_PCT, None);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].kind, DriftKind::Latency);
         assert!(report.findings[0].detail.contains("+25.0%"));
         // Inside the band: clean.
         let cur = vec![record("Q3", "aaaa", 103.0)];
-        assert!(compare(&base, &cur, DEFAULT_NOISE_PCT).passed());
+        assert!(compare(&base, &cur, DEFAULT_NOISE_PCT, None).passed());
     }
 
     #[test]
@@ -463,7 +492,7 @@ mod tests {
             ("transfer".to_string(), "cdb->hdb".to_string(), 80.0),
             ("compute".to_string(), "hdb".to_string(), 20.0),
         ];
-        let report = compare(&base, &[flipped], DEFAULT_NOISE_PCT);
+        let report = compare(&base, &[flipped], DEFAULT_NOISE_PCT, None);
         assert!(report
             .findings
             .iter()
@@ -479,7 +508,7 @@ mod tests {
         // the |error| jumps 0% -> 75%, far past the 10-point band.
         let base = vec![with_cal(record("Q3", "aaaa", 100.0), 10.0, 10.0)];
         let skew = vec![with_cal(record("Q3", "aaaa", 100.0), 10.0, 40.0)];
-        let report = compare(&base, &skew, DEFAULT_NOISE_PCT);
+        let report = compare(&base, &skew, DEFAULT_NOISE_PCT, None);
         assert!(!report.passed());
         let f = report
             .findings
@@ -497,7 +526,7 @@ mod tests {
             report.render()
         );
         // Self-compare with observatory data stays clean.
-        assert!(compare(&base, &base, DEFAULT_NOISE_PCT).passed());
+        assert!(compare(&base, &base, DEFAULT_NOISE_PCT, None).passed());
     }
 
     #[test]
@@ -509,7 +538,7 @@ mod tests {
             .collect();
         let mut cur = base.clone();
         cur[0] = record("Q1", "ffff", 100.0);
-        let report = compare_with(&base, &cur, DEFAULT_NOISE_PCT, Some(30.0));
+        let report = compare(&base, &cur, DEFAULT_NOISE_PCT, Some(30.0));
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.tolerated.len(), 1);
         assert_eq!(report.tolerated[0].kind, DriftKind::PlanFlip);
@@ -526,7 +555,7 @@ mod tests {
         cur[0] = record("Q1", "ffff", 100.0);
         cur[1] = record("Q2", "gggg", 100.0);
         // 50% of groups flipped against a 25% budget.
-        let report = compare_with(&base, &cur, DEFAULT_NOISE_PCT, Some(DEFAULT_FLIP_RATE_PCT));
+        let report = compare(&base, &cur, DEFAULT_NOISE_PCT, Some(DEFAULT_FLIP_RATE_PCT));
         assert!(!report.passed());
         let f = report
             .findings
@@ -550,7 +579,7 @@ mod tests {
         let records = xdb_obs::history::parse_history_jsonl(&line).unwrap();
         assert_eq!(records[0].critical[0].2, f64::INFINITY);
         assert_eq!(records[0].critical_by_category()[0].1, f64::INFINITY);
-        let report = compare(&records, &records, DEFAULT_NOISE_PCT);
+        let report = compare(&records, &records, DEFAULT_NOISE_PCT, None);
         assert_eq!(report.compared, 1);
         assert!(report
             .render()
@@ -561,12 +590,12 @@ mod tests {
     fn missing_group_is_a_coverage_finding() {
         let base = vec![record("Q3", "aaaa", 100.0), record("Q5", "bbbb", 250.0)];
         let cur = vec![record("Q3", "aaaa", 100.0)];
-        let report = compare(&base, &cur, DEFAULT_NOISE_PCT);
+        let report = compare(&base, &cur, DEFAULT_NOISE_PCT, None);
         assert_eq!(report.compared, 1);
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].kind, DriftKind::Coverage);
         // New groups in current are informational, not findings.
-        let report = compare(&cur, &base, DEFAULT_NOISE_PCT);
+        let report = compare(&cur, &base, DEFAULT_NOISE_PCT, None);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.new_groups, 1);
     }

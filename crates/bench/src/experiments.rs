@@ -7,16 +7,15 @@
 //! seconds.
 
 use crate::report::Figure;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use xdb_baselines::{Mediator, MediatorConfig, Sclera};
-use xdb_core::annotate::{stable_hash_hex, AnnotateOptions};
+use xdb_core::annotate::AnnotateOptions;
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::Result;
 use xdb_engine::profile::EngineProfile;
-use xdb_engine::relation::Relation;
 use xdb_net::{Movement, NodeId, Purpose, Scenario};
+use xdb_obs::history::EdgeObs;
 use xdb_obs::{HistoryRecord, Telemetry};
 use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
@@ -91,20 +90,25 @@ impl Deployment {
     }
 }
 
-/// Every query of the six-query workload under `deployment`, each
-/// submitted `runs` times in a row.
-pub(crate) fn six_queries(deployment: Deployment, runs: usize) -> Vec<(TpchQuery, Deployment)> {
-    TpchQuery::ALL
+/// [`run_workload`] of the six-query workload under XDB with `options`,
+/// each query submitted `runs` times in a row.
+pub(crate) fn xdb_workload(
+    env: &Env,
+    options: &XdbOptions,
+    runs: usize,
+    labelled: bool,
+) -> Result<Vec<HistoryRecord>> {
+    let submits: Vec<_> = TpchQuery::ALL
         .into_iter()
-        .flat_map(|q| std::iter::repeat_n((q, deployment), runs))
-        .collect()
+        .flat_map(|q| std::iter::repeat_n((q, Deployment::Xdb), runs))
+        .collect();
+    run_workload(env, options, &submits, labelled)
 }
 
 /// Submit `submits` on `env` in order, XDB under `options`, the
 /// middleware or mediator on [`CLOUD`]: the history record each submit
-/// wrote and the relation it returned, in submit order. With `labelled`
-/// each record carries its query's name; otherwise the sink's label
-/// stays empty.
+/// wrote, in submit order. With `labelled` each record carries its
+/// query's name; otherwise the sink's label stays empty.
 ///
 /// The records come from the env's history sink, which is left as it was
 /// found: one already recording (`repro --history dir/`) keeps every
@@ -114,7 +118,7 @@ pub fn run_workload(
     options: &XdbOptions,
     submits: &[(TpchQuery, Deployment)],
     labelled: bool,
-) -> Result<(Vec<HistoryRecord>, Vec<Relation>)> {
+) -> Result<Vec<HistoryRecord>> {
     let history = &env.cluster.telemetry().history;
     let recording = history.is_enabled();
     if !recording {
@@ -122,30 +126,28 @@ pub fn run_workload(
     }
     let mark = history.len();
     let xdb = env.xdb(options.clone());
-    let results: Result<Vec<Relation>> = submits
-        .iter()
-        .map(|&(q, deployment)| {
-            if labelled {
-                history.set_label(q.name());
-            }
-            env.cluster.ledger.clear();
-            let (cluster, catalog, sql) = (&env.cluster, &env.catalog, q.sql());
-            let mediator = |config| Mediator::new(cluster, catalog, config).submit(sql);
-            Ok(match deployment {
-                Deployment::Xdb => xdb.submit(sql)?.relation,
-                Deployment::Garlic => mediator(MediatorConfig::garlic(CLOUD))?.relation,
-                Deployment::Presto(n) => mediator(MediatorConfig::presto(CLOUD, n))?.relation,
-                Deployment::Sclera => Sclera::new(cluster, catalog, CLOUD).submit(sql)?.relation,
-            })
-        })
-        .collect();
+    let ran = submits.iter().try_for_each(|&(q, deployment)| {
+        if labelled {
+            history.set_label(q.name());
+        }
+        env.cluster.ledger.clear();
+        let (cluster, catalog, sql) = (&env.cluster, &env.catalog, q.sql());
+        let mediator = |config| Mediator::new(cluster, catalog, config).submit(sql);
+        match deployment {
+            Deployment::Xdb => drop(xdb.submit(sql)?),
+            Deployment::Garlic => drop(mediator(MediatorConfig::garlic(CLOUD))?),
+            Deployment::Presto(n) => drop(mediator(MediatorConfig::presto(CLOUD, n))?),
+            Deployment::Sclera => drop(Sclera::new(cluster, catalog, CLOUD).submit(sql)?),
+        }
+        Ok(())
+    });
     history.set_label("");
     let records = history.records().split_off(mark);
     if !recording {
         history.disable();
         history.clear();
     }
-    Ok((records, results?))
+    ran.map(|()| records)
 }
 
 /// The record of each of `submits` ([`run_workload`] with default options
@@ -154,7 +156,7 @@ fn records<const N: usize>(
     env: &Env,
     submits: [(TpchQuery, Deployment); N],
 ) -> Result<[HistoryRecord; N]> {
-    let (records, _) = run_workload(env, &XdbOptions::default(), &submits, false)?;
+    let records = run_workload(env, &XdbOptions::default(), &submits, false)?;
     Ok(records.try_into().expect("one record per submit"))
 }
 
@@ -168,19 +170,6 @@ fn per_query<const N: usize>(
         .into_iter()
         .map(|q| Ok((q, records(env, deployments.map(|d| (q, d)))?)))
         .collect()
-}
-
-/// Stable digest of a relation's ordered result cells (`{:?}|` per value,
-/// `\n` per row): how two runs show they returned the same answer.
-pub fn result_digest(relation: &Relation) -> String {
-    let mut cells = String::new();
-    for i in 0..relation.len() {
-        for c in 0..relation.width() {
-            let _ = write!(cells, "{:?}|", relation.value(i, c));
-        }
-        cells.push('\n');
-    }
-    stable_hash_hex(cells.as_bytes())
 }
 
 /// "Actual" execution time of a query with localized tables: one engine
@@ -492,30 +481,21 @@ pub fn fig14(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figur
     let onp = onprem(td, sf, telemetry)?;
     // Geo-distributed: every DBMS in its own DC; every link is metered.
     let geo = env(td, sf, Scenario::GeoDistributed, &pg(), telemetry)?;
+    let mb = |bytes: u64| bytes as f64 / 1e6;
     for q in TpchQuery::ALL {
-        onp.cluster.ledger.clear();
-        let xdb = onp.xdb(XdbOptions::default());
-        xdb.submit(q.sql())?;
-        let xdb_onp = onp.cluster.ledger.bytes_touching(&NodeId::new(CLOUD));
-
-        geo.cluster.ledger.clear();
-        let xdb = geo.xdb(XdbOptions::default());
-        xdb.submit(q.sql())?;
-        let xdb_geo = geo.cluster.ledger.total_bytes();
-
-        onp.cluster.ledger.clear();
-        let garlic = Mediator::new(&onp.cluster, &onp.catalog, MediatorConfig::garlic(CLOUD))
-            .submit(q.sql())?;
-        let presto = Mediator::new(&onp.cluster, &onp.catalog, MediatorConfig::presto(CLOUD, 4))
-            .submit(q.sql())?;
-        fig.series_mut("xdb (ONP)")
-            .push(q.name(), xdb_onp as f64 / 1e6);
+        let [xdb_onp] = records(&onp, [(q, Deployment::Xdb)])?;
+        let [xdb_geo] = records(&geo, [(q, Deployment::Xdb)])?;
+        let [garlic, presto] =
+            records(&onp, [(q, Deployment::Garlic), (q, Deployment::Presto(4))])?;
+        let cloud = |e: &&EdgeObs| e.from == CLOUD || e.to == CLOUD;
+        let onp_bytes = xdb_onp.edges.iter().filter(cloud).map(|e| e.bytes).sum();
+        fig.series_mut("xdb (ONP)").push(q.name(), mb(onp_bytes));
         fig.series_mut("xdb (GEO)")
-            .push(q.name(), xdb_geo as f64 / 1e6);
+            .push(q.name(), mb(xdb_geo.edges.iter().map(|e| e.bytes).sum()));
         fig.series_mut("garlic")
-            .push(q.name(), garlic.fetch_bytes as f64 / 1e6);
+            .push(q.name(), mb(garlic.moved_bytes().0));
         fig.series_mut("presto")
-            .push(q.name(), presto.fetch_bytes as f64 / 1e6);
+            .push(q.name(), mb(presto.moved_bytes().0));
     }
     fig.note("paper: XDB(ONP) sends only results+control to the cloud — up to 3 orders of magnitude less");
     Ok(fig)
@@ -568,17 +548,17 @@ pub fn ablation_movement(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> 
         ("all-implicit", Some(Movement::Implicit)),
         ("all-explicit", Some(Movement::Explicit)),
     ] {
-        for q in TpchQuery::ALL {
-            let xdb = env.xdb(XdbOptions {
-                annotate: AnnotateOptions {
-                    force_movement: force,
-                    ..Default::default()
-                },
+        let options = XdbOptions {
+            annotate: AnnotateOptions {
+                force_movement: force,
                 ..Default::default()
-            });
-            let out = xdb.submit(q.sql())?;
+            },
+            ..Default::default()
+        };
+        let records = xdb_workload(&env, &options, 1, false)?;
+        for (q, r) in TpchQuery::ALL.into_iter().zip(records) {
             fig.series_mut(name)
-                .push(q.name(), out.breakdown.exec_ms / 1000.0);
+                .push(q.name(), r.phase_ms("exec") / 1000.0);
         }
     }
     fig.note("cost-based should match or beat both forced policies");
@@ -595,22 +575,29 @@ pub fn ablation_pruning(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         "value",
     );
     for (name, no_pruning) in [("pruned", false), ("exhaustive", true)] {
-        for q in TpchQuery::ALL {
-            let xdb = env.xdb(XdbOptions {
-                annotate: AnnotateOptions {
-                    no_pruning,
-                    ..Default::default()
-                },
+        let options = XdbOptions {
+            annotate: AnnotateOptions {
+                no_pruning,
                 ..Default::default()
-            });
-            let out = xdb.submit(q.sql())?;
+            },
+            ..Default::default()
+        };
+        let records = xdb_workload(&env, &options, 1, false)?;
+        for (q, r) in TpchQuery::ALL.into_iter().zip(records) {
             fig.series_mut(&format!("{name} consults"))
-                .push(q.name(), out.consult_roundtrips as f64);
+                .push(q.name(), r.consult_roundtrips as f64);
             fig.series_mut(&format!("{name} exec s"))
-                .push(q.name(), out.breakdown.exec_ms / 1000.0);
+                .push(q.name(), r.phase_ms("exec") / 1000.0);
         }
     }
-    fig.note("pruning cuts consulting to 4 options per cross-db op at equal plan quality");
+    let note = format!(
+        "pruning (4 options per cross-db op) cuts consults on {}; \
+         exhaustive search runs faster on {} and slower on {}",
+        fig.lower("pruned consults", "exhaustive consults"),
+        fig.lower("exhaustive exec s", "pruned exec s"),
+        fig.lower("pruned exec s", "exhaustive exec s"),
+    );
+    fig.note(note);
     Ok(fig)
 }
 
@@ -628,23 +615,29 @@ pub fn ablation_logical(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         ("no-reorder", true, false),
         ("no-pruning", false, true),
     ] {
-        for q in TpchQuery::ALL {
-            let xdb = env.xdb(XdbOptions {
-                no_join_reorder: no_reorder,
-                no_column_pruning: no_prune,
-                ..Default::default()
-            });
-            env.cluster.ledger.clear();
-            let out = xdb.submit(q.sql())?;
-            let moved = env.cluster.ledger.bytes_for(Purpose::InterDbmsPipeline)
-                + env.cluster.ledger.bytes_for(Purpose::Materialization);
+        let options = XdbOptions {
+            no_join_reorder: no_reorder,
+            no_column_pruning: no_prune,
+            ..Default::default()
+        };
+        let records = xdb_workload(&env, &options, 1, false)?;
+        for (q, r) in TpchQuery::ALL.into_iter().zip(records) {
             fig.series_mut(&format!("{name} MB"))
-                .push(q.name(), moved as f64 / 1e6);
+                .push(q.name(), r.moved_bytes().0 as f64 / 1e6);
             fig.series_mut(&format!("{name} s"))
-                .push(q.name(), out.breakdown.exec_ms / 1000.0);
+                .push(q.name(), r.phase_ms("exec") / 1000.0);
         }
     }
-    fig.note("both rewrites shrink inter-DBMS movement (Section IV-B1)");
+    let moved = |rewrite: &str, without: &str| {
+        let (shrinks, grows) = (fig.lower("full MB", without), fig.lower(without, "full MB"));
+        format!("{rewrite} shrinks inter-DBMS movement on {shrinks} and grows it on {grows}")
+    };
+    let note = format!(
+        "{}; {} (Section IV-B1)",
+        moved("join reordering", "no-reorder MB"),
+        moved("column pruning", "no-pruning MB")
+    );
+    fig.note(note);
     Ok(fig)
 }
 
@@ -659,17 +652,16 @@ pub fn ablation_bushy(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
         "sim seconds",
     );
     for (name, bushy) in [("left-deep", false), ("bushy", true)] {
-        for q in TpchQuery::ALL {
-            let xdb = env.xdb(XdbOptions {
-                bushy_joins: bushy,
-                ..Default::default()
-            });
-            let out = xdb.submit(q.sql())?;
+        let options = XdbOptions {
+            bushy_joins: bushy,
+            ..Default::default()
+        };
+        let records = xdb_workload(&env, &options, 1, false)?;
+        for (q, r) in TpchQuery::ALL.into_iter().zip(records) {
             fig.series_mut(name)
-                .push(q.name(), out.breakdown.exec_ms / 1000.0);
+                .push(q.name(), r.phase_ms("exec") / 1000.0);
             if bushy {
-                fig.series_mut("bushy tasks")
-                    .push(q.name(), out.delegation.tasks.len() as f64);
+                fig.series_mut("bushy tasks").push(q.name(), r.tasks as f64);
             }
         }
     }
@@ -764,7 +756,7 @@ mod tests {
         }
         // Drift groups by (sql_fnv, deployment): the history against
         // itself finds nothing.
-        let report = crate::drift::compare(&all, &all, crate::drift::DEFAULT_NOISE_PCT);
+        let report = crate::drift::compare(&all, &all, crate::drift::DEFAULT_NOISE_PCT, None);
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.compared, 4 * TpchQuery::ALL.len());
     }

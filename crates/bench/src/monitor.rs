@@ -130,7 +130,7 @@ pub(crate) fn run_workloads(sf: f64, runs: usize, fleet: &Arc<Telemetry>) -> Res
             for dep in DEPLOYMENTS {
                 for _ in 0..runs {
                     let submit = [(q, dep)];
-                    profile.extend(run_workload(e, &XdbOptions::default(), &submit, false)?.0);
+                    profile.extend(run_workload(e, &XdbOptions::default(), &submit, false)?);
                     if dep != Deployment::Xdb {
                         continue;
                     }

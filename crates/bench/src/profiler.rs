@@ -9,7 +9,7 @@
 //! given, so with `repro --history dir/` every run is also recorded there,
 //! labeled with the TPC-H query name.
 
-use crate::experiments::{onprem, run_workload, six_queries, Deployment};
+use crate::experiments::{onprem, xdb_workload};
 use std::sync::Arc;
 use xdb_core::XdbOptions;
 use xdb_engine::error::Result;
@@ -20,13 +20,7 @@ use xdb_tpch::TableDist;
 /// `telemetry`; one history record per query.
 pub fn profile_workload(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Vec<HistoryRecord>> {
     let env = onprem(TableDist::Td1, sf, telemetry)?;
-    Ok(run_workload(
-        &env,
-        &XdbOptions::default(),
-        &six_queries(Deployment::Xdb, 1),
-        true,
-    )?
-    .0)
+    xdb_workload(&env, &XdbOptions::default(), 1, true)
 }
 
 /// Render the top-bottleneck table, slowest query first.
@@ -79,8 +73,7 @@ mod tests {
     #[test]
     fn profile_covers_workload_and_attributes_latency() {
         let env = onprem(TableDist::Td1, 0.002, &Telemetry::new_handle()).unwrap();
-        let submits = six_queries(Deployment::Xdb, 1);
-        let (records, _) = run_workload(&env, &XdbOptions::default(), &submits, true).unwrap();
+        let records = xdb_workload(&env, &XdbOptions::default(), 1, true).unwrap();
         assert_eq!(records.len(), TpchQuery::ALL.len());
         for r in &records {
             // Attribution tiles the whole end-to-end window.

@@ -14,13 +14,13 @@
 //! absorption), so the comparison is a pure function of the inputs:
 //! replaying with no profiles (or an empty store) must report **zero**
 //! flips — the tier-1 self-compare that pins the learned path's
-//! bit-exact-fallback contract in CI.
+//! bit-exact-fallback contract in CI. The report is a projection of the
+//! two arms' history records ([`ReplayReport::project`]).
 
-use crate::experiments::{onprem, result_digest, run_workload, six_queries, Deployment};
+use crate::experiments::{onprem, xdb_workload};
 use std::fmt::Write as _;
 use xdb_core::{CostProfiles, XdbOptions};
 use xdb_engine::error::Result;
-use xdb_engine::relation::Relation;
 use xdb_obs::costmodel::ErrorStats;
 use xdb_obs::{summarize, HistoryRecord, Telemetry};
 use xdb_tpch::TableDist;
@@ -43,15 +43,15 @@ pub struct ReplayArm {
 }
 
 impl ReplayArm {
-    /// Everything but the result digest is read off the query's record.
-    fn new(record: &HistoryRecord, result: &Relation) -> ReplayArm {
+    /// The arm of the query `record` holds.
+    fn new(record: &HistoryRecord) -> ReplayArm {
         ReplayArm {
             fingerprint: record.fingerprint.clone(),
             total_ms: record.total_ms,
             encoded_bytes: record.edges.iter().map(|e| e.encoded_bytes).sum(),
             regret_ms: record.cost.regret_ms(),
             predicted_ms: record.cost.decisions.iter().map(|d| d.predicted_ms).sum(),
-            digest: result_digest(result),
+            digest: record.result_digest.clone(),
         }
     }
 }
@@ -89,7 +89,7 @@ impl ReplayRow {
     }
 }
 
-/// Output of [`run_replay`].
+/// Output of [`run_replay`]: a projection of the two arms' records.
 pub struct ReplayReport {
     pub sf: f64,
     pub td: TableDist,
@@ -106,26 +106,10 @@ pub struct ReplayReport {
     pub learned_net_regret_ms: f64,
 }
 
-impl ReplayReport {
-    pub fn flips(&self) -> usize {
-        self.rows.iter().filter(|r| r.flipped()).count()
-    }
-
-    /// Every flip kept the result rows bit-identical.
-    pub fn results_identical(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.static_arm.digest == r.learned_arm.digest)
-    }
-}
-
-/// Per-query outcomes labelled by query name, plus the arm's mean absolute
-/// wire-prediction error (percent) and its net placement regret (ms).
-type ArmOutcome = (Vec<(String, ReplayArm)>, f64, f64);
-
-/// Run the workload once under one cost-model arm. `profiles` is the
-/// frozen store the learned arm prices against (`None` → static model).
-fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<ArmOutcome> {
+/// Run the workload once under one cost-model arm: one labelled record
+/// per query. `profiles` is the frozen store the learned arm prices
+/// against (`None` → static model).
+fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Vec<HistoryRecord>> {
     let e = onprem(td, sf, &Telemetry::new_handle())?;
     if let Some(p) = profiles {
         e.catalog.set_profiles(p.clone());
@@ -137,14 +121,7 @@ fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Ar
         freeze_profiles: true,
         ..Default::default()
     };
-    let (records, results) = run_workload(&e, &options, &six_queries(Deployment::Xdb, 1), true)?;
-    let arms = records
-        .iter()
-        .zip(&results)
-        .map(|(r, o)| (r.label.clone(), ReplayArm::new(r, o)))
-        .collect();
-    let wire: ErrorStats = records.iter().flat_map(|r| r.cost.wire_errors()).collect();
-    Ok((arms, wire.mean_abs_pct(), summarize(&records).net_regret_ms))
+    xdb_workload(&e, &options, 1, true)
 }
 
 /// Replay the workload under static and learned pricing and join the two
@@ -155,30 +132,57 @@ pub fn run_replay(
     profiles: Option<&CostProfiles>,
     profile_source: &str,
 ) -> Result<ReplayReport> {
-    let (static_rows, static_err, static_net) = run_arm(td, sf, None)?;
-    let (learned_rows, learned_err, learned_net) = run_arm(td, sf, profiles)?;
-    let rows = static_rows
-        .into_iter()
-        .zip(learned_rows)
-        .map(|((query, s), (_, l))| ReplayRow {
-            query,
-            static_arm: s,
-            learned_arm: l,
-        })
-        .collect();
-    Ok(ReplayReport {
-        sf,
-        td,
-        profile_source: profile_source.to_string(),
-        rows,
-        static_wire_abs_err_pct: static_err,
-        learned_wire_abs_err_pct: learned_err,
-        static_net_regret_ms: static_net,
-        learned_net_regret_ms: learned_net,
-    })
+    let (static_arm, learned_arm) = (run_arm(td, sf, None)?, run_arm(td, sf, profiles)?);
+    let report = ReplayReport::project(td, sf, profile_source, &static_arm, &learned_arm);
+    Ok(report)
 }
 
 impl ReplayReport {
+    /// The report of two arms' records, one labelled record per query in
+    /// the same order on both sides.
+    pub fn project(
+        td: TableDist,
+        sf: f64,
+        profile_source: &str,
+        static_arm: &[HistoryRecord],
+        learned_arm: &[HistoryRecord],
+    ) -> ReplayReport {
+        let wire_err = |records: &[HistoryRecord]| {
+            let wire: ErrorStats = records.iter().flat_map(|r| r.cost.wire_errors()).collect();
+            wire.mean_abs_pct()
+        };
+        let rows = static_arm
+            .iter()
+            .zip(learned_arm)
+            .map(|(s, l)| ReplayRow {
+                query: s.label.clone(),
+                static_arm: ReplayArm::new(s),
+                learned_arm: ReplayArm::new(l),
+            })
+            .collect();
+        ReplayReport {
+            sf,
+            td,
+            profile_source: profile_source.to_string(),
+            rows,
+            static_wire_abs_err_pct: wire_err(static_arm),
+            learned_wire_abs_err_pct: wire_err(learned_arm),
+            static_net_regret_ms: summarize(static_arm).net_regret_ms,
+            learned_net_regret_ms: summarize(learned_arm).net_regret_ms,
+        }
+    }
+
+    pub fn flips(&self) -> usize {
+        self.rows.iter().filter(|r| r.flipped()).count()
+    }
+
+    /// Every flip kept the result rows bit-identical.
+    pub fn results_identical(&self) -> bool {
+        self.rows
+            .iter()
+            .all(|r| r.static_arm.digest == r.learned_arm.digest)
+    }
+
     /// The text report `repro replay` prints. The "plan flips: N of M"
     /// line is the tier-1 self-compare anchor.
     pub fn render(&self) -> String {
@@ -263,22 +267,18 @@ impl ReplayReport {
 }
 
 /// Learn a profile store from the history of one pass of the workload with
-/// live feedback: the in-process equivalent of `--profiles dir/`, and the
-/// store that pass left in its catalog.
+/// live feedback (the default options): the in-process equivalent of
+/// `--profiles dir/`, and the store that pass left in its catalog.
 pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
-    let options = XdbOptions {
-        learned_costs: true,
-        freeze_profiles: false,
-        ..Default::default()
-    };
     let env = onprem(td, sf, &Telemetry::new_handle())?;
-    let (records, _) = run_workload(&env, &options, &six_queries(Deployment::Xdb, 1), true)?;
+    let records = xdb_workload(&env, &XdbOptions::default(), 1, true)?;
     Ok(CostProfiles::from_history(&records))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdb_obs::history::parse_history_jsonl;
 
     const TEST_SF: f64 = 0.002;
 
@@ -309,8 +309,16 @@ mod tests {
         assert!(!profiles.is_empty());
         let report = run_replay(TableDist::Td1, TEST_SF, Some(&profiles), "(test)").unwrap();
         assert!(report.results_identical(), "{}", report.render());
-        // Deterministic: a second replay renders bit-identically.
-        let again = run_replay(TableDist::Td1, TEST_SF, Some(&profiles), "(test)").unwrap();
-        assert_eq!(report.render(), again.render());
+        // The report is a projection of the arms' records: run again,
+        // written as history lines and read back, they render the same.
+        let read_back = |records: Vec<HistoryRecord>| {
+            let lines: String = records.iter().map(|r| r.to_json() + "\n").collect();
+            parse_history_jsonl(&lines).unwrap()
+        };
+        let static_arm = read_back(run_arm(TableDist::Td1, TEST_SF, None).unwrap());
+        let learned_arm = read_back(run_arm(TableDist::Td1, TEST_SF, Some(&profiles)).unwrap());
+        let projected =
+            ReplayReport::project(TableDist::Td1, TEST_SF, "(test)", &static_arm, &learned_arm);
+        assert_eq!(projected.render(), report.render());
     }
 }

@@ -60,6 +60,22 @@ impl Figure {
         self.notes.push(n.into());
     }
 
+    /// The x labels at which series `a` is lower than series `b` as the
+    /// table prints them (`Q5, Q9`, or `none`): a note built from this
+    /// cannot call a difference the table does not show.
+    pub fn lower(&self, a: &str, b: &str) -> String {
+        let value = |name: &str, x: &str| self.series.iter().find(|s| s.name == name)?.get(x);
+        let mut xs = self.x_labels();
+        xs.retain(|x| match (value(a, x), value(b, x)) {
+            (Some(va), Some(vb)) => va < vb && cell(va) != cell(vb),
+            _ => false,
+        });
+        if xs.is_empty() {
+            xs.push("none".to_string());
+        }
+        xs.join(", ")
+    }
+
     /// All x labels in first-appearance order.
     fn x_labels(&self) -> Vec<String> {
         let mut seen: HashSet<&str> = HashSet::new();
@@ -106,22 +122,9 @@ impl Figure {
         out.push('\n');
         for x in &xs {
             out.push_str(&format!("{x:<xw$}"));
-            for (index, w) in indexes.iter().zip(&widths) {
-                let w = *w;
-                match index.get(x.as_str()).copied() {
-                    Some(v) => {
-                        if v.abs() >= 1000.0 {
-                            out.push_str(&format!("{v:>w$.0}"));
-                        } else if v.abs() < 0.01 && v != 0.0 {
-                            // Keep orders-of-magnitude differences visible
-                            // (Fig 14's "three orders less" claim).
-                            out.push_str(&format!("{v:>w$.4}"));
-                        } else {
-                            out.push_str(&format!("{v:>w$.2}"));
-                        }
-                    }
-                    None => out.push_str(&format!("{:>w$}", "-", w = w)),
-                }
+            for (index, &w) in indexes.iter().zip(&widths) {
+                let text = index.get(x.as_str()).map_or("-".to_string(), |v| cell(*v));
+                out.push_str(&format!("{text:>w$}"));
             }
             out.push('\n');
         }
@@ -129,6 +132,19 @@ impl Figure {
             out.push_str(&format!("  note: {n}\n"));
         }
         out
+    }
+}
+
+/// One value as a table cell prints it.
+fn cell(v: f64) -> String {
+    if v.abs() >= 1000.0 {
+        format!("{v:.0}")
+    } else if v.abs() < 0.01 && v != 0.0 {
+        // Keep orders-of-magnitude differences visible (Fig 14's "three
+        // orders less" claim).
+        format!("{v:.4}")
+    } else {
+        format!("{v:.2}")
     }
 }
 
@@ -148,6 +164,21 @@ mod tests {
         assert!(r.contains("12345"));
         assert!(r.contains('-'), "missing gap marker: {r}");
         assert!(r.contains("note: hello"));
+    }
+
+    #[test]
+    fn lower_compares_as_the_table_prints() {
+        let mut f = Figure::new("Fig Z", "arms", "s");
+        for (x, a, b) in [("q1", 0.101, 0.104), ("q2", 0.2, 0.3), ("q3", 0.5, 0.4)] {
+            f.series_mut("a").push(x, a);
+            f.series_mut("b").push(x, b);
+        }
+        // q1 prints 0.10 on both sides: a tie, not a win.
+        assert_eq!(f.lower("a", "b"), "q2");
+        assert_eq!(f.lower("b", "a"), "q3");
+        f.series_mut("c").push("q2", 0.1);
+        assert_eq!(f.lower("c", "a"), "q2");
+        assert_eq!(f.lower("a", "missing"), "none");
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! series. Each arm runs on a fresh federation with a telemetry handle of
 //! its own, and a fresh federation numbers its queries from 1.
 
-use crate::experiments::{onprem, result_digest, CLOUD};
+use crate::experiments::{onprem, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use xdb_core::annotate::result_digest;
 use xdb_core::{QueryServer, SessionOptions, SessionReport, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::error::Result;
 use xdb_obs::Telemetry;

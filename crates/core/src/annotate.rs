@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
+use xdb_engine::relation::Relation;
 use xdb_net::{Movement, NodeId};
 use xdb_sql::algebra::{named_columns, plan_to_select, LogicalPlan, Name, PlanSchema};
 use xdb_sql::ast::Expr;
@@ -120,6 +121,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// keys SQL texts and plan fingerprints by it).
 pub fn stable_hash_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
+}
+
+/// Stable digest of a relation's ordered result cells (`{:?}|` per value,
+/// `\n` per row): how two runs show they returned the same answer.
+pub fn result_digest(relation: &Relation) -> String {
+    let mut cells = String::new();
+    for i in 0..relation.len() {
+        for c in 0..relation.width() {
+            let _ = write!(cells, "{:?}|", relation.value(i, c));
+        }
+        cells.push('\n');
+    }
+    stable_hash_hex(cells.as_bytes())
 }
 
 /// Canonical fingerprint of an annotated delegation plan: a stable hash

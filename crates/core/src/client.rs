@@ -25,8 +25,7 @@ use xdb_engine::relation::Relation;
 use xdb_net::{params, wire, NodeId, Purpose, Transfer};
 use xdb_obs::history::EdgeObs;
 use xdb_obs::{
-    critical_path, CriticalPath, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector,
-    TraceCtx,
+    critical_path, HistoryRecord, QueryTrace, SpanId, SpanKind, TraceCollector, TraceCtx,
 };
 use xdb_sql::ast::{Expr, SelectStmt, Statement, TableRef};
 use xdb_sql::bind::bind_select;
@@ -658,17 +657,43 @@ impl<'a> Xdb<'a> {
         // across reactor settings and stream-chunk sizes.
         if telemetry.history.is_enabled() {
             let crit = critical_path(&trace);
-            let record = self.history_record(
-                sql,
-                &delegation,
-                &breakdown,
-                crit.as_ref(),
+            let critical = crit
+                .as_ref()
+                .map(|c| {
+                    c.attribution
+                        .iter()
+                        .map(|a| {
+                            let ms = xdb_obs::critical::ms(a.ns);
+                            (a.category.label().to_string(), a.location.clone(), ms)
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            telemetry.history.append(HistoryRecord {
+                label: telemetry.history.label(),
+                deployment: "xdb".to_string(),
+                sql_fnv: stable_hash_hex(sql.as_bytes()),
+                fingerprint: plan_fingerprint(&delegation),
+                tasks: delegation.tasks.len() as u64,
+                result_digest: crate::annotate::result_digest(&outcome.relation),
                 query_id,
-                &fresh,
-                &statements,
-                &cost,
-            );
-            telemetry.history.append(record);
+                total_ms: breakdown.total_ms(),
+                phases: vec![
+                    ("prep".to_string(), breakdown.prep_ms),
+                    ("lopt".to_string(), breakdown.lopt_ms),
+                    ("ann".to_string(), breakdown.ann_ms),
+                    ("exec".to_string(), breakdown.exec_ms),
+                ],
+                consult_hits: breakdown.consult_cache_hits,
+                consult_misses: breakdown.consult_cache_misses,
+                consult_roundtrips: consults,
+                crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
+                critical,
+                edges: edge_observations(&fresh),
+                statements,
+                cost: cost.clone(),
+                learned_costs: self.options.learned_costs,
+            });
         }
         Ok(QueryOutcome {
             relation: outcome.relation,
@@ -680,61 +705,6 @@ impl<'a> Xdb<'a> {
             trace,
             cost,
         })
-    }
-
-    /// Assemble the [`HistoryRecord`] of one finished submission: plan
-    /// fingerprint, phase timings, critical-path attribution, per-edge
-    /// wire observations (from `fresh`, the ledger records this query
-    /// appended), and per-engine statement work.
-    #[allow(clippy::too_many_arguments)]
-    fn history_record(
-        &self,
-        sql: &str,
-        delegation: &DelegationPlan,
-        breakdown: &PhaseBreakdown,
-        crit: Option<&CriticalPath>,
-        query_id: u64,
-        fresh: &[Transfer],
-        statements: &[(String, f64)],
-        cost: &xdb_obs::CostObservation,
-    ) -> HistoryRecord {
-        let telemetry = self.cluster.telemetry();
-        let critical = crit
-            .map(|c| {
-                c.attribution
-                    .iter()
-                    .map(|a| {
-                        (
-                            a.category.label().to_string(),
-                            a.location.clone(),
-                            xdb_obs::critical::ms(a.ns),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        HistoryRecord {
-            label: telemetry.history.label(),
-            deployment: "xdb".to_string(),
-            sql_fnv: stable_hash_hex(sql.as_bytes()),
-            fingerprint: plan_fingerprint(delegation),
-            query_id,
-            total_ms: breakdown.total_ms(),
-            phases: vec![
-                ("prep".to_string(), breakdown.prep_ms),
-                ("lopt".to_string(), breakdown.lopt_ms),
-                ("ann".to_string(), breakdown.ann_ms),
-                ("exec".to_string(), breakdown.exec_ms),
-            ],
-            consult_hits: breakdown.consult_cache_hits,
-            consult_misses: breakdown.consult_cache_misses,
-            crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
-            critical,
-            edges: edge_observations(fresh),
-            statements: statements.to_vec(),
-            cost: cost.clone(),
-            learned_costs: self.options.learned_costs,
-        }
     }
 
     /// The final result travels from the root DBMS to the client, priced

@@ -5,6 +5,7 @@
 //! alike, so the comparisons include the query ids.
 
 use std::sync::Arc;
+use xdb_core::annotate::result_digest;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
@@ -68,6 +69,13 @@ fn history_record_carries_fingerprint_and_edges() {
     assert_eq!(r.sql_fnv.len(), 16);
     assert!((r.total_ms - outcome.breakdown.total_ms()).abs() < 1e-9);
     assert_eq!(r.phases.len(), 4);
+    // What the ablations and `replay` read: the plan's task count, the
+    // annotator's round trips (prep's metadata fetches are misses too, but
+    // not round trips) and the answer's digest.
+    assert_eq!(r.tasks, outcome.delegation.tasks.len() as u64);
+    assert_eq!(r.consult_roundtrips, outcome.consult_roundtrips);
+    assert!(r.consult_roundtrips <= r.consult_misses);
+    assert_eq!(r.result_digest, result_digest(&outcome.relation));
     assert!(r.crit_spans >= 2);
     assert!(!r.critical.is_empty());
     // Wire observations cover the run's ledger records, including the
@@ -86,6 +94,7 @@ fn history_record_carries_fingerprint_and_edges() {
     assert_eq!(records[1].fingerprint, r.fingerprint);
     assert_eq!(records[1].sql_fnv, r.sql_fnv);
     assert_eq!(records[1].label, "");
+    assert_eq!(records[1].result_digest, r.result_digest);
 }
 
 #[test]

@@ -196,16 +196,6 @@ impl Ledger {
             .sum()
     }
 
-    /// Total bytes touching (into or out of) a specific node.
-    pub fn bytes_touching(&self, node: &NodeId) -> u64 {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|t| &t.to == node || &t.from == node)
-            .map(|t| t.bytes)
-            .sum()
-    }
-
     /// Snapshot of all transfers (for plan analysis like Table IV).
     pub fn snapshot(&self) -> Vec<Transfer> {
         self.inner.lock().clone()
@@ -245,7 +235,6 @@ mod tests {
         assert_eq!(l.total_rows(), 15);
         assert_eq!(l.bytes_for(Purpose::SubqueryResult), 100);
         assert_eq!(l.bytes_into(&"c".into()), 50);
-        assert_eq!(l.bytes_touching(&"b".into()), 150);
         assert_eq!(l.len(), 2);
     }
 

@@ -3,20 +3,23 @@
 //!
 //! Each [`HistoryRecord`] captures one submission: a canonical **plan
 //! fingerprint** (stable hash of the annotated task DAG — placements,
-//! movement choices, fragment keys — computed by `xdb-core`), per-phase
-//! timings, the critical-path attribution, per-edge wire observations
-//! (raw vs encoded bytes and the per-codec split), per-engine statement
-//! work, and consultation-cache hit rates. Everything is taken off the
-//! simulated clock and script-order-deterministic state, so records are
-//! bit-identical on any number of executor threads, across stream-chunk
-//! sizes, and across fresh federations, which number their queries alike.
+//! movement choices, fragment keys — computed by `xdb-core`) and the
+//! plan's task count, a digest of the result rows, per-phase timings, the
+//! critical-path attribution, per-edge wire observations (raw vs encoded
+//! bytes and the per-codec split), per-engine statement work, consult
+//! cache counts and the annotator's round trips. Everything is taken off
+//! the simulated clock and script-order-deterministic state, so records
+//! are bit-identical on any number of executor threads, across
+//! stream-chunk sizes, and across fresh federations, which number their
+//! queries alike.
 //!
 //! Every deployment writes this one record: XDB from `Xdb::submit`, and
 //! the Garlic, Presto and Sclera baselines from their shared submit tail
-//! (fingerprint of the decomposed plan, total and transfer time, consult
-//! counts and edges; no critical path, statements or cost bundle). The
-//! reports that compare deployments — `repro monitor` and the figure
-//! runners — are projections of these records.
+//! (fingerprint and task count of the decomposed plan, result digest,
+//! total and transfer time, consult counts and edges; no critical path,
+//! statements or cost bundle). The reports are projections of these
+//! records: `repro monitor`, the figure and ablation runners, `profile`,
+//! `calibrate`, `replay` and `drift`.
 //!
 //! The [`HistorySink`] lives on [`crate::Telemetry`] and is **disabled by
 //! default** — recording costs nothing until `repro --history dir/`
@@ -35,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// checked in here (`BENCH_history/`) and re-recorded when the layout
 /// changes, so a record of any other version is an error naming its line,
 /// not a guess at what its missing fields meant.
-pub const HISTORY_SCHEMA_VERSION: u64 = 3;
+pub const HISTORY_SCHEMA_VERSION: u64 = 4;
 
 /// File name of the JSON-lines store inside a history directory.
 pub const HISTORY_FILE: &str = "history.jsonl";
@@ -76,6 +79,12 @@ pub struct HistoryRecord {
     /// (placements, movement choices, fragment keys). A changed
     /// fingerprint for the same `sql_fnv` is a plan flip.
     pub fingerprint: String,
+    /// Tasks of that plan (Ablation A4's bushy task count).
+    pub tasks: u64,
+    /// Stable digest of the ordered result cells (`result_digest` of
+    /// `xdb-core`): `replay` compares its arms by it, and drift flags a
+    /// group whose answers differ.
+    pub result_digest: String,
     /// The federation's correlation id (`Cluster::next_query_id`); 0 for
     /// a baseline, which takes none. Informational only: it counts every
     /// query the federation ran before this one, so drift comparison
@@ -86,8 +95,14 @@ pub struct HistoryRecord {
     /// `ann`, `exec` for XDB; `transfer` (the μ of Fig 1 and Fig 9) for a
     /// baseline.
     pub phases: Vec<(String, f64)>,
+    /// Consultation-cache hits and misses over the whole submission,
+    /// prep's metadata fetches included.
     pub consult_hits: u64,
     pub consult_misses: u64,
+    /// The annotator's EXPLAIN round trips alone (`QueryOutcome::
+    /// consult_roundtrips`, what Ablation A2 counts): the misses of the
+    /// annotation, without prep's metadata fetches.
+    pub consult_roundtrips: u64,
     /// Critical-path length in spans.
     pub crit_spans: u64,
     /// Critical-path attribution: `(category, location, simulated ms)`,
@@ -106,16 +121,6 @@ pub struct HistoryRecord {
 }
 
 impl HistoryRecord {
-    /// Share of consult probes answered from cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.consult_hits + self.consult_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.consult_hits as f64 / total as f64
-        }
-    }
-
     /// Simulated ms of phase `name`; 0 when the run has no such phase.
     pub fn phase_ms(&self, name: &str) -> f64 {
         self.phases
@@ -199,11 +204,14 @@ impl HistoryRecord {
             ("deployment", self.deployment.as_str().into()),
             ("sql_fnv", self.sql_fnv.as_str().into()),
             ("fingerprint", self.fingerprint.as_str().into()),
+            ("tasks", self.tasks.into()),
+            ("result_digest", self.result_digest.as_str().into()),
             ("query_id", self.query_id.into()),
             ("total_ms", self.total_ms.into()),
             ("phases", named(&self.phases)),
             ("consult_hits", self.consult_hits.into()),
             ("consult_misses", self.consult_misses.into()),
+            ("consult_roundtrips", self.consult_roundtrips.into()),
             ("crit_spans", self.crit_spans.into()),
             ("critical", json::Value::Array(critical.collect())),
             ("edges", json::Value::Array(edges.collect())),
@@ -230,11 +238,14 @@ impl HistoryRecord {
             deployment: text(v, "deployment")?,
             sql_fnv: text(v, "sql_fnv")?,
             fingerprint: text(v, "fingerprint")?,
+            tasks: v.u64("tasks")?,
+            result_digest: text(v, "result_digest")?,
             query_id: v.u64("query_id")?,
             total_ms: v.f64("total_ms")?,
             phases: v.members("phases", "a number", json::Value::as_f64)?,
             consult_hits: v.u64("consult_hits")?,
             consult_misses: v.u64("consult_misses")?,
+            consult_roundtrips: v.u64("consult_roundtrips")?,
             crit_spans: v.u64("crit_spans")?,
             critical: v.each("critical", |c| {
                 Ok((text(c, "category")?, text(c, "location")?, c.f64("ms")?))
@@ -394,6 +405,8 @@ mod tests {
             deployment: "xdb".to_string(),
             sql_fnv: "00fe12ab34cd56ef".to_string(),
             fingerprint: "0123456789abcdef".to_string(),
+            tasks: 3,
+            result_digest: "fedcba9876543210".to_string(),
             query_id: 42,
             total_ms: 123.456,
             phases: vec![
@@ -404,6 +417,7 @@ mod tests {
             ],
             consult_hits: 3,
             consult_misses: 1,
+            consult_roundtrips: 1,
             crit_spans: 7,
             critical: vec![
                 ("transfer".to_string(), "cdb->hdb".to_string(), 61.0),
@@ -470,7 +484,15 @@ mod tests {
         let v = json::parse(&r.to_json()).unwrap();
         let back = HistoryRecord::from_json(&v).unwrap();
         assert_eq!(back, r);
-        assert!((r.cache_hit_rate() - 0.75).abs() < 1e-12);
+        // The three fields schema v4 added survive the trip.
+        assert_eq!(
+            (
+                back.tasks,
+                back.consult_roundtrips,
+                back.result_digest.as_str()
+            ),
+            (3, 1, "fedcba9876543210")
+        );
         let cats = r.critical_by_category();
         assert_eq!(cats[0], ("transfer".to_string(), 73.5));
     }
@@ -540,6 +562,9 @@ mod tests {
         let full = sample().to_json();
         for (damage, field) in [
             (",\"learned_costs\":true", "learned_costs"),
+            (",\"tasks\":3", "tasks"),
+            (",\"result_digest\":\"fedcba9876543210\"", "result_digest"),
+            (",\"consult_roundtrips\":1", "consult_roundtrips"),
             (",\"exec_ms\":0", "exec_ms"),
             (",\"obs_encoded_bytes\":400", "obs_encoded_bytes"),
             (",\"ms\":40", "ms"),

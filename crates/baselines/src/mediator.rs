@@ -129,10 +129,6 @@ impl<'a> Mediator<'a> {
         }
     }
 
-    pub fn config(&self) -> &MediatorConfig {
-        &self.config
-    }
-
     /// Decompose a query into the MW plan: sub-query tasks + mediator
     /// residual.
     fn decompose(&self, sql: &str) -> Result<crate::Planned> {
@@ -298,25 +294,6 @@ impl<'a> Mediator<'a> {
     }
 }
 
-/// Sanity helper shared by tests/benches: the per-subquery relations of a
-/// decomposition never contain placeholders.
-pub fn assert_subqueries_pure(plan: &DelegationPlan) {
-    for task in &plan.tasks {
-        if task.id == plan.root {
-            continue;
-        }
-        let mut stack = vec![&task.plan];
-        while let Some(p) = stack.pop() {
-            assert!(
-                !matches!(p, xdb_sql::algebra::LogicalPlan::Placeholder { .. }),
-                "sub-query task t{} contains a placeholder",
-                task.id
-            );
-            stack.extend(p.children());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +308,8 @@ mod tests {
         let (cluster, catalog) = setup();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::garlic("mediator"));
         let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap().plan;
-        assert_subqueries_pure(&plan);
+        // Every edge feeds the mediator root: no sub-query reads another.
+        assert!(plan.edges.iter().all(|e| e.to == plan.root));
         // Root is the mediator; sub-queries are one per DBMS (vaccines +
         // vaccination fused on vdb).
         assert_eq!(plan.task(plan.root).dbms.as_str(), "mediator");
@@ -343,7 +321,8 @@ mod tests {
         let (cluster, catalog) = setup();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::presto("mediator", 4));
         let plan = m.decompose(scenario::EXAMPLE_QUERY).unwrap().plan;
-        assert_subqueries_pure(&plan);
+        // Every edge feeds the mediator root: no sub-query reads another.
+        assert!(plan.edges.iter().all(|e| e.to == plan.root));
         // One sub-query per base table + the mediator root.
         assert_eq!(plan.tasks.len(), 5, "{}", plan.describe());
     }
@@ -357,12 +336,12 @@ mod tests {
             MediatorConfig::garlic("mediator"),
             MediatorConfig::presto("mediator", 4),
         ] {
+            let name = config.name;
             let m = Mediator::new(&cluster, &catalog, config);
             let report = m.submit(scenario::EXAMPLE_QUERY).unwrap();
             assert!(
                 report.relation.same_bag(&expected),
-                "{} diverged from XDB",
-                m.config().name
+                "{name} diverged from XDB"
             );
         }
     }

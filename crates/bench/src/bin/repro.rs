@@ -10,7 +10,6 @@
 //! repro --trace out.json fig9    # also emit a Chrome-trace JSON of the
 //!                                # six-query TD1 workload (open in
 //!                                # chrome://tracing or ui.perfetto.dev)
-//! repro --check-trace out.json   # validate a previously emitted trace
 //! repro --log events.jsonl fig9  # export the structured event log of the
 //!                                # run as JSON lines
 //! repro monitor --runs 3         # fleet workload monitor: per-query ×
@@ -61,7 +60,7 @@ use std::io::Write;
 use std::sync::Arc;
 use xdb_bench::experiments as exp;
 use xdb_bench::{calibrate, drift, gate, monitor, profiler, replay, tenants};
-use xdb_obs::{json, Telemetry};
+use xdb_obs::Telemetry;
 use xdb_tpch::{TableDist, TpchQuery};
 
 fn main() {
@@ -77,7 +76,6 @@ fn main() {
     let mut targets: Vec<String> = Vec::new();
     let mut trace_path: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
     let mut log_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut json_path: Option<String> = None;
@@ -103,7 +101,6 @@ fn main() {
             "--digest" => digest_path = Some(value("a path prefix")),
             "--trace" => trace_path = Some(value("a file path")),
             "--out" => out_path = Some(value("a file path")),
-            "--check-trace" => check_path = Some(value("a file path")),
             "--log" => log_path = Some(value("a file path")),
             "--metrics" => metrics_path = Some(value("a file path")),
             "--json" => json_path = Some(value("a file path")),
@@ -163,10 +160,6 @@ fn main() {
             Err(e) => usage(format!("cannot load cost profiles from {dir}: {e}")),
         }
     }
-    if let Some(path) = check_path {
-        check_trace(&path);
-        return;
-    }
     if targets.iter().any(|t| t == "gate") {
         run_gate(monitor_baseline, &telemetry);
         return;
@@ -185,8 +178,7 @@ fn main() {
              \x20      repro [--sf X] [--history dir] profile\n\
              \x20      repro [--sf X] [--runs N] [--td 1|2|3] calibrate\n\
              \x20      repro [--sf X] [--td 1|2|3] [--profiles dir] replay\n\
-             \x20      repro drift --baseline dir --current dir [--band PCT] [--flip-rate PCT]\n\
-             \x20      repro --check-trace out.json",
+             \x20      repro drift --baseline dir --current dir [--band PCT] [--flip-rate PCT]",
         );
     }
     let mut out: Box<dyn Write> = match &out_path {
@@ -433,59 +425,4 @@ fn run_drift(
     if !report.passed() {
         std::process::exit(1);
     }
-}
-
-/// Validate a Chrome-trace JSON file emitted by `--trace`: it must parse,
-/// and every named lane must carry at least one complete ("X") event.
-/// Exits 2 on any violation.
-fn check_trace(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("check-trace: cannot read {path}: {e}")));
-    let value = json::parse(&text)
-        .unwrap_or_else(|e| fail(format!("check-trace: {path} is not valid JSON: {e}")));
-    let Some(events) = value.get("traceEvents").and_then(json::Value::as_array) else {
-        fail(format!("check-trace: {path} has no traceEvents array"))
-    };
-    let mut lanes: Vec<(f64, String)> = Vec::new(); // (tid, name)
-    let mut x_tids: Vec<f64> = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(json::Value::as_str);
-        let tid = e.get("tid").and_then(json::Value::as_f64);
-        match ph {
-            Some("M") if e.get("name").and_then(json::Value::as_str) == Some("thread_name") => {
-                let name = e
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(json::Value::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                lanes.push((tid.unwrap_or(-1.0), name));
-            }
-            Some("X") => x_tids.push(tid.unwrap_or(-1.0)),
-            _ => {}
-        }
-    }
-    if lanes.is_empty() || x_tids.is_empty() {
-        fail(format!(
-            "check-trace: {path} has {} lanes and {} X events",
-            lanes.len(),
-            x_tids.len()
-        ));
-    }
-    let mut bad = false;
-    for (tid, name) in &lanes {
-        let n = x_tids.iter().filter(|t| *t == tid).count();
-        if n == 0 {
-            eprintln!("check-trace: lane {name:?} (tid {tid}) has no spans");
-            bad = true;
-        }
-    }
-    if bad {
-        std::process::exit(2);
-    }
-    println!(
-        "check-trace: {path} OK — {} X events across {} lanes",
-        x_tids.len(),
-        lanes.len()
-    );
 }

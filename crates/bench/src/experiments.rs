@@ -561,7 +561,12 @@ pub fn ablation_movement(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> 
                 .push(q.name(), r.phase_ms("exec") / 1000.0);
         }
     }
-    fig.note("cost-based should match or beat both forced policies");
+    let note = format!(
+        "all-implicit beats cost-based on {}; all-explicit beats it on {}",
+        fig.lower("all-implicit", "cost-based"),
+        fig.lower("all-explicit", "cost-based"),
+    );
+    fig.note(note);
     Ok(fig)
 }
 
@@ -700,6 +705,42 @@ mod tests {
                     .unwrap();
                 assert!(actual <= total, "{sys} {x}: {actual} > {total}");
             }
+        }
+    }
+
+    /// The `--trace` payload parses as Chrome-trace JSON, and every lane it
+    /// names (each engine node, the client, the network) carries at least
+    /// one complete (`X`) event.
+    #[test]
+    fn trace_workload_gives_every_lane_a_span() {
+        use xdb_obs::json::{self, Value};
+        let trace = trace_workload(TEST_SF, &Telemetry::new_handle()).unwrap();
+        let doc = json::parse(&trace.to_chrome_json()).unwrap();
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        // The string at `path` of `e`, if there is one.
+        let at = |e: &Value, path: &[&str]| {
+            path.iter()
+                .try_fold(e, |v, k| v.get(k))
+                .and_then(Value::as_str)
+                .map(str::to_string)
+        };
+        let lanes: Vec<(f64, String)> = events
+            .iter()
+            .filter(|e| at(e, &["ph"]).as_deref() == Some("M"))
+            .filter(|e| at(e, &["name"]).as_deref() == Some("thread_name"))
+            .map(|e| (e.f64("tid").unwrap(), at(e, &["args", "name"]).unwrap()))
+            .collect();
+        let x_tids: Vec<f64> = events
+            .iter()
+            .filter(|e| at(e, &["ph"]).as_deref() == Some("X"))
+            .map(|e| e.f64("tid").unwrap())
+            .collect();
+        assert!(lanes.len() > 2, "{lanes:?}");
+        for (tid, name) in &lanes {
+            assert!(
+                x_tids.contains(tid),
+                "lane {name:?} (tid {tid}) has no spans"
+            );
         }
     }
 

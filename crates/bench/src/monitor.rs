@@ -383,8 +383,8 @@ impl MonitorReport {
     }
 
     /// Deterministic scalar values for the regression gate, keyed
-    /// `profile/query/deployment/metric` (schema v2; v1 had no profile
-    /// segment).
+    /// `profile/query/deployment/metric` (the snapshot's
+    /// `schema_version` is [`crate::gate::MONITOR_SCHEMA_VERSION`]).
     pub fn flat_values(&self) -> BTreeMap<String, f64> {
         let mut v = BTreeMap::new();
         for r in &self.rows {

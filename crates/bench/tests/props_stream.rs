@@ -28,8 +28,16 @@ fn run_td1(q: TpchQuery, chunk: usize) -> (Relation, u64, u64) {
     let enc = e
         .cluster
         .ledger
-        .encoded_bytes_for(Purpose::InterDbmsPipeline)
-        + e.cluster.ledger.encoded_bytes_for(Purpose::Materialization);
+        .snapshot()
+        .iter()
+        .filter(|t| {
+            matches!(
+                t.purpose,
+                Purpose::InterDbmsPipeline | Purpose::Materialization
+            )
+        })
+        .map(|t| t.encoded_bytes)
+        .sum();
     (out.relation, raw, enc)
 }
 

@@ -55,3 +55,65 @@ fn bad_input_is_a_usage_error_naming_the_flag_or_path() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// One run wires every export flag to its file: the Prometheus text, the
+/// monitor JSON, the event log, the Chrome trace and the two tenant digests
+/// are written, non-empty, and parse; the digests of the folded and the
+/// unfolded arm are equal. (What the files say is held in process by the
+/// `monitor`, `tenants` and `experiments` unit tests.)
+#[test]
+fn one_run_writes_every_export() {
+    use xdb_obs::json::{self, Value};
+    let dir = std::env::temp_dir().join(format!("repro_cli_exports_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (code, stderr) = repro(&[
+        "--sf",
+        "0.002",
+        "--runs",
+        "2",
+        "--metrics",
+        &path("m.prom"),
+        "--json",
+        &path("m.json"),
+        "--log",
+        &path("events.jsonl"),
+        "--digest",
+        &path("tn"),
+        "--trace",
+        &path("t.json"),
+        "--out",
+        &path("report.txt"),
+        "monitor",
+        "tenants",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(path(name)).unwrap();
+        assert!(!text.trim().is_empty(), "{name} is empty");
+        text
+    };
+    read("report.txt");
+    // Prometheus text: `# TYPE` comments and `series value` samples.
+    for line in read("m.prom").lines() {
+        let sample = line.rsplit_once(' ').map(|(_, v)| v.parse::<f64>());
+        assert!(
+            line.starts_with("# TYPE ") || matches!(sample, Some(Ok(_))),
+            "m.prom: {line}"
+        );
+    }
+    for name in ["m.json", "t.json"] {
+        json::parse(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let levels: Vec<String> = read("events.jsonl")
+        .lines()
+        .map(|line| {
+            let event = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let level = event.get("level").and_then(Value::as_str);
+            level.expect(line).to_string()
+        })
+        .collect();
+    assert!(levels.iter().any(|l| l == "info"), "{levels:?}");
+    assert_eq!(read("tn.folded.txt"), read("tn.unfolded.txt"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

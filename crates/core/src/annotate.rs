@@ -177,7 +177,7 @@ pub fn plan_fingerprint(plan: &DelegationPlan) -> String {
 /// placeholder names could at worst merge two *different* renderings, so
 /// the full child key (not just its hash) is folded into the in-edge list
 /// to keep keys injective over the sub-DAG structure.
-pub fn fragment_keys(plan: &DelegationPlan) -> HashMap<usize, String> {
+pub(crate) fn fragment_keys(plan: &DelegationPlan) -> HashMap<usize, String> {
     let mut keys: HashMap<usize, String> = HashMap::new();
     for id in plan.topo_order() {
         let task = plan.task(id);
@@ -779,7 +779,7 @@ fn parse_placeholder(name: &str) -> Option<usize> {
 
 /// Unique bare output names for a schema: field name (shared),
 /// disambiguated with its qualifier when duplicated.
-pub fn unique_names(schema: &PlanSchema) -> Result<Vec<Name>> {
+pub(crate) fn unique_names(schema: &PlanSchema) -> Result<Vec<Name>> {
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(schema.fields.len());
     for f in &*schema.fields {
@@ -807,7 +807,7 @@ pub fn unique_names(schema: &PlanSchema) -> Result<Vec<Name>> {
 }
 
 /// Apply cut renames (oldest first) to an expression.
-pub fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
+pub(crate) fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
     let mut out = e;
     for r in renames {
         out = out.transform(&mut |x| match &x {

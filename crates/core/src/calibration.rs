@@ -97,11 +97,6 @@ impl Calibration {
         }
     }
 
-    /// Convert a cost reported by `node` into reference units.
-    pub fn to_reference(&self, node: &str, cost: f64) -> f64 {
-        cost * self.factors.get(node).copied().unwrap_or(1.0)
-    }
-
     pub fn factor(&self, node: &str) -> Option<f64> {
         self.factors.get(node).copied()
     }
@@ -140,8 +135,8 @@ mod tests {
         // Calibrated costs agree on the identical probe workload.
         let pg_cost = 100.0;
         let maria_cost = pg_cost * (f / fm);
-        let a = cal.to_reference("pg", pg_cost);
-        let b = cal.to_reference("maria", maria_cost);
+        let a = pg_cost * f;
+        let b = maria_cost * fm;
         assert!((a - b).abs() / a < 1e-6);
     }
 
@@ -166,7 +161,6 @@ mod tests {
     #[test]
     fn unknown_node_passes_through() {
         let cal = Calibration::default();
-        assert_eq!(cal.to_reference("ghost", 5.0), 5.0);
         assert_eq!(cal.factor("ghost"), None);
         assert_eq!(cal.reference_node(), None);
     }

@@ -21,7 +21,7 @@ impl Characteristic {
         Characteristic::InterDbmsInteractions,
     ];
 
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Characteristic::DbmsHeterogeneity => "DBMS Heterogeneity",
             Characteristic::StorageAutonomy => "Storage Autonomy",
@@ -53,7 +53,7 @@ impl Paradigm {
         Paradigm::Xdb,
     ];
 
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Paradigm::Ddbms => "DDBMS",
             Paradigm::Pdbms => "PDBMS",
@@ -74,7 +74,7 @@ pub enum Support {
 }
 
 impl Support {
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Support::Yes => "yes",
             Support::No => "no",
@@ -84,7 +84,7 @@ impl Support {
 }
 
 /// Table II, cell by cell.
-pub fn support(paradigm: Paradigm, characteristic: Characteristic) -> Support {
+pub(crate) fn support(paradigm: Paradigm, characteristic: Characteristic) -> Support {
     use Characteristic as C;
     use Paradigm as P;
     match (paradigm, characteristic) {

@@ -56,11 +56,6 @@ impl PhaseBreakdown {
         self.prep_ms + self.lopt_ms + self.ann_ms + self.exec_ms
     }
 
-    /// Optimization overhead (everything but execution).
-    pub fn overhead_ms(&self) -> f64 {
-        self.prep_ms + self.lopt_ms + self.ann_ms
-    }
-
     /// Project the breakdown out of a query trace: phase durations come
     /// from the Phase spans, cache accounting from the counters. This is
     /// the *only* way the middleware computes a breakdown — the trace is
@@ -246,8 +241,7 @@ impl<'a> Xdb<'a> {
         let select = match stmt {
             Statement::Select(s) => s,
             // `EXPLAIN <select>` against the middleware plans the inner
-            // query; callers wanting the rendered report use
-            // [`Xdb::explain`].
+            // query.
             Statement::Explain(s) => s,
             other => {
                 return Err(EngineError::Unsupported(format!(
@@ -461,32 +455,6 @@ impl<'a> Xdb<'a> {
             ann_probes: annotation.cache_hits + annotation.consults,
             lopt_ms,
         })
-    }
-
-    /// Middleware-level `EXPLAIN`: plan the query (consulting statistics
-    /// and costing placements) without deploying or executing anything,
-    /// and render the delegation plan + DDL script as text.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let (plan, script, breakdown, consults) = self.plan(sql)?;
-        let mut out = String::new();
-        out.push_str("== delegation plan ==\n");
-        out.push_str(&plan.describe());
-        out.push_str("\n== DDL script ==\n");
-        for step in &script.steps {
-            out.push_str(&format!("@{}: {}\n", step.node, step.sql));
-        }
-        out.push_str(&format!(
-            "\n== XDB query ==\n@{}: {}\n",
-            script.root_node, script.xdb_query
-        ));
-        out.push_str(&format!(
-            "\n{} tasks, {} movements, {consults} consulting round-trips, \
-             estimated optimization overhead {:.0} ms\n",
-            plan.tasks.len(),
-            plan.edges.len(),
-            breakdown.overhead_ms()
-        ));
-        Ok(out)
     }
 
     /// The one stage that runs a planned query, for [`Xdb::submit`] and the
@@ -1030,22 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_plan_without_executing() {
-        let (cluster, catalog) = setup();
-        let xdb = Xdb::new(&cluster, &catalog);
-        let text = xdb.explain(scenario::EXAMPLE_QUERY).unwrap();
-        assert!(text.contains("delegation plan"), "{text}");
-        assert!(text.contains("CREATE VIEW"), "{text}");
-        assert!(text.contains("consulting round-trips"), "{text}");
-        // Nothing was deployed or moved.
-        assert_eq!(cluster.ledger.total_bytes(), 0);
-        for node in ["cdb", "vdb", "hdb"] {
-            let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
-            assert!(names.iter().all(|n| !n.starts_with("xdb_q")));
-        }
-    }
-
-    #[test]
     fn non_select_rejected() {
         let (cluster, catalog) = setup();
         let xdb = Xdb::new(&cluster, &catalog);
@@ -1085,6 +1037,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(b.total_ms(), 10.0);
-        assert_eq!(b.overhead_ms(), 6.0);
     }
 }

@@ -66,7 +66,7 @@ pub struct Placement {
 /// - an explicit move's serialized producer start-up is scaled by the
 ///   producer engine's learned compute factor.
 #[allow(clippy::too_many_arguments)] // mirrors Eq. 2–3's parameter list
-pub fn movement_cost_split(
+pub(crate) fn movement_cost_split(
     topology: &Topology,
     src: &NodeId,
     a: &NodeId,
@@ -117,7 +117,7 @@ pub fn movement_cost_split(
 pub const SCAN_WEIGHT: f64 = 0.2;
 
 /// Cost of evaluating the join at `a`, given how each input arrives.
-pub fn join_exec_cost(
+pub(crate) fn join_exec_cost(
     a_profile: &EngineProfile,
     left_rows: f64,
     right_rows: f64,
@@ -133,9 +133,10 @@ pub fn join_exec_cost(
     }
 }
 
-/// Eq. 1–3 cost split of one candidate, in simulated milliseconds. The
-/// invariant `total() == CandidateCost::cost` holds exactly (same
-/// floating-point additions, same order).
+/// Eq. 1–3 cost split of one candidate, in simulated milliseconds.
+/// `exec_ms + move_left_ms + move_right_ms + startup_ms` equals
+/// `CandidateCost::cost` exactly (same floating-point additions, same
+/// order).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostComponents {
     /// Pure wire time of the left input (`topology.transfer_ms` over the
@@ -150,12 +151,6 @@ pub struct CostComponents {
     pub exec_ms: f64,
     /// Consumer engine start-up charged by placing the stage at `a`.
     pub startup_ms: f64,
-}
-
-impl CostComponents {
-    pub fn total(&self) -> f64 {
-        self.exec_ms + self.move_left_ms + self.move_right_ms + self.startup_ms
-    }
 }
 
 /// One fully-costed `(a, x_l, x_r)` option considered by
@@ -193,9 +188,9 @@ pub struct CandidateCost {
 ///   factor (observed statement work per predicted compute unit).
 ///
 /// The `CostComponents` breakdown stores the *scaled* values, so the
-/// `total() == cost` invariant holds bit-exactly in both modes.
+/// components-sum-to-`cost` invariant holds bit-exactly in both modes.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_placement_with_profiles<'p>(
+pub(crate) fn decide_placement_with_profiles<'p>(
     topology: &Topology,
     profiles: &dyn Fn(&NodeId) -> Result<&'p EngineProfile>,
     left: &InputSide,
@@ -306,6 +301,11 @@ pub fn decide_placement_with_profiles<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sum the optimizer compares, in its order of additions.
+    fn total(c: &CostComponents) -> f64 {
+        c.exec_ms + c.move_left_ms + c.move_right_ms + c.startup_ms
+    }
     use std::sync::LazyLock;
     use xdb_net::Topology;
 
@@ -491,7 +491,7 @@ mod tests {
         for c in &costed {
             // Bit-exact: the breakdown is the same additions in the same
             // order as the total the optimizer compared.
-            assert_eq!(c.components.total(), c.cost);
+            assert_eq!(total(&c.components), c.cost);
             assert!(c.components.wire_left_ms <= c.components.move_left_ms);
             assert!(c.components.wire_right_ms <= c.components.move_right_ms);
             // The moved side's wire term is exactly the topology's price
@@ -630,7 +630,7 @@ mod tests {
         assert_eq!(learned_placement.dbms.as_str(), "db1");
         // Exact breakdowns.
         for c in &costed {
-            assert_eq!(c.components.total(), c.cost);
+            assert_eq!(total(&c.components), c.cost);
         }
     }
 
@@ -660,7 +660,7 @@ mod tests {
         let f = learned.compute_factor("db2").unwrap();
         assert!(f > 1.7, "{f}");
         for (s, c) in c_static.iter().zip(&c_learned) {
-            assert_eq!(c.components.total(), c.cost);
+            assert_eq!(total(&c.components), c.cost);
             if c.dbms.as_str() == "db2" {
                 assert!((c.components.exec_ms - s.components.exec_ms * f).abs() < 1e-9);
                 assert!((c.components.startup_ms - s.components.startup_ms * f).abs() < 1e-9);

@@ -4,12 +4,11 @@
 
 use crate::consult_cache::{ConsultCache, Probe};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::NodeId;
-use xdb_obs::MetricsSnapshot;
 use xdb_sql::ast::lower_name;
 use xdb_sql::bind::{RelationFields, ResolvedRelation, SchemaProvider};
 use xdb_sql::stats::{ColumnStats, StatsProvider};
@@ -66,7 +65,7 @@ impl GlobalCatalog {
     }
 
     /// Register a table of the global schema as residing on `dbms`.
-    pub fn register(&mut self, name: &str, dbms: impl Into<String>, fields: RelationFields) {
+    pub(crate) fn register(&mut self, name: &str, dbms: impl Into<String>, fields: RelationFields) {
         self.tables.insert(
             name.to_ascii_lowercase(),
             GlobalTable {
@@ -96,7 +95,7 @@ impl GlobalCatalog {
         Ok(catalog)
     }
 
-    pub fn table(&self, name: &str) -> Option<&GlobalTable> {
+    pub(crate) fn table(&self, name: &str) -> Option<&GlobalTable> {
         self.tables.get(&*lower_name(name))
     }
 
@@ -142,33 +141,6 @@ impl GlobalCatalog {
         Ok(false)
     }
 
-    /// Point-in-time snapshot of this catalog's own accounting counters,
-    /// in the diffable [`MetricsSnapshot`] shape the trace layer uses.
-    /// Callers bracket a run with two snapshots and
-    /// [`MetricsSnapshot::diff`] to get a per-run delta immune to whatever
-    /// other queries did before.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut counters = BTreeMap::new();
-        counters.insert("catalog.tables".to_string(), self.tables.len() as f64);
-        counters.insert(
-            "catalog.metadata_fetches".to_string(),
-            *self.metadata_fetches.read() as f64,
-        );
-        counters.insert(
-            "consult.cache_hits".to_string(),
-            self.consult_cache.hits() as f64,
-        );
-        counters.insert(
-            "consult.cache_misses".to_string(),
-            self.consult_cache.misses() as f64,
-        );
-        counters.insert(
-            "consult.cache_entries".to_string(),
-            self.consult_cache.len() as f64,
-        );
-        MetricsSnapshot { counters }
-    }
-
     /// The consultation cache shared by preparation and annotation.
     pub fn consult_cache(&self) -> &ConsultCache {
         &self.consult_cache
@@ -209,7 +181,7 @@ impl GlobalCatalog {
 
     /// Register the estimated cardinality of a task-output placeholder so
     /// downstream cost decisions can use it.
-    pub fn register_placeholder(&self, name: &str, rows: f64) {
+    pub(crate) fn register_placeholder(&self, name: &str, rows: f64) {
         self.placeholders
             .write()
             .insert(name.to_ascii_lowercase(), rows);

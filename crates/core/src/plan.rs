@@ -19,7 +19,7 @@ pub fn placeholder_name(id: usize) -> String {
 
 /// Alias under which a placeholder is addressed inside the consuming
 /// task's expressions.
-pub fn placeholder_alias(id: usize) -> String {
+pub(crate) fn placeholder_alias(id: usize) -> String {
     format!("t{id}")
 }
 
@@ -70,16 +70,6 @@ impl DelegationPlan {
 
     pub fn task(&self, id: usize) -> &Task {
         self.tasks.iter().find(|t| t.id == id).expect("task id")
-    }
-
-    /// Number of inter-DBMS movements by type.
-    pub fn movement_counts(&self) -> (usize, usize) {
-        let implicit = self
-            .edges
-            .iter()
-            .filter(|e| e.movement == Movement::Implicit)
-            .count();
-        (implicit, self.edges.len() - implicit)
     }
 
     /// Paper-style notation for the whole plan, one edge per line, e.g.
@@ -188,7 +178,6 @@ mod tests {
     fn topo_and_counts() {
         let p = sample();
         assert_eq!(p.topo_order(), vec![0, 1]);
-        assert_eq!(p.movement_counts(), (1, 0));
         assert_eq!(p.in_edges(1).count(), 1);
         assert_eq!(p.in_edges(0).count(), 0);
     }

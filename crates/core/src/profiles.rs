@@ -82,7 +82,7 @@ impl FactorStat {
     /// Fold one observed ratio in. Non-finite or non-positive samples are
     /// dropped: a degenerate edge (zero estimated bytes, poisoned
     /// arithmetic) must not poison the factor.
-    pub fn observe(&mut self, ratio: f64) {
+    pub(crate) fn observe(&mut self, ratio: f64) {
         if !ratio.is_finite() || ratio <= 0.0 {
             return;
         }
@@ -93,11 +93,11 @@ impl FactorStat {
         });
     }
 
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -105,7 +105,7 @@ impl FactorStat {
     /// `clamp`, `None` when no samples were absorbed (the caller then
     /// falls through to the next granularity, ultimately to the static
     /// model).
-    pub fn factor(&self, clamp: (f64, f64)) -> Option<f64> {
+    pub(crate) fn factor(&self, clamp: (f64, f64)) -> Option<f64> {
         if self.is_empty() {
             return None;
         }
@@ -115,7 +115,7 @@ impl FactorStat {
     }
 
     /// Union of both sample multisets.
-    pub fn merge(&mut self, other: &FactorStat) {
+    pub(crate) fn merge(&mut self, other: &FactorStat) {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
@@ -226,7 +226,7 @@ impl CostProfiles {
 
     /// Fold one query's cost observation (plus its per-engine statement
     /// work) into the store.
-    pub fn absorb(&mut self, cost: &CostObservation, statements: &[(String, f64)]) {
+    pub(crate) fn absorb(&mut self, cost: &CostObservation, statements: &[(String, f64)]) {
         let mut pred_compute: BTreeMap<&str, f64> = BTreeMap::new();
         for d in &cost.decisions {
             if let Some(c) = d.candidates.iter().find(|c| c.chosen) {

@@ -59,11 +59,11 @@ impl Default for ScenarioConfig {
 pub struct Xorshift(u64);
 
 impl Xorshift {
-    pub fn new(seed: u64) -> Xorshift {
+    pub(crate) fn new(seed: u64) -> Xorshift {
         Xorshift(seed.max(1))
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;
@@ -73,12 +73,12 @@ impl Xorshift {
     }
 
     /// Uniform integer in `[lo, hi]`.
-    pub fn range(&mut self, lo: i64, hi: i64) -> i64 {
+    pub(crate) fn range(&mut self, lo: i64, hi: i64) -> i64 {
         debug_assert!(hi >= lo);
         lo + (self.next_u64() % (hi - lo + 1) as u64) as i64
     }
 
-    pub fn float(&mut self) -> f64 {
+    pub(crate) fn float(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -100,7 +100,7 @@ pub fn build(config: ScenarioConfig) -> Result<(Cluster, GlobalCatalog)> {
 }
 
 /// Same, with per-department engine profiles (heterogeneity experiments).
-pub fn build_with_profiles(
+pub(crate) fn build_with_profiles(
     config: ScenarioConfig,
     cdb: EngineProfile,
     vdb: EngineProfile,
@@ -120,7 +120,7 @@ pub fn build_with_profiles(
 
 /// Load scenario tables into an existing cluster with nodes `cdb`, `vdb`,
 /// `hdb`.
-pub fn load(cluster: &Cluster, config: ScenarioConfig) -> Result<()> {
+pub(crate) fn load(cluster: &Cluster, config: ScenarioConfig) -> Result<()> {
     let mut rng = Xorshift::new(config.seed);
 
     // citizen(id, name, age, address) on CDB.

@@ -33,7 +33,12 @@ fn run(chunk: usize) -> (u64, String) {
     // The attribution tiles the end-to-end window exactly (integer-ns
     // telescoping), at every setting.
     assert_eq!(crit.attributed_ns(), crit.total_ns);
-    let mut fp = telemetry.history.to_jsonl();
+    let mut fp: String = telemetry
+        .history
+        .records()
+        .iter()
+        .map(|r| r.to_json() + "\n")
+        .collect();
     for step in &crit.steps {
         fp.push_str(&format!("{step:?}\n"));
     }

@@ -64,7 +64,13 @@ fn history_is_a_sufficient_record_of_what_was_learned() {
         for q in TpchQuery::ALL {
             xdb.submit(q.sql()).unwrap();
         }
-        let records = parse_history_jsonl(&telemetry.history.to_jsonl()).unwrap();
+        let jsonl: String = telemetry
+            .history
+            .records()
+            .iter()
+            .map(|r| r.to_json() + "\n")
+            .collect();
+        let records = parse_history_jsonl(&jsonl).unwrap();
         assert_eq!(records.len(), TpchQuery::ALL.len(), "{}", dist.name());
         let learned = catalog.profiles_snapshot();
         assert!(!learned.is_empty(), "{}", dist.name());

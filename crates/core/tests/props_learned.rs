@@ -8,6 +8,10 @@
 //! static pricing, but never relative to itself. Static pricing repeats
 //! itself on a fresh federation, and the feedback loop settles.
 
+#[path = "common/canonical.rs"]
+mod canonical;
+
+use canonical::canonical;
 use proptest::prelude::*;
 use xdb_core::{CostProfiles, GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
@@ -61,7 +65,7 @@ fn outcome_fingerprint(outcome: &QueryOutcome) -> String {
         fp.push('\n');
     }
     fp.push_str(&format!("{:?}\n", outcome.breakdown));
-    fp.push_str(&outcome.trace.canonical());
+    fp.push_str(&canonical(&outcome.trace));
     fp
 }
 

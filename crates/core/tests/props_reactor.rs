@@ -10,6 +10,10 @@
 //! worker poisons its edge window cleanly, waking both sides, instead of
 //! deadlocking waiters.
 
+#[path = "common/canonical.rs"]
+mod canonical;
+
+use canonical::canonical;
 use proptest::prelude::*;
 use std::sync::Arc;
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
@@ -56,7 +60,7 @@ fn run(q: TpchQuery, td: TableDist, reactor_threads: usize, chunk: usize) -> (u6
         fp.push_str(&format!("{t:?}\n"));
     }
     // Trace and deterministic telemetry.
-    fp.push_str(&outcome.trace.canonical());
+    fp.push_str(&canonical(&outcome.trace));
     let metrics = &cluster.telemetry().metrics;
     fp.push_str(&metrics.deterministic_snapshot().render());
     (outcome.query_id, fp)

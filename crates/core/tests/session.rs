@@ -7,6 +7,10 @@
 //! admitting the same list on two fresh federations must repeat
 //! bit-identically.
 
+#[path = "common/canonical.rs"]
+mod canonical;
+
+use canonical::canonical;
 use proptest::prelude::*;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
@@ -250,8 +254,8 @@ fn folded_admission_publishes_the_reactor_budget() {
         assert_eq!(i.query_id, r.query_id);
         assert_eq!(fingerprint(i), fingerprint(r), "tenant {}", i.tenant);
         assert_eq!(
-            i.trace.canonical(),
-            r.trace.canonical(),
+            canonical(&i.trace),
+            canonical(&r.trace),
             "tenant {}",
             i.tenant
         );

@@ -4,6 +4,10 @@
 //! snapshot must be bit-identical across chunk sizes (1 row, the default
 //! 4096, unbounded).
 
+#[path = "common/canonical.rs"]
+mod canonical;
+
+use canonical::canonical;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
@@ -38,7 +42,7 @@ fn run(chunk: usize) -> (u64, String) {
         fp.push_str(&format!("{t:?}\n"));
     }
     // Trace and deterministic telemetry.
-    fp.push_str(&outcome.trace.canonical());
+    fp.push_str(&canonical(&outcome.trace));
     let metrics = &cluster.telemetry().metrics;
     fp.push_str(&metrics.deterministic_snapshot().render());
     (outcome.query_id, fp)
@@ -130,5 +134,6 @@ fn encoded_bytes_never_exceed_raw() {
             t.purpose
         );
     }
-    assert!(cluster.ledger.total_encoded_bytes() < cluster.ledger.total_bytes());
+    let encoded: u64 = transfers.iter().map(|t| t.encoded_bytes).sum();
+    assert!(encoded < cluster.ledger.total_bytes());
 }

@@ -117,7 +117,7 @@ pub enum CatalogEntry {
 }
 
 impl CatalogEntry {
-    pub fn kind(&self) -> ObjectKind {
+    pub(crate) fn kind(&self) -> ObjectKind {
         match self {
             CatalogEntry::Table(_) => ObjectKind::Table,
             CatalogEntry::View { .. } => ObjectKind::View,
@@ -150,17 +150,13 @@ impl Catalog {
         v
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total stored rows across all base tables (views and foreign tables
     /// hold no local rows). Feeds the per-engine `catalog.rows` gauge.
-    pub fn total_rows(&self) -> u64 {
+    pub(crate) fn total_rows(&self) -> u64 {
         self.entries
             .values()
             .map(|e| match e {
@@ -224,7 +220,12 @@ impl Catalog {
         Ok(())
     }
 
-    pub fn create_view(&mut self, name: &str, query: SelectStmt, or_replace: bool) -> Result<()> {
+    pub(crate) fn create_view(
+        &mut self,
+        name: &str,
+        query: SelectStmt,
+        or_replace: bool,
+    ) -> Result<()> {
         let key = lower_name(name);
         if or_replace {
             if let Some(existing) = self.entries.get(&*key) {
@@ -244,7 +245,7 @@ impl Catalog {
         )
     }
 
-    pub fn create_foreign_table(
+    pub(crate) fn create_foreign_table(
         &mut self,
         name: &str,
         columns: &[ColumnDef],
@@ -264,7 +265,7 @@ impl Catalog {
         )
     }
 
-    pub fn drop(&mut self, kind: ObjectKind, name: &str, if_exists: bool) -> Result<()> {
+    pub(crate) fn drop(&mut self, kind: ObjectKind, name: &str, if_exists: bool) -> Result<()> {
         let key = lower_name(name);
         match self.entries.get(&*key) {
             Some(entry) => {

@@ -176,7 +176,7 @@ pub struct Engine {
 /// tables / materializations (`xdb_q…`) and mediator scratch tables
 /// (`__task_…`). They are created and dropped around every submission and
 /// are never the target of a consultation probe.
-pub fn is_transient_object(name: &str) -> bool {
+pub(crate) fn is_transient_object(name: &str) -> bool {
     let n = name.trim_start_matches('"');
     n.starts_with("xdb_q") || n.starts_with("__task_")
 }
@@ -198,14 +198,14 @@ impl Engine {
     }
 
     /// Current telemetry handle.
-    pub fn telemetry(&self) -> Arc<Telemetry> {
+    pub(crate) fn telemetry(&self) -> Arc<Telemetry> {
         Arc::clone(&self.telemetry.read())
     }
 
     /// Swap the telemetry sink (for the handle of the cluster the engine
     /// joins, or one several federations share) and re-publish this
     /// engine's gauges under it.
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
+    pub(crate) fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         *self.telemetry.write() = telemetry;
         self.publish_sched_gauges();
         let catalog = self.catalog.read();
@@ -245,7 +245,7 @@ impl Engine {
     /// Set the transport morsel size (rows) for streamed dataflow edges;
     /// 0 means unbounded. Never changes results or simulated timings —
     /// codec state is per edge, so only consumption granularity moves.
-    pub fn set_stream_chunk_rows(&self, rows: usize) {
+    pub(crate) fn set_stream_chunk_rows(&self, rows: usize) {
         self.stream_chunk_rows.store(rows, Ordering::Release);
         self.publish_sched_gauges();
     }
@@ -257,13 +257,13 @@ impl Engine {
 
     /// Set the reactor worker budget for streamed edges (0 = off, decode
     /// inline). Never changes results, ledgers, or simulated timings.
-    pub fn set_reactor_threads(&self, n: usize) {
+    pub(crate) fn set_reactor_threads(&self, n: usize) {
         self.reactor_threads.store(n, Ordering::Release);
         self.publish_sched_gauges();
     }
 
     /// Current reactor worker budget; 0 = reactor off.
-    pub fn reactor_threads(&self) -> usize {
+    pub(crate) fn reactor_threads(&self) -> usize {
         self.reactor_threads.load(Ordering::Acquire)
     }
 
@@ -298,7 +298,11 @@ impl Engine {
     /// mediator scratch tables) are namespaced and never the target of a
     /// consultation probe, so creating or dropping them leaves cached
     /// probes against this node's base tables valid.
-    pub fn with_catalog_mut_for<T>(&self, object: &str, f: impl FnOnce(&mut Catalog) -> T) -> T {
+    pub(crate) fn with_catalog_mut_for<T>(
+        &self,
+        object: &str,
+        f: impl FnOnce(&mut Catalog) -> T,
+    ) -> T {
         if is_transient_object(object) {
             self.mutate_catalog(f)
         } else {
@@ -348,7 +352,7 @@ impl Engine {
     /// per-operator [`ExecProfile`], and so does every producer it reads
     /// through a foreign table; without, the executor skips all
     /// per-operator bookkeeping.
-    pub fn execute_statement(
+    pub(crate) fn execute_statement(
         &self,
         stmt: &Statement,
         remote: &dyn Remote,
@@ -568,7 +572,7 @@ impl Engine {
     }
 
     /// Cost a plan with this engine's estimator and profile.
-    pub fn explain_plan(&self, plan: &LogicalPlan, snapshot: &Catalog) -> ExplainInfo {
+    pub(crate) fn explain_plan(&self, plan: &LogicalPlan, snapshot: &Catalog) -> ExplainInfo {
         let est = Estimator::new(snapshot);
         let rows = est.rows(plan);
         let bytes = est.bytes(plan);

@@ -85,19 +85,15 @@ impl AsRef<Relation> for ExecRel {
 
 impl ExecRel {
     /// Extract an owned relation, copying only if the data is still shared.
-    pub fn into_owned(self) -> Relation {
+    pub(crate) fn into_owned(self) -> Relation {
         match self {
             ExecRel::Owned(r) => r,
             ExecRel::Shared(r) => Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()),
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_ref().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.as_ref().is_empty()
     }
 }
 
@@ -248,7 +244,7 @@ impl<'a> Execution<'a> {
     /// Execute a plan. Pass-through operators (scans, identity projections,
     /// aliases) return shared data without copying rows; simulated work
     /// accounting is unchanged either way.
-    pub fn run_rel(&mut self, plan: &LogicalPlan) -> Result<ExecRel> {
+    pub(crate) fn run_rel(&mut self, plan: &LogicalPlan) -> Result<ExecRel> {
         match plan {
             LogicalPlan::Scan {
                 relation, schema, ..

@@ -641,7 +641,7 @@ pub enum LikePattern {
 }
 
 impl LikePattern {
-    pub fn new(pattern: &str) -> LikePattern {
+    pub(crate) fn new(pattern: &str) -> LikePattern {
         let (head, body) = match pattern.strip_prefix('%') {
             Some(b) => (true, b),
             None => (false, pattern),
@@ -662,7 +662,7 @@ impl LikePattern {
         }
     }
 
-    pub fn matches(&self, text: &str) -> bool {
+    pub(crate) fn matches(&self, text: &str) -> bool {
         let p = match self {
             LikePattern::Exact(x) => return text == x,
             LikePattern::Prefix(x) => return text.starts_with(x.as_str()),

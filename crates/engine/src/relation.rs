@@ -70,16 +70,6 @@ impl Relation {
         }
     }
 
-    pub fn empty(fields: Vec<(String, DataType)>) -> Relation {
-        let columns = fields.iter().map(|(_, t)| Column::empty_of(*t)).collect();
-        Relation {
-            fields,
-            columns,
-            nrows: 0,
-            index: OnceLock::new(),
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.nrows
     }
@@ -96,7 +86,7 @@ impl Relation {
         &self.columns
     }
 
-    pub fn column(&self, i: usize) -> &Column {
+    pub(crate) fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
 
@@ -124,18 +114,18 @@ impl Relation {
     }
 
     /// Pre-lowered name → position map, built once on first use.
-    pub fn schema_index(&self) -> &SchemaIndex {
+    pub(crate) fn schema_index(&self) -> &SchemaIndex {
         self.index
             .get_or_init(|| SchemaIndex::build(self.fields.iter().map(|(n, _)| n.as_str())))
     }
 
     /// Index of a column by case-insensitive name (one hash probe).
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.schema_index().get(name)
     }
 
     /// Append row-major tuples (INSERT path — small batches).
-    pub fn append_rows(&mut self, new_rows: Vec<Vec<Value>>) {
+    pub(crate) fn append_rows(&mut self, new_rows: Vec<Vec<Value>>) {
         if new_rows.is_empty() {
             return;
         }
@@ -262,7 +252,7 @@ mod tests {
         assert_eq!(r.row(1), vec![Value::Null, Value::Null]);
         // Typed layout survived the nulls.
         assert!(r.column(0).as_int().is_some());
-        assert!(r.column(1).as_str_col().is_some());
+        assert!(matches!(r.column(1), Column::Str(_)));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum VecOut {
 
 /// Evaluate `e` over all rows of `rel`. `None` means "not vectorizable
 /// here" — never an error; the caller must fall back to row-wise eval.
-pub fn eval_vec(e: &PhysExpr, rel: &Relation) -> Option<VecOut> {
+pub(crate) fn eval_vec(e: &PhysExpr, rel: &Relation) -> Option<VecOut> {
     let n = rel.len();
     Some(match e {
         PhysExpr::Column(i) => {
@@ -118,7 +118,7 @@ pub fn eval_to_column(e: &PhysExpr, rel: &Relation) -> Option<Column> {
 }
 
 /// Broadcast a single value to an `n`-row column.
-pub fn const_column(v: &Value, n: usize) -> Column {
+pub(crate) fn const_column(v: &Value, n: usize) -> Column {
     Column::from_values((0..n).map(|_| v.clone()))
 }
 
@@ -353,7 +353,7 @@ fn test_rows<T: Borrow<U>, U: PartialOrd + ?Sized>(
 }
 
 /// Collect the column positions referenced by `e` (for sparse row buffers).
-pub fn referenced_columns(e: &PhysExpr, out: &mut Vec<usize>) {
+pub(crate) fn referenced_columns(e: &PhysExpr, out: &mut Vec<usize>) {
     match e {
         PhysExpr::Column(i) => out.push(*i),
         PhysExpr::Literal(_) => {}

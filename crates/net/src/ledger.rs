@@ -160,21 +160,6 @@ impl Ledger {
         self.inner.lock().iter().map(|t| t.rows).sum()
     }
 
-    /// Total encoded (post-codec) bytes across all recorded transfers.
-    pub fn total_encoded_bytes(&self) -> u64 {
-        self.inner.lock().iter().map(|t| t.encoded_bytes).sum()
-    }
-
-    /// Total encoded (post-codec) bytes for a given purpose.
-    pub fn encoded_bytes_for(&self, purpose: Purpose) -> u64 {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|t| t.purpose == purpose)
-            .map(|t| t.encoded_bytes)
-            .sum()
-    }
-
     /// Total bytes for a given purpose.
     pub fn bytes_for(&self, purpose: Purpose) -> u64 {
         self.inner
@@ -291,9 +276,7 @@ mod tests {
         assert_eq!(snap[0].codec_bytes, vec![("dict", 30), ("raw", 10)]);
         assert!(snap[1].codec_bytes.is_empty());
         assert_eq!(l.total_bytes(), 108);
-        assert_eq!(l.total_encoded_bytes(), 48);
-        assert_eq!(l.encoded_bytes_for(Purpose::InterDbmsPipeline), 40);
-        assert_eq!(l.encoded_bytes_for(Purpose::ControlMessage), 8);
+        assert_eq!((snap[0].encoded_bytes, snap[1].encoded_bytes), (40, 8));
         let labels = [("purpose", "inter_dbms_pipeline")];
         assert_eq!(t.metrics.value("net.bytes", &labels), 100.0);
         assert_eq!(t.metrics.value("net.encoded_bytes", &labels), 40.0);

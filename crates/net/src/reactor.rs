@@ -29,7 +29,6 @@
 //! job.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Bounded depth of one edge channel, in morsels. Small on purpose: the
@@ -40,7 +39,7 @@ pub const EDGE_CHANNEL_CAPACITY: usize = 4;
 /// The host's available parallelism (1 when unknown), asked once per
 /// process: the standard library re-reads the scheduler affinity and the
 /// cgroup quota files on every call, and every `XdbOptions::default()` asks.
-pub fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
@@ -149,7 +148,7 @@ impl<T> EdgeChannel<T> {
 
     /// Mark the edge as crashed: every current and future waiter (both
     /// sides) immediately gets [`Poisoned`] instead of blocking forever.
-    pub fn poison(&self) {
+    pub(crate) fn poison(&self) {
         let mut st = self.lock();
         st.poisoned = true;
         st.queue.clear();
@@ -210,9 +209,6 @@ struct Pool {
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-/// Total jobs ever submitted (self-observability; surfaces through the
-/// quarantined `sched.reactor_*` series at the call sites).
-static JOBS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
@@ -247,7 +243,6 @@ fn worker_loop() {
 /// threads. Jobs are picked up in submission order; a job that panics
 /// poisons whatever [`PoisonGuard`] it armed and the worker survives.
 pub fn spawn(max_workers: usize, job: impl FnOnce() + Send + 'static) {
-    JOBS_SPAWNED.fetch_add(1, Ordering::Relaxed);
     let pool = pool();
     let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
     st.queue.push_back(Box::new(job));
@@ -262,15 +257,10 @@ pub fn spawn(max_workers: usize, job: impl FnOnce() + Send + 'static) {
     pool.ready.notify_one();
 }
 
-/// Total jobs ever submitted to the pool (wall-clock observability).
-pub fn jobs_spawned() -> u64 {
-    JOBS_SPAWNED.load(Ordering::Relaxed) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn channel_delivers_in_order_with_backpressure() {

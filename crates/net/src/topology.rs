@@ -71,7 +71,7 @@ impl Link {
 
     /// Time to move `bytes` over this link with the given per-byte protocol
     /// overhead multiplier.
-    pub fn transfer_ms(&self, bytes: u64, protocol_overhead: f64) -> f64 {
+    pub(crate) fn transfer_ms(&self, bytes: u64, protocol_overhead: f64) -> f64 {
         if bytes == 0 {
             return 0.0;
         }
@@ -101,7 +101,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    pub fn new(scenario: Scenario) -> Topology {
+    pub(crate) fn new(scenario: Scenario) -> Topology {
         Topology {
             default_link: match scenario {
                 Scenario::OnPremise => Link::LAN,
@@ -136,10 +136,6 @@ impl Topology {
         }
     }
 
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
     /// Register a node reached over the metered cloud link from everywhere
     /// (the managed-cloud middleware placement of Fig 14).
     pub fn add_cloud_node(&mut self, node: NodeId) {
@@ -151,7 +147,7 @@ impl Topology {
         self.add_node(node);
     }
 
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, link: Link) {
+    pub(crate) fn set_link(&mut self, from: NodeId, to: NodeId, link: Link) {
         self.add_node(from.clone());
         self.add_node(to.clone());
         self.links.entry(from).or_default().insert(to, link);
@@ -159,7 +155,7 @@ impl Topology {
 
     /// Link between two nodes. Same node → loopback; otherwise a registered
     /// override or the scenario default.
-    pub fn link(&self, from: &NodeId, to: &NodeId) -> Link {
+    pub(crate) fn link(&self, from: &NodeId, to: &NodeId) -> Link {
         if from == to {
             return Link::LOCAL;
         }

@@ -54,7 +54,7 @@ pub enum Codec {
 }
 
 impl Codec {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Codec::Dict => "dict",
             Codec::ForPack => "forpack",
@@ -114,10 +114,6 @@ pub struct WireStats {
 }
 
 impl Encoded {
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
     pub fn columns(&self) -> &[EncodedColumn] {
         &self.columns
     }
@@ -611,7 +607,7 @@ pub struct StreamDecoder<'a> {
 }
 
 impl<'a> StreamDecoder<'a> {
-    pub fn new(enc: &'a Encoded) -> StreamDecoder<'a> {
+    pub(crate) fn new(enc: &'a Encoded) -> StreamDecoder<'a> {
         StreamDecoder::with_morsel_capacity(enc, enc.nrows)
     }
 
@@ -639,7 +635,7 @@ impl<'a> StreamDecoder<'a> {
 
     /// Decode the next `rows` rows (clamped to what remains) into the
     /// per-column accumulators.
-    pub fn take(&mut self, rows: usize) {
+    pub(crate) fn take(&mut self, rows: usize) {
         let k = rows.min(self.remaining);
         for col in &mut self.columns {
             col.take(k);
@@ -665,7 +661,7 @@ impl<'a> StreamDecoder<'a> {
 
     /// Finish the stream, yielding the reconstructed columns. Panics if
     /// rows remain undecoded.
-    pub fn finish(mut self) -> Vec<Column> {
+    pub(crate) fn finish(mut self) -> Vec<Column> {
         assert_eq!(self.remaining, 0, "stream decoder finished early");
         self.columns.iter_mut().map(|c| c.take_morsel(0)).collect()
     }

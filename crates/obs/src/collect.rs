@@ -41,14 +41,14 @@ impl TraceCollector {
     }
 
     /// A collector that drops everything; every operation is a no-op.
-    pub fn disabled() -> TraceCollector {
+    pub(crate) fn disabled() -> TraceCollector {
         TraceCollector {
             enabled: false,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -221,14 +221,6 @@ impl<'a> TraceCtx<'a> {
             self.base_ms + start_ms,
             dur_ms,
         )
-    }
-
-    /// This context re-rooted under another parent span.
-    pub fn under(&self, parent: SpanId) -> TraceCtx<'a> {
-        TraceCtx {
-            parent: Some(parent),
-            ..*self
-        }
     }
 
     pub fn add(&self, counter: &str, amount: f64) {

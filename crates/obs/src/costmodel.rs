@@ -87,7 +87,7 @@ pub struct EdgeJoin {
 
 impl EdgeJoin {
     /// `from->to/movement` — the aggregation key for edge-shape stats.
-    pub fn shape(&self) -> String {
+    pub(crate) fn shape(&self) -> String {
         format!("{}->{}/{}", self.from, self.to, self.movement)
     }
 }
@@ -139,11 +139,6 @@ pub struct CostObservation {
 impl CostObservation {
     pub fn is_empty(&self) -> bool {
         self.decisions.is_empty()
-    }
-
-    /// Signed total regret across decisions.
-    pub fn net_regret_ms(&self) -> f64 {
-        self.decisions.iter().map(|d| d.regret_ms).sum()
     }
 
     /// Positive-only total regret (the gate series: only observed-worse
@@ -229,7 +224,7 @@ impl CostObservation {
 
     /// Read the bundle back; every field is required (see
     /// [`HistoryRecord::from_json`]).
-    pub fn from_json(v: &json::Value) -> Result<CostObservation, String> {
+    pub(crate) fn from_json(v: &json::Value) -> Result<CostObservation, String> {
         let text = |v: &json::Value, key: &str| v.str(key).map(str::to_string);
         let candidate = |c: &json::Value| {
             Ok(CandidateObs {
@@ -333,7 +328,7 @@ impl ErrorStats {
     /// Fold one percentage sample in. Non-finite samples are dropped: one
     /// degenerate edge (zero bytes, zero rows, a poisoned estimate) must
     /// not turn every mean/min/max of its group into NaN/∞.
-    pub fn push(&mut self, pct: f64) {
+    pub(crate) fn push(&mut self, pct: f64) {
         if !pct.is_finite() {
             return;
         }
@@ -602,7 +597,6 @@ mod tests {
     fn regret_totals_split_signed_and_positive() {
         let mut c = sample_cost();
         assert_eq!(c.regret_ms(), 0.0);
-        assert_eq!(c.net_regret_ms(), -9.75);
         c.decisions[0].regret_ms = 12.5;
         assert_eq!(c.regret_ms(), 12.5);
         // 150% wire error on the single matched edge: 10 pred vs 4 obs.

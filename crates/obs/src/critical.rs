@@ -63,16 +63,6 @@ impl CritCategory {
             CritCategory::Ddl => "ddl",
         }
     }
-
-    pub fn parse(s: &str) -> Option<CritCategory> {
-        match s {
-            "compute" => Some(CritCategory::Compute),
-            "transfer" => Some(CritCategory::Transfer),
-            "consult" => Some(CritCategory::Consult),
-            "ddl" => Some(CritCategory::Ddl),
-            _ => None,
-        }
-    }
 }
 
 /// One maximal run of the timeline owned by a single span.
@@ -89,7 +79,7 @@ pub struct CriticalStep {
 }
 
 impl CriticalStep {
-    pub fn dur_ns(&self) -> i64 {
+    pub(crate) fn dur_ns(&self) -> i64 {
         self.end_ns - self.start_ns
     }
 }
@@ -118,7 +108,7 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// Per-category totals (locations folded together).
-    pub fn category_ns(&self) -> BTreeMap<&'static str, i64> {
+    pub(crate) fn category_ns(&self) -> BTreeMap<&'static str, i64> {
         let mut out = BTreeMap::new();
         for a in &self.attribution {
             *out.entry(a.category.label()).or_insert(0) += a.ns;
@@ -133,12 +123,12 @@ impl CriticalPath {
     }
 
     /// The largest single attribution slice, if any.
-    pub fn dominant(&self) -> Option<&Attribution> {
+    pub(crate) fn dominant(&self) -> Option<&Attribution> {
         self.attribution.first()
     }
 
     /// Share of the end-to-end time, in percent.
-    pub fn share_pct(&self, ns: i64) -> f64 {
+    pub(crate) fn share_pct(&self, ns: i64) -> f64 {
         if self.total_ns == 0 {
             0.0
         } else {
@@ -214,7 +204,7 @@ pub fn critical_paths(trace: &QueryTrace) -> Vec<CriticalPath> {
 }
 
 /// Critical path of the subtree rooted at `root_id`.
-pub fn critical_path_of(trace: &QueryTrace, root_id: u32) -> Option<CriticalPath> {
+pub(crate) fn critical_path_of(trace: &QueryTrace, root_id: u32) -> Option<CriticalPath> {
     let spans = &trace.spans;
     let root = spans.iter().find(|s| s.id == root_id)?;
     let root_start = ns(root.start_ms);

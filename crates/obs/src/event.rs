@@ -24,7 +24,7 @@ pub enum Level {
 }
 
 impl Level {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Level::Debug => "debug",
             Level::Info => "info",
@@ -74,7 +74,7 @@ pub struct Event {
 
 impl Event {
     /// One JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut members: Vec<(&str, json::Value)> = vec![
             ("seq", self.seq.into()),
             ("ts_ms", self.ts_ms.into()),
@@ -106,8 +106,6 @@ pub struct EventLog {
 struct Ring {
     events: VecDeque<Event>,
     capacity: usize,
-    /// Events discarded because the ring was full.
-    dropped: u64,
 }
 
 impl Default for EventLog {
@@ -117,14 +115,13 @@ impl Default for EventLog {
 }
 
 impl EventLog {
-    pub fn new(capacity: usize) -> EventLog {
+    pub(crate) fn new(capacity: usize) -> EventLog {
         EventLog {
             min_level: AtomicU8::new(Level::Info as u8),
             next_seq: AtomicU64::new(0),
             inner: Mutex::new(Ring {
                 events: VecDeque::new(),
                 capacity: capacity.max(1),
-                dropped: 0,
             }),
         }
     }
@@ -133,12 +130,12 @@ impl EventLog {
         self.min_level.store(level as u8, Ordering::Release);
     }
 
-    pub fn min_level(&self) -> Level {
+    pub(crate) fn min_level(&self) -> Level {
         Level::from_u8(self.min_level.load(Ordering::Acquire))
     }
 
     /// Whether an event at `level` would be kept.
-    pub fn enabled(&self, level: Level) -> bool {
+    pub(crate) fn enabled(&self, level: Level) -> bool {
         level >= self.min_level()
     }
 
@@ -172,7 +169,6 @@ impl EventLog {
         let mut ring = self.inner.lock();
         if ring.events.len() == ring.capacity {
             ring.events.pop_front();
-            ring.dropped += 1;
         } else if ring.events.capacity() == 0 {
             // Every federation owns a log: a log that records anything
             // allocates its whole ring once, here, and never grows it under
@@ -188,23 +184,12 @@ impl EventLog {
         self.inner.lock().events.iter().cloned().collect()
     }
 
-    /// Events discarded to ring-buffer eviction.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
     pub fn len(&self) -> usize {
         self.inner.lock().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.inner.lock().events.is_empty()
-    }
-
-    pub fn clear(&self) {
-        let mut ring = self.inner.lock();
-        ring.events.clear();
-        ring.dropped = 0;
     }
 
     /// JSON-lines export: one JSON object per retained event.
@@ -250,10 +235,6 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].message, "m3");
         assert_eq!(events[1].message, "m4");
-        assert_eq!(log.dropped(), 3);
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
     }
 
     #[test]

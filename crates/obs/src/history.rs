@@ -225,7 +225,7 @@ impl HistoryRecord {
     /// Read one record back. Every field is required: a missing or
     /// mistyped one is an error naming it, and a record of any schema
     /// version but [`HISTORY_SCHEMA_VERSION`] is refused.
-    pub fn from_json(v: &json::Value) -> Result<HistoryRecord, String> {
+    pub(crate) fn from_json(v: &json::Value) -> Result<HistoryRecord, String> {
         let version = v.u64("schema_version")?;
         if version != HISTORY_SCHEMA_VERSION {
             return Err(format!(
@@ -373,17 +373,6 @@ impl HistorySink {
     /// untouched).
     pub fn clear(&self) {
         self.inner.lock().records.clear();
-    }
-
-    /// JSON-lines export of the in-memory records.
-    pub fn to_jsonl(&self) -> String {
-        let inner = self.inner.lock();
-        let mut out = String::new();
-        for r in &inner.records {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -593,7 +582,8 @@ mod tests {
         assert_eq!(sink.label(), "fleet");
         sink.append(sample());
         assert_eq!(sink.len(), 1);
-        let parsed = parse_history_jsonl(&sink.to_jsonl()).unwrap();
+        let jsonl: String = sink.records().iter().map(|r| r.to_json() + "\n").collect();
+        let parsed = parse_history_jsonl(&jsonl).unwrap();
         assert_eq!(parsed, sink.records());
         sink.clear();
         assert!(sink.is_empty());

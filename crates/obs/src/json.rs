@@ -3,13 +3,14 @@
 //!
 //! The package registry is unreachable from the build environment, so the
 //! repository hand-rolls what serde would give it. The reader validates
-//! emitted Chrome-trace files (tests and `repro --check-trace`) and reads
-//! history lines back; the writer is the one way a history record or an
-//! event becomes a line of text. The accessors ([`Value::f64`],
-//! [`Value::str`], …) are how a record reads itself: a missing or mistyped
-//! field is an error that names it, never a default.
+//! emitted Chrome-trace files in tests and reads history lines back; the
+//! writer is the one way a Chrome trace, a history record or an event
+//! becomes text, and [`json_string`] / [`json_number`] are its primitives.
+//! The accessors ([`Value::f64`], [`Value::str`], …) are how a record reads
+//! itself: a missing or mistyped field is an error that names it, never a
+//! default.
 
-use crate::trace::{json_number, json_string};
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +73,7 @@ impl Value {
         }
     }
 
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Object(pairs) => Some(pairs),
             _ => None,
@@ -94,13 +95,13 @@ impl Value {
     }
 
     /// A number that is a whole, non-negative count.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         self.as_f64()
             .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64)
             .map(|n| n as u64)
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -129,26 +130,26 @@ impl Value {
         self.field(key, "a count", Value::as_u64)
     }
 
-    pub fn str(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn str(&self, key: &str) -> Result<&str, String> {
         self.field(key, "a string", Value::as_str)
     }
 
-    pub fn bool(&self, key: &str) -> Result<bool, String> {
+    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
         self.field(key, "a boolean", Value::as_bool)
     }
 
-    pub fn array(&self, key: &str) -> Result<&[Value], String> {
+    pub(crate) fn array(&self, key: &str) -> Result<&[Value], String> {
         self.field(key, "an array", Value::as_array)
     }
 
     /// Member `key`, which must be an object (a nested record).
-    pub fn object(&self, key: &str) -> Result<&Value, String> {
+    pub(crate) fn object(&self, key: &str) -> Result<&Value, String> {
         self.field(key, "an object", |v| v.as_object().map(|_| v))
     }
 
     /// Every element of array `key` read with `read`; an error names the
     /// element (`edges[2]: missing a count "bytes"`).
-    pub fn each<T>(
+    pub(crate) fn each<T>(
         &self,
         key: &str,
         read: impl Fn(&Value) -> Result<T, String>,
@@ -212,6 +213,38 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Escape a string as a JSON literal (quotes included).
+pub(crate) fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Format an f64 as a JSON number (Rust's shortest-round-trip `Display`,
+/// which never produces the `inf`/`NaN` tokens JSON forbids — simulated
+/// times are always finite).
+pub(crate) fn json_number(v: f64) -> String {
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
     }
 }
 

@@ -9,17 +9,17 @@
 //! traces are bit-identical on any number of executor threads and across
 //! repeated runs.
 //!
-//! Three sinks, no external dependencies:
+//! Two sinks, no external dependencies:
 //!
 //! 1. [`QueryTrace::to_chrome_json`] — Chrome `trace_event` JSON for
 //!    `chrome://tracing` / Perfetto, one lane per engine node;
-//! 2. [`QueryTrace::render_text`] — an `EXPLAIN ANALYZE`-style tree report;
-//! 3. [`QueryTrace::metrics`] — a diffable [`MetricsSnapshot`] for the
-//!    bench harness.
+//! 2. [`QueryTrace::render_text`] — an `EXPLAIN ANALYZE`-style tree report.
 //!
-//! The [`json`] module is a minimal JSON value: the reader that validates
-//! emitted trace files (tests, `repro --check-trace`), and the one writer
-//! and strict required-field reader of history and event lines.
+//! The [`json`] module is a minimal JSON value: the reader that tests
+//! validate emitted trace files with, and the one writer (Chrome traces,
+//! history and event lines, the monitor snapshot) with its strict
+//! required-field reader. Prometheus text borrows its number and string
+//! spelling.
 //!
 //! Beyond per-query traces, the crate hosts the **fleet telemetry** layer:
 //! a [`MetricRegistry`] (counters, gauges with high-water marks, and

@@ -25,12 +25,12 @@
 //!   to the first encode of a shared relation, so the *hit count* is
 //!   scheduling-dependent even though the encoded bytes are not.
 
-use crate::trace::{json_number, json_string, MetricsSnapshot};
+use crate::json::{json_number, json_string};
+use crate::trace::MetricsSnapshot;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Name prefix for scheduling-dependent metrics, excluded from the
 /// sequential-vs-parallel bit-identity guarantee.
@@ -178,15 +178,6 @@ pub enum Metric {
     Histogram(Histogram),
 }
 
-/// A metric name plus rendered labels, e.g. `ddl.objects_live{engine="db1"}`:
-/// how a series is spelled in snapshots and exports. Label values are
-/// JSON-escaped, so two label lists never render alike. Label order is the
-/// caller's order and is part of the key, so call sites must be consistent
-/// (they are: every site spells its labels once).
-pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
-    format!("{name}{}", brace(labels.iter().copied()))
-}
-
 /// One series: a metric name, its labels in the caller's order, and its
 /// value.
 #[derive(Debug)]
@@ -211,7 +202,12 @@ impl Series {
         self.labels.iter().map(|(k, v)| (&**k, &**v))
     }
 
-    /// The series' [`metric_key`].
+    /// The series' name plus rendered labels, e.g.
+    /// `ddl.objects_live{engine="db1"}`: how it is spelled in snapshots and
+    /// exports. Label values are JSON-escaped, so two label lists never
+    /// render alike. Label order is the caller's order and is part of the
+    /// key, so call sites must be consistent (they are: every site spells
+    /// its labels once).
     fn key(&self) -> String {
         format!("{}{}", self.name, brace(self.labels()))
     }
@@ -238,28 +234,14 @@ fn series_hash(map: &SeriesMap, name: &str, labels: &[(&str, &str)]) -> u64 {
 /// unless the series is new, so the registry stays cheap enough to be
 /// always-on (the `fig9` overhead budget is bounded in EXPERIMENTS.md).
 /// Snapshots and exports render keys and sort by them.
-/// `set_enabled(false)` turns every operation into a branch, for overhead
-/// measurement.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    enabled: AtomicBool,
     series: Mutex<SeriesMap>,
 }
 
 impl MetricRegistry {
     pub fn new() -> MetricRegistry {
-        MetricRegistry {
-            enabled: AtomicBool::new(true),
-            series: Mutex::default(),
-        }
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
+        MetricRegistry::default()
     }
 
     /// Apply `update` to the series `name{labels}`, made by `new` first if
@@ -272,9 +254,6 @@ impl MetricRegistry {
         new: impl FnOnce() -> Metric,
         update: impl FnOnce(&mut Metric),
     ) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut series = self.series.lock();
         let hash = series_hash(&series, name, labels);
         let bucket = series.entry(hash).or_default();
@@ -331,24 +310,6 @@ impl MetricRegistry {
         );
     }
 
-    /// Adjust a gauge by a delta (creating it at zero first).
-    pub fn gauge_add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        self.update(
-            name,
-            labels,
-            || Metric::Gauge {
-                value: 0.0,
-                high_water: 0.0,
-            },
-            |m| {
-                if let Metric::Gauge { value, high_water } = m {
-                    *value += delta;
-                    *high_water = high_water.max(*value);
-                }
-            },
-        );
-    }
-
     /// Observe a value into a histogram.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.update(
@@ -391,7 +352,7 @@ impl MetricRegistry {
         }
     }
 
-    /// Flatten the registry into a diffable [`MetricsSnapshot`]: counters
+    /// Flatten the registry into a [`MetricsSnapshot`]: counters
     /// and gauges keep their key; a gauge additionally exports `<key>.hwm`;
     /// a histogram exports `.count`, `.sum`, `.min`, `.max`, `.p50`,
     /// `.p95`, `.p99`.
@@ -488,10 +449,6 @@ impl MetricRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    pub fn clear(&self) {
-        self.series.lock().clear();
-    }
 }
 
 fn sanitize(name: &str) -> String {
@@ -527,8 +484,6 @@ mod tests {
         r.gauge_set("g", &[("engine", "db1")], 1.0);
         assert_eq!(r.value("g", &[("engine", "db1")]), 1.0);
         assert_eq!(r.high_water("g", &[("engine", "db1")]), 4.0);
-        r.gauge_add("g", &[("engine", "db1")], 6.0);
-        assert_eq!(r.high_water("g", &[("engine", "db1")]), 7.0);
         for v in [1.0, 2.0, 4.0, 100.0] {
             r.observe("h", &[("phase", "exec")], v);
         }
@@ -539,16 +494,6 @@ mod tests {
         assert_eq!(h.sum, 107.0);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 100.0);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricRegistry::new();
-        r.set_enabled(false);
-        r.counter_add("c", &[], 1.0);
-        r.gauge_set("g", &[], 1.0);
-        r.observe("h", &[], 1.0);
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -596,21 +541,20 @@ mod tests {
         r.counter_add("net.codec.dict_reuse", &[], 3.0);
         r.counter_add("net.encoded_bytes", &[], 11.0);
         let s = r.snapshot();
-        assert_eq!(s.get("x"), 1.0);
-        assert_eq!(s.get("g.hwm"), 2.0);
-        assert_eq!(s.get("h.count"), 1.0);
-        assert_eq!(s.get("h.p50"), 4.0);
-        assert_eq!(s.get("sched.pool"), 9.0);
+        assert_eq!(s.counters["x"], 1.0);
+        assert_eq!(s.counters["g.hwm"], 2.0);
+        assert_eq!(s.counters["h.count"], 1.0);
+        assert_eq!(s.counters["h.p50"], 4.0);
+        assert_eq!(s.counters["sched.pool"], 9.0);
         let d = r.deterministic_snapshot();
-        assert_eq!(d.get("sched.pool"), 0.0);
         assert!(!d.counters.contains_key("sched.pool"));
         // Chunk counts scale with `stream_chunk_rows` — quarantined; the
         // encoded byte series is chunk-invariant and stays. Codec
         // cache-hit counts are scheduling-dependent — quarantined too.
         assert!(!d.counters.keys().any(|k| k.starts_with(CHUNKS_PREFIX)));
         assert!(!d.counters.keys().any(|k| k.starts_with(CODEC_PREFIX)));
-        assert_eq!(s.get("net.codec.dict_reuse"), 3.0);
-        assert_eq!(d.get("net.encoded_bytes"), 11.0);
+        assert_eq!(s.counters["net.codec.dict_reuse"], 3.0);
+        assert_eq!(d.counters["net.encoded_bytes"], 11.0);
     }
 
     #[test]
@@ -640,12 +584,12 @@ mod tests {
 
     #[test]
     fn metric_key_rendering() {
-        assert_eq!(metric_key("a", &[]), "a");
-        assert_eq!(
-            metric_key("a", &[("x", "1"), ("y", "2")]),
-            "a{x=\"1\",y=\"2\"}"
-        );
-        assert_eq!(metric_key("a", &[("x", "q\"")]), "a{x=\"q\\\"\"}");
+        let r = MetricRegistry::new();
+        r.counter_add("a", &[], 1.0);
+        r.counter_add("a", &[("x", "1"), ("y", "2")], 1.0);
+        r.counter_add("a", &[("x", "q\"")], 1.0);
+        let keys: Vec<String> = r.snapshot().counters.into_keys().collect();
+        assert_eq!(keys, ["a", "a{x=\"1\",y=\"2\"}", "a{x=\"q\\\"\"}"]);
     }
 
     /// Label values are caller-supplied text (a `QueryServer` tenant, for
@@ -663,8 +607,8 @@ mod tests {
         assert_eq!(r.value("c", &honest), 2.0);
         let s = r.snapshot();
         assert_eq!(s.counters.len(), 3);
-        assert_eq!(s.get("c{t=\"a\\\",u=\\\"b\"}"), 1.0);
-        assert_eq!(s.get("c{t=\"a\",u=\"b\"}"), 2.0);
+        assert_eq!(s.counters["c{t=\"a\\\",u=\\\"b\"}"], 1.0);
+        assert_eq!(s.counters["c{t=\"a\",u=\"b\"}"], 2.0);
         let p = r.render_prometheus();
         assert!(p.contains("c{t=\"a\\\",u=\\\"b\"} 1\n"), "{p}");
         assert!(p.contains("c{t=\"a\",u=\"b\"} 2\n"), "{p}");

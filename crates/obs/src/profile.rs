@@ -38,15 +38,3 @@ pub struct ExecProfile {
     /// scans, paired with the wire time of the edge.
     pub remotes: Vec<(ExecProfile, f64)>,
 }
-
-impl ExecProfile {
-    /// Total rows produced across this profile and every nested remote.
-    pub fn total_rows(&self) -> u64 {
-        self.rows
-            + self
-                .remotes
-                .iter()
-                .map(|(p, _)| p.total_rows())
-                .sum::<u64>()
-    }
-}

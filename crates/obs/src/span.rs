@@ -31,7 +31,7 @@ pub enum SpanKind {
 impl SpanKind {
     /// Stable lowercase label, used as the Chrome-trace `cat` and in the
     /// text report.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanKind::Query => "query",
             SpanKind::Phase => "phase",
@@ -73,7 +73,7 @@ impl Span {
         self.start_ms + self.dur_ms
     }
 
-    pub fn attr(&self, key: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _)| k == key)

@@ -33,29 +33,11 @@ impl Telemetry {
             history: HistorySink::default(),
         })
     }
-
-    /// Enable/disable both sinks at once (overhead measurement switch).
-    pub fn set_enabled(&self, on: bool) {
-        self.metrics.set_enabled(on);
-        self.events.set_min_level(if on {
-            crate::event::Level::Info
-        } else {
-            crate::event::Level::Error
-        });
-    }
-
-    /// Drop all recorded metrics, events, and in-memory history records.
-    pub fn clear(&self) {
-        self.metrics.clear();
-        self.events.clear();
-        self.history.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Level;
 
     #[test]
     fn handles_are_isolated() {
@@ -64,18 +46,5 @@ mod tests {
         a.metrics.counter_add("x", &[], 1.0);
         assert_eq!(b.metrics.value("x", &[]), 0.0);
         assert_eq!(a.metrics.value("x", &[]), 1.0);
-    }
-
-    #[test]
-    fn set_enabled_toggles_both_sinks() {
-        let t = Telemetry::new_handle();
-        t.set_enabled(false);
-        t.metrics.counter_add("x", &[], 1.0);
-        t.events.log(Level::Info, "t", None, 0.0, "m", &[]);
-        assert!(t.metrics.is_empty());
-        assert!(t.events.is_empty());
-        t.set_enabled(true);
-        t.events.log(Level::Info, "t", None, 0.0, "m", &[]);
-        assert_eq!(t.events.len(), 1);
     }
 }

@@ -1,7 +1,9 @@
-//! The finished trace of one (or several merged) query submissions, and
-//! its three sinks: Chrome `trace_event` JSON, an `EXPLAIN ANALYZE`-style
-//! text report, and a diffable metrics snapshot.
+//! The finished trace of one (or several merged) query submissions and
+//! its two sinks, Chrome `trace_event` JSON and an `EXPLAIN ANALYZE`-style
+//! text report; and the flat counter snapshot the metric registry
+//! flattens into.
 
+use crate::json::{self, Value};
 use crate::span::{Span, SpanId, SpanKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -50,11 +52,6 @@ impl QueryTrace {
         lanes
     }
 
-    /// Spans of a given kind.
-    pub fn spans_of(&self, kind: SpanKind) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.kind == kind)
-    }
-
     /// Shift every span by `offset_ms` (used when concatenating the traces
     /// of a workload onto one timeline).
     pub fn shift_ms(&mut self, offset_ms: f64) {
@@ -76,46 +73,6 @@ impl QueryTrace {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0.0) += v;
         }
-    }
-
-    /// Metrics snapshot: every counter, plus derived per-kind span counts
-    /// and per-lane busy time.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut counters = self.counters.clone();
-        for s in &self.spans {
-            *counters
-                .entry(format!("spans.{}", s.kind.label()))
-                .or_insert(0.0) += 1.0;
-        }
-        MetricsSnapshot { counters }
-    }
-
-    /// A canonical, line-per-span dump. Two traces are bit-identical iff
-    /// their canonical forms are equal (f64 values print via Rust's
-    /// shortest-round-trip formatting).
-    pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            let _ = write!(
-                out,
-                "{} parent={:?} {} {:?} lane={} start={} dur={}",
-                s.id,
-                s.parent,
-                s.kind.label(),
-                s.name,
-                s.lane,
-                s.start_ms,
-                s.dur_ms
-            );
-            for (k, v) in &s.attrs {
-                let _ = write!(out, " {k}={v:?}");
-            }
-            out.push('\n');
-        }
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "counter {k}={v}");
-        }
-        out
     }
 
     /// `EXPLAIN ANALYZE`-style tree report.
@@ -173,131 +130,78 @@ impl QueryTrace {
     pub fn to_chrome_json(&self) -> String {
         let lanes = self.lanes();
         let tid = |lane: &str| lanes.iter().position(|l| l == lane).unwrap_or(0) + 1;
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut push = |line: String, out: &mut String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&line);
+        let meta = |tid: usize, name: &str, args: Value| {
+            json::object([
+                ("ph", "M".into()),
+                ("pid", 1u64.into()),
+                ("tid", (tid as u64).into()),
+                ("name", name.into()),
+                ("args", args),
+            ])
         };
-        push(
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"xdb\"}}"
-                .to_string(),
-            &mut out,
-        );
+        let mut events = vec![meta(
+            0,
+            "process_name",
+            json::object([("name", "xdb".into())]),
+        )];
         for (i, lane) in lanes.iter().enumerate() {
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    i + 1,
-                    json_string(lane)
-                ),
-                &mut out,
-            );
+            events.push(meta(
+                i + 1,
+                "thread_name",
+                json::object([("name", lane.as_str().into())]),
+            ));
             // Keep the lane order stable in viewers that sort by index.
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_sort_index\",\
-                     \"args\":{{\"sort_index\":{}}}}}",
-                    i + 1,
-                    i + 1
-                ),
-                &mut out,
-            );
+            events.push(meta(
+                i + 1,
+                "thread_sort_index",
+                json::object([("sort_index", (i as u64 + 1).into())]),
+            ));
         }
         for s in &self.spans {
-            let mut args = format!("\"span\":{},\"lane\":{}", s.id, json_string(&s.lane));
+            let mut args = vec![
+                ("span".to_string(), u64::from(s.id).into()),
+                ("lane".to_string(), s.lane.as_str().into()),
+            ];
             if let Some(p) = s.parent {
-                let _ = write!(args, ",\"parent\":{p}");
+                args.push(("parent".to_string(), u64::from(p).into()));
             }
             for (k, v) in &s.attrs {
-                let _ = write!(args, ",{}:{}", json_string(k), json_string(v));
+                args.push((k.to_string(), v.as_str().into()));
             }
-            push(
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                     \"name\":{},\"cat\":{},\"args\":{{{}}}}}",
-                    tid(&s.lane),
-                    json_number(s.start_ms * 1000.0),
-                    json_number(s.dur_ms * 1000.0),
-                    json_string(&s.name),
-                    json_string(s.kind.label()),
-                    args
-                ),
-                &mut out,
-            );
+            events.push(json::object([
+                ("ph", "X".into()),
+                ("pid", 1u64.into()),
+                ("tid", (tid(&s.lane) as u64).into()),
+                ("ts", (s.start_ms * 1000.0).into()),
+                ("dur", (s.dur_ms * 1000.0).into()),
+                ("name", s.name.as_str().into()),
+                ("cat", s.kind.label().into()),
+                ("args", Value::Object(args)),
+            ]));
         }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        let mut first_counter = true;
-        for (k, v) in &self.counters {
-            if !first_counter {
-                out.push(',');
-            }
-            first_counter = false;
-            let _ = write!(out, "{}:{}", json_string(k), json_number(*v));
-        }
-        out.push_str("}}\n");
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), (*v).into()))
+            .collect();
+        let mut out = json::object([
+            ("traceEvents", Value::Array(events)),
+            ("displayTimeUnit", "ms".into()),
+            ("otherData", Value::Object(counters)),
+        ])
+        .to_json();
+        out.push('\n');
         out
     }
 }
 
-/// Escape a string as a JSON literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an f64 as a JSON number (Rust's shortest-round-trip `Display`,
-/// which never produces the `inf`/`NaN` tokens JSON forbids — simulated
-/// times are always finite).
-pub fn json_number(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Counters of one run, diffable against a baseline run.
+/// Counters of one run, by key.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, f64>,
 }
 
 impl MetricsSnapshot {
-    pub fn get(&self, name: &str) -> f64 {
-        self.counters.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// `self - baseline`, over the union of keys (zero-delta keys kept so
-    /// a diff is also a full inventory).
-    pub fn diff(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut counters = BTreeMap::new();
-        for k in self.counters.keys().chain(baseline.counters.keys()) {
-            counters.insert(k.clone(), self.get(k) - baseline.get(k));
-        }
-        MetricsSnapshot { counters }
-    }
-
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
@@ -311,7 +215,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::collect::TraceCollector;
-    use crate::json;
+    use crate::json::{json_number, json_string};
 
     fn sample() -> QueryTrace {
         let c = TraceCollector::new();
@@ -387,18 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_diff() {
-        let a = sample().metrics();
-        let mut twice = sample();
-        twice.merge(sample());
-        let b = twice.metrics();
-        let d = b.diff(&a);
-        assert_eq!(d.get("consults"), 1.0);
-        assert_eq!(d.get("spans.query"), 1.0);
-        assert_eq!(a.diff(&a).get("consults"), 0.0);
-    }
-
-    #[test]
     fn json_string_escapes() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_number(1.5), "1.5");
@@ -453,28 +345,5 @@ mod tests {
             v.get("target").and_then(json::Value::as_str),
             Some("core.client\u{1}")
         );
-    }
-
-    #[test]
-    fn metrics_diff_over_disjoint_keys() {
-        let a = MetricsSnapshot {
-            counters: [("only.a".to_string(), 3.0), ("shared".to_string(), 10.0)]
-                .into_iter()
-                .collect(),
-        };
-        let b = MetricsSnapshot {
-            counters: [("only.b".to_string(), 4.0), ("shared".to_string(), 7.0)]
-                .into_iter()
-                .collect(),
-        };
-        let d = a.diff(&b);
-        // Union of keys: keys unique to either side are kept, with the
-        // missing side treated as zero.
-        assert_eq!(d.counters.len(), 3);
-        assert_eq!(d.get("only.a"), 3.0);
-        assert_eq!(d.get("only.b"), -4.0);
-        assert_eq!(d.get("shared"), 3.0);
-        // And a key absent from both reads as zero, not a panic.
-        assert_eq!(d.get("absent"), 0.0);
     }
 }

@@ -102,7 +102,7 @@ pub enum Miss {
 
 impl Miss {
     /// The error that reports this miss of `qualifier.name`.
-    pub fn error(self, qualifier: Option<&str>, name: &str) -> SchemaError {
+    pub(crate) fn error(self, qualifier: Option<&str>, name: &str) -> SchemaError {
         let shown = match qualifier {
             Some(q) => format!("{q}.{name}"),
             None => name.to_string(),
@@ -191,7 +191,7 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AggFunc::Sum => "sum",
             AggFunc::Avg => "avg",
@@ -201,7 +201,7 @@ impl AggFunc {
         }
     }
 
-    pub fn parse(name: &str) -> Option<AggFunc> {
+    pub(crate) fn parse(name: &str) -> Option<AggFunc> {
         [
             AggFunc::Sum,
             AggFunc::Avg,

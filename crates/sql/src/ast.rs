@@ -113,18 +113,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The alias this item is known by in scope (base tables default to
-    /// their own name). Joins have no alias.
-    pub fn scope_alias(&self) -> Option<&str> {
-        match self {
-            TableRef::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableRef::Derived { alias, .. } => Some(alias),
-            TableRef::Join { .. } => None,
-        }
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderByExpr {
     pub expr: Expr,
@@ -150,7 +138,7 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinaryOp::Eq
@@ -163,7 +151,7 @@ impl BinaryOp {
     }
 
     /// Mirror of a comparison when its operands are swapped (`a < b` ≡ `b > a`).
-    pub fn mirror(self) -> BinaryOp {
+    pub(crate) fn mirror(self) -> BinaryOp {
         match self {
             BinaryOp::Lt => BinaryOp::Gt,
             BinaryOp::LtEq => BinaryOp::GtEq,
@@ -333,7 +321,7 @@ impl Expr {
     }
 
     /// Split a predicate tree into its top-level AND conjuncts.
-    pub fn conjuncts(&self) -> Vec<&Expr> {
+    pub(crate) fn conjuncts(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
         fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
             match e {
@@ -518,19 +506,8 @@ impl Expr {
         f(rebuilt)
     }
 
-    /// Collect all column references `(qualifier, name)` in this expression.
-    pub fn referenced_columns(&self) -> Vec<(Option<&str>, &str)> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let Expr::Column { qualifier, name } = e {
-                out.push((qualifier.as_deref(), &**name));
-            }
-        });
-        out
-    }
-
     /// True if the expression contains an aggregate function call anywhere.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         let mut found = false;
         self.walk(&mut |e| match e {
             Expr::CountStar => found = true,
@@ -549,8 +526,19 @@ pub fn is_aggregate_name(name: &str) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every column reference `(qualifier, name)` in `e`, in walk order.
+    pub(crate) fn referenced_columns(e: &Expr) -> Vec<(Option<&str>, &str)> {
+        let mut out = Vec::new();
+        e.walk(&mut |e| {
+            if let Expr::Column { qualifier, name } = e {
+                out.push((qualifier.as_deref(), &**name));
+            }
+        });
+        out
+    }
 
     #[test]
     fn conjunct_splitting() {
@@ -579,7 +567,7 @@ mod tests {
             )],
             else_expr: Some(Box::new(Expr::col("fallback"))),
         };
-        let cols = e.referenced_columns();
+        let cols = referenced_columns(&e);
         assert_eq!(cols, vec![(Some("c"), "age"), (None, "fallback")]);
     }
 
@@ -604,20 +592,6 @@ mod tests {
     fn mirror_ops() {
         assert_eq!(BinaryOp::Lt.mirror(), BinaryOp::Gt);
         assert_eq!(BinaryOp::Eq.mirror(), BinaryOp::Eq);
-    }
-
-    #[test]
-    fn scope_alias() {
-        let t = TableRef::Table {
-            name: "nation".into(),
-            alias: Some("n1".into()),
-        };
-        assert_eq!(t.scope_alias(), Some("n1"));
-        let t2 = TableRef::Table {
-            name: "nation".into(),
-            alias: None,
-        };
-        assert_eq!(t2.scope_alias(), Some("nation"));
     }
 
     #[test]

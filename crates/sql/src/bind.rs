@@ -976,7 +976,7 @@ mod tests {
                 assert_eq!(&*exprs[0].1, "mean");
                 assert!(matches!(**input, LogicalPlan::Aggregate { .. }));
                 // The projection references aggregate outputs by name.
-                let refs = exprs[0].0.referenced_columns();
+                let refs = crate::ast::tests::referenced_columns(&exprs[0].0);
                 assert_eq!(refs.len(), 2);
             }
             other => panic!("unexpected plan {}", other.tree_string()),

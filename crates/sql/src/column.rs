@@ -26,11 +26,7 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
-    pub fn new() -> Bitmap {
-        Bitmap::default()
-    }
-
-    pub fn with_capacity(cap: usize) -> Bitmap {
+    pub(crate) fn with_capacity(cap: usize) -> Bitmap {
         Bitmap {
             words: Vec::with_capacity(cap.div_ceil(64)),
             len: 0,
@@ -38,7 +34,7 @@ impl Bitmap {
         }
     }
 
-    pub fn push(&mut self, bit: bool) {
+    pub(crate) fn push(&mut self, bit: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -124,7 +120,7 @@ impl<T: Clone + Default> TypedCol<T> {
     }
 
     #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
+    pub(crate) fn is_null(&self, i: usize) -> bool {
         self.nulls.get(i)
     }
 
@@ -419,20 +415,6 @@ impl Column {
         }
     }
 
-    pub fn as_str_col(&self) -> Option<&TypedCol<Arc<str>>> {
-        match self {
-            Column::Str(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    pub fn as_date(&self) -> Option<&TypedCol<i32>> {
-        match self {
-            Column::Date(c) => Some(c),
-            _ => None,
-        }
-    }
-
     pub fn is_mixed(&self) -> bool {
         matches!(self, Column::Mixed(_))
     }
@@ -493,7 +475,7 @@ impl Default for ColumnBuilder {
 }
 
 impl ColumnBuilder {
-    pub fn new() -> ColumnBuilder {
+    pub(crate) fn new() -> ColumnBuilder {
         ColumnBuilder::with_capacity(0)
     }
 
@@ -627,14 +609,6 @@ impl SchemaIndex {
 
     pub fn get(&self, name: &str) -> Option<usize> {
         self.map.get(&*lower_name(name)).copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 

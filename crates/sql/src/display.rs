@@ -35,7 +35,7 @@ impl Dialect {
     /// digits and `_`, not starting with a digit, and not a word of the
     /// parser's keyword table. A quote character inside a quoted name is
     /// doubled.
-    pub fn write_ident(self, name: &str, out: &mut String) {
+    pub(crate) fn write_ident(self, name: &str, out: &mut String) {
         let bytes = name.as_bytes();
         let plain = bytes
             .first()

@@ -98,7 +98,7 @@ const WORD_LEN: std::ops::RangeInclusive<usize> = 2..=8;
 
 /// The table entry `word` spells, in any case. Most names are rejected by
 /// their length or by a digit or `_` in them before any comparison.
-pub fn keyword(word: &str) -> Option<&'static Keyword> {
+pub(crate) fn keyword(word: &str) -> Option<&'static Keyword> {
     if !WORD_LEN.contains(&word.len()) || !word.bytes().all(|b| b.is_ascii_alphabetic()) {
         return None;
     }
@@ -106,7 +106,7 @@ pub fn keyword(word: &str) -> Option<&'static Keyword> {
 }
 
 /// The value `table` gives for `word`, spelled in any case.
-pub fn lookup<T: Copy>(table: &[(&str, T)], word: &str) -> Option<T> {
+pub(crate) fn lookup<T: Copy>(table: &[(&str, T)], word: &str) -> Option<T> {
     table
         .iter()
         .find(|(name, _)| name.eq_ignore_ascii_case(word))

@@ -48,7 +48,7 @@ pub enum Token<'a> {
 
 impl Token<'_> {
     /// Is this the bare word `kw`, in any case?
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }

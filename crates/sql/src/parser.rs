@@ -984,8 +984,15 @@ mod tests {
     fn implicit_alias_without_as() {
         let s = parse_select("SELECT c.id FROM Citizen c, Vaccines v").unwrap();
         assert_eq!(s.from.len(), 2);
-        assert_eq!(s.from[0].scope_alias(), Some("c"));
-        assert_eq!(s.from[1].scope_alias(), Some("v"));
+        let aliases: Vec<_> = s
+            .from
+            .iter()
+            .map(|t| match t {
+                TableRef::Table { alias, .. } => alias.as_deref(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aliases, [Some("c"), Some("v")]);
     }
 
     #[test]
@@ -1029,7 +1036,7 @@ mod tests {
     #[test]
     fn date_and_interval() {
         let e = parse_expr("o_orderdate < date '1995-03-15' + interval '1' year").unwrap();
-        let cols = e.referenced_columns();
+        let cols = crate::ast::tests::referenced_columns(&e);
         assert_eq!(cols, vec![(None, "o_orderdate")]);
         // DATE used as a plain identifier still works.
         let e2 = parse_expr("date + 1").unwrap();

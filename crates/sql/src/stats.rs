@@ -137,7 +137,7 @@ impl<'a> Estimator<'a> {
 
     /// Estimated average wire bytes per output row of a plan, derived from
     /// its schema (used for data-movement costing).
-    pub fn row_bytes(&self, plan: &LogicalPlan) -> f64 {
+    pub(crate) fn row_bytes(&self, plan: &LogicalPlan) -> f64 {
         plan.schema()
             .fields
             .iter()
@@ -160,7 +160,7 @@ impl<'a> Estimator<'a> {
     }
 
     /// Number of distinct values an expression takes over a plan's output.
-    pub fn expr_distinct(&self, e: &Expr, input: &LogicalPlan) -> Option<f64> {
+    pub(crate) fn expr_distinct(&self, e: &Expr, input: &LogicalPlan) -> Option<f64> {
         if let Expr::Column { qualifier, name } = e {
             if let Some((relation, column)) = resolve_base_column(input, qualifier.as_deref(), name)
             {
@@ -173,7 +173,7 @@ impl<'a> Estimator<'a> {
     }
 
     /// Selectivity of a predicate against a plan.
-    pub fn selectivity(&self, predicate: &Expr, input: &LogicalPlan) -> f64 {
+    pub(crate) fn selectivity(&self, predicate: &Expr, input: &LogicalPlan) -> f64 {
         self.selectivity_over(predicate, Some(input))
     }
 
@@ -328,7 +328,7 @@ impl<'a> Estimator<'a> {
 
 /// Trace a column reference through pass-through operators down to the base
 /// relation it scans, for statistics lookup. Returns `(relation, column)`.
-pub fn resolve_base_column<'a>(
+pub(crate) fn resolve_base_column<'a>(
     plan: &'a LogicalPlan,
     qualifier: Option<&str>,
     name: &str,

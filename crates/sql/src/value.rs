@@ -39,7 +39,7 @@ impl fmt::Display for DataType {
 
 impl DataType {
     /// Parse a SQL type name (as accepted in DDL) into a `DataType`.
-    pub fn parse(name: &str) -> Option<DataType> {
+    pub(crate) fn parse(name: &str) -> Option<DataType> {
         const NAMES: &[(&str, DataType)] = &[
             ("BIGINT", DataType::Int),
             ("INT", DataType::Int),
@@ -81,7 +81,7 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(DataType::Int),
@@ -98,7 +98,7 @@ impl Value {
 
     /// Size of this value on the (simulated) wire, in bytes. Identical for
     /// every system under test, so cross-system byte *ratios* are exact.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         match self {
             Value::Null => 1,
             Value::Int(_) => 8,
@@ -307,7 +307,7 @@ pub mod date {
     }
 
     /// Format days-since-epoch as `YYYY-MM-DD`.
-    pub fn format_days(days: i32) -> String {
+    pub(crate) fn format_days(days: i32) -> String {
         let (y, m, d) = ymd_from_days(days);
         format!("{y:04}-{m:02}-{d:02}")
     }
@@ -330,7 +330,7 @@ pub mod date {
         days_from_ymd(ny, nm, nd)
     }
 
-    pub fn days_in_month(y: i32, m: u32) -> u32 {
+    pub(crate) fn days_in_month(y: i32, m: u32) -> u32 {
         match m {
             1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
             4 | 6 | 9 | 11 => 30,
@@ -345,7 +345,7 @@ pub mod date {
         }
     }
 
-    pub fn is_leap(y: i32) -> bool {
+    pub(crate) fn is_leap(y: i32) -> bool {
         (y % 4 == 0 && y % 100 != 0) || y % 400 == 0
     }
 }

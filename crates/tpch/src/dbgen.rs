@@ -159,10 +159,6 @@ impl TpchGen {
         }
     }
 
-    pub fn with_seed(scale: f64, seed: u64) -> TpchGen {
-        TpchGen { scale, seed }
-    }
-
     fn h(&self, table: u64, key: u64, col: u64) -> u64 {
         mix(self.seed ^ mix(table).wrapping_add(mix(key).rotate_left(17)) ^ mix(col << 7))
     }
@@ -193,19 +189,19 @@ impl TpchGen {
 
     // ------------------------------------------------------------ counts
 
-    pub fn suppliers(&self) -> u64 {
+    pub(crate) fn suppliers(&self) -> u64 {
         ((10_000.0 * self.scale) as u64).max(1)
     }
 
-    pub fn parts(&self) -> u64 {
+    pub(crate) fn parts(&self) -> u64 {
         ((200_000.0 * self.scale) as u64).max(1)
     }
 
-    pub fn customers(&self) -> u64 {
+    pub(crate) fn customers(&self) -> u64 {
         ((150_000.0 * self.scale) as u64).max(1)
     }
 
-    pub fn orders(&self) -> u64 {
+    pub(crate) fn orders(&self) -> u64 {
         self.customers() * 10
     }
 
@@ -468,7 +464,11 @@ mod tests {
         assert_eq!(a.row(0), b.row(0));
         assert_eq!(a.row(a.len() - 1), b.row(b.len() - 1));
         // Different seed → different data.
-        let c = TpchGen::with_seed(0.01, 7).table(TpchTable::Orders);
+        let c = TpchGen {
+            seed: 7,
+            ..TpchGen::new(0.01)
+        }
+        .table(TpchTable::Orders);
         assert_ne!(a.row(0), c.row(0));
     }
 

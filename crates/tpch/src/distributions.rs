@@ -31,7 +31,7 @@ impl TableDist {
     }
 
     /// `(node, tables-by-abbreviation)` rows, verbatim from Table III.
-    pub fn placement(self) -> &'static [(&'static str, &'static [&'static str])] {
+    pub(crate) fn placement(self) -> &'static [(&'static str, &'static [&'static str])] {
         match self {
             TableDist::Td1 => &[
                 ("db1", &["l"]),
@@ -127,7 +127,7 @@ pub fn build_cluster(
 }
 
 /// Generate and load all eight tables into an existing cluster.
-pub fn load_tables(cluster: &Cluster, dist: TableDist, scale: f64) -> Result<()> {
+pub(crate) fn load_tables(cluster: &Cluster, dist: TableDist, scale: f64) -> Result<()> {
     let gen = TpchGen::new(scale);
     for table in TpchTable::ALL {
         let node = dist.node_of(table);

@@ -60,21 +60,6 @@ impl TpchQuery {
         }
     }
 
-    /// Number of join relations, as the paper reports them.
-    pub fn join_count(self) -> usize {
-        match self {
-            TpchQuery::Q1 | TpchQuery::Q6 => 1,
-            TpchQuery::Q4 | TpchQuery::Q12 | TpchQuery::Q14 => 2,
-            TpchQuery::Q18 => 3,
-            TpchQuery::Q3 => 3,
-            TpchQuery::Q5 => 6,
-            TpchQuery::Q7 => 5,
-            TpchQuery::Q8 => 8,
-            TpchQuery::Q9 => 6,
-            TpchQuery::Q10 => 4,
-        }
-    }
-
     /// Table abbreviations (Table III letters) this query touches.
     pub fn tables(self) -> &'static [&'static str] {
         match self {
@@ -304,14 +289,6 @@ mod tests {
     fn all_queries_parse() {
         for q in TpchQuery::ALL.iter().chain(&TpchQuery::EXTENDED) {
             parse_select(q.sql()).unwrap_or_else(|e| panic!("{} failed: {e}", q.name()));
-        }
-    }
-
-    #[test]
-    fn join_counts_match_table_counts_roughly() {
-        for q in TpchQuery::ALL.iter().copied().chain(TpchQuery::EXTENDED) {
-            assert!(!q.tables().is_empty());
-            assert!(q.join_count() + 2 >= q.tables().len());
         }
     }
 }

@@ -41,7 +41,7 @@ impl TpchTable {
     }
 
     /// The paper's single-letter table abbreviations (Table III).
-    pub fn abbrev(self) -> &'static str {
+    pub(crate) fn abbrev(self) -> &'static str {
         match self {
             TpchTable::Region => "r",
             TpchTable::Nation => "n",
@@ -59,7 +59,7 @@ impl TpchTable {
     }
 
     /// Column names and types.
-    pub fn columns(self) -> Vec<(String, DataType)> {
+    pub(crate) fn columns(self) -> Vec<(String, DataType)> {
         use DataType::*;
         let cols: &[(&str, DataType)] = match self {
             TpchTable::Region => &[("r_regionkey", Int), ("r_name", Str), ("r_comment", Str)],

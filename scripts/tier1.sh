@@ -42,7 +42,7 @@ diff <(grep -rlE 'thread::(scope|spawn)' crates/*/src \
 # stand in for them. The `static` items of non-test code (shim crates
 # excepted, `repro`'s crate included) are exactly these: the disabled
 # trace collector, `PlanSchema`'s empty schema, and the edge reactor's
-# parallelism, pool and spawn counter.
+# parallelism and pool.
 diff <(for f in $(grep -rlE '\bstatic [A-Z_]' crates/*/src \
                     | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort); do
          sed '/^#\[cfg(test)\]/,$d' "$f" \
@@ -50,8 +50,7 @@ diff <(for f in $(grep -rlE '\bstatic [A-Z_]' crates/*/src \
            | sed -E "s/.*static /$(sed 's|/|\\/|g' <<<"$f") /" || true
        done) \
      <(printf '%s\n' 'crates/net/src/reactor.rs PARALLELISM' 'crates/net/src/reactor.rs POOL' \
-         'crates/net/src/reactor.rs JOBS_SPAWNED' 'crates/obs/src/collect.rs DISABLED' \
-         'crates/sql/src/algebra.rs EMPTY')
+         'crates/obs/src/collect.rs DISABLED' 'crates/sql/src/algebra.rs EMPTY')
 # The parser logs nothing: the SQL crate depends on no telemetry.
 if grep -n 'xdb-obs' crates/sql/Cargo.toml; then
   echo "crates/sql/Cargo.toml: the parser depends on the telemetry crate" >&2
@@ -104,18 +103,6 @@ if grep -nE 'plan_to_select|render_select_string' <<<"$price"; then
   exit 1
 fi
 
-# Metric census: an update finds an existing series without building its
-# key (DESIGN.md §11). No update method of `MetricRegistry` may call
-# `metric_key(`.
-updates=$(awk '/^impl MetricRegistry \{/ {impl=1} /^}/ {impl=0}
-  impl && / fn (update|counter_add|gauge_set|gauge_add|observe)\(/ {on=1}
-  on {print} on && /^    }$/ {on=0}' crates/obs/src/metrics.rs)
-[ -n "$updates" ]
-if grep -n 'metric_key(' <<<"$updates"; then
-  echo "crates/obs/src/metrics.rs: a metric update builds its key" >&2
-  exit 1
-fi
-
 # Statistics census: a stored column's statistics are computed on first
 # read and kept (DESIGN.md §18 "Engine catalogs"), so storing data computes
 # none. In non-test `catalog.rs` code the free function `column_stats(` is
@@ -131,45 +118,13 @@ if [ "$(grep -c . <<<"$stats")" -ne 1 ] || ! grep -q 'get_or_init(' <<<"$stats";
   exit 1
 fi
 
-# Trace smoke test: the repro binary must emit a valid Chrome-trace JSON
-# with at least one span on every lane (each engine node, client, net).
-mkdir -p target
-cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 --trace target/tier1-smoke.trace.json fig9 \
-  --out target/tier1-smoke-report.txt
-cargo run --release -q -p xdb-bench --bin repro -- \
-  --check-trace target/tier1-smoke.trace.json
-
-# Telemetry smoke test: the workload monitor must render its dashboard
-# plus Prometheus/JSON exports, the exports must be non-empty, and the
-# structured event log must export as JSON lines.
-cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 --runs 2 --metrics target/tier1-monitor.prom \
-  --json target/tier1-monitor.json monitor \
-  --out target/tier1-monitor.txt \
-  --log target/tier1-events.jsonl
-grep -q 'live delegation objects' target/tier1-monitor.txt
-grep -q 'monitor_latency_ms_bucket{' target/tier1-monitor.prom
-grep -q '"values"' target/tier1-monitor.json
-grep -q '"level":"info"' target/tier1-events.jsonl
-
-# Multi-tenant admission smoke test: the folded and unfolded arms of the
-# `repro tenants` scenario must produce bit-identical per-tenant result
-# digests (plan folding is a pure optimization the tenants cannot
-# observe), and the dashboard must carry the fold statistics.
-cargo run --release -q -p xdb-bench --bin repro -- \
-  --sf 0.002 --runs 2 tenants --digest target/tier1-tenants \
-  --out target/tier1-tenants.txt
-grep -q 'throughput speedup' target/tier1-tenants.txt
-grep -q 'fully folded' target/tier1-tenants.txt
-cmp target/tier1-tenants.folded.txt target/tier1-tenants.unfolded.txt
-
 # Drift smoke test: the checked-in drift baseline must stay readable: a
 # stricter reader or a schema change that strands BENCH_history/ fails
 # here, not only in the bench gate. (That `repro profile` and `repro
 # calibrate` render from those records what live runs print is held in
 # process: crates/bench/tests/record_file.rs; bench_gate.sh below
 # drift-compares a fresh profile against them.)
+mkdir -p target
 cargo run --release -q -p xdb-bench --bin repro -- drift \
   --baseline BENCH_history --current BENCH_history \
   | tee target/tier1-drift-baseline.txt

@@ -6,7 +6,7 @@ use xdb::core::{GlobalCatalog, PhaseBreakdown, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
 use xdb::net::{params, Scenario};
-use xdb::obs::{QueryTrace, SpanKind};
+use xdb::obs::{QueryTrace, Span, SpanKind};
 use xdb::tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
@@ -21,6 +21,11 @@ fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
     .unwrap();
     let catalog = GlobalCatalog::discover(&cluster).unwrap();
     (cluster, catalog)
+}
+
+/// The spans of one kind, in emission order.
+fn spans_of(trace: &QueryTrace, kind: SpanKind) -> impl Iterator<Item = &Span> {
+    trace.spans.iter().filter(move |s| s.kind == kind)
 }
 
 fn traced_submit(td: TableDist, q: TpchQuery) -> QueryTrace {
@@ -73,7 +78,7 @@ fn every_task_span_is_parented_to_the_exec_phase() {
         .iter()
         .find(|s| s.kind == SpanKind::Phase && s.name == "exec")
         .expect("exec phase span");
-    let tasks: Vec<_> = trace.spans_of(SpanKind::Task).collect();
+    let tasks: Vec<_> = spans_of(&trace, SpanKind::Task).collect();
     assert!(!tasks.is_empty(), "no task spans in trace");
     for t in &tasks {
         assert_eq!(
@@ -84,7 +89,7 @@ fn every_task_span_is_parented_to_the_exec_phase() {
         );
     }
     // And every DDL span sits under some task span.
-    for d in trace.spans_of(SpanKind::Ddl) {
+    for d in spans_of(&trace, SpanKind::Ddl) {
         let p = d.parent.expect("ddl span has a parent");
         assert_eq!(trace.spans[p as usize].kind, SpanKind::Task);
     }
@@ -167,9 +172,7 @@ fn breakdown_is_a_projection_of_the_trace() {
         .iter()
         .find(|s| s.kind == SpanKind::Phase && s.name == "ann")
         .unwrap();
-    let consult_sum: f64 = out
-        .trace
-        .spans_of(SpanKind::Consult)
+    let consult_sum: f64 = spans_of(&out.trace, SpanKind::Consult)
         .filter(|s| s.parent == Some(ann_phase.id))
         .map(|s| s.dur_ms)
         .sum();

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, Name, PlanSchema};
-use xdb_sql::column::{Bitmap, Column, ColumnBuilder, TypedCol};
+use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
 use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
 
@@ -148,24 +148,29 @@ pub trait ScanResolver {
     ) -> Result<ScanOutput>;
 }
 
-/// Reusable per-query allocations: join chain-head tables and chain buffers
-/// keep their capacity between executions, so workloads that submit many
-/// queries through one engine stop re-growing the same tables from scratch.
+/// Reusable per-query allocations: join chain-head tables, chain buffers,
+/// packed keys and join pairs keep their capacity between executions, so
+/// workloads that submit many queries through one engine stop re-growing
+/// the same buffers from scratch.
 #[derive(Default)]
 pub struct Scratch {
     direct: DirectHeads,
     w64: FastMap<u64, u32>,
-    w128: FastMap<u128, u32>,
     strs: FastMap<Arc<str>, u32>,
     vals: FastMap<Vec<Value>, u32>,
     next: Vec<u32>,
+    /// One side's packed word keys ([`KeyNorm::keys`]): the build side's
+    /// while it is chained, then each probe morsel's in turn.
+    packed: Vec<u64>,
+    pairs: Pairs,
 }
 
 /// The one dispatch over key arms, shared by the build and every probe of a
 /// chained table: binds `$k` to the keys of one side and `$heads` to the
 /// arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
-/// `$body` (which may also borrow `$s.next`). One [`KeyNorm`] normalises
-/// both sides of a join, so both reach the same table.
+/// `$body` (which may also borrow `$s.next` and `$s.pairs`). One
+/// [`KeyNorm`] normalises both sides of a join, so both reach the same
+/// table.
 macro_rules! with_key_arm {
     ($keys:expr, $s:expr, |$k:ident, $heads:ident| $body:expr) => {
         match $keys {
@@ -175,10 +180,6 @@ macro_rules! with_key_arm {
             }
             Keys::W64($k) => {
                 let $heads = &mut $s.w64;
-                $body
-            }
-            Keys::W128($k) => {
-                let $heads = &mut $s.w128;
                 $body
             }
             Keys::Str($k) => {
@@ -663,36 +664,40 @@ impl<'a> Execution<'a> {
         // and the right side's table built, when the first morsel is probed.
         let mut norm: Option<KeyNorm> = None;
         let mut out_rows = 0u64;
-        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
         // `whole`: `m` is the entire probe side, so the table may go over it.
         let mut probe = |m: &Relation, whole: bool| -> Result<()> {
             let pcols: Vec<Column> = pkeys
                 .iter()
                 .map(|k| expr_column(k, m))
                 .collect::<Result<_>>()?;
-            lsel.clear();
-            rsel.clear();
+            scratch.pairs.lsel.clear();
+            scratch.pairs.rsel.clear();
             if whole && m.len() < build.len() {
                 // `KeyNorm` takes its value ranges from the table side.
                 let norm = build_table(&pcols, &bcols, m.len(), &mut scratch)?;
-                with_key_arm!(&norm.keys(&bcols, build.len())?, scratch, |b, heads| {
-                    probe_chain(b, heads, &scratch.next, &mut rsel, &mut lsel)
+                let keys = norm.keys(&bcols, build.len(), &mut scratch.packed)?;
+                with_key_arm!(&keys, scratch, |b, heads| {
+                    let pairs = &mut scratch.pairs;
+                    probe_chain(b, heads, &scratch.next, &mut pairs.rsel, &mut pairs.lsel)
                 });
-                probe_major(&mut lsel, &mut rsel, m.len());
+                scratch.pairs.probe_major(m.len());
             } else {
                 let norm = match &mut norm {
                     Some(n) => n,
                     None => norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch)?),
                 };
-                with_key_arm!(&norm.keys(&pcols, m.len())?, scratch, |p, heads| {
-                    probe_chain(p, heads, &scratch.next, &mut lsel, &mut rsel)
+                let keys = norm.keys(&pcols, m.len(), &mut scratch.packed)?;
+                with_key_arm!(&keys, scratch, |p, heads| {
+                    let pairs = &mut scratch.pairs;
+                    probe_chain(p, heads, &scratch.next, &mut pairs.lsel, &mut pairs.rsel)
                 });
             }
+            let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
             if let Some(res) = &residual {
-                res.keep_pairs(m, build, &mut lsel, &mut rsel)?;
+                res.keep_pairs(m, build, lsel, rsel)?;
             }
             out_rows += lsel.len() as u64;
-            emit(m, build, &lsel, &rsel)
+            emit(m, build, lsel, rsel)
         };
         let probed = match &lrel {
             Some(l) => probe(l.as_ref(), true).map(|()| l.len() as u64),
@@ -769,7 +774,7 @@ impl<'a> Execution<'a> {
                 None
             };
         let norm = build_table(&bcols, &pcols, rrel.len(), &mut self.scratch)?;
-        let keys = norm.keys(&pcols, lrel.len())?;
+        let keys = norm.keys(&pcols, lrel.len(), &mut self.scratch.packed)?;
         let matched = with_key_arm!(&keys, self.scratch, |p, heads| {
             semi_matches(p, heads, &self.scratch.next, residual_dyn)
         })?;
@@ -1350,15 +1355,17 @@ fn word_range(col: &Column, n: usize) -> Option<(i64, i64)> {
     .then_some((min, max))
 }
 
-/// One side's join keys in the arm one [`KeyNorm`] chose for both sides,
-/// read from the key columns row by row where they lie: no side builds a
-/// key vector. A row without a key matches nothing: a NULL component, or a
-/// probe value outside the build side's range.
+/// One side's join keys in the arm one [`KeyNorm`] chose for both sides.
+/// Word keys are packed first, one column at a time, into the pooled
+/// [`Scratch::packed`]; a Str or `Value` key is read from its columns
+/// where they lie. A row without a key matches nothing: a NULL component,
+/// or a probe value outside the build side's range.
 enum Keys<'a> {
-    /// A packed word narrow enough to index [`DirectHeads`] itself.
-    Direct(Side<WordKeys<'a>>),
-    W64(Side<WordKeys<'a>>),
-    W128(Side<WordKeys<'a>>),
+    /// Packed word keys of up to [`DIRECT_MAX_BITS`], which index
+    /// [`DirectHeads`] themselves.
+    Direct(Side<Packed<'a>>),
+    /// Wider packed word keys, of up to 63 bits, hashed.
+    W64(Side<Packed<'a>>),
     /// One Str column.
     Str(Side<&'a TypedCol<Arc<str>>>),
     /// Key columns compared as `Value` tuples.
@@ -1372,88 +1379,71 @@ struct Side<K> {
     rows: usize,
 }
 
-/// Key columns a packed word key may have, so that one side's resolved
-/// columns sit inline and reading a morsel's keys allocates nothing. A key
-/// over more columns takes the `Vals` arm.
-const WORD_KEY_COLS: usize = 4;
+/// The packed key of a row that has none. Packed keys are at most 63 bits
+/// wide, so no key equals it, and OR-ing a later bit field into it leaves
+/// it as it is.
+const NO_KEY: u64 = u64::MAX;
 
-/// One side's word key columns, packed per row as [`KeyNorm::Words`]
-/// describes: the first `None` ends them.
-struct WordKeys<'a> {
-    cols: [Option<WordCol<'a>>; WORD_KEY_COLS],
-    /// Width of the packed key: a direct table has `2^bits` slots.
+/// One side's packed word keys, one per row ([`NO_KEY`] for a row without
+/// one), and the width of the packing: a direct table has `2^bits` slots.
+#[derive(Clone, Copy)]
+struct Packed<'a> {
+    keys: &'a [u64],
     bits: u32,
 }
 
-/// One word key column of one side, resolved once per morsel so that a
-/// row's key reads typed values and no `Column` match: its values, its
-/// NULL bitmap when it has NULLs, and its bit field.
-#[derive(Clone, Copy)]
-struct WordCol<'a> {
-    values: WordValues<'a>,
-    nulls: Option<&'a Bitmap>,
-    field: &'a WordField,
-}
-
-#[derive(Clone, Copy)]
-enum WordValues<'a> {
-    Int(&'a [i64]),
-    Date(&'a [i32]),
-    Bool(&'a [bool]),
-}
-
-impl<'a> WordCol<'a> {
-    /// `col` as `field` reads it; `None` unless `col` has the layout the
-    /// field was planned for.
-    fn new(field: &'a WordField, col: &'a Column) -> Option<WordCol<'a>> {
-        let (values, nulls) = match col {
-            _ if discriminant(col) != field.layout => return None,
-            Column::Int(c) => (WordValues::Int(&c.data), &c.nulls),
-            Column::Date(c) => (WordValues::Date(&c.data), &c.nulls),
-            Column::Bool(c) => (WordValues::Bool(&c.data), &c.nulls),
-            _ => return None,
-        };
-        Some(WordCol {
-            values,
-            nulls: (!nulls.none_set()).then_some(nulls),
-            field,
-        })
+impl Packed<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> Option<u64> {
+        let k = self.keys[i];
+        (k != NO_KEY).then_some(k)
     }
 }
 
-/// The word types a packed key is built in.
-trait PackWord:
-    Copy + Hash + Eq + From<u64> + std::ops::Shl<u32, Output = Self> + std::ops::BitOrAssign
-{
+/// Pack rows `0..rows` of one side's word key columns into `out`, one
+/// column at a time: each value less its field's build minimum, shifted
+/// into its bit field. A NULL component, or a value outside its field's
+/// build range (which must not spill into the next field), makes the row's
+/// key [`NO_KEY`]. `None` when a column has not the layout its field was
+/// planned for.
+fn pack_words(
+    fields: &[WordField],
+    cols: &[Column],
+    rows: usize,
+    out: &mut Vec<u64>,
+) -> Option<()> {
+    out.clear();
+    out.resize(rows, 0);
+    for (f, col) in fields.iter().zip(cols) {
+        match col {
+            _ if discriminant(col) != f.layout => return None,
+            Column::Int(c) => pack_field(out, c, f, |v| v),
+            Column::Date(c) => pack_field(out, c, f, i64::from),
+            Column::Bool(c) => pack_field(out, c, f, i64::from),
+            _ => return None,
+        }
+    }
+    Some(())
 }
 
-impl PackWord for u64 {}
-impl PackWord for u128 {}
-
-impl WordKeys<'_> {
-    /// Row `i`'s packed key: each value less its field's build minimum,
-    /// shifted into its bit field. `None` for a NULL component or a value
-    /// outside the field's build range, which must not spill into the next
-    /// field.
-    #[inline]
-    fn key<W: PackWord>(&self, i: usize) -> Option<W> {
-        let mut k = W::from(0);
-        for c in self.cols.iter().map_while(Option::as_ref) {
-            if c.nulls.is_some_and(|n| n.get(i)) {
-                return None;
+/// OR one column's bit field into the packed keys (see [`pack_words`]),
+/// its values first and then its NULLs.
+#[inline]
+fn pack_field<T: Copy>(out: &mut [u64], col: &TypedCol<T>, f: &WordField, word: impl Fn(T) -> i64) {
+    for (k, &v) in out.iter_mut().zip(&col.data) {
+        let v = word(v);
+        *k = if (f.min..=f.max).contains(&v) {
+            *k | (v.wrapping_sub(f.min) as u64) << f.shift
+        } else {
+            NO_KEY
+        };
+    }
+    if !col.nulls.none_set() {
+        for (i, k) in out.iter_mut().enumerate() {
+            if col.nulls.get(i) {
+                *k = NO_KEY;
             }
-            let v = match c.values {
-                WordValues::Int(v) => v[i],
-                WordValues::Date(v) => i64::from(v[i]),
-                WordValues::Bool(v) => i64::from(v[i]),
-            };
-            let f = c.field;
-            if v < f.min || v > f.max {
-                return None;
-            }
-            k |= W::from(v.wrapping_sub(f.min) as u64) << f.shift;
         }
-        Some(k)
     }
 }
 
@@ -1480,28 +1470,11 @@ struct WordField {
     shift: u32,
 }
 
-/// Widest packed word key a [`DirectHeads`] table is indexed by: at most
-/// 2^16 slots (256 KB) per pooled [`Scratch`].
-const DIRECT_MAX_BITS: u32 = 16;
-
-/// Slots a direct table may have for a build of `build_rows` rows: a
-/// table sized to need, never a fixed 2^16, because every pooled
-/// [`Scratch`] of every engine keeps the largest one it grew.
-fn direct_slot_budget(build_rows: usize) -> usize {
-    build_rows.saturating_mul(16).max(4096)
-}
-
-/// Which chain-head table a packed word key goes to, by its width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WordTable {
-    /// `bits <= DIRECT_MAX_BITS` and `2^bits` within
-    /// [`direct_slot_budget`]: an array indexed by the key.
-    Direct,
-    /// Up to 64 bits.
-    W64,
-    /// Up to 128 bits.
-    W128,
-}
+/// Widest packed word key a [`DirectHeads`] table is indexed by, whatever
+/// the build side's size: at most 2^17 slots (512 KB) per pooled
+/// [`Scratch`]. The table grows only to the `2^bits` slots a join needs, so
+/// a narrow key never pays for a wide one. Wider keys are hashed.
+const DIRECT_MAX_BITS: u32 = 17;
 
 /// How an equi-join's key columns normalise: decided once per join from the
 /// build columns and the probe side's layouts, then applied to both sides,
@@ -1510,20 +1483,15 @@ enum WordTable {
 enum KeyNorm {
     /// Every column is Int, Date or Bool with the same layout on both
     /// sides. Each value packs as `value - build_min` into a bit field as
-    /// wide as the build side's range needs (`bits` in total, which decide
-    /// the `table`). A probe value outside the build range equals no build
-    /// value, so it has no key.
-    Words {
-        fields: Vec<WordField>,
-        bits: u32,
-        table: WordTable,
-    },
+    /// wide as the build side's range needs (`bits` in total, at most 63,
+    /// which decide the table). A probe value outside the build range
+    /// equals no build value, so it has no key.
+    Words { fields: Vec<WordField>, bits: u32 },
     /// One Str column on each side.
     Str,
     /// Everything else (Float, Mixed, layouts that differ between the
-    /// sides, Str inside a composite key, more than [`WORD_KEY_COLS`]
-    /// columns, word fields beyond 128 bits):
-    /// `Value` tuples, whose equality also gives `1 = 1.0`.
+    /// sides, Str inside a composite key, word fields of 64 bits or more
+    /// in total): `Value` tuples, whose equality also gives `1 = 1.0`.
     Vals,
 }
 
@@ -1531,9 +1499,6 @@ impl KeyNorm {
     fn new(bcols: &[Column], pcols: &[Column], build_rows: usize) -> KeyNorm {
         if let ([Column::Str(_)], [Column::Str(_)]) = (bcols, pcols) {
             return KeyNorm::Str;
-        }
-        if bcols.len() > WORD_KEY_COLS {
-            return KeyNorm::Vals;
         }
         let mut fields = Vec::with_capacity(bcols.len());
         let mut bits = 0u32;
@@ -1558,49 +1523,35 @@ impl KeyNorm {
             };
             bits += bits_for(u128::from(span));
         }
-        let table = if bits <= DIRECT_MAX_BITS && 1 << bits <= direct_slot_budget(build_rows) {
-            WordTable::Direct
-        } else if bits <= 64 {
-            WordTable::W64
-        } else if bits <= 128 {
-            WordTable::W128
-        } else {
+        if bits >= 64 {
             return KeyNorm::Vals;
-        };
-        KeyNorm::Words {
-            fields,
-            bits,
-            table,
         }
+        KeyNorm::Words { fields, bits }
     }
 
-    /// One side's keys over its key columns. Errors when a typed arm meets
-    /// a layout it was not planned for (a streamed probe whose morsels
-    /// changed layout mid-edge).
-    fn keys<'a>(&'a self, cols: &'a [Column], rows: usize) -> Result<Keys<'a>> {
+    /// One side's keys over its key columns, word keys packed into
+    /// `packed`. Errors when a typed arm meets a layout it was not planned
+    /// for (a streamed probe whose morsels changed layout mid-edge).
+    fn keys<'a>(
+        &'a self,
+        cols: &'a [Column],
+        rows: usize,
+        packed: &'a mut Vec<u64>,
+    ) -> Result<Keys<'a>> {
         let drift =
             || EngineError::Execution("streamed probe key layout drifted between morsels".into());
         Ok(match (self, cols) {
-            (
-                KeyNorm::Words {
-                    fields,
-                    bits,
-                    table,
-                },
-                _,
-            ) => {
-                let mut keys = WordKeys {
-                    cols: [None; WORD_KEY_COLS],
+            (KeyNorm::Words { fields, bits }, _) => {
+                pack_words(fields, cols, rows, packed).ok_or_else(drift)?;
+                let keys = Packed {
+                    keys: packed,
                     bits: *bits,
                 };
-                for ((to, f), c) in keys.cols.iter_mut().zip(fields).zip(cols) {
-                    *to = Some(WordCol::new(f, c).ok_or_else(drift)?);
-                }
                 let side = Side { keys, rows };
-                match table {
-                    WordTable::Direct => Keys::Direct(side),
-                    WordTable::W64 => Keys::W64(side),
-                    WordTable::W128 => Keys::W128(side),
+                if *bits <= DIRECT_MAX_BITS {
+                    Keys::Direct(side)
+                } else {
+                    Keys::W64(side)
                 }
             }
             (KeyNorm::Str, [Column::Str(col)]) => Keys::Str(Side { keys: col, rows }),
@@ -1634,8 +1585,8 @@ struct DirectHeads {
     touched: Vec<u32>,
 }
 
-impl ChainHeads<WordKeys<'_>> for DirectHeads {
-    fn reset(&mut self, build: &WordKeys<'_>) {
+impl ChainHeads<Packed<'_>> for DirectHeads {
+    fn reset(&mut self, build: &Packed<'_>) {
         for &k in &self.touched {
             self.slots[k as usize] = NO_NEXT;
         }
@@ -1647,13 +1598,13 @@ impl ChainHeads<WordKeys<'_>> for DirectHeads {
     }
 
     #[inline]
-    fn head(&self, keys: &WordKeys<'_>, i: usize) -> Option<u32> {
-        let h = self.slots[keys.key::<u64>(i)? as usize];
+    fn head(&self, keys: &Packed<'_>, i: usize) -> Option<u32> {
+        let h = self.slots[keys.get(i)? as usize];
         (h != NO_NEXT).then_some(h)
     }
 
-    fn push_front(&mut self, build: &WordKeys<'_>, i: usize) -> u32 {
-        let Some(k) = build.key::<u64>(i) else {
+    fn push_front(&mut self, build: &Packed<'_>, i: usize) -> u32 {
+        let Some(k) = build.get(i) else {
             return NO_NEXT;
         };
         let displaced = std::mem::replace(&mut self.slots[k as usize], i as u32);
@@ -1664,18 +1615,18 @@ impl ChainHeads<WordKeys<'_>> for DirectHeads {
     }
 }
 
-impl<W: PackWord> ChainHeads<WordKeys<'_>> for FastMap<W, u32> {
-    fn reset(&mut self, _: &WordKeys<'_>) {
+impl ChainHeads<Packed<'_>> for FastMap<u64, u32> {
+    fn reset(&mut self, _: &Packed<'_>) {
         self.clear();
     }
 
     #[inline]
-    fn head(&self, keys: &WordKeys<'_>, i: usize) -> Option<u32> {
-        self.get(&keys.key::<W>(i)?).copied()
+    fn head(&self, keys: &Packed<'_>, i: usize) -> Option<u32> {
+        self.get(&keys.get(i)?).copied()
     }
 
-    fn push_front(&mut self, build: &WordKeys<'_>, i: usize) -> u32 {
-        map_push_front(self, build.key(i), i)
+    fn push_front(&mut self, build: &Packed<'_>, i: usize) -> u32 {
+        map_push_front(self, build.get(i), i)
     }
 }
 
@@ -1744,25 +1695,45 @@ fn probe_chain<K, H: ChainHeads<K>>(
     }
 }
 
-/// Reorder pairs that came out of a table over the probe morsel (table-side
-/// row in `psel`, ascending within each `bsel` row, `bsel` ascending) into
-/// the one emission order: probe-major, build rows ascending within a probe
-/// row. A stable counting sort on the probe row, O(pairs + probe rows).
-fn probe_major(psel: &mut Vec<u32>, bsel: &mut Vec<u32>, probe_rows: usize) {
-    let mut at = vec![0usize; probe_rows + 1];
-    for &p in psel.iter() {
-        at[p as usize + 1] += 1;
+/// A probe morsel's matching pairs, row `lsel[i]` of the morsel beside row
+/// `rsel[i]` of the right relation, and the spare buffers
+/// [`Pairs::probe_major`] sorts them into.
+#[derive(Default)]
+struct Pairs {
+    lsel: Vec<u32>,
+    rsel: Vec<u32>,
+    at: Vec<usize>,
+    lspare: Vec<u32>,
+    rspare: Vec<u32>,
+}
+
+impl Pairs {
+    /// Reorder pairs that came out of a table over the probe morsel (right
+    /// rows ascending, morsel rows ascending within each) into the one
+    /// emission order: probe-major, right rows ascending within a morsel
+    /// row. A stable counting sort on the morsel row into the spare
+    /// buffers, which then swap places with the pairs; O(pairs + morsel
+    /// rows).
+    fn probe_major(&mut self, probe_rows: usize) {
+        let at = &mut self.at;
+        at.clear();
+        at.resize(probe_rows + 1, 0);
+        for &p in &self.lsel {
+            at[p as usize + 1] += 1;
+        }
+        for i in 1..at.len() {
+            at[i] += at[i - 1];
+        }
+        self.lspare.resize(self.lsel.len(), 0);
+        self.rspare.resize(self.rsel.len(), 0);
+        for (&p, &b) in self.lsel.iter().zip(&self.rsel) {
+            let to = &mut at[p as usize];
+            (self.lspare[*to], self.rspare[*to]) = (p, b);
+            *to += 1;
+        }
+        std::mem::swap(&mut self.lsel, &mut self.lspare);
+        std::mem::swap(&mut self.rsel, &mut self.rspare);
     }
-    for i in 1..at.len() {
-        at[i] += at[i - 1];
-    }
-    let (mut ps, mut bs) = (vec![0; psel.len()], vec![0; bsel.len()]);
-    for (&p, &b) in psel.iter().zip(bsel.iter()) {
-        let to = &mut at[p as usize];
-        (ps[*to], bs[*to]) = (p, b);
-        *to += 1;
-    }
-    (*psel, *bsel) = (ps, bs);
 }
 
 /// The build half of every hash join: decide how the keys normalise from
@@ -1774,7 +1745,8 @@ fn build_table(
     scratch: &mut Scratch,
 ) -> Result<KeyNorm> {
     let norm = KeyNorm::new(bcols, pcols, build_rows);
-    with_key_arm!(&norm.keys(bcols, build_rows)?, scratch, |b, heads| {
+    let keys = norm.keys(bcols, build_rows, &mut scratch.packed)?;
+    with_key_arm!(&keys, scratch, |b, heads| {
         build_chain(b, heads, &mut scratch.next)
     });
     Ok(norm)
@@ -2458,49 +2430,81 @@ mod tests {
         assert_eq!((join.probe_rows, join.build_rows), (10, 4096));
     }
 
-    /// The word arm a key goes to: the direct table when `2^bits <=
-    /// max(4096, 16 × build rows)` and `bits <= 16`, the hashed arms
-    /// otherwise (the sides the `props_join_keys` size-rule test runs),
-    /// and no word arm beyond `WORD_KEY_COLS` columns.
+    /// The word arm a key goes to, by the packed width alone: the direct
+    /// table up to `DIRECT_MAX_BITS` (17) bits however few build rows
+    /// there are, the hashed `W64` arm up to 63 bits, and `Vals` from 64
+    /// bits on, where a packed key could equal `NO_KEY` (the sides the
+    /// `props_join_keys` size-rule test runs).
     #[test]
     fn word_keys_choose_their_table_by_the_size_rule() {
-        // One Int key over `rows` build rows whose values span `codes`.
-        let table = |codes: i64, rows: usize| {
-            let col = Column::from_values((0..rows as i64).map(|i| Value::Int(i % codes)));
-            let col = match col {
-                Column::Int(mut c) => {
-                    Arc::make_mut(&mut c).data[rows - 1] = codes - 1;
-                    Column::Int(c)
-                }
-                _ => unreachable!("an Int column"),
-            };
-            match KeyNorm::new(std::slice::from_ref(&col), std::slice::from_ref(&col), rows) {
-                KeyNorm::Words { table, .. } => table,
-                _ => panic!("an Int key packs into words"),
+        // The arm and the packed width of Int keys over `rows` build rows:
+        // row 1 holds each column's maximum, every other row its minimum.
+        let arm = |ranges: &[(i64, i64)], rows: usize| {
+            let cols: Vec<Column> = ranges
+                .iter()
+                .map(|&(lo, hi)| {
+                    Column::from_values((0..rows).map(|i| Value::Int(if i == 1 { hi } else { lo })))
+                })
+                .collect();
+            let norm = KeyNorm::new(&cols, &cols, rows);
+            match norm.keys(&cols, rows, &mut Vec::new()).unwrap() {
+                Keys::Direct(side) => ("Direct", side.keys.bits),
+                Keys::W64(side) => ("W64", side.keys.bits),
+                Keys::Vals(_) => ("Vals", 0),
+                Keys::Str(_) => unreachable!("Int keys"),
             }
         };
-        use WordTable::{Direct, W64};
-        for (codes, rows, want) in [
-            (4095, 40, Direct),
-            (4096, 40, Direct),
-            (4097, 40, W64),
-            (8192, 511, W64),
-            (8192, 512, Direct),
-            (8192, 513, Direct),
-            (65_536, 4095, W64),
-            (65_536, 4096, Direct),
-            (65_537, 1 << 20, W64),
+        const HALF: i64 = 1 << 31;
+        for (ranges, rows, want) in [
+            (&[(0, 4095)][..], 2, ("Direct", 12)),
+            (&[(0, 65_535)], 2, ("Direct", 16)),
+            (&[(0, 131_071)], 2, ("Direct", 17)),
+            (&[(-500, 130_571)], 200, ("Direct", 17)),
+            (&[(0, 131_072)], 200, ("W64", 18)),
+            (&[(0, 7), (0, 16_383)], 200, ("Direct", 17)),
+            (&[(0, 7), (0, 16_384)], 200, ("W64", 18)),
+            (&[(0, i64::MAX)], 2, ("W64", 63)),
+            (&[(-1, i64::MAX)], 2, ("Vals", 0)),
+            (&[(i64::MIN, i64::MAX)], 2, ("Vals", 0)),
+            (&[(0, HALF - 1), (0, HALF)], 2, ("W64", 63)),
+            (&[(0, HALF), (0, HALF)], 2, ("Vals", 0)),
         ] {
-            assert_eq!(table(codes, rows), want, "{codes} codes over {rows} rows");
+            assert_eq!(arm(ranges, rows), want, "{ranges:?} over {rows} rows");
         }
-        let wide = Column::from_values([Value::Int(0), Value::Int(i64::MAX)]);
-        match KeyNorm::new(std::slice::from_ref(&wide), std::slice::from_ref(&wide), 2) {
-            KeyNorm::Words { table, bits, .. } => assert_eq!((table, bits), (W64, 63)),
-            _ => panic!("an Int key packs into words"),
-        }
-        // More columns than a side holds inline compare as `Value` tuples.
-        let five = vec![wide; WORD_KEY_COLS + 1];
-        assert!(matches!(KeyNorm::new(&five, &five, 2), KeyNorm::Vals));
+    }
+
+    /// Packing marks a row without a key, whichever column decides it: a
+    /// NULL component, and a value below or above its field's build range,
+    /// which must not spill into the next field.
+    #[test]
+    fn packing_marks_rows_without_a_key() {
+        let ints = |vals: &[Option<i64>]| {
+            Column::from_values(vals.iter().map(|v| v.map_or(Value::Null, Value::Int)))
+        };
+        let build = [ints(&[Some(10), Some(11)]), ints(&[Some(-2), Some(1)])];
+        let norm = KeyNorm::new(&build, &build, 2);
+        let KeyNorm::Words { fields, bits } = &norm else {
+            panic!("Int keys pack into words");
+        };
+        assert_eq!(*bits, 3);
+        let probe = [
+            ints(&[
+                Some(10),
+                Some(11),
+                None,
+                Some(9),
+                Some(12),
+                Some(11),
+                Some(10),
+            ]),
+            ints(&[Some(-2), Some(1), Some(0), Some(0), Some(0), None, Some(2)]),
+        ];
+        let mut packed = vec![7; 3];
+        pack_words(fields, &probe, 7, &mut packed).unwrap();
+        assert_eq!(packed, [0, 0b111, NO_KEY, NO_KEY, NO_KEY, NO_KEY, NO_KEY]);
+        // A column of another layout than the field was planned for.
+        let dates = Column::from_values([Value::Date(10), Value::Date(11)]);
+        assert!(pack_words(fields, &[dates, probe[1].clone()], 2, &mut packed).is_none());
     }
 
     /// A direct table keeps the slots it grew and clears only the ones
@@ -2540,7 +2544,9 @@ mod tests {
         assert_eq!(live, 1);
         let (mut psel, mut bsel) = (Vec::new(), Vec::new());
         let probe = col(&[3, 4, 0]);
-        let keys = norm.keys(std::slice::from_ref(&probe), 3).unwrap();
+        let keys = norm
+            .keys(std::slice::from_ref(&probe), 3, &mut scratch.packed)
+            .unwrap();
         with_key_arm!(&keys, scratch, |p, heads| {
             probe_chain(p, heads, &scratch.next, &mut psel, &mut bsel)
         });

@@ -207,62 +207,83 @@ fn sized_case(rng: &mut TestRng, nb: usize, np: usize, large: bool) -> Case {
     }
 }
 
-/// The direct chain-head table's size rule: a packed word key of `bits`
-/// bits indexes an array when `2^bits <= max(4096, 16 × build rows)` and
-/// `bits <= 16`. Each entry is (key codes, build rows) on one side of it:
-/// 4096 ± 1 codes over a build side too small to matter, then 2^13 and
-/// 2^16 codes over 16 × build rows ± 1 rows, and 2^16 + 1 codes, which
-/// never index an array.
-const SIZE_RULE_SIDES: [(u64, usize); 10] = [
-    (4095, 40),
+/// The packed word key's size rule: a key of at most 17 bits indexes the
+/// direct chain-head table however few build rows it has, a key of up to
+/// 63 bits is hashed, and a wider one compares as `Value` tuples, so that
+/// no packed key equals the no-key sentinel `u64::MAX`. Each entry is (key
+/// codes, build rows): 2^12 codes, narrow joins to run before and after
+/// the wide ones; on either side of an edge, 2^17 and 2^17 + 1 codes over
+/// a sparse build (200 rows) and a denser one, and 2^63 and 2^63 + 1
+/// codes, 63 and 64 bits.
+const SIZE_RULE_SIDES: [(u64, usize); 8] = [
     (4096, 40),
-    (4097, 40),
-    (8192, 511),
-    (8192, 512),
-    (8192, 513),
-    (65_536, 4095),
-    (65_536, 4096),
-    (65_536, 4097),
-    (65_537, 4097),
+    (1 << 17, 200),
+    ((1 << 17) + 1, 200),
+    (1 << 17, 4097),
+    ((1 << 17) + 1, 4097),
+    (1 << 63, 200),
+    ((1 << 63) + 1, 200),
+    (4095, 40),
 ];
 
 /// A case whose word key packs into exactly as many codes as `codes` needs:
-/// one Int or Date key spanning `codes` values over `nb` build rows, or
-/// two whose first spans 8 values (3 bits) and whose second spans
+/// `nkeys` = 1 Int or Date key spanning `codes` values over `nb` build
+/// rows, or 2 whose first spans 8 values (3 bits) and whose second spans
 /// `codes / 8`, so that the packed key crosses the size rule in its second
-/// bit field. The first two build rows hold every key's minimum and
-/// maximum; probe values reach three below and three above the build
-/// range. The probe side has at least as many rows as the build side, so
-/// the table goes over the build side however the probe is read.
-fn spanned_case(rng: &mut TestRng, codes: u64, nb: usize) -> Case {
+/// bit field (a Date cannot span more than 2^31 values, so wider keys are
+/// Int). The first two build rows hold every key's minimum and maximum.
+/// Each probe row aims at one build row: a component is NULL one time in
+/// sixteen, that row's value seven times, and otherwise any value from
+/// three below to three above the build range. The probe side has at
+/// least as many rows as the build side, so the table goes over the build
+/// side however the probe is read.
+fn spanned_case(rng: &mut TestRng, codes: u64, nb: usize, nkeys: usize) -> Case {
     let np = nb + rng.below(nb as u64 / 8 + 8) as usize;
-    let kind = if rng.bool() { Kind::Int } else { Kind::Date };
-    let spans = if rng.bool() {
-        vec![codes]
+    let wide = codes > 1 << 31;
+    let kind = if !wide && rng.bool() {
+        Kind::Date
     } else {
-        vec![8, codes.div_ceil(8)]
+        Kind::Int
     };
-    let lo = rng.below(1000) as i64 - 500;
-    let word = move |v: i64| match kind {
-        Kind::Date => Value::Date(v as i32),
-        _ => Value::Int(v),
+    let spans = match nkeys {
+        1 => vec![codes],
+        _ => vec![8, codes.div_ceil(8)],
     };
+    // Room for three values below and above the range.
+    let lo = match wide {
+        true => i64::MIN + 3 + rng.below(1000) as i64,
+        false => rng.below(1000) as i64 - 500,
+    };
+    let word = move |offset: u64| {
+        let v = lo.wrapping_add(offset as i64);
+        match kind {
+            Kind::Date => Value::Date(v as i32),
+            _ => Value::Int(v),
+        }
+    };
+    let offsets: Vec<Vec<u64>> = (0..nb)
+        .map(|r| {
+            let mut span = |s: u64| match r {
+                0 => 0,
+                1 => s - 1,
+                _ => rng.below(s),
+            };
+            spans.iter().map(|&s| span(s)).collect()
+        })
+        .collect();
     let kinds = vec![kind; spans.len()];
-    let build = keyed_relation(rng, &kinds, nb, |rng, r| {
-        let mut span = |s: u64| match r {
-            0 => 0,
-            1 => s as i64 - 1,
-            _ => rng.below(s) as i64,
-        };
-        spans.iter().map(|&s| word(lo + span(s))).collect()
+    let build = keyed_relation(rng, &kinds, nb, |_, r| {
+        offsets[r].iter().map(|&o| word(o)).collect()
     });
     let probe = keyed_relation(rng, &kinds, np, |rng, _| {
-        let null = |rng: &mut TestRng| rng.below(16) == 0;
+        let aim = &offsets[rng.below(nb as u64) as usize];
         spans
             .iter()
-            .map(|&s| match null(rng) {
-                true => Value::Null,
-                false => word(lo - 3 + rng.below(s + 6) as i64),
+            .zip(aim)
+            .map(|(&s, &o)| match rng.below(16) {
+                0 => Value::Null,
+                1..=7 => word(o),
+                _ => word(rng.below(s + 6).wrapping_sub(3)),
             })
             .collect()
     });
@@ -708,19 +729,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Joins back to back on one [`Scratch`], as an engine's pooled
-    /// scratch runs them: small cases of every layout and word keys on
-    /// either side of the 4096-slot floor. A chain head an earlier build
-    /// left behind would chain into, or match, rows of a later one.
+    /// scratch runs them: small cases of every layout, and word keys of
+    /// about 2^12 codes and on either side of the 17-bit rule over sparse
+    /// builds. A chain head an earlier build left behind would chain into,
+    /// or match, rows of a later one, and a packed key left behind would
+    /// spill into a later one's bit fields.
     #[test]
     fn joins_back_to_back_on_one_scratch_match_the_reference(seed in any::<u64>()) {
         let mut rng = TestRng::deterministic(seed);
         let mut scratch = Scratch::default();
         for step in 0..4 {
+            let nkeys = 1 + rng.below(2) as usize;
             let case = match rng.below(3) {
                 0 => case(rng.next_u64(), false),
-                _ => {
+                1 => {
                     let (codes, nb) = (4095 + rng.below(3), 8 + rng.below(40) as usize);
-                    spanned_case(&mut rng, codes, nb)
+                    spanned_case(&mut rng, codes, nb, nkeys)
+                }
+                _ => {
+                    let (codes, nb) = ((1 << 17) - 1 + rng.below(3), 8 + rng.below(200) as usize);
+                    spanned_case(&mut rng, codes, nb, nkeys)
                 }
             };
             check_on(Some(&mut scratch), &case, &format!("seed {seed} step {step}"))?;
@@ -728,18 +756,20 @@ proptest! {
     }
 }
 
-/// Word keys on both sides of the direct table's size rule, pinned
-/// ([`SIZE_RULE_SIDES`]), all run back to back on one [`Scratch`]: the
-/// table grows to 2^16 slots, and the narrow joins run again after that
-/// reuse it.
+/// Word keys on both sides of the size rule's edges, pinned
+/// ([`SIZE_RULE_SIDES`]), in one and in two columns, all run back to back
+/// on one [`Scratch`]: the direct table grows to 2^17 slots, and the
+/// narrow joins run again after that reuse it.
 #[test]
 fn size_rule_sides_match_the_reference() {
     let mut rng = TestRng::deterministic(34);
     let mut scratch = Scratch::default();
     for &(codes, nb) in SIZE_RULE_SIDES.iter().chain(&SIZE_RULE_SIDES[..3]) {
-        let case = spanned_case(&mut rng, codes, nb);
-        check_on(Some(&mut scratch), &case, &format!("{codes} codes x {nb}"))
-            .expect("equals the reference");
+        for nkeys in [1, 2] {
+            let case = spanned_case(&mut rng, codes, nb, nkeys);
+            let label = format!("{codes} codes x {nb} in {nkeys} columns");
+            check_on(Some(&mut scratch), &case, &label).expect("equals the reference");
+        }
     }
 }
 

@@ -92,31 +92,8 @@ for f in $(grep -rlE "$miss" crates/*/src || true); do
   fi
 done
 
-# Probe census: the consultation cache keys an EXPLAIN probe by its
-# structure, so a cache hit lowers and renders nothing (DESIGN.md §9). No
-# non-test line of `Annotator::price` may lower or render the probe.
-price=$(sed '/^#\[cfg(test)\]$/,$d' crates/core/src/annotate.rs \
-  | awk '/ fn price\(/ {on=1} on {print} on && /^    }$/ {on=0}')
-[ -n "$price" ]
-if grep -nE 'plan_to_select|render_select_string' <<<"$price"; then
-  echo "crates/core/src/annotate.rs: price renders its probe" >&2
-  exit 1
-fi
-
-# Statistics census: a stored column's statistics are computed on first
-# read and kept (DESIGN.md §18 "Engine catalogs"), so storing data computes
-# none. In non-test `catalog.rs` code the free function `column_stats(` is
-# called from one line, the per-column cell's initializer, so that
-# `TableData::new`, `create_table_from` and `insert_rows` do not call it;
-# `crates/engine/tests/props_stats.rs` counts the cells a `CREATE TABLE AS`
-# fills (none).
-stats=$(sed '/^#\[cfg(test)\]/,$d' crates/engine/src/catalog.rs \
-  | grep -nE '(^|[^.:_[:alnum:]])column_stats\(' | grep -v 'fn column_stats(' || true)
-if [ "$(grep -c . <<<"$stats")" -ne 1 ] || ! grep -q 'get_or_init(' <<<"$stats"; then
-  echo "$stats"
-  echo "crates/engine/src/catalog.rs: column statistics are computed outside their cell" >&2
-  exit 1
-fi
+# The statistics census and the probe census read the sources in process:
+# tests/source_census.rs, run by `cargo test` above.
 
 # Drift smoke test: the checked-in drift baseline must stay readable: a
 # stricter reader or a schema change that strands BENCH_history/ fails

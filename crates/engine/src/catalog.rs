@@ -314,13 +314,13 @@ impl StatsProvider for Catalog {
     }
 }
 
-/// min / max / n_distinct of one typed column, entirely on the native
-/// representation. `cmp` must match `Value::total_cmp` restricted to two
+/// min / max / n_distinct of one typed column's present values, entirely
+/// on the native representation. `cmp` must match `Value::total_cmp` restricted to two
 /// non-null values of this type; `key` must map equal-by-`Value::eq` values
 /// to equal keys and distinct ones to distinct keys (so the set size equals
 /// the `HashSet<Value>` size the generic path would produce).
-fn typed_stats<T, K: std::hash::Hash + Eq>(
-    col: &TypedCol<T>,
+fn typed_stats<'a, T: 'a, K: std::hash::Hash + Eq>(
+    values: impl Iterator<Item = &'a T>,
     cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
     key: impl Fn(&T) -> K,
     wrap: impl Fn(&T) -> Value,
@@ -328,11 +328,7 @@ fn typed_stats<T, K: std::hash::Hash + Eq>(
     let mut distinct: FastSet<K> = FastSet::default();
     let mut min: Option<&T> = None;
     let mut max: Option<&T> = None;
-    let dense = col.nulls.none_set();
-    for (i, v) in col.data.iter().enumerate() {
-        if !dense && col.nulls.get(i) {
-            continue;
-        }
+    for v in values {
         match min {
             Some(m) if cmp(v, m) != std::cmp::Ordering::Less => {}
             _ => min = Some(v),
@@ -350,28 +346,33 @@ fn typed_stats<T, K: std::hash::Hash + Eq>(
     }
 }
 
+/// A typed column's present values, in row order.
+fn present<T: Clone + Default>(c: &TypedCol<T>) -> impl Iterator<Item = &T> {
+    (0..c.len()).filter_map(|i| c.get(i))
+}
+
 /// Distinct count and min/max of one column: one pass over its typed vector
 /// (values are cheap to clone: strings are `Arc`-shared). Only a table's
 /// per-column cell calls it, on first read (`TableData::stats_at`).
 fn column_stats(col: &Column) -> ColumnStats {
     match col {
-        Column::Int(c) => typed_stats(c, |a, b| a.cmp(b), |v| *v, |v| Value::Int(*v)),
+        Column::Int(c) => typed_stats(present(c), |a, b| a.cmp(b), |v| *v, |v| Value::Int(*v)),
         // Float total_cmp: partial_cmp, with the NaN case degrading to the
         // type-tag tie (Equal); equality and hence distinctness is by bits.
         Column::Float(c) => typed_stats(
-            c,
+            present(c),
             |a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal),
             |v| v.to_bits(),
             |v| Value::Float(*v),
         ),
         Column::Str(c) => typed_stats(
-            c,
+            (0..c.len()).filter_map(|i| c.get(i)),
             |a, b| a.as_ref().cmp(b.as_ref()),
             Arc::clone,
             |v| Value::Str(Arc::clone(v)),
         ),
-        Column::Date(c) => typed_stats(c, |a, b| a.cmp(b), |v| *v, |v| Value::Date(*v)),
-        Column::Bool(c) => typed_stats(c, |a, b| a.cmp(b), |v| *v, |v| Value::Bool(*v)),
+        Column::Date(c) => typed_stats(present(c), |a, b| a.cmp(b), |v| *v, |v| Value::Date(*v)),
+        Column::Bool(c) => typed_stats(present(c), |a, b| a.cmp(b), |v| *v, |v| Value::Bool(*v)),
         Column::Mixed(_) => {
             // Heterogeneous values: keep the general Value-based path (the
             // cross-type Int/Float equality rules live in `Value::eq`).

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, Name, PlanSchema};
-use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
+use xdb_sql::column::{Column, ColumnBuilder, StrCol, TypedCol};
 use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
 
@@ -272,7 +272,9 @@ impl<'a> Execution<'a> {
             LogicalPlan::OneRow => Ok(ExecRel::Owned(Relation::new(vec![], vec![vec![]]))),
             LogicalPlan::Filter { input, predicate } => {
                 if self.streamed_leaf(plan).is_some() {
-                    // Filtered as it decodes: only surviving rows are kept.
+                    // Filtered as it decodes: only surviving rows are kept
+                    // (a string column keeps at most two strings per row,
+                    // see `StrCol`).
                     let mut out = MorselConcat::new();
                     self.feed(plan, &mut |m| {
                         out.append(m.as_ref());
@@ -897,9 +899,16 @@ impl MorselConcat {
     /// gathered and concatenated in one pass.
     fn append_pair(&mut self, l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) {
         if self.fields.is_none() {
+            // The first pairs make the columns: a gather allocates as an
+            // empty column and one append would, and a string column
+            // takes the state its first rows read best in.
             self.fields = Some(l.fields.iter().chain(&r.fields).cloned().collect());
-            let cols = l.columns().iter().chain(r.columns());
-            self.cols = cols.map(Column::empty_like).collect();
+            let lcols = l.columns().iter().map(|c| c.gather(lsel));
+            self.cols = lcols
+                .chain(r.columns().iter().map(|c| c.gather(rsel)))
+                .collect();
+            self.rows = lsel.len();
+            return;
         }
         let (lcols, rcols) = self.cols.split_at_mut(l.width());
         for (dst, src) in lcols.iter_mut().zip(l.columns()) {
@@ -1367,7 +1376,7 @@ enum Keys<'a> {
     /// Wider packed word keys, of up to 63 bits, hashed.
     W64(Side<Packed<'a>>),
     /// One Str column.
-    Str(Side<&'a TypedCol<Arc<str>>>),
+    Str(Side<&'a StrCol>),
     /// Key columns compared as `Value` tuples.
     Vals(Side<&'a [Column]>),
 }
@@ -1630,16 +1639,16 @@ impl ChainHeads<Packed<'_>> for FastMap<u64, u32> {
     }
 }
 
-impl ChainHeads<&TypedCol<Arc<str>>> for FastMap<Arc<str>, u32> {
-    fn reset(&mut self, _: &&TypedCol<Arc<str>>) {
+impl ChainHeads<&StrCol> for FastMap<Arc<str>, u32> {
+    fn reset(&mut self, _: &&StrCol) {
         self.clear();
     }
 
-    fn head(&self, col: &&TypedCol<Arc<str>>, i: usize) -> Option<u32> {
+    fn head(&self, col: &&StrCol, i: usize) -> Option<u32> {
         self.get(&**col.get(i)?).copied()
     }
 
-    fn push_front(&mut self, build: &&TypedCol<Arc<str>>, i: usize) -> u32 {
+    fn push_front(&mut self, build: &&StrCol, i: usize) -> u32 {
         map_push_front(self, build.get(i).cloned(), i)
     }
 }

@@ -29,7 +29,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use xdb_sql::ast::{BinaryOp, DateField};
-use xdb_sql::column::{Column, TypedCol};
+use xdb_sql::column::{Column, StrCol, TypedCol};
 use xdb_sql::value::{date, Value};
 
 /// Result of a vectorized evaluation: a column, or a single value standing
@@ -186,29 +186,32 @@ fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// The non-NULL rows of `within` whose value passes, by one typed loop that
 /// writes row ids; the no-NULL case is hoisted out of the loop.
 fn rows_where<T>(c: &TypedCol<T>, within: Option<&[u32]>, pass: impl Fn(&T) -> bool) -> Vec<u32> {
-    fn collect(n: usize, within: Option<&[u32]>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
-        // Every candidate is written and the length advances only past a
-        // kept one: no branch to mispredict at middling selectivities.
-        let mut out = vec![0u32; within.map_or(n, <[u32]>::len)];
-        let mut len = 0;
-        let mut visit = |i: u32| {
-            out[len] = i;
-            len += usize::from(keep(i as usize));
-        };
-        match within {
-            Some(w) => w.iter().copied().for_each(&mut visit),
-            None => (0..n as u32).for_each(&mut visit),
-        }
-        out.truncate(len);
-        out
-    }
     if c.nulls.none_set() {
-        collect(c.data.len(), within, |i| pass(&c.data[i]))
+        collect_rows(c.data.len(), within, |i| pass(&c.data[i]))
     } else {
-        collect(c.data.len(), within, |i| {
+        collect_rows(c.data.len(), within, |i| {
             !c.nulls.get(i) && pass(&c.data[i])
         })
     }
+}
+
+/// The rows of `within` (every row of `0..n` when `None`), ascending, that
+/// `keep` keeps.
+fn collect_rows(n: usize, within: Option<&[u32]>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    // Every candidate is written and the length advances only past a kept
+    // one: no branch to mispredict at middling selectivities.
+    let mut out = vec![0u32; within.map_or(n, <[u32]>::len)];
+    let mut len = 0;
+    let mut visit = |i: u32| {
+        out[len] = i;
+        len += usize::from(keep(i as usize));
+    };
+    match within {
+        Some(w) => w.iter().copied().for_each(&mut visit),
+        None => (0..n as u32).for_each(&mut visit),
+    }
+    out.truncate(len);
+    out
 }
 
 /// What a direct test compares a column's values with.
@@ -263,7 +266,7 @@ fn direct(e: &PhysExpr, rel: &Relation, within: Option<&[u32]>) -> Option<Vec<u3
             let Column::Str(c) = rel.column(*c) else {
                 return None;
             };
-            return Some(rows_where(c, within, |s| pattern.matches(s) != *negated));
+            return Some(Rows::of(c, within).keep(|s| pattern.matches(s) != *negated));
         }
         PhysExpr::Binary { op, left, right } => match (&**left, &**right, flipped(*op)?) {
             (PhysExpr::Column(c), k, _) => (*c, Test::Cmp(*op, constant(k, rel)?)),
@@ -290,14 +293,14 @@ fn direct(e: &PhysExpr, rel: &Relation, within: Option<&[u32]>) -> Option<Vec<u3
                 Value::Int(k) => Some(k),
                 _ => None,
             })?;
-            test_rows(c, within, test)
+            test_rows(Rows::of(&**c, within), test)
         }
         Column::Date(c) => {
             let test = test.typed(|v| match v {
                 Value::Date(k) => Some(k),
                 _ => None,
             })?;
-            test_rows(c, within, test)
+            test_rows(Rows::of(&**c, within), test)
         }
         Column::Float(c) => {
             let test = test.typed(|v| match v {
@@ -307,14 +310,14 @@ fn direct(e: &PhysExpr, rel: &Relation, within: Option<&[u32]>) -> Option<Vec<u3
             if c.data.iter().any(|v| v.is_nan()) {
                 return None;
             }
-            test_rows(c, within, test)
+            test_rows(Rows::of(&**c, within), test)
         }
         Column::Str(c) => {
             let test = test.typed(|v| match v {
                 Value::Str(k) => Some(&**k),
                 _ => None,
             })?;
-            test_rows(c, within, test)
+            test_rows(Rows::of(c, within), test)
         }
         Column::Bool(_) | Column::Mixed(_) => return None,
     })
@@ -333,22 +336,87 @@ fn flipped(op: BinaryOp) -> Option<BinaryOp> {
 }
 
 /// One loop per operator, so that no row pays for the dispatch.
-fn test_rows<T: Borrow<U>, U: PartialOrd + ?Sized>(
-    c: &TypedCol<T>,
-    within: Option<&[u32]>,
-    test: Test<&U>,
-) -> Vec<u32> {
+fn test_rows<U: PartialOrd + ?Sized>(rows: impl Keep<U>, test: Test<&U>) -> Vec<u32> {
     match test {
-        Test::Cmp(BinaryOp::Eq, k) => rows_where(c, within, |v| v.borrow() == k),
-        Test::Cmp(BinaryOp::NotEq, k) => rows_where(c, within, |v| v.borrow() != k),
-        Test::Cmp(BinaryOp::Lt, k) => rows_where(c, within, |v| v.borrow() < k),
-        Test::Cmp(BinaryOp::LtEq, k) => rows_where(c, within, |v| v.borrow() <= k),
-        Test::Cmp(BinaryOp::Gt, k) => rows_where(c, within, |v| v.borrow() > k),
-        Test::Cmp(BinaryOp::GtEq, k) => rows_where(c, within, |v| v.borrow() >= k),
+        Test::Cmp(BinaryOp::Eq, k) => rows.keep(|v| v == k),
+        Test::Cmp(BinaryOp::NotEq, k) => rows.keep(|v| v != k),
+        Test::Cmp(BinaryOp::Lt, k) => rows.keep(|v| v < k),
+        Test::Cmp(BinaryOp::LtEq, k) => rows.keep(|v| v <= k),
+        Test::Cmp(BinaryOp::Gt, k) => rows.keep(|v| v > k),
+        Test::Cmp(BinaryOp::GtEq, k) => rows.keep(|v| v >= k),
         Test::Cmp(..) => unreachable!("not a comparison"),
-        Test::Between(lo, hi, negated) => rows_where(c, within, |v| {
-            (lo <= v.borrow() && v.borrow() <= hi) != negated
-        }),
+        Test::Between(lo, hi, negated) => rows.keep(|v| (lo <= v && v <= hi) != negated),
+    }
+}
+
+/// A direct test's candidates: the rows of `within` (every row when
+/// `None`) of one column.
+struct Rows<'a, C: ?Sized> {
+    col: &'a C,
+    within: Option<&'a [u32]>,
+}
+
+impl<'a, C: ?Sized> Rows<'a, C> {
+    fn of(col: &'a C, within: Option<&'a [u32]>) -> Rows<'a, C> {
+        Rows { col, within }
+    }
+}
+
+/// How a direct test visits its candidates' values.
+trait Keep<U: ?Sized> {
+    /// The candidates, ascending, whose value is present and passes.
+    fn keep(self, pass: impl Fn(&U) -> bool) -> Vec<u32>;
+}
+
+impl<T: Borrow<U>, U: ?Sized> Keep<U> for Rows<'_, TypedCol<T>> {
+    fn keep(self, pass: impl Fn(&U) -> bool) -> Vec<u32> {
+        rows_where(self.col, self.within, |v| pass(v.borrow()))
+    }
+}
+
+impl Keep<str> for Rows<'_, StrCol> {
+    /// A gathered column that reads fewer entries than there are
+    /// candidates tests each entry once and looks each candidate's verdict
+    /// up by its id; any other column is tested row by row, a NULL-free
+    /// column that holds its own values where its strings lie.
+    fn keep(self, pass: impl Fn(&str) -> bool) -> Vec<u32> {
+        let c = self.col;
+        let n = c.len();
+        match c.ids() {
+            Some(ids) if c.entries() < self.within.map_or(n, <[u32]>::len) => {
+                with_verdicts(c.entries(), |verdict| {
+                    for (e, v) in verdict.iter_mut().enumerate() {
+                        *v = c.entry(e as u32).is_some_and(|s| pass(s));
+                    }
+                    let nulls = c.nulls();
+                    if nulls.none_set() {
+                        collect_rows(n, self.within, |i| verdict[ids[i] as usize])
+                    } else {
+                        collect_rows(n, self.within, |i| {
+                            !nulls.get(i) && verdict[ids[i] as usize]
+                        })
+                    }
+                })
+            }
+            _ => match c.values() {
+                Some(values) if c.nulls().none_set() => {
+                    collect_rows(n, self.within, |i| pass(&values[i]))
+                }
+                _ => collect_rows(n, self.within, |i| c.get(i).is_some_and(|s| pass(s))),
+            },
+        }
+    }
+}
+
+/// Run `f` over `len` verdicts, all false, on the stack when there are
+/// few: a per-entry test over the few entries a gathered column reads
+/// (`nation`'s 25 names, a few hundred customers) then allocates nothing.
+fn with_verdicts<R>(len: usize, f: impl FnOnce(&mut [bool]) -> R) -> R {
+    const ON_STACK: usize = 1024;
+    if len <= ON_STACK {
+        f(&mut [false; ON_STACK][..len])
+    } else {
+        f(&mut vec![false; len])
     }
 }
 
@@ -477,7 +545,7 @@ impl<'a> DateIn<'a> {
 }
 
 enum StrIn<'a> {
-    C(&'a TypedCol<Arc<str>>),
+    C(&'a StrCol),
     K(&'a str),
 }
 

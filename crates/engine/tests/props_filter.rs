@@ -10,17 +10,24 @@
 //! constants, column-vs-column and arithmetic operands (division included,
 //! whose error is data dependent), nested under `AND`/`OR`/`NOT` to depth 3.
 //!
+//! Gathered string columns are drawn on their own: sources one entry
+//! smaller than, as large as and one entry larger than the rows a test
+//! looks at (all of them, or those an `AND` left), small and large
+//! sources, one source or two.
+//!
 //! A `Filter` over a scan must return exactly the rows, in order, for which
 //! the row-wise `eval_predicate` says `Ok(true)`, and must fail exactly when
 //! the row-wise loop fails on some row.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::expr::compile;
 use xdb_engine::Relation;
 use xdb_sql::algebra::LogicalPlan;
 use xdb_sql::ast::{BinaryOp, Expr, IntervalUnit, UnaryOp};
 use xdb_sql::bind::intern_fields;
+use xdb_sql::column::{Column, TypedCol};
 use xdb_sql::value::{DataType, Value};
 
 // ------------------------------------------------------- random relations
@@ -273,6 +280,122 @@ proptest! {
         let nan = rng.bool();
         let rel = relation(&mut rng, nan);
         let pred = predicate(&mut rng, 3, nan);
+        check(rel, &pred, &format!("seed {seed}"))?;
+    }
+}
+
+// ------------------------------------------------- gathered string columns
+
+/// A string column of its own: `text` with NULLs one in eight.
+fn strings(rng: &mut TestRng, n: usize) -> Column {
+    let mut c: TypedCol<Arc<str>> = TypedCol::with_capacity(n);
+    for _ in 0..n {
+        match rng.below(8) {
+            0 => c.push_null(),
+            _ => c.push(Arc::from(text(rng))),
+        }
+    }
+    Column::Str(c.into())
+}
+
+/// A test of the string column `s` that can go direct: a comparison in
+/// either orientation, `[NOT] BETWEEN` or `[NOT] LIKE`.
+fn string_test(rng: &mut TestRng) -> Expr {
+    let k = |rng: &mut TestRng| Expr::lit(Value::str(text(rng)));
+    let cmp = COMPARISONS[rng.below(6) as usize];
+    match rng.below(4) {
+        0 => Expr::binary(cmp, Expr::col("s"), k(rng)),
+        1 => Expr::binary(cmp, k(rng), Expr::col("s")),
+        2 => Expr::Between {
+            expr: Box::new(Expr::col("s")),
+            low: Box::new(k(rng)),
+            high: Box::new(k(rng)),
+            negated: rng.bool(),
+        },
+        _ => Expr::Like {
+            expr: Box::new(Expr::col("s")),
+            pattern: like_pattern(rng),
+            negated: rng.bool(),
+        },
+    }
+}
+
+/// A relation of `id` (the row number) and a gathered string column `s`
+/// under a string test, alone or behind `id < k`, which leaves exactly `k`
+/// candidates. The column reads one entry fewer than there are
+/// candidates, as many, one more, a few (a small source) or several times
+/// as many (a large one), from one source or from two.
+fn gathered_case(rng: &mut TestRng) -> (Relation, Expr) {
+    let n = rng.below(80) as usize;
+    let narrowed = rng.bool();
+    let candidates = if narrowed {
+        rng.below(n as u64 + 1) as usize
+    } else {
+        n
+    };
+    let entries = match rng.below(5) {
+        0 => candidates.saturating_sub(1),
+        1 => candidates,
+        2 => candidates + 1,
+        3 => 1 + rng.below(3) as usize,
+        _ => 4 * candidates + rng.below(8) as usize,
+    }
+    .max(1);
+    let split = if rng.bool() {
+        rng.below(entries as u64) as usize
+    } else {
+        0
+    };
+    let s = match split {
+        0 => {
+            let src = strings(rng, entries);
+            let sel: Vec<u32> = (0..n).map(|_| rng.below(entries as u64) as u32).collect();
+            src.gather(&sel)
+        }
+        _ => {
+            // Each source gives rows in proportion to its entries, so that
+            // neither is too sparse to read by id; a gather from the two
+            // then mixes their rows.
+            let (a, b) = (strings(rng, split), strings(rng, entries - split));
+            let na = (n * split).div_ceil(entries);
+            let mut draw = |k: usize, len: usize| -> Vec<u32> {
+                (0..k).map(|_| rng.below(len as u64) as u32).collect()
+            };
+            let mut s = a.gather(&draw(na, split));
+            s.append_gather(&b, &draw(n - na, entries - split));
+            s.gather(&draw(n, n))
+        }
+    };
+    let id = Column::from_values((0..n as i64).map(Value::Int));
+    let fields = vec![
+        ("id".to_string(), DataType::Int),
+        ("s".to_string(), DataType::Str),
+    ];
+    let rel = Relation::from_columns(fields, vec![id, s], n);
+    let test = string_test(rng);
+    let pred = match narrowed {
+        true => {
+            let k = Expr::lit(Value::Int(candidates as i64));
+            Expr::binary(
+                BinaryOp::And,
+                Expr::binary(BinaryOp::Lt, Expr::col("id"), k),
+                test,
+            )
+        }
+        false => test,
+    };
+    (rel, pred)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A gathered column is tested by entry or by row, whichever it reads
+    /// fewer of; both must give the row-wise loop's rows.
+    #[test]
+    fn gathered_strings_match_the_rowwise_loop(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(seed);
+        let (rel, pred) = gathered_case(&mut rng);
         check(rel, &pred, &format!("seed {seed}"))?;
     }
 }

@@ -3,9 +3,10 @@
 //! Random relations grouped by every key shape the executor distinguishes
 //! (none, Int, Str, Date, Bool, Float, a computed key whose column layout
 //! drifts from one streamed morsel to the next, two keys that pack into
-//! one word, two that do not; NULLs everywhere), with and without a filter
-//! underneath, fed as one materialized morsel and as a stream in chunks of
-//! 1/7/4096, must return exactly the groups, in first-seen order with
+//! one word, two that do not, a gathered Str key, alone and packed, whose
+//! few entries repeat strings; NULLs everywhere), with and without a
+//! filter underneath, fed as one materialized morsel and as a stream in
+//! chunks of 1/7/4096, must return exactly the groups, in first-seen order with
 //! bit-equal float sums, of a `Vec<Value>`-keyed row-at-a-time reference,
 //! with the same work units and operator statistics.
 
@@ -20,6 +21,7 @@ use xdb_obs::OpStat;
 use xdb_sql::algebra::{AggCall, AggFunc, Field, LogicalPlan};
 use xdb_sql::ast::{BinaryOp, Expr};
 use xdb_sql::bind::intern_fields;
+use xdb_sql::column::{Column, TypedCol};
 use xdb_sql::value::{DataType, Value};
 
 // ------------------------------------------------------- random relations
@@ -29,6 +31,9 @@ use xdb_sql::value::{DataType, Value};
 enum Kind {
     Int,
     Str,
+    /// Str, gathered from a source with fewer entries than rows, of
+    /// which at least two name the same string.
+    IdStr,
     Date,
     Bool,
     Float,
@@ -38,7 +43,7 @@ impl Kind {
     fn data_type(self) -> DataType {
         match self {
             Kind::Int => DataType::Int,
-            Kind::Str => DataType::Str,
+            Kind::Str | Kind::IdStr => DataType::Str,
             Kind::Date => DataType::Date,
             Kind::Bool => DataType::Bool,
             Kind::Float => DataType::Float,
@@ -54,7 +59,7 @@ impl Kind {
         match self {
             Kind::Int if rng.below(16) == 0 => Value::Int(i64::MAX),
             Kind::Int => Value::Int(n),
-            Kind::Str => Value::str(format!("s{n}")),
+            Kind::Str | Kind::IdStr => Value::str(format!("s{n}")),
             Kind::Date => Value::Date(n as i32),
             Kind::Bool => Value::Bool(n % 2 == 0),
             Kind::Float if rng.below(4) == 0 => Value::Float(n as f64 + 0.5),
@@ -77,7 +82,7 @@ enum GroupBy {
 
 /// The key shapes under test. Float has no word code, so a composite key
 /// holding one cannot pack.
-const KEYS: [(&[Kind], GroupBy); 9] = [
+const KEYS: [(&[Kind], GroupBy); 11] = [
     (&[], GroupBy::Columns),
     (&[Kind::Int], GroupBy::Columns),
     (&[Kind::Str], GroupBy::Columns),
@@ -86,6 +91,8 @@ const KEYS: [(&[Kind], GroupBy); 9] = [
     (&[Kind::Float], GroupBy::Columns),
     (&[Kind::Int, Kind::Float], GroupBy::Pick),
     (&[Kind::Int, Kind::Str], GroupBy::Columns),
+    (&[Kind::IdStr], GroupBy::Columns),
+    (&[Kind::IdStr, Kind::Int], GroupBy::Columns),
     (&[Kind::Date, Kind::Float], GroupBy::Columns),
 ];
 
@@ -139,11 +146,43 @@ fn case(seed: u64, keys: &[Kind], group_by: GroupBy, rows: usize) -> Case {
             row
         })
         .collect();
+    let mut rel = Relation::new(fields, data);
+    for (c, (k, d)) in keys.iter().zip(&domains).enumerate() {
+        if let Kind::IdStr = k {
+            rel = with_gathered_column(rel, c, &mut rng, *k, *d);
+        }
+    }
     Case {
         nkeys: keys.len(),
         group_by,
-        rel: Arc::new(Relation::new(fields, data)),
+        rel: Arc::new(rel),
     }
+}
+
+/// `rel` with column `c` replaced by a gather from a source of `domain + 2`
+/// entries drawn from `domain` strings: two entries at least name the same
+/// string, so two ids do.
+fn with_gathered_column(
+    rel: Relation,
+    c: usize,
+    rng: &mut TestRng,
+    kind: Kind,
+    domain: u64,
+) -> Relation {
+    let entries = domain as usize + 2;
+    let mut src: TypedCol<Arc<str>> = TypedCol::with_capacity(entries);
+    for _ in 0..entries {
+        match kind.value(rng, domain) {
+            Value::Str(s) => src.push(s),
+            _ => src.push_null(),
+        }
+    }
+    let sel: Vec<u32> = (0..rel.len())
+        .map(|_| rng.below(entries as u64) as u32)
+        .collect();
+    let mut cols = rel.columns().to_vec();
+    cols[c] = Column::Str(src.into()).gather(&sel);
+    Relation::from_columns(rel.fields.clone(), cols, rel.len())
 }
 
 // ------------------------------------------------------------------ plans

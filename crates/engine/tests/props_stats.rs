@@ -163,10 +163,13 @@ fn column(layout: Layout, values: &[Value]) -> Column {
             Value::Float(x) => *x,
             _ => unreachable!(),
         }))),
-        Layout::Str => Column::Str(Arc::new(typed(values, |v| match v {
-            Value::Str(x) => Arc::clone(x),
-            _ => unreachable!(),
-        }))),
+        Layout::Str => Column::Str(
+            typed(values, |v| match v {
+                Value::Str(x) => Arc::clone(x),
+                _ => unreachable!(),
+            })
+            .into(),
+        ),
         Layout::Date => Column::Date(Arc::new(typed(values, |v| match v {
             Value::Date(x) => *x,
             _ => unreachable!(),
@@ -177,7 +180,7 @@ fn column(layout: Layout, values: &[Value]) -> Column {
         }))),
         Layout::Mixed => Column::Mixed(Arc::new(values.to_vec())),
         Layout::NullInt => Column::Int(Arc::new(typed(values, |_| 0))),
-        Layout::NullStr => Column::Str(Arc::new(typed(values, |_| Arc::from("")))),
+        Layout::NullStr => Column::Str(typed(values, |_| Arc::from("")).into()),
     }
 }
 

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use xdb_sql::column::Bitmap;
+use xdb_sql::column::{Bitmap, StrCol};
 use xdb_sql::hash::FastMap;
 use xdb_sql::{Column, TypedCol, Value};
 
@@ -294,7 +294,7 @@ fn measure_column(col: &Column) -> (Codec, u64) {
     match col {
         Column::Int(c) => typed(&c.nulls, plan_for(c).0),
         Column::Date(c) => typed(&c.nulls, plan_for(c).0),
-        Column::Str(c) => typed(&c.nulls, plan_dict::<false>(c).0),
+        Column::Str(c) => typed(c.nulls(), plan_dict::<false>(c).0),
         Column::Bool(c) => typed(&c.nulls, plan_rle::<false>(c).0),
         Column::Float(c) => typed(&c.nulls, plan_float(c)),
         Column::Mixed(values) => (
@@ -431,14 +431,14 @@ fn dict_width(entries: u64) -> u8 {
 /// what emission needs, the distinct strings in first-appearance order
 /// and every present value's id; sizing leaves both vectors empty (and
 /// unallocated).
-fn plan_dict<const KEEP: bool>(c: &TypedCol<Arc<str>>) -> (Choice, Vec<&Arc<str>>, Vec<u64>) {
+fn plan_dict<const KEEP: bool>(c: &StrCol) -> (Choice, Vec<&Arc<str>>, Vec<u64>) {
     // FNV instead of SipHash: dictionary ids are assigned in scan order, so
     // the emitted bytes cannot depend on the hasher.
     let mut index: FastMap<&str, u64> = FastMap::default();
     let mut dict: Vec<&Arc<str>> = Vec::new();
     let mut ids: Vec<u64> = Vec::with_capacity(if KEEP { c.len() } else { 0 });
     let (mut raw, mut entries, mut present) = (0usize, 0usize, 0u64);
-    each_present(c, |v| {
+    c.for_each_present(|v| {
         raw += str_len(v);
         present += 1;
         let next = index.len() as u64;
@@ -458,11 +458,11 @@ fn plan_dict<const KEEP: bool>(c: &TypedCol<Arc<str>>) -> (Choice, Vec<&Arc<str>
     (choose(Codec::Dict, dict_len, raw), dict, ids)
 }
 
-fn encode_str(c: &TypedCol<Arc<str>>) -> EncodedColumn {
+fn encode_str(c: &StrCol) -> EncodedColumn {
     let ((codec, body), dict, ids) = plan_dict::<true>(c);
-    let mut payload = typed_payload(&c.nulls, body);
+    let mut payload = typed_payload(c.nulls(), body);
     if codec == Codec::Raw {
-        each_present(c, |v| put_str(&mut payload, v));
+        c.for_each_present(|v| put_str(&mut payload, v));
     } else {
         put_varint(&mut payload, dict.len() as u64);
         for entry in &dict {
@@ -798,7 +798,7 @@ impl<'a> ColDecoder<'a> {
             ColDecoder::Int(d) => Column::Int(d.take_morsel(next_cap)),
             ColDecoder::Date(d) => Column::Date(d.take_morsel(next_cap)),
             ColDecoder::Float(d) => Column::Float(d.take_morsel(next_cap)),
-            ColDecoder::Str(d) => Column::Str(d.take_morsel(next_cap)),
+            ColDecoder::Str(d) => Column::Str(d.take_morsel(next_cap).into()),
             ColDecoder::Bool(d) => Column::Bool(d.take_morsel(next_cap)),
             ColDecoder::Mixed { acc, .. } => Column::Mixed(Arc::new(std::mem::replace(
                 acc,

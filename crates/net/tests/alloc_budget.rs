@@ -86,8 +86,8 @@ fn relation() -> Vec<Column> {
     vec![
         Column::Int(typed(|i| 1_000 + (i * 7919 % 6007) as i64)),
         Column::Date(typed(|i| 8_036 + (i * 31 % 2526) as i32)),
-        Column::Str(typed(|i| Arc::from(nations[i % nations.len()]))),
-        Column::Str(typed(|i| Arc::from(format!("comment {i:05} of the edge")))),
+        Column::Str(typed(|i| Arc::from(nations[i % nations.len()])).into()),
+        Column::Str(typed(|i| Arc::from(format!("comment {i:05} of the edge"))).into()),
         Column::Float(typed(|i| i as f64 * 0.25 - 900.0)),
         Column::Bool(typed(|i| i / 100 % 3 == 0)),
     ]

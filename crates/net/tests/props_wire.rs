@@ -82,16 +82,7 @@ fn column(rng: &mut TestRng, n: usize) -> Column {
             0 => f64::from_bits(rng.next_u64()),
             _ => f64::arbitrary(rng),
         })),
-        2 => {
-            let distinct = match rng.below(3) {
-                0 => None,
-                _ => Some(1 + rng.below(n as u64 + 1)),
-            };
-            Column::Str(typed(rng, n, |rng| match distinct {
-                Some(d) => Arc::from(format!("tag-{}", rng.below(d))),
-                None => Arc::from("[a-z]{0,12}".new_value(rng)),
-            }))
-        }
+        2 => strings(rng, n),
         3 => {
             let width = rng.below(33) as u32;
             let base = i32::arbitrary(rng);
@@ -123,6 +114,64 @@ fn column(rng: &mut TestRng, n: usize) -> Column {
             b.finish()
         }
     }
+}
+
+/// A string column of its own, of `n` rows from a dictionary of a drawn
+/// size or free text.
+fn strings(rng: &mut TestRng, n: usize) -> Column {
+    let distinct = match rng.below(3) {
+        0 => None,
+        _ => Some(1 + rng.below(n as u64 + 1)),
+    };
+    Column::Str(
+        typed(rng, n, |rng| match distinct {
+            Some(d) => Arc::from(format!("tag-{}", rng.below(d))),
+            None => Arc::from("[a-z]{0,12}".new_value(rng)),
+        })
+        .into(),
+    )
+}
+
+/// A gathered string column of 0–300 rows, from one source or from two
+/// (a column that reads two parts), and the same values built as a column
+/// of their own.
+fn gathered_strings() -> BoxedStrategy<(Column, Column)> {
+    BoxedStrategy::new(|rng| {
+        let n = rng.below(301) as usize;
+        let sources = 1 + rng.below(2) as usize;
+        let mut gathered: Option<Column> = None;
+        for k in 0..sources {
+            // This source's share of the rows. It has at most twice as
+            // many, so that its rows are read by id, not copied.
+            let share = n / sources + if k == 0 { n % sources } else { 0 };
+            let rows = match share {
+                0 => 1,
+                _ => 1 + rng.below(2 * share as u64) as usize,
+            };
+            let src = strings(rng, rows);
+            let sel: Vec<u32> = (0..share)
+                .map(|_| rng.below(src.len() as u64) as u32)
+                .collect();
+            match &mut gathered {
+                None => gathered = Some(src.gather(&sel)),
+                Some(g) => g.append_gather(&src, &sel),
+            }
+        }
+        let mut gathered = gathered.expect("one source at least");
+        if rng.bool() {
+            // Gathered once more: ids of ids, the two sources' rows mixed.
+            let sel: Vec<u32> = (0..n).map(|_| rng.below(n as u64) as u32).collect();
+            gathered = gathered.gather(&sel);
+        }
+        let mut own = TypedCol::with_capacity(n);
+        for v in gathered.iter() {
+            match v {
+                Value::Str(s) => own.push(s),
+                _ => own.push_null(),
+            }
+        }
+        (gathered, Column::Str(own.into()))
+    })
 }
 
 /// An edge: 1–3 columns of independent kinds over a shared row count of
@@ -215,6 +264,23 @@ proptest! {
                 prop_assert!(stats.codec_bytes.is_empty());
             }
         }
+    }
+
+    /// A gathered column, one part or several, encodes to the bytes of the
+    /// same values held as a column of their own, is sized alike, and
+    /// decodes to them.
+    #[test]
+    fn gathered_strings_encode_as_their_own_twin(case in gathered_strings()) {
+        let (gathered, own) = case;
+        let n = own.len();
+        let (gathered, own) = ([gathered], [own]);
+        let (g, o) = (wire::encode(&gathered, n), wire::encode(&own, n));
+        prop_assert_eq!(format!("{g:?}"), format!("{o:?}"));
+        let (gm, om) = (wire::measure(&gathered, n), wire::measure(&own, n));
+        prop_assert_eq!(gm.columns(), om.columns());
+        let (gathered, own) = (&gathered[0], &own[0]);
+        prop_assert_eq!(gathered.wire_bytes(), own.wire_bytes());
+        prop_assert_eq!(&wire::decode(&g)[0], own);
     }
 
     /// The sizing-only pass prices an edge exactly as the real encoder

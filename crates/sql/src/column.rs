@@ -58,6 +58,26 @@ impl Bitmap {
         self.words.resize(self.len.div_ceil(64), 0);
     }
 
+    /// Append bits `start..start + len` of `src`.
+    fn extend_range(&mut self, src: &Bitmap, start: usize, len: usize) {
+        if src.none_set() {
+            self.push_zeros(len);
+        } else {
+            self.reserve(len);
+            (start..start + len).for_each(|i| self.push(src.get(i)));
+        }
+    }
+
+    /// Append the bits of `src` selected by `sel`, in `sel` order.
+    fn extend_gather(&mut self, src: &Bitmap, sel: &[u32]) {
+        if src.none_set() {
+            self.push_zeros(sel.len());
+        } else {
+            self.reserve(sel.len());
+            sel.iter().for_each(|&i| self.push(src.get(i as usize)));
+        }
+    }
+
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
@@ -192,16 +212,459 @@ impl<T: Clone + Default> TypedCol<T> {
     }
 }
 
+// ------------------------------------------------------------------ StrCol
+
+/// The strings of a column that holds its own values.
+type Strings = TypedCol<Arc<str>>;
+
+/// A gathered string column reads at most this many entries per row:
+/// rows that would read their source more sparsely are copied instead, so
+/// a gathered column keeps at most twice as many strings alive as it has
+/// rows.
+const ENTRIES_PER_ROW: usize = 2;
+
+/// A string column. Nothing outside this module can tell its two states
+/// apart:
+/// - one that holds its own values (loaded, decoded, built, or gathered
+///   sparsely) is a [`TypedCol`] like every other layout;
+/// - one that was gathered (`gather`, `append_gather`, `append_range`,
+///   `head`) densely holds a `u32` id per row into the *entries* of the
+///   columns its rows came from, its *parts*, plus its own null bitmap.
+///
+/// So gathering strings copies ids, not `Arc`s, and dropping a gathered
+/// column decrements one reference count per part, not one per cell. A
+/// NULL row's id is never read; every other row's id names a present
+/// entry.
+#[derive(Debug, Clone)]
+pub struct StrCol(Rep);
+
+#[derive(Debug, Clone)]
+enum Rep {
+    Own(Arc<Strings>),
+    Ids(Arc<Gathered>),
+}
+
+#[derive(Debug, Clone, Default)]
+struct Gathered {
+    ids: Vec<u32>,
+    nulls: Bitmap,
+    parts: Parts,
+}
+
+/// The columns a gathered column reads, in order, each with the id of its
+/// first entry: their rows, end to end, are its entries. The first two sit
+/// inline, so that a column of one part, or of two (a join's output over a
+/// probe side that arrived in two morsels), allocates no list. No part is
+/// empty.
+#[derive(Debug, Clone, Default)]
+struct Parts {
+    inline: [Option<(u32, Arc<Strings>)>; 2],
+    /// The third part on.
+    more: Vec<(u32, Arc<Strings>)>,
+}
+
+/// Where a source's parts go among a destination's: the one offset that
+/// turns the source's ids into the destination's, and the entries that
+/// the parts it lacks add.
+struct Place {
+    shift: u32,
+    added: usize,
+    /// Whether the source's parts that the destination has are read
+    /// where they are; if not, all of them are added again.
+    reuse: bool,
+}
+
+impl Parts {
+    /// The one part of a column that holds its own values.
+    fn one(c: &Arc<Strings>) -> Parts {
+        Parts {
+            inline: [(!c.is_empty()).then(|| (0, Arc::clone(c))), None],
+            more: Vec::new(),
+        }
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &(u32, Arc<Strings>)> {
+        self.inline.iter().flatten().chain(&self.more)
+    }
+
+    fn entries(&self) -> usize {
+        self.iter()
+            .next_back()
+            .map_or(0, |(start, p)| *start as usize + p.len())
+    }
+
+    /// The id of `part`'s first entry if it is one of the parts that
+    /// start below `end`. The newest are searched first: rows are mostly
+    /// appended from the morsel that arrived last.
+    fn find(&self, part: &Arc<Strings>, end: usize) -> Option<u32> {
+        self.iter()
+            .rev()
+            .find(|(start, p)| (*start as usize) < end && Arc::ptr_eq(p, part))
+            .map(|(start, _)| *start)
+    }
+
+    /// Where `src`'s parts would go: each where it already is (by
+    /// `Arc::ptr_eq`), the others after the last entry, in order. When
+    /// that moves some of them by different offsets, they all go after the
+    /// last entry instead, as one block (a part may then appear twice).
+    fn place(&self, src: &Parts) -> Place {
+        let end = self.entries();
+        let (mut next, mut shift, mut uniform) = (end, None, true);
+        for (start, p) in src.iter() {
+            let at = self.find(p, end).unwrap_or_else(|| {
+                next += p.len();
+                (next - p.len()) as u32
+            });
+            let s = at.wrapping_sub(*start);
+            uniform &= *shift.get_or_insert(s) == s;
+        }
+        match uniform {
+            true => Place {
+                shift: shift.unwrap_or(0),
+                added: next - end,
+                reuse: true,
+            },
+            false => Place {
+                shift: end as u32,
+                added: src.entries(),
+                reuse: false,
+            },
+        }
+    }
+
+    /// Add `part` after the last entry.
+    fn push(&mut self, part: &Arc<Strings>) {
+        debug_assert!(!part.is_empty());
+        let start = self.entries();
+        u32::try_from(start + part.len()).expect("a string column reads fewer than 2^32 entries");
+        let added = (start as u32, Arc::clone(part));
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(added),
+            None => self.more.push(added),
+        }
+    }
+
+    /// Make `src`'s parts parts of these, as [`Parts::place`] places
+    /// them, and return the offset that turns its ids into these.
+    fn merge(&mut self, src: &Parts) -> u32 {
+        let end = self.entries();
+        let place = self.place(src);
+        for (_, p) in src.iter() {
+            if !place.reuse || self.find(p, end).is_none() {
+                self.push(p);
+            }
+        }
+        place.shift
+    }
+
+    /// The part holding entry `id`, and the entry's row in it.
+    #[inline]
+    fn locate(&self, id: u32) -> (&Strings, usize) {
+        let (start, p) = match (&self.inline, self.more.first()) {
+            ([Some(a), None], _) => a,
+            ([Some(a), Some(b)], more) if more.is_none_or(|(c, _)| id < *c) => {
+                if id < b.0 {
+                    a
+                } else {
+                    b
+                }
+            }
+            _ => &self.more[self.more.partition_point(|(start, _)| *start <= id) - 1],
+        };
+        (p, (id - start) as usize)
+    }
+
+    /// Entry `id`, which must be present.
+    #[inline]
+    fn present(&self, id: u32) -> &Arc<str> {
+        let (p, row) = self.locate(id);
+        &p.data[row]
+    }
+}
+
+impl Strings {
+    /// Copy the strings of `rows` of `src`, NULLs as NULLs.
+    fn push_rows(&mut self, src: &StrCol, rows: impl ExactSizeIterator<Item = usize>) {
+        self.data.reserve(rows.len());
+        self.nulls.reserve(rows.len());
+        for i in rows {
+            match src.get(i) {
+                Some(s) => self.push(Arc::clone(s)),
+                None => self.push_null(),
+            }
+        }
+    }
+}
+
+impl Gathered {
+    fn with_capacity(cap: usize) -> Gathered {
+        Gathered {
+            ids: Vec::with_capacity(cap),
+            nulls: Bitmap::with_capacity(cap),
+            parts: Parts::default(),
+        }
+    }
+
+    /// Append rows `start..start + len` of `src`, by id.
+    fn append_range(&mut self, src: &StrCol, start: usize, len: usize) {
+        let shift = self.parts.merge(&src.parts());
+        match src.ids() {
+            None => self
+                .ids
+                .extend((start..start + len).map(|i| (i as u32).wrapping_add(shift))),
+            Some(ids) if shift == 0 => self.ids.extend_from_slice(&ids[start..start + len]),
+            Some(ids) => self.ids.extend(
+                ids[start..start + len]
+                    .iter()
+                    .map(|id| id.wrapping_add(shift)),
+            ),
+        }
+        self.nulls.extend_range(src.nulls(), start, len);
+    }
+
+    /// Append the rows of `src` selected by `sel`, in `sel` order, by id.
+    fn append_gather(&mut self, src: &StrCol, sel: &[u32]) {
+        let shift = self.parts.merge(&src.parts());
+        match src.ids() {
+            None => self.ids.extend(sel.iter().map(|&i| i.wrapping_add(shift))),
+            Some(ids) => self
+                .ids
+                .extend(sel.iter().map(|&i| ids[i as usize].wrapping_add(shift))),
+        }
+        self.nulls.extend_gather(src.nulls(), sel);
+    }
+}
+
+impl From<Arc<Strings>> for StrCol {
+    /// A column that holds its own values.
+    fn from(c: Arc<Strings>) -> StrCol {
+        StrCol(Rep::Own(c))
+    }
+}
+
+impl From<Strings> for StrCol {
+    fn from(c: Strings) -> StrCol {
+        StrCol::from(Arc::new(c))
+    }
+}
+
+impl StrCol {
+    /// An empty gathered column: appending to it densely copies ids.
+    fn empty_gathered() -> StrCol {
+        StrCol(Rep::Ids(Arc::new(Gathered::default())))
+    }
+
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Rep::Own(c) => c.len(),
+            Rep::Ids(g) => g.ids.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bit `i` set means row `i` is NULL.
+    pub fn nulls(&self) -> &Bitmap {
+        match &self.0 {
+            Rep::Own(c) => &c.nulls,
+            Rep::Ids(g) => &g.nulls,
+        }
+    }
+
+    /// Row `i`'s string, `None` when it is NULL.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&Arc<str>> {
+        match &self.0 {
+            Rep::Own(c) => c.get(i),
+            Rep::Ids(g) if g.nulls.get(i) => None,
+            Rep::Ids(g) => Some(g.parts.present(g.ids[i])),
+        }
+    }
+
+    /// Visit the present strings in row order, NULLs skipped.
+    pub fn for_each_present<'a>(&'a self, mut f: impl FnMut(&'a Arc<str>)) {
+        match &self.0 {
+            Rep::Own(c) if c.nulls.none_set() => c.data.iter().for_each(f),
+            Rep::Own(c) => (0..c.len()).filter_map(|i| c.get(i)).for_each(f),
+            Rep::Ids(g) => {
+                let present = |i: &usize| !g.nulls.get(*i);
+                match &g.parts.inline {
+                    [Some((_, p)), None] => (0..g.ids.len())
+                        .filter(present)
+                        .for_each(|i| f(&p.data[g.ids[i] as usize])),
+                    _ => (0..g.ids.len())
+                        .filter(present)
+                        .for_each(|i| f(g.parts.present(g.ids[i]))),
+                }
+            }
+        }
+    }
+
+    /// A column that holds its own values: all of them, a NULL row's a
+    /// placeholder; `None` for a gathered column. Lets a row loop test
+    /// the strings where they lie.
+    pub fn values(&self) -> Option<&[Arc<str>]> {
+        match &self.0 {
+            Rep::Own(c) => Some(&c.data),
+            Rep::Ids(_) => None,
+        }
+    }
+
+    /// A gathered column's row ids into its entries (see
+    /// [`StrCol::entries`]); `None` for a column that holds its own
+    /// values. A NULL row's id means nothing.
+    pub fn ids(&self) -> Option<&[u32]> {
+        match &self.0 {
+            Rep::Own(_) => None,
+            Rep::Ids(g) => Some(&g.ids),
+        }
+    }
+
+    /// How many entries the column reads: its rows when it holds its own
+    /// values, its parts' rows end to end when it was gathered.
+    pub fn entries(&self) -> usize {
+        match &self.0 {
+            Rep::Own(c) => c.len(),
+            Rep::Ids(g) => g.parts.entries(),
+        }
+    }
+
+    /// Entry `id`'s string, `None` where the entry is NULL.
+    #[inline]
+    pub fn entry(&self, id: u32) -> Option<&Arc<str>> {
+        match &self.0 {
+            Rep::Own(c) => c.get(id as usize),
+            Rep::Ids(g) => {
+                let (p, row) = g.parts.locate(id);
+                p.get(row)
+            }
+        }
+    }
+
+    /// The columns this one reads: itself when it holds its own values.
+    fn parts(&self) -> std::borrow::Cow<'_, Parts> {
+        match &self.0 {
+            Rep::Own(c) => std::borrow::Cow::Owned(Parts::one(c)),
+            Rep::Ids(g) => std::borrow::Cow::Borrowed(&g.parts),
+        }
+    }
+
+    /// Whether `rows` more rows of `src` are read by id: only while this
+    /// column, with them, reads at most [`ENTRIES_PER_ROW`] entries per
+    /// row. Otherwise they are copied.
+    fn reads_by_id(&self, src: &StrCol, rows: usize) -> bool {
+        let mine = self.parts();
+        let added = mine.place(&src.parts()).added;
+        mine.entries() + added <= ENTRIES_PER_ROW * (self.len() + rows)
+    }
+
+    /// An empty column for `rows` rows of `src`: one that holds its own
+    /// values when they would be copied, else gathered (with no rows, it
+    /// is ready to take rows by id, as `empty_like` is).
+    fn for_rows_of(src: &StrCol, rows: usize) -> StrCol {
+        if rows == 0 || src.entries() <= ENTRIES_PER_ROW * rows {
+            StrCol(Rep::Ids(Arc::new(Gathered::with_capacity(rows))))
+        } else {
+            StrCol::from(Strings::with_capacity(rows))
+        }
+    }
+
+    fn gather(&self, sel: &[u32]) -> StrCol {
+        let mut out = StrCol::for_rows_of(self, sel.len());
+        out.append_gather(self, sel);
+        out
+    }
+
+    fn head(&self, n: usize) -> StrCol {
+        let n = n.min(self.len());
+        let mut out = StrCol::for_rows_of(self, n);
+        out.append_range(self, 0, n);
+        out
+    }
+
+    /// The gathered state to append to: a column that holds its own values
+    /// first becomes the gathered column of all its rows.
+    fn gathered_mut(&mut self) -> &mut Gathered {
+        if let Rep::Own(c) = &self.0 {
+            let mut g = Gathered::with_capacity(c.len());
+            if !c.is_empty() {
+                g.append_range(self, 0, c.len());
+            }
+            self.0 = Rep::Ids(Arc::new(g));
+        }
+        match &mut self.0 {
+            Rep::Ids(g) => Arc::make_mut(g),
+            Rep::Own(_) => unreachable!("a column that holds its own values was converted above"),
+        }
+    }
+
+    /// The values to copy `more` rows onto: a gathered column first
+    /// copies the strings of its own rows.
+    fn own_mut(&mut self, more: usize) -> &mut Strings {
+        if let Rep::Ids(g) = &self.0 {
+            let mut own = Strings::with_capacity(g.ids.len() + more);
+            own.push_rows(self, 0..g.ids.len());
+            self.0 = Rep::Own(Arc::new(own));
+        }
+        match &mut self.0 {
+            Rep::Own(c) => Arc::make_mut(c),
+            Rep::Ids(_) => unreachable!("a gathered column was copied above"),
+        }
+    }
+
+    fn append_range(&mut self, other: &StrCol, start: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        if self.reads_by_id(other, len) {
+            self.gathered_mut().append_range(other, start, len);
+        } else {
+            match &other.0 {
+                Rep::Own(c) => self.own_mut(len).append_range(c, start, len),
+                Rep::Ids(_) => self.own_mut(len).push_rows(other, start..start + len),
+            }
+        }
+    }
+
+    fn append_gather(&mut self, other: &StrCol, sel: &[u32]) {
+        if sel.is_empty() {
+            return;
+        }
+        if self.reads_by_id(other, sel.len()) {
+            self.gathered_mut().append_gather(other, sel);
+        } else {
+            match &other.0 {
+                Rep::Own(c) => self.own_mut(sel.len()).append_gather(c, sel),
+                Rep::Ids(_) => {
+                    let rows = sel.iter().map(|&i| i as usize);
+                    self.own_mut(sel.len()).push_rows(other, rows);
+                }
+            }
+        }
+    }
+
+    /// Simulated wire size: 4 bytes plus the payload per present string,
+    /// 1 byte per NULL.
+    fn wire_bytes(&self) -> u64 {
+        let mut total = self.nulls().count_ones() as u64;
+        self.for_each_present(|s| total += 4 + s.len() as u64);
+        total
+    }
+}
+
 // ------------------------------------------------------------------ Column
 
 /// A materialized column. Typed layouts are `Arc`-shared so projection and
-/// scan reuse are pointer copies; `Mixed` preserves arbitrary `Value`
-/// sequences (mixed Int/Float expression outputs, all-NULL columns).
+/// scan reuse are pointer copies (a gathered [`StrCol`] shares its ids the
+/// same way); `Mixed` preserves arbitrary `Value` sequences (mixed
+/// Int/Float expression outputs, all-NULL columns).
 #[derive(Debug, Clone)]
 pub enum Column {
     Int(Arc<TypedCol<i64>>),
     Float(Arc<TypedCol<f64>>),
-    Str(Arc<TypedCol<Arc<str>>>),
+    Str(StrCol),
     Date(Arc<TypedCol<i32>>),
     Bool(Arc<TypedCol<bool>>),
     Mixed(Arc<Vec<Value>>),
@@ -221,7 +684,7 @@ impl Column {
         match ty {
             DataType::Int => Column::Int(Arc::new(TypedCol::with_capacity(0))),
             DataType::Float => Column::Float(Arc::new(TypedCol::with_capacity(0))),
-            DataType::Str => Column::Str(Arc::new(TypedCol::with_capacity(0))),
+            DataType::Str => Column::Str(TypedCol::with_capacity(0).into()),
             DataType::Date => Column::Date(Arc::new(TypedCol::with_capacity(0))),
             DataType::Bool => Column::Bool(Arc::new(TypedCol::with_capacity(0))),
         }
@@ -247,7 +710,7 @@ impl Column {
         match self {
             Column::Int(c) => c.is_null(i),
             Column::Float(c) => c.is_null(i),
-            Column::Str(c) => c.is_null(i),
+            Column::Str(c) => c.nulls().get(i),
             Column::Date(c) => c.is_null(i),
             Column::Bool(c) => c.is_null(i),
             Column::Mixed(v) => v[i].is_null(),
@@ -276,7 +739,7 @@ impl Column {
         match self {
             Column::Int(c) => Column::Int(Arc::new(c.gather(sel))),
             Column::Float(c) => Column::Float(Arc::new(c.gather(sel))),
-            Column::Str(c) => Column::Str(Arc::new(c.gather(sel))),
+            Column::Str(c) => Column::Str(c.gather(sel)),
             Column::Date(c) => Column::Date(Arc::new(c.gather(sel))),
             Column::Bool(c) => Column::Bool(Arc::new(c.gather(sel))),
             Column::Mixed(v) => Column::Mixed(Arc::new(
@@ -293,7 +756,7 @@ impl Column {
         match self {
             Column::Int(c) => Column::Int(Arc::new(c.head(n))),
             Column::Float(c) => Column::Float(Arc::new(c.head(n))),
-            Column::Str(c) => Column::Str(Arc::new(c.head(n))),
+            Column::Str(c) => Column::Str(c.head(n)),
             Column::Date(c) => Column::Date(Arc::new(c.head(n))),
             Column::Bool(c) => Column::Bool(Arc::new(c.head(n))),
             Column::Mixed(v) => Column::Mixed(Arc::new(v[..n].to_vec())),
@@ -306,7 +769,7 @@ impl Column {
         match self {
             Column::Int(_) => Column::Int(Arc::new(TypedCol::with_capacity(0))),
             Column::Float(_) => Column::Float(Arc::new(TypedCol::with_capacity(0))),
-            Column::Str(_) => Column::Str(Arc::new(TypedCol::with_capacity(0))),
+            Column::Str(_) => Column::Str(StrCol::empty_gathered()),
             Column::Date(_) => Column::Date(Arc::new(TypedCol::with_capacity(0))),
             Column::Bool(_) => Column::Bool(Arc::new(TypedCol::with_capacity(0))),
             Column::Mixed(_) => Column::Mixed(Arc::new(Vec::new())),
@@ -320,7 +783,7 @@ impl Column {
         match (self, other) {
             (Column::Int(a), Column::Int(b)) => Arc::make_mut(a).append_range(b, start, len),
             (Column::Float(a), Column::Float(b)) => Arc::make_mut(a).append_range(b, start, len),
-            (Column::Str(a), Column::Str(b)) => Arc::make_mut(a).append_range(b, start, len),
+            (Column::Str(a), Column::Str(b)) => a.append_range(b, start, len),
             (Column::Date(a), Column::Date(b)) => Arc::make_mut(a).append_range(b, start, len),
             (Column::Bool(a), Column::Bool(b)) => Arc::make_mut(a).append_range(b, start, len),
             (Column::Mixed(a), Column::Mixed(b)) => {
@@ -338,7 +801,7 @@ impl Column {
         match (self, other) {
             (Column::Int(a), Column::Int(b)) => Arc::make_mut(a).append_gather(b, sel),
             (Column::Float(a), Column::Float(b)) => Arc::make_mut(a).append_gather(b, sel),
-            (Column::Str(a), Column::Str(b)) => Arc::make_mut(a).append_gather(b, sel),
+            (Column::Str(a), Column::Str(b)) => a.append_gather(b, sel),
             (Column::Date(a), Column::Date(b)) => Arc::make_mut(a).append_gather(b, sel),
             (Column::Bool(a), Column::Bool(b)) => Arc::make_mut(a).append_gather(b, sel),
             (Column::Mixed(a), Column::Mixed(b)) => {
@@ -357,22 +820,7 @@ impl Column {
             Column::Float(c) => typed_wire(c, 8),
             Column::Date(c) => typed_wire(c, 4),
             Column::Bool(c) => typed_wire(c, 1),
-            Column::Str(c) => {
-                let nulls = c.nulls.count_ones() as u64;
-                let mut total = nulls;
-                if c.nulls.none_set() {
-                    for s in &c.data {
-                        total += 4 + s.len() as u64;
-                    }
-                } else {
-                    for i in 0..c.len() {
-                        if !c.is_null(i) {
-                            total += 4 + c.data[i].len() as u64;
-                        }
-                    }
-                }
-                total
-            }
+            Column::Str(c) => c.wire_bytes(),
             Column::Mixed(v) => v.iter().map(Value::wire_size).sum(),
         }
     }
@@ -579,7 +1027,7 @@ impl ColumnBuilder {
             BuildState::Untyped { nulls } => Column::Mixed(Arc::new(vec![Value::Null; nulls])),
             BuildState::Int(c) => Column::Int(Arc::new(c)),
             BuildState::Float(c) => Column::Float(Arc::new(c)),
-            BuildState::Str(c) => Column::Str(Arc::new(c)),
+            BuildState::Str(c) => Column::Str(c.into()),
             BuildState::Date(c) => Column::Date(Arc::new(c)),
             BuildState::Bool(c) => Column::Bool(Arc::new(c)),
             BuildState::Mixed(v) => Column::Mixed(Arc::new(v)),

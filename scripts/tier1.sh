@@ -57,28 +57,6 @@ if grep -n 'xdb-obs' crates/sql/Cargo.toml; then
   exit 1
 fi
 
-# Copy census: the lexer and the parser compare a word where it lies in
-# the statement and copy it once, into the AST node that keeps it (DESIGN.md
-# §18 "What is interned, and by whom"). No upper-cased copy to compare
-# against and no cloned token may come back into their non-test code.
-for f in crates/sql/src/lexer.rs crates/sql/src/parser.rs; do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'to_ascii_uppercase|\.clone\(\)'; then
-    echo "$f: a name is copied in order to be compared" >&2
-    exit 1
-  fi
-done
-
-# Read-path census: an edge reaches its consumer through the one
-# `Cluster::fetch`, which decodes it morsel by morsel; a whole read is its
-# one-morsel case (DESIGN.md §10 "One input protocol"). Outside the codec
-# itself, no non-test library code may decode a frame in one piece.
-for f in $(grep -rlE 'wire::decode|decode_chunked' crates/*/src | grep -vx crates/net/src/wire.rs || true); do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'wire::decode|decode_chunked'; then
-    echo "$f: an edge is decoded outside Cluster::fetch" >&2
-    exit 1
-  fi
-done
-
 # Miss census: a test for a name asks `PlanSchema::lookup` (or the binder's
 # `resolves`), which builds no text; `resolve` and `validate_expr` name the
 # column in an error and are for callers that return it (DESIGN.md §18 "What
@@ -92,8 +70,8 @@ for f in $(grep -rlE "$miss" crates/*/src || true); do
   fi
 done
 
-# The statistics census and the probe census read the sources in process:
-# tests/source_census.rs, run by `cargo test` above.
+# The statistics, probe, copy and read-path censuses read the sources in
+# process: tests/source_census.rs, run by `cargo test` above.
 
 # Drift smoke test: the checked-in drift baseline must stay readable: a
 # stricter reader or a schema change that strands BENCH_history/ fails

@@ -131,3 +131,123 @@ fn probe_census_rejects_a_rendered_probe() {
     assert!(probe_census(&after).is_ok());
     assert!(probe_census("fn other() {}\n").is_err());
 }
+
+// ------------------------------------------------------------- copy census
+
+const LEXER_AND_PARSER: [&str; 2] = ["crates/sql/src/lexer.rs", "crates/sql/src/parser.rs"];
+
+/// Copy census: the lexer and the parser compare a word where it lies in
+/// the statement and copy it once, into the AST node that keeps it
+/// (DESIGN.md §18 "What is interned, and by whom"). No upper-cased copy to
+/// compare against and no cloned token may come back into their non-test
+/// code.
+fn copy_census(path: &str, src: &str) -> Result<(), String> {
+    match src
+        .lines()
+        .find(|l| l.contains("to_ascii_uppercase") || l.contains(".clone()"))
+    {
+        Some(line) => Err(format!(
+            "{path}: a name is copied in order to be compared: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn the_lexer_and_the_parser_copy_no_name_to_compare_it() {
+    for path in LEXER_AND_PARSER {
+        copy_census(path, &non_test_source(path)).unwrap();
+    }
+}
+
+#[test]
+fn copy_census_rejects_a_copied_name() {
+    for path in LEXER_AND_PARSER {
+        let src = non_test_source(path);
+        for copy in [
+            "let up = word.to_ascii_uppercase();",
+            "let t = tok.clone();",
+        ] {
+            let copied = format!("{src}\nfn f() {{ {copy} }}\n");
+            assert!(copy_census(path, &copied).is_err(), "{path}: {copy}");
+        }
+    }
+    // Test code may copy: the census reads only what precedes it.
+    let with_tests = "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { x.clone(); } }\n";
+    assert!(copy_census("t.rs", &non_test(with_tests)).is_ok());
+}
+
+// -------------------------------------------------------- read-path census
+
+/// The codec itself, the one file that may decode a whole frame.
+const CODEC: &str = "crates/net/src/wire.rs";
+
+/// Read-path census: an edge reaches its consumer through the one
+/// `Cluster::fetch`, which decodes it morsel by morsel; a whole read is its
+/// one-morsel case (DESIGN.md §10 "One input protocol"). Outside the codec
+/// itself, no non-test library code may decode a frame in one piece.
+fn read_path_census(path: &str, src: &str) -> Result<(), String> {
+    if path == CODEC {
+        return Ok(());
+    }
+    match src
+        .lines()
+        .find(|l| l.contains("wire::decode") || l.contains("decode_chunked"))
+    {
+        Some(line) => Err(format!(
+            "{path}: an edge is decoded outside Cluster::fetch: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Every `.rs` file under `crates/*/src`, by its path from the repository
+/// root.
+fn library_sources() -> Vec<String> {
+    fn walk(dir: &Path, out: &mut Vec<String>) {
+        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push(path.display().to_string());
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
+    for krate in crates {
+        let src = krate.expect("a directory entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut out);
+        }
+    }
+    let prefix = format!("{}/", root.display());
+    out.iter_mut().for_each(|p| *p = p.replacen(&prefix, "", 1));
+    out.sort();
+    out
+}
+
+#[test]
+fn edges_are_decoded_only_inside_cluster_fetch() {
+    let sources = library_sources();
+    assert!(sources.iter().any(|p| p == CODEC), "{CODEC} is found");
+    assert!(sources.len() > 50, "{} library sources", sources.len());
+    for path in &sources {
+        read_path_census(path, &non_test_source(path)).unwrap();
+    }
+}
+
+#[test]
+fn read_path_census_rejects_a_whole_frame_decode() {
+    let cluster = "crates/engine/src/cluster.rs";
+    let src = non_test_source(cluster);
+    for decode in ["wire::decode(&enc)", "wire::decode_chunked(&enc, 4096)"] {
+        let whole = format!("{src}\nfn f() {{ let _ = {decode}; }}\n");
+        assert!(read_path_census(cluster, &whole).is_err(), "{decode}");
+        // The codec decodes its own frames.
+        assert!(read_path_census(CODEC, &whole).is_ok());
+    }
+}

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use xdb_net::EdgeTiming;
 use xdb_obs::{ExecProfile, OpStat};
 use xdb_sql::algebra::{named_columns, AggCall, AggFunc, Field, LogicalPlan, Name, PlanSchema};
-use xdb_sql::column::{Column, ColumnBuilder, StrCol, TypedCol};
+use xdb_sql::column::{Column, ColumnBuilder, TypedCol};
 use xdb_sql::hash::{FastMap, FastSet};
 use xdb_sql::value::{DataType, Value};
 
@@ -148,46 +148,39 @@ pub trait ScanResolver {
     ) -> Result<ScanOutput>;
 }
 
-/// Reusable per-query allocations: join chain-head tables, chain buffers,
-/// packed keys and join pairs keep their capacity between executions, so
+/// Reusable per-query allocations: key tables, chain buffers, packed keys,
+/// dictionaries and join pairs keep their capacity between executions, so
 /// workloads that submit many queries through one engine stop re-growing
 /// the same buffers from scratch.
 #[derive(Default)]
 pub struct Scratch {
-    direct: DirectHeads,
-    w64: FastMap<u64, u32>,
-    strs: FastMap<Arc<str>, u32>,
-    vals: FastMap<Vec<Value>, u32>,
+    /// Joins' and semi joins' chain heads and keys.
+    keys: KeyTables,
+    /// Group-bys' and DISTINCTs' group ids and keys. A group-by folds a
+    /// join's output while the join holds `keys`, so it has its own.
+    groups: KeyTables,
     next: Vec<u32>,
-    /// One side's packed word keys ([`KeyNorm::keys`]): the build side's
-    /// while it is chained, then each probe morsel's in turn.
-    packed: Vec<u64>,
     pairs: Pairs,
 }
 
-/// The one dispatch over key arms, shared by the build and every probe of a
-/// chained table: binds `$k` to the keys of one side and `$heads` to the
-/// arm's chain-head table in the [`Scratch`] place `$s`, then evaluates
-/// `$body` (which may also borrow `$s.next` and `$s.pairs`). One
-/// [`KeyNorm`] normalises both sides of a join, so both reach the same
+/// The one dispatch over key arms: binds `$k` to one side's keys and
+/// `$table` to the arm's table in the [`KeyTables`] place `$t`, then
+/// evaluates `$body` (which may also borrow the rest of the [`Scratch`]).
+/// One [`KeyNorm`] normalises every side it plans, so all reach the same
 /// table.
 macro_rules! with_key_arm {
-    ($keys:expr, $s:expr, |$k:ident, $heads:ident| $body:expr) => {
+    ($keys:expr, $t:expr, |$k:ident, $table:ident| $body:expr) => {
         match $keys {
             Keys::Direct($k) => {
-                let $heads = &mut $s.direct;
+                let $table = &mut $t.direct;
                 $body
             }
             Keys::W64($k) => {
-                let $heads = &mut $s.w64;
-                $body
-            }
-            Keys::Str($k) => {
-                let $heads = &mut $s.strs;
+                let $table = &mut $t.w64;
                 $body
             }
             Keys::Vals($k) => {
-                let $heads = &mut $s.vals;
+                let $table = &mut $t.vals;
                 $body
             }
         }
@@ -418,17 +411,17 @@ impl<'a> Execution<'a> {
                 let rel = self.run_rel(input)?;
                 self.olap_units += rel.len() as f64 * weights::DISTINCT;
                 let rows_in = rel.len() as u64;
-                let r = rel.as_ref();
-                // First-seen order is preserved (LIMIT without ORDER BY
-                // above a DISTINCT observes it).
-                let mut seen: FastSet<Vec<Value>> = FastSet::default();
-                seen.reserve(r.len());
+                let (r, t) = (rel.as_ref(), &mut self.scratch.groups);
+                // A row is kept when it opens a group of the whole row's
+                // key, so first-seen order is preserved (LIMIT without
+                // ORDER BY above a DISTINCT observes it).
+                let norm = KeyNorm::plan(r.columns(), r.columns(), r.len(), true, t);
                 let mut sel: Vec<u32> = Vec::new();
-                for i in 0..r.len() {
-                    if seen.insert(r.row(i)) {
+                assign_groups(&norm, r.columns(), r.len(), t, true, 0, |i, g| {
+                    if g as usize == sel.len() {
                         sel.push(i as u32);
                     }
-                }
+                });
                 let out = gather_relation(r, &sel);
                 self.op(OpStat {
                     op: "distinct",
@@ -635,7 +628,7 @@ impl<'a> Execution<'a> {
     /// sequence of float additions into the work units): a probe side that
     /// streams runs *after* the right side; one that does not is run
     /// *before* it. Only bare-column keys probe a stream, because only
-    /// those have the same layout in every morsel ([`KeyNorm::keys`] errors
+    /// those have the same layout in every morsel ([`KeyNorm::pack`] errors
     /// on drift).
     fn hash_join(
         &mut self,
@@ -674,25 +667,32 @@ impl<'a> Execution<'a> {
                 .collect::<Result<_>>()?;
             scratch.pairs.lsel.clear();
             scratch.pairs.rsel.clear();
-            if whole && m.len() < build.len() {
-                // `KeyNorm` takes its value ranges from the table side.
-                let norm = build_table(&pcols, &bcols, m.len(), &mut scratch)?;
-                let keys = norm.keys(&bcols, build.len(), &mut scratch.packed)?;
-                with_key_arm!(&keys, scratch, |b, heads| {
-                    let pairs = &mut scratch.pairs;
-                    probe_chain(b, heads, &scratch.next, &mut pairs.rsel, &mut pairs.lsel)
-                });
+            // A whole probe side smaller than the right relation gets the
+            // table (`KeyNorm` plans over the table side), and the right
+            // relation's keys probe it.
+            let swap = whole && m.len() < build.len();
+            let mut swapped = None;
+            let (norm, cols, rows) = match &mut norm {
+                _ if swap => {
+                    let n = swapped.insert(build_table(&pcols, &bcols, m.len(), &mut scratch));
+                    (&*n, &bcols, build.len())
+                }
+                Some(n) => (&*n, &pcols, m.len()),
+                None => {
+                    let n = norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch));
+                    (&*n, &pcols, m.len())
+                }
+            };
+            norm.pack(cols, rows, &mut scratch.keys)
+                .ok_or_else(key_drift)?;
+            let keys = norm.keys(cols, rows, &scratch.keys.packed);
+            let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
+            let (psel, bsel) = if swap { (rsel, lsel) } else { (lsel, rsel) };
+            with_key_arm!(&keys, scratch.keys, |p, heads| {
+                probe_chain(p, heads, &scratch.next, psel, bsel)
+            });
+            if swap {
                 scratch.pairs.probe_major(m.len());
-            } else {
-                let norm = match &mut norm {
-                    Some(n) => n,
-                    None => norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch)?),
-                };
-                let keys = norm.keys(&pcols, m.len(), &mut scratch.packed)?;
-                with_key_arm!(&keys, scratch, |p, heads| {
-                    let pairs = &mut scratch.pairs;
-                    probe_chain(p, heads, &scratch.next, &mut pairs.lsel, &mut pairs.rsel)
-                });
             }
             let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
             if let Some(res) = &residual {
@@ -775,9 +775,11 @@ impl<'a> Execution<'a> {
             } else {
                 None
             };
-        let norm = build_table(&bcols, &pcols, rrel.len(), &mut self.scratch)?;
-        let keys = norm.keys(&pcols, lrel.len(), &mut self.scratch.packed)?;
-        let matched = with_key_arm!(&keys, self.scratch, |p, heads| {
+        let norm = build_table(&bcols, &pcols, rrel.len(), &mut self.scratch);
+        let t = &mut self.scratch.keys;
+        norm.pack(&pcols, lrel.len(), t).ok_or_else(key_drift)?;
+        let keys = norm.keys(&pcols, lrel.len(), &t.packed);
+        let matched = with_key_arm!(&keys, t, |p, heads| {
             semi_matches(p, heads, &self.scratch.next, residual_dyn)
         })?;
         let sel: Vec<u32> = matched
@@ -804,9 +806,10 @@ impl<'a> Execution<'a> {
 
     /// Grouped aggregation: [`Execution::feed`] folds the input into the
     /// one [`Grouper`] morsel by morsel, so neither a streamed leaf nor a
-    /// join's output under it is materialized. Packing several key columns
-    /// into one word is decided over whole columns, so an aggregate with
-    /// more than one key takes its input as the one morsel.
+    /// join's output under it is materialized. The keys are planned over
+    /// the first morsel, and a later one the plan does not cover sends the
+    /// groups to `Value` keys, so an aggregate with more than one key takes
+    /// its input as the one morsel.
     fn aggregate(
         &mut self,
         input: &LogicalPlan,
@@ -814,7 +817,10 @@ impl<'a> Execution<'a> {
         aggregates: &[(AggCall, Name)],
         out: &PlanSchema,
     ) -> Result<ExecRel> {
-        let mut grouper = Grouper::new(group_by, aggregates, input.schema())?;
+        // The grouper holds the pooled group tables while it folds; a join
+        // under `feed` holds the rest of the scratch meanwhile.
+        let tables = std::mem::take(&mut self.scratch.groups);
+        let mut grouper = Grouper::new(group_by, aggregates, input.schema(), tables)?;
         let rows_in = if group_by.len() <= 1 {
             self.feed(input, &mut |m| grouper.push(m.as_ref()))?
         } else {
@@ -823,7 +829,8 @@ impl<'a> Execution<'a> {
             rel.len() as u64
         };
         self.olap_units += rows_in as f64 * weights::AGGREGATE;
-        let groups = grouper.finish();
+        let (groups, tables) = grouper.finish();
+        self.scratch.groups = tables;
         let fields = named_columns(&out.fields);
         let ngroups = groups.len();
         let mut builders: Vec<ColumnBuilder> = (0..fields.len())
@@ -938,37 +945,18 @@ impl MorselConcat {
     }
 }
 
-/// Hash index from a group's key to its position in [`Grouper::groups`].
-/// The arm only decides how a key is hashed: the key `Value`s a group emits
-/// and the order in which rows reach its accumulators are the same in all.
-enum GroupIndex {
-    /// No group keys: one global group.
-    Global,
-    /// No morsel seen yet.
-    Unset,
-    /// One Int column, keyed on the native value.
-    Int(FastMap<Option<i64>, usize>),
-    /// One Str column. NULL's group sits beside the table so that a row
-    /// looks its group up by `&str`, never touching the `Arc`'s count.
-    Str {
-        null: Option<usize>,
-        map: FastMap<Arc<str>, usize>,
-    },
-    /// Several columns packed into one word per row ([`pack_group_keys`]).
-    /// The codes are relative to the morsel's own columns, so they mean
-    /// nothing in the next morsel.
-    Packed(FastMap<u128, usize>),
-    /// Every other key shape: owned `Value` tuples.
-    Vals(FastMap<Vec<Value>, usize>),
-}
-
 /// Grouped aggregation over morsels. Groups stay in first-seen order and
 /// each sees its rows in arrival order, so the output does not depend on
 /// where the input was cut into morsels — a materialized input is one.
+/// With no key columns every row packs to the one empty key: the global
+/// group.
 struct Grouper {
     keys: Vec<PhysExpr>,
     aggs: Vec<(AggFunc, Option<PhysExpr>, bool)>,
-    index: GroupIndex,
+    /// How rows find their group: planned over the first morsel.
+    norm: Option<KeyNorm>,
+    /// The pooled group tables, lent by the aggregate for its run.
+    tables: KeyTables,
     groups: Vec<GroupOut>,
 }
 
@@ -977,6 +965,7 @@ impl Grouper {
         group_by: &[(xdb_sql::Expr, Name)],
         aggregates: &[(AggCall, Name)],
         schema: &PlanSchema,
+        tables: KeyTables,
     ) -> Result<Grouper> {
         let keys: Vec<PhysExpr> = group_by
             .iter()
@@ -990,13 +979,10 @@ impl Grouper {
             })
             .collect::<Result<_>>()?;
         Ok(Grouper {
-            index: if keys.is_empty() {
-                GroupIndex::Global
-            } else {
-                GroupIndex::Unset
-            },
             keys,
             aggs,
+            norm: None,
+            tables,
             groups: Vec::new(),
         })
     }
@@ -1023,191 +1009,91 @@ impl Grouper {
             .iter()
             .map(|(_, arg, _)| arg.as_ref().map(|a| expr_column(a, rel)).transpose())
             .collect::<Result<_>>()?;
-        // The arm is chosen on the first morsel and kept while the key
-        // layout holds. When it drifts (a computed key may materialize
-        // another layout per chunk), or packed codes meet a second morsel,
-        // the index is rebuilt over `Value` keys: group identity is
-        // value-based, so the groups opened so far carry over unchanged.
-        let keep = matches!(
-            (&self.index, &key_cols[..]),
-            (GroupIndex::Global | GroupIndex::Vals(_), _)
-                | (GroupIndex::Int(_), [Column::Int(_)])
-                | (GroupIndex::Str { .. }, [Column::Str(_)])
-        );
-        let mut packed = Vec::new();
-        if !keep {
-            self.index = match &key_cols[..] {
-                [Column::Int(_)] if self.groups.is_empty() => GroupIndex::Int(FastMap::default()),
-                [Column::Str(_)] if self.groups.is_empty() => GroupIndex::Str {
-                    null: None,
-                    map: FastMap::default(),
-                },
-                [_, _, ..] if self.groups.is_empty() => match pack_group_keys(&key_cols, n) {
-                    Some(p) => {
-                        packed = p;
-                        GroupIndex::Packed(FastMap::default())
-                    }
-                    None => GroupIndex::Vals(FastMap::default()),
-                },
-                _ => GroupIndex::Vals(
-                    self.groups
-                        .iter()
-                        .enumerate()
-                        .map(|(gi, g)| (g.key.clone(), gi))
-                        .collect(),
-                ),
-            };
-        }
         let Grouper {
             aggs,
-            index,
+            norm,
+            tables: t,
             groups,
             ..
         } = self;
-        let key_of = |i: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(i)).collect() };
-        let mut fold = Fold {
-            groups,
-            n,
-            arg_cols: &arg_cols,
-            key_of: &key_of,
-            new_accs: &|| Grouper::new_accs(aggs),
+        // The first morsel plans the keys. A later one keeps the plan while
+        // it covers every row; when it does not (a layout drifts, as a
+        // computed key's may per chunk, or a value lies outside a range or
+        // dictionary), the groups so far are indexed by their `Value` keys:
+        // group identity is value-based, so they carry over unchanged.
+        let fresh = norm.is_none();
+        let norm = match norm {
+            None => norm.insert(KeyNorm::plan(&key_cols, &key_cols, n, true, t)),
+            Some(norm) => {
+                if norm.pack(&key_cols, n, t).is_none() || t.packed.contains(&NO_KEY) {
+                    *norm = KeyNorm::Vals;
+                    t.vals.clear();
+                    let keys = groups.iter().map(|g| g.key.clone());
+                    t.vals.extend(keys.zip(0..));
+                }
+                norm
+            }
         };
-        match (index, &key_cols[..]) {
-            (GroupIndex::Global, _) => fold.rows(|_, _| 0),
-            (GroupIndex::Int(map), [Column::Int(c)]) => {
-                fold.rows(|i, next| *map.entry(c.get(i).copied()).or_insert(next))
+        assign_groups(norm, &key_cols, n, t, fresh, groups.len() as u32, |i, g| {
+            let g = g as usize;
+            if g == groups.len() {
+                groups.push(GroupOut {
+                    key: key_cols.iter().map(|c| c.value(i)).collect(),
+                    accs: Grouper::new_accs(aggs),
+                });
             }
-            (GroupIndex::Str { null, map }, [Column::Str(c)]) => {
-                fold.rows(|i, next| match c.get(i) {
-                    None => *null.get_or_insert(next),
-                    Some(s) => match map.get(&**s) {
-                        Some(&gi) => gi,
-                        None => {
-                            map.insert(s.clone(), next);
-                            next
-                        }
-                    },
-                })
+            for (acc, col) in groups[g].accs.iter_mut().zip(&arg_cols) {
+                acc.update(col.as_ref().map(|c| c.value(i)));
             }
-            (GroupIndex::Packed(map), _) => {
-                fold.rows(|i, next| *map.entry(packed[i]).or_insert(next))
-            }
-            (GroupIndex::Vals(map), _) => {
-                fold.rows(|i, next| *map.entry(key_of(i)).or_insert(next))
-            }
-            _ => unreachable!("the index arm was re-chosen above for this key layout"),
-        }
+        });
         Ok(())
     }
 
-    /// The groups in first-seen order. A global aggregate over empty input
-    /// still yields its one group.
-    fn finish(mut self) -> Vec<GroupOut> {
+    /// The groups in first-seen order, and the tables lent for the run. A
+    /// global aggregate over empty input still yields its one group.
+    fn finish(mut self) -> (Vec<GroupOut>, KeyTables) {
         if self.keys.is_empty() && self.groups.is_empty() {
             self.groups.push(GroupOut {
                 key: vec![],
                 accs: Grouper::new_accs(&self.aggs),
             });
         }
-        self.groups
+        (self.groups, self.tables)
     }
 }
 
-/// One morsel's fold, everything but how a row finds its group.
-struct Fold<'a> {
-    groups: &'a mut Vec<GroupOut>,
-    n: usize,
-    arg_cols: &'a [Option<Column>],
-    key_of: &'a dyn Fn(usize) -> Vec<Value>,
-    new_accs: &'a dyn Fn() -> Vec<Accumulator>,
-}
-
-impl Fold<'_> {
-    /// The one loop that folds rows into groups: find or open the row's
-    /// group, update its accumulators. `find(row, next)` returns the
-    /// row's group, claiming index `next` for a key it has not seen.
-    fn rows(&mut self, mut find: impl FnMut(usize, usize) -> usize) {
-        for i in 0..self.n {
-            let next = self.groups.len();
-            let gi = find(i, next);
-            if gi == next {
-                self.groups.push(GroupOut {
-                    key: (self.key_of)(i),
-                    accs: (self.new_accs)(),
-                });
-            }
-            for (acc, col) in self.groups[gi].accs.iter_mut().zip(self.arg_cols) {
-                acc.update(col.as_ref().map(|c| c.value(i)));
-            }
+/// Give rows `0..rows`, their keys packed under `norm`, their groups in
+/// row order: `visit(row, group)`, where a group id equal to the number of
+/// groups so far (`ngroups` at the start) opens one. `fresh` clears the
+/// tables first.
+fn assign_groups(
+    norm: &KeyNorm,
+    cols: &[Column],
+    rows: usize,
+    t: &mut KeyTables,
+    fresh: bool,
+    mut ngroups: u32,
+    mut visit: impl FnMut(usize, u32),
+) {
+    let keys = norm.keys(cols, rows, &t.packed);
+    with_key_arm!(&keys, t, |k, table| {
+        if fresh {
+            table.reset(&k.keys);
         }
-    }
+        for i in 0..rows {
+            let g = table.group(&k.keys, i, ngroups);
+            if g == ngroups {
+                ngroups += 1;
+            }
+            visit(i, g);
+        }
+    })
 }
 
 /// Bits needed to represent codes `0..=max_code` (at least one, so every
 /// field advances the shift cursor).
 fn bits_for(max_code: u128) -> u32 {
     (128 - max_code.leading_zeros()).max(1)
-}
-
-/// Pack multi-column group keys into one `u128` per row. Int, Date and Bool
-/// columns are frame-of-reference compressed against their column minimum
-/// and Str columns are interned through a first-appearance dictionary —
-/// each with code 0 reserved for NULL. Returns `None` when a column kind is
-/// unsupported (Float, Mixed) or the packed field widths exceed 128 bits;
-/// callers then fall back to the generic `Vec<Value>` keys.
-fn pack_group_keys(key_cols: &[Column], n: usize) -> Option<Vec<u128>> {
-    enum Codes<'a> {
-        Word { min: i64 },
-        Dict(FastMap<&'a str, u128>),
-    }
-    // First pass per column: field width + its code space, writing nothing
-    // until the total width is known to fit.
-    let mut fields: Vec<(u32, Codes<'_>)> = Vec::with_capacity(key_cols.len());
-    for col in key_cols {
-        fields.push(match col {
-            Column::Str(c) => {
-                let mut dict: FastMap<&str, u128> = FastMap::default();
-                for i in 0..n {
-                    if let Some(s) = c.get(i) {
-                        let next = dict.len() as u128 + 1;
-                        dict.entry(s.as_ref()).or_insert(next);
-                    }
-                }
-                (bits_for(dict.len() as u128), Codes::Dict(dict))
-            }
-            _ => {
-                let (min, max) = word_range(col, n)?;
-                let range = if min > max {
-                    0
-                } else {
-                    u128::from(max.wrapping_sub(min) as u64) + 1
-                };
-                (bits_for(range), Codes::Word { min })
-            }
-        });
-    }
-    if fields.iter().map(|(w, _)| *w).sum::<u32>() > 128 {
-        return None;
-    }
-    let mut out = vec![0u128; n];
-    let mut shift = 0u32;
-    for ((w, codes), col) in fields.iter().zip(key_cols) {
-        match (codes, col) {
-            (Codes::Dict(dict), Column::Str(c)) => {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot |= c.get(i).map_or(0, |s| dict[s.as_ref()]) << shift;
-                }
-            }
-            (Codes::Word { min }, _) => {
-                each_word(col, n, |i, v| {
-                    out[i] |= v.map_or(0, |v| u128::from(v.wrapping_sub(*min) as u64) + 1) << shift;
-                });
-            }
-            (Codes::Dict(_), _) => unreachable!("dictionaries are built for Str columns only"),
-        }
-        shift += w;
-    }
-    Some(out)
 }
 
 /// Evaluate a filter predicate to a selection vector, vectorized when the
@@ -1339,50 +1225,38 @@ fn key_columns(
         .collect()
 }
 
-/// Visit rows `0..n` of an Int/Date/Bool column as `i64` words (`None` for
-/// NULL). Returns `false`, visiting nothing, for any other layout.
-fn each_word(col: &Column, n: usize, mut f: impl FnMut(usize, Option<i64>)) -> bool {
-    match col {
-        Column::Int(c) => (0..n).for_each(|i| f(i, c.get(i).copied())),
-        Column::Date(c) => (0..n).for_each(|i| f(i, c.get(i).map(|&v| i64::from(v)))),
-        Column::Bool(c) => (0..n).for_each(|i| f(i, c.get(i).map(|&v| i64::from(v)))),
-        _ => return false,
-    }
-    true
-}
-
-/// `(min, max)` over a column's non-NULL words (`min > max` when it has
-/// none); `None` unless the layout is Int/Date/Bool.
+/// `(min, max)` over rows `0..n` of an Int, Date or Bool column's non-NULL
+/// words (`min > max` when it has none); `None` for any other layout.
 fn word_range(col: &Column, n: usize) -> Option<(i64, i64)> {
-    let (mut min, mut max) = (i64::MAX, i64::MIN);
-    each_word(col, n, |_, v| {
-        if let Some(v) = v {
-            min = min.min(v);
-            max = max.max(v);
-        }
+    fn range<T: Copy + Default>(c: &TypedCol<T>, n: usize, word: impl Fn(T) -> i64) -> (i64, i64) {
+        (0..n)
+            .filter_map(|i| c.get(i))
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &v| {
+                (lo.min(word(v)), hi.max(word(v)))
+            })
+    }
+    Some(match col {
+        Column::Int(c) => range(c, n, |v| v),
+        Column::Date(c) => range(c, n, i64::from),
+        Column::Bool(c) => range(c, n, i64::from),
+        _ => return None,
     })
-    .then_some((min, max))
 }
 
-/// One side's join keys in the arm one [`KeyNorm`] chose for both sides.
-/// Word keys are packed first, one column at a time, into the pooled
-/// [`Scratch::packed`]; a Str or `Value` key is read from its columns
-/// where they lie. A row without a key matches nothing: a NULL component,
-/// or a probe value outside the build side's range.
+/// One side's keys in the arm one [`KeyNorm`] planned: packed, one `u64`
+/// per row in [`KeyTables::packed`], or the key columns' `Value` tuples.
 enum Keys<'a> {
-    /// Packed word keys of up to [`DIRECT_MAX_BITS`], which index
-    /// [`DirectHeads`] themselves.
+    /// Packed keys of up to [`DIRECT_MAX_BITS`], which index
+    /// [`DirectTable`] themselves.
     Direct(Side<Packed<'a>>),
-    /// Wider packed word keys, of up to 63 bits, hashed.
+    /// Wider packed keys, of up to 63 bits, hashed.
     W64(Side<Packed<'a>>),
-    /// One Str column.
-    Str(Side<&'a StrCol>),
     /// Key columns compared as `Value` tuples.
     Vals(Side<&'a [Column]>),
 }
 
-/// One side of a join: its key columns, as its arm reads them, and its
-/// row count.
+/// One side of a join, or a group-by's morsel: its keys, as its arm reads
+/// them, and its row count.
 struct Side<K> {
     keys: K,
     rows: usize,
@@ -1393,7 +1267,7 @@ struct Side<K> {
 /// it as it is.
 const NO_KEY: u64 = u64::MAX;
 
-/// One side's packed word keys, one per row ([`NO_KEY`] for a row without
+/// One side's packed keys, one per row ([`NO_KEY`] for a row without
 /// one), and the width of the packing: a direct table has `2^bits` slots.
 #[derive(Clone, Copy)]
 struct Packed<'a> {
@@ -1409,55 +1283,268 @@ impl Packed<'_> {
     }
 }
 
-/// Pack rows `0..rows` of one side's word key columns into `out`, one
-/// column at a time: each value less its field's build minimum, shifted
-/// into its bit field. A NULL component, or a value outside its field's
-/// build range (which must not spill into the next field), makes the row's
-/// key [`NO_KEY`]. `None` when a column has not the layout its field was
-/// planned for.
-fn pack_words(
-    fields: &[WordField],
-    cols: &[Column],
-    rows: usize,
-    out: &mut Vec<u64>,
-) -> Option<()> {
-    out.clear();
-    out.resize(rows, 0);
-    for (f, col) in fields.iter().zip(cols) {
-        match col {
-            _ if discriminant(col) != f.layout => return None,
-            Column::Int(c) => pack_field(out, c, f, |v| v),
-            Column::Date(c) => pack_field(out, c, f, i64::from),
-            Column::Bool(c) => pack_field(out, c, f, i64::from),
-            _ => return None,
-        }
-    }
-    Some(())
+/// The tables one operator's keys go to (see [`with_key_arm!`]), and the
+/// buffers it packs them with, pooled in [`Scratch`].
+#[derive(Default)]
+struct KeyTables {
+    direct: DirectTable,
+    w64: FastMap<u64, u32>,
+    vals: FastMap<Vec<Value>, u32>,
+    /// One side's packed keys: a join's table side while it is chained,
+    /// then each probe morsel's in turn; a group-by's morsel.
+    packed: Vec<u64>,
+    /// The last plan's Str and Float dictionaries, by field position.
+    strs: Vec<FastMap<Arc<str>, u64>>,
+    floats: Vec<FastMap<u64, u64>>,
 }
 
-/// OR one column's bit field into the packed keys (see [`pack_words`]),
-/// its values first and then its NULLs.
-#[inline]
-fn pack_field<T: Copy>(out: &mut [u64], col: &TypedCol<T>, f: &WordField, word: impl Fn(T) -> i64) {
-    for (k, &v) in out.iter_mut().zip(&col.data) {
-        let v = word(v);
-        *k = if (f.min..=f.max).contains(&v) {
-            *k | (v.wrapping_sub(f.min) as u64) << f.shift
-        } else {
-            NO_KEY
-        };
-    }
-    if !col.nulls.none_set() {
-        for (i, k) in out.iter_mut().enumerate() {
-            if col.nulls.get(i) {
-                *k = NO_KEY;
+/// One key column of a packed key: its layout, how its values are coded,
+/// and where its bit field starts.
+struct KeyField {
+    layout: Discriminant<Column>,
+    code: FieldCode,
+    shift: u32,
+}
+
+/// How a key column's values become codes, over the planned side's
+/// values. Where NULL is a key, it is code 0 and every value's code is one
+/// more.
+enum FieldCode {
+    /// An Int, Date or Bool value in `min..=max`: `value - min`.
+    Word { min: i64, max: i64 },
+    /// A string: its entry in the field's first-appearance dictionary
+    /// (`KeyTables::strs`).
+    Str,
+    /// A float: its bits' entry in the field's dictionary
+    /// (`KeyTables::floats`), as `Value`'s equality compares floats.
+    Float,
+}
+
+/// Widest packed key a [`DirectTable`] is indexed by, whatever the
+/// planned side's size: at most 2^17 slots (512 KB) per table. The table
+/// grows only to the `2^bits` slots an operator needs, so a narrow key
+/// never pays for a wide one. Wider keys are hashed.
+const DIRECT_MAX_BITS: u32 = 17;
+
+/// How the key columns of a join, a semi join, a group-by or a DISTINCT
+/// normalise: planned over one side (a join's table side, a group-by's
+/// first morsel, a DISTINCT's input) and the other side's layouts, then
+/// applied to every side, so all land in the same [`Keys`] arm.
+enum KeyNorm {
+    /// Every column packs into a bit field ([`FieldCode`]) of one `u64`,
+    /// `bits` wide in all (at most 63, which decide the table). A value the
+    /// plan does not cover equals no planned value, so its row has no key;
+    /// nor has a row with a NULL component, unless `nulls` makes NULL a key.
+    Packed {
+        fields: Vec<KeyField>,
+        bits: u32,
+        nulls: bool,
+    },
+    /// Everything else (Mixed, layouts that differ between the sides,
+    /// fields of 64 bits or more in total): `Value` tuples, whose equality
+    /// also gives `1 = 1.0`.
+    Vals,
+}
+
+impl KeyNorm {
+    /// Plan the keys over rows `0..rows` of `cols`, whose other side has
+    /// the layouts of `other`, and pack `cols` under the plan into
+    /// `t.packed`. `nulls` makes NULL a key.
+    fn plan(
+        cols: &[Column],
+        other: &[Column],
+        rows: usize,
+        nulls: bool,
+        t: &mut KeyTables,
+    ) -> KeyNorm {
+        let (null, off) = (nulls.then_some(0), u64::from(nulls));
+        t.packed.clear();
+        t.packed.resize(rows, 0);
+        let mut fields = Vec::with_capacity(cols.len());
+        let mut bits = 0u32;
+        for (j, (col, o)) in cols.iter().zip(other).enumerate() {
+            let layout = discriminant(col);
+            if layout != discriminant(o) {
+                return KeyNorm::Vals;
+            }
+            // A dictionary is filled as its column packs; a word column
+            // packs once its range is known.
+            let (code, values) = match col {
+                Column::Str(c) => {
+                    let dict = fresh_dict(&mut t.strs, j);
+                    for (i, k) in t.packed.iter_mut().enumerate() {
+                        let code = c.get(i).map(|s| intern_str(dict, s) + off);
+                        put_code(k, code.or(null), bits);
+                    }
+                    (FieldCode::Str, dict.len() as u128)
+                }
+                Column::Float(c) => {
+                    let dict = fresh_dict(&mut t.floats, j);
+                    pack_typed(&mut t.packed, bits, c, null, |v| {
+                        let next = dict.len() as u64;
+                        Some(*dict.entry(v.to_bits()).or_insert(next) + off)
+                    });
+                    (FieldCode::Float, dict.len() as u128)
+                }
+                _ => match word_range(col, rows) {
+                    Some((min, max)) if min > max => (FieldCode::Word { min, max }, 0),
+                    Some((min, max)) => {
+                        let span = u128::from(max.wrapping_sub(min) as u64);
+                        (FieldCode::Word { min, max }, span + 1)
+                    }
+                    None => return KeyNorm::Vals,
+                },
+            };
+            let field = KeyField {
+                layout,
+                code,
+                shift: bits,
+            };
+            if let FieldCode::Word { .. } = field.code {
+                pack_field(&field, j, nulls, col, t);
+            }
+            fields.push(field);
+            bits += bits_for((values + u128::from(nulls)).saturating_sub(1));
+            if bits >= 64 {
+                return KeyNorm::Vals;
             }
         }
+        KeyNorm::Packed {
+            fields,
+            bits,
+            nulls,
+        }
+    }
+
+    /// Pack rows `0..rows` of another side's (or a later morsel's) key
+    /// columns into `t.packed` under the plan (nothing under `Vals`). `None`
+    /// when a column has not the layout its field was planned for.
+    fn pack(&self, cols: &[Column], rows: usize, t: &mut KeyTables) -> Option<()> {
+        t.packed.clear();
+        let KeyNorm::Packed { fields, nulls, .. } = self else {
+            return Some(());
+        };
+        t.packed.resize(rows, 0);
+        for (j, (f, col)) in fields.iter().zip(cols).enumerate() {
+            if discriminant(col) != f.layout {
+                return None;
+            }
+            pack_field(f, j, *nulls, col, t);
+        }
+        Some(())
+    }
+
+    /// One side's keys in the planned arm, packed ones read from `packed`.
+    fn keys<'a>(&self, cols: &'a [Column], rows: usize, packed: &'a [u64]) -> Keys<'a> {
+        let &KeyNorm::Packed { bits, .. } = self else {
+            return Keys::Vals(Side { keys: cols, rows });
+        };
+        let side = Side {
+            keys: Packed { keys: packed, bits },
+            rows,
+        };
+        match bits <= DIRECT_MAX_BITS {
+            true => Keys::Direct(side),
+            false => Keys::W64(side),
+        }
     }
 }
 
-/// Row `i`'s key as a `Value` tuple; any NULL component kills the whole
-/// key.
+/// A streamed probe's key layout changed between morsels.
+fn key_drift() -> EngineError {
+    EngineError::Execution("streamed probe key layout drifted between morsels".into())
+}
+
+/// Dictionary `j` of a pooled list, emptied.
+fn fresh_dict<K>(dicts: &mut Vec<FastMap<K, u64>>, j: usize) -> &mut FastMap<K, u64> {
+    if dicts.len() <= j {
+        dicts.resize_with(j + 1, FastMap::default);
+    }
+    dicts[j].clear();
+    &mut dicts[j]
+}
+
+/// A string's entry in `dict`, added in first-appearance order. Only a
+/// new string's `Arc` is cloned.
+fn intern_str(dict: &mut FastMap<Arc<str>, u64>, s: &Arc<str>) -> u64 {
+    if let Some(&code) = dict.get(&**s) {
+        return code;
+    }
+    let code = dict.len() as u64;
+    dict.insert(Arc::clone(s), code);
+    code
+}
+
+/// OR column `j`'s codes under its planned field `f` into `t.packed`; a
+/// value the field does not cover, or a NULL where NULL has no key, makes
+/// the row [`NO_KEY`]. The column has the field's layout.
+fn pack_field(f: &KeyField, j: usize, nulls: bool, col: &Column, t: &mut KeyTables) {
+    let (null, off, out) = (nulls.then_some(0), u64::from(nulls), &mut t.packed);
+    match (&f.code, col) {
+        (&FieldCode::Word { min, max }, _) => {
+            let word = move |v: i64| {
+                let code = (v.wrapping_sub(min) as u64).wrapping_add(off);
+                (min..=max).contains(&v).then_some(code)
+            };
+            match col {
+                Column::Int(c) => pack_typed(out, f.shift, c, null, word),
+                Column::Date(c) => pack_typed(out, f.shift, c, null, |v| word(v.into())),
+                Column::Bool(c) => pack_typed(out, f.shift, c, null, |v| word(v.into())),
+                _ => unreachable!("a word field packs only a word column"),
+            }
+        }
+        (FieldCode::Str, Column::Str(c)) => {
+            for (i, k) in out.iter_mut().enumerate() {
+                let code = match c.get(i) {
+                    None => null,
+                    Some(s) => t.strs[j].get(&**s).map(|&code| code + off),
+                };
+                put_code(k, code, f.shift);
+            }
+        }
+        (FieldCode::Float, Column::Float(c)) => pack_typed(out, f.shift, c, null, |v| {
+            t.floats[j].get(&v.to_bits()).map(|&code| code + off)
+        }),
+        _ => unreachable!("a field packs only the layout it was planned for"),
+    }
+}
+
+/// OR a typed column's codes, `code(value)` or a NULL row's `null`, into
+/// `out` ([`put_code`]).
+#[inline]
+fn pack_typed<T: Copy>(
+    out: &mut [u64],
+    shift: u32,
+    col: &TypedCol<T>,
+    null: Option<u64>,
+    mut code: impl FnMut(T) -> Option<u64>,
+) {
+    // A plain loop over the two slices: the packing of a large probe side
+    // stays one tight loop, where a zip over a mapped iterator measured
+    // 5-10 % slower per query.
+    if col.nulls.none_set() {
+        for (k, &v) in out.iter_mut().zip(&col.data) {
+            put_code(k, code(v), shift);
+        }
+    } else {
+        for (i, (k, &v)) in out.iter_mut().zip(&col.data).enumerate() {
+            put_code(k, if col.nulls.get(i) { null } else { code(v) }, shift);
+        }
+    }
+}
+
+/// OR a row's code into its bit field at `shift`; a row without one
+/// becomes [`NO_KEY`].
+#[inline]
+fn put_code(k: &mut u64, code: Option<u64>, shift: u32) {
+    *k = match code {
+        Some(code) => *k | code << shift,
+        None => NO_KEY,
+    };
+}
+
+/// Row `i`'s join key as a `Value` tuple; any NULL component kills the
+/// whole key.
 fn value_key(cols: &[Column], i: usize) -> Option<Vec<Value>> {
     let mut k = Vec::with_capacity(cols.len());
     for c in cols {
@@ -1470,137 +1557,41 @@ fn value_key(cols: &[Column], i: usize) -> Option<Vec<Value>> {
     Some(k)
 }
 
-/// One key column of a packed word key: its layout, the build side's value
-/// range, and where its bit field starts.
-struct WordField {
-    layout: Discriminant<Column>,
-    min: i64,
-    max: i64,
-    shift: u32,
-}
-
-/// Widest packed word key a [`DirectHeads`] table is indexed by, whatever
-/// the build side's size: at most 2^17 slots (512 KB) per pooled
-/// [`Scratch`]. The table grows only to the `2^bits` slots a join needs, so
-/// a narrow key never pays for a wide one. Wider keys are hashed.
-const DIRECT_MAX_BITS: u32 = 17;
-
-/// How an equi-join's key columns normalise: decided once per join from the
-/// build columns and the probe side's layouts, then applied to both sides,
-/// so both always land in the same [`Keys`] arm. "Build" here is the side
-/// the table goes over, whichever child of the join that is.
-enum KeyNorm {
-    /// Every column is Int, Date or Bool with the same layout on both
-    /// sides. Each value packs as `value - build_min` into a bit field as
-    /// wide as the build side's range needs (`bits` in total, at most 63,
-    /// which decide the table). A probe value outside the build range
-    /// equals no build value, so it has no key.
-    Words { fields: Vec<WordField>, bits: u32 },
-    /// One Str column on each side.
-    Str,
-    /// Everything else (Float, Mixed, layouts that differ between the
-    /// sides, Str inside a composite key, word fields of 64 bits or more
-    /// in total): `Value` tuples, whose equality also gives `1 = 1.0`.
-    Vals,
-}
-
-impl KeyNorm {
-    fn new(bcols: &[Column], pcols: &[Column], build_rows: usize) -> KeyNorm {
-        if let ([Column::Str(_)], [Column::Str(_)]) = (bcols, pcols) {
-            return KeyNorm::Str;
-        }
-        let mut fields = Vec::with_capacity(bcols.len());
-        let mut bits = 0u32;
-        for (b, p) in bcols.iter().zip(pcols) {
-            let layout = discriminant(b);
-            if layout != discriminant(p) {
-                return KeyNorm::Vals;
-            }
-            let Some((min, max)) = word_range(b, build_rows) else {
-                return KeyNorm::Vals;
-            };
-            fields.push(WordField {
-                layout,
-                min,
-                max,
-                shift: bits,
-            });
-            let span = if min > max {
-                0
-            } else {
-                max.wrapping_sub(min) as u64
-            };
-            bits += bits_for(u128::from(span));
-        }
-        if bits >= 64 {
-            return KeyNorm::Vals;
-        }
-        KeyNorm::Words { fields, bits }
-    }
-
-    /// One side's keys over its key columns, word keys packed into
-    /// `packed`. Errors when a typed arm meets a layout it was not planned
-    /// for (a streamed probe whose morsels changed layout mid-edge).
-    fn keys<'a>(
-        &'a self,
-        cols: &'a [Column],
-        rows: usize,
-        packed: &'a mut Vec<u64>,
-    ) -> Result<Keys<'a>> {
-        let drift =
-            || EngineError::Execution("streamed probe key layout drifted between morsels".into());
-        Ok(match (self, cols) {
-            (KeyNorm::Words { fields, bits }, _) => {
-                pack_words(fields, cols, rows, packed).ok_or_else(drift)?;
-                let keys = Packed {
-                    keys: packed,
-                    bits: *bits,
-                };
-                let side = Side { keys, rows };
-                if *bits <= DIRECT_MAX_BITS {
-                    Keys::Direct(side)
-                } else {
-                    Keys::W64(side)
-                }
-            }
-            (KeyNorm::Str, [Column::Str(col)]) => Keys::Str(Side { keys: col, rows }),
-            (KeyNorm::Vals, _) => Keys::Vals(Side { keys: cols, rows }),
-            _ => return Err(drift()),
-        })
-    }
-}
-
-/// A chain-head table read through one side's keys `K`: the first build
-/// row of every key, the rest of its chain in [`Scratch`]'s `next`. One
-/// impl per [`Keys`] arm, so the build and every probe of an arm read one
+/// A table read through one side's keys `K`: a join's chain heads (the
+/// first build row of every key, the rest of its chain in [`Scratch`]'s
+/// `next`), or a group-by's group ids. One impl per [`Keys`] arm, so the
+/// build and every probe of an arm, or every morsel of a group-by, read one
 /// table.
-trait ChainHeads<K> {
-    /// Forget the previous build's heads and make room for `build`'s keys.
-    fn reset(&mut self, build: &K);
+trait KeyTable<K> {
+    /// Forget what the table held and make room for `keys`' codes.
+    fn reset(&mut self, keys: &K);
     /// The first build row whose key equals row `i`'s of `keys`.
     fn head(&self, keys: &K, i: usize) -> Option<u32>;
     /// Make build row `i` the head of its key's chain and return the row it
     /// displaced: `NO_NEXT` when there was none, or when row `i` has no key.
     fn push_front(&mut self, build: &K, i: usize) -> u32;
+    /// Row `i`'s group: the id its key holds, or `next`, which it then
+    /// holds. Every row has a key here (NULL is one).
+    fn group(&mut self, keys: &K, i: usize, next: u32) -> u32;
 }
 
-/// Chain heads indexed by the packed key itself: `slots[k]` is the first
-/// build row with key `k`, or `NO_NEXT`. The table grows to the `2^bits`
-/// slots a build needs and keeps them; between builds only the slots the
-/// last build wrote (`touched`) are cleared, never the whole table.
+/// A table indexed by the packed key itself: `slots[k]` is key `k`'s chain
+/// head or group, or `NO_NEXT`. The table grows to the `2^bits` slots a
+/// plan needs and keeps them; on reset only the slots written since
+/// (`touched`) are cleared, never the whole table.
 #[derive(Default)]
-struct DirectHeads {
+struct DirectTable {
     slots: Vec<u32>,
     touched: Vec<u32>,
 }
 
-impl ChainHeads<Packed<'_>> for DirectHeads {
-    fn reset(&mut self, build: &Packed<'_>) {
+impl KeyTable<Packed<'_>> for DirectTable {
+    fn reset(&mut self, keys: &Packed<'_>) {
         for &k in &self.touched {
             self.slots[k as usize] = NO_NEXT;
         }
         self.touched.clear();
-        let need = 1 << build.bits;
+        let need = 1 << keys.bits;
         if self.slots.len() < need {
             self.slots.resize(need, NO_NEXT);
         }
@@ -1622,9 +1613,20 @@ impl ChainHeads<Packed<'_>> for DirectHeads {
         }
         displaced
     }
+
+    #[inline]
+    fn group(&mut self, keys: &Packed<'_>, i: usize, next: u32) -> u32 {
+        let k = keys.keys[i];
+        let slot = &mut self.slots[k as usize];
+        if *slot == NO_NEXT {
+            *slot = next;
+            self.touched.push(k as u32);
+        }
+        *slot
+    }
 }
 
-impl ChainHeads<Packed<'_>> for FastMap<u64, u32> {
+impl KeyTable<Packed<'_>> for FastMap<u64, u32> {
     fn reset(&mut self, _: &Packed<'_>) {
         self.clear();
     }
@@ -1637,23 +1639,14 @@ impl ChainHeads<Packed<'_>> for FastMap<u64, u32> {
     fn push_front(&mut self, build: &Packed<'_>, i: usize) -> u32 {
         map_push_front(self, build.get(i), i)
     }
-}
 
-impl ChainHeads<&StrCol> for FastMap<Arc<str>, u32> {
-    fn reset(&mut self, _: &&StrCol) {
-        self.clear();
-    }
-
-    fn head(&self, col: &&StrCol, i: usize) -> Option<u32> {
-        self.get(&**col.get(i)?).copied()
-    }
-
-    fn push_front(&mut self, build: &&StrCol, i: usize) -> u32 {
-        map_push_front(self, build.get(i).cloned(), i)
+    #[inline]
+    fn group(&mut self, keys: &Packed<'_>, i: usize, next: u32) -> u32 {
+        *self.entry(keys.keys[i]).or_insert(next)
     }
 }
 
-impl ChainHeads<&[Column]> for FastMap<Vec<Value>, u32> {
+impl KeyTable<&[Column]> for FastMap<Vec<Value>, u32> {
     fn reset(&mut self, _: &&[Column]) {
         self.clear();
     }
@@ -1665,9 +1658,15 @@ impl ChainHeads<&[Column]> for FastMap<Vec<Value>, u32> {
     fn push_front(&mut self, build: &&[Column], i: usize) -> u32 {
         map_push_front(self, value_key(build, i), i)
     }
+
+    fn group(&mut self, cols: &&[Column], i: usize, next: u32) -> u32 {
+        *self
+            .entry(cols.iter().map(|c| c.value(i)).collect())
+            .or_insert(next)
+    }
 }
 
-/// [`ChainHeads::push_front`] for the hashed arms.
+/// [`KeyTable::push_front`] for the hashed arms.
 fn map_push_front<K: Hash + Eq>(heads: &mut FastMap<K, u32>, key: Option<K>, i: usize) -> u32 {
     let Some(k) = key else { return NO_NEXT };
     match heads.entry(k) {
@@ -1682,7 +1681,7 @@ fn map_push_front<K: Hash + Eq>(heads: &mut FastMap<K, u32>, key: Option<K>, i: 
 /// Probe a side's keys against a chained build table, appending (probe,
 /// build) row pairs probe-major with build rows ascending within a probe
 /// row — the exact emission order of the row-major hash join.
-fn probe_chain<K, H: ChainHeads<K>>(
+fn probe_chain<K, H: KeyTable<K>>(
     probe: &Side<K>,
     heads: &H,
     next: &[u32],
@@ -1752,20 +1751,20 @@ fn build_table(
     pcols: &[Column],
     build_rows: usize,
     scratch: &mut Scratch,
-) -> Result<KeyNorm> {
-    let norm = KeyNorm::new(bcols, pcols, build_rows);
-    let keys = norm.keys(bcols, build_rows, &mut scratch.packed)?;
-    with_key_arm!(&keys, scratch, |b, heads| {
+) -> KeyNorm {
+    let norm = KeyNorm::plan(bcols, pcols, build_rows, false, &mut scratch.keys);
+    let keys = norm.keys(bcols, build_rows, &scratch.keys.packed);
+    with_key_arm!(&keys, scratch.keys, |b, heads| {
         build_chain(b, heads, &mut scratch.next)
     });
-    Ok(norm)
+    norm
 }
 
 /// Chain the build keys: the table's head of key `k` is the first build row
 /// with key `k`, `next[i]` the one after row `i`. Rows are inserted in
 /// reverse so every chain iterates in ascending build-row order — the match
 /// order of the row-major executor.
-fn build_chain<K, H: ChainHeads<K>>(build: &Side<K>, heads: &mut H, next: &mut Vec<u32>) {
+fn build_chain<K, H: KeyTable<K>>(build: &Side<K>, heads: &mut H, next: &mut Vec<u32>) {
     heads.reset(&build.keys);
     next.clear();
     next.resize(build.rows, NO_NEXT);
@@ -1778,7 +1777,7 @@ fn build_chain<K, H: ChainHeads<K>>(build: &Side<K>, heads: &mut H, next: &mut V
 /// single lookup decides; with one, candidates are visited in ascending
 /// build-row order and evaluation short-circuits on the first match
 /// (reference semantics — later candidates are never evaluated).
-fn semi_matches<K, H: ChainHeads<K>>(
+fn semi_matches<K, H: KeyTable<K>>(
     probe: &Side<K>,
     heads: &H,
     next: &[u32],
@@ -2455,12 +2454,12 @@ mod tests {
                     Column::from_values((0..rows).map(|i| Value::Int(if i == 1 { hi } else { lo })))
                 })
                 .collect();
-            let norm = KeyNorm::new(&cols, &cols, rows);
-            match norm.keys(&cols, rows, &mut Vec::new()).unwrap() {
+            let mut t = KeyTables::default();
+            let norm = KeyNorm::plan(&cols, &cols, rows, false, &mut t);
+            match norm.keys(&cols, rows, &t.packed) {
                 Keys::Direct(side) => ("Direct", side.keys.bits),
                 Keys::W64(side) => ("W64", side.keys.bits),
                 Keys::Vals(_) => ("Vals", 0),
-                Keys::Str(_) => unreachable!("Int keys"),
             }
         };
         const HALF: i64 = 1 << 31;
@@ -2491,11 +2490,13 @@ mod tests {
             Column::from_values(vals.iter().map(|v| v.map_or(Value::Null, Value::Int)))
         };
         let build = [ints(&[Some(10), Some(11)]), ints(&[Some(-2), Some(1)])];
-        let norm = KeyNorm::new(&build, &build, 2);
-        let KeyNorm::Words { fields, bits } = &norm else {
-            panic!("Int keys pack into words");
+        let mut t = KeyTables::default();
+        let norm = KeyNorm::plan(&build, &build, 2, false, &mut t);
+        let KeyNorm::Packed { bits, .. } = &norm else {
+            panic!("Int keys pack");
         };
         assert_eq!(*bits, 3);
+        assert_eq!(t.packed, [0, 0b111]);
         let probe = [
             ints(&[
                 Some(10),
@@ -2508,12 +2509,122 @@ mod tests {
             ]),
             ints(&[Some(-2), Some(1), Some(0), Some(0), Some(0), None, Some(2)]),
         ];
-        let mut packed = vec![7; 3];
-        pack_words(fields, &probe, 7, &mut packed).unwrap();
-        assert_eq!(packed, [0, 0b111, NO_KEY, NO_KEY, NO_KEY, NO_KEY, NO_KEY]);
+        norm.pack(&probe, 7, &mut t).unwrap();
+        assert_eq!(t.packed, [0, 0b111, NO_KEY, NO_KEY, NO_KEY, NO_KEY, NO_KEY]);
         // A column of another layout than the field was planned for.
         let dates = Column::from_values([Value::Date(10), Value::Date(11)]);
-        assert!(pack_words(fields, &[dates, probe[1].clone()], 2, &mut packed).is_none());
+        assert!(norm.pack(&[dates, probe[1].clone()], 2, &mut t).is_none());
+    }
+
+    /// Keys keep `Value`'s equality in every operator: floats compare by
+    /// their bits (−0.0 is not 0.0, a NaN equals a NaN with its bits and no
+    /// other), NULL groups with NULL and joins with nothing, and `1 = 1.0`
+    /// holds between an Int and a Float side, which take `Vals`.
+    #[test]
+    fn float_and_null_keys_keep_value_equality() {
+        use Value::{Float, Int, Null};
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let floats = [
+            Float(0.0),
+            Float(-0.0),
+            Float(nan),
+            Float(nan),
+            Float(other_nan),
+            Null,
+            Null,
+            Float(1.0),
+        ];
+        let mut resolver = MapResolver::new();
+        let mut scan = |name: &str, ty: DataType, keys: &[Value]| {
+            let fields = vec![("k".to_string(), ty), ("id".to_string(), DataType::Int)];
+            let rows = (keys.iter().enumerate())
+                .map(|(i, k)| vec![k.clone(), Int(i as i64)])
+                .collect();
+            resolver.insert(name, Relation::new(fields.clone(), rows));
+            LogicalPlan::scan(name, name, intern_fields(&fields).iter().cloned())
+        };
+        let (a, b) = (
+            scan("a", DataType::Float, &floats),
+            scan("b", DataType::Float, &floats),
+        );
+        let ints = scan("i", DataType::Int, &[Int(1), Int(2), Null]);
+        let on =
+            |l: &str, r: &str| vec![(xdb_sql::Expr::qcol(l, "k"), xdb_sql::Expr::qcol(r, "k"))];
+        let ids = |plan: &LogicalPlan, cols: &[usize]| -> Vec<Vec<Value>> {
+            let out = Execution::new(&resolver).run(plan).unwrap();
+            (0..out.len())
+                .map(|i| cols.iter().map(|&c| out.value(i, c)).collect())
+                .collect()
+        };
+        let pairs = |v: &[(i64, i64)]| -> Vec<Vec<Value>> {
+            v.iter().map(|&(l, r)| vec![Int(l), Int(r)]).collect()
+        };
+        // Join: each float meets its own bits; the NULLs meet nothing.
+        let join = a.clone().join_on(b.clone(), on("a", "b"), None);
+        let matched = [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (2, 3),
+            (3, 2),
+            (3, 3),
+            (4, 4),
+            (7, 7),
+        ];
+        assert_eq!(ids(&join, &[1, 3]), pairs(&matched));
+        // Semi and anti join: the same rule.
+        let semi = |negated| LogicalPlan::SemiJoin {
+            left: Box::new(a.clone()),
+            right: Box::new(b.clone()),
+            on: on("a", "b"),
+            residual: None,
+            negated,
+        };
+        let ints_of = |v: &[i64]| v.iter().map(|&i| vec![Int(i)]).collect::<Vec<_>>();
+        assert_eq!(ids(&semi(false), &[1]), ints_of(&[0, 1, 2, 3, 4, 7]));
+        assert_eq!(ids(&semi(true), &[1]), ints_of(&[5, 6]));
+        // Group-by and DISTINCT: the two NaNs with one bit pattern are one
+        // group, the NULLs another, in first-seen order.
+        let count = AggCall {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        };
+        let grouped = a.clone().aggregate(
+            vec![(xdb_sql::Expr::qcol("a", "k"), "k".into())],
+            vec![(count, "n".into())],
+        );
+        let groups = [0.0, -0.0, nan, other_nan]
+            .map(Float)
+            .into_iter()
+            .chain([Null, Float(1.0)]);
+        let want: Vec<Vec<Value>> = groups
+            .zip([1, 1, 2, 1, 2, 1])
+            .map(|(k, n)| vec![k, Int(n)])
+            .collect();
+        assert_eq!(ids(&grouped, &[0, 1]), want);
+        let keys = a
+            .clone()
+            .project(vec![(xdb_sql::Expr::qcol("a", "k"), "k".into())]);
+        let distinct = LogicalPlan::Distinct {
+            input: Box::new(keys),
+        };
+        let firsts: Vec<Vec<Value>> = want.iter().map(|g| vec![g[0].clone()]).collect();
+        assert_eq!(ids(&distinct, &[0]), firsts);
+        // An Int side against a Float side takes `Vals`: 1 = 1.0.
+        let mixed = a.clone().join_on(ints, on("a", "i"), None);
+        assert_eq!(ids(&mixed, &[1, 3]), pairs(&[(7, 0)]));
+        // The arms the two joins took.
+        let col = |rel: &str| resolver.relations[rel].column(0).clone();
+        let (fk, ik) = ([col("a")], [col("i")]);
+        let mut t = KeyTables::default();
+        let packed = KeyNorm::plan(&fk, &fk, floats.len(), false, &mut t);
+        assert!(matches!(packed, KeyNorm::Packed { bits: 3, .. }));
+        assert!(matches!(
+            KeyNorm::plan(&ik, &fk, 3, false, &mut t),
+            KeyNorm::Vals
+        ));
     }
 
     /// A direct table keeps the slots it grew and clears only the ones
@@ -2529,10 +2640,10 @@ mod tests {
             std::slice::from_ref(&wide),
             4,
             &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(scratch.direct.slots.len(), 4096);
-        assert_eq!(scratch.direct.touched, [17, 4000, 0]);
+        );
+        let direct = &scratch.keys.direct;
+        assert_eq!(direct.slots.len(), 4096);
+        assert_eq!(direct.touched, [17, 4000, 0]);
         assert_eq!(scratch.next, [NO_NEXT, 2, NO_NEXT, NO_NEXT]);
         let narrow = col(&[3, 3]);
         let norm = build_table(
@@ -2540,23 +2651,17 @@ mod tests {
             std::slice::from_ref(&narrow),
             2,
             &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(scratch.direct.slots.len(), 4096);
-        assert_eq!(scratch.direct.touched, [0]);
-        let live = scratch
-            .direct
-            .slots
-            .iter()
-            .filter(|&&h| h != NO_NEXT)
-            .count();
+        );
+        let direct = &scratch.keys.direct;
+        assert_eq!(direct.slots.len(), 4096);
+        assert_eq!(direct.touched, [0]);
+        let live = direct.slots.iter().filter(|&&h| h != NO_NEXT).count();
         assert_eq!(live, 1);
         let (mut psel, mut bsel) = (Vec::new(), Vec::new());
-        let probe = col(&[3, 4, 0]);
-        let keys = norm
-            .keys(std::slice::from_ref(&probe), 3, &mut scratch.packed)
-            .unwrap();
-        with_key_arm!(&keys, scratch, |p, heads| {
+        let probe = [col(&[3, 4, 0])];
+        norm.pack(&probe, 3, &mut scratch.keys).unwrap();
+        let keys = norm.keys(&probe, 3, &scratch.keys.packed);
+        with_key_arm!(&keys, scratch.keys, |p, heads| {
             probe_chain(p, heads, &scratch.next, &mut psel, &mut bsel)
         });
         assert_eq!((psel, bsel), (vec![0, 0], vec![0, 1]));

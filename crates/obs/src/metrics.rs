@@ -94,27 +94,6 @@ impl Histogram {
         self.sum += v;
     }
 
-    /// Merge another histogram into this one. Merging shards is equivalent
-    /// to observing all their values into a single histogram (the `sum` of
-    /// dyadic/integral observations is bit-exact; arbitrary f64 sums agree
-    /// up to addition-order rounding).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (e, c) in &other.buckets {
-            *self.buckets.entry(*e).or_insert(0) += c;
-        }
-        if other.count > 0 {
-            if self.count == 0 {
-                self.min = other.min;
-                self.max = other.max;
-            } else {
-                self.min = self.min.min(other.min);
-                self.max = self.max.max(other.max);
-            }
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Quantile estimate `q` in `[0, 1]`: the upper bound of the first
     /// bucket whose cumulative count reaches `q * count` (clamped into
     /// `[min, max]`). Monotone in `q` by construction — cumulative counts
@@ -510,24 +489,6 @@ mod tests {
             prev = v;
         }
         assert_eq!(Histogram::new().quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge_equals_single() {
-        let values = [0.0, 0.25, 1.0, 2.0, 16.0, 16.0, 1024.0];
-        let mut single = Histogram::new();
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for (i, v) in values.iter().enumerate() {
-            single.observe(*v);
-            if i % 2 == 0 {
-                a.observe(*v)
-            } else {
-                b.observe(*v)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, single);
     }
 
     #[test]

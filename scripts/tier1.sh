@@ -57,21 +57,8 @@ if grep -n 'xdb-obs' crates/sql/Cargo.toml; then
   exit 1
 fi
 
-# Miss census: a test for a name asks `PlanSchema::lookup` (or the binder's
-# `resolves`), which builds no text; `resolve` and `validate_expr` name the
-# column in an error and are for callers that return it (DESIGN.md §18 "What
-# is interned, and by whom"). No non-test library code may build an error
-# message only to throw it away.
-miss='\.resolve\([^;]*\)\.is_(ok|err)\(\)|validate_expr\([^;]*\)\.is_(ok|err)\(\)'
-for f in $(grep -rlE "$miss" crates/*/src || true); do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$miss"; then
-    echo "$f: a lookup builds an error message it throws away" >&2
-    exit 1
-  fi
-done
-
-# The statistics, probe, copy and read-path censuses read the sources in
-# process: tests/source_census.rs, run by `cargo test` above.
+# The statistics, probe, copy, read-path and miss censuses read the sources
+# in process: tests/source_census.rs, run by `cargo test` above.
 
 # Drift smoke test: the checked-in drift baseline must stay readable: a
 # stricter reader or a schema change that strands BENCH_history/ fails

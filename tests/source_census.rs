@@ -251,3 +251,57 @@ fn read_path_census_rejects_a_whole_frame_decode() {
         assert!(read_path_census(CODEC, &whole).is_ok());
     }
 }
+
+// ------------------------------------------------------------- miss census
+
+/// Miss census: a test for a name asks `PlanSchema::lookup` (or the
+/// binder's `resolves`), which builds no text; `resolve` and
+/// `validate_expr` name the column in an error and are for callers that
+/// return it (DESIGN.md §18 "What is interned, and by whom"). No non-test
+/// library code may build an error message only to throw it away.
+fn miss_census(path: &str, src: &str) -> Result<(), String> {
+    match src.lines().find(|l| throws_away_a_miss(l)) {
+        Some(line) => Err(format!(
+            "{path}: a lookup builds an error message it throws away: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Whether `line` asks a `.resolve(` or `validate_expr(` call only whether
+/// it succeeded: `).is_ok()` or `).is_err()` follows the call before the
+/// statement's `;`.
+fn throws_away_a_miss(line: &str) -> bool {
+    [".resolve(", "validate_expr("].iter().any(|call| {
+        line.match_indices(call).any(|(at, _)| {
+            let rest = &line[at + call.len()..];
+            let statement = &rest[..rest.find(';').unwrap_or(rest.len())];
+            statement.contains(").is_ok()") || statement.contains(").is_err()")
+        })
+    })
+}
+
+#[test]
+fn no_lookup_builds_a_message_it_throws_away() {
+    for path in &library_sources() {
+        miss_census(path, &non_test_source(path)).unwrap();
+    }
+}
+
+#[test]
+fn miss_census_rejects_a_thrown_away_message() {
+    let bind = "crates/sql/src/bind.rs";
+    let src = non_test_source(bind);
+    for miss in [
+        "schema.resolve(q, &name).is_ok()",
+        "schema.resolve(None, name).is_err()",
+        "validate_expr(&e, &schema).is_ok()",
+    ] {
+        let thrown = format!("{src}\nfn f() -> bool {{ {miss} }}\n");
+        assert!(miss_census(bind, &thrown).is_err(), "{miss}");
+    }
+    // A result that is returned, or a test after the statement ends, is no
+    // miss thrown away.
+    assert!(miss_census(bind, "let c = s.resolve(q, n)?; done.is_ok();\n").is_ok());
+    assert!(miss_census(bind, "let r = s.resolve(q, n);\n").is_ok());
+}

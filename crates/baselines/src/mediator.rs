@@ -18,6 +18,7 @@ use xdb_engine::error::Result;
 use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
+use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_net::{mediator_finish, params, wire, NodeId, Purpose};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
@@ -159,7 +160,7 @@ impl<'a> Mediator<'a> {
         // keeps the relation it already holds (`decode(encode(x))` is
         // exactly `x`), so a sizing-only pass prices the edge without
         // materializing the payload.
-        let stats = wire::measure(rel.columns(), rel.len()).stats(engine.stream_chunk_rows());
+        let stats = wire::measure(rel.columns(), rel.len()).stats(DEFAULT_STREAM_CHUNK_ROWS);
         self.cluster.ledger.record_wire(
             &task.dbms,
             &self.config.node,

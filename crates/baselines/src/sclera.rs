@@ -13,6 +13,7 @@ use xdb_core::plan::placeholder_name;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
+use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_net::{wire, Movement, NodeId, Purpose};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
@@ -106,8 +107,8 @@ impl<'a> Sclera<'a> {
                     // them both — and since `decode(encode(x))` rebuilds `x`
                     // exactly, the consumer loads the relation this process
                     // already holds instead of round-tripping the codec.
-                    let chunk_rows = engine.stream_chunk_rows();
-                    let stats = wire::measure(rel.columns(), rel.len()).stats(chunk_rows);
+                    let stats =
+                        wire::measure(rel.columns(), rel.len()).stats(DEFAULT_STREAM_CHUNK_ROWS);
                     self.cluster.ledger.record_wire(
                         producer,
                         &self.mediator,

@@ -1,11 +1,11 @@
-//! Wall-clock overlap of the streamed dataflow edges: the full XDB
+//! Wall clock of the streamed dataflow edges by chunk size: the full XDB
 //! delegation pipeline over the vaccination scenario, varying only the
 //! transport morsel size. Chunking is (and, per the determinism tests,
 //! must be) unobservable in the *simulated* clock; this bench watches the
 //! host's wall clock, where morsel-wise edges are expected to win.
 //!
-//! Since the edge reactor landed, a chunked edge never materializes at
-//! the consumer: each decoded morsel probes the join hash table, gathers
+//! A chunked edge never materializes at the consumer: each morsel,
+//! decoded on the consuming thread, probes the join hash table, gathers
 //! its matches and folds them into the streaming aggregate while the
 //! chunk is still cache-hot (`Execution::feed` composing filter, the one
 //! `hash_join` and the `Grouper`). An unbounded edge runs the same

@@ -41,7 +41,7 @@ pub const DEPLOYMENTS: [Deployment; 4] = [
 /// on-premise LAN is the regime most of the reproduction runs in; the
 /// geo-distributed profile (high-latency / low-bandwidth WAN links, see
 /// [`Scenario::GeoDistributed`]) is transfer-bound, where the streamed
-/// morsel edges and the reactor matter most — keeping it in the gate
+/// morsel edges matter most — keeping it in the gate
 /// baseline protects that regime from regressions.
 pub const PROFILES: [(&str, Scenario); 2] = [
     ("onprem", Scenario::OnPremise),

@@ -19,7 +19,7 @@ use crate::delegation::{
 use crate::global::GlobalCatalog;
 use crate::plan::DelegationPlan;
 use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::{log_parse_error, ExecReport};
+use xdb_engine::engine::{log_parse_error, ExecReport, StatementOptions};
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{params, wire, NodeId, Purpose, Transfer};
@@ -131,17 +131,16 @@ pub struct XdbOptions {
     pub trace_operators: bool,
     /// Transport morsel size (rows) for streamed dataflow edges; 0 means
     /// unbounded (one chunk per edge). Defaults to
-    /// [`xdb_engine::DEFAULT_STREAM_CHUNK_ROWS`]. Any value yields
+    /// [`xdb_engine::DEFAULT_STREAM_CHUNK_ROWS`]. Like the tracing flag it
+    /// travels with the query's own statements. Any value yields
     /// bit-identical results, ledgers, simulated timings, traces, and
     /// deterministic metric snapshots — only the quarantined `net.chunks`
     /// series moves.
     pub stream_chunk_rows: usize,
-    /// Morsel-reactor worker threads decoding streamed edges (0 disables
-    /// the reactor; consumers then stream inline on the calling thread).
-    /// Defaults to [`xdb_net::reactor::default_threads`]. Any value yields
-    /// bit-identical results, ledgers, simulated timings, traces, and
-    /// deterministic metric snapshots — only the quarantined
-    /// `sched.reactor_*` series moves, and with it the wall clock.
+    /// Ignored, and 0 by default: every streamed edge is decoded on the
+    /// thread that consumes it. Kept, and deprecated, only because the
+    /// out-of-workspace `benchmark/` package still prints it.
+    #[deprecated(note = "every streamed edge is decoded on its consuming thread")]
     pub reactor_threads: usize,
     /// Price placement/movement candidates through the catalog's learned
     /// cost profiles and feed each executed query's cost observation back
@@ -156,6 +155,7 @@ pub struct XdbOptions {
 }
 
 impl Default for XdbOptions {
+    #[allow(deprecated)]
     fn default() -> XdbOptions {
         XdbOptions {
             annotate: AnnotateOptions::default(),
@@ -164,7 +164,7 @@ impl Default for XdbOptions {
             bushy_joins: false,
             trace_operators: false,
             stream_chunk_rows: xdb_engine::DEFAULT_STREAM_CHUNK_ROWS,
-            reactor_threads: xdb_net::reactor::default_threads(),
+            reactor_threads: 0,
             learned_costs: true,
             freeze_profiles: false,
         }
@@ -475,10 +475,6 @@ impl<'a> Xdb<'a> {
         let (collector, query_span, overhead_ms) =
             (&trace.collector, trace.query_span, trace.overhead_ms);
         let telemetry = self.cluster.telemetry();
-        // Wire-codec dictionary reuse is scoped to one query: edges that
-        // stream the same relation within this submission share encode
-        // state, but nothing leaks across submissions.
-        self.cluster.clear_codec_cache();
         // Transfer spans are derived from the ledger records this query
         // appends; remember where the ledger stood before we touch it.
         let ledger_mark = self.cluster.ledger.len();
@@ -503,12 +499,11 @@ impl<'a> Xdb<'a> {
             0.0,
         );
         let trace_ctx = TraceCtx::new(collector, overhead_ms, Some(exec_span));
-        self.cluster
-            .set_stream_chunk_rows(self.options.stream_chunk_rows);
-        self.cluster
-            .set_reactor_threads(self.options.reactor_threads);
-        let trace_ops = self.options.trace_operators;
-        let ran = deploy_script(self.cluster, script, trace_ops).and_then(|deployed| {
+        let opts = StatementOptions {
+            trace_ops: self.options.trace_operators,
+            chunk_rows: self.options.stream_chunk_rows,
+        };
+        let ran = deploy_script(self.cluster, script, opts).and_then(|deployed| {
             let query_mark = self.cluster.ledger.len();
             // For a partial fold the physical work stays pruned; only the
             // simulated-clock replay runs over the solo script (the XDB
@@ -528,7 +523,7 @@ impl<'a> Xdb<'a> {
                 timeline,
                 reports,
                 &trace_ctx,
-                trace_ops,
+                opts,
             )?;
             Ok((deployed, query_mark, outcome))
         });
@@ -604,8 +599,8 @@ impl<'a> Xdb<'a> {
         );
         // Feedback: fold this query's observation into the catalog's
         // learned profiles. The observation is bit-identical across
-        // reactor settings / chunk sizes, so feedback preserves the
-        // cross-axis determinism of every later plan.
+        // chunk sizes, so feedback preserves the cross-axis determinism of
+        // every later plan.
         if self.options.learned_costs && !self.options.freeze_profiles && !cost.is_empty() {
             self.catalog.absorb_cost_observation(&cost, &statements);
         }
@@ -622,7 +617,7 @@ impl<'a> Xdb<'a> {
         // Query history: the record carries the critical path, so compute
         // it only when the history is on. Everything recorded here is
         // simulated-clock / script-order state — records are bit-identical
-        // across reactor settings and stream-chunk sizes.
+        // across stream-chunk sizes.
         if telemetry.history.is_enabled() {
             let crit = critical_path(&trace);
             let critical = crit

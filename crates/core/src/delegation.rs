@@ -18,7 +18,7 @@
 use crate::plan::{placeholder_name, DelegationPlan};
 use std::collections::HashMap;
 use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::ExecReport;
+use xdb_engine::engine::{ExecReport, StatementOptions};
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{params, Movement, NodeId};
@@ -246,15 +246,15 @@ pub fn bind_placeholders(plan: &mut LogicalPlan, bindings: &HashMap<String, Stri
 /// pipeline.
 ///
 /// Everything here is driven only by script order and the step reports,
-/// which come off the simulated clock. With `trace_ops` the XDB query
-/// collects operator profiles, as the deployment's steps did.
+/// which come off the simulated clock. The XDB query runs under `opts`, as
+/// the deployment's steps did.
 pub(crate) fn finish_script(
     cluster: &Cluster,
     plan: &DelegationPlan,
     script: &DelegationScript,
     step_reports: &[ExecReport],
     trace: &TraceCtx<'_>,
-    trace_ops: bool,
+    opts: StatementOptions,
 ) -> Result<ExecutionOutcome> {
     debug_assert_eq!(step_reports.len(), script.steps.len());
     // (from, to) -> producer ready-time / absolute finish time of each
@@ -277,7 +277,7 @@ pub(crate) fn finish_script(
 
     // The XDB query triggers the in-situ pipeline.
     let (relation, report) = cluster
-        .execute_traced(script.root_node.as_str(), &script.xdb_query, trace_ops)?
+        .execute_with(script.root_node.as_str(), &script.xdb_query, opts)?
         .into_rows()?;
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
@@ -572,18 +572,18 @@ pub(crate) struct TaskRun {
 /// calling thread and straight onto the cluster's ledger: the client
 /// "sends the DDL statements" (Section III) and a DBMS runs one delegated
 /// statement after the other. The first failing step stops the script, so
-/// exactly the statements before it ran. With `trace_ops` every step
-/// reports its operator profile.
+/// exactly the statements before it ran. Every step runs under `opts` (the
+/// client fills them from its `XdbOptions`).
 pub(crate) fn deploy_script(
     cluster: &Cluster,
     script: &DelegationScript,
-    trace_ops: bool,
+    opts: StatementOptions,
 ) -> Result<Deployed> {
     let mut step_reports = Vec::with_capacity(script.steps.len());
     let mut tasks: Vec<TaskRun> = Vec::with_capacity(script.steps.len());
     let mut at = cluster.ledger.len();
     for (k, step) in script.steps.iter().enumerate() {
-        let outcome = cluster.execute_traced(step.node.as_str(), &step.sql, trace_ops)?;
+        let outcome = cluster.execute_with(step.node.as_str(), &step.sql, opts)?;
         step_reports.push(outcome.report);
         let end = cluster.ledger.len();
         match tasks.last_mut() {
@@ -605,17 +605,18 @@ pub(crate) fn deploy_script(
     })
 }
 
-/// Deploy and execute a delegation script, untraced: [`deploy_script`],
-/// then [`finish_script`] runs the XDB query and replays the simulated
-/// timeline.
+/// Deploy and execute a delegation script, untraced and at the default
+/// chunk size: [`deploy_script`], then [`finish_script`] runs the XDB query
+/// and replays the simulated timeline.
 pub fn run_script_parallel(
     cluster: &Cluster,
     plan: &DelegationPlan,
     script: &DelegationScript,
     trace: &TraceCtx<'_>,
 ) -> Result<ExecutionOutcome> {
-    let deployed = deploy_script(cluster, script, false)?;
-    finish_script(cluster, plan, script, &deployed.step_reports, trace, false)
+    let opts = StatementOptions::default();
+    let deployed = deploy_script(cluster, script, opts)?;
+    finish_script(cluster, plan, script, &deployed.step_reports, trace, opts)
 }
 
 /// Best-effort cleanup of all short-lived relations (also used by failure
@@ -796,7 +797,8 @@ mod tests {
                     let what = format!("{} on {td:?}, forced {forced:?}", q.name());
                     let (plan, script) = tpch_script(&cluster, &catalog, q, forced);
                     let mark = cluster.ledger.len();
-                    let deployed = deploy_script(&cluster, &script, false).unwrap();
+                    let deployed =
+                        deploy_script(&cluster, &script, StatementOptions::default()).unwrap();
                     let appended = cluster.ledger.since(mark);
                     assert_eq!(deployed.step_reports.len(), script.steps.len(), "{what}");
                     let (mut step, mut record) = (0, mark);
@@ -863,7 +865,7 @@ mod tests {
             since.iter().map(|t| format!("{t:?}")).collect()
         };
         let mark = cluster.ledger.len();
-        deploy_script(&cluster, &script, false).unwrap();
+        deploy_script(&cluster, &script, StatementOptions::default()).unwrap();
         let intact = records(mark);
         run_cleanup(&cluster, &script);
 

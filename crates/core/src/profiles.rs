@@ -30,8 +30,8 @@
 //! order — or absorbing the same observations from concurrent sessions in
 //! any interleaving — yields bit-identical factors, and the store's size
 //! depends on the number of keys, not on how much was absorbed.
-//! Observations themselves are bit-identical across reactor on/off and
-//! stream-chunk sizes (the observatory's contract), so feedback preserves
+//! Observations themselves are bit-identical across stream-chunk sizes
+//! (the observatory's contract), so feedback preserves
 //! the repo's cross-axis determinism.
 //!
 //! **No file of its own.** A store is built by absorbing observations

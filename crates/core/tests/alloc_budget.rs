@@ -7,9 +7,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xdb_core::{
-    ConsultCache, GlobalCatalog, Probe, QueryServer, SessionOptions, Submission, Xdb, XdbOptions,
-};
+use xdb_core::{ConsultCache, GlobalCatalog, Probe, QueryServer, SessionOptions, Submission, Xdb};
 use xdb_engine::cluster::Cluster;
 use xdb_net::{NodeId, Scenario};
 use xdb_sql::algebra::plan_to_select;
@@ -150,15 +148,7 @@ fn lowering_q8s_td3_task_bodies_stays_in_budget() {
 #[test]
 fn a_plan_cache_hit_stays_in_budget() {
     let (cluster, catalog) = td3();
-    // Every edge on this thread, so that the counter sees all of a submit.
-    let options = SessionOptions {
-        xdb: XdbOptions {
-            reactor_threads: 0,
-            ..XdbOptions::default()
-        },
-        ..SessionOptions::default()
-    };
-    let server = QueryServer::new(&cluster, &catalog, options);
+    let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
     let q8 = Submission::new("t", TpchQuery::Q8.sql());
     let once = [q8.clone()];
     let twice = [q8.clone(), q8];

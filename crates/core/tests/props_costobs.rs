@@ -1,11 +1,9 @@
 //! Cost-model observatory determinism properties: the predicted-vs-
 //! observed cost record of a query is part of the deterministic observable
-//! surface. For any TD1 query, turning the edge reactor on or off or
-//! changing the transport morsel size must leave the serialized
-//! [`CostObservation`]
-//! bit-identical — the observatory reads only simulated-clock state
-//! (decisions, ledger, trace counters), never the wall clock or the
-//! scheduler.
+//! surface. For any TD1 query, changing the transport morsel size must
+//! leave the serialized [`CostObservation`] bit-identical — the
+//! observatory reads only simulated-clock state (decisions, ledger, trace
+//! counters), never the wall clock or the scheduler.
 //!
 //! Plus the exact-accounting invariants every single run must uphold:
 //! the chosen candidate's predicted total is its component sum bit-exactly
@@ -21,10 +19,10 @@ use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
 /// Name of the managed-cloud client node (mirrors the bench harness).
 const CLOUD: &str = "cloud";
 
-/// One full TD1 submission under the given executor knobs; returns the
+/// One full TD1 submission at the given transport chunk size; returns the
 /// query id and the serialized cost observation, after checking the
 /// run's exact-accounting invariants.
-fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
+fn run(q: TpchQuery, chunk: usize) -> (u64, String) {
     let mut cluster = build_cluster(
         TableDist::Td1,
         0.002,
@@ -38,7 +36,6 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
             stream_chunk_rows: chunk,
-            reactor_threads,
             ..Default::default()
         });
     let outcome = xdb.submit(q.sql()).unwrap();
@@ -68,9 +65,9 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
 
 /// Run the reference configuration and the sampled one, each on a fresh
 /// federation, which numbers its queries alike.
-fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
-    let (ida, fa) = run(q, a.0, a.1);
-    let (idb, fb) = run(q, b.0, b.1);
+fn comparable_pair(q: TpchQuery, a: usize, b: usize) -> (String, String) {
+    let (ida, fa) = run(q, a);
+    let (idb, fb) = run(q, b);
     assert_eq!(ida, idb);
     (fa, fb)
 }
@@ -80,20 +77,17 @@ proptest! {
     #[test]
     fn cost_records_are_bit_identical_across_executor_knobs(
         qi in 0usize..TpchQuery::ALL.len(),
-        rpick in 0usize..2,
         cpick in 0usize..3,
     ) {
         let q = TpchQuery::ALL[qi];
-        let reactor_threads = [0usize, 2][rpick];
         let chunk = [1usize, 4096, 0][cpick];
-        // Reference: reactor off, unbounded edges — the plainest run.
-        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
+        // Reference: unbounded edges — the plainest run.
+        let (reference, sampled) = comparable_pair(q, 0, chunk);
         prop_assert_eq!(
             reference,
             sampled,
-            "{} cost record diverges at reactor={} chunk={}",
+            "{} cost record diverges at chunk={}",
             q.name(),
-            reactor_threads,
             chunk
         );
     }

@@ -1,9 +1,8 @@
 //! Learned-cost determinism property: with a FIXED profile store, the
 //! learned pricing path must be exactly as deterministic as the static
-//! one — for any TD1 query, turning the edge reactor on or off or changing
-//! the transport morsel size must leave every deterministic observable
-//! bit-identical (result rows,
-//! simulated breakdown, transfer ledger, canonical trace, deterministic
+//! one — for any TD1 query, changing the transport morsel size must leave
+//! every deterministic observable bit-identical (result rows, simulated
+//! breakdown, transfer ledger, canonical trace, deterministic
 //! telemetry snapshot). Learned pricing may *flip plans* relative to
 //! static pricing, but never relative to itself. Static pricing repeats
 //! itself on a fresh federation, and the feedback loop settles.
@@ -70,16 +69,15 @@ fn outcome_fingerprint(outcome: &QueryOutcome) -> String {
 }
 
 /// One full TD1 submission priced through the fixed profile store under
-/// the given executor knobs; returns the query id and the complete
+/// the given transport chunk size; returns the query id and the complete
 /// observable fingerprint of the run.
-fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
+fn run(q: TpchQuery, chunk: usize) -> (u64, String) {
     let (cluster, catalog) = federation(TableDist::Td1);
     catalog.set_profiles(fixed_profiles());
     let xdb = Xdb::new(&cluster, &catalog)
         .with_client_node(CLOUD)
         .with_options(XdbOptions {
             stream_chunk_rows: chunk,
-            reactor_threads,
             learned_costs: true,
             // Frozen: the store is the fixed input under test, not a
             // moving target.
@@ -98,9 +96,9 @@ fn run(q: TpchQuery, reactor_threads: usize, chunk: usize) -> (u64, String) {
 
 /// Run the reference configuration and the sampled one, each on a fresh
 /// federation, which numbers its queries alike.
-fn comparable_pair(q: TpchQuery, a: (usize, usize), b: (usize, usize)) -> (String, String) {
-    let (ida, fa) = run(q, a.0, a.1);
-    let (idb, fb) = run(q, b.0, b.1);
+fn comparable_pair(q: TpchQuery, a: usize, b: usize) -> (String, String) {
+    let (ida, fa) = run(q, a);
+    let (idb, fb) = run(q, b);
     assert_eq!(ida, idb);
     (fa, fb)
 }
@@ -110,19 +108,16 @@ proptest! {
     #[test]
     fn learned_pricing_is_unobservable_to_executor_knobs(
         qi in 0usize..TpchQuery::ALL.len(),
-        rpick in 0usize..2,
         cpick in 0usize..3,
     ) {
         let q = TpchQuery::ALL[qi];
-        let reactor_threads = [0usize, 2][rpick];
         let chunk = [1usize, 4096, 0][cpick];
-        let (reference, sampled) = comparable_pair(q, (0, 0), (reactor_threads, chunk));
+        let (reference, sampled) = comparable_pair(q, 0, chunk);
         prop_assert_eq!(
             reference,
             sampled,
-            "{} (learned costs) diverges at reactor={} chunk={}",
+            "{} (learned costs) diverges at chunk={}",
             q.name(),
-            reactor_threads,
             chunk
         );
     }

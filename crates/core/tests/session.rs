@@ -16,6 +16,7 @@ use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, QueryServer, SessionOptions, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::cluster::Cluster;
+use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_obs::Telemetry;
 
 fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
@@ -220,44 +221,45 @@ fn partial_fold_reuses_shared_prefix() {
     });
 }
 
-/// Folded admission publishes every execution option `Xdb::submit` does:
-/// the reactor worker budget reaches the engines (their
-/// `sched.reactor_threads` gauge follows the option), and, the reactor
-/// being a schedule, nothing a tenant observes moves with it. The window
-/// folds fully, folds partially and deploys from scratch, over edges of
-/// several morsels each.
+/// Folded admission runs its edges at the chunk size of its options, as
+/// `Xdb::submit` does: at chunk 16 the window moves more transport chunks
+/// than at the default, and nothing a tenant observes moves with it. The
+/// window folds fully, folds partially and deploys from scratch, over
+/// edges of several morsels each.
 #[test]
-fn folded_admission_publishes_the_reactor_budget() {
+fn folded_admission_carries_the_chunk_size() {
     let variant = scenario::EXAMPLE_QUERY.replacen("avg(m.u_ml)", "min(m.u_ml)", 1);
     let mut subs = copies(scenario::EXAMPLE_QUERY, 2);
     subs.push(Submission::new("tenant-v", variant));
-    let arm = |reactor_threads: usize| {
+    let arm = |stream_chunk_rows: usize| {
         let xdb = XdbOptions {
-            reactor_threads,
-            stream_chunk_rows: 16,
+            stream_chunk_rows,
             ..Default::default()
         };
         let arm = run_arm(&subs, true, xdb);
-        for (node, _) in &arm.baseline_live {
-            assert_eq!(
-                arm.telemetry
-                    .metrics
-                    .value("sched.reactor_threads", &[("engine", node)]),
-                reactor_threads as f64,
-                "engine {node} never saw reactor_threads = {reactor_threads}"
-            );
-        }
-        arm.report.outcomes
+        let snapshot = arm.telemetry.metrics.snapshot();
+        let chunks: f64 = snapshot
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("net.chunks"))
+            .map(|(_, v)| v)
+            .sum();
+        (arm.report.outcomes, chunks)
     };
-    let (inline, reactor) = (arm(0), arm(2));
-    for (i, r) in inline.iter().zip(&reactor) {
-        assert_eq!(i.query_id, r.query_id);
-        assert_eq!(fingerprint(i), fingerprint(r), "tenant {}", i.tenant);
+    let ((small, small_chunks), (default, default_chunks)) =
+        (arm(16), arm(DEFAULT_STREAM_CHUNK_ROWS));
+    assert!(
+        small_chunks > default_chunks,
+        "chunk 16 moved {small_chunks} chunks, the default {default_chunks}"
+    );
+    for (s, d) in small.iter().zip(&default) {
+        assert_eq!(s.query_id, d.query_id);
+        assert_eq!(fingerprint(s), fingerprint(d), "tenant {}", s.tenant);
         assert_eq!(
-            canonical(&i.trace),
-            canonical(&r.trace),
+            canonical(&s.trace),
+            canonical(&d.trace),
             "tenant {}",
-            i.tenant
+            s.tenant
         );
     }
 }

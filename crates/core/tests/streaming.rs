@@ -12,6 +12,7 @@ use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, Xdb, XdbOptions};
 use xdb_engine::cluster::Cluster;
 use xdb_engine::profile::EngineProfile;
+use xdb_engine::StatementOptions;
 use xdb_sql::value::DataType;
 
 fn setup() -> (Cluster, GlobalCatalog) {
@@ -54,7 +55,6 @@ fn run(chunk: usize) -> (u64, String) {
 /// included), reports, ledger and simulated times at the given chunk size.
 fn zero_row_edge(chunk: usize) -> String {
     let c = Cluster::lan(&["db_r", "db_s"], EngineProfile::postgres());
-    c.set_stream_chunk_rows(chunk);
     c.execute("db_r", "CREATE TABLE e (x BIGINT, y VARCHAR)")
         .unwrap();
     c.execute_script(
@@ -80,7 +80,11 @@ fn zero_row_edge(chunk: usize) -> String {
         ("CREATE TABLE e_copy AS SELECT * FROM e_ft", None),
         ("SELECT * FROM e_copy", Some(xy)),
     ] {
-        let out = c.execute_traced("db_s", sql, true).unwrap();
+        let opts = StatementOptions {
+            trace_ops: true,
+            chunk_rows: chunk,
+        };
+        let out = c.execute_with("db_s", sql, opts).unwrap();
         if let Some(rel) = &out.relation {
             assert_eq!(
                 (rel.len(), Some(&rel.fields)),

@@ -32,9 +32,8 @@ fn run_workload() -> (u64, String, String) {
 
 #[test]
 fn telemetry_repeats_run_to_run() {
-    // Whatever threads the host lends the executor and the reactor, two
-    // fresh federations submitting one query leave the same deterministic
-    // telemetry, query ids included, byte for byte.
+    // Two fresh federations submitting one query leave the same
+    // deterministic telemetry, query ids included, byte for byte.
     let (ida, metrics_a, events_a) = run_workload();
     let (idb, metrics_b, events_b) = run_workload();
     assert_eq!(ida, idb);

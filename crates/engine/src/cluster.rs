@@ -7,17 +7,17 @@
 //! Section V, including the recursive trickle-down execution of Figure 8.
 
 use crate::engine::{
-    Engine, ExecReport, FetchReply, FetchRequest, Remote, StatementOutcome, MAX_FETCH_DEPTH,
+    Engine, ExecReport, FetchReply, FetchRequest, Remote, StatementOptions, StatementOutcome,
+    DEFAULT_STREAM_CHUNK_ROWS, MAX_FETCH_DEPTH,
 };
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecRel, MorselSink, ReadShape};
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xdb_net::{reactor, wire, Ledger, NodeId, Topology};
+use xdb_net::{wire, Ledger, NodeId, Topology};
 use xdb_obs::Telemetry;
 
 /// A set of named engines plus network fabric and transfer accounting.
@@ -31,19 +31,7 @@ pub struct Cluster {
     telemetry: Arc<Telemetry>,
     /// Source of [`Cluster::next_query_id`].
     next_query_id: AtomicU64,
-    /// Per-query wire-codec state cache: when one query streams the same
-    /// relation over multiple edges, the producer-side encode (including
-    /// the string-dictionary build) is derived once and reused. Keyed by
-    /// relation identity — producer node, relation name, the producer's
-    /// DDL generation at encode time, and the row count — so any catalog
-    /// mutation invalidates stale entries. Cleared at the start of every
-    /// submission ([`Cluster::clear_codec_cache`]).
-    codec_cache: Mutex<HashMap<CodecCacheKey, Arc<wire::Encoded>>>,
 }
-
-/// Codec-cache identity: (producer node, relation name, producer DDL
-/// generation at encode time, row count).
-type CodecCacheKey = (String, String, u64, usize);
 
 impl Cluster {
     pub fn new(topology: Topology) -> Cluster {
@@ -54,15 +42,7 @@ impl Cluster {
             ledger: Ledger::new().with_telemetry(Arc::clone(&telemetry)),
             telemetry,
             next_query_id: AtomicU64::new(1),
-            codec_cache: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Drop all memoized per-query wire-codec state. Called by the client
-    /// at the start of every submission: dictionary reuse is scoped to one
-    /// query's edges, never across queries.
-    pub fn clear_codec_cache(&self) {
-        self.codec_cache.lock().clear();
     }
 
     /// This cluster's telemetry handle.
@@ -117,21 +97,21 @@ impl Cluster {
         v
     }
 
-    /// Execute one SQL statement on a node, untraced.
+    /// Execute one SQL statement on a node under the default options.
     pub fn execute(&self, node: &str, sql: &str) -> Result<StatementOutcome> {
-        self.execute_traced(node, sql, false)
+        self.execute_with(node, sql, StatementOptions::default())
     }
 
-    /// Execute one SQL statement on a node; with `trace_ops` its report
-    /// carries the operator profiles of the statement and of every producer
-    /// behind its foreign tables.
-    pub fn execute_traced(
+    /// Execute one SQL statement on a node under `opts`, which every
+    /// producer behind its foreign tables runs under too: with
+    /// `opts.trace_ops` the report carries all their operator profiles.
+    pub fn execute_with(
         &self,
         node: &str,
         sql: &str,
-        trace_ops: bool,
+        opts: StatementOptions,
     ) -> Result<StatementOutcome> {
-        self.engine(node)?.execute_sql_at(sql, self, 0, trace_ops)
+        self.engine(node)?.execute_sql_at(sql, self, 0, opts)
     }
 
     /// Execute a SELECT and return its rows + report.
@@ -147,28 +127,36 @@ impl Cluster {
         let engine = self.engine(node)?;
         let mut last = None;
         for stmt in &stmts {
-            last = Some(engine.execute_statement(stmt, self, 0, false)?);
+            last = Some(engine.execute_statement(stmt, self, 0, StatementOptions::default())?);
         }
         Ok(last)
     }
 
-    /// Set the streamed-edge transport morsel size on every engine
-    /// (0 = unbounded). Results, ledgers and simulated timings are
-    /// bit-identical at any setting.
+    /// Sets nothing. The transport chunk travels with each statement
+    /// ([`StatementOptions::chunk_rows`]), every edge is decoded on its
+    /// consuming thread and no encoded frame outlives its edge. Kept, and
+    /// deprecated, only because the out-of-workspace `benchmark/` package
+    /// still calls them. A value other than the one every fetch now uses
+    /// panics, so a caller that relies on it fails instead of silently
+    /// running at the default.
+    #[deprecated(note = "chunk rows travel with each statement: StatementOptions::chunk_rows")]
     pub fn set_stream_chunk_rows(&self, rows: usize) {
-        for engine in self.engines.values() {
-            engine.set_stream_chunk_rows(rows);
-        }
+        assert_eq!(
+            rows, DEFAULT_STREAM_CHUNK_ROWS,
+            "a cluster holds no chunk size: pass StatementOptions::chunk_rows"
+        );
     }
 
-    /// Set the edge-reactor worker budget on every engine (0 = off,
-    /// morsels decode inline). Results, ledgers and simulated timings are
-    /// bit-identical at any setting.
-    pub fn set_reactor_threads(&self, n: usize) {
-        for engine in self.engines.values() {
-            engine.set_reactor_threads(n);
-        }
+    /// See [`Cluster::set_stream_chunk_rows`]; 0 (decode inline) is the
+    /// only value.
+    #[deprecated(note = "every edge is decoded on its consuming thread")]
+    pub fn set_reactor_threads(&self, threads: usize) {
+        assert_eq!(threads, 0, "a cluster starts no decode thread");
     }
+
+    /// See [`Cluster::set_stream_chunk_rows`].
+    #[deprecated(note = "no encoded frame outlives its edge")]
+    pub fn clear_codec_cache(&self) {}
 }
 
 impl Remote for Cluster {
@@ -178,11 +166,9 @@ impl Remote for Cluster {
     /// transfer once the morsels are delivered.
     ///
     /// A one-morsel read drives the decoder sized for the whole edge and
-    /// takes a single morsel. A chunked read takes one per transport chunk:
-    /// with reactor workers available and more than one chunk, the decode
-    /// runs ahead on the pool behind a bounded channel, overlapping with
-    /// the consumer's compute; otherwise it runs inline. Both paths deliver
-    /// the exact same morsel sequence.
+    /// takes a single morsel; a chunked read takes one per transport chunk
+    /// of `request.opts.chunk_rows`. Either way the morsels are decoded on
+    /// the consuming thread, fused with their consumption.
     fn fetch(&self, request: FetchRequest<'_>, sink: &mut MorselSink<'_>) -> Result<FetchReply> {
         if request.depth > MAX_FETCH_DEPTH {
             return Err(EngineError::Remote(
@@ -194,7 +180,7 @@ impl Remote for Cluster {
             "SELECT * FROM {}",
             producer.profile.dialect.ident(request.relation)
         );
-        let outcome = producer.execute_sql_at(&sql, self, request.depth, request.trace_ops)?;
+        let outcome = producer.execute_sql_at(&sql, self, request.depth, request.opts)?;
         let mut relation = outcome
             .relation
             .ok_or_else(|| EngineError::Remote("fetch produced no relation".into()))?;
@@ -204,114 +190,23 @@ impl Remote for Cluster {
         // granularity on the consumer side. The decoded rows — not the
         // producer's — are what flow on, so codec correctness is
         // load-bearing for every query result.
-        //
-        // Within one query the same relation often feeds several edges
-        // (fan-out consumers, repeated foreign scans). The encoded frame —
-        // string dictionaries included — is a pure function of the
-        // relation's content, so reuse it instead of re-deriving per edge.
-        // The DDL generation in the key invalidates entries the moment the
-        // producer's catalog changes. Clients submitting concurrently
-        // to one federation share (and clear) this cache, so the hit
-        // *count* depends on how they interleave and
-        // `net.codec.dict_reuse` lives in the quarantined `net.codec`
-        // metric namespace; the encoded bytes themselves are deterministic
-        // either way.
-        let cache_key = (
-            producer.node.as_str().to_string(),
-            request.relation.to_string(),
-            producer.ddl_generation(),
-            relation.len(),
-        );
-        let cached = self.codec_cache.lock().get(&cache_key).cloned();
-        let encoded = match cached {
-            Some(enc) => {
-                self.telemetry
-                    .metrics
-                    .counter_add("net.codec.dict_reuse", &[], 1.0);
-                enc
-            }
-            None => {
-                let enc = Arc::new(wire::encode(relation.columns(), relation.len()));
-                self.codec_cache.lock().insert(cache_key, Arc::clone(&enc));
-                enc
-            }
-        };
+        let encoded = wire::encode(relation.columns(), relation.len());
         let (bytes, nrows) = (relation.wire_bytes(), relation.len());
         let fields = std::mem::take(&mut relation.fields);
         // Only the encoded edge flows on: the producer's rows are freed
         // before the consumer decodes its own.
         drop(relation);
-        let chunk_rows = producer.stream_chunk_rows();
+        let chunk_rows = request.opts.chunk_rows;
         let stats = encoded.stats(chunk_rows);
         let step = match request.read {
             ReadShape::Chunks if chunk_rows > 0 => chunk_rows,
             _ => nrows,
         };
-        let threads = producer.reactor_threads();
-        if request.read == ReadShape::Chunks && nrows == 0 {
-            // A chunked read of a zero-row edge ships no morsels; the
-            // consumer builds its empty relation from the declared fields.
-        } else if threads > 0 && nrows > step {
-            // Reactor path: a pool worker decodes morsels ahead of the
-            // consumer through a bounded channel. Wall-clock only — the
-            // morsel sequence is the inline one by construction.
-            self.telemetry
-                .metrics
-                .counter_add("sched.reactor_edges", &[], 1.0);
-            let chan = Arc::new(reactor::EdgeChannel::<Relation>::new(
-                reactor::EDGE_CHANNEL_CAPACITY,
-            ));
-            let tx = Arc::clone(&chan);
-            let enc = Arc::clone(&encoded);
-            let fields = fields.clone();
-            reactor::spawn(threads, move || {
-                let guard = reactor::PoisonGuard::new(Arc::clone(&tx));
-                let mut dec = wire::StreamDecoder::with_morsel_capacity(&enc, step);
-                while dec.remaining() > 0 {
-                    let k = step.min(dec.remaining());
-                    let cols = dec.take_columns(step);
-                    if tx
-                        .send(Relation::from_columns(fields.clone(), cols, k))
-                        .is_err()
-                    {
-                        // The consumer bailed out (its guard poisoned the
-                        // channel): abandon the stream, nothing to clean.
-                        guard.defuse();
-                        return;
-                    }
-                }
-                tx.close();
-                guard.defuse();
-            });
-            let guard = reactor::PoisonGuard::new(Arc::clone(&chan));
-            let mut morsels = 0u64;
-            loop {
-                match chan.recv() {
-                    // A `sink` error returns here with the guard still
-                    // armed, poisoning the channel so the decode worker
-                    // unblocks instead of waiting on a full ring.
-                    Ok(Some(rel)) => {
-                        morsels += 1;
-                        sink(ExecRel::Owned(rel))?;
-                    }
-                    Ok(None) => break,
-                    Err(reactor::Poisoned) => {
-                        guard.defuse();
-                        return Err(EngineError::Execution(
-                            "edge reactor worker panicked mid-stream".into(),
-                        ));
-                    }
-                }
-            }
-            guard.defuse();
-            self.telemetry
-                .metrics
-                .counter_add("sched.reactor_morsels", &[], morsels as f64);
-        } else {
-            // Inline path: decode each morsel on the consuming thread,
-            // fused with consumption. A one-morsel read takes exactly one,
-            // also of a zero-row edge, so that its relation has the
-            // decoder's column layouts.
+        // A chunked read of a zero-row edge ships no morsels; the consumer
+        // builds its empty relation from the declared fields. A one-morsel
+        // read takes exactly one, also of a zero-row edge, so that its
+        // relation has the decoder's column layouts.
+        if request.read == ReadShape::OneMorsel || nrows > 0 {
             let mut dec = wire::StreamDecoder::with_morsel_capacity(&encoded, step);
             loop {
                 let k = step.min(dec.remaining());
@@ -471,42 +366,88 @@ mod tests {
         assert!(c.ledger.is_empty());
     }
 
+    /// The morsels a fetch hands its sink follow the request's shape and
+    /// chunk size: a chunked read of three rows at chunk 2 takes two, a
+    /// one-morsel read one, and a chunked read of an empty edge none.
     #[test]
-    fn codec_state_reused_across_repeated_edges() {
-        // Same relation pulled over two edges: the second fetch must reuse
-        // the memoized encode (dictionaries included) and say so on the
-        // `net.codec.dict_reuse` counter; a producer-side catalog change
-        // or an explicit cache clear must invalidate the entry.
+    #[allow(deprecated)]
+    #[should_panic(expected = "a cluster holds no chunk size")]
+    fn a_cluster_wide_chunk_size_is_refused() {
         let c = two_node();
-        let telemetry = Arc::clone(c.telemetry());
+        c.set_stream_chunk_rows(DEFAULT_STREAM_CHUNK_ROWS);
+        c.set_reactor_threads(0);
+        c.set_stream_chunk_rows(16);
+    }
+
+    #[test]
+    fn a_fetch_takes_the_requests_chunks() {
+        let c = two_node();
+        c.execute("db_r", "CREATE TABLE e (x BIGINT, y VARCHAR)")
+            .unwrap();
+        let morsels = |relation: &str, read: ReadShape| {
+            let request = FetchRequest {
+                server: "db_r",
+                relation,
+                consumer: NodeId::new("db_s"),
+                protocol_overhead: 1.0,
+                purpose: Purpose::InterDbmsPipeline,
+                depth: 1,
+                opts: StatementOptions {
+                    trace_ops: false,
+                    chunk_rows: 2,
+                },
+                read,
+            };
+            let mut sizes = Vec::new();
+            c.fetch(request, &mut |m| {
+                sizes.push(m.len());
+                Ok(())
+            })
+            .unwrap();
+            sizes
+        };
+        assert_eq!(morsels("r", ReadShape::Chunks), [2, 1]);
+        assert_eq!(morsels("r", ReadShape::OneMorsel), [3]);
+        assert_eq!(morsels("e", ReadShape::Chunks), [0usize; 0]);
+        assert_eq!(morsels("e", ReadShape::OneMorsel), [0]);
+    }
+
+    /// A statement's chunk size reaches every edge behind it: both hops of
+    /// a cascade are cut into one-row chunks at chunk 1, and into one
+    /// chunk each under the default.
+    #[test]
+    fn chunk_rows_reach_nested_edges() {
+        let mut c = two_node();
+        c.add_engine("db_t", EngineProfile::postgres());
         c.execute(
             "db_s",
             "CREATE FOREIGN TABLE r_ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'r')",
         )
         .unwrap();
-        let reuse = || telemetry.metrics.value("net.codec.dict_reuse", &[]);
-
-        let (a, _) = c.query("db_s", "SELECT r_ft.y FROM r_ft").unwrap();
-        assert_eq!(reuse(), 0.0, "first edge must pay the encode");
-        let (b, _) = c.query("db_s", "SELECT r_ft.y FROM r_ft").unwrap();
-        assert_eq!(reuse(), 1.0, "repeated edge must hit the codec cache");
-        assert!(a.same_bag(&b), "cached frames must decode identically");
-
-        // A base-table catalog mutation on the producer bumps its DDL
-        // generation, so the memoized frame no longer matches.
+        c.execute("db_s", "CREATE VIEW rs AS SELECT r_ft.y FROM r_ft")
+            .unwrap();
         c.execute(
-            "db_r",
-            "CREATE VIEW r_recent AS SELECT x, y FROM r WHERE x >= 2",
+            "db_t",
+            "CREATE FOREIGN TABLE rs_ft (y VARCHAR) SERVER db_s OPTIONS (remote 'rs')",
         )
         .unwrap();
-        c.query("db_s", "SELECT r_ft.y FROM r_ft").unwrap();
-        assert_eq!(reuse(), 1.0, "stale codec state must not be reused");
-
-        c.query("db_s", "SELECT r_ft.y FROM r_ft").unwrap();
-        assert_eq!(reuse(), 2.0);
-        c.clear_codec_cache();
-        c.query("db_s", "SELECT r_ft.y FROM r_ft").unwrap();
-        assert_eq!(reuse(), 2.0, "cleared cache must re-encode");
+        let chunks = || -> f64 {
+            let snapshot = c.telemetry().metrics.snapshot();
+            let chunks = snapshot
+                .counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("net.chunks"));
+            chunks.map(|(_, v)| v).sum()
+        };
+        let one_row = StatementOptions {
+            chunk_rows: 1,
+            ..Default::default()
+        };
+        for (opts, want) in [(one_row, 6.0), (StatementOptions::default(), 2.0)] {
+            let before = chunks();
+            c.execute_with("db_t", "SELECT * FROM rs_ft", opts).unwrap();
+            assert_eq!(chunks() - before, want, "{opts:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xdb_net::{compose_finish, EdgeTiming, Movement, NodeId, Purpose};
 use xdb_obs::{ExecProfile, Level, Telemetry};
@@ -48,8 +48,7 @@ pub struct ExecReport {
     /// from query start.
     pub finish_ms: f64,
     /// Per-operator execution profile, present only when the statement ran
-    /// with operator tracing (the `trace_ops` argument of
-    /// [`Engine::execute_statement`]).
+    /// with operator tracing ([`StatementOptions::trace_ops`]).
     pub profile: Option<Box<ExecProfile>>,
 }
 
@@ -82,6 +81,31 @@ pub struct ExplainInfo {
     pub est_cost: f64,
 }
 
+/// What a statement carries besides its text, down to every producer it
+/// reads through a foreign table. Nothing here lives in a shared engine, so
+/// clients sharing a federation choose their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatementOptions {
+    /// Collect per-operator profiles; without, the executor skips all
+    /// per-operator bookkeeping.
+    pub trace_ops: bool,
+    /// Transport morsel size (rows) of the streamed edges the statement
+    /// reads; 0 means unbounded (one chunk per edge). Codec state is
+    /// computed per edge, never per chunk, so any value yields
+    /// bit-identical results, ledgers and simulated timings: only the
+    /// quarantined `net.chunks` series moves.
+    pub chunk_rows: usize,
+}
+
+impl Default for StatementOptions {
+    fn default() -> StatementOptions {
+        StatementOptions {
+            trace_ops: false,
+            chunk_rows: DEFAULT_STREAM_CHUNK_ROWS,
+        }
+    }
+}
+
 /// A request to fetch `SELECT * FROM relation` from another engine.
 pub struct FetchRequest<'a> {
     pub server: &'a str,
@@ -91,9 +115,9 @@ pub struct FetchRequest<'a> {
     pub protocol_overhead: f64,
     pub purpose: Purpose,
     pub depth: usize,
-    /// Whether the consumer's statement collects operator profiles; the
-    /// producer's statement then does too.
-    pub trace_ops: bool,
+    /// The consumer statement's options: the producer's statement runs
+    /// under them too, and the edge is chunked by their `chunk_rows`.
+    pub opts: StatementOptions,
     /// How the consumer reads the edge, as its plan decided.
     pub read: ReadShape,
 }
@@ -147,17 +171,6 @@ pub struct Engine {
     /// mismatch as a stale entry (any DDL against base objects invalidates
     /// all cached probes for this node).
     ddl_generation: AtomicU64,
-    /// Transport morsel size (rows) for streamed dataflow edges; 0 means
-    /// unbounded (one chunk per edge). Codec state is computed per edge,
-    /// never per chunk, so any value yields bit-identical results,
-    /// ledgers, and simulated timings — only the quarantined `net.chunks`
-    /// metric (and wall-clock overlap) changes.
-    stream_chunk_rows: AtomicUsize,
-    /// Reactor worker budget for streamed edges; 0 disables the reactor
-    /// (morsels decode inline on the consuming thread). Like the morsel
-    /// size, any value yields bit-identical observables — the reactor
-    /// only moves wall-clock decode work onto pool threads.
-    reactor_threads: AtomicUsize,
     /// Reusable per-query executor scratch (hash tables, chain buffers).
     /// Executions pop one on entry and push it back after the run, so
     /// steady-state queries stop reallocating their largest structures.
@@ -183,18 +196,14 @@ pub(crate) fn is_transient_object(name: &str) -> bool {
 
 impl Engine {
     pub fn new(node: impl Into<String>, profile: EngineProfile) -> Engine {
-        let engine = Engine {
+        Engine {
             node: NodeId::new(node),
             profile,
             catalog: RwLock::new(Arc::new(Catalog::new())),
             ddl_generation: AtomicU64::new(0),
-            stream_chunk_rows: AtomicUsize::new(DEFAULT_STREAM_CHUNK_ROWS),
-            reactor_threads: AtomicUsize::new(xdb_net::reactor::default_threads()),
             scratch_pool: Mutex::new(Vec::new()),
             telemetry: RwLock::new(Telemetry::new_handle()),
-        };
-        engine.publish_sched_gauges();
-        engine
+        }
     }
 
     /// Current telemetry handle.
@@ -207,25 +216,8 @@ impl Engine {
     /// engine's gauges under it.
     pub(crate) fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         *self.telemetry.write() = telemetry;
-        self.publish_sched_gauges();
         let catalog = self.catalog.read();
         self.publish_catalog_gauges(&catalog);
-    }
-
-    /// Publish the two streaming knobs, under `sched.` so chunk-size
-    /// bit-identity comparisons never see the knob itself.
-    fn publish_sched_gauges(&self) {
-        let labels = [("engine", self.node.as_str())];
-        self.telemetry().metrics.gauge_set(
-            "sched.stream_chunk_rows",
-            &labels,
-            self.stream_chunk_rows() as f64,
-        );
-        self.telemetry().metrics.gauge_set(
-            "sched.reactor_threads",
-            &labels,
-            self.reactor_threads() as f64,
-        );
     }
 
     /// Publish `ddl.objects_live` / `catalog.rows` for this engine. Called
@@ -240,31 +232,6 @@ impl Engine {
             .gauge_set("ddl.objects_live", &labels, catalog.len() as f64);
         t.metrics
             .gauge_set("catalog.rows", &labels, catalog.total_rows() as f64);
-    }
-
-    /// Set the transport morsel size (rows) for streamed dataflow edges;
-    /// 0 means unbounded. Never changes results or simulated timings —
-    /// codec state is per edge, so only consumption granularity moves.
-    pub(crate) fn set_stream_chunk_rows(&self, rows: usize) {
-        self.stream_chunk_rows.store(rows, Ordering::Release);
-        self.publish_sched_gauges();
-    }
-
-    /// Current transport morsel size (rows); 0 = unbounded.
-    pub fn stream_chunk_rows(&self) -> usize {
-        self.stream_chunk_rows.load(Ordering::Acquire)
-    }
-
-    /// Set the reactor worker budget for streamed edges (0 = off, decode
-    /// inline). Never changes results, ledgers, or simulated timings.
-    pub(crate) fn set_reactor_threads(&self, n: usize) {
-        self.reactor_threads.store(n, Ordering::Release);
-        self.publish_sched_gauges();
-    }
-
-    /// Current reactor worker budget; 0 = reactor off.
-    pub(crate) fn reactor_threads(&self) -> usize {
-        self.reactor_threads.load(Ordering::Acquire)
     }
 
     /// Run read-only catalog access.
@@ -331,9 +298,19 @@ impl Engine {
         self.with_catalog_mut(|c| c.create_table_from(name, rel))
     }
 
-    /// Parse and execute one statement, untraced.
+    /// Parse and execute one statement under the default options.
     pub fn execute_sql(&self, sql: &str, remote: &dyn Remote) -> Result<StatementOutcome> {
-        self.execute_sql_at(sql, remote, 0, false)
+        self.execute_sql_with(sql, remote, StatementOptions::default())
+    }
+
+    /// Parse and execute one statement under `opts`.
+    pub fn execute_sql_with(
+        &self,
+        sql: &str,
+        remote: &dyn Remote,
+        opts: StatementOptions,
+    ) -> Result<StatementOutcome> {
+        self.execute_sql_at(sql, remote, 0, opts)
     }
 
     pub(crate) fn execute_sql_at(
@@ -341,23 +318,22 @@ impl Engine {
         sql: &str,
         remote: &dyn Remote,
         depth: usize,
-        trace_ops: bool,
+        opts: StatementOptions,
     ) -> Result<StatementOutcome> {
         let stmt = xdb_sql::parse_statement(sql)
             .map_err(|e| log_parse_error(&self.telemetry(), sql, e))?;
-        self.execute_statement(&stmt, remote, depth, trace_ops)
+        self.execute_statement(&stmt, remote, depth, opts)
     }
 
-    /// Execute a parsed statement. With `trace_ops` its report carries a
-    /// per-operator [`ExecProfile`], and so does every producer it reads
-    /// through a foreign table; without, the executor skips all
-    /// per-operator bookkeeping.
+    /// Execute a parsed statement. With `opts.trace_ops` its report carries
+    /// a per-operator [`ExecProfile`]; every producer it reads through a
+    /// foreign table runs under the same `opts`.
     pub(crate) fn execute_statement(
         &self,
         stmt: &Statement,
         remote: &dyn Remote,
         depth: usize,
-        trace_ops: bool,
+        opts: StatementOptions,
     ) -> Result<StatementOutcome> {
         if depth > MAX_FETCH_DEPTH {
             return Err(EngineError::Remote(
@@ -367,7 +343,7 @@ impl Engine {
         match stmt {
             Statement::Select(s) => {
                 let (rel, report) =
-                    self.run_select(s, remote, depth, trace_ops, Purpose::InterDbmsPipeline)?;
+                    self.run_select(s, remote, depth, opts, Purpose::InterDbmsPipeline)?;
                 Ok(StatementOutcome {
                     relation: Some(rel),
                     report,
@@ -436,7 +412,7 @@ impl Engine {
                 // Execute (pulling remote data through the wrapper), then
                 // materialize locally: the paper's explicit data movement.
                 let (rel, mut report) =
-                    self.run_select(query, remote, depth, trace_ops, Purpose::Materialization)?;
+                    self.run_select(query, remote, depth, opts, Purpose::Materialization)?;
                 let import_ms = rel.len() as f64 * self.profile.write_cost_ms;
                 report.work_ms += import_ms;
                 report.finish_ms += import_ms;
@@ -481,13 +457,13 @@ impl Engine {
         stmt: &xdb_sql::SelectStmt,
         remote: &dyn Remote,
         depth: usize,
-        trace_ops: bool,
+        opts: StatementOptions,
         purpose: Purpose,
     ) -> Result<(Relation, ExecReport)> {
         let snapshot = self.snapshot();
         let plan = bind_select(stmt, &*snapshot)?;
         let plan = optimize(plan, &*snapshot, OptimizeOptions::default());
-        self.run_plan(&plan, &snapshot, remote, depth, trace_ops, purpose)
+        self.run_plan(&plan, &snapshot, remote, depth, opts, purpose)
     }
 
     /// Execute an already-optimized plan against a catalog snapshot.
@@ -497,7 +473,7 @@ impl Engine {
         snapshot: &Catalog,
         remote: &dyn Remote,
         depth: usize,
-        trace_ops: bool,
+        opts: StatementOptions,
         purpose: Purpose,
     ) -> Result<(Relation, ExecReport)> {
         let resolver = EngineResolver {
@@ -505,7 +481,7 @@ impl Engine {
             snapshot,
             remote,
             depth,
-            trace_ops,
+            opts,
             purpose,
             foreign_rows: std::cell::Cell::new(0),
         };
@@ -525,7 +501,7 @@ impl Engine {
                 .metrics
                 .counter_add("sched.scratch_alloc", &engine_label, 1.0);
         }
-        if trace_ops {
+        if opts.trace_ops {
             exec.collect_ops();
         }
         let rel = exec.run(plan)?;
@@ -625,7 +601,7 @@ impl Engine {
 
 /// Default transport morsel size for streamed edges (`0` = unbounded, one
 /// chunk per edge). Any size is unobservable: `crates/core/tests/streaming.rs`
-/// and `props_reactor.rs` hold results, ledgers and traces identical at 1,
+/// and `props_chunking.rs` hold results, ledgers and traces identical at 1,
 /// 4096 and 0.
 pub const DEFAULT_STREAM_CHUNK_ROWS: usize = 4096;
 
@@ -657,7 +633,7 @@ struct EngineResolver<'a> {
     snapshot: &'a Catalog,
     remote: &'a dyn Remote,
     depth: usize,
-    trace_ops: bool,
+    opts: StatementOptions,
     purpose: Purpose,
     foreign_rows: std::cell::Cell<u64>,
 }
@@ -704,7 +680,7 @@ impl ScanResolver for EngineResolver<'_> {
                     protocol_overhead: self.engine.profile.protocol_overhead,
                     purpose: self.purpose,
                     depth: self.depth + 1,
-                    trace_ops: self.trace_ops,
+                    opts: self.opts,
                     read,
                 };
                 let reply = self

@@ -29,7 +29,8 @@ pub mod vector;
 
 pub use cluster::Cluster;
 pub use engine::{
-    Engine, ExecReport, ExplainInfo, NoRemote, Remote, StatementOutcome, DEFAULT_STREAM_CHUNK_ROWS,
+    Engine, ExecReport, ExplainInfo, NoRemote, Remote, StatementOptions, StatementOutcome,
+    DEFAULT_STREAM_CHUNK_ROWS,
 };
 pub use error::{EngineError, Result};
 pub use profile::EngineProfile;

@@ -7,7 +7,7 @@ use xdb_engine::engine::{FetchReply, FetchRequest};
 use xdb_engine::exec::MorselSink;
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
-use xdb_engine::{EngineError, NoRemote, Remote};
+use xdb_engine::{EngineError, NoRemote, Remote, StatementOptions, DEFAULT_STREAM_CHUNK_ROWS};
 use xdb_sql::value::{date, Value};
 
 fn cluster() -> Cluster {
@@ -355,9 +355,13 @@ fn fetch_failing_mid_edge_is_an_error_and_leaves_no_trace() {
     )
     .unwrap();
     let consumer = c.engine("db_s").unwrap();
-    let fails = |sql: &str, remote: &CutEdge| {
+    let fails = |sql: &str, remote: &CutEdge, chunk_rows: usize| {
         let records = c.ledger.len();
-        let err = consumer.execute_sql(sql, remote).unwrap_err();
+        let opts = StatementOptions {
+            chunk_rows,
+            ..Default::default()
+        };
+        let err = consumer.execute_sql_with(sql, remote, opts).unwrap_err();
         assert!(matches!(err, EngineError::Remote(_)), "{sql}: {err}");
         assert_eq!(
             c.ledger.len(),
@@ -369,20 +373,31 @@ fn fetch_failing_mid_edge_is_an_error_and_leaves_no_trace() {
         cluster: &c,
         fail_at: 0,
     };
-    fails("SELECT * FROM ft", &first);
-    fails("CREATE TABLE t AS SELECT * FROM ft", &first);
+    fails("SELECT * FROM ft", &first, DEFAULT_STREAM_CHUNK_ROWS);
+    fails(
+        "CREATE TABLE t AS SELECT * FROM ft",
+        &first,
+        DEFAULT_STREAM_CHUNK_ROWS,
+    );
     assert!(!consumer
         .with_catalog(|cat| cat.names())
         .contains(&"t".to_string()));
 
-    c.set_stream_chunk_rows(1);
     let second = CutEdge {
         cluster: &c,
         fail_at: 1,
     };
     let join = "SELECT ft.y, s.z FROM ft, s WHERE ft.x = s.x";
-    fails(join, &second);
+    fails(join, &second, 1);
     // Uncut, the same streamed edge delivers all three of its morsels.
-    let (rel, _) = c.query("db_s", join).unwrap();
+    let opts = StatementOptions {
+        chunk_rows: 1,
+        ..Default::default()
+    };
+    let (rel, _) = c
+        .execute_with("db_s", join, opts)
+        .unwrap()
+        .into_rows()
+        .unwrap();
     assert_eq!(rel.len(), 2);
 }

@@ -35,8 +35,9 @@ use xdb_sql::value::{DataType, Value};
 /// What one side of a key column holds. `Num` mixes Int and Float values,
 /// which the column builder stores in the `Mixed` layout. `Bits` is Float
 /// with −0.0, 0.0 and NaN among its values, keyed by their bits; it is
-/// only paired with itself, because against an Int side `Value`'s hash
-/// tells −0.0 from 0 where its equality does not.
+/// only paired with itself, because against an Int side `Value`'s equality
+/// is not transitive (`Int(0)` equals −0.0 and 0.0, which differ), so the
+/// reference would have no one answer.
 #[derive(Clone, Copy)]
 enum Kind {
     Int,

@@ -130,7 +130,7 @@ impl Ledger {
             t.metrics.counter_add("net.rows", &labels, rows as f64);
             t.metrics
                 .counter_add("net.encoded_bytes", &labels, stats.encoded_bytes as f64);
-            // Chunk counts depend on `stream_chunk_rows`; the series is
+            // Chunk counts depend on the transport chunk size; the series is
             // excluded from `deterministic_snapshot()` (like `sched.*`).
             t.metrics
                 .counter_add("net.chunks", &labels, stats.chunks as f64);

@@ -11,20 +11,15 @@
 //!   task DAGs, distinguishing pipelined (implicit) from materialized
 //!   (explicit) dataflow;
 //! - [`params`]: every simulation constant, documented against the paper
-//!   observation it models;
-//! - [`reactor`]: the morsel-driven edge reactor — bounded per-edge chunk
-//!   channels plus a worker pool so decode and consumer compute for
-//!   different chunks of one edge overlap on the wall clock.
+//!   observation it models.
 
 pub mod ledger;
 pub mod params;
-pub mod reactor;
 pub mod timing;
 pub mod topology;
 pub mod wire;
 
 pub use ledger::{Ledger, Purpose, Transfer};
-pub use reactor::{EdgeChannel, PoisonGuard, Poisoned};
 pub use timing::{compose_finish, edge_pair, edge_shape, mediator_finish, EdgeTiming, Movement};
 pub use topology::{Link, NodeId, Scenario, Topology};
 pub use wire::{Codec, Encoded, StreamDecoder, WireStats};

@@ -7,8 +7,8 @@
 //! self-contained payload. Codec *state* (dictionaries, frame-of-reference
 //! minima, run lengths) is computed over the whole edge — never per
 //! transport chunk — so the encoded byte count that feeds the ledger and
-//! the simulated transfer-time model is invariant under
-//! `stream_chunk_rows`. Transport chunking only changes the granularity at
+//! the simulated transfer-time model is invariant under the transport
+//! chunk size. Transport chunking only changes the granularity at
 //! which [`StreamDecoder::take`] is driven (and the quarantined
 //! `net.chunks` metric).
 //!

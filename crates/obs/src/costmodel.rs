@@ -14,8 +14,7 @@
 //! Everything here is **purely observational**: records are derived from
 //! already-deterministic state (annotation decisions, the script-ordered
 //! transfer ledger, simulated-clock statement work), so they are
-//! bit-identical across executor threads, reactor on/off and
-//! stream-chunk sizes. Producing a record never feeds back into planning
+//! bit-identical across stream-chunk sizes. Producing a record never feeds back into planning
 //! or execution.
 //!
 //! **Placement regret** (per decision): the observed cost of the chosen

@@ -19,11 +19,10 @@
 //!   `sched.` name prefix and are excluded from the bit-identical
 //!   guarantee; [`MetricRegistry::deterministic_snapshot`] filters them.
 //!   The `net.chunks` series is quarantined the same way: transport chunk
-//!   counts depend on the configured `stream_chunk_rows`, which must never
-//!   leak into determinism comparisons. `net.codec.*` (wire-codec state-cache hit counts) is
-//!   quarantined too: on several executor threads two task groups can race
-//!   to the first encode of a shared relation, so the *hit count* is
-//!   scheduling-dependent even though the encoded bytes are not.
+//!   counts depend on the chunk size each statement carries, which must
+//!   never leak into determinism comparisons. The `net.codec.` series
+//!   (`net.codec.bytes`, encoded bytes by codec) are left out too; their
+//!   total is the deterministic `net.encoded_bytes`.
 
 use crate::json::{json_number, json_string};
 use crate::trace::MetricsSnapshot;
@@ -37,15 +36,13 @@ use std::hash::BuildHasher;
 pub const SCHED_PREFIX: &str = "sched.";
 
 /// Name prefix for transport-chunk counts, excluded from determinism
-/// comparisons because they scale with the configured `stream_chunk_rows`
+/// comparisons because they scale with the statement's chunk size
 /// (results, ledgers, timings and every other metric stay bit-identical
 /// across chunk sizes).
 pub const CHUNKS_PREFIX: &str = "net.chunks";
 
-/// Name prefix for wire-codec state-cache counters (`net.codec.dict_reuse`
-/// and friends), excluded from determinism comparisons because cache-hit
-/// counts depend on executor scheduling (the encoded bytes they describe
-/// stay bit-identical).
+/// Name prefix for the per-codec byte counts (`net.codec.bytes`), excluded
+/// from determinism comparisons; their total is `net.encoded_bytes`.
 pub const CODEC_PREFIX: &str = "net.codec.";
 
 /// A log-bucketed (base-2) histogram of non-negative f64 observations.
@@ -364,8 +361,8 @@ impl MetricRegistry {
 
     /// [`MetricRegistry::snapshot`] restricted to deterministic metrics:
     /// everything outside the `sched.` prefix, the chunk-size-dependent
-    /// `net.chunks` series, and the scheduling-dependent `net.codec.*`
-    /// cache-hit counters. This is the set the sequential-vs-parallel and
+    /// `net.chunks` series and the per-codec `net.codec.*` byte counts.
+    /// This is the set the sequential-vs-parallel and
     /// chunk-size bit-identity tests compare.
     pub fn deterministic_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.snapshot();
@@ -499,7 +496,7 @@ mod tests {
         r.observe("h", &[], 4.0);
         r.counter_add("sched.pool", &[], 9.0);
         r.counter_add("net.chunks", &[("purpose", "inter_dbms_pipeline")], 5.0);
-        r.counter_add("net.codec.dict_reuse", &[], 3.0);
+        r.counter_add("net.codec.bytes", &[("codec", "dict")], 3.0);
         r.counter_add("net.encoded_bytes", &[], 11.0);
         let s = r.snapshot();
         assert_eq!(s.counters["x"], 1.0);
@@ -509,12 +506,12 @@ mod tests {
         assert_eq!(s.counters["sched.pool"], 9.0);
         let d = r.deterministic_snapshot();
         assert!(!d.counters.contains_key("sched.pool"));
-        // Chunk counts scale with `stream_chunk_rows` — quarantined; the
-        // encoded byte series is chunk-invariant and stays. Codec
-        // cache-hit counts are scheduling-dependent — quarantined too.
+        // Chunk counts scale with the chunk size — quarantined; the
+        // encoded byte series is chunk-invariant and stays. Per-codec
+        // bytes are quarantined too.
         assert!(!d.counters.keys().any(|k| k.starts_with(CHUNKS_PREFIX)));
         assert!(!d.counters.keys().any(|k| k.starts_with(CODEC_PREFIX)));
-        assert_eq!(s.counters["net.codec.dict_reuse"], 3.0);
+        assert_eq!(s.counters["net.codec.bytes{codec=\"dict\"}"], 3.0);
         assert_eq!(d.counters["net.encoded_bytes"], 11.0);
     }
 

@@ -220,14 +220,16 @@ impl Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Ints that fit a float hash as the float so Int/Float equality
-            // stays consistent with hashing.
+            // Ints hash as the float they equal so Int/Float equality stays
+            // consistent with hashing; a zero float hashes as +0.0, which
+            // is what `Int(0)` hashes as (and equals).
             Value::Int(i) => {
                 3u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 3u8.hash(state);
+                let f = if *f == 0.0 { 0.0 } else { *f };
                 f.to_bits().hash(state);
             }
             Value::Date(d) => {
@@ -353,6 +355,18 @@ pub mod date {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Int(0)` equals both zero floats, so a key holding it finds them.
+    #[test]
+    fn int_zero_and_zero_floats_hash_alike() {
+        let mut keys: crate::hash::FastMap<Vec<Value>, u8> = Default::default();
+        keys.insert(vec![Value::Int(0)], 1);
+        for zero in [-0.0, 0.0] {
+            assert_eq!(keys.get(&vec![Value::Float(zero)]), Some(&1), "{zero:?}");
+        }
+        // Equality is unchanged: the two zero floats stay apart.
+        assert_ne!(Value::Float(0.0), Value::Float(-0.0));
+    }
 
     #[test]
     fn date_roundtrip_epoch() {

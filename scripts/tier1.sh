@@ -30,35 +30,15 @@ for f in $(grep -rlE 'std::env|env_number\(' crates/{sql,engine,net,obs,core,bas
   fi
 done
 
-# Thread census: the only file of the library crates that starts a thread
-# is the edge reactor's pool (DESIGN.md §6 "Threads"). The shim crates
-# stand in for dependencies and are not counted.
-diff <(grep -rlE 'thread::(scope|spawn)' crates/*/src \
-         | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort) \
-     <(printf '%s\n' crates/net/src/reactor.rs)
-
-# Static census: a federation owns its telemetry, its query ids and its
-# tracing (DESIGN.md §11 "Telemetry handle"), so no process-wide state may
-# stand in for them. The `static` items of non-test code (shim crates
-# excepted, `repro`'s crate included) are exactly these: the disabled
-# trace collector, `PlanSchema`'s empty schema, and the edge reactor's
-# parallelism and pool.
-diff <(for f in $(grep -rlE '\bstatic [A-Z_]' crates/*/src \
-                    | grep -vE '^crates/(parking_lot|criterion|proptest)/' | sort); do
-         sed '/^#\[cfg(test)\]/,$d' "$f" \
-           | grep -oE '^\s*(pub(\([a-z]+\))? )?static [A-Z_][A-Z0-9_]*' \
-           | sed -E "s/.*static /$(sed 's|/|\\/|g' <<<"$f") /" || true
-       done) \
-     <(printf '%s\n' 'crates/net/src/reactor.rs PARALLELISM' 'crates/net/src/reactor.rs POOL' \
-         'crates/obs/src/collect.rs DISABLED' 'crates/sql/src/algebra.rs EMPTY')
 # The parser logs nothing: the SQL crate depends on no telemetry.
 if grep -n 'xdb-obs' crates/sql/Cargo.toml; then
   echo "crates/sql/Cargo.toml: the parser depends on the telemetry crate" >&2
   exit 1
 fi
 
-# The statistics, probe, copy, read-path and miss censuses read the sources
-# in process: tests/source_census.rs, run by `cargo test` above.
+# The statistics, probe, copy, read-path, miss, thread and static censuses
+# read the sources in process: tests/source_census.rs, run by `cargo test`
+# above.
 
 # Drift smoke test: the checked-in drift baseline must stay readable: a
 # stricter reader or a schema change that strands BENCH_history/ fails

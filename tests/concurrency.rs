@@ -4,6 +4,7 @@
 //! all hold up.
 
 use std::sync::{Arc, Barrier};
+use xdb::baselines::{Mediator, MediatorConfig, Sclera};
 use xdb::core::annotate::AnnotateOptions;
 use xdb::core::{GlobalCatalog, PhaseBreakdown, QueryOutcome, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
@@ -181,19 +182,25 @@ fn one_client_is_safe_across_threads_too() {
     });
 }
 
-/// Operator tracing travels with the statement, not with the engines: two
-/// clients share one federation, one with `trace_operators` and one
-/// without, and submit TD1 Q3 / Q5 side by side from two threads that meet
-/// at a barrier every round. The untraced client's traces carry no
-/// Operator span, the traced client's carry exactly the ones its solo run
-/// does, and both see their solo rows and breakdowns.
+/// Operator tracing and the transport chunk size travel with the
+/// statement, not with the engines: two clients share one federation, one
+/// untraced at chunk 16 and one traced with unbounded edges (chunk 0), and
+/// submit TD1 Q3 / Q5 side by side from two threads that meet at a barrier
+/// every round. The untraced client's traces carry no Operator span, the
+/// traced client's carry exactly the ones its solo run does, both see their
+/// solo rows and breakdowns, and the transport chunks they move together
+/// are the sum of their solo runs' (a chunk size one client set for every
+/// engine would reach the other's edges).
 #[test]
 fn operator_tracing_is_per_handle() {
     const ROUNDS: usize = 8;
     let queries = [TpchQuery::Q3, TpchQuery::Q5];
+    // (trace_operators, stream_chunk_rows) of the two clients.
+    let clients = [(false, 16), (true, 0)];
     // Static pricing, so that no round's feedback moves a later plan.
-    let options = |trace_operators| XdbOptions {
+    let options = |(trace_operators, stream_chunk_rows)| XdbOptions {
         trace_operators,
+        stream_chunk_rows,
         learned_costs: false,
         ..Default::default()
     };
@@ -224,41 +231,46 @@ fn operator_tracing_is_per_handle() {
         (format!("{:?}", o.relation), o.breakdown, operators)
     };
     // The solo runs: each query warm (its second submit), alone on a
-    // federation of its own.
-    let solo = |trace_operators: bool| -> Vec<_> {
+    // federation of its own, with the chunks of its cold and its warm
+    // submit.
+    let solo = |client| -> Vec<_> {
         queries
             .iter()
             .map(|q| {
                 let cluster = cluster();
                 let catalog = GlobalCatalog::discover(&cluster).unwrap();
-                let xdb = Xdb::new(&cluster, &catalog).with_options(options(trace_operators));
+                let xdb = Xdb::new(&cluster, &catalog).with_options(options(client));
                 xdb.submit(q.sql()).unwrap();
-                observe(xdb.submit(q.sql()).unwrap())
+                let cold = chunks(&cluster);
+                let seen = observe(xdb.submit(q.sql()).unwrap());
+                (seen, cold, chunks(&cluster) - cold)
             })
             .collect()
     };
-    let (solo_untraced, solo_traced) = (solo(false), solo(true));
-    assert!(solo_untraced.iter().all(|(_, _, ops)| ops.is_empty()));
-    assert!(solo_traced.iter().all(|(_, _, ops)| !ops.is_empty()));
+    let solos = clients.map(solo);
+    assert!(solos[0].iter().all(|((_, _, ops), _, _)| ops.is_empty()));
+    assert!(solos[1].iter().all(|((_, _, ops), _, _)| !ops.is_empty()));
+    assert!(solos[0][0].2 > solos[1][0].2, "chunk 16 moves more chunks");
 
     // One federation; each client plans through a catalog of its own,
     // warmed by one submit of each query.
     let shared = cluster();
     let barrier = Barrier::new(2);
     let runs: Vec<Vec<_>> = std::thread::scope(|s| {
-        let threads: Vec<_> = [false, true]
+        let threads: Vec<_> = clients
             .into_iter()
-            .map(|trace_operators| {
+            .enumerate()
+            .map(|(c, client)| {
                 let (shared, barrier) = (&shared, &barrier);
                 s.spawn(move || {
                     let catalog = GlobalCatalog::discover(shared).unwrap();
-                    let xdb = Xdb::new(shared, &catalog).with_options(options(trace_operators));
+                    let xdb = Xdb::new(shared, &catalog).with_options(options(client));
                     for q in queries {
                         xdb.submit(q.sql()).unwrap();
                     }
                     (0..ROUNDS)
                         .map(|round| {
-                            let k = (round + usize::from(trace_operators)) % queries.len();
+                            let k = (round + c) % queries.len();
                             barrier.wait();
                             (k, observe(xdb.submit(queries[k].sql()).unwrap()))
                         })
@@ -268,15 +280,72 @@ fn operator_tracing_is_per_handle() {
             .collect();
         threads.into_iter().map(|t| t.join().unwrap()).collect()
     });
-    for (runs, solo, traced) in [
-        (&runs[0], &solo_untraced, false),
-        (&runs[1], &solo_traced, true),
-    ] {
+    let mut expected_chunks = 0.0;
+    for ((runs, solo), client) in runs.iter().zip(&solos).zip(clients) {
+        expected_chunks += solo.iter().map(|(_, cold, _)| cold).sum::<f64>();
         for (round, (k, seen)) in runs.iter().enumerate() {
-            let what = format!("{} round {round}, traced {traced}", queries[*k].name());
-            assert_eq!(seen.0, solo[*k].0, "{what}: rows");
-            assert_eq!(seen.1, solo[*k].1, "{what}: breakdown");
-            assert_eq!(seen.2, solo[*k].2, "{what}: operator spans");
+            let what = format!("{} round {round}, client {client:?}", queries[*k].name());
+            let (want, _, warm) = &solo[*k];
+            assert_eq!(seen.0, want.0, "{what}: rows");
+            assert_eq!(seen.1, want.1, "{what}: breakdown");
+            assert_eq!(seen.2, want.2, "{what}: operator spans");
+            expected_chunks += warm;
         }
     }
+    assert_eq!(chunks(&shared), expected_chunks, "transport chunks");
+}
+
+/// Transport chunks a federation moved so far, over every purpose.
+fn chunks(cluster: &Cluster) -> f64 {
+    let snapshot = cluster.telemetry().metrics.snapshot();
+    snapshot
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("net.chunks"))
+        .map(|(_, v)| v)
+        .sum()
+}
+
+/// An XDB submit leaves no setting behind on the engines: Garlic and Sclera
+/// run after a submit at chunk 16 move exactly the transport chunks they
+/// move on a fresh federation.
+#[test]
+fn a_submit_leaves_no_chunk_size_behind() {
+    let q = TpchQuery::Q3;
+    let baselines = |cluster: &Cluster, catalog: &GlobalCatalog| -> [f64; 2] {
+        let before = chunks(cluster);
+        Mediator::new(cluster, catalog, MediatorConfig::garlic("mediator"))
+            .submit(q.sql())
+            .unwrap();
+        let garlic = chunks(cluster);
+        Sclera::new(cluster, catalog, "mediator")
+            .submit(q.sql())
+            .unwrap();
+        [garlic - before, chunks(cluster) - garlic]
+    };
+    let federation = || {
+        let mut cluster = build_cluster(
+            TableDist::Td1,
+            SF,
+            Scenario::OnPremise,
+            &ProfileAssignment::uniform(EngineProfile::postgres()),
+        )
+        .unwrap();
+        cluster.topology.add_node("mediator".into());
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
+        (cluster, catalog)
+    };
+    let (fresh, catalog) = federation();
+    let want = baselines(&fresh, &catalog);
+    let (used, xdb_catalog) = federation();
+    Xdb::new(&used, &xdb_catalog)
+        .with_options(XdbOptions {
+            stream_chunk_rows: 16,
+            ..Default::default()
+        })
+        .submit(q.sql())
+        .unwrap();
+    // The baselines plan through a catalog of their own, as on `fresh`.
+    let catalog = GlobalCatalog::discover(&used).unwrap();
+    assert_eq!(baselines(&used, &catalog), want, "[garlic, sclera] chunks");
 }

@@ -1,9 +1,10 @@
 //! Source censuses: rules about the library's source text that no
 //! behavioural test can see, read with `std::fs` so that `cargo test`
-//! enforces them. Like the censuses left in `scripts/tier1.sh`, each reads
-//! only a file's non-test part: everything before its first line starting
-//! with `#[cfg(test)]`. Each census is a function of the text it reads, and
-//! a second test shows it rejecting the code it forbids.
+//! enforces them. Like the censuses left in `scripts/tier1.sh`, each but
+//! the thread census reads only a file's non-test part: everything before
+//! its first line starting with `#[cfg(test)]`. Each census is a function
+//! of the text it reads, and a second test shows it rejecting the code it
+//! forbids.
 
 use std::path::Path;
 
@@ -304,4 +305,142 @@ fn miss_census_rejects_a_thrown_away_message() {
     // miss thrown away.
     assert!(miss_census(bind, "let c = s.resolve(q, n)?; done.is_ok();\n").is_ok());
     assert!(miss_census(bind, "let r = s.resolve(q, n);\n").is_ok());
+}
+
+// ----------------------------------------------------------- thread census
+
+/// The crates that stand in for dependencies; the thread and static
+/// censuses do not count them.
+const SHIMS: [&str; 3] = [
+    "crates/parking_lot/",
+    "crates/criterion/",
+    "crates/proptest/",
+];
+
+/// Thread census: nothing in the library starts a thread (DESIGN.md §6
+/// "Threads"). A server's parallelism comes from its concurrent clients,
+/// and every streamed edge is decoded on the thread that consumes it. No
+/// library file, its tests included, calls `thread::spawn` or
+/// `thread::scope`.
+fn thread_census(path: &str, src: &str) -> Result<(), String> {
+    match src
+        .lines()
+        .find(|l| l.contains("thread::spawn") || l.contains("thread::scope"))
+    {
+        Some(line) => Err(format!("{path}: library code starts a thread: {line}")),
+        None => Ok(()),
+    }
+}
+
+/// Every library source but the shims', by its path from the repository
+/// root.
+fn counted_sources() -> Vec<String> {
+    let mut sources = library_sources();
+    sources.retain(|p| !SHIMS.iter().any(|shim| p.starts_with(shim)));
+    sources
+}
+
+#[test]
+fn the_library_starts_no_thread() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for path in &counted_sources() {
+        let src = std::fs::read_to_string(root.join(path)).expect("a readable source");
+        thread_census(path, &src).unwrap();
+    }
+}
+
+#[test]
+fn thread_census_rejects_a_spawned_thread() {
+    let cluster = "crates/engine/src/cluster.rs";
+    let src = non_test_source(cluster);
+    for spawn in [
+        "std::thread::spawn(move || decode(enc))",
+        "std::thread::scope(|s| { s.spawn(f); })",
+    ] {
+        let threaded = format!("{src}\nfn f() {{ {spawn}; }}\n");
+        assert!(thread_census(cluster, &threaded).is_err(), "{spawn}");
+    }
+    // A test module counts too.
+    let in_tests =
+        format!("{src}\n#[cfg(test)]\nmod tests {{ fn t() {{ std::thread::spawn(f); }} }}\n");
+    assert!(thread_census(cluster, &in_tests).is_err());
+}
+
+// ----------------------------------------------------------- static census
+
+/// The `static` items the library's non-test code may hold.
+const STATICS: [&str; 2] = [
+    "crates/obs/src/collect.rs DISABLED",
+    "crates/sql/src/algebra.rs EMPTY",
+];
+
+/// Static census: a federation owns its telemetry, its query ids and its
+/// tracing (DESIGN.md §11 "Telemetry handle"), so no process-wide state may
+/// stand in for them. The `static` items of non-test library code (shim
+/// crates excepted, `repro`'s crate included) are exactly the disabled
+/// trace collector and `PlanSchema`'s empty schema, as `path NAME` lines.
+fn statics(path: &str, src: &str) -> Vec<String> {
+    src.lines()
+        .filter_map(|line| {
+            let item = line.trim_start();
+            let item = match item.strip_prefix("pub") {
+                Some(rest) => match rest.strip_prefix('(') {
+                    Some(scoped) => scoped.split_once(") ")?.1,
+                    None => rest.strip_prefix(' ')?,
+                },
+                None => item,
+            };
+            let name = item.strip_prefix("static ")?;
+            let end = name
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(name.len());
+            let name = &name[..end];
+            name.starts_with(|c: char| c.is_ascii_uppercase() || c == '_')
+                .then(|| format!("{path} {name}"))
+        })
+        .collect()
+}
+
+fn static_census(sources: &[(String, String)]) -> Result<(), String> {
+    let found: Vec<String> = sources.iter().flat_map(|(p, s)| statics(p, s)).collect();
+    if found == STATICS {
+        Ok(())
+    } else {
+        Err(format!(
+            "the library's statics are {found:?}, not {STATICS:?}"
+        ))
+    }
+}
+
+fn counted_non_test_sources() -> Vec<(String, String)> {
+    counted_sources()
+        .into_iter()
+        .map(|p| {
+            let src = non_test_source(&p);
+            (p, src)
+        })
+        .collect()
+}
+
+#[test]
+fn the_library_holds_no_process_wide_state() {
+    static_census(&counted_non_test_sources()).unwrap();
+}
+
+#[test]
+fn static_census_rejects_a_process_wide_pool() {
+    let sources = counted_non_test_sources();
+    for item in [
+        "static POOL: OnceLock<Pool> = OnceLock::new();",
+        "    pub(crate) static NEXT_ID: AtomicU64 = AtomicU64::new(1);",
+        "pub static PARALLELISM: usize = 1;",
+    ] {
+        let mut pooled = sources.clone();
+        pooled[0].1.push_str(&format!("{item}\n"));
+        assert!(static_census(&pooled).is_err(), "{item}");
+    }
+    // A lifetime is no static item; a test module is not read.
+    assert!(statics("a.rs", "fn f(s: &'static str) {}\n").is_empty());
+    let with_tests = "#[cfg(test)]\nmod tests { static SEEN: u8 = 0; }\n";
+    assert!(statics("a.rs", &non_test(with_tests)).is_empty());
 }

@@ -166,11 +166,10 @@ impl<'a> Sclera<'a> {
         let result = run_tasks();
         // Drop all temp tables, also when a task failed: only the ones
         // this query loaded are listed.
-        for (node, name) in temp_tables {
-            let _ = self
-                .cluster
-                .execute(node.as_str(), &format!("DROP TABLE IF EXISTS {name}"));
-        }
+        let drops = temp_tables.iter();
+        self.cluster.teardown(
+            drops.map(|(node, name)| (node.as_str(), format!("DROP TABLE IF EXISTS {name}"))),
+        );
         let relation = result?;
         let bytes = moved_bytes.to_string();
         let tasks = plan.tasks.len().to_string();

@@ -6,9 +6,15 @@
 //! a phase time, a critical path, a cost bundle) fails here until the
 //! baseline is re-recorded:
 //! `rm -rf BENCH_history && repro --sf 0.002 --history BENCH_history profile`.
+//! The drift, calibrate and replay reports are smoke-tested here as well:
+//! they read and render those records.
 
 use xdb_bench::calibrate::{run_calibrate, CalibrateReport};
+use xdb_bench::drift::{compare, compare_dirs_with, DEFAULT_NOISE_PCT};
+use xdb_bench::experiments::fig09;
 use xdb_bench::profiler::{profile_workload, render_table};
+use xdb_bench::replay::run_replay;
+use xdb_core::CostProfiles;
 use xdb_obs::history::{load_history_dir, HistoryRecord};
 use xdb_obs::Telemetry;
 use xdb_tpch::{TableDist, TpchQuery};
@@ -16,9 +22,10 @@ use xdb_tpch::{TableDist, TpchQuery};
 /// The scale factor `BENCH_history/` was recorded at.
 const SF: f64 = 0.002;
 
+const CHECKED_IN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history");
+
 fn checked_in() -> Vec<HistoryRecord> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history");
-    let records = load_history_dir(dir).unwrap();
+    let records = load_history_dir(CHECKED_IN).unwrap();
     assert_eq!(records.len(), TpchQuery::ALL.len());
     records
 }
@@ -40,4 +47,57 @@ fn calibrate_renders_from_the_checked_in_records() {
     let report = CalibrateReport::project(TableDist::Td1, SF, 1, &checked_in()).render();
     let live = run_calibrate(TableDist::Td1, SF, 1).unwrap().render();
     assert_eq!(report, live);
+}
+
+/// The checked-in drift baseline stays readable: a stricter reader or a
+/// schema change that strands `BENCH_history/` fails here, not only in the
+/// bench gate (which drift-compares a fresh profile against it).
+#[test]
+fn the_checked_in_history_shows_no_drift_against_itself() {
+    let report = compare_dirs_with(CHECKED_IN, CHECKED_IN, DEFAULT_NOISE_PCT, None).unwrap();
+    assert!(report.passed(), "{}", report.render());
+    assert!(report.render().contains("no drift"), "{}", report.render());
+}
+
+/// `repro --runs 2 calibrate` renders the predicted-vs-observed error
+/// tables per engine, codec and edge shape and the per-query placement
+/// regret table.
+#[test]
+fn calibrate_renders_every_table() {
+    let report = run_calibrate(TableDist::Td1, SF, 2).unwrap().render();
+    for heading in [
+        "cost-model observatory",
+        "prediction error by engine",
+        "by codec",
+        "by edge shape",
+        "per-query placement regret",
+    ] {
+        assert!(report.contains(heading), "{heading}: {report}");
+    }
+}
+
+/// A fresh fig9 history (learned costs on, so later runs may re-plan)
+/// feeds `replay`'s learned arm, which keeps result rows bit-identical
+/// whatever it flips, and the history compares clean against itself under
+/// a 25% plan-flip budget.
+#[test]
+fn a_fig9_history_feeds_replay_and_shows_no_drift() {
+    let telemetry = Telemetry::new_handle();
+    telemetry.history.enable_memory();
+    for td in TableDist::ALL {
+        fig09(td, SF, &telemetry).unwrap();
+    }
+    let records = telemetry.history.records();
+    let profiles = CostProfiles::from_history(&records);
+    assert!(!profiles.is_empty());
+    let replay = run_replay(TableDist::Td1, SF, Some(&profiles), "fig9").unwrap();
+    let text = replay.render();
+    assert!(text.contains("plan flips:"), "{text}");
+    assert!(
+        text.contains("result rows: bit-identical across arms"),
+        "{text}"
+    );
+    let drift = compare(&records, &records, DEFAULT_NOISE_PCT, Some(25.0));
+    assert!(drift.passed(), "{}", drift.render());
+    assert!(drift.render().contains("no drift"), "{}", drift.render());
 }

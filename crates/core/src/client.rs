@@ -529,9 +529,13 @@ impl<'a> Xdb<'a> {
         });
         let (deployed, query_mark, outcome) = match ran {
             Ok(ran) => ran,
-            Err(e) => {
-                // Failure mid-execution: tear down whatever was created.
-                run_cleanup(self.cluster, script);
+            Err(mut e) => {
+                // Failure mid-execution: tear down whatever was created;
+                // what could not be dropped travels with the error.
+                let undropped = run_cleanup(self.cluster, script);
+                if let EngineError::Statement(failed) = &mut e {
+                    failed.cleanup = undropped;
+                }
                 telemetry
                     .metrics
                     .counter_add("xdb.queries", &[("status", "error")], 1.0);

@@ -18,8 +18,8 @@
 use crate::plan::{placeholder_name, DelegationPlan};
 use std::collections::HashMap;
 use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::{ExecReport, StatementOptions};
-use xdb_engine::error::{EngineError, Result};
+use xdb_engine::engine::{ExecReport, StatementOptions, StatementOutcome};
+use xdb_engine::error::{DropFailure, EngineError, FailedStatement, Result};
 use xdb_engine::relation::Relation;
 use xdb_net::{params, Movement, NodeId};
 use xdb_obs::{ExecProfile, SpanId, SpanKind, TraceCtx};
@@ -73,6 +73,20 @@ pub struct ExecutionOutcome {
     /// Simulated time spent on DDL round-trips alone.
     pub ddl_ms: f64,
     pub ddl_count: usize,
+}
+
+impl DelegationScript {
+    /// `cause`, as the failure of statement `index`, sent to `node`
+    /// ([`EngineError::Statement`]; the XDB query's index is the step count).
+    fn failed(&self, index: usize, node: &NodeId, cause: EngineError) -> EngineError {
+        EngineError::Statement(Box::new(FailedStatement {
+            query_id: self.query_id,
+            node: node.to_string(),
+            index,
+            cause,
+            cleanup: Vec::new(),
+        }))
+    }
 }
 
 /// Names for the short-lived relations of one deployed query.
@@ -276,9 +290,11 @@ pub(crate) fn finish_script(
     let ddl_ms = ddl_count as f64 * params::DDL_ROUNDTRIP_MS;
 
     // The XDB query triggers the in-situ pipeline.
+    let root = &script.root_node;
     let (relation, report) = cluster
-        .execute_with(script.root_node.as_str(), &script.xdb_query, opts)?
-        .into_rows()?;
+        .execute_with(root.as_str(), &script.xdb_query, opts)
+        .and_then(StatementOutcome::into_rows)
+        .map_err(|e| script.failed(script.steps.len(), root, e))?;
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
     let exec_ms = ddl_ms + root_ready + report.finish_ms;
@@ -572,8 +588,9 @@ pub(crate) struct TaskRun {
 /// calling thread and straight onto the cluster's ledger: the client
 /// "sends the DDL statements" (Section III) and a DBMS runs one delegated
 /// statement after the other. The first failing step stops the script, so
-/// exactly the statements before it ran. Every step runs under `opts` (the
-/// client fills them from its `XdbOptions`).
+/// exactly the statements before it ran, and its error names the step
+/// ([`EngineError::Statement`]). Every step runs under `opts` (the client
+/// fills them from its `XdbOptions`).
 pub(crate) fn deploy_script(
     cluster: &Cluster,
     script: &DelegationScript,
@@ -583,7 +600,9 @@ pub(crate) fn deploy_script(
     let mut tasks: Vec<TaskRun> = Vec::with_capacity(script.steps.len());
     let mut at = cluster.ledger.len();
     for (k, step) in script.steps.iter().enumerate() {
-        let outcome = cluster.execute_with(step.node.as_str(), &step.sql, opts)?;
+        let outcome = cluster
+            .execute_with(step.node.as_str(), &step.sql, opts)
+            .map_err(|e| script.failed(k, &step.node, e))?;
         step_reports.push(outcome.report);
         let end = cluster.ledger.len();
         match tasks.last_mut() {
@@ -619,15 +638,14 @@ pub fn run_script_parallel(
     finish_script(cluster, plan, script, &deployed.step_reports, trace, opts)
 }
 
-/// Best-effort cleanup of all short-lived relations (also used by failure
-/// injection tests: already-dropped or never-created objects are ignored).
-pub fn run_cleanup(cluster: &Cluster, script: &DelegationScript) -> usize {
-    let mut dropped = 0;
-    for (node, sql) in &script.cleanup {
-        if cluster.execute(node.as_str(), sql).is_ok() {
-            dropped += 1;
-        }
-    }
+/// Drop every short-lived object of `script` through the one teardown,
+/// [`Cluster::teardown`], in reverse creation order, and return the drops
+/// that failed. Every drop is `IF EXISTS`, so a script that stopped part
+/// way is undone by the same call, and a second call drops nothing twice.
+pub fn run_cleanup(cluster: &Cluster, script: &DelegationScript) -> Vec<DropFailure> {
+    let drops = script.cleanup.iter().map(|(n, sql)| (n.as_str(), sql));
+    let failed = cluster.teardown(drops);
+    let dropped = script.cleanup.len() - failed.len();
     let telemetry = cluster.telemetry();
     telemetry
         .metrics
@@ -641,7 +659,7 @@ pub fn run_cleanup(cluster: &Cluster, script: &DelegationScript) -> usize {
         "cleanup dropped short-lived objects",
         &[("dropped", &n)],
     );
-    dropped
+    failed
 }
 
 #[cfg(test)]
@@ -650,6 +668,7 @@ mod tests {
     use crate::annotate::{AnnotateOptions, Annotator};
     use crate::global::GlobalCatalog;
     use crate::scenario;
+    use xdb_engine::FaultSite;
     use xdb_net::Purpose;
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, OptimizeOptions};
@@ -845,13 +864,13 @@ mod tests {
     }
 
     /// A failing `CREATE TABLE AS`, the last one of the script: the error
-    /// names the missing relation, the script stops there (the ledger keeps
-    /// the pulls of the materializations before it and nothing after it was
-    /// created), and cleanup leaves nothing deployed.
+    /// names the step, the script stops there (the ledger keeps the pulls
+    /// of the materializations before it and nothing after it was created),
+    /// and cleanup leaves nothing deployed.
     #[test]
     fn a_failing_materialization_stops_the_script() {
         let (cluster, catalog) = tpch_federation(TableDist::Td2);
-        let (plan, mut script) =
+        let (plan, script) =
             tpch_script(&cluster, &catalog, TpchQuery::Q5, Some(Movement::Explicit));
         let materializations: Vec<usize> = (0..script.steps.len())
             .filter(|&k| script.steps[k].kind == DdlKind::Materialize)
@@ -870,35 +889,61 @@ mod tests {
         run_cleanup(&cluster, &script);
 
         let broken = *materializations.last().unwrap();
-        script.steps[broken].sql =
-            "CREATE TABLE xdb_q7_broken AS SELECT * FROM xdb_q7_missing".into();
+        let node = &script.steps[broken].node;
+        let nth = script.steps[..broken]
+            .iter()
+            .filter(|s| &s.node == node)
+            .count();
+        cluster.fail_once(node.as_str(), nth, FaultSite::Statement);
         let mark = cluster.ledger.len();
         let err = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap_err();
-        assert!(err.to_string().contains("xdb_q7_missing"), "{err}");
+        let EngineError::Statement(failed) = err else {
+            panic!("{err}");
+        };
+        let at = (failed.query_id, failed.node.as_str(), failed.index);
+        assert_eq!(at, (7, node.as_str(), broken));
+        assert!(matches!(failed.cause, EngineError::Execution(_)));
+        assert_eq!(failed.cleanup, []);
         let moved = records(mark);
         assert_eq!(moved.len(), materializations.len() - 1);
         assert_eq!(moved, intact[..moved.len()]);
         // The step after the broken one is its task's view.
         let view = view_name(7, script.steps[broken].task);
-        let node = script.steps[broken].node.as_str();
-        let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
+        let names = cluster
+            .engine(node.as_str())
+            .unwrap()
+            .with_catalog(|c| c.names());
         assert!(!names.contains(&view), "{node} has {view}");
         run_cleanup(&cluster, &script);
         assert_nothing_deployed(&cluster);
     }
 
+    /// Cleanup drops every object, reports a drop that failed (and leaves
+    /// that object for the next call), and drops nothing twice.
     #[test]
     fn cleanup_removes_all_objects() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
         run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
-        let dropped = run_cleanup(&cluster, &script);
-        assert_eq!(dropped, script.cleanup.len());
+        let (node, sql) = &script.cleanup[0];
+        cluster.fail_once(node.as_str(), 0, FaultSite::Statement);
+        let failed = run_cleanup(&cluster, &script);
+        let [DropFailure {
+            node: on,
+            sql: drop,
+            error: EngineError::Execution(_),
+        }] = &failed[..]
+        else {
+            panic!("{failed:?}");
+        };
+        assert_eq!((on.as_str(), drop), (node.as_str(), sql));
+        assert_eq!(run_cleanup(&cluster, &script), []);
+        assert_nothing_deployed(&cluster);
         // Re-running the XDB query must now fail: objects are gone.
         assert!(cluster
             .query(script.root_node.as_str(), &script.xdb_query)
             .is_err());
-        // Idempotent: second cleanup still succeeds (IF EXISTS).
-        assert_eq!(run_cleanup(&cluster, &script), script.cleanup.len());
+        // Idempotent: a second cleanup still succeeds (IF EXISTS).
+        assert_eq!(run_cleanup(&cluster, &script), []);
     }
 
     #[test]

@@ -363,14 +363,10 @@ impl<'a> QueryServer<'a> {
         // any more; drop shared objects in reverse creation order
         // (mirroring run_cleanup's reverse-dependency discipline across
         // queries).
-        let mut dropped = 0usize;
-        for cleanup in w.cleanup.iter().rev() {
-            for (node, sql) in cleanup {
-                if cluster.execute(node.as_str(), sql).is_ok() {
-                    dropped += 1;
-                }
-            }
-        }
+        let drops = w.cleanup.iter().rev().flatten();
+        let attempted = drops.clone().count();
+        let failed = cluster.teardown(drops.map(|(node, sql)| (node.as_str(), sql)));
+        let dropped = attempted - failed.len();
         if dropped > 0 {
             telemetry
                 .metrics

@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use xdb_core::scenario::{self, ScenarioConfig};
 use xdb_core::{GlobalCatalog, QueryServer, SessionOptions, Submission, TenantOutcome, XdbOptions};
-use xdb_engine::cluster::Cluster;
+use xdb_engine::cluster::{Cluster, FaultSite};
+use xdb_engine::EngineError;
 use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_obs::Telemetry;
 
@@ -298,22 +299,21 @@ fn failed_partial_fold_releases_its_fragments() {
         Submission::new("tenant-a", scenario::EXAMPLE_QUERY),
         Submission::new("tenant-b", variant.clone()),
     ];
-    // Plan the variant once to learn its root view's name, then squat on
-    // that name under the id it will run with: in the window the first
-    // query deploys under the next id and the variant under the one after.
-    let (plan, script, _, _) = xdb_core::Xdb::new(&cluster, &catalog)
-        .plan(&variant)
-        .unwrap();
+    // Plan both once to count the statements the window sends to the
+    // variant's root node: all of the first query's, then the variant's
+    // own steps, its root task's alone (it claims every other task), of
+    // which the last creates its root view. That one fails.
+    let xdb = xdb_core::Xdb::new(&cluster, &catalog);
+    let (_, first, _, _) = xdb.plan(scenario::EXAMPLE_QUERY).unwrap();
+    let (plan, script, _, _) = xdb.plan(&variant).unwrap();
     let root_node = plan.task(plan.root).dbms.clone();
-    let observed = script.xdb_query.rsplit(' ').next().unwrap().to_string();
-    let qid = script.query_id;
-    let squatter = observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + 2));
-    cluster
-        .execute(
-            root_node.as_str(),
-            &format!("CREATE TABLE {squatter} (x BIGINT)"),
-        )
-        .unwrap();
+    let own = script.steps.iter().filter(|s| s.task == plan.root).count();
+    let before = first.steps.iter().filter(|s| s.node == root_node).count()
+        + usize::from(first.root_node == root_node)
+        + own
+        - 1;
+    cluster.fail_once(root_node.as_str(), before, FaultSite::Statement);
+    let qid = script.query_id + 2;
     let live = || -> Vec<f64> {
         let nodes = cluster.node_names();
         nodes
@@ -329,14 +329,16 @@ fn failed_partial_fold_releases_its_fragments() {
     let server = QueryServer::new(&cluster, &catalog, SessionOptions::default());
 
     let err = server.run(&subs).unwrap_err();
-    assert!(err.to_string().contains(&squatter), "{err}");
+    let EngineError::Statement(failed) = &err else {
+        panic!("{err}");
+    };
+    let at = (failed.query_id, failed.node.as_str(), failed.index);
+    assert_eq!(at, (qid, root_node.as_str(), own - 1));
+    assert_eq!(failed.cleanup, []);
     assert_eq!(live(), baseline);
     for node in cluster.node_names() {
         let names = cluster.engine(&node).unwrap().with_catalog(|c| c.names());
-        let leaked: Vec<&String> = names
-            .iter()
-            .filter(|n| n.starts_with("xdb_q") && **n != squatter)
-            .collect();
+        let leaked: Vec<&String> = names.iter().filter(|n| n.starts_with("xdb_q")).collect();
         assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
     }
     // The first query claimed nothing and deployed three fragments; the
@@ -347,7 +349,7 @@ fn failed_partial_fold_releases_its_fragments() {
         .filter(|e| e.level == xdb_obs::Level::Warn && e.message.contains("torn down"))
         .collect();
     assert_eq!(torn_down.len(), 1, "{torn_down:?}");
-    assert_eq!(torn_down[0].query, Some(qid + 2));
+    assert_eq!(torn_down[0].query, Some(qid));
     assert_eq!(
         telemetry
             .metrics
@@ -365,9 +367,6 @@ fn failed_partial_fold_releases_its_fragments() {
         "the failed query's drops were not counted"
     );
 
-    cluster
-        .execute(root_node.as_str(), &format!("DROP TABLE {squatter}"))
-        .unwrap();
     let report = server.run(&subs).unwrap();
     assert_eq!(report.outcomes.len(), 2);
     assert!(report.fold_hits > 0, "the prefix was not shared");

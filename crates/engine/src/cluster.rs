@@ -10,15 +10,26 @@ use crate::engine::{
     Engine, ExecReport, FetchReply, FetchRequest, Remote, StatementOptions, StatementOutcome,
     DEFAULT_STREAM_CHUNK_ROWS, MAX_FETCH_DEPTH,
 };
-use crate::error::{EngineError, Result};
+use crate::error::{DropFailure, EngineError, Result};
 use crate::exec::{ExecRel, MorselSink, ReadShape};
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use xdb_net::{wire, Ledger, NodeId, Topology};
-use xdb_obs::Telemetry;
+use xdb_obs::{Level::Warn, Telemetry};
+
+/// Where a fault armed by [`Cluster::fail_once`] fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSite {
+    /// A statement sent to the node fails before it runs (`Execution`).
+    Statement,
+    /// An edge the node produces fails (`Remote`), unrecorded, once `after`
+    /// morsels reached its consumer, or at its end if it has fewer.
+    Edge { after: usize },
+}
 
 /// A set of named engines plus network fabric and transfer accounting.
 pub struct Cluster {
@@ -31,6 +42,12 @@ pub struct Cluster {
     telemetry: Arc<Telemetry>,
     /// Source of [`Cluster::next_query_id`].
     next_query_id: AtomicU64,
+    /// What [`Cluster::fail_once`] armed: node, events to let pass, site.
+    /// `armed` says whether it is set (stored with `Release` after the
+    /// fault, loaded with `Acquire` before the lock), so a fault-free
+    /// statement reads one atomic and takes no lock.
+    fault: Mutex<Option<(String, usize, FaultSite)>>,
+    armed: AtomicBool,
 }
 
 impl Cluster {
@@ -42,6 +59,8 @@ impl Cluster {
             ledger: Ledger::new().with_telemetry(Arc::clone(&telemetry)),
             telemetry,
             next_query_id: AtomicU64::new(1),
+            fault: Mutex::new(None),
+            armed: AtomicBool::new(false),
         }
     }
 
@@ -111,7 +130,58 @@ impl Cluster {
         sql: &str,
         opts: StatementOptions,
     ) -> Result<StatementOutcome> {
+        if self.fault(node, false).is_some() {
+            return Err(EngineError::Execution(format!("injected fault on {node}")));
+        }
         self.engine(node)?.execute_sql_at(sql, self, 0, opts)
+    }
+
+    /// The one teardown of short-lived objects (a query's, a folding
+    /// window's, a baseline's temp tables): run each `(node, sql)` DROP in
+    /// order and return the ones that failed.
+    pub fn teardown<N: AsRef<str>, S: AsRef<str>>(
+        &self,
+        drops: impl IntoIterator<Item = (N, S)>,
+    ) -> Vec<DropFailure> {
+        let mut failed = Vec::new();
+        for (node, sql) in drops {
+            let (node, sql) = (node.as_ref(), sql.as_ref());
+            if let Err(error) = self.execute(node, sql) {
+                let (node, sql) = (node.to_string(), sql.to_string());
+                failed.push(DropFailure { node, sql, error });
+            }
+        }
+        failed
+    }
+
+    /// Fail once, to test the failure path: the `nth` (from 0) event of
+    /// `site` on `node` from now on. Replaces a fault not yet fired.
+    pub fn fail_once(&self, node: &str, nth: usize, site: FaultSite) {
+        *self.fault.lock() = Some((node.to_string(), nth, site));
+        self.armed.store(true, Ordering::Release);
+    }
+
+    /// The armed fault's site if it fires on this event on `node` (a
+    /// statement, or with `edge` a fetch), logging one Warn event; else
+    /// counts a matching event down towards it.
+    fn fault(&self, node: &str, edge: bool) -> Option<FaultSite> {
+        if !self.armed.load(Ordering::Acquire) {
+            return None;
+        }
+        let mut fault = self.fault.lock();
+        let (on, left, site) = fault.as_mut()?;
+        if on != node || matches!(site, FaultSite::Edge { .. }) != edge {
+            return None;
+        }
+        if let Some(fewer) = left.checked_sub(1) {
+            *left = fewer;
+            return None;
+        }
+        self.armed.store(false, Ordering::Release);
+        let fields = [("node", node)];
+        let events = &self.telemetry.events;
+        events.log(Warn, "engine.fault", None, 0.0, "injected fault", &fields);
+        fault.take().map(|(_, _, site)| site)
     }
 
     /// Execute a SELECT and return its rows + report.
@@ -175,6 +245,7 @@ impl Remote for Cluster {
                 "maximum cross-engine recursion depth exceeded".into(),
             ));
         }
+        let cut = self.fault(request.server, true);
         let producer = self.engine(request.server)?;
         let sql = format!(
             "SELECT * FROM {}",
@@ -208,7 +279,10 @@ impl Remote for Cluster {
         // relation has the decoder's column layouts.
         if request.read == ReadShape::OneMorsel || nrows > 0 {
             let mut dec = wire::StreamDecoder::with_morsel_capacity(&encoded, step);
-            loop {
+            for delivered in 0.. {
+                if cut == Some(FaultSite::Edge { after: delivered }) {
+                    break;
+                }
                 let k = step.min(dec.remaining());
                 let cols = dec.take_columns(step);
                 sink(ExecRel::Owned(Relation::from_columns(
@@ -220,6 +294,10 @@ impl Remote for Cluster {
                     break;
                 }
             }
+        }
+        if cut.is_some() {
+            let fault = format!("injected fault on {}", request.server);
+            return Err(EngineError::Remote(fault));
         }
         self.ledger.record_wire(
             &producer.node,

@@ -300,17 +300,7 @@ impl Engine {
 
     /// Parse and execute one statement under the default options.
     pub fn execute_sql(&self, sql: &str, remote: &dyn Remote) -> Result<StatementOutcome> {
-        self.execute_sql_with(sql, remote, StatementOptions::default())
-    }
-
-    /// Parse and execute one statement under `opts`.
-    pub fn execute_sql_with(
-        &self,
-        sql: &str,
-        remote: &dyn Remote,
-        opts: StatementOptions,
-    ) -> Result<StatementOutcome> {
-        self.execute_sql_at(sql, remote, 0, opts)
+        self.execute_sql_at(sql, remote, 0, StatementOptions::default())
     }
 
     pub(crate) fn execute_sql_at(
@@ -615,7 +605,7 @@ pub fn log_parse_error(telemetry: &Telemetry, sql: &str, e: ParseError) -> Engin
     telemetry
         .events
         .log(Level::Warn, "sql.parse", None, 0.0, message, &fields);
-    e.into()
+    EngineError::Parse(e)
 }
 
 fn ddl_outcome() -> StatementOutcome {

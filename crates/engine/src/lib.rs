@@ -27,11 +27,11 @@ pub mod profile;
 pub mod relation;
 pub mod vector;
 
-pub use cluster::Cluster;
+pub use cluster::{Cluster, FaultSite};
 pub use engine::{
     Engine, ExecReport, ExplainInfo, NoRemote, Remote, StatementOptions, StatementOutcome,
     DEFAULT_STREAM_CHUNK_ROWS,
 };
-pub use error::{EngineError, Result};
+pub use error::{DropFailure, EngineError, FailedStatement, Result};
 pub use profile::EngineProfile;
 pub use relation::Relation;

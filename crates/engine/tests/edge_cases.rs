@@ -2,12 +2,10 @@
 //! tests — composite keys, self joins, non-equi joins, NULL handling in
 //! every operator, and DDL lifecycle corners.
 
-use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::{FetchReply, FetchRequest};
-use xdb_engine::exec::MorselSink;
+use xdb_engine::cluster::{Cluster, FaultSite};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
-use xdb_engine::{EngineError, NoRemote, Remote, StatementOptions, DEFAULT_STREAM_CHUNK_ROWS};
+use xdb_engine::{EngineError, NoRemote, StatementOptions, DEFAULT_STREAM_CHUNK_ROWS};
 use xdb_sql::value::{date, Value};
 
 fn cluster() -> Cluster {
@@ -310,30 +308,6 @@ fn no_remote_is_rejected_for_foreign_scan() {
     assert!(matches!(err, EngineError::Remote(_)));
 }
 
-/// Reads through a real cluster, but the consumer's side of every edge
-/// breaks when morsel `fail_at` arrives (0 = the first).
-struct CutEdge<'a> {
-    cluster: &'a Cluster,
-    fail_at: usize,
-}
-
-impl Remote for CutEdge<'_> {
-    fn fetch(
-        &self,
-        request: FetchRequest<'_>,
-        sink: &mut MorselSink<'_>,
-    ) -> xdb_engine::Result<FetchReply> {
-        let mut seen = 0;
-        self.cluster.fetch(request, &mut |m| {
-            seen += 1;
-            if seen > self.fail_at {
-                return Err(EngineError::Remote("edge cut mid-stream".into()));
-            }
-            sink(m)
-        })
-    }
-}
-
 /// A fetch that fails mid-edge is an error of the statement that read it,
 /// whether the edge was read whole (a scan, a CTAS) or streamed (a join's
 /// probe side, cut after its first chunk). The failed edge leaves no
@@ -354,14 +328,14 @@ fn fetch_failing_mid_edge_is_an_error_and_leaves_no_trace() {
          CREATE FOREIGN TABLE ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'r');",
     )
     .unwrap();
-    let consumer = c.engine("db_s").unwrap();
-    let fails = |sql: &str, remote: &CutEdge, chunk_rows: usize| {
+    let fails = |sql: &str, after: usize, chunk_rows: usize| {
         let records = c.ledger.len();
         let opts = StatementOptions {
             chunk_rows,
             ..Default::default()
         };
-        let err = consumer.execute_sql_with(sql, remote, opts).unwrap_err();
+        c.fail_once("db_r", 0, FaultSite::Edge { after });
+        let err = c.execute_with("db_s", sql, opts).unwrap_err();
         assert!(matches!(err, EngineError::Remote(_)), "{sql}: {err}");
         assert_eq!(
             c.ledger.len(),
@@ -369,26 +343,19 @@ fn fetch_failing_mid_edge_is_an_error_and_leaves_no_trace() {
             "{sql}: the failed edge was recorded"
         );
     };
-    let first = CutEdge {
-        cluster: &c,
-        fail_at: 0,
-    };
-    fails("SELECT * FROM ft", &first, DEFAULT_STREAM_CHUNK_ROWS);
+    fails("SELECT * FROM ft", 0, DEFAULT_STREAM_CHUNK_ROWS);
     fails(
         "CREATE TABLE t AS SELECT * FROM ft",
-        &first,
+        0,
         DEFAULT_STREAM_CHUNK_ROWS,
     );
+    let consumer = c.engine("db_s").unwrap();
     assert!(!consumer
         .with_catalog(|cat| cat.names())
         .contains(&"t".to_string()));
 
-    let second = CutEdge {
-        cluster: &c,
-        fail_at: 1,
-    };
     let join = "SELECT ft.y, s.z FROM ft, s WHERE ft.x = s.x";
-    fails(join, &second, 1);
+    fails(join, 1, 1);
     // Uncut, the same streamed edge delivers all three of its morsels.
     let opts = StatementOptions {
         chunk_rows: 1,

@@ -2,18 +2,26 @@
 //! for the delegation engine, across all evaluated queries and table
 //! distributions.
 
-use xdb::core::annotate::{AnnotateOptions, Annotator, PlacementPolicy};
+#[path = "../crates/core/tests/common/canonical.rs"]
+mod canonical;
+
+use canonical::canonical;
+use xdb::core::annotate::{plan_fingerprint, AnnotateOptions, Annotator, PlacementPolicy};
+use xdb::core::delegation::DdlStep;
 use xdb::core::plan::DelegationPlan;
-use xdb::core::{GlobalCatalog, Xdb, XdbOptions};
-use xdb::engine::cluster::Cluster;
+use xdb::core::{GlobalCatalog, QueryOutcome, Xdb, XdbOptions};
+use xdb::engine::cluster::{Cluster, FaultSite};
 use xdb::engine::profile::EngineProfile;
+use xdb::engine::relation::Relation;
 use xdb::engine::EngineError;
-use xdb::net::{NodeId, Scenario};
+use xdb::net::{NodeId, Scenario, Topology};
 use xdb::sql::algebra::LogicalPlan;
 use xdb::sql::bind::bind_select;
 use xdb::sql::optimize::{optimize, OptimizeOptions};
 use xdb::sql::parse_select;
-use xdb::tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+use xdb::tpch::{
+    build_cluster, ProfileAssignment, TableDist, TpchGen, TpchQuery, TpchTable, NODES,
+};
 
 const SF: f64 = 0.002;
 
@@ -216,52 +224,147 @@ fn non_engine_candidate_is_an_annotation_error() {
     assert_eq!(live(), baseline);
 }
 
-/// Failure injection: a name collision makes a delegation DDL fail
-/// mid-deployment; submit must return the error and leave no short-lived
-/// objects behind.
+/// Failure injection: the creation of the root view fails mid-deployment;
+/// submit must return the error, naming that statement, and leave no
+/// short-lived objects behind.
 #[test]
 fn failed_delegation_cleans_up() {
     let (cluster, catalog) = federation(TableDist::Td1);
     let xdb = Xdb::new(&cluster, &catalog);
-    // Plan once to learn the names the next query will use (the cluster
-    // numbers its queries sequentially), then squat on the root view name.
+    // Plan once to learn the script the next query will run (the cluster
+    // numbers its queries sequentially): its last statement on the root
+    // node creates the root view.
     let (plan, script, _, _) = xdb.plan(TpchQuery::Q3.sql()).unwrap();
     let root_node = plan.task(plan.root).dbms.clone();
-    let squatted = script
-        .steps
-        .iter()
-        .rev()
-        .find(|s| s.node == root_node)
-        .unwrap()
-        .sql
-        .clone();
-    // Extract the view name from "CREATE VIEW <name> AS ...", then squat
-    // on the *next* query id's name.
-    let observed = squatted.split_whitespace().nth(2).unwrap().to_string();
-    let qid = script.query_id;
-    let squatter = observed.replace(&format!("_q{qid}_"), &format!("_q{}_", qid + 1));
-    cluster
-        .execute(
-            root_node.as_str(),
-            &format!("CREATE TABLE {squatter} (x BIGINT)"),
-        )
-        .unwrap();
-    let err = xdb.submit(TpchQuery::Q3.sql());
-    assert!(err.is_err(), "expected delegation failure");
-    // Everything else was rolled back: only the squatter remains.
+    let on_root = |s: &&DdlStep| s.node == root_node;
+    let index = script.steps.iter().rposition(|s| on_root(&s)).unwrap();
+    let nth = script.steps[..index].iter().filter(on_root).count();
+    cluster.fail_once(root_node.as_str(), nth, FaultSite::Statement);
+    let err = xdb.submit(TpchQuery::Q3.sql()).unwrap_err();
+    let EngineError::Statement(failed) = err else {
+        panic!("{err}");
+    };
+    let at = (failed.query_id, failed.node.as_str(), failed.index);
+    assert_eq!(at, (script.query_id + 1, root_node.as_str(), index));
+    assert!(
+        matches!(failed.cause, EngineError::Execution(_)),
+        "{failed:?}"
+    );
+    assert_eq!(failed.cleanup, []);
+    // Everything was rolled back.
     for node in xdb::tpch::NODES {
         let names = cluster.engine(node).unwrap().with_catalog(|c| c.names());
-        let leaked: Vec<&String> = names
-            .iter()
-            .filter(|n| n.starts_with("xdb_q") && **n != squatter)
-            .collect();
+        let leaked: Vec<&String> = names.iter().filter(|n| n.starts_with("xdb_q")).collect();
         assert!(leaked.is_empty(), "{node} leaked {leaked:?}");
     }
-    // After removing the obstruction, the same query succeeds again.
-    cluster
-        .execute(root_node.as_str(), &format!("DROP TABLE {squatter}"))
-        .unwrap();
+    // The fault fired once: the same query succeeds again.
     xdb.submit(TpchQuery::Q3.sql()).unwrap();
+}
+
+/// A federation of `td` on fresh engines and a fresh catalog, its tables
+/// copied from `tables` (generated once per distribution), its query
+/// history kept in memory.
+fn fresh_federation(td: TableDist, tables: &[(TpchTable, Relation)]) -> (Cluster, GlobalCatalog) {
+    let mut cluster = Cluster::new(Topology::lan(&NODES));
+    for node in NODES {
+        cluster.add_engine(node, EngineProfile::postgres());
+    }
+    for (table, rows) in tables {
+        let engine = cluster.engine(td.node_of(*table)).unwrap();
+        engine.load_table(table.name(), rows.clone()).unwrap();
+    }
+    cluster.telemetry().history.enable_memory();
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
+    (cluster, catalog)
+}
+
+/// Everything a submit shows: its query id, plan, rows, breakdown and
+/// canonical trace, and what its federation learned from it (the history
+/// records and the learned cost profiles).
+fn submit_fingerprint(o: &QueryOutcome, cluster: &Cluster, catalog: &GlobalCatalog) -> String {
+    let rows = &o.relation;
+    let mut fp = format!("q{} {}\n", o.query_id, plan_fingerprint(&o.delegation));
+    for i in 0..rows.len() {
+        for c in 0..rows.width() {
+            fp.push_str(&format!("{:?}|", rows.value(i, c)));
+        }
+        fp.push('\n');
+    }
+    fp.push_str(&format!("{:?}\n{}", o.breakdown, canonical(&o.trace)));
+    for record in cluster.telemetry().history.records() {
+        fp.push_str(&record.to_json());
+    }
+    fp + &catalog.profiles_snapshot().describe()
+}
+
+/// The failure invariant, enumerated: for every TPC-H query on TD1–TD3 and
+/// every statement its submit sends (each step of its script, then the XDB
+/// query), a fresh federation whose that statement fails once returns the
+/// failure naming the query, the statement's index and its node; tears
+/// down everything the query created; learns nothing from it; and then
+/// answers the same SQL exactly as a fresh federation that planned it once
+/// (the failed submit's planning used a query id) and then submitted it.
+/// 174 (query, statement) pairs at sf 0.002: TD1 52, TD2 58, TD3 64 (each
+/// query as a fresh federation plans it; submitted one after the other on
+/// one federation, learned costs re-plan some and the scripts hold 172).
+#[test]
+fn every_failing_statement_is_undone_and_forgotten() {
+    let mut pairs = Vec::new();
+    for td in TableDist::ALL {
+        let gen = TpchGen::new(SF);
+        let tables: Vec<_> = TpchTable::ALL.map(|t| (t, gen.table(t))).into();
+        let mut count = 0;
+        for q in TpchQuery::ALL {
+            let sql = q.sql();
+            let (cluster, catalog) = fresh_federation(td, &tables);
+            let xdb = Xdb::new(&cluster, &catalog);
+            let (_, script, _, _) = xdb.plan(sql).unwrap();
+            let reference = submit_fingerprint(&xdb.submit(sql).unwrap(), &cluster, &catalog);
+            let statements = script.steps.iter().map(|s| &s.node);
+            for (index, node) in statements.chain([&script.root_node]).enumerate() {
+                let what = format!("{} on {td:?}, statement {index} on {node}", q.name());
+                let (cluster, catalog) = fresh_federation(td, &tables);
+                let live = || -> Vec<f64> {
+                    let metrics = &cluster.telemetry().metrics;
+                    let live = |n| metrics.value("ddl.objects_live", &[("engine", n)]);
+                    NODES.iter().map(|n| live(n)).collect()
+                };
+                let baseline = live();
+                let nth = script.steps[..index]
+                    .iter()
+                    .filter(|s| &s.node == node)
+                    .count();
+                cluster.fail_once(node.as_str(), nth, FaultSite::Statement);
+                let xdb = Xdb::new(&cluster, &catalog);
+                let err = xdb.submit(sql).unwrap_err();
+                let EngineError::Statement(failed) = err else {
+                    panic!("{what}: {err}");
+                };
+                let at = (failed.query_id, failed.node.as_str(), failed.index);
+                assert_eq!(at, (script.query_id, node.as_str(), index), "{what}");
+                let cause = &failed.cause;
+                assert!(
+                    matches!(cause, EngineError::Execution(_)),
+                    "{what}: {cause}"
+                );
+                assert_eq!(failed.cleanup, [], "{what}");
+                assert_eq!(live(), baseline, "{what}");
+                for n in NODES {
+                    let names = cluster.engine(n).unwrap().with_catalog(|c| c.names());
+                    let left: Vec<_> = names.iter().filter(|n| n.starts_with("xdb_q")).collect();
+                    assert!(left.is_empty(), "{what}: {n} kept {left:?}");
+                }
+                assert!(cluster.telemetry().history.is_empty(), "{what}");
+                assert_eq!(catalog.profiles_snapshot().samples(), 0, "{what}");
+                let again = xdb.submit(sql).unwrap();
+                let again = submit_fingerprint(&again, &cluster, &catalog);
+                assert!(again == reference, "{what}: the next submit differs");
+                count += 1;
+            }
+        }
+        pairs.push(count);
+    }
+    assert_eq!(pairs, [52, 58, 64]);
 }
 
 /// Dead connector mid-execution: queries against a vanished server fail

@@ -1,10 +1,9 @@
 //! Source censuses: rules about the library's source text that no
 //! behavioural test can see, read with `std::fs` so that `cargo test`
-//! enforces them. Like the censuses left in `scripts/tier1.sh`, each but
-//! the thread census reads only a file's non-test part: everything before
-//! its first line starting with `#[cfg(test)]`. Each census is a function
-//! of the text it reads, and a second test shows it rejecting the code it
-//! forbids.
+//! enforces them. Each but the thread and knob censuses reads only a
+//! file's non-test part: everything before its first line starting with
+//! `#[cfg(test)]`. Each census is a function of the text it reads, and a
+//! second test shows it rejecting the code it forbids.
 
 use std::path::Path;
 
@@ -269,17 +268,20 @@ fn miss_census(path: &str, src: &str) -> Result<(), String> {
     }
 }
 
-/// Whether `line` asks a `.resolve(` or `validate_expr(` call only whether
-/// it succeeded: `).is_ok()` or `).is_err()` follows the call before the
-/// statement's `;`.
+/// Whether `line` asks a `.resolve(`, `validate_expr(` or `.execute(`
+/// call only whether it succeeded: `).is_ok()` or `).is_err()` follows the
+/// call before the statement's `;`. (A statement that fails is reported by
+/// the one teardown, see the teardown census below.)
 fn throws_away_a_miss(line: &str) -> bool {
-    [".resolve(", "validate_expr("].iter().any(|call| {
-        line.match_indices(call).any(|(at, _)| {
-            let rest = &line[at + call.len()..];
-            let statement = &rest[..rest.find(';').unwrap_or(rest.len())];
-            statement.contains(").is_ok()") || statement.contains(").is_err()")
+    [".resolve(", "validate_expr(", ".execute("]
+        .iter()
+        .any(|call| {
+            line.match_indices(call).any(|(at, _)| {
+                let rest = &line[at + call.len()..];
+                let statement = &rest[..rest.find(';').unwrap_or(rest.len())];
+                statement.contains(").is_ok()") || statement.contains(").is_err()")
+            })
         })
-    })
 }
 
 #[test]
@@ -297,6 +299,7 @@ fn miss_census_rejects_a_thrown_away_message() {
         "schema.resolve(q, &name).is_ok()",
         "schema.resolve(None, name).is_err()",
         "validate_expr(&e, &schema).is_ok()",
+        "if cluster.execute(node.as_str(), sql).is_ok() { dropped += 1; }",
     ] {
         let thrown = format!("{src}\nfn f() -> bool {{ {miss} }}\n");
         assert!(miss_census(bind, &thrown).is_err(), "{miss}");
@@ -305,6 +308,222 @@ fn miss_census_rejects_a_thrown_away_message() {
     // miss thrown away.
     assert!(miss_census(bind, "let c = s.resolve(q, n)?; done.is_ok();\n").is_ok());
     assert!(miss_census(bind, "let r = s.resolve(q, n);\n").is_ok());
+}
+
+// ---------------------------------------------------------- teardown census
+
+const CLUSTER: &str = "crates/engine/src/cluster.rs";
+
+/// Teardown census: the short-lived objects of a query, a folding window
+/// and a baseline's temp tables are dropped by one loop,
+/// `Cluster::teardown`, which returns the drops that failed (DESIGN.md §6
+/// "Failure rule"). No other non-test library code runs a statement and
+/// goes on when it fails: no `let _ =`, `if let Err(`/`Ok(`, `.ok()`,
+/// `.is_ok()` or `.is_err()` around an `.execute(`, `.execute_with(` or
+/// `.execute_sql(` call, also across lines.
+fn teardown_census(path: &str, src: &str) -> Result<(), String> {
+    let mut src = src.to_string();
+    if path == CLUSTER {
+        let teardown = method_body(&src, " fn teardown<")
+            .ok_or_else(|| format!("{CLUSTER}: no `fn teardown<` found"))?;
+        src = src.replace(teardown, "");
+    }
+    match src
+        .split([';', '{', '}'])
+        .find(|statement| tolerates_a_failure(statement))
+    {
+        Some(statement) => Err(format!(
+            "{path}: a statement's failure is dropped outside Cluster::teardown: {}",
+            statement.trim()
+        )),
+        None => Ok(()),
+    }
+}
+
+fn tolerates_a_failure(statement: &str) -> bool {
+    let runs = [".execute(", ".execute_with(", ".execute_sql("]
+        .iter()
+        .any(|call| statement.contains(call));
+    let drops = [
+        "let _ =",
+        "if let Err(",
+        "if let Ok(",
+        ").ok()",
+        ").is_ok()",
+        ").is_err()",
+    ];
+    runs && drops.iter().any(|d| statement.contains(d))
+}
+
+#[test]
+fn one_teardown_drops_what_a_failure_left() {
+    for path in &library_sources() {
+        teardown_census(path, &non_test_source(path)).unwrap();
+    }
+}
+
+#[test]
+fn teardown_census_rejects_a_second_teardown_loop() {
+    let sclera = "crates/baselines/src/sclera.rs";
+    let src = non_test_source(sclera);
+    for thrown in [
+        "let _ = self\n            .cluster\n            .execute(node.as_str(), &drop);",
+        "if let Err(e) = cluster.execute(node, sql) { failed.push(e); }",
+        "cluster.execute_with(node, sql, opts).ok();",
+        "if cluster.execute(node.as_str(), sql).is_ok() { dropped += 1; }",
+    ] {
+        let looped = format!("{src}\nfn f() {{ for (node, sql) in drops {{ {thrown} }} }}\n");
+        assert!(teardown_census(sclera, &looped).is_err(), "{thrown}");
+    }
+    // The one teardown may; a second one in the cluster may not; a
+    // statement whose error is returned is no failure dropped.
+    let cluster = non_test_source(CLUSTER);
+    assert!(teardown_census(CLUSTER, &cluster).is_ok());
+    let second = format!("{cluster}\nfn g() {{ let _ = c.execute(n, s); }}\n");
+    assert!(teardown_census(CLUSTER, &second).is_err());
+    assert!(teardown_census(sclera, "let r = c.execute(n, s)?;\n").is_ok());
+}
+
+// ---------------------------------------------------- knob and environment
+
+/// Knob census: nothing reads an `XDB_*` variable (README "Environment
+/// variables"). Neither the library and `repro` sources (their tests
+/// included), the scripts nor a row of README's tables names one, so that
+/// no knob gets in unnoticed.
+fn knob_census(path: &str, text: &str) -> Result<(), String> {
+    let named = |line: &str| {
+        line.match_indices("XDB_").any(|(at, _)| {
+            let next = line[at + 4..].chars().next();
+            next.is_some_and(|c| c.is_ascii_uppercase() || c == '_')
+        })
+    };
+    let row = |line: &str| path == "README.md" && line.starts_with("| `XDB_");
+    match text.lines().find(|l| {
+        if path == "README.md" {
+            row(l)
+        } else {
+            named(l)
+        }
+    }) {
+        Some(line) => Err(format!("{path}: an XDB_* variable is named: {line}")),
+        None => Ok(()),
+    }
+}
+
+/// Every file under `scripts/`, by its path from the repository root.
+fn scripts() -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = std::fs::read_dir(root.join("scripts")).expect("scripts/ is readable");
+    let mut out: Vec<String> = entries
+        .map(|e| {
+            format!(
+                "scripts/{}",
+                e.expect("an entry").file_name().to_string_lossy()
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn whole_file(path: &str) -> String {
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()))
+}
+
+#[test]
+fn no_xdb_variable_is_named() {
+    let mut paths = library_sources();
+    paths.extend(scripts());
+    paths.push("README.md".to_string());
+    for path in &paths {
+        knob_census(path, &whole_file(path)).unwrap();
+    }
+}
+
+#[test]
+fn knob_census_rejects_a_named_variable() {
+    let knob = ["XDB", "CHUNK_ROWS"].join("_");
+    let read = format!("let rows = std::env::var(\"{knob}\");\n");
+    assert!(knob_census("crates/engine/src/cluster.rs", &read).is_err());
+    assert!(knob_census("scripts/tier1.sh", &format!("export {knob}=1\n")).is_err());
+    let row = format!("| `{knob}` | chunk rows |\n");
+    assert!(knob_census("README.md", &row).is_err());
+    // A prose mention in README is no table row; `XDB_` alone names none.
+    assert!(knob_census("README.md", &format!("no `{knob}` is read\n")).is_ok());
+    assert!(knob_census("scripts/x.sh", "echo XDB_\n").is_ok());
+}
+
+/// The library crates: the environment census reads their `src`.
+const LIBRARY_CRATES: [&str; 7] = ["sql", "engine", "net", "obs", "core", "baselines", "tpch"];
+
+/// Environment census: the library is configured through its options
+/// alone (README "Environment variables"). No non-test code of the library
+/// crates reads the environment, directly or through a helper.
+fn environment_census(path: &str, src: &str) -> Result<(), String> {
+    match src
+        .lines()
+        .find(|l| l.contains("std::env") || l.contains("env_number("))
+    {
+        Some(line) => Err(format!(
+            "{path}: library code reads the environment: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn the_library_reads_no_environment() {
+    let library: Vec<String> = library_sources()
+        .into_iter()
+        .filter(|p| {
+            LIBRARY_CRATES
+                .iter()
+                .any(|c| p.starts_with(&format!("crates/{c}/")))
+        })
+        .collect();
+    assert!(library.iter().any(|p| p == CLUSTER), "{CLUSTER} is read");
+    for path in &library {
+        environment_census(path, &non_test_source(path)).unwrap();
+    }
+}
+
+#[test]
+fn environment_census_rejects_a_read() {
+    let src = non_test_source(CLUSTER);
+    for read in [
+        "let v = std::env::var(\"CHUNK\");",
+        "let rows = env_number(\"CHUNK\", 4096);",
+    ] {
+        let reading = format!("{src}\nfn f() {{ {read} }}\n");
+        assert!(environment_census(CLUSTER, &reading).is_err(), "{read}");
+    }
+    // A test module may read it.
+    let in_tests = format!("{src}\n#[cfg(test)]\nmod tests {{ use std::env; }}\n");
+    assert!(environment_census(CLUSTER, &non_test(&in_tests)).is_ok());
+}
+
+/// Dependency census: the parser logs nothing (DESIGN.md §11 "Telemetry
+/// handle", "Parse failures"), so the SQL crate depends on no telemetry.
+fn parser_dependency_census(manifest: &str) -> Result<(), String> {
+    match manifest.lines().find(|l| l.contains("xdb-obs")) {
+        Some(line) => Err(format!(
+            "crates/sql/Cargo.toml: the parser depends on the telemetry crate: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn the_parser_depends_on_no_telemetry() {
+    parser_dependency_census(&whole_file("crates/sql/Cargo.toml")).unwrap();
+}
+
+#[test]
+fn parser_dependency_census_rejects_the_telemetry_crate() {
+    let manifest = whole_file("crates/sql/Cargo.toml");
+    let logging = format!("{manifest}\nxdb-obs.workspace = true\n");
+    assert!(parser_dependency_census(&logging).is_err());
 }
 
 // ----------------------------------------------------------- thread census

@@ -9,6 +9,7 @@ use xdb::engine::error::EngineError;
 use xdb::engine::profile::EngineProfile;
 use xdb::engine::relation::Relation;
 use xdb::net::Scenario;
+use xdb::sql::bind::BindError;
 use xdb::sql::value::{date, DataType, Value};
 use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist};
 
@@ -436,7 +437,9 @@ fn rejected_inputs_are_bind_errors() {
              is not an anti join; write NOT EXISTS instead",
         ),
     ] {
-        let expected = EngineError::Bind(message.to_string());
+        let expected = EngineError::Bind(BindError {
+            message: message.to_string(),
+        });
         let short = &sql[..sql.len().min(48)];
         assert_eq!(solo.query("solo", &sql).unwrap_err(), expected, "{short}");
         assert_eq!(xdb.submit(&sql).unwrap_err(), expected, "{short}");

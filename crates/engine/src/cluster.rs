@@ -11,7 +11,7 @@ use crate::engine::{
     DEFAULT_STREAM_CHUNK_ROWS, MAX_FETCH_DEPTH,
 };
 use crate::error::{DropFailure, EngineError, Result};
-use crate::exec::{ExecRel, MorselSink, ReadShape};
+use crate::exec::{MorselSink, ReadShape, Stored};
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
 use parking_lot::Mutex;
@@ -138,7 +138,10 @@ impl Cluster {
 
     /// The one teardown of short-lived objects (a query's, a folding
     /// window's, a baseline's temp tables): run each `(node, sql)` DROP in
-    /// order and return the ones that failed.
+    /// order and return the ones that failed. Every failure is also
+    /// reported here, whatever the caller does with it: the object leaks,
+    /// so `ddl.drop_failures{engine}` counts it and one Warn event names
+    /// the node and the DROP.
     pub fn teardown<N: AsRef<str>, S: AsRef<str>>(
         &self,
         drops: impl IntoIterator<Item = (N, S)>,
@@ -147,6 +150,13 @@ impl Cluster {
         for (node, sql) in drops {
             let (node, sql) = (node.as_ref(), sql.as_ref());
             if let Err(error) = self.execute(node, sql) {
+                let labels = [("engine", node)];
+                let t = &self.telemetry;
+                t.metrics.counter_add("ddl.drop_failures", &labels, 1.0);
+                let cause = error.to_string();
+                let fields = [("node", node), ("sql", sql), ("error", cause.as_str())];
+                t.events
+                    .log(Warn, "engine.teardown", None, 0.0, "drop failed", &fields);
                 let (node, sql) = (node.to_string(), sql.to_string());
                 failed.push(DropFailure { node, sql, error });
             }
@@ -285,7 +295,7 @@ impl Remote for Cluster {
                 }
                 let k = step.min(dec.remaining());
                 let cols = dec.take_columns(step);
-                sink(ExecRel::Owned(Relation::from_columns(
+                sink(Stored::Owned(Relation::from_columns(
                     fields.clone(),
                     cols,
                     k,
@@ -478,7 +488,7 @@ mod tests {
             };
             let mut sizes = Vec::new();
             c.fetch(request, &mut |m| {
-                sizes.push(m.len());
+                sizes.push(m.as_ref().len());
                 Ok(())
             })
             .unwrap();

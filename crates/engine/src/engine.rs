@@ -16,7 +16,7 @@
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    project_columns, ExecRel, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver, Scratch,
+    project_columns, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver, Scratch, Stored,
 };
 use crate::profile::EngineProfile;
 use crate::relation::Relation;
@@ -649,7 +649,7 @@ impl ScanResolver for EngineResolver<'_> {
         match self.snapshot.get(relation) {
             Some(CatalogEntry::Table(t)) => {
                 sink(project_columns(
-                    ExecRel::Shared(Arc::clone(&t.data)),
+                    Stored::Shared(Arc::clone(&t.data)),
                     wanted,
                 )?)?;
                 Ok(ScanOutput {

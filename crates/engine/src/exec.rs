@@ -2,15 +2,16 @@
 //!
 //! An operator reads a child through [`Execution::feed`]: the chunks of a
 //! streamed edge, a hash join's matches per probe morsel, or — the
-//! one-morsel case of the same code — a materialized relation. What each
+//! one-morsel case of the same code — the child's whole relation. What each
 //! operator owes besides its rows (work units, op entries, timing edges) is
 //! therefore written once, whichever way the rows travel.
 //!
 //! The same rule holds one layer down: a leaf has one read,
 //! [`ScanResolver::scan`], which hands morsels to a sink by value. A
-//! streamed leaf asks it for its edge's chunks, and every other scan for
-//! one morsel ([`ReadShape`]); a local table's one morsel is its shared
-//! `Arc`, so no row is copied.
+//! streamed leaf under a filter, an aggregate or a join's probe side asks
+//! it for its edge's chunks, and every other scan for one morsel
+//! ([`ReadShape`]); a local table's one morsel is its shared `Arc`, so no
+//! row is copied.
 //!
 //! Every operator really runs over real tuples — cardinalities and byte
 //! counts in the experiments are measured, not estimated. The executor also
@@ -18,11 +19,14 @@
 //! profile converts into simulated milliseconds, and collects timing edges
 //! for every remote (foreign-table) scan it triggered.
 //!
-//! The data plane is columnar: operators evaluate expressions one column at
-//! a time ([`crate::vector`]), carry row subsets as selection vectors
-//! (a predicate, a join's residual included, goes straight to one), and
-//! materialize outputs by gathering typed column vectors. Every operator
-//! runs on the calling thread: this module starts none.
+//! The data plane is columnar and materializes late: operators evaluate
+//! expressions one column at a time ([`crate::vector`]) and carry row
+//! subsets as selection vectors (a predicate, a join's residual included,
+//! goes straight to one). A filter's, sort's or join's output is its
+//! inputs read through selections ([`ExecRel`]), so a column is gathered
+//! once, by the operator that reads it, and the rest only at
+//! [`Execution::run`]'s boundary. Every operator runs on the calling
+//! thread: this module starts none.
 //!
 //! What the simulated clock and the reports see is the plan: a hash join
 //! is accounted as building on its right child. Which side this process
@@ -33,6 +37,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::{compile, PhysExpr};
 use crate::relation::Relation;
 use crate::vector;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::mem::{discriminant, Discriminant};
@@ -64,48 +69,421 @@ const NO_NEXT: u32 = u32::MAX;
 /// larger).
 const NESTED_LOOP_BLOCK_PAIRS: usize = 1 << 16;
 
-/// A relation flowing between operators: either uniquely owned (rows can be
-/// moved or mutated in place) or shared with the catalog / other readers.
-/// Pass-through paths (identity projections, full-table scans, aliases)
-/// hand out the `Arc` instead of deep-copying every row.
+/// A stored relation: a leaf's morsel, or a relation an operator built.
+/// Either uniquely owned (rows can be moved) or shared with the catalog /
+/// other readers: pass-through paths (full-table scans, identity
+/// projections) hand out the `Arc` instead of deep-copying every row.
 #[derive(Debug, Clone)]
-pub enum ExecRel {
+pub enum Stored {
     Owned(Relation),
     Shared(Arc<Relation>),
 }
 
-impl AsRef<Relation> for ExecRel {
+impl AsRef<Relation> for Stored {
     fn as_ref(&self) -> &Relation {
         match self {
-            ExecRel::Owned(r) => r,
-            ExecRel::Shared(r) => r,
+            Stored::Owned(r) => r,
+            Stored::Shared(r) => r,
+        }
+    }
+}
+
+impl Stored {
+    /// Extract an owned relation, copying only if the data is still shared.
+    fn into_owned(self) -> Relation {
+        match self {
+            Stored::Owned(r) => r,
+            Stored::Shared(r) => Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()),
+        }
+    }
+
+    /// The same rows, cheap to clone.
+    fn shared(self) -> Stored {
+        match self {
+            Stored::Owned(r) => Stored::Shared(Arc::new(r)),
+            shared => shared,
+        }
+    }
+}
+
+/// A relation flowing between operators, materialized late: its parts,
+/// stored relations side by side, each read through its own row selection.
+/// - A filter, sort, limit, DISTINCT or semi join composes a selection
+///   onto every part (`ExecRel::select`); no column is copied.
+/// - A join's output is its left input's parts read through its pairs'
+///   left rows, then its right input's through their right rows
+///   (`ExecRel::pair`): `sel'[i] = sel[pair[i]]`.
+///
+/// An operator gathers only the columns it reads (`ExecRel::column`,
+/// `ReadExpr`); everything else is gathered once, by
+/// `ExecRel::materialize` at [`Execution::run`]'s boundary, or, for a
+/// stream that arrived in several chunks, by `Concat`.
+#[derive(Debug)]
+pub struct ExecRel {
+    parts: Parts,
+    rows: usize,
+}
+
+/// One part inline, so a scan's morsel or an operator's fresh output
+/// allocates no list.
+#[derive(Debug)]
+enum Parts {
+    One(Part),
+    Many(Vec<Part>),
+}
+
+/// A stored relation read through a row selection.
+#[derive(Debug)]
+struct Part {
+    rel: Stored,
+    /// The rows of `rel` read, in order; `None`: all of them.
+    sel: Option<Vec<u32>>,
+}
+
+impl Part {
+    /// Column `c` at this part's rows `pick` (all of them when `None`):
+    /// the stored column itself where that is every row, else one gather
+    /// through the composed selection.
+    fn column(&self, c: usize, pick: Option<&[u32]>) -> Column {
+        let col = self.rel.as_ref().column(c);
+        match (&self.sel, pick) {
+            (None, None) => col.clone(),
+            (Some(s), None) => col.gather(s),
+            (None, Some(p)) => col.gather(p),
+            (Some(s), Some(p)) => col.gather(&compose(s, p)),
+        }
+    }
+
+    /// The rows of the stored relation that this part's rows `pick` read.
+    fn read_at(&self, pick: &[u32]) -> Vec<u32> {
+        match &self.sel {
+            None => pick.to_vec(),
+            Some(s) => compose(s, pick),
+        }
+    }
+}
+
+/// `sel[pick[i]]` for every `i`: the rows of a stored relation that rows
+/// `pick` of a selection over it read.
+fn compose(sel: &[u32], pick: &[u32]) -> Vec<u32> {
+    pick.iter().map(|&i| sel[i as usize]).collect()
+}
+
+impl From<Stored> for ExecRel {
+    /// Every row of a stored relation.
+    fn from(rel: Stored) -> ExecRel {
+        ExecRel {
+            rows: rel.as_ref().len(),
+            parts: Parts::One(Part { rel, sel: None }),
         }
     }
 }
 
 impl ExecRel {
-    /// Extract an owned relation, copying only if the data is still shared.
-    pub(crate) fn into_owned(self) -> Relation {
-        match self {
-            ExecRel::Owned(r) => r,
-            ExecRel::Shared(r) => Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()),
-        }
+    fn owned(rel: Relation) -> ExecRel {
+        Stored::Owned(rel).into()
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.as_ref().len()
+        self.rows
+    }
+
+    fn parts(&self) -> &[Part] {
+        match &self.parts {
+            Parts::One(s) => std::slice::from_ref(s),
+            Parts::Many(v) => v,
+        }
+    }
+
+    fn parts_mut(&mut self) -> &mut [Part] {
+        match &mut self.parts {
+            Parts::One(s) => std::slice::from_mut(s),
+            Parts::Many(v) => v,
+        }
+    }
+
+    fn into_parts(self) -> impl Iterator<Item = Part> {
+        let (one, many) = match self.parts {
+            Parts::One(s) => (Some(s), Vec::new()),
+            Parts::Many(v) => (None, v),
+        };
+        one.into_iter().chain(many)
+    }
+
+    fn width(&self) -> usize {
+        self.parts().iter().map(|s| s.rel.as_ref().width()).sum()
+    }
+
+    /// The stored relation itself when this reads every row of exactly
+    /// one: an operator evaluates over it in place.
+    fn whole(&self) -> Option<&Relation> {
+        match &self.parts {
+            Parts::One(Part { rel, sel: None }) => Some(rel.as_ref()),
+            _ => None,
+        }
+    }
+
+    /// The part holding column `j`, and the column's position there.
+    fn locate(&self, mut j: usize) -> (&Part, usize) {
+        for s in self.parts() {
+            let w = s.rel.as_ref().width();
+            if j < w {
+                return (s, j);
+            }
+            j -= w;
+        }
+        panic!("column {j} past the relation's width")
+    }
+
+    /// Column `j`'s name and type.
+    fn field(&self, j: usize) -> &(String, DataType) {
+        let (s, c) = self.locate(j);
+        &s.rel.as_ref().fields[c]
+    }
+
+    /// Column `j` as this relation's rows read it.
+    fn column(&self, j: usize) -> Column {
+        let (s, c) = self.locate(j);
+        s.column(c, None)
+    }
+
+    /// Column `j` at this relation's rows `pick`, in one gather.
+    fn column_at(&self, j: usize, pick: &[u32]) -> Column {
+        let (s, c) = self.locate(j);
+        s.column(c, Some(pick))
+    }
+
+    /// Row `i`'s values (the row-wise residual of a semi join).
+    fn row(&self, i: usize) -> Vec<Value> {
+        let mut row = Vec::with_capacity(self.width());
+        for s in self.parts() {
+            let at = s.sel.as_ref().map_or(i, |sel| sel[i] as usize);
+            row.extend(s.rel.as_ref().columns().iter().map(|c| c.value(at)));
+        }
+        row
+    }
+
+    /// Rows `pick` of this relation, in `pick` order: a selection composed
+    /// onto every part. The first part keeps `pick`'s own buffer, composed
+    /// in place, so a filter over a stored relation allocates nothing more
+    /// than its selection.
+    fn select(mut self, mut pick: Vec<u32>) -> ExecRel {
+        self.rows = pick.len();
+        let (first, rest) = self
+            .parts_mut()
+            .split_first_mut()
+            .expect("a relation has a part");
+        for s in rest {
+            s.sel = Some(s.read_at(&pick));
+        }
+        if let Some(sel) = &first.sel {
+            pick.iter_mut().for_each(|p| *p = sel[*p as usize]);
+        }
+        first.sel = Some(pick);
+        self
+    }
+
+    /// The first `n` rows.
+    fn head(mut self, n: usize) -> ExecRel {
+        self.rows = n;
+        for s in self.parts_mut() {
+            match &mut s.sel {
+                Some(sel) => sel.truncate(n),
+                None => s.sel = Some((0..n as u32).collect()),
+            }
+        }
+        self
+    }
+
+    /// A join's output: row `lsel[i]` of `l` beside row `rsel[i]` of `r`.
+    /// `r`'s parts are cloned, so that one build side serves every probe
+    /// morsel: make it [`ExecRel::shared`] first.
+    fn pair(l: ExecRel, r: &ExecRel, lsel: &[u32], rsel: &[u32]) -> ExecRel {
+        let left = l.into_parts().map(|s| Part {
+            sel: Some(s.read_at(lsel)),
+            rel: s.rel,
+        });
+        let right = r.parts().iter().map(|s| Part {
+            rel: s.rel.clone(),
+            sel: Some(s.read_at(rsel)),
+        });
+        ExecRel {
+            parts: Parts::Many(left.chain(right).collect()),
+            rows: lsel.len(),
+        }
+    }
+
+    /// Every part's stored relation made cheap to clone.
+    fn shared(mut self) -> ExecRel {
+        for s in self.parts_mut() {
+            let rel = std::mem::replace(&mut s.rel, Stored::Owned(Relation::default()));
+            s.rel = rel.shared();
+        }
+        self
+    }
+
+    /// The one place every column of a relation is gathered: the boundary
+    /// of [`Execution::run`], whose result feeds `CREATE TABLE AS`, the
+    /// fetch encoder and the root result. A stored relation read whole is
+    /// handed over as it is.
+    fn materialize(self) -> Relation {
+        if let Parts::One(Part { rel, sel: None }) = self.parts {
+            return rel.into_owned();
+        }
+        let parts = self.parts();
+        let fields = parts
+            .iter()
+            .flat_map(|s| s.rel.as_ref().fields.iter().cloned());
+        let cols = parts
+            .iter()
+            .flat_map(|s| (0..s.rel.as_ref().width()).map(move |c| s.column(c, None)));
+        Relation::from_columns(fields.collect(), cols.collect(), self.rows)
     }
 }
 
-/// Where a read's morsels go, by value and in order. Returning an error
+/// Morsels laid end to end into one relation, for a reader that takes its
+/// input whole: a filter over a streamed leaf that [`Execution::run_rel`]
+/// reads, and a join's output over a streamed probe side. One morsel stays
+/// as it arrived. From a second on, each morsel's first `gathered` columns
+/// (a filter's every column, a join's probe side's) are gathered as it
+/// arrives, so no chunk outlives its arrival and a selective filter keeps
+/// only the rows it passed; the parts after them, the one build side every
+/// morsel of a join reads, only extend their selections.
+struct Concat {
+    gathered: usize,
+    laid: Laid,
+}
+
+enum Laid {
+    Nothing,
+    One(ExecRel),
+    /// The gathered columns, their fields, and the parts after them.
+    Many {
+        fields: Vec<(String, DataType)>,
+        cols: Vec<Column>,
+        rest: Vec<Part>,
+        rows: usize,
+    },
+}
+
+impl Concat {
+    fn new(gathered: usize) -> Concat {
+        Concat {
+            gathered,
+            laid: Laid::Nothing,
+        }
+    }
+
+    /// Lay `m` after the morsels before it. An empty morsel is kept only
+    /// while no other came.
+    fn push(&mut self, m: ExecRel) {
+        self.laid = match std::mem::replace(&mut self.laid, Laid::Nothing) {
+            Laid::Nothing => Laid::One(m),
+            Laid::One(first) if first.len() == 0 => Laid::One(m),
+            laid if m.len() == 0 => laid,
+            Laid::One(first) => {
+                let mut many = Laid::Many {
+                    fields: Vec::new(),
+                    cols: Vec::new(),
+                    rest: Vec::new(),
+                    rows: 0,
+                };
+                self.append(&mut many, first);
+                self.append(&mut many, m);
+                many
+            }
+            mut many => {
+                self.append(&mut many, m);
+                many
+            }
+        };
+    }
+
+    /// The one place morsels are gathered onto each other: `m`'s first
+    /// `gathered` columns appended to `many`'s, its other parts' rows to
+    /// theirs.
+    fn append(&self, many: &mut Laid, m: ExecRel) {
+        let Laid::Many {
+            fields,
+            cols,
+            rest,
+            rows,
+        } = many
+        else {
+            unreachable!("appended only to gathered morsels")
+        };
+        let first = cols.is_empty();
+        *rows += m.len();
+        let (mut width, mut at) = (0, 0);
+        for s in m.into_parts() {
+            if width == self.gathered {
+                match rest.get_mut(at) {
+                    Some(dst) => {
+                        let sel = dst
+                            .sel
+                            .as_mut()
+                            .expect("a join reads its build side through its pairs");
+                        sel.extend_from_slice(s.sel.as_deref().expect("the same in every morsel"));
+                    }
+                    None => rest.push(s),
+                }
+                at += 1;
+                continue;
+            }
+            let rel = s.rel.as_ref();
+            width += rel.width();
+            if first {
+                fields.extend(rel.fields.iter().cloned());
+                cols.extend((0..rel.width()).map(|c| s.column(c, None)));
+                continue;
+            }
+            let dst = &mut cols[width - rel.width()..width];
+            for (dst, src) in dst.iter_mut().zip(rel.columns()) {
+                match &s.sel {
+                    Some(sel) => dst.append_gather(src, sel),
+                    None => dst.append_range(src, 0, src.len()),
+                }
+            }
+        }
+    }
+
+    /// The relation laid; `fields` are its declared fields, for a read
+    /// that delivered nothing at all.
+    fn finish(self, fields: &[Field]) -> ExecRel {
+        match self.laid {
+            Laid::Nothing => ExecRel::owned(empty_relation(fields)),
+            Laid::One(rel) => rel,
+            Laid::Many {
+                fields,
+                cols,
+                rest,
+                rows,
+            } => {
+                let gathered = Part {
+                    rel: Stored::Owned(Relation::from_columns(fields, cols, rows)),
+                    sel: None,
+                };
+                ExecRel {
+                    parts: Parts::Many(std::iter::once(gathered).chain(rest).collect()),
+                    rows,
+                }
+            }
+        }
+    }
+}
+
+/// Where a leaf's morsels go, by value and in order. Returning an error
 /// cancels the read.
-pub type MorselSink<'a> = dyn FnMut(ExecRel) -> Result<()> + 'a;
+pub type MorselSink<'a> = dyn FnMut(Stored) -> Result<()> + 'a;
+
+/// Where [`Execution::feed`] hands an operator its child's morsels.
+type RelSink<'a> = dyn FnMut(ExecRel) -> Result<()> + 'a;
 
 /// How a reader takes a leaf's rows. The plan decides it, not a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadShape {
     /// The whole relation as exactly one morsel, even when it has no rows:
-    /// a materializing read (anything [`Execution::run_rel`] reads).
+    /// anything [`Execution::run_rel`] reads.
     OneMorsel,
     /// The edge's transport chunks, none when it has no rows: a streamed
     /// leaf ([`ScanResolver::streams`]).
@@ -230,14 +608,21 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Execute a plan to a materialized, owned relation.
+    /// Execute a plan to a materialized, owned relation: the one boundary
+    /// where a relation's every column is gathered.
     pub fn run(&mut self, plan: &LogicalPlan) -> Result<Relation> {
-        Ok(self.run_rel(plan)?.into_owned())
+        Ok(self.run_rel(plan)?.materialize())
     }
 
-    /// Execute a plan. Pass-through operators (scans, identity projections,
-    /// aliases) return shared data without copying rows; simulated work
-    /// accounting is unchanged either way.
+    /// Execute a plan to a relation read through selections: filters,
+    /// sorts, limits, DISTINCTs and joins compose selections, scans and
+    /// identity projections share their input, and only the columns an
+    /// operator reads are gathered. Simulated work accounting does not
+    /// depend on it.
+    ///
+    /// Each operator is its own method, so that the frame of this
+    /// dispatch, which every nesting of a plan (and of a view read across
+    /// engines) stacks once more, holds no operator's locals.
     pub(crate) fn run_rel(&mut self, plan: &LogicalPlan) -> Result<ExecRel> {
         match plan {
             LogicalPlan::Scan {
@@ -247,92 +632,14 @@ impl<'a> Execution<'a> {
                 name: relation,
                 schema,
                 ..
-            } => {
-                let mut one = None;
-                let out = self.resolver.scan(
-                    relation,
-                    &schema.fields,
-                    ReadShape::OneMorsel,
-                    &mut |m| {
-                        one = Some(m);
-                        Ok(())
-                    },
-                )?;
-                self.record_scan(out.nrows, out.edge, out.remote);
-                Ok(one
-                    .unwrap_or_else(|| ExecRel::Owned(MorselConcat::new().finish(&schema.fields))))
-            }
-            LogicalPlan::OneRow => Ok(ExecRel::Owned(Relation::new(vec![], vec![vec![]]))),
-            LogicalPlan::Filter { input, predicate } => {
-                if self.streamed_leaf(plan).is_some() {
-                    // Filtered as it decodes: only surviving rows are kept
-                    // (a string column keeps at most two strings per row,
-                    // see `StrCol`).
-                    let mut out = MorselConcat::new();
-                    self.feed(plan, &mut |m| {
-                        out.append(m.as_ref());
-                        Ok(())
-                    })?;
-                    return Ok(ExecRel::Owned(out.finish(&input.schema().fields)));
-                }
-                let rel = self.run_rel(input)?;
-                let pred = compile(predicate, input.schema())?;
-                let sel = filter_selection(&pred, rel.as_ref())?;
-                self.record_filter(rel.len() as u64, sel.len() as u64);
-                Ok(if sel.len() == rel.len() {
-                    rel // nothing dropped — pass the input through
-                } else {
-                    ExecRel::Owned(gather_relation(rel.as_ref(), &sel))
-                })
-            }
+            } => self.scan(relation, schema),
+            LogicalPlan::OneRow => Ok(ExecRel::owned(Relation::new(vec![], vec![vec![]]))),
+            LogicalPlan::Filter { input, predicate } => self.filter(plan, input, predicate),
             LogicalPlan::Project {
                 input,
                 exprs,
-                schema: out,
-            } => {
-                let rel = self.run_rel(input)?;
-                let schema = input.schema();
-                let compiled: Vec<PhysExpr> = exprs
-                    .iter()
-                    .map(|(e, _)| compile(e, schema))
-                    .collect::<Result<_>>()?;
-                self.scan_units += rel.len() as f64 * weights::PROJECT;
-                self.op(OpStat {
-                    op: "project",
-                    rows_in: rel.len() as u64,
-                    rows_out: rel.len() as u64,
-                    ..OpStat::default()
-                });
-                // Identity fast-path: every output is the column in the
-                // same position under the same name — hand the input
-                // through (the work units above are still charged; the
-                // simulated engine would have run the projection).
-                let identity = compiled.len() == rel.as_ref().width()
-                    && compiled
-                        .iter()
-                        .zip(&*out.fields)
-                        .enumerate()
-                        .all(|(i, (c, f))| {
-                            matches!(c, PhysExpr::Column(j) if *j == i)
-                                && *rel.as_ref().fields[i].0 == *f.name
-                        });
-                if identity {
-                    return Ok(rel);
-                }
-                // Column references are Arc pointer copies; computed
-                // expressions go through the vectorized kernels.
-                let r = rel.as_ref();
-                let nrows = r.len();
-                let mut cols = Vec::with_capacity(compiled.len());
-                for c in &compiled {
-                    cols.push(expr_column(c, r)?);
-                }
-                Ok(ExecRel::Owned(Relation::from_columns(
-                    named_columns(&out.fields),
-                    cols,
-                    nrows,
-                )))
-            }
+                schema,
+            } => self.project(input, exprs, schema),
             LogicalPlan::Join {
                 left,
                 right,
@@ -353,86 +660,185 @@ impl<'a> Execution<'a> {
                 aggregates,
                 schema,
             } => self.aggregate(input, group_by, aggregates, schema),
-            LogicalPlan::Sort { input, keys } => {
-                let schema = input.schema();
-                let rel = self.run_rel(input)?;
-                let compiled: Vec<(PhysExpr, bool)> = keys
-                    .iter()
-                    .map(|(e, desc)| Ok((compile(e, schema)?, *desc)))
-                    .collect::<Result<_>>()?;
-                let n = rel.len() as f64;
-                self.olap_units += n * (n.max(2.0)).log2() * weights::SORT;
-                self.op(OpStat {
-                    op: "sort",
-                    rows_in: rel.len() as u64,
-                    rows_out: rel.len() as u64,
-                    ..OpStat::default()
-                });
-                let r = rel.as_ref();
-                let key_cols: Vec<(Column, bool)> = compiled
-                    .iter()
-                    .map(|(c, desc)| Ok((expr_column(c, r)?, *desc)))
-                    .collect::<Result<_>>()?;
-                // Stable index sort over typed key columns reproduces the
-                // row-major stable sort exactly (total_cmp per column).
-                let mut idx: Vec<u32> = (0..r.len() as u32).collect();
-                idx.sort_by(|&a, &b| {
-                    for (col, desc) in &key_cols {
-                        let ord = col.cmp_rows(a as usize, b as usize);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(ExecRel::Owned(gather_relation(r, &idx)))
-            }
-            LogicalPlan::Limit { input, fetch } => {
-                let rel = self.run_rel(input)?;
-                let fetch = *fetch as usize;
-                self.op(OpStat {
-                    op: "limit",
-                    rows_in: rel.len() as u64,
-                    rows_out: rel.len().min(fetch) as u64,
-                    ..OpStat::default()
-                });
-                if rel.len() <= fetch {
-                    return Ok(rel); // no-op limit: shared stays shared
-                }
-                let r = rel.as_ref();
-                Ok(ExecRel::Owned(Relation::from_columns(
-                    r.fields.clone(),
-                    r.columns().iter().map(|c| c.head(fetch)).collect(),
-                    fetch,
-                )))
-            }
-            LogicalPlan::Distinct { input } => {
-                let rel = self.run_rel(input)?;
-                self.olap_units += rel.len() as f64 * weights::DISTINCT;
-                let rows_in = rel.len() as u64;
-                let (r, t) = (rel.as_ref(), &mut self.scratch.groups);
-                // A row is kept when it opens a group of the whole row's
-                // key, so first-seen order is preserved (LIMIT without
-                // ORDER BY above a DISTINCT observes it).
-                let norm = KeyNorm::plan(r.columns(), r.columns(), r.len(), true, t);
-                let mut sel: Vec<u32> = Vec::new();
-                assign_groups(&norm, r.columns(), r.len(), t, true, 0, |i, g| {
-                    if g as usize == sel.len() {
-                        sel.push(i as u32);
-                    }
-                });
-                let out = gather_relation(r, &sel);
-                self.op(OpStat {
-                    op: "distinct",
-                    rows_in,
-                    rows_out: out.len() as u64,
-                    ..OpStat::default()
-                });
-                Ok(ExecRel::Owned(out))
-            }
+            LogicalPlan::Sort { input, keys } => self.sort(input, keys),
+            LogicalPlan::Limit { input, fetch } => self.limit(input, *fetch as usize),
+            LogicalPlan::Distinct { input } => self.distinct(input),
             LogicalPlan::SubqueryAlias { input, .. } => self.run_rel(input),
         }
+    }
+
+    /// A leaf read whole, as its one morsel.
+    fn scan(&mut self, relation: &str, schema: &PlanSchema) -> Result<ExecRel> {
+        let mut one = None;
+        let out = self
+            .resolver
+            .scan(relation, &schema.fields, ReadShape::OneMorsel, &mut |m| {
+                one = Some(m);
+                Ok(())
+            })?;
+        self.record_scan(out.nrows, out.edge, out.remote);
+        Ok(match one {
+            Some(m) => m.into(),
+            None => ExecRel::owned(empty_relation(&schema.fields)),
+        })
+    }
+
+    /// A filter keeps a selection over its input, not a copy. Over a
+    /// streamed leaf it filters each chunk as it decodes, and only the rows
+    /// it keeps outlive their chunk ([`Concat`]).
+    fn filter(
+        &mut self,
+        plan: &LogicalPlan,
+        input: &LogicalPlan,
+        predicate: &xdb_sql::Expr,
+    ) -> Result<ExecRel> {
+        if self.streamed_leaf(plan).is_some() {
+            let fields = &input.schema().fields;
+            let mut out = Concat::new(fields.len());
+            self.feed(plan, &mut |m| {
+                out.push(m);
+                Ok(())
+            })?;
+            return Ok(out.finish(fields));
+        }
+        let rel = self.run_rel(input)?;
+        let pred = ReadExpr::compile(predicate, input.schema())?;
+        let sel = pred.select(&rel)?;
+        self.record_filter(rel.len() as u64, sel.len() as u64);
+        Ok(if sel.len() == rel.len() {
+            rel // nothing dropped — pass the input through
+        } else {
+            rel.select(sel)
+        })
+    }
+
+    fn project(
+        &mut self,
+        input: &LogicalPlan,
+        exprs: &[(xdb_sql::Expr, Name)],
+        out: &PlanSchema,
+    ) -> Result<ExecRel> {
+        let rel = self.run_rel(input)?;
+        let schema = input.schema();
+        let compiled: Vec<ReadExpr> = exprs
+            .iter()
+            .map(|(e, _)| ReadExpr::compile(e, schema))
+            .collect::<Result<_>>()?;
+        self.scan_units += rel.len() as f64 * weights::PROJECT;
+        self.op(OpStat {
+            op: "project",
+            rows_in: rel.len() as u64,
+            rows_out: rel.len() as u64,
+            ..OpStat::default()
+        });
+        // Identity fast-path: every output is the column in the same
+        // position under the same name — hand the input through (the work
+        // units above are still charged; the simulated engine would have
+        // run the projection).
+        let identity = compiled.len() == rel.width()
+            && compiled
+                .iter()
+                .zip(&*out.fields)
+                .enumerate()
+                .all(|(i, (c, f))| {
+                    matches!(c.expr, PhysExpr::Column(j) if j == i) && *rel.field(i).0 == *f.name
+                });
+        if identity {
+            return Ok(rel);
+        }
+        // Only the columns the projection reads are gathered; computed
+        // expressions go through the vectorized kernels.
+        let cols = compiled
+            .iter()
+            .map(|c| c.column(&rel))
+            .collect::<Result<_>>()?;
+        Ok(ExecRel::owned(Relation::from_columns(
+            named_columns(&out.fields),
+            cols,
+            rel.len(),
+        )))
+    }
+
+    /// A sort reads its key columns and composes its order onto its input.
+    fn sort(&mut self, input: &LogicalPlan, keys: &[(xdb_sql::Expr, bool)]) -> Result<ExecRel> {
+        let schema = input.schema();
+        let rel = self.run_rel(input)?;
+        let compiled: Vec<(ReadExpr, bool)> = keys
+            .iter()
+            .map(|(e, desc)| Ok((ReadExpr::compile(e, schema)?, *desc)))
+            .collect::<Result<_>>()?;
+        let n = rel.len() as f64;
+        self.olap_units += n * (n.max(2.0)).log2() * weights::SORT;
+        self.op(OpStat {
+            op: "sort",
+            rows_in: rel.len() as u64,
+            rows_out: rel.len() as u64,
+            ..OpStat::default()
+        });
+        let key_cols: Vec<(Column, bool)> = compiled
+            .iter()
+            .map(|(c, desc)| Ok((c.column(&rel)?, *desc)))
+            .collect::<Result<_>>()?;
+        // Stable index sort over typed key columns reproduces the
+        // row-major stable sort exactly (total_cmp per column).
+        let mut idx: Vec<u32> = (0..rel.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            for (col, desc) in &key_cols {
+                let ord = col.cmp_rows(a as usize, b as usize);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+        Ok(rel.select(idx))
+    }
+
+    fn limit(&mut self, input: &LogicalPlan, fetch: usize) -> Result<ExecRel> {
+        let rel = self.run_rel(input)?;
+        self.op(OpStat {
+            op: "limit",
+            rows_in: rel.len() as u64,
+            rows_out: rel.len().min(fetch) as u64,
+            ..OpStat::default()
+        });
+        Ok(if rel.len() <= fetch {
+            rel // no-op limit: shared stays shared
+        } else {
+            rel.head(fetch)
+        })
+    }
+
+    /// DISTINCT reads every column, its key, and keeps each group's first
+    /// row as a selection.
+    fn distinct(&mut self, input: &LogicalPlan) -> Result<ExecRel> {
+        let rel = self.run_rel(input)?;
+        self.olap_units += rel.len() as f64 * weights::DISTINCT;
+        let rows_in = rel.len() as u64;
+        let cols: Vec<Column> = (0..rel.width()).map(|j| rel.column(j)).collect();
+        let t = &mut self.scratch.groups;
+        // A row is kept when it opens a group of the whole row's key, so
+        // first-seen order is preserved (LIMIT without ORDER BY above a
+        // DISTINCT observes it).
+        let norm = KeyNorm::plan(&cols, &cols, rel.len(), true, t);
+        let mut sel: Vec<u32> = Vec::new();
+        assign_groups(&norm, &cols, rel.len(), t, true, 0, |i, g| {
+            if g as usize == sel.len() {
+                sel.push(i as u32);
+            }
+        });
+        self.op(OpStat {
+            op: "distinct",
+            rows_in,
+            rows_out: sel.len() as u64,
+            ..OpStat::default()
+        });
+        Ok(if sel.len() == rel.len() {
+            rel
+        } else {
+            rel.select(sel)
+        })
     }
 
     /// What every leaf scan owes besides its rows, streamed or not: the
@@ -501,26 +907,27 @@ impl<'a> Execution<'a> {
     /// How an operator reads a child: `sink` sees the child's rows as
     /// morsels, in order, and `feed` returns how many rows it delivered.
     /// - A [`Execution::streamed_leaf`] delivers the chunks of its edge,
-    ///   filtered one at a time, and is never materialized.
+    ///   each with its filter's selection, and is never materialized.
     /// - A hash join delivers one joined morsel per probe morsel.
     /// - Anything else runs to a relation, which is the one morsel.
     ///
     /// Whatever the child owes in work units, op entries and edges is
     /// recorded exactly as [`Execution::run_rel`] would, whichever way the
     /// rows travel.
-    fn feed(&mut self, plan: &LogicalPlan, sink: &mut MorselSink<'_>) -> Result<u64> {
+    fn feed(&mut self, plan: &LogicalPlan, sink: &mut RelSink<'_>) -> Result<u64> {
         if let Some((relation, schema, pred)) = self.streamed_leaf(plan) {
-            let pred = pred.map(|p| compile(p, schema)).transpose()?;
+            let pred = pred.map(|p| ReadExpr::compile(p, schema)).transpose()?;
             let mut kept = 0u64;
-            let mut filtered = |m: ExecRel| -> Result<()> {
+            let mut filtered = |m: Stored| -> Result<()> {
+                let m = ExecRel::from(m);
                 let Some(pred) = &pred else { return sink(m) };
-                let sel = filter_selection(pred, m.as_ref())?;
+                let sel = pred.select(&m)?;
                 kept += sel.len() as u64;
-                if sel.len() == m.len() {
-                    sink(m)
+                sink(if sel.len() == m.len() {
+                    m
                 } else {
-                    sink(ExecRel::Owned(gather_relation(m.as_ref(), &sel)))
-                }
+                    m.select(sel)
+                })
             };
             let out =
                 self.resolver
@@ -540,8 +947,8 @@ impl<'a> Execution<'a> {
                 residual,
                 schema,
             } if !on.is_empty() => {
-                let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
-                    sink(ExecRel::Owned(gather_pair(m, build, lsel, rsel)))
+                let mut emit = |m, build: &ExecRel, lsel: &[u32], rsel: &[u32]| {
+                    sink(ExecRel::pair(m, build, lsel, rsel))
                 };
                 self.hash_join(left, right, on, residual.as_ref(), schema, &mut emit)
             }
@@ -554,8 +961,9 @@ impl<'a> Execution<'a> {
         }
     }
 
-    /// Inner join to a relation: the hash join's pairs, or the nested
-    /// loop's, gathered by the one output builder.
+    /// Inner join: the hash join's pairs, or the nested loop's, composed
+    /// onto the two inputs' selections ([`ExecRel::pair`]); a streamed
+    /// probe side's morsels are laid end to end ([`Concat`]).
     fn join(
         &mut self,
         left: &LogicalPlan,
@@ -564,49 +972,47 @@ impl<'a> Execution<'a> {
         residual: Option<&xdb_sql::Expr>,
         schema: &PlanSchema,
     ) -> Result<ExecRel> {
-        let mut out = MorselConcat::new();
-        if on.is_empty() {
-            // Nested-loop (cross) join with optional residual, one block
-            // of left rows at a time: the candidate pairs held at once are
-            // bounded, whatever `l × r` is.
-            let lrel_e = self.run_rel(left)?;
-            let rrel_e = self.run_rel(right)?;
-            let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
-            self.olap_units += (lrel.len() as f64 * rrel.len() as f64) * weights::JOIN;
-            let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
-            let block = (NESTED_LOOP_BLOCK_PAIRS / rrel.len().max(1)).max(1);
-            let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-            let mut rows_out = 0u64;
-            // At least one block, so that the output takes its schema and
-            // layouts from the inputs also when the left side is empty.
-            for lo in (0..lrel.len().max(1)).step_by(block) {
-                lsel.clear();
-                rsel.clear();
-                for li in lo..lrel.len().min(lo + block) {
-                    lsel.extend(std::iter::repeat_n(li as u32, rrel.len()));
-                    rsel.extend(0..rrel.len() as u32);
-                }
-                if let Some(res) = &residual {
-                    res.keep_pairs(lrel, rrel, &mut lsel, &mut rsel)?;
-                }
-                rows_out += lsel.len() as u64;
-                out.append_pair(lrel, rrel, &lsel, &rsel);
-            }
-            self.op(OpStat {
-                op: "nested loop join",
-                rows_in: (lrel.len() + rrel.len()) as u64,
-                rows_out,
-                build_rows: rrel.len() as u64,
-                probe_rows: lrel.len() as u64,
-            });
-        } else {
-            let mut emit = |m: &Relation, build: &Relation, lsel: &[u32], rsel: &[u32]| {
-                out.append_pair(m, build, lsel, rsel);
+        if !on.is_empty() {
+            let mut out = Concat::new(left.schema().fields.len());
+            let mut emit = |m, build: &ExecRel, lsel: &[u32], rsel: &[u32]| {
+                out.push(ExecRel::pair(m, build, lsel, rsel));
                 Ok(())
             };
             self.hash_join(left, right, on, residual, schema, &mut emit)?;
+            return Ok(out.finish(&schema.fields));
         }
-        Ok(ExecRel::Owned(out.finish(&schema.fields)))
+        // Nested-loop (cross) join with optional residual, one block of
+        // left rows at a time: the candidate pairs held at once are
+        // bounded, whatever `l × r` is.
+        let lrel = self.run_rel(left)?;
+        let rrel = self.run_rel(right)?;
+        let (ln, rn) = (lrel.len(), rrel.len());
+        self.olap_units += (ln as f64 * rn as f64) * weights::JOIN;
+        let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
+        let block = (NESTED_LOOP_BLOCK_PAIRS / rn.max(1)).max(1);
+        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+        let (mut lblock, mut rblock) = (Vec::new(), Vec::new());
+        for lo in (0..ln).step_by(block) {
+            lblock.clear();
+            rblock.clear();
+            for li in lo..ln.min(lo + block) {
+                lblock.extend(std::iter::repeat_n(li as u32, rn));
+                rblock.extend(0..rn as u32);
+            }
+            if let Some(res) = &residual {
+                res.keep_pairs(&lrel, &rrel, &mut lblock, &mut rblock)?;
+            }
+            lsel.extend_from_slice(&lblock);
+            rsel.extend_from_slice(&rblock);
+        }
+        self.op(OpStat {
+            op: "nested loop join",
+            rows_in: (ln + rn) as u64,
+            rows_out: lsel.len() as u64,
+            build_rows: rn as u64,
+            probe_rows: ln as u64,
+        });
+        Ok(ExecRel::pair(lrel, &rrel, &lsel, &rsel))
     }
 
     /// The one hash join: hand each probe (left) morsel's matches with the
@@ -626,10 +1032,11 @@ impl<'a> Execution<'a> {
     ///
     /// Child order is an observable (ledger records, op post-order, the
     /// sequence of float additions into the work units): a probe side that
-    /// streams runs *after* the right side; one that does not is run
+    /// can stream runs *after* the right side; one that cannot is run
     /// *before* it. Only bare-column keys probe a stream, because only
     /// those have the same layout in every morsel ([`KeyNorm::pack`] errors
     /// on drift).
+    #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &mut self,
         left: &LogicalPlan,
@@ -639,20 +1046,21 @@ impl<'a> Execution<'a> {
         schema: &PlanSchema,
         emit: &mut PairSink<'_>,
     ) -> Result<u64> {
-        let pkeys: Vec<PhysExpr> = on
+        let pkeys: Vec<ReadExpr> = on
             .iter()
-            .map(|(l, _)| compile(l, left.schema()))
+            .map(|(l, _)| ReadExpr::compile(l, left.schema()))
             .collect::<Result<_>>()?;
         let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
-        let streams = self.streamed_leaf(left).is_some()
-            && pkeys.iter().all(|k| matches!(k, PhysExpr::Column(_)));
-        let lrel = if streams {
+        let left_last = self.streamed_leaf(left).is_some()
+            && pkeys.iter().all(|k| matches!(k.expr, PhysExpr::Column(_)));
+        let lrel = if left_last {
             None
         } else {
             Some(self.run_rel(left)?)
         };
-        let rrel = self.run_rel(right)?;
-        let build = rrel.as_ref();
+        // The build side serves every probe morsel's output: shared.
+        let rrel = self.run_rel(right)?.shared();
+        let build = &rrel;
         let bcols = key_columns(on, false, right.schema(), build)?;
         let mut scratch = std::mem::take(&mut self.scratch);
         // The normalisation needs the probe side's layouts, so it is decided,
@@ -660,11 +1068,8 @@ impl<'a> Execution<'a> {
         let mut norm: Option<KeyNorm> = None;
         let mut out_rows = 0u64;
         // `whole`: `m` is the entire probe side, so the table may go over it.
-        let mut probe = |m: &Relation, whole: bool| -> Result<()> {
-            let pcols: Vec<Column> = pkeys
-                .iter()
-                .map(|k| expr_column(k, m))
-                .collect::<Result<_>>()?;
+        let mut probe = |m: ExecRel, whole: bool| -> Result<()> {
+            let pcols: Vec<Column> = pkeys.iter().map(|k| k.column(&m)).collect::<Result<_>>()?;
             scratch.pairs.lsel.clear();
             scratch.pairs.rsel.clear();
             // A whole probe side smaller than the right relation gets the
@@ -696,13 +1101,16 @@ impl<'a> Execution<'a> {
             }
             let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
             if let Some(res) = &residual {
-                res.keep_pairs(m, build, lsel, rsel)?;
+                res.keep_pairs(&m, build, lsel, rsel)?;
             }
             out_rows += lsel.len() as u64;
             emit(m, build, lsel, rsel)
         };
-        let probed = match &lrel {
-            Some(l) => probe(l.as_ref(), true).map(|()| l.len() as u64),
+        let probed = match lrel {
+            Some(l) => {
+                let n = l.len() as u64;
+                probe(l, true).map(|()| n)
+            }
             None => {
                 // The first morsel waits for the second, or for the end.
                 let mut held: Option<ExecRel> = None;
@@ -714,12 +1122,12 @@ impl<'a> Execution<'a> {
                         return Ok(());
                     }
                     if let Some(first) = held.take() {
-                        probe(first.as_ref(), false)?;
+                        probe(first, false)?;
                     }
-                    probe(m.as_ref(), false)
+                    probe(m, false)
                 });
                 match (fed, held) {
-                    (Ok(n), Some(only)) => probe(only.as_ref(), true).map(|()| n),
+                    (Ok(n), Some(only)) => probe(only, true).map(|()| n),
                     (fed, _) => fed,
                 }
             }
@@ -739,7 +1147,7 @@ impl<'a> Execution<'a> {
     }
 
     /// Semi/anti join: emit left rows with at least one (semi) or zero
-    /// (anti) matching right rows.
+    /// (anti) matching right rows, as a selection over the left input.
     fn semi_join(
         &mut self,
         left: &LogicalPlan,
@@ -748,18 +1156,18 @@ impl<'a> Execution<'a> {
         residual: Option<&xdb_sql::Expr>,
         negated: bool,
     ) -> Result<ExecRel> {
-        let lrel_e = self.run_rel(left)?;
-        let rrel_e = self.run_rel(right)?;
-        let (lrel, rrel) = (lrel_e.as_ref(), rrel_e.as_ref());
+        let lrel = self.run_rel(left)?;
+        let rrel = self.run_rel(right)?;
         let lschema = left.schema();
         let rschema = right.schema();
         let residual_c = match residual {
             Some(r) => Some(compile(r, &lschema.join(rschema))?),
             None => None,
         };
-        let bcols = key_columns(on, false, rschema, rrel)?;
-        let pcols = key_columns(on, true, lschema, lrel)?;
-        self.olap_units += (lrel.len() as f64 + rrel.len() as f64) * weights::JOIN;
+        let bcols = key_columns(on, false, rschema, &rrel)?;
+        let pcols = key_columns(on, true, lschema, &lrel)?;
+        let (ln, rn) = (lrel.len(), rrel.len());
+        self.olap_units += (ln as f64 + rn as f64) * weights::JOIN;
         // Candidate right rows are visited in ascending row order and the
         // residual short-circuits on the first match, exactly like the
         // row-major executor.
@@ -775,10 +1183,10 @@ impl<'a> Execution<'a> {
             } else {
                 None
             };
-        let norm = build_table(&bcols, &pcols, rrel.len(), &mut self.scratch);
+        let norm = build_table(&bcols, &pcols, rn, &mut self.scratch);
         let t = &mut self.scratch.keys;
-        norm.pack(&pcols, lrel.len(), t).ok_or_else(key_drift)?;
-        let keys = norm.keys(&pcols, lrel.len(), &t.packed);
+        norm.pack(&pcols, ln, t).ok_or_else(key_drift)?;
+        let keys = norm.keys(&pcols, ln, &t.packed);
         let matched = with_key_arm!(&keys, t, |p, heads| {
             semi_matches(p, heads, &self.scratch.next, residual_dyn)
         })?;
@@ -788,20 +1196,14 @@ impl<'a> Execution<'a> {
             .filter(|(_, m)| **m != negated)
             .map(|(i, _)| i as u32)
             .collect();
-        let (rows_in, build_rows, probe_rows) = (
-            (lrel.len() + rrel.len()) as u64,
-            rrel.len() as u64,
-            lrel.len() as u64,
-        );
-        let out = gather_relation(lrel, &sel);
         self.op(OpStat {
             op: if negated { "anti join" } else { "semi join" },
-            rows_in,
-            rows_out: out.len() as u64,
-            build_rows,
-            probe_rows,
+            rows_in: (ln + rn) as u64,
+            rows_out: sel.len() as u64,
+            build_rows: rn as u64,
+            probe_rows: ln as u64,
         });
-        Ok(ExecRel::Owned(out))
+        Ok(lrel.select(sel))
     }
 
     /// Grouped aggregation: [`Execution::feed`] folds the input into the
@@ -822,10 +1224,10 @@ impl<'a> Execution<'a> {
         let tables = std::mem::take(&mut self.scratch.groups);
         let mut grouper = Grouper::new(group_by, aggregates, input.schema(), tables)?;
         let rows_in = if group_by.len() <= 1 {
-            self.feed(input, &mut |m| grouper.push(m.as_ref()))?
+            self.feed(input, &mut |m| grouper.push(&m))?
         } else {
             let rel = self.run_rel(input)?;
-            grouper.push(rel.as_ref())?;
+            grouper.push(&rel)?;
             rel.len() as u64
         };
         self.olap_units += rows_in as f64 * weights::AGGREGATE;
@@ -853,7 +1255,7 @@ impl<'a> Execution<'a> {
             rows_out: ngroups as u64,
             ..OpStat::default()
         });
-        Ok(ExecRel::Owned(Relation::from_columns(
+        Ok(ExecRel::owned(Relation::from_columns(
             fields,
             builders.into_iter().map(ColumnBuilder::finish).collect(),
             ngroups,
@@ -869,80 +1271,19 @@ struct GroupOut {
 
 /// What a join hands its consumer per probe morsel: the morsel, the build
 /// relation, and the matching (morsel row, build row) pairs.
-type PairSink<'a> = dyn FnMut(&Relation, &Relation, &[u32], &[u32]) -> Result<()> + 'a;
+type PairSink<'a> = dyn FnMut(ExecRel, &ExecRel, &[u32], &[u32]) -> Result<()> + 'a;
 
-/// The one output builder: row-wise concatenation of morsels, or of join
-/// pairs, sharing one schema. Schema and column layouts come from the
-/// first morsel (the decoder keeps layouts chunk-invariant), so the result
-/// is bit-identical to building it from the whole input at once.
-struct MorselConcat {
-    fields: Option<Vec<(String, DataType)>>,
-    cols: Vec<Column>,
-    rows: usize,
-}
-
-impl MorselConcat {
-    fn new() -> MorselConcat {
-        MorselConcat {
-            fields: None,
-            cols: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Append `m`'s rows.
-    fn append(&mut self, m: &Relation) {
-        if self.fields.is_none() {
-            self.fields = Some(m.fields.clone());
-            self.cols = m.columns().iter().map(Column::empty_like).collect();
-        }
-        for (dst, src) in self.cols.iter_mut().zip(m.columns()) {
-            dst.append_range(src, 0, m.len());
-        }
-        self.rows += m.len();
-    }
-
-    /// Append join pairs: row `lsel[i]` of `l` beside row `rsel[i]` of `r`,
-    /// gathered and concatenated in one pass.
-    fn append_pair(&mut self, l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) {
-        if self.fields.is_none() {
-            // The first pairs make the columns: a gather allocates as an
-            // empty column and one append would, and a string column
-            // takes the state its first rows read best in.
-            self.fields = Some(l.fields.iter().chain(&r.fields).cloned().collect());
-            let lcols = l.columns().iter().map(|c| c.gather(lsel));
-            self.cols = lcols
-                .chain(r.columns().iter().map(|c| c.gather(rsel)))
-                .collect();
-            self.rows = lsel.len();
-            return;
-        }
-        let (lcols, rcols) = self.cols.split_at_mut(l.width());
-        for (dst, src) in lcols.iter_mut().zip(l.columns()) {
-            dst.append_gather(src, lsel);
-        }
-        for (dst, src) in rcols.iter_mut().zip(r.columns()) {
-            dst.append_gather(src, rsel);
-        }
-        self.rows += lsel.len();
-    }
-
-    /// Finish into a relation. The one rule for a stream that delivered
-    /// nothing at all: `fallback`, the declared fields of the plan node
-    /// being built, supplies the schema.
-    fn finish(self, fallback: &[Field]) -> Relation {
-        match self.fields {
-            Some(f) => Relation::from_columns(f, self.cols, self.rows),
-            None => Relation::from_columns(
-                named_columns(fallback),
-                fallback
-                    .iter()
-                    .map(|f| Column::empty_of(f.data_type))
-                    .collect(),
-                0,
-            ),
-        }
-    }
+/// The relation a read that delivered nothing at all stands for: no rows,
+/// and the declared fields of the plan node read.
+fn empty_relation(fields: &[Field]) -> Relation {
+    Relation::from_columns(
+        named_columns(fields),
+        fields
+            .iter()
+            .map(|f| Column::empty_of(f.data_type))
+            .collect(),
+        0,
+    )
 }
 
 /// Grouped aggregation over morsels. Groups stay in first-seen order and
@@ -950,9 +1291,9 @@ impl MorselConcat {
 /// where the input was cut into morsels — a materialized input is one.
 /// With no key columns every row packs to the one empty key: the global
 /// group.
-struct Grouper {
-    keys: Vec<PhysExpr>,
-    aggs: Vec<(AggFunc, Option<PhysExpr>, bool)>,
+struct Grouper<'p> {
+    keys: Vec<ReadExpr<'p>>,
+    aggs: Vec<(AggFunc, Option<ReadExpr<'p>>, bool)>,
     /// How rows find their group: planned over the first morsel.
     norm: Option<KeyNorm>,
     /// The pooled group tables, lent by the aggregate for its run.
@@ -960,21 +1301,25 @@ struct Grouper {
     groups: Vec<GroupOut>,
 }
 
-impl Grouper {
+impl<'p> Grouper<'p> {
     fn new(
-        group_by: &[(xdb_sql::Expr, Name)],
-        aggregates: &[(AggCall, Name)],
-        schema: &PlanSchema,
+        group_by: &'p [(xdb_sql::Expr, Name)],
+        aggregates: &'p [(AggCall, Name)],
+        schema: &'p PlanSchema,
         tables: KeyTables,
-    ) -> Result<Grouper> {
-        let keys: Vec<PhysExpr> = group_by
+    ) -> Result<Grouper<'p>> {
+        let keys: Vec<ReadExpr> = group_by
             .iter()
-            .map(|(e, _)| compile(e, schema))
+            .map(|(e, _)| ReadExpr::compile(e, schema))
             .collect::<Result<_>>()?;
         let aggs = aggregates
             .iter()
             .map(|(a, _)| {
-                let arg = a.arg.as_ref().map(|e| compile(e, schema)).transpose()?;
+                let arg = a
+                    .arg
+                    .as_ref()
+                    .map(|e| ReadExpr::compile(e, schema))
+                    .transpose()?;
                 Ok((a.func, arg, a.distinct))
             })
             .collect::<Result<_>>()?;
@@ -987,27 +1332,28 @@ impl Grouper {
         })
     }
 
-    fn new_accs(aggs: &[(AggFunc, Option<PhysExpr>, bool)]) -> Vec<Accumulator> {
+    fn new_accs(aggs: &[(AggFunc, Option<ReadExpr<'_>>, bool)]) -> Vec<Accumulator> {
         aggs.iter()
             .map(|(f, _, distinct)| Accumulator::new(*f, *distinct))
             .collect()
     }
 
-    /// Fold one morsel into the groups.
-    fn push(&mut self, rel: &Relation) -> Result<()> {
-        if rel.is_empty() {
+    /// Fold one morsel into the groups, reading only its key and argument
+    /// columns.
+    fn push(&mut self, rel: &ExecRel) -> Result<()> {
+        if rel.len() == 0 {
             return Ok(());
         }
         let n = rel.len();
         let key_cols: Vec<Column> = self
             .keys
             .iter()
-            .map(|k| expr_column(k, rel))
+            .map(|k| k.column(rel))
             .collect::<Result<_>>()?;
         let arg_cols: Vec<Option<Column>> = self
             .aggs
             .iter()
-            .map(|(_, arg, _)| arg.as_ref().map(|a| expr_column(a, rel)).transpose())
+            .map(|(_, arg, _)| arg.as_ref().map(|a| a.column(rel)).transpose())
             .collect::<Result<_>>()?;
         let Grouper {
             aggs,
@@ -1144,62 +1490,115 @@ fn expr_column(e: &PhysExpr, rel: &Relation) -> Result<Column> {
     Ok(bld.finish())
 }
 
-/// Gather a row subset of `rel` (columnar `filter`/`sort` materialization).
-fn gather_relation(rel: &Relation, sel: &[u32]) -> Relation {
-    Relation::from_columns(
-        rel.fields.clone(),
-        rel.columns().iter().map(|c| c.gather(sel)).collect(),
-        sel.len(),
-    )
+/// An expression an operator evaluates over its input, read through the
+/// input's selections. Over a stored relation read whole it runs in place;
+/// a bare column is that one column, gathered; anything else runs over a
+/// narrow relation of just the columns it reads, gathered, compiled again
+/// against those columns on first use.
+struct ReadExpr<'p> {
+    expr: PhysExpr,
+    /// The expression and the schema it was compiled against.
+    src: (&'p xdb_sql::Expr, &'p PlanSchema),
+    narrow: OnceCell<Narrow>,
 }
 
-/// One morsel of join output: left columns gathered by `lsel`, right
-/// columns by `rsel`, side by side.
-fn gather_pair(l: &Relation, r: &Relation, lsel: &[u32], rsel: &[u32]) -> Relation {
-    let mut out = MorselConcat::new();
-    out.append_pair(l, r, lsel, rsel);
-    out.finish(&[]) // the pairs just appended brought the schema
+/// An expression compiled against the columns it reads: `cols`, ascending
+/// positions in the relation it was first compiled against.
+struct Narrow {
+    cols: Vec<usize>,
+    expr: PhysExpr,
+}
+
+impl<'p> ReadExpr<'p> {
+    fn compile(e: &'p xdb_sql::Expr, schema: &'p PlanSchema) -> Result<ReadExpr<'p>> {
+        Ok(ReadExpr {
+            expr: compile(e, schema)?,
+            src: (e, schema),
+            narrow: OnceCell::new(),
+        })
+    }
+
+    /// The narrow relation of `rows` rows whose column `k` is column
+    /// `cols[k]` as `read` gives it, and the expression over it.
+    fn narrow(
+        &self,
+        rows: usize,
+        read: impl Fn(usize) -> (Column, DataType),
+    ) -> Result<(Relation, &PhysExpr)> {
+        if self.narrow.get().is_none() {
+            let mut cols = Vec::new();
+            vector::referenced_columns(&self.expr, &mut cols);
+            cols.sort_unstable();
+            cols.dedup();
+            // A subset of a schema resolves every name it still holds as
+            // the whole schema did.
+            let (e, schema) = self.src;
+            let fields = cols.iter().map(|&c| schema.fields[c].clone()).collect();
+            let expr = compile(e, &PlanSchema::new(fields))?;
+            let _ = self.narrow.set(Narrow { cols, expr });
+        }
+        let n = self.narrow.get().expect("set above");
+        let (cols, fields) = n
+            .cols
+            .iter()
+            .map(|&c| {
+                let (col, ty) = read(c);
+                (col, (String::new(), ty))
+            })
+            .unzip();
+        Ok((Relation::from_columns(fields, cols, rows), &n.expr))
+    }
+
+    /// The narrow relation over `rel`'s rows.
+    fn narrow_over(&self, rel: &ExecRel) -> Result<(Relation, &PhysExpr)> {
+        self.narrow(rel.len(), |c| (rel.column(c), rel.field(c).1))
+    }
+
+    /// The expression's value in every row of `rel`.
+    fn column(&self, rel: &ExecRel) -> Result<Column> {
+        if let PhysExpr::Column(j) = self.expr {
+            return Ok(rel.column(j));
+        }
+        if let Some(r) = rel.whole() {
+            return expr_column(&self.expr, r);
+        }
+        let (narrow, e) = self.narrow_over(rel)?;
+        expr_column(e, &narrow)
+    }
+
+    /// The rows of `rel` the expression, as a predicate, keeps.
+    fn select(&self, rel: &ExecRel) -> Result<Vec<u32>> {
+        if let Some(r) = rel.whole() {
+            return filter_selection(&self.expr, r);
+        }
+        let (narrow, e) = self.narrow_over(rel)?;
+        filter_selection(e, &narrow)
+    }
 }
 
 /// The residual step of a join: keep the pairs whose joined row passes.
 /// Only the columns the residual reads are gathered for the candidate
-/// pairs, into a narrow relation the predicate was compiled against.
-struct Residual {
-    /// The columns it reads, as ascending positions in the join's schema.
-    cols: Vec<usize>,
-    fields: Vec<(String, DataType)>,
-    pred: PhysExpr,
-}
+/// pairs, each through its side's selection composed with the pairs.
+struct Residual<'p>(ReadExpr<'p>);
 
-impl Residual {
-    fn new(residual: &xdb_sql::Expr, schema: &PlanSchema) -> Result<Residual> {
-        let mut cols = Vec::new();
-        vector::referenced_columns(&compile(residual, schema)?, &mut cols);
-        cols.sort_unstable();
-        cols.dedup();
-        // A subset of a schema resolves every name it still holds as the
-        // whole schema did.
-        let narrow: Vec<Field> = cols.iter().map(|&c| schema.fields[c].clone()).collect();
-        Ok(Residual {
-            fields: named_columns(&narrow),
-            pred: compile(residual, &PlanSchema::new(narrow))?,
-            cols,
-        })
+impl<'p> Residual<'p> {
+    fn new(residual: &'p xdb_sql::Expr, schema: &'p PlanSchema) -> Result<Residual<'p>> {
+        Ok(Residual(ReadExpr::compile(residual, schema)?))
     }
 
     fn keep_pairs(
         &self,
-        l: &Relation,
-        r: &Relation,
+        l: &ExecRel,
+        r: &ExecRel,
         lsel: &mut Vec<u32>,
         rsel: &mut Vec<u32>,
     ) -> Result<()> {
-        let cols = self.cols.iter().map(|&c| match c.checked_sub(l.width()) {
-            None => l.column(c).gather(lsel),
-            Some(c) => r.column(c).gather(rsel),
-        });
-        let pairs = Relation::from_columns(self.fields.clone(), cols.collect(), lsel.len());
-        let kept = filter_selection(&self.pred, &pairs)?;
+        let lw = l.width();
+        let (pairs, pred) = self.0.narrow(lsel.len(), |c| match c.checked_sub(lw) {
+            None => (l.column_at(c, lsel), l.field(c).1),
+            Some(c) => (r.column_at(c, rsel), r.field(c).1),
+        })?;
+        let kept = filter_selection(pred, &pairs)?;
         // `kept` ascends, so compacting in place never overwrites a pair
         // before it moved.
         for (to, &from) in kept.iter().enumerate() {
@@ -1213,15 +1612,15 @@ impl Residual {
 }
 
 /// Evaluate one side of an equi-join's `on` pairs (`left` picks the probe
-/// expressions) to key columns.
+/// expressions) to key columns, reading only the columns they read.
 fn key_columns(
     on: &[(xdb_sql::Expr, xdb_sql::Expr)],
     left: bool,
     schema: &PlanSchema,
-    rel: &Relation,
+    rel: &ExecRel,
 ) -> Result<Vec<Column>> {
     on.iter()
-        .map(|(l, r)| expr_column(&compile(if left { l } else { r }, schema)?, rel))
+        .map(|(l, r)| ReadExpr::compile(if left { l } else { r }, schema)?.column(rel))
         .collect()
 }
 
@@ -2012,7 +2411,7 @@ impl ScanResolver for MapResolver {
             .relations
             .get(&relation.to_ascii_lowercase())
             .ok_or_else(|| EngineError::Catalog(format!("unknown relation {relation:?}")))?;
-        sink(project_columns(ExecRel::Shared(Arc::clone(rel)), wanted)?)?;
+        sink(project_columns(Stored::Shared(Arc::clone(rel)), wanted)?)?;
         Ok(ScanOutput {
             nrows: rel.len(),
             edge: None,
@@ -2024,7 +2423,7 @@ impl ScanResolver for MapResolver {
 /// Project a morsel to the requested columns, by name. An identity
 /// projection hands the morsel through, shared or owned, without touching
 /// its schema or a row; a subset shares the column `Arc`s.
-pub fn project_columns(rel: ExecRel, wanted: &[Field]) -> Result<ExecRel> {
+pub fn project_columns(rel: Stored, wanted: &[Field]) -> Result<Stored> {
     let r = rel.as_ref();
     let idx = wanted
         .iter()
@@ -2036,7 +2435,7 @@ pub fn project_columns(rel: ExecRel, wanted: &[Field]) -> Result<ExecRel> {
     if idx.len() == r.width() && idx.iter().enumerate().all(|(i, &j)| i == j) {
         return Ok(rel);
     }
-    Ok(ExecRel::Owned(Relation::from_columns(
+    Ok(Stored::Owned(Relation::from_columns(
         named_columns(wanted),
         idx.iter().map(|&j| r.column(j).clone()).collect(),
         r.len(),
@@ -2361,19 +2760,19 @@ mod tests {
     fn project_columns_identity_and_subset() {
         let f = fixture();
         let rel = f.resolver.relations.get("dept").unwrap();
-        let shared = || ExecRel::Shared(Arc::clone(rel));
+        let shared = || Stored::Shared(Arc::clone(rel));
         let sub = project_columns(shared(), &[Field::bare("budget", DataType::Int)]).unwrap();
         assert_eq!(sub.as_ref().width(), 1);
         assert_eq!(sub.as_ref().value(0, 0), Value::Int(1000));
         // An identity projection hands the morsel through as it came.
         let all: Vec<Field> = rel.fields.iter().map(|(n, t)| Field::bare(n, *t)).collect();
         match project_columns(shared(), &all).unwrap() {
-            ExecRel::Shared(arc) => assert!(Arc::ptr_eq(&arc, rel)),
-            ExecRel::Owned(_) => panic!("identity projection copied a shared morsel"),
+            Stored::Shared(arc) => assert!(Arc::ptr_eq(&arc, rel)),
+            Stored::Owned(_) => panic!("identity projection copied a shared morsel"),
         }
-        let owned = ExecRel::Owned(rel.as_ref().clone());
+        let owned = Stored::Owned(rel.as_ref().clone());
         let idt = project_columns(owned, &all).unwrap();
-        assert!(matches!(&idt, ExecRel::Owned(r) if r == rel.as_ref()));
+        assert!(matches!(&idt, Stored::Owned(r) if r == rel.as_ref()));
     }
 
     #[test]
@@ -2386,12 +2785,15 @@ mod tests {
             bind_select(&parse_select("SELECT dname, budget FROM dept").unwrap(), &f).unwrap();
         let mut exec = Execution::new(&f.resolver);
         let out = exec.run_rel(&plan).unwrap();
-        match &out {
-            ExecRel::Shared(arc) => assert!(Arc::ptr_eq(arc, &stored)),
-            ExecRel::Owned(_) => panic!("identity scan should stay shared"),
+        match &out.parts {
+            Parts::One(Part {
+                rel: Stored::Shared(arc),
+                sel: None,
+            }) => assert!(Arc::ptr_eq(arc, &stored)),
+            _ => panic!("identity scan should stay shared"),
         }
-        // into_owned on still-shared data copies; results are equal.
-        assert_eq!(out.into_owned(), *stored);
+        // Materializing still-shared data copies; results are equal.
+        assert_eq!(out.materialize(), *stored);
     }
 
     /// The scratch allocations survive across executions (capacity reuse);

@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xdb_engine::exec::{
-    project_columns, weights, ExecRel, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver,
-    Scratch,
+    project_columns, weights, Execution, MorselSink, ReadShape, ScanOutput, ScanResolver, Scratch,
+    Stored,
 };
 use xdb_engine::{Relation, Result};
 use xdb_obs::OpStat;
@@ -496,10 +496,10 @@ impl ScanResolver for Resolver<'_> {
                     let sel: Vec<u32> = (lo..rel.len().min(lo + chunk)).map(|i| i as u32).collect();
                     let cols = rel.columns().iter().map(|c| c.gather(&sel)).collect();
                     let m = Relation::from_columns(rel.fields.clone(), cols, sel.len());
-                    sink(project_columns(ExecRel::Owned(m), wanted)?)?;
+                    sink(project_columns(Stored::Owned(m), wanted)?)?;
                 }
             }
-            _ => sink(project_columns(ExecRel::Shared(Arc::clone(rel)), wanted)?)?,
+            _ => sink(project_columns(Stored::Shared(Arc::clone(rel)), wanted)?)?,
         }
         Ok(ScanOutput {
             nrows: rel.len(),

@@ -263,6 +263,12 @@ struct Parts {
     more: Vec<(u32, Arc<Strings>)>,
 }
 
+/// How many of a column's newest parts [`Parts::find`] reads. A column
+/// appended many morsels (a filtered stream read at chunk 1) thus pays a
+/// bounded search per append, not one that grows with every morsel; a part
+/// older than these is added again, which costs entries, not rows.
+const SEARCHED_PARTS: usize = 8;
+
 /// Where a source's parts go among a destination's: the one offset that
 /// turns the source's ids into the destination's, and the entries that
 /// the parts it lacks add.
@@ -293,13 +299,15 @@ impl Parts {
             .map_or(0, |(start, p)| *start as usize + p.len())
     }
 
-    /// The id of `part`'s first entry if it is one of the parts that
-    /// start below `end`. The newest are searched first: rows are mostly
-    /// appended from the morsel that arrived last.
+    /// The id of `part`'s first entry if it is one of the
+    /// [`SEARCHED_PARTS`] newest parts that start below `end`: rows are
+    /// mostly appended from the morsel that arrived last.
     fn find(&self, part: &Arc<Strings>, end: usize) -> Option<u32> {
         self.iter()
             .rev()
-            .find(|(start, p)| (*start as usize) < end && Arc::ptr_eq(p, part))
+            .filter(|(start, _)| (*start as usize) < end)
+            .take(SEARCHED_PARTS)
+            .find(|(_, p)| Arc::ptr_eq(p, part))
             .map(|(start, _)| *start)
     }
 

@@ -291,3 +291,50 @@ fn parts_merge_as_a_block_and_sparse_rows_are_copied() {
     assert_eq!(str_col(&copied).entries(), 6);
     check(&yx, &want[..5].to_vec(), "the copied-from column").unwrap();
 }
+
+/// Thousands of one-row morsels appended to one column, each morsel its
+/// own part (as a stream of single-row chunks makes them), by range and by
+/// selection; every third one is the morsel appended just before, which is
+/// read where it already is. An append reads only the newest parts, so
+/// this stays linear in the rows.
+#[test]
+fn thousands_of_one_row_morsels_append_reading_only_the_newest_parts() {
+    const MORSELS: usize = 6000;
+    let mut rng = TestRng::deterministic(44);
+    let morsels: Vec<(Column, Oracle)> = (0..MORSELS)
+        .map(|_| {
+            let v = random_values(&mut rng, 1);
+            (own(&v), v)
+        })
+        .collect();
+    let mut col = morsels[0].0.empty_like();
+    let mut want = Oracle::new();
+    for i in 0..MORSELS {
+        let (m, v) = match i % 3 {
+            2 => &morsels[i - 1],
+            _ => &morsels[i],
+        };
+        match i % 2 {
+            0 => col.append_range(m, 0, 1),
+            _ => col.append_gather(m, &[0]),
+        }
+        want.extend_from_slice(v);
+    }
+    let s = str_col(&col);
+    assert!(s.ids().is_some(), "one-row morsels are read by id");
+    assert!(s.entries() <= 2 * want.len(), "{} entries", s.entries());
+    assert_eq!(
+        s.entries(),
+        MORSELS / 3 * 2,
+        "a morsel appended again is reused"
+    );
+    for (i, w) in want.iter().enumerate() {
+        assert_eq!(col.value(i), value_of(w), "row {i}");
+    }
+    assert!(col == own(&want), "== its own-valued twin");
+    let wire: u64 = want
+        .iter()
+        .map(|v| v.as_ref().map_or(1, |s| 4 + s.len() as u64))
+        .sum();
+    assert_eq!(col.wire_bytes(), wire);
+}

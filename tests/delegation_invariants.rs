@@ -367,6 +367,59 @@ fn every_failing_statement_is_undone_and_forgotten() {
     assert_eq!(pairs, [52, 58, 64]);
 }
 
+/// A cleanup DROP that fails after a successful submit is not silent: the
+/// one teardown counts it (`ddl.drop_failures{engine}`) and logs one Warn
+/// event naming the node and the DROP of the object it leaked; the submit
+/// still answers, and so does the next one, beside the leaked object.
+#[test]
+fn a_failing_cleanup_drop_after_a_successful_submit_is_reported() {
+    let gen = TpchGen::new(SF);
+    let tables: Vec<_> = TpchTable::ALL.map(|t| (t, gen.table(t))).into();
+    let sql = TpchQuery::Q3.sql();
+    let (planner, planner_catalog) = fresh_federation(TableDist::Td1, &tables);
+    let planner = Xdb::new(&planner, &planner_catalog);
+    let (_, script, _, _) = planner.plan(sql).unwrap();
+    let reference = planner.submit(sql).unwrap().relation;
+    // The first cleanup DROP is the statement on its node after the
+    // script's and the XDB query's.
+    let (node, drop) = &script.cleanup[0];
+    let nth = script.steps.iter().filter(|s| &s.node == node).count()
+        + usize::from(&script.root_node == node);
+    let (cluster, catalog) = fresh_federation(TableDist::Td1, &tables);
+    cluster.fail_once(node.as_str(), nth, FaultSite::Statement);
+    let xdb = Xdb::new(&cluster, &catalog);
+    let first = xdb.submit(sql).unwrap();
+    assert!(first.relation == reference, "the submit's rows");
+    let failures = || {
+        let metrics = &cluster.telemetry().metrics;
+        metrics.value("ddl.drop_failures", &[("engine", node.as_str())])
+    };
+    assert_eq!(failures(), 1.0);
+    let events = cluster.telemetry().events.snapshot();
+    let reported: Vec<_> = events
+        .iter()
+        .filter(|e| e.target == "engine.teardown")
+        .collect();
+    assert_eq!(reported.len(), 1, "{reported:?}");
+    assert_eq!(reported[0].level, xdb::obs::Level::Warn);
+    let field = |k: &str| {
+        let f = reported[0].fields.iter().find(|(key, _)| key == k);
+        f.map(|(_, v)| v.as_str())
+    };
+    assert_eq!(field("node"), Some(node.as_str()));
+    assert_eq!(field("sql"), Some(drop.as_str()));
+    let names = cluster
+        .engine(node.as_str())
+        .unwrap()
+        .with_catalog(|c| c.names());
+    let leaked: Vec<_> = names.iter().filter(|n| n.starts_with("xdb_q")).collect();
+    assert_eq!(leaked.len(), 1, "{node} kept {leaked:?}");
+    assert!(drop.contains(leaked[0].as_str()), "{drop} names {leaked:?}");
+    let again = xdb.submit(sql).unwrap();
+    assert!(again.relation == reference, "the next submit's rows");
+    assert_eq!(failures(), 1.0, "the next submit dropped everything");
+}
+
 /// Dead connector mid-execution: queries against a vanished server fail
 /// with a Remote error, not a panic, and the client's cleanup still runs.
 #[test]

@@ -132,6 +132,75 @@ fn probe_census_rejects_a_rendered_probe() {
     assert!(probe_census("fn other() {}\n").is_err());
 }
 
+// -------------------------------------------------- materialisation census
+
+const EXEC: &str = "crates/engine/src/exec.rs";
+
+/// What gathers rows: a column's gather, the appends of a concatenating
+/// builder, and a whole relation's materialisation.
+const GATHERS: [&str; 4] = [
+    ".gather(",
+    "append_gather(",
+    "append_range(",
+    ".materialize()",
+];
+
+/// Materialisation census: a relation flows between operators as stored
+/// relations read through row selections, and each column an operator
+/// reads is gathered by one method, `Part::column`, one column at a time
+/// (DESIGN.md §10 "Late materialisation"). A relation's every column is
+/// gathered only by `ExecRel::materialize`, which only `Execution::run`
+/// calls: the boundary whose result feeds `CREATE TABLE AS`, the fetch
+/// encoder and the root result. The morsels of a stream read whole are
+/// laid end to end only by `Concat::append`. No other non-test line of
+/// `exec.rs` gathers or materializes.
+fn materialisation_census(src: &str) -> Result<(), String> {
+    let column = method_body(src, "    fn column(&self, c: usize, pick: Option<&[u32]>)")
+        .ok_or_else(|| format!("{EXEC}: no `Part::column` found"))?;
+    let append = method_body(src, "    fn append(&self, many: &mut Laid, m: ExecRel)")
+        .ok_or_else(|| format!("{EXEC}: no `Concat::append` found"))?;
+    let run = method_body(src, "    pub fn run(&mut self, plan: &LogicalPlan)")
+        .ok_or_else(|| format!("{EXEC}: no `Execution::run` found"))?;
+    if !run.contains(".materialize()") {
+        return Err(format!("{EXEC}: `Execution::run` does not materialize"));
+    }
+    let rest = [column, append, run]
+        .iter()
+        .fold(src.to_string(), |rest, body| rest.replacen(body, "", 1));
+    match rest.lines().find(|l| GATHERS.iter().any(|g| l.contains(g))) {
+        Some(line) => Err(format!(
+            "{EXEC}: gathers outside `Part::column`, `Concat::append` and `run`: {line}"
+        )),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn columns_are_gathered_only_by_their_reader_and_at_the_run_boundary() {
+    materialisation_census(&non_test_source(EXEC)).unwrap();
+}
+
+#[test]
+fn materialisation_census_rejects_a_filter_that_gathers() {
+    let src = non_test_source(EXEC);
+    let filter = method_body(&src, "    fn filter(").expect("`Execution::filter` is found");
+    let arm = "let sel = pred.select(&rel)?;";
+    assert!(filter.contains(arm), "the filter's selection is found");
+    for gathering in [
+        "let rel = ExecRel::owned(rel.materialize());",
+        "let cols: Vec<Column> = rel.whole().unwrap().columns().iter().map(|c| c.gather(&sel)).collect();",
+        "let mut out = Column::empty_of(DataType::Int); out.append_gather(&rel.column(0), &sel);",
+    ] {
+        let gathers = filter.replacen(arm, &format!("{arm}\n        {gathering}"), 1);
+        let src = src.replacen(filter, &gathers, 1);
+        assert!(materialisation_census(&src).is_err(), "{gathering}");
+    }
+    // `run` materializes; a `run` that does not is caught too.
+    let lazy = src.replacen("self.run_rel(plan)?.materialize()", "todo!()", 1);
+    assert!(materialisation_census(&lazy).is_err());
+    assert!(materialisation_census("fn other() {}\n").is_err());
+}
+
 // ------------------------------------------------------------- copy census
 
 const LEXER_AND_PARSER: [&str; 2] = ["crates/sql/src/lexer.rs", "crates/sql/src/parser.rs"];

@@ -28,6 +28,7 @@ use xdb_sql::algebra::{named_columns, plan_to_select, LogicalPlan, Name, PlanSch
 use xdb_sql::ast::Expr;
 use xdb_sql::display::render_select_string;
 use xdb_sql::stats::Estimator;
+use xdb_sql::value::Value;
 use xdb_sql::Dialect;
 
 /// Where cross-database operators are placed: the candidate step of the
@@ -124,12 +125,19 @@ pub fn stable_hash_hex(bytes: &[u8]) -> String {
 }
 
 /// Stable digest of a relation's ordered result cells (`{:?}|` per value,
-/// `\n` per row): how two runs show they returned the same answer.
+/// `\n` per row): how two runs show they returned the same answer. A float
+/// is written rounded to 12 significant digits, and a zero of either sign
+/// as `0`, so two plans that add the same numbers in another order digest
+/// alike.
 pub fn result_digest(relation: &Relation) -> String {
     let mut cells = String::new();
     for i in 0..relation.len() {
         for c in 0..relation.width() {
-            let _ = write!(cells, "{:?}|", relation.value(i, c));
+            let _ = match relation.value(i, c) {
+                Value::Float(0.0) => write!(cells, "Float(0)|"),
+                Value::Float(f) => write!(cells, "Float({f:.11e})|"),
+                v => write!(cells, "{v:?}|"),
+            };
         }
         cells.push('\n');
     }
@@ -827,6 +835,23 @@ pub(crate) fn apply_renames(e: Expr, renames: &[Rename]) -> Expr {
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use xdb_sql::value::DataType;
+
+    /// Floats digest by their value to 12 significant digits: a sum taken
+    /// in another order, or a zero of the other sign, digests alike; a
+    /// change in the sixth digit does not.
+    #[test]
+    fn result_digest_rounds_floats() {
+        let digest = |f: f64| {
+            let fields = vec![("x".to_string(), DataType::Float)];
+            result_digest(&Relation::new(fields, vec![vec![Value::Float(f)]]))
+        };
+        assert_ne!(0.1 + 0.2 + 0.3, 0.3 + 0.2 + 0.1);
+        assert_eq!(digest(0.1 + 0.2 + 0.3), digest(0.3 + 0.2 + 0.1));
+        assert_eq!(digest(-0.0), digest(0.0));
+        assert_ne!(digest(1.0), digest(1.000001));
+        assert_ne!(digest(1.0), digest(-1.0));
+    }
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, JoinShape, OptimizeOptions};
     use xdb_sql::parse_select;

@@ -1,7 +1,8 @@
 //! Morsel-driven executor for logical plans, with work accounting.
 //!
 //! An operator reads a child through [`Execution::feed`]: the chunks of a
-//! streamed edge, a hash join's matches per probe morsel, or — the
+//! streamed edge, a join's output per probe morsel (every join, inner,
+//! cross, semi or anti, is the one [`Execution::hash_join`]), or — the
 //! one-morsel case of the same code — the child's whole relation. What each
 //! operator owes besides its rows (work units, op entries, timing edges) is
 //! therefore written once, whichever way the rows travel.
@@ -64,10 +65,11 @@ pub mod weights {
 /// Chain terminator in the chained hash tables below.
 const NO_NEXT: u32 = u32::MAX;
 
-/// Candidate pairs a nested-loop join holds at once (a block of left rows
-/// against the whole right side; one left row when the right side alone is
-/// larger).
-const NESTED_LOOP_BLOCK_PAIRS: usize = 1 << 16;
+/// Candidate pairs a join with a residual holds at once: [`probe_chain`]
+/// stops between probe rows once it has appended this many, and the
+/// residual runs over each such block. A probe row whose own chain is
+/// longer is one block.
+const RESIDUAL_BLOCK_PAIRS: usize = 1 << 16;
 
 /// A stored relation: a leaf's morsel, or a relation an operator built.
 /// Either uniquely owned (rows can be moved) or shared with the catalog /
@@ -108,9 +110,9 @@ impl Stored {
 
 /// A relation flowing between operators, materialized late: its parts,
 /// stored relations side by side, each read through its own row selection.
-/// - A filter, sort, limit, DISTINCT or semi join composes a selection
-///   onto every part (`ExecRel::select`); no column is copied.
-/// - A join's output is its left input's parts read through its pairs'
+/// - A filter, sort, limit, DISTINCT or semi/anti join composes a
+///   selection onto every part (`ExecRel::select`); no column is copied.
+/// - An inner join's output is its left input's parts read through its pairs'
 ///   left rows, then its right input's through their right rows
 ///   (`ExecRel::pair`): `sel'[i] = sel[pair[i]]`.
 ///
@@ -253,16 +255,6 @@ impl ExecRel {
         s.column(c, Some(pick))
     }
 
-    /// Row `i`'s values (the row-wise residual of a semi join).
-    fn row(&self, i: usize) -> Vec<Value> {
-        let mut row = Vec::with_capacity(self.width());
-        for s in self.parts() {
-            let at = s.sel.as_ref().map_or(i, |sel| sel[i] as usize);
-            row.extend(s.rel.as_ref().columns().iter().map(|c| c.value(at)));
-        }
-        row
-    }
-
     /// Rows `pick` of this relation, in `pick` order: a selection composed
     /// onto every part. The first part keeps `pick`'s own buffer, composed
     /// in place, so a filter over a stored relation allocates nothing more
@@ -343,8 +335,9 @@ impl ExecRel {
 
 /// Morsels laid end to end into one relation, for a reader that takes its
 /// input whole: a filter over a streamed leaf that [`Execution::run_rel`]
-/// reads, and a join's output over a streamed probe side. One morsel stays
-/// as it arrived. From a second on, each morsel's first `gathered` columns
+/// reads, and every join's output, one morsel per probe morsel
+/// ([`Execution::concat`]). One morsel stays as it arrived. From a second
+/// on, each morsel's first `gathered` columns
 /// (a filter's every column, a join's probe side's) are gathered as it
 /// arrives, so no chunk outlives its arrival and a selective filter keeps
 /// only the rows it passed; the parts after them, the one build side every
@@ -640,20 +633,9 @@ impl<'a> Execution<'a> {
                 exprs,
                 schema,
             } => self.project(input, exprs, schema),
-            LogicalPlan::Join {
-                left,
-                right,
-                on,
-                residual,
-                schema,
-            } => self.join(left, right, on, residual.as_ref(), schema),
-            LogicalPlan::SemiJoin {
-                left,
-                right,
-                on,
-                residual,
-                negated,
-            } => self.semi_join(left, right, on, residual.as_ref(), *negated),
+            LogicalPlan::Join { left, .. } | LogicalPlan::SemiJoin { left, .. } => {
+                self.concat(plan, left.schema().fields.len())
+            }
             LogicalPlan::Aggregate {
                 input,
                 group_by,
@@ -693,13 +675,7 @@ impl<'a> Execution<'a> {
         predicate: &xdb_sql::Expr,
     ) -> Result<ExecRel> {
         if self.streamed_leaf(plan).is_some() {
-            let fields = &input.schema().fields;
-            let mut out = Concat::new(fields.len());
-            self.feed(plan, &mut |m| {
-                out.push(m);
-                Ok(())
-            })?;
-            return Ok(out.finish(fields));
+            return self.concat(plan, input.schema().fields.len());
         }
         let rel = self.run_rel(input)?;
         let pred = ReadExpr::compile(predicate, input.schema())?;
@@ -908,7 +884,8 @@ impl<'a> Execution<'a> {
     /// morsels, in order, and `feed` returns how many rows it delivered.
     /// - A [`Execution::streamed_leaf`] delivers the chunks of its edge,
     ///   each with its filter's selection, and is never materialized.
-    /// - A hash join delivers one joined morsel per probe morsel.
+    /// - A join of any kind ([`Execution::hash_join`]) delivers its output
+    ///   over each probe morsel.
     /// - Anything else runs to a relation, which is the one morsel.
     ///
     /// Whatever the child owes in work units, op entries and edges is
@@ -939,96 +916,59 @@ impl<'a> Execution<'a> {
             self.record_filter(out.nrows as u64, kept);
             return Ok(kept);
         }
-        match plan {
-            LogicalPlan::Join {
-                left,
-                right,
-                on,
-                residual,
-                schema,
-            } if !on.is_empty() => {
-                let mut emit = |m, build: &ExecRel, lsel: &[u32], rsel: &[u32]| {
-                    sink(ExecRel::pair(m, build, lsel, rsel))
-                };
-                self.hash_join(left, right, on, residual.as_ref(), schema, &mut emit)
-            }
-            _ => {
-                let rel = self.run_rel(plan)?;
-                let n = rel.len() as u64;
-                sink(rel)?;
-                Ok(n)
-            }
+        if let Some(join) = JoinNode::of(plan) {
+            return self.hash_join(&join, sink);
         }
+        let rel = self.run_rel(plan)?;
+        let n = rel.len() as u64;
+        sink(rel)?;
+        Ok(n)
     }
 
-    /// Inner join: the hash join's pairs, or the nested loop's, composed
-    /// onto the two inputs' selections ([`ExecRel::pair`]); a streamed
-    /// probe side's morsels are laid end to end ([`Concat`]).
-    fn join(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
-        residual: Option<&xdb_sql::Expr>,
-        schema: &PlanSchema,
-    ) -> Result<ExecRel> {
-        if !on.is_empty() {
-            let mut out = Concat::new(left.schema().fields.len());
-            let mut emit = |m, build: &ExecRel, lsel: &[u32], rsel: &[u32]| {
-                out.push(ExecRel::pair(m, build, lsel, rsel));
-                Ok(())
-            };
-            self.hash_join(left, right, on, residual, schema, &mut emit)?;
-            return Ok(out.finish(&schema.fields));
-        }
-        // Nested-loop (cross) join with optional residual, one block of
-        // left rows at a time: the candidate pairs held at once are
-        // bounded, whatever `l × r` is.
-        let lrel = self.run_rel(left)?;
-        let rrel = self.run_rel(right)?;
-        let (ln, rn) = (lrel.len(), rrel.len());
-        self.olap_units += (ln as f64 * rn as f64) * weights::JOIN;
-        let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
-        let block = (NESTED_LOOP_BLOCK_PAIRS / rn.max(1)).max(1);
-        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-        let (mut lblock, mut rblock) = (Vec::new(), Vec::new());
-        for lo in (0..ln).step_by(block) {
-            lblock.clear();
-            rblock.clear();
-            for li in lo..ln.min(lo + block) {
-                lblock.extend(std::iter::repeat_n(li as u32, rn));
-                rblock.extend(0..rn as u32);
-            }
-            if let Some(res) = &residual {
-                res.keep_pairs(&lrel, &rrel, &mut lblock, &mut rblock)?;
-            }
-            lsel.extend_from_slice(&lblock);
-            rsel.extend_from_slice(&rblock);
-        }
-        self.op(OpStat {
-            op: "nested loop join",
-            rows_in: (ln + rn) as u64,
-            rows_out: lsel.len() as u64,
-            build_rows: rn as u64,
-            probe_rows: ln as u64,
-        });
-        Ok(ExecRel::pair(lrel, &rrel, &lsel, &rsel))
+    /// `plan`'s morsels, as [`Execution::feed`] delivers them, laid end to
+    /// end ([`Concat`]), gathering their first `gathered` columns from a
+    /// second morsel on: a filtered stream's every column, a join's probe
+    /// side's.
+    fn concat(&mut self, plan: &LogicalPlan, gathered: usize) -> Result<ExecRel> {
+        let mut out = Concat::new(gathered);
+        self.feed(plan, &mut |m| {
+            out.push(m);
+            Ok(())
+        })?;
+        Ok(out.finish(&plan.schema().fields))
     }
 
-    /// The one hash join: hand each probe (left) morsel's matches with the
-    /// right relation to `emit` as (morsel, right relation, morsel-local
-    /// rows, right rows) — probe-major, right rows ascending within a probe
-    /// row, residual already applied. Returns the number of pairs.
+    /// The one join, of every kind ([`JoinNode`]): hand `emit` its output
+    /// over each probe (left) morsel, and return the rows emitted.
+    /// - *Inner*: the morsel's pairs with the right relation, probe-major,
+    ///   right rows ascending within a probe row, read through both sides'
+    ///   selections ([`ExecRel::pair`]). A join without key pairs (a cross
+    ///   join) packs every row to the one empty key, as a global aggregate
+    ///   does, so its one chain holds every right row: left-major, right
+    ///   rows ascending, the nested loop's order.
+    /// - *Semi* / *anti*: the morsel's rows with (without) a surviving
+    ///   match, as a selection over it. Without a residual only the first
+    ///   right row of every key is chained, so a probe row has at most one
+    ///   candidate: a single lookup.
     ///
-    /// The hash table goes over the smaller input. A probe side that is one
-    /// morsel (a materialized child, or a stream that ends after its first
-    /// chunk, which is therefore held until the second one arrives or the
-    /// edge ends) with fewer rows than the right relation is chained
-    /// itself and probed with the right relation's keys; a stable counting
-    /// sort on the morsel row then restores the emission order. Everything
-    /// else (ties, longer streams) chains the right relation. Which side
-    /// is hashed is not an observable: work units and `OpStat` keep the
-    /// plan's sides, build = right and probe = left.
+    /// A residual runs on blocks of candidates: [`probe_chain`] stops
+    /// between probe rows once [`RESIDUAL_BLOCK_PAIRS`] are held, and
+    /// [`Residual::keep_pairs`] keeps a block's survivors (for a semi or
+    /// anti join only a probe row's first), so the candidates held at once
+    /// are bounded whatever `l × r` is. A morsel whose candidates fit in one
+    /// block is one pass.
+    ///
+    /// The hash table goes over the right relation, except for an inner
+    /// join on at least one key whose probe side is one morsel (a
+    /// materialized child, or a stream that ends after its first chunk,
+    /// which is therefore held until the second one arrives or the edge
+    /// ends) with fewer rows than the right relation: that morsel is chained
+    /// itself and probed with the right relation's keys, and a stable
+    /// counting sort on the morsel row restores the emission order. Which
+    /// side is hashed is not an observable: work units and `OpStat` keep
+    /// the plan's sides, build = right and probe = left, per kind (a hash
+    /// join `(l + r + out / 2) × JOIN`, a cross join `l × r × JOIN` under
+    /// the name "nested loop join", a semi or anti join `(l + r) × JOIN`).
     ///
     /// Child order is an observable (ledger records, op post-order, the
     /// sequence of float additions into the work units): a probe side that
@@ -1036,20 +976,27 @@ impl<'a> Execution<'a> {
     /// *before* it. Only bare-column keys probe a stream, because only
     /// those have the same layout in every morsel ([`KeyNorm::pack`] errors
     /// on drift).
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
-        residual: Option<&xdb_sql::Expr>,
-        schema: &PlanSchema,
-        emit: &mut PairSink<'_>,
-    ) -> Result<u64> {
+    fn hash_join(&mut self, join: &JoinNode<'_>, emit: &mut RelSink<'_>) -> Result<u64> {
+        let &JoinNode {
+            left,
+            right,
+            on,
+            residual,
+            kind,
+            joined,
+        } = join;
         let pkeys: Vec<ReadExpr> = on
             .iter()
             .map(|(l, _)| ReadExpr::compile(l, left.schema()))
             .collect::<Result<_>>()?;
+        let semi_joined;
+        let schema = match joined {
+            Some(schema) => schema,
+            None => {
+                semi_joined = left.schema().join(right.schema());
+                &semi_joined
+            }
+        };
         let residual = residual.map(|r| Residual::new(r, schema)).transpose()?;
         let left_last = self.streamed_leaf(left).is_some()
             && pkeys.iter().all(|k| matches!(k.expr, PhysExpr::Column(_)));
@@ -1062,6 +1009,12 @@ impl<'a> Execution<'a> {
         let rrel = self.run_rel(right)?.shared();
         let build = &rrel;
         let bcols = key_columns(on, false, right.schema(), build)?;
+        let may_swap = kind == JoinKind::Inner && !on.is_empty();
+        let chains = kind == JoinKind::Inner || residual.is_some();
+        let block = match residual {
+            Some(_) => RESIDUAL_BLOCK_PAIRS,
+            None => usize::MAX,
+        };
         let mut scratch = std::mem::take(&mut self.scratch);
         // The normalisation needs the probe side's layouts, so it is decided,
         // and the right side's table built, when the first morsel is probed.
@@ -1075,36 +1028,55 @@ impl<'a> Execution<'a> {
             // A whole probe side smaller than the right relation gets the
             // table (`KeyNorm` plans over the table side), and the right
             // relation's keys probe it.
-            let swap = whole && m.len() < build.len();
+            let swap = may_swap && whole && m.len() < build.len();
             let mut swapped = None;
             let (norm, cols, rows) = match &mut norm {
                 _ if swap => {
-                    let n = swapped.insert(build_table(&pcols, &bcols, m.len(), &mut scratch));
+                    let n =
+                        swapped.insert(build_table(&pcols, &bcols, m.len(), true, &mut scratch));
                     (&*n, &bcols, build.len())
                 }
                 Some(n) => (&*n, &pcols, m.len()),
                 None => {
-                    let n = norm.insert(build_table(&bcols, &pcols, build.len(), &mut scratch));
-                    (&*n, &pcols, m.len())
+                    let n = build_table(&bcols, &pcols, build.len(), chains, &mut scratch);
+                    (&*norm.insert(n), &pcols, m.len())
                 }
             };
             norm.pack(cols, rows, &mut scratch.keys)
                 .ok_or_else(key_drift)?;
             let keys = norm.keys(cols, rows, &scratch.keys.packed);
-            let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
-            let (psel, bsel) = if swap { (rsel, lsel) } else { (lsel, rsel) };
-            with_key_arm!(&keys, scratch.keys, |p, heads| {
-                probe_chain(p, heads, &scratch.next, psel, bsel)
-            });
+            let mut at = 0;
+            while at < rows {
+                let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
+                let from = lsel.len();
+                let (psel, bsel) = if swap {
+                    (&mut *rsel, &mut *lsel)
+                } else {
+                    (&mut *lsel, &mut *rsel)
+                };
+                at = with_key_arm!(&keys, scratch.keys, |p, heads| {
+                    probe_chain(p, heads, &scratch.next, at, block, psel, bsel)
+                });
+                if let Some(res) = &residual {
+                    res.keep_pairs(&m, build, lsel, rsel, from, kind != JoinKind::Inner)?;
+                }
+            }
             if swap {
                 scratch.pairs.probe_major(m.len());
             }
-            let Pairs { lsel, rsel, .. } = &mut scratch.pairs;
-            if let Some(res) = &residual {
-                res.keep_pairs(&m, build, lsel, rsel)?;
-            }
-            out_rows += lsel.len() as u64;
-            emit(m, build, lsel, rsel)
+            let Pairs { lsel, rsel, .. } = &scratch.pairs;
+            let out = match kind {
+                JoinKind::Inner => ExecRel::pair(m, build, lsel, rsel),
+                JoinKind::Semi if lsel.len() == m.len() => m,
+                JoinKind::Anti if lsel.is_empty() => m,
+                JoinKind::Semi => m.select(lsel.clone()),
+                JoinKind::Anti => {
+                    let n = m.len();
+                    m.select(unmatched(lsel, n))
+                }
+            };
+            out_rows += out.len() as u64;
+            emit(out)
         };
         let probed = match lrel {
             Some(l) => {
@@ -1134,76 +1106,30 @@ impl<'a> Execution<'a> {
         };
         self.scratch = scratch;
         let (probe_rows, build_rows) = (probed?, build.len() as u64);
-        self.olap_units += (probe_rows as f64 + build_rows as f64) * weights::JOIN;
-        self.olap_units += out_rows as f64 * weights::JOIN * 0.5;
+        let (l, r) = (probe_rows as f64, build_rows as f64);
+        let op = match kind {
+            JoinKind::Inner if on.is_empty() => "nested loop join",
+            JoinKind::Inner => "hash join",
+            JoinKind::Semi => "semi join",
+            JoinKind::Anti => "anti join",
+        };
+        let inputs = if op == "nested loop join" {
+            l * r
+        } else {
+            l + r
+        };
+        self.olap_units += inputs * weights::JOIN;
+        if op == "hash join" {
+            self.olap_units += out_rows as f64 * weights::JOIN * 0.5;
+        }
         self.op(OpStat {
-            op: "hash join",
+            op,
             rows_in: probe_rows + build_rows,
             rows_out: out_rows,
             build_rows,
             probe_rows,
         });
         Ok(out_rows)
-    }
-
-    /// Semi/anti join: emit left rows with at least one (semi) or zero
-    /// (anti) matching right rows, as a selection over the left input.
-    fn semi_join(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        on: &[(xdb_sql::Expr, xdb_sql::Expr)],
-        residual: Option<&xdb_sql::Expr>,
-        negated: bool,
-    ) -> Result<ExecRel> {
-        let lrel = self.run_rel(left)?;
-        let rrel = self.run_rel(right)?;
-        let lschema = left.schema();
-        let rschema = right.schema();
-        let residual_c = match residual {
-            Some(r) => Some(compile(r, &lschema.join(rschema))?),
-            None => None,
-        };
-        let bcols = key_columns(on, false, rschema, &rrel)?;
-        let pcols = key_columns(on, true, lschema, &lrel)?;
-        let (ln, rn) = (lrel.len(), rrel.len());
-        self.olap_units += (ln as f64 + rn as f64) * weights::JOIN;
-        // Candidate right rows are visited in ascending row order and the
-        // residual short-circuits on the first match, exactly like the
-        // row-major executor.
-        let mut residual_fn = |li: usize, ri: usize| -> Result<bool> {
-            let res = residual_c.as_ref().expect("residual present");
-            let mut combined = lrel.row(li);
-            combined.extend(rrel.row(ri));
-            res.eval_predicate(&combined)
-        };
-        let residual_dyn: Option<&mut dyn FnMut(usize, usize) -> Result<bool>> =
-            if residual_c.is_some() {
-                Some(&mut residual_fn)
-            } else {
-                None
-            };
-        let norm = build_table(&bcols, &pcols, rn, &mut self.scratch);
-        let t = &mut self.scratch.keys;
-        norm.pack(&pcols, ln, t).ok_or_else(key_drift)?;
-        let keys = norm.keys(&pcols, ln, &t.packed);
-        let matched = with_key_arm!(&keys, t, |p, heads| {
-            semi_matches(p, heads, &self.scratch.next, residual_dyn)
-        })?;
-        let sel: Vec<u32> = matched
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| **m != negated)
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.op(OpStat {
-            op: if negated { "anti join" } else { "semi join" },
-            rows_in: (ln + rn) as u64,
-            rows_out: sel.len() as u64,
-            build_rows: rn as u64,
-            probe_rows: ln as u64,
-        });
-        Ok(lrel.select(sel))
     }
 
     /// Grouped aggregation: [`Execution::feed`] folds the input into the
@@ -1269,9 +1195,78 @@ struct GroupOut {
     accs: Vec<Accumulator>,
 }
 
-/// What a join hands its consumer per probe morsel: the morsel, the build
-/// relation, and the matching (morsel row, build row) pairs.
-type PairSink<'a> = dyn FnMut(ExecRel, &ExecRel, &[u32], &[u32]) -> Result<()> + 'a;
+/// What a join outputs per probe morsel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinKind {
+    /// Its pairs.
+    Inner,
+    /// Its rows with a surviving match.
+    Semi,
+    /// Its rows without one.
+    Anti,
+}
+
+/// A join node, `Join` or `SemiJoin`, as the one hash join reads it.
+struct JoinNode<'p> {
+    left: &'p LogicalPlan,
+    right: &'p LogicalPlan,
+    on: &'p [(xdb_sql::Expr, xdb_sql::Expr)],
+    residual: Option<&'p xdb_sql::Expr>,
+    kind: JoinKind,
+    /// The joined row's schema, which a residual reads: an inner join's
+    /// output schema. A semi join's output is its left side, so `None`.
+    joined: Option<&'p PlanSchema>,
+}
+
+impl<'p> JoinNode<'p> {
+    fn of(plan: &'p LogicalPlan) -> Option<JoinNode<'p>> {
+        let (left, right, on, residual, kind, joined) = match plan {
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                residual,
+                schema,
+            } => (left, right, on, residual, JoinKind::Inner, Some(&**schema)),
+            LogicalPlan::SemiJoin {
+                left,
+                right,
+                on,
+                residual,
+                negated: false,
+            } => (left, right, on, residual, JoinKind::Semi, None),
+            LogicalPlan::SemiJoin {
+                left,
+                right,
+                on,
+                residual,
+                negated: true,
+            } => (left, right, on, residual, JoinKind::Anti, None),
+            _ => return None,
+        };
+        Some(JoinNode {
+            left,
+            right,
+            on,
+            residual: residual.as_ref(),
+            kind,
+            joined,
+        })
+    }
+}
+
+/// The rows `0..n` that `matched`, ascending, does not hold: an anti join's
+/// output.
+fn unmatched(matched: &[u32], n: usize) -> Vec<u32> {
+    let mut matched = matched.iter().peekable();
+    let mut out = Vec::with_capacity(n - matched.len());
+    for i in 0..n as u32 {
+        if matched.next_if_eq(&&i).is_none() {
+            out.push(i);
+        }
+    }
+    out
+}
 
 /// The relation a read that delivered nothing at all stands for: no rows,
 /// and the declared fields of the plan node read.
@@ -1576,9 +1571,10 @@ impl<'p> ReadExpr<'p> {
     }
 }
 
-/// The residual step of a join: keep the pairs whose joined row passes.
-/// Only the columns the residual reads are gathered for the candidate
-/// pairs, each through its side's selection composed with the pairs.
+/// The residual step of every join: keep the pairs whose joined row
+/// passes. Only the columns the residual reads are gathered for the
+/// candidate pairs, each through its side's selection composed with the
+/// pairs, and the predicate runs over them as a `WHERE` does.
 struct Residual<'p>(ReadExpr<'p>);
 
 impl<'p> Residual<'p> {
@@ -1586,27 +1582,41 @@ impl<'p> Residual<'p> {
         Ok(Residual(ReadExpr::compile(residual, schema)?))
     }
 
+    /// Keep the candidate pairs from `from` on (row `lsel[i]` of `l` beside
+    /// row `rsel[i]` of `r`) whose joined row passes, compacted in place;
+    /// the pairs before `from` are a previous block's survivors. `first`
+    /// keeps only the first survivor of each `l` row, which is all a semi or
+    /// anti join asks of it: a block holds whole probe rows, so a row's
+    /// candidates are all in one block.
     fn keep_pairs(
         &self,
         l: &ExecRel,
         r: &ExecRel,
         lsel: &mut Vec<u32>,
         rsel: &mut Vec<u32>,
+        from: usize,
+        first: bool,
     ) -> Result<()> {
         let lw = l.width();
-        let (pairs, pred) = self.0.narrow(lsel.len(), |c| match c.checked_sub(lw) {
-            None => (l.column_at(c, lsel), l.field(c).1),
-            Some(c) => (r.column_at(c, rsel), r.field(c).1),
+        let (lblock, rblock) = (&lsel[from..], &rsel[from..]);
+        let (pairs, pred) = self.0.narrow(lblock.len(), |c| match c.checked_sub(lw) {
+            None => (l.column_at(c, lblock), l.field(c).1),
+            Some(c) => (r.column_at(c, rblock), r.field(c).1),
         })?;
         let kept = filter_selection(pred, &pairs)?;
         // `kept` ascends, so compacting in place never overwrites a pair
         // before it moved.
-        for (to, &from) in kept.iter().enumerate() {
-            lsel[to] = lsel[from as usize];
-            rsel[to] = rsel[from as usize];
+        let mut to = from;
+        for k in kept.iter().map(|&k| from + k as usize) {
+            if first && to > from && lsel[to - 1] == lsel[k] {
+                continue;
+            }
+            lsel[to] = lsel[k];
+            rsel[to] = rsel[k];
+            to += 1;
         }
-        lsel.truncate(kept.len());
-        rsel.truncate(kept.len());
+        lsel.truncate(to);
+        rsel.truncate(to);
         Ok(())
     }
 }
@@ -2077,17 +2087,25 @@ fn map_push_front<K: Hash + Eq>(heads: &mut FastMap<K, u32>, key: Option<K>, i: 
     }
 }
 
-/// Probe a side's keys against a chained build table, appending (probe,
-/// build) row pairs probe-major with build rows ascending within a probe
-/// row — the exact emission order of the row-major hash join.
+/// The one chain walk: probe rows `from..` of a side's keys against a
+/// chained build table, appending (probe, build) row pairs probe-major with
+/// build rows ascending within a probe row — the exact emission order of
+/// the row-major hash join — until `block` pairs are appended, which is
+/// checked between probe rows. Returns the first probe row not probed.
 fn probe_chain<K, H: KeyTable<K>>(
     probe: &Side<K>,
     heads: &H,
     next: &[u32],
+    from: usize,
+    block: usize,
     psel: &mut Vec<u32>,
     bsel: &mut Vec<u32>,
-) {
-    for i in 0..probe.rows {
+) -> usize {
+    let held = psel.len();
+    for i in from..probe.rows {
+        if psel.len() - held >= block {
+            return i;
+        }
         let Some(mut j) = heads.head(&probe.keys, i) else {
             continue;
         };
@@ -2100,6 +2118,7 @@ fn probe_chain<K, H: KeyTable<K>>(
             }
         }
     }
+    probe.rows
 }
 
 /// A probe morsel's matching pairs, row `lsel[i]` of the morsel beside row
@@ -2143,12 +2162,15 @@ impl Pairs {
     }
 }
 
-/// The build half of every hash join: decide how the keys normalise from
-/// both sides' columns, then chain the build side's keys into `scratch`.
+/// The build half of every join: decide how the keys normalise from both
+/// sides' columns, then chain the build side's keys into `scratch`. Without
+/// `chains` only the first build row of every key is its chain: a semi or
+/// anti join without a residual asks only whether one exists.
 fn build_table(
     bcols: &[Column],
     pcols: &[Column],
     build_rows: usize,
+    chains: bool,
     scratch: &mut Scratch,
 ) -> KeyNorm {
     let norm = KeyNorm::plan(bcols, pcols, build_rows, false, &mut scratch.keys);
@@ -2156,6 +2178,9 @@ fn build_table(
     with_key_arm!(&keys, scratch.keys, |b, heads| {
         build_chain(b, heads, &mut scratch.next)
     });
+    if !chains {
+        scratch.next.fill(NO_NEXT);
+    }
     norm
 }
 
@@ -2170,42 +2195,6 @@ fn build_chain<K, H: KeyTable<K>>(build: &Side<K>, heads: &mut H, next: &mut Vec
     for i in (0..build.rows).rev() {
         next[i] = heads.push_front(&build.keys, i);
     }
-}
-
-/// Per-probe-row match flags for semi/anti joins. Without a residual a
-/// single lookup decides; with one, candidates are visited in ascending
-/// build-row order and evaluation short-circuits on the first match
-/// (reference semantics — later candidates are never evaluated).
-fn semi_matches<K, H: KeyTable<K>>(
-    probe: &Side<K>,
-    heads: &H,
-    next: &[u32],
-    mut residual: Option<&mut dyn FnMut(usize, usize) -> Result<bool>>,
-) -> Result<Vec<bool>> {
-    let mut out = Vec::with_capacity(probe.rows);
-    for i in 0..probe.rows {
-        let mut matched = false;
-        if let Some(h) = heads.head(&probe.keys, i) {
-            match residual.as_mut() {
-                None => matched = true,
-                Some(f) => {
-                    let mut j = h;
-                    loop {
-                        if f(i, j as usize)? {
-                            matched = true;
-                            break;
-                        }
-                        j = next[j as usize];
-                        if j == NO_NEXT {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        out.push(matched);
-    }
-    Ok(out)
 }
 
 /// Streaming aggregate accumulator.
@@ -3041,6 +3030,7 @@ mod tests {
             std::slice::from_ref(&wide),
             std::slice::from_ref(&wide),
             4,
+            true,
             &mut scratch,
         );
         let direct = &scratch.keys.direct;
@@ -3052,6 +3042,7 @@ mod tests {
             std::slice::from_ref(&narrow),
             std::slice::from_ref(&narrow),
             2,
+            true,
             &mut scratch,
         );
         let direct = &scratch.keys.direct;
@@ -3063,9 +3054,43 @@ mod tests {
         let probe = [col(&[3, 4, 0])];
         norm.pack(&probe, 3, &mut scratch.keys).unwrap();
         let keys = norm.keys(&probe, 3, &scratch.keys.packed);
-        with_key_arm!(&keys, scratch.keys, |p, heads| {
-            probe_chain(p, heads, &scratch.next, &mut psel, &mut bsel)
+        let at = with_key_arm!(&keys, scratch.keys, |p, heads| {
+            probe_chain(p, heads, &scratch.next, 0, usize::MAX, &mut psel, &mut bsel)
         });
-        assert_eq!((psel, bsel), (vec![0, 0], vec![0, 1]));
+        assert_eq!((psel, bsel, at), (vec![0, 0], vec![0, 1], 3));
+    }
+
+    /// A block stops between probe rows once it holds `block` pairs, never
+    /// inside a row's chain; without `chains` a key's chain is its first
+    /// build row alone.
+    #[test]
+    fn blocks_end_between_probe_rows_and_chains_can_be_truncated() {
+        let col = |vals: &[i64]| Column::from_values(vals.iter().map(|&v| Value::Int(v)));
+        let build = [col(&[5, 5, 5, 6])];
+        let probe = [col(&[5, 6, 5, 7])];
+        let mut scratch = Scratch::default();
+        let mut blocks = |chains: bool, block: usize| {
+            let norm = build_table(&build, &probe, 4, chains, &mut scratch);
+            norm.pack(&probe, 4, &mut scratch.keys).unwrap();
+            let keys = norm.keys(&probe, 4, &scratch.keys.packed);
+            let (mut at, mut out) = (0, Vec::new());
+            while at < 4 {
+                let (mut psel, mut bsel) = (Vec::new(), Vec::new());
+                at = with_key_arm!(&keys, scratch.keys, |p, heads| {
+                    probe_chain(p, heads, &scratch.next, at, block, &mut psel, &mut bsel)
+                });
+                out.push((psel, bsel));
+            }
+            out
+        };
+        assert_eq!(
+            blocks(true, 2),
+            [
+                (vec![0, 0, 0], vec![0, 1, 2]),
+                (vec![1, 2, 2, 2], vec![3, 0, 1, 2]),
+                (vec![], vec![]),
+            ]
+        );
+        assert_eq!(blocks(false, usize::MAX), [(vec![0, 1, 2], vec![0, 3, 0])]);
     }
 }

@@ -4,11 +4,17 @@
 //! no column statistics, which are filled on first read; a hash join packs
 //! its keys and collects its pairs in buffers the engine pools, and gathers
 //! its string columns as row ids; a stored selective result holds only its
-//! own rows' strings.
+//! own rows' strings; a join's residual holds a block of candidates at a
+//! time, however many `l × r` are.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xdb_engine::{Engine, EngineProfile, NoRemote};
+use xdb_engine::exec::{Execution, MapResolver};
+use xdb_engine::{Engine, EngineProfile, NoRemote, Relation};
+use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::ast::{BinaryOp, Expr};
+use xdb_sql::bind::intern_fields;
+use xdb_sql::value::{DataType, Value};
 use xdb_tpch::{TpchGen, TpchTable};
 
 thread_local! {
@@ -19,6 +25,8 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Bytes allocated and not yet freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since `peak_held` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -31,7 +39,10 @@ fn note(bytes: usize) {
 
 /// `bytes` more (or, negative, fewer) bytes held.
 fn hold(bytes: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE.try_with(|n| {
+        n.set(n.get() + bytes);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(n.get())));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -77,6 +88,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     (out, allocs - before.0, bytes - before.1)
+}
+
+/// The most bytes `f` holds at once on this thread beyond those held when
+/// it starts.
+fn peak_held<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    (out, PEAK.with(Cell::get) - base)
 }
 
 /// All sixteen columns of half of TPC-H's `lineitem` at sf 0.001,
@@ -222,4 +242,68 @@ fn a_filtered_join_gathers_only_what_is_read() {
     assert_eq!(rows, 5, "one group per order priority");
     assert!(count <= 195, "a filtered join made {count} allocations");
     assert!(bytes <= 131_000, "a filtered join allocated {bytes} bytes");
+}
+
+/// A cross join and a `NOT EXISTS` without key pairs, 3 000 left rows
+/// against `r` right rows, each with a residual that keeps a handful of
+/// pairs: the rows they return, and the most bytes the execution holds
+/// beyond its inputs.
+fn residual_joins(r: i64) -> [(usize, i64); 2] {
+    let mut resolver = MapResolver::new();
+    let mut table = |name: &str, col: &str, n: i64, v: &dyn Fn(i64) -> i64| {
+        let fields = vec![
+            ("id".to_string(), DataType::Int),
+            (col.to_string(), DataType::Int),
+        ];
+        let rows = (0..n).map(|i| {
+            let v = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(v(i))
+            };
+            vec![Value::Int(i), v]
+        });
+        resolver.insert(name, Relation::new(fields.clone(), rows.collect()));
+        LogicalPlan::scan(name, name, intern_fields(&fields).iter().cloned())
+    };
+    let lhs = table("lhs", "x", 3000, &|i| (i * 7919) % 1000);
+    let rhs = table("rhs", "y", r, &|i| (i * 104_729) % 1000);
+    let above = |a: Expr, b: Expr, by: i64| {
+        let b = Expr::binary(BinaryOp::Plus, b, Expr::lit(Value::Int(by)));
+        Expr::binary(BinaryOp::Gt, a, b)
+    };
+    let (x, y) = (Expr::qcol("lhs", "x"), Expr::qcol("rhs", "y"));
+    let cross = lhs
+        .clone()
+        .join_on(rhs.clone(), vec![], Some(above(x.clone(), y.clone(), 998)));
+    let anti = LogicalPlan::SemiJoin {
+        left: Box::new(lhs),
+        right: Box::new(rhs),
+        on: vec![],
+        residual: Some(above(y, x, 990)),
+        negated: true,
+    };
+    [cross, anti].map(|plan| {
+        let (out, peak) = peak_held(|| Execution::new(&resolver).run(&plan).unwrap());
+        (out.len(), peak)
+    })
+}
+
+/// Doubling the right side doubles the candidate pairs (4.5 to 9 million)
+/// but not what a residual join holds: it holds a block of candidates, the
+/// right side's chain and keys, and its result.
+#[test]
+fn a_residual_holds_a_block_of_candidates_not_every_pair() {
+    let [(cross_half, cross_half_peak), (anti_half, anti_half_peak)] = residual_joins(1500);
+    let [(cross, cross_peak), (anti, anti_peak)] = residual_joins(3000);
+    assert!(
+        cross_half > 0 && cross > cross_half && cross < 100,
+        "{cross_half} {cross}"
+    );
+    assert!(anti_half > 2900 && anti <= anti_half, "{anti_half} {anti}");
+    for (half, whole) in [(cross_half_peak, cross_peak), (anti_half_peak, anti_peak)] {
+        eprintln!("peak held: {half} bytes at 3 000 x 1 500, {whole} at 3 000 x 3 000");
+        assert!(whole < half + half / 4, "{half} -> {whole} bytes held");
+        assert!(whole < 3_500_000, "{whole} bytes held");
+    }
 }

@@ -3,10 +3,14 @@
 //! every operator, and DDL lifecycle corners.
 
 use xdb_engine::cluster::{Cluster, FaultSite};
+use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_engine::{EngineError, NoRemote, StatementOptions, DEFAULT_STREAM_CHUNK_ROWS};
-use xdb_sql::value::{date, Value};
+use xdb_sql::algebra::LogicalPlan;
+use xdb_sql::ast::{BinaryOp, Expr};
+use xdb_sql::bind::intern_fields;
+use xdb_sql::value::{date, DataType, Value};
 
 fn cluster() -> Cluster {
     let c = Cluster::lan(&["db"], EngineProfile::postgres());
@@ -70,10 +74,10 @@ fn non_equi_join_falls_back_to_nested_loop() {
 }
 
 /// 3 000 × 3 000: nine million candidate pairs, of which the residual keeps
-/// under 1 %. The nested loop walks them a block of left rows at a time
-/// (it used to reserve, and fill, two `l × r` vectors before looking at one
-/// pair); the rows come out left-major, right ascending, as a row-wise loop
-/// over the same predicate yields them.
+/// under 1 %. A join without key pairs packs every row to the one empty
+/// key, and the residual runs a block of candidates at a time, so no
+/// `l × r` vector is held; the rows come out left-major, right ascending,
+/// as a row-wise loop over the same predicate yields them.
 #[test]
 fn large_cross_join_with_selective_residual() {
     let c = cluster();
@@ -117,6 +121,158 @@ fn large_cross_join_with_selective_residual() {
     }
     assert!(!want.is_empty() && want.len() < 90_000, "{}", want.len());
     assert_eq!(r.rows().collect::<Vec<_>>(), want);
+}
+
+/// Table `name` of `n` rows whose columns `cols` (all Int) hold `row(i)`
+/// in row `i`, put into `resolver`, and a scan of it.
+fn int_table(
+    resolver: &mut MapResolver,
+    name: &str,
+    cols: &[&str],
+    n: i64,
+    row: impl Fn(i64) -> Vec<Option<i64>>,
+) -> LogicalPlan {
+    let fields: Vec<(String, DataType)> = cols
+        .iter()
+        .map(|c| (c.to_string(), DataType::Int))
+        .collect();
+    let value = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let rows = (0..n).map(|i| row(i).into_iter().map(value).collect());
+    resolver.insert(name, Relation::new(fields.clone(), rows.collect()));
+    LogicalPlan::scan(name, name, intern_fields(&fields).iter().cloned())
+}
+
+/// Column `i`'s Int values, NULL as `None`.
+fn ints(rel: &Relation, c: usize) -> Vec<Option<i64>> {
+    (0..rel.len()).map(|i| rel.value(i, c).as_int()).collect()
+}
+
+/// `NOT EXISTS` whose only correlation is an inequality: an anti join
+/// without key pairs over 3 000 × 3 000 rows, nine million candidates,
+/// that keeps the left rows for which no right row passes — a NULL on
+/// either side passes nothing — in left order, as a row-wise loop does.
+#[test]
+fn not_exists_with_only_an_inequality() {
+    let n = 3000;
+    let mut resolver = MapResolver::new();
+    let x = |i: i64| (i % 11 != 0).then_some((i * 7919) % 1000);
+    let y = |i: i64| (i % 13 != 0).then_some((i * 104_729) % 1000);
+    let lhs = int_table(&mut resolver, "lhs", &["id", "x"], n, |i| {
+        vec![Some(i), x(i)]
+    });
+    let rhs = int_table(&mut resolver, "rhs", &["id", "y"], n, |i| {
+        vec![Some(i), y(i)]
+    });
+    // b.y > a.x + 990
+    let residual = Expr::binary(
+        BinaryOp::Gt,
+        Expr::qcol("rhs", "y"),
+        Expr::binary(
+            BinaryOp::Plus,
+            Expr::qcol("lhs", "x"),
+            Expr::lit(Value::Int(990)),
+        ),
+    );
+    let plan = LogicalPlan::SemiJoin {
+        left: Box::new(lhs),
+        right: Box::new(rhs),
+        on: vec![],
+        residual: Some(residual),
+        negated: true,
+    };
+    let got = Execution::new(&resolver).run(&plan).unwrap();
+    let ys: Vec<Option<i64>> = (0..n).map(y).collect();
+    let want: Vec<Option<i64>> = (0..n)
+        .filter(|&i| {
+            !ys.iter()
+                .any(|&y| matches!((x(i), y), (Some(x), Some(y)) if y > x + 990))
+        })
+        .map(Some)
+        .collect();
+    assert!(want.len() > 2900 && want.len() < 3000, "{}", want.len());
+    assert_eq!(ints(&got, 0), want);
+}
+
+/// One hot key: 800 × 1 000 rows, nearly all on key 0, so a keyed join
+/// holds over 600 000 candidates and its residual runs on many blocks.
+/// The inner join's probe side is the smaller, so its table goes over the
+/// left rows and the right rows' keys probe it in blocks; the semi join
+/// keeps its table over the right rows. Both equal a row-wise loop: the
+/// inner join's pairs left-major, right rows ascending; the semi join's
+/// left rows with a passing candidate, in order.
+#[test]
+fn a_hot_key_splits_a_residual_into_blocks() {
+    let (ln, rn) = (800, 1000);
+    let mut resolver = MapResolver::new();
+    // Every tenth row has a key of its own, every 37th none.
+    let k = |i: i64| match i {
+        _ if i % 37 == 0 => None,
+        _ if i % 10 == 0 => Some(i),
+        _ => Some(0),
+    };
+    let x = |i: i64| (i * 7919) % 1000;
+    let y = |i: i64| (i * 104_729) % 1000;
+    let lhs = int_table(&mut resolver, "lhs", &["id", "k", "x"], ln, |i| {
+        vec![Some(i), k(i), Some(x(i))]
+    });
+    let rhs = int_table(&mut resolver, "rhs", &["id", "k", "y"], rn, |i| {
+        vec![Some(i), k(i), Some(y(i))]
+    });
+    let on = vec![(Expr::qcol("lhs", "k"), Expr::qcol("rhs", "k"))];
+    // b.y > a.x + 990 OR a.id = b.id
+    let residual = Expr::binary(
+        BinaryOp::Or,
+        Expr::binary(
+            BinaryOp::Gt,
+            Expr::qcol("rhs", "y"),
+            Expr::binary(
+                BinaryOp::Plus,
+                Expr::qcol("lhs", "x"),
+                Expr::lit(Value::Int(990)),
+            ),
+        ),
+        Expr::binary(
+            BinaryOp::Eq,
+            Expr::qcol("lhs", "id"),
+            Expr::qcol("rhs", "id"),
+        ),
+    );
+    let passes = |i: i64, j: i64| k(i).is_some() && k(i) == k(j) && (y(j) > x(i) + 990 || i == j);
+    let candidates = (0..ln)
+        .map(|i| (0..rn).filter(|&j| k(i).is_some() && k(i) == k(j)).count())
+        .sum::<usize>();
+    assert!(candidates > 8 * 65_536, "{candidates}");
+
+    let join = lhs
+        .clone()
+        .join_on(rhs.clone(), on.clone(), Some(residual.clone()));
+    let got = Execution::new(&resolver).run(&join).unwrap();
+    let mut want = Vec::new();
+    for i in 0..ln {
+        want.extend(
+            (0..rn)
+                .filter(|&j| passes(i, j))
+                .map(|j| (Some(i), Some(j))),
+        );
+    }
+    assert!(want.len() > 500 && want.len() < 20_000, "{}", want.len());
+    let pairs: Vec<_> = ints(&got, 0).into_iter().zip(ints(&got, 3)).collect();
+    assert_eq!(pairs, want);
+
+    let semi = LogicalPlan::SemiJoin {
+        left: Box::new(lhs),
+        right: Box::new(rhs),
+        on,
+        residual: Some(residual),
+        negated: false,
+    };
+    let got = Execution::new(&resolver).run(&semi).unwrap();
+    let want: Vec<Option<i64>> = (0..ln)
+        .filter(|&i| (0..rn).any(|j| passes(i, j)))
+        .map(Some)
+        .collect();
+    assert!(want.len() > 100 && want.len() < 790, "{}", want.len());
+    assert_eq!(ints(&got, 0), want);
 }
 
 #[test]

@@ -685,9 +685,9 @@ fn reference(case: &Case, shape: Shape, streamed: bool) -> Observed {
 
 /// Every shape at every chunk setting equals the reference, the whole
 /// operator list included, each on a fresh [`Scratch`]. Whether the probe
-/// streams is the reference's only input besides the case: semi joins
-/// never stream, a computed probe key never does, everything else does
-/// whenever the resolver offers to.
+/// streams is the reference's only input besides the case: a computed
+/// probe key never does, every other join (inner, semi and anti alike)
+/// does whenever the resolver offers to.
 fn check(case: &Case, label: &str) -> std::result::Result<(), TestCaseError> {
     check_on(None, case, label)
 }
@@ -704,7 +704,6 @@ fn check_on(
         for chunk in [None, Some(1), Some(7), Some(4096)] {
             let streamed = chunk.is_some()
                 && match shape {
-                    Shape::Semi { .. } => false,
                     Shape::ComputedKey => !computes_key(case),
                     _ => true,
                 };

@@ -1,7 +1,8 @@
 //! Differential test for late materialisation, over generated queries.
 //!
 //! Random compositions of filter, hash join (with and without a residual),
-//! nested-loop join, semi and anti join, aggregate (one key, which folds
+//! cross join, semi and anti join (with and without a residual, with and
+//! without a key pair), aggregate (one key, which folds
 //! morsel by morsel, and several), projection, sort, limit and DISTINCT
 //! over the TPC-H tables at sf 0.001 — some foreign keys NULL, one table
 //! empty, filters that keep nothing — are run two ways:
@@ -9,9 +10,10 @@
 //!   columns an operator reads; half the tables are read as streams, in
 //!   chunks of 1, 7 or 64 rows;
 //! - by a gather-everything reference: every operator run alone over its
-//!   inputs materialized, its own output materialized. A filter, an inner
-//!   join and a limit are evaluated row by row there, sharing nothing with
-//!   the executor but the expression evaluator. Every other operator runs
+//!   inputs materialized, its own output materialized. A filter, a join of
+//!   every kind (inner, cross, semi, anti) and a limit are evaluated row by
+//!   row there, sharing nothing with the executor but the expression
+//!   evaluator. Every other operator runs
 //!   through the executor alone, so for those only the composition across
 //!   operators is checked: a defect in one operator's handling of an input
 //!   it reads whole would show in both arms.
@@ -21,7 +23,8 @@
 //! checks that `Q` is the multiset union of `Q WHERE p`, `Q WHERE NOT p`
 //! and `Q WHERE p IS NULL`, for a `p` over `Q`'s output. Tier-1 runs
 //! [`CASES`] fixed seeds, each one composition, and the partitions of the
-//! first [`TLP_CASES`]: about 4 s and 6 s in a debug build.
+//! first [`TLP_CASES`]: about 33 s for both, one after the other, in a
+//! debug build on a 2-vCPU host.
 
 use proptest::prelude::TestRng;
 use std::cell::RefCell;
@@ -191,8 +194,8 @@ fn late(
 }
 
 /// The gather-everything arm: each operator runs alone, over its inputs
-/// materialized, and its output is materialized. A filter, an inner join
-/// and a limit are evaluated row by row ([`row_wise`]); every other
+/// materialized, and its output is materialized. A filter, a join of any
+/// kind and a limit are evaluated row by row ([`row_wise`]); every other
 /// operator, a scan included, by the executor.
 fn reference(plan: &LogicalPlan, tables: &Tables) -> Result<Relation> {
     let mut node = plan.clone();
@@ -221,15 +224,17 @@ fn reference(plan: &LogicalPlan, tables: &Tables) -> Result<Relation> {
     Execution::new(&resolver).run(&node)
 }
 
-/// A filter, an inner join or a limit over its inputs `rels`, its rows
-/// chosen a row at a time: the rows of `rels[0]` the predicate keeps; every
-/// pair of a row of `rels[0]` and one of `rels[1]`, left-major, whose join
-/// keys are equal, none NULL, and whose residual holds; the first rows.
-/// Join keys are compared by `Value` equality, which is SQL's on the
-/// integer keys generated here. The chosen rows are gathered from the
-/// inputs' columns. `None` for any other operator.
+/// A filter, a join of any kind or a limit over its inputs `rels`, its
+/// rows chosen a row at a time: the rows of `rels[0]` the predicate keeps;
+/// every pair of a row of `rels[0]` and one of `rels[1]`, left-major, whose
+/// join keys are equal, none NULL, and whose residual holds (every pair
+/// when there are no keys); the rows of `rels[0]` with such a pair (semi)
+/// or without one (anti); the first rows. Join keys are compared by
+/// `Value` equality, which is SQL's on the integer keys generated here.
+/// The chosen rows are gathered from the inputs' columns. `None` for any
+/// other operator.
 fn row_wise(node: &LogicalPlan, rels: &[Arc<Relation>]) -> Result<Option<Relation>> {
-    let (lsel, rsel): (Vec<u32>, Vec<u32>) = match node {
+    let (lsel, rsel): (Vec<u32>, Option<Vec<u32>>) = match node {
         LogicalPlan::Filter { input, predicate } => {
             let pred = compile(predicate, input.schema())?;
             let mut sel = Vec::new();
@@ -238,11 +243,11 @@ fn row_wise(node: &LogicalPlan, rels: &[Arc<Relation>]) -> Result<Option<Relatio
                     sel.push(i as u32);
                 }
             }
-            (sel, Vec::new())
+            (sel, None)
         }
         LogicalPlan::Limit { fetch, .. } => {
             let n = rels[0].len().min(*fetch as usize);
-            ((0..n as u32).collect(), Vec::new())
+            ((0..n as u32).collect(), None)
         }
         LogicalPlan::Join {
             left,
@@ -251,62 +256,92 @@ fn row_wise(node: &LogicalPlan, rels: &[Arc<Relation>]) -> Result<Option<Relatio
             residual,
             schema,
         } => {
-            let residual = residual.as_ref().map(|c| compile(c, schema)).transpose()?;
-            let keys = |side: &LogicalPlan, left: bool| -> Result<Vec<PhysExpr>> {
-                let keys = on.iter().map(|(l, r)| if left { l } else { r });
-                keys.map(|e| compile(e, side.schema())).collect()
-            };
-            let (lkeys, rkeys) = (keys(left, true)?, keys(right, false)?);
-            // A row's key values, `None` when one is NULL.
-            let key = |keys: &[PhysExpr], row: &[Value]| -> Result<Option<Vec<Value>>> {
-                let key = keys
-                    .iter()
-                    .map(|k| k.eval(row))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok((!key.contains(&Value::Null)).then_some(key))
-            };
-            let right_rows: Vec<Vec<Value>> = rels[1].rows().collect();
-            let mut by_key: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-            for (i, r) in right_rows.iter().enumerate() {
-                if let Some(k) = key(&rkeys, r)? {
-                    by_key.entry(k).or_default().push(i as u32);
-                }
-            }
-            let every: Vec<u32> = (0..right_rows.len() as u32).collect();
-            let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
-            let mut row = Vec::new();
-            for (li, l) in rels[0].rows().enumerate() {
-                let candidates = match key(&lkeys, &l)? {
-                    _ if on.is_empty() => &every[..],
-                    Some(k) => by_key.get(&k).map_or(&[][..], |c| &c[..]),
-                    None => &[],
-                };
-                for &ri in candidates {
-                    let passes = match &residual {
-                        Some(c) => {
-                            row.clear();
-                            row.extend(l.iter().chain(&right_rows[ri as usize]).cloned());
-                            c.eval_predicate(&row)?
-                        }
-                        None => true,
-                    };
-                    if passes {
-                        lsel.push(li as u32);
-                        rsel.push(ri);
-                    }
-                }
-            }
-            (lsel, rsel)
+            let (lsel, rsel) = matches(left, right, on, residual.as_ref(), schema, rels)?;
+            (lsel, Some(rsel))
+        }
+        LogicalPlan::SemiJoin {
+            left,
+            right,
+            on,
+            residual,
+            negated,
+        } => {
+            let schema = left.schema().join(right.schema());
+            let (matched, _) = matches(left, right, on, residual.as_ref(), &schema, rels)?;
+            let matched: HashSet<u32> = matched.into_iter().collect();
+            let n = rels[0].len() as u32;
+            let kept = (0..n).filter(|i| matched.contains(i) != *negated);
+            (kept.collect(), None)
         }
         _ => return Ok(None),
     };
     let mut fields = rels[0].fields.clone();
     let mut cols: Vec<_> = rels[0].columns().iter().map(|c| c.gather(&lsel)).collect();
-    if let Some(r) = rels.get(1) {
-        fields.extend(r.fields.iter().cloned());
-        cols.extend(r.columns().iter().map(|c| c.gather(&rsel)));
+    if let Some(rsel) = rsel {
+        fields.extend(rels[1].fields.iter().cloned());
+        cols.extend(rels[1].columns().iter().map(|c| c.gather(&rsel)));
     }
     Ok(Some(Relation::from_columns(fields, cols, lsel.len())))
+}
+
+/// The pairs of a row of `rels[0]` and one of `rels[1]`, left-major, whose
+/// `on` keys are equal, none NULL, and whose residual, evaluated over the
+/// joined row by [`PhysExpr::eval_predicate`], is TRUE; `schema` is the
+/// joined row's.
+fn matches(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    on: &[(Expr, Expr)],
+    residual: Option<&Expr>,
+    schema: &xdb_sql::algebra::PlanSchema,
+    rels: &[Arc<Relation>],
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let residual = residual.map(|c| compile(c, schema)).transpose()?;
+    let keys = |side: &LogicalPlan, left: bool| -> Result<Vec<PhysExpr>> {
+        let keys = on.iter().map(|(l, r)| if left { l } else { r });
+        keys.map(|e| compile(e, side.schema())).collect()
+    };
+    let (lkeys, rkeys) = (keys(left, true)?, keys(right, false)?);
+    // A row's key values, `None` when one is NULL.
+    let key = |keys: &[PhysExpr], row: &[Value]| -> Result<Option<Vec<Value>>> {
+        let key = keys
+            .iter()
+            .map(|k| k.eval(row))
+            .collect::<Result<Vec<_>>>()?;
+        Ok((!key.contains(&Value::Null)).then_some(key))
+    };
+    let right_rows: Vec<Vec<Value>> = rels[1].rows().collect();
+    let mut by_key: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+    for (i, r) in right_rows.iter().enumerate() {
+        if let Some(k) = key(&rkeys, r)? {
+            by_key.entry(k).or_default().push(i as u32);
+        }
+    }
+    let every: Vec<u32> = (0..right_rows.len() as u32).collect();
+    let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+    let mut row = Vec::new();
+    for (li, l) in rels[0].rows().enumerate() {
+        let candidates = match key(&lkeys, &l)? {
+            _ if on.is_empty() => &every[..],
+            Some(k) => by_key.get(&k).map_or(&[][..], |c| &c[..]),
+            None => &[],
+        };
+        for &ri in candidates {
+            let passes = match &residual {
+                Some(c) => {
+                    row.clear();
+                    row.extend(l.iter().chain(&right_rows[ri as usize]).cloned());
+                    c.eval_predicate(&row)?
+                }
+                None => true,
+            };
+            if passes {
+                lsel.push(li as u32);
+                rsel.push(ri);
+            }
+        }
+    }
+    Ok((lsel, rsel))
 }
 
 fn children_mut(plan: &mut LogicalPlan) -> Vec<&mut LogicalPlan> {
@@ -480,9 +515,7 @@ impl Gen<'_> {
         }
         if let Some((old, new)) = self.one_in(3).then(|| self.edge(&used)).flatten() {
             let right = self.scan(new.0);
-            let mut fields = plan.schema().fields.to_vec();
-            fields.extend(right.schema().fields.iter().cloned());
-            let residual = self.one_in(3).then(|| self.predicate(&fields));
+            let residual = self.one_in(2).then(|| self.residual(&plan, &right));
             plan = LogicalPlan::SemiJoin {
                 left: Box::new(plan),
                 right: Box::new(right),
@@ -491,8 +524,27 @@ impl Gen<'_> {
                 negated: self.rng.bool(),
             };
         }
+        let small: Vec<&str> = ["region", "nation", "supplier", "nation_none"]
+            .into_iter()
+            .filter(|t| !used.contains(t))
+            .collect();
+        if !small.is_empty() && self.one_in(5) {
+            // A semi or anti join without a key pair: its residual alone
+            // decides, over every row of a small table.
+            let table = *self.pick(&small);
+            used.push(table);
+            let right = self.scan(table);
+            let residual = Some(self.residual(&plan, &right));
+            plan = LogicalPlan::SemiJoin {
+                left: Box::new(plan),
+                right: Box::new(right),
+                on: vec![],
+                residual,
+                negated: self.rng.bool(),
+            };
+        }
         if self.one_in(8) && !used.contains(&"region") {
-            // A nested-loop join against the five regions.
+            // A cross join against the five regions.
             let right = self.scan("region");
             let mut fields = plan.schema().fields.to_vec();
             fields.extend(right.schema().fields.iter().cloned());
@@ -505,6 +557,33 @@ impl Gen<'_> {
             _ => plan,
         };
         self.top(plan)
+    }
+
+    /// A residual for a join of `left` and `right`: a predicate over both
+    /// sides' base columns, or a comparison of an Int column of each, now
+    /// and then under AND or OR with such a predicate.
+    fn residual(&mut self, left: &LogicalPlan, right: &LogicalPlan) -> Expr {
+        let mut fields = left.schema().fields.to_vec();
+        fields.extend(right.schema().fields.iter().cloned());
+        if self.rng.bool() {
+            return self.predicate(&fields);
+        }
+        let ints = |plan: &LogicalPlan| -> Vec<Field> {
+            let fields = plan.schema().fields.iter();
+            fields
+                .filter(|f| f.data_type == DataType::Int)
+                .cloned()
+                .collect()
+        };
+        let (l, r) = (ints(left), ints(right));
+        let ops = [BinaryOp::Lt, BinaryOp::GtEq, BinaryOp::Eq, BinaryOp::NotEq];
+        let op = *self.pick(&ops);
+        let test = Expr::binary(op, column(self.pick(&l)), column(self.pick(&r)));
+        match self.rng.below(4) {
+            0 => Expr::and(test, self.predicate(&fields)),
+            1 => Expr::binary(BinaryOp::Or, test, self.predicate(&fields)),
+            _ => test,
+        }
     }
 
     fn aggregate(&mut self, plan: LogicalPlan) -> LogicalPlan {
@@ -631,6 +710,7 @@ fn kinds(plan: &LogicalPlan, out: &mut HashSet<&'static str>) {
             residual: Some(_), ..
         } => "hash join with a residual",
         LogicalPlan::Join { .. } => "hash join",
+        LogicalPlan::SemiJoin { on, .. } if on.is_empty() => "semi or anti join without a key",
         LogicalPlan::SemiJoin { negated: true, .. } => "anti join",
         LogicalPlan::SemiJoin { .. } => "semi join",
         LogicalPlan::Aggregate { group_by, .. } if group_by.len() > 1 => "multi-key aggregate",
@@ -668,7 +748,7 @@ fn late_materialisation_equals_gathering_everything() {
             (got, want) => panic!("seed {seed}: {got:?} against {want:?}\n{plan:#?}"),
         }
     }
-    assert_eq!(reached.len(), 13, "{reached:?}");
+    assert_eq!(reached.len(), 14, "{reached:?}");
     // The generator reaches both empty and non-empty results.
     assert!(
         empty > CASES as usize / 20 && empty < CASES as usize / 2,

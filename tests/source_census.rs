@@ -201,6 +201,84 @@ fn materialisation_census_rejects_a_filter_that_gathers() {
     assert!(materialisation_census("fn other() {}\n").is_err());
 }
 
+// ---------------------------------------------------------- one-join census
+
+/// The functions of `exec.rs` that evaluate an expression a row at a time:
+/// the fallbacks of the vectorized kernels, for what those decline.
+const ROW_AT_A_TIME: [&str; 2] = ["fn filter_selection(", "fn expr_column("];
+
+/// The functions of `exec.rs` that walk a join's chains.
+const CHAIN_WALKS: [&str; 2] = ["fn build_chain<", "fn probe_chain<"];
+
+/// One-join census: every join, inner, cross, semi or anti, is the one
+/// hash join, and its residual runs vectorized over blocks of candidate
+/// pairs (DESIGN.md §10 "One join"). So no non-test code line of `exec.rs`
+/// but the row-at-a-time fallbacks `filter_selection` and `expr_column`
+/// evaluates an expression (`eval_predicate`, `.eval(`), and only
+/// `build_chain` and `probe_chain` touch a chain (`next[`). Comment lines
+/// are not code.
+fn one_join_census(src: &str) -> Result<(), String> {
+    let rules: [(&[&str], &[&str]); 2] = [
+        (&ROW_AT_A_TIME, &["eval_predicate", ".eval("]),
+        (&CHAIN_WALKS, &["next["]),
+    ];
+    for (allowed, forbidden) in rules {
+        let mut rest = src.to_string();
+        for signature in allowed {
+            let body =
+                fn_body(src, signature).ok_or_else(|| format!("{EXEC}: no `{signature}` found"))?;
+            rest = rest.replacen(body, "", 1);
+        }
+        let code = rest.lines().filter(|l| !l.trim_start().starts_with("//"));
+        if let Some(line) = code
+            .into_iter()
+            .find(|l| forbidden.iter().any(|f| l.contains(f)))
+        {
+            return Err(format!("{EXEC}: outside {allowed:?}: {line}"));
+        }
+    }
+    Ok(())
+}
+
+/// The lines of the free function whose signature line contains
+/// `signature`, up to the line that closes it (`}` in the first column).
+fn fn_body<'a>(src: &'a str, signature: &str) -> Option<&'a str> {
+    let start = src.find(signature)?;
+    let start = src[..start].rfind('\n').map_or(0, |i| i + 1);
+    let len = src[start..]
+        .find("\n}\n")
+        .map_or(src.len() - start, |i| i + 2);
+    Some(&src[start..start + len])
+}
+
+#[test]
+fn every_join_is_the_one_hash_join() {
+    one_join_census(&non_test_source(EXEC)).unwrap();
+}
+
+#[test]
+fn one_join_census_rejects_a_row_wise_residual_and_a_second_chain_walk() {
+    let src = non_test_source(EXEC);
+    // The semi join's own residual, a joined row at a time.
+    let row_wise = "let mut residual_fn = |li: usize, ri: usize| -> Result<bool> {\n        \
+                    let mut combined = lrel.row(li);\n        combined.extend(rrel.row(ri));\n        \
+                    res.eval_predicate(&combined)\n    };";
+    // The semi join's own probe, walking a chain of its own.
+    let walk = "loop {\n        if f(i, j as usize)? { break; }\n        \
+                j = next[j as usize];\n        if j == NO_NEXT { break; }\n    }";
+    for forbidden in [row_wise, walk, "let v = e.eval(&row)?;"] {
+        let extra = format!("{src}\nfn semi_matches() {{\n    {forbidden}\n}}\n");
+        assert!(one_join_census(&extra).is_err(), "{forbidden}");
+    }
+    // Inside the allowed functions, the same lines are theirs.
+    let probe = fn_body(&src, "fn probe_chain<").expect("`probe_chain` is found");
+    let inside = probe.replacen('{', "{\n    let _ = next[0];", 1);
+    assert!(one_join_census(&src.replacen(probe, &inside, 1)).is_ok());
+    // A comment that names a chain is not a walk.
+    assert!(one_join_census(&format!("{src}\n/// `next[i]` follows row `i`.\n")).is_ok());
+    assert!(one_join_census("fn other() {}\n").is_err());
+}
+
 // ------------------------------------------------------------- copy census
 
 const LEXER_AND_PARSER: [&str; 2] = ["crates/sql/src/lexer.rs", "crates/sql/src/parser.rs"];

@@ -1,10 +1,13 @@
-//! Planning-path overhead of learned cost profiles: the full
-//! parse→consult→annotate pipeline (`Xdb::plan`, no execution) with
-//! static pricing vs a populated profile store. The learned path adds a
-//! handful of BTreeMap lookups per candidate — this group keeps that
-//! delta visible so profile-store growth can't silently tax every
-//! planning cycle. Compare two builds by running both in one session;
-//! nothing records or gates these timings.
+//! Planning-path overhead of learned cost profiles: `Xdb::plan` (no
+//! execution) with static pricing vs a populated profile store. The timed
+//! loop plans a text the catalog has planned before, so it takes the
+//! optimised logical plan from the catalog's logical plan cache and times
+//! consultation, annotation and script building; parse, bind and logical
+//! optimisation run only in the warm-up. The learned path adds a handful
+//! of BTreeMap lookups per candidate — this group keeps that delta
+//! visible so profile-store growth can't silently tax every planning
+//! cycle. Compare two builds by running both in one session; nothing
+//! records or gates these timings.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -67,7 +70,8 @@ fn bench(c: &mut Criterion) {
                 ..Default::default()
             });
         // Warm the consult caches once so the loop times annotation, not
-        // first-touch metadata probes.
+        // first-touch metadata probes (criterion's warm-up fills the
+        // logical plan cache).
         xdb.plan(TpchQuery::Q3.sql()).unwrap();
         for q in [TpchQuery::Q3, TpchQuery::Q8] {
             let name = format!("plan_{}_{}", q.name().to_lowercase(), tag);

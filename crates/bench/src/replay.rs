@@ -176,7 +176,8 @@ impl ReplayReport {
         self.rows.iter().filter(|r| r.flipped()).count()
     }
 
-    /// Every flip kept the result rows bit-identical.
+    /// Every query's two arms agree on their result digest, which compares
+    /// floats rounded to 12 significant digits.
     pub fn results_identical(&self) -> bool {
         self.rows
             .iter()
@@ -257,7 +258,7 @@ impl ReplayReport {
             out,
             "result rows: {}",
             if self.results_identical() {
-                "bit-identical across arms"
+                "digests equal across arms (floats to 12 significant digits)"
             } else {
                 "DIFFER — learned plans changed answers"
             }

@@ -94,7 +94,7 @@ fn a_fig9_history_feeds_replay_and_shows_no_drift() {
     let text = replay.render();
     assert!(text.contains("plan flips:"), "{text}");
     assert!(
-        text.contains("result rows: bit-identical across arms"),
+        text.contains("result rows: digests equal across arms"),
         "{text}"
     );
     let drift = compare(&records, &records, DEFAULT_NOISE_PCT, Some(25.0));

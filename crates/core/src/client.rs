@@ -16,8 +16,9 @@ use crate::delegation::{
     build_script, deploy_script, finish_script, run_cleanup, DelegationScript, Deployed,
     ExecutionOutcome,
 };
-use crate::global::GlobalCatalog;
+use crate::global::{GlobalCatalog, LogicalEntry};
 use crate::plan::DelegationPlan;
+use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::{log_parse_error, ExecReport, StatementOptions};
 use xdb_engine::error::{EngineError, Result};
@@ -29,7 +30,7 @@ use xdb_obs::{
 };
 use xdb_sql::ast::{Expr, SelectStmt, Statement, TableRef};
 use xdb_sql::bind::bind_select;
-use xdb_sql::optimize::{optimize, OptimizeOptions};
+use xdb_sql::optimize::{optimize, JoinShape, OptimizeOptions};
 
 /// Per-phase simulated times (Fig 15).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -154,6 +155,22 @@ pub struct XdbOptions {
     pub freeze_profiles: bool,
 }
 
+impl XdbOptions {
+    /// The logical optimizer's options these select: part of the key a
+    /// text's optimised plan is cached under.
+    pub fn optimize_options(&self) -> OptimizeOptions {
+        OptimizeOptions {
+            reorder_joins: !self.no_join_reorder,
+            prune_columns: !self.no_column_pruning,
+            join_shape: if self.bushy_joins {
+                JoinShape::Bushy
+            } else {
+                JoinShape::LeftDeep
+            },
+        }
+    }
+}
+
 impl Default for XdbOptions {
     #[allow(deprecated)]
     fn default() -> XdbOptions {
@@ -236,17 +253,15 @@ impl<'a> Xdb<'a> {
     /// prep/lopt/ann phase spans and per-probe Consult spans into a fresh
     /// collector.
     pub(crate) fn plan_internal(&self, sql: &str) -> Result<Planned> {
-        let stmt = xdb_sql::parse_statement(sql)
-            .map_err(|e| log_parse_error(self.cluster.telemetry(), sql, e))?;
-        let select = match stmt {
-            Statement::Select(s) => s,
-            // `EXPLAIN <select>` against the middleware plans the inner
-            // query.
-            Statement::Explain(s) => s,
-            other => {
-                return Err(EngineError::Unsupported(format!(
-                    "XDB accepts SELECT queries only, got {other:?}"
-                )))
+        let options = self.options.optimize_options();
+        // A text the catalog has planned before is not parsed again: its
+        // entry lists the tables to consult. A new text is parsed first, so
+        // malformed or non-SELECT text fails before any consult.
+        let front = match self.catalog.logical_plan(sql, options) {
+            Some(entry) => Front::Cached(entry),
+            None => {
+                let (select, tables) = self.parse_query(sql)?;
+                Front::Parsed(select, tables)
             }
         };
         let collector = TraceCollector::new();
@@ -268,12 +283,10 @@ impl<'a> Xdb<'a> {
             0.0,
             0.0,
         );
-        let mut tables = Vec::new();
-        collect_tables(&select, &mut tables);
         let mut cursor = PREP_PARSE_MS;
         let mut prep_hits = 0u64;
         let mut prep_fetches = 0u64;
-        for t in &tables {
+        for t in front.tables() {
             // Unknown names surface at bind; consultation is best-effort.
             if let Ok(hit) = self.catalog.consult(self.cluster, t) {
                 let dur = if hit { 0.0 } else { params::METADATA_FETCH_MS };
@@ -300,22 +313,21 @@ impl<'a> Xdb<'a> {
         let prep_ms = PREP_PARSE_MS + prep_fetches as f64 * params::METADATA_FETCH_MS;
         collector.set_dur(prep_span, prep_ms);
 
-        // lopt.
-        let bound = bind_select(&select, self.catalog)?;
-        let node_count = bound.node_count() as f64;
-        let optimized = optimize(
-            bound,
-            self.catalog,
-            OptimizeOptions {
-                reorder_joins: !self.options.no_join_reorder,
-                prune_columns: !self.options.no_column_pruning,
-                join_shape: if self.options.bushy_joins {
-                    xdb_sql::optimize::JoinShape::Bushy
-                } else {
-                    xdb_sql::optimize::JoinShape::LeftDeep
-                },
-            },
-        );
+        // lopt: the cached plan while the statistics it was built over are
+        // the catalog's, else bind and optimise anew (a stale entry's text
+        // is parsed again).
+        let epoch = self.catalog.stats_epoch();
+        let logical = match front {
+            Front::Cached(entry) if entry.epoch == epoch => entry,
+            Front::Cached(_) => {
+                let (select, tables) = self.parse_query(sql)?;
+                self.fill_plan(sql, options, &select, tables, epoch)?
+            }
+            Front::Parsed(select, tables) => {
+                self.fill_plan(sql, options, &select, tables, epoch)?
+            }
+        };
+        let node_count = logical.node_count as f64;
         let lopt_ms = node_count * LOPT_MS_PER_NODE;
         let lopt_span = collector.span(
             SpanKind::Phase,
@@ -340,7 +352,7 @@ impl<'a> Xdb<'a> {
             self.options.annotate.clone(),
             learned,
         )
-        .run(&optimized)?;
+        .run(&logical.plan)?;
         let ann_ms = annotation.consults as f64 * params::CONSULT_ROUNDTRIP_MS;
         let ann_span = collector.span(
             SpanKind::Phase,
@@ -455,6 +467,48 @@ impl<'a> Xdb<'a> {
             ann_probes: annotation.cache_hits + annotation.consults,
             lopt_ms,
         })
+    }
+
+    /// Parse `sql`, which must be a SELECT (or `EXPLAIN <select>`, which
+    /// plans the inner query), and list the tables it reads: the first half
+    /// of filling the logical plan cache.
+    fn parse_query(&self, sql: &str) -> Result<(Box<SelectStmt>, Vec<String>)> {
+        let stmt = xdb_sql::parse_statement(sql)
+            .map_err(|e| log_parse_error(self.cluster.telemetry(), sql, e))?;
+        let select = match stmt {
+            Statement::Select(s) | Statement::Explain(s) => s,
+            other => {
+                return Err(EngineError::Unsupported(format!(
+                    "XDB accepts SELECT queries only, got {other:?}"
+                )))
+            }
+        };
+        let mut tables = Vec::new();
+        collect_tables(&select, &mut tables);
+        Ok((select, tables))
+    }
+
+    /// Bind and optimise `sql`'s parse over the statistics of `epoch`, and
+    /// keep the plan in the catalog: the second half of filling the cache.
+    /// Errors are not kept.
+    fn fill_plan(
+        &self,
+        sql: &str,
+        options: OptimizeOptions,
+        select: &SelectStmt,
+        tables: Vec<String>,
+        epoch: u64,
+    ) -> Result<Arc<LogicalEntry>> {
+        let bound = bind_select(select, self.catalog)?;
+        let node_count = bound.node_count();
+        let plan = optimize(bound, self.catalog, options);
+        let entry = LogicalEntry {
+            tables,
+            node_count,
+            plan,
+            epoch,
+        };
+        Ok(self.catalog.keep_logical_plan(sql, options, entry))
     }
 
     /// The one stage that runs a planned query, for [`Xdb::submit`] and the
@@ -817,6 +871,24 @@ pub(crate) type SoloTimeline<'s> = (
     &'s DelegationScript,
     &'s dyn Fn(&[ExecReport]) -> Vec<ExecReport>,
 );
+
+/// What planning knows of a query text before its preparation consults.
+enum Front {
+    /// The plan the catalog keeps for it, built at some statistics epoch.
+    Cached(Arc<LogicalEntry>),
+    /// Its parse and the tables it reads, for a text not kept.
+    Parsed(Box<SelectStmt>, Vec<String>),
+}
+
+impl Front {
+    /// The tables to consult, in order of first mention.
+    fn tables(&self) -> &[String] {
+        match self {
+            Front::Cached(entry) => &entry.tables,
+            Front::Parsed(_, tables) => tables,
+        }
+    }
+}
 
 /// Output of the optimization front half: everything `submit` needs to go
 /// on and execute.

@@ -5,13 +5,20 @@
 use crate::consult_cache::{ConsultCache, Probe};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_net::NodeId;
+use xdb_sql::algebra::LogicalPlan;
 use xdb_sql::ast::lower_name;
 use xdb_sql::bind::{RelationFields, ResolvedRelation, SchemaProvider};
+use xdb_sql::optimize::OptimizeOptions;
 use xdb_sql::stats::{ColumnStats, StatsProvider};
+
+/// Most (query text, optimizer options) pairs the logical plan cache
+/// holds; it is emptied when one more would exceed this.
+const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Location and schema of one global table. The column list is the one
 /// the owning engine interned; every bind of the table shares it.
@@ -26,6 +33,21 @@ pub struct GlobalTable {
 struct ConsultedStats {
     rows: f64,
     columns: HashMap<String, ColumnStats>,
+}
+
+/// One query text's optimised logical plan, as the catalog keeps it.
+#[derive(Debug)]
+pub struct LogicalEntry {
+    /// Every table the text reads, each once, in order of first mention:
+    /// the tables its preparation consults.
+    pub tables: Vec<String>,
+    /// Operators of the bound plan, which price its logical optimisation.
+    pub node_count: usize,
+    /// The optimised plan, handed to annotation.
+    pub plan: LogicalPlan,
+    /// [`GlobalCatalog::stats_epoch`] as it read before the text was bound:
+    /// the plan is current while the epoch still reads this.
+    pub epoch: u64,
 }
 
 /// The middleware's view of the federation: which table lives where
@@ -50,6 +72,17 @@ pub struct GlobalCatalog {
     /// annotation run prices against a shared snapshot; an absorb mutates
     /// in place unless a snapshot is still out (`Arc::make_mut`).
     profiles: RwLock<Arc<crate::profiles::CostProfiles>>,
+    /// Bumped each time [`GlobalCatalog::consult`] stores fresh statistics,
+    /// after the store and under the statistics lock (`Release`, paired
+    /// with the `Acquire` of [`GlobalCatalog::stats_epoch`]): whoever reads
+    /// an epoch sees every store it counts. A plan tagged with the epoch
+    /// read before its bind, and that tag still current, was therefore
+    /// built over the statistics the catalog holds.
+    stats_epoch: AtomicU64,
+    /// The logical plan cache: each query text's optimised plan, per
+    /// optimizer options. A repeated text skips parse, bind and logical
+    /// optimisation while the statistics epoch is the one it was planned at.
+    plans: RwLock<HashMap<OptimizeOptions, HashMap<String, Arc<LogicalEntry>>>>,
 }
 
 impl GlobalCatalog {
@@ -61,6 +94,8 @@ impl GlobalCatalog {
             metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
             profiles: RwLock::new(Arc::default()),
+            stats_epoch: AtomicU64::new(0),
+            plans: RwLock::new(HashMap::new()),
         }
     }
 
@@ -136,9 +171,47 @@ impl GlobalCatalog {
         };
         *self.metadata_fetches.write() += 1;
         self.consult_cache.store(&gt.dbms, &probe, generation);
-        self.stats.write().insert(key.into_owned(), consulted);
+        let mut stats = self.stats.write();
+        stats.insert(key.into_owned(), consulted);
+        self.stats_epoch.fetch_add(1, Ordering::Release);
+        drop(stats);
         metrics.counter_add("consult.probes", &[("result", "miss")], 1.0);
         Ok(false)
+    }
+
+    /// Statistics epoch: how many times consultation has stored fresh
+    /// statistics. A cached logical plan is current while it reads the
+    /// epoch the plan was built at.
+    pub fn stats_epoch(&self) -> u64 {
+        self.stats_epoch.load(Ordering::Acquire)
+    }
+
+    /// The logical plan cached for `sql` under `options`, at whatever epoch
+    /// it was built.
+    pub fn logical_plan(&self, sql: &str, options: OptimizeOptions) -> Option<Arc<LogicalEntry>> {
+        self.plans.read().get(&options)?.get(sql).cloned()
+    }
+
+    /// Cache `entry` as the logical plan of `sql` under `options`, replacing
+    /// the one held; a new key that would exceed the capacity empties the
+    /// cache first.
+    pub(crate) fn keep_logical_plan(
+        &self,
+        sql: &str,
+        options: OptimizeOptions,
+        entry: LogicalEntry,
+    ) -> Arc<LogicalEntry> {
+        let entry = Arc::new(entry);
+        let mut plans = self.plans.write();
+        let held = plans.get(&options).is_some_and(|p| p.contains_key(sql));
+        if !held && plans.values().map(HashMap::len).sum::<usize>() >= PLAN_CACHE_CAPACITY {
+            plans.clear();
+        }
+        plans
+            .entry(options)
+            .or_default()
+            .insert(sql.to_string(), Arc::clone(&entry));
+        entry
     }
 
     /// The consultation cache shared by preparation and annotation.
@@ -306,6 +379,51 @@ mod tests {
         c.execute("db2", "CREATE TABLE other (x BIGINT)").unwrap();
         assert!(g.consult(&c, "citizen").unwrap());
         assert_eq!(g.metadata_fetches(), 2);
+    }
+
+    #[test]
+    fn a_fresh_consult_bumps_the_statistics_epoch() {
+        let c = cluster();
+        let g = GlobalCatalog::discover(&c).unwrap();
+        assert_eq!(g.stats_epoch(), 0);
+        g.consult(&c, "citizen").unwrap();
+        assert_eq!(g.stats_epoch(), 1);
+        // A hit stores nothing.
+        g.consult(&c, "citizen").unwrap();
+        assert_eq!(g.stats_epoch(), 1);
+        c.execute("db1", "INSERT INTO citizen VALUES (3, 50)")
+            .unwrap();
+        g.consult(&c, "citizen").unwrap();
+        assert_eq!(g.stats_epoch(), 2);
+    }
+
+    /// One more text than the capacity empties the cache before it is
+    /// kept; replacing a held text's plan does not.
+    #[test]
+    fn the_plan_cache_holds_at_most_its_capacity() {
+        let g = GlobalCatalog::new();
+        let options = OptimizeOptions::default();
+        let entry = || LogicalEntry {
+            tables: Vec::new(),
+            node_count: 1,
+            plan: LogicalPlan::OneRow,
+            epoch: 0,
+        };
+        let held = |g: &GlobalCatalog| g.plans.read().values().map(HashMap::len).sum::<usize>();
+        for i in 0..PLAN_CACHE_CAPACITY {
+            g.keep_logical_plan(&format!("SELECT {i}"), options, entry());
+        }
+        assert_eq!(held(&g), PLAN_CACHE_CAPACITY);
+        g.keep_logical_plan("SELECT 0", options, entry());
+        assert_eq!(held(&g), PLAN_CACHE_CAPACITY);
+        let other = OptimizeOptions {
+            reorder_joins: false,
+            ..options
+        };
+        g.keep_logical_plan("SELECT 0", other, entry());
+        assert!(held(&g) <= PLAN_CACHE_CAPACITY, "{}", held(&g));
+        assert!(g.logical_plan("SELECT 0", other).is_some());
+        assert!(g.logical_plan("SELECT 1", options).is_none());
     }
 
     #[test]

@@ -66,9 +66,9 @@ pub mod weights {
 const NO_NEXT: u32 = u32::MAX;
 
 /// Candidate pairs a join with a residual holds at once: [`probe_chain`]
-/// stops between probe rows once it has appended this many, and the
-/// residual runs over each such block. A probe row whose own chain is
-/// longer is one block.
+/// stops between probe rows before the next row's candidates would carry
+/// it past this many, and the residual runs over each such block. A probe
+/// row whose own chain is longer is one block.
 const RESIDUAL_BLOCK_PAIRS: usize = 1 << 16;
 
 /// A stored relation: a leaf's morsel, or a relation an operator built.
@@ -952,7 +952,8 @@ impl<'a> Execution<'a> {
     ///   candidate: a single lookup.
     ///
     /// A residual runs on blocks of candidates: [`probe_chain`] stops
-    /// between probe rows once [`RESIDUAL_BLOCK_PAIRS`] are held, and
+    /// between probe rows before a row would carry a block past
+    /// [`RESIDUAL_BLOCK_PAIRS`] (a longer chain is a block alone), and
     /// [`Residual::keep_pairs`] keeps a block's survivors (for a semi or
     /// anti join only a probe row's first), so the candidates held at once
     /// are bounded whatever `l × r` is. A morsel whose candidates fit in one
@@ -1011,10 +1012,7 @@ impl<'a> Execution<'a> {
         let bcols = key_columns(on, false, right.schema(), build)?;
         let may_swap = kind == JoinKind::Inner && !on.is_empty();
         let chains = kind == JoinKind::Inner || residual.is_some();
-        let block = match residual {
-            Some(_) => RESIDUAL_BLOCK_PAIRS,
-            None => usize::MAX,
-        };
+        let block = residual.as_ref().map(|_| RESIDUAL_BLOCK_PAIRS);
         let mut scratch = std::mem::take(&mut self.scratch);
         // The normalisation needs the probe side's layouts, so it is decided,
         // and the right side's table built, when the first morsel is probed.
@@ -2090,25 +2088,39 @@ fn map_push_front<K: Hash + Eq>(heads: &mut FastMap<K, u32>, key: Option<K>, i: 
 /// The one chain walk: probe rows `from..` of a side's keys against a
 /// chained build table, appending (probe, build) row pairs probe-major with
 /// build rows ascending within a probe row — the exact emission order of
-/// the row-major hash join — until `block` pairs are appended, which is
-/// checked between probe rows. Returns the first probe row not probed.
+/// the row-major hash join. With a `block`, a probe row is taken only
+/// whole and only while the pairs appended stay within `block`, except by
+/// a block still empty, which takes a longer chain alone. Returns the first
+/// probe row not probed.
 fn probe_chain<K, H: KeyTable<K>>(
     probe: &Side<K>,
     heads: &H,
     next: &[u32],
     from: usize,
-    block: usize,
+    block: Option<usize>,
     psel: &mut Vec<u32>,
     bsel: &mut Vec<u32>,
 ) -> usize {
     let held = psel.len();
     for i in from..probe.rows {
-        if psel.len() - held >= block {
-            return i;
-        }
         let Some(mut j) = heads.head(&probe.keys, i) else {
             continue;
         };
+        if let Some(block) = block {
+            let taken = psel.len() - held;
+            if taken > 0 {
+                // Count the chain up to one past the room left.
+                let room = block.saturating_sub(taken);
+                let (mut k, mut len) = (j, 1);
+                while len <= room && next[k as usize] != NO_NEXT {
+                    k = next[k as usize];
+                    len += 1;
+                }
+                if len > room {
+                    return i;
+                }
+            }
+        }
         loop {
             psel.push(i as u32);
             bsel.push(j);
@@ -3055,26 +3067,27 @@ mod tests {
         norm.pack(&probe, 3, &mut scratch.keys).unwrap();
         let keys = norm.keys(&probe, 3, &scratch.keys.packed);
         let at = with_key_arm!(&keys, scratch.keys, |p, heads| {
-            probe_chain(p, heads, &scratch.next, 0, usize::MAX, &mut psel, &mut bsel)
+            probe_chain(p, heads, &scratch.next, 0, None, &mut psel, &mut bsel)
         });
         assert_eq!((psel, bsel, at), (vec![0, 0], vec![0, 1], 3));
     }
 
-    /// A block stops between probe rows once it holds `block` pairs, never
-    /// inside a row's chain; without `chains` a key's chain is its first
-    /// build row alone.
+    /// A block stops between probe rows, never inside a row's chain, before
+    /// a row would carry it past `block` pairs; a block still empty takes a
+    /// longer chain alone. Without `chains` a key's chain is its first build
+    /// row alone.
     #[test]
     fn blocks_end_between_probe_rows_and_chains_can_be_truncated() {
         let col = |vals: &[i64]| Column::from_values(vals.iter().map(|&v| Value::Int(v)));
         let build = [col(&[5, 5, 5, 6])];
-        let probe = [col(&[5, 6, 5, 7])];
+        let probe = [col(&[5, 6, 6, 5, 7])];
         let mut scratch = Scratch::default();
-        let mut blocks = |chains: bool, block: usize| {
+        let mut blocks = |chains: bool, block: Option<usize>| {
             let norm = build_table(&build, &probe, 4, chains, &mut scratch);
-            norm.pack(&probe, 4, &mut scratch.keys).unwrap();
-            let keys = norm.keys(&probe, 4, &scratch.keys.packed);
+            norm.pack(&probe, 5, &mut scratch.keys).unwrap();
+            let keys = norm.keys(&probe, 5, &scratch.keys.packed);
             let (mut at, mut out) = (0, Vec::new());
-            while at < 4 {
+            while at < 5 {
                 let (mut psel, mut bsel) = (Vec::new(), Vec::new());
                 at = with_key_arm!(&keys, scratch.keys, |p, heads| {
                     probe_chain(p, heads, &scratch.next, at, block, &mut psel, &mut bsel)
@@ -3084,13 +3097,20 @@ mod tests {
             out
         };
         assert_eq!(
-            blocks(true, 2),
+            blocks(true, Some(2)),
             [
                 (vec![0, 0, 0], vec![0, 1, 2]),
-                (vec![1, 2, 2, 2], vec![3, 0, 1, 2]),
-                (vec![], vec![]),
+                (vec![1, 2], vec![3, 3]),
+                (vec![3, 3, 3], vec![0, 1, 2]),
             ]
         );
-        assert_eq!(blocks(false, usize::MAX), [(vec![0, 1, 2], vec![0, 3, 0])]);
+        assert_eq!(
+            blocks(true, Some(4)),
+            [
+                (vec![0, 0, 0, 1], vec![0, 1, 2, 3]),
+                (vec![2, 3, 3, 3], vec![3, 0, 1, 2]),
+            ]
+        );
+        assert_eq!(blocks(false, None), [(vec![0, 1, 2, 3], vec![0, 3, 3, 0])]);
     }
 }

@@ -24,7 +24,7 @@ pub const DP_RELATION_LIMIT: usize = 10;
 pub const MAX_REGION_RELATIONS: usize = u64::BITS as usize;
 
 /// Join-tree shape the enumerator may produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JoinShape {
     /// Left-deep only — the paper's setting (footnote 5).
     #[default]
@@ -35,8 +35,9 @@ pub enum JoinShape {
     Bushy,
 }
 
-/// Knobs for the optimizer (ablation benches flip these).
-#[derive(Debug, Clone, Copy)]
+/// Knobs for the optimizer (ablation benches flip these). Part of the key
+/// the middleware caches an optimised plan under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptimizeOptions {
     /// Reorder joins (off = keep the user's FROM order).
     pub reorder_joins: bool,

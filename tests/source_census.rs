@@ -279,6 +279,109 @@ fn one_join_census_rejects_a_row_wise_residual_and_a_second_chain_walk() {
     assert!(one_join_census("fn other() {}\n").is_err());
 }
 
+// ------------------------------------------------------- plan-once census
+
+const CORE_SRC: &str = "crates/core/src";
+const CLIENT: &str = "crates/core/src/client.rs";
+
+/// The middleware's front end: what the logical plan cache saves.
+const FRONT_END: [&str; 3] = ["parse_statement(", "bind_select(", "optimize("];
+
+/// The logical plan cache's fill path: the methods of `client.rs` that
+/// parse a text, and bind and optimise it into the kept plan.
+const FILL_PATH: [&str; 2] = ["    fn parse_query(", "    fn fill_plan("];
+
+/// Plan-once census: the middleware parses, binds and optimises a query
+/// text only to fill the catalog's logical plan cache (DESIGN.md §18
+/// "Logical plan cache"), so a repeated text runs none of it. No non-test
+/// code line of `crates/core/src` outside `Xdb::parse_query` and
+/// `Xdb::fill_plan` calls `parse_statement`, `bind_select` or `optimize`.
+/// Comment lines are not code.
+fn plan_once_census(files: &[(String, String)]) -> Result<(), String> {
+    let mut fill = 0;
+    for (path, src) in files {
+        let mut rest = src.clone();
+        if path == CLIENT {
+            for signature in FILL_PATH {
+                let body = method_body(src, signature)
+                    .ok_or_else(|| format!("{CLIENT}: no `{signature}` found"))?;
+                rest = rest.replacen(body, "", 1);
+                fill += 1;
+            }
+        }
+        let code = rest.lines().filter(|l| !l.trim_start().starts_with("//"));
+        if let Some(line) = code
+            .into_iter()
+            .find(|l| FRONT_END.iter().any(|f| l.contains(f)))
+        {
+            return Err(format!("{path}: outside the fill path: {line}"));
+        }
+    }
+    match fill {
+        0 => Err(format!("{CLIENT} was not read")),
+        _ => Ok(()),
+    }
+}
+
+/// The non-test part of every source file of `crates/core/src`.
+fn core_sources() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(CORE_SRC);
+    let mut paths: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".rs"))
+        .map(|name| format!("{CORE_SRC}/{name}"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let src = non_test_source(&path);
+            (path, src)
+        })
+        .collect()
+}
+
+#[test]
+fn the_middleware_plans_a_text_once() {
+    plan_once_census(&core_sources()).unwrap();
+}
+
+#[test]
+fn plan_once_census_rejects_a_stray_bind() {
+    let files = core_sources();
+    let stray = "    let bound = bind_select(&select, self.catalog)?;";
+    // A bind in the planning path, outside the fill path.
+    let mut bound = files.clone();
+    let client = bound.iter_mut().find(|(p, _)| p == CLIENT).unwrap();
+    let plan = method_body(&client.1, "    pub(crate) fn plan_internal(")
+        .expect("`plan_internal` is found")
+        .to_string();
+    let rebinding = plan.replacen('{', &format!("{{\n{stray}"), 1);
+    client.1 = client.1.replacen(&plan, &rebinding, 1);
+    assert!(plan_once_census(&bound).is_err());
+    // And one in another file.
+    let mut elsewhere = files.clone();
+    elsewhere[0]
+        .1
+        .push_str(&format!("\nfn replan() {{\n{stray}\n}}\n"));
+    assert!(plan_once_census(&elsewhere).is_err());
+    // Inside the fill path the same line is its own.
+    let mut inside = files.clone();
+    let client = inside.iter_mut().find(|(p, _)| p == CLIENT).unwrap();
+    let fill = method_body(&client.1, FILL_PATH[1]).unwrap().to_string();
+    let rebinding = fill.replacen('{', &format!("{{\n{stray}"), 1);
+    client.1 = client.1.replacen(&fill, &rebinding, 1);
+    assert!(plan_once_census(&inside).is_ok());
+    // A comment that names the binder is not a call.
+    let mut comment = files;
+    comment[0]
+        .1
+        .push_str("\n/// `bind_select(select)` resolves names.\n");
+    assert!(plan_once_census(&comment).is_ok());
+    assert!(plan_once_census(&[]).is_err());
+}
+
 // ------------------------------------------------------------- copy census
 
 const LEXER_AND_PARSER: [&str; 2] = ["crates/sql/src/lexer.rs", "crates/sql/src/parser.rs"];

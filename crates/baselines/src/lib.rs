@@ -28,17 +28,17 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::engine::log_parse_error;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
+use xdb_net::Transfer;
 use xdb_obs::HistoryRecord;
 use xdb_sql::ast::Statement;
 use xdb_sql::bind::bind_select;
 use xdb_sql::optimize::{optimize, OptimizeOptions};
 
 /// A baseline's decomposed query, with what its history record needs
-/// from before execution: where the ledger stood, what planning cost the
-/// consultation cache, and the annotator's round trips.
+/// from planning: this query's own consultation-cache hits and misses,
+/// and the annotator's round trips.
 struct Planned {
     plan: DelegationPlan,
-    ledger_mark: usize,
     consult_hits: u64,
     consult_misses: u64,
     consult_roundtrips: u64,
@@ -47,7 +47,8 @@ struct Planned {
 /// The planning front half every baseline shares: parse, accept a SELECT
 /// only (`who` names the system in the error), consult every table of the
 /// federation, bind, optimize, and annotate under the baseline's own
-/// placement policy.
+/// placement policy. The probes are counted as `Xdb` counts its own: from
+/// what each consult and the annotation answered.
 fn plan_query(
     cluster: &Cluster,
     catalog: &GlobalCatalog,
@@ -56,9 +57,6 @@ fn plan_query(
     optimize_options: OptimizeOptions,
     annotate: AnnotateOptions,
 ) -> Result<Planned> {
-    let ledger_mark = cluster.ledger.len();
-    let cache = catalog.consult_cache();
-    let (hits, misses) = (cache.hits(), cache.misses());
     let stmt =
         xdb_sql::parse_statement(sql).map_err(|e| log_parse_error(cluster.telemetry(), sql, e))?;
     let Statement::Select(select) = stmt else {
@@ -66,25 +64,25 @@ fn plan_query(
             "{who} accepts SELECT queries only"
         )));
     };
+    let (mut hits, mut misses) = (0, 0);
     for t in catalog.table_names() {
-        catalog.consult(cluster, &t)?;
+        let hit = catalog.consult(cluster, &t)?;
+        *if hit { &mut hits } else { &mut misses } += 1;
     }
     let bound = bind_select(&select, catalog)?;
     let optimized = optimize(bound, catalog, optimize_options);
-    catalog.clear_placeholders();
     let annotation = Annotator::new(catalog, cluster, annotate).run(&optimized)?;
     Ok(Planned {
         plan: annotation.plan,
-        ledger_mark,
-        consult_hits: cache.hits() - hits,
-        consult_misses: cache.misses() - misses,
+        consult_hits: hits + annotation.cache_hits,
+        consult_misses: misses + annotation.consults,
         consult_roundtrips: annotation.consults,
     })
 }
 
 /// The tail of one finished baseline submission, run once on its single
 /// thread so it is deterministic. It builds the run's [`HistoryRecord`]
-/// under `deployment`, with the edges the run appended to the ledger, and
+/// under `deployment`, with the edges of the run's own `transfers`, and
 /// emits the `mw.*` series under `system` — moved bytes by the record's
 /// one rule — and the completion `event` (target, message, fields). The
 /// record is kept, with the digest of `result`, while the history sink is
@@ -93,6 +91,7 @@ fn note_submit(
     cluster: &Cluster,
     (sql, result): (&str, &Relation),
     planned: &Planned,
+    transfers: &[Transfer],
     (system, deployment): (&str, &str),
     (total_ms, transfer_ms): (f64, f64),
     (target, message, fields): (&str, &str, &[(&str, &str)]),
@@ -109,7 +108,7 @@ fn note_submit(
         consult_hits: planned.consult_hits,
         consult_misses: planned.consult_misses,
         consult_roundtrips: planned.consult_roundtrips,
-        edges: edge_observations(&cluster.ledger.since(planned.ledger_mark)),
+        edges: edge_observations(transfers),
         ..HistoryRecord::default()
     };
     let (bytes, encoded_bytes) = record.moved_bytes();

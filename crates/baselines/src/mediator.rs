@@ -19,7 +19,7 @@ use xdb_engine::exec::{Execution, MapResolver};
 use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
-use xdb_net::{mediator_finish, params, wire, NodeId, Purpose};
+use xdb_net::{mediator_finish, params, wire, NodeId, Purpose, Transfer};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
 use xdb_sql::optimize::OptimizeOptions;
@@ -149,8 +149,9 @@ impl<'a> Mediator<'a> {
 
     /// Run one task's sub-query on its DBMS and fetch the result into the
     /// mediator: the relation, the sub-query's finish time, the transfer
-    /// time and the encoded bytes it was charged for.
-    fn fetch(&self, task: &Task) -> Result<(Relation, f64, f64, u64)> {
+    /// time and the encoded bytes it was charged for, adding its record to
+    /// `moved` (the sub-query reads local tables only, and moves nothing).
+    fn fetch(&self, task: &Task, moved: &mut Vec<Transfer>) -> Result<(Relation, f64, f64, u64)> {
         let engine = self.cluster.engine(task.dbms.as_str())?;
         let stmt = plan_to_select(&task.plan)?;
         let sql = render_select_string(&stmt, engine.profile.dialect);
@@ -161,33 +162,36 @@ impl<'a> Mediator<'a> {
         // exactly `x`), so a sizing-only pass prices the edge without
         // materializing the payload.
         let stats = wire::measure(rel.columns(), rel.len()).stats(DEFAULT_STREAM_CHUNK_ROWS);
-        self.cluster.ledger.record_wire(
+        let encoded = stats.encoded_bytes;
+        let transfer = self.cluster.topology.transfer_ms(
+            &task.dbms,
+            &self.config.node,
+            encoded,
+            self.config.protocol_overhead,
+        );
+        moved.extend(self.cluster.ledger.record_wire(
             &task.dbms,
             &self.config.node,
             rel.wire_bytes(),
             rel.len() as u64,
             Purpose::SubqueryResult,
-            &stats,
-        );
-        let transfer = self.cluster.topology.transfer_ms(
-            &task.dbms,
-            &self.config.node,
-            stats.encoded_bytes,
-            self.config.protocol_overhead,
-        );
-        Ok((rel, report.finish_ms, transfer, stats.encoded_bytes))
+            stats,
+        ));
+        Ok((rel, report.finish_ms, transfer, encoded))
     }
 
     /// Execute a query MW-style.
     pub fn submit(&self, sql: &str) -> Result<MwReport> {
         let planned = self.decompose(sql)?;
-        let report = self.run(&planned.plan)?;
+        let mut moved = Vec::new();
+        let report = self.run(&planned.plan, &mut moved)?;
         let bytes = report.fetch_bytes.to_string();
         let subs = report.subqueries.to_string();
         crate::note_submit(
             self.cluster,
             (sql, &report.relation),
             &planned,
+            &moved,
             (self.config.name, &self.config.deployment()),
             (report.total_ms, report.transfer_ms),
             (
@@ -204,8 +208,8 @@ impl<'a> Mediator<'a> {
     }
 
     /// Push the sub-queries of `plan` down, fetch their results, and finish
-    /// the residual plan in the mediator.
-    fn run(&self, plan: &DelegationPlan) -> Result<MwReport> {
+    /// the residual plan in the mediator; what moved is added to `moved`.
+    fn run(&self, plan: &DelegationPlan, moved: &mut Vec<Transfer>) -> Result<MwReport> {
         let root = plan.task(plan.root);
 
         // 1. Push the sub-queries down and fetch their results, one
@@ -221,7 +225,7 @@ impl<'a> Mediator<'a> {
                 continue;
             }
             let task = plan.task(id);
-            let (rel, finish_ms, transfer, encoded) = self.fetch(task)?;
+            let (rel, finish_ms, transfer, encoded) = self.fetch(task, moved)?;
             fetches.push((finish_ms, transfer));
             fetch_bytes += rel.wire_bytes();
             fetch_encoded_bytes += encoded;
@@ -234,7 +238,7 @@ impl<'a> Mediator<'a> {
         // only relays the final result.
         if root.dbms != self.config.node {
             debug_assert!(plan.tasks.len() == 1);
-            let (rel, finish_ms, transfer, encoded) = self.fetch(root)?;
+            let (rel, finish_ms, transfer, encoded) = self.fetch(root, moved)?;
             return Ok(MwReport {
                 total_ms: params::DDL_ROUNDTRIP_MS + finish_ms + transfer,
                 transfer_ms: transfer,
@@ -262,13 +266,13 @@ impl<'a> Mediator<'a> {
             let exchange_bytes = (fetch_bytes as f64 * (self.config.workers as f64 - 1.0)
                 / self.config.workers as f64) as u64;
             for w in 1..self.config.workers {
-                self.cluster.ledger.record(
+                moved.extend(self.cluster.ledger.record(
                     &self.config.node,
                     &NodeId::new(format!("{}-w{w}", self.config.node)),
                     exchange_bytes / (self.config.workers as u64 - 1).max(1),
                     0,
                     Purpose::WorkerExchange,
-                );
+                ));
             }
             mediator_work_ms += exchange_bytes as f64 / params::LAN_BANDWIDTH_BYTES_PER_MS;
         }

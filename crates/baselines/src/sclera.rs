@@ -14,7 +14,7 @@ use xdb_engine::cluster::Cluster;
 use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
-use xdb_net::{wire, Movement, NodeId, Purpose};
+use xdb_net::{wire, Movement, NodeId, Purpose, Transfer};
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
 use xdb_sql::optimize::OptimizeOptions;
@@ -86,6 +86,7 @@ impl<'a> Sclera<'a> {
         let mut moved_bytes = 0u64;
         let mut moved_encoded_bytes = 0u64;
         let mut temp_tables: Vec<(NodeId, String)> = Vec::new();
+        let mut moved: Vec<Transfer> = Vec::new();
         let mut run_tasks = || -> Result<Relation> {
             let mut outputs: HashMap<usize, Relation> = HashMap::new();
             let mut result = None;
@@ -109,34 +110,35 @@ impl<'a> Sclera<'a> {
                     // already holds instead of round-tripping the codec.
                     let stats =
                         wire::measure(rel.columns(), rel.len()).stats(DEFAULT_STREAM_CHUNK_ROWS);
-                    self.cluster.ledger.record_wire(
-                        producer,
-                        &self.mediator,
-                        bytes,
-                        rel.len() as u64,
-                        Purpose::Materialization,
-                        &stats,
-                    );
-                    self.cluster.ledger.record_wire(
-                        &self.mediator,
-                        &task.dbms,
-                        bytes,
-                        rel.len() as u64,
-                        Purpose::Materialization,
-                        &stats,
-                    );
+                    let encoded = stats.encoded_bytes;
                     let hop1 = self.cluster.topology.transfer_ms(
                         producer,
                         &self.mediator,
-                        stats.encoded_bytes,
+                        encoded,
                         xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
                     );
                     let hop2 = self.cluster.topology.transfer_ms(
                         &self.mediator,
                         &task.dbms,
-                        stats.encoded_bytes,
+                        encoded,
                         xdb_net::params::BINARY_PROTOCOL_OVERHEAD,
                     );
+                    moved.extend(self.cluster.ledger.record_wire(
+                        producer,
+                        &self.mediator,
+                        bytes,
+                        rel.len() as u64,
+                        Purpose::Materialization,
+                        stats.clone(),
+                    ));
+                    moved.extend(self.cluster.ledger.record_wire(
+                        &self.mediator,
+                        &task.dbms,
+                        bytes,
+                        rel.len() as u64,
+                        Purpose::Materialization,
+                        stats,
+                    ));
                     let import = rel.len() as f64 * engine.profile.write_cost_ms;
                     // Two serial hops through the mediator, then the
                     // client-driven re-import at the consumer.
@@ -144,7 +146,7 @@ impl<'a> Sclera<'a> {
                     // Export + import are separate client-driven statements.
                     total_ms += hop1 + hop2 + import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS;
                     moved_bytes += bytes * 2;
-                    moved_encoded_bytes += stats.encoded_bytes * 2;
+                    moved_encoded_bytes += encoded * 2;
                     let temp = placeholder_name(edge.from);
                     engine.load_table(&temp, rel)?;
                     temp_tables.push((task.dbms.clone(), temp));
@@ -177,6 +179,7 @@ impl<'a> Sclera<'a> {
             self.cluster,
             (sql, &relation),
             &planned,
+            &moved,
             ("sclera", "sclera"),
             (total_ms, transfer_ms),
             (

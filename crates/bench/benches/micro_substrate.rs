@@ -53,7 +53,6 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_function("annotate_q8_td3", |b| {
         b.iter(|| {
-            catalog.clear_placeholders();
             Annotator::new(&catalog, &cluster, AnnotateOptions::default())
                 .run(&optimized)
                 .unwrap()

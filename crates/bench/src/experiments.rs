@@ -350,17 +350,17 @@ pub fn fig11(sf: f64, telemetry: &Arc<Telemetry>) -> Result<Figure> {
 // ---------------------------------------------------------------- Table 4
 
 /// Table IV: delegation plan analysis — the `t_i --x--> t_j` edges of
-/// Q3/Q5/Q8 under TD1/TD2 with *measured* moved row counts.
+/// Q3/Q5/Q8 under TD1/TD2 with *measured* moved row counts, read off each
+/// submit's own transfers.
 pub fn table4(sf: f64, telemetry: &Arc<Telemetry>) -> Result<String> {
     let mut out =
         String::from("== Table IV: delegation plans with measured inter-DBMS movements ==\n");
     for td in [TableDist::Td1, TableDist::Td2] {
         let env = onprem(td, sf, telemetry)?;
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
-            env.cluster.ledger.clear();
             let xdb = env.xdb(XdbOptions::default());
             let outcome = xdb.submit(q.sql())?;
-            let transfers = env.cluster.ledger.snapshot();
+            let transfers = &outcome.transfers;
             out.push_str(&format!("\n{} {} (sf {sf}):\n", td.name(), q.name()));
             let mut used = vec![false; transfers.len()];
             let mut total_rows = 0u64;

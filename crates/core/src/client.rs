@@ -93,6 +93,11 @@ pub struct QueryOutcome {
     /// the observed wire edges and statement work of this run. Purely
     /// derived — empty when the plan had no cross-database decisions.
     pub cost: xdb_obs::CostObservation,
+    /// Every transfer this query caused, in the order the federation's
+    /// ledger received them: its control messages, what its deployment
+    /// moved, the XDB query's pulls and the final result. The query owns
+    /// them: another client's traffic on the same federation is not here.
+    pub transfers: Vec<Transfer>,
 }
 
 impl QueryOutcome {
@@ -340,7 +345,6 @@ impl<'a> Xdb<'a> {
         collector.attr(lopt_span, "plan_nodes", format!("{node_count:.0}"));
 
         // ann (+ finalization).
-        self.catalog.clear_placeholders();
         let learned = if self.options.learned_costs {
             self.catalog.learned_profiles()
         } else {
@@ -529,20 +533,18 @@ impl<'a> Xdb<'a> {
         let (collector, query_span, overhead_ms) =
             (&trace.collector, trace.query_span, trace.overhead_ms);
         let telemetry = self.cluster.telemetry();
-        // Transfer spans are derived from the ledger records this query
-        // appends; remember where the ledger stood before we touch it.
-        let ledger_mark = self.cluster.ledger.len();
         // Control traffic: consulting probes and DDL statements are small
         // messages from the middleware to the DBMS nodes (Fig 14's
         // "lightweight control messages").
+        let mut control = Vec::with_capacity(script.steps.len());
         for step in &script.steps {
-            self.cluster.ledger.record(
+            control.extend(self.cluster.ledger.record(
                 &self.client_node,
                 &step.node,
                 step.sql.len() as u64,
                 0,
                 Purpose::ControlMessage,
-            );
+            ));
         }
         let exec_span = collector.span(
             SpanKind::Phase,
@@ -558,7 +560,6 @@ impl<'a> Xdb<'a> {
             chunk_rows: self.options.stream_chunk_rows,
         };
         let ran = deploy_script(self.cluster, script, opts).and_then(|deployed| {
-            let query_mark = self.cluster.ledger.len();
             // For a partial fold the physical work stays pruned; only the
             // simulated-clock replay runs over the solo script (the XDB
             // query it ends in is this query's own: its root view exists
@@ -579,9 +580,9 @@ impl<'a> Xdb<'a> {
                 &trace_ctx,
                 opts,
             )?;
-            Ok((deployed, query_mark, outcome))
+            Ok((deployed, outcome))
         });
-        let (deployed, query_mark, outcome) = match ran {
+        let (deployed, outcome) = match ran {
             Ok(ran) => ran,
             Err(mut e) => {
                 // Failure mid-execution: tear down whatever was created;
@@ -605,15 +606,13 @@ impl<'a> Xdb<'a> {
                 return Err(e);
             }
         };
-        let result_mark = self.cluster.ledger.len();
-        self.record_final_result(&script.root_node, &outcome.relation);
+        let result = self.record_final_result(&script.root_node, &outcome.relation);
         Ok(Executed {
             outcome,
             deployed,
             exec_span,
-            ledger_mark,
-            query_mark,
-            result_mark,
+            control,
+            result,
         })
     }
 
@@ -631,28 +630,29 @@ impl<'a> Xdb<'a> {
         let telemetry = self.cluster.telemetry();
         let Executed {
             outcome,
+            deployed,
             exec_span,
-            ledger_mark,
-            ..
+            control,
+            result,
         } = self.run_planned(&trace, &delegation, &script, None)?;
         run_cleanup(self.cluster, &script);
         // Free the script's statements before the tail below allocates, so
         // the tail reuses their memory: dropped at the end of `submit`
         // instead, `td3_overhead` rounds ran 3% slower (2-vCPU Xeon).
         drop(script);
-        // Everything this query recorded, read once for the transfer
-        // spans, the observatory and the history record.
-        let fresh = self.cluster.ledger.since(ledger_mark);
-        let (trace, breakdown) = self.finish_trace(trace, exec_span, &fresh, outcome.exec_ms, true);
+        // Everything this query moved, for the transfer spans, the
+        // observatory, the history record and the outcome.
+        let transfers = in_ledger_order(control, deployed.step_transfers, outcome.pulled, result);
+        let (trace, breakdown) =
+            self.finish_trace(trace, exec_span, &transfers, outcome.exec_ms, true);
         // Cost-model observatory: join the predicted placement decisions
-        // against the ledger records this query appended and its statement
-        // work. Reads only final state, so it cannot perturb any
-        // deterministic observable.
+        // against this query's transfers and its statement work. Reads only
+        // final state, so it cannot perturb any deterministic observable.
         let statements = statements_from_trace(&trace);
         let cost = crate::observatory::build_cost_observation(
             self.cluster,
             &decisions,
-            &fresh,
+            &transfers,
             &statements,
         );
         // Feedback: fold this query's observation into the catalog's
@@ -710,7 +710,7 @@ impl<'a> Xdb<'a> {
                 consult_roundtrips: consults,
                 crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
                 critical,
-                edges: edge_observations(&fresh),
+                edges: edge_observations(&transfers),
                 statements,
                 cost: cost.clone(),
                 learned_costs: self.options.learned_costs,
@@ -725,35 +725,36 @@ impl<'a> Xdb<'a> {
             query_id,
             trace,
             cost,
+            transfers,
         })
     }
 
     /// The final result travels from the root DBMS to the client, priced
     /// through the same wire codec as every other edge (sizing only: the
-    /// client holds the relation already).
-    pub(crate) fn record_final_result(&self, root: &NodeId, relation: &Relation) {
-        let enc = wire::measure(relation.columns(), relation.len());
+    /// client holds the relation already). Returns its record.
+    pub(crate) fn record_final_result(&self, root: &NodeId, rel: &Relation) -> Option<Transfer> {
+        let enc = wire::measure(rel.columns(), rel.len());
         self.cluster.ledger.record_wire(
             root,
             &self.client_node,
-            relation.wire_bytes(),
-            relation.len() as u64,
+            rel.wire_bytes(),
+            rel.len() as u64,
             Purpose::FinalResult,
-            &enc.stats(self.options.stream_chunk_rows),
-        );
+            enc.stats(self.options.stream_chunk_rows),
+        )
     }
 
     /// The one trace tail of a query that ran (or was answered from a
     /// session's result cache): close the exec and query spans at
-    /// `exec_ms`, emit one transfer span per record of `fresh` (what the
-    /// query appended to the ledger), and project the breakdown out of the
-    /// finished trace. `executed` publishes the completion metrics; a
-    /// full fold executed nothing and publishes none.
+    /// `exec_ms`, emit one transfer span per record of `transfers` (what
+    /// the query itself moved, in ledger order), and project the breakdown
+    /// out of the finished trace. `executed` publishes the completion
+    /// metrics; a full fold executed nothing and publishes none.
     pub(crate) fn finish_trace(
         &self,
         trace: PlanTrace,
         exec_span: SpanId,
-        fresh: &[Transfer],
+        transfers: &[Transfer],
         exec_ms: f64,
         executed: bool,
     ) -> (QueryTrace, PhaseBreakdown) {
@@ -764,7 +765,7 @@ impl<'a> Xdb<'a> {
         } = trace;
         collector.set_dur(exec_span, exec_ms);
         collector.set_dur(query_span, overhead_ms + exec_ms);
-        self.emit_transfer_spans(&collector, exec_span, fresh, overhead_ms, exec_ms);
+        self.emit_transfer_spans(&collector, exec_span, transfers, overhead_ms, exec_ms);
         let trace = collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         if executed {
@@ -776,8 +777,8 @@ impl<'a> Xdb<'a> {
         (trace, breakdown)
     }
 
-    /// One Transfer span (lane `net`) per ledger record this query
-    /// appended (`fresh`), in ledger order. Each record gets an equal slot
+    /// One Transfer span (lane `net`) per record of this query's
+    /// `transfers`, in ledger order. Each record gets an equal slot
     /// of the exec window; the span sequence visualises *what moved and in which
     /// order*, not independent wire timings (those live on the Materialize
     /// / pipeline spans).
@@ -785,15 +786,15 @@ impl<'a> Xdb<'a> {
         &self,
         collector: &TraceCollector,
         exec_span: SpanId,
-        fresh: &[Transfer],
+        transfers: &[Transfer],
         exec_start_ms: f64,
         exec_ms: f64,
     ) {
-        if fresh.is_empty() {
+        if transfers.is_empty() {
             return;
         }
-        let slot = exec_ms / fresh.len() as f64;
-        for (i, t) in fresh.iter().enumerate() {
+        let slot = exec_ms / transfers.len() as f64;
+        for (i, t) in transfers.iter().enumerate() {
             let span = collector.span(
                 SpanKind::Transfer,
                 format!("{} -> {}", t.from, t.to),
@@ -849,19 +850,32 @@ pub(crate) struct PlanTrace {
     pub(crate) overhead_ms: f64,
 }
 
-/// What [`Xdb::run_planned`] hands back.
+/// What [`Xdb::run_planned`] hands back: with the deployment's step
+/// transfers and the XDB query's pulls, everything the query moved
+/// ([`in_ledger_order`]).
 pub(crate) struct Executed {
     pub(crate) outcome: ExecutionOutcome,
     pub(crate) deployed: Deployed,
     pub(crate) exec_span: SpanId,
-    /// Ledger position of this query's first record. Its control messages
-    /// start here, one per step of the deployed script (the client is not
-    /// a DBMS node, so none is a loopback).
-    pub(crate) ledger_mark: usize,
-    /// Where the deployment's records end and the XDB query's pulls start.
-    pub(crate) query_mark: usize,
-    /// Position of the final-result record.
-    pub(crate) result_mark: usize,
+    /// The query's control messages, one per step of the deployed script
+    /// (the client is not a DBMS node, so none is a loopback).
+    pub(crate) control: Vec<Transfer>,
+    /// The final result's record.
+    pub(crate) result: Option<Transfer>,
+}
+
+/// A query's transfers, moved into one list in the order the shared ledger
+/// received them: the control messages, recorded ahead of the deployment,
+/// what each step moved, the XDB query's pulls, and the final result.
+pub(crate) fn in_ledger_order(
+    mut control: Vec<Transfer>,
+    steps: Vec<Vec<Transfer>>,
+    pulled: Vec<Transfer>,
+    result: Option<Transfer>,
+) -> Vec<Transfer> {
+    control.reserve_exact(steps.iter().map(Vec::len).sum::<usize>() + pulled.len() + 1);
+    control.extend(steps.into_iter().flatten().chain(pulled).chain(result));
+    control
 }
 
 /// For a partially folded query: its solo script, and the function that

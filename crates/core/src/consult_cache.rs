@@ -25,7 +25,6 @@
 
 use parking_lot::Mutex;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xdb_net::NodeId;
 use xdb_sql::algebra::LogicalPlan;
 use xdb_sql::hash::{FastMap, Fnv};
@@ -97,14 +96,13 @@ struct Entry {
     generation: u64,
 }
 
-/// Thread-safe consultation cache with hit/miss accounting: the DDL
-/// generation of each `(node, probe)` at its last round-trip.
+/// Thread-safe consultation cache: the DDL generation of each `(node,
+/// probe)` at its last round-trip. It counts nothing; whoever probes counts
+/// its own hits and misses.
 #[derive(Debug, Default)]
 pub struct ConsultCache {
     /// Entries by the hash of their probe's encoding.
     entries: Mutex<FastMap<u64, Vec<Entry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ConsultCache {
@@ -119,15 +117,11 @@ impl ConsultCache {
     ///
     /// [`store`]: ConsultCache::store
     pub fn lookup(&self, node: &NodeId, probe: &Probe, generation: u64) -> bool {
-        let hit = self
-            .entries
+        self.entries
             .lock()
             .get(&probe.hash)
             .and_then(|bucket| bucket.iter().find(|e| e.node == *node && probe.is(&e.key)))
-            .is_some_and(|e| e.generation == generation);
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        hit
+            .is_some_and(|e| e.generation == generation)
     }
 
     /// Record a consultation performed at `generation`.
@@ -149,14 +143,6 @@ impl ConsultCache {
                 });
             }
         }
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -184,8 +170,6 @@ mod tests {
         assert!(cache.lookup(&node, &probe, 0));
         // A DDL bumped the node's generation: the entry is stale.
         assert!(!cache.lookup(&node, &probe, 1));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
         // Storing the stale probe again renews its one entry.
         cache.store(&node, &probe, 1);
         assert!(cache.lookup(&node, &probe, 1));

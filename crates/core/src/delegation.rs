@@ -17,11 +17,12 @@
 
 use crate::plan::{placeholder_name, DelegationPlan};
 use std::collections::HashMap;
+use std::ops::Range;
 use xdb_engine::cluster::Cluster;
-use xdb_engine::engine::{ExecReport, StatementOptions, StatementOutcome};
+use xdb_engine::engine::{ExecReport, StatementOptions};
 use xdb_engine::error::{DropFailure, EngineError, FailedStatement, Result};
 use xdb_engine::relation::Relation;
-use xdb_net::{params, Movement, NodeId};
+use xdb_net::{params, Movement, NodeId, Transfer};
 use xdb_obs::{ExecProfile, SpanId, SpanKind, TraceCtx};
 use xdb_sql::algebra::{plan_to_select, LogicalPlan};
 use xdb_sql::ast::{ColumnDef, Statement};
@@ -70,9 +71,10 @@ pub struct ExecutionOutcome {
     /// trips, explicit materializations (respecting task dependencies),
     /// and the final pipelined query.
     pub exec_ms: f64,
-    /// Simulated time spent on DDL round-trips alone.
-    pub ddl_ms: f64,
     pub ddl_count: usize,
+    /// What the XDB query pulled through the implicit pipeline, in the
+    /// order the ledger received it.
+    pub pulled: Vec<Transfer>,
 }
 
 impl DelegationScript {
@@ -86,6 +88,20 @@ impl DelegationScript {
             cause,
             cleanup: Vec::new(),
         }))
+    }
+
+    /// Each task and the range of its steps, in script order: also the
+    /// range of its reports and transfers in [`Deployed`] and of its
+    /// control messages. [`build_script`] emits a task as one contiguous
+    /// run of steps, so the ranges tile the script.
+    pub(crate) fn task_runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let mut at = 0;
+        self.steps
+            .chunk_by(|a, b| a.task == b.task)
+            .map(move |run| {
+                at += run.len();
+                (run[0].task, at - run.len()..at)
+            })
     }
 }
 
@@ -291,10 +307,12 @@ pub(crate) fn finish_script(
 
     // The XDB query triggers the in-situ pipeline.
     let root = &script.root_node;
-    let (relation, report) = cluster
+    let failed = |e| script.failed(script.steps.len(), root, e);
+    let mut outcome = cluster
         .execute_with(root.as_str(), &script.xdb_query, opts)
-        .and_then(StatementOutcome::into_rows)
-        .map_err(|e| script.failed(script.steps.len(), root, e))?;
+        .map_err(failed)?;
+    let pulled = std::mem::take(&mut outcome.transfers);
+    let (relation, report) = outcome.into_rows().map_err(failed)?;
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
     let exec_ms = ddl_ms + root_ready + report.finish_ms;
@@ -347,8 +365,8 @@ pub(crate) fn finish_script(
     Ok(ExecutionOutcome {
         relation,
         exec_ms,
-        ddl_ms,
         ddl_count,
+        pulled,
     })
 }
 
@@ -566,28 +584,15 @@ fn ready(
 pub(crate) struct Deployed {
     /// Execution report of every step, in script order.
     pub(crate) step_reports: Vec<ExecReport>,
-    /// One entry per task, in script order. [`build_script`] emits each
-    /// task as one contiguous run of steps, so the ranges tile the script
-    /// and the ledger records this deployment appended.
-    pub(crate) tasks: Vec<TaskRun>,
-}
-
-/// The steps of one task and what they moved.
-pub(crate) struct TaskRun {
-    pub(crate) task: usize,
-    /// Step-index range of the task in the script: also the range of its
-    /// reports in [`Deployed::step_reports`] and of its control messages,
-    /// which the client records one per step ahead of the deployment.
-    pub(crate) steps: std::ops::Range<usize>,
-    /// Ledger range its steps appended: the pulls of its
-    /// materializations (views and foreign tables move nothing).
-    pub(crate) ledger: std::ops::Range<usize>,
+    /// What every step moved, in script order: the pulls of a
+    /// materialization (views and foreign tables move nothing).
+    pub(crate) step_transfers: Vec<Vec<Transfer>>,
 }
 
 /// Execute every step of a delegation script, in script order, on the
-/// calling thread and straight onto the cluster's ledger: the client
-/// "sends the DDL statements" (Section III) and a DBMS runs one delegated
-/// statement after the other. The first failing step stops the script, so
+/// calling thread: the client "sends the DDL statements" (Section III) and
+/// a DBMS runs one delegated statement after the other. Each step's report
+/// and transfers are kept. The first failing step stops the script, so
 /// exactly the statements before it ran, and its error names the step
 /// ([`EngineError::Statement`]). Every step runs under `opts` (the client
 /// fills them from its `XdbOptions`).
@@ -597,30 +602,17 @@ pub(crate) fn deploy_script(
     opts: StatementOptions,
 ) -> Result<Deployed> {
     let mut step_reports = Vec::with_capacity(script.steps.len());
-    let mut tasks: Vec<TaskRun> = Vec::with_capacity(script.steps.len());
-    let mut at = cluster.ledger.len();
+    let mut step_transfers = Vec::with_capacity(script.steps.len());
     for (k, step) in script.steps.iter().enumerate() {
         let outcome = cluster
             .execute_with(step.node.as_str(), &step.sql, opts)
             .map_err(|e| script.failed(k, &step.node, e))?;
         step_reports.push(outcome.report);
-        let end = cluster.ledger.len();
-        match tasks.last_mut() {
-            Some(run) if run.task == step.task => {
-                run.steps.end = k + 1;
-                run.ledger.end = end;
-            }
-            _ => tasks.push(TaskRun {
-                task: step.task,
-                steps: k..k + 1,
-                ledger: at..end,
-            }),
-        }
-        at = end;
+        step_transfers.push(outcome.transfers);
     }
     Ok(Deployed {
         step_reports,
-        tasks,
+        step_transfers,
     })
 }
 
@@ -803,10 +795,10 @@ mod tests {
         assert!(cluster.ledger.bytes_for(Purpose::Materialization) > 0);
     }
 
-    /// What `deploy_script` reports is what it did: the per-task ranges
-    /// tile the script's steps and the ledger records the deployment
-    /// appended, in script order, and a task's range holds what its own
-    /// materializations pulled.
+    /// What `deploy_script` reports is what it did, and the task runs tile
+    /// the script: the steps' transfers are the records the deployment
+    /// appended to the ledger, in script order, every task's steps are one
+    /// run, and they hold what its own materializations pulled.
     #[test]
     fn deployed_ranges_tile_the_script_and_the_ledger() {
         for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
@@ -818,19 +810,19 @@ mod tests {
                     let mark = cluster.ledger.len();
                     let deployed =
                         deploy_script(&cluster, &script, StatementOptions::default()).unwrap();
-                    let appended = cluster.ledger.since(mark);
                     assert_eq!(deployed.step_reports.len(), script.steps.len(), "{what}");
-                    let (mut step, mut record) = (0, mark);
-                    for run in &deployed.tasks {
-                        assert_eq!(
-                            (run.steps.start, run.ledger.start),
-                            (step, record),
-                            "{what}"
-                        );
-                        assert!(!run.steps.is_empty(), "{what}");
-                        let steps = &script.steps[run.steps.clone()];
-                        assert!(steps.iter().all(|s| s.task == run.task), "{what}");
-                        let node = &plan.task(run.task).dbms;
+                    assert_eq!(deployed.step_transfers.len(), script.steps.len(), "{what}");
+                    let debug = |t: &Transfer| format!("{t:?}");
+                    let owned = deployed.step_transfers.iter().flatten().map(debug);
+                    let ledger = cluster.ledger.snapshot();
+                    assert!(owned.eq(ledger[mark..].iter().map(debug)), "{what}");
+                    let (mut step, mut runs) = (0, 0);
+                    for (task, range) in script.task_runs() {
+                        assert_eq!(range.start, step, "{what}");
+                        assert!(!range.is_empty(), "{what}");
+                        let steps = &script.steps[range.clone()];
+                        assert!(steps.iter().all(|s| s.task == task), "{what}");
+                        let node = &plan.task(task).dbms;
                         let pulls = steps
                             .iter()
                             .filter(|s| s.kind == DdlKind::Materialize)
@@ -838,11 +830,18 @@ mod tests {
                         // Each materialization ends in one record into the
                         // task's node; what precedes it are the pipeline
                         // pulls of the producer's own implicit inputs.
-                        let moved = &appended[run.ledger.start - mark..run.ledger.end - mark];
-                        let (mats, fed): (Vec<_>, Vec<_>) = moved
+                        // Views and foreign tables move nothing.
+                        let transfers = &deployed.step_transfers[range.clone()];
+                        for (s, moved) in steps.iter().zip(transfers) {
+                            let pulls = s.kind == DdlKind::Materialize;
+                            assert!(pulls || moved.is_empty(), "{what}: {moved:?}");
+                        }
+                        let moved: Vec<&Transfer> = transfers.iter().flatten().collect();
+                        let (mats, fed): (Vec<&Transfer>, Vec<&Transfer>) = moved
                             .iter()
+                            .copied()
                             .partition(|t| t.purpose == Purpose::Materialization);
-                        assert_eq!(mats.len(), pulls, "{what}: t{}", run.task);
+                        assert_eq!(mats.len(), pulls, "{what}: t{task}");
                         assert!(mats.iter().all(|t| &t.to == node), "{what}: {mats:?}");
                         assert!(
                             fed.iter().all(|t| t.purpose == Purpose::InterDbmsPipeline),
@@ -852,10 +851,10 @@ mod tests {
                             moved.last().map_or(pulls == 0, |t| &t.to == node),
                             "{what}: {moved:?}"
                         );
-                        (step, record) = (run.steps.end, run.ledger.end);
+                        (step, runs) = (range.end, runs + 1);
                     }
                     assert_eq!(step, script.steps.len(), "{what}");
-                    assert_eq!(record, cluster.ledger.len(), "{what}");
+                    assert_eq!(runs, plan.tasks.len(), "{what}");
                     run_cleanup(&cluster, &script);
                     assert_nothing_deployed(&cluster);
                 }
@@ -880,7 +879,7 @@ mod tests {
             "needs a prefix that moved data"
         );
         let records = |mark: usize| -> Vec<String> {
-            let since = cluster.ledger.since(mark);
+            let since = &cluster.ledger.snapshot()[mark..];
             since.iter().map(|t| format!("{t:?}")).collect()
         };
         let mark = cluster.ledger.len();

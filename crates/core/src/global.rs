@@ -56,15 +56,9 @@ pub struct LogicalEntry {
 pub struct GlobalCatalog {
     tables: HashMap<String, GlobalTable>,
     stats: RwLock<HashMap<String, ConsultedStats>>,
-    /// Estimated row counts registered for task-output placeholders during
-    /// plan annotation.
-    placeholders: RwLock<HashMap<String, f64>>,
-    /// Number of metadata fetches performed (drives the `prep` phase of
-    /// the Fig 15 breakdown).
-    metadata_fetches: RwLock<u64>,
     /// Memoized consulting round-trips, validated against each node's DDL
-    /// generation.
-    consult_cache: ConsultCache,
+    /// generation: shared by preparation and annotation.
+    pub(crate) consult_cache: ConsultCache,
     /// Learned cost profiles (feedback from the cost-model observatory):
     /// empty in a new catalog, installed whole by
     /// [`GlobalCatalog::set_profiles`] and grown by
@@ -90,8 +84,6 @@ impl GlobalCatalog {
         GlobalCatalog {
             tables: HashMap::new(),
             stats: RwLock::new(HashMap::new()),
-            placeholders: RwLock::new(HashMap::new()),
-            metadata_fetches: RwLock::new(0),
             consult_cache: ConsultCache::new(),
             profiles: RwLock::new(Arc::default()),
             stats_epoch: AtomicU64::new(0),
@@ -147,11 +139,11 @@ impl GlobalCatalog {
 
     /// Consult the owning engine for metadata and statistics of `table`,
     /// memoizing the round-trip in the consultation cache. Returns whether
-    /// the probe was answered from cache; each miss counts as one metadata
-    /// fetch. Any DDL executed against the owning node bumps its DDL
-    /// generation and thereby invalidates the cached probe, so the next
-    /// consultation re-fetches fresh statistics. The probe is counted on
-    /// the cluster's telemetry (`consult.probes`).
+    /// the probe was answered from cache, for the caller to count as its
+    /// own: a miss is one metadata fetch. Any DDL executed against the
+    /// owning node bumps its DDL generation and thereby invalidates the
+    /// cached probe, so the next consultation re-fetches fresh statistics.
+    /// The probe is counted on the cluster's telemetry (`consult.probes`).
     pub fn consult(&self, cluster: &Cluster, table: &str) -> Result<bool> {
         let key = lower_name(table);
         let Some(gt) = self.table(&key) else {
@@ -169,7 +161,6 @@ impl GlobalCatalog {
             Some((rows, columns)) => ConsultedStats { rows, columns },
             None => ConsultedStats::default(),
         };
-        *self.metadata_fetches.write() += 1;
         self.consult_cache.store(&gt.dbms, &probe, generation);
         let mut stats = self.stats.write();
         stats.insert(key.into_owned(), consulted);
@@ -214,16 +205,6 @@ impl GlobalCatalog {
         entry
     }
 
-    /// The consultation cache shared by preparation and annotation.
-    pub fn consult_cache(&self) -> &ConsultCache {
-        &self.consult_cache
-    }
-
-    /// Number of metadata fetches so far.
-    pub fn metadata_fetches(&self) -> u64 {
-        *self.metadata_fetches.read()
-    }
-
     /// Copy of the current learned cost profiles.
     pub fn profiles_snapshot(&self) -> crate::profiles::CostProfiles {
         crate::profiles::CostProfiles::clone(&self.profiles.read())
@@ -252,17 +233,11 @@ impl GlobalCatalog {
         Arc::make_mut(&mut self.profiles.write()).absorb(cost, statements);
     }
 
-    /// Register the estimated cardinality of a task-output placeholder so
-    /// downstream cost decisions can use it.
-    pub(crate) fn register_placeholder(&self, name: &str, rows: f64) {
-        self.placeholders
-            .write()
-            .insert(name.to_ascii_lowercase(), rows);
-    }
-
-    pub fn clear_placeholders(&self) {
-        self.placeholders.write().clear();
-    }
+    /// Does nothing: the catalog holds no placeholder estimates, each
+    /// annotation answers its own tasks' rows. Kept, and deprecated, only
+    /// because the out-of-workspace `benchmark/` package still calls it.
+    #[deprecated(note = "the annotator keeps its own placeholder estimates")]
+    pub fn clear_placeholders(&self) {}
 }
 
 impl Default for GlobalCatalog {
@@ -281,11 +256,10 @@ impl SchemaProvider for GlobalCatalog {
 
 impl StatsProvider for GlobalCatalog {
     fn table_rows(&self, relation: &str) -> Option<f64> {
-        let key = lower_name(relation);
-        if let Some(rows) = self.placeholders.read().get(&*key) {
-            return Some(*rows);
-        }
-        self.stats.read().get(&*key).map(|s| s.rows)
+        self.stats
+            .read()
+            .get(&*lower_name(relation))
+            .map(|s| s.rows)
     }
 
     fn column_stats(&self, relation: &str, column: &str) -> Option<ColumnStats> {
@@ -297,9 +271,6 @@ impl StatsProvider for GlobalCatalog {
             .cloned()
     }
 }
-
-/// Convenience: an `Arc<GlobalCatalog>` is the shape the client holds.
-pub type SharedCatalog = Arc<GlobalCatalog>;
 
 #[cfg(test)]
 mod tests {
@@ -344,6 +315,15 @@ mod tests {
         assert!(GlobalCatalog::discover(&c).is_err());
     }
 
+    /// The `consult.probes` series, `(hits, misses)`.
+    fn probes(c: &Cluster) -> (f64, f64) {
+        let count = |result| {
+            let metrics = &c.telemetry().metrics;
+            metrics.value("consult.probes", &[("result", result)])
+        };
+        (count("hit"), count("miss"))
+    }
+
     #[test]
     fn consultation_caches_and_counts() {
         let c = cluster();
@@ -351,12 +331,10 @@ mod tests {
         assert_eq!(g.table_rows("citizen"), None);
         assert!(!g.consult(&c, "citizen").unwrap());
         assert_eq!(g.table_rows("citizen"), Some(2.0));
-        assert_eq!(g.metadata_fetches(), 1);
+        assert_eq!(probes(&c), (0.0, 1.0));
         // Cached: no second fetch.
         assert!(g.consult(&c, "citizen").unwrap());
-        assert_eq!(g.metadata_fetches(), 1);
-        assert_eq!(g.consult_cache().hits(), 1);
-        assert_eq!(g.consult_cache().misses(), 1);
+        assert_eq!(probes(&c), (1.0, 1.0));
         let stats = g.column_stats("citizen", "age").unwrap();
         assert_eq!(stats.n_distinct, 2.0);
     }
@@ -367,18 +345,16 @@ mod tests {
         let g = GlobalCatalog::discover(&c).unwrap();
         assert!(!g.consult(&c, "citizen").unwrap());
         assert!(g.consult(&c, "citizen").unwrap());
-        assert_eq!(g.metadata_fetches(), 1);
         // A DDL executed against the owning node (here a CREATE TABLE AS)
         // bumps its generation: the cached probe is dropped and the next
         // consultation re-fetches, observing the fresh catalog.
         c.execute("db1", "CREATE TABLE citizen_copy AS SELECT * FROM citizen")
             .unwrap();
         assert!(!g.consult(&c, "citizen").unwrap());
-        assert_eq!(g.metadata_fetches(), 2);
         // DDL on an unrelated node leaves db1's entries valid.
         c.execute("db2", "CREATE TABLE other (x BIGINT)").unwrap();
         assert!(g.consult(&c, "citizen").unwrap());
-        assert_eq!(g.metadata_fetches(), 2);
+        assert_eq!(probes(&c), (2.0, 2.0));
     }
 
     #[test]
@@ -426,12 +402,18 @@ mod tests {
         assert!(g.logical_plan("SELECT 1", options).is_none());
     }
 
+    /// Planning leaves no estimate of its own in the catalog: Q8 on TD3
+    /// cuts tasks, and the catalog knows no `__task_0` afterwards.
     #[test]
     fn placeholder_estimates() {
-        let g = GlobalCatalog::new();
-        g.register_placeholder("__task_0", 1234.0);
-        assert_eq!(g.table_rows("__task_0"), Some(1234.0));
-        g.clear_placeholders();
-        assert_eq!(g.table_rows("__task_0"), None);
+        use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+        let profiles = ProfileAssignment::uniform(EngineProfile::postgres());
+        let scenario = xdb_net::Scenario::OnPremise;
+        let cluster = build_cluster(TableDist::Td3, 0.001, scenario, &profiles).unwrap();
+        let catalog = GlobalCatalog::discover(&cluster).unwrap();
+        let xdb = crate::client::Xdb::new(&cluster, &catalog);
+        let (plan, ..) = xdb.plan(TpchQuery::Q8.sql()).unwrap();
+        assert!(plan.tasks.len() > 1, "{}", plan.describe());
+        assert_eq!(catalog.table_rows("__task_0"), None);
     }
 }

@@ -42,7 +42,8 @@
 
 use crate::annotate::fragment_keys;
 use crate::client::{
-    Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions, PREP_PARSE_MS,
+    in_ledger_order, Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions,
+    PREP_PARSE_MS,
 };
 use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
@@ -395,10 +396,7 @@ impl<'a> QueryServer<'a> {
         clock: &mut f64,
         report: &mut SessionReport,
     ) -> Result<Admitted> {
-        let cluster = self.xdb.cluster();
-        let mark = cluster.ledger.len();
         let outcome = self.xdb.submit(&sub.sql)?;
-        let attributed = cluster.ledger.since(mark);
         report.consult_probes +=
             outcome.breakdown.consult_cache_hits + outcome.breakdown.consult_cache_misses;
         report.ddl_statements += outcome.ddl_count as u64;
@@ -410,7 +408,7 @@ impl<'a> QueryServer<'a> {
             trace: outcome.trace,
             fold: "none",
             fold_hits: 0,
-            attributed,
+            attributed: outcome.transfers,
         })
     }
 
@@ -468,7 +466,7 @@ impl<'a> QueryServer<'a> {
         collector.attr(query_span, "tenant", &sub.tenant);
         let root_key = fkeys[&delegation.root].clone();
 
-        // `own` is what this query itself appended to the ledger.
+        // `own` is what this query itself moved, in ledger order.
         let (fold, fold_hits, relation, exec_ms, exec_span, own, attributed);
         if let Some(cached) = w.results.get(&root_key) {
             // ---- Full fold: the whole plan is already materialized; fan
@@ -480,10 +478,10 @@ impl<'a> QueryServer<'a> {
             telemetry
                 .metrics
                 .counter_add("session.full_folds", &[], 1.0);
-            let mark = cluster.ledger.len();
-            self.xdb
+            let result = self
+                .xdb
                 .record_final_result(&cached.root_node, &cached.relation);
-            own = cluster.ledger.since(mark);
+            own = Vec::from_iter(result);
             exec_ms = cached.exec_ms;
             exec_span = collector.span(
                 SpanKind::Phase,
@@ -565,27 +563,23 @@ impl<'a> QueryServer<'a> {
                 outcome,
                 deployed,
                 exec_span: span,
-                ledger_mark: mark,
-                query_mark,
-                result_mark,
+                control,
+                result,
             } = self.xdb.run_planned(&trace, &delegation, &script, solo)?;
-            // Register the freshly deployed fragments for later waiters.
-            // Everything this query recorded, read once: its control
-            // messages (one per step, from `mark`), then what each task's
-            // steps moved, the XDB query's pulls and the final result.
-            let tail = cluster.ledger.since(mark);
-            for run in &deployed.tasks {
-                w.fragments.insert(
-                    fkeys[&run.task].clone(),
-                    Fragment {
-                        view: view_name(query_id, run.task),
-                        control: tail[run.steps.clone()].to_vec(),
-                        data: tail[run.ledger.start - mark..run.ledger.end - mark].to_vec(),
-                        reports: deployed.step_reports[run.steps.clone()].to_vec(),
-                    },
-                );
+            // Register the freshly deployed fragments for later waiters:
+            // each task's control messages (one per step) and what its
+            // steps moved.
+            let mut fresh = 0u64;
+            for (task, steps) in script.task_runs() {
+                let fragment = Fragment {
+                    view: view_name(query_id, task),
+                    control: control[steps.clone()].to_vec(),
+                    data: deployed.step_transfers[steps.clone()].concat(),
+                    reports: deployed.step_reports[steps].to_vec(),
+                };
+                w.fragments.insert(fkeys[&task].clone(), fragment);
+                fresh += 1;
             }
-            let fresh = deployed.tasks.len() as u64;
             report.fragments_deployed += fresh;
             telemetry
                 .metrics
@@ -601,10 +595,10 @@ impl<'a> QueryServer<'a> {
                 attributed_control.extend(f.control.iter().cloned());
                 attributed_data.extend(f.data.iter().cloned());
             }
-            attributed_data.extend(tail[query_mark - mark..result_mark - mark].iter().cloned());
+            attributed_data.extend(outcome.pulled.iter().cloned());
             let mut view = attributed_control.clone();
             view.extend(attributed_data.iter().cloned());
-            view.extend(tail[result_mark - mark..].iter().cloned());
+            view.extend(result.iter().cloned());
             w.results.insert(
                 root_key,
                 CachedResult {
@@ -631,7 +625,8 @@ impl<'a> QueryServer<'a> {
                 collector.attr(reused, "fragments", fold_hits.to_string());
             }
             (relation, exec_ms) = (outcome.relation, outcome.exec_ms);
-            (exec_span, own, attributed) = (span, tail, view);
+            own = in_ledger_order(control, deployed.step_transfers, outcome.pulled, result);
+            (exec_span, attributed) = (span, view);
         }
         if fold_hits > 0 {
             report.fold_hits += fold_hits;

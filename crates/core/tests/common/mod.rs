@@ -30,7 +30,6 @@ pub fn assert_staged_schemas(
     let optimized = optimize(bound, catalog, optimize_options);
     oracle::assert_schemas(&optimized, "optimized");
     assert_eq!(*optimized.schema(), output, "optimize changed the output");
-    catalog.clear_placeholders();
     let annotation = Annotator::new(catalog, cluster, annotate_options)
         .run(&optimized)
         .unwrap();

@@ -156,9 +156,18 @@ fn cleanup_returns_objects_live_gauge_to_baseline() {
         .any(|e| e.message.contains("cleanup dropped")));
 }
 
+/// The fleet's `consult.probes` series, `(hits, misses)`.
+fn probes(telemetry: &Telemetry) -> (f64, f64) {
+    let count = |result| {
+        let labels = [("result", result)];
+        telemetry.metrics.value("consult.probes", &labels)
+    };
+    (count("hit"), count("miss"))
+}
+
 #[test]
 fn transient_ddl_keeps_consultation_cache_valid() {
-    let (cluster, catalog, _telemetry) = setup();
+    let (cluster, catalog, telemetry) = setup();
     for t in catalog.table_names() {
         catalog.consult(&cluster, &t).unwrap();
     }
@@ -166,7 +175,7 @@ fn transient_ddl_keeps_consultation_cache_valid() {
     for t in catalog.table_names() {
         assert!(catalog.consult(&cluster, &t).unwrap(), "{t} not cached");
     }
-    let fetches = catalog.metadata_fetches();
+    let (_, fetches) = probes(&telemetry);
     // A full query with forced explicit movements deploys views, foreign
     // tables, AND materialized temp copies on the engines — all transient
     // (`xdb_q*`), so no base-table probe may be invalidated.
@@ -185,7 +194,7 @@ fn transient_ddl_keeps_consultation_cache_valid() {
             "transient DDL spuriously invalidated the probe for {t}"
         );
     }
-    assert_eq!(catalog.metadata_fetches(), fetches);
+    assert_eq!(probes(&telemetry).1, fetches);
     // Real DDL still invalidates: create a user table on some node and its
     // tables re-fetch.
     let node = catalog.location("citizen").unwrap().as_str().to_string();
@@ -195,29 +204,20 @@ fn transient_ddl_keeps_consultation_cache_valid() {
     assert!(!catalog.consult(&cluster, "citizen").unwrap());
 }
 
-/// The catalog's own accounting: tables, metadata fetches, consultation
-/// cache hits and misses.
-fn catalog_counts(catalog: &GlobalCatalog) -> [u64; 4] {
-    let cache = catalog.consult_cache();
-    [
-        catalog.table_names().len() as u64,
-        catalog.metadata_fetches(),
-        cache.hits(),
-        cache.misses(),
-    ]
-}
-
 #[test]
 fn metrics_snapshot_diff_isolates_one_run() {
-    let (cluster, catalog, _telemetry) = setup();
+    let (cluster, catalog, telemetry) = setup();
     // First run pays the consultation misses.
     let xdb = Xdb::new(&cluster, &catalog);
     xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
     // Bracket the second run: everything it consults is cached, and the
-    // delta sees only this run's probes.
-    let [tables, fetches, hits, misses] = catalog_counts(&catalog);
-    xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    let after = catalog_counts(&catalog);
-    assert!(after[2] > hits, "{after:?}");
-    assert_eq!([after[0], after[1], after[3]], [tables, fetches, misses]);
+    // delta sees only this run's metadata probes, one per table it reads,
+    // as its own breakdown counts them (with its four EXPLAIN probes).
+    let (hits, misses) = probes(&telemetry);
+    let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+    let (after_hits, after_misses) = probes(&telemetry);
+    assert_eq!((after_hits - hits, after_misses - misses), (4.0, 0.0));
+    let breakdown = &outcome.breakdown;
+    let own = (breakdown.consult_cache_hits, breakdown.consult_cache_misses);
+    assert_eq!(own, (4 + 4, 0));
 }

@@ -309,14 +309,6 @@ impl Remote for Cluster {
             let fault = format!("injected fault on {}", request.server);
             return Err(EngineError::Remote(fault));
         }
-        self.ledger.record_wire(
-            &producer.node,
-            &request.consumer,
-            bytes,
-            nrows as u64,
-            request.purpose,
-            &stats,
-        );
         // The simulated transfer pays for encoded bytes — compression is
         // what the streaming plane buys.
         let transfer_ms = self.topology.transfer_ms(
@@ -325,11 +317,21 @@ impl Remote for Cluster {
             stats.encoded_bytes,
             request.protocol_overhead,
         );
+        let mut transfers = outcome.transfers;
+        transfers.extend(self.ledger.record_wire(
+            &producer.node,
+            &request.consumer,
+            bytes,
+            nrows as u64,
+            request.purpose,
+            stats,
+        ));
         Ok(FetchReply {
             nrows,
             producer_finish_ms: outcome.report.finish_ms,
             transfer_ms,
             producer_profile: outcome.report.profile,
+            transfers,
         })
     }
 }
@@ -426,10 +428,19 @@ mod tests {
             "CREATE FOREIGN TABLE rs_ft (y VARCHAR, z VARCHAR) SERVER db_s OPTIONS (remote 'rs')",
         )
         .unwrap();
-        let (rel, report) = c.query("db_t", "SELECT count(*) AS n FROM rs_ft").unwrap();
+        let outcome = c
+            .execute("db_t", "SELECT count(*) AS n FROM rs_ft")
+            .unwrap();
+        let hops = |transfers: &[xdb_net::Transfer]| -> Vec<String> {
+            let hop = |t: &xdb_net::Transfer| format!("{}->{} {}", t.from, t.to, t.rows);
+            transfers.iter().map(hop).collect()
+        };
+        // Two hops recorded, the producer's first: db_r→db_s and db_s→db_t.
+        // The statement owns both, in the order the ledger received them.
+        assert_eq!(hops(&outcome.transfers), ["db_r->db_s 3", "db_s->db_t 2"]);
+        assert_eq!(hops(&c.ledger.snapshot()), hops(&outcome.transfers));
+        let (rel, report) = outcome.into_rows().unwrap();
         assert_eq!(rel.value(0, 0), Value::Int(2));
-        // Two hops recorded: db_r→db_s and db_s→db_t.
-        assert_eq!(c.ledger.len(), 2);
         assert!(report.finish_ms > 0.0);
     }
 
@@ -441,8 +452,13 @@ mod tests {
             "CREATE FOREIGN TABLE r_ft (x BIGINT, y VARCHAR) SERVER db_r OPTIONS (remote 'r')",
         )
         .unwrap();
-        c.execute("db_s", "CREATE TABLE r_mat AS SELECT * FROM r_ft")
+        let ctas = c
+            .execute("db_s", "CREATE TABLE r_mat AS SELECT * FROM r_ft")
             .unwrap();
+        let [moved] = &ctas.transfers[..] else {
+            panic!("{:?}", ctas.transfers);
+        };
+        assert_eq!((moved.purpose, moved.rows), (Purpose::Materialization, 3));
         assert_eq!(
             c.ledger.bytes_for(Purpose::Materialization),
             c.ledger.total_bytes()

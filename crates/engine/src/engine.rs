@@ -24,7 +24,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xdb_net::{compose_finish, EdgeTiming, Movement, NodeId, Purpose};
+use xdb_net::{compose_finish, EdgeTiming, Movement, NodeId, Purpose, Transfer};
 use xdb_obs::{ExecProfile, Level, Telemetry};
 use xdb_sql::algebra::{Field, LogicalPlan};
 use xdb_sql::ast::Statement;
@@ -52,12 +52,15 @@ pub struct ExecReport {
     pub profile: Option<Box<ExecProfile>>,
 }
 
-/// Result of executing one statement.
-#[derive(Debug, Clone)]
+/// Result of executing one statement; a DDL statement's is the default.
+#[derive(Debug, Clone, Default)]
 pub struct StatementOutcome {
     /// Present for SELECT and EXPLAIN.
     pub relation: Option<Relation>,
     pub report: ExecReport,
+    /// Every transfer the statement caused, in the order the shared ledger
+    /// received them ([`FetchReply::transfers`]).
+    pub transfers: Vec<Transfer>,
 }
 
 impl StatementOutcome {
@@ -122,14 +125,17 @@ pub struct FetchRequest<'a> {
     pub read: ReadShape,
 }
 
-/// What a fetch reports besides the rows it delivered: their count and
-/// the timing of producer and wire.
+/// What a fetch reports besides the rows it delivered: their count, the
+/// timing of producer and wire, and what moved.
 pub struct FetchReply {
     pub nrows: usize,
     pub producer_finish_ms: f64,
     pub transfer_ms: f64,
     /// Execution profile of the producer side, when operator tracing is on.
     pub producer_profile: Option<Box<ExecProfile>>,
+    /// The producer statement's transfers, then this edge's own record, in
+    /// ledger order.
+    pub transfers: Vec<Transfer>,
 }
 
 /// Something that can execute remote fetches on behalf of an engine — in
@@ -332,12 +338,7 @@ impl Engine {
         }
         match stmt {
             Statement::Select(s) => {
-                let (rel, report) =
-                    self.run_select(s, remote, depth, opts, Purpose::InterDbmsPipeline)?;
-                Ok(StatementOutcome {
-                    relation: Some(rel),
-                    report,
-                })
+                self.run_select(s, remote, depth, opts, Purpose::InterDbmsPipeline)
             }
             Statement::Explain(s) => {
                 let info = self.explain_select(s)?;
@@ -355,7 +356,7 @@ impl Engine {
                 );
                 Ok(StatementOutcome {
                     relation: Some(rel),
-                    report: ExecReport::default(),
+                    ..StatementOutcome::default()
                 })
             }
             Statement::CreateTable {
@@ -371,7 +372,7 @@ impl Engine {
                         self.note_ddl("create_table");
                     }
                 }
-                Ok(ddl_outcome())
+                Ok(StatementOutcome::default())
             }
             Statement::CreateView {
                 name,
@@ -384,7 +385,7 @@ impl Engine {
                     c.create_view(name, (**query).clone(), *or_replace)
                 })?;
                 self.note_ddl("create_view");
-                Ok(ddl_outcome())
+                Ok(StatementOutcome::default())
             }
             Statement::CreateForeignTable {
                 name,
@@ -396,24 +397,22 @@ impl Engine {
                     c.create_foreign_table(name, columns, server, remote_name.as_deref())
                 })?;
                 self.note_ddl("create_foreign_table");
-                Ok(ddl_outcome())
+                Ok(StatementOutcome::default())
             }
             Statement::CreateTableAs { name, query } => {
                 // Execute (pulling remote data through the wrapper), then
                 // materialize locally: the paper's explicit data movement.
-                let (rel, mut report) =
+                let mut outcome =
                     self.run_select(query, remote, depth, opts, Purpose::Materialization)?;
+                let rel = outcome.relation.take().unwrap_or_default();
                 let import_ms = rel.len() as f64 * self.profile.write_cost_ms;
-                report.work_ms += import_ms;
-                report.finish_ms += import_ms;
+                outcome.report.work_ms += import_ms;
+                outcome.report.finish_ms += import_ms;
                 // The result already arrived morsel-wise over the streamed
                 // edge; store it as-is.
                 self.with_catalog_mut_for(name, |c| c.create_table_from(name, rel))?;
                 self.note_ddl("create_table_as");
-                Ok(StatementOutcome {
-                    relation: None,
-                    report,
-                })
+                Ok(outcome)
             }
             Statement::Insert { table, rows } => {
                 let empty = xdb_sql::algebra::PlanSchema::default();
@@ -427,7 +426,7 @@ impl Engine {
                     evaluated.push(out);
                 }
                 self.with_catalog_mut_for(table, |c| c.insert_rows(table, evaluated))?;
-                Ok(ddl_outcome())
+                Ok(StatementOutcome::default())
             }
             Statement::Drop {
                 kind,
@@ -436,7 +435,7 @@ impl Engine {
             } => {
                 self.with_catalog_mut_for(name, |c| c.drop(*kind, name, *if_exists))?;
                 self.note_ddl("drop");
-                Ok(ddl_outcome())
+                Ok(StatementOutcome::default())
             }
         }
     }
@@ -449,7 +448,7 @@ impl Engine {
         depth: usize,
         opts: StatementOptions,
         purpose: Purpose,
-    ) -> Result<(Relation, ExecReport)> {
+    ) -> Result<StatementOutcome> {
         let snapshot = self.snapshot();
         let plan = bind_select(stmt, &*snapshot)?;
         let plan = optimize(plan, &*snapshot, OptimizeOptions::default());
@@ -465,7 +464,7 @@ impl Engine {
         depth: usize,
         opts: StatementOptions,
         purpose: Purpose,
-    ) -> Result<(Relation, ExecReport)> {
+    ) -> Result<StatementOutcome> {
         let resolver = EngineResolver {
             engine: self,
             snapshot,
@@ -474,6 +473,7 @@ impl Engine {
             opts,
             purpose,
             foreign_rows: std::cell::Cell::new(0),
+            transfers: std::cell::RefCell::new(Vec::new()),
         };
         let telemetry = self.telemetry();
         let engine_label = [("engine", self.node.as_str())];
@@ -525,7 +525,11 @@ impl Engine {
             finish_ms,
             profile,
         };
-        Ok((rel, report))
+        Ok(StatementOutcome {
+            relation: Some(rel),
+            report,
+            transfers: resolver.transfers.into_inner(),
+        })
     }
 
     /// Answer an EXPLAIN probe without executing: estimated rows, bytes,
@@ -608,13 +612,6 @@ pub fn log_parse_error(telemetry: &Telemetry, sql: &str, e: ParseError) -> Engin
     EngineError::Parse(e)
 }
 
-fn ddl_outcome() -> StatementOutcome {
-    StatementOutcome {
-        relation: None,
-        report: ExecReport::default(),
-    }
-}
-
 /// Scan resolver over a catalog snapshot: a local table is its one shared
 /// morsel, projected in place; a foreign table is read through the
 /// wrapper's one [`Remote::fetch`], in the shape the executor asked for.
@@ -626,6 +623,9 @@ struct EngineResolver<'a> {
     opts: StatementOptions,
     purpose: Purpose,
     foreign_rows: std::cell::Cell<u64>,
+    /// What the reads moved, in ledger order: no read starts inside
+    /// another's sink (a join reads its build side before its probe side).
+    transfers: std::cell::RefCell<Vec<Transfer>>,
 }
 
 impl ScanResolver for EngineResolver<'_> {
@@ -678,6 +678,7 @@ impl ScanResolver for EngineResolver<'_> {
                     .fetch(request, &mut |m| sink(project_columns(m, wanted)?))?;
                 self.foreign_rows
                     .set(self.foreign_rows.get() + reply.nrows as u64);
+                self.transfers.borrow_mut().extend(reply.transfers);
                 Ok(ScanOutput {
                     nrows: reply.nrows,
                     edge: Some(EdgeTiming {

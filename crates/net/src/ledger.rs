@@ -88,25 +88,30 @@ impl Ledger {
 
     /// Record an uncompressed transfer (control messages, DDL): encoded
     /// size equals the raw size and it ships as a single chunk.
-    pub fn record(&self, from: &NodeId, to: &NodeId, bytes: u64, rows: u64, purpose: Purpose) {
-        self.record_wire(
-            from,
-            to,
-            bytes,
-            rows,
-            purpose,
-            &crate::wire::WireStats {
-                encoded_bytes: bytes,
-                chunks: 1,
-                codec_bytes: Vec::new(),
-            },
-        );
+    pub fn record(
+        &self,
+        from: &NodeId,
+        to: &NodeId,
+        bytes: u64,
+        rows: u64,
+        purpose: Purpose,
+    ) -> Option<Transfer> {
+        let stats = crate::wire::WireStats {
+            encoded_bytes: bytes,
+            chunks: 1,
+            codec_bytes: Vec::new(),
+        };
+        self.record_wire(from, to, bytes, rows, purpose, stats)
     }
 
     /// Record a transfer that went through the `net::wire` codec. The raw
     /// `bytes` stay the primary series; `stats` carries the encoded size
     /// the transfer-time model charged, the transport chunk count, and the
     /// per-codec byte split for the `net.codec.bytes` counters.
+    ///
+    /// Returns the record kept (the ledger holds its own copy), so that the
+    /// statement or query that caused the transfer owns it: nothing reads a
+    /// query's transfers back from this shared ledger.
     pub fn record_wire(
         &self,
         from: &NodeId,
@@ -114,14 +119,14 @@ impl Ledger {
         bytes: u64,
         rows: u64,
         purpose: Purpose,
-        stats: &crate::wire::WireStats,
-    ) {
+        stats: crate::wire::WireStats,
+    ) -> Option<Transfer> {
         // Loopback traffic never crosses the network; keep the ledger about
         // actual movement so totals match "data transferred over the wire".
         // Taking the endpoints by reference means callers on this hot path
         // only pay for the clones when a record is actually kept.
         if from == to {
-            return;
+            return None;
         }
         if let Some(t) = &self.telemetry {
             let labels = [("purpose", purpose.label())];
@@ -139,15 +144,17 @@ impl Ledger {
                     .counter_add("net.codec.bytes", &[("codec", codec)], *cbytes as f64);
             }
         }
-        self.inner.lock().push(Transfer {
+        let transfer = Transfer {
             from: from.clone(),
             to: to.clone(),
             bytes,
             encoded_bytes: stats.encoded_bytes,
             rows,
             purpose,
-            codec_bytes: stats.codec_bytes.clone(),
-        });
+            codec_bytes: stats.codec_bytes,
+        };
+        self.inner.lock().push(transfer.clone());
+        Some(transfer)
     }
 
     /// Total bytes across all recorded transfers.
@@ -186,14 +193,6 @@ impl Ledger {
         self.inner.lock().clone()
     }
 
-    /// The transfers recorded at or after position `mark` (a value
-    /// [`Ledger::len`] returned earlier): clones only that tail, so a
-    /// per-query read costs the same however long the ledger has grown.
-    /// Empty when `mark` is at or past the end.
-    pub fn since(&self, mark: usize) -> Vec<Transfer> {
-        self.inner.lock().get(mark..).unwrap_or_default().to_vec()
-    }
-
     pub fn clear(&self) {
         self.inner.lock().clear();
     }
@@ -226,8 +225,8 @@ mod tests {
     #[test]
     fn loopback_not_recorded() {
         let l = Ledger::new();
-        l.record(&"a".into(), &"a".into(), 100, 10, Purpose::Materialization);
-        assert!(l.is_empty());
+        let kept = l.record(&"a".into(), &"a".into(), 100, 10, Purpose::Materialization);
+        assert!(kept.is_none() && l.is_empty());
     }
 
     #[test]
@@ -261,19 +260,21 @@ mod tests {
             chunks: 3,
             codec_bytes: vec![("dict", 30), ("raw", 10)],
         };
-        l.record_wire(
+        let kept = l.record_wire(
             &"a".into(),
             &"b".into(),
             100,
             10,
             Purpose::InterDbmsPipeline,
-            &stats,
+            stats,
         );
         // Plain records keep encoded == raw.
         l.record(&"b".into(), &"c".into(), 8, 0, Purpose::ControlMessage);
         // The per-codec split rides on the record for the history store.
         let snap = l.snapshot();
         assert_eq!(snap[0].codec_bytes, vec![("dict", 30), ("raw", 10)]);
+        // The caller gets the record the ledger keeps.
+        assert_eq!(format!("{kept:?}"), format!("{:?}", Some(&snap[0])));
         assert!(snap[1].codec_bytes.is_empty());
         assert_eq!(l.total_bytes(), 108);
         assert_eq!((snap[0].encoded_bytes, snap[1].encoded_bytes), (40, 8));
@@ -289,17 +290,5 @@ mod tests {
             t.metrics.value("net.codec.bytes", &[("codec", "raw")]),
             10.0
         );
-    }
-
-    #[test]
-    fn since_reads_the_tail_from_a_mark() {
-        let l = Ledger::new();
-        l.record(&"a".into(), &"b".into(), 1, 1, Purpose::ControlMessage);
-        l.record(&"b".into(), &"c".into(), 2, 1, Purpose::Materialization);
-        l.record(&"c".into(), &"d".into(), 3, 1, Purpose::InterDbmsPipeline);
-        // A tail read clones exactly the records from the mark on.
-        let tail: Vec<u64> = l.since(1).iter().map(|t| t.bytes).collect();
-        assert_eq!(tail, [2, 3]);
-        assert!(l.since(3).is_empty() && l.since(9).is_empty());
     }
 }

@@ -1,16 +1,17 @@
 //! Concurrency: the federation is shared infrastructure — multiple clients
 //! submit cross-database queries against the same engines simultaneously.
 //! Catalog locking, per-query object naming, and the transfer ledger must
-//! all hold up.
+//! all hold up, and what a query did (its plan, its transfers, its probe
+//! counts) is its own.
 
 use std::sync::{Arc, Barrier};
 use xdb::baselines::{Mediator, MediatorConfig, Sclera};
-use xdb::core::annotate::AnnotateOptions;
+use xdb::core::annotate::{plan_fingerprint, AnnotateOptions};
 use xdb::core::{GlobalCatalog, PhaseBreakdown, QueryOutcome, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
-use xdb::net::{Movement, Purpose, Scenario};
-use xdb::obs::SpanKind;
+use xdb::net::{Movement, Purpose, Scenario, Transfer};
+use xdb::obs::{HistoryRecord, SpanKind};
 use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
@@ -95,6 +96,8 @@ fn submit_is_observationally_equivalent_to_a_hand_deployed_script() {
     // relations and identical data-movement ledgers, across queries with
     // genuinely independent tasks (Q3/Q5/Q8), all three TPC-H table
     // distributions, and both cost-chosen and all-materialized movements.
+    // And the transfers the submit owns are the records it appended to the
+    // shared ledger, in its order.
     let moved = |cluster: &Cluster| -> Vec<_> {
         cluster
             .ledger
@@ -133,7 +136,12 @@ fn submit_is_observationally_equivalent_to_a_hand_deployed_script() {
 
                 let (cluster, catalog) = federation();
                 let xdb = Xdb::new(&cluster, &catalog).with_options(options.clone());
-                let submitted = xdb.submit(q.sql()).unwrap().relation;
+                let outcome = xdb.submit(q.sql()).unwrap();
+                let debug = |t: &Transfer| format!("{t:?}");
+                let owned = outcome.transfers.iter().map(debug);
+                let ledger = cluster.ledger.snapshot();
+                assert!(owned.eq(ledger.iter().map(debug)), "{} on {td:?}", q.name());
+                let submitted = outcome.relation;
                 let submitted_moved = moved(&cluster);
 
                 let (cluster, catalog) = federation();
@@ -348,4 +356,181 @@ fn a_submit_leaves_no_chunk_size_behind() {
     // The baselines plan through a catalog of their own, as on `fresh`.
     let catalog = GlobalCatalog::discover(&used).unwrap();
     assert_eq!(baselines(&used, &catalog), want, "[garlic, sclera] chunks");
+}
+
+/// One TPC-H federation at [`SF`] for `td`, with a `mediator` node for the
+/// baselines, and its catalog.
+fn federation(td: TableDist) -> (Cluster, GlobalCatalog) {
+    let mut cluster = build_cluster(
+        td,
+        SF,
+        Scenario::OnPremise,
+        &ProfileAssignment::uniform(EngineProfile::postgres()),
+    )
+    .unwrap();
+    cluster.topology.add_node("mediator".into());
+    let catalog = GlobalCatalog::discover(&cluster).unwrap();
+    (cluster, catalog)
+}
+
+/// Static pricing: no query's feedback moves a later plan.
+fn static_pricing() -> XdbOptions {
+    XdbOptions {
+        learned_costs: false,
+        ..Default::default()
+    }
+}
+
+/// A plan owns its placeholder estimates. On one federation per TD, four
+/// threads plan each of the six queries in turn, 60 rounds (1 440
+/// `Xdb::plan` calls per TD), through one shared catalog, and every plan
+/// has the fingerprint of the serial plan of its query.
+#[test]
+fn concurrent_plans_are_the_serial_plans() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 60;
+    let queries = TpchQuery::ALL;
+    for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
+        let (cluster, catalog) = federation(td);
+        let xdb = Xdb::new(&cluster, &catalog).with_options(static_pricing());
+        let fingerprint = |q: TpchQuery| plan_fingerprint(&xdb.plan(q.sql()).unwrap().0);
+        let serial = queries.map(fingerprint);
+        let differ: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (fingerprint, serial) = (&fingerprint, &serial);
+                    s.spawn(move || {
+                        let plans = (0..ROUNDS * queries.len()).map(|i| (i + t) % queries.len());
+                        plans
+                            .filter(|&k| fingerprint(queries[k]) != serial[k])
+                            .count()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        let plans = THREADS * ROUNDS * queries.len();
+        assert_eq!(differ, 0, "{td:?}: {differ} of {plans} plans differ");
+    }
+}
+
+/// What a submit says it moved: its transfers, its Transfer spans, the
+/// edges of its cost observation and of its history record.
+type Moved = (Vec<String>, Vec<String>, Vec<String>, Vec<String>);
+
+fn moved(outcome: &QueryOutcome, history: &[HistoryRecord]) -> Moved {
+    let debug = |t: &dyn std::fmt::Debug| format!("{t:?}");
+    let transfers = outcome.transfers.iter().map(|t| debug(t)).collect();
+    let spans = outcome.trace.spans.iter();
+    let spans = spans
+        .filter(|s| s.kind == SpanKind::Transfer)
+        .map(|s| format!("{} {}+{} {:?}", s.name, s.start_ms, s.dur_ms, s.attrs))
+        .collect();
+    let cost = outcome.cost.decisions.iter().map(|d| debug(&d.edges));
+    let record = history.iter().find(|r| r.query_id == outcome.query_id);
+    let record = record.expect("every submit leaves a history record");
+    let edges = record.edges.iter().map(|e| debug(e)).collect();
+    (transfers, spans, cost.collect(), edges)
+}
+
+/// A submit owns its transfers. On one TD1 federation, four threads submit
+/// each of the six queries in turn, five rounds (120 submits), and every
+/// submit's transfers, Transfer spans, cost-observation edges and history
+/// edges are those of the serial warm submit of its query (warm, so that
+/// planning, and with it the Transfer spans' offsets, costs the same).
+/// The query ids all have three digits, so that the control messages,
+/// whose DDL names the query, have their serial sizes.
+#[test]
+fn concurrent_submits_own_their_transfers() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 5;
+    let queries = TpchQuery::ALL;
+    let (cluster, catalog) = federation(TableDist::Td1);
+    let history = &cluster.telemetry().history;
+    history.enable_memory();
+    while cluster.next_query_id() < 99 {}
+    let xdb = Xdb::new(&cluster, &catalog).with_options(static_pricing());
+    let warm = |q: TpchQuery| {
+        xdb.submit(q.sql()).unwrap();
+        xdb.submit(q.sql()).unwrap()
+    };
+    let serial: Vec<QueryOutcome> = queries.map(warm).into();
+    let records = history.records();
+    let serial: Vec<Moved> = serial.iter().map(|o| moved(o, &records)).collect();
+    // One span and one history edge per transfer, and every submit moved.
+    let counts = |m: &Moved| [m.0.len(), m.1.len(), m.3.len()];
+    assert!(serial
+        .iter()
+        .all(|m| m.0.len() > 1 && counts(m) == [m.0.len(); 3]));
+    let submits: Vec<(usize, QueryOutcome)> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let xdb = &xdb;
+                s.spawn(move || {
+                    let submits = (0..ROUNDS * queries.len()).map(|i| (i + t) % queries.len());
+                    let submit = |k: usize| (k, xdb.submit(queries[k].sql()).unwrap());
+                    submits.map(submit).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect()
+    });
+    assert!(submits.iter().all(|(_, o)| o.query_id < 1000));
+    let records = history.records();
+    let differ: Vec<String> = submits
+        .iter()
+        .filter(|(k, o)| moved(o, &records) != serial[*k])
+        .map(|(k, o)| format!("{} (query {})", queries[*k].name(), o.query_id))
+        .collect();
+    let n = submits.len();
+    assert!(
+        differ.is_empty(),
+        "{} of {n} differ: {differ:?}",
+        differ.len()
+    );
+}
+
+/// A baseline counts its own probes. Garlic submits Q3 on a TD1 federation
+/// while three threads plan every query through the same catalog, and
+/// each Garlic record counts one metadata probe per table of the
+/// federation (Garlic consults them all and prices nothing).
+#[test]
+fn a_garlic_record_counts_only_its_own_probes() {
+    const ROUNDS: usize = 12;
+    let (cluster, catalog) = federation(TableDist::Td1);
+    let history = &cluster.telemetry().history;
+    history.enable_memory();
+    let tables = catalog.table_names().len() as u64;
+    let planning = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            let (cluster, catalog, planning) = (&cluster, &catalog, &planning);
+            s.spawn(move || {
+                let xdb = Xdb::new(cluster, catalog).with_options(static_pricing());
+                while planning.load(std::sync::atomic::Ordering::Relaxed) {
+                    for q in TpchQuery::ALL {
+                        xdb.plan(q.sql()).unwrap();
+                    }
+                }
+            });
+        }
+        let garlic = Mediator::new(&cluster, &catalog, MediatorConfig::garlic("mediator"));
+        for _ in 0..ROUNDS {
+            garlic.submit(TpchQuery::Q3.sql()).unwrap();
+        }
+        planning.store(false, std::sync::atomic::Ordering::Relaxed);
+    });
+    let records = history.records();
+    let garlic: Vec<_> = records
+        .iter()
+        .filter(|r| r.deployment == "garlic")
+        .collect();
+    assert_eq!(garlic.len(), ROUNDS);
+    for (round, r) in garlic.iter().enumerate() {
+        let probes = (r.consult_hits + r.consult_misses, r.consult_roundtrips);
+        assert_eq!(probes, (tables, 0), "round {round}");
+    }
 }

@@ -48,7 +48,6 @@ fn annotate(
 ) -> DelegationPlan {
     let bound = bind_select(&parse_select(sql).unwrap(), catalog).unwrap();
     let optimized = optimize(bound, catalog, OptimizeOptions::default());
-    catalog.clear_placeholders();
     Annotator::new(catalog, cluster, options)
         .run(&optimized)
         .unwrap()

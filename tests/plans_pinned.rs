@@ -239,7 +239,6 @@ fn annotations_are_pinned() {
                                 force_movement,
                                 ..policy.clone()
                             };
-                            catalog.clear_placeholders();
                             let ann = Annotator::new(&catalog, &cluster, options)
                                 .run(&plan)
                                 .unwrap();

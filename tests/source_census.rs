@@ -325,12 +325,17 @@ fn plan_once_census(files: &[(String, String)]) -> Result<(), String> {
 
 /// The non-test part of every source file of `crates/core/src`.
 fn core_sources() -> Vec<(String, String)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(CORE_SRC);
+    sources_of(CORE_SRC)
+}
+
+/// The non-test part of every source file of the directory `src_dir`.
+fn sources_of(src_dir: &str) -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(src_dir);
     let mut paths: Vec<String> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .filter(|name| name.ends_with(".rs"))
-        .map(|name| format!("{CORE_SRC}/{name}"))
+        .map(|name| format!("{src_dir}/{name}"))
         .collect();
     paths.sort();
     paths
@@ -380,6 +385,76 @@ fn plan_once_census_rejects_a_stray_bind() {
         .push_str("\n/// `bind_select(select)` resolves names.\n");
     assert!(plan_once_census(&comment).is_ok());
     assert!(plan_once_census(&[]).is_err());
+}
+
+// ----------------------------------------------------------- ledger census
+
+const BASELINES_SRC: &str = "crates/baselines/src";
+
+/// What reads a query's state back from the shared ledger: where it
+/// stands, and its tail from there.
+const LEDGER_READS: [&str; 2] = ["ledger.len()", "ledger.since("];
+
+/// Ledger census: a query never reads its state back from the shared
+/// ledger. Every statement returns the transfers it caused, and XDB and
+/// the baselines assemble a query's own from its statements (DESIGN.md §6
+/// "What a client shares, what it owns"), so no non-test code line of
+/// `crates/core/src` or `crates/baselines/src` asks where the ledger
+/// stands (`ledger.len()`) or reads its tail (`ledger.since(`). Comment
+/// lines are not code.
+fn ledger_census(files: &[(String, String)]) -> Result<(), String> {
+    for (path, src) in files {
+        let code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+        if let Some(line) = code
+            .into_iter()
+            .find(|l| LEDGER_READS.iter().any(|r| l.contains(r)))
+        {
+            return Err(format!("{path}: reads the shared ledger back: {line}"));
+        }
+    }
+    match files.is_empty() {
+        true => Err("no source was read".to_string()),
+        false => Ok(()),
+    }
+}
+
+/// The non-test part of every source file of the crates that run queries.
+fn query_sources() -> Vec<(String, String)> {
+    let mut files = core_sources();
+    files.extend(sources_of(BASELINES_SRC));
+    files
+}
+
+#[test]
+fn a_query_never_reads_its_state_back_from_the_shared_ledger() {
+    ledger_census(&query_sources()).unwrap();
+}
+
+#[test]
+fn ledger_census_rejects_a_mark_and_a_tail_read() {
+    let files = query_sources();
+    // A mark at the start of the stage that runs a planned query.
+    let mut marked = files.clone();
+    let client = marked.iter_mut().find(|(p, _)| p == CLIENT).unwrap();
+    let run = method_body(&client.1, "    pub(crate) fn run_planned(")
+        .expect("`run_planned` is found")
+        .to_string();
+    let mark = "        let ledger_mark = self.cluster.ledger.len();";
+    let marking = run.replacen('{', &format!("{{\n{mark}"), 1);
+    client.1 = client.1.replacen(&run, &marking, 1);
+    assert!(ledger_census(&marked).is_err());
+    // A tail read in a baseline.
+    let mut tail = files.clone();
+    let baseline = tail.iter_mut().find(|(p, _)| p.starts_with(BASELINES_SRC));
+    let baseline = baseline.expect("a baseline source is read");
+    let read = "\nfn edges(c: &Cluster) -> Vec<Transfer> {\n    c.ledger.since(0)\n}\n";
+    baseline.1.push_str(read);
+    assert!(ledger_census(&tail).is_err());
+    // A comment that names a mark is not a read.
+    let mut comment = files;
+    comment[0].1.push_str("\n// `ledger.len()` was the mark.\n");
+    assert!(ledger_census(&comment).is_ok());
+    assert!(ledger_census(&[]).is_err());
 }
 
 // ------------------------------------------------------------- copy census

@@ -80,29 +80,23 @@ fn plan_query(
     })
 }
 
-/// The tail of one finished baseline submission, run once on its single
-/// thread so it is deterministic. It builds the run's [`HistoryRecord`]
-/// under `deployment`, with the edges of the run's own `transfers`, and
-/// emits the `mw.*` series under `system` — moved bytes by the record's
-/// one rule — and the completion `event` (target, message, fields). The
-/// record is kept, with the digest of `result`, while the history sink is
-/// on.
-fn note_submit(
-    cluster: &Cluster,
+/// The [`HistoryRecord`] of one finished baseline submission, which its
+/// report carries: built under `deployment` from the SQL text, the digest
+/// of `result`, the planning counts and the edges of the run's own
+/// `transfers`. The label is left empty for the runner to stamp.
+fn record(
     (sql, result): (&str, &Relation),
     planned: &Planned,
     transfers: &[Transfer],
-    (system, deployment): (&str, &str),
+    deployment: &str,
     (total_ms, transfer_ms): (f64, f64),
-    (target, message, fields): (&str, &str, &[(&str, &str)]),
-) {
-    let telemetry = cluster.telemetry();
-    let mut record = HistoryRecord {
-        label: telemetry.history.label(),
+) -> HistoryRecord {
+    HistoryRecord {
         deployment: deployment.to_string(),
         sql_fnv: stable_hash_hex(sql.as_bytes()),
         fingerprint: plan_fingerprint(&planned.plan),
         tasks: planned.plan.tasks.len() as u64,
+        result_digest: result_digest(result),
         total_ms,
         phases: vec![("transfer".to_string(), transfer_ms)],
         consult_hits: planned.consult_hits,
@@ -110,10 +104,25 @@ fn note_submit(
         consult_roundtrips: planned.consult_roundtrips,
         edges: edge_observations(transfers),
         ..HistoryRecord::default()
-    };
+    }
+}
+
+/// Publish one finished baseline submission, on its single thread so it
+/// is deterministic: the `mw.*` series under `system`, read off its
+/// `record` (moved bytes by the record's one rule), and the completion
+/// `event` (target, message, fields).
+fn note_submit(
+    cluster: &Cluster,
+    system: &str,
+    record: &HistoryRecord,
+    (target, message, fields): (&str, &str, &[(&str, &str)]),
+) {
+    let telemetry = cluster.telemetry();
     let (bytes, encoded_bytes) = record.moved_bytes();
     let labels = [("system", system)];
-    telemetry.metrics.observe("mw.total_ms", &labels, total_ms);
+    telemetry
+        .metrics
+        .observe("mw.total_ms", &labels, record.total_ms);
     telemetry.metrics.counter_add("mw.queries", &labels, 1.0);
     telemetry
         .metrics
@@ -125,12 +134,8 @@ fn note_submit(
         xdb_obs::Level::Info,
         target,
         None,
-        total_ms,
+        record.total_ms,
         message,
         fields,
     );
-    if telemetry.history.is_enabled() {
-        record.result_digest = result_digest(result);
-    }
-    telemetry.history.append(record);
 }

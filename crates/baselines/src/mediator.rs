@@ -20,6 +20,7 @@ use xdb_engine::profile::EngineProfile;
 use xdb_engine::relation::Relation;
 use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_net::{mediator_finish, params, wire, NodeId, Purpose, Transfer};
+use xdb_obs::HistoryRecord;
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
 use xdb_sql::optimize::OptimizeOptions;
@@ -92,22 +93,24 @@ fn parallel_work_ms(raw_ms: f64, workers: usize) -> f64 {
 #[derive(Debug, Clone)]
 pub struct MwReport {
     pub relation: Relation,
-    /// End-to-end simulated time.
-    pub total_ms: f64,
-    /// Portion of `total_ms` attributable to moving intermediate data to
-    /// the mediator (the μ of Fig 1/9, measured exactly by re-composing
-    /// with free transfers).
-    pub transfer_ms: f64,
     /// Mediator-side residual execution time.
     pub mediator_work_ms: f64,
-    /// Raw (uncompressed) bytes fetched into the mediator.
-    pub fetch_bytes: u64,
-    /// Encoded bytes after the shared `net::wire` codec — the size the
-    /// simulated fetch transfers actually paid for (apples-to-apples with
-    /// XDB's streamed edges).
-    pub fetch_encoded_bytes: u64,
-    pub fetch_rows: u64,
     pub subqueries: usize,
+    /// The run's history record: its end-to-end simulated time
+    /// (`total_ms`), the share of it attributable to moving intermediate
+    /// data to the mediator (`phase_ms("transfer")`, the μ of Fig 1/9,
+    /// measured exactly by re-composing with free transfers), and the raw
+    /// and encoded bytes fetched into the mediator (`moved_bytes()`).
+    pub record: HistoryRecord,
+}
+
+/// What one MW run produced, before its record is built.
+struct Ran {
+    relation: Relation,
+    total_ms: f64,
+    transfer_ms: f64,
+    mediator_work_ms: f64,
+    subqueries: usize,
 }
 
 /// A mediator-wrapper federation frontend.
@@ -148,10 +151,10 @@ impl<'a> Mediator<'a> {
     }
 
     /// Run one task's sub-query on its DBMS and fetch the result into the
-    /// mediator: the relation, the sub-query's finish time, the transfer
-    /// time and the encoded bytes it was charged for, adding its record to
-    /// `moved` (the sub-query reads local tables only, and moves nothing).
-    fn fetch(&self, task: &Task, moved: &mut Vec<Transfer>) -> Result<(Relation, f64, f64, u64)> {
+    /// mediator: the relation, the sub-query's finish time and the
+    /// transfer time, adding its record to `moved` (the sub-query reads
+    /// local tables only, and moves nothing).
+    fn fetch(&self, task: &Task, moved: &mut Vec<Transfer>) -> Result<(Relation, f64, f64)> {
         let engine = self.cluster.engine(task.dbms.as_str())?;
         let stmt = plan_to_select(&task.plan)?;
         let sql = render_select_string(&stmt, engine.profile.dialect);
@@ -162,11 +165,10 @@ impl<'a> Mediator<'a> {
         // exactly `x`), so a sizing-only pass prices the edge without
         // materializing the payload.
         let stats = wire::measure(rel.columns(), rel.len()).stats(DEFAULT_STREAM_CHUNK_ROWS);
-        let encoded = stats.encoded_bytes;
         let transfer = self.cluster.topology.transfer_ms(
             &task.dbms,
             &self.config.node,
-            encoded,
+            stats.encoded_bytes,
             self.config.protocol_overhead,
         );
         moved.extend(self.cluster.ledger.record_wire(
@@ -177,23 +179,27 @@ impl<'a> Mediator<'a> {
             Purpose::SubqueryResult,
             stats,
         ));
-        Ok((rel, report.finish_ms, transfer, encoded))
+        Ok((rel, report.finish_ms, transfer))
     }
 
     /// Execute a query MW-style.
     pub fn submit(&self, sql: &str) -> Result<MwReport> {
         let planned = self.decompose(sql)?;
         let mut moved = Vec::new();
-        let report = self.run(&planned.plan, &mut moved)?;
-        let bytes = report.fetch_bytes.to_string();
-        let subs = report.subqueries.to_string();
-        crate::note_submit(
-            self.cluster,
-            (sql, &report.relation),
+        let ran = self.run(&planned.plan, &mut moved)?;
+        let record = crate::record(
+            (sql, &ran.relation),
             &planned,
             &moved,
-            (self.config.name, &self.config.deployment()),
-            (report.total_ms, report.transfer_ms),
+            &self.config.deployment(),
+            (ran.total_ms, ran.transfer_ms),
+        );
+        let bytes = record.moved_bytes().0.to_string();
+        let subs = ran.subqueries.to_string();
+        crate::note_submit(
+            self.cluster,
+            self.config.name,
+            &record,
             (
                 "baselines.mediator",
                 "mediator query completed",
@@ -204,12 +210,17 @@ impl<'a> Mediator<'a> {
                 ],
             ),
         );
-        Ok(report)
+        Ok(MwReport {
+            relation: ran.relation,
+            mediator_work_ms: ran.mediator_work_ms,
+            subqueries: ran.subqueries,
+            record,
+        })
     }
 
     /// Push the sub-queries of `plan` down, fetch their results, and finish
     /// the residual plan in the mediator; what moved is added to `moved`.
-    fn run(&self, plan: &DelegationPlan, moved: &mut Vec<Transfer>) -> Result<MwReport> {
+    fn run(&self, plan: &DelegationPlan, moved: &mut Vec<Transfer>) -> Result<Ran> {
         let root = plan.task(plan.root);
 
         // 1. Push the sub-queries down and fetch their results, one
@@ -217,19 +228,15 @@ impl<'a> Mediator<'a> {
         let mut fetched = MapResolver::new();
         let mut fetches: Vec<(f64, f64)> = Vec::new();
         let mut fetch_bytes = 0u64;
-        let mut fetch_encoded_bytes = 0u64;
-        let mut fetch_rows = 0u64;
         let mut subqueries = 0usize;
         for id in plan.topo_order() {
             if id == plan.root {
                 continue;
             }
             let task = plan.task(id);
-            let (rel, finish_ms, transfer, encoded) = self.fetch(task, moved)?;
+            let (rel, finish_ms, transfer) = self.fetch(task, moved)?;
             fetches.push((finish_ms, transfer));
             fetch_bytes += rel.wire_bytes();
-            fetch_encoded_bytes += encoded;
-            fetch_rows += rel.len() as u64;
             subqueries += 1;
             fetched.insert(placeholder_name(id), rel);
         }
@@ -238,16 +245,13 @@ impl<'a> Mediator<'a> {
         // only relays the final result.
         if root.dbms != self.config.node {
             debug_assert!(plan.tasks.len() == 1);
-            let (rel, finish_ms, transfer, encoded) = self.fetch(root, moved)?;
-            return Ok(MwReport {
+            let (relation, finish_ms, transfer) = self.fetch(root, moved)?;
+            return Ok(Ran {
+                relation,
                 total_ms: params::DDL_ROUNDTRIP_MS + finish_ms + transfer,
                 transfer_ms: transfer,
                 mediator_work_ms: 0.0,
-                fetch_bytes: rel.wire_bytes(),
-                fetch_encoded_bytes: encoded,
-                fetch_rows: rel.len() as u64,
                 subqueries: 1,
-                relation: rel,
             });
         }
 
@@ -286,14 +290,11 @@ impl<'a> Mediator<'a> {
         // methodology of Section VI-A.
         let free: Vec<(f64, f64)> = fetches.iter().map(|(f, _)| (*f, 0.0)).collect();
         let transfer_ms = total_ms - mediator_finish(startup, mediator_work_ms, &free);
-        Ok(MwReport {
+        Ok(Ran {
             relation,
             total_ms,
             transfer_ms,
             mediator_work_ms,
-            fetch_bytes,
-            fetch_encoded_bytes,
-            fetch_rows,
             subqueries,
         })
     }
@@ -354,8 +355,6 @@ mod tests {
     #[test]
     fn submit_records_what_it_reports() {
         let (cluster, catalog) = setup();
-        let history = &cluster.telemetry().history;
-        history.enable_memory();
         let single = "SELECT count(*) AS n FROM citizen WHERE age > 50";
         for (config, deployment) in [
             (MediatorConfig::garlic("mediator"), "garlic"),
@@ -364,11 +363,8 @@ mod tests {
         ] {
             let m = Mediator::new(&cluster, &catalog, config);
             for sql in [scenario::EXAMPLE_QUERY, single] {
-                history.clear();
                 let report = m.submit(sql).unwrap();
-                let [r] = &history.records()[..] else {
-                    panic!("one record per submit");
-                };
+                let r = &report.record;
                 assert_eq!(r.deployment, deployment);
                 assert_eq!(
                     r.sql_fnv,
@@ -380,12 +376,6 @@ mod tests {
                 let digest = xdb_core::annotate::result_digest(&report.relation);
                 assert_eq!(r.result_digest, digest);
                 assert!(r.consult_roundtrips <= r.consult_misses);
-                assert_eq!(r.total_ms, report.total_ms);
-                assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
-                assert_eq!(
-                    r.moved_bytes(),
-                    (report.fetch_bytes, report.fetch_encoded_bytes)
-                );
                 assert_eq!(r.query_id, 0);
             }
         }
@@ -396,7 +386,7 @@ mod tests {
         let (cluster, catalog) = setup();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::garlic("mediator"));
         let report = m.submit(scenario::EXAMPLE_QUERY).unwrap();
-        let mw_bytes = report.fetch_bytes;
+        let mw_bytes = report.record.moved_bytes().0;
         cluster.ledger.clear();
         let xdb = xdb_core::Xdb::new(&cluster, &catalog);
         xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
@@ -421,11 +411,10 @@ mod tests {
         .unwrap();
         let m = Mediator::new(&cluster, &catalog, MediatorConfig::presto("mediator", 4));
         let report = m.submit(scenario::EXAMPLE_QUERY).unwrap();
+        let (transfer, total) = (report.record.phase_ms("transfer"), report.record.total_ms);
         assert!(
-            report.transfer_ms > 0.3 * report.total_ms,
-            "transfer {} of total {}",
-            report.transfer_ms,
-            report.total_ms
+            transfer > 0.3 * total,
+            "transfer {transfer} of total {total}"
         );
     }
 
@@ -440,7 +429,7 @@ mod tests {
             .unwrap();
         assert!(many.mediator_work_ms < few.mediator_work_ms);
         // Fetch volume identical regardless of worker count.
-        assert_eq!(many.fetch_bytes, few.fetch_bytes);
+        assert_eq!(many.record.moved_bytes(), few.record.moved_bytes());
     }
 
     #[test]

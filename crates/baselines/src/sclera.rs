@@ -15,6 +15,7 @@ use xdb_engine::error::{EngineError, Result};
 use xdb_engine::relation::Relation;
 use xdb_engine::DEFAULT_STREAM_CHUNK_ROWS;
 use xdb_net::{wire, Movement, NodeId, Purpose, Transfer};
+use xdb_obs::HistoryRecord;
 use xdb_sql::algebra::plan_to_select;
 use xdb_sql::display::render_select_string;
 use xdb_sql::optimize::OptimizeOptions;
@@ -23,16 +24,12 @@ use xdb_sql::optimize::OptimizeOptions;
 #[derive(Debug, Clone)]
 pub struct ScleraReport {
     pub relation: Relation,
-    pub total_ms: f64,
-    /// Time spent exporting/importing intermediates through the mediator.
-    pub transfer_ms: f64,
-    /// Raw bytes moved through the mediator (each intermediate counted on
-    /// both hops).
-    pub moved_bytes: u64,
-    /// Encoded bytes moved after the shared `net::wire` codec (both hops)
-    /// — the size the simulated transfers actually paid for.
-    pub moved_encoded_bytes: u64,
-    pub tasks: usize,
+    /// The run's history record: its simulated total (`total_ms`), the
+    /// time spent exporting and importing intermediates through the
+    /// mediator (`phase_ms("transfer")`), the raw and encoded bytes moved
+    /// through it, each intermediate counted on both hops
+    /// (`moved_bytes()`), and the plan's `tasks`.
+    pub record: HistoryRecord,
 }
 
 /// The Sclera-like frontend.
@@ -83,8 +80,6 @@ impl<'a> Sclera<'a> {
         // the consumer.
         let mut total_ms = 0.0f64;
         let mut transfer_ms = 0.0f64;
-        let mut moved_bytes = 0u64;
-        let mut moved_encoded_bytes = 0u64;
         let mut temp_tables: Vec<(NodeId, String)> = Vec::new();
         let mut moved: Vec<Transfer> = Vec::new();
         let mut run_tasks = || -> Result<Relation> {
@@ -145,8 +140,6 @@ impl<'a> Sclera<'a> {
                     transfer_ms += hop1 + hop2;
                     // Export + import are separate client-driven statements.
                     total_ms += hop1 + hop2 + import + 2.0 * xdb_net::params::DDL_ROUNDTRIP_MS;
-                    moved_bytes += bytes * 2;
-                    moved_encoded_bytes += encoded * 2;
                     let temp = placeholder_name(edge.from);
                     engine.load_table(&temp, rel)?;
                     temp_tables.push((task.dbms.clone(), temp));
@@ -173,29 +166,26 @@ impl<'a> Sclera<'a> {
             drops.map(|(node, name)| (node.as_str(), format!("DROP TABLE IF EXISTS {name}"))),
         );
         let relation = result?;
-        let bytes = moved_bytes.to_string();
-        let tasks = plan.tasks.len().to_string();
-        crate::note_submit(
-            self.cluster,
+        let record = crate::record(
             (sql, &relation),
             &planned,
             &moved,
-            ("sclera", "sclera"),
+            "sclera",
             (total_ms, transfer_ms),
+        );
+        let bytes = record.moved_bytes().0.to_string();
+        let tasks = record.tasks.to_string();
+        crate::note_submit(
+            self.cluster,
+            "sclera",
+            &record,
             (
                 "baselines.sclera",
                 "sclera query completed",
                 &[("moved_bytes", &bytes), ("tasks", &tasks)],
             ),
         );
-        Ok(ScleraReport {
-            relation,
-            total_ms,
-            transfer_ms,
-            moved_bytes,
-            moved_encoded_bytes,
-            tasks: plan.tasks.len(),
-        })
+        Ok(ScleraReport { relation, record })
     }
 }
 
@@ -238,36 +228,22 @@ mod tests {
         let report = Sclera::new(&cluster, &catalog, "mediator")
             .submit(scenario::EXAMPLE_QUERY)
             .unwrap();
-        assert!(
-            report.total_ms > xdb_exec,
-            "sclera {} vs xdb {}",
-            report.total_ms,
-            xdb_exec
-        );
+        let total = report.record.total_ms;
+        assert!(total > xdb_exec, "sclera {total} vs xdb {xdb_exec}");
     }
 
     #[test]
     fn submit_records_what_it_reports() {
         let (cluster, catalog) = setup();
-        let history = &cluster.telemetry().history;
         let sclera = Sclera::new(&cluster, &catalog, "mediator");
         sclera.submit(scenario::EXAMPLE_QUERY).unwrap();
-        assert!(history.is_empty(), "a sink that is off records nothing");
-        history.enable_memory();
         let report = sclera.submit(scenario::EXAMPLE_QUERY).unwrap();
-        let [r] = &history.records()[..] else {
-            panic!("one record per submit");
-        };
+        let r = &report.record;
         assert_eq!(r.deployment, "sclera");
-        assert_eq!(r.tasks, report.tasks as u64);
+        let sql_fnv = xdb_core::annotate::stable_hash_hex(scenario::EXAMPLE_QUERY.as_bytes());
+        assert_eq!(r.sql_fnv, sql_fnv);
         let digest = xdb_core::annotate::result_digest(&report.relation);
         assert_eq!(r.result_digest, digest);
-        assert_eq!(r.total_ms, report.total_ms);
-        assert_eq!(r.phase_ms("transfer"), report.transfer_ms);
-        assert_eq!(
-            r.moved_bytes(),
-            (report.moved_bytes, report.moved_encoded_bytes)
-        );
         assert!(r.consult_hits > 0, "the second submit's consults hit");
         assert!(r.critical.is_empty() && r.statements.is_empty() && !r.learned_costs);
     }
@@ -281,8 +257,8 @@ mod tests {
             .unwrap();
         // Every byte into the mediator leaves it again.
         let into_med = cluster.ledger.bytes_into(&NodeId::new("mediator"));
-        assert_eq!(report.moved_bytes, 2 * into_med);
-        assert!(report.transfer_ms > 0.0);
+        assert_eq!(report.record.moved_bytes().0, 2 * into_med);
+        assert!(report.record.phase_ms("transfer") > 0.0);
     }
 
     #[test]
@@ -325,7 +301,7 @@ mod tests {
         }
         // The report and the telemetry series both equal the per-hop sum:
         // each hop charged exactly once.
-        assert_eq!(report.moved_encoded_bytes, per_hop_encoded);
+        assert_eq!(report.record.moved_bytes().1, per_hop_encoded);
         assert_eq!(
             telemetry.metrics.value(
                 "net.encoded_bytes",

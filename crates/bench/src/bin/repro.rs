@@ -51,8 +51,9 @@
 //!                                # rebuilt from dir/history.jsonl (no
 //!                                # other target takes --profiles)
 //! repro --history dir/ profile   # record query history (JSON lines) to
-//!                                # dir/history.jsonl (works for any
-//!                                # target)
+//!                                # dir/history.jsonl: every record the
+//!                                # figure, ablation, table4, monitor,
+//!                                # profile and --trace runs return
 //! repro --log-level warn fig9    # event-log record-time filter
 //! ```
 
@@ -138,8 +139,9 @@ fn main() {
             None => usage(format!("unknown log level {s:?} (debug|info|warn|error)")),
         }
     }
-    // Query-history store: every submission appends one JSON-lines record
-    // to <dir>/history.jsonl.
+    // Query-history store: each record a runner gets back from a submit is
+    // stamped with its label and appended, one JSON line, to
+    // <dir>/history.jsonl. `tenants`, `calibrate` and `replay` append none.
     if let Some(dir) = history_dir {
         if let Err(e) = telemetry.history.enable_dir(&dir) {
             usage(format!("cannot open history dir {dir}: {e}"));

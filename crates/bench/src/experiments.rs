@@ -107,47 +107,36 @@ pub(crate) fn xdb_workload(
 
 /// Submit `submits` on `env` in order, XDB under `options`, the
 /// middleware or mediator on [`CLOUD`]: the history record each submit
-/// wrote, in submit order. With `labelled` each record carries its
-/// query's name; otherwise the sink's label stays empty.
+/// returned, in submit order. With `labelled` each record carries its
+/// query's name; otherwise its label stays empty.
 ///
-/// The records come from the env's history sink, which is left as it was
-/// found: one already recording (`repro --history dir/`) keeps every
-/// record, one that was off records in memory for the run only.
+/// Each record is also appended to the env's history sink, which writes
+/// it only when `repro --history dir/` opened a directory.
 pub fn run_workload(
     env: &Env,
     options: &XdbOptions,
     submits: &[(TpchQuery, Deployment)],
     labelled: bool,
 ) -> Result<Vec<HistoryRecord>> {
-    let history = &env.cluster.telemetry().history;
-    let recording = history.is_enabled();
-    if !recording {
-        history.enable_memory();
-    }
-    let mark = history.len();
+    let (cluster, catalog) = (&env.cluster, &env.catalog);
     let xdb = env.xdb(options.clone());
-    let ran = submits.iter().try_for_each(|&(q, deployment)| {
-        if labelled {
-            history.set_label(q.name());
-        }
-        env.cluster.ledger.clear();
-        let (cluster, catalog, sql) = (&env.cluster, &env.catalog, q.sql());
+    let submit = |&(q, deployment): &(TpchQuery, Deployment)| {
+        cluster.ledger.clear();
+        let sql = q.sql();
         let mediator = |config| Mediator::new(cluster, catalog, config).submit(sql);
-        match deployment {
-            Deployment::Xdb => drop(xdb.submit(sql)?),
-            Deployment::Garlic => drop(mediator(MediatorConfig::garlic(CLOUD))?),
-            Deployment::Presto(n) => drop(mediator(MediatorConfig::presto(CLOUD, n))?),
-            Deployment::Sclera => drop(Sclera::new(cluster, catalog, CLOUD).submit(sql)?),
+        let mut record = match deployment {
+            Deployment::Xdb => xdb.submit(sql)?.record(sql),
+            Deployment::Garlic => mediator(MediatorConfig::garlic(CLOUD))?.record,
+            Deployment::Presto(n) => mediator(MediatorConfig::presto(CLOUD, n))?.record,
+            Deployment::Sclera => Sclera::new(cluster, catalog, CLOUD).submit(sql)?.record,
+        };
+        if labelled {
+            record.label = q.name().to_string();
         }
-        Ok(())
-    });
-    history.set_label("");
-    let records = history.records().split_off(mark);
-    if !recording {
-        history.disable();
-        history.clear();
-    }
-    ran.map(|()| records)
+        cluster.telemetry().history.append(&record);
+        Ok(record)
+    };
+    submits.iter().map(submit).collect()
 }
 
 /// The record of each of `submits` ([`run_workload`] with default options
@@ -199,6 +188,7 @@ pub fn trace_workload(sf: f64, telemetry: &Arc<Telemetry>) -> Result<xdb_obs::Qu
             ..Default::default()
         });
         let out = xdb.submit(q.sql())?;
+        telemetry.history.append(&out.record(q.sql()));
         let mut trace = out.trace;
         // The root span of every submission is named "query"; label it
         // with the TPC-H query so the merged timeline reads Q3, Q5, …
@@ -360,6 +350,7 @@ pub fn table4(sf: f64, telemetry: &Arc<Telemetry>) -> Result<String> {
         for q in [TpchQuery::Q3, TpchQuery::Q5, TpchQuery::Q8] {
             let xdb = env.xdb(XdbOptions::default());
             let outcome = xdb.submit(q.sql())?;
+            telemetry.history.append(&outcome.record(q.sql()));
             let transfers = &outcome.transfers;
             out.push_str(&format!("\n{} {} (sf {sf}):\n", td.name(), q.name()));
             let mut used = vec![false; transfers.len()];
@@ -755,12 +746,17 @@ mod tests {
 
     #[test]
     fn baseline_records_leave_learned_state_and_drift_alone() {
+        // The records are read back from the file the runner appended
+        // them to, as `repro --history dir/ fig9` writes it.
+        let dir = std::env::temp_dir().join(format!("xdb_fig9_history_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let telemetry = Telemetry::new_handle();
-        telemetry.history.enable_memory();
+        telemetry.history.enable_dir(&dir).unwrap();
         for td in TableDist::ALL {
             fig09(td, TEST_SF, &telemetry).unwrap();
         }
-        let all = telemetry.history.records();
+        let all = xdb_obs::history::load_history_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         let xdb: Vec<HistoryRecord> = all
             .iter()
             .filter(|r| r.deployment == "xdb")

@@ -76,18 +76,23 @@ fn calibrate_renders_every_table() {
     }
 }
 
-/// A fresh fig9 history (learned costs on, so later runs may re-plan)
-/// feeds `replay`'s learned arm, which keeps result rows bit-identical
-/// whatever it flips, and the history compares clean against itself under
-/// a 25% plan-flip budget.
+/// A fresh fig9 history (learned costs on, so later runs may re-plan),
+/// written to a history directory as `repro --history dir/ fig9` writes
+/// it and read back from the file, feeds `replay`'s learned arm, which
+/// keeps result rows bit-identical whatever it flips, and the history
+/// compares clean against itself under a 25% plan-flip budget.
 #[test]
 fn a_fig9_history_feeds_replay_and_shows_no_drift() {
+    let dir = std::env::temp_dir().join(format!("xdb_record_file_fig9_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let telemetry = Telemetry::new_handle();
-    telemetry.history.enable_memory();
+    telemetry.history.enable_dir(&dir).unwrap();
     for td in TableDist::ALL {
         fig09(td, SF, &telemetry).unwrap();
     }
-    let records = telemetry.history.records();
+    let records = load_history_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(records.len(), 3 * 4 * TpchQuery::ALL.len());
     let profiles = CostProfiles::from_history(&records);
     assert!(!profiles.is_empty());
     let replay = run_replay(TableDist::Td1, SF, Some(&profiles), "fig9").unwrap();

@@ -98,6 +98,9 @@ pub struct QueryOutcome {
     /// moved, the XDB query's pulls and the final result. The query owns
     /// them: another client's traffic on the same federation is not here.
     pub transfers: Vec<Transfer>,
+    /// Whether the plan was priced through the catalog's learned cost
+    /// profiles (`XdbOptions::learned_costs`).
+    pub learned_costs: bool,
 }
 
 impl QueryOutcome {
@@ -113,6 +116,54 @@ impl QueryOutcome {
             out.push_str(&crit.render());
         }
         out
+    }
+
+    /// This run's history record, the one per-query record every report
+    /// projects: a pure projection of the outcome, built only when a
+    /// caller asks for it (the critical path is computed here). `sql` is
+    /// the text that was submitted; the label is left empty for the runner
+    /// to stamp. Everything in it is simulated-clock / script-order state,
+    /// so records are bit-identical across stream-chunk sizes.
+    pub fn record(&self, sql: &str) -> HistoryRecord {
+        let crit = critical_path(&self.trace);
+        let critical = crit
+            .as_ref()
+            .map(|c| {
+                c.attribution
+                    .iter()
+                    .map(|a| {
+                        let ms = xdb_obs::critical::ms(a.ns);
+                        (a.category.label().to_string(), a.location.clone(), ms)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        let breakdown = &self.breakdown;
+        HistoryRecord {
+            label: String::new(),
+            deployment: "xdb".to_string(),
+            sql_fnv: stable_hash_hex(sql.as_bytes()),
+            fingerprint: plan_fingerprint(&self.delegation),
+            tasks: self.delegation.tasks.len() as u64,
+            result_digest: crate::annotate::result_digest(&self.relation),
+            query_id: self.query_id,
+            total_ms: breakdown.total_ms(),
+            phases: vec![
+                ("prep".to_string(), breakdown.prep_ms),
+                ("lopt".to_string(), breakdown.lopt_ms),
+                ("ann".to_string(), breakdown.ann_ms),
+                ("exec".to_string(), breakdown.exec_ms),
+            ],
+            consult_hits: breakdown.consult_cache_hits,
+            consult_misses: breakdown.consult_cache_misses,
+            consult_roundtrips: self.consult_roundtrips,
+            crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
+            critical,
+            edges: edge_observations(&self.transfers),
+            statements: statements_from_trace(&self.trace),
+            cost: self.cost.clone(),
+            learned_costs: self.learned_costs,
+        }
     }
 }
 
@@ -641,7 +692,7 @@ impl<'a> Xdb<'a> {
         // instead, `td3_overhead` rounds ran 3% slower (2-vCPU Xeon).
         drop(script);
         // Everything this query moved, for the transfer spans, the
-        // observatory, the history record and the outcome.
+        // observatory and the outcome.
         let transfers = in_ledger_order(control, deployed.step_transfers, outcome.pulled, result);
         let (trace, breakdown) =
             self.finish_trace(trace, exec_span, &transfers, outcome.exec_ms, true);
@@ -672,50 +723,6 @@ impl<'a> Xdb<'a> {
             "query completed",
             &[("rows", &rows), ("total_ms", &total)],
         );
-        // Query history: the record carries the critical path, so compute
-        // it only when the history is on. Everything recorded here is
-        // simulated-clock / script-order state — records are bit-identical
-        // across stream-chunk sizes.
-        if telemetry.history.is_enabled() {
-            let crit = critical_path(&trace);
-            let critical = crit
-                .as_ref()
-                .map(|c| {
-                    c.attribution
-                        .iter()
-                        .map(|a| {
-                            let ms = xdb_obs::critical::ms(a.ns);
-                            (a.category.label().to_string(), a.location.clone(), ms)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            telemetry.history.append(HistoryRecord {
-                label: telemetry.history.label(),
-                deployment: "xdb".to_string(),
-                sql_fnv: stable_hash_hex(sql.as_bytes()),
-                fingerprint: plan_fingerprint(&delegation),
-                tasks: delegation.tasks.len() as u64,
-                result_digest: crate::annotate::result_digest(&outcome.relation),
-                query_id,
-                total_ms: breakdown.total_ms(),
-                phases: vec![
-                    ("prep".to_string(), breakdown.prep_ms),
-                    ("lopt".to_string(), breakdown.lopt_ms),
-                    ("ann".to_string(), breakdown.ann_ms),
-                    ("exec".to_string(), breakdown.exec_ms),
-                ],
-                consult_hits: breakdown.consult_cache_hits,
-                consult_misses: breakdown.consult_cache_misses,
-                consult_roundtrips: consults,
-                crit_spans: crit.map_or(0, |c| c.steps.len() as u64),
-                critical,
-                edges: edge_observations(&transfers),
-                statements,
-                cost: cost.clone(),
-                learned_costs: self.options.learned_costs,
-            });
-        }
         Ok(QueryOutcome {
             relation: outcome.relation,
             delegation,
@@ -726,6 +733,7 @@ impl<'a> Xdb<'a> {
             trace,
             cost,
             transfers,
+            learned_costs: self.options.learned_costs,
         })
     }
 

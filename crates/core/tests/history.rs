@@ -1,5 +1,5 @@
-//! Query-history and critical-path determinism: the history records a
-//! submission appends and the critical path computed over its trace are
+//! Query-history and critical-path determinism: the history record a
+//! submission returns and the critical path computed over its trace are
 //! simulated-clock state, so both must be bit-identical across transport
 //! chunk sizes (1/4096/unbounded). Fresh federations number their queries
 //! alike, so the comparisons include the query ids.
@@ -17,13 +17,12 @@ fn setup() -> (Cluster, GlobalCatalog, Arc<Telemetry>) {
     (cluster, catalog, telemetry)
 }
 
-/// One submission with the history sink on; returns the query id plus
-/// the full observable fingerprint: history records (JSON lines), the
-/// critical path (steps + rendered attribution), and the deterministic
-/// telemetry snapshot.
+/// One submission; returns the query id plus the full observable
+/// fingerprint: its history record (a JSON line), the critical path
+/// (steps + rendered attribution), and the deterministic telemetry
+/// snapshot.
 fn run(chunk: usize) -> (u64, String) {
     let (cluster, catalog, telemetry) = setup();
-    telemetry.history.enable_memory();
     let xdb = Xdb::new(&cluster, &catalog).with_options(XdbOptions {
         stream_chunk_rows: chunk,
         ..Default::default()
@@ -33,12 +32,7 @@ fn run(chunk: usize) -> (u64, String) {
     // The attribution tiles the end-to-end window exactly (integer-ns
     // telescoping), at every setting.
     assert_eq!(crit.attributed_ns(), crit.total_ns);
-    let mut fp: String = telemetry
-        .history
-        .records()
-        .iter()
-        .map(|r| r.to_json() + "\n")
-        .collect();
+    let mut fp = outcome.record(scenario::EXAMPLE_QUERY).to_json() + "\n";
     for step in &crit.steps {
         fp.push_str(&format!("{step:?}\n"));
     }
@@ -58,17 +52,16 @@ fn history_identical_across_chunks() {
 
 #[test]
 fn history_record_carries_fingerprint_and_edges() {
-    let (cluster, catalog, telemetry) = setup();
-    telemetry.history.enable_memory();
-    telemetry.history.set_label("example");
+    let (cluster, catalog, _telemetry) = setup();
     let xdb = Xdb::new(&cluster, &catalog);
     let outcome = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    let records = telemetry.history.records();
-    assert_eq!(records.len(), 1);
-    let r = &records[0];
+    let r = &outcome.record(scenario::EXAMPLE_QUERY);
     let version = format!("\"schema_version\":{}", xdb_obs::HISTORY_SCHEMA_VERSION);
     assert!(r.to_json().starts_with(&format!("{{{version},")));
-    assert_eq!(r.label, "example");
+    // The runner that submitted the query stamps its label.
+    assert_eq!(r.label, "");
+    assert_eq!(r.deployment, "xdb");
+    assert!(r.learned_costs);
     assert_eq!(r.query_id, outcome.query_id);
     assert_eq!(r.fingerprint.len(), 16);
     assert_eq!(r.sql_fnv.len(), 16);
@@ -92,14 +85,12 @@ fn history_record_carries_fingerprint_and_edges() {
     assert!(!r.statements.is_empty());
     assert!(r.statements.iter().all(|(_, ms)| *ms >= 0.0));
     // Resubmitting the same SQL yields the same fingerprint (stable plan).
-    telemetry.history.set_label("");
-    xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
-    let records = telemetry.history.records();
-    assert_eq!(records.len(), 2);
-    assert_eq!(records[1].fingerprint, r.fingerprint);
-    assert_eq!(records[1].sql_fnv, r.sql_fnv);
-    assert_eq!(records[1].label, "");
-    assert_eq!(records[1].result_digest, r.result_digest);
+    let again = xdb.submit(scenario::EXAMPLE_QUERY).unwrap();
+    let again = again.record(scenario::EXAMPLE_QUERY);
+    assert_eq!(again.fingerprint, r.fingerprint);
+    assert_eq!(again.sql_fnv, r.sql_fnv);
+    assert_eq!(again.query_id, r.query_id + 1);
+    assert_eq!(again.result_digest, r.result_digest);
 }
 
 #[test]

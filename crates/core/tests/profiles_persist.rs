@@ -51,8 +51,6 @@ fn history_is_a_sufficient_record_of_what_was_learned() {
         )
         .unwrap();
         cluster.topology.add_cloud_node(NodeId::new("cloud"));
-        let telemetry = cluster.telemetry();
-        telemetry.history.enable_memory();
         let catalog = GlobalCatalog::discover(&cluster).unwrap();
         let xdb = Xdb::new(&cluster, &catalog)
             .with_client_node("cloud")
@@ -61,14 +59,9 @@ fn history_is_a_sufficient_record_of_what_was_learned() {
                 freeze_profiles: false,
                 ..Default::default()
             });
-        for q in TpchQuery::ALL {
-            xdb.submit(q.sql()).unwrap();
-        }
-        let jsonl: String = telemetry
-            .history
-            .records()
+        let jsonl: String = TpchQuery::ALL
             .iter()
-            .map(|r| r.to_json() + "\n")
+            .map(|q| xdb.submit(q.sql()).unwrap().record(q.sql()).to_json() + "\n")
             .collect();
         let records = parse_history_jsonl(&jsonl).unwrap();
         assert_eq!(records.len(), TpchQuery::ALL.len(), "{}", dist.name());

@@ -13,26 +13,28 @@
 //! stream-chunk sizes, and across fresh federations, which number their
 //! queries alike.
 //!
-//! Every deployment writes this one record: XDB from `Xdb::submit`, and
-//! the Garlic, Presto and Sclera baselines from their shared submit tail
-//! (fingerprint and task count of the decomposed plan, result digest,
-//! total and transfer time, consult counts and edges; no critical path,
-//! statements or cost bundle). The reports are projections of these
-//! records: `repro monitor`, the figure and ablation runners, `profile`,
-//! `calibrate`, `replay` and `drift`.
+//! Every deployment makes this one record, and the submit that made it
+//! returns it: XDB's is `QueryOutcome::record`, a projection of the
+//! outcome built only when a caller asks for it; the Garlic, Presto and
+//! Sclera baselines build theirs in their shared submit tail and return
+//! it on their report (fingerprint and task count of the decomposed plan,
+//! result digest, total and transfer time, consult counts and edges; no
+//! critical path, statements or cost bundle). The reports are projections
+//! of these records: `repro monitor`, the figure and ablation runners,
+//! `profile`, `calibrate`, `replay` and `drift`.
 //!
-//! The [`HistorySink`] lives on [`crate::Telemetry`] and is **disabled by
-//! default** — recording costs nothing until `repro --history dir/`
-//! turns it on, after which every record is kept in memory and appended
-//! to `<dir>/history.jsonl`. A runner that reads records from a sink it
-//! found off turns it on in memory for its run only.
+//! The [`HistorySink`] lives on [`crate::Telemetry`] and has one mode: a
+//! directory or none. The runner that holds a record stamps its label and
+//! appends it; only after `repro --history dir/` opened a directory does
+//! an append write, one line of `<dir>/history.jsonl`. The sink keeps no
+//! record in memory and lends no label, so clients sharing a telemetry
+//! handle cannot stamp or collect each other's records.
 
 use crate::costmodel::CostObservation;
 use crate::json;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Version of the record layout, and the only one read: every baseline is
 /// checked in here (`BENCH_history/`) and re-recorded when the layout
@@ -65,8 +67,9 @@ pub struct EdgeObs {
 /// One query run, as persisted to the history store.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistoryRecord {
-    /// Workload label active at record time (e.g. `Q3`); empty for ad-hoc
-    /// submissions. Display only — drift groups by `sql_fnv`.
+    /// Workload label (e.g. `Q3`), stamped by the runner that submitted
+    /// the query; empty for unlabelled runs and ad-hoc submissions.
+    /// Display only — drift groups by `sql_fnv`.
     pub label: String,
     /// Deployment that produced the run: `xdb`, `garlic`,
     /// `presto{workers}` (`presto4`) or `sclera`. Drift groups by it with
@@ -284,95 +287,45 @@ pub fn parse_history_jsonl(text: &str) -> Result<Vec<HistoryRecord>, String> {
     Ok(out)
 }
 
-/// The append-only history sink attached to [`crate::Telemetry`].
+/// The append-only history sink attached to [`crate::Telemetry`]: a
+/// directory or none. Without one (the default) an append writes nothing;
+/// `repro --history dir/` opens one, and every record appended after is
+/// one line of `<dir>/history.jsonl`. The sink keeps no record itself:
+/// the runner that appends a record holds it.
 #[derive(Debug, Default)]
 pub struct HistorySink {
-    enabled: AtomicBool,
-    inner: Mutex<SinkInner>,
-}
-
-#[derive(Debug, Default)]
-struct SinkInner {
-    dir: Option<PathBuf>,
-    label: String,
-    records: Vec<HistoryRecord>,
+    dir: Mutex<Option<PathBuf>>,
 }
 
 impl HistorySink {
-    /// Cheap check the recording path takes before building a record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Record in memory only (tests, in-process drift comparison).
-    pub fn enable_memory(&self) {
-        self.inner.lock().dir = None;
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Record in memory *and* append each record to `<dir>/history.jsonl`
-    /// (the directory is created if missing).
+    /// Append each later record to `<dir>/history.jsonl` (the directory is
+    /// created if missing).
     pub fn enable_dir(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        self.inner.lock().dir = Some(dir);
-        self.enabled.store(true, Ordering::Release);
+        *self.dir.lock() = Some(dir);
         Ok(())
     }
 
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
-        self.inner.lock().dir = None;
-    }
-
-    /// Set the workload label stamped onto subsequent records.
-    pub fn set_label(&self, label: &str) {
-        self.inner.lock().label = label.to_string();
-    }
-
-    pub fn label(&self) -> String {
-        self.inner.lock().label.clone()
-    }
-
-    /// Append one record (no-op while disabled). File-append errors are
-    /// reported to stderr rather than failing the query.
-    pub fn append(&self, record: HistoryRecord) {
-        if !self.is_enabled() {
+    /// Append one record as one JSON line (no-op without a directory).
+    /// The lock is held while the line is written, so records appended
+    /// from several threads stay whole lines. A failed write is reported
+    /// to stderr rather than failing the query.
+    pub fn append(&self, record: &HistoryRecord) {
+        let dir = self.dir.lock();
+        let Some(dir) = dir.as_ref() else {
             return;
+        };
+        use std::io::Write as _;
+        let path = dir.join(HISTORY_FILE);
+        let written = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| writeln!(f, "{}", record.to_json()));
+        if let Err(e) = written {
+            eprintln!("history: cannot append to {}: {e}", path.display());
         }
-        let mut inner = self.inner.lock();
-        if let Some(dir) = &inner.dir {
-            use std::io::Write as _;
-            let path = dir.join(HISTORY_FILE);
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| writeln!(f, "{}", record.to_json()));
-            if let Err(e) = written {
-                eprintln!("history: cannot append to {}: {e}", path.display());
-            }
-        }
-        inner.records.push(record);
-    }
-
-    /// All records kept in memory, oldest first.
-    pub fn records(&self) -> Vec<HistoryRecord> {
-        self.inner.lock().records.clone()
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().records.is_empty()
-    }
-
-    /// Drop the in-memory records (the on-disk store is append-only and
-    /// untouched).
-    pub fn clear(&self) {
-        self.inner.lock().records.clear();
     }
 }
 
@@ -572,21 +525,22 @@ mod tests {
     }
 
     #[test]
-    fn sink_disabled_by_default_and_labels_records() {
+    fn a_sink_without_a_dir_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!(
+            "xdb_history_off_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
         let sink = HistorySink::default();
-        assert!(!sink.is_enabled());
-        sink.append(sample());
-        assert!(sink.is_empty());
-        sink.enable_memory();
-        sink.set_label("fleet");
-        assert_eq!(sink.label(), "fleet");
-        sink.append(sample());
-        assert_eq!(sink.len(), 1);
-        let jsonl: String = sink.records().iter().map(|r| r.to_json() + "\n").collect();
-        let parsed = parse_history_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed, sink.records());
-        sink.clear();
-        assert!(sink.is_empty());
+        sink.append(&sample());
+        assert!(load_history_dir(&dir).is_err(), "nothing was written");
+        sink.enable_dir(&dir).unwrap();
+        let unread = load_history_dir(&dir).unwrap_err();
+        assert!(unread.contains("cannot read"), "{unread}");
+        sink.append(&sample());
+        assert_eq!(load_history_dir(&dir).unwrap(), [sample()]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -599,8 +553,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let sink = HistorySink::default();
         sink.enable_dir(&dir).unwrap();
-        sink.append(sample());
-        sink.append(sample());
+        sink.append(&sample());
+        sink.append(&sample());
         let loaded = load_history_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0], sample());

@@ -19,8 +19,8 @@ use std::sync::Arc;
 pub struct Telemetry {
     pub metrics: MetricRegistry,
     pub events: EventLog,
-    /// The query history store — disabled until `repro --history dir/`
-    /// (or a test) turns it on.
+    /// The query history store: writes nothing until `repro --history
+    /// dir/` opens a directory, then one line per record a runner appends.
     pub history: HistorySink,
 }
 

@@ -47,12 +47,13 @@ fn main() {
         let garlic = Mediator::new(&onp, &catalog, MediatorConfig::garlic("cloud"))
             .submit(q.sql())
             .expect("garlic");
+        let (garlic_bytes, _) = garlic.record.moved_bytes();
         println!(
             "{:<6} {:>16} {:>16} {:>9.0}x",
             q.name(),
             xdb_bytes,
-            garlic.fetch_bytes,
-            garlic.fetch_bytes as f64 / xdb_bytes.max(1) as f64
+            garlic_bytes,
+            garlic_bytes as f64 / xdb_bytes.max(1) as f64
         );
     }
     println!("XDB sends the cloud only final results + control messages (Fig 14 ONP).");
@@ -87,7 +88,7 @@ fn main() {
             "{:<6} {:>14} {:>14} {:>12.2}",
             q.name(),
             moved,
-            garlic.fetch_bytes,
+            garlic.record.moved_bytes().0,
             out.breakdown.exec_ms / 1000.0
         );
     }

@@ -46,13 +46,13 @@ fn main() {
             .submit(q.sql())
             .expect("presto");
         assert!(presto.relation.same_bag(&x.relation));
-        let speedup = presto.total_ms / x.breakdown.exec_ms;
+        let speedup = presto.record.total_ms / x.breakdown.exec_ms;
         speedups.push(speedup);
         println!(
             "{:<6} {:>12.2} {:>12.2}  {:>6.1}x",
             q.name(),
             x.breakdown.exec_ms / 1000.0,
-            presto.total_ms / 1000.0,
+            presto.record.total_ms / 1000.0,
             speedup
         );
     }

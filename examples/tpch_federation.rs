@@ -65,11 +65,11 @@ fn main() {
             "{:<6} {:>12.2} {:>12.2} {:>12.2} {:>12.2}   {:>14} {:>14}",
             q.name(),
             x.breakdown.exec_ms / 1000.0,
-            garlic.total_ms / 1000.0,
-            presto.total_ms / 1000.0,
-            sclera.total_ms / 1000.0,
+            garlic.record.total_ms / 1000.0,
+            presto.record.total_ms / 1000.0,
+            sclera.record.total_ms / 1000.0,
             xdb_bytes,
-            garlic.fetch_bytes,
+            garlic.record.moved_bytes().0,
         );
     }
     println!("\nAll four systems returned identical results for every query.");

@@ -11,7 +11,7 @@ use xdb::core::{GlobalCatalog, PhaseBreakdown, QueryOutcome, Xdb, XdbOptions};
 use xdb::engine::cluster::Cluster;
 use xdb::engine::profile::EngineProfile;
 use xdb::net::{Movement, Purpose, Scenario, Transfer};
-use xdb::obs::{HistoryRecord, SpanKind};
+use xdb::obs::SpanKind;
 use xdb::tpch::{build_cluster, distributions, ProfileAssignment, TableDist, TpchQuery};
 
 const SF: f64 = 0.002;
@@ -418,7 +418,7 @@ fn concurrent_plans_are_the_serial_plans() {
 /// edges of its cost observation and of its history record.
 type Moved = (Vec<String>, Vec<String>, Vec<String>, Vec<String>);
 
-fn moved(outcome: &QueryOutcome, history: &[HistoryRecord]) -> Moved {
+fn moved(outcome: &QueryOutcome, sql: &str) -> Moved {
     let debug = |t: &dyn std::fmt::Debug| format!("{t:?}");
     let transfers = outcome.transfers.iter().map(|t| debug(t)).collect();
     let spans = outcome.trace.spans.iter();
@@ -427,8 +427,7 @@ fn moved(outcome: &QueryOutcome, history: &[HistoryRecord]) -> Moved {
         .map(|s| format!("{} {}+{} {:?}", s.name, s.start_ms, s.dur_ms, s.attrs))
         .collect();
     let cost = outcome.cost.decisions.iter().map(|d| debug(&d.edges));
-    let record = history.iter().find(|r| r.query_id == outcome.query_id);
-    let record = record.expect("every submit leaves a history record");
+    let record = outcome.record(sql);
     let edges = record.edges.iter().map(|e| debug(e)).collect();
     (transfers, spans, cost.collect(), edges)
 }
@@ -446,17 +445,13 @@ fn concurrent_submits_own_their_transfers() {
     const ROUNDS: usize = 5;
     let queries = TpchQuery::ALL;
     let (cluster, catalog) = federation(TableDist::Td1);
-    let history = &cluster.telemetry().history;
-    history.enable_memory();
     while cluster.next_query_id() < 99 {}
     let xdb = Xdb::new(&cluster, &catalog).with_options(static_pricing());
     let warm = |q: TpchQuery| {
         xdb.submit(q.sql()).unwrap();
         xdb.submit(q.sql()).unwrap()
     };
-    let serial: Vec<QueryOutcome> = queries.map(warm).into();
-    let records = history.records();
-    let serial: Vec<Moved> = serial.iter().map(|o| moved(o, &records)).collect();
+    let serial: Vec<Moved> = queries.map(|q| moved(&warm(q), q.sql())).into();
     // One span and one history edge per transfer, and every submit moved.
     let counts = |m: &Moved| [m.0.len(), m.1.len(), m.3.len()];
     assert!(serial
@@ -479,10 +474,9 @@ fn concurrent_submits_own_their_transfers() {
             .collect()
     });
     assert!(submits.iter().all(|(_, o)| o.query_id < 1000));
-    let records = history.records();
     let differ: Vec<String> = submits
         .iter()
-        .filter(|(k, o)| moved(o, &records) != serial[*k])
+        .filter(|(k, o)| moved(o, queries[*k].sql()) != serial[*k])
         .map(|(k, o)| format!("{} (query {})", queries[*k].name(), o.query_id))
         .collect();
     let n = submits.len();
@@ -501,11 +495,9 @@ fn concurrent_submits_own_their_transfers() {
 fn a_garlic_record_counts_only_its_own_probes() {
     const ROUNDS: usize = 12;
     let (cluster, catalog) = federation(TableDist::Td1);
-    let history = &cluster.telemetry().history;
-    history.enable_memory();
     let tables = catalog.table_names().len() as u64;
     let planning = std::sync::atomic::AtomicBool::new(true);
-    std::thread::scope(|s| {
+    let garlic = std::thread::scope(|s| {
         for _ in 0..3 {
             let (cluster, catalog, planning) = (&cluster, &catalog, &planning);
             s.spawn(move || {
@@ -518,17 +510,11 @@ fn a_garlic_record_counts_only_its_own_probes() {
             });
         }
         let garlic = Mediator::new(&cluster, &catalog, MediatorConfig::garlic("mediator"));
-        for _ in 0..ROUNDS {
-            garlic.submit(TpchQuery::Q3.sql()).unwrap();
-        }
+        let submit = |_| garlic.submit(TpchQuery::Q3.sql()).unwrap().record;
+        let records: Vec<_> = (0..ROUNDS).map(submit).collect();
         planning.store(false, std::sync::atomic::Ordering::Relaxed);
+        records
     });
-    let records = history.records();
-    let garlic: Vec<_> = records
-        .iter()
-        .filter(|r| r.deployment == "garlic")
-        .collect();
-    assert_eq!(garlic.len(), ROUNDS);
     for (round, r) in garlic.iter().enumerate() {
         let probes = (r.consult_hits + r.consult_misses, r.consult_roundtrips);
         assert_eq!(probes, (tables, 0), "round {round}");

@@ -261,8 +261,7 @@ fn failed_delegation_cleans_up() {
 }
 
 /// A federation of `td` on fresh engines and a fresh catalog, its tables
-/// copied from `tables` (generated once per distribution), its query
-/// history kept in memory.
+/// copied from `tables` (generated once per distribution).
 fn fresh_federation(td: TableDist, tables: &[(TpchTable, Relation)]) -> (Cluster, GlobalCatalog) {
     let mut cluster = Cluster::new(Topology::lan(&NODES));
     for node in NODES {
@@ -272,15 +271,14 @@ fn fresh_federation(td: TableDist, tables: &[(TpchTable, Relation)]) -> (Cluster
         let engine = cluster.engine(td.node_of(*table)).unwrap();
         engine.load_table(table.name(), rows.clone()).unwrap();
     }
-    cluster.telemetry().history.enable_memory();
     let catalog = GlobalCatalog::discover(&cluster).unwrap();
     (cluster, catalog)
 }
 
-/// Everything a submit shows: its query id, plan, rows, breakdown and
-/// canonical trace, and what its federation learned from it (the history
-/// records and the learned cost profiles).
-fn submit_fingerprint(o: &QueryOutcome, cluster: &Cluster, catalog: &GlobalCatalog) -> String {
+/// Everything a submit of `sql` shows: its query id, plan, rows,
+/// breakdown, canonical trace and history record, and what its federation
+/// learned from it (the learned cost profiles).
+fn submit_fingerprint(o: &QueryOutcome, sql: &str, catalog: &GlobalCatalog) -> String {
     let rows = &o.relation;
     let mut fp = format!("q{} {}\n", o.query_id, plan_fingerprint(&o.delegation));
     for i in 0..rows.len() {
@@ -290,9 +288,7 @@ fn submit_fingerprint(o: &QueryOutcome, cluster: &Cluster, catalog: &GlobalCatal
         fp.push('\n');
     }
     fp.push_str(&format!("{:?}\n{}", o.breakdown, canonical(&o.trace)));
-    for record in cluster.telemetry().history.records() {
-        fp.push_str(&record.to_json());
-    }
+    fp.push_str(&o.record(sql).to_json());
     fp + &catalog.profiles_snapshot().describe()
 }
 
@@ -318,7 +314,7 @@ fn every_failing_statement_is_undone_and_forgotten() {
             let (cluster, catalog) = fresh_federation(td, &tables);
             let xdb = Xdb::new(&cluster, &catalog);
             let (_, script, _, _) = xdb.plan(sql).unwrap();
-            let reference = submit_fingerprint(&xdb.submit(sql).unwrap(), &cluster, &catalog);
+            let reference = submit_fingerprint(&xdb.submit(sql).unwrap(), sql, &catalog);
             let statements = script.steps.iter().map(|s| &s.node);
             for (index, node) in statements.chain([&script.root_node]).enumerate() {
                 let what = format!("{} on {td:?}, statement {index} on {node}", q.name());
@@ -353,10 +349,9 @@ fn every_failing_statement_is_undone_and_forgotten() {
                     let left: Vec<_> = names.iter().filter(|n| n.starts_with("xdb_q")).collect();
                     assert!(left.is_empty(), "{what}: {n} kept {left:?}");
                 }
-                assert!(cluster.telemetry().history.is_empty(), "{what}");
                 assert_eq!(catalog.profiles_snapshot().samples(), 0, "{what}");
                 let again = xdb.submit(sql).unwrap();
-                let again = submit_fingerprint(&again, &cluster, &catalog);
+                let again = submit_fingerprint(&again, sql, &catalog);
                 assert!(again == reference, "{what}: the next submit differs");
                 count += 1;
             }

@@ -403,19 +403,26 @@ const LEDGER_READS: [&str; 2] = ["ledger.len()", "ledger.since("];
 /// stands (`ledger.len()`) or reads its tail (`ledger.since(`). Comment
 /// lines are not code.
 fn ledger_census(files: &[(String, String)]) -> Result<(), String> {
-    for (path, src) in files {
-        let code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
-        if let Some(line) = code
-            .into_iter()
-            .find(|l| LEDGER_READS.iter().any(|r| l.contains(r)))
-        {
-            return Err(format!("{path}: reads the shared ledger back: {line}"));
-        }
+    match first_code_line(files, &LEDGER_READS)? {
+        Some((path, line)) => Err(format!("{path}: reads the shared ledger back: {line}")),
+        None => Ok(()),
     }
-    match files.is_empty() {
-        true => Err("no source was read".to_string()),
-        false => Ok(()),
+}
+
+/// The path and the first code line (comment lines are not code) of
+/// `files` that contains one of `needles`; an error when no file was read.
+fn first_code_line<'a>(
+    files: &'a [(String, String)],
+    needles: &[&str],
+) -> Result<Option<(&'a str, &'a str)>, String> {
+    if files.is_empty() {
+        return Err("no source was read".to_string());
     }
+    Ok(files.iter().find_map(|(path, src)| {
+        let mut code = src.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let line = code.find(|l| needles.iter().any(|n| l.contains(n)))?;
+        Some((path.as_str(), line))
+    }))
 }
 
 /// The non-test part of every source file of the crates that run queries.
@@ -455,6 +462,56 @@ fn ledger_census_rejects_a_mark_and_a_tail_read() {
     comment[0].1.push_str("\n// `ledger.len()` was the mark.\n");
     assert!(ledger_census(&comment).is_ok());
     assert!(ledger_census(&[]).is_err());
+}
+
+// ---------------------------------------------------------- history census
+
+/// History census: a submit returns its own history record, and the runner
+/// that holds it stamps its label and appends it (DESIGN.md §14 "Query
+/// history store"), so no non-test code line of `crates/core/src` or
+/// `crates/baselines/src` writes or reads the history sink
+/// (`.history.`). Comment lines are not code.
+fn history_census(files: &[(String, String)]) -> Result<(), String> {
+    match first_code_line(files, &[".history."])? {
+        Some((path, line)) => Err(format!("{path}: touches the history sink: {line}")),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn a_query_neither_writes_nor_reads_the_history_sink() {
+    history_census(&query_sources()).unwrap();
+}
+
+#[test]
+fn history_census_rejects_an_append_and_a_label_read() {
+    let files = query_sources();
+    // An append at the start of `Xdb::submit`.
+    let mut appended = files.clone();
+    let client = appended.iter_mut().find(|(p, _)| p == CLIENT).unwrap();
+    let submit = method_body(&client.1, "    pub fn submit(")
+        .expect("`Xdb::submit` is found")
+        .to_string();
+    let append = "        self.cluster.telemetry().history.append(&HistoryRecord::default());";
+    let appending = submit.replacen('{', &format!("{{\n{append}"), 1);
+    client.1 = client.1.replacen(&submit, &appending, 1);
+    assert!(history_census(&appended).is_err());
+    // A label read in a baseline.
+    let mut labelled = files.clone();
+    let baseline = labelled
+        .iter_mut()
+        .find(|(p, _)| p.starts_with(BASELINES_SRC));
+    let baseline = baseline.expect("a baseline source is read");
+    let read = "\nfn label(c: &Cluster) -> String {\n    c.telemetry().history.label()\n}\n";
+    baseline.1.push_str(read);
+    assert!(history_census(&labelled).is_err());
+    // A comment that names the sink is not a use of it.
+    let mut comment = files;
+    comment[0]
+        .1
+        .push_str("\n// `telemetry.history.append(record)` was the write.\n");
+    assert!(history_census(&comment).is_ok());
+    assert!(history_census(&[]).is_err());
 }
 
 // ------------------------------------------------------------- copy census

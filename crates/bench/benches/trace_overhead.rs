@@ -1,9 +1,9 @@
-//! Tracing cost on the reproduction's own wall clock: the fig9 pipeline
-//! with tracing in its three states — spans disabled at the source (the
-//! `TraceCtx::off()` path every pre-trace call site compiled to), the
-//! default coarse spans, and full per-operator profiling. The first two
-//! must be indistinguishable (disabled tracing is a branch on a bool);
-//! operator profiling must stay under a few percent.
+//! Tracing cost on the reproduction's own wall clock. Every submit is
+//! traced: the fig9 pipeline runs with the default coarse spans (phases,
+//! consults, tasks, DDL, execution), the six-query workload adds
+//! per-operator profiling and the Chrome-JSON export, and one warmed
+//! submit is timed with coarse spans against one with operator spans.
+//! Operator profiling must stay under a few percent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

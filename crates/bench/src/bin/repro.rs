@@ -53,7 +53,9 @@
 //! repro --history dir/ profile   # record query history (JSON lines) to
 //!                                # dir/history.jsonl: every record the
 //!                                # figure, ablation, table4, monitor,
-//!                                # profile and --trace runs return
+//!                                # profile, calibrate, replay, gate and
+//!                                # --trace runs return (a usage error
+//!                                # beside targets that submit nothing)
 //! repro --log-level warn fig9    # event-log record-time filter
 //! ```
 
@@ -65,9 +67,8 @@ use xdb_obs::Telemetry;
 use xdb_tpch::{TableDist, TpchQuery};
 
 fn main() {
-    // The one telemetry handle every federation of this run reports into
-    // (the tenants, calibrate and replay runners keep their own): what
-    // `--log`, `--history` and `--log-level` act on.
+    // The one telemetry handle every federation of this run reports into:
+    // what `--log`, `--history` and `--log-level` act on.
     let telemetry = Telemetry::new_handle();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sf = 0.05f64;
@@ -131,6 +132,20 @@ fn main() {
     {
         usage("--profiles feeds `replay` only (repro --profiles dir replay)");
     }
+    // Only a target that submits through the workload runner, and
+    // `--trace`, append records; an admission returns none.
+    if history_dir.is_some()
+        && trace_path.is_none()
+        && !targets
+            .iter()
+            .any(|t| RECORDING.split_whitespace().any(|r| r == t))
+    {
+        usage(
+            "--history records what a figure, table4, ablations, monitor, profile, \
+             calibrate, replay, gate or --trace submits; table2, table3, tenants and \
+             drift append none",
+        );
+    }
     // Record-time event filter: events below the level are never retained
     // (they are dropped in `EventLog::log`, not at export).
     if let Some(s) = log_level {
@@ -141,7 +156,7 @@ fn main() {
     }
     // Query-history store: each record a runner gets back from a submit is
     // stamped with its label and appended, one JSON line, to
-    // <dir>/history.jsonl. `tenants`, `calibrate` and `replay` append none.
+    // <dir>/history.jsonl.
     if let Some(dir) = history_dir {
         if let Err(e) = telemetry.history.enable_dir(&dir) {
             usage(format!("cannot open history dir {dir}: {e}"));
@@ -272,7 +287,8 @@ fn main() {
             // The monitor JSON doubles as the regression-gate baseline;
             // ride the multi-tenant admission series along so the gate
             // covers plan folding too.
-            let tr = tenants::run_tenants(sf, tenant_count, runs).expect("tenants workload");
+            let tr =
+                tenants::run_tenants(sf, tenant_count, runs, &telemetry).expect("tenants workload");
             let json = report.to_json_with(
                 &[
                     ("tenants", tenant_count as f64),
@@ -287,7 +303,8 @@ fn main() {
     // `calibrate` is likewise not part of `all`: it re-runs the six-query
     // workload with the cost-model observatory and has its own report.
     if targets.iter().any(|t| t == "calibrate") {
-        let report = calibrate::run_calibrate(calibrate_td, sf, runs).expect("calibrate workload");
+        let report = calibrate::run_calibrate(calibrate_td, sf, runs, &telemetry)
+            .expect("calibrate workload");
         write!(out, "{}", report.render()).unwrap();
     }
     // `replay` is likewise not part of `all`: it re-annotates the workload
@@ -297,15 +314,22 @@ fn main() {
     if targets.iter().any(|t| t == "replay") {
         let profiles = match loaded_profiles {
             Some(p) => p,
-            None => replay::learn_profiles(calibrate_td, sf).expect("profile-learning workload"),
+            None => replay::learn_profiles(calibrate_td, sf, &telemetry)
+                .expect("profile-learning workload"),
         };
         let store = if profiles.is_empty() {
             None
         } else {
             Some(profiles)
         };
-        let report = replay::run_replay(calibrate_td, sf, store.as_ref(), &profile_source)
-            .expect("replay workload");
+        let report = replay::run_replay(
+            calibrate_td,
+            sf,
+            store.as_ref(),
+            &profile_source,
+            &telemetry,
+        )
+        .expect("replay workload");
         write!(out, "{}", report.render()).unwrap();
     }
     // `profile` is likewise not part of `all`: it re-runs the six-query
@@ -317,7 +341,8 @@ fn main() {
     // `tenants` is likewise not part of `all`: it runs the whole skewed
     // mix twice (folded + unfolded) and has its own digest export.
     if targets.iter().any(|t| t == "tenants") {
-        let report = tenants::run_tenants(sf, tenant_count, runs).expect("tenants workload");
+        let report =
+            tenants::run_tenants(sf, tenant_count, runs, &telemetry).expect("tenants workload");
         write!(out, "{}", report.render_dashboard()).unwrap();
         if let Some(prefix) = &digest_path {
             let fp = format!("{prefix}.folded.txt");
@@ -345,6 +370,10 @@ fn main() {
     out.flush().unwrap();
     eprintln!("(repro finished in {:.1?})", t0.elapsed());
 }
+
+/// The targets whose submits append history records.
+const RECORDING: &str = "all fig1 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table4 ablations \
+                         monitor profile calibrate replay gate";
 
 /// Bad input on the command line: say what was wrong and exit 2.
 fn usage(message: impl std::fmt::Display) -> ! {
@@ -388,7 +417,7 @@ fn run_gate(monitor_baseline: Option<String>, telemetry: &Arc<Telemetry>) {
         .flat_values();
     if let Some((tn, rounds)) = base.tenants {
         current.extend(
-            tenants::run_tenants(base.sf, tn, rounds)
+            tenants::run_tenants(base.sf, tn, rounds, telemetry)
                 .expect("tenants workload")
                 .flat_values(),
         );

@@ -16,6 +16,7 @@
 use crate::experiments::{onprem, xdb_workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xdb_core::XdbOptions;
 use xdb_engine::error::Result;
 use xdb_obs::costmodel::ErrorStats;
@@ -49,10 +50,16 @@ pub struct CalibrateReport {
     pub per_query: Vec<QueryCalibration>,
 }
 
-/// Run the six-query workload `runs` times on `td` and project the
-/// cost-model observatory bundles its records carry.
-pub fn run_calibrate(td: TableDist, sf: f64, runs: usize) -> Result<CalibrateReport> {
-    let e = onprem(td, sf, &Telemetry::new_handle())?;
+/// Run the six-query workload `runs` times on `td`, its records appended to
+/// `telemetry`'s history, and project the cost-model observatory bundles
+/// they carry.
+pub fn run_calibrate(
+    td: TableDist,
+    sf: f64,
+    runs: usize,
+    telemetry: &Arc<Telemetry>,
+) -> Result<CalibrateReport> {
+    let e = onprem(td, sf, telemetry)?;
     let records = xdb_workload(&e, &XdbOptions::default(), runs, true)?;
     Ok(CalibrateReport::project(td, sf, runs, &records))
 }
@@ -193,7 +200,7 @@ mod tests {
 
     #[test]
     fn calibrate_covers_workload_and_renders() {
-        let report = run_calibrate(TableDist::Td1, TEST_SF, 1).unwrap();
+        let report = run_calibrate(TableDist::Td1, TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         let s = &report.summary;
         assert!(s.decisions > 0, "no placement decisions recorded");
         assert!(s.matched_edges > 0, "no ledger edges joined");
@@ -222,8 +229,8 @@ mod tests {
 
     #[test]
     fn calibrate_is_deterministic_across_invocations() {
-        let a = run_calibrate(TableDist::Td1, TEST_SF, 1).unwrap();
-        let b = run_calibrate(TableDist::Td1, TEST_SF, 1).unwrap();
+        let a = run_calibrate(TableDist::Td1, TEST_SF, 1, &Telemetry::new_handle()).unwrap();
+        let b = run_calibrate(TableDist::Td1, TEST_SF, 1, &Telemetry::new_handle()).unwrap();
         assert_eq!(a.render(), b.render());
     }
 }

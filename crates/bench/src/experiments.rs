@@ -837,9 +837,9 @@ mod tests {
         let trace = trace_workload(TEST_SF, &Telemetry::new_handle()).unwrap();
         let roots = trace.spans.iter().filter(|s| s.parent.is_none()).count();
         assert_eq!(roots, TpchQuery::ALL.len());
-        // One lane per engine node plus client and net.
+        // One lane per engine node plus the client.
         let lanes = trace.lanes();
-        for lane in ["client", "net", "db1", "db2", "db3"] {
+        for lane in ["client", "db1", "db2", "db3"] {
             assert!(
                 lanes.iter().any(|l| l == lane),
                 "missing lane {lane}: {lanes:?}"

@@ -19,6 +19,7 @@
 
 use crate::experiments::{onprem, xdb_workload};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xdb_core::{CostProfiles, XdbOptions};
 use xdb_engine::error::Result;
 use xdb_obs::costmodel::ErrorStats;
@@ -109,8 +110,13 @@ pub struct ReplayReport {
 /// Run the workload once under one cost-model arm: one labelled record
 /// per query. `profiles` is the frozen store the learned arm prices
 /// against (`None` → static model).
-fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Vec<HistoryRecord>> {
-    let e = onprem(td, sf, &Telemetry::new_handle())?;
+fn run_arm(
+    td: TableDist,
+    sf: f64,
+    profiles: Option<&CostProfiles>,
+    telemetry: &Arc<Telemetry>,
+) -> Result<Vec<HistoryRecord>> {
+    let e = onprem(td, sf, telemetry)?;
     if let Some(p) = profiles {
         e.catalog.set_profiles(p.clone());
     }
@@ -124,15 +130,18 @@ fn run_arm(td: TableDist, sf: f64, profiles: Option<&CostProfiles>) -> Result<Ve
     xdb_workload(&e, &options, 1, true)
 }
 
-/// Replay the workload under static and learned pricing and join the two
-/// arms per query.
+/// Replay the workload under static and learned pricing, both arms'
+/// records appended to `telemetry`'s history, and join the two arms per
+/// query.
 pub fn run_replay(
     td: TableDist,
     sf: f64,
     profiles: Option<&CostProfiles>,
     profile_source: &str,
+    telemetry: &Arc<Telemetry>,
 ) -> Result<ReplayReport> {
-    let (static_arm, learned_arm) = (run_arm(td, sf, None)?, run_arm(td, sf, profiles)?);
+    let static_arm = run_arm(td, sf, None, telemetry)?;
+    let learned_arm = run_arm(td, sf, profiles, telemetry)?;
     let report = ReplayReport::project(td, sf, profile_source, &static_arm, &learned_arm);
     Ok(report)
 }
@@ -270,8 +279,8 @@ impl ReplayReport {
 /// Learn a profile store from the history of one pass of the workload with
 /// live feedback (the default options): the in-process equivalent of
 /// `--profiles dir/`, and the store that pass left in its catalog.
-pub fn learn_profiles(td: TableDist, sf: f64) -> Result<CostProfiles> {
-    let env = onprem(td, sf, &Telemetry::new_handle())?;
+pub fn learn_profiles(td: TableDist, sf: f64, telemetry: &Arc<Telemetry>) -> Result<CostProfiles> {
+    let env = onprem(td, sf, telemetry)?;
     let records = xdb_workload(&env, &XdbOptions::default(), 1, true)?;
     Ok(CostProfiles::from_history(&records))
 }
@@ -287,7 +296,14 @@ mod tests {
     fn self_compare_reports_zero_flips() {
         // No profiles: the learned arm prices with an empty store, which
         // must fall back to the static model bit-exactly.
-        let report = run_replay(TableDist::Td1, TEST_SF, None, "(none)").unwrap();
+        let report = run_replay(
+            TableDist::Td1,
+            TEST_SF,
+            None,
+            "(none)",
+            &Telemetry::new_handle(),
+        )
+        .unwrap();
         assert_eq!(report.flips(), 0, "{}", report.render());
         assert!(report.results_identical());
         for r in &report.rows {
@@ -306,9 +322,17 @@ mod tests {
     fn replay_with_workload_profiles_keeps_results_identical() {
         // Learn profiles from one calibration pass of the same workload,
         // then replay against them: whatever flips, answers must not.
-        let profiles = learn_profiles(TableDist::Td1, TEST_SF).unwrap();
+        let telemetry = Telemetry::new_handle();
+        let profiles = learn_profiles(TableDist::Td1, TEST_SF, &telemetry).unwrap();
         assert!(!profiles.is_empty());
-        let report = run_replay(TableDist::Td1, TEST_SF, Some(&profiles), "(test)").unwrap();
+        let report = run_replay(
+            TableDist::Td1,
+            TEST_SF,
+            Some(&profiles),
+            "(test)",
+            &telemetry,
+        )
+        .unwrap();
         assert!(report.results_identical(), "{}", report.render());
         // The report is a projection of the arms' records: run again,
         // written as history lines and read back, they render the same.
@@ -316,8 +340,8 @@ mod tests {
             let lines: String = records.iter().map(|r| r.to_json() + "\n").collect();
             parse_history_jsonl(&lines).unwrap()
         };
-        let static_arm = read_back(run_arm(TableDist::Td1, TEST_SF, None).unwrap());
-        let learned_arm = read_back(run_arm(TableDist::Td1, TEST_SF, Some(&profiles)).unwrap());
+        let arm = |profiles| run_arm(TableDist::Td1, TEST_SF, profiles, &telemetry).unwrap();
+        let (static_arm, learned_arm) = (read_back(arm(None)), read_back(arm(Some(&profiles))));
         let projected =
             ReplayReport::project(TableDist::Td1, TEST_SF, "(test)", &static_arm, &learned_arm);
         assert_eq!(projected.render(), report.render());

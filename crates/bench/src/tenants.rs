@@ -18,12 +18,13 @@
 //! Every number is taken off the simulated clock, so the whole report is
 //! deterministic across invocations and rides the monitor regression-gate
 //! baseline (`BENCH_monitor.json`, see [`crate::gate`]) as `tenants/...`
-//! series. Each arm runs on a fresh federation with a telemetry handle of
-//! its own, and a fresh federation numbers its queries from 1.
+//! series. Each arm runs on a fresh federation, which numbers its queries
+//! from 1; both report into the caller's telemetry handle.
 
 use crate::experiments::{onprem, CLOUD};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xdb_core::annotate::result_digest;
 use xdb_core::{QueryServer, SessionOptions, SessionReport, Submission, TenantOutcome, XdbOptions};
 use xdb_engine::error::Result;
@@ -139,12 +140,17 @@ pub fn submissions(tenants: usize, rounds: usize) -> Vec<Submission> {
 
 /// Run the two-arm tenant workload: `tenants` simulated tenants replaying
 /// the skewed TD1 mix for `rounds` scheduling windows, folded vs
-/// unfolded, each against a freshly built federation with isolated
-/// telemetry.
-pub fn run_tenants(sf: f64, tenants: usize, rounds: usize) -> Result<TenantsReport> {
+/// unfolded, each against a freshly built federation reporting into
+/// `telemetry`.
+pub fn run_tenants(
+    sf: f64,
+    tenants: usize,
+    rounds: usize,
+    telemetry: &Arc<Telemetry>,
+) -> Result<TenantsReport> {
     let subs = submissions(tenants, rounds);
-    let folded = run_arm(sf, &subs, tenants, true)?;
-    let unfolded = run_arm(sf, &subs, tenants, false)?;
+    let folded = run_arm(sf, &subs, tenants, true, telemetry)?;
+    let unfolded = run_arm(sf, &subs, tenants, false, telemetry)?;
     Ok(TenantsReport {
         sf,
         tenants,
@@ -155,8 +161,14 @@ pub fn run_tenants(sf: f64, tenants: usize, rounds: usize) -> Result<TenantsRepo
     })
 }
 
-fn run_arm(sf: f64, subs: &[Submission], window: usize, fold: bool) -> Result<TenantsArm> {
-    let e = onprem(TableDist::Td1, sf, &Telemetry::new_handle())?;
+fn run_arm(
+    sf: f64,
+    subs: &[Submission],
+    window: usize,
+    fold: bool,
+    telemetry: &Arc<Telemetry>,
+) -> Result<TenantsArm> {
+    let e = onprem(TableDist::Td1, sf, telemetry)?;
     let server = QueryServer::new(
         &e.cluster,
         &e.catalog,
@@ -273,7 +285,7 @@ mod tests {
 
     #[test]
     fn folded_and_unfolded_arms_agree_and_folding_pays() {
-        let r = run_tenants(TEST_SF, 8, 2).unwrap();
+        let r = run_tenants(TEST_SF, 8, 2, &Telemetry::new_handle()).unwrap();
         assert_eq!(r.queries, 16);
         // Folding is invisible per tenant...
         assert_eq!(r.folded.digests, r.unfolded.digests);
@@ -295,7 +307,7 @@ mod tests {
         // TD1 mix, shared fragments deploy once, consult probes and DDL
         // statements drop measurably, throughput improves >= 1.5x, and
         // p95 latency does not regress — with bit-identical results.
-        let r = run_tenants(TEST_SF, 64, 1).unwrap();
+        let r = run_tenants(TEST_SF, 64, 1, &Telemetry::new_handle()).unwrap();
         assert_eq!(r.folded.digests, r.unfolded.digests);
         assert!(
             r.speedup() >= 1.5,
@@ -314,8 +326,8 @@ mod tests {
     fn values_are_deterministic_across_invocations() {
         // The gate depends on it: two fresh runs must produce identical
         // latency series and digests.
-        let a = run_tenants(TEST_SF, 4, 2).unwrap();
-        let b = run_tenants(TEST_SF, 4, 2).unwrap();
+        let a = run_tenants(TEST_SF, 4, 2, &Telemetry::new_handle()).unwrap();
+        let b = run_tenants(TEST_SF, 4, 2, &Telemetry::new_handle()).unwrap();
         assert_eq!(a.flat_values(), b.flat_values());
         assert_eq!(a.folded.digest(), b.folded.digest());
         let gate = crate::gate::compare("tenants", &a.flat_values(), &b.flat_values(), 0.5);

@@ -45,7 +45,9 @@ fn profile_renders_from_the_checked_in_records() {
 #[test]
 fn calibrate_renders_from_the_checked_in_records() {
     let report = CalibrateReport::project(TableDist::Td1, SF, 1, &checked_in()).render();
-    let live = run_calibrate(TableDist::Td1, SF, 1).unwrap().render();
+    let live = run_calibrate(TableDist::Td1, SF, 1, &Telemetry::new_handle())
+        .unwrap()
+        .render();
     assert_eq!(report, live);
 }
 
@@ -64,7 +66,9 @@ fn the_checked_in_history_shows_no_drift_against_itself() {
 /// regret table.
 #[test]
 fn calibrate_renders_every_table() {
-    let report = run_calibrate(TableDist::Td1, SF, 2).unwrap().render();
+    let report = run_calibrate(TableDist::Td1, SF, 2, &Telemetry::new_handle())
+        .unwrap()
+        .render();
     for heading in [
         "cost-model observatory",
         "prediction error by engine",
@@ -95,7 +99,14 @@ fn a_fig9_history_feeds_replay_and_shows_no_drift() {
     assert_eq!(records.len(), 3 * 4 * TpchQuery::ALL.len());
     let profiles = CostProfiles::from_history(&records);
     assert!(!profiles.is_empty());
-    let replay = run_replay(TableDist::Td1, SF, Some(&profiles), "fig9").unwrap();
+    let replay = run_replay(
+        TableDist::Td1,
+        SF,
+        Some(&profiles),
+        "fig9",
+        &Telemetry::new_handle(),
+    )
+    .unwrap();
     let text = replay.render();
     assert!(text.contains("plan flips:"), "{text}");
     assert!(

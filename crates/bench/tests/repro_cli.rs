@@ -46,6 +46,13 @@ fn bad_input_is_a_usage_error_naming_the_flag_or_path() {
         ),
         (&["--profiles", missing], "--profiles feeds `replay` only"),
         (&["--profiles", missing, "replay"], missing),
+        (&["--history", missing, "tenants"], "--history records"),
+        (
+            &["--history", missing, "table2", "table3"],
+            "--history records",
+        ),
+        (&["--history", missing, "drift"], "--history records"),
+        (&["--history", missing], "--history records"),
     ];
     for (args, needle) in cases {
         let (code, stderr) = repro(args);
@@ -54,6 +61,34 @@ fn bad_input_is_a_usage_error_naming_the_flag_or_path() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    // A refused `--history` opened no directory.
+    assert!(!std::path::Path::new(missing).exists(), "{missing}");
+}
+
+/// `calibrate` reports into `main`'s telemetry: its records land in
+/// `--history`, a file that drift-compares clean against itself, and its
+/// events in `--log`.
+#[test]
+fn calibrate_records_a_history_that_drift_reads() {
+    let dir = std::env::temp_dir().join(format!("repro_cli_calibrate_{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    let log = format!("{dir}/events.jsonl");
+    let (code, stderr) = repro(&[
+        "--sf",
+        "0.002",
+        "--history",
+        dir,
+        "--log",
+        &log,
+        "calibrate",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let history = std::fs::read_to_string(format!("{dir}/history.jsonl")).unwrap();
+    assert!(!history.is_empty());
+    assert!(!std::fs::read_to_string(&log).unwrap().is_empty());
+    let (code, stderr) = repro(&["drift", "--baseline", dir, "--current", dir]);
+    assert_eq!(code, Some(0), "{stderr}");
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 /// One run wires every export flag to its file: the Prometheus text, the

@@ -85,8 +85,9 @@ pub struct QueryOutcome {
     /// tags its telemetry events.
     pub query_id: u64,
     /// The structured execution trace: hierarchical spans (query → phase →
-    /// task → operator / DDL / transfer) on the simulated clock, plus
-    /// counters. Deterministic: every timestamp is simulated.
+    /// task → DDL / exec → operator, and the consults) on the simulated
+    /// clock, plus counters. It keeps time; what moved is `transfers` and
+    /// what was chosen `cost`. Deterministic: every timestamp is simulated.
     pub trace: QueryTrace,
     /// Cost-model observatory bundle: every placement decision's predicted
     /// Eq. 1–3 components (chosen + rejected candidates) joined against
@@ -417,10 +418,12 @@ impl<'a> Xdb<'a> {
             prep_ms + lopt_ms,
             ann_ms,
         );
+        // One Consult span per placement decision, as long as the consults
+        // it paid for; what it chose is the outcome's cost observation.
         let mut acur = prep_ms + lopt_ms;
         for (i, decision) in annotation.decisions.iter().enumerate() {
             let dur = decision.paid_consults as f64 * params::CONSULT_ROUNDTRIP_MS;
-            let probe = collector.span(
+            collector.span(
                 SpanKind::Consult,
                 format!("placement {i}"),
                 "client",
@@ -428,33 +431,6 @@ impl<'a> Xdb<'a> {
                 acur,
                 dur,
             );
-            let c = &decision.chosen;
-            collector.attr(
-                probe,
-                "chosen",
-                format!(
-                    "{} ({}l,{}r) cost={:.1}",
-                    c.dbms, c.left_move, c.right_move, c.cost
-                ),
-            );
-            collector.attr(probe, "paid_consults", decision.paid_consults.to_string());
-            for (j, cand) in decision.candidates.iter().enumerate() {
-                let picked = cand.dbms == c.dbms
-                    && cand.left_move == c.left_move
-                    && cand.right_move == c.right_move;
-                collector.attr(
-                    probe,
-                    format!("cand.{j}"),
-                    format!(
-                        "{} ({}l,{}r) cost={:.1} [{}]",
-                        cand.dbms,
-                        cand.left_move,
-                        cand.right_move,
-                        cand.cost,
-                        if picked { "chosen" } else { "rejected" }
-                    ),
-                );
-            }
             acur += dur;
         }
 
@@ -467,7 +443,6 @@ impl<'a> Xdb<'a> {
             "consult.cache_misses",
             (prep_fetches + annotation.consults) as f64,
         );
-        collector.add("prep.metadata_fetches", prep_fetches as f64);
 
         let overhead_ms = prep_ms + lopt_ms + ann_ms;
         collector.set_dur(query_span, overhead_ms);
@@ -691,11 +666,9 @@ impl<'a> Xdb<'a> {
         // the tail reuses their memory: dropped at the end of `submit`
         // instead, `td3_overhead` rounds ran 3% slower (2-vCPU Xeon).
         drop(script);
-        // Everything this query moved, for the transfer spans, the
-        // observatory and the outcome.
+        // Everything this query moved, for the observatory and the outcome.
         let transfers = in_ledger_order(control, deployed.step_transfers, outcome.pulled, result);
-        let (trace, breakdown) =
-            self.finish_trace(trace, exec_span, &transfers, outcome.exec_ms, true);
+        let (trace, breakdown) = self.finish_trace(trace, exec_span, outcome.exec_ms, true);
         // Cost-model observatory: join the predicted placement decisions
         // against this query's transfers and its statement work. Reads only
         // final state, so it cannot perturb any deterministic observable.
@@ -754,15 +727,13 @@ impl<'a> Xdb<'a> {
 
     /// The one trace tail of a query that ran (or was answered from a
     /// session's result cache): close the exec and query spans at
-    /// `exec_ms`, emit one transfer span per record of `transfers` (what
-    /// the query itself moved, in ledger order), and project the breakdown
-    /// out of the finished trace. `executed` publishes the completion
-    /// metrics; a full fold executed nothing and publishes none.
+    /// `exec_ms` and project the breakdown out of the finished trace.
+    /// `executed` publishes the completion metrics; a full fold executed
+    /// nothing and publishes none.
     pub(crate) fn finish_trace(
         &self,
         trace: PlanTrace,
         exec_span: SpanId,
-        transfers: &[Transfer],
         exec_ms: f64,
         executed: bool,
     ) -> (QueryTrace, PhaseBreakdown) {
@@ -773,7 +744,6 @@ impl<'a> Xdb<'a> {
         } = trace;
         collector.set_dur(exec_span, exec_ms);
         collector.set_dur(query_span, overhead_ms + exec_ms);
-        self.emit_transfer_spans(&collector, exec_span, transfers, overhead_ms, exec_ms);
         let trace = collector.finish();
         let breakdown = PhaseBreakdown::from_trace(&trace);
         if executed {
@@ -783,69 +753,6 @@ impl<'a> Xdb<'a> {
             metrics.counter_add("xdb.queries", &[("status", "ok")], 1.0);
         }
         (trace, breakdown)
-    }
-
-    /// One Transfer span (lane `net`) per record of this query's
-    /// `transfers`, in ledger order. Each record gets an equal slot
-    /// of the exec window; the span sequence visualises *what moved and in which
-    /// order*, not independent wire timings (those live on the Materialize
-    /// / pipeline spans).
-    fn emit_transfer_spans(
-        &self,
-        collector: &TraceCollector,
-        exec_span: SpanId,
-        transfers: &[Transfer],
-        exec_start_ms: f64,
-        exec_ms: f64,
-    ) {
-        if transfers.is_empty() {
-            return;
-        }
-        let slot = exec_ms / transfers.len() as f64;
-        for (i, t) in transfers.iter().enumerate() {
-            let span = collector.span(
-                SpanKind::Transfer,
-                format!("{} -> {}", t.from, t.to),
-                "net",
-                Some(exec_span),
-                exec_start_ms + i as f64 * slot,
-                slot,
-            );
-            collector.attr(span, "bytes", t.bytes.to_string());
-            collector.attr(span, "encoded_bytes", t.encoded_bytes.to_string());
-            collector.attr(span, "rows", t.rows.to_string());
-            collector.attr(span, "purpose", format!("{:?}", t.purpose));
-            collector.attr(span, "order", i.to_string());
-            match t.purpose {
-                Purpose::InterDbmsPipeline => collector.attr(span, "movement", "implicit"),
-                Purpose::Materialization => collector.attr(span, "movement", "explicit"),
-                _ => {}
-            }
-            collector.add("net.bytes", t.bytes as f64);
-            collector.add("net.encoded_bytes", t.encoded_bytes as f64);
-            // Per-edge transfer size distribution for the fleet registry
-            // (this loop runs single-threaded in ledger-merge order).
-            let telemetry = self.cluster.telemetry();
-            match t.purpose {
-                Purpose::InterDbmsPipeline => {
-                    collector.add("net.implicit_bytes", t.bytes as f64);
-                    telemetry.metrics.observe(
-                        "net.edge_bytes",
-                        &[("movement", "implicit")],
-                        t.bytes as f64,
-                    );
-                }
-                Purpose::Materialization => {
-                    collector.add("net.explicit_bytes", t.bytes as f64);
-                    telemetry.metrics.observe(
-                        "net.edge_bytes",
-                        &[("movement", "explicit")],
-                        t.bytes as f64,
-                    );
-                }
-                _ => {}
-            }
-        }
     }
 }
 
@@ -875,7 +782,7 @@ pub(crate) struct Executed {
 /// A query's transfers, moved into one list in the order the shared ledger
 /// received them: the control messages, recorded ahead of the deployment,
 /// what each step moved, the XDB query's pulls, and the final result.
-pub(crate) fn in_ledger_order(
+fn in_ledger_order(
     mut control: Vec<Transfer>,
     steps: Vec<Vec<Transfer>>,
     pulled: Vec<Transfer>,

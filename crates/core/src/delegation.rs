@@ -316,19 +316,17 @@ pub(crate) fn finish_script(
     let mut memo = HashMap::new();
     let root_ready = ready(plan, plan.root, &mat_finish, &mut memo);
     let exec_ms = ddl_ms + root_ready + report.finish_ms;
-    if trace.is_enabled() {
-        emit_exec_spans(
-            trace,
-            plan,
-            script,
-            step_reports,
-            &report,
-            ddl_ms,
-            &mat_base,
-            &mat_finish,
-            root_ready,
-        );
-    }
+    emit_exec_spans(
+        trace,
+        plan,
+        script,
+        step_reports,
+        &report,
+        ddl_ms,
+        &mat_base,
+        &mat_finish,
+        root_ready,
+    );
     let telemetry = cluster.telemetry();
     for (step, report) in script.steps.iter().zip(step_reports) {
         telemetry.metrics.observe(
@@ -429,14 +427,6 @@ fn emit_exec_spans(
             &format!("node.{}.work_ms", step.node.as_str()),
             report.work_ms,
         );
-        trace.add(
-            &format!("node.{}.rows", step.node.as_str()),
-            report.rows as f64,
-        );
-        trace.add(
-            &format!("node.{}.bytes", step.node.as_str()),
-            report.bytes as f64,
-        );
         if step.kind == DdlKind::Materialize {
             let from = step.edge_from.expect("materialize step has an edge");
             let key = (from, step.task);
@@ -484,9 +474,6 @@ fn emit_exec_spans(
         .attr(q, "work_ms", format!("{}", final_report.work_ms));
     let root = script.root_node.as_str();
     trace.add(&format!("node.{root}.work_ms"), final_report.work_ms);
-    trace.add(&format!("node.{root}.rows"), final_report.rows as f64);
-    trace.add(&format!("node.{root}.bytes"), final_report.bytes as f64);
-    trace.add("exec.ddl_count", script.steps.len() as f64);
     if let Some(profile) = &final_report.profile {
         emit_profile_spans(trace, q, profile, qstart, final_report.finish_ms);
     }
@@ -616,9 +603,9 @@ pub(crate) fn deploy_script(
     })
 }
 
-/// Deploy and execute a delegation script, untraced and at the default
-/// chunk size: [`deploy_script`], then [`finish_script`] runs the XDB query
-/// and replays the simulated timeline.
+/// Deploy and execute a delegation script at the default chunk size, its
+/// spans under `trace`: [`deploy_script`], then [`finish_script`] runs the
+/// XDB query and replays the simulated timeline.
 pub fn run_script_parallel(
     cluster: &Cluster,
     plan: &DelegationPlan,
@@ -662,10 +649,21 @@ mod tests {
     use crate::scenario;
     use xdb_engine::FaultSite;
     use xdb_net::Purpose;
+    use xdb_obs::TraceCollector;
     use xdb_sql::bind::bind_select;
     use xdb_sql::optimize::{optimize, OptimizeOptions};
     use xdb_sql::parse_select;
     use xdb_tpch::{build_cluster, ProfileAssignment, TableDist, TpchQuery};
+
+    /// [`run_script_parallel`] under a collector of its own.
+    fn run_traced(
+        cluster: &Cluster,
+        plan: &DelegationPlan,
+        script: &DelegationScript,
+    ) -> Result<ExecutionOutcome> {
+        let collector = TraceCollector::new();
+        run_script_parallel(cluster, plan, script, &TraceCtx::new(&collector, 0.0, None))
+    }
 
     fn delegate(
         sql: &str,
@@ -766,7 +764,7 @@ mod tests {
     #[test]
     fn decentralized_execution_matches_single_engine() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_traced(&cluster, &plan, &script).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(
             outcome.relation.same_bag(&expected),
@@ -788,7 +786,7 @@ mod tests {
             },
         );
         assert!(script.steps.iter().any(|s| s.kind == DdlKind::Materialize));
-        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_traced(&cluster, &plan, &script).unwrap();
         let expected = oracle(scenario::EXAMPLE_QUERY);
         assert!(outcome.relation.same_bag(&expected));
         // Materialization traffic got recorded as such.
@@ -895,7 +893,7 @@ mod tests {
             .count();
         cluster.fail_once(node.as_str(), nth, FaultSite::Statement);
         let mark = cluster.ledger.len();
-        let err = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap_err();
+        let err = run_traced(&cluster, &plan, &script).unwrap_err();
         let EngineError::Statement(failed) = err else {
             panic!("{err}");
         };
@@ -922,7 +920,7 @@ mod tests {
     #[test]
     fn cleanup_removes_all_objects() {
         let (cluster, _, plan, script) = delegate(scenario::EXAMPLE_QUERY, Default::default());
-        run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        run_traced(&cluster, &plan, &script).unwrap();
         let (node, sql) = &script.cleanup[0];
         cluster.fail_once(node.as_str(), 0, FaultSite::Statement);
         let failed = run_cleanup(&cluster, &script);
@@ -963,7 +961,7 @@ mod tests {
         );
         assert_eq!(plan.tasks.len(), 1);
         assert!(script.steps.iter().all(|s| s.kind == DdlKind::View));
-        let outcome = run_script_parallel(&cluster, &plan, &script, &TraceCtx::off()).unwrap();
+        let outcome = run_traced(&cluster, &plan, &script).unwrap();
         assert!(!outcome.relation.is_empty());
         // Nothing crossed the network except nothing: it all ran on vdb.
         assert_eq!(cluster.ledger.total_bytes(), 0);

@@ -42,8 +42,7 @@
 
 use crate::annotate::fragment_keys;
 use crate::client::{
-    in_ledger_order, Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions,
-    PREP_PARSE_MS,
+    Executed, PhaseBreakdown, PlanTrace, SoloTimeline, Xdb, XdbOptions, PREP_PARSE_MS,
 };
 use crate::delegation::{build_script, build_script_with_reuse, view_name};
 use crate::global::GlobalCatalog;
@@ -466,8 +465,7 @@ impl<'a> QueryServer<'a> {
         collector.attr(query_span, "tenant", &sub.tenant);
         let root_key = fkeys[&delegation.root].clone();
 
-        // `own` is what this query itself moved, in ledger order.
-        let (fold, fold_hits, relation, exec_ms, exec_span, own, attributed);
+        let (fold, fold_hits, relation, exec_ms, exec_span, attributed);
         if let Some(cached) = w.results.get(&root_key) {
             // ---- Full fold: the whole plan is already materialized; fan
             // the cached result out. The only fresh physical traffic is
@@ -481,7 +479,6 @@ impl<'a> QueryServer<'a> {
             let result = self
                 .xdb
                 .record_final_result(&cached.root_node, &cached.relation);
-            own = Vec::from_iter(result);
             exec_ms = cached.exec_ms;
             exec_span = collector.span(
                 SpanKind::Phase,
@@ -502,7 +499,7 @@ impl<'a> QueryServer<'a> {
             collector.attr(fan_out, "fragments", fold_hits.to_string());
             let mut view = cached.attributed_control.clone();
             view.extend(cached.attributed_data.iter().cloned());
-            view.extend(own.iter().cloned());
+            view.extend(result);
             attributed = view;
             relation = cached.relation.clone();
         } else {
@@ -595,10 +592,10 @@ impl<'a> QueryServer<'a> {
                 attributed_control.extend(f.control.iter().cloned());
                 attributed_data.extend(f.data.iter().cloned());
             }
-            attributed_data.extend(outcome.pulled.iter().cloned());
+            attributed_data.extend(outcome.pulled);
             let mut view = attributed_control.clone();
             view.extend(attributed_data.iter().cloned());
-            view.extend(result.iter().cloned());
+            view.extend(result);
             w.results.insert(
                 root_key,
                 CachedResult {
@@ -625,7 +622,6 @@ impl<'a> QueryServer<'a> {
                 collector.attr(reused, "fragments", fold_hits.to_string());
             }
             (relation, exec_ms) = (outcome.relation, outcome.exec_ms);
-            own = in_ledger_order(control, deployed.step_transfers, outcome.pulled, result);
             (exec_span, attributed) = (span, view);
         }
         if fold_hits > 0 {
@@ -637,9 +633,9 @@ impl<'a> QueryServer<'a> {
             );
             collector.attr(query_span, "fold", fold);
         }
-        let (trace, breakdown) =
-            self.xdb
-                .finish_trace(trace, exec_span, &own, exec_ms, fold != "full");
+        let (trace, breakdown) = self
+            .xdb
+            .finish_trace(trace, exec_span, exec_ms, fold != "full");
         Ok(Admitted {
             query_id,
             relation,

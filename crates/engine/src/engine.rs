@@ -41,7 +41,6 @@ pub const MAX_FETCH_DEPTH: usize = 32;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecReport {
     pub rows: u64,
-    pub bytes: u64,
     /// Local work on this engine, simulated ms.
     pub work_ms: f64,
     /// Finish time including upstream (remote) dependencies, simulated ms
@@ -520,7 +519,6 @@ impl Engine {
             .observe("engine.statement_ms", &engine_label, work_ms);
         let report = ExecReport {
             rows: rel.len() as u64,
-            bytes: rel.wire_bytes(),
             work_ms,
             finish_ms,
             profile,
@@ -806,7 +804,6 @@ mod tests {
         let out = e.execute_sql("SELECT * FROM emp", &NoRemote).unwrap();
         let report = out.report;
         assert_eq!(report.rows, 3);
-        assert!(report.bytes > 0);
         assert!(report.finish_ms >= e.profile.startup_ms);
     }
 

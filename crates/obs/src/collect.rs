@@ -3,14 +3,13 @@
 //! All span emission on the hot paths happens single-threaded (the client
 //! builds the optimizer phases; the executors emit the execution timeline
 //! post-barrier, in script order), so a plain mutex over a `Vec` is
-//! uncontended; the disabled collector short-circuits before taking it.
+//! uncontended.
 
 use crate::span::{Span, SpanId, SpanKind};
 use crate::trace::QueryTrace;
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 #[derive(Default)]
 struct Inner {
@@ -20,7 +19,6 @@ struct Inner {
 
 /// Collects spans and counters for one query submission.
 pub struct TraceCollector {
-    enabled: bool,
     inner: Mutex<Inner>,
 }
 
@@ -31,28 +29,15 @@ impl Default for TraceCollector {
 }
 
 impl TraceCollector {
-    /// An enabled collector (the default for every submission — the coarse
-    /// span set is a few dozen entries per query).
+    /// A collector for one submission (the coarse span set is a few dozen
+    /// entries per query).
     pub fn new() -> TraceCollector {
         TraceCollector {
-            enabled: true,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// A collector that drops everything; every operation is a no-op.
-    pub(crate) fn disabled() -> TraceCollector {
-        TraceCollector {
-            enabled: false,
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a span; returns its id (0 when disabled).
+    /// Record a span; returns its id.
     pub fn span(
         &self,
         kind: SpanKind,
@@ -62,9 +47,6 @@ impl TraceCollector {
         start_ms: f64,
         dur_ms: f64,
     ) -> SpanId {
-        if !self.enabled {
-            return 0;
-        }
         let mut inner = self.inner.lock();
         let id = inner.spans.len() as SpanId;
         inner.spans.push(Span {
@@ -83,9 +65,6 @@ impl TraceCollector {
     /// Attach a key/value annotation to an existing span. A literal key is
     /// stored as it is, without a copy.
     pub fn attr(&self, id: SpanId, key: impl Into<Cow<'static, str>>, value: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
         if let Some(span) = self.inner.lock().spans.get_mut(id as usize) {
             span.attrs.push((key.into(), value.into()));
         }
@@ -93,9 +72,6 @@ impl TraceCollector {
 
     /// Set the duration of a span emitted before its extent was known.
     pub fn set_dur(&self, id: SpanId, dur_ms: f64) {
-        if !self.enabled {
-            return;
-        }
         if let Some(span) = self.inner.lock().spans.get_mut(id as usize) {
             span.dur_ms = dur_ms;
         }
@@ -103,9 +79,6 @@ impl TraceCollector {
 
     /// Bump a named counter. Only a new counter copies its name.
     pub fn add(&self, counter: &str, amount: f64) {
-        if !self.enabled {
-            return;
-        }
         let counters = &mut self.inner.lock().counters;
         match counters.get_mut(counter) {
             Some(total) => *total += amount,
@@ -130,18 +103,10 @@ impl std::fmt::Debug for TraceCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("TraceCollector")
-            .field("enabled", &self.enabled)
             .field("spans", &inner.spans.len())
             .field("counters", &inner.counters.len())
             .finish()
     }
-}
-
-/// A process-wide disabled collector, for code paths that need a
-/// `&TraceCollector` but have nothing to record into.
-pub fn disabled_collector() -> &'static TraceCollector {
-    static DISABLED: OnceLock<TraceCollector> = OnceLock::new();
-    DISABLED.get_or_init(TraceCollector::disabled)
 }
 
 /// Emission context threaded through the executors: the collector, the
@@ -167,19 +132,6 @@ impl<'a> TraceCtx<'a> {
             base_ms,
             parent,
         }
-    }
-
-    /// A context that records nothing.
-    pub fn off() -> TraceCtx<'static> {
-        TraceCtx {
-            collector: disabled_collector(),
-            base_ms: 0.0,
-            parent: None,
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.collector.is_enabled()
     }
 
     /// Record a span under this context's parent; `start_ms` is relative
@@ -253,18 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_is_a_no_op() {
-        let c = TraceCollector::disabled();
-        let id = c.span(SpanKind::Query, "q", "client", None, 0.0, 1.0);
-        assert_eq!(id, 0);
-        c.attr(id, "k", "v");
-        c.add("x", 1.0);
-        let t = c.finish();
-        assert!(t.spans.is_empty());
-        assert!(t.counters.is_empty());
-    }
-
-    #[test]
     fn ctx_applies_base_and_parent() {
         let c = TraceCollector::new();
         let root = c.span(SpanKind::Query, "q", "client", None, 0.0, 0.0);
@@ -273,13 +213,5 @@ mod tests {
         let t = c.finish();
         assert_eq!(t.spans[id as usize].start_ms, 105.0);
         assert_eq!(t.spans[id as usize].parent, Some(root));
-    }
-
-    #[test]
-    fn off_ctx_records_nothing() {
-        let ctx = TraceCtx::off();
-        assert!(!ctx.is_enabled());
-        ctx.span(SpanKind::Exec, "work", "db1", 0.0, 1.0);
-        ctx.add("x", 1.0);
     }
 }

@@ -15,12 +15,11 @@
 //! cannot make that guarantee; one nanosecond is six orders of magnitude
 //! below anything the timing model resolves.
 //!
-//! The walk deliberately ignores two span kinds that visualise rather
-//! than time: `Transfer` spans (equal slots of the exec window, in
-//! ledger-merge order) and `Operator` spans (proportional subdivisions).
-//! Honest transfer attribution instead comes from the `work_ms` attribute
-//! the executor attaches to `Exec` spans: the tail `work_ms` of an Exec
-//! span is engine compute, everything before it is wire waiting.
+//! The walk ignores `Operator` spans, which visualise rather than time
+//! (proportional subdivisions of their Exec span). Transfer attribution
+//! comes from the `work_ms` attribute the executor attaches to `Exec`
+//! spans: the tail `work_ms` of an Exec span is engine compute, everything
+//! before it is wire waiting.
 
 use crate::span::{Span, SpanKind};
 use crate::trace::QueryTrace;
@@ -228,8 +227,8 @@ pub(crate) fn critical_path_of(trace: &QueryTrace, root_id: u32) -> Option<Criti
         root_of.push(r);
     }
 
-    // Candidate spans of this root's subtree. Transfer spans are equal-slot
-    // visualisations and Operator spans proportional subdivisions — both
+    // Candidate spans of this root's subtree. Operator spans are
+    // proportional subdivisions and Task spans group their DDL — both
     // excluded. Exec spans nested under another Exec span (remote-producer
     // profile spans) are excluded too: their parent already owns the time.
     let kind_of = |id: u32| spans[id as usize].kind;
@@ -252,7 +251,7 @@ pub(crate) fn critical_path_of(trace: &QueryTrace, root_id: u32) -> Option<Criti
                     continue;
                 }
             }
-            SpanKind::Task | SpanKind::Operator | SpanKind::Transfer => continue,
+            SpanKind::Task | SpanKind::Operator => continue,
         };
         let start_ns = ns(s.start_ms).max(root_start);
         let end_ns = ns(s.end_ms()).min(root_end);

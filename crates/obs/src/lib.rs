@@ -3,7 +3,7 @@
 //! Structured tracing and metrics for the XDB reproduction.
 //!
 //! Every query submission produces a [`QueryTrace`]: a tree of hierarchical
-//! [`Span`]s (query → phase → task → operator / DDL / transfer / consult)
+//! [`Span`]s (query → phase → task → operator / DDL / exec / consult)
 //! plus a flat counter map. Timestamps are **simulated milliseconds** — the
 //! same deterministic clock the timing model in `xdb-net` composes — so
 //! traces are bit-identical on any number of executor threads and across
@@ -50,7 +50,7 @@ pub mod span;
 pub mod telemetry;
 pub mod trace;
 
-pub use collect::{disabled_collector, TraceCollector, TraceCtx};
+pub use collect::{TraceCollector, TraceCtx};
 pub use costmodel::{
     error_pct, summarize, CalibrationSummary, CandidateObs, CostObservation, DecisionObs, EdgeJoin,
     ErrorStats,

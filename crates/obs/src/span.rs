@@ -1,5 +1,5 @@
 //! The span model: one interval of simulated time, attributed to a lane
-//! (an engine node, the client, or the network) and linked to a parent.
+//! (an engine node or the client) and linked to a parent.
 
 use std::borrow::Cow;
 
@@ -22,8 +22,6 @@ pub enum SpanKind {
     Exec,
     /// One physical operator inside an engine execution.
     Operator,
-    /// One recorded wire transfer (ledger entry).
-    Transfer,
     /// One consulting round-trip (metadata fetch or EXPLAIN probe).
     Consult,
 }
@@ -39,7 +37,6 @@ impl SpanKind {
             SpanKind::Ddl => "ddl",
             SpanKind::Exec => "exec",
             SpanKind::Operator => "operator",
-            SpanKind::Transfer => "transfer",
             SpanKind::Consult => "consult",
         }
     }
@@ -58,7 +55,7 @@ pub struct Span {
     pub parent: Option<SpanId>,
     pub kind: SpanKind,
     pub name: String,
-    /// Display lane: an engine node name, the client node, or `"net"`.
+    /// Display lane: an engine node name or the client node.
     pub lane: String,
     /// Start, in simulated ms since the trace origin.
     pub start_ms: f64,

@@ -123,7 +123,7 @@ impl QueryTrace {
     }
 
     /// Chrome `trace_event` JSON: one process, one thread ("lane") per
-    /// engine node / client / network, `X` complete events with
+    /// engine node and the client, `X` complete events with
     /// microsecond timestamps, and `M` metadata events naming the lanes.
     ///
     /// Open in `chrome://tracing` or <https://ui.perfetto.dev>.

@@ -414,31 +414,26 @@ fn concurrent_plans_are_the_serial_plans() {
     }
 }
 
-/// What a submit says it moved: its transfers, its Transfer spans, the
-/// edges of its cost observation and of its history record.
-type Moved = (Vec<String>, Vec<String>, Vec<String>, Vec<String>);
+/// What a submit says it moved: its transfers and the edges of its cost
+/// observation and of its history record.
+type Moved = (Vec<String>, Vec<String>, Vec<String>);
 
 fn moved(outcome: &QueryOutcome, sql: &str) -> Moved {
     let debug = |t: &dyn std::fmt::Debug| format!("{t:?}");
     let transfers = outcome.transfers.iter().map(|t| debug(t)).collect();
-    let spans = outcome.trace.spans.iter();
-    let spans = spans
-        .filter(|s| s.kind == SpanKind::Transfer)
-        .map(|s| format!("{} {}+{} {:?}", s.name, s.start_ms, s.dur_ms, s.attrs))
-        .collect();
     let cost = outcome.cost.decisions.iter().map(|d| debug(&d.edges));
     let record = outcome.record(sql);
     let edges = record.edges.iter().map(|e| debug(e)).collect();
-    (transfers, spans, cost.collect(), edges)
+    (transfers, cost.collect(), edges)
 }
 
 /// A submit owns its transfers. On one TD1 federation, four threads submit
 /// each of the six queries in turn, five rounds (120 submits), and every
-/// submit's transfers, Transfer spans, cost-observation edges and history
-/// edges are those of the serial warm submit of its query (warm, so that
-/// planning, and with it the Transfer spans' offsets, costs the same).
-/// The query ids all have three digits, so that the control messages,
-/// whose DDL names the query, have their serial sizes.
+/// submit's transfers, cost-observation edges and history edges are those
+/// of the serial warm submit of its query (warm, so that it plans from the
+/// cached state the concurrent submits find). The query ids all have three
+/// digits, so that the control messages, whose DDL names the query, have
+/// their serial sizes.
 #[test]
 fn concurrent_submits_own_their_transfers() {
     const THREADS: usize = 4;
@@ -452,11 +447,10 @@ fn concurrent_submits_own_their_transfers() {
         xdb.submit(q.sql()).unwrap()
     };
     let serial: Vec<Moved> = queries.map(|q| moved(&warm(q), q.sql())).into();
-    // One span and one history edge per transfer, and every submit moved.
-    let counts = |m: &Moved| [m.0.len(), m.1.len(), m.3.len()];
+    // One history edge per transfer, and every submit moved.
     assert!(serial
         .iter()
-        .all(|m| m.0.len() > 1 && counts(m) == [m.0.len(); 3]));
+        .all(|m| m.0.len() > 1 && m.2.len() == m.0.len()));
     let submits: Vec<(usize, QueryOutcome)> = std::thread::scope(|s| {
         let threads: Vec<_> = (0..THREADS)
             .map(|t| {

@@ -970,16 +970,13 @@ fn thread_census_rejects_a_spawned_thread() {
 // ----------------------------------------------------------- static census
 
 /// The `static` items the library's non-test code may hold.
-const STATICS: [&str; 2] = [
-    "crates/obs/src/collect.rs DISABLED",
-    "crates/sql/src/algebra.rs EMPTY",
-];
+const STATICS: [&str; 1] = ["crates/sql/src/algebra.rs EMPTY"];
 
 /// Static census: a federation owns its telemetry, its query ids and its
 /// tracing (DESIGN.md §11 "Telemetry handle"), so no process-wide state may
 /// stand in for them. The `static` items of non-test library code (shim
-/// crates excepted, `repro`'s crate included) are exactly the disabled
-/// trace collector and `PlanSchema`'s empty schema, as `path NAME` lines.
+/// crates excepted, `repro`'s crate included) are exactly `PlanSchema`'s
+/// empty schema, as `path NAME` lines.
 fn statics(path: &str, src: &str) -> Vec<String> {
     src.lines()
         .filter_map(|line| {

@@ -185,3 +185,54 @@ fn breakdown_is_a_projection_of_the_trace() {
         assert!(report.contains(phase), "{report}");
     }
 }
+
+/// The trace keeps time and nothing the outcome already holds: what moved
+/// is `QueryOutcome::transfers`, what was chosen `QueryOutcome::cost`. Over
+/// TD1–TD3 × the six queries no span sits on a network lane, every
+/// placement Consult span is a bare interval (and the ann Consult spans
+/// still sum to `ann_ms`), and the counters are the consult accounting
+/// and each engine's statement work.
+#[test]
+fn the_trace_keeps_time() {
+    for td in [TableDist::Td1, TableDist::Td2, TableDist::Td3] {
+        let (cluster, catalog) = federation(td);
+        let xdb = Xdb::new(&cluster, &catalog);
+        for q in TpchQuery::ALL {
+            let what = format!("{} on {td:?}", q.name());
+            let out = xdb.submit(q.sql()).unwrap();
+            let trace = &out.trace;
+            assert!(!out.transfers.is_empty(), "{what}");
+            assert!(
+                trace.spans.iter().all(|s| s.lane != "net"),
+                "{what}: {:?}",
+                trace.lanes()
+            );
+            let ann = trace
+                .spans
+                .iter()
+                .find(|s| s.kind == SpanKind::Phase && s.name == "ann")
+                .unwrap();
+            let consults: Vec<&Span> = spans_of(trace, SpanKind::Consult)
+                .filter(|s| s.parent == Some(ann.id))
+                .collect();
+            assert_eq!(consults.len(), out.cost.decisions.len(), "{what}");
+            for s in &consults {
+                assert!(s.name.starts_with("placement "), "{what}: {}", s.name);
+                assert_eq!(s.attrs, [], "{what}: {}", s.name);
+            }
+            let ann_ms: f64 = consults.iter().map(|s| s.dur_ms).sum();
+            assert_eq!(ann_ms, out.breakdown.ann_ms, "{what}");
+            let mut expected: Vec<String> =
+                ["consults", "consult.cache_hits", "consult.cache_misses"]
+                    .map(String::from)
+                    .into();
+            for task in &out.delegation.tasks {
+                expected.push(format!("node.{}.work_ms", task.dbms.as_str()));
+            }
+            expected.sort();
+            expected.dedup();
+            let keys: Vec<&String> = trace.counters.keys().collect();
+            assert_eq!(keys, expected.iter().collect::<Vec<_>>(), "{what}");
+        }
+    }
+}
